@@ -244,8 +244,9 @@ type Config struct {
 	// NewLocalSystem fails only on store-scan I/O errors — per-table
 	// problems quarantine instead of failing boot. Requires DiskDir.
 	AutoRecover bool
-	// EncodeWire forces gob round-trips on the in-process transport,
-	// exercising exactly what the TCP transport sends.
+	// EncodeWire forces every message on the in-process transport
+	// through the wire frame codec, exercising exactly what the TCP
+	// transport sends.
 	EncodeWire bool
 	// Trace records a per-phase timeline for every query: the system
 	// mints one trace id per query, the engines stamp it onto the wire

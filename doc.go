@@ -59,9 +59,10 @@
 // # Transport
 //
 // TCP deployments (cmd/prism-server and friends) speak a multiplexed
-// RPC framing: every frame carries a request id, one persistent
-// connection per peer carries any number of concurrent calls, and
-// servers dispatch each decoded request to a bounded per-connection
+// RPC framing: every frame — a small gob envelope followed by the
+// message's share vectors as raw width-packed slabs — carries a request
+// id, one persistent connection per peer carries any number of
+// concurrent calls, and servers dispatch each decoded request to a bounded per-connection
 // worker pool, so replies return as they complete — a cheap PSI round
 // is never stuck behind a slow aggregation on the same wire.
 // Config.PerConnInflight bounds the pipelining depth per connection

@@ -7,7 +7,7 @@
 // flagged (PSI, verified), the combined exposure per common client
 // (PSI sum), and the largest single-bank exposure with the banks that
 // hold it (PSI max — the full three-round §6.3 protocol through the
-// announcer), all over loopback TCP with gob-encoded frames.
+// announcer), all over loopback TCP with length-prefixed wire frames.
 //
 // Run: go run ./examples/federated
 package main

@@ -324,7 +324,8 @@ func TestMultiColumnAggregation(t *testing.T) {
 	}
 }
 
-// TestEncodeWireMode runs the full stack with forced gob round-trips.
+// TestEncodeWireMode runs the full stack with every message forced
+// through the wire frame codec.
 func TestEncodeWireMode(t *testing.T) {
 	sys, gt := randomSystem(t, 3, 64, 20, 900, func(c *Config) { c.EncodeWire = true })
 	res, err := sys.PSI(context.Background())
@@ -395,14 +396,15 @@ func TestBucketizedPSIMatchesFlatPSI(t *testing.T) {
 // disk-backed variant additionally streams every level's windows
 // through the chunked segment store.
 func TestBucketizedPSISharded(t *testing.T) {
-	restore := transport.SetFrameLimit(4 << 10) // leaf level b=4096 → >8 KiB frames monolithic
+	restore := transport.SetFrameLimit(4 << 10) // leaf level b=4096 → over 4 KiB even at one byte per χ share
 	defer restore()
 	for _, disk := range []bool{false, true} {
 		name := map[bool]string{false: "mem", true: "disk"}[disk]
 		t.Run(name, func(t *testing.T) {
 			// 64-cell windows keep even the verify+agg main-table frames
-			// under the cap; a monolithic leaf-level upload (4096 χ cells
-			// ≈ 8 KiB) would burst it.
+			// under the cap; a monolithic leaf-level upload (4096 χ shares
+			// of at least a byte each, plus the frame header) would burst
+			// it.
 			sys, gt := randomSystem(t, 3, 4096, 30, 1100, func(c *Config) {
 				c.ShardCells = 64
 				c.EncodeWire = true

@@ -37,7 +37,7 @@ type SystemSpec struct {
 	HotChunks    uint64 // hot-chunk cache byte budget (implies HotColumns)
 	ChunkCells   uint64 // share-store chunk size in cells (0 = default)
 	ShardCells   uint64 // shard size for O(b) exchanges (0 = monolithic)
-	EncodeWire   bool   // gob round-trip per call (frame-size measurement)
+	EncodeWire   bool   // wire-frame round trip per call (frame-size measurement)
 	Trace        bool   // per-query phase timelines (telemetryoverhead)
 	AggCols      []string
 	Verify       bool

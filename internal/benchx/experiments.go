@@ -449,8 +449,8 @@ var domainScaleMix = []prism.Request{
 // size: peak frame bytes during outsourcing and querying plus sustained
 // queries/sec, for the monolithic wire mode vs sharded exchanges, at
 // each configured domain size. The system runs with EncodeWire so every
-// message really is gob-encoded and measured — and subject to the
-// transport frame cap: a monolithic configuration whose frames exceed
+// message really is encoded into a wire frame and measured — and subject
+// to the transport frame cap: a monolithic configuration whose frames exceed
 // transport.FrameLimit() lands in the table as a "frame overflow" row
 // instead of aborting the experiment, because that failure is exactly
 // the wall sharding removes.
@@ -883,8 +883,8 @@ var groupScaleGroups = []int{1, 2, 4}
 // GroupScale measures multi-group domain partitioning: sustained mixed
 // queries/sec at 1, 2 and 4 server groups over one fixed domain, with
 // every server's worker pool pinned to one thread so the sweep models
-// adding server hardware rather than oversubscribing one box. Frames
-// are gob-encoded to measure the peak wire frame (per-group windows
+// adding server hardware rather than oversubscribing one box. Messages
+// are frame-encoded to measure the peak wire frame (per-group windows
 // shrink as groups split the domain, so the peak must not grow), and
 // the owner-side result-merge cost is reported per query. Every
 // multi-group point's response fingerprints are compared against the

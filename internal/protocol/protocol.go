@@ -1,7 +1,8 @@
 // Package protocol defines the wire messages exchanged between Prism
 // entities (owners ↔ servers ↔ announcer). Every protocol step of the
 // paper maps to one request/reply pair. All types are gob-encodable and
-// registered for transport over the generic envelope.
+// registered for transport over the generic envelope; their bulk share
+// vectors bypass gob and travel as raw slabs (slab.go).
 package protocol
 
 import (
@@ -515,9 +516,9 @@ type QueryDoneReply struct{}
 // the single source of truth three guards share: Register feeds it to
 // gob, the gobregistry analyzer (prism-vet) statically checks every
 // *Request/*Reply struct in this package appears in it, and the
-// round-trip test in protocol_gob_test.go encodes each entry through a
-// real gob envelope to catch what static checks cannot (unregistered
-// nested types, non-encodable fields).
+// round-trip test in protocol_gob_test.go sends each entry through the
+// real frame codec to catch what static checks cannot (unregistered
+// nested types, non-encodable fields, a bulk vector left for gob).
 func Messages() []any {
 	return []any{
 		TableSpec{}, Stats{}, Range{}, Span{},

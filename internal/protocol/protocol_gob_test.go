@@ -1,18 +1,76 @@
-package protocol
+package protocol_test
 
 import (
-	"bytes"
-	"encoding/gob"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"prism/internal/protocol"
+	"prism/internal/transport"
 )
 
-// envelope mirrors the transport frame: every message crosses the wire
-// as `any`, which is exactly the shape that requires gob registration
-// of the concrete type. Encoding through it exercises the same path a
-// real RPC does.
-type envelope struct{ V any }
+// wireRoundTrip sends msg out and back through the real frame codec: an
+// EncodeWire network encodes and decodes the request on the way to an
+// echo handler and the reply on the way back. Every message crosses as
+// the `any` payload of the frame's gob envelope, which is exactly the
+// shape that requires gob registration of the concrete type.
+func wireRoundTrip(t *testing.T, msg any) any {
+	t.Helper()
+	n := transport.NewNetwork()
+	n.EncodeWire = true
+	n.Register("echo", transport.HandlerFunc(func(_ context.Context, req any) (any, error) { return req, nil }))
+	out, err := n.Call(context.Background(), "echo", msg)
+	if err != nil {
+		t.Fatalf("%T through the frame codec: %v", msg, err)
+	}
+	return out
+}
+
+// bulkTypes are the vector types that must travel as slabs, never
+// through gob.
+var bulkTypes = map[reflect.Type]bool{
+	reflect.TypeOf([]uint16(nil)):            true,
+	reflect.TypeOf([]uint32(nil)):            true,
+	reflect.TypeOf([]uint64(nil)):            true,
+	reflect.TypeOf(map[string][]uint64(nil)): true,
+}
+
+// bulkLeft reports the path of the first non-empty bulk vector still
+// reachable in v — what gob would have to encode element by element.
+func bulkLeft(v reflect.Value, path string) string {
+	if bulkTypes[v.Type()] {
+		if v.Len() > 0 {
+			return path
+		}
+		return ""
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := bulkLeft(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := bulkLeft(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := bulkLeft(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key())); p != "" {
+				return p
+			}
+		}
+	case reflect.Ptr, reflect.Interface:
+		if !v.IsNil() {
+			return bulkLeft(v.Elem(), path)
+		}
+	}
+	return ""
+}
 
 // fill returns a value of type t with every reachable exported field
 // populated to something non-zero, so the round trip cannot pass by
@@ -60,17 +118,18 @@ func fill(t reflect.Type, seed int) reflect.Value {
 	return v
 }
 
-// TestGobRoundTripAllMessages encodes one fully populated instance of
-// every wire message through a real gob encoder, as the `any` payload
-// of a transport-shaped envelope, and requires the decoded value to be
-// identical. This is the dynamic half of the gobregistry invariant: the
-// static analyzer proves every message is in the registration list, and
-// this test proves the registered set actually survives the wire —
-// including nested types, maps and anything gob itself would reject at
-// runtime.
+// TestGobRoundTripAllMessages sends one fully populated instance of
+// every wire message through the real frame codec and requires the
+// decoded value to be identical. This is the dynamic half of the
+// gobregistry invariant: the static analyzer proves every message is in
+// the registration list, and this test proves the registered set
+// actually survives the wire — including nested types, maps and anything
+// gob itself would reject at runtime. It also proves the other half of
+// the wire format: once the codec has detached a message's slabs, no
+// bulk vector is left anywhere in what gob gets to see.
 func TestGobRoundTripAllMessages(t *testing.T) {
 	seen := make(map[reflect.Type]bool)
-	for _, msg := range Messages() {
+	for _, msg := range protocol.Messages() {
 		typ := reflect.TypeOf(msg)
 		if seen[typ] {
 			t.Errorf("Messages lists %s twice", typ)
@@ -79,16 +138,15 @@ func TestGobRoundTripAllMessages(t *testing.T) {
 		seen[typ] = true
 		t.Run(typ.Name(), func(t *testing.T) {
 			in := fill(typ, 1).Interface()
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&envelope{V: in}); err != nil {
-				t.Fatalf("encoding %s as envelope payload: %v", typ, err)
+			if out := wireRoundTrip(t, in); !reflect.DeepEqual(out, in) {
+				t.Errorf("round trip changed %s:\n got %#v\nwant %#v", typ, out, in)
 			}
-			var out envelope
-			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				t.Fatalf("decoding %s: %v", typ, err)
+			header, slabs := protocol.Detach(in)
+			if p := bulkLeft(reflect.ValueOf(header), typ.Name()); p != "" {
+				t.Errorf("%s still reaches gob after Detach", p)
 			}
-			if !reflect.DeepEqual(out.V, in) {
-				t.Errorf("round trip changed %s:\n got %#v\nwant %#v", typ, out.V, in)
+			if bulkLeft(reflect.ValueOf(in), "") != "" && slabs.Size() == 0 {
+				t.Errorf("%s carries bulk vectors but detached no slab", typ)
 			}
 		})
 	}
@@ -100,8 +158,8 @@ func TestGobRoundTripAllMessages(t *testing.T) {
 func TestRegisterMatchesMessages(t *testing.T) {
 	// Register ran in init; a second run must be a no-op, not a panic
 	// (gob panics on conflicting re-registration).
-	Register()
-	if n := len(Messages()); n < 30 {
+	protocol.Register()
+	if n := len(protocol.Messages()); n < 30 {
 		t.Fatalf("Messages lists only %d types; the wire protocol has more — did the list get truncated?", n)
 	}
 }

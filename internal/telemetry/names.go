@@ -15,7 +15,7 @@ const (
 	// Transport / RPC plane.
 	MetricRPCSeconds         = "prism_rpc_seconds"          // histogram, label type: server-side handler latency per message type
 	MetricRPCBytes           = "prism_rpc_bytes"            // histogram, label type: encoded frame size per message type
-	MetricFrameEncodeSeconds = "prism_frame_encode_seconds" // histogram: gob encode+decode round trip per frame
+	MetricFrameEncodeSeconds = "prism_frame_encode_seconds" // histogram: frame encode (gob envelope + slabs) per frame
 
 	// Server query plane.
 	MetricQueries        = "prism_queries_total"         // counter, label type: handled query requests

@@ -1,39 +1,29 @@
 package transport
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"prism/internal/telemetry"
 )
 
 // Frame-level metrics, shared by the TCP transport and the in-process
-// Network's EncodeWire mode: gob-encode latency and the encoded size
-// per message type. The transport stays protocol-agnostic — the label
-// is the payload's Go type name, and no trace spans are minted here
-// (span annotation is the engines' job).
+// Network's EncodeWire mode: frame-encode latency and the encoded size
+// (envelope and slabs) per message type. The label is the payload's Go
+// type name, cached per type beside the slab field table
+// (protocol.Slabs.Label); no trace spans are minted here (span
+// annotation is the engines' job).
 var (
 	mFrameEncodeSeconds = telemetry.NewHistogram(telemetry.MetricFrameEncodeSeconds, telemetry.LatencyBuckets)
 	mRPCBytes           = telemetry.NewHistogramVec(telemetry.MetricRPCBytes, "type", telemetry.SizeBuckets)
 )
 
-// observeFrame records one encoded message. Called after the encode so
-// a disabled registry costs a single atomic load.
-func observeFrame(payload any, size int64, encode time.Duration) {
+// observeFrame records one encoded message under its type label.
+// Called after the encode so a disabled registry costs a single atomic
+// load.
+func observeFrame(label string, size int64, encode time.Duration) {
 	if !telemetry.Enabled() {
 		return
 	}
 	mFrameEncodeSeconds.Observe(encode.Seconds())
-	mRPCBytes.Observe(msgType(payload), float64(size))
-}
-
-// msgType is the series label for a payload: its type name without the
-// package path ("PSIRequest", "AggReply").
-func msgType(v any) string {
-	s := fmt.Sprintf("%T", v)
-	if i := strings.LastIndexByte(s, '.'); i >= 0 {
-		s = s[i+1:]
-	}
-	return s
+	mRPCBytes.Observe(label, float64(size))
 }

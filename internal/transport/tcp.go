@@ -8,15 +8,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"prism/internal/protocol"
 )
 
-// MaxFrameBytes is the default cap on one wire frame (4-byte big-endian
-// length prefix + gob-encoded envelope). A peer announcing a larger
+// MaxFrameBytes is the default cap on one wire frame's body (what
+// follows the 4-byte big-endian length prefix). A peer announcing a larger
 // frame is cut off before any payload is read, so a corrupt or hostile
 // peer cannot force an arbitrary allocation. 256 MiB holds the largest
 // legal monolithic message at the paper's scales (a 20M-cell Shamir
@@ -63,26 +66,109 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // TCPClient.Close.
 var errClientClosed = errors.New("transport: client closed")
 
-// encodeFrame gob-encodes env into one self-contained length-prefixed
-// frame, so that readers can decode frames independently of connection
-// history. Encoding is the CPU-heavy half of a send; callers on a
-// shared connection encode first and take the write lock only for the
-// byte copy, so a large frame never blocks other senders' cheap ones.
+// frameVersion is the first byte of every frame body and names its
+// layout, so a peer built for another layout is refused with
+// ErrFrameVersion instead of being misparsed.
+const frameVersion = 1
+
+// bodyHeader is the fixed start of a frame body — version byte and
+// envelope length — and framePrefix that plus the frame's length prefix:
+// everything ahead of the gob envelope.
+const (
+	bodyHeader  = 1 + 4
+	framePrefix = 4 + bodyHeader
+)
+
+// ErrFrameVersion is returned for a frame whose version byte this build
+// does not speak: the peer runs a different wire format.
+var ErrFrameVersion = errors.New("transport: unsupported frame version")
+
+// ErrCorruptFrame is returned for a frame of the right version whose
+// body does not parse.
+var ErrCorruptFrame = errors.New("transport: corrupt frame")
+
+// framePools recycles frame buffers; pool c holds capacities of bit
+// length c+1, so a small frame never pins a large buffer.
+var framePools [bits.UintSize]sync.Pool
+
+// getFrameBuf returns an empty buffer with capacity for n bytes.
+func getFrameBuf(n int) []byte {
+	if p, _ := framePools[bits.Len(uint(n)|1)-1].Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:0]
+	}
+	return make([]byte, 0, n)
+}
+
+// putFrameBuf returns a buffer from getFrameBuf (possibly regrown since)
+// once nothing references its bytes any more.
+func putFrameBuf(b []byte) {
+	framePools[bits.Len(uint(cap(b))|1)-1].Put(&b)
+}
+
+// encodeFrame encodes env into one self-contained length-prefixed frame,
+// the only wire format of both the TCP transport and Network.EncodeWire:
+//
+//	4 bytes  body length, big-endian (everything below)
+//	1 byte   frameVersion
+//	4 bytes  envelope length, big-endian
+//	         gob(envelope), the payload's bulk vectors detached
+//	         slab section: those vectors, raw (protocol.Detach)
+//
+// The slab section's size is known before anything is written, so a
+// message over the cap fails before its buffer is allocated. The frame
+// comes from the pool: hand it to putFrameBuf after the last use.
+// Callers on a shared connection encode first and take the write lock
+// only for the byte copy, so a large frame never blocks cheap ones.
 func encodeFrame(env *envelope) ([]byte, error) {
 	start := time.Now()
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4)) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return nil, err
-	}
-	n := buf.Len() - 4
-	if int64(n) > FrameLimit() {
+	header, slabs := protocol.Detach(env.Payload)
+	if n := int64(bodyHeader) + int64(slabs.Size()); n > FrameLimit() {
 		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
+	const envelopeGuess = 1 << 10 // a regrow, not an error, when short
+	buf := bytes.NewBuffer(getFrameBuf(framePrefix + envelopeGuess + slabs.Size())[:framePrefix])
+	if err := gob.NewEncoder(buf).Encode(&envelope{ID: env.ID, Payload: header, Err: env.Err}); err != nil {
+		putFrameBuf(buf.Bytes())
+		return nil, err
+	}
 	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	observeFrame(env.Payload, int64(n), time.Since(start))
+	n := len(b) - 4 + slabs.Size()
+	if int64(n) > FrameLimit() {
+		putFrameBuf(b)
+		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(b[0:4], uint32(n))
+	b[4] = frameVersion
+	binary.BigEndian.PutUint32(b[5:framePrefix], uint32(len(b)-framePrefix))
+	b = slabs.AppendTo(b)
+	observeFrame(slabs.Label, int64(n), time.Since(start))
 	return b, nil
+}
+
+// decodeFrame is encodeFrame's inverse on a frame body (the bytes after
+// the length prefix). The returned envelope shares no memory with body.
+func decodeFrame(body []byte) (*envelope, error) {
+	if len(body) == 0 || body[0] != frameVersion {
+		return nil, fmt.Errorf("%w (want %d)", ErrFrameVersion, frameVersion)
+	}
+	if len(body) < bodyHeader {
+		return nil, fmt.Errorf("%w: short header", ErrCorruptFrame)
+	}
+	rest := body[bodyHeader:]
+	hlen := binary.BigEndian.Uint32(body[1:bodyHeader])
+	if uint64(hlen) > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: envelope length %d exceeds the body", ErrCorruptFrame, hlen)
+	}
+	var env envelope
+	if err := gob.NewDecoder(bytes.NewReader(rest[:hlen])).Decode(&env); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+	}
+	payload, err := protocol.Attach(env.Payload, rest[hlen:])
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+	}
+	env.Payload = payload
+	return &env, nil
 }
 
 // writeFrame encodes env and writes it as one frame. The size check
@@ -93,6 +179,7 @@ func writeFrame(w io.Writer, env *envelope) error {
 	if err != nil {
 		return err
 	}
+	defer putFrameBuf(b)
 	_, err = w.Write(b)
 	return err
 }
@@ -107,15 +194,12 @@ func readFrame(r io.Reader) (*envelope, error) {
 	if int64(n) > FrameLimit() {
 		return nil, fmt.Errorf("%w (%d bytes announced)", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
+	body := getFrameBuf(int(n))[:n]
+	defer putFrameBuf(body)
 	if m, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("transport: truncated frame (%d of %d bytes): %w", m, n, err)
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("transport: corrupt frame: %w", err)
-	}
-	return &env, nil
+	return decodeFrame(body)
 }
 
 // ---- server ----
@@ -153,7 +237,7 @@ func WithLogf(f func(format string, args ...any)) ServeOption {
 
 // Serve accepts connections on ln and serves requests with h until the
 // context is cancelled or the listener is closed. Each connection
-// carries a multiplexed stream of length-prefixed gob frames: requests
+// carries a multiplexed stream of length-prefixed frames: requests
 // are dispatched to a bounded worker pool as they decode, so replies may
 // return out of order (each echoes its request id).
 func Serve(ctx context.Context, ln net.Listener, h Handler, opts ...ServeOption) error {
@@ -194,16 +278,18 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 	for {
 		req, err := readFrame(conn)
 		if err != nil {
-			// Oversized announcements get an explicit error frame so the
-			// peer learns why; then the connection is dropped (the stream
-			// position is unrecoverable). Everything else (EOF, truncation)
-			// just drops the per-client connection.
-			if errors.Is(err, ErrFrameTooLarge) {
+			// Oversized announcements and frames of another wire version
+			// get an explicit error frame so the peer learns why; then the
+			// connection is dropped (the stream position is unrecoverable).
+			// Everything else (EOF, truncation) just drops the per-client
+			// connection.
+			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrFrameVersion) {
+				o.logf("transport: serve %s: dropping connection: %v", conn.RemoteAddr(), err)
 				wmu.Lock()
 				werr := writeFrame(conn, &envelope{Err: err.Error()})
 				wmu.Unlock()
 				if werr != nil {
-					o.logf("transport: serve %s: notifying oversized frame: %v", conn.RemoteAddr(), werr)
+					o.logf("transport: serve %s: notifying peer: %v", conn.RemoteAddr(), werr)
 				}
 			}
 			return
@@ -234,6 +320,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 			wmu.Lock()
 			_, werr := conn.Write(frame)
 			wmu.Unlock()
+			putFrameBuf(frame)
 			if werr != nil {
 				o.logf("transport: serve %s: writing reply %d: %v", conn.RemoteAddr(), req.ID, werr)
 			}
@@ -391,9 +478,11 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	select {
 	case tc.wtok <- struct{}{}:
 	case <-ctx.Done():
+		putFrameBuf(frame)
 		unregister()
 		return nil, ctx.Err()
 	case <-tc.done:
+		putFrameBuf(frame)
 		unregister()
 		return nil, fmt.Errorf("transport: send to %q: %w", addr, tc.closeErr)
 	}
@@ -412,6 +501,7 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 		}
 	})
 	_, werr := tc.conn.Write(frame)
+	putFrameBuf(frame)
 	wdmu.Lock()
 	written = true
 	wdmu.Unlock()

@@ -26,8 +26,8 @@ func (h blockingHandler) Handle(ctx context.Context, req any) (any, error) {
 }
 
 // TestTCPFrameEdgeCases drives the server's frame reader with raw crafted
-// byte streams: a well-formed call, an oversized length announcement, and
-// truncated frames.
+// byte streams: a well-formed call, an oversized length announcement, a
+// frame of another wire version, and truncated or garbage frames.
 func TestTCPFrameEdgeCases(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 
@@ -86,12 +86,23 @@ func TestTCPFrameEdgeCases(t *testing.T) {
 		{
 			name: "garbage payload of announced size drops the connection",
 			write: func(t *testing.T, conn net.Conn) {
-				body := []byte("this is not gob data")
+				body := append([]byte{frameVersion}, "this is not a frame body"...)
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 				conn.Write(hdr[:])
 				conn.Write(body)
 			},
+		},
+		{
+			name: "frame of another wire version is refused",
+			write: func(t *testing.T, conn net.Conn) {
+				body := []byte("\x2c\xff\x81\x03\x01\x01\x08envelope") // a pre-slab peer: bare gob
+				var hdr [4]byte
+				binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+				conn.Write(hdr[:])
+				conn.Write(body)
+			},
+			wantErrFrag: "frame version",
 		},
 	}
 	for _, tc := range cases {
@@ -136,8 +147,8 @@ func TestTCPClientOversizedRequest(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 	c := NewTCPClient(map[string]string{"s": addr})
 	defer c.Close()
-	// Gob varint-packs small values, so force ~9 wire bytes per element.
-	out := make([]uint64, MaxFrameBytes/9+1)
+	// Slabs are width-packed, so force the full 8 wire bytes per element.
+	out := make([]uint64, MaxFrameBytes/8+1)
 	for i := range out {
 		out[i] = ^uint64(0)
 	}

@@ -3,10 +3,14 @@
 // Two implementations share one interface:
 //
 //   - Network: in-process dispatch used by tests, benchmarks and the
-//     library's local mode. Optionally forces a gob round-trip per call so
-//     message encodability is continuously exercised.
-//   - TCP (tcp.go): length-delimited gob frames over net.Conn for real
+//     library's local mode. Optionally forces a wire-frame round trip
+//     per call so message encodability is continuously exercised.
+//   - TCP (tcp.go): length-delimited frames over net.Conn for real
 //     multi-process deployments (cmd/prism-server etc.).
+//
+// Both speak one frame format through one encode/decode pair
+// (encodeFrame/decodeFrame in tcp.go): a small gob envelope followed by
+// the message's bulk share vectors as raw width-packed slabs.
 //
 // The TCP transport is multiplexed: every frame carries a request id, so
 // one persistent connection per peer serves many concurrent RPCs. The
@@ -25,13 +29,10 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Handler processes one request and produces a reply.
@@ -57,7 +58,7 @@ type Network struct {
 	handlers map[string]Handler
 	sems     map[string]chan struct{}
 	inflight int
-	// EncodeWire forces every call through a gob encode/decode cycle,
+	// EncodeWire forces every call through a frame encode/decode cycle,
 	// matching what the TCP transport does on the wire — including the
 	// frame cap: an encoding larger than FrameLimit() fails the call
 	// with ErrFrameTooLarge exactly as the TCP transport would.
@@ -153,7 +154,7 @@ func (n *Network) Call(ctx context.Context, addr string, req any) (any, error) {
 	return h.Handle(ctx, req)
 }
 
-// PeakFrameBytes reports the largest gob-encoded message this network
+// PeakFrameBytes reports the largest encoded frame body this network
 // has moved since the last reset. Only populated when EncodeWire is on
 // (without it no message is ever encoded).
 func (n *Network) PeakFrameBytes() int64 { return n.peakFrame.Load() }
@@ -162,38 +163,34 @@ func (n *Network) PeakFrameBytes() int64 { return n.peakFrame.Load() }
 // outsourcing and query phases of a benchmark).
 func (n *Network) ResetPeakFrame() { n.peakFrame.Store(0) }
 
-// roundTrip encodes and decodes v through gob, as the TCP transport
-// would, enforcing the same frame cap and recording the peak size.
+// roundTrip encodes v into a wire frame and decodes it again, as the TCP
+// transport would, enforcing the same frame cap and recording the peak
+// size.
 func (n *Network) roundTrip(v any) (any, error) {
-	start := time.Now()
-	var buf bytes.Buffer
-	env := envelope{Payload: v}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
+	frame, err := encodeFrame(&envelope{Payload: v})
+	if err != nil {
 		return nil, err
 	}
-	size := int64(buf.Len())
-	if size > FrameLimit() {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, size)
-	}
-	observeFrame(v, size, time.Since(start))
+	defer putFrameBuf(frame)
+	size := int64(len(frame) - 4)
 	for {
 		prev := n.peakFrame.Load()
 		if size <= prev || n.peakFrame.CompareAndSwap(prev, size) {
 			break
 		}
 	}
-	var out envelope
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+	out, err := decodeFrame(frame[4:])
+	if err != nil {
 		return nil, err
 	}
 	return out.Payload, nil
 }
 
-// envelope wraps an arbitrary registered payload for gob. ID correlates
-// a reply with its request on a multiplexed connection: the client
-// assigns ids starting at 1 and the server echoes them. ID 0 marks a
-// connection-level message (a protocol-violation error frame), which
-// dooms every call in flight on that connection.
+// envelope wraps an arbitrary registered payload for the frame's gob
+// header. ID correlates a reply with its request on a multiplexed
+// connection: the client assigns ids starting at 1 and the server echoes
+// them. ID 0 marks a connection-level message (a protocol-violation
+// error frame), which dooms every call in flight on that connection.
 type envelope struct {
 	ID      uint64
 	Payload any

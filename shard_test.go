@@ -242,7 +242,8 @@ func TestShardedBeatsFrameCap(t *testing.T) {
 		return sys, common, err
 	}
 
-	// Monolithic: the χ-share upload alone exceeds the 4 KiB cap.
+	// Monolithic: one 4096-cell Shamir column alone is 32 KiB on the
+	// wire, eight times the cap.
 	if _, _, err := build(0); !errors.Is(err, transport.ErrFrameTooLarge) {
 		t.Fatalf("monolithic outsource at b=%d under a 4 KiB cap: err = %v, want ErrFrameTooLarge", b, err)
 	}

@@ -244,7 +244,7 @@ func (s *System) SetShardCells(n uint64) {
 	}
 }
 
-// PeakFrameBytes reports the largest gob-encoded message the in-process
+// PeakFrameBytes reports the largest encoded wire frame the in-process
 // fabric has moved since the last ResetPeakFrame. Only populated when
 // the system runs with Config.EncodeWire (otherwise messages are passed
 // by reference and never encoded). The domainscale benchmark uses it to
