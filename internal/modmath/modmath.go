@@ -192,3 +192,24 @@ func PowTable(g, order, m uint64) []uint64 {
 	}
 	return t
 }
+
+// Mod32 reduces 32-bit values by one fixed modulus with two multiplies
+// instead of a division (Lemire, Kaser, Kurz: "Faster remainder by
+// direct computation"). The per-cell loops over Z_δ keep one per view.
+type Mod32 struct {
+	d, m uint64 // modulus and ⌈2^64 / d⌉
+}
+
+// NewMod32 prepares reduction by d, 0 < d < 2^32.
+func NewMod32(d uint64) Mod32 {
+	if d == 0 || d >= 1<<32 {
+		panic("modmath: Mod32 modulus out of (0, 2^32)")
+	}
+	return Mod32{d: d, m: ^uint64(0)/d + 1}
+}
+
+// Reduce returns a mod d, exact for every 32-bit a.
+func (r Mod32) Reduce(a uint32) uint32 {
+	hi, _ := bits.Mul64(r.m*uint64(a), r.d)
+	return uint32(hi)
+}

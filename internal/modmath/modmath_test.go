@@ -200,3 +200,23 @@ func TestModularIdentityEtaPrime(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMod32MatchesDivision(t *testing.T) {
+	values := []uint32{0, 1, 2, 112, 113, 65520, 65521, 65535, 65536, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1}
+	for _, d := range []uint64{1, 2, 3, 5, 113, 65521, 65536, 1<<31 - 1, 1 << 31, 1<<32 - 1} {
+		r := NewMod32(d)
+		for _, a := range values {
+			for _, off := range []uint32{0, 1, ^uint32(0)} { // a, a+1, a-1
+				if v := a + off; uint64(r.Reduce(v)) != uint64(v)%d {
+					t.Fatalf("Mod32(%d).Reduce(%d) = %d, want %d", d, v, r.Reduce(v), uint64(v)%d)
+				}
+			}
+		}
+		for k := uint32(0); k < 100000; k++ {
+			v := k * 2654435761 // spread over all 32 bits
+			if uint64(r.Reduce(v)) != uint64(v)%d {
+				t.Fatalf("Mod32(%d).Reduce(%d) = %d, want %d", d, v, r.Reduce(v), uint64(v)%d)
+			}
+		}
+	}
+}

@@ -53,14 +53,16 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	b := o.view.B
+	for _, c := range selected {
+		if c >= b {
+			return nil, fmt.Errorf("ownerengine: selected cell %d out of range", c)
+		}
+	}
 	sess := o.newSession("agg")
 
 	start := time.Now()
 	z := make([]uint64, b)
 	for _, c := range selected {
-		if c >= b {
-			return nil, fmt.Errorf("ownerengine: selected cell %d out of range", c)
-		}
 		z[c] = 1
 	}
 	zStored := perm.Apply(o.view.DB1, z, nil)
@@ -194,19 +196,20 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 }
 
 // interpolateWindow Lagrange-interpolates one window of three degree-2
-// share vectors into dst[rg.Offset:rg.End()) (stored order).
+// share vectors into dst[rg.Offset:rg.End()) (stored order): the three
+// weighted products are summed at full width and reduced once per cell.
 func (o *engine) interpolateWindow(dst []uint64, rg protocol.Range, s0, s1, s2 []uint64) error {
 	n := int(rg.Count)
 	if len(s0) != n || len(s1) != n || len(s2) != n {
 		return fmt.Errorf("share vectors have %d/%d/%d cells, want %d", len(s0), len(s1), len(s2), n)
 	}
-	w := o.w3
+	w0, w1, w2 := o.w3[0], o.w3[1], o.w3[2]
 	out := dst[rg.Offset:rg.End()]
-	for i := 0; i < n; i++ {
-		acc := field.Mul(w[0], s0[i])
-		acc = field.Add(acc, field.Mul(w[1], s1[i]))
-		acc = field.Add(acc, field.Mul(w[2], s2[i]))
-		out[i] = acc
+	for i := range out {
+		hi, lo := field.MulAdd128(0, 0, w0, s0[i])
+		hi, lo = field.MulAdd128(hi, lo, w1, s1[i])
+		hi, lo = field.MulAdd128(hi, lo, w2, s2[i])
+		out[i] = field.Reduce128(hi, lo)
 	}
 	return nil
 }

@@ -110,6 +110,7 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 	wall := time.Now()
 	res := &BucketPSIResult{}
 	eta := o.view.Eta
+	one := 1 % eta
 
 	top := len(meta.sizes) - 1
 	frontier := make([]uint32, meta.sizes[top])
@@ -145,7 +146,7 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 		start := time.Now()
 		var common []uint32
 		for i := range frontier {
-			if modmath.MulMod(outs[0][i], outs[1][i], eta) == 1%eta {
+			if modmath.MulMod(outs[0][i], outs[1][i], eta) == one {
 				common = append(common, frontier[i])
 			}
 		}

@@ -147,11 +147,17 @@ func TestVerifyPSIRequiresResultVector(t *testing.T) {
 	}
 }
 
+// TestAggregateRejectsBadSelector: an out-of-range selected cell is
+// refused before the query exists — no session is minted, so the owner's
+// root stream stands where an untouched twin's does.
 func TestAggregateRejectsBadSelector(t *testing.T) {
-	r := newRig(t, 2, 8)
-	_, err := r.owners[0].Aggregate(context.Background(), "t", []uint64{99}, []string{"v"}, false, false)
+	r, twin := newRig(t, 2, 8), newRig(t, 2, 8)
+	_, err := r.owners[0].Aggregate(context.Background(), "t", []uint64{3, 99}, []string{"v"}, false, false)
 	if err == nil {
 		t.Error("out-of-range selected cell accepted")
+	}
+	if got, want := r.owners[0].groups[0].newSession("x").qid, twin.owners[0].groups[0].newSession("x").qid; got != want {
+		t.Errorf("rejected Aggregate advanced the owner's stream: next qid %s, want %s", got, want)
 	}
 }
 

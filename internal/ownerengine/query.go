@@ -30,6 +30,7 @@ func (o *engine) PSI(ctx context.Context, table string) (*SetResult, error) {
 	qid := o.newSession("psi").qid
 	b := o.view.B
 	eta := o.view.Eta
+	one := 1 % eta
 	p := o.plan(b)
 	var stats QueryStats
 	stats.Rounds = 1
@@ -61,7 +62,7 @@ func (o *engine) PSI(ctx context.Context, table string) (*SetResult, error) {
 	fop := perm.ApplyInverse(o.view.DB1, fopStored, nil) // undo PF_db1
 	var cells []uint64
 	for i, v := range fop {
-		if v == 1%eta {
+		if v == one {
 			cells = append(cells, uint64(i))
 		}
 	}
@@ -100,6 +101,7 @@ func (o *engine) VerifyPSI(ctx context.Context, table string, res *SetResult) er
 	qid := o.newSession("psiv").qid
 	b := o.view.B
 	eta := o.view.Eta
+	one := 1 % eta
 	p := o.plan(b)
 	r2Stored := make([]uint64, b)
 	err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
@@ -134,7 +136,7 @@ func (o *engine) VerifyPSI(ctx context.Context, table string, res *SetResult) er
 	start := time.Now()
 	r2 := perm.ApplyInverse(o.view.DB2, r2Stored, nil)
 	for i := range r2 {
-		if modmath.MulMod(res.fop[i], r2[i], eta) != 1%eta {
+		if modmath.MulMod(res.fop[i], r2[i], eta) != one {
 			return fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
 		}
 	}
@@ -226,6 +228,7 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 	qid := o.newSession("count").qid
 	b := o.view.B
 	eta := o.view.Eta
+	one := 1 % eta
 	p := o.plan(b)
 	var stats QueryStats
 	stats.Rounds = 1
@@ -257,12 +260,12 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 		start := time.Now()
 		for i := range outs[0] {
 			v := modmath.MulMod(outs[0][i], outs[1][i], eta)
-			if v == 1%eta {
+			if v == one {
 				count++
 			}
 			if verify {
 				r2 := modmath.MulMod(vouts[0][i], vouts[1][i], eta)
-				if modmath.MulMod(v, r2, eta) != 1%eta {
+				if modmath.MulMod(v, r2, eta) != one {
 					return fmt.Errorf("%w: count position %d fails r1·r2 ≡ 1", ErrVerificationFailed, rg.Offset+uint64(i))
 				}
 			}

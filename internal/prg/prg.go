@@ -1,16 +1,25 @@
 // Package prg implements the deterministic pseudorandom number generator
 // PRG of the paper (§3.1): a seeded, deterministic, efficient generator.
 //
-// Construction: SHA-256 in counter mode over (seed || counter), consumed
-// 8 bytes at a time. The same seed always yields the same stream, which
-// is what the PSU protocol needs — both servers derive identical masking
-// values rand[i] ∈ [1, δ-1] without communicating (paper §7, Eq. 18).
+// Construction: the stream is the keystream of AES-256-CTR keyed with
+// the 32-byte seed (IV = 0), read as little-endian 64-bit words. The
+// same seed always yields the same stream, which is what the PSU
+// protocol needs — both servers derive identical masking values
+// rand[i] ∈ [1, δ-1] without communicating (paper §7, Eq. 18). Seeds
+// themselves are derived with SHA-256 (SeedFromString, Derive).
+//
+// Every bounded draw maps one word w to ⌊w·n / 2^64⌋ and rejects the
+// few words whose low product half falls under 2^64 mod n, so the
+// bulk fills consume exactly the words the scalar calls would.
 package prg
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 )
 
 // Seed is the 32-byte PRG seed.
@@ -42,35 +51,40 @@ func (s Seed) Derive(label string) Seed {
 	return out
 }
 
+// bufBytes is how much keystream one refill produces: large enough to
+// amortise the cipher call, small enough to stay in L1.
+const bufBytes = 4096
+
+// zeros is the plaintext every refill encrypts; it is only ever read.
+var zeros [bufBytes]byte
+
 // PRG is a deterministic stream of pseudorandom 64-bit values.
 // It is NOT safe for concurrent use; create one per goroutine.
 type PRG struct {
-	seed    Seed
-	counter uint64
-	buf     [32]byte
-	off     int
+	ks  cipher.Stream
+	off int // next unread byte of buf; always a multiple of 8
+	buf [bufBytes]byte
 }
 
 // New returns a PRG positioned at the start of the stream for seed.
 func New(seed Seed) *PRG {
-	return &PRG{seed: seed, off: len(Seed{})}
+	blk, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic("prg: " + err.Error()) // a 32-byte key is always valid
+	}
+	var iv [aes.BlockSize]byte
+	return &PRG{ks: cipher.NewCTR(blk, iv[:]), off: bufBytes}
 }
 
-// refill computes the next SHA-256 block of the stream.
+// refill replaces the buffer with the next bufBytes of keystream.
 func (p *PRG) refill() {
-	h := sha256.New()
-	h.Write(p.seed[:])
-	var ctr [8]byte
-	binary.LittleEndian.PutUint64(ctr[:], p.counter)
-	h.Write(ctr[:])
-	h.Sum(p.buf[:0])
-	p.counter++
+	p.ks.XORKeyStream(p.buf[:], zeros[:])
 	p.off = 0
 }
 
 // Uint64 returns the next 64 pseudorandom bits.
 func (p *PRG) Uint64() uint64 {
-	if p.off+8 > len(p.buf) {
+	if p.off == bufBytes {
 		p.refill()
 	}
 	v := binary.LittleEndian.Uint64(p.buf[p.off:])
@@ -78,23 +92,19 @@ func (p *PRG) Uint64() uint64 {
 	return v
 }
 
-// Uint64n returns a uniform value in [0, n) using rejection sampling
-// (no modulo bias). n must be > 0.
+// Uint64n returns a uniform value in [0, n) by multiply-shift with
+// rejection (no modulo bias). n must be > 0.
 func (p *PRG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("prg: Uint64n(0)")
 	}
-	if n&(n-1) == 0 { // power of two
-		return p.Uint64() & (n - 1)
-	}
-	// Largest v below a multiple of n; rejecting above it removes modulo bias.
-	max := ^uint64(0) - (^uint64(0)%n+1)%n
-	for {
-		v := p.Uint64()
-		if v <= max {
-			return v % n
+	hi, lo := bits.Mul64(p.Uint64(), n)
+	if lo < n { // only then can lo be under the bound 2^64 mod n < n
+		for bound := -n % n; lo < bound; {
+			hi, lo = bits.Mul64(p.Uint64(), n)
 		}
 	}
+	return hi
 }
 
 // Range1 returns a uniform value in [1, n-1] — the PSU mask domain
@@ -103,21 +113,53 @@ func (p *PRG) Range1(n uint64) uint64 {
 	return 1 + p.Uint64n(n-1)
 }
 
-// Fill fills dst with uniform values in [0, n).
-func (p *PRG) Fill(dst []uint64, n uint64) {
-	for i := range dst {
-		dst[i] = p.Uint64n(n)
+// fill sets dst[i] = base + Uint64n(n) for every i, straight off the
+// buffer and with the rejection bound computed once.
+func fill[T uint16 | uint64](p *PRG, dst []T, n uint64, base T) {
+	if n == 0 {
+		panic("prg: fill with empty range")
+	}
+	bound := -n % n
+	for i := 0; i < len(dst); {
+		if p.off == bufBytes {
+			p.refill()
+		}
+		src := p.buf[p.off:]
+		w := 0
+		for ; w+8 <= len(src) && i < len(dst); w += 8 {
+			hi, lo := bits.Mul64(binary.LittleEndian.Uint64(src[w:]), n)
+			if lo >= bound {
+				dst[i] = base + T(hi)
+				i++
+			}
+		}
+		p.off += w
 	}
 }
+
+// Fill fills dst with uniform values in [0, n).
+func (p *PRG) Fill(dst []uint64, n uint64) { fill(p, dst, n, 0) }
 
 // FillUint16 fills dst with uniform values in [0, n), n <= 65536.
 func (p *PRG) FillUint16(dst []uint16, n uint64) {
 	if n > 1<<16 {
 		panic("prg: FillUint16 range too large")
 	}
-	for i := range dst {
-		dst[i] = uint16(p.Uint64n(n))
+	fill(p, dst, n, 0)
+}
+
+// FillRange1 fills dst with uniform values in [1, n-1], the bulk form of
+// Range1. 2 <= n <= 65536.
+//
+// Not inlined: through an inlined call to the generic fill, a caller's
+// stack scratch escapes to the heap (one allocation per mask block).
+//
+//go:noinline
+func (p *PRG) FillRange1(dst []uint16, n uint64) {
+	if n < 2 || n > 1<<16 {
+		panic("prg: FillRange1 range out of [2, 65536]")
 	}
+	fill(p, dst, n-1, 1)
 }
 
 // Bytes fills dst with pseudorandom bytes.

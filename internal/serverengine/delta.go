@@ -261,7 +261,7 @@ func (d *deltaOverlay) patchU64(key string, rg protocol.Range, v []uint64, owned
 // patchGatherU16 overlays key's delta entries onto a gathered fetch:
 // out[i] holds the cell at idx[i] and is always a fresh slice, so the
 // patch is in place.
-func (d *deltaOverlay) patchGatherU16(key string, idx []uint64, out []uint16) {
+func (d *deltaOverlay) patchGatherU16(key string, idx []uint32, out []uint16) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	co := d.cols[key]
@@ -269,7 +269,7 @@ func (d *deltaOverlay) patchGatherU16(key string, idx []uint64, out []uint16) {
 		return
 	}
 	for i, p := range idx {
-		if dv, ok := co.cells[p]; ok {
+		if dv, ok := co.cells[uint64(p)]; ok {
 			out[i] = uint16(dv.val)
 		}
 	}

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prism/internal/field"
 	"prism/internal/modmath"
 	"prism/internal/params"
 	"prism/internal/perm"
@@ -120,7 +119,8 @@ type Engine struct {
 	// loops so SetThreads can run while queries are in flight.
 	threads atomic.Int64
 
-	powTab []uint64 // g^e mod η' for e ∈ [0, δ)
+	powTab   []uint64      // g^e mod η' for e ∈ [0, δ)
+	modDelta modmath.Mod32 // division-free reduction mod δ
 
 	mu     sync.RWMutex
 	tables map[string]*table
@@ -437,6 +437,7 @@ func New(v *params.ServerView, opts Options) *Engine {
 		view:       v,
 		opts:       opts,
 		powTab:     modmath.PowTable(v.G, v.Delta, v.EtaPrime),
+		modDelta:   modmath.NewMod32(v.Delta),
 		tables:     make(map[string]*table),
 		epochFloor: make(map[string]uint64),
 		pending:    make(map[string]map[int]*pendingStore),
@@ -1476,11 +1477,11 @@ type gatherPlan struct {
 	order  []int32
 }
 
-func buildGatherPlan(idx []uint64, cc, cells uint64) gatherPlan {
+func buildGatherPlan(idx []uint32, cc, cells uint64) gatherPlan {
 	nchunks := int((cells + cc - 1) / cc)
 	counts := make([]int, nchunks)
 	for _, c := range idx {
-		counts[c/cc]++
+		counts[uint64(c)/cc]++
 	}
 	chunks := make([]uint64, 0, nchunks)
 	starts := make([]int, 1, nchunks+1)
@@ -1495,7 +1496,7 @@ func buildGatherPlan(idx []uint64, cc, cells uint64) gatherPlan {
 	}
 	order := make([]int32, len(idx))
 	for i, cell := range idx {
-		k := cell / cc
+		k := uint64(cell) / cc
 		order[next[k]] = int32(i)
 		next[k]++
 	}
@@ -1507,7 +1508,7 @@ func buildGatherPlan(idx []uint64, cc, cells uint64) gatherPlan {
 // plan), so residency is O(len(idx) + chunk) even when the indices
 // scatter across the whole column (permuted reply windows, bucket-tree
 // frontiers).
-func (e *Engine) fetchU16Gather(t *tableView, owner int, col string, idx []uint64, plan *gatherPlan, stats *protocol.Stats) ([]uint16, error) {
+func (e *Engine) fetchU16Gather(t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]uint16, error) {
 	out, err := e.fetchU16GatherRaw(t, owner, col, idx, plan, stats)
 	if err == nil && t.delta != nil {
 		// The gathered slice is always freshly built, so the overlay
@@ -1520,7 +1521,7 @@ func (e *Engine) fetchU16Gather(t *tableView, owner int, col string, idx []uint6
 }
 
 // fetchU16GatherRaw is the overlay-free gather.
-func (e *Engine) fetchU16GatherRaw(t *tableView, owner int, col string, idx []uint64, plan *gatherPlan, stats *protocol.Stats) ([]uint16, error) {
+func (e *Engine) fetchU16GatherRaw(t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]uint16, error) {
 	oc := t.owners[owner]
 	out := make([]uint16, len(idx))
 	if !oc.onDisk {
@@ -1551,7 +1552,7 @@ func (e *Engine) fetchU16GatherRaw(t *tableView, owner int, col string, idx []ui
 		}
 		lo := k * plan.cc
 		for _, i := range plan.order[plan.starts[c]:plan.starts[c+1]] {
-			out[i] = chunk[idx[i]-lo]
+			out[i] = chunk[uint64(idx[i])-lo]
 		}
 	}
 	return out, nil
@@ -1576,10 +1577,11 @@ func (e *Engine) chiWindows(t *tableView, bar bool, rg protocol.Range, stats *pr
 }
 
 // chiGather fetches every owner's χ/χ̄ share at the scattered stored
-// cells idx, in idx order. The chunk-grouping plan is computed once and
-// shared across owners (their columns share the store's chunk
-// geometry).
-func (e *Engine) chiGather(t *tableView, bar bool, idx []uint64, stats *protocol.Stats) ([][]uint16, error) {
+// cells idx, in idx order — a window of an inverse server permutation or
+// a bucket-tree frontier, used as it is. The chunk-grouping plan is
+// computed once and shared across owners (their columns share the
+// store's chunk geometry).
+func (e *Engine) chiGather(t *tableView, bar bool, idx []uint32, stats *protocol.Stats) ([][]uint16, error) {
 	col := "chi"
 	if bar {
 		col = "chibar"
@@ -1655,38 +1657,21 @@ func (e *Engine) s2Inverse() perm.Perm {
 	return e.s2inv
 }
 
-// invWindow materialises the stored-cell indices a server-permuted reply
-// window [rg.Offset, rg.End()) maps to: idx[k] = inv[rg.Offset+k].
-func invWindow(inv perm.Perm, rg protocol.Range) []uint64 {
-	idx := make([]uint64, rg.Count)
-	for k := range idx {
-		idx[k] = uint64(inv[rg.Offset+uint64(k)])
-	}
-	return idx
-}
-
 // ---- PSI (§5.1 Step 2) ----
 
-// psiVector computes out_i = g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η' per
-// position of the (window-relative) share vectors.
-func (e *Engine) psiVector(shares [][]uint16, subtractM bool, stats *protocol.Stats) []uint64 {
-	delta := e.view.Delta
-	mShare := uint64(0)
+// psiVector runs psiKernel over the (window-relative) share vectors on
+// the worker pool and accounts its time. A non-nil scatter is the server
+// permutation of a monolithic reply: cell i's value lands at scatter[i].
+func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint64 {
+	var lift uint32
 	if subtractM {
-		mShare = uint64(e.view.MShare) % delta
+		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
 	}
 	start := time.Now()
 	n := len(shares[0])
 	out := make([]uint64, n)
 	e.parallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum uint64
-			for _, sv := range shares {
-				sum += uint64(sv[i])
-			}
-			e2 := (sum%delta + delta - mShare) % delta
-			out[i] = e.powTab[e2]
-		}
+		psiKernel(out, scatter, shares, lo, hi, e.powTab, e.modDelta, lift)
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
@@ -1704,44 +1689,32 @@ func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
 		return nil, err
 	}
 	var stats protocol.Stats
-	if r.Shard.Sharded() {
+	var shares [][]uint16
+	switch {
+	case r.Shard.Sharded():
 		if r.Cells != nil {
 			return nil, fmt.Errorf("server %d: PSI request mixes a shard range with a cell frontier", e.view.Index)
 		}
 		if err := r.Shard.Validate(t.spec.B); err != nil {
 			return nil, fmt.Errorf("server %d: %w", e.view.Index, err)
 		}
-		shares, err := e.chiWindows(t, false, r.Shard, &stats)
-		if err != nil {
-			return nil, err
-		}
-		out := e.psiVector(shares, true, &stats)
-		e.finishQuery("psi", r.TraceID, rpcStart, &stats)
-		return protocol.PSIReply{Out: out, Stats: stats}, nil
-	}
-	if r.Cells != nil {
+		shares, err = e.chiWindows(t, false, r.Shard, &stats)
+	case r.Cells != nil:
 		// Bucket-tree frontier (§6.6): scattered cells, gathered so only
 		// the chunks the frontier touches are read.
-		idx := make([]uint64, len(r.Cells))
-		for i, c := range r.Cells {
+		for _, c := range r.Cells {
 			if uint64(c) >= t.spec.B {
 				return nil, fmt.Errorf("server %d: cell %d out of range", e.view.Index, c)
 			}
-			idx[i] = uint64(c)
 		}
-		shares, err := e.chiGather(t, false, idx, &stats)
-		if err != nil {
-			return nil, err
-		}
-		out := e.psiVector(shares, true, &stats)
-		e.finishQuery("psi", r.TraceID, rpcStart, &stats)
-		return protocol.PSIReply{Out: out, Stats: stats}, nil
+		shares, err = e.chiGather(t, false, r.Cells, &stats)
+	default:
+		shares, err = e.chiWindows(t, false, protocol.Range{Offset: 0, Count: t.spec.B}, &stats)
 	}
-	shares, err := e.chiWindows(t, false, protocol.Range{Offset: 0, Count: t.spec.B}, &stats)
 	if err != nil {
 		return nil, err
 	}
-	out := e.psiVector(shares, true, &stats)
+	out := e.psiVector(shares, true, nil, &stats)
 	e.finishQuery("psi", r.TraceID, rpcStart, &stats)
 	return protocol.PSIReply{Out: out, Stats: stats}, nil
 }
@@ -1774,7 +1747,7 @@ func (e *Engine) handlePSIVerify(r protocol.PSIVerifyRequest) (any, error) {
 		return nil, err
 	}
 	// No ⊖A(m) on the verification side (Equation 7).
-	out := e.psiVector(shares, false, &stats)
+	out := e.psiVector(shares, false, nil, &stats)
 	e.finishQuery("psiverify", r.TraceID, rpcStart, &stats)
 	return protocol.PSIVerifyReply{Vout: out, Stats: stats}, nil
 }
@@ -1794,61 +1767,53 @@ func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
 	if t.spec.Plain {
 		return nil, fmt.Errorf("server %d: count needs a permuted table", e.view.Index)
 	}
-	var stats protocol.Stats
 	if r.Shard.Sharded() {
-		// The window indexes the PF_s1-permuted output vector, so the
-		// engine evaluates the stored cells PF_s1⁻¹ maps it to — gathered
-		// chunk by chunk; Out and Vout windows at the same offsets stay
-		// aligned (Eq. 1).
 		if err := r.Shard.Validate(t.spec.B); err != nil {
 			return nil, fmt.Errorf("server %d: %w", e.view.Index, err)
 		}
-		shares, err := e.chiGather(t, false, invWindow(e.s1Inverse(), r.Shard), &stats)
-		if err != nil {
-			return nil, err
-		}
-		reply := protocol.CountReply{Out: e.psiVector(shares, true, &stats)}
-		if r.Verify {
-			if !t.spec.HasVerify {
-				return nil, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, r.Table)
-			}
-			vshares, err := e.chiGather(t, true, invWindow(e.s2Inverse(), r.Shard), &stats)
-			if err != nil {
-				return nil, err
-			}
-			reply.Vout = e.psiVector(vshares, false, &stats)
-		}
-		e.finishQuery("count", r.TraceID, rpcStart, &stats)
-		reply.Stats = stats
-		return reply, nil
 	}
-	full := protocol.Range{Offset: 0, Count: t.spec.B}
-	shares, err := e.chiWindows(t, false, full, &stats)
-	if err != nil {
+	if r.Verify && !t.spec.HasVerify {
+		return nil, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, r.Table)
+	}
+	var stats protocol.Stats
+	var reply protocol.CountReply
+	if reply.Out, err = e.countSide(t, r.Shard, false, &stats); err != nil {
 		return nil, err
 	}
-	raw := e.psiVector(shares, true, &stats)
-	start := time.Now()
-	out := perm.Apply(e.view.S1, raw, nil) // hide positions from owners
-	stats.ComputeNS += time.Since(start).Nanoseconds()
-
-	reply := protocol.CountReply{Out: out}
 	if r.Verify {
-		if !t.spec.HasVerify {
-			return nil, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, r.Table)
-		}
-		vshares, err := e.chiWindows(t, true, full, &stats)
-		if err != nil {
+		// PF_s2-permuted, so Out and Vout align under PF_i (Eq. 1).
+		if reply.Vout, err = e.countSide(t, r.Shard, true, &stats); err != nil {
 			return nil, err
 		}
-		vraw := e.psiVector(vshares, false, &stats)
-		start = time.Now()
-		reply.Vout = perm.Apply(e.view.S2, vraw, nil) // aligned under PF_i (Eq. 1)
-		stats.ComputeNS += time.Since(start).Nanoseconds()
 	}
 	e.finishQuery("count", r.TraceID, rpcStart, &stats)
 	reply.Stats = stats
 	return reply, nil
+}
+
+// countSide computes the χ side (bar=false, PF_s1-permuted to hide
+// positions from owners) or the χ̄ side (bar=true, PF_s2-permuted) of a
+// count reply. A monolithic reply is permuted by the kernel on the way
+// out; a sharded window indexes the permuted vector, so the engine
+// evaluates the stored cells the inverse permutation maps it to,
+// gathered chunk by chunk.
+func (e *Engine) countSide(t *tableView, shard protocol.Range, bar bool, stats *protocol.Stats) ([]uint64, error) {
+	fwd, inv := e.view.S1, e.s1Inverse
+	if bar {
+		fwd, inv = e.view.S2, e.s2Inverse
+	}
+	if shard.Sharded() {
+		shares, err := e.chiGather(t, bar, inv()[shard.Offset:shard.End()], stats)
+		if err != nil {
+			return nil, err
+		}
+		return e.psiVector(shares, !bar, nil, stats), nil
+	}
+	shares, err := e.chiWindows(t, bar, protocol.Range{Offset: 0, Count: t.spec.B}, stats)
+	if err != nil {
+		return nil, err
+	}
+	return e.psiVector(shares, !bar, fwd, stats), nil
 }
 
 // ---- PSU (§7, Equation 18) ----
@@ -1863,56 +1828,47 @@ func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var stats protocol.Stats
+	rg, label := protocol.Range{Offset: 0, Count: t.spec.B}, "psu"
 	if r.Shard.Sharded() {
 		if err := r.Shard.Validate(t.spec.B); err != nil {
 			return nil, fmt.Errorf("server %d: %w", e.view.Index, err)
 		}
-		var shares [][]uint16
-		if r.Permute {
-			// The window indexes the PF_s1-permuted output; masks are
-			// derived per output position ("psup" label) so both servers
-			// agree without streaming past scattered stored cells, which
-			// are gathered chunk by chunk.
-			shares, err = e.chiGather(t, false, invWindow(e.s1Inverse(), r.Shard), &stats)
-		} else {
-			shares, err = e.chiWindows(t, false, r.Shard, &stats)
-		}
-		if err != nil {
-			return nil, err
-		}
-		label := "psu"
-		if r.Permute {
-			label = "psup"
-		}
-		out := e.psuMasked(shares, r.Shard, r.QueryID, label, &stats)
-		e.finishQuery("psu", r.TraceID, rpcStart, &stats)
-		return protocol.PSUReply{Out: out, Stats: stats}, nil
+		rg = r.Shard
 	}
-	full := protocol.Range{Offset: 0, Count: t.spec.B}
-	shares, err := e.chiWindows(t, false, full, &stats)
+	var stats protocol.Stats
+	var shares [][]uint16
+	var scatter perm.Perm
+	if r.Permute && r.Shard.Sharded() {
+		// The window indexes the PF_s1-permuted output; masks are
+		// derived per output position ("psup" label) so both servers
+		// agree without streaming past scattered stored cells, which
+		// are gathered chunk by chunk.
+		label = "psup"
+		shares, err = e.chiGather(t, false, e.s1Inverse()[rg.Offset:rg.End()], &stats)
+	} else {
+		if r.Permute {
+			scatter = e.view.S1 // a monolithic reply is permuted on the way out
+		}
+		shares, err = e.chiWindows(t, false, rg, &stats)
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := e.psuMasked(shares, full, r.QueryID, "psu", &stats)
-	if r.Permute {
-		start := time.Now()
-		out = perm.Apply(e.view.S1, out, nil)
-		stats.ComputeNS += time.Since(start).Nanoseconds()
-	}
+	out := e.psuMasked(shares, rg, r.QueryID, label, scatter, &stats)
 	e.finishQuery("psu", r.TraceID, rpcStart, &stats)
 	return protocol.PSUReply{Out: out, Stats: stats}, nil
 }
 
-// psuMasked computes masked PSU sums for the window rg of one reply
-// vector; the share vectors are window-relative (position k of the reply
-// reads shares[j][k-rg.Offset]). Masks are derived per fixed-size block
-// of positions from the shared seed, the query id and label, so both
+// psuMasked runs psuKernel for the window rg of one reply vector; the
+// share vectors are window-relative (position k of the reply reads
+// shares[j][k-rg.Offset]). Masks are derived per fixed-size block of
+// positions from the shared seed, the query id and label, so both
 // servers produce identical rand[] regardless of thread counts or shard
 // boundaries; boundary blocks fast-forward their stream to the window's
 // first position, which makes a sharded stored-order reply agree cell
-// for cell with the monolithic one (same "psu" streams).
-func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid, label string, stats *protocol.Stats) []uint16 {
+// for cell with the monolithic one (same "psu" streams). A non-nil
+// scatter permutes a monolithic reply on the way out.
+func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid, label string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
 	delta := e.view.Delta
 	out := make([]uint16, rg.Count)
 	if rg.Count == 0 {
@@ -1922,28 +1878,17 @@ func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid, label stri
 	firstBlk := int(rg.Offset / psuBlock)
 	lastBlk := int((rg.End() - 1) / psuBlock)
 	e.parallel(lastBlk-firstBlk+1, func(blo, bhi int) {
-		for bk := blo; bk < bhi; bk++ {
-			blk := firstBlk + bk
+		var skipped [kernelBlock]uint16
+		for blk := firstBlk + blo; blk < firstBlk+bhi; blk++ {
 			blkStart := uint64(blk) * psuBlock
-			lo, hi := blkStart, blkStart+psuBlock
-			if lo < rg.Offset {
-				lo = rg.Offset
-			}
-			if hi > rg.End() {
-				hi = rg.End()
-			}
+			lo, hi := max(blkStart, rg.Offset), min(blkStart+psuBlock, rg.End())
 			g := prg.New(e.view.PSUSeed.Derive(fmt.Sprintf("%s/%s/%d", label, qid, blk)))
-			for skip := blkStart; skip < lo; skip++ {
-				g.Range1(delta) // fast-forward the block stream to lo
+			for skip := lo - blkStart; skip > 0; { // fast-forward the block stream to lo
+				n := min(skip, kernelBlock)
+				g.FillRange1(skipped[:n], delta)
+				skip -= n
 			}
-			for k := lo; k < hi; k++ {
-				var sum uint64
-				for _, sv := range shares {
-					sum += uint64(sv[k-rg.Offset])
-				}
-				mask := g.Range1(delta)
-				out[k-rg.Offset] = uint16(sum % delta * mask % delta)
-			}
+			psuKernel(out, scatter, shares, int(lo-rg.Offset), int(hi-rg.Offset), g, delta, e.modDelta)
 		}
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
@@ -2021,8 +1966,8 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 	return reply, nil
 }
 
-// sumColumn computes acc_i = S(z_i) · Σ_j S(col_i)_j over all owners for
-// the stored cells in rg — the linear rearrangement of Equation 11
+// sumColumn fetches every owner's shares of col for the stored cells in
+// rg and runs sumKernel over them: acc_i = S(z_i) · Σ_j S(col_i)_j
 // (servers multiply the selector share into the summed column shares;
 // degree rises to 2). z is parallel to the window, not the full column;
 // only the chunks overlapping the window are fetched.
@@ -2038,15 +1983,7 @@ func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Ran
 	n := int(rg.Count)
 	acc := make([]uint64, n)
 	start := time.Now()
-	e.parallel(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s field.Elem
-			for _, cv := range cols {
-				s = field.Add(s, cv[i])
-			}
-			acc[i] = field.Mul(s, z[i])
-		}
-	})
+	e.parallel(n, func(lo, hi int) { sumKernel(acc, cols, z, lo, hi) })
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
 	return acc, nil

@@ -12,6 +12,7 @@ package share
 import (
 	"fmt"
 
+	"prism/internal/modmath"
 	"prism/internal/prg"
 )
 
@@ -45,25 +46,54 @@ func AdditiveReconstruct(shares []uint16, delta uint64) uint64 {
 	return sum % delta
 }
 
+// SumShares adds every shares[φ][lo:hi] into acc, four share vectors to
+// a pass so acc is loaded and stored once per four addends while each
+// vector still streams. The caller bounds the total: len(shares) vectors
+// of 16-bit values on top of acc must stay below 2^32.
+func SumShares(acc []uint32, shares [][]uint16, lo, hi int) {
+	acc = acc[:hi-lo]
+	j := 0
+	for ; j+4 <= len(shares); j += 4 {
+		a, b, c, d := shares[j][lo:hi], shares[j+1][lo:hi], shares[j+2][lo:hi], shares[j+3][lo:hi]
+		a, b, c, d = a[:len(acc)], b[:len(acc)], c[:len(acc)], d[:len(acc)]
+		for i := range acc {
+			acc[i] += uint32(a[i]) + uint32(b[i]) + uint32(c[i]) + uint32(d[i])
+		}
+	}
+	for ; j < len(shares); j++ {
+		for i, v := range shares[j][lo:hi] {
+			acc[i] += uint32(v)
+		}
+	}
+}
+
 // AdditiveSplitVector splits each element of secrets into c share vectors:
 // result[φ][i] is server φ's share of secrets[i]. Secrets must already be
 // reduced mod delta (bits 0/1 for χ tables trivially are).
 func AdditiveSplitVector(g *prg.PRG, secrets []uint16, delta uint64, c int) [][]uint16 {
+	if c < 2 || c > 1<<15 {
+		panic("share: additive share count out of [2, 32768]")
+	}
 	out := make([][]uint16, c)
 	for φ := range out {
 		out[φ] = make([]uint16, len(secrets))
 	}
-	// Fill the first c-1 share vectors with uniform noise, then correct.
-	for φ := 0; φ < c-1; φ++ {
-		g.FillUint16(out[φ], delta)
+	// Fill the first c-1 share vectors with uniform noise, then correct:
+	// last = s + (c-1)·δ − Σ noise, positive and below 2^32, reduced once.
+	noise, last := out[:c-1], out[c-1]
+	for _, v := range noise {
+		g.FillUint16(v, delta)
 	}
-	last := out[c-1]
-	for i, s := range secrets {
-		var sum uint64
-		for φ := 0; φ < c-1; φ++ {
-			sum += uint64(out[φ][i])
+	md := modmath.NewMod32(delta)
+	lift := uint32(c-1) * uint32(delta)
+	var sum [splitBlock]uint32
+	for base := 0; base < len(secrets); base += splitBlock {
+		m := min(splitBlock, len(secrets)-base)
+		clear(sum[:m])
+		SumShares(sum[:m], noise, base, base+m)
+		for i, s := range secrets[base : base+m] {
+			last[base+i] = uint16(md.Reduce(uint32(s) + lift - sum[i]))
 		}
-		last[i] = uint16((uint64(s)%delta + delta - sum%delta) % delta)
 	}
 	return out
 }

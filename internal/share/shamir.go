@@ -70,21 +70,43 @@ func ShamirReconstructWith(shares, weights []field.Elem) field.Elem {
 	return acc
 }
 
+// splitBlock is how many cells the vector splits draw and evaluate at a
+// time: the block's random vectors stay in L1 while every server's
+// shares are computed from them.
+const splitBlock = 512
+
 // ShamirSplitVector shares each secret in secrets; result[φ][i] is server
-// φ's share (evaluation at x=φ+1) of secrets[i].
+// φ's share (evaluation at x=φ+1) of secrets[i]. Unlike ShamirSplit it
+// deliberately accepts n ≤ d: a caller that needs only some servers'
+// points (the benchmark's store probe asks for server 0's alone) gets
+// exactly those, and reconstruction is then not its concern.
+//
+// Each block draws its d coefficient vectors with one bulk fill apiece
+// and evaluates every server point by Horner steps streamed over the
+// block, so the cost per cell is one draw and one small multiply-add
+// per coefficient and server.
 func ShamirSplitVector(g *prg.PRG, secrets []field.Elem, d, n int) [][]field.Elem {
 	out := make([][]field.Elem, n)
 	for φ := range out {
 		out[φ] = make([]field.Elem, len(secrets))
 	}
-	coeffs := make([]field.Elem, d+1)
-	for i, s := range secrets {
-		coeffs[0] = field.Reduce(s)
-		for k := 1; k <= d; k++ {
-			coeffs[k] = field.Reduce(g.Uint64())
+	// Row k holds the block's coefficients of x^(k+1). With d = 0 the one
+	// row is never filled and stays zero: the polynomial is the constant.
+	rows := max(d, 1)
+	coef := make([]field.Elem, rows*splitBlock)
+	for base := 0; base < len(secrets); base += splitBlock {
+		m := min(splitBlock, len(secrets)-base)
+		for k := 0; k < d; k++ {
+			g.Fill(coef[k*splitBlock:][:m], field.P)
 		}
-		for x := 1; x <= n; x++ {
-			out[x-1][i] = evalPoly(coeffs, field.Elem(x))
+		for φ := range out {
+			x, dst := field.Elem(φ+1), out[φ][base:base+m]
+			src := coef[(rows-1)*splitBlock:][:m]
+			for k := rows - 2; k >= 0; k-- {
+				field.MulAddVec(dst, src, x, coef[k*splitBlock:][:m])
+				src = dst
+			}
+			field.MulAddVec(dst, src, x, secrets[base:base+m])
 		}
 	}
 	return out
