@@ -39,17 +39,15 @@ func main() {
 		viewPath   = flag.String("view", "", "server view file from prism-init (required)")
 		listen     = flag.String("listen", ":7001", "listen address")
 		announcer  = flag.String("announcer", "", "announcer host:port (needed for max/min/median)")
-		storeDir   = flag.String("store", "", "directory for the on-disk share store")
-		diskMode   = flag.Bool("disk", false, "serve columns from disk per query (fetch-time accounting)")
-		hotCols    = flag.Bool("hotcols", false, "with -disk: cache hot chunks per table epoch instead of reading per query (disables per-query fetch-time accounting)")
-		hotChunks  = flag.Uint64("hotchunks", 0, "with -disk: hot-chunk cache byte budget per table (LRU eviction past it); implies -hotcols, 0 = unbounded cache when -hotcols is set")
+		storeDir   = flag.String("store", "", "serve columns from the on-disk share store in this directory (fetched per query, fetch-time accounting); empty serves from RAM")
+		hotChunks  = flag.Uint64("hotchunks", 0, "with -store: cache hot chunks per table epoch under this byte budget (LRU eviction past it) instead of reading per query; 0 = cache off")
 		chunkCells = flag.Uint64("chunkcells", 0, "share-store chunk size in cells for newly written columns (0 = 65536); align with the owners' -shard size")
 		pendTTL    = flag.Duration("pendttl", 0, "reclaim sharded-upload assemblies idle longer than this (crashed owners); 0 disables the sweep")
 		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = default threshold; incremental updates only)")
 		compactEvr = flag.Duration("compact", 0, "also sweep every table's delta log for compaction on this interval (0 = threshold-triggered only)")
 		threads    = flag.Int("threads", 0, "worker pool width (0 = GOMAXPROCS)")
 		inflight   = flag.Int("inflight", 0, "per-connection RPC pipelining depth (0 = transport default)")
-		recoverTab = flag.Bool("recover", false, "with -disk: reload outsourced tables from the store's manifests at startup (corrupt tables are quarantined, crashed uploads reclaimed) instead of booting empty")
+		recoverTab = flag.Bool("recover", false, "with -store: reload outsourced tables from the store's manifests at startup (corrupt tables are quarantined, crashed uploads reclaimed) instead of booting empty")
 		metrics    = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/tables and /debug/pprof on this address (e.g. :9101); empty disables the endpoint")
 	)
 	flag.Parse()
@@ -73,8 +71,6 @@ func main() {
 		}
 		st.SetChunkCells(*chunkCells)
 		opts.Store = st
-		opts.DiskBacked = *diskMode
-		opts.CacheColumns = *diskMode && (*hotCols || *hotChunks > 0)
 		opts.CacheBytes = int64(*hotChunks)
 	}
 	if *announcer != "" {
@@ -85,8 +81,8 @@ func main() {
 	}
 	engine := serverengine.New(&view, opts)
 	if *recoverTab {
-		if !opts.DiskBacked {
-			fatal(fmt.Errorf("-recover needs -store and -disk"))
+		if opts.Store == nil {
+			fatal(fmt.Errorf("-recover needs -store"))
 		}
 		rep, err := engine.Recover()
 		if err != nil {

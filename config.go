@@ -184,24 +184,19 @@ type Config struct {
 	// monolithic one-frame-per-exchange wire behaviour. A query keeps at
 	// most 8 shard exchanges in flight, so the effective pipelining
 	// depth per server connection is min(8, PerConnInflight). With
-	// disk-backed servers, enable HotColumns (or set a HotChunks budget)
-	// alongside sharding so hot chunks are read from disk once; without
-	// the cache every shard window re-reads its overlapping chunks.
+	// disk-backed servers, set a HotChunks budget alongside sharding so
+	// hot chunks are read from disk once; without the cache every shard
+	// window re-reads its overlapping chunks.
 	ShardCells uint64
-	// HotColumns enables each server's per-table hot-chunk cache in
-	// disk-backed mode (DiskDir set): χ-shares and aggregation columns
-	// are cached at chunk granularity per table epoch — invalidated
-	// when any owner re-outsources or the table is dropped — instead of
-	// read per query. Leave it off to measure true per-query fetch
-	// times (the Figure 3 data-fetch series). Without a HotChunks
-	// budget the cache is unbounded (the legacy hot-column behaviour).
-	HotColumns bool
-	// HotChunks bounds each server's per-table hot-chunk cache to this
-	// many bytes: least-recently-used chunks are evicted past the
-	// budget, so a disk-backed server's query-path residency stays
-	// O(budget) no matter how large the domain grows. Setting it
-	// implies HotColumns. 0 leaves the cache unbounded (when
-	// HotColumns) or disabled (otherwise).
+	// HotChunks, when > 0, turns on each disk-backed server's per-table
+	// hot-chunk cache (DiskDir set) with this byte budget: χ-shares and
+	// aggregation columns are cached at chunk granularity per table
+	// epoch — invalidated when any owner re-outsources or the table is
+	// dropped — and least-recently-used chunks are evicted past the
+	// budget, so query-path residency stays O(budget) no matter how
+	// large the domain grows. 0 (the default) is cache off: every query
+	// reads the store, which is what measures true per-query fetch
+	// times (the Figure 3 data-fetch series).
 	HotChunks uint64
 	// ChunkCells sets the share store's chunk size in cells for newly
 	// written columns (disk-backed mode). 0 → sharestore's default
@@ -290,8 +285,8 @@ func (c *Config) normalize() error {
 		return errors.New("prism: DeltaMaxEntries and CompactInterval must be >= 0")
 	}
 	if c.AutoRecover && c.DiskDir == "" {
-		// Mirror prism-server, which rejects -recover without -store
-		// -disk: silently booting empty would defeat the whole point.
+		// Mirror prism-server, which rejects -recover without -store:
+		// silently booting empty would defeat the whole point.
 		return errors.New("prism: AutoRecover requires DiskDir")
 	}
 	if c.TableName == "" {

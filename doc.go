@@ -68,9 +68,9 @@
 // Config.PerConnInflight bounds the pipelining depth per connection
 // (the in-process fabric applies the same bound per server address so
 // local behaviour matches a wire deployment). Disk-backed servers can
-// additionally enable a per-table hot-chunk cache (Config.HotColumns;
-// Config.HotChunks bounds it to a byte budget): column chunks are read
-// from the share store once per table epoch — invalidated when any
+// additionally enable a per-table hot-chunk cache (Config.HotChunks, a
+// byte budget; 0 is off): column chunks are read from the share store
+// once per table epoch — invalidated when any
 // owner re-outsources — instead of once per query.
 //
 // # Domain sharding
@@ -86,7 +86,7 @@
 // servable; sharded uploads register the table only once every window
 // has arrived, so queries never observe a half-uploaded epoch. The
 // default 0 preserves the monolithic one-frame-per-exchange wire
-// behaviour. With disk-backed servers enable HotColumns alongside
+// behaviour. With disk-backed servers set a HotChunks budget alongside
 // sharding (each window reads its chunks through the per-epoch cache);
 // the effective pipelining depth per connection is
 // min(8, PerConnInflight). The prism-bench domainscale experiment
@@ -97,9 +97,8 @@
 // Disk-backed servers (Config.DiskDir) persist each column as
 // fixed-size chunk segments plus a per-column chunk index
 // (internal/sharestore): chunks are written atomically with their own
-// CRCs, ranged reads touch only the chunks overlapping the window, and
-// version-1 monolithic column files remain readable (auto-migrated on
-// first ranged write). A sharded upload streams every incoming window
+// CRCs, and ranged reads touch only the chunks overlapping the window;
+// this is the only column format. A sharded upload streams every incoming window
 // straight to pending chunked columns and promotes them on completion
 // (register-on-complete, recorded in the table manifest), and
 // per-window query evaluation fetches only the overlapping chunks —

@@ -33,8 +33,7 @@ type SystemSpec struct {
 	CommonKeys   int
 	Threads      int
 	DiskDir      string // non-empty → disk-backed servers (fetch timing)
-	HotColumns   bool   // per-table hot-chunk cache on disk-backed servers
-	HotChunks    uint64 // hot-chunk cache byte budget (implies HotColumns)
+	HotChunks    uint64 // hot-chunk cache byte budget on disk-backed servers (0 = cache off)
 	ChunkCells   uint64 // share-store chunk size in cells (0 = default)
 	ShardCells   uint64 // shard size for O(b) exchanges (0 = monolithic)
 	EncodeWire   bool   // wire-frame round trip per call (frame-size measurement)
@@ -112,7 +111,6 @@ func Build(spec SystemSpec) (*prism.System, []*workload.OwnerData, prism.ShareGe
 		Threads:     spec.Threads,
 		Seed:        seed,
 		DiskDir:     spec.DiskDir,
-		HotColumns:  spec.HotColumns,
 		HotChunks:   spec.HotChunks,
 		ChunkCells:  spec.ChunkCells,
 		ShardCells:  spec.ShardCells,
@@ -147,7 +145,7 @@ type OpResult struct {
 	ServerFetchNS   int64
 	OwnerNS         int64
 	ResultSize      int
-	CacheHits       int // column reads served by the hot-column cache
+	CacheHits       int // column reads served by the hot-chunk cache
 }
 
 // Ops enumerates the Figure 3 operators in presentation order.

@@ -282,7 +282,11 @@ func DiskAblation(ctx context.Context, sc Scale) ([]*report.Table, error) {
 		spec := SystemSpec{Owners: sc.Owners, Domain: domain, Seed: "disk-ablation"}
 		if m.disk {
 			spec.DiskDir = fmt.Sprintf("%s/ablation-%s", sc.DiskDir, map[bool]string{false: "cold", true: "hot"}[m.hot])
-			spec.HotColumns = m.hot
+			if m.hot {
+				// A budget every column fits in (≤ 64 B per cell and owner),
+				// so the warm run measures a fully resident epoch.
+				spec.HotChunks = 64 * domain * uint64(sc.Owners)
+			}
 		}
 		sys, _, _, err := Build(spec)
 		if err != nil {

@@ -65,7 +65,7 @@ type Stats struct {
 	ComputeNS int64 // time in the oblivious compute loop
 	PatchNS   int64 // time merging the delta overlay into fetched windows
 	Cells     int   // cells processed
-	CacheHits int   // column reads served by the hot-column cache
+	CacheHits int   // column reads served by the hot-chunk cache
 	// Spans carries the per-phase trace annotations of a traced request
 	// (the request carried a non-empty TraceID). nil — and therefore
 	// absent from the gob stream — for untraced queries. Because every

@@ -3,7 +3,6 @@ package serverengine
 import (
 	"container/list"
 	"errors"
-	"fmt"
 	"sync"
 
 	"prism/internal/sharestore"
@@ -23,8 +22,7 @@ import (
 // package README: don't re-outsource a table being queried at that
 // instant).
 //
-// Residency is bounded by a byte budget (Options.CacheBytes; <= 0 means
-// unlimited, the legacy whole-column hot cache behaviour): completed
+// Residency is bounded by a byte budget (Options.CacheBytes): completed
 // chunks are kept on an LRU list and the least-recently-used chunks are
 // evicted once the budget is exceeded. Evicting a chunk another query
 // still holds a slice of is safe — the cache merely forgets it.
@@ -34,20 +32,25 @@ import (
 // simultaneous queries cost one disk read per chunk, not 40.
 type chunkCache struct {
 	mu        sync.Mutex
-	budget    int64 // <= 0 → unlimited
+	budget    int64
 	bytes     int64
 	track     func(delta int64) // held-bytes gauge hook (may be nil)
-	entries   map[string]*chunkEntry
+	entries   map[chunkID]*chunkEntry
 	lru       *list.List // front = most recently used *chunkEntry
 	info      map[string]sharestore.ColumnInfo
 	discarded bool
 }
 
+// chunkID keys one cached entry: chunk k of disk column col.
+type chunkID struct {
+	col string
+	k   uint64
+}
+
 type chunkEntry struct {
-	key   string
+	key   chunkID
 	ready chan struct{} // closed once the load completes
-	u16   []uint16
-	u64   []uint64
+	val   any           // the loaded []T
 	size  int64
 	err   error
 	elem  *list.Element // nil until finished (or after eviction)
@@ -57,51 +60,49 @@ func newChunkCache(budget int64, track func(delta int64)) *chunkCache {
 	return &chunkCache{
 		budget:  budget,
 		track:   track,
-		entries: make(map[string]*chunkEntry),
+		entries: make(map[chunkID]*chunkEntry),
 		lru:     list.New(),
 		info:    make(map[string]sharestore.ColumnInfo),
 	}
 }
 
-func chunkKey(col string, k uint64) string { return fmt.Sprintf("%s#%d", col, k) }
+// resetCache ends t's cache epoch: the old epoch's chunks are released
+// and, when the engine caches at all, a cold cache takes its place.
+// Caller holds e.mu.
+func (e *Engine) resetCache(t *table) {
+	if t.cache != nil {
+		t.cache.discard()
+	}
+	t.cache = nil
+	if e.opts.Store != nil && e.opts.CacheBytes > 0 {
+		t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
+	}
+}
 
 // fullColumnChunk is the sentinel chunk id under which a whole assembled
 // multi-chunk column is cached (monolithic query shapes read entire
-// columns; caching the joined column restores the zero-copy warm-query
-// handoff the pre-chunk hot-column cache provided).
+// columns; caching the joined column gives warm queries a zero-copy
+// handoff instead of re-joining chunks per query).
 const fullColumnChunk = ^uint64(0)
 
-// getU16 returns the cached chunk k of column col, loading it via load
-// on first use. hit reports whether the load was skipped (served from
-// the cache, possibly after waiting out another query's in-flight load).
-// Failed loads are not cached. finish is guaranteed even when load
-// panics (the transport recovers handler panics, so an abandoned entry
-// would otherwise park every later query on ready forever).
-func (c *chunkCache) getU16(col string, k uint64, load func() ([]uint16, error)) (v []uint16, hit bool, err error) {
-	e, hit := c.entry(chunkKey(col, k))
+// cacheGet returns the cached entry key, loading it via load on first
+// use. hit reports whether the load was skipped (served from the cache,
+// possibly after waiting out another query's in-flight load). Failed
+// loads are not cached. finish is guaranteed even when load panics (the
+// transport recovers handler panics, so an abandoned entry would
+// otherwise park every later query on ready forever).
+func cacheGet[T sharestore.Cell](c *chunkCache, key chunkID, load func() ([]T, error)) (v []T, hit bool, err error) {
+	e, hit := c.entry(key)
 	if !hit {
 		defer func() { c.finish(e) }()
 		e.err = errLoadAborted
-		e.u16, e.err = load()
-		e.size = 2 * int64(len(e.u16))
-		return e.u16, false, e.err
+		v, e.err = load()
+		e.val, e.size = v, int64(sharestore.Width[T]()*len(v))
+		return v, false, e.err
 	}
 	<-e.ready
-	return e.u16, true, e.err
-}
-
-// getU64 is getU16 for uint64 chunks.
-func (c *chunkCache) getU64(col string, k uint64, load func() ([]uint64, error)) (v []uint64, hit bool, err error) {
-	e, hit := c.entry(chunkKey(col, k))
-	if !hit {
-		defer func() { c.finish(e) }()
-		e.err = errLoadAborted
-		e.u64, e.err = load()
-		e.size = 8 * int64(len(e.u64))
-		return e.u64, false, e.err
-	}
-	<-e.ready
-	return e.u64, true, e.err
+	v, _ = e.val.([]T)
+	return v, true, e.err
 }
 
 // getInfo caches column shapes (the 26-byte chunk-index read) for the
@@ -130,7 +131,7 @@ var errLoadAborted = errors.New("serverengine: chunk load aborted")
 
 // entry claims or joins the entry for key. When the caller claimed it
 // (hit false) it must load the chunk and call finish.
-func (c *chunkCache) entry(key string) (*chunkEntry, bool) {
+func (c *chunkCache) entry(key chunkID) (*chunkEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -171,7 +172,7 @@ func (c *chunkCache) finish(e *chunkEntry) {
 // always keeping the most recent chunk resident (a single chunk larger
 // than the budget must still serve). Caller holds c.mu.
 func (c *chunkCache) evictLocked() {
-	for c.budget > 0 && c.bytes > c.budget && c.lru.Len() > 1 {
+	for c.bytes > c.budget && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		victim := back.Value.(*chunkEntry)
 		c.lru.Remove(back)
@@ -199,7 +200,7 @@ func (c *chunkCache) discard() {
 		c.track(-c.bytes)
 	}
 	c.bytes = 0
-	c.entries = make(map[string]*chunkEntry)
+	c.entries = make(map[chunkID]*chunkEntry)
 	c.lru.Init()
 	c.info = make(map[string]sharestore.ColumnInfo)
 }

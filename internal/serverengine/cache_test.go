@@ -11,8 +11,8 @@ import (
 	"prism/internal/sharestore"
 )
 
-// newHotEngines builds three disk-backed engines with the hot-column
-// cache enabled.
+// newHotEngines builds three disk-backed engines with the hot-chunk
+// cache enabled, under a budget every column of the test tables fits in.
 func newHotEngines(t *testing.T, b uint64) []*Engine {
 	t.Helper()
 	return newEngines(t, b, func(phi int) Options {
@@ -20,7 +20,7 @@ func newHotEngines(t *testing.T, b uint64) []*Engine {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Options{Threads: 2, Store: st, DiskBacked: true, CacheColumns: true}
+		return Options{Threads: 2, Store: st, CacheBytes: 1 << 20}
 	})
 }
 
@@ -57,42 +57,6 @@ func TestHotColumnCachePSI(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold.Out, warm.Out) {
 		t.Error("cached query changed the PSI output")
-	}
-}
-
-// TestHotColumnCacheAgg asserts uint64 aggregation and count columns are
-// cached too.
-func TestHotColumnCacheAgg(t *testing.T) {
-	const b, m = 64, 2
-	engines := newHotEngines(t, b)
-	storeFull(t, engines, b, false)
-	z := make([]uint64, b)
-	for i := range z {
-		z[i] = 1
-	}
-	run := func() protocol.AggReply {
-		r, err := engines[2].Handle(context.Background(), protocol.AggRequest{
-			Table: "t", Cols: []string{"v"}, WithCount: true, Z: z,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.(protocol.AggReply)
-	}
-	cold := run()
-	if cold.Stats.CacheHits != 0 || cold.Stats.FetchNS <= 0 {
-		t.Errorf("cold agg: hits=%d fetchNS=%d", cold.Stats.CacheHits, cold.Stats.FetchNS)
-	}
-	warm := run()
-	// One sum column and one count column per owner.
-	if want := 2 * m; warm.Stats.CacheHits != want {
-		t.Errorf("warm agg cache hits = %d, want %d", warm.Stats.CacheHits, want)
-	}
-	if warm.Stats.FetchNS != 0 {
-		t.Errorf("warm agg fetch time = %dns, want 0", warm.Stats.FetchNS)
-	}
-	if !reflect.DeepEqual(cold.Sums, warm.Sums) || !reflect.DeepEqual(cold.Counts, warm.Counts) {
-		t.Error("cached agg changed the reply")
 	}
 }
 
@@ -156,8 +120,8 @@ func TestHotColumnCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledByDefault asserts disk-backed engines without
-// CacheColumns keep the per-query fetch semantics (every query reads the
+// TestCacheDisabledByDefault asserts disk-backed engines without a
+// CacheBytes budget keep the per-query fetch semantics (every query reads the
 // store, reporting real fetch time) that the benchx fetch-timing
 // experiments rely on.
 func TestCacheDisabledByDefault(t *testing.T) {
@@ -167,7 +131,7 @@ func TestCacheDisabledByDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Options{Threads: 2, Store: st, DiskBacked: true}
+		return Options{Threads: 2, Store: st}
 	})
 	storeFull(t, engines, b, false)
 	psiStats(t, engines[0])

@@ -1,0 +1,499 @@
+// Column sets and the fetch layer: everything between a chunk file and
+// a kernel.
+//
+// A server stores, per owner, a handful of length-b share vectors — χ
+// and χ̄ as uint16 additive shares, each sum/count column and its
+// verification twin as uint64 field shares. specCols is the single
+// enumeration of those columns; every layer names a column by the layout
+// name it produces ("chi", "sum.<col>", …), in RAM (ownerCols), on disk
+// ("o<owner>.<name>"), in the delta log and in the chunk cache. The code
+// here is generic over the cell type: the only width-specific work left
+// is sharestore's little-endian encode/decode.
+package serverengine
+
+import (
+	"fmt"
+	"slices"
+	"time"
+
+	"prism/internal/protocol"
+	"prism/internal/sharestore"
+)
+
+// colDef names one column of a table layout (without the "o<owner>."
+// prefix) and its element width in bytes.
+type colDef struct {
+	name  string
+	width int
+}
+
+// specCols enumerates the columns this server stores per owner under a
+// table spec, in a deterministic order.
+func (e *Engine) specCols(spec protocol.TableSpec) []colDef {
+	var out []colDef
+	if e.view.Index < 2 {
+		out = append(out, colDef{"chi", 2})
+		if spec.HasVerify {
+			out = append(out, colDef{"chibar", 2})
+		}
+	}
+	for _, col := range spec.AggCols {
+		out = append(out, colDef{"sum." + col, 8})
+		if spec.HasVerify {
+			out = append(out, colDef{"vsum." + col, 8})
+		}
+	}
+	if spec.HasCount {
+		out = append(out, colDef{"cnt", 8})
+		if spec.HasVerify {
+			out = append(out, colDef{"vcnt", 8})
+		}
+	}
+	return out
+}
+
+// colKey is the on-disk column name for one owner's column.
+func colKey(owner int, col string) string { return fmt.Sprintf("o%d.%s", owner, col) }
+
+// pendColKey is the pending (streaming upload) name of the same column.
+func pendColKey(owner int, col string) string { return fmt.Sprintf("pend%d.%s", owner, col) }
+
+// colSet is the columns of one cell type, keyed by layout name.
+type colSet[T sharestore.Cell] map[string][]T
+
+// ownerCols is one owner's column set. Once registered in a table it is
+// immutable, so queries read it without locks; an onDisk set holds no
+// cells — its columns live in the store under colKey names.
+type ownerCols struct {
+	u16    colSet[uint16]
+	u64    colSet[uint64]
+	onDisk bool
+}
+
+// setOf selects the T-typed half of oc.
+func setOf[T sharestore.Cell](oc *ownerCols) colSet[T] {
+	if s, ok := any(oc.u16).(colSet[T]); ok {
+		return s
+	}
+	return any(oc.u64).(colSet[T])
+}
+
+// reqCols maps the wire fields of a StoreRequest to layout names.
+func reqCols(r *protocol.StoreRequest) *ownerCols {
+	oc := &ownerCols{
+		u16: colSet[uint16]{"chi": r.ChiAdd, "chibar": r.ChiBarAdd},
+		u64: colSet[uint64]{"cnt": r.CountCol, "vcnt": r.VCountCol},
+	}
+	for col, v := range r.SumCols {
+		oc.u64["sum."+col] = v
+	}
+	for col, v := range r.VSumCols {
+		oc.u64["vsum."+col] = v
+	}
+	return oc
+}
+
+// pick restricts the set to the columns of cols that have its width (an
+// absent column stays in as a nil, zero-cell entry). Sets are always
+// built through pick, so everything below may range over the map and
+// still touch exactly the columns specCols names.
+func (s colSet[T]) pick(cols []colDef) colSet[T] {
+	out := make(colSet[T], len(cols))
+	for _, cd := range cols {
+		if cd.width == sharestore.Width[T]() {
+			out[cd.name] = s[cd.name]
+		}
+	}
+	return out
+}
+
+func (oc *ownerCols) pick(cols []colDef) *ownerCols {
+	return &ownerCols{u16: oc.u16.pick(cols), u64: oc.u64.pick(cols)}
+}
+
+// cells is the length of the named column (0 when absent).
+func (oc *ownerCols) cells(name string) int { return len(oc.u16[name]) + len(oc.u64[name]) }
+
+// blank returns zeroed n-cell columns under the same names.
+func (s colSet[T]) blank(n uint64) colSet[T] {
+	out := make(colSet[T], len(s))
+	for name := range s {
+		out[name] = make([]T, n)
+	}
+	return out
+}
+
+func (oc *ownerCols) blank(n uint64) *ownerCols {
+	return &ownerCols{u16: oc.u16.blank(n), u64: oc.u64.blank(n)}
+}
+
+// copyAt copies src's window columns into s at cell offset off.
+func (s colSet[T]) copyAt(off uint64, src colSet[T]) {
+	for name, dst := range s {
+		copy(dst[off:], src[name])
+	}
+}
+
+func (oc *ownerCols) copyAt(off uint64, src *ownerCols) {
+	oc.u16.copyAt(off, src.u16)
+	oc.u64.copyAt(off, src.u64)
+}
+
+func (s colSet[T]) bytes() int64 {
+	var n int64
+	for _, v := range s {
+		n += int64(len(v))
+	}
+	return n * int64(sharestore.Width[T]())
+}
+
+// bytes is the resident size of a column set (0 for nil or on-disk
+// sets).
+func (oc *ownerCols) bytes() int64 {
+	if oc == nil {
+		return 0
+	}
+	return oc.u16.bytes() + oc.u64.bytes()
+}
+
+// create initialises empty cells-cell store columns under key(name).
+func (s colSet[T]) create(st *sharestore.Store, table string, key func(string) string, cells uint64) error {
+	for name := range s {
+		if err := sharestore.Create[T](st, table, key(name), cells); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (oc *ownerCols) create(st *sharestore.Store, table string, key func(string) string, cells uint64) error {
+	if err := oc.u16.create(st, table, key, cells); err != nil {
+		return err
+	}
+	return oc.u64.create(st, table, key, cells)
+}
+
+// write replaces the store columns key(name) with the set's columns.
+func (s colSet[T]) write(st *sharestore.Store, table string, key func(string) string) error {
+	for name, v := range s {
+		if err := sharestore.Write(st, table, key(name), v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (oc *ownerCols) write(st *sharestore.Store, table string, key func(string) string) error {
+	if err := oc.u16.write(st, table, key); err != nil {
+		return err
+	}
+	return oc.u64.write(st, table, key)
+}
+
+// writeAt patches the set's columns into the existing store columns
+// key(name) as the window starting at cell off.
+func (s colSet[T]) writeAt(st *sharestore.Store, table string, key func(string) string, off uint64) error {
+	for name, v := range s {
+		if err := sharestore.WriteRange(st, table, key(name), off, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (oc *ownerCols) writeAt(st *sharestore.Store, table string, key func(string) string, off uint64) error {
+	if err := oc.u16.writeAt(st, table, key, off); err != nil {
+		return err
+	}
+	return oc.u64.writeAt(st, table, key, off)
+}
+
+// patch replaces column name with a copy that has dc's delta entries
+// applied; false when the set has no such column.
+func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
+	v, ok := s[name]
+	if !ok {
+		return false
+	}
+	v = slices.Clone(v)
+	for i, p := range dc.Pos {
+		v[p] = T(dc.Vals[i])
+	}
+	s[name] = v
+	return true
+}
+
+// ---- fetch layer ----
+//
+// Every handler fetches exactly the stored cells its reply window needs:
+// contiguous windows via fetchWindow (reading only the chunks that
+// overlap the window) and scattered cells — permuted reply windows,
+// bucket-tree frontiers — via fetchGather (visiting the touched chunks
+// one at a time, so residency stays O(window + chunk)). In-memory tables
+// hand out zero-copy slices and report no fetch time; disk reads are
+// timed into Stats.FetchNS and served through the per-table hot-chunk
+// cache when enabled. Both merge the table's delta overlay in.
+
+// memCol resolves an in-memory column by its layout name.
+func memCol[T sharestore.Cell](e *Engine, t *tableView, owner int, col string) ([]T, error) {
+	v, ok := setOf[T](t.owners[owner])[col]
+	if !ok {
+		return nil, fmt.Errorf("server %d: table %q owner %d missing %s column", e.view.Index, t.spec.Name, owner, col)
+	}
+	return v, nil
+}
+
+// cached runs read — a store read of entry k of disk column key — through
+// the table's chunk cache when there is one, timing it into FetchNS when
+// it actually runs.
+func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protocol.Stats, read func() ([]T, error)) ([]T, error) {
+	load := func() ([]T, error) {
+		start := time.Now()
+		v, err := read()
+		stats.FetchNS += time.Since(start).Nanoseconds()
+		return v, err
+	}
+	if t.cache == nil {
+		return load()
+	}
+	v, hit, err := cacheGet(t.cache, chunkID{key, k}, load)
+	if hit {
+		stats.CacheHits++
+		mCacheHits.Inc()
+	} else {
+		mCacheMisses.Inc()
+	}
+	return v, err
+}
+
+// colInfo reports a disk column's shape, cached per table epoch.
+func (e *Engine) colInfo(t *tableView, key string, stats *protocol.Stats) (sharestore.ColumnInfo, error) {
+	load := func() (sharestore.ColumnInfo, error) {
+		start := time.Now()
+		info, err := e.opts.Store.Stat(t.spec.Name, key)
+		stats.FetchNS += time.Since(start).Nanoseconds()
+		return info, err
+	}
+	if t.cache != nil {
+		return t.cache.getInfo(key, load)
+	}
+	return load()
+}
+
+// chunkSpan returns chunk k of a disk column, via the hot-chunk cache
+// when enabled. The slice may be shared with other queries.
+func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64, stats *protocol.Stats) ([]T, error) {
+	return cached(t, key, k, stats, func() ([]T, error) {
+		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
+	})
+}
+
+// fetchWindow returns owner j's cells [rg.Offset, rg.End()) of a column,
+// with the table's delta overlay merged in. The raw fetch reports
+// whether the slice is owned by the caller; shared slices (in-memory
+// columns, cached chunks) are cloned only when an overlay entry actually
+// lands in the window.
+func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, error) {
+	v, owned, err := fetchWindowRaw[T](e, t, owner, col, rg, stats)
+	if err != nil || t.delta == nil {
+		return v, err
+	}
+	start := time.Now()
+	v = patchWindow(t.delta, colKey(owner, col), rg, v, owned)
+	stats.PatchNS += time.Since(start).Nanoseconds()
+	return v, nil
+}
+
+// fetchWindowRaw is the overlay-free window fetch: a zero-copy slice for
+// in-memory tables (owned=false), a chunk-ranged read for disk tables
+// (owned unless served straight from the chunk cache).
+func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
+	if !t.owners[owner].onDisk {
+		v, err := memCol[T](e, t, owner, col)
+		if err != nil {
+			return nil, false, err
+		}
+		return v[rg.Offset:rg.End()], false, nil
+	}
+	key := colKey(owner, col)
+	readRange := func(off, count uint64) func() ([]T, error) {
+		return func() ([]T, error) { return sharestore.ReadRange[T](e.opts.Store, t.spec.Name, key, off, count) }
+	}
+	if t.cache == nil {
+		v, err := cached(t, key, 0, stats, readRange(rg.Offset, rg.Count))
+		return v, true, err
+	}
+	info, err := e.colInfo(t, key, stats)
+	if err != nil {
+		return nil, false, err
+	}
+	cc := info.ChunkCells
+	if rg.Count > 0 && rg.Offset%cc == 0 && rg.End() == min(rg.Offset+cc, info.Cells) {
+		// The window is exactly one whole chunk (shard windows aligned to
+		// the chunk size): hand out the chunk slice without copying.
+		v, err := chunkSpan[T](e, t, key, rg.Offset/cc, stats)
+		return v, false, err
+	}
+	if rg.Offset == 0 && rg.Count == info.Cells && info.NumChunks() > 1 {
+		// Whole-column read of a multi-chunk column (monolithic query
+		// shapes): cache the assembled column as one entry so warm
+		// queries get a zero-copy slice handoff instead of re-joining
+		// chunks per query.
+		v, err := cached(t, key, fullColumnChunk, stats, readRange(0, info.Cells))
+		return v, false, err
+	}
+	out := make([]T, rg.Count)
+	for k := rg.Offset / cc; rg.Count > 0 && k*cc < rg.End(); k++ {
+		chunk, err := chunkSpan[T](e, t, key, k, stats)
+		if err != nil {
+			return nil, false, err
+		}
+		lo, hi := max(k*cc, rg.Offset), min(k*cc+uint64(len(chunk)), rg.End())
+		copy(out[lo-rg.Offset:], chunk[lo-k*cc:hi-k*cc])
+	}
+	return out, true, nil
+}
+
+// gatherPlan groups scattered cell indices by the chunk that holds
+// them, so a gather visits each touched chunk exactly once. order holds
+// positions into idx, grouped by chunk; starts[c] is the first position
+// of chunk chunks[c] within order. Built in O(n + touched chunks) with
+// a counting pass — no comparison sort — and shared across every
+// owner's column of the same chunk geometry.
+type gatherPlan struct {
+	cc     uint64
+	chunks []uint64
+	starts []int
+	order  []int32
+}
+
+func buildGatherPlan(idx []uint32, cc, cells uint64) gatherPlan {
+	nchunks := int((cells + cc - 1) / cc)
+	counts := make([]int, nchunks)
+	for _, c := range idx {
+		counts[uint64(c)/cc]++
+	}
+	chunks := make([]uint64, 0, nchunks)
+	starts := make([]int, 1, nchunks+1)
+	next := make([]int, nchunks)
+	for k, n := range counts {
+		if n == 0 {
+			continue
+		}
+		next[k] = starts[len(starts)-1]
+		chunks = append(chunks, uint64(k))
+		starts = append(starts, next[k]+n)
+	}
+	order := make([]int32, len(idx))
+	for i, cell := range idx {
+		k := uint64(cell) / cc
+		order[next[k]] = int32(i)
+		next[k]++
+	}
+	return gatherPlan{cc: cc, chunks: chunks, starts: starts, order: order}
+}
+
+// fetchGather returns owner j's cells idx[0..n) of a column, in idx
+// order, with the delta overlay merged in. Disk tables visit each
+// touched chunk once (per the plan), so residency is O(len(idx) + chunk)
+// even when the indices scatter across the whole column (permuted reply
+// windows, bucket-tree frontiers).
+func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
+	out, err := fetchGatherRaw[T](e, t, owner, col, idx, plan, stats)
+	if err == nil && t.delta != nil {
+		// The gathered slice is always freshly built, so the overlay
+		// patches it in place.
+		start := time.Now()
+		patchGather(t.delta, colKey(owner, col), idx, out)
+		stats.PatchNS += time.Since(start).Nanoseconds()
+	}
+	return out, err
+}
+
+// fetchGatherRaw is the overlay-free gather.
+func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
+	out := make([]T, len(idx))
+	if !t.owners[owner].onDisk {
+		v, err := memCol[T](e, t, owner, col)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range idx {
+			out[i] = v[c]
+		}
+		return out, nil
+	}
+	key := colKey(owner, col)
+	info, err := e.colInfo(t, key, stats)
+	if err != nil {
+		return nil, err
+	}
+	if plan == nil || plan.cc != info.ChunkCells {
+		// Mixed chunk geometries across owners (a server restarted with
+		// a different -chunkcells): fall back to a column-specific plan.
+		p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
+		plan = &p
+	}
+	for c, k := range plan.chunks {
+		chunk, err := chunkSpan[T](e, t, key, k, stats)
+		if err != nil {
+			return nil, err
+		}
+		lo := k * plan.cc
+		for _, i := range plan.order[plan.starts[c]:plan.starts[c+1]] {
+			out[i] = chunk[uint64(idx[i])-lo]
+		}
+	}
+	return out, nil
+}
+
+// ownerWindows fetches every owner's cells of col for the stored-cell
+// window rg.
+func ownerWindows[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([][]T, error) {
+	out := make([][]T, e.view.M)
+	for j := range out {
+		v, err := fetchWindow[T](e, t, j, col, rg, stats)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = v
+	}
+	return out, nil
+}
+
+// chiShares fetches every owner's χ (bar=false) or χ̄ (bar=true) share
+// cells for one reply: the stored-cell window rg or, when idx is
+// non-nil, the scattered stored cells idx in idx order — a window of an
+// inverse server permutation or a bucket-tree frontier, used as it is.
+// The chunk-grouping plan of a gather is computed once and shared across
+// owners (their columns share the store's chunk geometry).
+func (e *Engine) chiShares(t *tableView, bar bool, rg protocol.Range, idx []uint32, stats *protocol.Stats) ([][]uint16, error) {
+	col := "chi"
+	if bar {
+		col = "chibar"
+	}
+	if idx == nil {
+		return ownerWindows[uint16](e, t, col, rg, stats)
+	}
+	var plan *gatherPlan
+	for j := 0; j < e.view.M; j++ {
+		if t.owners[j].onDisk {
+			info, err := e.colInfo(t, colKey(j, col), stats)
+			if err != nil {
+				return nil, err
+			}
+			p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
+			plan = &p
+			break
+		}
+	}
+	out := make([][]uint16, e.view.M)
+	for j := range out {
+		v, err := fetchGather[uint16](e, t, j, col, idx, plan, stats)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = v
+	}
+	return out, nil
+}

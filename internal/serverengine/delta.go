@@ -26,6 +26,8 @@ package serverengine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -187,81 +189,44 @@ func (d *deltaOverlay) dropOwner(owner int) int64 {
 	return released
 }
 
-// patchU16 overlays key's delta entries onto the window rg of v. When v
-// is a shared slice (owned=false: an in-memory column, a cached chunk)
-// it is cloned before the first patched cell; an untouched window is
-// returned as-is.
-func (d *deltaOverlay) patchU16(key string, rg protocol.Range, v []uint16, owned bool) []uint16 {
+// patchWindow overlays key's delta entries onto the window rg of v.
+// When v is a shared slice (owned=false: an in-memory column, a cached
+// chunk) it is cloned before the first patched cell; an untouched window
+// is returned as-is.
+func patchWindow[T sharestore.Cell](d *deltaOverlay, key string, rg protocol.Range, v []T, owned bool) []T {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	co := d.cols[key]
 	if co == nil || len(co.cells) == 0 {
 		return v
 	}
-	cloned := owned
 	if uint64(len(co.cells)) < rg.Count {
 		for p, dv := range co.cells {
 			if p < rg.Offset || p >= rg.End() {
 				continue
 			}
-			if !cloned {
-				v = append([]uint16(nil), v...)
-				cloned = true
+			if !owned {
+				v, owned = slices.Clone(v), true
 			}
-			v[p-rg.Offset] = uint16(dv.val)
+			v[p-rg.Offset] = T(dv.val)
 		}
 		return v
 	}
 	for p := rg.Offset; p < rg.End(); p++ {
 		if dv, ok := co.cells[p]; ok {
-			if !cloned {
-				v = append([]uint16(nil), v...)
-				cloned = true
+			if !owned {
+				v, owned = slices.Clone(v), true
 			}
-			v[p-rg.Offset] = uint16(dv.val)
+			v[p-rg.Offset] = T(dv.val)
 		}
 	}
 	return v
 }
 
-// patchU64 is patchU16 for uint64 columns.
-func (d *deltaOverlay) patchU64(key string, rg protocol.Range, v []uint64, owned bool) []uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	co := d.cols[key]
-	if co == nil || len(co.cells) == 0 {
-		return v
-	}
-	cloned := owned
-	if uint64(len(co.cells)) < rg.Count {
-		for p, dv := range co.cells {
-			if p < rg.Offset || p >= rg.End() {
-				continue
-			}
-			if !cloned {
-				v = append([]uint64(nil), v...)
-				cloned = true
-			}
-			v[p-rg.Offset] = dv.val
-		}
-		return v
-	}
-	for p := rg.Offset; p < rg.End(); p++ {
-		if dv, ok := co.cells[p]; ok {
-			if !cloned {
-				v = append([]uint64(nil), v...)
-				cloned = true
-			}
-			v[p-rg.Offset] = dv.val
-		}
-	}
-	return v
-}
-
-// patchGatherU16 overlays key's delta entries onto a gathered fetch:
-// out[i] holds the cell at idx[i] and is always a fresh slice, so the
-// patch is in place.
-func (d *deltaOverlay) patchGatherU16(key string, idx []uint32, out []uint16) {
+// patchGather overlays key's delta entries onto a gathered fetch: out[i]
+// holds the cell at idx[i] and is always a fresh slice, so the patch is
+// in place.
+func patchGather[T sharestore.Cell](d *deltaOverlay, key string, idx []uint32, out []T) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	co := d.cols[key]
@@ -270,7 +235,7 @@ func (d *deltaOverlay) patchGatherU16(key string, idx []uint32, out []uint16) {
 	}
 	for i, p := range idx {
 		if dv, ok := co.cells[uint64(p)]; ok {
-			out[i] = uint16(dv.val)
+			out[i] = T(dv.val)
 		}
 	}
 }
@@ -328,7 +293,7 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	seq := t.deltaSeq
 	e.mu.Unlock()
 
-	if e.opts.DiskBacked && e.opts.Store != nil {
+	if e.opts.Store != nil {
 		if err := e.opts.Store.AppendDeltaSeg(r.Table, seq, ents); err != nil {
 			return nil, fmt.Errorf("server %d: delta log append: %w", e.view.Index, err)
 		}
@@ -360,14 +325,11 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 // spec and this server's column layout and converts it into delta-log
 // column entries. n is the total per-position update count.
 func (e *Engine) deltaEntries(spec protocol.TableSpec, r *protocol.StoreDeltaRequest) ([]sharestore.DeltaCol, int, error) {
-	b := spec.B
-	lo, hi := uint64(0), b
-	if r.Shard.Sharded() {
-		if err := r.Shard.Validate(b); err != nil {
-			return nil, 0, fmt.Errorf("server %d: %w", e.view.Index, err)
-		}
-		lo, hi = r.Shard.Offset, r.Shard.End()
+	rg, err := e.window(r.Shard, spec.B)
+	if err != nil {
+		return nil, 0, err
 	}
+	lo, hi := rg.Offset, rg.End()
 	checkPos := func(side string, pos []uint64) error {
 		for i, p := range pos {
 			if p < lo || p >= hi {
@@ -551,7 +513,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	}
 	sort.Strings(names)
 
-	disk := e.opts.DiskBacked && e.opts.Store != nil
+	disk := e.opts.Store != nil
 	if disk {
 		for _, cn := range names {
 			if err := e.compactStep("patch:" + cn); err != nil {
@@ -575,7 +537,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	var patched map[int]*ownerCols
 	if !disk {
 		var err error
-		patched, err = e.patchedMemCols(name, spec, snap)
+		patched, err = e.patchedMemCols(name, snap)
 		if err != nil {
 			return st, err
 		}
@@ -592,16 +554,13 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	}
 	for j, oc := range patched {
 		if cur, live := t.owners[j]; live && !cur.onDisk {
-			e.trackHeld(ocBytes(oc) - ocBytes(cur))
+			e.trackHeld(oc.bytes() - cur.bytes())
 			t.owners[j] = oc
 		}
 	}
 	t.epoch++
 	st.Epoch = t.epoch
-	if t.cache != nil {
-		t.cache.discard()
-		t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
-	}
+	e.resetCache(t)
 	if t.delta == old {
 		nd := old.retainAfter(upto)
 		e.trackHeld(nd.heldBytes() - old.heldBytes())
@@ -648,17 +607,15 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	return st, nil
 }
 
-// patchedMemCols clones the in-memory columns the snapshot touches and
-// applies the overlay values to the clones.
-func (e *Engine) patchedMemCols(name string, spec protocol.TableSpec, snap map[string]sharestore.DeltaCol) (map[int]*ownerCols, error) {
+// patchedMemCols copies the in-memory columns the snapshot touches and
+// applies the overlay values to the copies; untouched columns are shared
+// with the registered sets, which are immutable.
+func (e *Engine) patchedMemCols(name string, snap map[string]sharestore.DeltaCol) (map[int]*ownerCols, error) {
 	e.mu.RLock()
 	t, ok := e.tables[name]
 	var base map[int]*ownerCols
 	if ok {
-		base = make(map[int]*ownerCols, len(t.owners))
-		for j, oc := range t.owners {
-			base[j] = oc
-		}
+		base = maps.Clone(t.owners)
 	}
 	e.mu.RUnlock()
 	if !ok {
@@ -667,63 +624,24 @@ func (e *Engine) patchedMemCols(name string, spec protocol.TableSpec, snap map[s
 	patched := make(map[int]*ownerCols)
 	for cn, dc := range snap {
 		var owner int
-		var col string
 		if _, err := fmt.Sscanf(cn, "o%d.", &owner); err != nil {
 			return nil, fmt.Errorf("server %d: malformed delta column %q", e.view.Index, cn)
 		}
-		col = cn[strings.IndexByte(cn, '.')+1:]
+		col := cn[strings.IndexByte(cn, '.')+1:]
 		src, live := base[owner]
 		if !live || src.onDisk {
 			continue // owner dropped or on disk; nothing to patch in RAM
 		}
 		oc := patched[owner]
 		if oc == nil {
-			oc = cloneOwnerCols(src)
+			oc = &ownerCols{u16: maps.Clone(src.u16), u64: maps.Clone(src.u64)}
 			patched[owner] = oc
 		}
-		if dc.Width == 2 {
-			v := memU16(oc, col)
-			if v == nil {
-				return nil, fmt.Errorf("server %d: table %q owner %d missing %s column", e.view.Index, name, owner, col)
-			}
-			for i, p := range dc.Pos {
-				v[p] = uint16(dc.Vals[i])
-			}
-		} else {
-			v := memU64(oc, col)
-			if v == nil {
-				return nil, fmt.Errorf("server %d: table %q owner %d missing %s column", e.view.Index, name, owner, col)
-			}
-			for i, p := range dc.Pos {
-				v[p] = dc.Vals[i]
-			}
+		if !oc.u16.patch(col, dc) && !oc.u64.patch(col, dc) {
+			return nil, fmt.Errorf("server %d: table %q owner %d missing %s column", e.view.Index, name, owner, col)
 		}
 	}
-	_ = spec
 	return patched, nil
-}
-
-// cloneOwnerCols deep-copies an in-memory column set.
-func cloneOwnerCols(src *ownerCols) *ownerCols {
-	oc := &ownerCols{
-		chi:    append([]uint16(nil), src.chi...),
-		chibar: append([]uint16(nil), src.chibar...),
-		cnt:    append([]uint64(nil), src.cnt...),
-		vcnt:   append([]uint64(nil), src.vcnt...),
-	}
-	if src.sums != nil {
-		oc.sums = make(map[string][]uint64, len(src.sums))
-		for c, v := range src.sums {
-			oc.sums[c] = append([]uint64(nil), v...)
-		}
-	}
-	if src.vsums != nil {
-		oc.vsums = make(map[string][]uint64, len(src.vsums))
-		for c, v := range src.vsums {
-			oc.vsums[c] = append([]uint64(nil), v...)
-		}
-	}
-	return oc
 }
 
 // writeManifestSnapshot rewrites a table's manifest from the current

@@ -251,7 +251,7 @@ func TestDiskBackedSpillAndFetch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Options{Threads: 2, Store: st, DiskBacked: true}
+		return Options{Threads: 2, Store: st}
 	})
 	storeFull(t, engines, b, false)
 	ctx := context.Background()

@@ -25,7 +25,7 @@ func diskEngines(t *testing.T, b uint64, chunkCells uint64, opt func(o *Options)
 		}
 		st.SetChunkCells(chunkCells)
 		stores[phi] = st
-		o := Options{Threads: 2, Store: st, DiskBacked: true}
+		o := Options{Threads: 2, Store: st}
 		if opt != nil {
 			opt(&o)
 		}
@@ -156,7 +156,7 @@ func TestStreamingShardedUploadMatchesMonolithic(t *testing.T) {
 	// records both owners.
 	st := stores[0]
 	info, err := st.Stat("t", "o0.chi")
-	if err != nil || !info.Chunked || info.Cells != b || info.ChunkCells != 16 {
+	if err != nil || info.Cells != b || info.ChunkCells != 16 {
 		t.Fatalf("o0.chi info = %+v, err %v", info, err)
 	}
 	if st.HasColumn("t", "pend0.chi") {
@@ -300,7 +300,6 @@ func TestChunkCacheBudget(t *testing.T) {
 	const b, chunk = 256, 32
 	const budget = 4 * chunk * 2 // 4 uint16 chunks of the 8 per column
 	engines, _ := diskEngines(t, b, chunk, func(o *Options) {
-		o.CacheColumns = true
 		o.CacheBytes = budget
 	})
 	storeSharded(t, engines, b, 64, false)

@@ -202,8 +202,10 @@ func TestPSUMaskAgreementAcrossServers(t *testing.T) {
 		}
 		sharesA[j], sharesB[j] = a, bshare
 	}
-	e0 := New(paperView(0), Options{Threads: 1})
-	e1 := New(paperView(1), Options{Threads: 7})
+	v0, v1 := paperView(0), paperView(1)
+	v0.B, v1.B = spec.B, spec.B // a Plain table may not exceed the domain
+	e0 := New(v0, Options{Threads: 1})
+	e1 := New(v1, Options{Threads: 7})
 	ctx := context.Background()
 	for j := 0; j < 3; j++ {
 		if _, err := e0.Handle(ctx, protocol.StoreRequest{Owner: j, Spec: spec, ChiAdd: sharesA[j]}); err != nil {

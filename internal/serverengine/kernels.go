@@ -1,9 +1,15 @@
 package serverengine
 
 import (
+	"fmt"
+	"sync"
+	"time"
+
 	"prism/internal/field"
 	"prism/internal/modmath"
+	"prism/internal/perm"
 	"prism/internal/prg"
+	"prism/internal/protocol"
 	"prism/internal/share"
 )
 
@@ -83,4 +89,119 @@ func sumKernel(out []uint64, cols [][]uint64, z []uint64, lo, hi int) {
 			dst[i] = field.Mul(field.Reduce(s), zb[i])
 		}
 	}
+}
+
+// ---- kernel drivers ----
+//
+// psiVector, psuMasked and sumColumn run the kernels above on the worker
+// pool and account their time into the request's Stats.
+
+// psuBlock is the fixed cell-block size for PSU mask derivation. Both
+// servers derive rand[] per block from the shared seed, so the stream is
+// identical regardless of each server's thread count.
+const psuBlock = 1 << 16
+
+// parallel splits [0, n) into contiguous chunks across the worker pool.
+// The width is sampled once per loop, so SetThreads during a query is
+// race-free and only affects subsequent loops.
+func (e *Engine) parallel(n int, fn func(lo, hi int)) {
+	threads := int(e.threads.Load())
+	if threads > n {
+		threads = n
+	}
+	if threads <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + threads - 1) / threads
+	for lo := 0; lo < n; lo += chunk {
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
+
+// psiVector runs psiKernel over the (window-relative) share vectors on
+// the worker pool and accounts its time. A non-nil scatter is the server
+// permutation of a monolithic reply: cell i's value lands at scatter[i].
+func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint64 {
+	var lift uint32
+	if subtractM {
+		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
+	}
+	start := time.Now()
+	n := len(shares[0])
+	out := make([]uint64, n)
+	e.parallel(n, func(lo, hi int) {
+		psiKernel(out, scatter, shares, lo, hi, e.powTab, e.modDelta, lift)
+	})
+	stats.ComputeNS += time.Since(start).Nanoseconds()
+	stats.Cells += n
+	return out
+}
+
+// psuMasked runs psuKernel for the window rg of one reply vector; the
+// share vectors are window-relative (position k of the reply reads
+// shares[j][k-rg.Offset]). Masks are derived per fixed-size block of
+// positions from the shared seed, the query id and label, so both
+// servers produce identical rand[] regardless of thread counts or shard
+// boundaries; boundary blocks fast-forward their stream to the window's
+// first position, which makes a sharded stored-order reply agree cell
+// for cell with the monolithic one (same "psu" streams). A non-nil
+// scatter permutes a monolithic reply on the way out.
+func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid, label string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
+	delta := e.view.Delta
+	out := make([]uint16, rg.Count)
+	if rg.Count == 0 {
+		return out // zero-cell table: rg.End()-1 below would wrap
+	}
+	start := time.Now()
+	firstBlk := int(rg.Offset / psuBlock)
+	lastBlk := int((rg.End() - 1) / psuBlock)
+	e.parallel(lastBlk-firstBlk+1, func(blo, bhi int) {
+		var skipped [kernelBlock]uint16
+		for blk := firstBlk + blo; blk < firstBlk+bhi; blk++ {
+			blkStart := uint64(blk) * psuBlock
+			lo, hi := max(blkStart, rg.Offset), min(blkStart+psuBlock, rg.End())
+			g := prg.New(e.view.PSUSeed.Derive(fmt.Sprintf("%s/%s/%d", label, qid, blk)))
+			for skip := lo - blkStart; skip > 0; { // fast-forward the block stream to lo
+				n := min(skip, kernelBlock)
+				g.FillRange1(skipped[:n], delta)
+				skip -= n
+			}
+			psuKernel(out, scatter, shares, int(lo-rg.Offset), int(hi-rg.Offset), g, delta, e.modDelta)
+		}
+	})
+	stats.ComputeNS += time.Since(start).Nanoseconds()
+	stats.Cells += int(rg.Count)
+	return out
+}
+
+// sumColumn fetches every owner's shares of col for the stored cells in
+// rg and runs sumKernel over them: acc_i = S(z_i) · Σ_j S(col_i)_j
+// (servers multiply the selector share into the summed column shares;
+// degree rises to 2). z is parallel to the window, not the full column;
+// only the chunks overlapping the window are fetched.
+func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Range, stats *protocol.Stats) ([]uint64, error) {
+	cols, err := ownerWindows[uint64](e, t, col, rg, stats)
+	if err != nil {
+		return nil, err
+	}
+	n := int(rg.Count)
+	acc := make([]uint64, n)
+	start := time.Now()
+	e.parallel(n, func(lo, hi int) { sumKernel(acc, cols, z, lo, hi) })
+	stats.ComputeNS += time.Since(start).Nanoseconds()
+	stats.Cells += n
+	return acc, nil
 }

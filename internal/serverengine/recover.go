@@ -4,8 +4,9 @@
 //
 // The recovery state machine, per table directory found in the store:
 //
-//  1. No manifest → a version-1-era directory (or debris): left in
-//     place, reported as ignored, never served and never deleted.
+//  1. No manifest → debris, or a directory from before manifests
+//     existed: left in place, reported as ignored, never served and
+//     never deleted.
 //  2. Manifest unreadable, from a newer format version, naming a
 //     different table, disagreeing with the system domain, or listing
 //     impossible owners → the whole table is quarantined (moved under
@@ -70,8 +71,8 @@ type QuarantinedTable struct {
 type RecoveryReport struct {
 	Recovered   []RecoveredTable
 	Quarantined []QuarantinedTable
-	// Ignored lists directories left untouched and unserved: version-1-era
-	// tables without a manifest, and manifests listing no completed owner.
+	// Ignored lists directories left untouched and unserved: directories
+	// without a manifest, and manifests listing no completed owner.
 	Ignored []string
 	// PendingReclaimed counts crashed mid-upload assemblies whose pending
 	// columns were deleted (one per table/owner pair).
@@ -88,7 +89,7 @@ type RecoveryReport struct {
 // failures only — per-table problems are in the report.
 func (e *Engine) Recover() (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
-	if !e.opts.DiskBacked || e.opts.Store == nil {
+	if e.opts.Store == nil {
 		return rep, errors.New("serverengine: recovery needs a disk-backed store")
 	}
 	names, err := e.opts.Store.Tables()
@@ -119,7 +120,7 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	var man TableManifest
 	if err := st.ReadManifest(name, &man); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			rep.Ignored = append(rep.Ignored, name) // v1-era directory
+			rep.Ignored = append(rep.Ignored, name) // no manifest: not a table
 			return nil
 		}
 		e.quarantine(rep, name, "manifest-unreadable", err.Error())
@@ -306,9 +307,7 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 			t.deltaFloor[j] = s
 		}
 	}
-	if e.opts.CacheColumns {
-		t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
-	}
+	e.resetCache(t)
 	e.tables[name] = t
 	e.mu.Unlock()
 

@@ -25,7 +25,7 @@ func diskEnginesAt(t *testing.T, b, chunkCells uint64, dirs []string, opt func(o
 		}
 		st.SetChunkCells(chunkCells)
 		stores[phi] = st
-		o := Options{Threads: 2, Store: st, DiskBacked: true}
+		o := Options{Threads: 2, Store: st}
 		if opt != nil {
 			opt(&o)
 		}
@@ -93,7 +93,6 @@ func TestRecoverReloadsTables(t *testing.T) {
 	// "Restart": fresh engines over the same stores, auto-recovering.
 	after, _ := diskEnginesAt(t, b, chunk, dirs, func(o *Options) {
 		o.AutoRecover = true
-		o.CacheColumns = true
 		o.CacheBytes = 1 << 16
 	})
 	for phi, e := range after {
@@ -295,7 +294,7 @@ func TestRecoverManifestEdgeCases(t *testing.T) {
 		}
 		// A column directory with no manifest at all (pre-manifest era):
 		// ignored, never served, never quarantined, never a crash.
-		if err := st.CreateU16("legacy", "o0.chi", b); err != nil {
+		if err := sharestore.Create[uint16](st, "legacy", "o0.chi", b); err != nil {
 			t.Fatal(err)
 		}
 		e, rep := recoverOne(t, b, chunk, dirs)
@@ -397,10 +396,10 @@ func TestRecoverReclaimsCrashedUpload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.CreateU16("t", "pend1.chi", b); err != nil {
+	if err := sharestore.Create[uint16](st, "t", "pend1.chi", b); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteU16Range("t", "pend1.chi", 0, make([]uint16, b/2)); err != nil {
+	if err := sharestore.WriteRange(st, "t", "pend1.chi", 0, make([]uint16, b/2)); err != nil {
 		t.Fatal(err)
 	}
 	var man TableManifest

@@ -2,11 +2,13 @@ package serverengine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"prism/internal/protocol"
+	"prism/internal/sharestore"
 )
 
 // shardSpec is an 8-cell Plain χ-only table used by the sharded-store
@@ -126,6 +128,40 @@ func TestShardedStoreOutOfRangeRejected(t *testing.T) {
 	// Column length must match the window, not the table.
 	if _, err := storeShard(t, e, 0, 4, make([]uint16, 8)); err == nil {
 		t.Fatal("wrong-length shard column accepted")
+	}
+}
+
+// TestShardedStoreOversizedTableRejected: a first shard whose spec claims
+// more cells than the system domain — a tiny window of a 2^40-cell Plain
+// table passes every per-window check — must be refused before anything
+// is allocated or created for it, in RAM and on disk.
+func TestShardedStoreOversizedTableRejected(t *testing.T) {
+	st, err := sharestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{"ram": {Threads: 1}, "disk": {Threads: 1, Store: st}} {
+		t.Run(name, func(t *testing.T) {
+			v := paperView(0)
+			v.B = 8
+			e := New(v, opts)
+			held := e.HeldBytes()
+			_, err := e.Handle(context.Background(), protocol.StoreRequest{
+				Owner: 0, UploadID: "u1",
+				Spec:   protocol.TableSpec{Name: "huge", B: 1 << 40, Plain: true},
+				Shard:  protocol.Range{Offset: 0, Count: 4},
+				ChiAdd: make([]uint16, 4),
+			})
+			if !errors.Is(err, ErrTableTooLarge) {
+				t.Fatalf("oversized table: err = %v, want ErrTableTooLarge", err)
+			}
+			if e.HeldBytes() != held || e.PendingUploads() != 0 {
+				t.Errorf("rejected upload left state behind: held %d → %d, %d pending", held, e.HeldBytes(), e.PendingUploads())
+			}
+			if st.HasColumn("huge", "pend0.chi") {
+				t.Error("rejected upload created a pending column")
+			}
+		})
 	}
 }
 

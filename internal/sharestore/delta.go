@@ -16,7 +16,7 @@
 // crash-safe at every ordering point (see the serverengine compactor).
 //
 // Every segment write goes through a temp file and an atomic rename
-// and carries a CRC32 of its body, exactly like version-2 chunks: a
+// and carries a CRC32 of its body, exactly like column chunks: a
 // torn segment is detected on read (ReadDeltaSeg fails) and the
 // recovery path quarantines the table rather than serving it.
 // Sequence numbers order replay; gaps are legal (a segment whose write
@@ -93,7 +93,7 @@ func encodeDeltaSeg(seq uint64, cols []DeltaCol) []byte {
 	}
 	buf := make([]byte, 0, deltaHeaderLen+len(body))
 	buf = append(buf, deltaMagic...)
-	buf = append(buf, version2)
+	buf = append(buf, formatVersion)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
 	buf = append(buf, crc[:]...)
@@ -107,7 +107,7 @@ func parseDeltaSeg(raw []byte) (uint64, []DeltaCol, error) {
 	if len(raw) < deltaHeaderLen+12 || string(raw[:4]) != deltaMagic {
 		return 0, nil, errors.New("sharestore: bad delta segment magic")
 	}
-	if raw[4] != version2 {
+	if raw[4] != formatVersion {
 		return 0, nil, fmt.Errorf("sharestore: unsupported delta segment version %d", raw[4])
 	}
 	crc := binary.LittleEndian.Uint32(raw[5:9])
@@ -248,7 +248,7 @@ func (s *Store) DeleteDeltaSeg(table string, seq uint64) error {
 // rewritten with a fresh CRC, so only chunks containing updated cells
 // are touched and a crash between chunk writes leaves every chunk
 // complete (old or new — the delta log still holds the values either
-// way). Version-1 columns are migrated to the chunked layout first.
+// way).
 func (s *Store) PatchCells(table, col string, width int, pos, vals []uint64) error {
 	if len(pos) != len(vals) {
 		return fmt.Errorf("sharestore: %s/%s: %d positions, %d values", table, col, len(pos), len(vals))
@@ -256,19 +256,9 @@ func (s *Store) PatchCells(table, col string, width int, pos, vals []uint64) err
 	if len(pos) == 0 {
 		return nil
 	}
-	dir := s.colDirV2(table, col)
-	ci, err := s.readIndex(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		if migErr := s.migrateV1(table, col, width); migErr != nil {
-			return migErr
-		}
-		ci, err = s.readIndex(dir)
-	}
+	dir, ci, err := s.column(table, col, width)
 	if err != nil {
 		return err
-	}
-	if ci.width != width {
-		return fmt.Errorf("sharestore: %s/%s: element width %d, want %d", table, col, ci.width, width)
 	}
 	byChunk := make(map[uint64][]int)
 	for i, p := range pos {

@@ -110,7 +110,7 @@ func TestPatchCells(t *testing.T) {
 	if err := s.PatchCells("tbl", "c", 2, []uint64{0, 17, 99}, []uint64{1000, 1017, 1099}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadU16("tbl", "c")
+	got, err := readAll[uint16](s, "tbl", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPatchCells(t *testing.T) {
 		t.Error("out-of-range patch accepted")
 	}
 	// A created-but-never-written chunk patches over implicit zeros.
-	if err := s.CreateU64("tbl", "sparse", 64); err != nil {
+	if err := Create[uint64](s, "tbl", "sparse", 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PatchCells("tbl", "sparse", 8, []uint64{40}, []uint64{7}); err != nil {

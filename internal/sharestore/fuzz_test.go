@@ -3,52 +3,72 @@ package sharestore
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// FuzzReadColumn hardens the column-file parser against corrupt and
-// adversarial inputs: it must never panic, only return errors.
-func FuzzReadColumn(f *testing.F) {
-	// Seed with a valid file, a truncation, and junk.
-	dir, err := os.MkdirTemp("", "fuzz")
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	s, err := Open(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
-	// Seed with a raw version-1 file (whole-column writes now produce the
-	// chunked layout, so build the legacy format directly).
-	if err := writeColumn(s.colPath("t", "c"), 8, 3, u64Bytes([]uint64{1, 2, 3})); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(filepath.Join(dir, "t", "c.col"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:10])
-	f.Add([]byte("PRSM"))
+// FuzzChunkFile hardens the parser every stored byte is read through:
+// arbitrary bytes as chunk file c0.ck under a valid index, at both cell
+// widths, must make ReadRange, ReadChunk and VerifyColumn return an error
+// or exactly the cells the bytes encode — never panic, never size an
+// allocation from the file's length field — and must leave the
+// neighbouring chunk readable.
+func FuzzChunkFile(f *testing.F) {
+	const chunkCells, cells = 4, 6 // c0.ck holds 4 cells, c1.ck the last 2
+	f.Add(encodeChunk(2, cellBytes([]uint16{1, 2, 3, 65535})))
+	f.Add(encodeChunk(8, cellBytes([]uint64{1, 2, 3, 1<<64 - 1})))
+	f.Add(encodeChunk(8, cellBytes([]uint64{1, 2, 3}))) // one cell short
+	f.Add(encodeChunk(2, cellBytes([]uint16{1, 2, 3, 4}))[:chunkHeaderLen+3])
+	f.Add(append([]byte("PRSC\x02\x08\xff\xff\xff\xff\xff\xff\xff\x7f"), make([]byte, 36)...)) // absurd cell count
+	f.Add([]byte("PRSC"))
 	f.Add([]byte{})
-	f.Add(append([]byte("PRSM\x01\x08"), make([]byte, 40)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		td := t.TempDir()
-		st, err := Open(td)
-		if err != nil {
-			t.Skip()
-		}
-		path := filepath.Join(td, "x", "y.col")
-		os.MkdirAll(filepath.Dir(path), 0o755)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
-		}
-		// Must not panic; errors are fine.
-		st.ReadU64("x", "y")
-		st.ReadU16("x", "y")
+		fuzzChunkFile[uint16](t, data, chunkCells, cells)
+		fuzzChunkFile[uint64](t, data, chunkCells, cells)
 	})
+}
+
+func fuzzChunkFile[T Cell](t *testing.T, data []byte, chunkCells, cells uint64) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Skip()
+	}
+	st.SetChunkCells(chunkCells)
+	good := make([]T, cells)
+	for i := range good {
+		good[i] = T(100 + i)
+	}
+	if err := Write(st, "x", "y", good); err != nil {
+		t.Skip()
+	}
+	if err := os.WriteFile(chunkPath(st.colDir("x", "y"), 0), data, 0o644); err != nil {
+		t.Skip()
+	}
+	// What the bytes encode, if they are a well-formed chunk at all.
+	w := Width[T]()
+	var want []T
+	if len(data) == chunkHeaderLen+int(chunkCells)*w {
+		want = make([]T, chunkCells)
+		decode(want, data[chunkHeaderLen:])
+	}
+	chunk, chunkErr := ReadChunk[T](st, "x", "y", 0)
+	if chunkErr == nil && !slices.Equal(chunk, want) {
+		t.Fatalf("ReadChunk served %v from bytes encoding %v", chunk, want)
+	}
+	if win, err := ReadRange[T](st, "x", "y", 1, 4); err == nil {
+		if chunkErr != nil || !slices.Equal(win, append(append([]T(nil), want[1:]...), good[chunkCells])) {
+			t.Fatalf("ReadRange served %v (ReadChunk err %v)", win, chunkErr)
+		}
+	} else if chunkErr == nil {
+		t.Fatalf("ReadRange rejects a chunk ReadChunk serves: %v", err)
+	}
+	if err := st.VerifyColumn("x", "y", w, cells); err == nil && chunkErr != nil {
+		t.Fatalf("VerifyColumn passes a chunk ReadChunk rejects: %v", chunkErr)
+	}
+	if tail, err := ReadRange[T](st, "x", "y", chunkCells, cells-chunkCells); err != nil || !slices.Equal(tail, good[chunkCells:]) {
+		t.Fatalf("neighbouring chunk disturbed: %v %v", tail, err)
+	}
 }
 
 // FuzzChunkIndex hardens the chunk-index reader: arbitrary index bytes
@@ -84,9 +104,9 @@ func FuzzChunkIndex(f *testing.F) {
 			t.Skip()
 		}
 		st.Stat("x", "y")
-		st.ReadU16("x", "y")
+		readAll[uint16](st, "x", "y")
 		st.ReadU16Range("x", "y", 0, 4)
-		st.ReadU64Chunk("x", "y", 0)
-		st.WriteU16Range("x", "y", 0, []uint16{1})
+		ReadChunk[uint64](st, "x", "y", 0)
+		WriteRange(st, "x", "y", 0, []uint16{1})
 	})
 }

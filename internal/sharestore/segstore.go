@@ -1,10 +1,9 @@
-// Chunked (version-2) column layout: the segment store.
+// The chunked column layout: the segment store.
 //
-// A version-1 column is one monolithic file — reading any window costs a
-// full-column read and rewriting any cell rewrites the whole file, so a
-// server's resident memory and write amplification scale with the domain
-// size b. The version-2 layout stores a column as fixed-size chunk
-// segments plus a small chunk index:
+// A column is stored as fixed-size chunk segments plus a small chunk
+// index, so reading any window costs only the chunks that overlap it and
+// rewriting a cell rewrites one chunk — a server's resident memory and
+// write amplification do not scale with the domain size b:
 //
 //	<table>/<col>.colv2/
 //	    index        magic "PRSI", version, elem width, chunk cells,
@@ -20,10 +19,6 @@
 // poisoning its neighbours. Ranged reads touch only the chunks that
 // overlap the requested window — the fetch cost of a shard-window query
 // is O(window + chunk), not O(b).
-//
-// Version-1 files remain readable (Read*, Stat and ranged reads fall
-// back to the monolithic format) and are migrated to the chunked layout
-// automatically the first time a ranged write patches them.
 package sharestore
 
 import (
@@ -52,12 +47,10 @@ const (
 type ColumnInfo struct {
 	Width      int    // element width in bytes: 2 or 8
 	Cells      uint64 // total cells
-	ChunkCells uint64 // cells per chunk; == Cells for version-1 files
-	Chunked    bool   // version-2 chunked layout
+	ChunkCells uint64 // cells per chunk
 }
 
-// NumChunks returns how many chunk segments cover the column (a
-// version-1 file counts as a single virtual chunk).
+// NumChunks returns how many chunk segments cover the column.
 func (ci ColumnInfo) NumChunks() uint64 {
 	if ci.Cells == 0 || ci.ChunkCells == 0 {
 		return 0
@@ -88,7 +81,7 @@ func (s *Store) SetChunkCells(n uint64) {
 // ChunkCells reports the chunk size used for new columns.
 func (s *Store) ChunkCells() uint64 { return s.chunkCells }
 
-func (s *Store) colDirV2(table, col string) string {
+func (s *Store) colDir(table, col string) string {
 	return filepath.Join(s.dir, sanitize(table), sanitize(col)+".colv2")
 }
 
@@ -103,7 +96,7 @@ type chunkIndex struct {
 func encodeIndex(ci chunkIndex) []byte {
 	buf := make([]byte, 0, idxLen)
 	buf = append(buf, idxMagic...)
-	buf = append(buf, version2, uint8(ci.width))
+	buf = append(buf, formatVersion, uint8(ci.width))
 	var u [8]byte
 	binary.LittleEndian.PutUint64(u[:], ci.chunkCells)
 	buf = append(buf, u[:]...)
@@ -121,7 +114,7 @@ func parseIndex(raw []byte) (chunkIndex, error) {
 	if len(raw) != idxLen || string(raw[:4]) != idxMagic {
 		return ci, errors.New("sharestore: bad chunk index")
 	}
-	if raw[4] != version2 {
+	if raw[4] != formatVersion {
 		return ci, fmt.Errorf("sharestore: unsupported chunk index version %d", raw[4])
 	}
 	if crc32.ChecksumIEEE(raw[4:idxLen-4]) != binary.LittleEndian.Uint32(raw[idxLen-4:]) {
@@ -187,7 +180,7 @@ func chunkPath(dir string, k uint64) string {
 func encodeChunk(width int, payload []byte) []byte {
 	buf := make([]byte, 0, chunkHeaderLen+len(payload))
 	buf = append(buf, chunkMagic...)
-	buf = append(buf, version2, uint8(width))
+	buf = append(buf, formatVersion, uint8(width))
 	var u [8]byte
 	binary.LittleEndian.PutUint64(u[:], uint64(len(payload)/width))
 	buf = append(buf, u[:]...)
@@ -201,7 +194,7 @@ func parseChunk(raw []byte, wantWidth int, wantCells uint64) ([]byte, error) {
 	if len(raw) < chunkHeaderLen || string(raw[:4]) != chunkMagic {
 		return nil, errors.New("bad chunk magic")
 	}
-	if raw[4] != version2 {
+	if raw[4] != formatVersion {
 		return nil, fmt.Errorf("unsupported chunk version %d", raw[4])
 	}
 	if int(raw[5]) != wantWidth {
@@ -225,10 +218,7 @@ func readChunkPayload(dir string, ci chunkIndex, k uint64) ([]byte, error) {
 	if lo >= ci.cells {
 		return nil, fmt.Errorf("sharestore: chunk %d outside column of %d cells", k, ci.cells)
 	}
-	hi := lo + ci.chunkCells
-	if hi > ci.cells {
-		hi = ci.cells
-	}
+	hi := min(lo+ci.chunkCells, ci.cells)
 	path := chunkPath(dir, k)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -245,16 +235,30 @@ func writeChunkAtomic(dir string, k uint64, width int, payload []byte) error {
 	return atomicWriteFile(chunkPath(dir, k), encodeChunk(width, payload))
 }
 
-// ---- generic byte-level operations ----
+// ---- width-erased operations ----
+
+// column opens the chunk index of table/col and checks the element
+// width a caller is about to read or write it as.
+func (s *Store) column(table, col string, width int) (string, chunkIndex, error) {
+	dir := s.colDir(table, col)
+	ci, err := s.readIndex(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return dir, ci, fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
+	}
+	if err != nil {
+		return dir, ci, err
+	}
+	if ci.width != width {
+		return dir, ci, fmt.Errorf("sharestore: %s/%s: element width %d, want %d", table, col, ci.width, width)
+	}
+	return dir, ci, nil
+}
 
 // create initialises an empty chunked column of the given shape,
-// removing any previous column (either layout) under the name.
+// removing any previous column under the name.
 func (s *Store) create(table, col string, width int, cells uint64) error {
-	dir := s.colDirV2(table, col)
+	dir := s.colDir(table, col)
 	if err := os.RemoveAll(dir); err != nil {
-		return err
-	}
-	if err := os.Remove(s.colPath(table, col)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	if err := s.ensureTable(table); err != nil {
@@ -271,26 +275,15 @@ func (s *Store) create(table, col string, width int, cells uint64) error {
 // given payload bytes. Chunks fully covered by the window are rewritten
 // from the payload alone; boundary chunks are read, patched and
 // rewritten. Each chunk write is atomic (temp file + rename) and carries
-// a fresh CRC. A version-1 column is migrated to the chunked layout
-// first.
+// a fresh CRC.
 func (s *Store) writeRange(table, col string, width int, off uint64, payload []byte) error {
 	n := uint64(len(payload)) / uint64(width)
 	if n == 0 {
 		return nil
 	}
-	dir := s.colDirV2(table, col)
-	ci, err := s.readIndex(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		if migErr := s.migrateV1(table, col, width); migErr != nil {
-			return migErr
-		}
-		ci, err = s.readIndex(dir)
-	}
+	dir, ci, err := s.column(table, col, width)
 	if err != nil {
 		return err
-	}
-	if ci.width != width {
-		return fmt.Errorf("sharestore: %s/%s: element width %d, want %d", table, col, ci.width, width)
 	}
 	if off > ci.cells || n > ci.cells-off {
 		return fmt.Errorf("sharestore: %s/%s: write [%d, %d) outside column of %d cells", table, col, off, off+n, ci.cells)
@@ -298,17 +291,8 @@ func (s *Store) writeRange(table, col string, width int, off uint64, payload []b
 	cc := ci.chunkCells
 	for k := off / cc; k*cc < off+n; k++ {
 		chunkLo := k * cc
-		chunkHi := chunkLo + cc
-		if chunkHi > ci.cells {
-			chunkHi = ci.cells
-		}
-		lo, hi := chunkLo, chunkHi // window ∩ chunk, in cells
-		if lo < off {
-			lo = off
-		}
-		if hi > off+n {
-			hi = off + n
-		}
+		chunkHi := min(chunkLo+cc, ci.cells)
+		lo, hi := max(chunkLo, off), min(chunkHi, off+n) // window ∩ chunk, in cells
 		src := payload[(lo-off)*uint64(width) : (hi-off)*uint64(width)]
 		var buf []byte
 		if lo == chunkLo && hi == chunkHi {
@@ -332,54 +316,6 @@ func (s *Store) writeRange(table, col string, width int, off uint64, payload []b
 	return nil
 }
 
-// readRange loads cells [off, off+count) touching only the overlapping
-// chunks. Version-1 columns fall back to a monolithic read.
-func (s *Store) readRange(table, col string, width int, off, count uint64) ([]byte, error) {
-	dir := s.colDirV2(table, col)
-	ci, err := s.readIndex(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		// Version-1 fallback: whole-file read, then slice the window.
-		payload, cells, v1err := readColumn(s.colPath(table, col), width)
-		if v1err != nil {
-			return nil, v1err
-		}
-		if off > uint64(cells) || count > uint64(cells)-off {
-			return nil, fmt.Errorf("sharestore: %s/%s: read [%d, %d) outside column of %d cells", table, col, off, off+count, cells)
-		}
-		return payload[off*uint64(width) : (off+count)*uint64(width)], nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ci.width != width {
-		return nil, fmt.Errorf("sharestore: %s/%s: element width %d, want %d", table, col, ci.width, width)
-	}
-	if off > ci.cells || count > ci.cells-off {
-		return nil, fmt.Errorf("sharestore: %s/%s: read [%d, %d) outside column of %d cells", table, col, off, off+count, ci.cells)
-	}
-	out := make([]byte, count*uint64(width))
-	if count == 0 {
-		return out, nil
-	}
-	cc := ci.chunkCells
-	for k := off / cc; k*cc < off+count; k++ {
-		payload, err := readChunkPayload(dir, ci, k)
-		if err != nil {
-			return nil, err
-		}
-		chunkLo := k * cc
-		lo, hi := chunkLo, chunkLo+uint64(len(payload))/uint64(width)
-		if lo < off {
-			lo = off
-		}
-		if hi > off+count {
-			hi = off + count
-		}
-		copy(out[(lo-off)*uint64(width):], payload[(lo-chunkLo)*uint64(width):(hi-chunkLo)*uint64(width)])
-	}
-	return out, nil
-}
-
 // buildColumnDir materialises a complete chunked column (index plus
 // every chunk) in dir, which must not be live — callers rename it into
 // place afterwards, so no tmp-file dance is needed per chunk.
@@ -397,10 +333,7 @@ func (s *Store) buildColumnDir(dir string, width int, cells uint64, payload []by
 		return err
 	}
 	for k := uint64(0); k*cc < cells; k++ {
-		hi := (k + 1) * cc
-		if hi > cells {
-			hi = cells
-		}
+		hi := min((k+1)*cc, cells)
 		chunk := encodeChunk(width, payload[k*cc*uint64(width):hi*uint64(width)])
 		//prism:allow atomicwrite staged directory, see above
 		if err := os.WriteFile(chunkPath(dir, k), chunk, 0o644); err != nil {
@@ -444,7 +377,7 @@ func (s *Store) writeFull(table, col string, width int, cells uint64, payload []
 	if err := s.ensureTable(table); err != nil {
 		return err
 	}
-	dir := s.colDirV2(table, col)
+	dir := s.colDir(table, col)
 	stage := dir + ".new"
 	if err := s.buildColumnDir(stage, width, cells, payload); err != nil {
 		os.RemoveAll(stage)
@@ -454,227 +387,156 @@ func (s *Store) writeFull(table, col string, width int, cells uint64, payload []
 		os.RemoveAll(stage)
 		return err
 	}
-	// The chunked copy is live; a leftover version-1 file is stale.
-	if err := os.Remove(s.colPath(table, col)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
 	return nil
-}
-
-// migrateV1 converts a monolithic version-1 column file to the chunked
-// layout (no-op semantics: same cells, same values). The chunked copy
-// is staged fully and renamed into place before the version-1 file is
-// removed, so a crash at any point leaves a complete column behind —
-// the original until the rename, the migrated one after.
-func (s *Store) migrateV1(table, col string, width int) error {
-	v1 := s.colPath(table, col)
-	payload, cells, err := readColumn(v1, width)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
-		}
-		return err
-	}
-	dir := s.colDirV2(table, col)
-	stage := dir + ".mig"
-	if err := s.buildColumnDir(stage, width, uint64(cells), payload); err != nil {
-		os.RemoveAll(stage)
-		return err
-	}
-	// migrateV1 only runs when no chunked copy exists, so this is a
-	// plain atomic rename, not a swap.
-	//prism:allow atomicwrite renaming a fully staged directory into a name nothing lives under
-	if err := os.Rename(stage, dir); err != nil {
-		os.RemoveAll(stage)
-		return err
-	}
-	return os.Remove(v1)
 }
 
 // Stat reports a column's shape without reading its payload.
 func (s *Store) Stat(table, col string) (ColumnInfo, error) {
-	if ci, err := s.readIndex(s.colDirV2(table, col)); err == nil {
-		return ColumnInfo{Width: ci.width, Cells: ci.cells, ChunkCells: ci.chunkCells, Chunked: true}, nil
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return ColumnInfo{}, err
-	}
-	raw, err := os.ReadFile(s.colPath(table, col))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return ColumnInfo{}, fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
-		}
-		return ColumnInfo{}, err
-	}
-	if len(raw) < 18 || string(raw[:4]) != magic || raw[4] != version {
-		return ColumnInfo{}, fmt.Errorf("sharestore: %s/%s: not a column file", table, col)
-	}
-	info := ColumnInfo{Width: int(raw[5]), Cells: binary.LittleEndian.Uint64(raw[6:14])}
-	info.ChunkCells = info.Cells // one virtual chunk
-	return info, nil
-}
-
-// ---- typed APIs ----
-
-func u16Bytes(data []uint16) []byte {
-	payload := make([]byte, 2*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint16(payload[2*i:], v)
-	}
-	return payload
-}
-
-func u64Bytes(data []uint64) []byte {
-	payload := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(payload[8*i:], v)
-	}
-	return payload
-}
-
-func bytesU16(payload []byte) []uint16 {
-	out := make([]uint16, len(payload)/2)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(payload[2*i:])
-	}
-	return out
-}
-
-func bytesU64(payload []byte) []uint64 {
-	out := make([]uint64, len(payload)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(payload[8*i:])
-	}
-	return out
-}
-
-// CreateU16 initialises an empty chunked uint16 column of cells cells,
-// replacing any existing column under the name.
-func (s *Store) CreateU16(table, col string, cells uint64) error {
-	return s.create(table, col, 2, cells)
-}
-
-// CreateU64 is CreateU16 for uint64 columns.
-func (s *Store) CreateU64(table, col string, cells uint64) error {
-	return s.create(table, col, 8, cells)
-}
-
-// WriteU16Range durably patches cells [off, off+len(data)) of a uint16
-// column. Writes are atomic per chunk and each rewritten chunk carries a
-// fresh CRC; only the chunks overlapping the window are touched. The
-// column must exist (CreateU16 or a previous full write); version-1
-// files are migrated to the chunked layout first.
-func (s *Store) WriteU16Range(table, col string, off uint64, data []uint16) error {
-	return s.writeRange(table, col, 2, off, u16Bytes(data))
-}
-
-// WriteU64Range is WriteU16Range for uint64 columns.
-func (s *Store) WriteU64Range(table, col string, off uint64, data []uint64) error {
-	return s.writeRange(table, col, 8, off, u64Bytes(data))
-}
-
-// ReadU16Range loads cells [off, off+count) of a uint16 column, reading
-// only the chunks that overlap the window.
-func (s *Store) ReadU16Range(table, col string, off, count uint64) ([]uint16, error) {
-	payload, err := s.readRange(table, col, 2, off, count)
-	if err != nil {
-		return nil, err
-	}
-	return bytesU16(payload), nil
-}
-
-// ReadU64Range is ReadU16Range for uint64 columns.
-func (s *Store) ReadU64Range(table, col string, off, count uint64) ([]uint64, error) {
-	payload, err := s.readRange(table, col, 8, off, count)
-	if err != nil {
-		return nil, err
-	}
-	return bytesU64(payload), nil
-}
-
-// ReadU16Chunk loads chunk k of a uint16 column (cells
-// [k·ChunkCells, min((k+1)·ChunkCells, Cells))). A version-1 column is a
-// single virtual chunk 0.
-func (s *Store) ReadU16Chunk(table, col string, k uint64) ([]uint16, error) {
-	payload, err := s.readChunk(table, col, 2, k)
-	if err != nil {
-		return nil, err
-	}
-	return bytesU16(payload), nil
-}
-
-// ReadU64Chunk is ReadU16Chunk for uint64 columns.
-func (s *Store) ReadU64Chunk(table, col string, k uint64) ([]uint64, error) {
-	payload, err := s.readChunk(table, col, 8, k)
-	if err != nil {
-		return nil, err
-	}
-	return bytesU64(payload), nil
-}
-
-func (s *Store) readChunk(table, col string, width int, k uint64) ([]byte, error) {
-	dir := s.colDirV2(table, col)
-	ci, err := s.readIndex(dir)
+	ci, err := s.readIndex(s.colDir(table, col))
 	if errors.Is(err, fs.ErrNotExist) {
-		if k != 0 {
-			return nil, fmt.Errorf("sharestore: %s/%s: chunk %d of a monolithic column", table, col, k)
-		}
-		payload, _, v1err := readColumn(s.colPath(table, col), width)
-		return payload, v1err
+		return ColumnInfo{}, fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
 	}
+	if err != nil {
+		return ColumnInfo{}, err
+	}
+	return ColumnInfo{Width: ci.width, Cells: ci.cells, ChunkCells: ci.chunkCells}, nil
+}
+
+// ---- typed API ----
+
+// Cell is the element type of a stored column: uint16 additive shares
+// or uint64 field shares.
+type Cell interface{ ~uint16 | ~uint64 }
+
+// Width is the on-disk element width of T in bytes.
+func Width[T Cell]() int {
+	if uint64(^T(0)) == 1<<16-1 {
+		return 2
+	}
+	return 8
+}
+
+// encode writes src little-endian into dst (len(dst) ≥ Width·len(src)).
+// encode and decode are the only code whose work depends on the cell
+// width; everything else in the store moves bytes or typed slices.
+func encode[T Cell](dst []byte, src []T) {
+	if Width[T]() == 2 {
+		for i, v := range src {
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
+		}
+		return
+	}
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
+	}
+}
+
+// decode fills dst from little-endian src (len(src) ≥ Width·len(dst)).
+func decode[T Cell](dst []T, src []byte) {
+	if Width[T]() == 2 {
+		for i := range dst {
+			dst[i] = T(binary.LittleEndian.Uint16(src[2*i:]))
+		}
+		return
+	}
+	for i := range dst {
+		dst[i] = T(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func cellBytes[T Cell](data []T) []byte {
+	payload := make([]byte, Width[T]()*len(data))
+	encode(payload, data)
+	return payload
+}
+
+// Create initialises an empty chunked column of cells cells, replacing
+// any existing column under the name.
+func Create[T Cell](s *Store, table, col string, cells uint64) error {
+	return s.create(table, col, Width[T](), cells)
+}
+
+// Write persists a whole column. The replacement is staged and swapped
+// in atomically, so a crash mid-write leaves the previous column intact.
+func Write[T Cell](s *Store, table, col string, data []T) error {
+	return s.writeFull(table, col, Width[T](), uint64(len(data)), cellBytes(data))
+}
+
+// WriteRange durably patches cells [off, off+len(data)) of a column.
+// Writes are atomic per chunk and each rewritten chunk carries a fresh
+// CRC; only the chunks overlapping the window are touched. The column
+// must exist (Create or a previous Write).
+func WriteRange[T Cell](s *Store, table, col string, off uint64, data []T) error {
+	return s.writeRange(table, col, Width[T](), off, cellBytes(data))
+}
+
+// ReadRange loads cells [off, off+count), reading only the chunks that
+// overlap the window and decoding each one's overlap straight into the
+// result.
+func ReadRange[T Cell](s *Store, table, col string, off, count uint64) ([]T, error) {
+	w := uint64(Width[T]())
+	dir, ci, err := s.column(table, col, int(w))
 	if err != nil {
 		return nil, err
 	}
-	if ci.width != width {
-		return nil, fmt.Errorf("sharestore: %s/%s: element width %d, want %d", table, col, ci.width, width)
+	if off > ci.cells || count > ci.cells-off {
+		return nil, fmt.Errorf("sharestore: %s/%s: read [%d, %d) outside column of %d cells", table, col, off, off+count, ci.cells)
 	}
-	return readChunkPayload(dir, ci, k)
+	out := make([]T, count)
+	cc := ci.chunkCells
+	for k := off / cc; count > 0 && k*cc < off+count; k++ {
+		payload, err := readChunkPayload(dir, ci, k)
+		if err != nil {
+			return nil, err
+		}
+		chunkLo := k * cc
+		lo, hi := max(chunkLo, off), min(chunkLo+uint64(len(payload))/w, off+count)
+		decode(out[lo-off:hi-off], payload[(lo-chunkLo)*w:])
+	}
+	return out, nil
 }
 
-// RenameColumn renames a column within a table (both layouts),
-// replacing any column already stored under the new name via the same
-// move-aside swap as full writes — at every crash point a complete
-// column (old or new) is present under the target name. The server's
-// sharded-upload assembly streams windows into pending column names and
-// renames them into place on completion, so queries never observe a
-// half-uploaded column.
+// ReadChunk loads chunk k of a column (cells
+// [k·ChunkCells, min((k+1)·ChunkCells, Cells))).
+func ReadChunk[T Cell](s *Store, table, col string, k uint64) ([]T, error) {
+	dir, ci, err := s.column(table, col, Width[T]())
+	if err != nil {
+		return nil, err
+	}
+	payload, err := readChunkPayload(dir, ci, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, len(payload)/Width[T]())
+	decode(out, payload)
+	return out, nil
+}
+
+// RenameColumn renames a column within a table, replacing any column
+// already stored under the new name via the same move-aside swap as full
+// writes — at every crash point a complete column (old or new) is
+// present under the target name. The server's sharded-upload assembly
+// streams windows into pending column names and renames them into place
+// on completion, so queries never observe a half-uploaded column.
 func (s *Store) RenameColumn(table, from, to string) error {
-	srcV2 := s.colDirV2(table, from)
-	if _, err := os.Stat(filepath.Join(srcV2, "index")); err == nil {
-		if err := swapInColumnDir(srcV2, s.colDirV2(table, to)); err != nil {
-			return err
-		}
-		// A version-1 file lingering under the target name is stale.
-		if err := os.Remove(s.colPath(table, to)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-		return nil
-	}
-	// Version-1 source: a file rename replaces the target file
-	// atomically; any chunked column under the target name goes first.
-	if err := os.RemoveAll(s.colDirV2(table, to)); err != nil {
-		return err
-	}
-	//prism:allow atomicwrite renaming one complete column file over another is already atomic
-	if err := os.Rename(s.colPath(table, from), s.colPath(table, to)); err != nil {
+	src := s.colDir(table, from)
+	if _, err := os.Stat(filepath.Join(src, "index")); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("sharestore: %s/%s: %w", table, from, ErrNotFound)
 		}
 		return err
 	}
-	return nil
+	return swapInColumnDir(src, s.colDir(table, to))
 }
 
-// DeleteColumn removes a column in either layout, along with any staged
-// transients from interrupted writes (missing is not an error).
+// DeleteColumn removes a column, along with any staged transients from
+// interrupted writes (missing is not an error).
 func (s *Store) DeleteColumn(table, col string) error {
-	dir := s.colDirV2(table, col)
-	for _, d := range []string{dir, dir + ".new", dir + ".old", dir + ".mig"} {
+	dir := s.colDir(table, col)
+	for _, d := range []string{dir, dir + ".new", dir + ".old"} {
 		if err := os.RemoveAll(d); err != nil {
 			return err
 		}
-	}
-	if err := os.Remove(s.colPath(table, col)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package sharestore
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,10 +20,15 @@ func chunkedStore(t *testing.T, chunkCells uint64) *Store {
 }
 
 func TestRangedWriteReadRoundTrip(t *testing.T) {
+	t.Run("uint16", rangedWriteReadRoundTrip[uint16])
+	t.Run("uint64", rangedWriteReadRoundTrip[uint64])
+}
+
+func rangedWriteReadRoundTrip[T Cell](t *testing.T) {
 	s := chunkedStore(t, 8)
 	const cells = 100
-	ref := make([]uint16, cells)
-	if err := s.CreateU16("t", "c", cells); err != nil {
+	ref := make([]T, cells)
+	if err := Create[T](s, "t", "c", cells); err != nil {
 		t.Fatal(err)
 	}
 	g := prg.New(prg.SeedFromString("ranged"))
@@ -30,36 +36,32 @@ func TestRangedWriteReadRoundTrip(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		off := g.Uint64n(cells)
 		n := 1 + g.Uint64n(cells-off)
-		win := make([]uint16, n)
+		win := make([]T, n)
 		for i := range win {
-			win[i] = uint16(g.Uint64n(1 << 16))
+			win[i] = T(g.Uint64())
 		}
 		copy(ref[off:], win)
-		if err := s.WriteU16Range("t", "c", off, win); err != nil {
+		if err := WriteRange(s, "t", "c", off, win); err != nil {
 			t.Fatalf("write [%d,%d): %v", off, off+n, err)
 		}
 		// Read back a random window and compare against the reference.
 		roff := g.Uint64n(cells)
 		rn := 1 + g.Uint64n(cells-roff)
-		got, err := s.ReadU16Range("t", "c", roff, rn)
+		got, err := ReadRange[T](s, "t", "c", roff, rn)
 		if err != nil {
 			t.Fatalf("read [%d,%d): %v", roff, roff+rn, err)
 		}
-		for i := range got {
-			if got[i] != ref[roff+uint64(i)] {
-				t.Fatalf("iter %d: cell %d = %d, want %d", iter, roff+uint64(i), got[i], ref[roff+uint64(i)])
-			}
+		if !slices.Equal(got, ref[roff:roff+rn]) {
+			t.Fatalf("iter %d: window [%d,%d) = %v, want %v", iter, roff, roff+rn, got, ref[roff:roff+rn])
 		}
 	}
 	// Whole-column read agrees too.
-	got, err := s.ReadU16("t", "c")
+	got, err := readAll[T](s, "t", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("full read: cell %d = %d, want %d", i, got[i], ref[i])
-		}
+	if !slices.Equal(got, ref) {
+		t.Fatalf("full read = %v, want %v", got, ref)
 	}
 }
 
@@ -76,14 +78,14 @@ func TestRangedU64AndChunkReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Chunked || info.Width != 8 || info.Cells != 11 || info.ChunkCells != 4 {
+	if info.Width != 8 || info.Cells != 11 || info.ChunkCells != 4 {
 		t.Fatalf("info = %+v", info)
 	}
 	if info.NumChunks() != 3 {
 		t.Fatalf("chunks = %d, want 3", info.NumChunks())
 	}
 	// The tail chunk is short.
-	tail, err := s.ReadU64Chunk("t", "c", 2)
+	tail, err := ReadChunk[uint64](s, "t", "c", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,125 +106,15 @@ func TestRangedU64AndChunkReads(t *testing.T) {
 	if _, err := s.ReadU64Range("t", "c", 8, 4); err == nil {
 		t.Error("out-of-bounds read accepted")
 	}
-	if err := s.WriteU64Range("t", "c", 10, []uint64{1, 2}); err == nil {
+	if err := WriteRange(s, "t", "c", 10, []uint64{1, 2}); err == nil {
 		t.Error("out-of-bounds write accepted")
 	}
 }
 
 func TestRangedWriteOnMissingColumn(t *testing.T) {
 	s := chunkedStore(t, 8)
-	if err := s.WriteU16Range("t", "ghost", 0, []uint16{1}); err == nil {
+	if err := WriteRange(s, "t", "ghost", 0, []uint16{1}); err == nil {
 		t.Fatal("ranged write on missing column accepted")
-	}
-}
-
-// TestV1DualRead verifies version-1 monolithic files stay readable
-// through every read API after the chunked layout became the default.
-func TestV1DualRead(t *testing.T) {
-	s := testStore(t)
-	data := []uint16{10, 20, 30, 40, 50}
-	if err := writeColumn(s.colPath("t", "c"), 2, len(data), u16Bytes(data)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.HasColumn("t", "c") {
-		t.Fatal("v1 column invisible")
-	}
-	info, err := s.Stat("t", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Chunked || info.Cells != 5 || info.ChunkCells != 5 || info.NumChunks() != 1 {
-		t.Fatalf("v1 info = %+v", info)
-	}
-	got, err := s.ReadU16("t", "c")
-	if err != nil || len(got) != 5 || got[4] != 50 {
-		t.Fatalf("v1 full read: %v %v", got, err)
-	}
-	win, err := s.ReadU16Range("t", "c", 1, 3)
-	if err != nil || len(win) != 3 || win[0] != 20 || win[2] != 40 {
-		t.Fatalf("v1 ranged read: %v %v", win, err)
-	}
-	chunk, err := s.ReadU16Chunk("t", "c", 0)
-	if err != nil || len(chunk) != 5 {
-		t.Fatalf("v1 virtual chunk: %v %v", chunk, err)
-	}
-	if _, err := s.ReadU16Chunk("t", "c", 1); err == nil {
-		t.Error("chunk 1 of a monolithic column accepted")
-	}
-}
-
-// TestV1AutoMigrateOnRangedWrite verifies the first ranged write against
-// a version-1 file converts it to the chunked layout, preserving every
-// untouched cell.
-func TestV1AutoMigrateOnRangedWrite(t *testing.T) {
-	s := chunkedStore(t, 4)
-	data := make([]uint64, 10)
-	for i := range data {
-		data[i] = uint64(i)
-	}
-	if err := writeColumn(s.colPath("t", "c"), 8, len(data), u64Bytes(data)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteU64Range("t", "c", 5, []uint64{555}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s.colPath("t", "c")); !os.IsNotExist(err) {
-		t.Error("v1 file survives migration")
-	}
-	info, err := s.Stat("t", "c")
-	if err != nil || !info.Chunked {
-		t.Fatalf("post-migration info = %+v, err %v", info, err)
-	}
-	got, err := s.ReadU64("t", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		want := data[i]
-		if i == 5 {
-			want = 555
-		}
-		if got[i] != want {
-			t.Fatalf("cell %d = %d, want %d", i, got[i], want)
-		}
-	}
-}
-
-// TestCrashMidMigrationKeepsV1 simulates a crash during the v1→chunked
-// migration (the staged directory was built but never renamed into
-// place): the version-1 file must still serve every read, and a later
-// ranged write must complete the migration cleanly over the stale
-// staging leftovers.
-func TestCrashMidMigrationKeepsV1(t *testing.T) {
-	s := chunkedStore(t, 4)
-	data := []uint16{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if err := writeColumn(s.colPath("t", "c"), 2, len(data), u16Bytes(data)); err != nil {
-		t.Fatal(err)
-	}
-	// Crash artefact: a half-built staging dir (index only, no chunks).
-	stage := s.colDirV2("t", "c") + ".mig"
-	if err := os.MkdirAll(stage, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(stage, "index"), encodeIndex(chunkIndex{width: 2, chunkCells: 4, cells: 9}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The v1 file still serves.
-	got, err := s.ReadU16Range("t", "c", 2, 3)
-	if err != nil || got[0] != 3 || got[2] != 5 {
-		t.Fatalf("v1 read with stale staging dir: %v %v", got, err)
-	}
-	// A retryed ranged write migrates over the leftovers.
-	if err := s.WriteU16Range("t", "c", 0, []uint16{99}); err != nil {
-		t.Fatal(err)
-	}
-	info, err := s.Stat("t", "c")
-	if err != nil || !info.Chunked {
-		t.Fatalf("post-retry info = %+v, err %v", info, err)
-	}
-	full, err := s.ReadU16("t", "c")
-	if err != nil || full[0] != 99 || full[8] != 9 {
-		t.Fatalf("post-retry read: %v %v", full, err)
 	}
 }
 
@@ -236,7 +128,7 @@ func TestCrashMidSwapRecoversOld(t *testing.T) {
 	if err := s.WriteU16("t", "c", data); err != nil {
 		t.Fatal(err)
 	}
-	dir := s.colDirV2("t", "c")
+	dir := s.colDir("t", "c")
 	if err := os.Rename(dir, dir+".old"); err != nil { // crash artefact
 		t.Fatal(err)
 	}
@@ -244,7 +136,7 @@ func TestCrashMidSwapRecoversOld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.ReadU16("t", "c")
+	got, err := readAll[uint16](s2, "t", "c")
 	if err != nil {
 		t.Fatalf("read after mid-swap crash: %v", err)
 	}
@@ -298,7 +190,7 @@ func TestCrashRecoveryTornChunk(t *testing.T) {
 	if _, err := s2.ReadU16Range("t", "c", 4, 4); err == nil {
 		t.Fatal("torn chunk served")
 	}
-	if _, err := s2.ReadU16("t", "c"); err == nil {
+	if _, err := readAll[uint16](s2, "t", "c"); err == nil {
 		t.Fatal("full read spanning the torn chunk served")
 	}
 	// ...while the neighbouring chunks still serve last-good data.
@@ -314,10 +206,10 @@ func TestCrashRecoveryTornChunk(t *testing.T) {
 		}
 	}
 	// A rewrite of the torn window repairs the column.
-	if err := s2.WriteU16Range("t", "c", 4, data[4:8]); err != nil {
+	if err := WriteRange(s2, "t", "c", 4, data[4:8]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.ReadU16("t", "c")
+	got, err := readAll[uint16](s2, "t", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +231,10 @@ func TestPartialChunkWriteLeavesNeighbours(t *testing.T) {
 	if err := s.WriteU16("t", "c", base); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteU16Range("t", "c", 6, []uint16{1, 2, 3, 4}); err != nil {
+	if err := WriteRange(s, "t", "c", 6, []uint16{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadU16("t", "c")
+	got, err := readAll[uint16](s, "t", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +252,11 @@ func TestPartialChunkWriteLeavesNeighbours(t *testing.T) {
 // read as zero, fully unwritten chunks are reported missing.
 func TestSparseCreateWindows(t *testing.T) {
 	s := chunkedStore(t, 4)
-	if err := s.CreateU16("t", "c", 12); err != nil {
+	if err := Create[uint16](s, "t", "c", 12); err != nil {
 		t.Fatal(err)
 	}
 	// Write the middle window only: covers chunk 1 fully and nothing else.
-	if err := s.WriteU16Range("t", "c", 4, []uint16{41, 42, 43, 44}); err != nil {
+	if err := WriteRange(s, "t", "c", 4, []uint16{41, 42, 43, 44}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.ReadU16Range("t", "c", 4, 4)
@@ -377,7 +269,7 @@ func TestSparseCreateWindows(t *testing.T) {
 		t.Error("unwritten chunk served")
 	}
 	// A partial write into chunk 0 zero-fills the rest of that chunk.
-	if err := s.WriteU16Range("t", "c", 1, []uint16{7}); err != nil {
+	if err := WriteRange(s, "t", "c", 1, []uint16{7}); err != nil {
 		t.Fatal(err)
 	}
 	got, err = s.ReadU16Range("t", "c", 0, 4)
@@ -394,7 +286,7 @@ func TestCreateReplacesColumn(t *testing.T) {
 	if err := s.WriteU16("t", "c", []uint16{1, 2, 3, 4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CreateU16("t", "c", 3); err != nil {
+	if err := Create[uint16](s, "t", "c", 3); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s.Stat("t", "c")
@@ -418,27 +310,17 @@ func TestRenameAndDeleteColumn(t *testing.T) {
 	if err := s.RenameColumn("t", "pend.chi", "o0.chi"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadU16("t", "o0.chi")
+	got, err := readAll[uint16](s, "t", "o0.chi")
 	if err != nil || got[0] != 9 {
 		t.Fatalf("renamed column: %v %v", got, err)
 	}
 	if s.HasColumn("t", "pend.chi") {
 		t.Error("source column survives rename")
 	}
-	// Rename also moves version-1 files.
-	if err := writeColumn(s.colPath("t", "old"), 2, 2, u16Bytes([]uint16{5, 6})); err != nil {
+	if err := s.DeleteColumn("t", "o0.chi"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RenameColumn("t", "old", "new"); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.ReadU16("t", "new"); err != nil || got[1] != 6 {
-		t.Fatalf("renamed v1 column: %v %v", got, err)
-	}
-	if err := s.DeleteColumn("t", "new"); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasColumn("t", "new") {
+	if s.HasColumn("t", "o0.chi") {
 		t.Error("column survives delete")
 	}
 	if err := s.DeleteColumn("t", "ghost"); err != nil {
@@ -512,7 +394,7 @@ func TestChunkIndexRejectsGarbage(t *testing.T) {
 		if _, err := s.Stat("t", "c"); err == nil {
 			t.Fatal("corrupted index accepted")
 		}
-		if _, err := s.ReadU16("t", "c"); err == nil {
+		if _, err := readAll[uint16](s, "t", "c"); err == nil {
 			t.Fatal("read through corrupted index accepted")
 		}
 		// Restore for the next mutation.

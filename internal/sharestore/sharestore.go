@@ -6,9 +6,13 @@
 // Layout: one directory per table, one chunked column (see segstore.go)
 // per stored column — fixed-size chunk segments with a per-chunk CRC
 // plus a small chunk index, so windows of a column can be read and
-// patched without touching the rest. Version-1 monolithic column files
-// (one file per column, whole-payload CRC) remain readable and are
-// migrated to the chunked layout on first ranged write. A JSON manifest
+// patched without touching the rest. That is the only column format: a
+// "<col>.col" file left by a build that predates it is not a column
+// (Stat reports ErrNotFound) and its table must be re-outsourced. Cells
+// are uint16 (additive shares mod δ) or uint64 (Shamir shares in F_p);
+// the typed API is generic over Cell and the little-endian encode/decode
+// pair in segstore.go is the only code that depends on the width. A JSON
+// manifest
 // per table records the protocol.TableSpec, the set of completed owners
 // and a monotonically increasing registration epoch; the manifest is
 // written atomically only after an owner's columns are fully promoted
@@ -29,7 +33,6 @@
 package sharestore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,11 +43,9 @@ import (
 	"strings"
 )
 
-const (
-	magic    = "PRSM"
-	version  = 1
-	version2 = 2
-)
+// formatVersion is the version byte of chunk, index and delta-segment
+// files.
+const formatVersion = 2
 
 // Store is a column store rooted at a directory.
 type Store struct {
@@ -62,10 +63,6 @@ func Open(dir string) (*Store, error) {
 
 // Dir returns the root directory.
 func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) colPath(table, col string) string {
-	return filepath.Join(s.dir, sanitize(table), sanitize(col)+".col")
-}
 
 // sanitize keeps table/column names filesystem-safe and injective:
 // names built only from safe characters map to themselves, and any name
@@ -110,13 +107,6 @@ func looksHashed(name string) bool {
 	return true
 }
 
-// header is the fixed-size column file preamble.
-type header struct {
-	Width uint8  // element width in bytes: 2 or 8
-	Count uint64 // number of elements
-	CRC   uint32 // CRC32 (IEEE) of the payload bytes
-}
-
 // atomicWriteFile is the blessed single-file durability primitive:
 // every live store file (chunk, index, manifest, delta segment,
 // sidecar) must be replaced through it. It stages the contents under a
@@ -137,87 +127,27 @@ func atomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
-func writeColumn(path string, width int, count int, payload []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 4+1+1+8+4+len(payload))
-	buf = append(buf, magic...)
-	buf = append(buf, version, uint8(width))
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(count))
-	buf = append(buf, cnt[:]...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, crc[:]...)
-	buf = append(buf, payload...)
-	return atomicWriteFile(path, buf)
+// WriteU16 persists a whole uint16 column; see Write.
+func (s *Store) WriteU16(table, col string, data []uint16) error { return Write(s, table, col, data) }
+
+// WriteU64 persists a whole uint64 column; see Write.
+func (s *Store) WriteU64(table, col string, data []uint64) error { return Write(s, table, col, data) }
+
+// ReadU16Range loads cells [off, off+count) of a uint16 column; see
+// ReadRange.
+func (s *Store) ReadU16Range(table, col string, off, count uint64) ([]uint16, error) {
+	return ReadRange[uint16](s, table, col, off, count)
 }
 
-func readColumn(path string, wantWidth int) ([]byte, int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(raw) < 18 || string(raw[:4]) != magic {
-		return nil, 0, fmt.Errorf("sharestore: %s: bad magic", path)
-	}
-	if raw[4] != version {
-		return nil, 0, fmt.Errorf("sharestore: %s: unsupported version %d", path, raw[4])
-	}
-	width := int(raw[5])
-	if width != wantWidth {
-		return nil, 0, fmt.Errorf("sharestore: %s: element width %d, want %d", path, width, wantWidth)
-	}
-	count := binary.LittleEndian.Uint64(raw[6:14])
-	crc := binary.LittleEndian.Uint32(raw[14:18])
-	payload := raw[18:]
-	if uint64(len(payload)) != count*uint64(width) {
-		return nil, 0, fmt.Errorf("sharestore: %s: truncated payload", path)
-	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, fmt.Errorf("sharestore: %s: checksum mismatch", path)
-	}
-	return payload, int(count), nil
+// ReadU64Range loads cells [off, off+count) of a uint64 column; see
+// ReadRange.
+func (s *Store) ReadU64Range(table, col string, off, count uint64) ([]uint64, error) {
+	return ReadRange[uint64](s, table, col, off, count)
 }
 
-// WriteU16 persists a whole uint16 column (chunked layout). The
-// replacement is staged and swapped in atomically, so a crash mid-write
-// leaves the previous column intact.
-func (s *Store) WriteU16(table, col string, data []uint16) error {
-	return s.writeFull(table, col, 2, uint64(len(data)), u16Bytes(data))
-}
-
-// ReadU16 loads a whole uint16 column (either layout).
-func (s *Store) ReadU16(table, col string) ([]uint16, error) {
-	info, err := s.Stat(table, col)
-	if err != nil {
-		return nil, err
-	}
-	return s.ReadU16Range(table, col, 0, info.Cells)
-}
-
-// WriteU64 persists a whole uint64 column (chunked layout, staged and
-// swapped in atomically like WriteU16).
-func (s *Store) WriteU64(table, col string, data []uint64) error {
-	return s.writeFull(table, col, 8, uint64(len(data)), u64Bytes(data))
-}
-
-// ReadU64 loads a whole uint64 column (either layout).
-func (s *Store) ReadU64(table, col string) ([]uint64, error) {
-	info, err := s.Stat(table, col)
-	if err != nil {
-		return nil, err
-	}
-	return s.ReadU64Range(table, col, 0, info.Cells)
-}
-
-// HasColumn reports whether the column exists in either layout.
+// HasColumn reports whether the column exists.
 func (s *Store) HasColumn(table, col string) bool {
-	if _, err := os.Stat(filepath.Join(s.colDirV2(table, col), "index")); err == nil {
-		return true
-	}
-	_, err := os.Stat(s.colPath(table, col))
+	_, err := os.Stat(filepath.Join(s.colDir(table, col), "index"))
 	return err == nil
 }
 
@@ -278,5 +208,5 @@ func (s *Store) ReadManifest(table string, v any) error {
 	return json.Unmarshal(data, v)
 }
 
-// ErrNotFound reports a missing column in a friendlier way.
+// ErrNotFound reports a missing column: no chunk index under the name.
 var ErrNotFound = errors.New("sharestore: column not found")

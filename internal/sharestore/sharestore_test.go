@@ -1,8 +1,12 @@
 package sharestore
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,45 +22,34 @@ func testStore(t *testing.T) *Store {
 	return s
 }
 
-func TestU16RoundTrip(t *testing.T) {
-	s := testStore(t)
-	data := []uint16{0, 1, 113, 65535}
-	if err := s.WriteU16("lineitem", "o0.chi", data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadU16("lineitem", "o0.chi")
+// readAll loads a whole column.
+func readAll[T Cell](s *Store, table, col string) ([]T, error) {
+	info, err := s.Stat(table, col)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if len(got) != len(data) {
-		t.Fatalf("len %d != %d", len(got), len(data))
-	}
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
+	return ReadRange[T](s, table, col, 0, info.Cells)
 }
 
-func TestU64RoundTrip(t *testing.T) {
+func TestRoundTrip(t *testing.T) {
+	t.Run("uint16", func(t *testing.T) { roundTrip[uint16](t, []uint16{0, 1, 113, 65535}) })
+	t.Run("uint64", func(t *testing.T) { roundTrip[uint64](t, []uint64{0, 1, 1 << 40, 1<<64 - 1}) })
+}
+
+// roundTrip writes and re-reads random columns of T, always including
+// the edge values given.
+func roundTrip[T Cell](t *testing.T, edges []T) {
 	s := testStore(t)
-	f := func(data []uint64) bool {
-		if err := s.WriteU64("t", "c", data); err != nil {
+	f := func(data []T) bool {
+		data = append(data, edges...)
+		if err := Write(s, "lineitem", "o0.chi", data); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.ReadU64("t", "c")
+		got, err := readAll[T](s, "lineitem", "o0.chi")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(data) {
-			return false
-		}
-		for i := range data {
-			if got[i] != data[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -68,7 +61,7 @@ func TestEmptyColumn(t *testing.T) {
 	if err := s.WriteU16("t", "empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadU16("t", "empty")
+	got, err := readAll[uint16](s, "t", "empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +75,7 @@ func TestWidthMismatchRejected(t *testing.T) {
 	if err := s.WriteU16("t", "c", []uint16{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadU64("t", "c"); err == nil {
+	if _, err := readAll[uint64](s, "t", "c"); err == nil {
 		t.Fatal("width mismatch accepted")
 	}
 }
@@ -101,7 +94,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadU64("t", "c"); err == nil {
+	if _, err := readAll[uint64](s, "t", "c"); err == nil {
 		t.Fatal("payload corruption not detected")
 	}
 }
@@ -116,18 +109,46 @@ func TestTruncationDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadU64("t", "c"); err == nil {
+	if _, err := readAll[uint64](s, "t", "c"); err == nil {
 		t.Fatal("truncation not detected")
 	}
 }
 
-func TestBadMagicRejected(t *testing.T) {
+// TestLegacyColumnFileIsNotAColumn: a "<col>.col" file written by a
+// build that predates the chunked layout is not a column — nothing opens
+// it — and dropping its table still removes it.
+func TestLegacyColumnFileIsNotAColumn(t *testing.T) {
 	s := testStore(t)
+	// The old monolithic format, byte for byte: magic, version 1, width,
+	// cell count, CRC32 of the payload, payload.
+	payload := []byte{10, 0, 20, 0, 30, 0}
+	raw := append([]byte("PRSM\x01\x02"), 3, 0, 0, 0, 0, 0, 0, 0)
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+	raw = append(raw, payload...)
 	path := filepath.Join(s.Dir(), "t", "c.col")
-	os.MkdirAll(filepath.Dir(path), 0o755)
-	os.WriteFile(path, []byte("JUNKJUNKJUNKJUNKJUNK"), 0o644)
-	if _, err := s.ReadU16("t", "c"); err == nil {
-		t.Fatal("bad magic accepted")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s.HasColumn("t", "c") {
+		t.Error("HasColumn sees a legacy file")
+	}
+	if _, err := s.Stat("t", "c"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Stat = %v, want ErrNotFound", err)
+	}
+	if _, err := ReadRange[uint16](s, "t", "c", 0, 3); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadRange = %v, want ErrNotFound", err)
+	}
+	if err := s.VerifyColumn("t", "c", 2, 3); !errors.Is(err, ErrNotFound) {
+		t.Errorf("VerifyColumn = %v, want ErrNotFound", err)
+	}
+	if err := s.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Dir(path)); !os.IsNotExist(err) {
+		t.Errorf("DropTable left the table directory behind: %v", err)
 	}
 }
 
@@ -179,7 +200,7 @@ func TestSanitizeHostileNames(t *testing.T) {
 	if err := s.WriteU16("../../etc", "../passwd", []uint16{1}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadU16("../../etc", "../passwd")
+	got, err := readAll[uint16](s, "../../etc", "../passwd")
 	if err != nil || len(got) != 1 {
 		t.Fatal("sanitised round trip failed")
 	}
@@ -203,7 +224,7 @@ func TestSanitizeInjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]uint16{"a/b": 1, "a_b": 2, "a:b": 3} {
-		got, err := s.ReadU16(name, "c")
+		got, err := readAll[uint16](s, name, "c")
 		if err != nil {
 			t.Fatalf("table %q: %v", name, err)
 		}
@@ -218,7 +239,7 @@ func TestSanitizeInjective(t *testing.T) {
 	if err := s.WriteU16("t", "x_y", []uint16{2}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.ReadU16("t", "x/y"); len(got) != 1 || got[0] != 1 {
+	if got, _ := readAll[uint16](s, "t", "x/y"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("column x/y clobbered: %v", got)
 	}
 	// Safe names keep their natural paths (no hash suffix churn).
@@ -242,7 +263,7 @@ func TestOverwrite(t *testing.T) {
 	s := testStore(t)
 	s.WriteU16("t", "c", []uint16{1, 2, 3})
 	s.WriteU16("t", "c", []uint16{9})
-	got, err := s.ReadU16("t", "c")
+	got, err := readAll[uint16](s, "t", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +284,7 @@ func BenchmarkRead5MU16(b *testing.B) {
 	b.SetBytes(int64(len(data) * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ReadU16("t", "c"); err != nil {
+		if _, err := readAll[uint16](s, "t", "c"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,26 +34,12 @@ const quarantineDir = ".quarantine"
 // VerifyColumn checks a column's on-disk integrity against the shape a
 // manifest promises: element width, total cells, every chunk segment
 // present at its exact encoded size, and the CRC of the first and last
-// chunks. Version-1 monolithic columns are fully read and CRC-verified
-// (one file read; legacy columns are small enough that this is cheap).
-// It returns nil when the column is safe to serve.
+// chunks. It returns nil when the column is safe to serve.
 func (s *Store) VerifyColumn(table, col string, width int, cells uint64) error {
-	dir := s.colDirV2(table, col)
+	dir := s.colDir(table, col)
 	ci, err := s.readIndex(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		// Version-1 fallback: readColumn validates magic, width and the
-		// whole-payload CRC.
-		_, count, v1err := readColumn(s.colPath(table, col), width)
-		if v1err != nil {
-			if errors.Is(v1err, fs.ErrNotExist) {
-				return fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
-			}
-			return v1err
-		}
-		if uint64(count) != cells {
-			return fmt.Errorf("sharestore: %s/%s: holds %d cells, manifest says %d", table, col, count, cells)
-		}
-		return nil
+		return fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
 	}
 	if err != nil {
 		return err
@@ -64,7 +50,7 @@ func (s *Store) VerifyColumn(table, col string, width int, cells uint64) error {
 	if ci.cells != cells {
 		return fmt.Errorf("sharestore: %s/%s: index holds %d cells, manifest says %d", table, col, ci.cells, cells)
 	}
-	info := ColumnInfo{Width: ci.width, Cells: ci.cells, ChunkCells: ci.chunkCells, Chunked: true}
+	info := ColumnInfo{Width: ci.width, Cells: ci.cells, ChunkCells: ci.chunkCells}
 	n := info.NumChunks()
 	for k := uint64(0); k < n; k++ {
 		lo, hi := info.ChunkSpan(k)

@@ -41,7 +41,7 @@ func TestVerifyColumn(t *testing.T) {
 	}
 	// A missing chunk segment is caught even between the CRC spot-check
 	// edges (the size/presence sweep covers every chunk).
-	dir := s.colDirV2("t", "c")
+	dir := s.colDir("t", "c")
 	if err := os.Remove(filepath.Join(dir, "c1.ck")); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestVerifyColumnTornEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload bit of the last chunk: same size, broken CRC.
-	path := filepath.Join(s.colDirV2("t", "c"), "c2.ck")
+	path := filepath.Join(s.colDir("t", "c"), "c2.ck")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestDotNamesCannotCollideWithQuarantine(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(s.Dir(), quarantineDir, "c.colv2")); err == nil {
 		t.Fatal("dot-named table landed in the reserved quarantine directory")
 	}
-	got, err := s.ReadU16(".quarantine", "c")
+	got, err := readAll[uint16](s, ".quarantine", "c")
 	if err != nil || len(got) != 3 {
 		t.Fatalf("dot-named table unreadable: %v", err)
 	}

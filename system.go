@@ -103,8 +103,6 @@ func NewLocalSystem(cfg Config) (*System, error) {
 				}
 				store.SetChunkCells(cfg.ChunkCells)
 				opts.Store = store
-				opts.DiskBacked = true
-				opts.CacheColumns = cfg.HotColumns || cfg.HotChunks > 0
 				opts.CacheBytes = int64(cfg.HotChunks)
 				opts.AutoRecover = cfg.AutoRecover
 			}
@@ -512,7 +510,7 @@ type QueryStats struct {
 	Rounds          int
 	Cells           int
 	// ServerCacheHits counts column reads served by the servers'
-	// hot-column cache (Config.HotColumns) instead of the share store.
+	// hot-chunk cache (Config.HotChunks) instead of the share store.
 	ServerCacheHits int
 	// TraceID names the query's timeline in System.QueryTrace when the
 	// system runs with Config.Trace; empty otherwise.

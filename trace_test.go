@@ -32,7 +32,7 @@ func phaseSet(t *testing.T, sys *System, tid string) map[string]bool {
 func TestQueryTraceTimeline(t *testing.T) {
 	cfg := groupParityConfig(t, 2, t.TempDir(), 32)
 	cfg.Trace = true
-	cfg.HotColumns = true
+	cfg.HotChunks = 1 << 20 // a budget every column fits in
 	sys, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
