@@ -3,6 +3,7 @@ package prism
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"prism/internal/protocol"
@@ -147,10 +148,7 @@ func TestMaliciousExtremeValueDetected(t *testing.T) {
 			for i := range vs {
 				vs[i] = []byte{0}
 			}
-			return protocol.ExtremeFetchReply{
-				Ready: true, ValueShares: vs,
-				IndexShare: r.IndexShare, HasIndex: r.HasIndex,
-			}
+			return protocol.ExtremeFetchReply{Ready: true, ValueShares: vs, IndexShares: r.IndexShares}
 		}
 		return nil
 	}))
@@ -179,6 +177,78 @@ func TestMaliciousClaimForgeryDetected(t *testing.T) {
 	_, err := sys.PSIMax(context.Background(), "age")
 	if err == nil {
 		t.Fatal("forged claims accepted")
+	}
+}
+
+// TestMaliciousExtremeVectorEntryDetected: a server that rewrites exactly
+// one entry of one k-vector reply of a max query — one cell's value
+// share, one cell's winner-index share, one owner's claim share for one
+// cell — or only one group's round of a two-group query, is caught with
+// ErrVerificationFailed; the honest entries of the sibling cells in the
+// same reply do not mask it.
+//
+// A zeroed value share reconstructs to a random point of Z_Q: outside F's
+// image, or decoding below some owner's own maximum, or above every
+// owner's so that the announced winner cannot claim it. A shifted index
+// share names a slot out of range or an owner that does not hold the
+// maximum (the planted values are distinct). A shifted claim share
+// reconstructs to something that is not a bit.
+func TestMaliciousExtremeVectorEntryDetected(t *testing.T) {
+	const cell = 1 // the tampered entry's cell index; its neighbours stay honest
+	tampers := map[string]func(reply any) any{
+		"one value share": func(reply any) any {
+			r, ok := reply.(protocol.ExtremeFetchReply)
+			if !ok || !r.Ready {
+				return nil
+			}
+			r.ValueShares = append([][]byte(nil), r.ValueShares...)
+			r.ValueShares[cell] = []byte{0}
+			return r
+		},
+		"one index share": func(reply any) any {
+			r, ok := reply.(protocol.ExtremeFetchReply)
+			if !ok || !r.Ready {
+				return nil
+			}
+			r.IndexShares = append([]uint16(nil), r.IndexShares...)
+			r.IndexShares[cell] = (r.IndexShares[cell] + 1) % 113
+			return r
+		},
+		"one fpos entry": func(reply any) any {
+			r, ok := reply.(protocol.ClaimFetchReply)
+			if !ok || !r.Ready {
+				return nil
+			}
+			r.Fpos = append([]uint16(nil), r.Fpos...)
+			k := len(r.Fpos) / 3 // owner 2's share for the cell
+			r.Fpos[2*k+cell] = (r.Fpos[2*k+cell] + 7) % 113
+			return r
+		},
+	}
+	for _, groups := range []int{1, 2} {
+		for name, mutate := range tampers {
+			t.Run(fmt.Sprintf("groups=%d/%s", groups, name), func(t *testing.T) {
+				sys, err := NewLocalSystem(extremeConfig(t, 3, groups, false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				// Six cells: with two groups each round carries three, and only
+				// the last group's server lies — group 0's round stays honest.
+				orc := loadPlanted(t, sys, plantedCells(sys, 6), 23)
+				sys.interceptGroupServer(groups-1, 0, tamper(func(_, reply any) any { return mutate(reply) }))
+				if _, err := sys.PSIMax(context.Background(), "v"); !errors.Is(err, ErrVerificationFailed) {
+					t.Fatalf("err = %v, want ErrVerificationFailed", err)
+				}
+				assertNoSessions(t, sys)
+				sys.restoreGroupServer(groups-1, 0)
+				res, err := sys.PSIMax(context.Background(), "v")
+				if err != nil {
+					t.Fatalf("honest run after restore: %v", err)
+				}
+				orc.check(t, protocol.KindMax, res)
+			})
+		}
 	}
 }
 

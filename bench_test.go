@@ -216,3 +216,29 @@ func BenchmarkVerificationOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPSIMax64 times one max query at the repo benchmark's shape
+// (benchmark/README.md: 10 owners, a tenth of the domain per owner, 64
+// common keys, verification, every message a wire frame, two server
+// groups) scaled down to 2^14 cells — the op the vector extreme round
+// serves, sized so the rounds and not the PSI scan dominate.
+func BenchmarkPSIMax64(b *testing.B) {
+	sys, _, _, err := benchx.Build(benchx.SystemSpec{
+		Owners: 10, Domain: 1 << 14, Groups: 2, CommonKeys: 64,
+		Verify: true, EncodeWire: true, Seed: "psimax64",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sys.PSIMax(ctx, "DT")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.PerCell) != 64 {
+			b.Fatalf("max answered %d cells, want 64", len(res.PerCell))
+		}
+	}
+}

@@ -11,7 +11,7 @@
 //
 // Experiments: exp1 table12 exp2 exp3 exp4 sharegen table13 fanout
 // diskablation throughput tcpthroughput domainscale memscale
-// streamscale groupscale gatewayscale telemetryoverhead all. The
+// streamscale groupscale gatewayscale all. The
 // tcpthroughput experiment runs the query mix over real loopback TCP
 // twice — with the serialised one-RPC-per-connection baseline and with
 // the multiplexed client — so the transport win is measured, not
@@ -37,10 +37,8 @@
 // counts against the direct-owner baseline (every gateway answer
 // fingerprint-checked against the direct path), plus an overload run
 // at 2× the admission capacity that must surface as typed load-shed
-// errors rather than hangs. The
-// telemetryoverhead experiment runs one query mix with metrics and
-// tracing disabled and again with both enabled, reporting queries/sec
-// for each mode and the relative overhead, which must stay small.
+// errors rather than hangs. What tracing costs is measured by the repo
+// benchmark's traced pass (benchmark/, trace_overhead_pct).
 package main
 
 import (
@@ -58,7 +56,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: exp1|table12|exp2|exp3|exp4|sharegen|table13|fanout|diskablation|throughput|tcpthroughput|domainscale|memscale|streamscale|groupscale|gatewayscale|telemetryoverhead|all")
+		exp     = flag.String("exp", "all", "experiment: exp1|table12|exp2|exp3|exp4|sharegen|table13|fanout|diskablation|throughput|tcpthroughput|domainscale|memscale|streamscale|groupscale|gatewayscale|all")
 		metrics = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address while experiments run (e.g. :9103); empty disables the endpoint")
 		paper   = flag.Bool("paper", false, "use the paper's full sizes (5M/20M domains; needs ~16GB RAM)")
 		domain  = flag.Uint64("domain", 0, "override: single domain size")
@@ -193,10 +191,6 @@ func main() {
 	if want("gatewayscale") {
 		matched = true
 		run("gatewayscale", func() ([]*report.Table, error) { return benchx.GatewayScale(ctx, sc) })
-	}
-	if want("telemetryoverhead") {
-		matched = true
-		run("telemetryoverhead", func() ([]*report.Table, error) { return benchx.TelemetryOverhead(ctx, sc) })
 	}
 	if !matched {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))

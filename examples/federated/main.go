@@ -77,7 +77,7 @@ func main() {
 		owners[j] = o
 	}
 
-	// Private watchlists: client 4242 is flagged by every bank.
+	// Private watchlists: clients 77 and 4242 are flagged by every bank.
 	rng := prg.New(prg.SeedFromString("federated-demo"))
 	for j, o := range owners {
 		data := &ownerengine.Data{Aggs: map[string][]uint64{"exposure": nil}}
@@ -85,7 +85,8 @@ func main() {
 			data.Cells = append(data.Cells, client-1)
 			data.Aggs["exposure"] = append(data.Aggs["exposure"], exposure)
 		}
-		add(4242, 100_000*uint64(j+1)) // the common client
+		add(4242, 100_000*uint64(j+1)) // the common clients
+		add(77, 50_000*uint64(numBanks-j))
 		for k := 0; k < 200; k++ {
 			add(1+rng.Uint64n(domainSize), 1_000+rng.Uint64n(50_000))
 		}
@@ -118,35 +119,44 @@ func main() {
 	}
 
 	// ---- PSI max: the full §6.3 rounds over TCP ----
-	for _, cell := range psi.Cells {
-		qid := fmt.Sprintf("max-exposure-%d", cell)
-		locals := make([]uint64, numBanks)
-		for j, o := range owners {
-			v, has, err := o.LocalValue(protocol.KindMax, "exposure", cell)
-			must(err)
-			if !has {
-				log.Fatalf("bank %d missing common client", j)
+	// Vector rounds: every step below is one exchange per server however
+	// many clients are common, each message carrying one entry per cell.
+	const qid = "max-exposure"
+	cells := psi.Cells
+	locals := make([][]uint64, numBanks)
+	for j, o := range owners {
+		vals, has, err := o.LocalValues(protocol.KindMax, "exposure", cells)
+		must(err)
+		for c, ok := range has {
+			if !ok {
+				log.Fatalf("bank %d missing common client #%d", j+1, cells[c]+1)
 			}
-			locals[j] = v
-			must(o.SubmitExtreme(ctx, qid, protocol.KindMax, cell, v))
 		}
-		out, err := querier.FetchExtreme(ctx, qid, protocol.KindMax, cell)
-		must(err)
-		z := out.Values[0]
-		for j, o := range owners {
-			must(o.CheckExtremeConsistency(protocol.KindMax, z, locals[j], true))
-			must(o.SubmitClaim(ctx, qid, cell, locals[j] == z))
+		locals[j] = vals
+		must(o.SubmitExtreme(ctx, qid, protocol.KindMax, cells, vals))
+	}
+	out, err := querier.FetchExtreme(ctx, qid, protocol.KindMax, cells)
+	must(err)
+	for j, o := range owners {
+		holds := make([]bool, len(cells))
+		for c := range cells {
+			z := out.Values[c][0]
+			must(ownerengine.CheckExtremeConsistency(protocol.KindMax, z, locals[j][c]))
+			holds[c] = locals[j][c] == z
 		}
-		claims, err := querier.FetchClaims(ctx, qid, cell)
-		must(err)
+		must(o.SubmitClaim(ctx, qid, cells, holds))
+	}
+	claims, err := querier.FetchClaims(ctx, qid, cells)
+	must(err)
+	for c, cell := range cells {
 		var holders []int
-		for j, h := range claims {
+		for j, h := range claims[c] {
 			if h {
 				holders = append(holders, j+1)
 			}
 		}
 		fmt.Printf("largest single-bank exposure for client #%d: $%d (bank(s) %v)\n",
-			cell+1, z, holders)
+			cell+1, out.Values[c][0], holders)
 	}
 	fmt.Println("\nall rounds ran over loopback TCP; servers never contacted each other")
 }

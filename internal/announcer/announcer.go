@@ -1,10 +1,12 @@
 // Package announcer implements S_a, the announcer of the paper (§3.2
 // entity 4): it participates only in maximum, minimum and median queries.
-// It receives the PF-permuted slot arrays of big additive shares from the
-// two additive-share servers, reconstructs the order-preserving masked
-// values v_i = F(M_i) + r_i, announces the winning value (or the median
-// value(s)) and the winning slot — both re-shared additively so that the
-// servers relaying them learn nothing (§6.3 Step 4, Equations 13-14).
+// It receives the PF-permuted slot matrices of big additive shares (one
+// column per result cell of the round) from the two additive-share
+// servers, reconstructs the order-preserving masked values
+// v_i = F(M_i) + r_i, and announces per column the winning value (or the
+// median value(s)) and the winning slot — both re-shared additively so
+// that the servers relaying them learn nothing (§6.3 Step 4, Equations
+// 13-14).
 //
 // S_a sees only masked values: it learns an ordering of blinded points,
 // never any M_i, and never which real owner a slot belongs to (slots are
@@ -13,6 +15,7 @@ package announcer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -35,14 +38,18 @@ type Engine struct {
 
 type state struct {
 	kind    protocol.ExtremeKind
-	arrays  [2][][]byte
-	have    [2]bool
+	k       int           // cells in the round, fixed by the first announce
+	slots   [2][][][]byte // per server: M slot rows × k cells; nil until it announced
 	results [2]*protocol.AnnounceFetchReply
-	// vals are the reconstructed masked values, retained after resolve
-	// so a multi-cell extreme query can reduce its per-cell rounds to
-	// one global outcome (ExtremeReduceRequest) before retiring them.
-	vals []*big.Int
+	// vals[c] are cell c's reconstructed masked values, retained after
+	// resolve so the query can reduce its rounds to one global outcome
+	// (ExtremeReduceRequest) before retiring them.
+	vals [][]*big.Int
 }
+
+// ErrBadSlots rejects an announce whose slot matrix is not M rows of one
+// common, non-zero length k, or whose k differs from the other server's.
+var ErrBadSlots = errors.New("announcer: bad slot matrix")
 
 // New builds an announcer for the given view.
 func New(v *params.AnnouncerView) *Engine {
@@ -96,24 +103,35 @@ func (e *Engine) handleAnnounce(r protocol.AnnounceRequest) (any, error) {
 	if r.ServerIdx < 0 || r.ServerIdx > 1 {
 		return nil, fmt.Errorf("announcer: bad server index %d", r.ServerIdx)
 	}
-	if len(r.Shares) != e.view.M {
-		return nil, fmt.Errorf("announcer: got %d slots, want %d", len(r.Shares), e.view.M)
+	if len(r.Slots) != e.view.M {
+		return nil, fmt.Errorf("%w: got %d slots, want %d", ErrBadSlots, len(r.Slots), e.view.M)
+	}
+	k := len(r.Slots[0])
+	if k == 0 {
+		return nil, fmt.Errorf("%w: query %q announces no cells", ErrBadSlots, r.QueryID)
+	}
+	for s, row := range r.Slots {
+		if len(row) != k {
+			return nil, fmt.Errorf("%w: query %q slot %d has %d cells, slot 0 has %d", ErrBadSlots, r.QueryID, s, len(row), k)
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.pending[r.QueryID]
-	if !ok {
-		st = &state{kind: r.Kind}
-		e.pending[r.QueryID] = st
-	}
-	if st.kind != r.Kind {
+	if ok && st.kind != r.Kind {
 		return nil, fmt.Errorf("announcer: query %q kind mismatch", r.QueryID)
 	}
-	if !st.have[r.ServerIdx] {
-		st.arrays[r.ServerIdx] = r.Shares
-		st.have[r.ServerIdx] = true
+	if ok && st.k != k {
+		return nil, fmt.Errorf("%w: query %q: server %d announces %d cells, the round has %d", ErrBadSlots, r.QueryID, r.ServerIdx, k, st.k)
 	}
-	if st.have[0] && st.have[1] && st.results[0] == nil {
+	if !ok {
+		st = &state{kind: r.Kind, k: k}
+		e.pending[r.QueryID] = st
+	}
+	if st.slots[r.ServerIdx] == nil {
+		st.slots[r.ServerIdx] = r.Slots
+	}
+	if st.slots[0] != nil && st.slots[1] != nil && st.results[0] == nil {
 		start := time.Now()
 		if err := e.resolve(st); err != nil {
 			return nil, err
@@ -122,89 +140,97 @@ func (e *Engine) handleAnnounce(r protocol.AnnounceRequest) (any, error) {
 		mResolveSeconds.Observe(time.Since(start).Seconds())
 	}
 	have := 0
-	for _, h := range st.have {
-		if h {
+	for _, slots := range st.slots {
+		if slots != nil {
 			have++
 		}
 	}
 	return protocol.AnnounceReply{Have: have}, nil
 }
 
-// resolve adds the two share arrays (Equation 13), finds the requested
-// statistic (Equation 14) and builds per-server result shares.
+// resolve adds the two share matrices (Equation 13), finds the requested
+// statistic of every column (Equation 14) and builds per-server result
+// shares.
 func (e *Engine) resolve(st *state) error {
-	m := e.view.M
-	q := e.view.Q
-	vals := make([]*big.Int, m)
-	for i := 0; i < m; i++ {
-		v := new(big.Int).SetBytes(st.arrays[0][i])
-		v.Add(v, new(big.Int).SetBytes(st.arrays[1][i]))
-		v.Mod(v, q)
-		vals[i] = v
-	}
-
-	var resultVals []*big.Int
-	index := -1
-	switch st.kind {
-	case protocol.KindMax:
-		index = 0
-		for i := 1; i < m; i++ {
-			if vals[i].Cmp(vals[index]) > 0 {
-				index = i
-			}
-		}
-		resultVals = []*big.Int{vals[index]}
-	case protocol.KindMin:
-		index = 0
-		for i := 1; i < m; i++ {
-			if vals[i].Cmp(vals[index]) < 0 {
-				index = i
-			}
-		}
-		resultVals = []*big.Int{vals[index]}
-	case protocol.KindMedian:
-		sorted := make([]*big.Int, m)
-		copy(sorted, vals)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Cmp(sorted[b]) < 0 })
-		if m%2 == 1 {
-			resultVals = []*big.Int{sorted[m/2]}
-		} else {
-			resultVals = []*big.Int{sorted[m/2-1], sorted[m/2]}
-		}
-	default:
-		return fmt.Errorf("announcer: unknown kind %v", st.kind)
-	}
-
-	// Re-share each result value additively between the two servers.
+	m, q := e.view.M, e.view.Q
 	res0 := &protocol.AnnounceFetchReply{Ready: true}
 	res1 := &protocol.AnnounceFetchReply{Ready: true}
-	for _, v := range resultVals {
-		sh, err := share.BigSplit(v, q, 2)
-		if err != nil {
-			return fmt.Errorf("announcer: sharing result: %w", err)
+	all := make([][]*big.Int, st.k)
+	for c := range all {
+		vals := make([]*big.Int, m)
+		for i := range vals {
+			v := new(big.Int).SetBytes(st.slots[0][i][c])
+			v.Add(v, new(big.Int).SetBytes(st.slots[1][i][c]))
+			vals[i] = v.Mod(v, q)
 		}
-		res0.ValueShares = append(res0.ValueShares, sh[0].Bytes())
-		res1.ValueShares = append(res1.ValueShares, sh[1].Bytes())
-	}
-	if index >= 0 {
-		i0, i1, err := splitIndex(uint64(index), e.view.Delta)
-		if err != nil {
-			return err
+		all[c] = vals
+
+		var resultVals []*big.Int
+		switch st.kind {
+		case protocol.KindMax, protocol.KindMin:
+			index := extremeIndex(vals, st.kind == protocol.KindMax)
+			resultVals = []*big.Int{vals[index]}
+			i0, i1, err := splitIndex(uint64(index), e.view.Delta)
+			if err != nil {
+				return err
+			}
+			res0.IndexShares = append(res0.IndexShares, i0)
+			res1.IndexShares = append(res1.IndexShares, i1)
+		case protocol.KindMedian:
+			resultVals = middle(vals) // sorts the retained values; a median reduce pools them in any order
+		default:
+			return fmt.Errorf("announcer: unknown kind %v", st.kind)
 		}
-		res0.IndexShare, res0.HasIndex = i0, true
-		res1.IndexShare, res1.HasIndex = i1, true
+		// Re-share each result value additively between the two servers.
+		for _, v := range resultVals {
+			sh, err := share.BigSplit(v, q, 2)
+			if err != nil {
+				return fmt.Errorf("announcer: sharing result: %w", err)
+			}
+			res0.ValueShares = append(res0.ValueShares, sh[0].Bytes())
+			res1.ValueShares = append(res1.ValueShares, sh[1].Bytes())
+		}
 	}
 	st.results[0], st.results[1] = res0, res1
-	st.vals = vals
+	st.vals = all
 	return nil
 }
 
-// handleReduce folds the retained values of several resolved per-cell
+// beats reports whether a is strictly more extreme than b.
+func beats(a, b *big.Int, wantGreater bool) bool {
+	c := a.Cmp(b)
+	return c != 0 && (c > 0) == wantGreater
+}
+
+// extremeIndex returns the position of the largest (or smallest) value,
+// the first one on ties.
+func extremeIndex(vals []*big.Int, wantGreater bool) int {
+	index := 0
+	for i := 1; i < len(vals); i++ {
+		if beats(vals[i], vals[index], wantGreater) {
+			index = i
+		}
+	}
+	return index
+}
+
+// middle sorts pool in place and returns its median element, or the two
+// middle elements when the count is even.
+func middle(pool []*big.Int) []*big.Int {
+	sort.Slice(pool, func(a, b int) bool { return pool[a].Cmp(pool[b]) < 0 })
+	n := len(pool)
+	if n%2 == 1 {
+		return pool[n/2 : n/2+1]
+	}
+	return pool[n/2-1 : n/2+1]
+}
+
+// handleReduce folds the retained values of a query's resolved vector
 // rounds into one query-global outcome. The values it compares are the
-// same masked points it already announced per round (one F, shared
+// same masked points it already announced per cell (one F, shared
 // across groups, keeps them comparable), so nothing new leaks; the
 // winning value goes back to the querier, who unmasks it exactly as it
-// unmasks a per-round result.
+// unmasks a per-cell result.
 func (e *Engine) handleReduce(r protocol.ExtremeReduceRequest) (any, error) {
 	if len(r.SubQueryIDs) == 0 {
 		return nil, fmt.Errorf("announcer: reduce %q: no sub-queries", r.QueryID)
@@ -213,7 +239,7 @@ func (e *Engine) handleReduce(r protocol.ExtremeReduceRequest) (any, error) {
 	defer func() { mReduceSeconds.Observe(time.Since(start).Seconds()) }()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rounds := make([][]*big.Int, len(r.SubQueryIDs))
+	rounds := make([][][]*big.Int, len(r.SubQueryIDs))
 	for i, qid := range r.SubQueryIDs {
 		st, ok := e.pending[qid]
 		if !ok || st.vals == nil {
@@ -229,31 +255,26 @@ func (e *Engine) handleReduce(r protocol.ExtremeReduceRequest) (any, error) {
 	switch r.Kind {
 	case protocol.KindMax, protocol.KindMin:
 		wantGreater := r.Kind == protocol.KindMax
-		winner, best := -1, (*big.Int)(nil)
-		for i, vals := range rounds {
-			cand := vals[0]
-			for _, v := range vals[1:] {
-				if (v.Cmp(cand) > 0) == wantGreater && v.Cmp(cand) != 0 {
-					cand = v
+		var best *big.Int
+		for i, cells := range rounds {
+			for c, vals := range cells {
+				cand := vals[extremeIndex(vals, wantGreater)]
+				if best == nil || beats(cand, best, wantGreater) {
+					rep.WinnerSub, rep.WinnerCell, best = i, c, cand
 				}
-			}
-			if best == nil || ((cand.Cmp(best) > 0) == wantGreater && cand.Cmp(best) != 0) {
-				winner, best = i, cand
 			}
 		}
 		rep.Values = [][]byte{best.Bytes()}
-		rep.WinnerSub, rep.HasWinner = winner, true
+		rep.HasWinner = true
 	case protocol.KindMedian:
 		var pool []*big.Int
-		for _, vals := range rounds {
-			pool = append(pool, vals...)
+		for _, cells := range rounds {
+			for _, vals := range cells {
+				pool = append(pool, vals...)
+			}
 		}
-		sort.Slice(pool, func(a, b int) bool { return pool[a].Cmp(pool[b]) < 0 })
-		n := len(pool)
-		if n%2 == 1 {
-			rep.Values = [][]byte{pool[n/2].Bytes()}
-		} else {
-			rep.Values = [][]byte{pool[n/2-1].Bytes(), pool[n/2].Bytes()}
+		for _, v := range middle(pool) {
+			rep.Values = append(rep.Values, v.Bytes())
 		}
 	default:
 		return nil, fmt.Errorf("announcer: reduce %q: unknown kind %v", r.QueryID, r.Kind)

@@ -37,7 +37,6 @@ type SystemSpec struct {
 	ChunkCells   uint64 // share-store chunk size in cells (0 = default)
 	ShardCells   uint64 // shard size for O(b) exchanges (0 = monolithic)
 	EncodeWire   bool   // wire-frame round trip per call (frame-size measurement)
-	Trace        bool   // per-query phase timelines (telemetryoverhead)
 	AggCols      []string
 	Verify       bool
 	MaxValue     uint64
@@ -115,7 +114,6 @@ func Build(spec SystemSpec) (*prism.System, []*workload.OwnerData, prism.ShareGe
 		ChunkCells:  spec.ChunkCells,
 		ShardCells:  spec.ShardCells,
 		EncodeWire:  spec.EncodeWire,
-		Trace:       spec.Trace,
 
 		DeltaMaxEntries: spec.DeltaMax,
 		CompactInterval: spec.CompactEvery,

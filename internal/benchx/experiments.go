@@ -12,6 +12,7 @@ import (
 	"prism/internal/baseline"
 	"prism/internal/prg"
 	"prism/internal/report"
+	"prism/internal/telemetry"
 	"prism/internal/transport"
 	"prism/internal/workload"
 )
@@ -979,4 +980,26 @@ func GroupScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 			result)
 	}
 	return []*report.Table{tb}, nil
+}
+
+// cellsProcessed is the server engines' cells-processed counter; the
+// registry dedupes by name, so this is the same counter the engines
+// bump and benchx can read throughput deltas off it.
+var cellsProcessed = telemetry.NewCounter(telemetry.MetricCellsProcessed)
+
+// cellsRate formats a cells/sec figure from a counter delta over one
+// measured batch.
+func cellsRate(delta int64, wall time.Duration) string {
+	if delta <= 0 {
+		return "-"
+	}
+	r := float64(delta) / wall.Seconds()
+	switch {
+	case r >= 1e6:
+		return fmt.Sprintf("%.1fM", r/1e6)
+	case r >= 1e3:
+		return fmt.Sprintf("%.1fK", r/1e3)
+	default:
+		return fmt.Sprintf("%.0f", r)
+	}
 }

@@ -2,11 +2,14 @@ package ownerengine
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"prism/internal/params"
 	"prism/internal/prg"
 	"prism/internal/protocol"
+	"prism/internal/transport"
 )
 
 // shapeShifter returns malformed-but-typed replies to exercise the
@@ -94,13 +97,13 @@ func TestOwnerRejectsMalformedReplies(t *testing.T) {
 	if err := o.VerifyPSI(ctx, "t", &SetResult{fop: make([]uint64, 16)}); err == nil {
 		t.Error("short verify reply accepted")
 	}
-	if _, err := o.FetchClaims(ctx, "q", 0); err != nil {
-		// A 1-slot fpos for a 2-owner system: lengths agree between the
-		// two (identical stub) servers, so reconstruction proceeds and
-		// yields a 1-entry vector; the orchestrator's slot checks catch
-		// it. Either acceptance with short vector or an error is fine —
-		// just must not panic.
-		_ = err
+	// The stub answers every round with one value share and one fpos
+	// entry, whatever was asked.
+	if _, err := o.FetchClaims(ctx, "q", []uint64{1}); !errors.Is(err, ErrVerificationFailed) {
+		t.Errorf("1-entry fpos for a 2-owner round: err = %v, want ErrVerificationFailed", err)
+	}
+	if _, err := o.FetchExtreme(ctx, "q", protocol.KindMax, []uint64{1}); !errors.Is(err, ErrVerificationFailed) {
+		t.Errorf("extreme reply without index shares: err = %v, want ErrVerificationFailed", err)
 	}
 }
 
@@ -108,8 +111,122 @@ func TestOwnerRejectsMalformedReplies(t *testing.T) {
 // value reconstructs outside F's image with overwhelming probability.
 func TestExtremeFetchTamperedShareCaught(t *testing.T) {
 	o := shapeOwner(t, "")
-	_, err := o.FetchExtreme(context.Background(), "q", protocol.KindMax, 0)
-	if err == nil {
-		t.Error("tampered extreme value accepted")
+	_, err := o.FetchExtreme(context.Background(), "q", protocol.KindMedian, []uint64{1})
+	if !errors.Is(err, ErrVerificationFailed) {
+		t.Errorf("tampered extreme value: err = %v, want ErrVerificationFailed", err)
+	}
+}
+
+// TestVectorReplyShapesChecked runs an honest 3-cell max round and
+// rewrites one server's fetch and claim replies to every wrong shape: a
+// vector shorter or longer than the k submitted (so S0 and S1 disagree),
+// or both servers agreeing on a wrong k. Each is ErrVerificationFailed —
+// never a panic or an out-of-range index — and the honest replies still
+// decode afterwards.
+func TestVectorReplyShapesChecked(t *testing.T) {
+	r := newRig(t, 3, 32)
+	ctx := context.Background()
+	cells := []uint64{4, 9, 20}
+	for i, o := range r.owners {
+		if err := o.SubmitExtreme(ctx, "q", protocol.KindMax, cells, []uint64{uint64(10 + i), 7, uint64(30 - i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, o := range r.owners {
+		if err := o.SubmitClaim(ctx, "q", cells, []bool{i == 2, true, i == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		reshape func(reply any) any // nil → honest
+		both    bool                // reshape S0's replies as well as S1's
+	)
+	for phi := 0; phi < 2; phi++ {
+		inner := r.servers[phi]
+		r.network.Register(serverAddr(phi), transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+			reply, err := inner.Handle(ctx, req)
+			if err != nil || reshape == nil || (phi == 0 && !both) {
+				return reply, err
+			}
+			if out := reshape(reply); out != nil {
+				return out, nil
+			}
+			return reply, nil
+		}))
+	}
+	q := r.owners[1]
+	shapes := map[string]func(reply any) any{
+		"one value share short": func(reply any) any {
+			if rep, ok := reply.(protocol.ExtremeFetchReply); ok {
+				rep.ValueShares = rep.ValueShares[:2]
+				return rep
+			}
+			return nil
+		},
+		"one value share long": func(reply any) any {
+			if rep, ok := reply.(protocol.ExtremeFetchReply); ok {
+				rep.ValueShares = append(append([][]byte(nil), rep.ValueShares...), []byte{1})
+				return rep
+			}
+			return nil
+		},
+		"one index share short": func(reply any) any {
+			if rep, ok := reply.(protocol.ExtremeFetchReply); ok {
+				rep.IndexShares = rep.IndexShares[:2]
+				return rep
+			}
+			return nil
+		},
+		"no index shares": func(reply any) any {
+			if rep, ok := reply.(protocol.ExtremeFetchReply); ok {
+				rep.IndexShares = nil
+				return rep
+			}
+			return nil
+		},
+		"fpos one cell short": func(reply any) any {
+			if rep, ok := reply.(protocol.ClaimFetchReply); ok {
+				rep.Fpos = rep.Fpos[:len(rep.Fpos)-3]
+				return rep
+			}
+			return nil
+		},
+		"fpos one entry long": func(reply any) any {
+			if rep, ok := reply.(protocol.ClaimFetchReply); ok {
+				rep.Fpos = append(append([]uint16(nil), rep.Fpos...), 0)
+				return rep
+			}
+			return nil
+		},
+	}
+	for _, both = range []bool{false, true} {
+		for name, shape := range shapes {
+			reshape = shape
+			_, errF := q.FetchExtreme(ctx, "q", protocol.KindMax, cells)
+			_, errC := q.FetchClaims(ctx, "q", cells)
+			if bad := errors.Join(errF, errC); !errors.Is(bad, ErrVerificationFailed) {
+				t.Errorf("%s (both servers: %v): fetch err = %v, claims err = %v, want one ErrVerificationFailed", name, both, errF, errC)
+			}
+		}
+	}
+	reshape = nil
+	oc, err := q.FetchExtreme(ctx, "q", protocol.KindMax, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]uint64{{12}, {7}, {30}}; !reflect.DeepEqual(oc.Values, want) {
+		t.Errorf("honest max after hostile replies = %v, want %v", oc.Values, want)
+	}
+	claims, err := q.FetchClaims(ctx, "q", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]bool{{false, false, true}, {true, true, true}, {true, false, false}}; !reflect.DeepEqual(claims, want) {
+		t.Errorf("honest claims after hostile replies = %v, want %v", claims, want)
+	}
+	for c, slot := range oc.WinnerSlots {
+		if !claims[c][slot] {
+			t.Errorf("cell %d: announced winner %d does not claim", cells[c], slot)
+		}
 	}
 }

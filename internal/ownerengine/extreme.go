@@ -12,88 +12,101 @@ import (
 	"prism/internal/telemetry"
 )
 
-// LocalValue computes this owner's private per-cell statistic for an
-// exemplary aggregation (§6.3 Step 3): the owner's own maximum (for max),
-// minimum (for min), or total (for median — the paper's median example
-// first sums per owner) of column col restricted to tuples at cell.
-// ok is false when the owner has no tuple at the cell.
-func (o *engine) LocalValue(kind protocol.ExtremeKind, col string, cell uint64) (uint64, bool, error) {
+// The §6.3/§6.4 rounds are vector rounds: every method below handles all
+// k result cells of a query at once, so one query costs a constant
+// number of exchanges per server group however many cells intersect.
+// Vectors are parallel to the cells slice the caller passes.
+
+// LocalValues computes this owner's private per-cell statistic for an
+// exemplary aggregation (§6.3 Step 3) at every listed cell in one pass
+// over its tuples: the owner's own maximum (for max), minimum (for min),
+// or total (for median — the paper's median example first sums per
+// owner) of column col restricted to tuples at the cell. has[c] is false
+// when the owner has no tuple at cells[c].
+func (o *engine) LocalValues(kind protocol.ExtremeKind, col string, cells []uint64) (vals []uint64, has []bool, err error) {
 	o.mu.Lock()
 	d := o.data
 	o.mu.Unlock()
 	if d == nil {
-		return 0, false, errors.New("ownerengine: no data loaded")
+		return nil, nil, errors.New("ownerengine: no data loaded")
 	}
 	vs, okCol := d.Aggs[col]
 	if !okCol {
-		return 0, false, fmt.Errorf("ownerengine: data has no column %q", col)
+		return nil, nil, fmt.Errorf("ownerengine: data has no column %q", col)
 	}
-	var acc uint64
-	found := false
-	for i, c := range d.Cells {
-		if c != cell {
+	at := make(map[uint64]int, len(cells))
+	for c, cell := range cells {
+		at[cell] = c
+	}
+	vals, has = make([]uint64, len(cells)), make([]bool, len(cells))
+	for i, cell := range d.Cells {
+		c, ok := at[cell]
+		if !ok {
 			continue
 		}
 		v := vs[i]
 		switch {
-		case !found:
-			acc = v
-		case kind == protocol.KindMax && v > acc:
-			acc = v
-		case kind == protocol.KindMin && v < acc:
-			acc = v
+		case !has[c]:
+			vals[c] = v
+		case kind == protocol.KindMedian:
+			vals[c] += v
+		case kind == protocol.KindMax && v > vals[c], kind == protocol.KindMin && v < vals[c]:
+			vals[c] = v
 		}
-		if kind == protocol.KindMedian && found {
-			acc += v
-		}
-		found = true
+		has[c] = true
 	}
-	return acc, found, nil
+	return vals, has, nil
 }
 
-// SubmitExtreme masks this owner's local value with the order-preserving
-// polynomial (v = F(M) + r, r < F(M+1)−F(M)) and sends one additive big
-// share to each additive-share server (§6.3 Step 3).
-func (o *engine) SubmitExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, localValue uint64) error {
-	if localValue > o.view.MaxAgg {
-		return fmt.Errorf("ownerengine: value %d exceeds declared aggregation bound %d", localValue, o.view.MaxAgg)
-	}
-	o.mu.Lock()
-	v := o.view.Poly.Mask(o.rng, localValue)
-	o.mu.Unlock()
-	shares, err := share.BigSplit(v, o.view.Q, 2)
-	if err != nil {
-		return err
+// SubmitExtreme masks this owner's local values with the order-preserving
+// polynomial (v = F(M) + r, r < F(M+1)−F(M)) and sends one vector of
+// additive big shares to each additive-share server (§6.3 Step 3).
+func (o *engine) SubmitExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, locals []uint64) error {
+	shares := [2][][]byte{make([][]byte, len(locals)), make([][]byte, len(locals))}
+	for c, local := range locals {
+		if local > o.view.MaxAgg {
+			return fmt.Errorf("ownerengine: value %d exceeds declared aggregation bound %d", local, o.view.MaxAgg)
+		}
+		o.mu.Lock()
+		v := o.view.Poly.Mask(o.rng, local)
+		o.mu.Unlock()
+		sh, err := share.BigSplit(v, o.view.Q, 2)
+		if err != nil {
+			return err
+		}
+		shares[0][c], shares[1][c] = sh[0].Bytes(), sh[1].Bytes()
 	}
 	tid := telemetry.TraceID(ctx)
-	_, err = o.call2(ctx, func(phi int) any {
+	_, err := o.call2(ctx, func(phi int) any {
 		return protocol.ExtremeSubmitRequest{
 			QueryID: qid,
 			Kind:    kind,
 			Owner:   o.Index,
 			Group:   o.view.Group,
-			VShare:  shares[phi].Bytes(),
+			VShares: shares[phi],
 			TraceID: tid,
 		}
 	})
 	return err
 }
 
-// ExtremeOutcome is the reconstructed result of a max/min/median query.
+// ExtremeOutcome is the reconstructed result of a max/min/median round.
 type ExtremeOutcome struct {
-	// Values holds the recovered attribute value(s): one for max/min,
-	// one or two for median (two when the owner count is even).
-	Values []uint64
-	// WinnerSlot is the owner index holding the extreme value, recovered
-	// through the reverse slot permutation RPF (max/min only; -1 otherwise).
-	WinnerSlot int
-	Stats      QueryStats
+	// Values[c] holds cell c's recovered attribute value(s): one for
+	// max/min, one or two for median (two when the owner count is even).
+	Values [][]uint64
+	// WinnerSlots[c] is the owner index holding cell c's extreme value,
+	// recovered through the reverse slot permutation RPF (max/min only;
+	// nil for median).
+	WinnerSlots []int
+	Stats       QueryStats
 }
 
-// FetchExtreme retrieves the announcer's result shares from both servers,
-// reconstructs the masked value(s) mod Q, and binary-searches z with
-// F(z) ≤ v < F(z+1) (§6.3 Step 5a).
-func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind) (*ExtremeOutcome, error) {
+// FetchExtreme retrieves the announcer's result shares for a k-cell
+// round from both servers, reconstructs the masked values mod Q, and
+// binary-searches each z with F(z) ≤ v < F(z+1) (§6.3 Step 5a). A reply
+// that does not carry exactly the k cells submitted is a server fault.
+func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, k int) (*ExtremeOutcome, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	replies, err := o.call2(ctx, func(int) any {
@@ -102,7 +115,12 @@ func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.Ext
 	if err != nil {
 		return nil, err
 	}
-	reps := make([]protocol.ExtremeFetchReply, 2)
+	per, indexes := 1, k // value shares per cell, index shares per reply
+	if kind == protocol.KindMedian {
+		per, indexes = 2-o.view.M%2, 0
+	}
+	var reps [2]protocol.ExtremeFetchReply
+	out := &ExtremeOutcome{}
 	for phi, r := range replies {
 		rep, ok := r.(protocol.ExtremeFetchReply)
 		if !ok {
@@ -111,22 +129,20 @@ func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.Ext
 		if !rep.Ready {
 			return nil, fmt.Errorf("ownerengine: extreme query %q not ready", qid)
 		}
+		if len(rep.ValueShares) != k*per || len(rep.IndexShares) != indexes {
+			return nil, fmt.Errorf("%w: server %d answered %q with %d value and %d index shares, want %d and %d",
+				ErrVerificationFailed, phi, qid, len(rep.ValueShares), len(rep.IndexShares), k*per, indexes)
+		}
 		reps[phi] = rep
-	}
-	var spans []protocol.Span
-	for _, rep := range reps {
-		spans = append(spans, rep.Spans...)
-	}
-	if len(reps[0].ValueShares) != len(reps[1].ValueShares) {
-		return nil, fmt.Errorf("ownerengine: extreme share count mismatch")
+		out.Stats.Server.Spans = append(out.Stats.Server.Spans, rep.Spans...)
 	}
 
 	start := time.Now()
-	out := &ExtremeOutcome{WinnerSlot: -1}
-	for k := range reps[0].ValueShares {
+	out.Values = make([][]uint64, k)
+	for j := range reps[0].ValueShares {
 		v := share.BigReconstruct([]*big.Int{
-			new(big.Int).SetBytes(reps[0].ValueShares[k]),
-			new(big.Int).SetBytes(reps[1].ValueShares[k]),
+			new(big.Int).SetBytes(reps[0].ValueShares[j]),
+			new(big.Int).SetBytes(reps[1].ValueShares[j]),
 		}, o.view.Q)
 		z, err := o.view.Poly.SearchZ(v, o.view.MaxAgg)
 		if err != nil {
@@ -134,24 +150,24 @@ func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.Ext
 			// the image interval of F over the declared domain.
 			return nil, fmt.Errorf("%w: masked value not in F's image: %v", ErrVerificationFailed, err)
 		}
-		out.Values = append(out.Values, z)
+		out.Values[j/per] = append(out.Values[j/per], z)
 	}
-	if kind != protocol.KindMedian {
-		if !reps[0].HasIndex || !reps[1].HasIndex {
-			return nil, fmt.Errorf("ownerengine: missing winner index shares")
+	if indexes > 0 {
+		out.WinnerSlots = make([]int, k)
+		inv := o.view.PF.Inverse()
+		for c := range out.WinnerSlots {
+			idx := (uint64(reps[0].IndexShares[c]) + uint64(reps[1].IndexShares[c])) % o.view.Delta
+			if idx >= uint64(o.view.M) {
+				return nil, fmt.Errorf("%w: winner slot %d out of range", ErrVerificationFailed, idx)
+			}
+			// pos ← RPF(index): the servers permuted owner slots with PF, so
+			// the original slot is PF⁻¹(idx) (§6.3 Step 5a, Equation 16).
+			out.WinnerSlots[c] = inv.Image(int(idx))
 		}
-		idx := (uint64(reps[0].IndexShare) + uint64(reps[1].IndexShare)) % o.view.Delta
-		if idx >= uint64(o.view.M) {
-			return nil, fmt.Errorf("%w: winner slot %d out of range", ErrVerificationFailed, idx)
-		}
-		// pos ← RPF(index): the servers permuted owner slots with PF, so
-		// the original slot is PF⁻¹(idx) (§6.3 Step 5a, Equation 16).
-		out.WinnerSlot = o.view.PF.Inverse().Image(int(idx))
 	}
 	out.Stats.OwnerNS = time.Since(start).Nanoseconds()
 	out.Stats.WallNS = time.Since(wall).Nanoseconds()
 	out.Stats.Rounds = 1
-	out.Stats.Server.Spans = append(out.Stats.Server.Spans, spans...)
 	o.finishTrace(&out.Stats, tid, qid, wall)
 	return out, nil
 }
@@ -161,10 +177,7 @@ func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.Ext
 // verification): the announced max cannot be below this owner's own
 // value (resp. above, for min). Returns ErrVerificationFailed on
 // inconsistency.
-func (o *engine) CheckExtremeConsistency(kind protocol.ExtremeKind, announced uint64, localValue uint64, has bool) error {
-	if !has {
-		return nil
-	}
+func CheckExtremeConsistency(kind protocol.ExtremeKind, announced, localValue uint64) error {
 	switch kind {
 	case protocol.KindMax:
 		if localValue > announced {
@@ -178,33 +191,38 @@ func (o *engine) CheckExtremeConsistency(kind protocol.ExtremeKind, announced ui
 	return nil
 }
 
-// SubmitClaim sends additive shares of α_i = [M_i = z] to both servers
-// (§6.3 Step 5b). Owners without a value at the cell submit α = 0 so the
-// servers observe identical behaviour from every owner.
-func (o *engine) SubmitClaim(ctx context.Context, qid string, holdsExtreme bool) error {
-	var alpha uint64
-	if holdsExtreme {
-		alpha = 1
+// SubmitClaim sends additive shares of α_c = [M_c = z_c], one per cell,
+// to both servers (§6.3 Step 5b). Owners that do not hold a cell's
+// extreme submit α = 0 so the servers observe identical behaviour from
+// every owner.
+func (o *engine) SubmitClaim(ctx context.Context, qid string, holdsExtreme []bool) error {
+	alpha := make([]uint16, len(holdsExtreme))
+	for c, holds := range holdsExtreme {
+		if holds {
+			alpha[c] = 1
+		}
 	}
 	o.mu.Lock()
-	shares := share.AdditiveSplit(o.rng, alpha, o.view.Delta, 2)
+	shares := share.AdditiveSplitVector(o.rng, alpha, o.view.Delta, 2)
 	o.mu.Unlock()
 	_, err := o.call2(ctx, func(phi int) any {
-		return protocol.ClaimSubmitRequest{QueryID: qid, Owner: o.Index, Group: o.view.Group, Share: shares[phi]}
+		return protocol.ClaimSubmitRequest{QueryID: qid, Owner: o.Index, Group: o.view.Group, Shares: shares[phi]}
 	})
 	return err
 }
 
-// FetchClaims retrieves the fpos vectors from both servers and adds them
-// (§6.3 Step 7), yielding the 0/1 ownership vector over owner slots.
-func (o *engine) FetchClaims(ctx context.Context, qid string) ([]bool, error) {
+// FetchClaims retrieves the fpos matrices of a k-cell round from both
+// servers and adds them (§6.3 Step 7), yielding per cell the 0/1
+// ownership vector over owner slots: claims[c][i] says owner i holds
+// cell c's extreme.
+func (o *engine) FetchClaims(ctx context.Context, qid string, k int) ([][]bool, error) {
 	replies, err := o.call2(ctx, func(int) any {
 		return protocol.ClaimFetchRequest{QueryID: qid}
 	})
 	if err != nil {
 		return nil, err
 	}
-	reps := make([]protocol.ClaimFetchReply, 2)
+	var fpos [2][]uint16
 	for phi, r := range replies {
 		rep, ok := r.(protocol.ClaimFetchReply)
 		if !ok {
@@ -213,18 +231,22 @@ func (o *engine) FetchClaims(ctx context.Context, qid string) ([]bool, error) {
 		if !rep.Ready {
 			return nil, fmt.Errorf("ownerengine: claims for %q not ready", qid)
 		}
-		reps[phi] = rep
-	}
-	if len(reps[0].Fpos) != len(reps[1].Fpos) {
-		return nil, fmt.Errorf("ownerengine: fpos length mismatch")
-	}
-	out := make([]bool, len(reps[0].Fpos))
-	for i := range out {
-		v := (uint64(reps[0].Fpos[i]) + uint64(reps[1].Fpos[i])) % o.view.Delta
-		if v > 1 {
-			return nil, fmt.Errorf("%w: fpos[%d] = %d is not a bit", ErrVerificationFailed, i, v)
+		if len(rep.Fpos) != o.view.M*k {
+			return nil, fmt.Errorf("%w: server %d answered %q with %d fpos shares, want %d owners × %d cells",
+				ErrVerificationFailed, phi, qid, len(rep.Fpos), o.view.M, k)
 		}
-		out[i] = v == 1
+		fpos[phi] = rep.Fpos
+	}
+	out := make([][]bool, k)
+	for c := range out {
+		out[c] = make([]bool, o.view.M)
+		for i := range out[c] {
+			v := (uint64(fpos[0][i*k+c]) + uint64(fpos[1][i*k+c])) % o.view.Delta
+			if v > 1 {
+				return nil, fmt.Errorf("%w: fpos[%d] of cell %d = %d is not a bit", ErrVerificationFailed, i, c, v)
+			}
+			out[c][i] = v == 1
+		}
 	}
 	return out, nil
 }

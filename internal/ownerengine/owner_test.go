@@ -3,6 +3,7 @@ package ownerengine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"prism/internal/announcer"
@@ -16,6 +17,7 @@ import (
 // rig wires m owners against real server/announcer engines in-process.
 type rig struct {
 	owners  []*Owner
+	servers []*serverengine.Engine
 	network *transport.Network
 }
 
@@ -31,6 +33,7 @@ func newRig(t *testing.T, m int, b uint64) *rig {
 		t.Fatal(err)
 	}
 	n := transport.NewNetwork()
+	r := &rig{network: n}
 	addrs := make([]string, params.NumServers)
 	for phi := 0; phi < params.NumServers; phi++ {
 		view, err := sys.ForServer(phi)
@@ -42,9 +45,9 @@ func newRig(t *testing.T, m int, b uint64) *rig {
 		})
 		addrs[phi] = serverAddr(phi)
 		n.Register(addrs[phi], eng)
+		r.servers = append(r.servers, eng)
 	}
 	n.Register("announcer", announcer.New(sys.ForAnnouncer()))
-	r := &rig{network: n}
 	for i := 0; i < m; i++ {
 		o, err := New(i, sys.ForOwner(), n, addrs, prg.SeedFromString("owner-seed"))
 		if err != nil {
@@ -95,45 +98,60 @@ func TestOutsourceUnknownColumn(t *testing.T) {
 	}
 }
 
-func TestLocalValueKinds(t *testing.T) {
+func TestLocalValuesKinds(t *testing.T) {
 	r := newRig(t, 2, 8)
 	o := r.owners[0]
 	if err := o.Load(&Data{
-		Cells: []uint64{3, 3, 3, 5},
-		Aggs:  map[string][]uint64{"v": {10, 30, 20, 99}},
+		Cells: []uint64{3, 5, 3, 3, 5},
+		Aggs:  map[string][]uint64{"v": {10, 99, 30, 20, 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// One pass answers every listed cell, in the order listed; cell 7
+	// holds no tuple.
+	cells := []uint64{3, 5, 7}
 	cases := []struct {
 		kind protocol.ExtremeKind
-		want uint64
+		want []uint64
 	}{
-		{protocol.KindMax, 30},
-		{protocol.KindMin, 10},
-		{protocol.KindMedian, 60}, // per-owner total at the cell
+		{protocol.KindMax, []uint64{30, 99, 0}},
+		{protocol.KindMin, []uint64{10, 1, 0}},
+		{protocol.KindMedian, []uint64{60, 100, 0}}, // per-owner total at the cell
 	}
 	for _, c := range cases {
-		got, has, err := o.LocalValue(c.kind, "v", 3)
-		if err != nil || !has {
-			t.Fatalf("%v: %v, has=%v", c.kind, err, has)
+		got, has, err := o.LocalValues(c.kind, "v", cells)
+		if err != nil {
+			t.Fatalf("%v: %v", c.kind, err)
 		}
-		if got != c.want {
-			t.Errorf("%v = %d, want %d", c.kind, got, c.want)
+		if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(has, []bool{true, true, false}) {
+			t.Errorf("%v = %v (has %v), want %v", c.kind, got, has, c.want)
 		}
 	}
-	if _, has, err := o.LocalValue(protocol.KindMax, "v", 7); err != nil || has {
-		t.Errorf("empty cell: has=%v err=%v", has, err)
+	if got, has, err := o.LocalValues(protocol.KindMax, "v", nil); err != nil || len(got) != 0 || len(has) != 0 {
+		t.Errorf("no cells: %v %v %v", got, has, err)
 	}
-	if _, _, err := o.LocalValue(protocol.KindMax, "ghost", 3); err == nil {
+	if _, _, err := o.LocalValues(protocol.KindMax, "ghost", cells); err == nil {
 		t.Error("unknown column accepted")
+	}
+	if _, _, err := o.LocalValues(protocol.KindMax, "v", []uint64{8}); err == nil {
+		t.Error("cell outside the domain accepted")
 	}
 }
 
-func TestSubmitExtremeRejectsOverBound(t *testing.T) {
+func TestSubmitExtremeRejectsBadVectors(t *testing.T) {
 	r := newRig(t, 2, 8)
-	err := r.owners[0].SubmitExtreme(context.Background(), "q", protocol.KindMax, 0, 1<<40)
-	if err == nil {
+	ctx := context.Background()
+	if err := r.owners[0].SubmitExtreme(ctx, "q", protocol.KindMax, []uint64{0, 1}, []uint64{5, 1 << 40}); err == nil {
 		t.Error("value over MaxAgg accepted")
+	}
+	if err := r.owners[0].SubmitExtreme(ctx, "q", protocol.KindMax, []uint64{0, 1}, []uint64{5}); err == nil {
+		t.Error("fewer values than cells accepted")
+	}
+	if err := r.owners[0].SubmitClaim(ctx, "q", []uint64{0, 1}, []bool{true}); err == nil {
+		t.Error("fewer claims than cells accepted")
+	}
+	if n := r.servers[0].Sessions(); n != 0 {
+		t.Errorf("rejected submits reached the servers: %d sessions", n)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // splits loaded tuples and query scopes by owning group, fans the
 // per-group exchanges out concurrently, and merges the results back
 // into the global domain — set results concatenate (group slices are
-// contiguous and ascending), counts and aggregates sum, and extreme
-// rounds route whole to the single group owning the queried cell.
+// contiguous and ascending), counts and aggregates sum, and an extreme
+// query runs one vector round per group owning result cells.
 //
 // A single-group Owner (New) delegates everything to its one engine
 // unchanged, including the historical PRG stream labels, so existing
@@ -512,63 +512,134 @@ func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (Up
 	return total, err
 }
 
-// LocalValue computes this owner's private per-cell statistic, routed
-// to the group owning the cell.
-func (o *Owner) LocalValue(kind protocol.ExtremeKind, col string, cell uint64) (uint64, bool, error) {
-	g, err := o.groupOf(cell)
-	if err != nil {
-		return 0, false, err
+// ExtremeRound is one group's share of an extreme query: the vector
+// round that carries every result cell the group owns.
+type ExtremeRound struct {
+	Group int
+	// QueryID names the round's session on the group's servers and on
+	// the announcer: the query's id, group-tagged so the announcer can
+	// tell a query's rounds apart.
+	QueryID string
+	// Lo and Hi bound the round's cells within the query's cell list:
+	// cells[Lo:Hi], which ascending cells make one contiguous run.
+	Lo, Hi int
+}
+
+// ExtremeRounds splits an extreme query's result cells — ascending, as
+// PSI returns them — by owning group: one vector round per group that
+// owns at least one cell, in group order. The placement is deployment-
+// wide, so every owner derives the same rounds.
+func (o *Owner) ExtremeRounds(qid string, cells []uint64) ([]ExtremeRound, error) {
+	var rounds []ExtremeRound
+	lo := 0
+	for g, e := range o.groups {
+		hi := lo
+		for hi < len(cells) && cells[hi] >= o.starts[g] && cells[hi]-o.starts[g] < e.view.B {
+			hi++
+		}
+		if hi > lo {
+			rounds = append(rounds, ExtremeRound{Group: g, QueryID: fmt.Sprintf("%s/g%d", qid, g), Lo: lo, Hi: hi})
+		}
+		lo = hi
 	}
-	return o.groups[g].LocalValue(kind, col, cell-o.starts[g])
-}
-
-// SubmitExtreme masks and submits this owner's local value for the
-// extreme round at cell; the round runs entirely within the group
-// owning the cell.
-func (o *Owner) SubmitExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, cell uint64, localValue uint64) error {
-	g, err := o.groupOf(cell)
-	if err != nil {
-		return err
+	if lo < len(cells) {
+		return nil, fmt.Errorf("ownerengine: extreme cell %d out of order or outside the domain of %d cells", cells[lo], o.b)
 	}
-	return o.groupErr(g, o.groups[g].SubmitExtreme(ctx, qid, kind, localValue))
+	return rounds, nil
 }
 
-// FetchExtreme retrieves and unmasks the announcer's per-round result
-// through the group owning the cell.
-func (o *Owner) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, cell uint64) (*ExtremeOutcome, error) {
-	g, err := o.groupOf(cell)
-	if err != nil {
-		return nil, err
-	}
-	out, err := o.groups[g].FetchExtreme(ctx, qid, kind)
-	return out, o.groupErr(g, err)
-}
-
-// CheckExtremeConsistency is the owner's local sanity check of an
-// announced extreme (pure local math; no routing involved).
-func (o *Owner) CheckExtremeConsistency(kind protocol.ExtremeKind, announced uint64, localValue uint64, has bool) error {
-	return o.groups[0].CheckExtremeConsistency(kind, announced, localValue, has)
-}
-
-// SubmitClaim submits this owner's claim share for the extreme round at
-// cell, routed to the group owning the cell.
-func (o *Owner) SubmitClaim(ctx context.Context, qid string, cell uint64, holdsExtreme bool) error {
-	g, err := o.groupOf(cell)
+// eachRound runs fn for every vector round of the query concurrently.
+func (o *Owner) eachRound(op, qid string, cells []uint64, fn func(r ExtremeRound, e *engine) error) error {
+	rounds, err := o.ExtremeRounds(qid, cells)
 	if err != nil {
 		return err
 	}
-	return o.groupErr(g, o.groups[g].SubmitClaim(ctx, qid, holdsExtreme))
+	sel := make([]int, len(rounds))
+	byGroup := make([]ExtremeRound, len(o.groups))
+	for i, r := range rounds {
+		sel[i], byGroup[r.Group] = r.Group, r
+	}
+	return o.eachGroup(op, sel, func(g int) error { return fn(byGroup[g], o.groups[g]) })
 }
 
-// FetchClaims retrieves the ownership vector for the extreme round at
-// cell, routed to the group owning the cell.
-func (o *Owner) FetchClaims(ctx context.Context, qid string, cell uint64) ([]bool, error) {
-	g, err := o.groupOf(cell)
+// LocalValues computes this owner's private statistic at every listed
+// cell (see engine.LocalValues), each group's engine scanning its own
+// slice of the tuples once.
+func (o *Owner) LocalValues(kind protocol.ExtremeKind, col string, cells []uint64) ([]uint64, []bool, error) {
+	rounds, err := o.ExtremeRounds("", cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals, has := make([]uint64, 0, len(cells)), make([]bool, 0, len(cells))
+	for _, r := range rounds {
+		local := make([]uint64, r.Hi-r.Lo)
+		for c := range local {
+			local[c] = cells[r.Lo+c] - o.starts[r.Group]
+		}
+		v, h, err := o.groups[r.Group].LocalValues(kind, col, local)
+		if err != nil {
+			return nil, nil, o.groupErr(r.Group, err)
+		}
+		vals, has = append(vals, v...), append(has, h...)
+	}
+	return vals, has, nil
+}
+
+// SubmitExtreme masks and submits this owner's local values (parallel to
+// cells) for the query's extreme rounds, one vector per group owning
+// cells, the groups concurrently.
+func (o *Owner) SubmitExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, cells, locals []uint64) error {
+	if len(locals) != len(cells) {
+		return fmt.Errorf("ownerengine: %d local values for %d cells", len(locals), len(cells))
+	}
+	return o.eachRound("extremesubmit", qid, cells, func(r ExtremeRound, e *engine) error {
+		return e.SubmitExtreme(ctx, r.QueryID, kind, locals[r.Lo:r.Hi])
+	})
+}
+
+// FetchExtreme retrieves and unmasks the announcer's results of the
+// query's rounds; the outcome's vectors are parallel to cells.
+func (o *Owner) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, cells []uint64) (*ExtremeOutcome, error) {
+	subs := make([]*ExtremeOutcome, len(o.groups))
+	err := o.eachRound("extremefetch", qid, cells, func(r ExtremeRound, e *engine) (err error) {
+		subs[r.Group], err = e.FetchExtreme(ctx, r.QueryID, kind, r.Hi-r.Lo)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := o.groups[g].FetchClaims(ctx, qid)
-	return out, o.groupErr(g, err)
+	out := &ExtremeOutcome{}
+	for _, sub := range subs { // group order is cell order
+		if sub != nil {
+			out.Values = append(out.Values, sub.Values...)
+			out.WinnerSlots = append(out.WinnerSlots, sub.WinnerSlots...)
+			mergeQueryStats(&out.Stats, sub.Stats)
+		}
+	}
+	return out, nil
+}
+
+// SubmitClaim submits this owner's claim shares (holdsExtreme parallel
+// to cells) for the query's rounds.
+func (o *Owner) SubmitClaim(ctx context.Context, qid string, cells []uint64, holdsExtreme []bool) error {
+	if len(holdsExtreme) != len(cells) {
+		return fmt.Errorf("ownerengine: %d claims for %d cells", len(holdsExtreme), len(cells))
+	}
+	return o.eachRound("claimsubmit", qid, cells, func(r ExtremeRound, e *engine) error {
+		return e.SubmitClaim(ctx, r.QueryID, holdsExtreme[r.Lo:r.Hi])
+	})
+}
+
+// FetchClaims retrieves the ownership vectors of the query's rounds:
+// claims[c][i] says owner i holds the extreme at cells[c].
+func (o *Owner) FetchClaims(ctx context.Context, qid string, cells []uint64) ([][]bool, error) {
+	out := make([][]bool, len(cells))
+	err := o.eachRound("claimfetch", qid, cells, func(r ExtremeRound, e *engine) error {
+		sub, err := e.FetchClaims(ctx, r.QueryID, r.Hi-r.Lo)
+		copy(out[r.Lo:], sub)
+		return err
+	})
+	return out, err
 }
 
 // DecodeReducedExtreme unmasks the masked values of a cross-group

@@ -35,9 +35,9 @@ type shardPlan struct {
 }
 
 // plan splits [0, b) into shard windows. With sharding off it returns a
-// single whole-domain range with wire=false, so requests carry a zero
-// Shard field — which gob omits, preserving the pre-sharding message
-// payloads and one-frame-per-exchange behaviour.
+// single whole-domain range with wire=false: requests then carry the
+// zero Shard, which a server reads as "the whole table in one frame"
+// (Engine.window), so each exchange stays one frame.
 func (o *engine) plan(b uint64) shardPlan {
 	s := o.shardCells.Load()
 	if s == 0 || b == 0 {

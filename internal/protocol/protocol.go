@@ -324,15 +324,22 @@ func (k ExtremeKind) String() string {
 	return "unknown"
 }
 
-// ExtremeSubmitRequest carries owner i's additive share of v_i = F(M_i)+r_i
-// to one server (§6.3 Step 3).
+// The §6.3/§6.4 rounds are vector rounds: one exchange carries every
+// result cell a group owns, k ≥ 1 of them in the query's (ascending)
+// cell order, so the number of owner↔server and server↔announcer
+// messages of a query depends on the number of groups, never on k. The
+// first submit of a query id fixes k for that session; every later
+// vector of the session must have the same length.
+
+// ExtremeSubmitRequest carries owner i's additive shares of
+// v_c = F(M_c)+r_c, one per result cell c, to one server (§6.3 Step 3).
 type ExtremeSubmitRequest struct {
 	QueryID string
 	TraceID string // non-empty → trace the announcer round
 	Kind    ExtremeKind
 	Owner   int
-	Group   int    // target server group
-	VShare  []byte // big.Int bytes, value in [0, Q)
+	Group   int      // target server group
+	VShares [][]byte // k big.Int byte strings, each a value in [0, Q)
 }
 
 // ExtremeSubmitReply reports whether the server has forwarded to S_a.
@@ -345,59 +352,64 @@ type ExtremeFetchRequest struct {
 }
 
 // ExtremeFetchReply carries this server's additive shares of the result
-// value(s) and, for max/min, of the winning (PF-permuted) slot index.
+// value(s) of every cell and, for max/min, of each cell's winning
+// (PF-permuted) slot index.
 type ExtremeFetchReply struct {
-	Ready       bool
-	ValueShares [][]byte // 1 value for max/min; 1 or 2 for median
-	IndexShare  uint16   // share of index mod δ
-	HasIndex    bool
-	Spans       []Span // traced polls: the server's announcer-round wait
+	Ready bool
+	// ValueShares holds k shares for max/min and odd-M median; for
+	// even-M median 2k, cell c's two middle values at 2c and 2c+1.
+	ValueShares [][]byte
+	IndexShares []uint16 // k shares of index mod δ (max/min); empty for median
+	Spans       []Span   // traced polls: the server's announcer-round wait
 }
 
-// AnnounceRequest is server φ → announcer: the PF-permuted slot array of
-// big shares (§6.3 Step 4).
+// AnnounceRequest is server φ → announcer: the PF-permuted M×k slot
+// matrix of big shares, Slots[s][c] being slot s's share for cell c
+// (§6.3 Step 4, once per cell).
 type AnnounceRequest struct {
 	QueryID   string
 	Kind      ExtremeKind
 	ServerIdx int
-	Shares    [][]byte
+	Slots     [][][]byte
 }
 
 // AnnounceReply acknowledges receipt.
 type AnnounceReply struct{ Have int }
 
 // AnnounceFetchRequest is server φ → announcer, polling for its result
-// shares once both slot arrays arrived.
+// shares once both slot matrices arrived.
 type AnnounceFetchRequest struct {
 	QueryID   string
 	ServerIdx int
 }
 
-// AnnounceFetchReply carries server φ's additive shares of the result.
+// AnnounceFetchReply carries server φ's additive shares of the result,
+// laid out as in ExtremeFetchReply.
 type AnnounceFetchReply struct {
 	Ready       bool
 	ValueShares [][]byte
-	IndexShare  uint16
-	HasIndex    bool
+	IndexShares []uint16
 }
 
 // ---- Max identity round (paper §6.3 Steps 5b-7) ----
 
-// ClaimSubmitRequest carries owner i's additive share of α_i = [M_i = z].
+// ClaimSubmitRequest carries owner i's additive shares of
+// α_c = [M_c = z_c], one per result cell.
 type ClaimSubmitRequest struct {
 	QueryID string
 	Owner   int
 	Group   int // target server group
-	Share   uint16
+	Shares  []uint16
 }
 
 // ClaimSubmitReply acknowledges.
 type ClaimSubmitReply struct{}
 
-// ClaimFetchRequest polls for the assembled fpos vector.
+// ClaimFetchRequest polls for the assembled fpos matrix.
 type ClaimFetchRequest struct{ QueryID string }
 
-// ClaimFetchReply carries fpos^φ (§6.3 Step 6).
+// ClaimFetchReply carries fpos^φ (§6.3 Step 6) for every cell: the M×k
+// matrix in owner-major order, owner i's share for cell c at i·k+c.
 type ClaimFetchReply struct {
 	Ready bool
 	Fpos  []uint16
@@ -459,15 +471,15 @@ type PlacementReply struct {
 // ---- cross-group extreme reduce (multi-group max/min/median) ----
 
 // ExtremeReduceRequest is querier → announcer: reduce the retained
-// resolved values of several per-cell extreme rounds (SubQueryIDs, in
-// submission order) to one query-global outcome. Per-cell rounds run
-// entirely inside the cell's owning group; this final round is the only
-// cross-group step, and it reuses what the announcer already saw — the
-// masked values F(M)+r it reconstructed per round — so it reveals
+// resolved values of a query's vector rounds (SubQueryIDs, one per group
+// that owns result cells, in group order) to one query-global outcome.
+// A vector round runs entirely inside its group; this final round is the
+// only cross-group step, and it reuses what the announcer already saw —
+// the masked values F(M)+r it reconstructed per round — so it reveals
 // nothing beyond the per-round announcements. For max/min the reply
-// names the winning round (WinnerSub indexes SubQueryIDs) and its
-// masked value; for median the announcer pools every round's values and
-// returns the middle one or two.
+// names the winning round and the winning cell within it, with its
+// masked value; for median the announcer pools every cell's values of
+// every round and returns the middle one or two.
 type ExtremeReduceRequest struct {
 	QueryID     string
 	TraceID     string // non-empty → annotate the reply with Spans
@@ -478,10 +490,11 @@ type ExtremeReduceRequest struct {
 // ExtremeReduceReply carries the reduced outcome. Values are masked
 // big.Int bytes in [0, Q): one for max/min, one or two for median.
 type ExtremeReduceReply struct {
-	Values    [][]byte
-	WinnerSub int    // index into SubQueryIDs (max/min)
-	HasWinner bool   // false for median
-	Spans     []Span // traced reduces: the announcer's cross-group round
+	Values     [][]byte
+	WinnerSub  int    // index into SubQueryIDs (max/min)
+	WinnerCell int    // cell index within the winning round's vector (max/min)
+	HasWinner  bool   // false for median
+	Spans      []Span // traced reduces: the announcer's cross-group round
 }
 
 // ---- query lifecycle ----

@@ -54,15 +54,15 @@ func TestEveryMessageGobRoundTrips(t *testing.T) {
 			Z: []uint64{1}, VZ: []uint64{2}},
 		AggReply{Sums: map[string][]uint64{"a": {7}}, Counts: []uint64{1},
 			VSums: map[string][]uint64{"a": {7}}, VCounts: []uint64{1}},
-		ExtremeSubmitRequest{QueryID: "q", Kind: KindMedian, Owner: 1, VShare: []byte{1, 2}},
+		ExtremeSubmitRequest{QueryID: "q", Kind: KindMedian, Owner: 1, VShares: [][]byte{{1, 2}, {3}}},
 		ExtremeSubmitReply{Forwarded: true},
 		ExtremeFetchRequest{QueryID: "q"},
-		ExtremeFetchReply{Ready: true, ValueShares: [][]byte{{3}}, IndexShare: 7, HasIndex: true},
-		AnnounceRequest{QueryID: "q", Kind: KindMax, ServerIdx: 1, Shares: [][]byte{{1}, {2}}},
+		ExtremeFetchReply{Ready: true, ValueShares: [][]byte{{3}, {4}}, IndexShares: []uint16{7, 8}},
+		AnnounceRequest{QueryID: "q", Kind: KindMax, ServerIdx: 1, Slots: [][][]byte{{{1}, {2}}, {{3}, {4}}}},
 		AnnounceReply{Have: 2},
 		AnnounceFetchRequest{QueryID: "q", ServerIdx: 0},
-		AnnounceFetchReply{Ready: true, ValueShares: [][]byte{{9}}},
-		ClaimSubmitRequest{QueryID: "q", Owner: 0, Share: 5},
+		AnnounceFetchReply{Ready: true, ValueShares: [][]byte{{9}}, IndexShares: []uint16{2}},
+		ClaimSubmitRequest{QueryID: "q", Owner: 0, Shares: []uint16{5, 6}},
 		ClaimSubmitReply{},
 		ClaimFetchRequest{QueryID: "q"},
 		ClaimFetchReply{Ready: true, Fpos: []uint16{0, 1}},

@@ -136,7 +136,7 @@ func TestExtremeSessionLifecycle(t *testing.T) {
 					QueryID: fmt.Sprintf("ext-%d", q),
 					Kind:    protocol.KindMax,
 					Owner:   owner,
-					VShare:  []byte{byte(q), byte(owner)},
+					VShares: [][]byte{{byte(q), byte(owner)}},
 				})
 				if err != nil {
 					t.Error(err)

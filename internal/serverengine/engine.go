@@ -28,6 +28,7 @@ package serverengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -218,21 +219,29 @@ type tableView struct {
 // concurrent queries neither contend nor interfere; QueryDone retires
 // the session.
 type querySession struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// k is the number of result cells the query's vector rounds carry,
+	// fixed by the first submit; every later vector must match it.
+	k     int
 	ext   *extremeState
 	claim *claimState
 }
 
+// ErrBadVector rejects an extreme or claim submit whose share vector the
+// query's session cannot take: empty, longer than the domain, or not the
+// length the query's first submit fixed.
+var ErrBadVector = errors.New("serverengine: bad share vector length")
+
 type extremeState struct {
 	kind      protocol.ExtremeKind
-	shares    [][]byte
+	shares    [][][]byte // per owner: k big shares
 	got       int
 	forwarded bool
 	result    *protocol.AnnounceFetchReply
 }
 
 type claimState struct {
-	fpos []uint16
+	fpos []uint16 // M×k, owner-major
 	got  map[int]bool
 }
 
@@ -305,13 +314,14 @@ func (e *Engine) SetThreads(n int) {
 	}
 }
 
-// session returns (creating if needed) the state bundle for a query id.
-func (e *Engine) session(qid string) *querySession {
+// session returns the state bundle for a query id, creating it for
+// k-cell vector rounds if needed.
+func (e *Engine) session(qid string, k int) *querySession {
 	e.sessMu.Lock()
 	defer e.sessMu.Unlock()
 	s, ok := e.sessions[qid]
 	if !ok {
-		s = &querySession{}
+		s = &querySession{k: k}
 		e.sessions[qid] = s
 	}
 	return s
@@ -732,18 +742,38 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 
 // ---- max/min/median transport (§6.3 Step 4) ----
 
-func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubmitRequest) (any, error) {
-	defer e.observeRPC("extremesubmit")()
+// vectorSession returns the session a submit of owner's k-vector joins,
+// locked, creating it when the submit opens the query. A vector the
+// session cannot take — empty, longer than the domain, or not the k the
+// query's first submit fixed — is rejected with the session untouched
+// (and not created).
+func (e *Engine) vectorSession(qid string, owner, k int) (*querySession, error) {
 	if e.view.Index >= 2 {
 		return nil, fmt.Errorf("server %d: not an additive-share server", e.view.Index)
 	}
-	if r.Owner < 0 || r.Owner >= e.view.M {
-		return nil, fmt.Errorf("server %d: owner %d out of range", e.view.Index, r.Owner)
+	if owner < 0 || owner >= e.view.M {
+		return nil, fmt.Errorf("server %d: owner %d out of range", e.view.Index, owner)
 	}
-	sess := e.session(r.QueryID)
+	if k == 0 || uint64(k) > e.view.B {
+		return nil, fmt.Errorf("%w: server %d: query %q: %d cells, domain has %d", ErrBadVector, e.view.Index, qid, k, e.view.B)
+	}
+	sess := e.session(qid, k)
 	sess.mu.Lock()
+	if sess.k != k {
+		sess.mu.Unlock()
+		return nil, fmt.Errorf("%w: server %d: query %q: owner %d sent %d cells, the query has %d", ErrBadVector, e.view.Index, qid, owner, k, sess.k)
+	}
+	return sess, nil
+}
+
+func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubmitRequest) (any, error) {
+	defer e.observeRPC("extremesubmit")()
+	sess, err := e.vectorSession(r.QueryID, r.Owner, len(r.VShares))
+	if err != nil {
+		return nil, err
+	}
 	if sess.ext == nil {
-		sess.ext = &extremeState{kind: r.Kind, shares: make([][]byte, e.view.M)}
+		sess.ext = &extremeState{kind: r.Kind, shares: make([][][]byte, e.view.M)}
 	}
 	st := sess.ext
 	if st.kind != r.Kind {
@@ -751,20 +781,18 @@ func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubm
 		return nil, fmt.Errorf("server %d: query %q kind mismatch", e.view.Index, r.QueryID)
 	}
 	if st.shares[r.Owner] == nil {
-		st.shares[r.Owner] = r.VShare
+		st.shares[r.Owner] = r.VShares
 		st.got++
 	}
 	complete := st.got == e.view.M && !st.forwarded
+	var permuted [][][]byte
 	if complete {
 		st.forwarded = true
-	}
-	kind := st.kind
-	var permuted [][]byte
-	if complete {
-		// input[i] ← A(v)_i ; output ← PF(input)  (§6.3 Step 4)
-		permuted = make([][]byte, e.view.M)
-		for i, s := range st.shares {
-			permuted[e.view.PF.Image(i)] = s
+		// input[i] ← A(v)_i ; output ← PF(input)  (§6.3 Step 4): the
+		// owners' rows move whole, so every cell sees the same PF.
+		permuted = make([][][]byte, e.view.M)
+		for i, row := range st.shares {
+			permuted[e.view.PF.Image(i)] = row
 		}
 	}
 	sess.mu.Unlock()
@@ -775,9 +803,9 @@ func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubm
 		}
 		_, err := e.opts.Caller.Call(ctx, e.opts.AnnouncerAddr, protocol.AnnounceRequest{
 			QueryID:   r.QueryID,
-			Kind:      kind,
+			Kind:      r.Kind,
 			ServerIdx: e.view.Index,
-			Shares:    permuted,
+			Slots:     permuted,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server %d: forwarding to announcer: %w", e.view.Index, err)
@@ -828,8 +856,7 @@ func (e *Engine) handleExtremeFetch(ctx context.Context, r protocol.ExtremeFetch
 	return protocol.ExtremeFetchReply{
 		Ready:       true,
 		ValueShares: res.ValueShares,
-		IndexShare:  res.IndexShare,
-		HasIndex:    res.HasIndex,
+		IndexShares: res.IndexShares,
 		Spans:       spans,
 	}, nil
 }
@@ -838,21 +865,17 @@ func (e *Engine) handleExtremeFetch(ctx context.Context, r protocol.ExtremeFetch
 
 func (e *Engine) handleClaimSubmit(r protocol.ClaimSubmitRequest) (any, error) {
 	defer e.observeRPC("claimsubmit")()
-	if e.view.Index >= 2 {
-		return nil, fmt.Errorf("server %d: not an additive-share server", e.view.Index)
+	sess, err := e.vectorSession(r.QueryID, r.Owner, len(r.Shares))
+	if err != nil {
+		return nil, err
 	}
-	if r.Owner < 0 || r.Owner >= e.view.M {
-		return nil, fmt.Errorf("server %d: owner %d out of range", e.view.Index, r.Owner)
-	}
-	sess := e.session(r.QueryID)
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.claim == nil {
-		sess.claim = &claimState{fpos: make([]uint16, e.view.M), got: make(map[int]bool)}
+		sess.claim = &claimState{fpos: make([]uint16, e.view.M*sess.k), got: make(map[int]bool)}
 	}
 	st := sess.claim
 	if !st.got[r.Owner] {
-		st.fpos[r.Owner] = r.Share // fpos[i] ← A(α)_i (§6.3 Step 6)
+		copy(st.fpos[r.Owner*sess.k:], r.Shares) // fpos[i] ← A(α)_i (§6.3 Step 6), per cell
 		st.got[r.Owner] = true
 	}
 	return protocol.ClaimSubmitReply{}, nil
@@ -870,7 +893,6 @@ func (e *Engine) handleClaimFetch(r protocol.ClaimFetchRequest) (any, error) {
 	if st == nil || len(st.got) < e.view.M {
 		return protocol.ClaimFetchReply{Ready: false}, nil
 	}
-	fpos := make([]uint16, len(st.fpos))
-	copy(fpos, st.fpos)
-	return protocol.ClaimFetchReply{Ready: true, Fpos: fpos}, nil
+	// Complete: no submit writes fpos any more, so the reply can share it.
+	return protocol.ClaimFetchReply{Ready: true, Fpos: st.fpos}, nil
 }

@@ -2,6 +2,8 @@ package serverengine
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"prism/internal/field"
@@ -301,11 +303,13 @@ func TestExtremeSlotPermutation(t *testing.T) {
 	view := fullView(t, 0, 2, 16)
 	e := New(view, Options{AnnouncerAddr: "announcer", Caller: stub})
 	ctx := context.Background()
-	// Submit distinct shares for the 2 owners.
+	// Submit distinct 3-cell share vectors for the 2 owners.
+	row := func(owner int) [][]byte {
+		return [][]byte{{byte(owner + 1), 0}, {byte(owner + 1), 1}, {byte(owner + 1), 2}}
+	}
 	for owner := 0; owner < 2; owner++ {
 		_, err := e.Handle(ctx, protocol.ExtremeSubmitRequest{
-			QueryID: "q", Kind: protocol.KindMax, Owner: owner,
-			VShare: []byte{byte(owner + 1)},
+			QueryID: "q", Kind: protocol.KindMax, Owner: owner, VShares: row(owner),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -314,17 +318,17 @@ func TestExtremeSlotPermutation(t *testing.T) {
 	if len(stub.announces) != 1 {
 		t.Fatalf("announcer called %d times, want 1", len(stub.announces))
 	}
-	got := stub.announces[0].Shares
-	// Slot i of the forwarded array must hold owner PF⁻¹(i)'s share.
+	got := stub.announces[0].Slots
+	// Slot i of the forwarded matrix must hold owner PF⁻¹(i)'s whole row:
+	// one PF for every cell, cells in submitted order.
 	inv := view.PF.Inverse()
 	for slot := range got {
-		owner := inv.Image(slot)
-		if got[slot][0] != byte(owner+1) {
-			t.Fatalf("slot %d holds owner %d's share, want owner %d's", slot, got[slot][0]-1, owner)
+		if want := row(inv.Image(slot)); !reflect.DeepEqual(got[slot], want) {
+			t.Fatalf("slot %d holds %v, want owner %d's row %v", slot, got[slot], inv.Image(slot), want)
 		}
 	}
 	// Duplicate submissions are idempotent (no second announce).
-	e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 0, VShare: []byte{9}})
+	e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 0, VShares: row(7)})
 	if len(stub.announces) != 1 {
 		t.Error("duplicate submit re-forwarded")
 	}
@@ -334,7 +338,7 @@ func TestExtremeFetchNotReady(t *testing.T) {
 	stub := &announcerStub{reply: protocol.AnnounceFetchReply{Ready: false}}
 	e := New(fullView(t, 0, 2, 16), Options{AnnouncerAddr: "announcer", Caller: stub})
 	ctx := context.Background()
-	e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 0, VShare: []byte{1}})
+	e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 0, VShares: [][]byte{{1}}})
 	r, err := e.Handle(ctx, protocol.ExtremeFetchRequest{QueryID: "q"})
 	if err != nil {
 		t.Fatal(err)
@@ -349,18 +353,18 @@ func TestExtremeFetchNotReady(t *testing.T) {
 
 func TestExtremeFetchCachesResult(t *testing.T) {
 	stub := &announcerStub{reply: protocol.AnnounceFetchReply{
-		Ready: true, ValueShares: [][]byte{{42}}, IndexShare: 3, HasIndex: true,
+		Ready: true, ValueShares: [][]byte{{42}, {43}}, IndexShares: []uint16{3, 4},
 	}}
 	e := New(fullView(t, 1, 2, 16), Options{AnnouncerAddr: "announcer", Caller: stub})
 	ctx := context.Background()
-	e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 0, VShare: []byte{1}})
+	e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 0, VShares: [][]byte{{1}, {2}}})
 	for i := 0; i < 3; i++ {
 		r, err := e.Handle(ctx, protocol.ExtremeFetchRequest{QueryID: "q"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep := r.(protocol.ExtremeFetchReply)
-		if !rep.Ready || rep.ValueShares[0][0] != 42 || rep.IndexShare != 3 {
+		if !rep.Ready || rep.ValueShares[1][0] != 43 || !reflect.DeepEqual(rep.IndexShares, []uint16{3, 4}) {
 			t.Fatalf("fetch %d: %+v", i, rep)
 		}
 	}
@@ -370,15 +374,18 @@ func TestClaimLifecycle(t *testing.T) {
 	e := New(fullView(t, 0, 2, 16), Options{})
 	ctx := context.Background()
 	// Not ready before all owners.
-	e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 0, Share: 5})
+	e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 1, Shares: []uint16{7, 8, 9}})
 	r, _ := e.Handle(ctx, protocol.ClaimFetchRequest{QueryID: "q"})
 	if r.(protocol.ClaimFetchReply).Ready {
 		t.Error("claims ready with 1 of 2 owners")
 	}
-	e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 1, Share: 7})
+	e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 0, Shares: []uint16{4, 5, 6}})
+	// A duplicate neither overwrites nor counts twice.
+	e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 0, Shares: []uint16{1, 1, 1}})
 	r, _ = e.Handle(ctx, protocol.ClaimFetchRequest{QueryID: "q"})
 	rep := r.(protocol.ClaimFetchReply)
-	if !rep.Ready || rep.Fpos[0] != 5 || rep.Fpos[1] != 7 {
+	// fpos is owner-major: owner i's share for cell c at i·k+c.
+	if !rep.Ready || !reflect.DeepEqual(rep.Fpos, []uint16{4, 5, 6, 7, 8, 9}) {
 		t.Fatalf("claims = %+v", rep)
 	}
 	// Unknown query id → not ready, no error.
@@ -387,8 +394,68 @@ func TestClaimLifecycle(t *testing.T) {
 		t.Error("ghost claim query mishandled")
 	}
 	// Out-of-range owner rejected.
-	if _, err := e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 9, Share: 1}); err == nil {
+	if _, err := e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 9, Shares: []uint16{1, 1, 1}}); err == nil {
 		t.Error("out-of-range claim owner accepted")
+	}
+}
+
+// TestHostileVectorLengths: an extreme or claim submit whose vector is
+// empty, longer than the domain, or not the k the query's first submit
+// fixed is rejected with ErrBadVector — no session opened, no state of an
+// open session changed, and the honest owners still complete the round.
+func TestHostileVectorLengths(t *testing.T) {
+	stub := &announcerStub{}
+	view := fullView(t, 0, 2, 16)
+	e := New(view, Options{AnnouncerAddr: "announcer", Caller: stub})
+	ctx := context.Background()
+	vec := func(k int) [][]byte { return make([][]byte, k) }
+	submit := func(owner, k int) error {
+		_, err := e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: owner, VShares: vec(k)})
+		return err
+	}
+	claim := func(owner, k int) error {
+		_, err := e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: owner, Shares: make([]uint16, k)})
+		return err
+	}
+	for _, k := range []int{0, 17} { // view.B = 16
+		if err := submit(0, k); !errors.Is(err, ErrBadVector) {
+			t.Errorf("extreme submit of %d cells: err = %v, want ErrBadVector", k, err)
+		}
+		if err := claim(0, k); !errors.Is(err, ErrBadVector) {
+			t.Errorf("claim submit of %d cells: err = %v, want ErrBadVector", k, err)
+		}
+	}
+	if n := e.Sessions(); n != 0 {
+		t.Fatalf("rejected submits opened %d sessions", n)
+	}
+	if err := submit(0, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, 5, 16} {
+		if err := submit(1, k); !errors.Is(err, ErrBadVector) {
+			t.Errorf("extreme submit of %d cells into a 4-cell query: err = %v, want ErrBadVector", k, err)
+		}
+		if err := claim(1, k); !errors.Is(err, ErrBadVector) {
+			t.Errorf("claim submit of %d cells into a 4-cell query: err = %v, want ErrBadVector", k, err)
+		}
+	}
+	if len(stub.announces) != 0 {
+		t.Fatal("a rejected vector completed the round")
+	}
+	if r, _ := e.Handle(ctx, protocol.ClaimFetchRequest{QueryID: "q"}); r.(protocol.ClaimFetchReply).Ready {
+		t.Fatal("a rejected claim vector was absorbed")
+	}
+	if err := submit(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	if len(stub.announces) != 1 || len(stub.announces[0].Slots[0]) != 4 {
+		t.Fatalf("honest round after rejected vectors forwarded %+v", stub.announces)
+	}
+	if err := errors.Join(claim(0, 4), claim(1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := e.Handle(ctx, protocol.ClaimFetchRequest{QueryID: "q"}); len(r.(protocol.ClaimFetchReply).Fpos) != 8 {
+		t.Fatalf("claims after rejected vectors: %+v", r)
 	}
 }
 

@@ -261,7 +261,7 @@ func TestExtremeSubmitWithoutAnnouncer(t *testing.T) {
 	ctx := context.Background()
 	for owner := 0; owner < 3; owner++ {
 		_, err := e.Handle(ctx, protocol.ExtremeSubmitRequest{
-			QueryID: "q", Owner: owner, VShare: []byte{byte(owner + 1)},
+			QueryID: "q", Owner: owner, VShares: [][]byte{{byte(owner + 1)}},
 		})
 		if owner < 2 && err != nil {
 			t.Fatalf("submit %d: %v", owner, err)
@@ -315,7 +315,7 @@ func TestNoServerToServerCalls(t *testing.T) {
 	e.Handle(ctx, protocol.PSIRequest{Table: "diseases", QueryID: "q"})
 	e.Handle(ctx, protocol.PSURequest{Table: "diseases", QueryID: "q"})
 	for owner := 0; owner < 3; owner++ {
-		e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "x", Owner: owner, VShare: []byte{1}})
+		e.Handle(ctx, protocol.ExtremeSubmitRequest{QueryID: "x", Owner: owner, VShares: [][]byte{{1}}})
 	}
 	for _, addr := range fc.calls {
 		if addr != "announcer" {

@@ -12,9 +12,9 @@
 //     the series inventory of a binary is auditable from one file.
 //   - Handles are cheap enough for hot paths: a counter Add is one
 //     atomic add behind one atomic enabled-check load. SetEnabled(false)
-//     turns every recording into that single load+branch — the
-//     telemetryoverhead benchx experiment measures exactly this off/on
-//     contrast and CI holds it under 2% of query throughput.
+//     turns every recording into that single load+branch; what the
+//     enabled plane costs a query is trace_overhead_pct in the repo
+//     benchmark's traced pass (benchmark/).
 //   - Registration is idempotent: constructing an already-registered
 //     name returns the existing handle (package-level handles in several
 //     engines of one process must agree), and mismatched re-registration

@@ -36,7 +36,16 @@ func bulkFrames() []any {
 		protocol.AggRequest{Table: "t", Cols: []string{"DT"}, Z: []uint64{1 << 60, 1}, VZ: []uint64{2, 3}},
 		protocol.AggReply{Sums: map[string][]uint64{"DT": {1 << 60}, "PK": {9}}, Counts: []uint64{4},
 			VSums: map[string][]uint64{"DT": {1 << 59}}, VCounts: []uint64{5}},
-		protocol.ClaimFetchReply{Ready: true, Fpos: []uint16{1, 0, 1}},
+		// The vector extreme round (2 owners × 3 cells): its shapes as they
+		// leave an owner, a server and the announcer.
+		protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: 1, VShares: [][]byte{{9, 8}, {7}, {6, 5, 4}}},
+		protocol.AnnounceRequest{QueryID: "q", Kind: protocol.KindMax, ServerIdx: 1,
+			Slots: [][][]byte{{{1}, {2}, {3}}, {{4}, {5}, {6}}}},
+		protocol.AnnounceFetchReply{Ready: true, ValueShares: [][]byte{{1}, {2}, {3}}, IndexShares: []uint16{0, 112, 1}},
+		protocol.ExtremeFetchReply{Ready: true, ValueShares: [][]byte{{1}, {2}, {3}}, IndexShares: []uint16{0, 112, 1}},
+		protocol.ClaimSubmitRequest{QueryID: "q", Owner: 1, Shares: []uint16{3, 110, 0}},
+		protocol.ClaimFetchReply{Ready: true, Fpos: []uint16{1, 0, 1, 112, 0, 7}},
+		protocol.ExtremeReduceReply{Values: [][]byte{{9}}, WinnerSub: 1, WinnerCell: 2, HasWinner: true},
 	}
 }
 

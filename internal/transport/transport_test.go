@@ -60,7 +60,7 @@ func TestNetworkEncodeWire(t *testing.T) {
 		protocol.StoreRequest{Owner: 1, Spec: protocol.TableSpec{Name: "x", B: 4},
 			ChiAdd: []uint16{1, 2, 3, 4}, SumCols: map[string][]uint64{"pk": {9}}},
 		protocol.AggRequest{Table: "t", Cols: []string{"a"}, Z: []uint64{5}},
-		protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMedian, VShare: []byte{9, 8}},
+		protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMedian, VShares: [][]byte{{9, 8}, {7}}},
 		protocol.ClaimFetchReply{Ready: true, Fpos: []uint16{0, 1}},
 	}
 	for _, m := range msgs {

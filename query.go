@@ -3,7 +3,7 @@ package prism
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"prism/internal/ownerengine"
@@ -359,81 +359,28 @@ func (o *Owner) extreme(ctx context.Context, kind protocol.ExtremeKind, col stri
 	res := &ExtremeResult{Cells: psi.Cells, PerCell: make(map[uint64]ExtremeCell, len(psi.Cells))}
 	var stats QueryStats
 	stats.add(psi.Stats)
-
-	// The per-cell rounds are independent protocol sessions (distinct
-	// qids on the servers and the announcer), so run them pipelined with
-	// bounded in-flight depth instead of one announcer round-trip per
-	// cell. Session cleanup is deferred until after the global reduce:
-	// the announcer's retained per-round values are its input.
-	qids := make([]string, len(psi.Cells))
-	defer func() {
-		var wg sync.WaitGroup
-		for _, qid := range qids {
-			if qid == "" {
-				continue
-			}
-			wg.Add(1)
-			go func(qid string) {
-				defer wg.Done()
-				s.endQuery(ctx, qid)
-			}(qid)
+	if len(psi.Cells) > 0 {
+		// The nonce keeps concurrent and repeated queries from colliding in
+		// the servers' qid-keyed session state (e.g. after a re-outsource).
+		qid := fmt.Sprintf("ext-%s-%s-%s-%d", s.table, col, kind, s.qidNonce.Add(1))
+		rounds, err := q.ExtremeRounds(qid, psi.Cells)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-	}()
-	cellCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, extremeCellInflight)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for k, cell := range psi.Cells {
-		wg.Add(1)
-		go func(k int, cell uint64) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-cellCtx.Done():
-				return
-			}
-			cellRes, cellStats, qid, err := s.extremeAtCell(cellCtx, kind, col, cell)
-			mu.Lock()
-			defer mu.Unlock()
-			qids[k] = qid
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("prism: %s at %q: %w", kind, s.cfg.Domain.Label(cell), err)
-					cancel()
-				}
-				return
-			}
-			res.PerCell[cell] = *cellRes
-			stats.ServerFetchNS += cellStats.ServerFetchNS
-			stats.ServerComputeNS += cellStats.ServerComputeNS
-			stats.OwnerNS += cellStats.OwnerNS
-			stats.Rounds += cellStats.Rounds
-			stats.spans = append(stats.spans, cellStats.spans...)
-		}(k, cell)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	switch {
-	case len(psi.Cells) == 1:
-		g := res.PerCell[psi.Cells[0]]
-		res.Global, res.GlobalCell = &g, psi.Cells[0]
-	case len(psi.Cells) > 1:
-		if err := s.reduceExtreme(ctx, q, kind, psi.Cells, qids, res, &stats); err != nil {
+		// Retire the rounds' sessions only after the global reduce: the
+		// announcer's retained per-round values are its input.
+		defer s.endQuery(ctx, rounds)
+		cells, err := s.extremeRounds(ctx, kind, col, qid, psi.Cells, &stats)
+		if err != nil {
+			return nil, fmt.Errorf("prism: %s: %w", kind, err)
+		}
+		for c, cell := range psi.Cells {
+			res.PerCell[cell] = cells[c]
+		}
+		if err := s.reduceExtreme(ctx, q, kind, rounds, res, &stats); err != nil {
 			return nil, err
 		}
 	}
-	// The per-cell rounds run pipelined, so the query's wall time is the
-	// elapsed time of the whole operation — not the per-cell sum, which
-	// would overstate it by the pipelining factor.
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	if tid != "" {
 		stats.TraceID = tid
@@ -443,22 +390,20 @@ func (o *Owner) extreme(ctx context.Context, kind protocol.ExtremeKind, col stri
 	return res, nil
 }
 
-// extremeCellInflight bounds how many intersection cells run their
-// extreme rounds simultaneously (the forEachShard pipelining idiom).
-const extremeCellInflight = 8
-
 // reduceExtreme runs the query-global final round: the announcer folds
-// the per-cell rounds' retained masked values into one outcome, the
-// querier unmasks it. For max/min the winning sub-round identifies the
-// winning cell (and thereby the winning owners, already resolved by
-// that cell's claims round); for median the pooled masked values yield
-// the global median directly.
-func (s *System) reduceExtreme(ctx context.Context, q *ownerengine.Owner, kind protocol.ExtremeKind, cells []uint64, qids []string, res *ExtremeResult, stats *QueryStats) error {
+// the vector rounds' retained masked values into one outcome, the
+// querier unmasks it. For max/min the winning round and cell index
+// identify the winning cell (and thereby the winning owners, already
+// resolved by that cell's claims); for median the pooled masked values
+// yield the global median directly.
+func (s *System) reduceExtreme(ctx context.Context, q *ownerengine.Owner, kind protocol.ExtremeKind, rounds []ownerengine.ExtremeRound, res *ExtremeResult, stats *QueryStats) error {
 	req := protocol.ExtremeReduceRequest{
-		QueryID:     fmt.Sprintf("extred-%s-%s-%d", s.table, kind, s.qidNonce.Add(1)),
-		Kind:        kind,
-		SubQueryIDs: qids,
-		TraceID:     telemetry.TraceID(ctx),
+		QueryID: fmt.Sprintf("extred-%s-%s-%d", s.table, kind, s.qidNonce.Add(1)),
+		Kind:    kind,
+		TraceID: telemetry.TraceID(ctx),
+	}
+	for _, r := range rounds {
+		req.SubQueryIDs = append(req.SubQueryIDs, r.QueryID)
 	}
 	rep, err := s.network.Call(ctx, "announcer", req)
 	if err != nil {
@@ -478,10 +423,14 @@ func (s *System) reduceExtreme(ctx context.Context, q *ownerengine.Owner, kind p
 	if kind == protocol.KindMedian {
 		return nil
 	}
-	if !rrep.HasWinner || rrep.WinnerSub < 0 || rrep.WinnerSub >= len(cells) {
+	if !rrep.HasWinner || rrep.WinnerSub < 0 || rrep.WinnerSub >= len(rounds) {
+		return fmt.Errorf("prism: global %s reduce named no winning round", kind)
+	}
+	won := rounds[rrep.WinnerSub]
+	if rrep.WinnerCell < 0 || rrep.WinnerCell >= won.Hi-won.Lo {
 		return fmt.Errorf("prism: global %s reduce named no winning cell", kind)
 	}
-	res.GlobalCell = cells[rrep.WinnerSub]
+	res.GlobalCell = res.Cells[won.Lo+rrep.WinnerCell]
 	winner := res.PerCell[res.GlobalCell]
 	if winner.Value != res.Global.Value {
 		return fmt.Errorf("%w: global %s %d disagrees with winning cell's %d", ErrVerificationFailed, kind, res.Global.Value, winner.Value)
@@ -490,91 +439,91 @@ func (s *System) reduceExtreme(ctx context.Context, q *ownerengine.Owner, kind p
 	return nil
 }
 
-// extremeAtCell runs the §6.3/§6.4 rounds for one intersection value.
-// It orchestrates ALL owners (each must mask and submit its local value)
-// regardless of which owner drove the query. The round runs entirely
-// within the group owning the cell (the owner engines route by cell).
-// The returned qid identifies the round's session state; the caller
-// retires it — after the global reduce, which reads the announcer's
-// retained per-round values.
-func (s *System) extremeAtCell(ctx context.Context, kind protocol.ExtremeKind, col string, cell uint64) (*ExtremeCell, QueryStats, string, error) {
-	var stats QueryStats
-	// The nonce keeps concurrent and repeated queries from colliding in
-	// the servers' qid-keyed session state (e.g. after a re-outsource).
-	qid := fmt.Sprintf("ext-%s-%s-%d-%s-%d", s.table, col, cell, kind, s.qidNonce.Add(1))
+// extremeRounds runs the §6.3/§6.4 rounds for every intersection value
+// at once: each step is one vector exchange per server group, whatever
+// the number of cells. It orchestrates ALL owners (each must mask and
+// submit its local values) regardless of which owner drove the query;
+// the owner engines split the cells by owning group. The caller retires
+// the rounds' session state — after the global reduce, which reads the
+// announcer's retained values. The answers come back parallel to cells.
+func (s *System) extremeRounds(ctx context.Context, kind protocol.ExtremeKind, col, qid string, cells []uint64, stats *QueryStats) ([]ExtremeCell, error) {
+	at := func(c int) string { return fmt.Sprintf("at %q", s.cfg.Domain.Label(cells[c])) }
 
-	// Step 3: every owner masks and submits its local value.
-	locals := make([]uint64, len(s.owners))
-	present := make([]bool, len(s.owners))
+	// Step 3: every owner masks and submits its local values.
+	locals := make([][]uint64, len(s.owners))
 	for i, o := range s.owners {
-		v, has, err := o.eng.LocalValue(kind, col, cell)
+		vals, has, err := o.eng.LocalValues(kind, col, cells)
 		if err != nil {
-			return nil, stats, qid, err
+			return nil, err
 		}
-		if !has {
-			// The cell is in the intersection, so every owner must have
-			// at least one tuple there.
-			return nil, stats, qid, fmt.Errorf("owner %d has no tuple at intersection cell %d", i, cell)
+		if c := slices.Index(has, false); c >= 0 {
+			// The cell is in the intersection, so every owner must hold a tuple there.
+			return nil, fmt.Errorf("%s: owner %d has no tuple at intersection cell %d", at(c), i, cells[c])
 		}
-		locals[i], present[i] = v, true
-		if err := o.eng.SubmitExtreme(ctx, qid, kind, cell, v); err != nil {
-			return nil, stats, qid, err
+		locals[i] = vals
+		if err := o.eng.SubmitExtreme(ctx, qid, kind, cells, vals); err != nil {
+			return nil, err
 		}
 	}
 	stats.Rounds++
 
 	// Steps 4-5a: servers forwarded to S_a; owners fetch and decode.
 	// Every owner fetches (each must know z for the claims round).
-	var outcome *ExtremeCell
+	var announced *ownerengine.ExtremeOutcome
 	for i, o := range s.owners {
-		oc, err := o.eng.FetchExtreme(ctx, qid, kind, cell)
+		oc, err := o.eng.FetchExtreme(ctx, qid, kind, cells)
 		if err != nil {
-			return nil, stats, qid, err
+			return nil, err
 		}
 		stats.OwnerNS += oc.Stats.OwnerNS
 		stats.spans = append(stats.spans, oc.Stats.Server.Spans...)
-		if err := o.eng.CheckExtremeConsistency(kind, oc.Values[0], locals[i], present[i]); err != nil {
-			return nil, stats, qid, err
-		}
-		if kind == protocol.KindMin {
-			// Min consistency is against the smallest announced value.
-			last := oc.Values[len(oc.Values)-1]
-			if err := o.eng.CheckExtremeConsistency(kind, last, locals[i], present[i]); err != nil {
-				return nil, stats, qid, err
+		for c, values := range oc.Values {
+			if err := ownerengine.CheckExtremeConsistency(kind, values[0], locals[i][c]); err != nil {
+				return nil, fmt.Errorf("%s: %w", at(c), err)
 			}
 		}
 		if i == 0 {
-			outcome = decodeExtreme(kind, oc.Values)
+			announced = oc
 		}
 	}
 	stats.Rounds++
 
+	out := make([]ExtremeCell, len(cells))
+	for c, values := range announced.Values {
+		out[c] = *decodeExtreme(kind, values)
+	}
 	if kind == protocol.KindMedian {
-		return outcome, stats, qid, nil
+		return out, nil
 	}
 
 	// Steps 5b-7: ownership claims.
-	z := outcome.Value
 	for i, o := range s.owners {
-		if err := o.eng.SubmitClaim(ctx, qid, cell, locals[i] == z); err != nil {
-			return nil, stats, qid, err
+		holds := make([]bool, len(cells))
+		for c := range holds {
+			holds[c] = locals[i][c] == out[c].Value
+		}
+		if err := o.eng.SubmitClaim(ctx, qid, cells, holds); err != nil {
+			return nil, err
 		}
 	}
-	claims, err := s.owners[0].eng.FetchClaims(ctx, qid, cell)
+	claims, err := s.owners[0].eng.FetchClaims(ctx, qid, cells)
 	if err != nil {
-		return nil, stats, qid, err
+		return nil, err
 	}
 	stats.Rounds++
-	for i, holds := range claims {
-		if holds {
-			outcome.Owners = append(outcome.Owners, i)
+	for c := range out {
+		for i, holds := range claims[c] {
+			if holds {
+				out[c].Owners = append(out[c].Owners, i)
+			}
+		}
+		// Max verification: the owner behind the announced winning slot
+		// decoded its own value, so it — at least — must claim it.
+		if s.cfg.Verify && !claims[c][announced.WinnerSlots[c]] {
+			return nil, fmt.Errorf("%s: %w: the announced winner does not claim the %s", at(c), ErrVerificationFailed, kind)
 		}
 	}
-	if s.cfg.Verify && len(outcome.Owners) == 0 {
-		// Max verification: someone must hold the announced extreme.
-		return nil, stats, qid, fmt.Errorf("%w: no owner claims the announced %s", ErrVerificationFailed, kind)
-	}
-	return outcome, stats, qid, nil
+	return out, nil
 }
 
 func decodeExtreme(kind protocol.ExtremeKind, values []uint64) *ExtremeCell {

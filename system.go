@@ -458,33 +458,26 @@ func (s *System) nextQuerier() (*Owner, error) {
 	return s.owners[int((s.rr.Add(1)-1)%uint64(len(s.owners)))], nil
 }
 
-// endQuery retires qid-keyed session state on every server and the
-// announcer. All params.NumServers servers get the notification — not
-// just the two additive-share servers: any engine that accumulated
-// qid-keyed scratch for this query must retire it, or sustained traffic
-// leaks sessions without bound. Best effort: cleanup failures are
-// invisible to the query's caller. The calls are independent
-// fire-and-forget notifications, so they go out concurrently — on a
-// real network the cleanup costs one round trip, not one per node, per
-// extreme-query cell.
-func (s *System) endQuery(ctx context.Context, qid string) {
+// endQuery retires an extreme query's session state, once per query:
+// each vector round on the nodes that took part in it — the two
+// additive-share servers of the round's group (the Shamir server rejects
+// extreme traffic before opening a session) and the announcer — and on
+// no other group. Best effort: cleanup failures are invisible to the
+// query's caller. The calls are independent notifications, so they go
+// out concurrently.
+func (s *System) endQuery(ctx context.Context, rounds []ownerengine.ExtremeRound) {
 	// Clean up even when the query itself was cancelled.
 	ctx = context.WithoutCancel(ctx)
-	req := protocol.QueryDoneRequest{QueryID: qid}
-	addrs := make([]string, 0, len(s.servers)*params.NumServers+1)
-	for g := range s.servers {
-		for phi := 0; phi < params.NumServers; phi++ {
-			addrs = append(addrs, groupServerAddr(g, phi))
-		}
-	}
-	addrs = append(addrs, "announcer")
 	var wg sync.WaitGroup
-	for _, addr := range addrs {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			s.network.Call(ctx, addr, req)
-		}(addr)
+	for _, r := range rounds {
+		req := protocol.QueryDoneRequest{QueryID: r.QueryID}
+		for _, addr := range []string{groupServerAddr(r.Group, 0), groupServerAddr(r.Group, 1), "announcer"} {
+			wg.Add(1)
+			go func(addr string) {
+				defer wg.Done()
+				s.network.Call(ctx, addr, req)
+			}(addr)
+		}
 	}
 	wg.Wait()
 }
