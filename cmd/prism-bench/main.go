@@ -10,8 +10,8 @@
 //	prism-bench -exp exp2 -csv out/      # also write CSV series
 //
 // Experiments: exp1 table12 exp2 exp3 exp4 sharegen table13 fanout
-// diskablation throughput tcpthroughput domainscale memscale
-// streamscale groupscale gatewayscale all. The
+// throughput tcpthroughput domainscale memscale streamscale groupscale
+// gatewayscale all. The
 // tcpthroughput experiment runs the query mix over real loopback TCP
 // twice — with the serialised one-RPC-per-connection baseline and with
 // the multiplexed client — so the transport win is measured, not
@@ -56,7 +56,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: exp1|table12|exp2|exp3|exp4|sharegen|table13|fanout|diskablation|throughput|tcpthroughput|domainscale|memscale|streamscale|groupscale|gatewayscale|all")
+		exp     = flag.String("exp", "all", "experiment: exp1|table12|exp2|exp3|exp4|sharegen|table13|fanout|throughput|tcpthroughput|domainscale|memscale|streamscale|groupscale|gatewayscale|all")
 		metrics = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address while experiments run (e.g. :9103); empty disables the endpoint")
 		paper   = flag.Bool("paper", false, "use the paper's full sizes (5M/20M domains; needs ~16GB RAM)")
 		domain  = flag.Uint64("domain", 0, "override: single domain size")
@@ -159,10 +159,6 @@ func main() {
 	if want("fanout") {
 		matched = true
 		run("fanout", func() ([]*report.Table, error) { return benchx.FanoutAblation(sc), nil })
-	}
-	if want("diskablation") {
-		matched = true
-		run("diskablation", func() ([]*report.Table, error) { return benchx.DiskAblation(ctx, sc) })
 	}
 	if want("throughput") {
 		matched = true

@@ -20,8 +20,9 @@
 // multiplexed TCP client, all registered under the same owner -index:
 // queries lease members round-robin, and a member whose connections die
 // is probed (Ping RPC), marked down, and routed around until it
-// answers again. Extremes (max/min/median) need every data owner in one
-// coordinated flow and are refused with code "unsupported".
+// answers again. Every member is a gateway.EngineBackend without a
+// cohort: extremes (max/min/median) need every data owner's engine in
+// one process and are refused with code "unsupported".
 //
 // A front-protocol query frame looks like:
 //
@@ -64,7 +65,7 @@ func main() {
 		queue     = flag.Int("queue", 64, "bounded admission waiting-queue depth")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-query deadline when submit carries no timeout_ms")
 		table     = flag.String("table", "main", "logical table name queries run against")
-		verify    = flag.Bool("verify", false, "verify PSI results before answering")
+		verify    = flag.Bool("verify", false, "run every result-verification check of a query's kind before answering")
 		inflight  = flag.Int("inflight", 0, "per-connection RPC pipelining depth of each pool member's TCP client (0 = transport default)")
 		shard     = flag.Uint64("shard", 0, "shard size in cells for query vectors (0 = one frame per exchange)")
 		probe     = flag.Duration("probe", 2*time.Second, "owner-pool liveness probe interval")

@@ -19,7 +19,10 @@
 //	prism-owner ... -data owner0.csv -cols PK,DT \
 //	    -add new.csv -remove gone.csv -op update
 //
-// Ops: outsource, psi, psu, count, psucount, sum, avg, update, list.
+// Ops: outsource, update, list, and every query kind of the one kind
+// table (internal/ownerengine/exec.go): psi, psu, count, psucount, sum,
+// avg, psusum, psuavg. With -verify a query runs every verification
+// check the paper defines for its kind before printing anything.
 //
 // "-op update" ships a tuple-set change as delta windows instead of
 // re-outsourcing the whole table: -data names the CSV as currently
@@ -29,10 +32,10 @@
 // the deltas over the stored base and fold them into the base chunks at
 // the next compaction (see prism-server -deltamax/-compact).
 //
-// The
-// exemplary aggregations (max/min/median) need all owners online in one
-// coordinated flow; see examples/federated for a complete multi-process
-// deployment that drives them over TCP.
+// The exemplary aggregations (max, min, median) are kinds too, but need
+// every owner's engine in one process and answer "unsupported query"
+// from this one-owner CLI; see examples/federated for a deployment that
+// drives them over TCP.
 //
 // "-op list" probes which tables each server currently serves (name,
 // owners, registration epoch) without touching any data — the cheap
@@ -89,7 +92,7 @@ func main() {
 		dataPath  = flag.String("data", "", "CSV data file (required for -op outsource/update)")
 		cols      = flag.String("cols", "", "comma-separated aggregation columns")
 		table     = flag.String("table", "main", "logical table name")
-		op        = flag.String("op", "", "outsource|psi|psu|count|psucount|sum|avg|update|list (required)")
+		op        = flag.String("op", "", "outsource|update|list|"+strings.Join(ownerengine.KindNames(), "|")+" (required)")
 		addPath   = flag.String("add", "", "update: CSV of tuples to insert")
 		rmPath    = flag.String("remove", "", "update: CSV of tuples to delete (must match -data rows)")
 		verify    = flag.Bool("verify", false, "outsource verification columns / verify query results")
@@ -219,67 +222,45 @@ func main() {
 			float64(st.BuildNS+st.SplitNS+st.UploadNS)/1e9,
 			float64(st.BuildNS)/1e9, float64(st.SplitNS)/1e9, float64(st.UploadNS)/1e9)
 
-	case "psi", "psu":
-		var res *ownerengine.SetResult
-		if *op == "psi" {
-			res, err = owner.PSI(ctx, *table)
-			if err == nil && *verify {
-				err = owner.VerifyPSI(ctx, *table, res)
-			}
-		} else {
-			res, err = owner.PSU(ctx, *table)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: %d keys (server %.3fs, owner %.3fs)\n", strings.ToUpper(*op), len(res.Cells),
-			float64(res.Stats.Server.ComputeNS)/1e9, float64(res.Stats.OwnerNS)/1e9)
-		for _, c := range res.Cells {
-			fmt.Println(c + 1) // cells are 0-based; keys are 1-based
-		}
-
-	case "count", "psucount":
-		var res *ownerengine.CountResult
-		if *op == "count" {
-			res, err = owner.Count(ctx, *table, *verify)
-		} else {
-			res, err = owner.PSUCount(ctx, *table)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("count: %d\n", res.Count)
-
-	case "sum", "avg":
-		if len(colList) == 0 {
-			fatal(fmt.Errorf("-cols is required for aggregation"))
-		}
-		psi, err := owner.PSI(ctx, *table)
-		if err != nil {
-			fatal(err)
-		}
-		agg, err := owner.Aggregate(ctx, *table, psi.Cells, colList, *op == "avg", *verify)
-		if err != nil {
-			fatal(err)
-		}
-		for _, cell := range psi.Cells {
-			line := fmt.Sprintf("key %d:", cell+1)
-			for _, col := range colList {
-				if *op == "avg" {
-					v, _ := agg.Avg(col, cell)
-					line += fmt.Sprintf(" avg(%s)=%.3f", col, v)
-				} else {
-					line += fmt.Sprintf(" sum(%s)=%d", col, agg.Sums[col][cell])
-				}
-			}
-			fmt.Println(line)
-		}
-
 	case "list":
 		listTables(ctx, owner, *table, m)
 
 	default:
-		fatal(fmt.Errorf("unknown -op %q", *op))
+		kind, ok := ownerengine.KindByName(*op)
+		if !ok {
+			fatal(fmt.Errorf("unknown -op %q", *op))
+		}
+		res, err := owner.Exec(ctx, ownerengine.Query{Kind: kind, Table: *table, Cols: colList, Verify: *verify}, nil)
+		if err != nil {
+			fatal(err)
+		}
+		printResult(kind, colList, res)
+	}
+}
+
+// printResult prints a query answer; cells are 0-based, keys 1-based.
+func printResult(kind ownerengine.OpKind, cols []string, res *ownerengine.Result) {
+	switch kind.Family() {
+	case ownerengine.FamilySet:
+		fmt.Printf("%s: %d keys (server %.3fs, owner %.3fs)\n", strings.ToUpper(kind.Name()), len(res.Cells),
+			float64(res.Stats.Server.ComputeNS)/1e9, float64(res.Stats.OwnerNS)/1e9)
+		for _, c := range res.Cells {
+			fmt.Println(c + 1)
+		}
+	case ownerengine.FamilyCount:
+		fmt.Printf("count: %d\n", res.Count)
+	case ownerengine.FamilyAgg:
+		for _, cell := range res.Cells {
+			line := fmt.Sprintf("key %d:", cell+1)
+			for _, col := range cols {
+				if res.Counts != nil {
+					line += fmt.Sprintf(" avg(%s)=%.3f", col, float64(res.Sums[col][cell])/float64(res.Counts[cell]))
+				} else {
+					line += fmt.Sprintf(" sum(%s)=%d", col, res.Sums[col][cell])
+				}
+			}
+			fmt.Println(line)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"prism/internal/domain"
 	"prism/internal/prg"
-	"prism/internal/transport"
 )
 
 // Domain is the publicly known domain of the set attribute A_c — or, for
@@ -166,13 +165,6 @@ type Config struct {
 	// QueryBatch) execute simultaneously. 0 → GOMAXPROCS. Resizable at
 	// runtime via System.SetMaxInflight.
 	MaxInflight int
-	// PerConnInflight bounds how many RPCs may be pipelined to one
-	// server at a time: on the TCP transport it is the per-connection
-	// multiplexing depth (client in-flight cap and server worker-pool
-	// width); the in-process fabric applies the same bound per server
-	// address so local-mode scheduling matches a wire deployment.
-	// 0 → transport.DefaultPerConnInflight.
-	PerConnInflight int
 	// ShardCells splits every O(b) owner↔server exchange — table
 	// uploads, PSI/PSU/count vectors, aggregation selectors and replies
 	// — into windows of at most ShardCells cells, each moving as its own
@@ -182,8 +174,7 @@ type Config struct {
 	// domain, so domains whose monolithic frames would exceed
 	// transport.MaxFrameBytes become servable. 0 (the default) keeps the
 	// monolithic one-frame-per-exchange wire behaviour. A query keeps at
-	// most 8 shard exchanges in flight, so the effective pipelining
-	// depth per server connection is min(8, PerConnInflight). With
+	// most 8 shard exchanges in flight per server connection. With
 	// disk-backed servers, set a HotChunks budget alongside sharding so
 	// hot chunks are read from disk once; without the cache every shard
 	// window re-reads its overlapping chunks.
@@ -204,13 +195,6 @@ type Config struct {
 	// shard windows make every streamed upload window a whole-chunk
 	// write and every shard query a minimal chunk fetch.
 	ChunkCells uint64
-	// PendingUploadTTL reclaims sharded-upload assemblies abandoned by
-	// a crashed owner: server-side assemblies that have not received a
-	// shard for longer than the TTL are swept (RAM buffers released,
-	// pending disk columns deleted) on the next store request. 0
-	// disables the sweep — stale assemblies then linger until the owner
-	// retries or the table is dropped.
-	PendingUploadTTL time.Duration
 	// DeltaMaxEntries triggers a compaction pass on a server once a
 	// table's merged-but-uncompacted delta entries (incremental updates,
 	// Owner.Update) reach this count: the base columns are rewritten
@@ -250,8 +234,6 @@ type Config struct {
 	// into a System.QueryTrace(id) timeline. Off by default — traced
 	// queries pay a few spans per request on the wire.
 	Trace bool
-	// Delta overrides the additive-group prime δ (0 → 113, the paper's).
-	Delta uint64
 	// TableName names the outsourced table (default "main").
 	TableName string
 }
@@ -274,12 +256,6 @@ func (c *Config) normalize() error {
 	}
 	if uint64(c.Groups) > c.Domain.Size() {
 		return fmt.Errorf("prism: %d groups cannot tile a %d-cell domain", c.Groups, c.Domain.Size())
-	}
-	if c.PerConnInflight < 0 {
-		return errors.New("prism: PerConnInflight must be >= 0")
-	}
-	if c.PerConnInflight == 0 {
-		c.PerConnInflight = transport.DefaultPerConnInflight
 	}
 	if c.DeltaMaxEntries < 0 || c.CompactInterval < 0 {
 		return errors.New("prism: DeltaMaxEntries and CompactInterval must be >= 0")

@@ -65,9 +65,10 @@
 // concurrent calls, and servers dispatch each decoded request to a bounded per-connection
 // worker pool, so replies return as they complete — a cheap PSI round
 // is never stuck behind a slow aggregation on the same wire.
-// Config.PerConnInflight bounds the pipelining depth per connection
-// (the in-process fabric applies the same bound per server address so
-// local behaviour matches a wire deployment). Disk-backed servers can
+// The pipelining depth per connection is bounded (prism-server/-owner
+// -inflight; the in-process fabric applies the transport's default
+// bound per server address so local behaviour matches a wire
+// deployment). Disk-backed servers can
 // additionally enable a per-table hot-chunk cache (Config.HotChunks, a
 // byte budget; 0 is off): column chunks are read from the share store
 // once per table epoch — invalidated when any
@@ -87,9 +88,8 @@
 // has arrived, so queries never observe a half-uploaded epoch. The
 // default 0 preserves the monolithic one-frame-per-exchange wire
 // behaviour. With disk-backed servers set a HotChunks budget alongside
-// sharding (each window reads its chunks through the per-epoch cache);
-// the effective pipelining depth per connection is
-// min(8, PerConnInflight). The prism-bench domainscale experiment
+// sharding (each window reads its chunks through the per-epoch cache).
+// The prism-bench domainscale experiment
 // measures queries/sec and peak frame size in both modes.
 //
 // # Storage
@@ -106,8 +106,9 @@
 // Config.HotChunks cache budget, server resident memory during both
 // outsourcing and querying is bounded by the chunk size and the budget,
 // not the domain, so columns larger than RAM serve end to end.
-// Config.PendingUploadTTL reclaims upload assemblies abandoned by
-// crashed owners. The prism-bench memscale experiment measures peak
+// Upload assemblies abandoned by crashed owners are reclaimed when the
+// owner retries or the table is dropped (prism-server -pendttl adds a
+// timed sweep). The prism-bench memscale experiment measures peak
 // server resident bytes and queries/sec in both serving modes and
 // cross-checks their result fingerprints.
 //

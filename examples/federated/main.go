@@ -7,7 +7,11 @@
 // flagged (PSI, verified), the combined exposure per common client
 // (PSI sum), and the largest single-bank exposure with the banks that
 // hold it (PSI max — the full three-round §6.3 protocol through the
-// announcer), all over loopback TCP with length-prefixed wire frames.
+// announcer, plus the query-global maximum), all over loopback TCP with
+// length-prefixed wire frames. Every query is one ownerengine.Exec call —
+// the same entry point the library, prism-gateway and prism-owner use;
+// this process holds all three banks' engines (a Cohort), which is what
+// lets it run the max.
 //
 // Run: go run ./examples/federated
 package main
@@ -22,7 +26,6 @@ import (
 	"prism/internal/ownerengine"
 	"prism/internal/params"
 	"prism/internal/prg"
-	"prism/internal/protocol"
 	"prism/internal/serverengine"
 	"prism/internal/transport"
 )
@@ -68,7 +71,7 @@ func main() {
 	logical := []string{"server/0", "server/1", "server/2"}
 	owners := make([]*ownerengine.Owner, numBanks)
 	for j := 0; j < numBanks; j++ {
-		book := map[string]string{}
+		book := map[string]string{"announcer": annLn.Addr().String()}
 		for i, l := range logical {
 			book[l] = serverAddrs[i]
 		}
@@ -99,65 +102,42 @@ func main() {
 			float64(st.BuildNS+st.SplitNS+st.UploadNS)/1e9)
 	}
 
-	// ---- PSI with verification ----
 	querier := owners[0]
-	psi, err := querier.PSI(ctx, "watchlist")
-	must(err)
-	must(querier.VerifyPSI(ctx, "watchlist", psi))
+	cohort := &ownerengine.Cohort{Owners: owners, Announcer: "announcer"}
+	exec := func(kind ownerengine.OpKind, cols ...string) *ownerengine.Result {
+		res, err := querier.Exec(ctx, ownerengine.Query{Kind: kind, Table: "watchlist", Cols: cols, Verify: true}, cohort)
+		must(err)
+		return res
+	}
+
+	// ---- PSI with verification ----
+	psi := exec(ownerengine.OpPSI)
 	fmt.Printf("\nclients flagged by all %d banks (verified PSI): ", numBanks)
 	for _, c := range psi.Cells {
 		fmt.Printf("#%d ", c+1)
 	}
 	fmt.Println()
 
-	// ---- PSI sum ----
-	agg, err := querier.Aggregate(ctx, "watchlist", psi.Cells, []string{"exposure"}, true, true)
-	must(err)
-	for _, c := range psi.Cells {
+	// ---- PSI sum (with the flag counts: the avg kind fetches both) ----
+	agg := exec(ownerengine.OpPSIAvg, "exposure")
+	for _, c := range agg.Cells {
 		fmt.Printf("combined exposure for client #%d: $%d across %d flags\n",
 			c+1, agg.Sums["exposure"][c], agg.Counts[c])
 	}
 
 	// ---- PSI max: the full §6.3 rounds over TCP ----
-	// Vector rounds: every step below is one exchange per server however
-	// many clients are common, each message carrying one entry per cell.
-	const qid = "max-exposure"
-	cells := psi.Cells
-	locals := make([][]uint64, numBanks)
-	for j, o := range owners {
-		vals, has, err := o.LocalValues(protocol.KindMax, "exposure", cells)
-		must(err)
-		for c, ok := range has {
-			if !ok {
-				log.Fatalf("bank %d missing common client #%d", j+1, cells[c]+1)
-			}
-		}
-		locals[j] = vals
-		must(o.SubmitExtreme(ctx, qid, protocol.KindMax, cells, vals))
-	}
-	out, err := querier.FetchExtreme(ctx, qid, protocol.KindMax, cells)
-	must(err)
-	for j, o := range owners {
-		holds := make([]bool, len(cells))
-		for c := range cells {
-			z := out.Values[c][0]
-			must(ownerengine.CheckExtremeConsistency(protocol.KindMax, z, locals[j][c]))
-			holds[c] = locals[j][c] == z
-		}
-		must(o.SubmitClaim(ctx, qid, cells, holds))
-	}
-	claims, err := querier.FetchClaims(ctx, qid, cells)
-	must(err)
-	for c, cell := range cells {
-		var holders []int
-		for j, h := range claims[c] {
-			if h {
-				holders = append(holders, j+1)
-			}
+	// Vector rounds: every step is one exchange per server however many
+	// clients are common, each message carrying one entry per cell.
+	top := exec(ownerengine.OpPSIMax, "exposure")
+	for _, c := range top.Cells {
+		holders := make([]int, len(top.Extreme[c].Owners))
+		for i, j := range top.Extreme[c].Owners {
+			holders[i] = j + 1
 		}
 		fmt.Printf("largest single-bank exposure for client #%d: $%d (bank(s) %v)\n",
-			cell+1, out.Values[c][0], holders)
+			c+1, top.Extreme[c].Value, holders)
 	}
+	fmt.Printf("largest exposure overall: $%d, client #%d\n", top.Global.Value, top.GlobalCell+1)
 	fmt.Println("\nall rounds ran over loopback TCP; servers never contacted each other")
 }
 

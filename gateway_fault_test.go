@@ -4,19 +4,21 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
+	"prism/internal/baseline"
 	"prism/internal/gateway"
+	"prism/internal/ownerengine"
+	"prism/internal/protocol"
+	"prism/internal/transport"
 )
 
-// startSystemGateway serves a gateway over sys's full-system backends
-// on a loopback listener, torn down when the test ends.
-func startSystemGateway(t *testing.T, sys *System, cfg gateway.Config) string {
+// startGateway serves a gateway on a loopback listener, torn down when
+// the test ends.
+func startGateway(t *testing.T, cfg gateway.Config) (string, *gateway.Gateway) {
 	t.Helper()
-	cfg.Backends = sys.GatewayBackends()
 	gw, err := gateway.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,87 +36,191 @@ func startSystemGateway(t *testing.T, sys *System, cfg gateway.Config) string {
 			t.Errorf("gateway Serve: %v", err)
 		}
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), gw
 }
 
-func sortedCells(cells []uint64) []uint64 {
-	s := append([]uint64(nil), cells...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s
+// startSystemGateway serves a gateway over sys's cohort-backed backends.
+func startSystemGateway(t *testing.T, sys *System, cfg gateway.Config) string {
+	t.Helper()
+	cfg.Backends = sys.GatewayBackends()
+	addr, _ := startGateway(t, cfg)
+	return addr
 }
 
-// TestGatewaySystemParity runs every front-protocol query kind through
-// a gateway over the full local system and requires each answer to be
-// identical to the direct-path result — including the coordinated
-// extremes, which the full-system backend (unlike a pooled owner
-// engine) can serve. All sessions must be retired afterwards.
-func TestGatewaySystemParity(t *testing.T) {
-	sys := concSystem(t)
-	addr := startSystemGateway(t, sys, gateway.Config{})
-	cl, err := gateway.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx := context.Background()
+// frontAnswer is a query answer as the front protocol carries it: the
+// one form a library Result and a gateway reply can both be put in.
+// Printed with %v (maps in key order) it is the answer's fingerprint.
+type frontAnswer struct {
+	Cells   []uint64
+	Count   int
+	Sums    map[string]map[uint64]uint64
+	Counts  map[uint64]uint64
+	Extreme map[uint64]uint64
+	Global  uint64
+}
 
-	dPSI, err := sys.PSI(ctx)
-	if err != nil {
-		t.Fatal(err)
+func answerOfResult(r *ownerengine.Result) string {
+	a := frontAnswer{Cells: r.Cells, Count: r.Count, Sums: r.Sums, Counts: r.Counts, Extreme: map[uint64]uint64{}}
+	for cell, ext := range r.Extreme {
+		a.Extreme[cell] = ext.Value
 	}
-	gPSI, err := cl.Query("psi", nil, "t0", 30*time.Second)
-	if err != nil {
-		t.Fatalf("gateway psi: %v", err)
+	if r.Global != nil {
+		a.Global = r.Global.Value
 	}
-	if !reflect.DeepEqual(sortedCells(gPSI.Cells), sortedCells(dPSI.Cells)) {
-		t.Errorf("psi cells diverged: gateway %v, direct %v", gPSI.Cells, dPSI.Cells)
-	}
+	return fmt.Sprintf("%+v", a)
+}
 
-	dCount, err := sys.PSICount(ctx)
-	if err != nil {
-		t.Fatal(err)
+func answerOfReply(r *gateway.Response) string {
+	a := frontAnswer{Cells: r.Cells, Count: r.Count, Sums: r.Sums, Counts: r.Counts, Extreme: r.Extreme}
+	if r.Global != nil {
+		a.Global = *r.Global
 	}
-	gCount, err := cl.Query("count", nil, "t0", 30*time.Second)
-	if err != nil {
-		t.Fatalf("gateway count: %v", err)
-	}
-	if gCount.Count != dCount.Count {
-		t.Errorf("count diverged: gateway %d, direct %d", gCount.Count, dCount.Count)
-	}
+	return fmt.Sprintf("%+v", a)
+}
 
-	dSum, err := sys.PSISum(ctx, "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gSum, err := cl.Query("sum", []string{"v"}, "t0", 30*time.Second)
-	if err != nil {
-		t.Fatalf("gateway sum: %v", err)
-	}
-	if !reflect.DeepEqual(gSum.Sums["v"], dSum.Sums["v"]) {
-		t.Errorf("sum diverged: gateway %v, direct %v", gSum.Sums["v"], dSum.Sums["v"])
-	}
-
-	dMax, err := sys.PSIMax(ctx, "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gMax, err := cl.Query("max", []string{"v"}, "t0", 30*time.Second)
-	if err != nil {
-		t.Fatalf("gateway max: %v", err)
-	}
-	for cell, pc := range dMax.PerCell {
-		if gMax.Extreme[cell] != pc.Value {
-			t.Errorf("max at cell %d diverged: gateway %d, direct %d", cell, gMax.Extreme[cell], pc.Value)
+// plainAnswers computes the plaintext answer of every set, count and
+// aggregation kind from the owners' loaded tuples (column "v").
+func plainAnswers(sys *System, inter []uint64) map[OpKind]string {
+	sets := make([][]uint64, sys.Owners())
+	sum, cnt := map[uint64]uint64{}, map[uint64]uint64{}
+	for j := range sets {
+		d := sys.Owner(j).Engine().Data()
+		sets[j] = d.Cells
+		for i, c := range d.Cells {
+			sum[c] += d.Aggs["v"][i]
+			cnt[c]++
 		}
 	}
-	if len(gMax.Extreme) != len(dMax.PerCell) {
-		t.Errorf("max cells: gateway %d, direct %d", len(gMax.Extreme), len(dMax.PerCell))
+	union := baseline.PlaintextUnion(sets)
+	slices.Sort(union)
+	agg := func(cells []uint64, withCount bool) string {
+		r := &ownerengine.Result{Cells: cells, Sums: map[string]map[uint64]uint64{"v": {}}}
+		if withCount {
+			r.Counts = map[uint64]uint64{}
+		}
+		for _, c := range cells {
+			r.Sums["v"][c] = sum[c]
+			if withCount {
+				r.Counts[c] = cnt[c]
+			}
+		}
+		return answerOfResult(r)
 	}
-	if dMax.Global != nil && (gMax.Global == nil || *gMax.Global != dMax.Global.Value) {
-		t.Errorf("global max diverged: gateway %v, direct %d", gMax.Global, dMax.Global.Value)
+	return map[OpKind]string{
+		OpPSI:      answerOfResult(&ownerengine.Result{Cells: inter}),
+		OpPSU:      answerOfResult(&ownerengine.Result{Cells: union}),
+		OpPSICount: answerOfResult(&ownerengine.Result{Count: len(inter)}),
+		OpPSUCount: answerOfResult(&ownerengine.Result{Count: len(union)}),
+		OpPSISum:   agg(inter, false),
+		OpPSIAvg:   agg(inter, true),
+		OpPSUSum:   agg(union, false),
+		OpPSUAvg:   agg(union, true),
 	}
+}
 
-	assertNoSessions(t, sys)
+// TestGatewaySystemParity is the direct/gateway slice of the conformance
+// matrix: every kind of the kind table, on 1 and 2 server groups over
+// randomised data, must answer (a) through the library exactly as the
+// plaintext oracle does, (b) through a gateway over the system's
+// cohort-backed backends exactly as (a), and (c) through a gateway over a
+// lone owner engine — what cmd/prism-gateway pools — exactly as (a) for
+// the single-session kinds and with code "unsupported", the pool still
+// at full strength, for max/min/median. No path may leave a session
+// behind, nor may a max whose caller gives up mid-round.
+func TestGatewaySystemParity(t *testing.T) {
+	extremes := map[OpKind]protocol.ExtremeKind{
+		OpPSIMax: protocol.KindMax, OpPSIMin: protocol.KindMin, OpPSIMedian: protocol.KindMedian,
+	}
+	for _, groups := range []int{1, 2} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			sys, err := NewLocalSystem(extremeConfig(t, 4, groups, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			orc := loadPlanted(t, sys, plantedCells(sys, 5), int64(40+groups))
+			plain := plainAnswers(sys, orc.cells)
+
+			dial := func(cfg gateway.Config) (*gateway.Client, *gateway.Gateway) {
+				addr, gw := startGateway(t, cfg)
+				cl, err := gateway.Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cl.Close() })
+				return cl, gw
+			}
+			cohort, _ := dial(gateway.Config{Backends: sys.GatewayBackends()})
+			lone, loneGW := dial(gateway.Config{Backends: []gateway.Backend{
+				&gateway.EngineBackend{Owner: sys.Owner(1).Engine(), Table: "main", Verify: true},
+			}})
+
+			ctx := context.Background()
+			for _, name := range ownerengine.KindNames() {
+				kind, _ := ownerengine.KindByName(name)
+				var cols []string
+				if kind.Family() == ownerengine.FamilyAgg || kind.Family() == ownerengine.FamilyExtreme {
+					cols = []string{"v"}
+				}
+
+				direct := sys.execute(ctx, Request{Op: kind, Cols: cols})
+				if direct.Err != nil {
+					t.Fatalf("%s direct: %v", name, direct.Err)
+				}
+				want := answerOfResult(direct.Result)
+				ext, isExtreme := extremes[kind]
+				if isExtreme {
+					orc.check(t, ext, direct.Extreme)
+				} else if want != plain[kind] {
+					t.Errorf("%s direct = %s, plaintext %s", name, want, plain[kind])
+				}
+
+				reply, err := cohort.Query(name, cols, "t0", 30*time.Second)
+				if err != nil {
+					t.Fatalf("%s through the cohort gateway: %v", name, err)
+				}
+				if got := answerOfReply(reply); got != want {
+					t.Errorf("%s through the cohort gateway = %s, direct %s", name, got, want)
+				}
+
+				reply, err = lone.Query(name, cols, "t0", 30*time.Second)
+				switch {
+				case isExtreme:
+					if err == nil || reply == nil || reply.Code != gateway.CodeUnsupported {
+						t.Errorf("%s through a lone engine: reply %+v, err %v, want code %q", name, reply, err, gateway.CodeUnsupported)
+					}
+					if h := loneGW.Pool().Healthy(); h != loneGW.Pool().Size() {
+						t.Errorf("%s refused as unsupported left %d of %d pool members healthy", name, h, loneGW.Pool().Size())
+					}
+				case err != nil:
+					t.Errorf("%s through a lone engine: %v", name, err)
+				default:
+					if got := answerOfReply(reply); got != want {
+						t.Errorf("%s through a lone engine = %s, direct %s", name, got, want)
+					}
+				}
+				assertNoSessions(t, sys)
+			}
+
+			// The caller gives up at the first claim: the backend retires
+			// the round's sessions regardless.
+			cctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			sys.interceptGroupServer(groups-1, 0, func(inner transport.Handler) transport.Handler {
+				return transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+					if _, ok := req.(protocol.ClaimSubmitRequest); ok {
+						cancel()
+					}
+					return inner.Handle(ctx, req)
+				})
+			})
+			if _, err := sys.Owner(2).GatewayBackend().Exec(cctx, gateway.Query{Kind: OpPSIMax, Cols: []string{"v"}}); err == nil {
+				t.Error("max survived its caller's cancellation")
+			}
+			sys.restoreGroupServer(groups-1, 0)
+			assertNoSessions(t, sys)
+		})
+	}
 }
 
 // TestGatewayMidQueryDisconnect is the session-cleanup fault injection:

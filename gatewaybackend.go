@@ -1,21 +1,14 @@
 package prism
 
-import (
-	"context"
-	"fmt"
+import "prism/internal/gateway"
 
-	"prism/internal/gateway"
-)
-
-// GatewayBackend adapts this owner into a gateway pool member backed by
-// the full local system: unlike a bare pooled owner engine, it can also
-// serve the exemplary aggregations (max/min/median), because the local
-// System holds every owner and can drive the coordinated all-owner
-// flow. benchx and the fault-injection tests run gateways over these;
-// cmd/prism-gateway (a separate process from the owners) uses
-// gateway.EngineBackend instead.
+// GatewayBackend adapts this owner into a gateway pool member — the same
+// gateway.EngineBackend cmd/prism-gateway pools, here handed the local
+// system's cohort (every owner's engine), so it also serves the
+// exemplary aggregations (max/min/median) a lone owner engine must
+// refuse.
 func (o *Owner) GatewayBackend() gateway.Backend {
-	return &systemBackend{o: o}
+	return &gateway.EngineBackend{Owner: o.eng, Table: o.sys.table, Verify: o.sys.cfg.Verify, Cohort: o.sys.cohort}
 }
 
 // GatewayBackends returns one backend per owner — the natural pool for
@@ -26,80 +19,4 @@ func (s *System) GatewayBackends() []gateway.Backend {
 		out[i] = o.GatewayBackend()
 	}
 	return out
-}
-
-type systemBackend struct {
-	o *Owner
-}
-
-func (b *systemBackend) Exec(ctx context.Context, q gateway.Query) (*gateway.Result, error) {
-	switch q.Kind {
-	case "psi", "psu":
-		var res *SetResult
-		var err error
-		if q.Kind == "psi" {
-			res, err = b.o.PSI(ctx)
-		} else {
-			res, err = b.o.PSU(ctx)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &gateway.Result{Cells: res.Cells}, nil
-	case "count", "psucount":
-		var res *CountResult
-		var err error
-		if q.Kind == "count" {
-			res, err = b.o.PSICount(ctx)
-		} else {
-			res, err = b.o.PSUCount(ctx)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &gateway.Result{Count: res.Count}, nil
-	case "sum", "avg":
-		var res *AggregateResult
-		var err error
-		if q.Kind == "sum" {
-			res, err = b.o.PSISum(ctx, q.Cols...)
-		} else {
-			res, err = b.o.PSIAvg(ctx, q.Cols...)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &gateway.Result{Cells: res.Cells, Sums: res.Sums, Counts: res.Counts}, nil
-	case "max", "min", "median":
-		var res *ExtremeResult
-		var err error
-		switch q.Kind {
-		case "max":
-			res, err = b.o.PSIMax(ctx, q.Cols[0])
-		case "min":
-			res, err = b.o.PSIMin(ctx, q.Cols[0])
-		default:
-			res, err = b.o.PSIMedian(ctx, q.Cols[0])
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := &gateway.Result{Cells: res.Cells, Extreme: make(map[uint64]uint64, len(res.PerCell))}
-		for cell, pc := range res.PerCell {
-			out.Extreme[cell] = pc.Value
-		}
-		if res.Global != nil {
-			v := res.Global.Value
-			out.Global = &v
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown query kind %q", gateway.ErrUnsupported, q.Kind)
-	}
-}
-
-// Ping probes the owner's full server fabric through the system's
-// transport.
-func (b *systemBackend) Ping(ctx context.Context) error {
-	return b.o.eng.Ping(ctx)
 }

@@ -20,6 +20,7 @@ import (
 
 	"prism"
 	"prism/internal/bucket"
+	"prism/internal/ownerengine"
 	"prism/internal/prg"
 	"prism/internal/workload"
 )
@@ -41,8 +42,7 @@ type SystemSpec struct {
 	Verify       bool
 	MaxValue     uint64
 	Seed         string
-	DeltaMax     int           // per-table delta-log compaction threshold (0 = default)
-	CompactEvery time.Duration // background compaction interval (0 = off)
+	DeltaMax     int // per-table delta-log compaction threshold (0 = default)
 }
 
 func (s SystemSpec) withDefaults() SystemSpec {
@@ -116,7 +116,6 @@ func Build(spec SystemSpec) (*prism.System, []*workload.OwnerData, prism.ShareGe
 		EncodeWire:  spec.EncodeWire,
 
 		DeltaMaxEntries: spec.DeltaMax,
-		CompactInterval: spec.CompactEvery,
 	})
 	if err != nil {
 		return nil, nil, sg, err
@@ -149,119 +148,77 @@ type OpResult struct {
 // Ops enumerates the Figure 3 operators in presentation order.
 var Ops = []string{"PSI", "PSU", "PSI Count", "PSI Sum", "PSI Avg", "PSI Median", "PSI Max"}
 
-// RunOp executes one operator end to end and returns its timing.
+// RunOp executes one operator (a name from the kind table, e.g. "PSI
+// Sum") end to end and returns its timing. col is the column of the
+// kinds that take one.
 func RunOp(ctx context.Context, sys *prism.System, op, col string) (OpResult, error) {
-	start := time.Now()
-	var stats prism.QueryStats
-	size := 0
-	var err error
-	switch op {
-	case "PSI":
-		var r *prism.SetResult
-		r, err = sys.PSI(ctx)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	case "PSU":
-		var r *prism.SetResult
-		r, err = sys.PSU(ctx)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	case "PSI Count":
-		var r *prism.CountResult
-		r, err = sys.PSICount(ctx)
-		if r != nil {
-			stats, size = r.Stats, r.Count
-		}
-	case "PSU Count":
-		var r *prism.CountResult
-		r, err = sys.PSUCount(ctx)
-		if r != nil {
-			stats, size = r.Stats, r.Count
-		}
-	case "PSI Sum":
-		var r *prism.AggregateResult
-		r, err = sys.PSISum(ctx, col)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	case "PSI Avg":
-		var r *prism.AggregateResult
-		r, err = sys.PSIAvg(ctx, col)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	case "PSI Median":
-		var r *prism.ExtremeResult
-		r, err = sys.PSIMedian(ctx, col)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	case "PSI Max":
-		var r *prism.ExtremeResult
-		r, err = sys.PSIMax(ctx, col)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	case "PSI Min":
-		var r *prism.ExtremeResult
-		r, err = sys.PSIMin(ctx, col)
-		if r != nil {
-			stats, size = r.Stats, len(r.Cells)
-		}
-	default:
+	kind, ok := ownerengine.KindByName(op)
+	if !ok {
 		return OpResult{}, fmt.Errorf("benchx: unknown op %q", op)
 	}
-	if err != nil {
-		return OpResult{}, fmt.Errorf("benchx: %s: %w", op, err)
+	req := prism.Request{Op: kind}
+	if f := kind.Family(); f == ownerengine.FamilyAgg || f == ownerengine.FamilyExtreme {
+		req.Cols = []string{col}
+	}
+	return runRequest(ctx, sys, op, req)
+}
+
+// runRequest times one query through the system's scheduler.
+func runRequest(ctx context.Context, sys *prism.System, label string, req prism.Request) (OpResult, error) {
+	start := time.Now()
+	r := sys.QueryAsync(ctx, req).Wait()
+	if r.Err != nil {
+		return OpResult{}, fmt.Errorf("benchx: %s: %w", label, r.Err)
+	}
+	st := r.Result.Stats
+	size := len(r.Result.Cells)
+	if req.Op.Family() == ownerengine.FamilyCount {
+		size = r.Result.Count
 	}
 	return OpResult{
-		Op:              op,
+		Op:              label,
 		WallNS:          time.Since(start).Nanoseconds(),
-		ServerComputeNS: stats.ServerComputeNS,
-		ServerFetchNS:   stats.ServerFetchNS,
-		OwnerNS:         stats.OwnerNS,
+		ServerComputeNS: st.Server.ComputeNS,
+		ServerFetchNS:   st.Server.FetchNS,
+		OwnerNS:         st.OwnerNS,
 		ResultSize:      size,
-		CacheHits:       stats.ServerCacheHits,
+		CacheHits:       st.Server.CacheHits,
 	}, nil
+}
+
+// fingerprint canonically serialises an answer's semantic content —
+// everything but the timing stats — so two paths to the same query can
+// be compared result for result. fmt prints maps in key order, so equal
+// answers give equal strings.
+func fingerprint(r *ownerengine.Result) string {
+	s := fmt.Sprintf("cells=%v count=%d sums=%v counts=%v extreme=%v", r.Cells, r.Count, r.Sums, r.Counts, r.Extreme)
+	if r.Global != nil {
+		s += fmt.Sprintf(" global=%v@%d", *r.Global, r.GlobalCell)
+	}
+	return s
 }
 
 // MultiColSum runs one PSI-sum over the first n workload columns
 // (Table 12's sum rows).
 func MultiColSum(ctx context.Context, sys *prism.System, n int) (OpResult, error) {
-	cols := workload.Columns[:n]
-	start := time.Now()
-	r, err := sys.PSISum(ctx, cols...)
-	if err != nil {
-		return OpResult{}, err
-	}
-	return OpResult{
-		Op:              fmt.Sprintf("Sum/%d", n),
-		WallNS:          time.Since(start).Nanoseconds(),
-		ServerComputeNS: r.Stats.ServerComputeNS,
-		ServerFetchNS:   r.Stats.ServerFetchNS,
-		OwnerNS:         r.Stats.OwnerNS,
-		ResultSize:      len(r.Cells),
-	}, nil
+	return runRequest(ctx, sys, fmt.Sprintf("Sum/%d", n), prism.Request{Op: prism.OpPSISum, Cols: workload.Columns[:n]})
 }
 
 // MultiColMax runs PSI-max over each of the first n columns (Table 12's
 // max rows: the paper's multi-attribute max computes per attribute).
 func MultiColMax(ctx context.Context, sys *prism.System, n int) (OpResult, error) {
 	start := time.Now()
-	var total OpResult
+	total := OpResult{Op: fmt.Sprintf("Max/%d", n)}
 	for _, col := range workload.Columns[:n] {
-		r, err := sys.PSIMax(ctx, col)
+		r, err := RunOp(ctx, sys, "PSI Max", col)
 		if err != nil {
 			return OpResult{}, err
 		}
-		total.ServerComputeNS += r.Stats.ServerComputeNS
-		total.ServerFetchNS += r.Stats.ServerFetchNS
-		total.OwnerNS += r.Stats.OwnerNS
-		total.ResultSize = len(r.Cells)
+		total.ServerComputeNS += r.ServerComputeNS
+		total.ServerFetchNS += r.ServerFetchNS
+		total.OwnerNS += r.OwnerNS
+		total.ResultSize = r.ResultSize
 	}
-	total.Op = fmt.Sprintf("Max/%d", n)
 	total.WallNS = time.Since(start).Nanoseconds()
 	return total, nil
 }

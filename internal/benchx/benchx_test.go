@@ -187,56 +187,6 @@ func TestFanoutAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestDiskAblationSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	tables, err := DiskAblation(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (memory, disk, disk+hot × 2 ops)", len(rows))
-	}
-	// Memory rows must report zero fetch; disk rows nonzero at adaptive
-	// (µs/ns) resolution.
-	if rows[0][4] != "0" {
-		t.Errorf("memory mode reported fetch time %s", rows[0][4])
-	}
-	if rows[2][4] == "0" || rows[2][4] == "0.000" {
-		t.Errorf("disk mode reported no fetch time (cell %q)", rows[2][4])
-	}
-	// Hot-column rows report the warm run: no fetch, nonzero cache hits.
-	for _, row := range rows[4:6] {
-		if row[4] != "0" {
-			t.Errorf("disk+hot warm run reported fetch time %s", row[4])
-		}
-		if row[5] == "0" {
-			t.Errorf("disk+hot warm run reported no cache hits (op %s)", row[1])
-		}
-	}
-	// The raw nanosecond stat is the authoritative assertion.
-	for _, disk := range []bool{false, true} {
-		spec := SystemSpec{Owners: sc.Owners, Domain: sc.Domains[0], Seed: "disk-ablation-raw"}
-		if disk {
-			spec.DiskDir = sc.DiskDir + "/ablation-raw"
-		}
-		sys, _, _, err := Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := RunOp(context.Background(), sys, "PSI", "DT")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if disk && r.ServerFetchNS <= 0 {
-			t.Errorf("disk mode: ServerFetchNS = %d, want > 0", r.ServerFetchNS)
-		}
-		if !disk && r.ServerFetchNS != 0 {
-			t.Errorf("memory mode: ServerFetchNS = %d, want 0", r.ServerFetchNS)
-		}
-	}
-}
-
 func TestThroughputSmoke(t *testing.T) {
 	sc := tinyScale(t)
 	tables, err := Throughput(context.Background(), sc)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"prism"
@@ -260,58 +258,6 @@ func FanoutAblation(sc Scale) []*report.Table {
 	return []*report.Table{tb}
 }
 
-// DiskAblation compares in-memory, disk-backed, and disk-backed with the
-// hot-column cache for PSI and PSI-sum — isolating the "data fetch" cost
-// of Figure 3 and what the per-table-epoch cache recovers of it. The
-// disk+hot rows report the second (warm) run of each operator: the first
-// run of an epoch pays the disk read, every later query serves columns
-// from memory.
-func DiskAblation(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	tb := report.New("Ablation — in-memory vs disk-backed vs hot-column-cached share serving",
-		"mode", "op", "total(s)", "server-compute(s)", "data-fetch", "cache-hits")
-	domain := sc.Domains[0]
-	modes := []struct {
-		name string
-		disk bool
-		hot  bool
-	}{
-		{"memory", false, false},
-		{"disk", true, false},
-		{"disk+hot (warm)", true, true},
-	}
-	for _, m := range modes {
-		spec := SystemSpec{Owners: sc.Owners, Domain: domain, Seed: "disk-ablation"}
-		if m.disk {
-			spec.DiskDir = fmt.Sprintf("%s/ablation-%s", sc.DiskDir, map[bool]string{false: "cold", true: "hot"}[m.hot])
-			if m.hot {
-				// A budget every column fits in (≤ 64 B per cell and owner),
-				// so the warm run measures a fully resident epoch.
-				spec.HotChunks = 64 * domain * uint64(sc.Owners)
-			}
-		}
-		sys, _, _, err := Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		for _, op := range []string{"PSI", "PSI Sum"} {
-			r, err := RunOp(ctx, sys, op, "DT")
-			if err != nil {
-				return nil, err
-			}
-			if m.hot {
-				// Warm run: the epoch's columns are now resident.
-				r, err = RunOp(ctx, sys, op, "DT")
-				if err != nil {
-					return nil, err
-				}
-			}
-			tb.Add(m.name, op, report.Seconds(r.WallNS), report.Seconds(r.ServerComputeNS),
-				report.Dur(r.ServerFetchNS), r.CacheHits)
-		}
-	}
-	return []*report.Table{tb}, nil
-}
-
 // quoted numbers from the paper's Table 13 (taken, as the paper itself
 // does, from the respective publications).
 type quotedSystem struct {
@@ -428,7 +374,7 @@ func Throughput(ctx context.Context, sc Scale) ([]*report.Table, error) {
 				nerr++
 				continue
 			}
-			lat += statsOf(r).WallNS
+			lat += r.Result.Stats.WallNS
 		}
 		okCount := nq - nerr
 		if okCount == 0 {
@@ -606,7 +552,7 @@ func MemScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 				if r.Err != nil {
 					return nil, fmt.Errorf("benchx: memscale %s @%s: query %d failed: %v", mode.name, human(domain), i, r.Err)
 				}
-				fps[i] = responseFingerprint(r)
+				fps[i] = fingerprint(r.Result)
 			}
 			result := "baseline"
 			if baseline == nil {
@@ -627,38 +573,6 @@ func MemScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 	return []*report.Table{tb}, nil
 }
 
-// responseFingerprint canonically serialises a response's semantic
-// content (everything except timing stats) so the memscale modes can be
-// compared result-for-result.
-func responseFingerprint(r *prism.Response) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "op=%v;", r.Op)
-	switch {
-	case r.Set != nil:
-		fmt.Fprintf(&b, "cells=%v;values=%v", r.Set.Cells, r.Set.Values)
-	case r.Count != nil:
-		fmt.Fprintf(&b, "count=%d", r.Count.Count)
-	case r.Agg != nil:
-		fmt.Fprintf(&b, "cells=%v;", r.Agg.Cells)
-		cols := make([]string, 0, len(r.Agg.Sums))
-		for col := range r.Agg.Sums {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			cells := make([]uint64, 0, len(r.Agg.Sums[col]))
-			for c := range r.Agg.Sums[col] {
-				cells = append(cells, c)
-			}
-			sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-			for _, c := range cells {
-				fmt.Fprintf(&b, "sum[%s][%d]=%d;", col, c, r.Agg.Sums[col][c])
-			}
-		}
-	}
-	return b.String()
-}
-
 func humanBytes(n int64) string {
 	switch {
 	case n >= 1<<20:
@@ -668,22 +582,6 @@ func humanBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-// statsOf extracts the per-query stats from whichever result a response
-// carries.
-func statsOf(r *prism.Response) prism.QueryStats {
-	switch {
-	case r.Set != nil:
-		return r.Set.Stats
-	case r.Count != nil:
-		return r.Count.Stats
-	case r.Agg != nil:
-		return r.Agg.Stats
-	case r.Extreme != nil:
-		return r.Extreme.Stats
-	}
-	return prism.QueryStats{}
 }
 
 func human(n uint64) string {
@@ -846,7 +744,7 @@ func streamScalePoint(ctx context.Context, sc Scale, tb *report.Table, domain, s
 		if r.Err != nil {
 			return fmt.Errorf("benchx: streamscale @%s: pre-compaction read: %w", human(domain), r.Err)
 		}
-		pre[i] = responseFingerprint(r)
+		pre[i] = fingerprint(r.Result)
 	}
 	backlog := 0
 	for phi := 0; phi < 3; phi++ {
@@ -864,7 +762,7 @@ func streamScalePoint(ctx context.Context, sc Scale, tb *report.Table, domain, s
 		if r.Err != nil {
 			return fmt.Errorf("benchx: streamscale @%s: post-compaction read: %w", human(domain), r.Err)
 		}
-		if fp := responseFingerprint(r); fp != pre[i] {
+		if fp := fingerprint(r.Result); fp != pre[i] {
 			return fmt.Errorf("benchx: streamscale @%s: query %d diverged after compaction", human(domain), i)
 		}
 	}
@@ -941,8 +839,8 @@ func GroupScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 			if r.Err != nil {
 				return nil, fmt.Errorf("benchx: groupscale @%d groups: query %d failed: %v", groups, i, r.Err)
 			}
-			fps[i] = responseFingerprint(r)
-			ownerNS += statsOf(r).OwnerNS
+			fps[i] = fingerprint(r.Result)
+			ownerNS += r.Result.Stats.OwnerNS
 		}
 		result := "baseline"
 		if baseline == nil {

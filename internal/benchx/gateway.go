@@ -11,21 +11,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prism"
 	"prism/internal/gateway"
+	"prism/internal/ownerengine"
 	"prism/internal/report"
 )
 
-// gatewayMix is the query mix every front client cycles through. Only
-// single-owner-driven operators: the front tier refuses the coordinated
-// extremes by design.
-var gatewayMix = []struct {
-	kind string
-	cols []string
-}{
-	{kind: "count"},
-	{kind: "psi"},
-	{kind: "sum", cols: []string{"DT"}},
+// gatewayMix is the query mix every front client cycles through: the
+// single-session operators, which keep the per-query server work small
+// next to the front tier's own.
+var gatewayMix = []gateway.Query{
+	{Kind: ownerengine.OpPSICount},
+	{Kind: ownerengine.OpPSI},
+	{Kind: ownerengine.OpPSISum, Cols: []string{"DT"}},
 }
 
 // gatewayScaleDomain caps the backend domain: this experiment measures
@@ -63,7 +60,9 @@ func GatewayScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 		return nil, err
 	}
 
-	want, err := directFingerprints(ctx, sys)
+	// Both paths run the same backends: directly, and behind the front tier.
+	backends := sys.GatewayBackends()
+	want, err := directFingerprints(ctx, backends[0])
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +76,7 @@ func GatewayScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 	// in-flight query per owner engine, same total query count as the
 	// largest gateway point.
 	nq := clients[len(clients)-1] * qpc
-	dWall, dLat, err := runDirectLoad(ctx, sys, sc.Owners, nq, want)
+	dWall, dLat, err := runDirectLoad(ctx, backends, nq, want)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +86,7 @@ func GatewayScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 
 	// Capacity sweep: unlimited admission, C concurrent TCP clients.
 	gw, err := startBenchGateway(ctx, gateway.Config{
-		Backends:       sys.GatewayBackends(),
+		Backends:       backends,
 		DefaultTimeout: 2 * time.Minute,
 	})
 	if err != nil {
@@ -121,7 +120,7 @@ func GatewayScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 	offered := 2 * (int(overRate) + overQueue)
 	overTimeout := 10 * time.Second
 	gw2, err := startBenchGateway(ctx, gateway.Config{
-		Backends:       sys.GatewayBackends(),
+		Backends:       backends,
 		Rate:           overRate,
 		Queue:          overQueue,
 		DefaultTimeout: overTimeout,
@@ -158,7 +157,7 @@ func GatewayScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 func gatewayMixNames() string {
 	names := make([]string, len(gatewayMix))
 	for i, m := range gatewayMix {
-		names[i] = m.kind
+		names[i] = m.Kind.Name()
 	}
 	return strings.Join(names, "/")
 }
@@ -193,112 +192,23 @@ func (b *benchGateway) stop() error {
 // directFingerprints runs each mix operator once on the direct path and
 // returns its canonical result fingerprint — the parity baseline every
 // gateway answer must reproduce bit for bit.
-func directFingerprints(ctx context.Context, sys *prism.System) (map[string]string, error) {
-	fps := make(map[string]string, len(gatewayMix))
-	for _, m := range gatewayMix {
-		fp, err := execDirect(ctx, sys, m.kind, m.cols)
+func directFingerprints(ctx context.Context, b gateway.Backend) (map[ownerengine.OpKind]string, error) {
+	fps := make(map[ownerengine.OpKind]string, len(gatewayMix))
+	for _, q := range gatewayMix {
+		res, err := b.Exec(ctx, q)
 		if err != nil {
-			return nil, fmt.Errorf("benchx: gatewayscale direct %s: %w", m.kind, err)
+			return nil, fmt.Errorf("benchx: gatewayscale direct %s: %w", q.Kind.Name(), err)
 		}
-		fps[m.kind] = fp
+		fps[q.Kind] = fingerprint(res)
 	}
 	return fps, nil
 }
 
-// execDirect runs one mix operator against the system directly and
-// returns its canonical fingerprint.
-func execDirect(ctx context.Context, sys *prism.System, kind string, cols []string) (string, error) {
-	switch kind {
-	case "count":
-		r, err := sys.PSICount(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("count:%d", r.Count), nil
-	case "psi":
-		r, err := sys.PSI(ctx)
-		if err != nil {
-			return "", err
-		}
-		return fpCells("psi", r.Cells), nil
-	case "sum":
-		r, err := sys.PSISum(ctx, cols...)
-		if err != nil {
-			return "", err
-		}
-		return fpAggregate("sum", r.Cells, r.Sums, r.Counts), nil
-	default:
-		return "", fmt.Errorf("benchx: gatewayscale: unknown mix kind %q", kind)
-	}
-}
-
-// gwFingerprint canonicalises a gateway poll reply the same way
-// execDirect canonicalises the direct result.
-func gwFingerprint(kind string, r *gateway.Response) string {
-	switch kind {
-	case "count":
-		return fmt.Sprintf("count:%d", r.Count)
-	case "psi":
-		return fpCells("psi", r.Cells)
-	case "sum":
-		return fpAggregate("sum", r.Cells, r.Sums, r.Counts)
-	default:
-		return "?" + kind
-	}
-}
-
-func fpCells(prefix string, cells []uint64) string {
-	s := append([]uint64(nil), cells...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	var b strings.Builder
-	b.WriteString(prefix)
-	for _, c := range s {
-		fmt.Fprintf(&b, " %d", c)
-	}
-	return b.String()
-}
-
-func fpAggregate(prefix string, cells []uint64, sums map[string]map[uint64]uint64, counts map[uint64]uint64) string {
-	var b strings.Builder
-	b.WriteString(fpCells(prefix, cells))
-	colNames := make([]string, 0, len(sums))
-	for col := range sums {
-		colNames = append(colNames, col)
-	}
-	sort.Strings(colNames)
-	for _, col := range colNames {
-		perCell := sums[col]
-		keys := make([]uint64, 0, len(perCell))
-		for cell := range perCell {
-			keys = append(keys, cell)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		fmt.Fprintf(&b, " %s:", col)
-		for _, cell := range keys {
-			fmt.Fprintf(&b, " %d=%d", cell, perCell[cell])
-		}
-	}
-	if len(counts) > 0 {
-		keys := make([]uint64, 0, len(counts))
-		for cell := range counts {
-			keys = append(keys, cell)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		b.WriteString(" n:")
-		for _, cell := range keys {
-			fmt.Fprintf(&b, " %d=%d", cell, counts[cell])
-		}
-	}
-	return b.String()
-}
-
-// runDirectLoad drives nq mix queries with one worker per owner engine
-// (the deployment shape without a gateway) and checks every result
-// against the fingerprint baseline.
-func runDirectLoad(ctx context.Context, sys *prism.System, workers, nq int, want map[string]string) (time.Duration, []time.Duration, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// runDirectLoad drives nq mix queries with one worker per backend (the
+// deployment shape without a gateway) and checks every result against
+// the fingerprint baseline.
+func runDirectLoad(ctx context.Context, backends []gateway.Backend, nq int, want map[ownerengine.OpKind]string) (time.Duration, []time.Duration, error) {
+	workers := len(backends)
 	var (
 		next    atomic.Int64
 		mu      sync.Mutex
@@ -307,9 +217,9 @@ func runDirectLoad(ctx context.Context, sys *prism.System, workers, nq int, want
 		wg      sync.WaitGroup
 	)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
+	for _, b := range backends {
 		wg.Add(1)
-		go func() {
+		go func(b gateway.Backend) {
 			defer wg.Done()
 			local := make([]time.Duration, 0, nq/workers+1)
 			for {
@@ -317,11 +227,11 @@ func runDirectLoad(ctx context.Context, sys *prism.System, workers, nq int, want
 				if i >= nq {
 					break
 				}
-				m := gatewayMix[i%len(gatewayMix)]
+				q := gatewayMix[i%len(gatewayMix)]
 				t0 := time.Now()
-				fp, err := execDirect(ctx, sys, m.kind, m.cols)
-				if err == nil && fp != want[m.kind] {
-					err = fmt.Errorf("direct %s result diverged from its own baseline", m.kind)
+				res, err := b.Exec(ctx, q)
+				if err == nil && fingerprint(res) != want[q.Kind] {
+					err = fmt.Errorf("direct %s result diverged from its own baseline", q.Kind.Name())
 				}
 				if err != nil {
 					mu.Lock()
@@ -336,7 +246,7 @@ func runDirectLoad(ctx context.Context, sys *prism.System, workers, nq int, want
 			mu.Lock()
 			lat = append(lat, local...)
 			mu.Unlock()
-		}()
+		}(b)
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -358,7 +268,7 @@ type gwLoadResult struct {
 // queries. Every successful answer is fingerprint-checked against the
 // direct baseline. With allowShed, typed load-shed errors are counted
 // instead of failing the run; any other error fails it.
-func runGatewayLoad(ctx context.Context, addr string, clients, qpc int, timeout time.Duration, want map[string]string, allowShed bool) (*gwLoadResult, error) {
+func runGatewayLoad(ctx context.Context, addr string, clients, qpc int, timeout time.Duration, want map[ownerengine.OpKind]string, allowShed bool) (*gwLoadResult, error) {
 	conns := make([]*gateway.Client, clients)
 	defer func() {
 		for _, c := range conns {
@@ -394,8 +304,9 @@ func runGatewayLoad(ctx context.Context, addr string, clients, qpc int, timeout 
 					return
 				}
 				m := gatewayMix[(ci+q)%len(gatewayMix)]
+				kind := m.Kind.Name()
 				t0 := time.Now()
-				resp, err := cl.Query(m.kind, m.cols, "bench", timeout)
+				resp, err := cl.Query(kind, m.Cols, "bench", timeout)
 				if err != nil {
 					if allowShed && errors.Is(err, gateway.ErrLoadShed) {
 						shed.Add(1)
@@ -403,16 +314,19 @@ func runGatewayLoad(ctx context.Context, addr string, clients, qpc int, timeout 
 					}
 					mu.Lock()
 					if firstEr == nil {
-						firstEr = fmt.Errorf("client %d %s: %w", ci, m.kind, err)
+						firstEr = fmt.Errorf("client %d %s: %w", ci, kind, err)
 					}
 					mu.Unlock()
 					return
 				}
-				if fp := gwFingerprint(m.kind, resp); fp != want[m.kind] {
+				// The mix has no extremes, whose reply fields the front
+				// protocol flattens; the rest of a reply is the Result's.
+				got := &gateway.Result{Cells: resp.Cells, Count: resp.Count, Sums: resp.Sums, Counts: resp.Counts}
+				if fp := fingerprint(got); fp != want[m.Kind] {
 					mu.Lock()
 					if firstEr == nil {
 						firstEr = fmt.Errorf("client %d: %s answer diverged from the direct path:\n gateway %s\n direct  %s",
-							ci, m.kind, fp, want[m.kind])
+							ci, kind, fp, want[m.Kind])
 					}
 					mu.Unlock()
 					return

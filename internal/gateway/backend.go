@@ -2,83 +2,35 @@ package gateway
 
 import (
 	"context"
-	"fmt"
 
 	"prism/internal/ownerengine"
 )
 
-// EngineBackend adapts one ownerengine.Owner into a pool Backend: the
-// deployment shape cmd/prism-gateway runs, where each pool member is an
+// EngineBackend adapts one ownerengine.Owner into a pool Backend — the
+// only Backend there is. cmd/prism-gateway pools several, each an
 // independent owner engine speaking to the server fabric over its own
-// TCP client (so one member's dead connections do not poison another's
-// health).
+// TCP client (so one member's dead connections do not poison
+// another's health); prism.System.GatewayBackends pools one per local
+// owner.
 //
-// A pooled owner engine serves the single-session query kinds: psi,
-// psu, count, psucount, sum, avg. The exemplary aggregations
-// (max/min/median) need every data owner online in one coordinated
-// flow — a gateway fronting one owner's engine cannot impersonate the
-// other m−1 owners — so those return ErrUnsupported here; deployments
-// that want them through the gateway run it over a full local system
-// (see prism.System.GatewayBackends).
+// What a member can serve follows from what it was handed. With Cohort
+// nil it is a lone owner engine and serves the single-session kinds
+// (psi, psu, count, psucount, sum, avg, psusum, psuavg); the exemplary
+// aggregations (max/min/median) need every data owner's engine in one
+// coordinated flow — a gateway fronting one owner cannot impersonate the
+// other m−1 — so those return ErrUnsupported. With the deployment's
+// Cohort set it serves every kind.
 type EngineBackend struct {
 	Owner  *ownerengine.Owner
 	Table  string
-	Verify bool // run PSI result verification before answering
+	Verify bool // run result verification before answering
+	Cohort *ownerengine.Cohort
 }
 
-// Exec implements Backend.
+// Exec implements Backend: the query script is ownerengine.Exec's.
 func (b *EngineBackend) Exec(ctx context.Context, q Query) (*Result, error) {
-	switch q.Kind {
-	case "psi", "psu":
-		var res *ownerengine.SetResult
-		var err error
-		if q.Kind == "psi" {
-			res, err = b.Owner.PSI(ctx, b.Table)
-			if err == nil && b.Verify {
-				err = b.Owner.VerifyPSI(ctx, b.Table, res)
-			}
-		} else {
-			res, err = b.Owner.PSU(ctx, b.Table)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Cells: res.Cells}, nil
-	case "count", "psucount":
-		var res *ownerengine.CountResult
-		var err error
-		if q.Kind == "count" {
-			res, err = b.Owner.Count(ctx, b.Table, b.Verify)
-		} else {
-			res, err = b.Owner.PSUCount(ctx, b.Table)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Count: res.Count}, nil
-	case "sum", "avg":
-		if len(q.Cols) == 0 {
-			return nil, fmt.Errorf("%w: %s needs at least one column", ErrUnsupported, q.Kind)
-		}
-		psi, err := b.Owner.PSI(ctx, b.Table)
-		if err != nil {
-			return nil, err
-		}
-		if b.Verify {
-			if err := b.Owner.VerifyPSI(ctx, b.Table, psi); err != nil {
-				return nil, err
-			}
-		}
-		agg, err := b.Owner.Aggregate(ctx, b.Table, psi.Cells, q.Cols, q.Kind == "avg", b.Verify)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Cells: psi.Cells, Sums: agg.Sums, Counts: agg.Counts}, nil
-	case "max", "min", "median":
-		return nil, fmt.Errorf("%w: %s needs the coordinated all-owner flow (see examples/federated); pooled owner engines serve psi|psu|count|psucount|sum|avg", ErrUnsupported, q.Kind)
-	default:
-		return nil, fmt.Errorf("%w: unknown query kind %q", ErrUnsupported, q.Kind)
-	}
+	q.Table, q.Verify = b.Table, b.Verify
+	return b.Owner.Exec(ctx, q, b.Cohort)
 }
 
 // Ping implements Backend: the owner's full-fabric liveness probe.

@@ -57,8 +57,8 @@ type Request struct {
 	Op string `json:"op"`
 
 	// Submit fields.
-	Query     string   `json:"query,omitempty"`      // psi|psu|count|psucount|sum|avg|max|min|median
-	Cols      []string `json:"cols,omitempty"`       // aggregation columns (sum/avg) or column (max/min/median)
+	Query     string   `json:"query,omitempty"`      // a kind-table name: psi|psu|count|psucount|sum|avg|psusum|psuavg|max|min|median
+	Cols      []string `json:"cols,omitempty"`       // aggregation columns (sum/avg kinds) or column (max/min/median)
 	Tenant    string   `json:"tenant,omitempty"`     // admission-control tenant ("" = the default tenant)
 	TimeoutMS int64    `json:"timeout_ms,omitempty"` // query deadline (0 = gateway default)
 

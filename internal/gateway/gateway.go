@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"prism/internal/ownerengine"
 )
 
 // Config sizes one gateway instance.
@@ -235,29 +237,17 @@ func (fc *frontConn) reply(resp *Response) {
 	}
 }
 
-// queryKinds is what the front tier accepts; arity checks happen here
-// so malformed queries bounce before burning an admission token.
-var queryKinds = map[string]bool{
-	"psi": true, "psu": true, "count": true, "psucount": true,
-	"sum": true, "avg": true, "max": true, "min": true, "median": true,
-}
-
 func (fc *frontConn) handleSubmit(req *Request) {
-	if !queryKinds[req.Query] {
+	// Kind and arity are checked here, against the one kind table, so a
+	// malformed query bounces before burning an admission token.
+	kind, ok := ownerengine.KindByName(req.Query)
+	if !ok {
 		fc.reply(&Response{ID: req.ID, Code: CodeBadRequest, Err: fmt.Sprintf("gateway: unknown query kind %q", req.Query)})
 		return
 	}
-	switch req.Query {
-	case "sum", "avg":
-		if len(req.Cols) == 0 {
-			fc.reply(&Response{ID: req.ID, Code: CodeBadRequest, Err: "gateway: " + req.Query + " needs cols"})
-			return
-		}
-	case "max", "min", "median":
-		if len(req.Cols) != 1 {
-			fc.reply(&Response{ID: req.ID, Code: CodeBadRequest, Err: "gateway: " + req.Query + " needs exactly one col"})
-			return
-		}
+	if err := ownerengine.CheckCols(kind, req.Cols); err != nil {
+		fc.reply(&Response{ID: req.ID, Code: CodeBadRequest, Err: err.Error()})
+		return
 	}
 	timeout := fc.g.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -290,7 +280,7 @@ func (fc *frontConn) handleSubmit(req *Request) {
 	fc.tickets[ticket] = p
 	fc.mu.Unlock()
 
-	q := Query{Kind: req.Query, Cols: req.Cols}
+	q := Query{Kind: kind, Cols: req.Cols}
 	fc.g.wg.Add(1)
 	go func() {
 		defer fc.g.wg.Done()
@@ -379,8 +369,15 @@ func (fc *frontConn) deliver(req *Request, p *pending) {
 		resp.Count = p.res.Count
 		resp.Sums = p.res.Sums
 		resp.Counts = p.res.Counts
-		resp.Extreme = p.res.Extreme
-		resp.Global = p.res.Global
+		if p.res.Extreme != nil {
+			resp.Extreme = make(map[uint64]uint64, len(p.res.Extreme))
+			for cell, ext := range p.res.Extreme {
+				resp.Extreme[cell] = ext.Value
+			}
+		}
+		if p.res.Global != nil {
+			resp.Global = &p.res.Global.Value
+		}
 	}
 	fc.reply(resp)
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prism/internal/ownerengine"
 )
 
 // stub is a scriptable pool member for fault injection. The scripts
@@ -140,26 +142,38 @@ func TestGatewaySubmitPollPing(t *testing.T) {
 	}
 }
 
+// TestGatewayBadQueryRejected: an unknown kind, and every kind of the
+// kind table with the wrong number of columns, bounces with the very
+// error ownerengine.CheckCols gives the library and the CLI — before a
+// backend sees it and before it costs the tenant's one admission token.
 func TestGatewayBadQueryRejected(t *testing.T) {
-	addr, _ := startGateway(t, Config{Backends: []Backend{&stub{}}})
+	s := &stub{}
+	addr, _ := startGateway(t, Config{Backends: []Backend{s}, Rate: 0.001, Burst: 1})
 	cl := dialT(t, addr)
-	for _, bad := range []struct {
-		kind string
-		cols []string
-	}{
-		{"explode", nil},
-		{"sum", nil}, // sum needs cols
-		{"max", nil}, // extremes need exactly one col
-		{"max", []string{"a", "b"}},
-	} {
-		_, err := cl.Submit(bad.kind, bad.cols, "t0", time.Second)
-		if err == nil {
-			t.Errorf("Submit(%q, %v) accepted", bad.kind, bad.cols)
+	if _, err := cl.Submit("explode", nil, "t0", time.Second); err == nil {
+		t.Error(`Submit("explode") accepted`)
+	}
+	for _, name := range ownerengine.KindNames() {
+		kind, _ := ownerengine.KindByName(name)
+		for _, cols := range [][]string{nil, {"a"}, {"a", "b"}} {
+			want := ownerengine.CheckCols(kind, cols)
+			if want == nil {
+				continue
+			}
+			if _, err := cl.Submit(name, cols, "t0", time.Second); err == nil || err.Error() != want.Error() {
+				t.Errorf("Submit(%q, %v) = %v, want %v", name, cols, err, want)
+			}
 		}
 	}
-	// The connection survives rejected submits.
+	if n := s.execs.Load(); n != 0 {
+		t.Errorf("%d rejected submits reached a backend", n)
+	}
+	// The connection survives rejected submits, and the token is still there.
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("Ping after rejects: %v", err)
+	}
+	if _, err := cl.Query("psuavg", []string{"a"}, "t0", 5*time.Second); err != nil {
+		t.Fatalf("well-formed query after the rejects: %v", err)
 	}
 }
 

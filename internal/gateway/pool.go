@@ -7,35 +7,29 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"prism/internal/ownerengine"
 )
 
-// Query is one front-tier query in backend-neutral form.
-type Query struct {
-	Kind string   // psi|psu|count|psucount|sum|avg|max|min|median
-	Cols []string // aggregation columns (sum/avg) or the one column (extremes)
-}
+// Query is one front-tier query: the kind and columns a client
+// submitted. The backend fills in the table and verification setting.
+type Query = ownerengine.Query
 
-// Result is a backend-neutral query answer, shaped to serialise
-// directly into the front protocol's reply fields.
-type Result struct {
-	Cells   []uint64
-	Count   int
-	Sums    map[string]map[uint64]uint64
-	Counts  map[uint64]uint64
-	Extreme map[uint64]uint64
-	Global  *uint64
-}
+// Result is a query answer; handlePoll's deliver shapes it into the
+// front protocol's reply fields.
+type Result = ownerengine.Result
 
 // ErrUnsupported reports a query kind the leased backend cannot serve
-// (e.g. extremes through a single pooled owner engine, which lack the
+// (extremes through a lone pooled owner engine, which lacks the
 // coordinated all-owner flow).
-var ErrUnsupported = errors.New("gateway: unsupported query")
+var ErrUnsupported = ownerengine.ErrUnsupported
 
 // Backend is one owner-pool member: something that can execute a query
-// and answer a liveness probe. Two implementations exist — an
-// ownerengine.Owner over TCP (cmd/prism-gateway) and a local
-// prism.System owner handle (tests, benchx) — so the pool, admission
-// and connection layers are exercised identically in both worlds.
+// and answer a liveness probe. EngineBackend is the one implementation
+// outside tests — over TCP in cmd/prism-gateway, over the in-process
+// fabric for a local prism.System — so the configuration that ships is
+// the one the tests and benchmarks run; the interface is what lets the
+// pool, admission and connection tests script a member's failures.
 type Backend interface {
 	Exec(ctx context.Context, q Query) (*Result, error)
 	Ping(ctx context.Context) error

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prism/internal/bucket"
@@ -34,6 +35,8 @@ type Owner struct {
 	groups []*engine
 	starts []uint64 // starts[g] = groups[g].view.Start
 	b      uint64   // total domain size (sum of group Bs)
+
+	qidNonce atomic.Uint64 // extreme-query ids this owner has minted (exec.go)
 }
 
 // GroupConfig describes one server group from an owner's perspective.

@@ -5,53 +5,29 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"prism/internal/ownerengine"
 )
 
-// OpKind enumerates the operators the query scheduler can run.
-type OpKind int
+// OpKind names one query operator; OpKind.String, the gateway's front
+// protocol and prism-owner -op all read the one kind table in
+// internal/ownerengine.
+type OpKind = ownerengine.OpKind
 
-// Scheduler operator kinds.
+// Query operators.
 const (
-	OpPSI OpKind = iota
-	OpPSU
-	OpPSICount
-	OpPSUCount
-	OpPSISum
-	OpPSIAvg
-	OpPSUSum
-	OpPSUAvg
-	OpPSIMax
-	OpPSIMin
-	OpPSIMedian
+	OpPSI       = ownerengine.OpPSI
+	OpPSU       = ownerengine.OpPSU
+	OpPSICount  = ownerengine.OpPSICount
+	OpPSUCount  = ownerengine.OpPSUCount
+	OpPSISum    = ownerengine.OpPSISum
+	OpPSIAvg    = ownerengine.OpPSIAvg
+	OpPSUSum    = ownerengine.OpPSUSum
+	OpPSUAvg    = ownerengine.OpPSUAvg
+	OpPSIMax    = ownerengine.OpPSIMax
+	OpPSIMin    = ownerengine.OpPSIMin
+	OpPSIMedian = ownerengine.OpPSIMedian
 )
-
-func (k OpKind) String() string {
-	switch k {
-	case OpPSI:
-		return "PSI"
-	case OpPSU:
-		return "PSU"
-	case OpPSICount:
-		return "PSI Count"
-	case OpPSUCount:
-		return "PSU Count"
-	case OpPSISum:
-		return "PSI Sum"
-	case OpPSIAvg:
-		return "PSI Avg"
-	case OpPSUSum:
-		return "PSU Sum"
-	case OpPSUAvg:
-		return "PSU Avg"
-	case OpPSIMax:
-		return "PSI Max"
-	case OpPSIMin:
-		return "PSI Min"
-	case OpPSIMedian:
-		return "PSI Median"
-	}
-	return fmt.Sprintf("OpKind(%d)", int(k))
-}
 
 // Request describes one query for the scheduler. Sum/avg ops take one or
 // more aggregation columns; max/min/median take exactly one.
@@ -75,6 +51,12 @@ type Response struct {
 	Agg     *AggregateResult
 	Extreme *ExtremeResult
 	Err     error
+
+	// Result is the same answer in the family-neutral form the gateway
+	// and prism-owner also get from ownerengine.Exec (the typed results
+	// above are views of it); code that handles every kind alike reads
+	// this. Nil on error.
+	Result *ownerengine.Result
 }
 
 // Future is the handle for an in-flight asynchronous query.
@@ -189,74 +171,25 @@ func (s *System) QueryBatch(ctx context.Context, reqs []Request) []*Response {
 	return out
 }
 
-// validateCols checks the request's column arity against its operator
-// before any owner work starts: set/count operators carry no columns,
-// sum/avg take one or more, max/min/median exactly one. Without this
-// check an extreme query with several columns would silently answer for
-// Cols[0] only, and one with none would query the empty column name.
-func validateCols(req Request) error {
-	switch req.Op {
-	case OpPSI, OpPSU, OpPSICount, OpPSUCount:
-		if len(req.Cols) != 0 {
-			return fmt.Errorf("prism: %v takes no columns, got %d %v", req.Op, len(req.Cols), req.Cols)
-		}
-	case OpPSISum, OpPSIAvg, OpPSUSum, OpPSUAvg:
-		if len(req.Cols) == 0 {
-			return fmt.Errorf("prism: %v needs at least one aggregation column", req.Op)
-		}
-	case OpPSIMax, OpPSIMin, OpPSIMedian:
-		if len(req.Cols) != 1 {
-			return fmt.Errorf("prism: %v takes exactly one column, got %d %v", req.Op, len(req.Cols), req.Cols)
-		}
-	default:
-		return fmt.Errorf("prism: unknown operator %v", req.Op)
-	}
-	return nil
-}
-
-// execute runs one request synchronously on its target owner. Error
-// responses that never reached an owner report Owner: -1.
+// execute runs one request synchronously on its target owner. The
+// column arity is checked (ownerengine.CheckCols: set/count operators
+// carry no columns, sum/avg one or more, max/min/median exactly one)
+// before an owner is picked; error responses that never reached an
+// owner report Owner: -1.
 func (s *System) execute(ctx context.Context, req Request) *Response {
-	if err := validateCols(req); err != nil {
+	if err := ownerengine.CheckCols(req.Op, req.Cols); err != nil {
 		return &Response{Op: req.Op, Owner: -1, Err: err}
 	}
-	var ow *Owner
 	if req.PinOwner {
 		if req.OwnerIdx < 0 || req.OwnerIdx >= len(s.owners) {
 			return &Response{Op: req.Op, Owner: -1,
 				Err: fmt.Errorf("prism: owner index %d out of range [0,%d)", req.OwnerIdx, len(s.owners))}
 		}
-		ow = s.owners[req.OwnerIdx]
-	} else {
-		var err error
-		if ow, err = s.nextQuerier(); err != nil {
-			return &Response{Op: req.Op, Owner: -1, Err: err}
-		}
+		return s.run(ctx, s.owners[req.OwnerIdx], req)
 	}
-	resp := &Response{Op: req.Op, Owner: ow.idx}
-	switch req.Op {
-	case OpPSI:
-		resp.Set, resp.Err = ow.PSI(ctx)
-	case OpPSU:
-		resp.Set, resp.Err = ow.PSU(ctx)
-	case OpPSICount:
-		resp.Count, resp.Err = ow.PSICount(ctx)
-	case OpPSUCount:
-		resp.Count, resp.Err = ow.PSUCount(ctx)
-	case OpPSISum:
-		resp.Agg, resp.Err = ow.PSISum(ctx, req.Cols...)
-	case OpPSIAvg:
-		resp.Agg, resp.Err = ow.PSIAvg(ctx, req.Cols...)
-	case OpPSUSum:
-		resp.Agg, resp.Err = ow.PSUSum(ctx, req.Cols...)
-	case OpPSUAvg:
-		resp.Agg, resp.Err = ow.PSUAvg(ctx, req.Cols...)
-	case OpPSIMax:
-		resp.Extreme, resp.Err = ow.PSIMax(ctx, req.Cols[0])
-	case OpPSIMin:
-		resp.Extreme, resp.Err = ow.PSIMin(ctx, req.Cols[0])
-	case OpPSIMedian:
-		resp.Extreme, resp.Err = ow.PSIMedian(ctx, req.Cols[0])
+	ow, err := s.nextQuerier()
+	if err != nil {
+		return &Response{Op: req.Op, Owner: -1, Err: err}
 	}
-	return resp
+	return s.run(ctx, ow, req)
 }

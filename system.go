@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"prism/internal/announcer"
@@ -36,6 +35,7 @@ type System struct {
 	servers  [][]*serverengine.Engine
 	ann      *announcer.Engine
 	owners   []*Owner
+	cohort   *ownerengine.Cohort // every owner's engine + the announcer: what extremes need
 	table    string
 	qidNonce atomic.Uint64
 	rr       atomic.Uint64 // round-robin cursor over querying owners
@@ -58,7 +58,6 @@ func NewLocalSystem(cfg Config) (*System, error) {
 	multi, err := params.GenerateGroups(params.Config{
 		NumOwners:  cfg.Owners,
 		DomainSize: cfg.Domain.Size(),
-		Delta:      cfg.Delta,
 		MaxAgg:     cfg.MaxAggValue,
 		Seed:       cfg.seed(),
 	}, cfg.Groups)
@@ -77,7 +76,7 @@ func NewLocalSystem(cfg Config) (*System, error) {
 	s.network.EncodeWire = cfg.EncodeWire
 	// Mirror the TCP transport's per-connection pipelining bound so
 	// local-mode behaviour matches a wire deployment.
-	s.network.SetPerAddrInflight(cfg.PerConnInflight)
+	s.network.SetPerAddrInflight(transport.DefaultPerConnInflight)
 
 	placement := make([]protocol.GroupRange, len(multi.Groups))
 	for g, gsys := range multi.Groups {
@@ -106,7 +105,6 @@ func NewLocalSystem(cfg Config) (*System, error) {
 				opts.CacheBytes = int64(cfg.HotChunks)
 				opts.AutoRecover = cfg.AutoRecover
 			}
-			opts.PendingTTL = cfg.PendingUploadTTL
 			eng := serverengine.New(view, opts)
 			if cfg.AutoRecover {
 				if _, err := eng.RecoveryReport(); err != nil {
@@ -145,6 +143,7 @@ func NewLocalSystem(cfg Config) (*System, error) {
 		groupCfgs[g] = ownerengine.GroupConfig{View: gsys.ForOwner(), Servers: prep.Groups[g].Servers}
 	}
 	ownerSeed := cfg.seed().Derive("owners")
+	s.cohort = &ownerengine.Cohort{Announcer: "announcer"}
 	for i := 0; i < cfg.Owners; i++ {
 		eng, err := ownerengine.NewMulti(i, groupCfgs, s.network, ownerSeed)
 		if err != nil {
@@ -152,6 +151,7 @@ func NewLocalSystem(cfg Config) (*System, error) {
 		}
 		eng.SetShardCells(cfg.ShardCells)
 		s.owners = append(s.owners, &Owner{sys: s, eng: eng, idx: i})
+		s.cohort.Owners = append(s.cohort.Owners, eng)
 	}
 	return s, nil
 }
@@ -230,15 +230,6 @@ func (s *System) SetServerThreads(n int) {
 		for _, e := range grp {
 			e.SetThreads(n)
 		}
-	}
-}
-
-// SetShardCells changes every owner's shard size at runtime (0 restores
-// the monolithic wire behaviour). Queries already in flight keep the
-// plan they started with; see Config.ShardCells.
-func (s *System) SetShardCells(n uint64) {
-	for _, o := range s.owners {
-		o.eng.SetShardCells(n)
 	}
 }
 
@@ -428,15 +419,6 @@ func (s *System) traceContext(ctx context.Context, op string) (context.Context, 
 	return telemetry.WithTraceID(ctx, tid), tid
 }
 
-// recordTrace files a finished traced query's assembled spans under its
-// trace id. No-op for untraced queries.
-func (s *System) recordTrace(tid string, spans []protocol.Span) {
-	if tid == "" {
-		return
-	}
-	s.tracer.Record(tid, spans...)
-}
-
 // QueryTrace returns the per-phase timeline of a traced query
 // (QueryStats.TraceID names it). Spans come back sorted by start time;
 // Trace.JSON dumps the timeline and Trace.Phases lists the distinct
@@ -456,30 +438,6 @@ func (s *System) nextQuerier() (*Owner, error) {
 		return nil, errors.New("prism: no owners")
 	}
 	return s.owners[int((s.rr.Add(1)-1)%uint64(len(s.owners)))], nil
-}
-
-// endQuery retires an extreme query's session state, once per query:
-// each vector round on the nodes that took part in it — the two
-// additive-share servers of the round's group (the Shamir server rejects
-// extreme traffic before opening a session) and the announcer — and on
-// no other group. Best effort: cleanup failures are invisible to the
-// query's caller. The calls are independent notifications, so they go
-// out concurrently.
-func (s *System) endQuery(ctx context.Context, rounds []ownerengine.ExtremeRound) {
-	// Clean up even when the query itself was cancelled.
-	ctx = context.WithoutCancel(ctx)
-	var wg sync.WaitGroup
-	for _, r := range rounds {
-		req := protocol.QueryDoneRequest{QueryID: r.QueryID}
-		for _, addr := range []string{groupServerAddr(r.Group, 0), groupServerAddr(r.Group, 1), "announcer"} {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				s.network.Call(ctx, addr, req)
-			}(addr)
-		}
-	}
-	wg.Wait()
 }
 
 // ShareGenStats reports Phase-1 costs.
@@ -509,8 +467,8 @@ type QueryStats struct {
 	// system runs with Config.Trace; empty otherwise.
 	TraceID string
 
-	// spans carries the assembled per-phase timeline until the query
-	// wrapper files it with the system's tracer.
+	// spans carries the assembled per-phase timeline until System.run
+	// files it with the system's tracer.
 	spans []protocol.Span
 }
 
@@ -526,18 +484,4 @@ func fromEngineStats(q ownerengine.QueryStats) QueryStats {
 		TraceID:         q.TraceID,
 		spans:           q.Server.Spans,
 	}
-}
-
-func (q *QueryStats) add(o ownerengine.QueryStats) {
-	q.ServerFetchNS += o.Server.FetchNS
-	q.ServerComputeNS += o.Server.ComputeNS
-	q.OwnerNS += o.OwnerNS
-	q.WallNS += o.WallNS
-	q.Rounds += o.Rounds
-	q.Cells += o.Server.Cells
-	q.ServerCacheHits += o.Server.CacheHits
-	if q.TraceID == "" {
-		q.TraceID = o.TraceID
-	}
-	q.spans = append(q.spans, o.Server.Spans...)
 }
