@@ -40,13 +40,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"prism/internal/gateway"
 	"prism/internal/ownerengine"
-	"prism/internal/params"
 	"prism/internal/telemetry"
 	"prism/internal/transport"
 	"prism/internal/viewio"
@@ -80,36 +78,9 @@ func main() {
 		fatal(fmt.Errorf("-owners must be at least 1"))
 	}
 
-	paths := []string{*viewPath}
-	if *viewPaths != "" {
-		paths = strings.Split(*viewPaths, ",")
-	}
-	serverGroups := strings.Split(*servers, ";")
-	if len(serverGroups) != len(paths) {
-		fatal(fmt.Errorf("%d server groups for %d owner views; pass one ';'-separated server triple per view", len(serverGroups), len(paths)))
-	}
-	views := make([]*params.OwnerView, len(paths))
-	book := make(map[string]string)
-	logical := make([][]string, len(paths))
-	for g, p := range paths {
-		view := new(params.OwnerView)
-		if err := viewio.Load(strings.TrimSpace(p), view); err != nil {
-			fatal(err)
-		}
-		views[g] = view
-		addrs := strings.Split(serverGroups[g], ",")
-		if len(addrs) != params.NumServers {
-			fatal(fmt.Errorf("group %d: need %d server addresses, got %d", g, params.NumServers, len(addrs)))
-		}
-		logical[g] = make([]string, len(addrs))
-		for i, a := range addrs {
-			if g == 0 {
-				logical[g][i] = fmt.Sprintf("server/%d", i)
-			} else {
-				logical[g][i] = fmt.Sprintf("g%d/server/%d", g, i)
-			}
-			book[logical[g][i]] = strings.TrimSpace(a)
-		}
+	cfgs, book, err := viewio.OwnerGroups(*viewPath, *viewPaths, *servers)
+	if err != nil {
+		fatal(err)
 	}
 
 	// Each pool member gets its own owner engine over its own TCP
@@ -120,10 +91,6 @@ func main() {
 	for k := 0; k < *owners; k++ {
 		client := transport.NewTCPClientOpts(book, transport.ClientOptions{PerConnInflight: *inflight})
 		defer client.Close()
-		cfgs := make([]ownerengine.GroupConfig, len(views))
-		for g := range views {
-			cfgs[g] = ownerengine.GroupConfig{View: views[g], Servers: logical[g]}
-		}
 		owner, err := ownerengine.NewMulti(*index, cfgs, client, [32]byte{})
 		if err != nil {
 			fatal(err)

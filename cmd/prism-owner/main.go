@@ -105,35 +105,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	paths := []string{*viewPath}
-	if *viewPaths != "" {
-		paths = strings.Split(*viewPaths, ",")
-	}
-	serverGroups := strings.Split(*servers, ";")
-	if len(serverGroups) != len(paths) {
-		fatal(fmt.Errorf("%d server groups for %d owner views; pass one ';'-separated server triple per view", len(serverGroups), len(paths)))
-	}
-	book := make(map[string]string)
-	cfgs := make([]ownerengine.GroupConfig, len(paths))
-	for g, p := range paths {
-		view := new(params.OwnerView)
-		if err := viewio.Load(strings.TrimSpace(p), view); err != nil {
-			fatal(err)
-		}
-		addrs := strings.Split(serverGroups[g], ",")
-		if len(addrs) != params.NumServers {
-			fatal(fmt.Errorf("group %d: need %d server addresses, got %d", g, params.NumServers, len(addrs)))
-		}
-		logical := make([]string, len(addrs))
-		for i, a := range addrs {
-			if g == 0 {
-				logical[i] = fmt.Sprintf("server/%d", i)
-			} else {
-				logical[i] = fmt.Sprintf("g%d/server/%d", g, i)
-			}
-			book[logical[i]] = strings.TrimSpace(a)
-		}
-		cfgs[g] = ownerengine.GroupConfig{View: view, Servers: logical}
+	cfgs, book, err := viewio.OwnerGroups(*viewPath, *viewPaths, *servers)
+	if err != nil {
+		fatal(err)
 	}
 	client := transport.NewTCPClientOpts(book, transport.ClientOptions{PerConnInflight: *inflight})
 	defer client.Close()

@@ -162,8 +162,8 @@ type Config struct {
 	// (bit-for-bit identical wiring and share streams).
 	Groups int
 	// MaxInflight bounds how many scheduled queries (QueryAsync /
-	// QueryBatch) execute simultaneously. 0 → GOMAXPROCS. Resizable at
-	// runtime via System.SetMaxInflight.
+	// QueryBatch) execute simultaneously. 0 → GOMAXPROCS. Fixed for the
+	// System's lifetime.
 	MaxInflight int
 	// ShardCells splits every O(b) owner↔server exchange — table
 	// uploads, PSI/PSU/count vectors, aggregation selectors and replies

@@ -35,8 +35,9 @@
 // A System serves many queries simultaneously. Every query method —
 // System.PSI and friends, their per-owner forms (Owner.PSI, ...), and
 // the scheduler entry points QueryAsync/QueryBatch — is safe to call
-// concurrently with every other, including SetServerThreads and
-// SetMaxInflight reconfiguration while queries are in flight.
+// concurrently with every other, including SetServerThreads
+// reconfiguration while queries are in flight. Config.MaxInflight, the
+// scheduler's concurrency bound, is fixed when the System is built.
 //
 // The query lifecycle: a query mints a per-query session on its driving
 // owner (a unique query id plus a private PRG for the query's share
@@ -153,9 +154,8 @@
 // then deletes segments; idempotent replay makes every crash point
 // between those steps recoverable, and cold-boot recovery replays the
 // surviving log over the surviving base (torn segments quarantine the
-// table). The prism-bench streamscale experiment measures update cost
-// against a full re-outsource and read throughput while updates and
-// compaction race.
+// table). The repo benchmark's update-read workload (benchmark/)
+// measures update cost and compaction next to the reads that race them.
 //
 // See examples/ for complete programs, docs/ARCHITECTURE.md for the
 // layer map, storage format and protocol details, and docs/OPERATIONS.md

@@ -1,29 +1,71 @@
-// Package benchx drives the reproduction of every table and figure in
-// the paper's evaluation (§8). It is shared by cmd/prism-bench (the
-// human-facing harness) and the root bench_test.go (testing.B benches).
-//
-// Experiment index (docs/OPERATIONS.md explains how to read the output):
-//
-//	Exp1 / Figure 3  — time vs #threads per operator, incl. data fetch
-//	Table 12         — multi-column sum/max (1-4 attributes)
-//	Exp2 / Figure 4  — server time vs #owners (10-50)
-//	Exp3 / Table 14  — owner-side result construction time
-//	Exp4 / Figure 5  — bucketization actual-vs-real domain size
-//	§8.1             — share generation time
-//	Table 13         — cross-system comparison @ 2 owners
+// Package benchx drives the reproduction of the tables and figures in
+// the paper's evaluation (§8), plus the three shape sweeps the repo
+// benchmark's fixed shape cannot express. It is shared by
+// cmd/prism-bench (the human-facing harness) and the root bench_test.go.
+// The Experiments table is the experiment index; prism-bench -h prints
+// it, and docs/OPERATIONS.md explains how to read the output.
 package benchx
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"prism"
 	"prism/internal/bucket"
 	"prism/internal/ownerengine"
 	"prism/internal/prg"
+	"prism/internal/report"
 	"prism/internal/workload"
 )
+
+// Experiment is one named, runnable experiment.
+type Experiment struct {
+	Name string
+	Doc  string // one line: what it reproduces or measures
+	Run  func(ctx context.Context, sc Scale) ([]*report.Table, error)
+}
+
+// Experiments is the experiment index, in the order "all" runs it.
+// prism-bench's -exp usage, its -h index and its unknown-experiment
+// error are generated from this table.
+var Experiments = []Experiment{
+	{"exp1", "Exp 1 / Figure 3: per-operator time vs server threads, with the data-fetch series", Exp1},
+	{"table12", "Table 12: sum and max over 1-4 attributes", Table12},
+	{"exp2", "Exp 2 / Figure 4: server time vs number of owners (10-50)", Exp2},
+	{"exp3", "Exp 3 / Table 14: owner-side result-construction time", Exp3},
+	{"exp4", "Exp 4 / Figure 5: bucketization, actual vs real domain size per fill factor", Exp4},
+	{"sharegen", "§8.1: share-generation time with and without verification columns", ShareGen},
+	{"table13", "Table 13: cross-system comparison at 2 owners, plus the naive pairwise baseline", Table13},
+	{"fanout", "ablation of Exp 4: bucket-tree fanout vs actual domain size", FanoutAblation},
+	{"domainscale", "monolithic vs sharded (-shard) wire mode per domain size: peak frame bytes and queries/sec; frames over the transport cap report FRAME OVERFLOW", DomainScale},
+	{"memscale", "in-memory vs chunked disk store per domain size: peak server-held column bytes and queries/sec, answers must match", MemScale},
+	{"groupscale", "1/2/4 server groups over one domain: queries/sec, peak frame (must not grow) and owner merge cost, answers must match", GroupScale},
+}
+
+// Select resolves prism-bench's -exp value: one experiment by name
+// (case-insensitive), or every experiment in table order for "all".
+func Select(name string) ([]Experiment, error) {
+	if strings.EqualFold(name, "all") {
+		return Experiments, nil
+	}
+	for _, e := range Experiments {
+		if strings.EqualFold(name, e.Name) {
+			return []Experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want %s)", name, ExperimentNames("|"))
+}
+
+// ExperimentNames joins every experiment name and "all" with sep.
+func ExperimentNames(sep string) string {
+	names := make([]string, 0, len(Experiments)+1)
+	for _, e := range Experiments {
+		names = append(names, e.Name)
+	}
+	return strings.Join(append(names, "all"), sep)
+}
 
 // SystemSpec sizes one benchmark deployment.
 type SystemSpec struct {
@@ -42,7 +84,7 @@ type SystemSpec struct {
 	Verify       bool
 	MaxValue     uint64
 	Seed         string
-	DeltaMax     int // per-table delta-log compaction threshold (0 = default)
+	MaxInflight  int // scheduler bound on concurrently executing queries (0 = GOMAXPROCS)
 }
 
 func (s SystemSpec) withDefaults() SystemSpec {
@@ -114,8 +156,7 @@ func Build(spec SystemSpec) (*prism.System, []*workload.OwnerData, prism.ShareGe
 		ChunkCells:  spec.ChunkCells,
 		ShardCells:  spec.ShardCells,
 		EncodeWire:  spec.EncodeWire,
-
-		DeltaMaxEntries: spec.DeltaMax,
+		MaxInflight: spec.MaxInflight,
 	})
 	if err != nil {
 		return nil, nil, sg, err

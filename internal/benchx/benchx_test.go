@@ -5,24 +5,72 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // tinyScale keeps experiment smoke tests fast.
 func tinyScale(t *testing.T) Scale {
 	t.Helper()
 	return Scale{
-		Domains:           []uint64{512},
-		Owners:            3,
-		OwnersSweep:       []int{3, 4},
-		Threads:           []int{1, 2},
-		DiskDir:           t.TempDir(),
-		Fig5Leaves:        100_000,
-		Fig5Fanout:        10,
-		Table13Keys:       256,
-		Inflight:          []int{1, 4},
-		ThroughputQueries: 8,
-		LinkRTT:           500 * time.Microsecond, // exercise the simulated-link path cheaply
+		Domains:      []uint64{512},
+		Owners:       3,
+		OwnersSweep:  []int{3, 4},
+		Threads:      []int{1, 2},
+		DiskDir:      t.TempDir(),
+		Fig5Leaves:   100_000,
+		Fig5Fanout:   10,
+		Table13Keys:  256,
+		SweepQueries: 6,
+	}
+}
+
+// TestExperimentsTable checks the index prism-bench is generated from:
+// exactly the surviving names, each once and documented, "all" in table
+// order, and every entry runnable at tinyScale with well-formed tables.
+func TestExperimentsTable(t *testing.T) {
+	want := "exp1 table12 exp2 exp3 exp4 sharegen table13 fanout domainscale memscale groupscale all"
+	if got := ExperimentNames(" "); got != want {
+		t.Fatalf("experiment names = %q, want %q", got, want)
+	}
+	all, err := Select("all")
+	if err != nil || len(all) != len(Experiments) {
+		t.Fatalf("Select(all) = %d experiments, err %v", len(all), err)
+	}
+	seen := map[string]bool{}
+	for i, e := range Experiments {
+		if all[i].Name != e.Name {
+			t.Errorf("-exp all runs %q at position %d, table has %q", all[i].Name, i, e.Name)
+		}
+		if seen[e.Name] || e.Doc == "" {
+			t.Errorf("experiment %q: duplicate name or empty doc", e.Name)
+		}
+		seen[e.Name] = true
+		one, err := Select(strings.ToUpper(e.Name))
+		if err != nil || len(one) != 1 || one[0].Name != e.Name {
+			t.Errorf("Select(%q) = %v, %v", strings.ToUpper(e.Name), one, err)
+		}
+		tables, err := e.Run(context.Background(), tinyScale(t))
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if len(tables) == 0 {
+			t.Errorf("%s returned no table", e.Name)
+		}
+		for _, tb := range tables {
+			if len(tb.Rows) == 0 {
+				t.Errorf("%s: table %q has no rows", e.Name, tb.Title)
+			}
+			for _, row := range tb.Rows {
+				if len(row) != len(tb.Headers) {
+					t.Errorf("%s: row %v under %d headers", e.Name, row, len(tb.Headers))
+				}
+			}
+		}
+	}
+	for _, gone := range []string{"throughput", "tcpthroughput", "streamscale", "gatewayscale", ""} {
+		if _, err := Select(gone); err == nil || !strings.Contains(err.Error(), ExperimentNames("|")) {
+			t.Errorf("Select(%q) error = %v, want one listing the experiments", gone, err)
+		}
 	}
 }
 
@@ -135,8 +183,10 @@ func TestExp3Smoke(t *testing.T) {
 }
 
 func TestExp4Fig5Shape(t *testing.T) {
-	sc := tinyScale(t)
-	tables := Exp4(sc)
+	tables, err := Exp4(context.Background(), tinyScale(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := tables[0].Rows
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
@@ -180,56 +230,12 @@ func TestTable13Smoke(t *testing.T) {
 }
 
 func TestFanoutAblationSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	tables := FanoutAblation(sc)
+	tables, err := FanoutAblation(context.Background(), tinyScale(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tables[0].Rows) != 7 {
 		t.Fatalf("rows = %d, want 7 fanouts", len(tables[0].Rows))
-	}
-}
-
-func TestThroughputSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	tables, err := Throughput(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != len(sc.Inflight) {
-		t.Fatalf("rows = %d, want %d concurrency points", len(rows), len(sc.Inflight))
-	}
-	for _, row := range rows {
-		if row[4] != "0" {
-			t.Errorf("in-flight %s: %s queries failed", row[0], row[4])
-		}
-		if row[1] == "0.0" {
-			t.Errorf("in-flight %s: zero throughput", row[0])
-		}
-	}
-}
-
-func TestTCPThroughputSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	tables, err := TCPThroughput(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	// Two transport modes × the in-flight sweep.
-	if want := 2 * len(sc.Inflight); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
-	}
-	modes := map[string]bool{}
-	for _, row := range rows {
-		modes[row[0]] = true
-		if row[4] != "0" {
-			t.Errorf("%s @%s: %s queries failed", row[0], row[1], row[4])
-		}
-		if row[2] == "0.0" {
-			t.Errorf("%s @%s: zero throughput", row[0], row[1])
-		}
-	}
-	if len(modes) != 2 {
-		t.Errorf("transport modes = %v, want serialised + multiplexed", modes)
 	}
 }
 
@@ -237,7 +243,6 @@ func TestDomainScaleSmoke(t *testing.T) {
 	sc := tinyScale(t)
 	sc.Domains = []uint64{2048}
 	sc.ShardCells = 256
-	sc.ThroughputQueries = 6
 	tables, err := DomainScale(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +280,6 @@ func TestMemScaleSmoke(t *testing.T) {
 	sc := tinyScale(t)
 	sc.Domains = []uint64{8192}
 	sc.ShardCells = 512
-	sc.ThroughputQueries = 6
 	tables, err := MemScale(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -353,42 +357,9 @@ func TestFig5FullScale(t *testing.T) {
 	}
 }
 
-func TestStreamScaleSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	sc.Domains = []uint64{8192}
-	sc.ShardCells = 512
-	sc.ThroughputQueries = 12
-	tables, err := StreamScale(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rows))
-	}
-	row := rows[0]
-	// The experiment's point: a single-tuple delta update must beat a
-	// full re-outsource by a wide margin.
-	var speedup float64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(row[3], "×"), "%f", &speedup); err != nil {
-		t.Fatalf("unparseable speedup %q: %v", row[3], err)
-	}
-	if speedup < 2 {
-		t.Errorf("update speedup %v over re-outsource, want well above 1", row[3])
-	}
-	if row[4] == "0.0" {
-		t.Error("zero read throughput during the update stream")
-	}
-	// Parity survived compaction (divergence fails StreamScale outright).
-	if row[7] != "match" {
-		t.Errorf("results column = %q, want match", row[7])
-	}
-}
-
 func TestGroupScaleSmoke(t *testing.T) {
 	sc := tinyScale(t)
 	sc.Domains = []uint64{2048}
-	sc.ThroughputQueries = 6
 	tables, err := GroupScale(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -416,51 +387,5 @@ func TestGroupScaleSmoke(t *testing.T) {
 		if _, err := fmt.Sscanf(strings.TrimSuffix(row[3], "×"), "%f", &speedup); err != nil {
 			t.Fatalf("unparseable speedup %q: %v", row[3], err)
 		}
-	}
-}
-
-// TestGatewayScaleSmoke runs the front-tier experiment at a reduced
-// (but still concurrent) client sweep: the gateway rows must report a
-// p99, answer bit-identically to the direct path, and the overload
-// table must show typed sheds rather than a hang.
-func TestGatewayScaleSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	sc.Domains = []uint64{2048}
-	sc.GatewayClients = []int{25, 100}
-	tables, err := GatewayScale(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 2 {
-		t.Fatalf("tables = %d, want 2 (scale + overload)", len(tables))
-	}
-	rows := tables[0].Rows
-	if len(rows) != 3 {
-		t.Fatalf("scale rows = %d, want 3 (direct + 2 client points)", len(rows))
-	}
-	if rows[0][0] != "direct" || rows[0][8] != "baseline" {
-		t.Errorf("first row = %v, want the direct-path baseline", rows[0])
-	}
-	for _, row := range rows[1:] {
-		if row[0] != "gateway" || row[8] != "match" {
-			t.Errorf("gateway row = %v, want fingerprint match", row)
-		}
-		if row[5] == "-" {
-			t.Errorf("clients=%s reported no p99", row[1])
-		}
-		if row[7] != "0" {
-			t.Errorf("clients=%s shed %s queries with admission unlimited", row[1], row[7])
-		}
-	}
-	over := tables[1].Rows
-	if len(over) != 1 {
-		t.Fatalf("overload rows = %d, want 1", len(over))
-	}
-	var shed int
-	if _, err := fmt.Sscanf(over[0][2], "%d", &shed); err != nil || shed == 0 {
-		t.Errorf("overload row = %v, want a non-zero typed shed count", over[0])
-	}
-	if over[0][6] != "shed, not hung" {
-		t.Errorf("overload verdict = %q", over[0][6])
 	}
 }

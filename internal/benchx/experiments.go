@@ -32,38 +32,39 @@ type Scale struct {
 	Fig5Fanout int
 	// Table13Keys is the per-owner set size for the 2-owner comparison.
 	Table13Keys int
-	// Inflight is the concurrency sweep for the throughput experiment:
-	// each entry is a scheduler in-flight bound.
-	Inflight []int
-	// ThroughputQueries is how many queries each throughput point runs.
-	ThroughputQueries int
-	// LinkRTT simulates the owner↔server network round trip in the TCP
-	// throughput experiment (the paper's deployment runs entities on
-	// separate machines; loopback alone hides the wire wait that
-	// head-of-line blocking turns into dead time). 0 = raw loopback.
-	LinkRTT time.Duration
-	// ShardCells is the shard size the domainscale experiment compares
-	// against the monolithic wire mode (0 → 65536 cells).
+	// SweepQueries is how many mixed queries each point of a shape sweep
+	// (domainscale, memscale, groupscale) runs (0 → 24).
+	SweepQueries int
+	// ShardCells is the shard size domainscale and memscale compare
+	// against the monolithic mode (0 → 65536 cells).
 	ShardCells uint64
-	// GatewayClients is the concurrent front-client sweep for the
-	// gatewayscale experiment.
-	GatewayClients []int
+}
+
+func (sc Scale) sweepQueries() int {
+	if sc.SweepQueries <= 0 {
+		return 24
+	}
+	return sc.SweepQueries
+}
+
+func (sc Scale) shardCells() uint64 {
+	if sc.ShardCells == 0 {
+		return 1 << 16
+	}
+	return sc.ShardCells
 }
 
 // QuickScale is a laptop-friendly default; PaperScale matches §8.1.
 func QuickScale() Scale {
 	return Scale{
-		Domains:           []uint64{250_000, 1_000_000},
-		Owners:            10,
-		OwnersSweep:       []int{10, 20, 30, 40, 50},
-		Threads:           []int{1, 2, 3, 4, 5},
-		Fig5Leaves:        100_000_000,
-		Fig5Fanout:        10,
-		Table13Keys:       4096,
-		Inflight:          []int{1, 2, 4, 8, 16},
-		ThroughputQueries: 48,
-		LinkRTT:           2 * time.Millisecond, // intra-DC owner↔server link
-		GatewayClients:    []int{250, 1000},
+		Domains:      []uint64{250_000, 1_000_000},
+		Owners:       10,
+		OwnersSweep:  []int{10, 20, 30, 40, 50},
+		Threads:      []int{1, 2, 3, 4, 5},
+		Fig5Leaves:   100_000_000,
+		Fig5Fanout:   10,
+		Table13Keys:  4096,
+		SweepQueries: 48,
 	}
 }
 
@@ -73,7 +74,6 @@ func PaperScale() Scale {
 	s := QuickScale()
 	s.Domains = []uint64{5_000_000, 20_000_000}
 	s.Table13Keys = 16384
-	s.GatewayClients = []int{1000, 4000, 10000}
 	return s
 }
 
@@ -204,7 +204,7 @@ func Exp3(ctx context.Context, sc Scale) ([]*report.Table, error) {
 
 // Exp4 reproduces Figure 5: actual domain size with and without
 // bucketization across fill factors.
-func Exp4(sc Scale) []*report.Table {
+func Exp4(_ context.Context, sc Scale) ([]*report.Table, error) {
 	tb := report.New(
 		fmt.Sprintf("Exp 4 / Figure 5 — bucketization, %s leaves, fanout %d",
 			human(sc.Fig5Leaves), sc.Fig5Fanout),
@@ -213,7 +213,7 @@ func Exp4(sc Scale) []*report.Table {
 	for _, p := range Fig5(sc.Fig5Leaves, sc.Fig5Fanout, fills, "exp4") {
 		tb.Add(fmt.Sprintf("%g", p.FillPercent), p.ActualWith, p.ActualFlat, p.TotalNodes)
 	}
-	return []*report.Table{tb}
+	return []*report.Table{tb}, nil
 }
 
 // ShareGen reproduces the §8.1 share-generation measurement: per-owner
@@ -243,7 +243,7 @@ func ShareGen(ctx context.Context, sc Scale) ([]*report.Table, error) {
 // fanout (the paper fixes 10) trades off against the actual domain size
 // at a given fill factor — the paper's "open problem" of choosing an
 // optimal bucketization.
-func FanoutAblation(sc Scale) []*report.Table {
+func FanoutAblation(_ context.Context, sc Scale) ([]*report.Table, error) {
 	tb := report.New(
 		fmt.Sprintf("Ablation — bucket-tree fanout at %s leaves", human(sc.Fig5Leaves)),
 		"fanout", "fill 1%", "fill 0.1%", "fill 0.01%")
@@ -255,7 +255,7 @@ func FanoutAblation(sc Scale) []*report.Table {
 		}
 		tb.Add(row...)
 	}
-	return []*report.Table{tb}
+	return []*report.Table{tb}, nil
 }
 
 // quoted numbers from the paper's Table 13 (taken, as the paper itself
@@ -325,75 +325,77 @@ func Table13(ctx context.Context, sc Scale) ([]*report.Table, error) {
 	return []*report.Table{tb, nb}, nil
 }
 
-// throughputMix is the operator mix each throughput point cycles
-// through — the service-style workload of concurrent PSI/PSU/count/sum
-// traffic, routed round-robin across owners by the scheduler.
-var throughputMix = []prism.Request{
+// sweepMix is the operator mix every shape sweep cycles through: each
+// O(b) exchange shape — stored-order PSI vectors, permuted count
+// vectors, and the three-server aggregation round with its O(b) selector
+// uploads — so every fetch path (window, gather, aggregation) is on the
+// measured path.
+var sweepMix = []prism.Request{
 	{Op: prism.OpPSI},
-	{Op: prism.OpPSU},
 	{Op: prism.OpPSICount},
 	{Op: prism.OpPSISum, Cols: []string{"DT"}},
 }
 
-// Throughput measures sustained queries/sec against the number of
-// queries in flight (the scheduler's concurrency bound). This is the
-// production-traffic experiment the paper does not run: it answers how
-// the three-server deployment behaves under many simultaneous queriers
-// rather than one looping querier.
-func Throughput(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	domain := sc.Domains[0]
-	nq := sc.ThroughputQueries
-	if nq <= 0 {
-		nq = 48
-	}
-	inflight := sc.Inflight
-	if len(inflight) == 0 {
-		inflight = []int{1, 2, 4, 8, 16}
-	}
-	tb := report.New(
-		fmt.Sprintf("Throughput — %s OK domain, %d owners, %d mixed queries per point",
-			human(domain), sc.Owners, nq),
-		"in-flight", "queries/sec", "wall(s)", "mean-latency", "errors")
-	sys, _, _, err := Build(SystemSpec{Owners: sc.Owners, Domain: domain})
+// sweepInflight is the scheduler bound every sweep point runs under.
+const sweepInflight = 8
+
+// sweepPoint is what runPoint measured on one deployment of a sweep.
+type sweepPoint struct {
+	outFrame, outHeld int64 // peak wire frame / server-held bytes while outsourcing
+	frame, held       int64 // the same peaks over the query batch
+	wall              time.Duration
+	cells             int64 // cells-processed counter delta over the batch
+	ownerNS           int64 // owner-side time summed over the batch
+	fps               []string
+	result            string // the "results" cell: "baseline", or "match" against base
+}
+
+func (p *sweepPoint) qps() float64 { return float64(len(p.fps)) / p.wall.Seconds() }
+
+// runPoint is the one skeleton of the shape sweeps: build and outsource
+// the deployment spec describes, run nq queries cycling sweepMix through
+// the scheduler, and fail on any query error or on any answer whose
+// fingerprint differs from base's (nil for a sweep's first point). When
+// the batch fails the point is still returned with its outsourcing
+// peaks, so a caller can tell a query-time frame overflow from one
+// during the build (nil point).
+func runPoint(ctx context.Context, spec SystemSpec, nq int, base *sweepPoint) (*sweepPoint, error) {
+	spec.MaxInflight = sweepInflight
+	sys, _, _, err := Build(spec)
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
+	p := &sweepPoint{outFrame: sys.PeakFrameBytes(), outHeld: sys.PeakServerHeldBytes(), result: "baseline"}
+	if base != nil {
+		p.result = "match"
+	}
+	sys.ResetPeakFrame()
+	sys.ResetServerHeldPeaks()
+
 	reqs := make([]prism.Request, nq)
 	for i := range reqs {
-		reqs[i] = throughputMix[i%len(throughputMix)]
+		reqs[i] = sweepMix[i%len(sweepMix)]
 	}
-	for _, k := range inflight {
-		sys.SetMaxInflight(k)
-		start := time.Now()
-		resps := sys.QueryBatch(ctx, reqs)
-		wall := time.Since(start)
-		var lat int64
-		nerr := 0
-		for _, r := range resps {
-			if r.Err != nil {
-				nerr++
-				continue
-			}
-			lat += r.Result.Stats.WallNS
-		}
-		okCount := nq - nerr
-		if okCount == 0 {
-			return nil, fmt.Errorf("benchx: throughput point %d: every query failed (first: %v)", k, resps[0].Err)
-		}
-		tb.Add(k, fmt.Sprintf("%.1f", float64(okCount)/wall.Seconds()),
-			report.Seconds(wall.Nanoseconds()), report.Dur(lat/int64(okCount)), nerr)
-	}
-	return []*report.Table{tb}, nil
-}
+	cells0 := cellsProcessed.Value()
+	start := time.Now()
+	resps := sys.QueryBatch(ctx, reqs)
+	p.wall = time.Since(start)
+	p.cells = cellsProcessed.Value() - cells0
+	p.frame, p.held = sys.PeakFrameBytes(), sys.PeakServerHeldBytes()
 
-// domainScaleMix is the operator mix of the domainscale experiment:
-// every O(b) exchange shape — stored-order PSI vectors, permuted count
-// vectors, and the three-server aggregation round with its O(b)
-// selector uploads.
-var domainScaleMix = []prism.Request{
-	{Op: prism.OpPSI},
-	{Op: prism.OpPSICount},
-	{Op: prism.OpPSISum, Cols: []string{"DT"}},
+	p.fps = make([]string, nq)
+	for i, r := range resps {
+		if r.Err != nil {
+			return p, fmt.Errorf("query %d (%v) failed: %w", i, r.Op, r.Err)
+		}
+		p.fps[i] = fingerprint(r.Result)
+		p.ownerNS += r.Result.Stats.OwnerNS
+		if base != nil && p.fps[i] != base.fps[i] {
+			return p, fmt.Errorf("query %d (%v) result diverged from the sweep's first point", i, r.Op)
+		}
+	}
+	return p, nil
 }
 
 // DomainScale measures how the sharded data plane scales with domain
@@ -404,24 +406,17 @@ var domainScaleMix = []prism.Request{
 // to the transport frame cap: a monolithic configuration whose frames exceed
 // transport.FrameLimit() lands in the table as a "frame overflow" row
 // instead of aborting the experiment, because that failure is exactly
-// the wall sharding removes.
+// the wall sharding removes. The two modes' answers are
+// fingerprint-compared per domain.
 func DomainScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	shard := sc.ShardCells
-	if shard == 0 {
-		shard = 1 << 16
-	}
-	nq := sc.ThroughputQueries
-	if nq <= 0 {
-		nq = 24
-	}
-	const inflight = 8
+	shard, nq := sc.shardCells(), sc.sweepQueries()
 	tb := report.New(
 		fmt.Sprintf("Domain scale — %d owners, %d mixed queries per point, %d in flight, shard %s cells",
-			sc.Owners, nq, inflight, human(shard)),
+			sc.Owners, nq, sweepInflight, human(shard)),
 		"domain", "wire mode", "outsource peak frame", "query peak frame", "queries/sec", "wall(s)")
 
-	overflow := func(err error) bool { return errors.Is(err, transport.ErrFrameTooLarge) }
 	for _, domain := range sc.Domains {
+		var base *sweepPoint
 		for _, mode := range []struct {
 			name  string
 			cells uint64
@@ -429,61 +424,27 @@ func DomainScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 			{"monolithic", 0},
 			{"sharded", shard},
 		} {
-			sys, _, _, err := Build(SystemSpec{
+			p, err := runPoint(ctx, SystemSpec{
 				Owners: sc.Owners, Domain: domain,
 				ShardCells: mode.cells, EncodeWire: true,
-			})
-			if err != nil {
-				if overflow(err) {
-					tb.Add(human(domain), mode.name, "FRAME OVERFLOW", "-", "-", "-")
-					continue
-				}
-				return nil, err
-			}
-			outPeak := sys.PeakFrameBytes()
-			sys.ResetPeakFrame()
-			sys.SetMaxInflight(inflight)
-
-			reqs := make([]prism.Request, nq)
-			for i := range reqs {
-				reqs[i] = domainScaleMix[i%len(domainScaleMix)]
-			}
-			start := time.Now()
-			resps := sys.QueryBatch(ctx, reqs)
-			wall := time.Since(start)
-			nerr := 0
-			var firstErr error
-			for _, r := range resps {
-				if r.Err != nil {
-					nerr++
-					if firstErr == nil {
-						firstErr = r.Err
-					}
+			}, nq, base)
+			switch {
+			case errors.Is(err, transport.ErrFrameTooLarge) && p == nil:
+				tb.Add(human(domain), mode.name, "FRAME OVERFLOW", "-", "-", "-")
+			case errors.Is(err, transport.ErrFrameTooLarge):
+				tb.Add(human(domain), mode.name, humanBytes(p.outFrame), "FRAME OVERFLOW", "-", "-")
+			case err != nil:
+				return nil, fmt.Errorf("benchx: domainscale %s @%s: %w", mode.name, human(domain), err)
+			default:
+				tb.Add(human(domain), mode.name, humanBytes(p.outFrame), humanBytes(p.frame),
+					fmt.Sprintf("%.1f", p.qps()), report.Seconds(p.wall.Nanoseconds()))
+				if base == nil {
+					base = p
 				}
 			}
-			if nerr == nq && overflow(firstErr) {
-				tb.Add(human(domain), mode.name, humanBytes(outPeak), "FRAME OVERFLOW", "-", "-")
-				continue
-			}
-			if nerr > 0 {
-				return nil, fmt.Errorf("benchx: domainscale %s @%s: %d/%d queries failed (first: %v)",
-					mode.name, human(domain), nerr, nq, firstErr)
-			}
-			tb.Add(human(domain), mode.name, humanBytes(outPeak), humanBytes(sys.PeakFrameBytes()),
-				fmt.Sprintf("%.1f", float64(nq)/wall.Seconds()), report.Seconds(wall.Nanoseconds()))
 		}
 	}
 	return []*report.Table{tb}, nil
-}
-
-// memScaleMix is the operator mix of the memscale experiment: the
-// stored-order, permuted-output and selector-upload exchange shapes, so
-// every fetch path (window, gather, aggregation) contributes to the
-// residency measurement.
-var memScaleMix = []prism.Request{
-	{Op: prism.OpPSI},
-	{Op: prism.OpPSICount},
-	{Op: prism.OpPSISum, Cols: []string{"DT"}},
 }
 
 // MemScale measures how server resident memory scales with domain size:
@@ -499,23 +460,15 @@ var memScaleMix = []prism.Request{
 // response fingerprints are compared per domain and any divergence fails
 // the experiment.
 func MemScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	shard := sc.ShardCells
-	if shard == 0 {
-		shard = 1 << 16
-	}
-	nq := sc.ThroughputQueries
-	if nq <= 0 {
-		nq = 24
-	}
-	const inflight = 8
+	shard, nq := sc.shardCells(), sc.sweepQueries()
 	budget := 64 * 2 * shard // 64 uint16 chunks of hot-cache headroom
 	tb := report.New(
 		fmt.Sprintf("Memory scale — %d owners, %d mixed queries per point, %d in flight, shard/chunk %s cells, cache budget %s",
-			sc.Owners, nq, inflight, human(shard), humanBytes(int64(budget))),
+			sc.Owners, nq, sweepInflight, human(shard), humanBytes(int64(budget))),
 		"domain", "mode", "outsource peak resident", "query peak resident", "queries/sec", "cells/sec", "wall(s)", "results")
 
 	for _, domain := range sc.Domains {
-		var baseline []string
+		var base *sweepPoint
 		for _, mode := range []struct {
 			name string
 			disk bool
@@ -530,44 +483,16 @@ func MemScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 				spec.HotChunks = budget
 				spec.DiskDir = fmt.Sprintf("%s/memscale-%s", sc.DiskDir, human(domain))
 			}
-			sys, _, _, err := Build(spec)
+			p, err := runPoint(ctx, spec, nq, base)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("benchx: memscale %s @%s: %w", mode.name, human(domain), err)
 			}
-			outPeak := sys.PeakServerHeldBytes()
-			sys.ResetServerHeldPeaks()
-			sys.SetMaxInflight(inflight)
-
-			reqs := make([]prism.Request, nq)
-			for i := range reqs {
-				reqs[i] = memScaleMix[i%len(memScaleMix)]
+			tb.Add(human(domain), mode.name, humanBytes(p.outHeld), humanBytes(p.held),
+				fmt.Sprintf("%.1f", p.qps()), cellsRate(p.cells, p.wall),
+				report.Seconds(p.wall.Nanoseconds()), p.result)
+			if base == nil {
+				base = p
 			}
-			cells0 := cellsProcessed.Value()
-			start := time.Now()
-			resps := sys.QueryBatch(ctx, reqs)
-			wall := time.Since(start)
-			cellsSeen := cellsProcessed.Value() - cells0
-			fps := make([]string, len(resps))
-			for i, r := range resps {
-				if r.Err != nil {
-					return nil, fmt.Errorf("benchx: memscale %s @%s: query %d failed: %v", mode.name, human(domain), i, r.Err)
-				}
-				fps[i] = fingerprint(r.Result)
-			}
-			result := "baseline"
-			if baseline == nil {
-				baseline = fps
-			} else {
-				result = "match"
-				for i := range fps {
-					if fps[i] != baseline[i] {
-						return nil, fmt.Errorf("benchx: memscale @%s: query %d result diverged between modes", human(domain), i)
-					}
-				}
-			}
-			tb.Add(human(domain), mode.name, humanBytes(outPeak), humanBytes(sys.PeakServerHeldBytes()),
-				fmt.Sprintf("%.1f", float64(nq)/wall.Seconds()), cellsRate(cellsSeen, wall),
-				report.Seconds(wall.Nanoseconds()), result)
 		}
 	}
 	return []*report.Table{tb}, nil
@@ -603,182 +528,6 @@ func humanAll(ns []uint64) []string {
 	return out
 }
 
-// streamDeltaMax is the per-table delta-log threshold the streamscale
-// experiment runs under: small enough that the background compactor
-// fires several times during the update phase, so reads race both
-// in-flight deltas and base-chunk rewrites.
-const streamDeltaMax = 8
-
-// StreamScale measures the incremental-update path: the cost of
-// shipping a single-tuple change as StoreDelta windows versus a full
-// re-outsource of the same table, read throughput while updates and
-// threshold-triggered compaction run concurrently, and result parity
-// between the merged view (base chunks + delta overlay) and the
-// compacted base. Any fingerprint divergence or undrained backlog after
-// the final synchronous compaction fails the experiment.
-func StreamScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	shard := sc.ShardCells
-	if shard == 0 {
-		shard = 1 << 16
-	}
-	nup := sc.ThroughputQueries
-	if nup <= 0 {
-		nup = 24
-	}
-	budget := 64 * 2 * shard
-	tb := report.New(
-		fmt.Sprintf("Stream scale — %d owners, %d single-tuple updates, shard/chunk %s cells, compaction threshold %d entries",
-			sc.Owners, nup, human(shard), streamDeltaMax),
-		"domain", "update(ms)", "re-outsource(s)", "speedup", "reads/sec", "query peak resident", "backlog@compact", "results")
-
-	for _, domain := range sc.Domains {
-		if err := streamScalePoint(ctx, sc, tb, domain, shard, budget, nup); err != nil {
-			return nil, err
-		}
-	}
-	return []*report.Table{tb}, nil
-}
-
-func streamScalePoint(ctx context.Context, sc Scale, tb *report.Table, domain, shard, budget uint64, nup int) error {
-	spec := SystemSpec{
-		Owners:     sc.Owners,
-		Domain:     domain,
-		Seed:       "streamscale",
-		ShardCells: shard,
-		ChunkCells: shard,
-		HotChunks:  budget,
-		DiskDir:    fmt.Sprintf("%s/streamscale-%s", sc.DiskDir, human(domain)),
-		DeltaMax:   streamDeltaMax,
-	}
-	sys, _, _, err := Build(spec)
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-
-	// Baseline the delta path is up against: re-outsourcing the full
-	// O(b) table after a change. Owner 0's data is unchanged, so this
-	// rebuilds identical shares and leaves results untouched.
-	start := time.Now()
-	if _, err := sys.Owner(0).Outsource(ctx); err != nil {
-		return fmt.Errorf("benchx: streamscale @%s: re-outsource: %w", human(domain), err)
-	}
-	reout := time.Since(start)
-	sys.ResetServerHeldPeaks()
-
-	// Sustained reads racing the update stream and the background
-	// compactor. The reader reports how many queries it completed.
-	type tally struct {
-		n   int
-		err error
-	}
-	stop := make(chan struct{})
-	readRes := make(chan tally, 1)
-	first := make(chan struct{})
-	go func() {
-		var t tally
-		defer func() { readRes <- t }()
-		for i := 0; ; i++ {
-			if i > 0 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-			for _, r := range sys.QueryBatch(ctx, memScaleMix) {
-				if r.Err != nil {
-					t.err = fmt.Errorf("benchx: streamscale @%s: concurrent read: %w", human(domain), r.Err)
-					if i == 0 {
-						close(first)
-					}
-					return
-				}
-				t.n++
-			}
-			if i == 0 {
-				close(first)
-			}
-		}
-	}()
-
-	start = time.Now()
-	maxv := spec.withDefaults().MaxValue
-	for i := 0; i < nup; i++ {
-		cell := (uint64(i)*2654435761 + 7) % domain
-		// The loaded dataset carries every workload column; an update
-		// tuple must too, even though only AggCols are outsourced.
-		aggs := make(map[string][]uint64, len(workload.Columns))
-		for j, col := range workload.Columns {
-			aggs[col] = []uint64{1 + (uint64(i)+uint64(j)*13)%maxv}
-		}
-		st, err := sys.Owner(0).UpdateCells(ctx, []uint64{cell}, aggs, nil, nil)
-		if err != nil {
-			close(stop)
-			<-readRes
-			return fmt.Errorf("benchx: streamscale @%s: update %d: %w", human(domain), i, err)
-		}
-		if !st.FastPath {
-			// Every streamscale update is append-only, so the owner must
-			// take the direct-append fold that skips the removal-match
-			// scan — the measured update cost depends on it.
-			close(stop)
-			<-readRes
-			return fmt.Errorf("benchx: streamscale @%s: append-only update %d skipped the fast path", human(domain), i)
-		}
-	}
-	upWall := time.Since(start)
-	<-first // at least one full read pass lands inside the measured window
-	close(stop)
-	rt := <-readRes
-	readWall := time.Since(start)
-	if rt.err != nil {
-		return rt.err
-	}
-	peak := sys.PeakServerHeldBytes()
-
-	// Parity: the merged (base + delta overlay) view must answer
-	// exactly like the compacted base it is later folded into.
-	pre := make([]string, len(memScaleMix))
-	for i, r := range sys.QueryBatch(ctx, memScaleMix) {
-		if r.Err != nil {
-			return fmt.Errorf("benchx: streamscale @%s: pre-compaction read: %w", human(domain), r.Err)
-		}
-		pre[i] = fingerprint(r.Result)
-	}
-	backlog := 0
-	for phi := 0; phi < 3; phi++ {
-		backlog += sys.ServerEngine(phi).DeltaBacklog("main")
-	}
-	if err := sys.CompactTables(); err != nil {
-		return fmt.Errorf("benchx: streamscale @%s: compaction: %w", human(domain), err)
-	}
-	for phi := 0; phi < 3; phi++ {
-		if n := sys.ServerEngine(phi).DeltaBacklog("main"); n != 0 {
-			return fmt.Errorf("benchx: streamscale @%s: server %d delta backlog %d after CompactTables", human(domain), phi, n)
-		}
-	}
-	for i, r := range sys.QueryBatch(ctx, memScaleMix) {
-		if r.Err != nil {
-			return fmt.Errorf("benchx: streamscale @%s: post-compaction read: %w", human(domain), r.Err)
-		}
-		if fp := fingerprint(r.Result); fp != pre[i] {
-			return fmt.Errorf("benchx: streamscale @%s: query %d diverged after compaction", human(domain), i)
-		}
-	}
-
-	avgUp := upWall / time.Duration(nup)
-	tb.Add(human(domain),
-		fmt.Sprintf("%.2f", float64(avgUp.Nanoseconds())/1e6),
-		report.Seconds(reout.Nanoseconds()),
-		fmt.Sprintf("%.0f×", float64(reout)/float64(avgUp)),
-		fmt.Sprintf("%.1f", float64(rt.n)/readWall.Seconds()),
-		humanBytes(peak),
-		fmt.Sprint(backlog),
-		"match")
-	return nil
-}
-
 // groupScaleGroups is the group-count sweep of the groupscale
 // experiment.
 var groupScaleGroups = []int{1, 2, 4}
@@ -794,88 +543,45 @@ var groupScaleGroups = []int{1, 2, 4}
 // single-group baseline; any divergence fails the experiment.
 func GroupScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
 	domain := sc.Domains[len(sc.Domains)-1]
-	nq := sc.ThroughputQueries
-	if nq <= 0 {
-		nq = 24
-	}
-	const inflight = 8
+	nq := sc.sweepQueries()
 	tb := report.New(
 		fmt.Sprintf("Group scale — %d owners, %s-cell domain, %d mixed queries per point, %d in flight, 1 thread per server",
-			sc.Owners, human(domain), nq, inflight),
+			sc.Owners, human(domain), nq, sweepInflight),
 		"groups", "queries/sec", "cells/sec", "speedup", "peak frame", "owner merge(ms/query)", "results")
 
-	var baseline []string
-	var baseQPS float64
-	var basePeak int64
+	var base *sweepPoint
 	for _, groups := range groupScaleGroups {
-		spec := SystemSpec{
+		p, err := runPoint(ctx, SystemSpec{
 			Owners:     sc.Owners,
 			Domain:     domain,
 			Groups:     groups,
 			Threads:    1,
 			EncodeWire: true,
 			Seed:       "groupscale",
-		}
-		sys, _, _, err := Build(spec)
+		}, nq, base)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("benchx: groupscale @%d groups: %w", groups, err)
 		}
-		sys.SetMaxInflight(inflight)
-		sys.ResetPeakFrame()
-
-		reqs := make([]prism.Request, nq)
-		for i := range reqs {
-			reqs[i] = memScaleMix[i%len(memScaleMix)]
-		}
-		cells0 := cellsProcessed.Value()
-		start := time.Now()
-		resps := sys.QueryBatch(ctx, reqs)
-		wall := time.Since(start)
-		cellsSeen := cellsProcessed.Value() - cells0
-
-		fps := make([]string, len(resps))
-		var ownerNS int64
-		for i, r := range resps {
-			if r.Err != nil {
-				return nil, fmt.Errorf("benchx: groupscale @%d groups: query %d failed: %v", groups, i, r.Err)
-			}
-			fps[i] = fingerprint(r.Result)
-			ownerNS += r.Result.Stats.OwnerNS
-		}
-		result := "baseline"
-		if baseline == nil {
-			baseline = fps
-		} else {
-			result = "match"
-			for i := range fps {
-				if fps[i] != baseline[i] {
-					return nil, fmt.Errorf("benchx: groupscale @%d groups: query %d result diverged from single-group baseline", groups, i)
-				}
-			}
-		}
-		peak := sys.PeakFrameBytes()
-		if basePeak == 0 {
-			basePeak = peak
-		} else if peak > basePeak {
+		speedup := 1.0
+		if base != nil {
 			// Per-group windows are sub-ranges of the single-group
 			// window, so splitting the domain must never grow a frame.
-			return nil, fmt.Errorf("benchx: groupscale @%d groups: peak frame %s exceeds the single-group peak %s",
-				groups, humanBytes(peak), humanBytes(basePeak))
-		}
-		qps := float64(nq) / wall.Seconds()
-		speedup := "1.00×"
-		if baseQPS == 0 {
-			baseQPS = qps
-		} else {
-			speedup = fmt.Sprintf("%.2f×", qps/baseQPS)
+			if p.frame > base.frame {
+				return nil, fmt.Errorf("benchx: groupscale @%d groups: peak frame %s exceeds the single-group peak %s",
+					groups, humanBytes(p.frame), humanBytes(base.frame))
+			}
+			speedup = p.qps() / base.qps()
 		}
 		tb.Add(fmt.Sprint(groups),
-			fmt.Sprintf("%.1f", qps),
-			cellsRate(cellsSeen, wall),
-			speedup,
-			humanBytes(peak),
-			fmt.Sprintf("%.2f", float64(ownerNS)/float64(nq)/1e6),
-			result)
+			fmt.Sprintf("%.1f", p.qps()),
+			cellsRate(p.cells, p.wall),
+			fmt.Sprintf("%.2f×", speedup),
+			humanBytes(p.frame),
+			fmt.Sprintf("%.2f", float64(p.ownerNS)/float64(nq)/1e6),
+			p.result)
+		if base == nil {
+			base = p
+		}
 	}
 	return []*report.Table{tb}, nil
 }

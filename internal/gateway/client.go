@@ -11,8 +11,8 @@ import (
 
 // Client is a minimal front-protocol client: one TCP connection, one
 // request in flight at a time (submit → poll loop). It exists for the
-// test battery, the gatewayscale benchmark and operational smoke
-// checks; production clients are expected to reimplement the trivial
+// test battery, the repo benchmark's gateway workload and operational
+// smoke checks; production clients are expected to reimplement the trivial
 // framing in their own language.
 type Client struct {
 	conn net.Conn

@@ -4,6 +4,7 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -72,12 +73,14 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Headers, ","))
-	for _, r := range t.Rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
+// CSV writes the table as RFC 4180 comma-separated values (cells holding
+// commas or quotes are quoted) and reports the first write error.
+func (t *Table) CSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Headers); err != nil {
+		return err
 	}
+	return cw.WriteAll(t.Rows) // flushes
 }
 
 func pad(s string, w int) string {

@@ -1,6 +1,9 @@
 package report
 
 import (
+	"encoding/csv"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,12 +40,42 @@ func TestCSV(t *testing.T) {
 	tb.Add(1, 2)
 	tb.Add(3, 4)
 	var sb strings.Builder
-	tb.CSV(&sb)
+	if err := tb.CSV(&sb); err != nil {
+		t.Fatal(err)
+	}
 	want := "a,b\n1,2\n3,4\n"
 	if sb.String() != want {
 		t.Errorf("csv = %q want %q", sb.String(), want)
 	}
 }
+
+// TestCSVRoundTripsQuotedCells: cells holding commas, quotes or newlines
+// (Table 13's "PSI, PSU, agg") must come back from a CSV reader as the
+// same fields under the same column count, and a failing writer must
+// surface as an error.
+func TestCSVRoundTripsQuotedCells(t *testing.T) {
+	tb := New("", "system", "operations", "note")
+	tb.Add("Jana [5]", "PSI, PSU, agg", `says "yes"`)
+	tb.Add("[39] & [45]", "PSI", "two\nlines")
+	var sb strings.Builder
+	if err := tb.CSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll() // enforces equal field counts
+	if err != nil {
+		t.Fatalf("csv output does not parse: %v\n%s", err, sb.String())
+	}
+	if want := append([][]string{tb.Headers}, tb.Rows...); !reflect.DeepEqual(recs, want) {
+		t.Errorf("round trip = %q, want %q", recs, want)
+	}
+	if err := tb.CSV(failingWriter{}); err == nil {
+		t.Error("CSV on a failing writer returned nil")
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestSeconds(t *testing.T) {
 	if Seconds(1_500_000_000) != "1.500" {

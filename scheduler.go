@@ -73,71 +73,34 @@ func (f *Future) Wait() *Response {
 	return f.resp
 }
 
-// limiter bounds the number of concurrently executing queries. Unlike a
-// semaphore channel its width can be changed while queries are in
-// flight (SetMaxInflight); running queries finish normally and the new
-// width applies as slots free up.
-type limiter struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	limit    int
-	inflight int
-}
+// limiter bounds the number of concurrently executing queries: a
+// counting semaphore whose width is fixed when the system is built
+// (Config.MaxInflight).
+type limiter chan struct{}
 
-func newLimiter(limit int) *limiter {
+func newLimiter(limit int) limiter {
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
-	l := &limiter{limit: limit}
-	l.cond = sync.NewCond(&l.mu)
-	return l
+	return make(limiter, limit)
 }
 
 // acquire blocks until a slot is free or ctx is done.
-func (l *limiter) acquire(ctx context.Context) error {
-	// Wake all waiters when the context dies so they can observe it.
-	stop := context.AfterFunc(ctx, func() {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer stop()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.inflight >= l.limit {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		l.cond.Wait()
-	}
+func (l limiter) acquire(ctx context.Context) error {
+	// select picks at random among ready cases; a context that is
+	// already dead must lose even when a slot is free.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	l.inflight++
-	return nil
-}
-
-func (l *limiter) release() {
-	l.mu.Lock()
-	l.inflight--
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-func (l *limiter) setLimit(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	select {
+	case l <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	l.mu.Lock()
-	l.limit = n
-	l.mu.Unlock()
-	l.cond.Broadcast()
 }
 
-// SetMaxInflight changes the scheduler's concurrency bound while the
-// system is live. Queries already executing are unaffected; the new
-// bound governs when queued queries may start.
-func (s *System) SetMaxInflight(n int) { s.sched.setLimit(n) }
+func (l limiter) release() { <-l }
 
 // QueryAsync submits one query to the bounded scheduler and returns
 // immediately. The query starts once an in-flight slot is free and,

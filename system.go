@@ -39,7 +39,7 @@ type System struct {
 	table    string
 	qidNonce atomic.Uint64
 	rr       atomic.Uint64 // round-robin cursor over querying owners
-	sched    *limiter      // bounds concurrently executing queries
+	sched    limiter       // bounds concurrently executing queries
 	tracer   *telemetry.Tracer
 }
 
