@@ -118,6 +118,43 @@ func plainAnswers(sys *System, inter []uint64) map[OpKind]string {
 	}
 }
 
+// kindCols is the column list a query of kind runs over in the parity
+// tables: column "v" where the kind takes columns.
+func kindCols(kind OpKind) []string {
+	if f := kind.Family(); f == ownerengine.FamilyAgg || f == ownerengine.FamilyExtreme {
+		return []string{"v"}
+	}
+	return nil
+}
+
+// directAnswers runs every kind of the kind table through the library,
+// holds each answer against the plaintext oracle (internal/baseline sets
+// and sums; orc for max/min/median) and returns the answers'
+// fingerprints by kind name. No kind may leave a session behind.
+func directAnswers(t *testing.T, sys *System, orc *extremeOracle) map[string]string {
+	t.Helper()
+	extremes := map[OpKind]protocol.ExtremeKind{
+		OpPSIMax: protocol.KindMax, OpPSIMin: protocol.KindMin, OpPSIMedian: protocol.KindMedian,
+	}
+	plain := plainAnswers(sys, orc.cells)
+	out := make(map[string]string)
+	for _, name := range ownerengine.KindNames() {
+		kind, _ := ownerengine.KindByName(name)
+		direct := sys.execute(context.Background(), Request{Op: kind, Cols: kindCols(kind)})
+		if direct.Err != nil {
+			t.Fatalf("%s direct: %v", name, direct.Err)
+		}
+		out[name] = answerOfResult(direct.Result)
+		if ext, ok := extremes[kind]; ok {
+			orc.check(t, ext, direct.Extreme)
+		} else if out[name] != plain[kind] {
+			t.Errorf("%s direct = %s, plaintext %s", name, out[name], plain[kind])
+		}
+		assertNoSessions(t, sys)
+	}
+	return out
+}
+
 // TestGatewaySystemParity is the direct/gateway slice of the conformance
 // matrix: every kind of the kind table, on 1 and 2 server groups over
 // randomised data, must answer (a) through the library exactly as the
@@ -128,9 +165,6 @@ func plainAnswers(sys *System, inter []uint64) map[OpKind]string {
 // at full strength, for max/min/median. No path may leave a session
 // behind, nor may a max whose caller gives up mid-round.
 func TestGatewaySystemParity(t *testing.T) {
-	extremes := map[OpKind]protocol.ExtremeKind{
-		OpPSIMax: protocol.KindMax, OpPSIMin: protocol.KindMin, OpPSIMedian: protocol.KindMedian,
-	}
 	for _, groups := range []int{1, 2} {
 		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
 			sys, err := NewLocalSystem(extremeConfig(t, 4, groups, false))
@@ -139,7 +173,7 @@ func TestGatewaySystemParity(t *testing.T) {
 			}
 			defer sys.Close()
 			orc := loadPlanted(t, sys, plantedCells(sys, 5), int64(40+groups))
-			plain := plainAnswers(sys, orc.cells)
+			direct := directAnswers(t, sys, orc)
 
 			dial := func(cfg gateway.Config) (*gateway.Client, *gateway.Gateway) {
 				addr, gw := startGateway(t, cfg)
@@ -158,22 +192,7 @@ func TestGatewaySystemParity(t *testing.T) {
 			ctx := context.Background()
 			for _, name := range ownerengine.KindNames() {
 				kind, _ := ownerengine.KindByName(name)
-				var cols []string
-				if kind.Family() == ownerengine.FamilyAgg || kind.Family() == ownerengine.FamilyExtreme {
-					cols = []string{"v"}
-				}
-
-				direct := sys.execute(ctx, Request{Op: kind, Cols: cols})
-				if direct.Err != nil {
-					t.Fatalf("%s direct: %v", name, direct.Err)
-				}
-				want := answerOfResult(direct.Result)
-				ext, isExtreme := extremes[kind]
-				if isExtreme {
-					orc.check(t, ext, direct.Extreme)
-				} else if want != plain[kind] {
-					t.Errorf("%s direct = %s, plaintext %s", name, want, plain[kind])
-				}
+				cols, want := kindCols(kind), direct[name]
 
 				reply, err := cohort.Query(name, cols, "t0", 30*time.Second)
 				if err != nil {
@@ -185,7 +204,7 @@ func TestGatewaySystemParity(t *testing.T) {
 
 				reply, err = lone.Query(name, cols, "t0", 30*time.Second)
 				switch {
-				case isExtreme:
+				case kind.Family() == ownerengine.FamilyExtreme:
 					if err == nil || reply == nil || reply.Code != gateway.CodeUnsupported {
 						t.Errorf("%s through a lone engine: reply %+v, err %v, want code %q", name, reply, err, gateway.CodeUnsupported)
 					}
