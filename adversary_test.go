@@ -88,6 +88,44 @@ func TestMaliciousCountTamperDetected(t *testing.T) {
 	}
 }
 
+// TestMaliciousCountEntryDetectedInEveryKernel: a count reply is
+// produced two ways — scattered through PF_s1 when the window is the
+// whole table, gathered through PF_s1⁻¹ when it is a proper window — and
+// one altered Out entry must trip the Eq. 1 check in both, with one
+// server group and with two (the last group's S0 lies).
+func TestMaliciousCountEntryDetectedInEveryKernel(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		for _, tc := range []struct {
+			name   string
+			shard  uint64
+			offset uint64 // the window whose reply is altered
+		}{
+			{"whole-table", 0, 0},
+			{"second-10-cell-window", 10, 10},
+		} {
+			t.Run(fmt.Sprintf("groups=%d/%s", groups, tc.name), func(t *testing.T) {
+				sys := shapeSystem(t, false, groups, 64, tc.shard)
+				orc := loadPlanted(t, sys, plantedCells(sys, 5), 7)
+				if cnt, err := sys.PSICount(context.Background()); err != nil || cnt.Count != len(orc.cells) {
+					t.Fatalf("honest count = %+v, %v, want %d", cnt, err, len(orc.cells))
+				}
+				sys.interceptGroupServer(groups-1, 0, tamper(func(req, reply any) any {
+					r, ok := reply.(protocol.CountReply)
+					if !ok || req.(protocol.CountRequest).Shard.Offset != tc.offset {
+						return nil
+					}
+					out := append([]uint64(nil), r.Out...)
+					out[3]++
+					return protocol.CountReply{Out: out, Vout: r.Vout, Stats: r.Stats}
+				}))
+				if _, err := sys.PSICount(context.Background()); !errors.Is(err, ErrVerificationFailed) {
+					t.Fatalf("err = %v, want ErrVerificationFailed", err)
+				}
+			})
+		}
+	}
+}
+
 // TestMaliciousAggTamperDetected: a server that fabricates aggregation
 // shares must trip the dual-copy sum verification.
 func TestMaliciousAggTamperDetected(t *testing.T) {

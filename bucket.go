@@ -31,7 +31,7 @@ func (s *System) OutsourceBucketTrees(ctx context.Context, fanout int) error {
 		if err != nil {
 			return err
 		}
-		if err := o.eng.OutsourceBucketTree(ctx, s.table+"-bt", tree); err != nil {
+		if err := o.eng.OutsourceBucketTree(ctx, tableName+"-bt", tree); err != nil {
 			return err
 		}
 	}
@@ -45,7 +45,7 @@ func (s *System) BucketizedPSI(ctx context.Context) (*BucketPSIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ow.eng.BucketizedPSI(ctx, s.table+"-bt")
+	res, err := ow.eng.BucketizedPSI(ctx, tableName+"-bt")
 	if err != nil {
 		return nil, err
 	}

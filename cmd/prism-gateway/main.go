@@ -65,7 +65,7 @@ func main() {
 		table     = flag.String("table", "main", "logical table name queries run against")
 		verify    = flag.Bool("verify", false, "run every result-verification check of a query's kind before answering")
 		inflight  = flag.Int("inflight", 0, "per-connection RPC pipelining depth of each pool member's TCP client (0 = transport default)")
-		shard     = flag.Uint64("shard", 0, "shard size in cells for query vectors (0 = one frame per exchange)")
+		shard     = flag.Uint64("shard", 0, "window size in cells for query vectors (0 = one window of the whole table)")
 		probe     = flag.Duration("probe", 2*time.Second, "owner-pool liveness probe interval")
 		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9104); empty disables the endpoint")
 	)

@@ -97,7 +97,7 @@ func main() {
 		rmPath    = flag.String("remove", "", "update: CSV of tuples to delete (must match -data rows)")
 		verify    = flag.Bool("verify", false, "outsource verification columns / verify query results")
 		inflight  = flag.Int("inflight", 0, "per-connection RPC pipelining depth (0 = transport default)")
-		shard     = flag.Uint64("shard", 0, "shard size in cells for uploads and query vectors (0 = one frame per exchange)")
+		shard     = flag.Uint64("shard", 0, "window size in cells for uploads and query vectors (0 = one window of the whole table)")
 		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9102); empty disables the endpoint")
 	)
 	flag.Parse()

@@ -42,7 +42,7 @@ func main() {
 		storeDir   = flag.String("store", "", "serve columns from the on-disk share store in this directory (fetched per query, fetch-time accounting); empty serves from RAM")
 		hotChunks  = flag.Uint64("hotchunks", 0, "with -store: cache hot chunks per table epoch under this byte budget (LRU eviction past it) instead of reading per query; 0 = cache off")
 		chunkCells = flag.Uint64("chunkcells", 0, "share-store chunk size in cells for newly written columns (0 = 65536); align with the owners' -shard size")
-		pendTTL    = flag.Duration("pendttl", 0, "reclaim sharded-upload assemblies idle longer than this (crashed owners); 0 disables the sweep")
+		pendTTL    = flag.Duration("pendttl", 0, "reclaim upload assemblies idle longer than this (crashed owners); 0 disables the sweep")
 		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = default threshold; incremental updates only)")
 		compactEvr = flag.Duration("compact", 0, "also sweep every table's delta log for compaction on this interval (0 = threshold-triggered only)")
 		threads    = flag.Int("threads", 0, "worker pool width (0 = GOMAXPROCS)")

@@ -165,19 +165,18 @@ type Config struct {
 	// QueryBatch) execute simultaneously. 0 → GOMAXPROCS. Fixed for the
 	// System's lifetime.
 	MaxInflight int
-	// ShardCells splits every O(b) owner↔server exchange — table
-	// uploads, PSI/PSU/count vectors, aggregation selectors and replies
-	// — into windows of at most ShardCells cells, each moving as its own
-	// frame over the multiplexed transport, with partial results merged
-	// incrementally owner-side. This bounds per-request frame size (and
-	// per-request buffer lifetime) by the shard size regardless of the
-	// domain, so domains whose monolithic frames would exceed
-	// transport.MaxFrameBytes become servable. 0 (the default) keeps the
-	// monolithic one-frame-per-exchange wire behaviour. A query keeps at
-	// most 8 shard exchanges in flight per server connection. With
-	// disk-backed servers, set a HotChunks budget alongside sharding so
-	// hot chunks are read from disk once; without the cache every shard
-	// window re-reads its overlapping chunks.
+	// ShardCells is the window size every O(b) owner↔server exchange —
+	// table uploads, PSI/PSU/count vectors, aggregation selectors and
+	// replies — moves in: windows of at most ShardCells cells, each its
+	// own frame over the multiplexed transport, with partial results
+	// merged incrementally owner-side. 0 (the default) → one window of
+	// b cells. A smaller window bounds per-request frame size (and
+	// per-request buffer lifetime) regardless of the domain, so domains
+	// whose b-cell frames would exceed transport.MaxFrameBytes become
+	// servable. A query keeps at most 8 windows in flight per server
+	// connection. With disk-backed servers, set a HotChunks budget
+	// alongside small windows so hot chunks are read from disk once;
+	// without the cache every window re-reads its overlapping chunks.
 	ShardCells uint64
 	// HotChunks, when > 0, turns on each disk-backed server's per-table
 	// hot-chunk cache (DiskDir set) with this byte budget: χ-shares and
@@ -234,9 +233,10 @@ type Config struct {
 	// into a System.QueryTrace(id) timeline. Off by default — traced
 	// queries pay a few spans per request on the wire.
 	Trace bool
-	// TableName names the outsourced table (default "main").
-	TableName string
 }
+
+// tableName names the one table a System outsources and queries.
+const tableName = "main"
 
 func (c *Config) normalize() error {
 	if c.Owners < 2 {
@@ -264,9 +264,6 @@ func (c *Config) normalize() error {
 		// Mirror prism-server, which rejects -recover without -store:
 		// silently booting empty would defeat the whole point.
 		return errors.New("prism: AutoRecover requires DiskDir")
-	}
-	if c.TableName == "" {
-		c.TableName = "main"
 	}
 	return nil
 }

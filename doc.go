@@ -77,21 +77,20 @@
 //
 // # Domain sharding
 //
-// Every Prism exchange is O(b) in the domain size. Config.ShardCells
-// splits each one — table uploads, PSI/PSU/count vectors, aggregation
-// selectors and replies — into windows of at most that many cells, each
-// moving as its own frame over the multiplexed transport (up to 8 shard
-// exchanges in flight per query), with partial results merged
-// incrementally owner-side. Frame size and per-request buffers are then
-// bounded by the shard size regardless of the domain, so domains whose
-// monolithic frames would exceed transport.MaxFrameBytes become
-// servable; sharded uploads register the table only once every window
-// has arrived, so queries never observe a half-uploaded epoch. The
-// default 0 preserves the monolithic one-frame-per-exchange wire
-// behaviour. With disk-backed servers set a HotChunks budget alongside
-// sharding (each window reads its chunks through the per-epoch cache).
-// The prism-bench domainscale experiment
-// measures queries/sec and peak frame size in both modes.
+// Every Prism exchange is O(b) in the domain size and moves as windows:
+// Config.ShardCells is the window size of each one — table uploads,
+// PSI/PSU/count vectors, aggregation selectors and replies — every
+// window its own frame over the multiplexed transport (up to 8 in
+// flight per query), with partial results merged incrementally
+// owner-side. 0 (the default) → one window of b cells. With a smaller
+// window, frame size and per-request buffers are bounded by it
+// regardless of the domain, so domains whose b-cell frames would exceed
+// transport.MaxFrameBytes become servable. Uploads register the table
+// only once every window has arrived, so queries never observe a
+// half-uploaded epoch. With disk-backed servers set a HotChunks budget
+// alongside small windows (each window reads its chunks through the
+// per-epoch cache). The prism-bench domainscale experiment measures
+// queries/sec and peak frame size at both window sizes.
 //
 // # Storage
 //
@@ -99,7 +98,7 @@
 // fixed-size chunk segments plus a per-column chunk index
 // (internal/sharestore): chunks are written atomically with their own
 // CRCs, and ranged reads touch only the chunks overlapping the window;
-// this is the only column format. A sharded upload streams every incoming window
+// this is the only column format. An upload streams every incoming window
 // straight to pending chunked columns and promotes them on completion
 // (register-on-complete, recorded in the table manifest), and
 // per-window query evaluation fetches only the overlapping chunks —

@@ -8,7 +8,7 @@ import "prism/internal/gateway"
 // exemplary aggregations (max/min/median) a lone owner engine must
 // refuse.
 func (o *Owner) GatewayBackend() gateway.Backend {
-	return &gateway.EngineBackend{Owner: o.eng, Table: o.sys.table, Verify: o.sys.cfg.Verify, Cohort: o.sys.cohort}
+	return &gateway.EngineBackend{Owner: o.eng, Table: tableName, Verify: o.sys.cfg.Verify, Cohort: o.sys.cohort}
 }
 
 // GatewayBackends returns one backend per owner — the natural pool for

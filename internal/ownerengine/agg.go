@@ -44,8 +44,8 @@ func (r *AggResult) Avg(col string, cell uint64) (float64, bool) {
 // every cell — a server that skips or fabricates cells cannot keep both
 // copies consistent without knowing PF_db2⊙PF_db1⁻¹ (paper §5.2).
 //
-// With sharding, every request carries only a window of the selector
-// shares and every reply a window of the degree-2 sums; each window is
+// Every request carries only a window of the selector shares and every
+// reply a window of the degree-2 sums; each window is
 // Lagrange-interpolated into a single stored-order accumulator as its
 // three replies arrive, so the owner holds one reconstruction vector per
 // column instead of three servers' worth of reply vectors.
@@ -95,8 +95,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	qid := sess.qid
 	var stats QueryStats
 	stats.Rounds = 1
-	p := o.plan(b)
-	err := o.forEachShard(ctx, p, 3, func(phi int, rg protocol.Range) any {
+	err := o.forEachShard(ctx, o.plan(b), 3, func(phi int, rg protocol.Range) any {
 		req := protocol.AggRequest{
 			Table:     table,
 			QueryID:   qid,
@@ -105,9 +104,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 			WithCount: withCount,
 			Z:         zShares[phi][rg.Offset:rg.End()],
 			TraceID:   tid,
-		}
-		if p.wire {
-			req.Shard = rg
+			Shard:     rg,
 		}
 		if verify {
 			req.VZ = vzShares[phi][rg.Offset:rg.End()]

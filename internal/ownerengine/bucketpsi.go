@@ -23,51 +23,20 @@ type bucketMeta struct {
 // frontier pruning — the traversal pattern is revealed by design, as in
 // the paper, where owners explicitly request child buckets.
 //
-// Each level moves through the sharded store path: with SetShardCells
-// set, the O(b) leaf level uploads as bounded shard windows (the same
-// assembly, supersede and register-on-complete semantics as Outsource)
-// instead of one monolithic frame, so bucket trees scale to the same
-// domains the main table does.
+// Each level uploads as Outsource does — SetShardCells windows, the same
+// assembly, supersede and register-on-complete semantics — so bucket
+// trees scale to the same domains the main table does.
 func (o *engine) OutsourceBucketTree(ctx context.Context, base string, tree *bucket.Tree) error {
 	for k, level := range tree.Levels {
 		o.mu.Lock()
 		shares := share.AdditiveSplitVector(o.rng, level, o.view.Delta, 2)
 		o.mu.Unlock()
-		b := uint64(len(level))
-		spec := protocol.TableSpec{
-			Name:  bucketLevelTable(base, k),
-			B:     b,
-			Plain: true,
-		}
-		p := o.plan(b)
-		uploadID := fmt.Sprintf("%s/%d", o.uploadEpoch, o.uploadSeq.Add(1))
-		var completed [2]bool
-		err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
-			req := protocol.StoreRequest{Owner: o.Index, Group: o.view.Group, Spec: spec, ChiAdd: shares[phi][rg.Offset:rg.End()]}
-			if p.wire {
-				req.Shard = rg
-				req.UploadID = uploadID
-			}
-			return req
-		}, func(rg protocol.Range, replies []any) error {
-			for phi, r := range replies {
-				rep, ok := r.(protocol.StoreReply)
-				if !ok {
-					return fmt.Errorf("ownerengine: unexpected store reply %T", r)
-				}
-				if rep.Cells == b {
-					completed[phi] = true
-				}
-			}
-			return nil
+		spec := protocol.TableSpec{Name: bucketLevelTable(base, k), B: uint64(len(level)), Plain: true}
+		err := o.upload(ctx, spec, 2, func(phi int, rg protocol.Range) protocol.StoreRequest {
+			return protocol.StoreRequest{ChiAdd: shares[phi][rg.Offset:rg.End()]}
 		})
 		if err != nil {
 			return fmt.Errorf("ownerengine: outsourcing bucket level %d: %w", k, err)
-		}
-		for phi, done := range completed {
-			if !done {
-				return fmt.Errorf("ownerengine: server %d never completed the sharded upload of bucket level %d", phi, k)
-			}
 		}
 	}
 	sizes := make([]int, tree.Height())

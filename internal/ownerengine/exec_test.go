@@ -179,3 +179,21 @@ func TestExecWithoutCohort(t *testing.T) {
 		t.Errorf("refused queries opened %d sessions", n)
 	}
 }
+
+// TestRaggedUpdateRejected: an update whose column is shorter than its
+// cell list must come back as an error from the router's split — on one
+// group and on two — not as an index panic, and must leave the loaded
+// data as it was.
+func TestRaggedUpdateRejected(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		o := newExecRig(t, 3, 32, groups).cohort.Owners[0]
+		before := len(o.Data().Cells)
+		ragged := &Data{Cells: []uint64{1, 30}, Aggs: map[string][]uint64{"v": {9}}}
+		if _, err := o.Update(context.Background(), "t", ragged, nil); err == nil {
+			t.Errorf("%d groups: ragged update accepted", groups)
+		}
+		if got := len(o.Data().Cells); got != before {
+			t.Errorf("%d groups: rejected update changed the loaded data: %d → %d tuples", groups, before, got)
+		}
+	}
+}

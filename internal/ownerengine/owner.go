@@ -96,10 +96,10 @@ type engine struct {
 	servers []string // logical addresses of the NumServers servers
 	rng     *prg.PRG
 
-	// shardCells splits every O(b) exchange into bounded frames
-	// (SetShardCells); 0 keeps the monolithic wire behaviour.
+	// shardCells is the window size every O(b) exchange moves in
+	// (SetShardCells); 0 is one window of b cells.
 	shardCells atomic.Uint64
-	// uploadEpoch/uploadSeq mint ordered sharded-upload ids
+	// uploadEpoch/uploadSeq mint ordered upload ids
 	// ("<epoch>/<seq>") so servers can tell a fresh retry from the
 	// stragglers of an abandoned attempt (see protocol.StoreRequest).
 	uploadEpoch string
@@ -201,44 +201,18 @@ func (o *engine) Data() *Data {
 // Outsource runs Phase 1 for one table: build χ (and χ̄, aggregate
 // columns per spec), permute, secret-share, and upload to the servers.
 func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStats, error) {
-	o.mu.Lock()
-	d := o.data
-	o.mu.Unlock()
-	if d == nil {
-		return ShareGenStats{}, errors.New("ownerengine: no data loaded")
-	}
 	b := o.view.B
-	var stats ShareGenStats
-	stats.Cells = b
+	stats := ShareGenStats{Cells: b}
 
-	// ---- build natural-order tables (§5.1 Step 1, §6.1 Step 1) ----
 	start := time.Now()
-	chi, err := domain.BuildChi(b, d.Cells)
+	t, err := o.buildLocal(spec)
 	if err != nil {
 		return stats, err
 	}
+	chi, mult, sums := t.chi, t.mult, t.sums
 	var chibar []uint16
 	if spec.Verify {
 		chibar = domain.Complement(chi)
-	}
-	sums := make(map[string][]uint64, len(spec.AggCols))
-	for _, col := range spec.AggCols {
-		vs, ok := d.Aggs[col]
-		if !ok {
-			return stats, fmt.Errorf("ownerengine: data has no column %q", col)
-		}
-		acc := make([]uint64, b)
-		for i, c := range d.Cells {
-			acc[c] = field.Add(acc[c], field.Reduce(vs[i]))
-		}
-		sums[col] = acc
-	}
-	// Multiplicity doubles as the count column and, retained in the
-	// local table, tells incremental updates when a removal empties a
-	// cell (χ flips back to 0).
-	mult := make([]uint64, b)
-	for _, c := range d.Cells {
-		mult[c]++
 	}
 	stats.BuildNS = time.Since(start).Nanoseconds()
 
@@ -275,9 +249,9 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 	o.mu.Unlock()
 
 	// ---- upload ----
-	// With sharding, each window moves the same column layout restricted
-	// to [Offset, End()) — zero-copy subslices of the share vectors — and
-	// the servers register the table only once every window has landed.
+	// Each window moves the same column layout restricted to
+	// [Offset, End()) — zero-copy subslices of the share vectors — and the
+	// servers register the table only once every window has landed.
 	start = time.Now()
 	pspec := protocol.TableSpec{
 		Name:      spec.Table,
@@ -286,18 +260,9 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 		HasVerify: spec.Verify,
 		HasCount:  spec.WithCount,
 	}
-	p := o.plan(b)
-	// Ordered per attempt: servers supersede older assemblies and
-	// reject this attempt's stragglers once a newer retry appears.
-	uploadID := fmt.Sprintf("%s/%d", o.uploadEpoch, o.uploadSeq.Add(1))
-	var completed [params.NumServers]bool
-	err = o.forEachShard(ctx, p, params.NumServers, func(phi int, rg protocol.Range) any {
+	err = o.upload(ctx, pspec, params.NumServers, func(phi int, rg protocol.Range) protocol.StoreRequest {
 		lo, hi := rg.Offset, rg.End()
-		req := protocol.StoreRequest{Owner: o.Index, Group: o.view.Group, Spec: pspec}
-		if p.wire {
-			req.Shard = rg
-			req.UploadID = uploadID
-		}
+		var req protocol.StoreRequest
 		if phi < 2 {
 			req.ChiAdd = chiShares[phi][lo:hi]
 			if spec.Verify {
@@ -321,35 +286,90 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 			}
 		}
 		return req
+	})
+	if err != nil {
+		return stats, err
+	}
+	stats.UploadNS = time.Since(start).Nanoseconds()
+
+	o.mu.Lock()
+	o.tables[spec.Table] = t
+	o.mu.Unlock()
+	return stats, nil
+}
+
+// buildLocal builds the natural-order tables of the loaded tuples (§5.1
+// Step 1, §6.1 Step 1): the χ bitmap, the per-cell sums of every
+// aggregation column, and the per-cell multiplicity, which doubles as
+// the count column and, retained, tells incremental updates when a
+// removal empties a cell (χ flips back to 0).
+func (o *engine) buildLocal(spec OutsourceSpec) (*localTable, error) {
+	o.mu.Lock()
+	d := o.data
+	o.mu.Unlock()
+	if d == nil {
+		return nil, errors.New("ownerengine: no data loaded")
+	}
+	b := o.view.B
+	chi, err := domain.BuildChi(b, d.Cells)
+	if err != nil {
+		return nil, err
+	}
+	sums := make(map[string][]uint64, len(spec.AggCols))
+	for _, col := range spec.AggCols {
+		vs, ok := d.Aggs[col]
+		if !ok {
+			return nil, fmt.Errorf("ownerengine: data has no column %q", col)
+		}
+		acc := make([]uint64, b)
+		for i, c := range d.Cells {
+			acc[c] = field.Add(acc[c], field.Reduce(vs[i]))
+		}
+		sums[col] = acc
+	}
+	mult := make([]uint64, b)
+	for _, c := range d.Cells {
+		mult[c]++
+	}
+	return &localTable{spec: spec, b: b, chi: chi, mult: mult, sums: sums}, nil
+}
+
+// upload moves this owner's columns of one table to the first nsrv
+// servers, window by window: cols builds server φ's columns for a window,
+// every request is stamped with the window and one upload id, and every
+// server must acknowledge the completing window — a concurrent Drop can
+// wipe a half-assembled upload, in which case no window ever reports
+// Spec.B cells and the table never registered.
+func (o *engine) upload(ctx context.Context, spec protocol.TableSpec, nsrv int, cols func(phi int, rg protocol.Range) protocol.StoreRequest) error {
+	// Ordered per attempt: servers supersede older assemblies and
+	// reject this attempt's stragglers once a newer retry appears.
+	uploadID := fmt.Sprintf("%s/%d", o.uploadEpoch, o.uploadSeq.Add(1))
+	completed := make([]bool, nsrv)
+	err := o.forEachShard(ctx, o.plan(spec.B), nsrv, func(phi int, rg protocol.Range) any {
+		req := cols(phi, rg)
+		req.Owner, req.Group, req.Spec, req.Shard, req.UploadID = o.Index, o.view.Group, spec, rg, uploadID
+		return req
 	}, func(rg protocol.Range, replies []any) error {
 		for phi, r := range replies {
 			rep, ok := r.(protocol.StoreReply)
 			if !ok {
 				return fmt.Errorf("ownerengine: unexpected store reply %T", r)
 			}
-			if rep.Cells == b {
+			if rep.Cells == spec.B {
 				completed[phi] = true // this server registered the table
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return stats, err
+		return err
 	}
-	// Every server must have acknowledged the completing window — a
-	// concurrent Drop can wipe a half-assembled upload, in which case no
-	// shard ever reports Spec.B cells and the table never registered.
 	for phi, done := range completed {
 		if !done {
-			return stats, fmt.Errorf("ownerengine: server %d never completed the sharded upload of %q (table dropped mid-upload?)", phi, spec.Table)
+			return fmt.Errorf("ownerengine: server %d never completed the upload of %q (table dropped mid-upload?)", phi, spec.Name)
 		}
 	}
-	stats.UploadNS = time.Since(start).Nanoseconds()
-
-	o.mu.Lock()
-	o.tables[spec.Table] = &localTable{spec: spec, b: b, chi: chi, mult: mult, sums: sums}
-	o.mu.Unlock()
-	return stats, nil
+	return nil
 }
 
 // AdoptTable rebuilds the owner-local update state for a table this
@@ -358,35 +378,12 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 // The loaded data must be the pre-update dataset the table was
 // outsourced from, or subsequent deltas will diverge from the base.
 func (o *engine) AdoptTable(spec OutsourceSpec) error {
-	o.mu.Lock()
-	d := o.data
-	o.mu.Unlock()
-	if d == nil {
-		return errors.New("ownerengine: no data loaded")
-	}
-	b := o.view.B
-	chi, err := domain.BuildChi(b, d.Cells)
+	t, err := o.buildLocal(spec)
 	if err != nil {
 		return err
 	}
-	mult := make([]uint64, b)
-	for _, c := range d.Cells {
-		mult[c]++
-	}
-	sums := make(map[string][]uint64, len(spec.AggCols))
-	for _, col := range spec.AggCols {
-		vs, ok := d.Aggs[col]
-		if !ok {
-			return fmt.Errorf("ownerengine: data has no column %q", col)
-		}
-		acc := make([]uint64, b)
-		for i, c := range d.Cells {
-			acc[c] = field.Add(acc[c], field.Reduce(vs[i]))
-		}
-		sums[col] = acc
-	}
 	o.mu.Lock()
-	o.tables[spec.Table] = &localTable{spec: spec, b: b, chi: chi, mult: mult, sums: sums}
+	o.tables[spec.Table] = t
 	o.mu.Unlock()
 	return nil
 }

@@ -20,27 +20,24 @@ type SetResult struct {
 	Stats QueryStats
 }
 
-// PSI runs the §5.1 protocol and returns the common cells. With sharding
-// enabled the stored-order vector is fetched window by window and the
-// per-cell recombination (Equation 4) folds each window in as its pair
-// of replies arrives, so no whole-domain reply frame ever exists.
-func (o *engine) PSI(ctx context.Context, table string) (*SetResult, error) {
+// PSI runs the §5.1 protocol and returns the common cells, writing the
+// natural-order fop vector into fop (view.B cells, the caller's slice of
+// the global vector). The stored-order vector is fetched window by
+// window and the per-cell recombination (Equation 4) folds each window
+// in as its pair of replies arrives, so no reply frame is larger than a
+// window.
+func (o *engine) PSI(ctx context.Context, table string, fop []uint64) (*SetResult, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psi").qid
 	b := o.view.B
 	eta := o.view.Eta
 	one := 1 % eta
-	p := o.plan(b)
 	var stats QueryStats
 	stats.Rounds = 1
 	fopStored := make([]uint64, b)
-	err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
-		req := protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid}
-		if p.wire {
-			req.Shard = rg
-		}
-		return req
+	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
+		return protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
 		outs, err := psiPair(replies, rg, &stats)
 		if err != nil {
@@ -59,7 +56,7 @@ func (o *engine) PSI(ctx context.Context, table string) (*SetResult, error) {
 	}
 
 	start := time.Now()
-	fop := perm.ApplyInverse(o.view.DB1, fopStored, nil) // undo PF_db1
+	perm.ApplyInverse(o.view.DB1, fopStored, fop) // undo PF_db1
 	var cells []uint64
 	for i, v := range fop {
 		if v == one {
@@ -102,14 +99,9 @@ func (o *engine) VerifyPSI(ctx context.Context, table string, res *SetResult) er
 	b := o.view.B
 	eta := o.view.Eta
 	one := 1 % eta
-	p := o.plan(b)
 	r2Stored := make([]uint64, b)
-	err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
-		req := protocol.PSIVerifyRequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid}
-		if p.wire {
-			req.Shard = rg
-		}
-		return req
+	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
+		return protocol.PSIVerifyRequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
 		var vouts [2][]uint64
 		for phi, r := range replies {
@@ -146,23 +138,19 @@ func (o *engine) VerifyPSI(ctx context.Context, table string, res *SetResult) er
 	return nil
 }
 
-// PSU runs the §7 protocol and returns the union cells.
-func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
+// PSU runs the §7 protocol and returns the union cells, writing the
+// natural-order fop vector into fop as PSI does.
+func (o *engine) PSU(ctx context.Context, table string, fop []uint64) (*SetResult, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psu").qid
 	b := o.view.B
 	delta := o.view.Delta
-	p := o.plan(b)
 	var stats QueryStats
 	stats.Rounds = 1
 	fopStored := make([]uint64, b)
-	err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
-		req := protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid}
-		if p.wire {
-			req.Shard = rg
-		}
-		return req
+	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
+		return protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
 		outs, err := psuPair(replies, rg, &stats)
 		if err != nil {
@@ -179,7 +167,7 @@ func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	fop := perm.ApplyInverse(o.view.DB1, fopStored, nil)
+	perm.ApplyInverse(o.view.DB1, fopStored, fop)
 	var cells []uint64
 	for i, v := range fop {
 		if v != 0 {
@@ -219,9 +207,9 @@ type CountResult struct {
 // owner learns the cardinality but not the positions. With verify, the
 // χ̄-side arrives PF_s2-permuted and both align under PF_i (Equation 1),
 // enabling the per-cell r1·r2 ≡ 1 check without revealing positions.
-// Sharded windows cover the permuted vectors, so counting (and the
-// position-wise verification) folds in per window — a count query never
-// materialises a whole-domain vector on either side of the wire.
+// Windows cover the permuted vectors, so counting (and the position-wise
+// verification) folds in per window — the owner never materialises a
+// whole-domain vector.
 func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountResult, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
@@ -229,16 +217,11 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 	b := o.view.B
 	eta := o.view.Eta
 	one := 1 % eta
-	p := o.plan(b)
 	var stats QueryStats
 	stats.Rounds = 1
 	count := 0
-	err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
-		req := protocol.CountRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid}
-		if p.wire {
-			req.Shard = rg
-		}
-		return req
+	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
+		return protocol.CountRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
 		var outs, vouts [2][]uint64
 		for phi, r := range replies {
@@ -292,16 +275,11 @@ func (o *engine) PSUCount(ctx context.Context, table string) (*CountResult, erro
 	qid := o.newSession("psucount").qid
 	b := o.view.B
 	delta := o.view.Delta
-	p := o.plan(b)
 	var stats QueryStats
 	stats.Rounds = 1
 	count := 0
-	err := o.forEachShard(ctx, p, 2, func(phi int, rg protocol.Range) any {
-		req := protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, Permute: true, TraceID: tid}
-		if p.wire {
-			req.Shard = rg
-		}
-		return req
+	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
+		return protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, Permute: true, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
 		outs, err := psuPair(replies, rg, &stats)
 		if err != nil {

@@ -26,9 +26,10 @@ import (
 // contiguous and ascending), counts and aggregates sum, and an extreme
 // query runs one vector round per group owning result cells.
 //
-// A single-group Owner (New) delegates everything to its one engine
-// unchanged, including the historical PRG stream labels, so existing
-// deployments and recorded share streams are unaffected.
+// A single-group Owner (New) is the N = 1 case of the same fan-out and
+// merge; it keeps the historical PRG stream labels and returns its
+// engine's errors verbatim (groupErr), so existing deployments and
+// recorded share streams are unaffected.
 type Owner struct {
 	Index int
 
@@ -176,25 +177,41 @@ func (o *Owner) splitData(d *Data) ([]*Data, error) {
 	if d == nil {
 		return parts, nil
 	}
-	for g := range parts {
-		p := &Data{Cells: []uint64{}}
-		if d.Aggs != nil {
-			p.Aggs = make(map[string][]uint64, len(d.Aggs))
-			for col := range d.Aggs {
-				p.Aggs[col] = []uint64{}
-			}
-		}
-		parts[g] = p
-	}
+	// One pass places every tuple; the columns then move as whole
+	// slices, so a tuple costs an append per column and no map access.
+	group := make([]int, len(d.Cells))
+	counts := make([]int, len(o.groups))
 	for i, c := range d.Cells {
 		g, err := o.groupOf(c)
 		if err != nil {
 			return nil, err
 		}
-		p := parts[g]
-		p.Cells = append(p.Cells, c-o.starts[g])
-		for col, vs := range d.Aggs {
-			p.Aggs[col] = append(p.Aggs[col], vs[i])
+		group[i] = g
+		counts[g]++
+	}
+	for g := range parts {
+		parts[g] = &Data{Cells: make([]uint64, 0, counts[g])}
+		if d.Aggs != nil {
+			parts[g].Aggs = make(map[string][]uint64, len(d.Aggs))
+		}
+	}
+	for i, c := range d.Cells {
+		p := parts[group[i]]
+		p.Cells = append(p.Cells, c-o.starts[group[i]])
+	}
+	for col, vs := range d.Aggs {
+		if len(vs) != len(d.Cells) {
+			return nil, fmt.Errorf("ownerengine: column %q has %d values for %d tuples", col, len(vs), len(d.Cells))
+		}
+		split := make([][]uint64, len(parts))
+		for g := range split {
+			split[g] = make([]uint64, 0, counts[g])
+		}
+		for i, v := range vs {
+			split[group[i]] = append(split[group[i]], v)
+		}
+		for g, p := range parts {
+			p.Aggs[col] = split[g]
 		}
 	}
 	return parts, nil
@@ -203,9 +220,6 @@ func (o *Owner) splitData(d *Data) ([]*Data, error) {
 // Load installs the owner's private tuples, splitting them across
 // groups by owning cell range.
 func (o *Owner) Load(d *Data) error {
-	if len(o.groups) == 1 {
-		return o.groups[0].Load(d)
-	}
 	if err := d.Validate(o.b, o.View().MaxAgg); err != nil {
 		return err
 	}
@@ -221,18 +235,19 @@ func (o *Owner) Load(d *Data) error {
 	return nil
 }
 
-// Data returns the loaded dataset (owner-local, never shared). For a
-// multi-group owner the tuples come back grouped by owning group in
-// ascending group order; the original interleaving is not preserved.
+// Data returns the loaded dataset (owner-local, never shared), nil when
+// nothing is loaded. The tuples come back grouped by owning group in
+// ascending group order; across groups the original interleaving is not
+// preserved.
 func (o *Owner) Data() *Data {
-	if len(o.groups) == 1 {
-		return o.groups[0].Data()
-	}
-	out := &Data{}
+	var out *Data
 	for g, e := range o.groups {
 		d := e.Data()
 		if d == nil {
 			continue
+		}
+		if out == nil {
+			out = &Data{}
 		}
 		for _, c := range d.Cells {
 			out.Cells = append(out.Cells, c+o.starts[g])
@@ -250,9 +265,6 @@ func (o *Owner) Data() *Data {
 // Outsource runs Phase 1 against every group concurrently. Stats sum
 // across groups (total work, not wall time).
 func (o *Owner) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStats, error) {
-	if len(o.groups) == 1 {
-		return o.groups[0].Outsource(ctx, spec)
-	}
 	var mu sync.Mutex
 	var total ShareGenStats
 	err := o.eachGroup("outsource", o.allGroups(), func(g int) error {
@@ -286,9 +298,6 @@ func (o *Owner) SetShardCells(n uint64) {
 	}
 }
 
-// ShardCells reports the configured window size.
-func (o *Owner) ShardCells() uint64 { return o.groups[0].ShardCells() }
-
 // mergeQueryStats folds one group's query stats into a global result's.
 // Server work and owner CPU sum; rounds take the maximum since the
 // groups' rounds run concurrently.
@@ -304,52 +313,45 @@ func mergeQueryStats(dst *QueryStats, src QueryStats) {
 }
 
 // setQuery fans one set-result query (PSI or PSU) out to every group
-// and reassembles the global result: per-group fop vectors concatenate
-// into the global natural-order vector (group slices are contiguous and
-// ascending) and result cells shift by their group's start.
-func (o *Owner) setQuery(ctx context.Context, op string, run func(e *engine) (*SetResult, error)) (*SetResult, error) {
-	if len(o.groups) == 1 {
-		return run(o.groups[0])
-	}
+// and reassembles the global result: each group's engine writes its
+// natural-order fop vector straight into its slice of the global one
+// (group slices are contiguous and ascending) and result cells shift by
+// their group's start.
+func (o *Owner) setQuery(ctx context.Context, op string, run func(e *engine, fop []uint64) (*SetResult, error)) (*SetResult, error) {
+	out := &SetResult{fop: make([]uint64, o.b)}
 	subs := make([]*SetResult, len(o.groups))
 	err := o.eachGroup(op, o.allGroups(), func(g int) error {
-		res, err := run(o.groups[g])
+		e := o.groups[g]
+		res, err := run(e, out.fop[o.starts[g]:o.starts[g]+e.view.B])
 		subs[g] = res
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &SetResult{fop: make([]uint64, 0, o.b)}
 	for g, sub := range subs {
 		for _, c := range sub.Cells {
 			out.Cells = append(out.Cells, c+o.starts[g])
 		}
-		out.fop = append(out.fop, sub.fop...)
 		mergeQueryStats(&out.Stats, sub.Stats)
-		if sub.Stats.WallNS > out.Stats.WallNS {
-			out.Stats.WallNS = sub.Stats.WallNS
-		}
+		out.Stats.WallNS = max(out.Stats.WallNS, sub.Stats.WallNS)
 	}
 	return out, nil
 }
 
 // PSI runs the intersection query across all groups.
 func (o *Owner) PSI(ctx context.Context, table string) (*SetResult, error) {
-	return o.setQuery(ctx, "psi", func(e *engine) (*SetResult, error) { return e.PSI(ctx, table) })
+	return o.setQuery(ctx, "psi", func(e *engine, fop []uint64) (*SetResult, error) { return e.PSI(ctx, table, fop) })
 }
 
 // PSU runs the union query across all groups.
 func (o *Owner) PSU(ctx context.Context, table string) (*SetResult, error) {
-	return o.setQuery(ctx, "psu", func(e *engine) (*SetResult, error) { return e.PSU(ctx, table) })
+	return o.setQuery(ctx, "psu", func(e *engine, fop []uint64) (*SetResult, error) { return e.PSU(ctx, table, fop) })
 }
 
 // VerifyPSI runs the verification round in every group against the
 // group's slice of the global fop vector.
 func (o *Owner) VerifyPSI(ctx context.Context, table string, res *SetResult) error {
-	if len(o.groups) == 1 {
-		return o.groups[0].VerifyPSI(ctx, table, res)
-	}
 	if res == nil || uint64(len(res.fop)) != o.b {
 		return fmt.Errorf("ownerengine: VerifyPSI needs the PSI result vector")
 	}
@@ -373,9 +375,6 @@ func (o *Owner) VerifyPSI(ctx context.Context, table string, res *SetResult) err
 
 // countQuery fans a scalar-count query out to every group and sums.
 func (o *Owner) countQuery(ctx context.Context, op string, run func(e *engine) (*CountResult, error)) (*CountResult, error) {
-	if len(o.groups) == 1 {
-		return run(o.groups[0])
-	}
 	subs := make([]*CountResult, len(o.groups))
 	err := o.eachGroup(op, o.allGroups(), func(g int) error {
 		res, err := run(o.groups[g])
@@ -389,9 +388,7 @@ func (o *Owner) countQuery(ctx context.Context, op string, run func(e *engine) (
 	for _, sub := range subs {
 		out.Count += sub.Count
 		mergeQueryStats(&out.Stats, sub.Stats)
-		if sub.Stats.WallNS > out.Stats.WallNS {
-			out.Stats.WallNS = sub.Stats.WallNS
-		}
+		out.Stats.WallNS = max(out.Stats.WallNS, sub.Stats.WallNS)
 	}
 	return out, nil
 }
@@ -410,9 +407,6 @@ func (o *Owner) PSUCount(ctx context.Context, table string) (*CountResult, error
 // aggregation in every involved group concurrently, and re-keys the
 // per-cell results back into the global domain.
 func (o *Owner) Aggregate(ctx context.Context, table string, selected []uint64, cols []string, withCount, verify bool) (*AggResult, error) {
-	if len(o.groups) == 1 {
-		return o.groups[0].Aggregate(ctx, table, selected, cols, withCount, verify)
-	}
 	perGroup := make([][]uint64, len(o.groups))
 	for _, c := range selected {
 		g, err := o.groupOf(c)
@@ -458,15 +452,10 @@ func (o *Owner) Aggregate(ctx context.Context, table string, selected []uint64, 
 			}
 		}
 		for c, v := range sub.Counts {
-			if out.Counts == nil {
-				out.Counts = make(map[uint64]uint64)
-			}
 			out.Counts[c+o.starts[g]] = v
 		}
 		mergeQueryStats(&out.Stats, sub.Stats)
-		if sub.Stats.WallNS > out.Stats.WallNS {
-			out.Stats.WallNS = sub.Stats.WallNS
-		}
+		out.Stats.WallNS = max(out.Stats.WallNS, sub.Stats.WallNS)
 	}
 	return out, nil
 }
@@ -475,9 +464,6 @@ func (o *Owner) Aggregate(ctx context.Context, table string, selected []uint64, 
 // tuples by owning group and shipping deltas only to groups whose slice
 // actually changed.
 func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (UpdateStats, error) {
-	if len(o.groups) == 1 {
-		return o.groups[0].Update(ctx, table, add, remove)
-	}
 	addParts, err := o.splitData(add)
 	if err != nil {
 		return UpdateStats{}, err
@@ -700,17 +686,14 @@ func (o *Owner) ListTablesGroup(ctx context.Context, g int) ([][]protocol.TableS
 // the table. The returned statuses describe group 0 (the historical
 // single-group shape).
 func (o *Owner) TableServed(ctx context.Context, table string) (bool, []*protocol.TableStatus, error) {
-	ok, sts, err := o.groups[0].TableServed(ctx, table)
-	if err != nil || !ok || len(o.groups) == 1 {
-		return ok, sts, err
-	}
-	for g := 1; g < len(o.groups); g++ {
-		gok, _, err := o.groups[g].TableServed(ctx, table)
-		if err != nil {
-			return false, sts, o.groupErr(g, err)
+	var sts []*protocol.TableStatus
+	for g, e := range o.groups {
+		ok, gsts, err := e.TableServed(ctx, table)
+		if g == 0 {
+			sts = gsts
 		}
-		if !gok {
-			return false, sts, nil
+		if err != nil || !ok {
+			return false, sts, o.groupErr(g, err)
 		}
 	}
 	return true, sts, nil

@@ -12,49 +12,31 @@ import (
 // in flight at once. Each shard exchange pipelines one RPC per contacted
 // server over the multiplexed transport, so the effective per-connection
 // depth is min(defaultShardInflight, the transport's PerConnInflight);
-// raising PerConnInflight past this constant buys sharded queries
+// raising PerConnInflight past this constant buys multi-window queries
 // nothing, lowering it below queues shards at the transport instead.
 const defaultShardInflight = 8
 
-// SetShardCells sets the owner's shard size: every O(b) exchange (table
-// upload, PSI/PSU/count vectors, aggregation selectors and replies) is
-// split into windows of at most n cells, each moving as its own frame
-// over the multiplexed transport. 0 (the default) restores the
-// monolithic one-frame-per-exchange wire behaviour. Safe to call
+// SetShardCells sets the owner's window size: every O(b) exchange (table
+// upload, PSI/PSU/count vectors, aggregation selectors and replies) moves
+// as windows of at most n cells, each its own frame over the multiplexed
+// transport. 0 (the default) is one window of b cells. Safe to call
 // concurrently with queries; in-flight queries keep the plan they
 // started with.
 func (o *engine) SetShardCells(n uint64) { o.shardCells.Store(n) }
 
-// ShardCells reports the current shard size (0 = monolithic).
-func (o *engine) ShardCells() uint64 { return o.shardCells.Load() }
-
-// shardPlan is the frame decomposition of one O(b) exchange.
-type shardPlan struct {
-	ranges []protocol.Range
-	wire   bool // stamp Shard on requests (sharded wire mode)
-}
-
-// plan splits [0, b) into shard windows. With sharding off it returns a
-// single whole-domain range with wire=false: requests then carry the
-// zero Shard, which a server reads as "the whole table in one frame"
-// (Engine.window), so each exchange stays one frame.
-func (o *engine) plan(b uint64) shardPlan {
+// plan splits [0, b) into the windows of one O(b) exchange. Every
+// request carries its window explicitly; a window size of 0, b or more
+// is the one-window plan {0, b}.
+func (o *engine) plan(b uint64) []protocol.Range {
 	s := o.shardCells.Load()
-	if s == 0 || b == 0 {
-		return shardPlan{ranges: []protocol.Range{{Offset: 0, Count: b}}}
+	if s == 0 || s > b {
+		s = b
 	}
-	if s > b {
-		s = b // a shard larger than the domain degenerates to one window
-	}
-	ranges := make([]protocol.Range, 0, (b+s-1)/s)
+	var ranges []protocol.Range
 	for off := uint64(0); off < b; off += s {
-		cnt := s
-		if b-off < cnt {
-			cnt = b - off
-		}
-		ranges = append(ranges, protocol.Range{Offset: off, Count: cnt})
+		ranges = append(ranges, protocol.Range{Offset: off, Count: min(s, b-off)})
 	}
-	return shardPlan{ranges: ranges, wire: true}
+	return ranges
 }
 
 // forEachShard runs one exchange per shard window against the first nsrv
@@ -68,7 +50,7 @@ func (o *engine) plan(b uint64) shardPlan {
 // The first error (a failed call, a failed merge, or the caller's
 // context dying) cancels the remaining shard exchanges and is returned
 // after all in-flight work has drained.
-func (o *engine) forEachShard(ctx context.Context, p shardPlan, nsrv int, build func(phi int, rg protocol.Range) any, merge func(rg protocol.Range, replies []any) error) error {
+func (o *engine) forEachShard(ctx context.Context, ranges []protocol.Range, nsrv int, build func(phi int, rg protocol.Range) any, merge func(rg protocol.Range, replies []any) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sem := make(chan struct{}, defaultShardInflight)
@@ -86,7 +68,7 @@ func (o *engine) forEachShard(ctx context.Context, p shardPlan, nsrv int, build 
 		cancel()
 	}
 loop:
-	for _, rg := range p.ranges {
+	for _, rg := range ranges {
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():

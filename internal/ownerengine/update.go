@@ -300,34 +300,27 @@ func (o *engine) Update(ctx context.Context, table string, add, remove *Data) (U
 	o.mu.Unlock()
 
 	// ---- ship the delta windows ----
-	// Reuse the outsource shard plan, but skip windows no changed
+	// Reuse the outsource window plan, but skip windows no changed
 	// position falls into: update cost must scale with the change, not
 	// with b/shardCells.
 	start = time.Now()
-	p := o.plan(t.b)
 	sub := func(pos []uint64, rg protocol.Range) (int, int) {
 		i := sort.Search(len(pos), func(k int) bool { return pos[k] >= rg.Offset })
 		j := sort.Search(len(pos), func(k int) bool { return pos[k] >= rg.End() })
 		return i, j
 	}
-	live := p
-	if p.wire {
-		live.ranges = nil
-		for _, rg := range p.ranges {
-			i1, j1 := sub(pos1, rg)
-			i2, j2 := sub(pos2, rg)
-			if j1 > i1 || j2 > i2 {
-				live.ranges = append(live.ranges, rg)
-			}
+	var live []protocol.Range
+	for _, rg := range o.plan(t.b) {
+		i1, j1 := sub(pos1, rg)
+		i2, j2 := sub(pos2, rg)
+		if j1 > i1 || j2 > i2 {
+			live = append(live, rg)
 		}
 	}
-	stats.Windows = len(live.ranges)
+	stats.Windows = len(live)
 	total := 0
 	err = o.forEachShard(ctx, live, params.NumServers, func(phi int, rg protocol.Range) any {
-		req := protocol.StoreDeltaRequest{Owner: o.Index, Group: o.view.Group, Table: table}
-		if p.wire {
-			req.Shard = rg
-		}
+		req := protocol.StoreDeltaRequest{Owner: o.Index, Group: o.view.Group, Table: table, Shard: rg}
 		i1, j1 := sub(pos1, rg)
 		req.Pos = pos1[i1:j1]
 		if phi < 2 {

@@ -20,14 +20,12 @@ type TableSpec struct {
 	Plain     bool     // stored in natural cell order (bucket-tree levels)
 }
 
-// Range selects the cell window [Offset, Offset+Count) of one sharded
-// exchange, so a query over a b-cell domain can move as many bounded
-// frames instead of one O(b) frame. The zero value (Count == 0) means
-// "the whole domain in a single frame" — the pre-sharding wire
-// behaviour: gob omits zero-valued fields, so a zero range adds no
-// per-message payload bytes and old decoders interoperate (the one-time
-// type descriptor each stream sends does grow to describe the new
-// fields).
+// Range selects the cell window [Offset, Offset+Count) one exchange
+// carries, so a query over a b-cell domain can move as many bounded
+// frames instead of one O(b) frame. Owners stamp it on every request;
+// the whole table is the window {0, b}. The zero value (Count == 0) is
+// what owners older than the explicit-range wire send — gob omits
+// zero-valued fields — and servers read it as {0, b} too.
 //
 // Which positions the window indexes depends on the exchange: Store,
 // PSI, PSIVerify, Agg and unpermuted PSU shard over stored (owner-
@@ -43,8 +41,8 @@ type Range struct {
 // End returns Offset+Count, the first cell past the window.
 func (r Range) End() uint64 { return r.Offset + r.Count }
 
-// Sharded reports whether the range selects a proper window rather than
-// the whole-domain compatibility mode.
+// Sharded reports whether the range is set, i.e. not the zero value an
+// old owner sends for the whole table.
 func (r Range) Sharded() bool { return r.Count > 0 }
 
 // Validate checks the window lies within a b-cell vector.
@@ -104,16 +102,16 @@ type Span struct {
 // χ is stored permuted by PF_db1, χ̄ by PF_db2 (paper §5.2); all
 // Shamir columns follow χ's order, v-columns follow χ̄'s order.
 //
-// With Shard set, every column carries only the Shard.Count cells at
-// [Shard.Offset, Shard.End()) of the full Spec.B-cell table; the server
-// assembles the shards and registers the table only once all cells have
-// arrived, so queries never observe a half-uploaded epoch.
+// Every column carries the Shard.Count cells at [Shard.Offset,
+// Shard.End()) of the full Spec.B-cell table; the server assembles the
+// windows and registers the table only once all cells have arrived, so
+// queries never observe a half-uploaded epoch.
 type StoreRequest struct {
 	Owner int
 	Group int // target server group (0 in single-group deployments)
 	Spec  TableSpec
-	Shard Range // zero → whole table in one frame
-	// UploadID identifies one sharded upload attempt. Owners mint ids of
+	Shard Range // the window this request carries; zero → {0, Spec.B}
+	// UploadID identifies one upload attempt. Owners mint ids of
 	// the form "<epoch>/<seq>" with seq increasing per attempt: a shard
 	// carrying a newer id than the pending assembly supersedes it (a
 	// retry after a failed or cancelled upload starts clean), while a
@@ -123,8 +121,8 @@ type StoreRequest struct {
 	// retry's assembly nor re-register stale data after it completed.
 	// Attempts from different epochs (an owner restart) cannot be
 	// ordered and resolve last-writer-wins. Ids that don't parse fall
-	// back to plain last-attempt-supersedes. Empty for monolithic
-	// stores.
+	// back to plain last-attempt-supersedes, as does the empty id of
+	// owners older than the explicit-range wire.
 	UploadID  string
 	ChiAdd    []uint16            // additive share of χ (servers 0,1)
 	ChiBarAdd []uint16            // additive share of χ̄ (servers 0,1; verify only)
@@ -135,9 +133,8 @@ type StoreRequest struct {
 }
 
 // StoreReply acknowledges the upload. Cells is the number of cells the
-// server now holds for this owner's table: Spec.B for a monolithic
-// store, the cumulative covered count for a sharded one (== Spec.B once
-// the final shard lands).
+// server now holds for this owner's table: the cumulative covered
+// count, == Spec.B once the final window lands.
 type StoreReply struct{ Cells uint64 }
 
 // StoreDeltaRequest ships one window of an owner's incremental update
@@ -153,14 +150,14 @@ type StoreReply struct{ Cells uint64 }
 // twice equals applying it once, which is what lets servers log
 // windows durably and replay them over any base generation (see the
 // serverengine delta log and compactor). Each window is applied and
-// acknowledged independently; Shard, when set, names the stored-order
-// window [Offset, End()) the positions fall in and bounds per-frame
-// size exactly like sharded Store uploads.
+// acknowledged independently; Shard names the stored-order window
+// [Offset, End()) the positions fall in and bounds per-frame size
+// exactly as in Store uploads.
 type StoreDeltaRequest struct {
 	Owner int
 	Group int // target server group
 	Table string
-	Shard Range // zero → positions may span the whole domain
+	Shard Range // the window Pos and VPos lie in; zero → the whole table
 
 	Pos  []uint64            // stored (χ-order) positions, ascending
 	Chi  []uint16            // additive χ share per Pos (servers 0,1)
@@ -199,7 +196,7 @@ type PSIRequest struct {
 	QueryID string
 	TraceID string   // non-empty → annotate the reply Stats with Spans
 	Group   int      // target server group
-	Shard   Range    // zero → all cells in one frame
+	Shard   Range    // zero → the whole table
 	Cells   []uint32 // nil → all cells; else the bucket-tree frontier (§6.6)
 }
 
@@ -217,7 +214,7 @@ type PSIVerifyRequest struct {
 	QueryID string
 	TraceID string // non-empty → annotate the reply Stats with Spans
 	Group   int    // target server group
-	Shard   Range  // zero → all cells in one frame
+	Shard   Range  // zero → the whole table
 }
 
 // PSIVerifyReply carries Vout_i = g^(Σ_j A(x̄_i)_j mod δ) mod η'.
@@ -238,7 +235,7 @@ type CountRequest struct {
 	QueryID string
 	TraceID string // non-empty → annotate the reply Stats with Spans
 	Group   int    // target server group
-	Shard   Range  // zero → whole permuted vector in one frame
+	Shard   Range  // window of the permuted vector; zero → all of it
 	Verify  bool
 }
 
@@ -254,15 +251,16 @@ type CountReply struct {
 // PSURequest asks for the PRG-masked additive sums. QueryID doubles as
 // the PRG nonce so both servers derive identical masks per query.
 // Shard windows stored positions when Permute is false, and positions
-// of the PF_s1-permuted output when Permute is true (sharded permuted
-// masks are then indexed by output position — both servers derive the
-// same stream, which is all Equation 18 needs).
+// of the PF_s1-permuted output when Permute is true (a proper window's
+// masks are then indexed by output position, the whole table's by
+// stored position — both servers derive the same stream either way,
+// which is all Equation 18 needs).
 type PSURequest struct {
 	Table   string
 	QueryID string
 	TraceID string // non-empty → annotate the reply Stats with Spans
 	Group   int    // target server group
-	Shard   Range  // zero → whole vector in one frame
+	Shard   Range  // zero → the whole vector
 	Permute bool   // true → PF_s1-permuted output (PSU count mode)
 }
 
@@ -284,7 +282,7 @@ type AggRequest struct {
 	QueryID   string
 	TraceID   string // non-empty → annotate the reply Stats with Spans
 	Group     int    // target server group
-	Shard     Range  // zero → whole-domain selector in one frame
+	Shard     Range  // zero → the whole table
 	Cols      []string
 	WithCount bool     // also aggregate the count column (average queries)
 	Z         []uint64 // this server's share of z, χ (PF_db1) order

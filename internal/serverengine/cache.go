@@ -80,7 +80,7 @@ func (e *Engine) resetCache(t *table) {
 }
 
 // fullColumnChunk is the sentinel chunk id under which a whole assembled
-// multi-chunk column is cached (monolithic query shapes read entire
+// multi-chunk column is cached (whole-table windows read entire
 // columns; caching the joined column gives warm queries a zero-copy
 // handoff instead of re-joining chunks per query).
 const fullColumnChunk = ^uint64(0)

@@ -156,38 +156,20 @@ func (oc *ownerCols) bytes() int64 {
 	return oc.u16.bytes() + oc.u64.bytes()
 }
 
-// create initialises empty cells-cell store columns under key(name).
-func (s colSet[T]) create(st *sharestore.Store, table string, key func(string) string, cells uint64) error {
-	for name := range s {
-		if err := sharestore.Create[T](st, table, key(name), cells); err != nil {
+// createCols initialises empty cells-cell store columns under key(name),
+// in cols order: promotion renames them away in the same order, so the
+// first column's pending copy tells recovery whether promotion had begun.
+func createCols(st *sharestore.Store, table string, key func(string) string, cols []colDef, cells uint64) error {
+	for _, cd := range cols {
+		mk := sharestore.Create[uint64]
+		if cd.width == 2 {
+			mk = sharestore.Create[uint16]
+		}
+		if err := mk(st, table, key(cd.name), cells); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (oc *ownerCols) create(st *sharestore.Store, table string, key func(string) string, cells uint64) error {
-	if err := oc.u16.create(st, table, key, cells); err != nil {
-		return err
-	}
-	return oc.u64.create(st, table, key, cells)
-}
-
-// write replaces the store columns key(name) with the set's columns.
-func (s colSet[T]) write(st *sharestore.Store, table string, key func(string) string) error {
-	for name, v := range s {
-		if err := sharestore.Write(st, table, key(name), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (oc *ownerCols) write(st *sharestore.Store, table string, key func(string) string) error {
-	if err := oc.u16.write(st, table, key); err != nil {
-		return err
-	}
-	return oc.u64.write(st, table, key)
 }
 
 // writeAt patches the set's columns into the existing store columns
@@ -335,10 +317,9 @@ func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		return v, false, err
 	}
 	if rg.Offset == 0 && rg.Count == info.Cells && info.NumChunks() > 1 {
-		// Whole-column read of a multi-chunk column (monolithic query
-		// shapes): cache the assembled column as one entry so warm
-		// queries get a zero-copy slice handoff instead of re-joining
-		// chunks per query.
+		// Whole-table window over a multi-chunk column: cache the
+		// assembled column as one entry so warm queries get a zero-copy
+		// slice handoff instead of re-joining chunks per query.
 		v, err := cached(t, key, fullColumnChunk, stats, readRange(0, info.Cells))
 		return v, false, err
 	}

@@ -60,7 +60,7 @@ type Options struct {
 	// report zero fetch time and count in Stats.CacheHits. 0 is off:
 	// every query reads the store.
 	CacheBytes int64
-	// PendingTTL reclaims sharded-upload assemblies whose owner stopped
+	// PendingTTL reclaims upload assemblies whose owner stopped
 	// sending shards (a crash mid-upload): assemblies untouched for
 	// longer than the TTL are swept — RAM buffers released, pending disk
 	// columns deleted — on the next Store request. 0 disables the sweep
@@ -121,7 +121,7 @@ type Engine struct {
 	// Guarded by mu; one uint64 per dropped name.
 	epochFloor map[string]uint64
 
-	// pending assembles sharded uploads (table → owner → partial
+	// pending assembles uploads (table → owner → partial
 	// columns); a table epoch is registered only once every cell of
 	// every column has arrived, so queries never see a half-upload.
 	// storeMarks records the highest upload attempt seen per table and
@@ -134,10 +134,10 @@ type Engine struct {
 	storeMarks map[string]map[int]uploadMark
 
 	// s1inv/s2inv are the inverses of the server-side permutations,
-	// materialised once on the first sharded Count/permuted-PSU request
-	// (they index the permuted reply vectors by output position).
-	s1invOnce, s2invOnce sync.Once
-	s1inv, s2inv         perm.Perm
+	// materialised on the first Count/permuted-PSU window smaller than
+	// the table (they index the permuted reply vectors by output
+	// position).
+	s1inv, s2inv lazyInverse
 
 	sessMu   sync.Mutex
 	sessions map[string]*querySession
@@ -478,11 +478,12 @@ func (e *Engine) lookup(name string) (*tableView, error) {
 	return v, nil
 }
 
-// ---- sharding helpers ----
+// ---- window helpers ----
 
-// window resolves the cells a request addresses in a b-cell table: the
-// whole table unless the request carries a shard range, which must then
-// lie inside it.
+// window resolves the cells a request addresses in a b-cell table. This
+// is the one place a zero range (owners older than the explicit-range
+// wire, hand-built probes) is read as the whole table {0, b}; every
+// handler below it sees only a range, which must lie inside the table.
 func (e *Engine) window(shard protocol.Range, b uint64) (protocol.Range, error) {
 	if !shard.Sharded() {
 		return protocol.Range{Offset: 0, Count: b}, nil
@@ -493,18 +494,26 @@ func (e *Engine) window(shard protocol.Range, b uint64) (protocol.Range, error) 
 	return shard, nil
 }
 
-// s1Inverse returns PF_s1⁻¹, materialised once: sharded Count/permuted-
-// PSU replies are windows of the permuted output vector, so the engine
-// maps output positions back to stored cells.
-func (e *Engine) s1Inverse() perm.Perm {
-	e.s1invOnce.Do(func() { e.s1inv = e.view.S1.Inverse() })
-	return e.s1inv
+// lazyInverse is a server permutation's inverse, materialised on first
+// use: windows of a permuted reply index the output vector, so the
+// engine maps output positions back to stored cells.
+type lazyInverse struct {
+	once sync.Once
+	inv  perm.Perm
 }
 
-// s2Inverse returns PF_s2⁻¹ (verification side of sharded counts).
-func (e *Engine) s2Inverse() perm.Perm {
-	e.s2invOnce.Do(func() { e.s2inv = e.view.S2.Inverse() })
-	return e.s2inv
+// permutedWindow says how to produce window rg of a b-cell reply vector
+// permuted by pf: gather the stored cells idx = pf⁻¹[rg] and evaluate
+// them in reply order — or, when the window is the whole table, evaluate
+// in stored order and let the kernel scatter cell i to pf[i] on the way
+// out (2^18 cells × 10 owners: a count query takes 15.3 ms scattered,
+// 24.7 ms gathered, a PSU count 6.7 vs 11.7 ms, so the scatter stays).
+func permutedWindow(rg protocol.Range, b uint64, pf perm.Perm, inverse *lazyInverse) (idx []uint32, scatter perm.Perm) {
+	if rg.Count == b {
+		return nil, pf
+	}
+	inverse.once.Do(func() { inverse.inv = pf.Inverse() })
+	return inverse.inv[rg.Offset:rg.End()], nil
 }
 
 // ---- PSI (§5.1 Step 2) ----
@@ -519,10 +528,15 @@ func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	rg, err := e.window(r.Shard, t.spec.B)
+	if err != nil {
+		return nil, err
+	}
 	if r.Cells != nil {
-		// Bucket-tree frontier (§6.6): scattered cells, gathered so only
-		// the chunks the frontier touches are read.
-		if r.Shard.Sharded() {
+		// Bucket-tree frontier (§6.6): scattered cells of the whole
+		// table, gathered so only the chunks the frontier touches are
+		// read.
+		if rg.Count != t.spec.B {
 			return nil, fmt.Errorf("server %d: PSI request mixes a shard range with a cell frontier", e.view.Index)
 		}
 		for _, c := range r.Cells {
@@ -530,10 +544,6 @@ func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
 				return nil, fmt.Errorf("server %d: cell %d out of range", e.view.Index, c)
 			}
 		}
-	}
-	rg, err := e.window(r.Shard, t.spec.B)
-	if err != nil {
-		return nil, err
 	}
 	var stats protocol.Stats
 	shares, err := e.chiShares(t, false, rg, r.Cells, &stats)
@@ -599,12 +609,12 @@ func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
 	}
 	var stats protocol.Stats
 	var reply protocol.CountReply
-	if reply.Out, err = e.countSide(t, rg, r.Shard.Sharded(), false, &stats); err != nil {
+	if reply.Out, err = e.countSide(t, rg, false, &stats); err != nil {
 		return nil, err
 	}
 	if r.Verify {
 		// PF_s2-permuted, so Out and Vout align under PF_i (Eq. 1).
-		if reply.Vout, err = e.countSide(t, rg, r.Shard.Sharded(), true, &stats); err != nil {
+		if reply.Vout, err = e.countSide(t, rg, true, &stats); err != nil {
 			return nil, err
 		}
 	}
@@ -613,21 +623,15 @@ func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
 	return reply, nil
 }
 
-// countSide computes the χ side (bar=false, PF_s1-permuted to hide
-// positions from owners) or the χ̄ side (bar=true, PF_s2-permuted) of a
-// count reply. A monolithic reply is permuted by the kernel on the way
-// out; a sharded window indexes the permuted vector, so the engine
-// evaluates the stored cells the inverse permutation maps it to,
-// gathered chunk by chunk.
-func (e *Engine) countSide(t *tableView, rg protocol.Range, sharded, bar bool, stats *protocol.Stats) ([]uint64, error) {
-	scatter, inv := e.view.S1, e.s1Inverse
+// countSide computes window rg of the χ side (bar=false, PF_s1-permuted
+// to hide positions from owners) or the χ̄ side (bar=true, PF_s2-
+// permuted) of a count reply; rg indexes the permuted vector.
+func (e *Engine) countSide(t *tableView, rg protocol.Range, bar bool, stats *protocol.Stats) ([]uint64, error) {
+	pf, inv := e.view.S1, &e.s1inv
 	if bar {
-		scatter, inv = e.view.S2, e.s2Inverse
+		pf, inv = e.view.S2, &e.s2inv
 	}
-	var idx []uint32
-	if sharded {
-		idx, scatter = inv()[rg.Offset:rg.End()], nil
-	}
+	idx, scatter := permutedWindow(rg, t.spec.B, pf, inv)
 	shares, err := e.chiShares(t, bar, rg, idx, stats)
 	if err != nil {
 		return nil, err
@@ -647,28 +651,25 @@ func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	if r.Permute && t.spec.Plain {
+		return nil, fmt.Errorf("server %d: permuted PSU needs a permuted table", e.view.Index)
+	}
 	rg, err := e.window(r.Shard, t.spec.B)
 	if err != nil {
 		return nil, err
 	}
-	label := "psu"
 	var idx []uint32
 	var scatter perm.Perm
-	if r.Permute && r.Shard.Sharded() {
-		// The window indexes the PF_s1-permuted output; masks are
-		// derived per output position ("psup" label) so both servers
-		// agree without streaming past scattered stored cells, which
-		// are gathered chunk by chunk.
-		label, idx = "psup", e.s1Inverse()[rg.Offset:rg.End()]
-	} else if r.Permute {
-		scatter = e.view.S1 // a monolithic reply is permuted on the way out
+	if r.Permute {
+		// rg indexes the PF_s1-permuted output.
+		idx, scatter = permutedWindow(rg, t.spec.B, e.view.S1, &e.s1inv)
 	}
 	var stats protocol.Stats
 	shares, err := e.chiShares(t, false, rg, idx, &stats)
 	if err != nil {
 		return nil, err
 	}
-	out := e.psuMasked(shares, rg, r.QueryID, label, scatter, &stats)
+	out := e.psuMasked(shares, rg, r.QueryID, scatter, &stats)
 	e.finishQuery("psu", r.TraceID, rpcStart, &stats)
 	return protocol.PSUReply{Out: out, Stats: stats}, nil
 }

@@ -35,16 +35,23 @@ func fullView(t *testing.T, phi, m int, b uint64) *params.ServerView {
 	return v
 }
 
-// storeFull uploads owner columns for a 2-owner table with χ, χ̄, one
-// sum column and a count column, returning the plain per-cell sums.
+// storeFull uploads owner columns for a 2-owner Plain table with χ, χ̄,
+// one sum column and a count column, returning the plain per-cell sums.
 func storeFull(t *testing.T, engines []*Engine, b uint64, verify bool) ([][]uint64, [][]uint16) {
+	t.Helper()
+	return storeSpec(t, engines, protocol.TableSpec{
+		Name: "t", B: b, AggCols: []string{"v"},
+		HasVerify: verify, HasCount: true, Plain: true,
+	})
+}
+
+// storeSpec is storeFull for any layout over column "v" and a count
+// column.
+func storeSpec(t *testing.T, engines []*Engine, spec protocol.TableSpec) ([][]uint64, [][]uint16) {
 	t.Helper()
 	g := prg.New(prg.SeedFromString("store-full"))
 	m := 2
-	spec := protocol.TableSpec{
-		Name: "t", B: b, AggCols: []string{"v"},
-		HasVerify: verify, HasCount: true, Plain: true,
-	}
+	b, verify := spec.B, spec.HasVerify
 	plainSums := make([][]uint64, m)
 	plainChis := make([][]uint16, m)
 	for owner := 0; owner < m; owner++ {
@@ -462,7 +469,7 @@ func TestHostileVectorLengths(t *testing.T) {
 func TestPSUPermuteMode(t *testing.T) {
 	b := uint64(64)
 	engines := newEngines(t, b, nil)
-	storeFull(t, engines, b, false)
+	storeSpec(t, engines, protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasCount: true})
 	ctx := context.Background()
 	plain, err := engines[0].Handle(ctx, protocol.PSURequest{Table: "t", QueryID: "q"})
 	if err != nil {
@@ -511,5 +518,41 @@ func TestVerifyRequestsRejectedWithoutColumns(t *testing.T) {
 	}
 	if _, err := engines[0].Handle(ctx, protocol.CountRequest{Table: "t", Verify: true}); err == nil {
 		t.Error("count verify without χ̄ accepted")
+	}
+}
+
+// TestPermutedPSUOnPlainTableRejected: PF_s1 spans the system domain, so
+// a permuted PSU over a Plain table — any bucket-tree level, fewer cells
+// than the domain — used to index past the reply (whole-table scatter)
+// or past the columns (windowed gather) and panic the handler. It must
+// be refused like a count is, leaving no state behind, in RAM and on
+// disk.
+func TestPermutedPSUOnPlainTableRejected(t *testing.T) {
+	for name, store := range map[string]bool{"ram": false, "disk": true} {
+		t.Run(name, func(t *testing.T) {
+			engines := newEngines(t, 64, func(int) Options {
+				o := Options{Threads: 2}
+				if store {
+					st, err := sharestore.Open(t.TempDir())
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.Store = st
+				}
+				return o
+			})
+			storeFull(t, engines, 8, false) // a Plain level of 8 cells under a 64-cell domain
+			e := engines[0]
+			sessions, held := e.Sessions(), e.HeldBytes()
+			for _, shard := range []protocol.Range{{}, {Offset: 0, Count: 2}} {
+				_, err := e.Handle(context.Background(), protocol.PSURequest{Table: "t", QueryID: "q", Permute: true, Shard: shard})
+				if err == nil {
+					t.Errorf("shard %+v: permuted PSU over a Plain table accepted", shard)
+				}
+			}
+			if e.Sessions() != sessions || e.HeldBytes() != held {
+				t.Errorf("rejected requests left state: sessions %d → %d, held bytes %d → %d", sessions, e.Sessions(), held, e.HeldBytes())
+			}
+		})
 	}
 }

@@ -133,7 +133,7 @@ func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 
 // psiVector runs psiKernel over the (window-relative) share vectors on
 // the worker pool and accounts its time. A non-nil scatter is the server
-// permutation of a monolithic reply: cell i's value lands at scatter[i].
+// permutation of a whole-table reply: cell i's value lands at scatter[i].
 func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint64 {
 	var lift uint32
 	if subtractM {
@@ -151,15 +151,17 @@ func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm,
 }
 
 // psuMasked runs psuKernel for the window rg of one reply vector; the
-// share vectors are window-relative (position k of the reply reads
-// shares[j][k-rg.Offset]). Masks are derived per fixed-size block of
-// positions from the shared seed, the query id and label, so both
-// servers produce identical rand[] regardless of thread counts or shard
-// boundaries; boundary blocks fast-forward their stream to the window's
-// first position, which makes a sharded stored-order reply agree cell
-// for cell with the monolithic one (same "psu" streams). A non-nil
-// scatter permutes a monolithic reply on the way out.
-func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid, label string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
+// share vectors are window-relative (position k of the window reads
+// shares[j][k]). Masks are derived per fixed-size block of positions —
+// in whatever space rg names — from the shared seed and the query id,
+// so both servers produce identical rand[] regardless of thread counts
+// or window boundaries; boundary blocks fast-forward their stream to the
+// window's first position, which makes stored-order windows agree cell
+// for cell with the one-window reply. A non-nil scatter permutes a
+// whole-table reply on the way out: its masks follow the stored cells,
+// which both servers walk in the same order, so only the zero pattern
+// is comparable with a gathered window's.
+func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
 	delta := e.view.Delta
 	out := make([]uint16, rg.Count)
 	if rg.Count == 0 {
@@ -173,7 +175,7 @@ func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid, label stri
 		for blk := firstBlk + blo; blk < firstBlk+bhi; blk++ {
 			blkStart := uint64(blk) * psuBlock
 			lo, hi := max(blkStart, rg.Offset), min(blkStart+psuBlock, rg.End())
-			g := prg.New(e.view.PSUSeed.Derive(fmt.Sprintf("%s/%s/%d", label, qid, blk)))
+			g := prg.New(e.view.PSUSeed.Derive(fmt.Sprintf("psu/%s/%d", qid, blk)))
 			for skip := lo - blkStart; skip > 0; { // fast-forward the block stream to lo
 				n := min(skip, kernelBlock)
 				g.FillRange1(skipped[:n], delta)

@@ -57,11 +57,11 @@ func refSum(cols [][]uint64, z []uint64) []uint64 {
 
 // refPSUWindow is the old psuMasked: per-psuBlock streams, scalar
 // fast-forward to the window's first position.
-func refPSUWindow(shares [][]uint16, rg protocol.Range, seed prg.Seed, qid, label string, delta uint64) []uint16 {
+func refPSUWindow(shares [][]uint16, rg protocol.Range, seed prg.Seed, qid string, delta uint64) []uint16 {
 	out := make([]uint16, 0, rg.Count)
 	for blk := rg.Offset / psuBlock; blk*psuBlock < rg.End(); blk++ {
 		lo, hi := max(blk*psuBlock, rg.Offset), min((blk+1)*psuBlock, rg.End())
-		g := prg.New(seed.Derive(fmt.Sprintf("%s/%s/%d", label, qid, blk)))
+		g := prg.New(seed.Derive(fmt.Sprintf("psu/%s/%d", qid, blk)))
 		for skip := blk * psuBlock; skip < lo; skip++ {
 			g.Range1(delta)
 		}
@@ -114,7 +114,11 @@ func newKernelCase(g *prg.PRG, m, n int, delta uint64, edge bool) *kernelCase {
 }
 
 // check runs every kernel over [0, n) split at the given cut points and
-// compares with the references.
+// compares with the references, then holds the two ways a permuted reply
+// is produced against each other: scattering through pos on the way out
+// and evaluating the shares gathered through pos⁻¹ in reply order. PSI
+// must agree exactly; PSU draws its masks in walk order, so it agrees up
+// to the zero pattern.
 func (c *kernelCase) check(t testing.TB, cuts ...int) {
 	t.Helper()
 	bounds := append(append([]int{0}, cuts...), c.n)
@@ -124,8 +128,11 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 	seed := prg.SeedFromString("kernel-masks")
 	wantPSU := refPSU(c.shares, 0, c.n, prg.New(seed), c.delta)
 
+	var psi []uint64
+	var psu []uint16
 	for _, scatter := range []perm.Perm{nil, c.pos} {
-		psi, psu, g := make([]uint64, c.n), make([]uint16, c.n), prg.New(seed)
+		g := prg.New(seed)
+		psi, psu = make([]uint64, c.n), make([]uint16, c.n)
 		for k := 0; k+1 < len(bounds); k++ {
 			psiKernel(psi, scatter, c.shares, bounds[k], bounds[k+1], c.powTab, c.md, lift)
 			psuKernel(psu, scatter, c.shares, bounds[k], bounds[k+1], g, c.delta, c.md)
@@ -139,6 +146,27 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 		}
 		if !slices.Equal(psu, wPSU) {
 			t.Fatalf("psuKernel differs from reference (m=%d n=%d δ=%d scatter=%v cuts=%v)", c.m, c.n, c.delta, scatter != nil, cuts)
+		}
+	}
+	gathered := make([][]uint16, c.m)
+	for j, sv := range c.shares {
+		gathered[j] = make([]uint16, c.n)
+		for p, cell := range c.pos.Inverse() {
+			gathered[j][p] = sv[cell]
+		}
+	}
+	gPSI, gPSU, g := make([]uint64, c.n), make([]uint16, c.n), prg.New(seed)
+	for k := 0; k+1 < len(bounds); k++ {
+		psiKernel(gPSI, nil, gathered, bounds[k], bounds[k+1], c.powTab, c.md, lift)
+		psuKernel(gPSU, nil, gathered, bounds[k], bounds[k+1], g, c.delta, c.md)
+	}
+	if !slices.Equal(gPSI, psi) {
+		t.Fatalf("psiKernel over gathered shares differs from the scattered reply (m=%d n=%d δ=%d cuts=%v)", c.m, c.n, c.delta, cuts)
+	}
+	for p := range psu {
+		if (gPSU[p] == 0) != (psu[p] == 0) {
+			t.Fatalf("psuKernel over gathered shares: position %d zero = %v, scattered reply says %v (m=%d n=%d δ=%d cuts=%v)",
+				p, gPSU[p] == 0, psu[p] == 0, c.m, c.n, c.delta, cuts)
 		}
 	}
 	sum := make([]uint64, c.n)
@@ -239,14 +267,14 @@ func TestWrappersMatchReference(t *testing.T) {
 			for j := range win {
 				win[j] = c.shares[j][rg.Offset:rg.End()]
 			}
-			want := refPSUWindow(win, rg, e.view.PSUSeed, "q7", "psu", e.view.Delta)
-			if got := e.psuMasked(win, rg, "q7", "psu", nil, &stats); !slices.Equal(got, want) {
+			want := refPSUWindow(win, rg, e.view.PSUSeed, "q7", e.view.Delta)
+			if got := e.psuMasked(win, rg, "q7", nil, &stats); !slices.Equal(got, want) {
 				t.Fatalf("threads %d: psuMasked window %+v differs from reference", threads, rg)
 			}
 		}
 		full := protocol.Range{Offset: 0, Count: b}
-		wantPSU := perm.Apply(e.view.S1, refPSUWindow(c.shares, full, e.view.PSUSeed, "q8", "psu", e.view.Delta), nil)
-		if got := e.psuMasked(c.shares, full, "q8", "psu", e.view.S1, &stats); !slices.Equal(got, wantPSU) {
+		wantPSU := perm.Apply(e.view.S1, refPSUWindow(c.shares, full, e.view.PSUSeed, "q8", e.view.Delta), nil)
+		if got := e.psuMasked(c.shares, full, "q8", e.view.S1, &stats); !slices.Equal(got, wantPSU) {
 			t.Fatalf("threads %d: scattered psuMasked differs from permuted reference", threads)
 		}
 
@@ -269,8 +297,8 @@ func TestWrappersMatchReference(t *testing.T) {
 }
 
 // TestPSUUnionAcrossServerShapes answers one PSU query the way two
-// differently run servers would: S1 replies with one monolithic frame at
-// Threads 1, S2 with 64Ki-cell windows at Threads 4. Their masks must
+// differently run servers would: S1 replies with one whole-table frame
+// at Threads 1, S2 with 64Ki-cell windows at Threads 4. Their masks must
 // still cancel cell for cell, so the combined vector is nonzero exactly
 // on the plaintext union.
 func TestPSUUnionAcrossServerShapes(t *testing.T) {

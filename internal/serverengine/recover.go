@@ -15,7 +15,15 @@
 //     spec-derived layout: element width, cell count, chunk count, and
 //     a CRC spot-check of the edge chunks. Any failure quarantines the
 //     table — a corrupt column is never served and never crashes boot.
-//  4. Owners NOT in the manifest are classified by what their columns
+//  4. An owner IN the manifest with pending columns was re-outsourcing.
+//     Pending columns are created and promoted in layout order, so while
+//     the first column's pending copy exists no live column has been
+//     replaced: the registered epoch keeps serving and the assembly is
+//     reclaimed. Once it is gone the promotion had begun, every column
+//     being fully assembled: recovery finishes the renames and fences
+//     the owner's older delta segments, so the owner serves the new
+//     epoch whole — never a mix of the two.
+//     Owners NOT in the manifest are classified by what their columns
 //     look like:
 //     - only pending ("pend<j>.*") columns → the owner crashed
 //     mid-upload; the received-window bookkeeping died with the old
@@ -168,17 +176,11 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 		}
 	}
 
-	// Owners outside the manifest: resume interrupted promotions, reclaim
-	// crashed uploads, quarantine inconsistent leftovers.
+	// Resume interrupted promotions, reclaim crashed uploads, quarantine
+	// inconsistent leftovers.
 	owners := append([]int(nil), man.Owners...)
-	var adopted []int
+	var adopted, reoutsourced []int
 	for j := 0; j < e.view.M; j++ {
-		if seen[j] {
-			// A pending assembly for an already-registered owner is an
-			// interrupted re-outsource; the registered epoch keeps serving.
-			rep.PendingReclaimed += e.reclaimOwnerPending(name, cols, j)
-			continue
-		}
 		liveN, pendN := 0, 0
 		for _, cd := range cols {
 			if st.HasColumn(name, colKey(j, cd.name)) {
@@ -188,12 +190,15 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 				pendN++
 			}
 		}
+		// The first column is created first and promoted first.
+		promoting := pendN > 0 && !st.HasColumn(name, pendColKey(j, cols[0].name))
 		switch {
 		case liveN == 0 && pendN == 0:
 			// Owner never uploaded (or was reclaimed before): nothing to do.
-		case liveN == 0:
+		case liveN == 0, seen[j] && !promoting:
 			// Crashed mid-upload: the received-window bookkeeping is gone,
-			// so the assembly cannot be resumed.
+			// so the assembly cannot be resumed. A registered owner's
+			// epoch keeps serving, none of its columns replaced yet.
 			rep.PendingReclaimed += e.reclaimOwnerPending(name, cols, j)
 		default:
 			// Promotion had begun, so every column was fully assembled:
@@ -205,7 +210,11 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 				return nil
 			}
 			e.reclaimOwnerPending(name, cols, j) // duplicates the renames skipped
-			owners = append(owners, j)
+			if seen[j] {
+				reoutsourced = append(reoutsourced, j)
+			} else {
+				owners = append(owners, j)
+			}
 			adopted = append(adopted, j)
 		}
 	}
@@ -230,6 +239,14 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	segs, err := st.DeltaSegs(name)
 	if err != nil {
 		return err
+	}
+	if len(reoutsourced) > 0 && len(segs) > 0 {
+		if man.DeltaFloor == nil {
+			man.DeltaFloor = make(map[int]uint64)
+		}
+		for _, j := range reoutsourced {
+			man.DeltaFloor[j] = segs[len(segs)-1] // every segment predates the new base
+		}
 	}
 	var overlay *deltaOverlay
 	var deltaSeq uint64
@@ -328,8 +345,9 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 }
 
 // resumePromotion completes an interrupted pending→live rename sweep for
-// one owner. Each column must be complete on exactly one side (live
-// already promoted, or pending fully assembled); the pending side is
+// one owner. Each column must be complete on one side: pending, fully
+// assembled and not yet promoted (over the previous epoch's live column,
+// when the owner was re-outsourcing), or else live; the pending side is
 // verified before it is renamed. A non-empty reason means the table must
 // be quarantined; err reports I/O failures.
 func (e *Engine) resumePromotion(name string, cols []colDef, b uint64, owner int) (reason, detail string, err error) {
@@ -337,16 +355,16 @@ func (e *Engine) resumePromotion(name string, cols []colDef, b uint64, owner int
 	for _, cd := range cols {
 		live, pend := colKey(owner, cd.name), pendColKey(owner, cd.name)
 		switch {
-		case st.HasColumn(name, live):
-			if verr := st.VerifyColumn(name, live, cd.width, b); verr != nil {
-				return "partial-promotion", verr.Error(), nil
-			}
 		case st.HasColumn(name, pend):
 			if verr := st.VerifyColumn(name, pend, cd.width, b); verr != nil {
 				return "partial-promotion", verr.Error(), nil
 			}
 			if rerr := st.RenameColumn(name, pend, live); rerr != nil {
 				return "", "", rerr
+			}
+		case st.HasColumn(name, live):
+			if verr := st.VerifyColumn(name, live, cd.width, b); verr != nil {
+				return "partial-promotion", verr.Error(), nil
 			}
 		default:
 			return "partial-promotion",

@@ -2,6 +2,7 @@ package serverengine
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -318,12 +319,19 @@ func TestRecoverManifestEdgeCases(t *testing.T) {
 // and the manifest write leaves an owner half-promoted; recovery
 // verifies both sides, finishes the renames, adopts the owner into the
 // manifest with a bumped epoch, and the queries match the pre-crash
-// replies.
+// replies — whether the upload came as 16-cell windows or as one window
+// of the whole table.
 func TestRecoverResumesPromotion(t *testing.T) {
+	for _, shard := range []uint64{16, 64} {
+		t.Run(fmt.Sprintf("window=%d", shard), func(t *testing.T) { recoverResumesPromotion(t, shard) })
+	}
+}
+
+func recoverResumesPromotion(t *testing.T, shard uint64) {
 	const b, chunk = 64, 16
 	dirs := storeDirs(t)
 	before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
-	storeSharded(t, before, b, 16, true)
+	storeSharded(t, before, b, shard, true)
 	ctx := context.Background()
 	want, err := before[0].Handle(ctx, protocol.PSIRequest{Table: "t", QueryID: "q"})
 	if err != nil {
@@ -375,6 +383,98 @@ func TestRecoverResumesPromotion(t *testing.T) {
 	}
 	if st.HasColumn("t", "pend1.cnt") {
 		t.Error("pending column survived promotion resume")
+	}
+}
+
+// TestRecoverReoutsourceOldOrNew: a registered owner's whole-table
+// re-outsource killed on its way to the live names must come back as the
+// old epoch (killed before the first rename: the assembly is reclaimed)
+// or the new one (killed between renames: the promotion is finished and
+// adopted) — never some columns of each.
+func TestRecoverReoutsourceOldOrNew(t *testing.T) {
+	const b, chunk = 64, 16
+	ctx := context.Background()
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasVerify: true, HasCount: true, Plain: true}
+	ones := make([]uint64, b)
+	for i := range ones {
+		ones[i] = 1
+	}
+	replies := func(e *Engine) []any {
+		var out []any
+		for _, req := range []any{
+			protocol.PSIRequest{Table: "t", QueryID: "q"},
+			protocol.PSIVerifyRequest{Table: "t", QueryID: "q"},
+			protocol.AggRequest{Table: "t", QueryID: "q", Cols: []string{"v"}, WithCount: true, Z: ones, VZ: ones},
+		} {
+			rep, err := e.Handle(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, stripReplyStats(rep))
+		}
+		return out
+	}
+	// The new epoch: owner 1 re-outsources all-zero columns. ref runs
+	// the re-outsource to completion.
+	ref, _ := diskEnginesAt(t, b, chunk, storeDirs(t), nil)
+	storeSharded(t, ref, b, b, true)
+	wantOld := replies(ref[0])
+	zeros := protocol.StoreRequest{
+		Owner: 1, Spec: spec, ChiAdd: make([]uint16, b), ChiBarAdd: make([]uint16, b),
+		SumCols: map[string][]uint64{"v": make([]uint64, b)}, VSumCols: map[string][]uint64{"v": make([]uint64, b)},
+		CountCol: make([]uint64, b), VCountCol: make([]uint64, b),
+	}
+	if _, err := ref[0].Handle(ctx, zeros); err != nil {
+		t.Fatal(err)
+	}
+	wantNew := replies(ref[0])
+	if reflect.DeepEqual(wantOld, wantNew) {
+		t.Fatal("the re-outsource changed no reply; the test cannot tell old from new")
+	}
+
+	for _, tc := range []struct {
+		name     string
+		promoted int // columns already renamed to their live names at the kill
+		want     []any
+	}{
+		{"killed-before-first-rename", 0, wantOld},
+		{"killed-between-renames", 3, wantNew},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirs := storeDirs(t)
+			before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
+			storeSharded(t, before, b, b, true)
+			st := stores[0]
+			cols := before[0].specCols(spec)
+			pendKey := func(c string) string { return pendColKey(1, c) }
+			if err := createCols(st, "t", pendKey, cols, b); err != nil {
+				t.Fatal(err)
+			}
+			if err := reqCols(&zeros).pick(cols).writeAt(st, "t", pendKey, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, cd := range cols[:tc.promoted] {
+				if err := st.RenameColumn("t", pendColKey(1, cd.name), colKey(1, cd.name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			e, rep := recoverOne(t, b, chunk, dirs)
+			if len(rep.Recovered) != 1 || len(rep.Quarantined) != 0 {
+				t.Fatalf("report = %+v", rep)
+			}
+			if got := replies(e); !reflect.DeepEqual(got, tc.want) {
+				t.Fatal("replies after recovery are neither the epoch expected nor whole")
+			}
+			if adopted := rep.Recovered[0].Adopted; (tc.promoted > 0) != reflect.DeepEqual(adopted, []int{1}) {
+				t.Errorf("adopted = %v with %d columns promoted at the kill", adopted, tc.promoted)
+			}
+			for _, cd := range cols {
+				if st.HasColumn("t", pendColKey(1, cd.name)) {
+					t.Errorf("pending column %s survived recovery", cd.name)
+				}
+			}
+		})
 	}
 }
 

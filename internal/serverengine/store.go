@@ -1,13 +1,14 @@
 // Store ingest: how outsourced columns become a registered table epoch.
 //
-// A StoreRequest carries one owner's columns whole or as one shard
-// window. In-memory engines assemble windows into full-length RAM
-// columns; engines with a store stream every window straight into
-// pending chunked columns ("pend<owner>.*") and rename them into place
-// on completion, so a sharded upload never holds more than one window's
-// cells in RAM. Either way a table epoch is registered only once every
-// cell of every column has arrived — and, on disk, recorded in the
-// table manifest — so queries never observe a half-uploaded column.
+// A StoreRequest carries one window of one owner's columns. In-memory
+// engines assemble windows into full-length RAM columns (a window that
+// is the whole table is adopted as it is); engines with a store stream
+// every window straight into pending chunked columns ("pend<owner>.*")
+// and rename them into place on completion, so an upload never holds
+// more than one window's cells in RAM. Either way a table epoch is
+// registered only once every cell of every column has arrived — and, on
+// disk, recorded in the table manifest — so queries never observe a
+// half-uploaded column.
 package serverengine
 
 import (
@@ -24,10 +25,10 @@ import (
 // ErrTableTooLarge rejects a Store whose table has more cells than the
 // system domain. No legitimate table does — bucket-tree levels never
 // exceed the leaf level — and an in-memory server would otherwise
-// allocate Spec.B cells per column on a sharded upload's first window.
+// allocate Spec.B cells per column on an upload's first window.
 var ErrTableTooLarge = errors.New("serverengine: table exceeds the system domain")
 
-// pendingStore is one owner's in-progress sharded upload, with the
+// pendingStore is one owner's in-progress upload, with the
 // received windows tracked so overlapping or duplicate shards are
 // rejected instead of silently overwriting cells. id is the attempt's
 // UploadID — a shard from a newer attempt supersedes the whole assembly,
@@ -98,7 +99,7 @@ type TableManifest struct {
 	Group int `json:",omitempty"`
 }
 
-// PendingUploads reports the number of in-progress sharded-upload
+// PendingUploads reports the number of in-progress upload
 // assemblies (tests and monitoring).
 func (e *Engine) PendingUploads() int {
 	e.pendMu.Lock()
@@ -137,16 +138,15 @@ func (e *Engine) handleStore(r protocol.StoreRequest) (any, error) {
 		}
 	}
 
-	// One upload at a time per (table, owner): the spill below runs
+	// One window at a time per (table, owner): absorbing it runs
 	// outside the engine lock, and two interleaved conflicting uploads
 	// from the same owner would otherwise mix their bytes on disk.
-	// Sharded uploads serialise their shard copies on the same lock.
 	mu := e.storeLock(fmt.Sprintf("%s/%d", r.Spec.Name, r.Owner))
 	mu.Lock()
 	defer mu.Unlock()
 
-	// Reject a conflicting re-store before anything touches disk: a
-	// spill for a table with a different cell count would overwrite the
+	// Reject a conflicting re-store before anything touches disk: an
+	// upload for a table with a different cell count would replace the
 	// owner's on-disk columns with wrong-length data while queries keep
 	// serving the registered spec.
 	e.mu.Lock()
@@ -156,24 +156,12 @@ func (e *Engine) handleStore(r protocol.StoreRequest) (any, error) {
 		return nil, err
 	}
 
-	oc := in
-	if r.Shard.Sharded() {
-		var covered uint64
-		if oc, covered, err = e.absorbShard(&r, in); err != nil {
-			return nil, err
-		}
-		if oc == nil {
-			return protocol.StoreReply{Cells: covered}, nil // more shards to come
-		}
-	} else if e.opts.Store != nil {
-		// Spill to disk BEFORE registering: once an ownerCols is visible
-		// in the table map it is immutable, so concurrent queries can
-		// read it without holding the engine lock.
-		live := func(col string) string { return colKey(r.Owner, col) }
-		if err := in.write(e.opts.Store, r.Spec.Name, live); err != nil {
-			return nil, err
-		}
-		oc = &ownerCols{onDisk: true}
+	oc, covered, err := e.absorbShard(&r, rg, in)
+	if err != nil {
+		return nil, err
+	}
+	if oc == nil {
+		return protocol.StoreReply{Cells: covered}, nil // more windows to come
 	}
 	return e.finishStore(r.Spec, r.Owner, oc)
 }
@@ -187,14 +175,15 @@ func (e *Engine) storeConflict(spec protocol.TableSpec) error {
 	return nil
 }
 
-// absorbShard folds one shard's column windows (in) into the owner's
-// pending upload, creating it on the first shard. In-memory engines copy
-// the window into full-length RAM columns; engines with a store stream
-// it straight into pending chunked columns so resident memory stays
-// O(window) regardless of the domain. It returns the assembled columns
-// once every cell has arrived (nil while incomplete), plus the covered
-// cell count. Caller holds the (table, owner) store lock.
-func (e *Engine) absorbShard(r *protocol.StoreRequest, in *ownerCols) (*ownerCols, uint64, error) {
+// absorbShard folds window rg of the owner's columns (in) into the
+// owner's pending upload, creating it on the first window. In-memory
+// engines copy the window into full-length RAM columns; engines with a
+// store stream it straight into pending chunked columns so resident
+// memory stays O(window) regardless of the domain. It returns the
+// assembled columns once every cell has arrived (nil while incomplete),
+// plus the covered cell count. Caller holds the (table, owner) store
+// lock.
+func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ownerCols) (*ownerCols, uint64, error) {
 	st := e.opts.Store
 	pendKey := func(col string) string { return pendColKey(r.Owner, col) }
 	e.pendMu.Lock()
@@ -250,28 +239,35 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, in *ownerCols) (*ownerCol
 		return nil, 0, fmt.Errorf("server %d: table %q shard spec differs from first shard", e.view.Index, r.Spec.Name)
 	}
 	for _, g := range p.got {
-		if r.Shard.Offset < g.End() && g.Offset < r.Shard.End() {
+		if rg.Offset < g.End() && g.Offset < rg.End() {
 			return nil, 0, fmt.Errorf("server %d: table %q shard [%d, %d) overlaps received [%d, %d)",
-				e.view.Index, r.Spec.Name, r.Shard.Offset, r.Shard.End(), g.Offset, g.End())
+				e.view.Index, r.Spec.Name, rg.Offset, rg.End(), g.Offset, g.End())
 		}
 	}
-	if st == nil {
+	switch {
+	case st != nil:
+		if fresh {
+			// Initialise the pending chunked columns (replacing any left
+			// by a superseded attempt).
+			if err := createCols(st, r.Spec.Name, pendKey, e.specCols(r.Spec), r.Spec.B); err != nil {
+				return nil, 0, err
+			}
+		}
+		if err := in.writeAt(st, r.Spec.Name, pendKey, rg.Offset); err != nil {
+			return nil, 0, err
+		}
+	case fresh && rg.Count == r.Spec.B:
+		// The window is the whole table: the request's columns are the
+		// assembly (blank + copy would cost a 2^18-cell, 10-owner
+		// deployment 94 MB per server).
+		p.oc = in
+		e.trackHeld(in.bytes())
+	default:
 		if fresh {
 			p.oc = in.blank(r.Spec.B)
 			e.trackHeld(p.oc.bytes())
 		}
-		p.oc.copyAt(r.Shard.Offset, in)
-	} else {
-		if fresh {
-			// Initialise the pending chunked columns (replacing any left
-			// by a superseded attempt).
-			if err := in.create(st, r.Spec.Name, pendKey, r.Spec.B); err != nil {
-				return nil, 0, err
-			}
-		}
-		if err := in.writeAt(st, r.Spec.Name, pendKey, r.Shard.Offset); err != nil {
-			return nil, 0, err
-		}
+		p.oc.copyAt(rg.Offset, in)
 	}
 	// Refresh the idle clock now that the window has been absorbed: a
 	// slow-but-live writer whose windows take a long time to land (large
@@ -280,8 +276,8 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, in *ownerCols) (*ownerCol
 	e.pendMu.Lock()
 	p.touched = time.Now()
 	e.pendMu.Unlock()
-	p.got = append(p.got, r.Shard)
-	p.covered += r.Shard.Count
+	p.got = append(p.got, rg)
+	p.covered += rg.Count
 	if p.covered < r.Spec.B {
 		return nil, p.covered, nil
 	}
@@ -309,7 +305,7 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, in *ownerCols) (*ownerCol
 	return p.oc, p.covered, nil
 }
 
-// sweepPending reclaims sharded-upload assemblies whose last shard
+// sweepPending reclaims upload assemblies whose last shard
 // arrived more than Options.PendingTTL ago — the owner crashed or gave
 // up mid-upload. RAM assemblies release their buffers; streamed
 // assemblies delete their pending disk columns. Assemblies whose
@@ -465,7 +461,7 @@ func (e *Engine) handleDrop(r protocol.DropRequest) (any, error) {
 	}
 	e.mu.Unlock()
 	e.pendMu.Lock()
-	for _, p := range e.pending[r.Table] { // abandon half-assembled sharded uploads
+	for _, p := range e.pending[r.Table] { // abandon half-assembled uploads
 		e.trackHeld(-p.oc.bytes())
 	}
 	delete(e.pending, r.Table)

@@ -18,7 +18,7 @@ func (s *System) run(ctx context.Context, ow *Owner, req Request) *Response {
 	resp := &Response{Op: req.Op, Owner: ow.idx}
 	ctx, tid := s.traceContext(ctx, req.Op.Name())
 	res, err := ow.eng.Exec(ctx, ownerengine.Query{
-		Kind: req.Op, Table: s.table, Cols: req.Cols, Verify: s.cfg.Verify,
+		Kind: req.Op, Table: tableName, Cols: req.Cols, Verify: s.cfg.Verify,
 	}, s.cohort)
 	if err != nil {
 		resp.Err = err

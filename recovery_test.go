@@ -31,7 +31,6 @@ func recoveryConfig(t *testing.T, diskDir string) Config {
 		ShardCells:  64,
 		ChunkCells:  64,
 		HotChunks:   1 << 16,
-		TableName:   "main",
 	}
 }
 
@@ -145,7 +144,7 @@ func TestServerRestartRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("server %d recovery: %v", phi, err)
 		}
-		if len(rep.Recovered) != 1 || rep.Recovered[0].Name != cfg.TableName ||
+		if len(rep.Recovered) != 1 || rep.Recovered[0].Name != "main" ||
 			len(rep.Recovered[0].Owners) != cfg.Owners {
 			t.Fatalf("server %d recovery report = %+v", phi, rep)
 		}
@@ -159,7 +158,7 @@ func TestServerRestartRecovery(t *testing.T) {
 
 	// The owners' cheap probe answers "still served" without a single
 	// column byte moving.
-	served, statuses, err := sys2.Owner(0).Engine().TableServed(context.Background(), cfg2.TableName)
+	served, statuses, err := sys2.Owner(0).Engine().TableServed(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	// Corrupt one chunk segment on server 0 and boot again: the table is
 	// quarantined there — with a machine-readable reason — while boot
 	// succeeds and the other servers keep their copies.
-	chunkFile := filepath.Join(dir, "server-0", cfg.TableName, "o0.chi.colv2", "c0.ck")
+	chunkFile := filepath.Join(dir, "server-0", "main", "o0.chi.colv2", "c0.ck")
 	raw, err := os.ReadFile(chunkFile)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +209,7 @@ func TestServerRestartRecovery(t *testing.T) {
 		t.Fatal("PSI over a quarantined table succeeded")
 	}
 	// The probe tells the owner re-outsourcing is needed.
-	served, _, err = sys3.Owner(0).Engine().TableServed(context.Background(), cfg2.TableName)
+	served, _, err = sys3.Owner(0).Engine().TableServed(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}

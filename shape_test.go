@@ -15,22 +15,28 @@ import (
 // 16-cell chunks and a cache that holds four of them, ShardCells 0, 10
 // (not a divisor of the 64-cell domain), b and 2b, one server group or
 // two — must answer exactly as the plaintext oracle does, and the window
-// size must be invisible in the answer.
+// size must be invisible in the answer. ShardCells 0, b and 2b are one
+// plan — a single window of the whole table — so they must also put the
+// same number of requests and the same peak frame on the wire.
 func TestShapeParity(t *testing.T) {
 	const b = 64
 	for _, disk := range []bool{false, true} {
 		for _, groups := range []int{1, 2} {
 			t.Run(fmt.Sprintf("disk=%v/groups=%d", disk, groups), func(t *testing.T) {
 				var want map[string]string // the ShardCells 0 answers
+				var onePlan shapeCost      // and their wire cost
 				for _, shard := range []uint64{0, 10, b, 2 * b} {
-					got, _ := shapeAnswers(t, disk, groups, b, shard)
+					got, cost := shapeAnswers(t, disk, groups, b, shard)
 					if want == nil {
-						want = got
+						want, onePlan = got, cost
 					}
 					for name, fp := range got {
 						if fp != want[name] {
 							t.Errorf("ShardCells=%d: %s = %s, ShardCells=0 answered %s", shard, name, fp, want[name])
 						}
+					}
+					if shard >= b && cost != onePlan {
+						t.Errorf("ShardCells=%d cost %+v, ShardCells=0 cost %+v: the whole table is one window either way", shard, cost, onePlan)
 					}
 				}
 			})
@@ -44,11 +50,10 @@ type shapeCost struct {
 	peakFrame int64 // System.PeakFrameBytes
 }
 
-// shapeAnswers builds one deployment shape over a b-cell domain, plants
-// the same randomised data in it whatever the window size, and returns
-// every kind's oracle-checked answer fingerprint with the shape's wire
-// cost.
-func shapeAnswers(t *testing.T, disk bool, groups int, b, shard uint64) (map[string]string, shapeCost) {
+// shapeSystem builds one deployment shape over a b-cell domain: in
+// memory, or disk-backed with 16-cell chunks and a cache that holds four
+// of them.
+func shapeSystem(t *testing.T, disk bool, groups int, b, shard uint64) *System {
 	t.Helper()
 	dom, err := IntDomain(1, b)
 	if err != nil {
@@ -73,7 +78,16 @@ func shapeAnswers(t *testing.T, disk bool, groups int, b, shard uint64) (map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	t.Cleanup(sys.Close)
+	return sys
+}
+
+// shapeAnswers plants the same randomised data in one deployment shape
+// whatever its window size and returns every kind's oracle-checked
+// answer fingerprint with the shape's wire cost.
+func shapeAnswers(t *testing.T, disk bool, groups int, b, shard uint64) (map[string]string, shapeCost) {
+	t.Helper()
+	sys := shapeSystem(t, disk, groups, b, shard)
 	var rpcs atomic.Int64
 	for g := 0; g < groups; g++ {
 		for phi := 0; phi < 3; phi++ {

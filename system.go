@@ -36,7 +36,6 @@ type System struct {
 	ann      *announcer.Engine
 	owners   []*Owner
 	cohort   *ownerengine.Cohort // every owner's engine + the announcer: what extremes need
-	table    string
 	qidNonce atomic.Uint64
 	rr       atomic.Uint64 // round-robin cursor over querying owners
 	sched    limiter       // bounds concurrently executing queries
@@ -69,7 +68,6 @@ func NewLocalSystem(cfg Config) (*System, error) {
 		multi:   multi,
 		sys:     multi.Groups[0],
 		network: transport.NewNetwork(),
-		table:   cfg.TableName,
 		sched:   newLimiter(cfg.MaxInflight),
 		tracer:  telemetry.NewTracer(0),
 	}
@@ -318,7 +316,7 @@ func (o *Owner) Engine() *ownerengine.Owner { return o.eng }
 // Outsource runs Phase 1 for this owner.
 func (o *Owner) Outsource(ctx context.Context) (ShareGenStats, error) {
 	spec := ownerengine.OutsourceSpec{
-		Table:     o.sys.table,
+		Table:     tableName,
 		AggCols:   o.sys.cfg.AggColumns,
 		Verify:    o.sys.cfg.Verify,
 		WithCount: len(o.sys.cfg.AggColumns) > 0,
@@ -346,7 +344,7 @@ func (o *Owner) Update(ctx context.Context, add, remove []Row) (UpdateStats, err
 			return UpdateStats{}, err
 		}
 	}
-	st, err := o.eng.Update(ctx, o.sys.table, addData, rmData)
+	st, err := o.eng.Update(ctx, tableName, addData, rmData)
 	return UpdateStats(st), err
 }
 
@@ -366,7 +364,7 @@ func (o *Owner) UpdateCells(ctx context.Context, addCells []uint64, addAggs map[
 		}
 		rmData = &ownerengine.Data{Cells: rmCells, Aggs: rmAggs}
 	}
-	st, err := o.eng.Update(ctx, o.sys.table, addData, rmData)
+	st, err := o.eng.Update(ctx, tableName, addData, rmData)
 	return UpdateStats(st), err
 }
 
@@ -376,7 +374,7 @@ func (o *Owner) UpdateCells(ctx context.Context, addCells []uint64, addAggs map[
 // be the dataset the table was outsourced from.
 func (o *Owner) AdoptTable() error {
 	return o.eng.AdoptTable(ownerengine.OutsourceSpec{
-		Table:     o.sys.table,
+		Table:     tableName,
 		AggCols:   o.sys.cfg.AggColumns,
 		Verify:    o.sys.cfg.Verify,
 		WithCount: len(o.sys.cfg.AggColumns) > 0,

@@ -28,7 +28,6 @@ func updateConfig(t *testing.T, diskDir string, shardCells uint64) Config {
 		DiskDir:     diskDir,
 		ShardCells:  shardCells,
 		ChunkCells:  64,
-		TableName:   "main",
 	}
 }
 
@@ -208,7 +207,7 @@ func TestIncrementalUpdateMatchesReoutsource(t *testing.T) {
 				t.Fatal(err)
 			}
 			for phi := 0; phi < 3; phi++ {
-				if n := sys.ServerEngine(phi).DeltaBacklog(cfg.TableName); n != 0 {
+				if n := sys.ServerEngine(phi).DeltaBacklog("main"); n != 0 {
 					t.Errorf("server %d delta backlog = %d after CompactTables", phi, n)
 				}
 			}
@@ -295,7 +294,7 @@ func TestReadsRaceStreamedUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for phi := 0; phi < 3; phi++ {
-		if n := sys.ServerEngine(phi).DeltaBacklog(cfg.TableName); n != 0 {
+		if n := sys.ServerEngine(phi).DeltaBacklog("main"); n != 0 {
 			t.Errorf("server %d delta backlog = %d after CompactTables", phi, n)
 		}
 	}
@@ -368,7 +367,7 @@ func TestCompactIntervalTicker(t *testing.T) {
 	for {
 		backlog := 0
 		for phi := 0; phi < 3; phi++ {
-			backlog += sys.ServerEngine(phi).DeltaBacklog(cfg.TableName)
+			backlog += sys.ServerEngine(phi).DeltaBacklog("main")
 		}
 		if backlog == 0 {
 			break
@@ -430,7 +429,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 			}
 			return nil
 		})
-		_, err = e0.Compact(cfg.TableName)
+		_, err = e0.Compact("main")
 		completed := err == nil
 		if err != nil && !errors.Is(err, errCrash) {
 			t.Fatalf("step %d: unexpected compaction error: %v", n, err)
@@ -482,7 +481,7 @@ func TestUpdatePlainTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Owners: 2, Domain: dom, Seed: [32]byte{3}, TableName: "main"}
+	cfg := Config{Owners: 2, Domain: dom, Seed: [32]byte{3}}
 	sys, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
