@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"prism/internal/protocol"
@@ -27,6 +29,17 @@ func tamper(mutate func(req, reply any) any) func(transport.Handler) transport.H
 	}
 }
 
+// wantProductCheck requires err to be the §5.2 product check itself —
+// r1·r2 ≢ 1 at some cell (Equations 1 and 10) — and not the shape check
+// a tampering test would trip if it dropped the reply's verification
+// vector on the way through.
+func wantProductCheck(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrVerificationFailed) || !strings.Contains(err.Error(), "fails r1·r2 ≡ 1") {
+		t.Fatalf("err = %v, want ErrVerificationFailed from the r1·r2 check", err)
+	}
+}
+
 // TestMaliciousPSIReplacedCellDetected: server copies cell 0's result
 // over cell 1 (the "replace result of i-th shares by j-th" attack of
 // §5.2). PSI verification must fail.
@@ -36,15 +49,13 @@ func TestMaliciousPSIReplacedCellDetected(t *testing.T) {
 		if r, ok := reply.(protocol.PSIReply); ok {
 			out := append([]uint64(nil), r.Out...)
 			out[1] = out[0]
-			return protocol.PSIReply{Out: out, Stats: r.Stats}
+			return protocol.PSIReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 		}
 		return nil
 	}))
 	defer sys.restoreServer(0)
 	_, err := sys.PSI(context.Background())
-	if !errors.Is(err, ErrVerificationFailed) {
-		t.Fatalf("err = %v, want ErrVerificationFailed", err)
-	}
+	wantProductCheck(t, err)
 }
 
 // TestMaliciousPSIInjectedValueDetected: server forges a cell to claim a
@@ -57,15 +68,13 @@ func TestMaliciousPSIInjectedValueDetected(t *testing.T) {
 			for i := range out {
 				out[i] = 1 // force "common" on every cell
 			}
-			return protocol.PSIReply{Out: out, Stats: r.Stats}
+			return protocol.PSIReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 		}
 		return nil
 	}))
 	defer sys.restoreServer(1)
 	_, err := sys.PSI(context.Background())
-	if !errors.Is(err, ErrVerificationFailed) {
-		t.Fatalf("err = %v, want ErrVerificationFailed", err)
-	}
+	wantProductCheck(t, err)
 }
 
 // TestMaliciousCountTamperDetected: the count verification (Eq. 1
@@ -118,10 +127,88 @@ func TestMaliciousCountEntryDetectedInEveryKernel(t *testing.T) {
 					out[3]++
 					return protocol.CountReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 				}))
-				if _, err := sys.PSICount(context.Background()); !errors.Is(err, ErrVerificationFailed) {
-					t.Fatalf("err = %v, want ErrVerificationFailed", err)
-				}
+				_, err := sys.PSICount(context.Background())
+				wantProductCheck(t, err)
 			})
+		}
+	}
+}
+
+// TestMaliciousPSIProofEntryDetected: the verification vector rides the
+// PSI reply, so a server can lie in it as well as in the result. One
+// altered Vout entry — on the whole-table plan and in the second window
+// of a 10-cell plan, with one server group and with two (the last
+// group's S1 lies) — must fail Equation 10, not pass as an answer.
+func TestMaliciousPSIProofEntryDetected(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		for _, tc := range []struct {
+			name   string
+			shard  uint64
+			offset uint64 // the window whose reply is altered
+		}{
+			{"whole-table", 0, 0},
+			{"second-10-cell-window", 10, 10},
+		} {
+			t.Run(fmt.Sprintf("groups=%d/%s", groups, tc.name), func(t *testing.T) {
+				sys := shapeSystem(t, false, groups, 64, tc.shard)
+				orc := loadPlanted(t, sys, plantedCells(sys, 5), 7)
+				if res, err := sys.PSI(context.Background()); err != nil || len(res.Cells) != len(orc.cells) {
+					t.Fatalf("honest PSI = %+v, %v, want %d cells", res, err, len(orc.cells))
+				}
+				sys.interceptGroupServer(groups-1, 1, tamper(func(req, reply any) any {
+					r, ok := reply.(protocol.PSIReply)
+					if !ok || req.(protocol.PSIRequest).Shard.Offset != tc.offset {
+						return nil
+					}
+					vout := append([]uint64(nil), r.Vout...)
+					vout[3]++
+					return protocol.PSIReply{Out: r.Out, Vout: vout, Stats: r.Stats}
+				}))
+				_, err := sys.PSI(context.Background())
+				wantProductCheck(t, err)
+			})
+		}
+	}
+}
+
+// TestStrippedProofDetected: a server that answers a verified query but
+// leaves the verification vector out has not answered it. For PSI, count
+// and sum, with one server group and with two (the last group's S1
+// strips), the owner fails closed with ErrVerificationFailed.
+func TestStrippedProofDetected(t *testing.T) {
+	ctx := context.Background()
+	for _, groups := range []int{1, 2} {
+		sys := shapeSystem(t, false, groups, 64, 10)
+		loadPlanted(t, sys, plantedCells(sys, 5), 7) // the last cell of the domain is planted
+		for kind, run := range map[string]func() error{
+			"psi":   func() error { _, err := sys.PSI(ctx); return err },
+			"count": func() error { _, err := sys.PSICount(ctx); return err },
+			"sum":   func() error { _, err := sys.PSISum(ctx, "v"); return err },
+		} {
+			if err := run(); err != nil {
+				t.Fatalf("groups=%d: honest %s: %v", groups, kind, err)
+			}
+			var stripped atomic.Int64 // windows arrive concurrently
+			sys.interceptGroupServer(groups-1, 1, tamper(func(req, reply any) any {
+				switch r := reply.(type) {
+				case protocol.PSIReply:
+					if kind == "psi" {
+						stripped.Add(1)
+						return protocol.PSIReply{Out: r.Out, Stats: r.Stats}
+					}
+				case protocol.CountReply:
+					stripped.Add(1)
+					return protocol.CountReply{Out: r.Out, Stats: r.Stats}
+				case protocol.AggReply:
+					stripped.Add(1)
+					return protocol.AggReply{Sums: r.Sums, Stats: r.Stats}
+				}
+				return nil
+			}))
+			if err := run(); !errors.Is(err, ErrVerificationFailed) || stripped.Load() == 0 {
+				t.Errorf("groups=%d: %s with the proof stripped (%d replies): err = %v, want ErrVerificationFailed", groups, kind, stripped.Load(), err)
+			}
+			sys.restoreGroupServer(groups-1, 1)
 		}
 	}
 }
@@ -298,13 +385,12 @@ func TestHonestRunStillVerifies(t *testing.T) {
 		if r, ok := reply.(protocol.PSIReply); ok {
 			out := append([]uint64(nil), r.Out...)
 			out[0] = 99
-			return protocol.PSIReply{Out: out, Stats: r.Stats}
+			return protocol.PSIReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 		}
 		return nil
 	}))
-	if _, err := sys.PSI(context.Background()); !errors.Is(err, ErrVerificationFailed) {
-		t.Fatalf("tampering not detected: %v", err)
-	}
+	_, err := sys.PSI(context.Background())
+	wantProductCheck(t, err)
 	sys.restoreServer(0)
 	res, err := sys.PSI(context.Background())
 	if err != nil {

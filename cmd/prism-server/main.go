@@ -43,8 +43,8 @@ func main() {
 		hotChunks  = flag.Uint64("hotchunks", 0, "with -store: cache hot chunks per table epoch under this byte budget (LRU eviction past it) instead of reading per query; 0 = cache off")
 		chunkCells = flag.Uint64("chunkcells", 0, "share-store chunk size in cells for newly written columns (0 = 65536); align with the owners' -shard size")
 		pendTTL    = flag.Duration("pendttl", 0, "reclaim upload assemblies idle longer than this (crashed owners); 0 disables the sweep")
-		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = default threshold; incremental updates only)")
-		compactEvr = flag.Duration("compact", 0, "also sweep every table's delta log for compaction on this interval (0 = threshold-triggered only)")
+		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = never: there is no default threshold, so with -compact 0 too the log is never compacted; incremental updates only)")
+		compactEvr = flag.Duration("compact", 0, "also sweep every table's delta log for compaction on this interval (0 = -deltamax-triggered only)")
 		threads    = flag.Int("threads", 0, "worker pool width (0 = GOMAXPROCS)")
 		inflight   = flag.Int("inflight", 0, "per-connection RPC pipelining depth (0 = transport default)")
 		recoverTab = flag.Bool("recover", false, "with -store: reload outsourced tables from the store's manifests at startup (corrupt tables are quarantined, crashed uploads reclaimed) instead of booting empty")

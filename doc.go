@@ -10,10 +10,13 @@
 // Shamir-share server). Servers evaluate queries homomorphically without
 // learning inputs, outputs, access patterns or output sizes; owners
 // recombine replies locally. Every operator completes in at most two
-// rounds of owner↔server communication (three when the identity of the
-// maximum holder is requested); servers never talk to each other. A
-// designated announcer participates only in max/min/median queries, and
-// result-verification rounds detect malicious servers.
+// rounds of owner↔server communication — find the result set, aggregate
+// over it — verified or not: the §5.2 vector that proves a round's
+// answer rides that round's own messages, so verification adds bytes,
+// not rounds (max/min/median add their announcer rounds, one more when
+// the identity of the holder is requested). Servers never talk to each
+// other. A designated announcer participates only in max/min/median
+// queries, and result verification detects malicious servers.
 //
 // # Quick start
 //

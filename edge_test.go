@@ -88,7 +88,7 @@ func TestQueryStatsAccumulate(t *testing.T) {
 	if sum.Stats.Cells <= psi.Stats.Cells {
 		t.Errorf("sum cells %d <= psi cells %d", sum.Stats.Cells, psi.Stats.Cells)
 	}
-	if psi.Stats.WallNS <= 0 || psi.Stats.Rounds != 2 { // PSI + verification
+	if psi.Stats.WallNS <= 0 || psi.Stats.Rounds != 1 { // the proof rides the PSI reply
 		t.Errorf("psi stats: %+v", psi.Stats)
 	}
 }

@@ -281,7 +281,6 @@ func extremeRoundCalls(t *testing.T, k int) map[string]int {
 	}
 	orc.check(t, protocol.KindMax, res)
 	delete(counts.n, "PSIRequest")
-	delete(counts.n, "PSIVerifyRequest")
 	return counts.n
 }
 

@@ -129,7 +129,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 			if verify {
 				if err := o.interpolateWindow(vsums[col], rg,
 					reps[0].VSums[col], reps[1].VSums[col], reps[2].VSums[col]); err != nil {
-					return fmt.Errorf("ownerengine: v-column %q: %w", col, err)
+					return fmt.Errorf("%w: v-column %q: %v", ErrVerificationFailed, col, err)
 				}
 			}
 		}
@@ -141,7 +141,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 			if verify {
 				if err := o.interpolateWindow(vcnts, rg,
 					reps[0].VCounts, reps[1].VCounts, reps[2].VCounts); err != nil {
-					return fmt.Errorf("ownerengine: v-count column: %w", err)
+					return fmt.Errorf("%w: v-count column: %v", ErrVerificationFailed, err)
 				}
 			}
 		}

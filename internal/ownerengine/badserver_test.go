@@ -30,13 +30,20 @@ func (s *shapeShifter) Call(_ context.Context, addr string, req any) (any, error
 		case "wrongtype":
 			return protocol.PSUReply{Out: make([]uint16, s.b)}, nil
 		}
-	case protocol.PSIVerifyRequest:
-		return protocol.PSIVerifyReply{Vout: make([]uint64, s.b-2)}, nil
+		// Right-sized result vector, short (or, unasked, absent) proof.
+		return protocol.PSIReply{Out: make([]uint64, s.b), Vout: make([]uint64, s.b-2)}, nil
 	case protocol.PSURequest:
 		return protocol.PSUReply{Out: make([]uint16, s.b+1)}, nil
 	case protocol.CountRequest:
+		if s.mode == "noproof" {
+			return protocol.CountReply{Out: make([]uint64, s.b)}, nil
+		}
 		return protocol.CountReply{Out: make([]uint64, s.b/2)}, nil
 	case protocol.AggRequest:
+		if s.mode == "noproof" {
+			return protocol.AggReply{Sums: map[string][]uint64{"v": make([]uint64, s.b)}, Counts: make([]uint64, s.b),
+				VSums: map[string][]uint64{"v": make([]uint64, s.b)}}, nil // no VCounts
+		}
 		return protocol.AggReply{Sums: map[string][]uint64{"v": make([]uint64, 1)}}, nil
 	case protocol.ExtremeFetchRequest:
 		return protocol.ExtremeFetchReply{Ready: true, ValueShares: [][]byte{{1}}}, nil
@@ -70,14 +77,14 @@ func shapeOwner(t *testing.T, mode string) *Owner {
 
 func TestOwnerRejectsShortPSIReply(t *testing.T) {
 	o := shapeOwner(t, "short")
-	if _, err := o.PSI(context.Background(), "t"); err == nil {
+	if _, err := o.PSI(context.Background(), "t", false); err == nil {
 		t.Error("short PSI reply accepted")
 	}
 }
 
 func TestOwnerRejectsWrongReplyType(t *testing.T) {
 	o := shapeOwner(t, "wrongtype")
-	if _, err := o.PSI(context.Background(), "t"); err == nil {
+	if _, err := o.PSI(context.Background(), "t", false); err == nil {
 		t.Error("mistyped PSI reply accepted")
 	}
 }
@@ -94,9 +101,6 @@ func TestOwnerRejectsMalformedReplies(t *testing.T) {
 	if _, err := o.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, false, false); err == nil {
 		t.Error("one-cell aggregation reply accepted")
 	}
-	if err := o.VerifyPSI(ctx, "t", &SetResult{fop: make([]uint64, 16)}); err == nil {
-		t.Error("short verify reply accepted")
-	}
 	// The stub answers every round with one value share and one fpos
 	// entry, whatever was asked.
 	if _, err := o.FetchClaims(ctx, "q", []uint64{1}); !errors.Is(err, ErrVerificationFailed) {
@@ -104,6 +108,27 @@ func TestOwnerRejectsMalformedReplies(t *testing.T) {
 	}
 	if _, err := o.FetchExtreme(ctx, "q", protocol.KindMax, []uint64{1}); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("extreme reply without index shares: err = %v, want ErrVerificationFailed", err)
+	}
+}
+
+// TestMissingProofIsVerificationFailure: a verification vector that was
+// asked for and comes back short or not at all is a server fault — the
+// owner fails closed with ErrVerificationFailed, whichever kind asked.
+func TestMissingProofIsVerificationFailure(t *testing.T) {
+	ctx := context.Background()
+	if _, err := shapeOwner(t, "").PSI(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
+		t.Errorf("PSI reply with a short Vout: err = %v, want ErrVerificationFailed", err)
+	}
+	o := shapeOwner(t, "noproof")
+	if _, err := o.Count(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
+		t.Errorf("count reply without Vout: err = %v, want ErrVerificationFailed", err)
+	}
+	if _, err := o.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, true, true); !errors.Is(err, ErrVerificationFailed) {
+		t.Errorf("aggregation reply without VCounts: err = %v, want ErrVerificationFailed", err)
+	}
+	// Unasked, the same replies are merely answers: no proof is missed.
+	if _, err := o.Count(ctx, "t", false); err != nil {
+		t.Errorf("unverified count: %v", err)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestConcurrentQueriesSameOwner(t *testing.T) {
 	o := r.owners[0]
 	ctx := context.Background()
 
-	psiWant, err := o.PSI(ctx, "t")
+	psiWant, err := o.PSI(ctx, "t", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +61,8 @@ func TestConcurrentQueriesSameOwner(t *testing.T) {
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
-			res, err := o.PSI(ctx, "t")
+			res, err := o.PSI(ctx, "t", true)
 			if err != nil {
-				errs <- err
-				return
-			}
-			if err := o.VerifyPSI(ctx, "t", res); err != nil {
 				errs <- err
 				return
 			}
@@ -123,7 +119,7 @@ func TestConcurrentOutsourceAndQuery(t *testing.T) {
 	loadRigData(t, r, 8)
 	ctx := context.Background()
 	o := r.owners[0]
-	psiWant, err := o.PSI(ctx, "t")
+	psiWant, err := o.PSI(ctx, "t", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +130,7 @@ func TestConcurrentOutsourceAndQuery(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			res, err := o.PSI(ctx, "t")
+			res, err := o.PSI(ctx, "t", false)
 			if err != nil {
 				errs <- err
 				return

@@ -15,8 +15,8 @@ import (
 // This file is the one place that knows which rounds make up a query.
 // Every front door — the library's System/Owner methods and scheduler,
 // the gateway backend, prism-owner, the benchmarks — builds a Query and
-// calls Exec; none of them calls VerifyPSI, Aggregate or the extreme
-// rounds itself (TestQueryScriptLivesInExec keeps it so).
+// calls Exec; none of them calls Aggregate or the extreme rounds itself
+// (TestQueryScriptLivesInExec keeps it so).
 
 // OpKind names one PRISM query. Its row in the kinds table is all any
 // layer needs to know about it.
@@ -218,11 +218,12 @@ func (q *QueryStats) add(o QueryStats) {
 }
 
 // Exec runs one query with this owner driving it: at most two
-// owner↔server rounds for everything but the extremes — find the result
-// set (PSI, verified when asked, or PSU, for which the paper defines no
-// verification), then aggregate over it — and for an extreme the
-// §6.3/§6.4 vector rounds across co's owners, the global reduce and the
-// retirement of the rounds' sessions. co may be nil; extremes then
+// owner↔server rounds for everything but the extremes, verified or not
+// (TestVerifiedKindsTakeTwoRounds) — find the result set (PSI, its §5.2
+// proof in the same replies when asked, or PSU, for which the paper
+// defines no verification), then aggregate over it — and for an extreme
+// the §6.3/§6.4 vector rounds across co's owners, the global reduce and
+// the retirement of the rounds' sessions. co may be nil; extremes then
 // return ErrUnsupported. Safe to call concurrently with any other query.
 func (o *Owner) Exec(ctx context.Context, q Query, co *Cohort) (*Result, error) {
 	if err := CheckCols(q.Kind, q.Cols); err != nil {
@@ -280,14 +281,7 @@ func (o *Owner) resultSet(ctx context.Context, q Query, overPSU bool) (*SetResul
 	if overPSU {
 		return o.PSU(ctx, q.Table)
 	}
-	set, err := o.PSI(ctx, q.Table)
-	if err == nil && q.Verify {
-		err = o.VerifyPSI(ctx, q.Table, set)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return set, nil
+	return o.PSI(ctx, q.Table, q.Verify)
 }
 
 // extreme runs an exemplary aggregation over the intersection already

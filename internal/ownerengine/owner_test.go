@@ -155,16 +155,6 @@ func TestSubmitExtremeRejectsBadVectors(t *testing.T) {
 	}
 }
 
-func TestVerifyPSIRequiresResultVector(t *testing.T) {
-	r := newRig(t, 2, 8)
-	if err := r.owners[0].VerifyPSI(context.Background(), "t", nil); err == nil {
-		t.Error("nil result accepted")
-	}
-	if err := r.owners[0].VerifyPSI(context.Background(), "t", &SetResult{}); err == nil {
-		t.Error("empty result vector accepted")
-	}
-}
-
 // TestAggregateRejectsBadSelector: an out-of-range selected cell is
 // refused before the query exists — no session is minted, so the owner's
 // root stream stands where an untouched twin's does.
@@ -179,7 +169,7 @@ func TestAggregateRejectsBadSelector(t *testing.T) {
 	}
 }
 
-// TestEndToEndViaEngines runs the PSI → verify → aggregate pipeline
+// TestEndToEndViaEngines runs the verified PSI → aggregate pipeline
 // directly at the engine level (no prism.System wrapper).
 func TestEndToEndViaEngines(t *testing.T) {
 	r := newRig(t, 3, 16)
@@ -200,15 +190,12 @@ func TestEndToEndViaEngines(t *testing.T) {
 		}
 	}
 	q := r.owners[0]
-	res, err := q.PSI(ctx, "t")
+	res, err := q.PSI(ctx, "t", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Cells) != 2 || res.Cells[0] != 1 || res.Cells[1] != 4 {
 		t.Fatalf("PSI = %v, want [1 4]", res.Cells)
-	}
-	if err := q.VerifyPSI(ctx, "t", res); err != nil {
-		t.Fatal(err)
 	}
 	agg, err := q.Aggregate(ctx, "t", res.Cells, []string{"v"}, true, true)
 	if err != nil {
@@ -242,7 +229,7 @@ func TestStatsPopulated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := r.owners[0].PSI(ctx, "t")
+	res, err := r.owners[0].PSI(ctx, "t", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,27 +6,25 @@ import (
 	"time"
 
 	"prism/internal/modmath"
-	"prism/internal/perm"
 	"prism/internal/protocol"
 	"prism/internal/telemetry"
 )
 
 // SetResult is the outcome of a PSI or PSU query: the natural-order cell
-// indices in the result set, the owner's combined fop vector (kept for
-// verification, Equation 10), and cost stats.
+// indices in the result set and cost stats.
 type SetResult struct {
 	Cells []uint64
-	fop   []uint64 // natural order; PSI: 1 ⇔ common. PSU: nonzero ⇔ in union
 	Stats QueryStats
 }
 
-// PSI runs the §5.1 protocol and returns the common cells, writing the
-// natural-order fop vector into fop (view.B cells, the caller's slice of
-// the global vector). The stored-order vector is fetched window by
-// window and the per-cell recombination (Equation 4) folds each window
-// in as its pair of replies arrives, so no reply frame is larger than a
-// window.
-func (o *engine) PSI(ctx context.Context, table string, fop []uint64) (*SetResult, error) {
+// PSI runs the §5.1 protocol and returns the common cells. The stored-
+// order vector is fetched window by window and the per-cell
+// recombination (Equation 4) folds each window in as its pair of replies
+// arrives, so no reply frame is larger than a window. With verify the
+// same replies carry the §5.2 χ̄-side vector; it folds in alongside, and
+// once both are whole r1_i·r2_i ≡ 1 (mod η) must hold at every cell
+// (Equation 10) — ErrVerificationFailed otherwise.
+func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psi").qid
@@ -35,18 +33,25 @@ func (o *engine) PSI(ctx context.Context, table string, fop []uint64) (*SetResul
 	one := 1 % eta
 	var stats QueryStats
 	stats.Rounds = 1
-	fopStored := make([]uint64, b)
+	r1Stored := make([]uint64, b)
+	var r2Stored []uint64
+	if verify {
+		r2Stored = make([]uint64, b)
+	}
 	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
-		return protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
+		return protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
-		outs, err := psiPair(replies, rg, &stats)
+		outs, vouts, err := sidePair[protocol.PSIReply](replies, rg, verify, &stats)
 		if err != nil {
 			return err
 		}
 		start := time.Now()
 		// fop_i ← out¹_i · out²_i mod η (Equation 4), stored order.
 		for i := range outs[0] {
-			fopStored[rg.Offset+uint64(i)] = modmath.MulMod(outs[0][i], outs[1][i], eta)
+			r1Stored[rg.Offset+uint64(i)] = modmath.MulMod(outs[0][i], outs[1][i], eta)
+		}
+		for i := range vouts[0] {
+			r2Stored[rg.Offset+uint64(i)] = modmath.MulMod(vouts[0][i], vouts[1][i], eta)
 		}
 		stats.OwnerNS += time.Since(start).Nanoseconds()
 		return nil
@@ -56,91 +61,52 @@ func (o *engine) PSI(ctx context.Context, table string, fop []uint64) (*SetResul
 	}
 
 	start := time.Now()
-	perm.ApplyInverse(o.view.DB1, fopStored, fop) // undo PF_db1
+	// Undo PF_db1 and PF_db2: cell i is stored at DB1[i] of the χ vector
+	// and at DB2[i] of the χ̄ vector.
 	var cells []uint64
-	for i, v := range fop {
-		if v == one {
-			cells = append(cells, uint64(i))
+	for i := range b {
+		r1 := r1Stored[o.view.DB1[i]]
+		if verify && modmath.MulMod(r1, r2Stored[o.view.DB2[i]], eta) != one {
+			return nil, fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
+		}
+		if r1 == one {
+			cells = append(cells, i)
 		}
 	}
 	stats.OwnerNS += time.Since(start).Nanoseconds()
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
-	return &SetResult{Cells: cells, fop: fop, Stats: stats}, nil
+	return &SetResult{Cells: cells, Stats: stats}, nil
 }
 
-// psiPair type-checks and length-checks one window's pair of PSI replies.
-func psiPair(replies []any, rg protocol.Range, stats *QueryStats) ([2][]uint64, error) {
-	var outs [2][]uint64
+// sidePair type-checks one window's pair of PSI or count replies (they
+// are one shape) and length-checks their vectors. A verification vector
+// that was asked for and is missing or short is a server fault, not a
+// shape error: an owner that asked for proof and got none fails closed.
+func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg protocol.Range, verify bool, stats *QueryStats) (outs, vouts [2][]uint64, err error) {
 	for phi, r := range replies {
-		rep, ok := r.(protocol.PSIReply)
+		rr, ok := r.(R)
 		if !ok {
-			return outs, fmt.Errorf("ownerengine: unexpected PSI reply %T", r)
+			return outs, vouts, fmt.Errorf("ownerengine: unexpected reply %T, want %T", r, rr)
 		}
+		rep := protocol.CountReply(rr)
 		outs[phi] = rep.Out
 		stats.Server.Add(rep.Stats)
+		if verify {
+			vouts[phi] = rep.Vout
+		}
 	}
 	if uint64(len(outs[0])) != rg.Count || uint64(len(outs[1])) != rg.Count {
-		return outs, fmt.Errorf("ownerengine: PSI reply length mismatch (%d, %d)", len(outs[0]), len(outs[1]))
+		return outs, vouts, fmt.Errorf("ownerengine: reply length mismatch (%d, %d cells for a window of %d)", len(outs[0]), len(outs[1]), rg.Count)
 	}
-	return outs, nil
+	if verify && (uint64(len(vouts[0])) != rg.Count || uint64(len(vouts[1])) != rg.Count) {
+		return outs, vouts, fmt.Errorf("%w: verification vectors have %d and %d cells for a window of %d", ErrVerificationFailed, len(vouts[0]), len(vouts[1]), rg.Count)
+	}
+	return outs, vouts, nil
 }
 
-// VerifyPSI runs the §5.2 verification round against a prior PSI result:
-// fetch the χ̄-side vectors, recombine, and require r1_i·r2_i ≡ 1 (mod η)
-// at every cell (Equation 10). Returns ErrVerificationFailed on tamper.
-func (o *engine) VerifyPSI(ctx context.Context, table string, res *SetResult) error {
-	if res == nil || uint64(len(res.fop)) != o.view.B {
-		return fmt.Errorf("ownerengine: VerifyPSI needs the PSI result vector")
-	}
-	wall := time.Now()
-	tid := telemetry.TraceID(ctx)
-	qid := o.newSession("psiv").qid
-	b := o.view.B
-	eta := o.view.Eta
-	one := 1 % eta
-	r2Stored := make([]uint64, b)
-	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
-		return protocol.PSIVerifyRequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
-	}, func(rg protocol.Range, replies []any) error {
-		var vouts [2][]uint64
-		for phi, r := range replies {
-			rep, ok := r.(protocol.PSIVerifyReply)
-			if !ok {
-				return fmt.Errorf("ownerengine: unexpected verify reply %T", r)
-			}
-			vouts[phi] = rep.Vout
-			res.Stats.Server.Add(rep.Stats)
-		}
-		if uint64(len(vouts[0])) != rg.Count || uint64(len(vouts[1])) != rg.Count {
-			return fmt.Errorf("ownerengine: verify reply length mismatch")
-		}
-		start := time.Now()
-		for i := range vouts[0] {
-			r2Stored[rg.Offset+uint64(i)] = modmath.MulMod(vouts[0][i], vouts[1][i], eta)
-		}
-		res.Stats.OwnerNS += time.Since(start).Nanoseconds()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	r2 := perm.ApplyInverse(o.view.DB2, r2Stored, nil)
-	for i := range r2 {
-		if modmath.MulMod(res.fop[i], r2[i], eta) != one {
-			return fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
-		}
-	}
-	res.Stats.OwnerNS += time.Since(start).Nanoseconds()
-	res.Stats.Rounds++
-	o.finishTrace(&res.Stats, tid, qid, wall)
-	return nil
-}
-
-// PSU runs the §7 protocol and returns the union cells, writing the
-// natural-order fop vector into fop as PSI does.
-func (o *engine) PSU(ctx context.Context, table string, fop []uint64) (*SetResult, error) {
+// PSU runs the §7 protocol and returns the union cells.
+func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psu").qid
@@ -167,17 +133,16 @@ func (o *engine) PSU(ctx context.Context, table string, fop []uint64) (*SetResul
 		return nil, err
 	}
 	start := time.Now()
-	perm.ApplyInverse(o.view.DB1, fopStored, fop)
 	var cells []uint64
-	for i, v := range fop {
-		if v != 0 {
+	for i, at := range o.view.DB1 { // undo PF_db1
+		if fopStored[at] != 0 {
 			cells = append(cells, uint64(i))
 		}
 	}
 	stats.OwnerNS += time.Since(start).Nanoseconds()
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
-	return &SetResult{Cells: cells, fop: fop, Stats: stats}, nil
+	return &SetResult{Cells: cells, Stats: stats}, nil
 }
 
 // psuPair type-checks and length-checks one window's pair of PSU replies.
@@ -223,22 +188,9 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
 		return protocol.CountRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
-		var outs, vouts [2][]uint64
-		for phi, r := range replies {
-			rep, ok := r.(protocol.CountReply)
-			if !ok {
-				return fmt.Errorf("ownerengine: unexpected count reply %T", r)
-			}
-			outs[phi] = rep.Out
-			vouts[phi] = rep.Vout
-			stats.Server.Add(rep.Stats)
-		}
-		if uint64(len(outs[0])) != rg.Count || uint64(len(outs[1])) != rg.Count {
-			return fmt.Errorf("ownerengine: count reply length mismatch")
-		}
-		if verify && (vouts[0] == nil || vouts[1] == nil ||
-			uint64(len(vouts[0])) != rg.Count || uint64(len(vouts[1])) != rg.Count) {
-			return fmt.Errorf("ownerengine: count verification vectors missing")
+		outs, vouts, err := sidePair[protocol.CountReply](replies, rg, verify, &stats)
+		if err != nil {
+			return err
 		}
 		start := time.Now()
 		for i := range outs[0] {
@@ -258,9 +210,6 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 	})
 	if err != nil {
 		return nil, err
-	}
-	if verify {
-		stats.Rounds++
 	}
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)

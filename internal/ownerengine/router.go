@@ -313,22 +313,19 @@ func mergeQueryStats(dst *QueryStats, src QueryStats) {
 }
 
 // setQuery fans one set-result query (PSI or PSU) out to every group
-// and reassembles the global result: each group's engine writes its
-// natural-order fop vector straight into its slice of the global one
-// (group slices are contiguous and ascending) and result cells shift by
-// their group's start.
-func (o *Owner) setQuery(ctx context.Context, op string, run func(e *engine, fop []uint64) (*SetResult, error)) (*SetResult, error) {
-	out := &SetResult{fop: make([]uint64, o.b)}
+// and reassembles the global result: group slices are contiguous and
+// ascending, so the groups' result cells, shifted by their group's
+// start, concatenate.
+func (o *Owner) setQuery(ctx context.Context, op string, run func(e *engine) (*SetResult, error)) (*SetResult, error) {
 	subs := make([]*SetResult, len(o.groups))
-	err := o.eachGroup(op, o.allGroups(), func(g int) error {
-		e := o.groups[g]
-		res, err := run(e, out.fop[o.starts[g]:o.starts[g]+e.view.B])
-		subs[g] = res
+	err := o.eachGroup(op, o.allGroups(), func(g int) (err error) {
+		subs[g], err = run(o.groups[g])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := &SetResult{}
 	for g, sub := range subs {
 		for _, c := range sub.Cells {
 			out.Cells = append(out.Cells, c+o.starts[g])
@@ -339,38 +336,15 @@ func (o *Owner) setQuery(ctx context.Context, op string, run func(e *engine, fop
 	return out, nil
 }
 
-// PSI runs the intersection query across all groups.
-func (o *Owner) PSI(ctx context.Context, table string) (*SetResult, error) {
-	return o.setQuery(ctx, "psi", func(e *engine, fop []uint64) (*SetResult, error) { return e.PSI(ctx, table, fop) })
+// PSI runs the intersection query across all groups; with verify every
+// group's answer carries and passes its §5.2 check.
+func (o *Owner) PSI(ctx context.Context, table string, verify bool) (*SetResult, error) {
+	return o.setQuery(ctx, "psi", func(e *engine) (*SetResult, error) { return e.PSI(ctx, table, verify) })
 }
 
 // PSU runs the union query across all groups.
 func (o *Owner) PSU(ctx context.Context, table string) (*SetResult, error) {
-	return o.setQuery(ctx, "psu", func(e *engine, fop []uint64) (*SetResult, error) { return e.PSU(ctx, table, fop) })
-}
-
-// VerifyPSI runs the verification round in every group against the
-// group's slice of the global fop vector.
-func (o *Owner) VerifyPSI(ctx context.Context, table string, res *SetResult) error {
-	if res == nil || uint64(len(res.fop)) != o.b {
-		return fmt.Errorf("ownerengine: VerifyPSI needs the PSI result vector")
-	}
-	subs := make([]*SetResult, len(o.groups))
-	err := o.eachGroup("verifypsi", o.allGroups(), func(g int) error {
-		e := o.groups[g]
-		sub := &SetResult{fop: res.fop[o.starts[g] : o.starts[g]+e.view.B]}
-		subs[g] = sub
-		return e.VerifyPSI(ctx, table, sub)
-	})
-	if err != nil {
-		return err
-	}
-	for _, sub := range subs {
-		res.Stats.Server.Add(sub.Stats.Server)
-		res.Stats.OwnerNS += sub.Stats.OwnerNS
-	}
-	res.Stats.Rounds++
-	return nil
+	return o.setQuery(ctx, "psu", func(e *engine) (*SetResult, error) { return e.PSU(ctx, table) })
 }
 
 // countQuery fans a scalar-count query out to every group and sums.

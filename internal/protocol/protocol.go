@@ -1,8 +1,10 @@
 // Package protocol defines the wire messages exchanged between Prism
-// entities (owners ↔ servers ↔ announcer). Every protocol step of the
-// paper maps to one request/reply pair. All types are gob-encodable and
-// registered for transport over the generic envelope; their bulk share
-// vectors bypass gob and travel as raw slabs (slab.go).
+// entities (owners ↔ servers ↔ announcer). Every round of the paper is
+// one request/reply pair: a result vector and the §5.2 vector that
+// verifies it travel together (PSIReply and CountReply carry Out + Vout,
+// AggRequest Z + VZ). All types are gob-encodable and registered for
+// transport over the generic envelope; their bulk share vectors bypass
+// gob and travel as raw slabs (slab.go).
 package protocol
 
 import (
@@ -28,11 +30,11 @@ type TableSpec struct {
 // zero-valued fields — and servers read it as {0, b} too.
 //
 // Which positions the window indexes depends on the exchange: Store,
-// PSI, PSIVerify, Agg and unpermuted PSU shard over stored (owner-
-// permuted) cell positions; Count and permuted PSU shard over positions
-// of the server-permuted reply vector, so the two servers' shard replies
-// stay aligned pair-wise and a count verification round can still match
-// Out against Vout position by position (Equation 1).
+// PSI, Agg and unpermuted PSU shard over stored (owner-permuted) cell
+// positions; Count and permuted PSU shard over positions of the
+// server-permuted reply vector, so the two servers' shard replies stay
+// aligned pair-wise and a verified count can still match Out against
+// Vout position by position (Equation 1).
 type Range struct {
 	Offset uint64
 	Count  uint64
@@ -188,9 +190,11 @@ type DropReply struct{}
 
 // ---- PSI (paper §5.1) ----
 
-// PSIRequest asks a server for the PSI output vector over a table.
-// With Shard set the reply covers only the stored cells in the window
-// (mutually exclusive with the Cells frontier).
+// PSIRequest asks a server for the PSI output vector over a table and,
+// with Verify, for the §5.2 χ̄-side vector in the same reply — the query
+// and its proof are one round, read from one table snapshot. Shard
+// windows the stored cells of both vectors; the Cells frontier replaces
+// it and cannot be verified (bucket-tree levels carry no χ̄).
 type PSIRequest struct {
 	Table   string
 	QueryID string
@@ -198,28 +202,16 @@ type PSIRequest struct {
 	Group   int      // target server group
 	Shard   Range    // zero → the whole table
 	Cells   []uint32 // nil → all cells; else the bucket-tree frontier (§6.6)
+	Verify  bool
 }
 
-// PSIReply carries out_i = g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η'.
+// PSIReply carries out_i = g^((Σ_j A(x_i)_j ⊖ A(m)) mod δ) mod η' in χ
+// (PF_db1) stored order and, when asked, Vout_i = g^(Σ_j A(x̄_i)_j mod δ)
+// mod η' in χ̄ (PF_db2) stored order: the two align per cell only after
+// the owner un-permutes them (Equation 10).
 type PSIReply struct {
 	Out   []uint64
-	Stats Stats
-}
-
-// ---- PSI verification (paper §5.2) ----
-
-// PSIVerifyRequest asks for the χ̄-side vector Vout.
-type PSIVerifyRequest struct {
-	Table   string
-	QueryID string
-	TraceID string // non-empty → annotate the reply Stats with Spans
-	Group   int    // target server group
-	Shard   Range  // zero → the whole table
-}
-
-// PSIVerifyReply carries Vout_i = g^(Σ_j A(x̄_i)_j mod δ) mod η'.
-type PSIVerifyReply struct {
-	Vout  []uint64
+	Vout  []uint64 // nil unless Verify
 	Stats Stats
 }
 
@@ -536,7 +528,6 @@ func Messages() []any {
 		StoreRequest{}, StoreReply{}, DropRequest{}, DropReply{},
 		StoreDeltaRequest{}, StoreDeltaReply{},
 		PSIRequest{}, PSIReply{},
-		PSIVerifyRequest{}, PSIVerifyReply{},
 		CountRequest{}, CountReply{},
 		PSURequest{}, PSUReply{},
 		AggRequest{}, AggReply{},

@@ -43,9 +43,9 @@ func TestEveryMessageGobRoundTrips(t *testing.T) {
 		StoreReply{Cells: 3},
 		DropRequest{Table: "t"}, DropReply{},
 		PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{3}},
+		PSIRequest{Table: "t", QueryID: "q", Shard: Range{Offset: 2, Count: 2}, Verify: true},
 		PSIReply{Out: []uint64{1, 2}, Stats: Stats{Cells: 2, FetchNS: 1}},
-		PSIVerifyRequest{Table: "t", QueryID: "q"},
-		PSIVerifyReply{Vout: []uint64{9}},
+		PSIReply{Out: []uint64{1, 2}, Vout: []uint64{9, 8}},
 		CountRequest{Table: "t", Verify: true},
 		CountReply{Out: []uint64{1}, Vout: []uint64{2}},
 		PSURequest{Table: "t", QueryID: "n", Permute: true},

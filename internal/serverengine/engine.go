@@ -232,6 +232,10 @@ type querySession struct {
 // length the query's first submit fixed.
 var ErrBadVector = errors.New("serverengine: bad share vector length")
 
+// ErrNoAnnouncer rejects max/min/median traffic on a server started
+// without an announcer to forward the rounds to.
+var ErrNoAnnouncer = errors.New("serverengine: no announcer configured")
+
 type extremeState struct {
 	kind      protocol.ExtremeKind
 	shares    [][][]byte // per owner: k big shares
@@ -365,8 +369,6 @@ func requestGroup(req any) (int, bool) {
 		return r.Group, true
 	case protocol.PSIRequest:
 		return r.Group, true
-	case protocol.PSIVerifyRequest:
-		return r.Group, true
 	case protocol.CountRequest:
 		return r.Group, true
 	case protocol.PSURequest:
@@ -395,8 +397,6 @@ func (e *Engine) Handle(ctx context.Context, req any) (any, error) {
 		return e.handleDrop(r)
 	case protocol.PSIRequest:
 		return e.handlePSI(r)
-	case protocol.PSIVerifyRequest:
-		return e.handlePSIVerify(r)
 	case protocol.CountRequest:
 		return e.handleCount(r)
 	case protocol.PSURequest:
@@ -516,122 +516,94 @@ func permutedWindow(rg protocol.Range, b uint64, pf perm.Perm, inverse *lazyInve
 	return inverse.inv[rg.Offset:rg.End()], nil
 }
 
-// ---- PSI (§5.1 Step 2) ----
+// ---- PSI and PSI count (§5.1 Step 2, §5.2 Step 2, §6.5) ----
 
 func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
 	defer e.observeRPC("psi")()
+	rep, err := e.psiReply("psi", r, false)
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// handleCount answers the PSI exchange with both sides server-permuted,
+// so the owner learns the cardinality but not the positions; request and
+// reply are PSI's shape (a count has no frontier).
+func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
+	defer e.observeRPC("count")()
+	rep, err := e.psiReply("count", protocol.PSIRequest{Table: r.Table, TraceID: r.TraceID, Shard: r.Shard, Verify: r.Verify}, true)
+	if err != nil {
+		return nil, err
+	}
+	return protocol.CountReply(rep), nil
+}
+
+// psiReply computes a PSI (stored order) or count (permuted) reply: the
+// χ side and, with r.Verify, the χ̄ side of the same window, both read
+// from the one table snapshot. r.Cells is the bucket-tree frontier
+// (§6.6): scattered cells of the whole table, gathered so only the
+// chunks the frontier touches are read.
+func (e *Engine) psiReply(typ string, r protocol.PSIRequest, permuted bool) (rep protocol.PSIReply, err error) {
 	rpcStart := time.Now()
 	if e.view.Index >= 2 {
-		return nil, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
+		return rep, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
 	}
 	t, err := e.lookup(r.Table)
 	if err != nil {
-		return nil, err
+		return rep, err
+	}
+	if permuted && t.spec.Plain {
+		return rep, fmt.Errorf("server %d: count needs a permuted table", e.view.Index)
 	}
 	rg, err := e.window(r.Shard, t.spec.B)
 	if err != nil {
-		return nil, err
+		return rep, err
+	}
+	if r.Verify && !t.spec.HasVerify {
+		return rep, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, r.Table)
 	}
 	if r.Cells != nil {
-		// Bucket-tree frontier (§6.6): scattered cells of the whole
-		// table, gathered so only the chunks the frontier touches are
-		// read.
 		if rg.Count != t.spec.B {
-			return nil, fmt.Errorf("server %d: PSI request mixes a shard range with a cell frontier", e.view.Index)
+			return rep, fmt.Errorf("server %d: PSI request mixes a shard range with a cell frontier", e.view.Index)
+		}
+		if r.Verify {
+			return rep, fmt.Errorf("server %d: a PSI cell frontier cannot be verified", e.view.Index)
 		}
 		for _, c := range r.Cells {
 			if uint64(c) >= t.spec.B {
-				return nil, fmt.Errorf("server %d: cell %d out of range", e.view.Index, c)
+				return rep, fmt.Errorf("server %d: cell %d out of range", e.view.Index, c)
 			}
 		}
 	}
-	var stats protocol.Stats
-	shares, err := e.chiShares(t, false, rg, r.Cells, &stats)
-	if err != nil {
-		return nil, err
-	}
-	out := e.psiVector(shares, true, nil, &stats)
-	e.finishQuery("psi", r.TraceID, rpcStart, &stats)
-	return protocol.PSIReply{Out: out, Stats: stats}, nil
-}
-
-// ---- PSI verification (§5.2 Step 2, Equation 7) ----
-
-func (e *Engine) handlePSIVerify(r protocol.PSIVerifyRequest) (any, error) {
-	defer e.observeRPC("psiverify")()
-	rpcStart := time.Now()
-	if e.view.Index >= 2 {
-		return nil, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
-	}
-	t, err := e.lookup(r.Table)
-	if err != nil {
-		return nil, err
-	}
-	if !t.spec.HasVerify {
-		return nil, fmt.Errorf("server %d: table %q outsourced without verification columns", e.view.Index, r.Table)
-	}
-	rg, err := e.window(r.Shard, t.spec.B)
-	if err != nil {
-		return nil, err
-	}
-	var stats protocol.Stats
-	shares, err := e.chiShares(t, true, rg, nil, &stats)
-	if err != nil {
-		return nil, err
-	}
-	// No ⊖A(m) on the verification side (Equation 7).
-	out := e.psiVector(shares, false, nil, &stats)
-	e.finishQuery("psiverify", r.TraceID, rpcStart, &stats)
-	return protocol.PSIVerifyReply{Vout: out, Stats: stats}, nil
-}
-
-// ---- PSI count (§6.5) ----
-
-func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
-	defer e.observeRPC("count")()
-	rpcStart := time.Now()
-	if e.view.Index >= 2 {
-		return nil, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
-	}
-	t, err := e.lookup(r.Table)
-	if err != nil {
-		return nil, err
-	}
-	if t.spec.Plain {
-		return nil, fmt.Errorf("server %d: count needs a permuted table", e.view.Index)
-	}
-	rg, err := e.window(r.Shard, t.spec.B)
-	if err != nil {
-		return nil, err
-	}
-	if r.Verify && !t.spec.HasVerify {
-		return nil, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, r.Table)
-	}
-	var stats protocol.Stats
-	var reply protocol.CountReply
-	if reply.Out, err = e.countSide(t, rg, false, &stats); err != nil {
-		return nil, err
+	if rep.Out, err = e.psiSide(t, rg, false, permuted, r.Cells, &rep.Stats); err != nil {
+		return rep, err
 	}
 	if r.Verify {
-		// PF_s2-permuted, so Out and Vout align under PF_i (Eq. 1).
-		if reply.Vout, err = e.countSide(t, rg, true, &stats); err != nil {
-			return nil, err
+		// The χ shares are out of scope by now: one side's fetch is held
+		// at a time. Permuted, Out and Vout align under PF_i (Equation 1);
+		// in stored order the owner aligns them (Equation 10).
+		if rep.Vout, err = e.psiSide(t, rg, true, permuted, nil, &rep.Stats); err != nil {
+			return rep, err
 		}
 	}
-	e.finishQuery("count", r.TraceID, rpcStart, &stats)
-	reply.Stats = stats
-	return reply, nil
+	e.finishQuery(typ, r.TraceID, rpcStart, &rep.Stats)
+	return rep, nil
 }
 
-// countSide computes window rg of the χ side (bar=false, PF_s1-permuted
-// to hide positions from owners) or the χ̄ side (bar=true, PF_s2-
-// permuted) of a count reply; rg indexes the permuted vector.
-func (e *Engine) countSide(t *tableView, rg protocol.Range, bar bool, stats *protocol.Stats) ([]uint64, error) {
-	pf, inv := e.view.S1, &e.s1inv
-	if bar {
-		pf, inv = e.view.S2, &e.s2inv
+// psiSide computes window rg of the χ side (bar=false) or the χ̄ side
+// (bar=true; no ⊖A(m) there, Equation 7) of a reply. Permuted, rg
+// indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector; otherwise it
+// names stored cells, or cells does.
+func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, cells []uint32, stats *protocol.Stats) ([]uint64, error) {
+	idx, scatter := cells, perm.Perm(nil)
+	if permuted {
+		pf, inv := e.view.S1, &e.s1inv
+		if bar {
+			pf, inv = e.view.S2, &e.s2inv
+		}
+		idx, scatter = permutedWindow(rg, t.spec.B, pf, inv)
 	}
-	idx, scatter := permutedWindow(rg, t.spec.B, pf, inv)
 	shares, err := e.chiShares(t, bar, rg, idx, stats)
 	if err != nil {
 		return nil, err
@@ -747,10 +719,14 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 // locked, creating it when the submit opens the query. A vector the
 // session cannot take — empty, longer than the domain, or not the k the
 // query's first submit fixed — is rejected with the session untouched
-// (and not created).
+// (and not created); so is every vector on a server that has no
+// announcer to forward the round to.
 func (e *Engine) vectorSession(qid string, owner, k int) (*querySession, error) {
 	if e.view.Index >= 2 {
 		return nil, fmt.Errorf("server %d: not an additive-share server", e.view.Index)
+	}
+	if err := e.needAnnouncer(); err != nil {
+		return nil, err
 	}
 	if owner < 0 || owner >= e.view.M {
 		return nil, fmt.Errorf("server %d: owner %d out of range", e.view.Index, owner)
@@ -765,6 +741,15 @@ func (e *Engine) vectorSession(qid string, owner, k int) (*querySession, error) 
 		return nil, fmt.Errorf("%w: server %d: query %q: owner %d sent %d cells, the query has %d", ErrBadVector, e.view.Index, qid, owner, k, sess.k)
 	}
 	return sess, nil
+}
+
+// needAnnouncer fails a max/min/median message on a server that cannot
+// forward the round.
+func (e *Engine) needAnnouncer() error {
+	if e.opts.Caller == nil || e.opts.AnnouncerAddr == "" {
+		return fmt.Errorf("server %d: %w", e.view.Index, ErrNoAnnouncer)
+	}
+	return nil
 }
 
 func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubmitRequest) (any, error) {
@@ -799,9 +784,6 @@ func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubm
 	sess.mu.Unlock()
 
 	if complete {
-		if e.opts.Caller == nil || e.opts.AnnouncerAddr == "" {
-			return nil, fmt.Errorf("server %d: no announcer configured", e.view.Index)
-		}
 		_, err := e.opts.Caller.Call(ctx, e.opts.AnnouncerAddr, protocol.AnnounceRequest{
 			QueryID:   r.QueryID,
 			Kind:      r.Kind,
@@ -818,6 +800,9 @@ func (e *Engine) handleExtremeSubmit(ctx context.Context, r protocol.ExtremeSubm
 func (e *Engine) handleExtremeFetch(ctx context.Context, r protocol.ExtremeFetchRequest) (any, error) {
 	defer e.observeRPC("extremefetch")()
 	rpcStart := time.Now()
+	if err := e.needAnnouncer(); err != nil {
+		return nil, err
+	}
 	sess, ok := e.peekSession(r.QueryID)
 	if !ok {
 		return nil, fmt.Errorf("server %d: unknown extreme query %q", e.view.Index, r.QueryID)

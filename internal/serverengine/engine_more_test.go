@@ -249,6 +249,41 @@ func TestCountVerifyAlignment(t *testing.T) {
 			t.Fatalf("position %d: r1·r2 = %d, want 1 (Eq. 1 alignment broken)", i, r1*r2%eta)
 		}
 	}
+
+	// A verified PSI reply is the same two sides in stored order: the
+	// count's vectors are its PF_s1 / PF_s2 images, whole or windowed,
+	// and the owner's PF_db1 / PF_db2 align it cell by cell (Equation 10).
+	sv, _ := sys.ForServer(0)
+	psis := make([]protocol.PSIReply, 2)
+	for phi := 0; phi < 2; phi++ {
+		for _, rg := range []protocol.Range{{Offset: 0, Count: 40}, {Offset: 40, Count: 24}} {
+			r, err := engines[phi].Handle(context.Background(), protocol.PSIRequest{Table: "t", Verify: true, Shard: rg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			psis[phi].Out = append(psis[phi].Out, r.(protocol.PSIReply).Out...)
+			psis[phi].Vout = append(psis[phi].Vout, r.(protocol.PSIReply).Vout...)
+		}
+		if !reflect.DeepEqual(perm.Apply(sv.S1, psis[phi].Out, nil), outs[phi].Out) ||
+			!reflect.DeepEqual(perm.Apply(sv.S2, psis[phi].Vout, nil), outs[phi].Vout) {
+			t.Fatalf("server %d: count reply is not the server-permuted PSI reply", phi)
+		}
+	}
+	for i := range ov.DB1 {
+		r1 := psis[0].Out[ov.DB1[i]] * psis[1].Out[ov.DB1[i]] % eta
+		r2 := psis[0].Vout[ov.DB2[i]] * psis[1].Vout[ov.DB2[i]] % eta
+		if r1*r2%eta != 1 {
+			t.Fatalf("cell %d: r1·r2 = %d, want 1 (Eq. 10)", i, r1*r2%eta)
+		}
+	}
+	// Unasked, no proof travels; a frontier cannot be verified.
+	r, err := engines[0].Handle(context.Background(), protocol.PSIRequest{Table: "t"})
+	if err != nil || r.(protocol.PSIReply).Vout != nil {
+		t.Fatalf("unverified PSI: Vout = %v, err = %v", r.(protocol.PSIReply).Vout, err)
+	}
+	if _, err := engines[0].Handle(context.Background(), protocol.PSIRequest{Table: "t", Verify: true, Cells: []uint32{3}}); err == nil {
+		t.Error("verified PSI over a cell frontier accepted")
+	}
 }
 
 // TestDiskBackedSpillAndFetch exercises the disk path end to end at the
@@ -378,7 +413,7 @@ func TestExtremeFetchCachesResult(t *testing.T) {
 }
 
 func TestClaimLifecycle(t *testing.T) {
-	e := New(fullView(t, 0, 2, 16), Options{})
+	e := New(fullView(t, 0, 2, 16), Options{AnnouncerAddr: "announcer", Caller: &announcerStub{}})
 	ctx := context.Background()
 	// Not ready before all owners.
 	e.Handle(ctx, protocol.ClaimSubmitRequest{QueryID: "q", Owner: 1, Shares: []uint16{7, 8, 9}})
@@ -513,7 +548,7 @@ func TestVerifyRequestsRejectedWithoutColumns(t *testing.T) {
 	engines := newEngines(t, b, nil)
 	storeFull(t, engines, b, false) // HasVerify = false
 	ctx := context.Background()
-	if _, err := engines[0].Handle(ctx, protocol.PSIVerifyRequest{Table: "t"}); err == nil {
+	if _, err := engines[0].Handle(ctx, protocol.PSIRequest{Table: "t", Verify: true}); err == nil {
 		t.Error("PSI verify without χ̄ accepted")
 	}
 	if _, err := engines[0].Handle(ctx, protocol.CountRequest{Table: "t", Verify: true}); err == nil {

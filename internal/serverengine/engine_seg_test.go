@@ -111,7 +111,7 @@ func TestStreamingShardedUploadMatchesMonolithic(t *testing.T) {
 	for _, req := range []any{
 		protocol.PSIRequest{Table: "t", QueryID: "q"},
 		protocol.PSIRequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 30, Count: 17}},
-		protocol.PSIVerifyRequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 8, Count: 64}},
+		protocol.PSIRequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 8, Count: 64}, Verify: true},
 		protocol.PSURequest{Table: "t", QueryID: "q"},
 		protocol.PSURequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 16, Count: 48}},
 	} {
@@ -126,9 +126,6 @@ func TestStreamingShardedUploadMatchesMonolithic(t *testing.T) {
 		stripStats := func(v any) any {
 			switch r := v.(type) {
 			case protocol.PSIReply:
-				r.Stats = protocol.Stats{}
-				return r
-			case protocol.PSIVerifyReply:
 				r.Stats = protocol.Stats{}
 				return r
 			case protocol.PSUReply:

@@ -2,6 +2,7 @@ package serverengine
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"prism/internal/modmath"
@@ -147,7 +148,7 @@ func TestThirdServerRejectsAdditiveOps(t *testing.T) {
 	ctx := context.Background()
 	for _, req := range []any{
 		protocol.PSIRequest{Table: "t"},
-		protocol.PSIVerifyRequest{Table: "t"},
+		protocol.PSIRequest{Table: "t", Verify: true},
 		protocol.PSURequest{Table: "t"},
 		protocol.CountRequest{Table: "t"},
 		protocol.ExtremeSubmitRequest{QueryID: "q"},
@@ -256,18 +257,32 @@ func TestPSUMaskAgreementAcrossServers(t *testing.T) {
 	_ = diff
 }
 
+// TestExtremeSubmitWithoutAnnouncer: a server started without -announcer
+// cannot forward a max/min/median round, so it refuses the round's
+// traffic at the first message — typed, before any session is opened. It
+// used to accept the first m−1 submits, fail the m-th with the session
+// left behind marked forwarded, and dereference the nil caller on the
+// fetch that followed.
 func TestExtremeSubmitWithoutAnnouncer(t *testing.T) {
-	e := New(paperView(0), Options{})
+	ram := newEngines(t, 16, nil)
+	disk, _ := diskEngines(t, 16, 8, nil)
 	ctx := context.Background()
-	for owner := 0; owner < 3; owner++ {
-		_, err := e.Handle(ctx, protocol.ExtremeSubmitRequest{
-			QueryID: "q", Owner: owner, VShares: [][]byte{{byte(owner + 1)}},
-		})
-		if owner < 2 && err != nil {
-			t.Fatalf("submit %d: %v", owner, err)
+	for name, e := range map[string]*Engine{"ram": ram[0], "disk": disk[1]} {
+		for owner := 0; owner < 2; owner++ { // m = 2: the second submit completes the round
+			for _, req := range []any{
+				protocol.ExtremeSubmitRequest{QueryID: "q", Kind: protocol.KindMax, Owner: owner, VShares: [][]byte{{byte(owner + 1)}}},
+				protocol.ClaimSubmitRequest{QueryID: "q", Owner: owner, Shares: []uint16{1}},
+			} {
+				if _, err := e.Handle(ctx, req); !errors.Is(err, ErrNoAnnouncer) {
+					t.Errorf("%s: %T from owner %d: err = %v, want ErrNoAnnouncer", name, req, owner, err)
+				}
+			}
 		}
-		if owner == 2 && err == nil {
-			t.Error("final submit without announcer should fail")
+		if _, err := e.Handle(ctx, protocol.ExtremeFetchRequest{QueryID: "q"}); !errors.Is(err, ErrNoAnnouncer) {
+			t.Errorf("%s: fetch: err = %v, want ErrNoAnnouncer", name, err)
+		}
+		if n := e.Sessions(); n != 0 {
+			t.Errorf("%s: refused extreme traffic left %d sessions", name, n)
 		}
 	}
 }

@@ -47,9 +47,6 @@ func stripReplyStats(v any) any {
 	case protocol.PSIReply:
 		r.Stats = protocol.Stats{}
 		return r
-	case protocol.PSIVerifyReply:
-		r.Stats = protocol.Stats{}
-		return r
 	case protocol.PSUReply:
 		r.Stats = protocol.Stats{}
 		return r
@@ -77,7 +74,7 @@ func TestRecoverReloadsTables(t *testing.T) {
 	queries := []any{
 		protocol.PSIRequest{Table: "t", QueryID: "q"},
 		protocol.PSIRequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 30, Count: 17}},
-		protocol.PSIVerifyRequest{Table: "t", QueryID: "q"},
+		protocol.PSIRequest{Table: "t", QueryID: "q", Verify: true},
 		protocol.PSURequest{Table: "t", QueryID: "q"},
 		protocol.PSURequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 16, Count: 48}},
 	}
@@ -402,8 +399,7 @@ func TestRecoverReoutsourceOldOrNew(t *testing.T) {
 	replies := func(e *Engine) []any {
 		var out []any
 		for _, req := range []any{
-			protocol.PSIRequest{Table: "t", QueryID: "q"},
-			protocol.PSIVerifyRequest{Table: "t", QueryID: "q"},
+			protocol.PSIRequest{Table: "t", QueryID: "q", Verify: true},
 			protocol.AggRequest{Table: "t", QueryID: "q", Cols: []string{"v"}, WithCount: true, Z: ones, VZ: ones},
 		} {
 			rep, err := e.Handle(ctx, req)

@@ -30,7 +30,7 @@ func bulkFrames() []any {
 			VPos: []uint64{6}, ChiBar: []uint16{13}, VSums: map[string][]uint64{"DT": {1 << 61}}, VCnt: []uint64{3}},
 		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{0, 7, 1 << 31}},
 		protocol.PSIReply{Out: []uint64{1, 2950, 17}, Stats: protocol.Stats{Cells: 3, ComputeNS: 5}},
-		protocol.PSIVerifyReply{Vout: []uint64{2950, 1}},
+		protocol.PSIReply{Out: []uint64{17, 1}, Vout: []uint64{2950, 1}},
 		protocol.CountReply{Out: []uint64{1, 2}, Vout: []uint64{3, 4}},
 		protocol.PSUReply{Out: []uint16{0, 112, 5}},
 		protocol.AggRequest{Table: "t", Cols: []string{"DT"}, Z: []uint64{1 << 60, 1}, VZ: []uint64{2, 3}},

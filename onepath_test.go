@@ -15,15 +15,15 @@ import (
 // place. In the module's non-test source outside internal/ownerengine
 // (and outside benchmark/, a separate module the harness owns):
 //
-//   - nothing calls VerifyPSI, Aggregate, SubmitExtreme, FetchExtreme,
-//     SubmitClaim or FetchClaims, or builds a protocol.ExtremeReduceRequest
+//   - nothing calls Aggregate, SubmitExtreme, FetchExtreme, SubmitClaim
+//     or FetchClaims, or builds a protocol.ExtremeReduceRequest
 //     — a front door that needs a query calls ownerengine.Exec;
 //   - exactly one type implements gateway.Backend (an Exec taking a
 //     Query next to a Ping), so the backend that ships is the one the
 //     tests and benchmarks run.
 func TestQueryScriptLivesInExec(t *testing.T) {
 	script := map[string]bool{
-		"VerifyPSI": true, "Aggregate": true,
+		"Aggregate":     true,
 		"SubmitExtreme": true, "FetchExtreme": true, "SubmitClaim": true, "FetchClaims": true,
 	}
 	// methods[dir+"."+receiver][name] is the method's parameter count.

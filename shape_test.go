@@ -3,9 +3,12 @@ package prism
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"prism/internal/ownerengine"
 	"prism/internal/transport"
 )
 
@@ -102,4 +105,69 @@ func shapeAnswers(t *testing.T, disk bool, groups int, b, shard uint64) (map[str
 	orc := loadPlanted(t, sys, plantedCells(sys, 5), int64(60+groups))
 	answers := directAnswers(t, sys, orc)
 	return answers, shapeCost{rpcs: rpcs.Load(), peakFrame: sys.PeakFrameBytes()}
+}
+
+// TestVerifiedKindsTakeTwoRounds holds the paper's claim — every
+// operation in at most two owner↔server rounds — for verified queries,
+// where it is hardest: a round is one request type (however many windows
+// carry it), and the vector that verifies a round rides that round's
+// messages. In memory and on disk, with one server group and with two,
+// every set and count kind sends S0/S1/S2 one request type and reports
+// one round; every aggregation sends its result-set request and
+// AggRequest and reports two; an extreme sends PSIRequest and, beyond
+// it, only the messages of its §6.3 rounds.
+func TestVerifiedKindsTakeTwoRounds(t *testing.T) {
+	extremeRounds := []string{"ExtremeSubmitRequest", "ExtremeFetchRequest", "ClaimSubmitRequest", "ClaimFetchRequest", "QueryDoneRequest"}
+	for _, disk := range []bool{false, true} {
+		for _, groups := range []int{1, 2} {
+			t.Run(fmt.Sprintf("disk=%v/groups=%d", disk, groups), func(t *testing.T) {
+				sys := shapeSystem(t, disk, groups, 64, 10)
+				loadPlanted(t, sys, plantedCells(sys, 5), 7)
+				counts := &callCounts{n: make(map[string]int)}
+				for g := 0; g < groups; g++ {
+					for phi := 0; phi < 3; phi++ {
+						sys.interceptGroupServer(g, phi, counts.wrap)
+					}
+				}
+				for _, name := range ownerengine.KindNames() {
+					kind, _ := ownerengine.KindByName(name)
+					clear(counts.n)
+					resp := sys.execute(context.Background(), Request{Op: kind, Cols: kindCols(kind)})
+					if resp.Err != nil {
+						t.Fatalf("%s: %v", name, resp.Err)
+					}
+					set, count := "PSIRequest", "CountRequest"
+					if strings.HasPrefix(name, "psu") {
+						set, count = "PSURequest", "PSURequest" // PSU count is PSU, permuted
+					}
+					var want []string
+					rounds := 0
+					switch kind.Family() {
+					case ownerengine.FamilySet:
+						want, rounds = []string{set}, 1
+					case ownerengine.FamilyCount:
+						want, rounds = []string{count}, 1
+					case ownerengine.FamilyAgg:
+						want, rounds = []string{"AggRequest", set}, 2
+					case ownerengine.FamilyExtreme:
+						for _, typ := range extremeRounds {
+							delete(counts.n, typ)
+						}
+						want = []string{set}
+					}
+					var got []string
+					for typ := range counts.n {
+						got = append(got, typ)
+					}
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Errorf("%s: servers received %v, want %v", name, counts.n, want)
+					}
+					if rounds != 0 && resp.Result.Stats.Rounds != rounds {
+						t.Errorf("%s: reports %d rounds, want %d", name, resp.Result.Stats.Rounds, rounds)
+					}
+				}
+			})
+		}
+	}
 }
