@@ -24,10 +24,10 @@
 // avg, psusum, psuavg. With -verify a query runs every verification
 // check the paper defines for its kind before printing anything.
 //
-// "-op update" ships a tuple-set change as delta windows instead of
-// re-outsourcing the whole table: -data names the CSV as currently
-// outsourced, -add/-remove name CSVs (same format) of tuples to insert
-// and delete, and only the changed cells travel. Removed tuples must
+// "-op update" ships a tuple-set change as one delta request per server
+// instead of re-outsourcing the whole table: -data names the CSV as
+// currently outsourced, -add/-remove name CSVs (same format) of tuples
+// to insert and delete, and only the changed cells travel. Removed tuples must
 // match rows of -data exactly (key and every column). The servers merge
 // the deltas over the stored base and fold them into the base chunks at
 // the next compaction (see prism-server -deltamax/-compact).
@@ -191,8 +191,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("updated %d cells over %d delta windows in %.3fs (build %.3fs, split %.3fs, upload %.3fs)\n",
-			st.Cells, st.Windows,
+		fmt.Printf("updated %d cells in one exchange per server, %.3fs (build %.3fs, split %.3fs, upload %.3fs)\n",
+			st.Cells,
 			float64(st.BuildNS+st.SplitNS+st.UploadNS)/1e9,
 			float64(st.BuildNS)/1e9, float64(st.SplitNS)/1e9, float64(st.UploadNS)/1e9)
 

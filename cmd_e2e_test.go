@@ -138,7 +138,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// Incremental update: owner 0 drops key 77 and gains key 5 (which
-	// owner 1 already holds), shipped as delta windows by a fresh
+	// owner 1 already holds), shipped as one delta request per server by a fresh
 	// process that adopts the table from the original CSV.
 	add0 := filepath.Join(work, "owner0-add.csv")
 	rm0 := filepath.Join(work, "owner0-rm.csv")
@@ -146,7 +146,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	os.WriteFile(rm0, []byte("key,DT\n77,1\n"), 0o644)
 	upOut := ownerCmd(0, "-data", csv0, "-cols", "DT", "-verify",
 		"-add", add0, "-remove", rm0, "-op", "update")
-	if !strings.Contains(upOut, "updated 2 cells") {
+	if !strings.Contains(upOut, "updated 2 cells in one exchange per server") {
 		t.Fatalf("update output: %s", upOut)
 	}
 	psiOut = ownerCmd(0, "-op", "psi", "-verify")

@@ -142,13 +142,16 @@
 //
 // # Incremental updates
 //
-// A tuple-set change no longer costs a full O(b) re-outsource:
-// Owner.Update (CLI: prism-owner -op update) folds the added and
-// removed tuples into the owner's retained tables, re-shares only the
-// changed cells, and ships them as StoreDelta windows over the upload
-// shard plan. Servers append accepted windows to a per-table delta log
-// of CRC'd, atomically written segments holding absolute replacement
-// values — replay is idempotent — and answer queries by patching every
+// A tuple-set change does not cost a full O(b) re-outsource:
+// Owner.Update (CLI: prism-owner -op update) works out the cells the
+// added and removed tuples touch, re-shares only those, and sends each
+// server one StoreDelta request holding the whole change; it folds the
+// change into the owner's own state only once every server has
+// acknowledged, so a failed update leaves the owner untouched and is
+// recovered by calling Update again with the same rows. Servers append
+// each accepted update to a per-table delta log of CRC'd, atomically
+// written segments holding absolute replacement values — replay is
+// idempotent, an update is one segment — and answer queries by patching every
 // fetched value through an in-memory overlay of the log, so reads see
 // base + deltas immediately. A compactor (Config.DeltaMaxEntries
 // threshold, Config.CompactInterval ticker, or System.CompactTables)

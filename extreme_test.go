@@ -64,10 +64,34 @@ func plantedCells(sys *System, k int) []uint64 {
 }
 
 // extremeOracle is the plaintext answer to max/min/median over the
-// owners' tuples.
+// owners' tuples: owner j holds vals[j][i] at cell sets[j][i].
 type extremeOracle struct {
-	cells []uint64              // the intersection, ascending
-	local [][]map[uint64]uint64 // [kind][owner][cell] → the owner's own max / min / total
+	sets, vals [][]uint64
+	cells      []uint64              // the intersection, ascending
+	local      [][]map[uint64]uint64 // [kind][owner][cell] → the owner's own max / min / total
+}
+
+// rebuild recomputes the answers from the tuples.
+func (orc *extremeOracle) rebuild() {
+	orc.local = make([][]map[uint64]uint64, 3)
+	for kind := range orc.local {
+		orc.local[kind] = make([]map[uint64]uint64, len(orc.sets))
+	}
+	for j, cells := range orc.sets {
+		maxs, mins, totals := map[uint64]uint64{}, map[uint64]uint64{}, map[uint64]uint64{}
+		for i, cell := range cells {
+			v := orc.vals[j][i]
+			if _, seen := totals[cell]; !seen {
+				mins[cell] = v
+			}
+			maxs[cell] = max(maxs[cell], v)
+			mins[cell] = min(mins[cell], v)
+			totals[cell] += v
+		}
+		orc.local[protocol.KindMax][j], orc.local[protocol.KindMin][j], orc.local[protocol.KindMedian][j] = maxs, mins, totals
+	}
+	orc.cells = baseline.PlaintextIntersection(orc.sets)
+	slices.Sort(orc.cells)
 }
 
 // loadPlanted gives every owner one to three random-valued tuples at each
@@ -78,11 +102,7 @@ func loadPlanted(t testing.TB, sys *System, planted []uint64, seed int64) *extre
 	rng := rand.New(rand.NewSource(seed))
 	m := sys.Owners()
 	b := sys.Owner(0).Engine().DomainB()
-	orc := &extremeOracle{local: make([][]map[uint64]uint64, 3)}
-	for kind := range orc.local {
-		orc.local[kind] = make([]map[uint64]uint64, m)
-	}
-	sets := make([][]uint64, m)
+	orc := &extremeOracle{sets: make([][]uint64, m), vals: make([][]uint64, m)}
 	for j := 0; j < m; j++ {
 		var cells, vals []uint64
 		add := func(cell uint64) {
@@ -106,23 +126,12 @@ func loadPlanted(t testing.TB, sys *System, planted []uint64, seed int64) *extre
 		if err := sys.Owner(j).LoadCells(cells, map[string][]uint64{"v": vals}); err != nil {
 			t.Fatal(err)
 		}
-		sets[j] = cells
-		maxs, mins, totals := map[uint64]uint64{}, map[uint64]uint64{}, map[uint64]uint64{}
-		for i, cell := range cells {
-			if _, seen := totals[cell]; !seen {
-				mins[cell] = vals[i]
-			}
-			maxs[cell] = max(maxs[cell], vals[i])
-			mins[cell] = min(mins[cell], vals[i])
-			totals[cell] += vals[i]
-		}
-		orc.local[protocol.KindMax][j], orc.local[protocol.KindMin][j], orc.local[protocol.KindMedian][j] = maxs, mins, totals
+		orc.sets[j], orc.vals[j] = cells, vals
 	}
 	if _, err := sys.OutsourceAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	orc.cells = baseline.PlaintextIntersection(sets)
-	slices.Sort(orc.cells)
+	orc.rebuild()
 	return orc
 }
 

@@ -93,7 +93,7 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 		qid := o.newSession(fmt.Sprintf("bpsi-L%d", k)).qid
 		table := bucketLevelTable(base, k)
 		req := protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, Cells: frontier}
-		replies, err := o.call2(ctx, func(int) any { return req })
+		replies, err := o.callServers(ctx, 2, func(int) any { return req })
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,7 @@ func (o *engine) SubmitExtreme(ctx context.Context, qid string, kind protocol.Ex
 		shares[0][c], shares[1][c] = sh[0].Bytes(), sh[1].Bytes()
 	}
 	tid := telemetry.TraceID(ctx)
-	_, err := o.call2(ctx, func(phi int) any {
+	_, err := o.callServers(ctx, 2, func(phi int) any {
 		return protocol.ExtremeSubmitRequest{
 			QueryID: qid,
 			Kind:    kind,
@@ -109,7 +109,7 @@ type ExtremeOutcome struct {
 func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, k int) (*ExtremeOutcome, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
-	replies, err := o.call2(ctx, func(int) any {
+	replies, err := o.callServers(ctx, 2, func(int) any {
 		return protocol.ExtremeFetchRequest{QueryID: qid, TraceID: tid}
 	})
 	if err != nil {
@@ -205,7 +205,7 @@ func (o *engine) SubmitClaim(ctx context.Context, qid string, holdsExtreme []boo
 	o.mu.Lock()
 	shares := share.AdditiveSplitVector(o.rng, alpha, o.view.Delta, 2)
 	o.mu.Unlock()
-	_, err := o.call2(ctx, func(phi int) any {
+	_, err := o.callServers(ctx, 2, func(phi int) any {
 		return protocol.ClaimSubmitRequest{QueryID: qid, Owner: o.Index, Group: o.view.Group, Shares: shares[phi]}
 	})
 	return err
@@ -216,7 +216,7 @@ func (o *engine) SubmitClaim(ctx context.Context, qid string, holdsExtreme []boo
 // ownership vector over owner slots: claims[c][i] says owner i holds
 // cell c's extreme.
 func (o *engine) FetchClaims(ctx context.Context, qid string, k int) ([][]bool, error) {
-	replies, err := o.call2(ctx, func(int) any {
+	replies, err := o.callServers(ctx, 2, func(int) any {
 		return protocol.ClaimFetchRequest{QueryID: qid}
 	})
 	if err != nil {

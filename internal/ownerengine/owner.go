@@ -117,8 +117,8 @@ type engine struct {
 // natural-order tables the shares were generated from, kept so
 // incremental updates (Update) can recompute exactly the cells a
 // tuple-set change touches. upMu serialises updates to the table, so
-// the absolute replacement values each delta window carries are
-// monotone in upload order.
+// the absolute replacement values successive updates carry are monotone
+// in upload order.
 type localTable struct {
 	spec OutsourceSpec
 	b    uint64
@@ -209,46 +209,12 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 	if err != nil {
 		return stats, err
 	}
-	chi, mult, sums := t.chi, t.mult, t.sums
-	var chibar []uint16
-	if spec.Verify {
-		chibar = domain.Complement(chi)
-	}
 	stats.BuildNS = time.Since(start).Nanoseconds()
 
-	// ---- permute and secret-share ----
-	// Splitting draws from the owner's root PRG while holding the engine
-	// lock: outsourcing is Phase 1 (rare, heavyweight), so serialising it
-	// against query-session minting is cheap, stays race-free, and keeps
-	// the share stream deterministic for a given seed.
-	o.mu.Lock()
 	start = time.Now()
-	chiP := perm.Apply(o.view.DB1, chi, nil)
-	chiShares := share.AdditiveSplitVector(o.rng, chiP, o.view.Delta, 2)
-	var barShares [][]uint16
-	if spec.Verify {
-		barP := perm.Apply(o.view.DB2, chibar, nil)
-		barShares = share.AdditiveSplitVector(o.rng, barP, o.view.Delta, 2)
-	}
-	sumShares := make(map[string][][]uint64, len(sums))
-	vsumShares := make(map[string][][]uint64)
-	for col, v := range sums {
-		sumShares[col] = share.ShamirSplitVector(o.rng, perm.Apply(o.view.DB1, v, nil), 1, 3)
-		if spec.Verify {
-			vsumShares[col] = share.ShamirSplitVector(o.rng, perm.Apply(o.view.DB2, v, nil), 1, 3)
-		}
-	}
-	var cntShares, vcntShares [][]uint64
-	if spec.WithCount {
-		cntShares = share.ShamirSplitVector(o.rng, perm.Apply(o.view.DB1, mult, nil), 1, 3)
-		if spec.Verify {
-			vcntShares = share.ShamirSplitVector(o.rng, perm.Apply(o.view.DB2, mult, nil), 1, 3)
-		}
-	}
+	sh := o.split(t, o.view.DB1, o.view.DB2)
 	stats.SplitNS = time.Since(start).Nanoseconds()
-	o.mu.Unlock()
 
-	// ---- upload ----
 	// Each window moves the same column layout restricted to
 	// [Offset, End()) — zero-copy subslices of the share vectors — and the
 	// servers register the table only once every window has landed.
@@ -261,31 +227,7 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 		HasCount:  spec.WithCount,
 	}
 	err = o.upload(ctx, pspec, params.NumServers, func(phi int, rg protocol.Range) protocol.StoreRequest {
-		lo, hi := rg.Offset, rg.End()
-		var req protocol.StoreRequest
-		if phi < 2 {
-			req.ChiAdd = chiShares[phi][lo:hi]
-			if spec.Verify {
-				req.ChiBarAdd = barShares[phi][lo:hi]
-			}
-		}
-		req.SumCols = make(map[string][]uint64, len(sumShares))
-		for col, sh := range sumShares {
-			req.SumCols[col] = sh[phi][lo:hi]
-		}
-		if spec.Verify {
-			req.VSumCols = make(map[string][]uint64, len(vsumShares))
-			for col, sh := range vsumShares {
-				req.VSumCols[col] = sh[phi][lo:hi]
-			}
-		}
-		if spec.WithCount {
-			req.CountCol = cntShares[phi][lo:hi]
-			if spec.Verify {
-				req.VCountCol = vcntShares[phi][lo:hi]
-			}
-		}
-		return req
+		return sh.server(phi, rg.Offset, rg.End())
 	})
 	if err != nil {
 		return stats, err
@@ -296,6 +238,81 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 	o.tables[spec.Table] = t
 	o.mu.Unlock()
 	return stats, nil
+}
+
+// shareSet is the secret-shared columns of a table — or of one update's
+// changed cells — by server: chi and bar for the additive pair, the rest
+// for all three. The χ-order columns are parallel to each other, the
+// χ̄-order ones (bar, vsums, vcnt; nil without Verify) likewise.
+type shareSet struct {
+	chi, bar    [][]uint16
+	sums, vsums map[string][][]uint64
+	cnt, vcnt   [][]uint64
+}
+
+// split permutes t's columns into χ order (p1) and, with Verify, χ̄ order
+// (p2) and secret-shares them: Outsource passes the b-cell table with
+// PF_db1 and PF_db2, Update the changed cells' new values with the ranks
+// of their stored positions. It draws from the owner's root PRG under
+// the engine lock — rare and heavyweight, so serialising it against
+// query-session minting is cheap and race-free — in one fixed order (χ,
+// χ̄, each spec.AggCols column and its twin, the counts): a seed fixes
+// the share stream.
+func (o *engine) split(t *localTable, p1, p2 perm.Perm) *shareSet {
+	spec := t.spec
+	s := &shareSet{sums: make(map[string][][]uint64, len(spec.AggCols))}
+	shamir := func(p perm.Perm, v []uint64) [][]uint64 {
+		return share.ShamirSplitVector(o.rng, perm.Apply(p, v, nil), 1, 3)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s.chi = share.AdditiveSplitVector(o.rng, perm.Apply(p1, t.chi, nil), o.view.Delta, 2)
+	if spec.Verify {
+		s.bar = share.AdditiveSplitVector(o.rng, perm.Apply(p2, domain.Complement(t.chi), nil), o.view.Delta, 2)
+		s.vsums = make(map[string][][]uint64, len(spec.AggCols))
+	}
+	for _, col := range spec.AggCols {
+		s.sums[col] = shamir(p1, t.sums[col])
+		if spec.Verify {
+			s.vsums[col] = shamir(p2, t.sums[col])
+		}
+	}
+	if spec.WithCount {
+		s.cnt = shamir(p1, t.mult)
+		if spec.Verify {
+			s.vcnt = shamir(p2, t.mult)
+		}
+	}
+	return s
+}
+
+// server returns server φ's columns of cells [lo, hi) in both orders —
+// zero-copy subslices, as the column fields of a StoreRequest.
+func (s *shareSet) server(phi int, lo, hi uint64) protocol.StoreRequest {
+	cut := func(sh [][]uint64) []uint64 {
+		if sh == nil {
+			return nil
+		}
+		return sh[phi][lo:hi]
+	}
+	cuts := func(cols map[string][][]uint64) map[string][]uint64 {
+		if cols == nil {
+			return nil
+		}
+		out := make(map[string][]uint64, len(cols))
+		for col, sh := range cols {
+			out[col] = cut(sh)
+		}
+		return out
+	}
+	req := protocol.StoreRequest{SumCols: cuts(s.sums), VSumCols: cuts(s.vsums), CountCol: cut(s.cnt), VCountCol: cut(s.vcnt)}
+	if phi < 2 {
+		req.ChiAdd = s.chi[phi][lo:hi]
+		if s.bar != nil {
+			req.ChiBarAdd = s.bar[phi][lo:hi]
+		}
+	}
+	return req
 }
 
 // buildLocal builds the natural-order tables of the loaded tuples (§5.1
@@ -399,13 +416,14 @@ func (o *engine) localTableFor(name string) (*localTable, error) {
 	return t, nil
 }
 
-// call2 issues the same request builder to the two additive-share
-// servers concurrently and returns both replies.
-func (o *engine) call2(ctx context.Context, build func(phi int) any) ([2]any, error) {
-	var out [2]any
-	errs := [2]error{}
+// callServers issues build's request to the group's first nsrv servers
+// concurrently (2 is the additive-share pair, 3 every server) and
+// returns their replies indexed by server, with the failures joined.
+func (o *engine) callServers(ctx context.Context, nsrv int, build func(phi int) any) ([]any, error) {
+	out := make([]any, nsrv)
+	errs := make([]error, nsrv)
 	var wg sync.WaitGroup
-	for phi := 0; phi < 2; phi++ {
+	for phi := 0; phi < nsrv; phi++ {
 		wg.Add(1)
 		go func(phi int) {
 			defer wg.Done()
@@ -413,5 +431,5 @@ func (o *engine) call2(ctx context.Context, build func(phi int) any) ([2]any, er
 		}(phi)
 	}
 	wg.Wait()
-	return out, errors.Join(errs[0], errs[1])
+	return out, errors.Join(errs...)
 }

@@ -434,9 +434,13 @@ func (o *Owner) Aggregate(ctx context.Context, table string, selected []uint64, 
 	return out, nil
 }
 
-// Update applies a tuple-set change, splitting the added and removed
-// tuples by owning group and shipping deltas only to groups whose slice
-// actually changed.
+// Update applies a tuple-set change to an outsourced table: add and
+// remove list tuples in the Data format (either may be nil), split here
+// by owning group. Every group prepares before anything is sent, each
+// server of a touched group receives exactly one StoreDeltaRequest, and
+// the owner's state is folded only once all of them have acknowledged:
+// a failed update returns the error and leaves the owner untouched, and
+// calling Update again with the same tuples converges the servers.
 func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (UpdateStats, error) {
 	addParts, err := o.splitData(add)
 	if err != nil {
@@ -446,33 +450,40 @@ func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (Up
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	var sel []int
-	for g := range o.groups {
-		if (addParts[g] != nil && len(addParts[g].Cells) > 0) || (remParts[g] != nil && len(remParts[g].Cells) > 0) {
+	// Prepare in every group — an untouched one prepares to nil, and
+	// unknown-table or not-adopted errors surface even for an empty update.
+	ups := make([]*update, len(o.groups))
+	var sel []int // the touched groups: those with a prepared update
+	release := func() {
+		for _, g := range sel {
+			ups[g].release()
+		}
+	}
+	for g, e := range o.groups {
+		if ups[g], err = e.prepareUpdate(table, addParts[g], remParts[g]); err != nil {
+			release()
+			return UpdateStats{}, o.groupErr(g, err)
+		}
+		if ups[g] != nil {
 			sel = append(sel, g)
 		}
 	}
-	if len(sel) == 0 {
-		// Nothing to apply anywhere: run in group 0 so unknown-table and
-		// not-adopted errors still surface exactly as before.
-		sel = []int{0}
+	err = o.eachGroup("update", sel, func(g int) error { return o.groups[g].shipUpdate(ctx, ups[g]) })
+	if err != nil {
+		release()
+		return UpdateStats{}, err
 	}
-	var mu sync.Mutex
-	var total UpdateStats
-	total.FastPath = true
-	err = o.eachGroup("update", sel, func(g int) error {
-		st, err := o.groups[g].Update(ctx, table, addParts[g], remParts[g])
-		mu.Lock()
-		total.BuildNS += st.BuildNS
-		total.SplitNS += st.SplitNS
-		total.UploadNS += st.UploadNS
-		total.Cells += st.Cells
-		total.Windows += st.Windows
-		total.FastPath = total.FastPath && st.FastPath
-		mu.Unlock()
-		return err
-	})
-	return total, err
+	total := UpdateStats{FastPath: true}
+	for _, g := range sel {
+		u := ups[g]
+		o.groups[g].commitUpdate(u)
+		total.BuildNS += u.stats.BuildNS
+		total.SplitNS += u.stats.SplitNS
+		total.UploadNS += u.stats.UploadNS
+		total.Cells += u.stats.Cells
+		total.FastPath = total.FastPath && u.stats.FastPath
+	}
+	return total, nil
 }
 
 // ExtremeRound is one group's share of an extreme query: the vector

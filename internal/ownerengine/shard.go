@@ -2,7 +2,6 @@ package ownerengine
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"prism/internal/protocol"
@@ -79,18 +78,8 @@ loop:
 		go func(rg protocol.Range) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			replies := make([]any, nsrv)
-			errs := make([]error, nsrv)
-			var cwg sync.WaitGroup
-			for phi := 0; phi < nsrv; phi++ {
-				cwg.Add(1)
-				go func(phi int) {
-					defer cwg.Done()
-					replies[phi], errs[phi] = o.caller.Call(ctx, o.servers[phi], build(phi, rg))
-				}(phi)
-			}
-			cwg.Wait()
-			if err := errors.Join(errs...); err != nil {
+			replies, err := o.callServers(ctx, nsrv, func(phi int) any { return build(phi, rg) })
+			if err != nil {
 				fail(err)
 				return
 			}

@@ -1,11 +1,17 @@
 // Incremental updates (owner side). Instead of rebuilding and
 // re-outsourcing the full O(b) table after a tuple-set change, the
-// owner folds the added/removed tuples into its retained natural-order
-// tables, recomputes only the touched cells, re-shares those cells'
-// values, and ships them to the servers as StoreDelta windows — compact
-// (position, absolute share value) lists the servers merge over the
-// base. Cost is O(changed cells · log b), independent of b except for
-// the permutation lookups.
+// owner works out the cells the added/removed tuples touch, re-shares
+// those cells' new values, and sends each server one StoreDelta request
+// — compact (position, absolute share value) lists the servers merge
+// over the base. Cost is O(changed cells · log b), independent of b
+// except for the permutation lookups.
+//
+// Prepare validates the change and builds the requests without touching
+// owner state, ship sends them, and commit folds the change into the
+// loaded dataset and the retained tables once every server of every
+// touched group has acknowledged — so a failed update leaves the owner
+// as it was and, the values being absolute, shipping it again brings
+// every server to the same state.
 package ownerengine
 
 import (
@@ -17,353 +23,279 @@ import (
 
 	"prism/internal/field"
 	"prism/internal/params"
+	"prism/internal/perm"
 	"prism/internal/protocol"
-	"prism/internal/share"
 )
 
 // UpdateStats reports one incremental update's cost, mirroring
 // ShareGenStats for the full outsource path so the two are directly
 // comparable in benchmarks.
 type UpdateStats struct {
-	BuildNS  int64 // fold + changed-cell recomputation
+	BuildNS  int64 // validation, fold and changed-cell recomputation
 	SplitNS  int64 // secret-share generation for the changed cells
-	UploadNS int64 // delta-window transport
+	UploadNS int64 // the one StoreDelta exchange
 	Cells    uint64
-	Windows  int // delta windows actually shipped (empty ones are skipped)
 	// FastPath reports that the append-only fold ran: with no removals
 	// the O(n) removal-match scan and the kept-tuple rebuild are skipped
 	// and the adds fold in by direct append.
 	FastPath bool
 }
 
-// Update applies a tuple-set change to an outsourced table: add and
-// remove list tuples in the Data format (either may be nil). Removed
-// tuples must match currently loaded tuples — same cell, same
-// aggregation values — or the update is rejected before anything is
-// mutated. On success both the loaded dataset (which owner-local query
-// state such as exemplary-aggregation values is computed from) and the
-// retained table state are folded forward, then only the changed cells
-// are re-shared and shipped to the servers.
-func (o *engine) Update(ctx context.Context, table string, add, remove *Data) (UpdateStats, error) {
-	var stats UpdateStats
+// update is one group's prepared update: the servers' requests and what
+// commit folds once they are acknowledged. From prepareUpdate until
+// commit or release it holds the table's update lock.
+type update struct {
+	t     *localTable
+	data  *Data       // the loaded dataset with the change folded in
+	cells []uint64    // the changed natural cells
+	next  *localTable // their new χ, multiplicity and sums, parallel to cells
+	reqs  [params.NumServers]protocol.StoreDeltaRequest
+	stats UpdateStats
+}
+
+// release drops the table's update lock without folding anything.
+func (u *update) release() { u.t.upMu.Unlock() }
+
+// prepareUpdate validates a tuple-set change against an outsourced table
+// and builds its delta requests. Removed tuples must match currently
+// loaded tuples — same cell, same aggregation values — or the update is
+// rejected. Nothing the engine holds is modified; an update that changes
+// no cell prepares to nil.
+func (o *engine) prepareUpdate(table string, add, remove *Data) (*update, error) {
 	t, err := o.localTableFor(table)
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
 	if t.mult == nil {
-		return stats, fmt.Errorf("ownerengine: table %q has no update state (outsourced by an older process? use AdoptTable)", table)
+		return nil, fmt.Errorf("ownerengine: table %q has no update state (outsourced by an older process? use AdoptTable)", table)
 	}
 	for _, d := range []*Data{add, remove} {
 		if d == nil {
 			continue
 		}
 		if err := d.Validate(t.b, o.view.MaxAgg); err != nil {
-			return stats, err
+			return nil, err
 		}
 		for _, col := range t.spec.AggCols {
 			if len(d.Cells) > 0 && d.Aggs[col] == nil {
-				return stats, fmt.Errorf("ownerengine: update data has no column %q", col)
+				return nil, fmt.Errorf("ownerengine: update data has no column %q", col)
 			}
 		}
 	}
 
-	// One update at a time per table: each window carries absolute
-	// replacement values computed from the folded state, so two
-	// interleaved updates racing to the servers could land out of order
-	// and leave the older absolute value on top.
+	// One update at a time per table: each carries absolute replacement
+	// values computed from the retained state, so two interleaved updates
+	// racing to the servers could land out of order and leave the older
+	// absolute value on top.
 	t.upMu.Lock()
-	defer t.upMu.Unlock()
+	u := &update{t: t}
+	if err := o.buildUpdate(u, table, add, remove); err != nil || len(u.cells) == 0 {
+		t.upMu.Unlock()
+		return nil, err
+	}
+	return u, nil
+}
 
+// buildUpdate fills in u for a validated change. Caller holds t.upMu.
+func (o *engine) buildUpdate(u *update, table string, add, remove *Data) error {
+	t, spec := u.t, u.t.spec
 	start := time.Now()
 	o.mu.Lock()
 	d := o.data
 	o.mu.Unlock()
 	if d == nil {
-		return stats, errors.New("ownerengine: no data loaded")
+		return errors.New("ownerengine: no data loaded")
+	}
+	// The adds must cover the loaded column set, or the updated
+	// dataset's parallel arrays would go ragged; the removals, or they
+	// could not be matched.
+	for col := range d.Aggs {
+		for _, c := range []*Data{add, remove} {
+			if c != nil && len(c.Cells) > 0 && c.Aggs[col] == nil {
+				return fmt.Errorf("ownerengine: update data has no column %q (loaded dataset has it)", col)
+			}
+		}
 	}
 	// Match every removal against a distinct loaded tuple (same cell,
-	// same aggregation values across every loaded column) before
-	// anything is mutated, so a failed update leaves all state
-	// untouched. The adds must cover the loaded column set, or the
-	// updated dataset's parallel arrays would go ragged.
-	for col := range d.Aggs {
-		for _, u := range []*Data{add, remove} {
-			if u != nil && len(u.Cells) > 0 && u.Aggs[col] == nil {
-				return stats, fmt.Errorf("ownerengine: update data has no column %q (loaded dataset has it)", col)
+	// same aggregation values across every loaded column).
+	taken := make(map[int]bool)
+	for i := 0; remove != nil && i < len(remove.Cells); i++ {
+		c, found := remove.Cells[i], -1
+		for j, dc := range d.Cells {
+			if dc != c || taken[j] {
+				continue
 			}
-		}
-	}
-	// Append-only fast path: with no removals there is nothing to match
-	// against the loaded tuples, so skip the O(n·r) scan and the
-	// kept-tuple rebuild entirely and fold the adds in by appending to
-	// the existing parallel arrays. The three-index slice expressions cap
-	// capacity at the current length, forcing the appends to copy — the
-	// old Data snapshot stays intact for in-flight queries.
-	var nd *Data
-	if remove == nil || len(remove.Cells) == 0 {
-		stats.FastPath = true
-		nd = &Data{
-			Cells: d.Cells[:len(d.Cells):len(d.Cells)],
-			Aggs:  make(map[string][]uint64, len(d.Aggs)),
-		}
-		if add != nil {
-			nd.Cells = append(nd.Cells, add.Cells...)
-		}
-		for col, vs := range d.Aggs {
-			kept := vs[:len(vs):len(vs)]
-			if add != nil {
-				kept = append(kept, add.Aggs[col]...)
-			}
-			nd.Aggs[col] = kept
-		}
-	} else {
-		taken := make(map[int]bool)
-		for i, c := range remove.Cells {
-			found := -1
-			for j, dc := range d.Cells {
-				if dc != c || taken[j] {
-					continue
-				}
-				match := true
-				for col, vs := range d.Aggs {
-					if vs[j] != remove.Aggs[col][i] {
-						match = false
-						break
-					}
-				}
-				if match {
-					found = j
+			match := true
+			for col, vs := range d.Aggs {
+				if vs[j] != remove.Aggs[col][i] {
+					match = false
 					break
 				}
 			}
-			if found < 0 {
-				return stats, fmt.Errorf("ownerengine: removal %d (cell %d) matches no loaded tuple", i, c)
+			if match {
+				found = j
+				break
 			}
-			taken[found] = true
 		}
-		// Fold the dataset copy-on-write: in-flight queries iterating the
-		// old Data keep a consistent snapshot.
-		nd = &Data{Aggs: make(map[string][]uint64, len(d.Aggs))}
-		for j, c := range d.Cells {
+		if found < 0 {
+			return fmt.Errorf("ownerengine: removal %d (cell %d) matches no loaded tuple", i, c)
+		}
+		taken[found] = true
+	}
+	// Fold the dataset copy-on-write: in-flight queries iterating the old
+	// Data, and a failed update, keep their snapshot. Without removals
+	// (the append-only fast path) the kept tuples are the old arrays,
+	// capacity capped at their length so that appending the adds copies.
+	u.stats.FastPath = len(taken) == 0
+	keep := func(vs []uint64) []uint64 {
+		if u.stats.FastPath {
+			return vs[:len(vs):len(vs)]
+		}
+		kept := make([]uint64, 0, len(vs)-len(taken))
+		for j, v := range vs {
 			if !taken[j] {
-				nd.Cells = append(nd.Cells, c)
+				kept = append(kept, v)
 			}
 		}
-		if add != nil {
-			nd.Cells = append(nd.Cells, add.Cells...)
-		}
-		for col, vs := range d.Aggs {
-			kept := make([]uint64, 0, len(nd.Cells))
-			for j := range d.Cells {
-				if !taken[j] {
-					kept = append(kept, vs[j])
-				}
-			}
-			if add != nil {
-				kept = append(kept, add.Aggs[col]...)
-			}
-			nd.Aggs[col] = kept
+		return kept
+	}
+	u.data = &Data{Cells: keep(d.Cells), Aggs: make(map[string][]uint64, len(d.Aggs))}
+	for col, vs := range d.Aggs {
+		u.data.Aggs[col] = keep(vs)
+	}
+	if add != nil {
+		u.data.Cells = append(u.data.Cells, add.Cells...)
+		for col := range d.Aggs {
+			u.data.Aggs[col] = append(u.data.Aggs[col], add.Aggs[col]...)
 		}
 	}
 
-	// Guard the retained table state separately: if the loaded dataset
-	// was replaced after the outsource, a matched removal may still not
-	// exist in the outsourced table.
-	if remove != nil {
-		pending := make(map[uint64]uint64)
-		for _, c := range remove.Cells {
-			pending[c]++
-			if pending[c] > t.mult[c] {
-				return stats, fmt.Errorf("ownerengine: removing %d tuples from cell %d, outsourced table holds %d", pending[c], c, t.mult[c])
+	// The changed cells' new multiplicities and sums, beside the retained
+	// tables, not in them. Removals fold first, so a multiplicity running
+	// below zero means the outsourced table never held that many tuples
+	// there (the loaded dataset may have been replaced since: a removal
+	// that matched it can still be absent from the table).
+	u.next = &localTable{spec: spec, sums: make(map[string][]uint64, len(spec.AggCols))}
+	next, at := u.next, make(map[uint64]int)
+	for _, side := range []struct {
+		d        *Data
+		removing bool
+	}{{remove, true}, {add, false}} {
+		if side.d == nil {
+			continue
+		}
+		for i, c := range side.d.Cells {
+			k, seen := at[c]
+			if !seen {
+				k, at[c] = len(u.cells), len(u.cells)
+				u.cells = append(u.cells, c)
+				next.mult = append(next.mult, t.mult[c])
+				for _, col := range spec.AggCols {
+					next.sums[col] = append(next.sums[col], t.sums[col][c])
+				}
 			}
-		}
-	}
-	changed := make(map[uint64]struct{})
-	fold := func(d *Data, sign int) {
-		if d == nil {
-			return
-		}
-		for i, c := range d.Cells {
-			changed[c] = struct{}{}
-			if sign > 0 {
-				t.mult[c]++
+			if side.removing && next.mult[k] == 0 {
+				return fmt.Errorf("ownerengine: removing more tuples from cell %d than the %d the outsourced table holds", c, t.mult[c])
+			}
+			if side.removing {
+				next.mult[k]--
 			} else {
-				t.mult[c]--
+				next.mult[k]++
 			}
-			for _, col := range t.spec.AggCols {
-				v := field.Reduce(d.Aggs[col][i])
-				if sign > 0 {
-					t.sums[col][c] = field.Add(t.sums[col][c], v)
-				} else {
-					t.sums[col][c] = field.Sub(t.sums[col][c], v)
-				}
-			}
-		}
-	}
-	fold(add, +1)
-	fold(remove, -1)
-	if len(changed) == 0 {
-		return stats, nil
-	}
-	for c := range changed {
-		if t.mult[c] > 0 {
-			t.chi[c] = 1
-		} else {
-			t.chi[c] = 0
-		}
-	}
-	stats.Cells = uint64(len(changed))
-
-	// Changed cells sorted by stored position — once per permutation
-	// space, since DB1 (χ, sums, counts) and DB2 (χ̄, v-columns) scatter
-	// the same cell to different positions.
-	spec := t.spec
-	cells1 := make([]uint64, 0, len(changed)) // natural cells, DB1-order
-	for c := range changed {
-		cells1 = append(cells1, c)
-	}
-	pos1 := make([]uint64, len(cells1))
-	order := func(cells, pos []uint64, image func(int) int) {
-		sort.Slice(cells, func(i, j int) bool { return image(int(cells[i])) < image(int(cells[j])) })
-		for i, c := range cells {
-			pos[i] = uint64(image(int(c)))
-		}
-	}
-	order(cells1, pos1, o.view.DB1.Image)
-	var cells2, pos2 []uint64
-	if spec.Verify {
-		cells2 = append([]uint64(nil), cells1...)
-		pos2 = make([]uint64, len(cells2))
-		order(cells2, pos2, o.view.DB2.Image)
-	}
-	chiVals := make([]uint16, len(cells1))
-	cntVals := make([]uint64, len(cells1))
-	sumVals := make(map[string][]uint64, len(spec.AggCols))
-	for _, col := range spec.AggCols {
-		sumVals[col] = make([]uint64, len(cells1))
-	}
-	for i, c := range cells1 {
-		chiVals[i] = t.chi[c]
-		cntVals[i] = t.mult[c]
-		for _, col := range spec.AggCols {
-			sumVals[col][i] = t.sums[col][c]
-		}
-	}
-	var barVals []uint16
-	vsumVals := make(map[string][]uint64)
-	var vcntVals []uint64
-	if spec.Verify {
-		barVals = make([]uint16, len(cells2))
-		vcntVals = make([]uint64, len(cells2))
-		for _, col := range spec.AggCols {
-			vsumVals[col] = make([]uint64, len(cells2))
-		}
-		for i, c := range cells2 {
-			barVals[i] = 1 - t.chi[c]
-			vcntVals[i] = t.mult[c]
 			for _, col := range spec.AggCols {
-				vsumVals[col][i] = t.sums[col][c]
+				v := field.Reduce(side.d.Aggs[col][i])
+				if side.removing {
+					v = field.Neg(v)
+				}
+				next.sums[col][k] = field.Add(next.sums[col][k], v)
 			}
 		}
 	}
-	stats.BuildNS = time.Since(start).Nanoseconds()
-
-	// ---- secret-share the changed cells ----
-	// Same locking rationale as Outsource: splitting draws from the root
-	// PRG under the engine lock, keeping the share stream deterministic.
-	o.mu.Lock()
-	o.data = nd // the folded dataset becomes the loaded one
-	start = time.Now()
-	chiShares := share.AdditiveSplitVector(o.rng, chiVals, o.view.Delta, 2)
-	var barShares [][]uint16
-	if spec.Verify {
-		barShares = share.AdditiveSplitVector(o.rng, barVals, o.view.Delta, 2)
-	}
-	sumShares := make(map[string][][]uint64, len(sumVals))
-	vsumShares := make(map[string][][]uint64)
-	for col, v := range sumVals {
-		sumShares[col] = share.ShamirSplitVector(o.rng, v, 1, 3)
-	}
-	if spec.Verify {
-		for col, v := range vsumVals {
-			vsumShares[col] = share.ShamirSplitVector(o.rng, v, 1, 3)
-		}
-	}
-	var cntShares, vcntShares [][]uint64
-	if spec.WithCount {
-		cntShares = share.ShamirSplitVector(o.rng, cntVals, 1, 3)
-		if spec.Verify {
-			vcntShares = share.ShamirSplitVector(o.rng, vcntVals, 1, 3)
-		}
-	}
-	stats.SplitNS = time.Since(start).Nanoseconds()
-	o.mu.Unlock()
-
-	// ---- ship the delta windows ----
-	// Reuse the outsource window plan, but skip windows no changed
-	// position falls into: update cost must scale with the change, not
-	// with b/shardCells.
-	start = time.Now()
-	sub := func(pos []uint64, rg protocol.Range) (int, int) {
-		i := sort.Search(len(pos), func(k int) bool { return pos[k] >= rg.Offset })
-		j := sort.Search(len(pos), func(k int) bool { return pos[k] >= rg.End() })
-		return i, j
-	}
-	var live []protocol.Range
-	for _, rg := range o.plan(t.b) {
-		i1, j1 := sub(pos1, rg)
-		i2, j2 := sub(pos2, rg)
-		if j1 > i1 || j2 > i2 {
-			live = append(live, rg)
-		}
-	}
-	stats.Windows = len(live)
-	total := 0
-	err = o.forEachShard(ctx, live, params.NumServers, func(phi int, rg protocol.Range) any {
-		req := protocol.StoreDeltaRequest{Owner: o.Index, Group: o.view.Group, Table: table, Shard: rg}
-		i1, j1 := sub(pos1, rg)
-		req.Pos = pos1[i1:j1]
-		if phi < 2 {
-			req.Chi = chiShares[phi][i1:j1]
-		}
-		req.Sums = make(map[string][]uint64, len(sumShares))
-		for col, sh := range sumShares {
-			req.Sums[col] = sh[phi][i1:j1]
-		}
-		if spec.WithCount {
-			req.Cnt = cntShares[phi][i1:j1]
-		}
-		if spec.Verify {
-			i2, j2 := sub(pos2, rg)
-			req.VPos = pos2[i2:j2]
-			if phi < 2 {
-				req.ChiBar = barShares[phi][i2:j2]
-			}
-			req.VSums = make(map[string][]uint64, len(vsumShares))
-			for col, sh := range vsumShares {
-				req.VSums[col] = sh[phi][i2:j2]
-			}
-			if spec.WithCount {
-				req.VCnt = vcntShares[phi][i2:j2]
-			}
-		}
-		return req
-	}, func(rg protocol.Range, replies []any) error {
-		for _, r := range replies {
-			rep, ok := r.(protocol.StoreDeltaReply)
-			if !ok {
-				return fmt.Errorf("ownerengine: unexpected delta reply %T", r)
-			}
-			total += rep.Entries
-		}
+	n := len(u.cells)
+	if n == 0 {
 		return nil
-	})
+	}
+	next.chi = make([]uint16, n)
+	for k, m := range next.mult {
+		if m > 0 {
+			next.chi[k] = 1
+		}
+	}
+	u.stats.Cells = uint64(n)
+
+	// Stored positions of the changed cells, ascending — once per
+	// permutation space, since DB1 (χ, sums, counts) and DB2 (χ̄,
+	// v-columns) scatter the same cell to different positions — and the
+	// rank permutation that puts the cells' values in that order.
+	ranked := func(db perm.Perm) (perm.Perm, []uint64) {
+		order := make([]int, n)
+		for k := range order {
+			order[k] = k
+		}
+		sort.Slice(order, func(i, j int) bool { return db[u.cells[order[i]]] < db[u.cells[order[j]]] })
+		rank, pos := make(perm.Perm, n), make([]uint64, n)
+		for r, k := range order {
+			rank[k], pos[r] = uint32(r), uint64(db[u.cells[k]])
+		}
+		return rank, pos
+	}
+	rank1, pos1 := ranked(o.view.DB1)
+	var rank2 perm.Perm
+	var pos2 []uint64
+	if spec.Verify {
+		rank2, pos2 = ranked(o.view.DB2)
+	}
+	u.stats.BuildNS = time.Since(start).Nanoseconds()
+
+	start = time.Now()
+	sh := o.split(next, rank1, rank2)
+	for phi := range u.reqs {
+		c := sh.server(phi, 0, uint64(n))
+		u.reqs[phi] = protocol.StoreDeltaRequest{
+			Owner: o.Index, Group: o.view.Group, Table: table,
+			Pos: pos1, Chi: c.ChiAdd, Sums: c.SumCols, Cnt: c.CountCol,
+			VPos: pos2, ChiBar: c.ChiBarAdd, VSums: c.VSumCols, VCnt: c.VCountCol,
+		}
+	}
+	u.stats.SplitNS = time.Since(start).Nanoseconds()
+	return nil
+}
+
+// shipUpdate sends each server of the group its one request and returns
+// once all three have acknowledged, or the first refusal.
+func (o *engine) shipUpdate(ctx context.Context, u *update) error {
+	start := time.Now()
+	replies, err := o.callServers(ctx, params.NumServers, func(phi int) any { return u.reqs[phi] })
 	if err != nil {
-		return stats, err
+		return err
 	}
-	if total == 0 && len(changed) > 0 {
-		return stats, errors.New("ownerengine: no server accepted any delta entry")
+	total := 0
+	for _, r := range replies {
+		rep, ok := r.(protocol.StoreDeltaReply)
+		if !ok {
+			return fmt.Errorf("ownerengine: unexpected delta reply %T", r)
+		}
+		total += rep.Entries
 	}
-	stats.UploadNS = time.Since(start).Nanoseconds()
-	return stats, nil
+	if total == 0 {
+		return errors.New("ownerengine: no server accepted any delta entry")
+	}
+	u.stats.UploadNS = time.Since(start).Nanoseconds()
+	return nil
+}
+
+// commitUpdate folds an acknowledged update into the loaded dataset
+// (which owner-local query state such as exemplary-aggregation values is
+// computed from) and the retained tables, and releases the update lock.
+func (o *engine) commitUpdate(u *update) {
+	o.mu.Lock()
+	o.data = u.data
+	o.mu.Unlock()
+	for k, c := range u.cells {
+		u.t.chi[c], u.t.mult[c] = u.next.chi[k], u.next.mult[k]
+		for col, vs := range u.next.sums {
+			u.t.sums[col][c] = vs[k]
+		}
+	}
+	u.release()
 }

@@ -139,27 +139,29 @@ type StoreRequest struct {
 // count, == Spec.B once the final window lands.
 type StoreReply struct{ Cells uint64 }
 
-// StoreDeltaRequest ships one window of an owner's incremental update
-// to one server: absolute replacement share values for individual
-// stored positions, covering tuple appends, value updates and deletes
-// alike (a delete is just the shares of the cell's new χ/sum/count
-// values). Positions follow the stored layouts — Pos indexes the
-// χ-order (PF_db1-permuted) columns, VPos the χ̄-order (PF_db2)
-// verification columns — so a server never learns which natural cells
-// changed, only that some stored positions did.
+// StoreDeltaRequest is one owner's incremental update for one server, the
+// whole of it: absolute replacement share values for individual stored
+// positions, covering tuple appends, value updates and deletes alike (a
+// delete is just the shares of the cell's new χ/sum/count values). It is
+// a sparse Store — the same six columns, each parallel to a position
+// list instead of a window: Pos indexes the χ-order (PF_db1-permuted)
+// columns, VPos the χ̄-order (PF_db2) verification columns, so a server
+// never learns which natural cells changed, only that some stored
+// positions did.
 //
-// Deltas carry absolute values, not increments: applying a window
-// twice equals applying it once, which is what lets servers log
-// windows durably and replay them over any base generation (see the
-// serverengine delta log and compactor). Each window is applied and
-// acknowledged independently; Shard names the stored-order window
-// [Offset, End()) the positions fall in and bounds per-frame size
-// exactly as in Store uploads.
+// The server validates the request whole, logs it as one durable segment
+// under one sequence number and makes it visible in one step, so no read
+// on that server sees a cell's χ without its χ̄. Its frame grows with the
+// changed cells, not with the table; past the frame cap it fails at the
+// sender (transport.ErrFrameTooLarge) and the caller splits the update.
+// Deltas carry absolute values, not increments: applying one twice
+// equals applying it once, which is what lets servers replay the log
+// over any base generation (see the serverengine delta log and
+// compactor) and owners re-ship an update a server refused.
 type StoreDeltaRequest struct {
 	Owner int
 	Group int // target server group
 	Table string
-	Shard Range // the window Pos and VPos lie in; zero → the whole table
 
 	Pos  []uint64            // stored (χ-order) positions, ascending
 	Chi  []uint16            // additive χ share per Pos (servers 0,1)
@@ -172,11 +174,11 @@ type StoreDeltaRequest struct {
 	VCnt   []uint64            // verification count shares per VPos
 }
 
-// StoreDeltaReply acknowledges one applied delta window. Entries is
-// the number of per-position updates absorbed (both position spaces);
-// Epoch is the table's current registration epoch — unchanged by the
-// delta itself, bumped only when the background compactor folds the
-// delta log into the base chunks.
+// StoreDeltaReply acknowledges one applied update. Entries is the number
+// of per-position updates absorbed (both position spaces); Epoch is the
+// table's current registration epoch — unchanged by the delta itself,
+// bumped only when the background compactor folds the delta log into the
+// base chunks.
 type StoreDeltaReply struct {
 	Entries int
 	Epoch   uint64

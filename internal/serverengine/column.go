@@ -21,10 +21,12 @@ import (
 )
 
 // colDef names one column of a table layout (without the "o<owner>."
-// prefix) and its element width in bytes.
+// prefix), its element width in bytes, and whether it is stored in χ̄
+// order (PF_db2: χ̄ and the verification twins) rather than χ order.
 type colDef struct {
 	name  string
 	width int
+	bar   bool
 }
 
 // specCols enumerates the columns this server stores per owner under a
@@ -32,21 +34,21 @@ type colDef struct {
 func (e *Engine) specCols(spec protocol.TableSpec) []colDef {
 	var out []colDef
 	if e.view.Index < 2 {
-		out = append(out, colDef{"chi", 2})
+		out = append(out, colDef{"chi", 2, false})
 		if spec.HasVerify {
-			out = append(out, colDef{"chibar", 2})
+			out = append(out, colDef{"chibar", 2, true})
 		}
 	}
 	for _, col := range spec.AggCols {
-		out = append(out, colDef{"sum." + col, 8})
+		out = append(out, colDef{"sum." + col, 8, false})
 		if spec.HasVerify {
-			out = append(out, colDef{"vsum." + col, 8})
+			out = append(out, colDef{"vsum." + col, 8, true})
 		}
 	}
 	if spec.HasCount {
-		out = append(out, colDef{"cnt", 8})
+		out = append(out, colDef{"cnt", 8, false})
 		if spec.HasVerify {
-			out = append(out, colDef{"vcnt", 8})
+			out = append(out, colDef{"vcnt", 8, true})
 		}
 	}
 	return out
@@ -78,19 +80,40 @@ func setOf[T sharestore.Cell](oc *ownerCols) colSet[T] {
 	return any(oc.u64).(colSet[T])
 }
 
-// reqCols maps the wire fields of a StoreRequest to layout names.
-func reqCols(r *protocol.StoreRequest) *ownerCols {
+// reqCols maps the six column fields of a StoreRequest — or of a
+// StoreDeltaRequest, which carries the same columns sparsely — to layout
+// names.
+func reqCols(chi, chibar []uint16, sums, vsums map[string][]uint64, cnt, vcnt []uint64) *ownerCols {
 	oc := &ownerCols{
-		u16: colSet[uint16]{"chi": r.ChiAdd, "chibar": r.ChiBarAdd},
-		u64: colSet[uint64]{"cnt": r.CountCol, "vcnt": r.VCountCol},
+		u16: colSet[uint16]{"chi": chi, "chibar": chibar},
+		u64: colSet[uint64]{"cnt": cnt, "vcnt": vcnt},
 	}
-	for col, v := range r.SumCols {
+	for col, v := range sums {
 		oc.u64["sum."+col] = v
 	}
-	for col, v := range r.VSumCols {
+	for col, v := range vsums {
 		oc.u64["vsum."+col] = v
 	}
 	return oc
+}
+
+// layoutCols restricts a request's columns (reqCols) to the layout this
+// server stores under spec and applies the length rule: every χ-order
+// column carries n cells and every χ̄-order column nbar — the window of a
+// Store for both, the position counts of a StoreDelta.
+func (e *Engine) layoutCols(spec protocol.TableSpec, req *ownerCols, n, nbar uint64) ([]colDef, *ownerCols, error) {
+	cols := e.specCols(spec)
+	in := req.pick(cols)
+	for _, cd := range cols {
+		want := n
+		if cd.bar {
+			want = nbar
+		}
+		if got := in.cells(cd.name); uint64(got) != want {
+			return nil, nil, fmt.Errorf("server %d: table %q column %s carries %d cells, want %d", e.view.Index, spec.Name, cd.name, got, want)
+		}
+	}
+	return cols, in, nil
 }
 
 // pick restricts the set to the columns of cols that have its width (an

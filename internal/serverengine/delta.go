@@ -1,21 +1,22 @@
 // Incremental updates: the in-RAM half of the delta layer.
 //
-// A StoreDelta window carries absolute replacement share values for
-// individual stored positions. Each accepted window is (on disk-backed
-// engines) appended durably to the table's delta log first, then merged
-// into the table's delta overlay — a per-column map from stored
-// position to the newest value — which every fetch path consults, so
-// queries see updates immediately without any base chunk being
-// rewritten. The background compactor periodically folds the overlay
+// A StoreDelta request — one owner's whole update — carries absolute
+// replacement share values for individual stored positions. Each
+// accepted update is (on disk-backed engines) appended durably to the
+// table's delta log as one segment first, then merged into the table's
+// delta overlay — a per-column map from stored position to the newest
+// value — which every fetch path consults, so queries see updates
+// immediately without any base chunk being rewritten. The background compactor periodically folds the overlay
 // into the base chunks (sharestore.PatchCells), bumps the table epoch,
 // and deletes the absorbed delta segments oldest-first.
 //
 // Ordering invariant: per table, sequence assignment, the durable log
-// append and the overlay insert happen under one delta lock, so when a
-// window with sequence s is visible in the overlay, every window with a
-// smaller sequence is too. Compaction snapshots the overlay (never the
-// raw sequence counter), so it can only absorb — and only deletes —
-// segments whose values it has folded into the base.
+// append and the overlay insert happen under one delta lock, so when an
+// update with sequence s is visible in the overlay, every update with a
+// smaller sequence is too, and each is visible whole — a cell's χ
+// together with its χ̄. Compaction snapshots the overlay (never the raw
+// sequence counter), so it can only absorb — and only deletes — segments
+// whose values it has folded into the base.
 //
 // Crash safety rests on segments being idempotent absolute values:
 // whatever prefix of {patch chunks, bump manifest epoch, delete
@@ -66,7 +67,7 @@ func newDeltaOverlay() *deltaOverlay {
 	return &deltaOverlay{cols: make(map[string]*colOverlay)}
 }
 
-// insert merges one delta window (already validated) at sequence seq
+// insert merges one update (already validated) at sequence seq
 // and returns the held-bytes growth.
 func (d *deltaOverlay) insert(ents []sharestore.DeltaCol, seq uint64) int64 {
 	d.mu.Lock()
@@ -250,9 +251,10 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	e.mu.RLock()
 	t, ok := e.tables[r.Table]
 	var spec protocol.TableSpec
+	var epoch uint64
 	registered := false
 	if ok {
-		spec = t.spec
+		spec, epoch = t.spec, t.epoch
 		_, registered = t.owners[r.Owner]
 	}
 	e.mu.RUnlock()
@@ -266,14 +268,8 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(ents) == 0 {
-		e.mu.RLock()
-		epoch := uint64(0)
-		if t, ok := e.tables[r.Table]; ok {
-			epoch = t.epoch
-		}
-		e.mu.RUnlock()
-		return protocol.StoreDeltaReply{Entries: 0, Epoch: epoch}, nil
+	if len(ents) == 0 { // nothing of it is stored here (S2, membership-only table)
+		return protocol.StoreDeltaReply{Epoch: epoch}, nil
 	}
 
 	// The per-table delta lock serialises sequence assignment, the
@@ -287,7 +283,7 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	t, ok = e.tables[r.Table]
 	if !ok || t.owners[r.Owner] == nil || !specEqual(t.spec, spec) {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("server %d: table %q changed under delta window", e.view.Index, r.Table)
+		return nil, fmt.Errorf("server %d: table %q changed under the update", e.view.Index, r.Table)
 	}
 	t.deltaSeq++
 	seq := t.deltaSeq
@@ -303,13 +299,13 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	t, ok = e.tables[r.Table]
 	if !ok {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("server %d: table %q dropped under delta window", e.view.Index, r.Table)
+		return nil, fmt.Errorf("server %d: table %q dropped under the update", e.view.Index, r.Table)
 	}
 	if t.delta == nil {
 		t.delta = newDeltaOverlay()
 	}
 	e.trackHeld(t.delta.insert(ents, seq))
-	epoch := t.epoch
+	epoch = t.epoch
 	entries := t.delta.entryCount()
 	compacting := t.compacting
 	e.mu.Unlock()
@@ -321,105 +317,51 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	return protocol.StoreDeltaReply{Entries: n, Epoch: epoch}, nil
 }
 
-// deltaEntries validates a StoreDelta window against the registered
-// spec and this server's column layout and converts it into delta-log
-// column entries. n is the total per-position update count.
+// deltaEntries validates an update against the registered spec and this
+// server's column layout — a sparse Store: the same columns through the
+// same layout rule, each parallel to its position list — and converts it
+// into delta-log column entries. n is the total per-position update
+// count.
 func (e *Engine) deltaEntries(spec protocol.TableSpec, r *protocol.StoreDeltaRequest) ([]sharestore.DeltaCol, int, error) {
-	rg, err := e.window(r.Shard, spec.B)
+	for side, pos := range [][]uint64{r.Pos, r.VPos} {
+		name := [...]string{"χ-order", "χ̄-order"}[side]
+		for i, p := range pos {
+			if p >= spec.B {
+				return nil, 0, fmt.Errorf("server %d: delta %s position %d outside table of %d cells", e.view.Index, name, p, spec.B)
+			}
+			if i > 0 && pos[i-1] >= p {
+				return nil, 0, fmt.Errorf("server %d: delta %s positions must be strictly ascending", e.view.Index, name)
+			}
+		}
+	}
+	req := reqCols(r.Chi, r.ChiBar, r.Sums, r.VSums, r.Cnt, r.VCnt)
+	cols, in, err := e.layoutCols(spec, req, uint64(len(r.Pos)), uint64(len(r.VPos)))
 	if err != nil {
 		return nil, 0, err
 	}
-	lo, hi := rg.Offset, rg.End()
-	checkPos := func(side string, pos []uint64) error {
-		for i, p := range pos {
-			if p < lo || p >= hi {
-				return fmt.Errorf("server %d: delta %s position %d outside window [%d,%d)", e.view.Index, side, p, lo, hi)
-			}
-			if i > 0 && pos[i-1] >= p {
-				return fmt.Errorf("server %d: delta %s positions must be strictly ascending", e.view.Index, side)
-			}
-		}
-		return nil
+	// A Store drops columns the layout does not name; an update carrying
+	// shares or positions this server does not store for the table (χ on
+	// S2, counts or v-columns the table was outsourced without, an unknown
+	// sum column) was built for another layout and is refused.
+	if req.bytes() != in.bytes() || (!spec.HasVerify && len(r.VPos) != 0) {
+		return nil, 0, fmt.Errorf("server %d: table %q update carries columns its layout here does not store", e.view.Index, spec.Name)
 	}
-	if err := checkPos("χ-order", r.Pos); err != nil {
-		return nil, 0, err
-	}
-	np := len(r.Pos)
-	additive := e.view.Index < 2
-	if additive && len(r.Chi) != np {
-		return nil, 0, fmt.Errorf("server %d: %d χ shares for %d positions", e.view.Index, len(r.Chi), np)
-	}
-	if !additive && len(r.Chi) != 0 {
-		return nil, 0, fmt.Errorf("server %d: holds no additive χ shares", e.view.Index)
-	}
-	if len(r.Sums) > len(spec.AggCols) {
-		return nil, 0, fmt.Errorf("server %d: delta carries %d sum columns, table has %d", e.view.Index, len(r.Sums), len(spec.AggCols))
-	}
-	for _, col := range spec.AggCols {
-		if len(r.Sums[col]) != np {
-			return nil, 0, fmt.Errorf("server %d: delta column %q share length mismatch", e.view.Index, col)
-		}
-	}
-	if spec.HasCount {
-		if len(r.Cnt) != np {
-			return nil, 0, fmt.Errorf("server %d: delta count column length mismatch", e.view.Index)
-		}
-	} else if len(r.Cnt) != 0 {
-		return nil, 0, fmt.Errorf("server %d: table %q has no count column", e.view.Index, spec.Name)
-	}
-	nv := len(r.VPos)
-	if !spec.HasVerify {
-		if nv != 0 || len(r.ChiBar) != 0 || len(r.VSums) != 0 || len(r.VCnt) != 0 {
-			return nil, 0, fmt.Errorf("server %d: table %q outsourced without verification columns", e.view.Index, spec.Name)
-		}
-	} else {
-		if err := checkPos("χ̄-order", r.VPos); err != nil {
-			return nil, 0, err
-		}
-		if additive && len(r.ChiBar) != nv {
-			return nil, 0, fmt.Errorf("server %d: %d χ̄ shares for %d positions", e.view.Index, len(r.ChiBar), nv)
-		}
-		if !additive && len(r.ChiBar) != 0 {
-			return nil, 0, fmt.Errorf("server %d: holds no additive χ̄ shares", e.view.Index)
-		}
-		for _, col := range spec.AggCols {
-			if len(r.VSums[col]) != nv {
-				return nil, 0, fmt.Errorf("server %d: delta v-column %q share length mismatch", e.view.Index, col)
-			}
-		}
-		if spec.HasCount && len(r.VCnt) != nv {
-			return nil, 0, fmt.Errorf("server %d: delta v-count column length mismatch", e.view.Index)
-		}
-	}
-
 	var ents []sharestore.DeltaCol
 	n := 0
-	add := func(col string, width int, pos []uint64, vals []uint64) {
+	for _, cd := range cols {
+		pos := r.Pos
+		if cd.bar {
+			pos = r.VPos
+		}
 		if len(pos) == 0 {
-			return
+			continue
 		}
-		ents = append(ents, sharestore.DeltaCol{Name: colKey(r.Owner, col), Width: width, Pos: pos, Vals: vals})
+		vals := in.u64[cd.name]
+		if cd.width == 2 {
+			vals = widenU16(in.u16[cd.name])
+		}
+		ents = append(ents, sharestore.DeltaCol{Name: colKey(r.Owner, cd.name), Width: cd.width, Pos: pos, Vals: vals})
 		n += len(pos)
-	}
-	if additive {
-		add("chi", 2, r.Pos, widenU16(r.Chi))
-	}
-	for _, col := range spec.AggCols {
-		add("sum."+col, 8, r.Pos, r.Sums[col])
-	}
-	if spec.HasCount {
-		add("cnt", 8, r.Pos, r.Cnt)
-	}
-	if spec.HasVerify {
-		if additive {
-			add("chibar", 2, r.VPos, widenU16(r.ChiBar))
-		}
-		for _, col := range spec.AggCols {
-			add("vsum."+col, 8, r.VPos, r.VSums[col])
-		}
-		if spec.HasCount {
-			add("vcnt", 8, r.VPos, r.VCnt)
-		}
 	}
 	return ents, n, nil
 }

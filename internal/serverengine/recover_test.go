@@ -446,7 +446,8 @@ func TestRecoverReoutsourceOldOrNew(t *testing.T) {
 			if err := createCols(st, "t", pendKey, cols, b); err != nil {
 				t.Fatal(err)
 			}
-			if err := reqCols(&zeros).pick(cols).writeAt(st, "t", pendKey, 0); err != nil {
+			in := reqCols(zeros.ChiAdd, zeros.ChiBarAdd, zeros.SumCols, zeros.VSumCols, zeros.CountCol, zeros.VCountCol)
+			if err := in.pick(cols).writeAt(st, "t", pendKey, 0); err != nil {
 				t.Fatal(err)
 			}
 			for _, cd := range cols[:tc.promoted] {

@@ -130,12 +130,9 @@ func (e *Engine) handleStore(r protocol.StoreRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := e.specCols(r.Spec)
-	in := reqCols(&r).pick(cols)
-	for _, cd := range cols {
-		if got := in.cells(cd.name); uint64(got) != rg.Count {
-			return nil, fmt.Errorf("server %d: table %q column %s carries %d cells, want %d", e.view.Index, r.Spec.Name, cd.name, got, rg.Count)
-		}
+	_, in, err := e.layoutCols(r.Spec, reqCols(r.ChiAdd, r.ChiBarAdd, r.SumCols, r.VSumCols, r.CountCol, r.VCountCol), rg.Count, rg.Count)
+	if err != nil {
+		return nil, err
 	}
 
 	// One window at a time per (table, owner): absorbing it runs

@@ -1,8 +1,9 @@
 // Delta-log segments: the persistent half of incremental updates.
 //
-// A streaming owner ships small per-window updates instead of
-// re-outsourcing whole columns. Each server appends every accepted
-// update window to a per-table delta log before acknowledging it:
+// A streaming owner ships small updates — one request per update and
+// server — instead of re-outsourcing whole columns. Each server appends
+// every accepted update to a per-table delta log, as one segment, before
+// acknowledging it:
 //
 //	<table>/deltalog/
 //	    d<seq>.dseg    magic "PRSD", version, CRC32 of the body,

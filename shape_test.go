@@ -2,7 +2,11 @@ package prism
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -170,4 +174,175 @@ func TestVerifiedKindsTakeTwoRounds(t *testing.T) {
 			})
 		}
 	}
+}
+
+// serverCalls counts, per group and server, the requests of each message
+// type the wrapped servers receive.
+type serverCalls [][3]*callCounts
+
+func interceptAll(sys *System) serverCalls {
+	calls := make(serverCalls, sys.NumGroups())
+	for g := range calls {
+		for phi := range calls[g] {
+			calls[g][phi] = &callCounts{n: make(map[string]int)}
+			sys.interceptGroupServer(g, phi, calls[g][phi].wrap)
+		}
+	}
+	return calls
+}
+
+func (sc serverCalls) reset() {
+	for g := range sc {
+		for _, c := range sc[g] {
+			c.mu.Lock()
+			clear(c.n)
+			c.mu.Unlock()
+		}
+	}
+}
+
+// deltaSegments counts the delta-log segment files of group g's server
+// phi for table "main".
+func deltaSegments(t *testing.T, sys *System, g, phi int) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(sys.cfg.DiskDir, serverDiskDir(g, phi), tableName, "deltalog", "*.dseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(segs)
+}
+
+// TestUpdateIsOneExchange holds an update to the unit the owner makes it:
+// whatever the window size, in memory and on disk, over one server group
+// and two, a single append, an append with a removal and a 40-row batch
+// each reach every server of every touched group as exactly one
+// StoreDeltaRequest — and no server of an untouched group as any —, grow
+// each of those servers' delta logs by exactly one segment, leave S0 and
+// S1 with the same backlog, and every kind of the kind table answering
+// as the plaintext oracle over the updated tuples does.
+func TestUpdateIsOneExchange(t *testing.T) {
+	const b = 64
+	ctx := context.Background()
+	for _, disk := range []bool{false, true} {
+		for _, shard := range []uint64{0, 10, b} {
+			for _, groups := range []int{1, 2} {
+				t.Run(fmt.Sprintf("disk=%v/ShardCells=%d/groups=%d", disk, shard, groups), func(t *testing.T) {
+					sys := shapeSystem(t, disk, groups, b, shard)
+					orc := loadPlanted(t, sys, plantedCells(sys, 5), int64(80+groups))
+					calls := interceptAll(sys)
+					var batchCells, batchVals []uint64
+					for i := uint64(0); i < 40; i++ {
+						batchCells, batchVals = append(batchCells, (i*37+3)%b), append(batchVals, 1+i)
+					}
+					for _, up := range []struct {
+						name              string
+						owner             int
+						addCells, addVals []uint64
+						remove            int // tuples of the owner's to remove, from the front
+					}{
+						{"single add", 1, []uint64{7}, []uint64{123}, 0},
+						{"add+remove", 2, []uint64{b - 2}, []uint64{45}, 1},
+						{"40-row batch", 0, batchCells, batchVals, 0},
+					} {
+						j := up.owner
+						rmCells, rmVals := orc.sets[j][:up.remove], orc.vals[j][:up.remove]
+						touched := make([]bool, groups)
+						for _, c := range append(slices.Clone(up.addCells), rmCells...) {
+							g := 0
+							for g+1 < groups && c >= sys.Owner(0).Engine().GroupView(g+1).Start {
+								g++
+							}
+							touched[g] = true
+						}
+						segsBefore := make([][3]int, groups)
+						for g := range segsBefore {
+							for phi := range segsBefore[g] {
+								segsBefore[g][phi] = deltaSegments(t, sys, g, phi)
+							}
+						}
+						calls.reset()
+						st, err := sys.Owner(j).UpdateCells(ctx, up.addCells, map[string][]uint64{"v": up.addVals}, rmCells, map[string][]uint64{"v": rmVals})
+						if err != nil {
+							t.Fatalf("%s: %v", up.name, err)
+						}
+						if st.Cells == 0 {
+							t.Errorf("%s: reports no changed cell", up.name)
+						}
+						for g := 0; g < groups; g++ {
+							want := map[string]int{}
+							if touched[g] {
+								want["StoreDeltaRequest"] = 1
+							}
+							for phi := 0; phi < 3; phi++ {
+								if got := calls[g][phi].n; !maps.Equal(got, want) {
+									t.Errorf("%s: group %d server %d received %v, want %v", up.name, g, phi, got, want)
+								}
+								if grew := deltaSegments(t, sys, g, phi) - segsBefore[g][phi]; disk && grew != want["StoreDeltaRequest"] {
+									t.Errorf("%s: group %d server %d delta log grew by %d segments, want %d", up.name, g, phi, grew, want["StoreDeltaRequest"])
+								}
+							}
+							if b0, b1 := sys.GroupServerEngine(g, 0).DeltaBacklog(tableName), sys.GroupServerEngine(g, 1).DeltaBacklog(tableName); b0 != b1 || (touched[g] && b0 == 0) {
+								t.Errorf("%s: group %d delta backlog S0 %d, S1 %d", up.name, g, b0, b1)
+							}
+						}
+						orc.sets[j] = append(slices.Clone(orc.sets[j][up.remove:]), up.addCells...)
+						orc.vals[j] = append(slices.Clone(orc.vals[j][up.remove:]), up.addVals...)
+						orc.rebuild()
+						directAnswers(t, sys, orc)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOversizeUpdateRejectedWhole: an update whose requests exceed the
+// frame cap fails with ErrFrameTooLarge before any server has received a
+// byte of it and leaves the owner as it was, so shipping the same rows as
+// two smaller updates succeeds and answers as the oracle does.
+func TestOversizeUpdateRejectedWhole(t *testing.T) {
+	const b = 64
+	ctx := context.Background()
+	sys := shapeSystem(t, false, 1, b, 0)
+	orc := loadPlanted(t, sys, plantedCells(sys, 5), 90)
+	calls := interceptAll(sys)
+	var cells, vals []uint64
+	for i := uint64(0); i < 40; i++ {
+		cells, vals = append(cells, (i*37+3)%b), append(vals, 1+i)
+	}
+	update := func(lo, hi int) error {
+		_, err := sys.Owner(0).UpdateCells(ctx, cells[lo:hi], map[string][]uint64{"v": vals[lo:hi]}, nil, nil)
+		return err
+	}
+	before := sys.Owner(0).Engine().Data()
+	// Every server's request carries, in both position spaces, 40
+	// positions and 40 shares per column, 8 bytes apiece for the Shamir
+	// ones: framed, S2's — the smallest — is about 1.7 kB, and a 20-row
+	// request to S0 about 1.1 kB.
+	restore := transport.SetFrameLimit(1500)
+	defer restore()
+	if err := update(0, 40); !errors.Is(err, transport.ErrFrameTooLarge) {
+		t.Fatalf("oversize update: err = %v, want ErrFrameTooLarge", err)
+	}
+	for phi := 0; phi < 3; phi++ {
+		if got := calls[0][phi].n; len(got) != 0 {
+			t.Errorf("server %d received %v of the refused update", phi, got)
+		}
+		if n := sys.ServerEngine(phi).DeltaBacklog(tableName); n != 0 {
+			t.Errorf("server %d delta backlog = %d after the refused update", phi, n)
+		}
+	}
+	if after := sys.Owner(0).Engine().Data(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused update changed the owner's loaded data")
+	}
+	for _, half := range [][2]int{{0, 20}, {20, 40}} {
+		if err := update(half[0], half[1]); err != nil {
+			t.Fatalf("rows [%d,%d) as their own update: %v", half[0], half[1], err)
+		}
+	}
+	restore() // the queries below move whole vectors
+	orc.sets[0] = append(slices.Clone(orc.sets[0]), cells...)
+	orc.vals[0] = append(slices.Clone(orc.vals[0]), vals...)
+	orc.rebuild()
+	directAnswers(t, sys, orc)
 }

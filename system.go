@@ -329,8 +329,10 @@ func (o *Owner) Outsource(ctx context.Context) (ShareGenStats, error) {
 // outsourced table: add and remove list rows to insert and delete
 // (either may be nil). Removed rows must match rows the owner
 // previously contributed. Only the cells the change touches are
-// re-shared and shipped (as delta windows the servers merge over the
-// base), so the cost scales with the change, not the domain.
+// re-shared and shipped (one delta request per server, merged over the
+// base), so the cost scales with the change, not the domain. On an
+// error nothing owner-side has changed; calling Update again with the
+// same rows is safe and converges the servers.
 func (o *Owner) Update(ctx context.Context, add, remove []Row) (UpdateStats, error) {
 	var addData, rmData *ownerengine.Data
 	var err error

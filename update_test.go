@@ -7,8 +7,12 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"prism/internal/protocol"
+	"prism/internal/transport"
 )
 
 // updateConfig is the deployment shape of the incremental-update tests.
@@ -106,7 +110,7 @@ func updateFingerprint(t *testing.T, sys *System) string {
 }
 
 // TestIncrementalUpdateMatchesReoutsource is the tentpole's correctness
-// contract: after Owner.Update ships delta windows, every query must
+// contract: after Owner.Update ships its deltas, every query must
 // answer exactly as a freshly re-outsourced table holding the updated
 // dataset — in-memory and disk-backed, monolithic and sharded wire,
 // before compaction, with compaction racing queries, and after the
@@ -512,5 +516,147 @@ func TestUpdatePlainTable(t *testing.T) {
 	got := fmt.Sprintf("%v", res.Cells)
 	if got != "[2 8]" { // cells are 0-based (IntKey 3 → cell 2, 9 → cell 8)
 		t.Fatalf("PSI after update = %v", res.Cells)
+	}
+}
+
+// TestFailedUpdateLeavesOwnerUntouched: an update one server refuses
+// returns that server's error and folds nothing owner-side — not the
+// loaded data, not the retained tables, not in a group whose own servers
+// all took it — so the natural reaction, calling Update again with the
+// same rows, applies the change exactly once: every server in turn
+// refuses owner 0's first StoreDeltaRequest, over one server group and
+// two and with one window or four, and the table then answers as a fresh
+// outsource of the final data does.
+func TestFailedUpdateLeavesOwnerUntouched(t *testing.T) {
+	errRefused := errors.New("refused by the test")
+	ctx := context.Background()
+	for _, groups := range []int{1, 2} {
+		for _, shard := range []uint64{0, 64} {
+			work := updateWorkloads(3)
+			build := func(rows func(updateWorkload) []Row) *System {
+				cfg := updateConfig(t, "", shard)
+				cfg.Groups = groups
+				sys, err := NewLocalSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(sys.Close)
+				for j, w := range work {
+					if err := sys.Owner(j).Load(rows(w)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := sys.OutsourceAll(ctx); err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			want := updateFingerprint(t, build(func(w updateWorkload) []Row { return w.final }))
+			for g := 0; g < groups; g++ {
+				for phi := 0; phi < 3; phi++ {
+					t.Run(fmt.Sprintf("groups=%d/ShardCells=%d/refuser=g%d-s%d", groups, shard, g, phi), func(t *testing.T) {
+						sys := build(func(w updateWorkload) []Row { return w.base })
+						var refused atomic.Int32
+						sys.interceptGroupServer(g, phi, func(inner transport.Handler) transport.Handler {
+							return transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+								if _, ok := req.(protocol.StoreDeltaRequest); ok && refused.Add(1) == 1 {
+									return nil, errRefused
+								}
+								return inner.Handle(ctx, req)
+							})
+						})
+						mine, other := sys.Owner(0).Engine().Data(), sys.Owner(1).Engine().Data()
+						if _, err := sys.Owner(0).Update(ctx, work[0].add, work[0].remove); !errors.Is(err, errRefused) {
+							t.Fatalf("refused update: err = %v, want the server's", err)
+						}
+						if got := sys.Owner(0).Engine().Data(); !reflect.DeepEqual(got, mine) {
+							t.Errorf("the refused update changed owner 0's loaded data")
+						}
+						if got := sys.Owner(1).Engine().Data(); !reflect.DeepEqual(got, other) {
+							t.Errorf("the refused update changed owner 1's loaded data")
+						}
+						for j, w := range work {
+							if _, err := sys.Owner(j).Update(ctx, w.add, w.remove); err != nil {
+								t.Fatalf("owner %d update after the refusal: %v", j, err)
+							}
+						}
+						if got := updateFingerprint(t, sys); got != want {
+							t.Errorf("retried update diverged from a fresh outsource of the final data:\n--- want ---\n%s--- got ---\n%s", want, got)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestShareStreamDeterministic: Config.Seed fixes every share the owners
+// ever send — with four aggregation columns, whose sum and v-sum shares
+// come off the root PRG one column after another, an outsource and an
+// update put the same StoreRequest and StoreDeltaRequest payloads on
+// every server in every run.
+func TestShareStreamDeterministic(t *testing.T) {
+	cols := []string{"a", "b", "c", "d"}
+	row := func(key, v uint64) Row {
+		r := Row{IntKey: key, Aggs: map[string]uint64{}}
+		for i, col := range cols {
+			r.Aggs[col] = v + uint64(i)
+		}
+		return r
+	}
+	run := func() map[string]any {
+		dom, err := IntDomain(1, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewLocalSystem(Config{
+			Owners: 2, Domain: dom, AggColumns: cols, MaxAggValue: 1000, Verify: true,
+			Seed: [32]byte{23}, ShardCells: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		var mu sync.Mutex
+		sent := make(map[string]any)
+		for phi := 0; phi < 3; phi++ {
+			sys.interceptServer(phi, func(inner transport.Handler) transport.Handler {
+				return transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+					mu.Lock()
+					switch r := req.(type) {
+					case protocol.StoreRequest:
+						sent[fmt.Sprintf("s%d/store/o%d/%d", phi, r.Owner, r.Shard.Offset)] = r
+					case protocol.StoreDeltaRequest:
+						sent[fmt.Sprintf("s%d/delta/o%d", phi, r.Owner)] = r
+					}
+					mu.Unlock()
+					return inner.Handle(ctx, req)
+				})
+			})
+		}
+		for j := 0; j < 2; j++ {
+			if err := sys.Owner(j).Load([]Row{row(5, 10), row(9, 20), row(uint64(30+j), 30)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := context.Background()
+		if _, err := sys.OutsourceAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Owner(0).Update(ctx, []Row{row(17, 40), row(9, 50)}, []Row{row(5, 10)}); err != nil {
+			t.Fatal(err)
+		}
+		return sent
+	}
+	first := run()
+	if want := 3 * (2*4 + 1); len(first) != want {
+		t.Fatalf("captured %d requests, want %d (4 windows per owner and one update, at 3 servers)", len(first), want)
+	}
+	for rep := 1; rep < 20; rep++ {
+		for key, got := range run() {
+			if !reflect.DeepEqual(got, first[key]) {
+				t.Fatalf("run %d: %s differs from the first run's under the same seed", rep, key)
+			}
+		}
 	}
 }
