@@ -89,7 +89,7 @@ func (o *engine) prepareUpdate(table string, add, remove *Data) (*update, error)
 	// absolute value on top.
 	t.upMu.Lock()
 	u := &update{t: t}
-	if err := o.buildUpdate(u, table, add, remove); err != nil || len(u.cells) == 0 {
+	if err := o.buildUpdate(u, add, remove); err != nil || len(u.cells) == 0 {
 		t.upMu.Unlock()
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func (o *engine) prepareUpdate(table string, add, remove *Data) (*update, error)
 }
 
 // buildUpdate fills in u for a validated change. Caller holds t.upMu.
-func (o *engine) buildUpdate(u *update, table string, add, remove *Data) error {
+func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 	t, spec := u.t, u.t.spec
 	start := time.Now()
 	o.mu.Lock()
@@ -252,7 +252,7 @@ func (o *engine) buildUpdate(u *update, table string, add, remove *Data) error {
 	for phi := range u.reqs {
 		c := sh.server(phi, 0, uint64(n))
 		u.reqs[phi] = protocol.StoreDeltaRequest{
-			Owner: o.Index, Group: o.view.Group, Table: table,
+			Owner: o.Index, Group: o.view.Group, Table: spec.Table,
 			Pos: pos1, Chi: c.ChiAdd, Sums: c.SumCols, Cnt: c.CountCol,
 			VPos: pos2, ChiBar: c.ChiBarAdd, VSums: c.VSumCols, VCnt: c.VCountCol,
 		}
@@ -262,7 +262,7 @@ func (o *engine) buildUpdate(u *update, table string, add, remove *Data) error {
 }
 
 // shipUpdate sends each server of the group its one request and returns
-// once all three have acknowledged, or the first refusal.
+// once all three have answered: nil, or the refusals joined.
 func (o *engine) shipUpdate(ctx context.Context, u *update) error {
 	start := time.Now()
 	replies, err := o.callServers(ctx, params.NumServers, func(phi int) any { return u.reqs[phi] })
