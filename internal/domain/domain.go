@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Domain is the ordered, publicly known domain of one attribute.
@@ -95,7 +96,7 @@ func (d *Domain) Label(cell uint64) string {
 	if d.names != nil {
 		return d.names[cell]
 	}
-	return fmt.Sprintf("%d", d.lo+cell)
+	return strconv.FormatUint(d.lo+cell, 10)
 }
 
 // BuildChi builds the χ bitmap over b cells: chi[cell] = 1 iff cell

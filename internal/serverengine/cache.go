@@ -37,7 +37,6 @@ type chunkCache struct {
 	track     func(delta int64) // held-bytes gauge hook (may be nil)
 	entries   map[chunkID]*chunkEntry
 	lru       *list.List // front = most recently used *chunkEntry
-	info      map[string]sharestore.ColumnInfo
 	discarded bool
 }
 
@@ -62,7 +61,6 @@ func newChunkCache(budget int64, track func(delta int64)) *chunkCache {
 		track:   track,
 		entries: make(map[chunkID]*chunkEntry),
 		lru:     list.New(),
-		info:    make(map[string]sharestore.ColumnInfo),
 	}
 }
 
@@ -103,26 +101,6 @@ func cacheGet[T sharestore.Cell](c *chunkCache, key chunkID, load func() ([]T, e
 	<-e.ready
 	v, _ = e.val.([]T)
 	return v, true, e.err
-}
-
-// getInfo caches column shapes (the 26-byte chunk-index read) for the
-// epoch. Loads may race; the shape is immutable within an epoch, so the
-// last write wins harmlessly.
-func (c *chunkCache) getInfo(col string, load func() (sharestore.ColumnInfo, error)) (sharestore.ColumnInfo, error) {
-	c.mu.Lock()
-	ci, ok := c.info[col]
-	c.mu.Unlock()
-	if ok {
-		return ci, nil
-	}
-	ci, err := load()
-	if err != nil {
-		return ci, err
-	}
-	c.mu.Lock()
-	c.info[col] = ci
-	c.mu.Unlock()
-	return ci, nil
 }
 
 // errLoadAborted is what waiters observe when a chunk load panicked
@@ -202,7 +180,6 @@ func (c *chunkCache) discard() {
 	c.bytes = 0
 	c.entries = make(map[chunkID]*chunkEntry)
 	c.lru.Init()
-	c.info = make(map[string]sharestore.ColumnInfo)
 }
 
 // Len reports the number of cached chunks (tests and monitoring).

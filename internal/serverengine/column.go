@@ -18,6 +18,7 @@ import (
 
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
+	"prism/internal/slicepool"
 )
 
 // colDef names one column of a table layout (without the "o<owner>."
@@ -238,6 +239,35 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // hand out zero-copy slices and report no fetch time; disk reads are
 // timed into Stats.FetchNS and served through the per-table hot-chunk
 // cache when enabled. Both merge the table's delta overlay in.
+//
+// A fetched slice is either shared — an in-memory column, a cached
+// chunk, or patchWindow's clone of one — or borrowed: taken from the
+// cell pool by the fetch itself (every gather, and every window that had
+// to be read or joined). Borrowed slices live for one kernel call:
+// ownerCells hands the caller a release function for exactly those.
+
+// The cell pools lend the fetch layer its slices; cellPool picks T's.
+var (
+	u16Cells slicepool.Pool[uint16]
+	u64Cells slicepool.Pool[uint64]
+)
+
+func cellPool[T sharestore.Cell]() *slicepool.Pool[T] {
+	if p, ok := any(&u16Cells).(*slicepool.Pool[T]); ok {
+		return p
+	}
+	return any(&u64Cells).(*slicepool.Pool[T])
+}
+
+// release hands a borrowed slice back once its kernel has finished.
+func release[T sharestore.Cell](e *Engine, v []T) {
+	if e.poisonReleased {
+		for i := range v {
+			v[i] = ^T(0)
+		}
+	}
+	cellPool[T]().Put(v)
+}
 
 // memCol resolves an in-memory column by its layout name.
 func memCol[T sharestore.Cell](e *Engine, t *tableView, owner int, col string) ([]T, error) {
@@ -248,20 +278,15 @@ func memCol[T sharestore.Cell](e *Engine, t *tableView, owner int, col string) (
 	return v, nil
 }
 
-// cached runs read — a store read of entry k of disk column key — through
-// the table's chunk cache when there is one, timing it into FetchNS when
-// it actually runs.
+// cached loads entry k of disk column key — a retained, shared slice —
+// through the table's chunk cache, timing the store read when it runs.
 func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protocol.Stats, read func() ([]T, error)) ([]T, error) {
-	load := func() ([]T, error) {
+	v, hit, err := cacheGet(t.cache, chunkID{key, k}, func() ([]T, error) {
 		start := time.Now()
 		v, err := read()
 		stats.FetchNS += time.Since(start).Nanoseconds()
 		return v, err
-	}
-	if t.cache == nil {
-		return load()
-	}
-	v, hit, err := cacheGet(t.cache, chunkID{key, k}, load)
+	})
 	if hit {
 		stats.CacheHits++
 		mCacheHits.Inc()
@@ -271,22 +296,8 @@ func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protoc
 	return v, err
 }
 
-// colInfo reports a disk column's shape, cached per table epoch.
-func (e *Engine) colInfo(t *tableView, key string, stats *protocol.Stats) (sharestore.ColumnInfo, error) {
-	load := func() (sharestore.ColumnInfo, error) {
-		start := time.Now()
-		info, err := e.opts.Store.Stat(t.spec.Name, key)
-		stats.FetchNS += time.Since(start).Nanoseconds()
-		return info, err
-	}
-	if t.cache != nil {
-		return t.cache.getInfo(key, load)
-	}
-	return load()
-}
-
-// chunkSpan returns chunk k of a disk column, via the hot-chunk cache
-// when enabled. The slice may be shared with other queries.
+// chunkSpan returns chunk k of a disk column from the hot-chunk cache.
+// The slice may be shared with other queries.
 func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64, stats *protocol.Stats) ([]T, error) {
 	return cached(t, key, k, stats, func() ([]T, error) {
 		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
@@ -294,24 +305,24 @@ func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64,
 }
 
 // fetchWindow returns owner j's cells [rg.Offset, rg.End()) of a column,
-// with the table's delta overlay merged in. The raw fetch reports
-// whether the slice is owned by the caller; shared slices (in-memory
-// columns, cached chunks) are cloned only when an overlay entry actually
-// lands in the window.
-func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, error) {
-	v, owned, err := fetchWindowRaw[T](e, t, owner, col, rg, stats)
+// with the table's delta overlay merged in, and whether the slice is
+// borrowed. Shared slices are cloned only when an overlay entry actually
+// lands in the window; borrowed ones are patched in place.
+func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
+	v, borrowed, err := fetchWindowRaw[T](e, t, owner, col, rg, stats)
 	if err != nil || t.delta == nil {
-		return v, err
+		return v, borrowed, err
 	}
 	start := time.Now()
-	v = patchWindow(t.delta, colKey(owner, col), rg, v, owned)
+	v = patchWindow(t.delta, colKey(owner, col), rg, v, borrowed)
 	stats.PatchNS += time.Since(start).Nanoseconds()
-	return v, nil
+	return v, borrowed, nil
 }
 
 // fetchWindowRaw is the overlay-free window fetch: a zero-copy slice for
-// in-memory tables (owned=false), a chunk-ranged read for disk tables
-// (owned unless served straight from the chunk cache).
+// in-memory tables and windows the chunk cache holds whole, otherwise a
+// borrowed slice filled straight from the chunk files (cache off) or
+// joined from cached chunks.
 func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
 	if !t.owners[owner].onDisk {
 		v, err := memCol[T](e, t, owner, col)
@@ -321,14 +332,14 @@ func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		return v[rg.Offset:rg.End()], false, nil
 	}
 	key := colKey(owner, col)
-	readRange := func(off, count uint64) func() ([]T, error) {
-		return func() ([]T, error) { return sharestore.ReadRange[T](e.opts.Store, t.spec.Name, key, off, count) }
-	}
 	if t.cache == nil {
-		v, err := cached(t, key, 0, stats, readRange(rg.Offset, rg.Count))
-		return v, true, err
+		out := cellPool[T]().Get(int(rg.Count))
+		start := time.Now()
+		err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, key, rg.Offset, out)
+		stats.FetchNS += time.Since(start).Nanoseconds()
+		return out, true, err
 	}
-	info, err := e.colInfo(t, key, stats)
+	info, err := e.opts.Store.Stat(t.spec.Name, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -343,10 +354,12 @@ func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		// Whole-table window over a multi-chunk column: cache the
 		// assembled column as one entry so warm queries get a zero-copy
 		// slice handoff instead of re-joining chunks per query.
-		v, err := cached(t, key, fullColumnChunk, stats, readRange(0, info.Cells))
+		v, err := cached(t, key, fullColumnChunk, stats, func() ([]T, error) {
+			return sharestore.ReadRange[T](e.opts.Store, t.spec.Name, key, 0, info.Cells)
+		})
 		return v, false, err
 	}
-	out := make([]T, rg.Count)
+	out := cellPool[T]().Get(int(rg.Count))
 	for k := rg.Offset / cc; rg.Count > 0 && k*cc < rg.End(); k++ {
 		chunk, err := chunkSpan[T](e, t, key, k, stats)
 		if err != nil {
@@ -398,25 +411,25 @@ func buildGatherPlan(idx []uint32, cc, cells uint64) gatherPlan {
 }
 
 // fetchGather returns owner j's cells idx[0..n) of a column, in idx
-// order, with the delta overlay merged in. Disk tables visit each
-// touched chunk once (per the plan), so residency is O(len(idx) + chunk)
-// even when the indices scatter across the whole column (permuted reply
-// windows, bucket-tree frontiers).
-func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
+// order, with the delta overlay merged in; the slice is always borrowed.
+// Disk tables visit each touched chunk once (per the plan), so residency
+// is O(len(idx) + chunk) even when the indices scatter across the whole
+// column (permuted reply windows, bucket-tree frontiers).
+func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, bool, error) {
 	out, err := fetchGatherRaw[T](e, t, owner, col, idx, plan, stats)
 	if err == nil && t.delta != nil {
-		// The gathered slice is always freshly built, so the overlay
-		// patches it in place.
 		start := time.Now()
 		patchGather(t.delta, colKey(owner, col), idx, out)
 		stats.PatchNS += time.Since(start).Nanoseconds()
 	}
-	return out, err
+	return out, true, err
 }
 
-// fetchGatherRaw is the overlay-free gather.
+// fetchGatherRaw is the overlay-free gather. With the cache off the
+// store copies the wanted cells straight out of each verified chunk's
+// bytes; no chunk is decoded whole.
 func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
-	out := make([]T, len(idx))
+	out := cellPool[T]().Get(len(idx))
 	if !t.owners[owner].onDisk {
 		v, err := memCol[T](e, t, owner, col)
 		if err != nil {
@@ -428,7 +441,7 @@ func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		return out, nil
 	}
 	key := colKey(owner, col)
-	info, err := e.colInfo(t, key, stats)
+	info, err := e.opts.Store.Stat(t.spec.Name, key)
 	if err != nil {
 		return nil, err
 	}
@@ -439,30 +452,53 @@ func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		plan = &p
 	}
 	for c, k := range plan.chunks {
-		chunk, err := chunkSpan[T](e, t, key, k, stats)
+		order := plan.order[plan.starts[c]:plan.starts[c+1]]
+		var chunk []T
+		if t.cache == nil {
+			start := time.Now()
+			err = sharestore.GatherChunk(e.opts.Store, t.spec.Name, key, k, idx, order, out)
+			stats.FetchNS += time.Since(start).Nanoseconds()
+		} else if chunk, err = chunkSpan[T](e, t, key, k, stats); err == nil {
+			for _, i := range order {
+				out[i] = chunk[uint64(idx[i])-k*plan.cc]
+			}
+		}
 		if err != nil {
 			return nil, err
-		}
-		lo := k * plan.cc
-		for _, i := range plan.order[plan.starts[c]:plan.starts[c+1]] {
-			out[i] = chunk[uint64(idx[i])-lo]
 		}
 	}
 	return out, nil
 }
 
-// ownerWindows fetches every owner's cells of col for the stored-cell
-// window rg.
-func ownerWindows[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([][]T, error) {
+// ownerCells runs fetch for every owner and returns the fetched slices
+// with a release function to run once the kernel reading them has
+// finished: it hands back the borrowed ones and leaves the shared alone.
+func ownerCells[T sharestore.Cell](e *Engine, fetch func(owner int) ([]T, bool, error)) ([][]T, func(), error) {
 	out := make([][]T, e.view.M)
+	var lent [][]T
+	done := func() {
+		for _, v := range lent {
+			release(e, v)
+		}
+	}
 	for j := range out {
-		v, err := fetchWindow[T](e, t, j, col, rg, stats)
+		v, borrowed, err := fetch(j)
 		if err != nil {
-			return nil, err
+			done()
+			return nil, nil, err
+		}
+		if borrowed {
+			lent = append(lent, v)
 		}
 		out[j] = v
 	}
-	return out, nil
+	return out, done, nil
+}
+
+// ownerWindows fetches every owner's cells of col for the stored-cell
+// window rg.
+func ownerWindows[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([][]T, func(), error) {
+	return ownerCells(e, func(j int) ([]T, bool, error) { return fetchWindow[T](e, t, j, col, rg, stats) })
 }
 
 // chiShares fetches every owner's χ (bar=false) or χ̄ (bar=true) share
@@ -471,7 +507,7 @@ func ownerWindows[T sharestore.Cell](e *Engine, t *tableView, col string, rg pro
 // inverse server permutation or a bucket-tree frontier, used as it is.
 // The chunk-grouping plan of a gather is computed once and shared across
 // owners (their columns share the store's chunk geometry).
-func (e *Engine) chiShares(t *tableView, bar bool, rg protocol.Range, idx []uint32, stats *protocol.Stats) ([][]uint16, error) {
+func (e *Engine) chiShares(t *tableView, bar bool, rg protocol.Range, idx []uint32, stats *protocol.Stats) ([][]uint16, func(), error) {
 	col := "chi"
 	if bar {
 		col = "chibar"
@@ -482,22 +518,14 @@ func (e *Engine) chiShares(t *tableView, bar bool, rg protocol.Range, idx []uint
 	var plan *gatherPlan
 	for j := 0; j < e.view.M; j++ {
 		if t.owners[j].onDisk {
-			info, err := e.colInfo(t, colKey(j, col), stats)
+			info, err := e.opts.Store.Stat(t.spec.Name, colKey(j, col))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
 			plan = &p
 			break
 		}
 	}
-	out := make([][]uint16, e.view.M)
-	for j := range out {
-		v, err := fetchGather[uint16](e, t, j, col, idx, plan, stats)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = v
-	}
-	return out, nil
+	return ownerCells(e, func(j int) ([]uint16, bool, error) { return fetchGather[uint16](e, t, j, col, idx, plan, stats) })
 }

@@ -117,9 +117,12 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 				}
 				for _, b := range backends {
 					var stats protocol.Stats
-					got, err := fetchWindow[T](e, b.tv, 0, col, w.rg, &stats)
+					got, borrowed, err := fetchWindow[T](e, b.tv, 0, col, w.rg, &stats)
 					if err != nil {
 						t.Fatalf("%s: %v", b.name, err)
+					}
+					if b.name == "ram" && borrowed || b.name == "disk-nocache" && !borrowed {
+						t.Fatalf("%s: borrowed = %v", b.name, borrowed)
 					}
 					if !slices.Equal(got, want[w.rg.Offset:w.rg.End()]) {
 						t.Fatalf("%s: cells %v, want %v", b.name, got, want[w.rg.Offset:w.rg.End()])
@@ -147,7 +150,7 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 				view(ram, nil, delta), view(disk, nil, delta), view(disk, cache, delta), view(disk, cache, delta),
 			} {
 				var stats protocol.Stats
-				got, err := fetchGather[T](e, tv, 0, col, frontier, nil, &stats)
+				got, _, err := fetchGather[T](e, tv, 0, col, frontier, nil, &stats)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,7 +166,7 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 
 	// A column the set does not hold is an error naming the table on
 	// either width.
-	if _, err := fetchWindow[T](e, view(ram, nil, nil), 0, "ghost", windows[1].rg, &protocol.Stats{}); err == nil ||
+	if _, _, err := fetchWindow[T](e, view(ram, nil, nil), 0, "ghost", windows[1].rg, &protocol.Stats{}); err == nil ||
 		err.Error() != `server 0: table "t" owner 0 missing ghost column` {
 		t.Errorf("missing column error = %v", err)
 	}

@@ -173,6 +173,8 @@ type Engine struct {
 	// store versus O(b) for in-memory serving.
 	heldBytes atomic.Int64
 	peakHeld  atomic.Int64
+
+	poisonReleased bool // tests only: release overwrites what it hands back
 }
 
 type table struct {
@@ -604,10 +606,11 @@ func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, ce
 		}
 		idx, scatter = permutedWindow(rg, t.spec.B, pf, inv)
 	}
-	shares, err := e.chiShares(t, bar, rg, idx, stats)
+	shares, release, err := e.chiShares(t, bar, rg, idx, stats)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	return e.psiVector(shares, !bar, scatter, stats), nil
 }
 
@@ -637,11 +640,12 @@ func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
 		idx, scatter = permutedWindow(rg, t.spec.B, e.view.S1, &e.s1inv)
 	}
 	var stats protocol.Stats
-	shares, err := e.chiShares(t, false, rg, idx, &stats)
+	shares, release, err := e.chiShares(t, false, rg, idx, &stats)
 	if err != nil {
 		return nil, err
 	}
 	out := e.psuMasked(shares, rg, r.QueryID, scatter, &stats)
+	release()
 	e.finishQuery("psu", r.TraceID, rpcStart, &stats)
 	return protocol.PSUReply{Out: out, Stats: stats}, nil
 }

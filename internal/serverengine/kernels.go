@@ -195,7 +195,7 @@ func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid string, sca
 // degree rises to 2). z is parallel to the window, not the full column;
 // only the chunks overlapping the window are fetched.
 func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Range, stats *protocol.Stats) ([]uint64, error) {
-	cols, err := ownerWindows[uint64](e, t, col, rg, stats)
+	cols, release, err := ownerWindows[uint64](e, t, col, rg, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -203,6 +203,7 @@ func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Ran
 	acc := make([]uint64, n)
 	start := time.Now()
 	e.parallel(n, func(lo, hi int) { sumKernel(acc, cols, z, lo, hi) })
+	release()
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
 	return acc, nil

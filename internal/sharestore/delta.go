@@ -276,27 +276,17 @@ func (s *Store) PatchCells(table, col string, width int, pos, vals []uint64) err
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
 	for _, k := range chunks {
 		lo := k * ci.chunkCells
-		hi := lo + ci.chunkCells
-		if hi > ci.cells {
-			hi = ci.cells
-		}
-		buf, err := readChunkPayload(dir, ci, k)
-		if errors.Is(err, fs.ErrNotExist) {
-			// A chunk no upload window ever touched reads as zeros.
-			buf, err = make([]byte, (hi-lo)*uint64(width)), nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, i := range byChunk[k] {
-			off := (pos[i] - lo) * uint64(width)
-			if width == 2 {
-				binary.LittleEndian.PutUint16(buf[off:], uint16(vals[i]))
-			} else {
-				binary.LittleEndian.PutUint64(buf[off:], vals[i])
+		err := rewriteChunk(dir, ci, k, func(buf []byte) {
+			for _, i := range byChunk[k] {
+				off := (pos[i] - lo) * uint64(width)
+				if width == 2 {
+					binary.LittleEndian.PutUint16(buf[off:], uint16(vals[i]))
+				} else {
+					binary.LittleEndian.PutUint64(buf[off:], vals[i])
+				}
 			}
-		}
-		if err := writeChunkAtomic(dir, k, width, buf); err != nil {
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -9,15 +9,19 @@ import (
 
 // FuzzChunkFile hardens the parser every stored byte is read through:
 // arbitrary bytes as chunk file c0.ck under a valid index, at both cell
-// widths, must make ReadRange, ReadChunk and VerifyColumn return an error
-// or exactly the cells the bytes encode — never panic, never size an
-// allocation from the file's length field — and must leave the
-// neighbouring chunk readable.
+// widths, must make ReadRange, ReadRangeInto, ReadChunk, GatherChunk and
+// VerifyColumn return an error or exactly the cells the bytes encode —
+// never panic, never size an allocation from the file's length field —
+// and must leave the neighbouring chunk readable.
 func FuzzChunkFile(f *testing.F) {
 	const chunkCells, cells = 4, 6 // c0.ck holds 4 cells, c1.ck the last 2
 	f.Add(encodeChunk(2, cellBytes([]uint16{1, 2, 3, 65535})))
 	f.Add(encodeChunk(8, cellBytes([]uint64{1, 2, 3, 1<<64 - 1})))
 	f.Add(encodeChunk(8, cellBytes([]uint64{1, 2, 3}))) // one cell short
+	for _, whole := range [][]byte{encodeChunk(2, cellBytes([]uint16{1, 2, 3, 4})), encodeChunk(8, cellBytes([]uint64{1, 2, 3, 4}))} {
+		f.Add(append(slices.Clone(whole), 0)) // one byte long
+		f.Add(whole[:len(whole)-1])           // one byte short
+	}
 	f.Add(encodeChunk(2, cellBytes([]uint16{1, 2, 3, 4}))[:chunkHeaderLen+3])
 	f.Add(append([]byte("PRSC\x02\x08\xff\xff\xff\xff\xff\xff\xff\x7f"), make([]byte, 36)...)) // absurd cell count
 	f.Add([]byte("PRSC"))
@@ -62,6 +66,28 @@ func fuzzChunkFile[T Cell](t *testing.T, data []byte, chunkCells, cells uint64) 
 		}
 	} else if chunkErr == nil {
 		t.Fatalf("ReadRange rejects a chunk ReadChunk serves: %v", err)
+	}
+	into := make([]T, 4)
+	if err := ReadRangeInto(st, "x", "y", 1, into); (err == nil) != (chunkErr == nil) ||
+		err == nil && !slices.Equal(into, append(slices.Clone(want[1:]), good[chunkCells])) {
+		t.Fatalf("ReadRangeInto served %v, %v (ReadChunk err %v)", into, err, chunkErr)
+	}
+	// Gather cells 3 and 0 of the fuzzed chunk; cell 5 lives next door.
+	idx, out := []uint32{3, 0, 5}, make([]T, 3)
+	if err := GatherChunk(st, "x", "y", 0, idx, []int32{1, 0}, out); (err == nil) != (chunkErr == nil) ||
+		err == nil && (out[0] != want[3] || out[1] != want[0]) {
+		t.Fatalf("GatherChunk served %v, %v (ReadChunk err %v)", out, err, chunkErr)
+	}
+	if err := GatherChunk(st, "x", "y", 0, idx, []int32{2}, out); err == nil {
+		t.Fatal("GatherChunk served a cell outside its chunk")
+	}
+	if err := GatherChunk(st, "x", "y", 1, idx, []int32{2}, out); err != nil || out[2] != good[5] {
+		t.Fatalf("neighbouring chunk disturbed: gathered %v, %v", out[2], err)
+	}
+	if len(data) == chunkHeaderLen+int(chunkCells)*w+1 || len(data) == chunkHeaderLen+int(chunkCells)*w-1 {
+		if chunkErr == nil {
+			t.Fatalf("a chunk file one byte off its length was served: %v", chunk)
+		}
 	}
 	if err := st.VerifyColumn("x", "y", w, cells); err == nil && chunkErr != nil {
 		t.Fatalf("VerifyColumn passes a chunk ReadChunk rejects: %v", chunkErr)

@@ -26,9 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
+
+	"prism/internal/slicepool"
 )
 
 const (
@@ -137,7 +141,17 @@ func parseIndex(raw []byte) (chunkIndex, error) {
 	return ci, nil
 }
 
-func (s *Store) readIndex(dir string) (chunkIndex, error) {
+// index returns the chunk index of the column stored in dir. The file is
+// read once: the result is memoised until forget drops it, which every
+// operation that replaces or removes an index file does on its way out.
+// A miss reads the file under the lock, so a stale index can never be
+// stored after the forget that follows its replacement.
+func (s *Store) index(dir string) (chunkIndex, error) {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	if ci, ok := s.idx[dir]; ok {
+		return ci, nil
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, "index"))
 	if errors.Is(err, fs.ErrNotExist) && recoverColumnDir(dir) {
 		raw, err = os.ReadFile(filepath.Join(dir, "index"))
@@ -149,7 +163,20 @@ func (s *Store) readIndex(dir string) (chunkIndex, error) {
 	if err != nil {
 		return ci, fmt.Errorf("%w (%s)", err, dir)
 	}
+	s.idx[dir] = ci
 	return ci, nil
+}
+
+// forget drops the memoised index of every column directory at or below
+// path (a column directory or a whole table directory).
+func (s *Store) forget(path string) {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	for dir := range s.idx {
+		if dir == path || strings.HasPrefix(dir, path+string(filepath.Separator)) {
+			delete(s.idx, dir)
+		}
+	}
 }
 
 // recoverColumnDir restores a column moved aside by an interrupted
@@ -212,23 +239,58 @@ func parseChunk(raw []byte, wantWidth int, wantCells uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// readChunkPayload loads and verifies chunk k of a chunked column.
-func readChunkPayload(dir string, ci chunkIndex, k uint64) ([]byte, error) {
+// chunkBufs recycles the buffers chunk files are read into.
+var chunkBufs slicepool.Pool[byte]
+
+// visitChunk is the one chunk reader: it reads chunk k of a column into
+// a pooled buffer, verifies it (magic, version, width, cell count, exact
+// file length, CRC32) and hands fn the payload, valid until fn returns.
+func visitChunk(dir string, ci chunkIndex, k uint64, fn func(payload []byte) error) error {
 	lo := k * ci.chunkCells
 	if lo >= ci.cells {
-		return nil, fmt.Errorf("sharestore: chunk %d outside column of %d cells", k, ci.cells)
+		return fmt.Errorf("sharestore: chunk %d outside column of %d cells", k, ci.cells)
 	}
-	hi := min(lo+ci.chunkCells, ci.cells)
+	cells := min(ci.chunkCells, ci.cells-lo)
 	path := chunkPath(dir, k)
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	payload, err := parseChunk(raw, ci.width, hi-lo)
+	//prism:allow atomicwrite f is only read: its Close has no write to lose
+	defer f.Close()
+	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("sharestore: %s: %w", path, err)
+		return err
 	}
-	return payload, nil
+	// The index says how long the file must be. Read one byte past that,
+	// so a longer file fails parseChunk's length check, and never more
+	// than the file holds, so a forged index cannot size the buffer.
+	n := min(int64(chunkHeaderLen)+int64(cells)*int64(ci.width), st.Size()) + 1
+	buf := chunkBufs.Get(int(n))
+	defer chunkBufs.Put(buf)
+	got, err := io.ReadFull(f, buf)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	payload, err := parseChunk(buf[:got], ci.width, cells)
+	if err != nil {
+		return fmt.Errorf("sharestore: %s: %w", path, err)
+	}
+	return fn(payload)
+}
+
+// rewriteChunk reads chunk k (all zeros when no window has written it
+// yet), lets patch edit the payload and atomically writes it back.
+func rewriteChunk(dir string, ci chunkIndex, k uint64, patch func(payload []byte)) error {
+	write := func(payload []byte) error {
+		patch(payload)
+		return writeChunkAtomic(dir, k, ci.width, payload)
+	}
+	err := visitChunk(dir, ci, k, write)
+	if errors.Is(err, fs.ErrNotExist) {
+		err = write(make([]byte, min(ci.chunkCells, ci.cells-k*ci.chunkCells)*uint64(ci.width)))
+	}
+	return err
 }
 
 func writeChunkAtomic(dir string, k uint64, width int, payload []byte) error {
@@ -241,7 +303,7 @@ func writeChunkAtomic(dir string, k uint64, width int, payload []byte) error {
 // width a caller is about to read or write it as.
 func (s *Store) column(table, col string, width int) (string, chunkIndex, error) {
 	dir := s.colDir(table, col)
-	ci, err := s.readIndex(dir)
+	ci, err := s.index(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return dir, ci, fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
 	}
@@ -258,6 +320,7 @@ func (s *Store) column(table, col string, width int) (string, chunkIndex, error)
 // removing any previous column under the name.
 func (s *Store) create(table, col string, width int, cells uint64) error {
 	dir := s.colDir(table, col)
+	defer s.forget(dir)
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
@@ -294,22 +357,12 @@ func (s *Store) writeRange(table, col string, width int, off uint64, payload []b
 		chunkHi := min(chunkLo+cc, ci.cells)
 		lo, hi := max(chunkLo, off), min(chunkHi, off+n) // window ∩ chunk, in cells
 		src := payload[(lo-off)*uint64(width) : (hi-off)*uint64(width)]
-		var buf []byte
 		if lo == chunkLo && hi == chunkHi {
-			buf = src // full-chunk rewrite: no read-modify-write
+			err = writeChunkAtomic(dir, k, width, src) // full-chunk rewrite: no read-modify-write
 		} else {
-			buf, err = readChunkPayload(dir, ci, k)
-			if errors.Is(err, fs.ErrNotExist) {
-				// Partial write into a chunk no window has touched yet:
-				// unwritten cells read as zero until they arrive.
-				buf, err = make([]byte, (chunkHi-chunkLo)*uint64(width)), nil
-			}
-			if err != nil {
-				return err
-			}
-			copy(buf[(lo-chunkLo)*uint64(width):], src)
+			err = rewriteChunk(dir, ci, k, func(buf []byte) { copy(buf[(lo-chunkLo)*uint64(width):], src) })
 		}
-		if err := writeChunkAtomic(dir, k, width, buf); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -348,7 +401,9 @@ func (s *Store) buildColumnDir(dir string, width int, cells uint64, payload []by
 // moved aside, src renamed into place, and the leftovers cleaned up. On
 // rename failure the previous column is restored, so at every crash
 // point either the old or the new column is completely present.
-func swapInColumnDir(src, dst string) error {
+func (s *Store) swapInColumnDir(src, dst string) error {
+	defer s.forget(dst)
+	defer s.forget(src)
 	old := dst + ".old"
 	if err := os.RemoveAll(old); err != nil {
 		return err
@@ -383,7 +438,7 @@ func (s *Store) writeFull(table, col string, width int, cells uint64, payload []
 		os.RemoveAll(stage)
 		return err
 	}
-	if err := swapInColumnDir(stage, dir); err != nil {
+	if err := s.swapInColumnDir(stage, dir); err != nil {
 		os.RemoveAll(stage)
 		return err
 	}
@@ -392,7 +447,7 @@ func (s *Store) writeFull(table, col string, width int, cells uint64, payload []
 
 // Stat reports a column's shape without reading its payload.
 func (s *Store) Stat(table, col string) (ColumnInfo, error) {
-	ci, err := s.readIndex(s.colDir(table, col))
+	ci, err := s.index(s.colDir(table, col))
 	if errors.Is(err, fs.ErrNotExist) {
 		return ColumnInfo{}, fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
 	}
@@ -431,16 +486,29 @@ func encode[T Cell](dst []byte, src []T) {
 	}
 }
 
-// decode fills dst from little-endian src (len(src) ≥ Width·len(dst)).
-func decode[T Cell](dst []T, src []byte) {
+// cellAt decodes the little-endian cell at the start of src.
+func cellAt[T Cell](src []byte) T {
 	if Width[T]() == 2 {
-		for i := range dst {
-			dst[i] = T(binary.LittleEndian.Uint16(src[2*i:]))
+		return T(binary.LittleEndian.Uint16(src))
+	}
+	return T(binary.LittleEndian.Uint64(src))
+}
+
+// decode fills dst from little-endian src (len(src) ≥ Width·len(dst)),
+// four cells a step: one load (uint16) or one bounds check (uint64).
+func decode[T Cell](dst []T, src []byte) {
+	w := Width[T]()
+	for ; len(dst) >= 4; dst, src = dst[4:], src[4*w:] {
+		if w == 2 {
+			u := binary.LittleEndian.Uint64(src)
+			dst[0], dst[1], dst[2], dst[3] = T(uint16(u)), T(uint16(u>>16)), T(uint16(u>>32)), T(uint16(u>>48))
+		} else {
+			s := src[:32]
+			dst[0], dst[1], dst[2], dst[3] = T(binary.LittleEndian.Uint64(s)), T(binary.LittleEndian.Uint64(s[8:])), T(binary.LittleEndian.Uint64(s[16:])), T(binary.LittleEndian.Uint64(s[24:]))
 		}
-		return
 	}
 	for i := range dst {
-		dst[i] = T(binary.LittleEndian.Uint64(src[8*i:]))
+		dst[i] = cellAt[T](src[w*i:])
 	}
 }
 
@@ -470,46 +538,78 @@ func WriteRange[T Cell](s *Store, table, col string, off uint64, data []T) error
 	return s.writeRange(table, col, Width[T](), off, cellBytes(data))
 }
 
-// ReadRange loads cells [off, off+count), reading only the chunks that
-// overlap the window and decoding each one's overlap straight into the
-// result.
-func ReadRange[T Cell](s *Store, table, col string, off, count uint64) ([]T, error) {
-	w := uint64(Width[T]())
-	dir, ci, err := s.column(table, col, int(w))
-	if err != nil {
-		return nil, err
+// window opens table/col as a column of T holding cells [off, off+count):
+// the width and bounds check of every typed read.
+func window[T Cell](s *Store, table, col string, off, count uint64) (string, chunkIndex, error) {
+	dir, ci, err := s.column(table, col, Width[T]())
+	if err == nil && (off > ci.cells || count > ci.cells-off) {
+		err = fmt.Errorf("sharestore: %s/%s: read [%d, %d) outside column of %d cells", table, col, off, off+count, ci.cells)
 	}
-	if off > ci.cells || count > ci.cells-off {
-		return nil, fmt.Errorf("sharestore: %s/%s: read [%d, %d) outside column of %d cells", table, col, off, off+count, ci.cells)
+	return dir, ci, err
+}
+
+// ReadRange loads cells [off, off+count) into a new slice.
+func ReadRange[T Cell](s *Store, table, col string, off, count uint64) ([]T, error) {
+	if _, _, err := window[T](s, table, col, off, count); err != nil {
+		return nil, err // before count sizes the allocation
 	}
 	out := make([]T, count)
-	cc := ci.chunkCells
-	for k := off / cc; count > 0 && k*cc < off+count; k++ {
-		payload, err := readChunkPayload(dir, ci, k)
-		if err != nil {
-			return nil, err
-		}
-		chunkLo := k * cc
-		lo, hi := max(chunkLo, off), min(chunkLo+uint64(len(payload))/w, off+count)
-		decode(out[lo-off:hi-off], payload[(lo-chunkLo)*w:])
+	return out, ReadRangeInto(s, table, col, off, out)
+}
+
+// ReadRangeInto fills dst with cells [off, off+len(dst)): each chunk that
+// overlaps the window is decoded straight from its verified bytes.
+func ReadRangeInto[T Cell](s *Store, table, col string, off uint64, dst []T) error {
+	dir, ci, err := window[T](s, table, col, off, uint64(len(dst)))
+	if err != nil {
+		return err
 	}
-	return out, nil
+	w, cc, end := uint64(ci.width), ci.chunkCells, off+uint64(len(dst))
+	for k := off / cc; err == nil && off < end && k*cc < end; k++ {
+		chunkLo := k * cc
+		err = visitChunk(dir, ci, k, func(payload []byte) error {
+			lo, hi := max(chunkLo, off), min(chunkLo+uint64(len(payload))/w, end)
+			decode(dst[lo-off:hi-off], payload[(lo-chunkLo)*w:])
+			return nil
+		})
+	}
+	return err
 }
 
 // ReadChunk loads chunk k of a column (cells
-// [k·ChunkCells, min((k+1)·ChunkCells, Cells))).
-func ReadChunk[T Cell](s *Store, table, col string, k uint64) ([]T, error) {
+// [k·ChunkCells, min((k+1)·ChunkCells, Cells))) into a new slice.
+func ReadChunk[T Cell](s *Store, table, col string, k uint64) (out []T, err error) {
 	dir, ci, err := s.column(table, col, Width[T]())
 	if err != nil {
 		return nil, err
 	}
-	payload, err := readChunkPayload(dir, ci, k)
+	err = visitChunk(dir, ci, k, func(payload []byte) error {
+		out = make([]T, len(payload)/ci.width)
+		decode(out, payload)
+		return nil
+	})
+	return out, err
+}
+
+// GatherChunk reads chunk k of a column and sets out[i] to cell idx[i]
+// for every i in order, decoding only those; all must lie in chunk k.
+func GatherChunk[T Cell](s *Store, table, col string, k uint64, idx []uint32, order []int32, out []T) error {
+	dir, ci, err := s.column(table, col, Width[T]())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]T, len(payload)/Width[T]())
-	decode(out, payload)
-	return out, nil
+	lo, w := k*ci.chunkCells, uint64(ci.width)
+	return visitChunk(dir, ci, k, func(payload []byte) error {
+		cells := uint64(len(payload)) / w
+		for _, i := range order {
+			c := uint64(idx[i]) - lo // wraps past any chunk size when idx[i] < lo
+			if c >= cells {
+				return fmt.Errorf("sharestore: %s/%s: cell %d outside chunk %d", table, col, idx[i], k)
+			}
+			out[i] = cellAt[T](payload[c*w:])
+		}
+		return nil
+	})
 }
 
 // RenameColumn renames a column within a table, replacing any column
@@ -526,13 +626,14 @@ func (s *Store) RenameColumn(table, from, to string) error {
 		}
 		return err
 	}
-	return swapInColumnDir(src, s.colDir(table, to))
+	return s.swapInColumnDir(src, s.colDir(table, to))
 }
 
 // DeleteColumn removes a column, along with any staged transients from
 // interrupted writes (missing is not an error).
 func (s *Store) DeleteColumn(table, col string) error {
 	dir := s.colDir(table, col)
+	defer s.forget(dir)
 	for _, d := range []string{dir, dir + ".new", dir + ".old"} {
 		if err := os.RemoveAll(d); err != nil {
 			return err

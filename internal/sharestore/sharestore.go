@@ -41,6 +41,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // formatVersion is the version byte of chunk, index and delta-segment
@@ -51,6 +52,8 @@ const formatVersion = 2
 type Store struct {
 	dir        string
 	chunkCells uint64 // chunk size (cells) for newly created columns
+	idxMu      sync.Mutex
+	idx        map[string]chunkIndex // column dir → its index file, read once (see index)
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -58,7 +61,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sharestore: %w", err)
 	}
-	return &Store{dir: dir, chunkCells: DefaultChunkCells}, nil
+	return &Store{dir: dir, chunkCells: DefaultChunkCells, idx: make(map[string]chunkIndex)}, nil
 }
 
 // Dir returns the root directory.
@@ -153,6 +156,7 @@ func (s *Store) HasColumn(table, col string) bool {
 
 // DropTable removes a table directory and all its columns.
 func (s *Store) DropTable(table string) error {
+	defer s.forget(filepath.Join(s.dir, sanitize(table)))
 	return os.RemoveAll(filepath.Join(s.dir, sanitize(table)))
 }
 

@@ -37,7 +37,8 @@ const quarantineDir = ".quarantine"
 // chunks. It returns nil when the column is safe to serve.
 func (s *Store) VerifyColumn(table, col string, width int, cells uint64) error {
 	dir := s.colDir(table, col)
-	ci, err := s.readIndex(dir)
+	s.forget(dir) // the boot check trusts the disk, not an earlier read of it
+	ci, err := s.index(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("sharestore: %s/%s: %w", table, col, ErrNotFound)
 	}
@@ -66,7 +67,7 @@ func (s *Store) VerifyColumn(table, col string, width int, cells uint64) error {
 	// CRC spot-check the edges (first and last chunks): a crash tears the
 	// segment being written, and uploads stream windows in order.
 	for _, k := range spotChunks(n) {
-		if _, err := readChunkPayload(dir, ci, k); err != nil {
+		if err := visitChunk(dir, ci, k, func([]byte) error { return nil }); err != nil {
 			return fmt.Errorf("sharestore: %s/%s: %w", table, col, err)
 		}
 	}
@@ -101,6 +102,7 @@ type QuarantineInfo struct {
 // does not exist is an error.
 func (s *Store) QuarantineTable(table, reason, detail string) error {
 	src := filepath.Join(s.dir, sanitize(table))
+	defer s.forget(src)
 	if _, err := os.Stat(src); err != nil {
 		return fmt.Errorf("sharestore: quarantine %q: %w", table, err)
 	}

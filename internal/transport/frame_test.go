@@ -56,7 +56,7 @@ func frameBody(t testing.TB, env *envelope) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer putFrameBuf(frame)
+	defer frameBufs.Put(frame)
 	if got := binary.BigEndian.Uint32(frame); int(got) != len(frame)-4 {
 		t.Fatalf("length prefix %d on a %d-byte body", got, len(frame)-4)
 	}
@@ -198,7 +198,7 @@ func FuzzFrameCodec(f *testing.F) {
 		if err != nil {
 			return // gob decodes some values it refuses to encode (e.g. a nil interface element)
 		}
-		defer putFrameBuf(frame)
+		defer frameBufs.Put(frame)
 		again, err := decodeFrame(frame[4:])
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"prism/internal/protocol"
+	"prism/internal/slicepool"
 )
 
 // MaxFrameBytes is the default cap on one wire frame's body (what
@@ -87,23 +87,8 @@ var ErrFrameVersion = errors.New("transport: unsupported frame version")
 // body does not parse.
 var ErrCorruptFrame = errors.New("transport: corrupt frame")
 
-// framePools recycles frame buffers; pool c holds capacities of bit
-// length c+1, so a small frame never pins a large buffer.
-var framePools [bits.UintSize]sync.Pool
-
-// getFrameBuf returns an empty buffer with capacity for n bytes.
-func getFrameBuf(n int) []byte {
-	if p, _ := framePools[bits.Len(uint(n)|1)-1].Get().(*[]byte); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]byte, 0, n)
-}
-
-// putFrameBuf returns a buffer from getFrameBuf (possibly regrown since)
-// once nothing references its bytes any more.
-func putFrameBuf(b []byte) {
-	framePools[bits.Len(uint(cap(b))|1)-1].Put(&b)
-}
+// frameBufs recycles frame buffers.
+var frameBufs slicepool.Pool[byte]
 
 // encodeFrame encodes env into one self-contained length-prefixed frame,
 // the only wire format of both the TCP transport and Network.EncodeWire:
@@ -116,7 +101,7 @@ func putFrameBuf(b []byte) {
 //
 // The slab section's size is known before anything is written, so a
 // message over the cap fails before its buffer is allocated. The frame
-// comes from the pool: hand it to putFrameBuf after the last use.
+// comes from the pool: hand it to frameBufs.Put after the last use.
 // Callers on a shared connection encode first and take the write lock
 // only for the byte copy, so a large frame never blocks cheap ones.
 func encodeFrame(env *envelope) ([]byte, error) {
@@ -126,15 +111,15 @@ func encodeFrame(env *envelope) ([]byte, error) {
 		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
 	const envelopeGuess = 1 << 10 // a regrow, not an error, when short
-	buf := bytes.NewBuffer(getFrameBuf(framePrefix + envelopeGuess + slabs.Size())[:framePrefix])
+	buf := bytes.NewBuffer(frameBufs.Get(framePrefix + envelopeGuess + slabs.Size())[:framePrefix])
 	if err := gob.NewEncoder(buf).Encode(&envelope{ID: env.ID, Payload: header, Err: env.Err}); err != nil {
-		putFrameBuf(buf.Bytes())
+		frameBufs.Put(buf.Bytes())
 		return nil, err
 	}
 	b := buf.Bytes()
 	n := len(b) - 4 + slabs.Size()
 	if int64(n) > FrameLimit() {
-		putFrameBuf(b)
+		frameBufs.Put(b)
 		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
 	binary.BigEndian.PutUint32(b[0:4], uint32(n))
@@ -179,7 +164,7 @@ func writeFrame(w io.Writer, env *envelope) error {
 	if err != nil {
 		return err
 	}
-	defer putFrameBuf(b)
+	defer frameBufs.Put(b)
 	_, err = w.Write(b)
 	return err
 }
@@ -194,8 +179,8 @@ func readFrame(r io.Reader) (*envelope, error) {
 	if int64(n) > FrameLimit() {
 		return nil, fmt.Errorf("%w (%d bytes announced)", ErrFrameTooLarge, n)
 	}
-	body := getFrameBuf(int(n))[:n]
-	defer putFrameBuf(body)
+	body := frameBufs.Get(int(n))
+	defer frameBufs.Put(body)
 	if m, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("transport: truncated frame (%d of %d bytes): %w", m, n, err)
 	}
@@ -320,7 +305,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 			wmu.Lock()
 			_, werr := conn.Write(frame)
 			wmu.Unlock()
-			putFrameBuf(frame)
+			frameBufs.Put(frame)
 			if werr != nil {
 				o.logf("transport: serve %s: writing reply %d: %v", conn.RemoteAddr(), req.ID, werr)
 			}
@@ -478,11 +463,11 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	select {
 	case tc.wtok <- struct{}{}:
 	case <-ctx.Done():
-		putFrameBuf(frame)
+		frameBufs.Put(frame)
 		unregister()
 		return nil, ctx.Err()
 	case <-tc.done:
-		putFrameBuf(frame)
+		frameBufs.Put(frame)
 		unregister()
 		return nil, fmt.Errorf("transport: send to %q: %w", addr, tc.closeErr)
 	}
@@ -501,7 +486,7 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 		}
 	})
 	_, werr := tc.conn.Write(frame)
-	putFrameBuf(frame)
+	frameBufs.Put(frame)
 	wdmu.Lock()
 	written = true
 	wdmu.Unlock()

@@ -171,7 +171,7 @@ func (n *Network) roundTrip(v any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer putFrameBuf(frame)
+	defer frameBufs.Put(frame)
 	size := int64(len(frame) - 4)
 	for {
 		prev := n.peakFrame.Load()

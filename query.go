@@ -33,8 +33,11 @@ func (s *System) run(ctx context.Context, ow *Owner, req Request) *Response {
 	switch req.Op.Family() {
 	case ownerengine.FamilySet:
 		resp.Set = &SetResult{Cells: res.Cells, Stats: stats}
-		for _, c := range res.Cells {
-			resp.Set.Values = append(resp.Set.Values, s.cfg.Domain.Label(c))
+		if len(res.Cells) > 0 { // an empty answer keeps its nil Values
+			resp.Set.Values = make([]string, len(res.Cells))
+		}
+		for i, c := range res.Cells {
+			resp.Set.Values[i] = s.cfg.Domain.Label(c)
 		}
 	case ownerengine.FamilyCount:
 		resp.Count = &CountResult{Count: res.Count, Stats: stats}
