@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,7 +48,7 @@ func TestMaliciousPSIReplacedCellDetected(t *testing.T) {
 	sys := hospitalSystem(t, true)
 	sys.interceptServer(0, tamper(func(req, reply any) any {
 		if r, ok := reply.(protocol.PSIReply); ok {
-			out := append([]uint64(nil), r.Out...)
+			out := append([]uint32(nil), r.Out...)
 			out[1] = out[0]
 			return protocol.PSIReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 		}
@@ -64,7 +65,7 @@ func TestMaliciousPSIInjectedValueDetected(t *testing.T) {
 	sys := hospitalSystem(t, true)
 	sys.interceptServer(1, tamper(func(req, reply any) any {
 		if r, ok := reply.(protocol.PSIReply); ok {
-			out := append([]uint64(nil), r.Out...)
+			out := append([]uint32(nil), r.Out...)
 			for i := range out {
 				out[i] = 1 // force "common" on every cell
 			}
@@ -83,7 +84,7 @@ func TestMaliciousCountTamperDetected(t *testing.T) {
 	sys := hospitalSystem(t, true)
 	sys.interceptServer(0, tamper(func(req, reply any) any {
 		if r, ok := reply.(protocol.CountReply); ok {
-			out := append([]uint64(nil), r.Out...)
+			out := append([]uint32(nil), r.Out...)
 			// Swap two cells: inflates/deflates nothing but moves mass.
 			out[0], out[2] = out[2], out[0]
 			return protocol.CountReply{Out: out, Vout: r.Vout, Stats: r.Stats}
@@ -123,7 +124,7 @@ func TestMaliciousCountEntryDetectedInEveryKernel(t *testing.T) {
 					if !ok || req.(protocol.CountRequest).Shard.Offset != tc.offset {
 						return nil
 					}
-					out := append([]uint64(nil), r.Out...)
+					out := append([]uint32(nil), r.Out...)
 					out[3]++
 					return protocol.CountReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 				}))
@@ -160,12 +161,60 @@ func TestMaliciousPSIProofEntryDetected(t *testing.T) {
 					if !ok || req.(protocol.PSIRequest).Shard.Offset != tc.offset {
 						return nil
 					}
-					vout := append([]uint64(nil), r.Vout...)
+					vout := append([]uint32(nil), r.Vout...)
 					vout[3]++
 					return protocol.PSIReply{Out: r.Out, Vout: vout, Stats: r.Stats}
 				}))
 				_, err := sys.PSI(context.Background())
 				wantProductCheck(t, err)
+			})
+		}
+	}
+}
+
+// TestMaliciousOutOfGroupCellsDetected: PSI and count cells are 32-bit,
+// so the widest value a server can inject is math.MaxUint32 — not a
+// group element and above η'. A server that answers a verified PSI or a
+// verified count with every Out cell at that value, in one window of a
+// 10-cell plan with one server group and with two (the last group's S0
+// lies), fails the r1·r2 ≡ 1 check rather than producing an answer.
+// (Every cell, not one: MaxUint32 mod η is a group element, so it is the
+// honest value at any cell where out¹ already has that residue.)
+func TestMaliciousOutOfGroupCellsDetected(t *testing.T) {
+	ctx := context.Background()
+	for _, groups := range []int{1, 2} {
+		sys := shapeSystem(t, false, groups, 64, 10)
+		loadPlanted(t, sys, plantedCells(sys, 5), 7)
+		for kind, run := range map[string]func() error{
+			"psi":   func() error { _, err := sys.PSI(ctx); return err },
+			"count": func() error { _, err := sys.PSICount(ctx); return err },
+		} {
+			t.Run(fmt.Sprintf("groups=%d/%s", groups, kind), func(t *testing.T) {
+				if err := run(); err != nil {
+					t.Fatalf("honest %s: %v", kind, err)
+				}
+				hostile := func(out []uint32) []uint32 {
+					out = append([]uint32(nil), out...)
+					for i := range out {
+						out[i] = math.MaxUint32
+					}
+					return out
+				}
+				sys.interceptGroupServer(groups-1, 0, tamper(func(req, reply any) any {
+					switch r := reply.(type) {
+					case protocol.PSIReply:
+						if req.(protocol.PSIRequest).Shard.Offset == 10 {
+							return protocol.PSIReply{Out: hostile(r.Out), Vout: r.Vout, Stats: r.Stats}
+						}
+					case protocol.CountReply:
+						if req.(protocol.CountRequest).Shard.Offset == 10 {
+							return protocol.CountReply{Out: hostile(r.Out), Vout: r.Vout, Stats: r.Stats}
+						}
+					}
+					return nil
+				}))
+				defer sys.restoreGroupServer(groups-1, 0)
+				wantProductCheck(t, run())
 			})
 		}
 	}
@@ -383,7 +432,7 @@ func TestHonestRunStillVerifies(t *testing.T) {
 	sys := hospitalSystem(t, true)
 	sys.interceptServer(0, tamper(func(req, reply any) any {
 		if r, ok := reply.(protocol.PSIReply); ok {
-			out := append([]uint64(nil), r.Out...)
+			out := append([]uint32(nil), r.Out...)
 			out[0] = 99
 			return protocol.PSIReply{Out: out, Vout: r.Vout, Stats: r.Stats}
 		}

@@ -58,6 +58,9 @@ func main() {
 	if err := viewio.Load(*viewPath, &view); err != nil {
 		fatal(err)
 	}
+	if err := params.CheckEtaPrime(view.EtaPrime); err != nil {
+		fatal(fmt.Errorf("%s: %w", *viewPath, err))
+	}
 	// Multi-group deployments bake the group id into the view file
 	// (prism-init -groups); the engine then rejects data-plane requests
 	// targeting any other group and stamps the group into table

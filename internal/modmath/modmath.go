@@ -182,12 +182,16 @@ func SubgroupGenerator(delta, eta uint64) (uint64, error) {
 }
 
 // PowTable precomputes t[e] = g^e mod m for e in [0, order). The PSI hot
-// loop is a single table lookup per cell instead of a PowMod.
-func PowTable(g, order, m uint64) []uint64 {
-	t := make([]uint64, order)
+// loop is a single table lookup per cell instead of a PowMod. m must be
+// at most 2^32, so every entry fits its 32-bit cell.
+func PowTable(g, order, m uint64) []uint32 {
+	if m > 1<<32 {
+		panic("modmath: PowTable modulus above 2^32")
+	}
+	t := make([]uint32, order)
 	var cur uint64 = 1 % m
 	for e := uint64(0); e < order; e++ {
-		t[e] = cur
+		t[e] = uint32(cur)
 		cur = MulMod(cur, g, m)
 	}
 	return t
@@ -212,4 +216,33 @@ func NewMod32(d uint64) Mod32 {
 func (r Mod32) Reduce(a uint32) uint32 {
 	hi, _ := bits.Mul64(r.m*uint64(a), r.d)
 	return uint32(hi)
+}
+
+// Mod64 reduces 64-bit values — products of two 32-bit residues — by one
+// fixed modulus below 2^32 with Barrett's method: one high multiply by
+// the precomputed ⌊(2^64−1)/d⌋ and one conditional subtraction instead
+// of a 128-by-64 division. The owner's per-cell products mod η keep one
+// per view.
+type Mod64 struct {
+	d, m uint64 // modulus and ⌊(2^64−1) / d⌋
+}
+
+// NewMod64 prepares reduction by d, 0 < d < 2^32.
+func NewMod64(d uint64) Mod64 {
+	if d == 0 || d >= 1<<32 {
+		panic("modmath: Mod64 modulus out of (0, 2^32)")
+	}
+	return Mod64{d: d, m: ^uint64(0) / d}
+}
+
+// Reduce returns a mod d, exact for every 64-bit a. The estimate
+// q = ⌊a·m / 2^64⌋ is ⌊a/d⌋ or one less, because m > 2^64/d − 1 (or
+// equals it when d is a power of two) and a < 2^64, so a − q·d < 2d.
+func (r Mod64) Reduce(a uint64) uint32 {
+	q, _ := bits.Mul64(a, r.m)
+	rem := a - q*r.d
+	if rem >= r.d {
+		rem -= r.d
+	}
+	return uint32(rem)
 }

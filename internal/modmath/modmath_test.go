@@ -178,7 +178,7 @@ func TestPowTable(t *testing.T) {
 	g, eta := uint64(3), uint64(143) // η' = 13·11 as in the paper's example
 	tab := PowTable(g, 5, eta)
 	for e := uint64(0); e < 5; e++ {
-		if tab[e] != PowMod(g, e, eta) {
+		if uint64(tab[e]) != PowMod(g, e, eta) {
 			t.Errorf("tab[%d]=%d want %d", e, tab[e], PowMod(g, e, eta))
 		}
 	}
@@ -219,4 +219,79 @@ func TestMod32MatchesDivision(t *testing.T) {
 			}
 		}
 	}
+}
+
+// splitmix64 is a deterministic 64-bit stream for the reducer tests.
+func splitmix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// TestMod64MatchesDivision: Barrett reduction by a modulus below 2^32 is
+// exact for every 64-bit value — the edges, the largest product of two
+// 32-bit cells, 2^64−1, random words and random products of two uint32.
+func TestMod64MatchesDivision(t *testing.T) {
+	n := 2_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	for _, m := range []uint64{2, 3, 227, 2951, 65537, 1<<31 - 1, 4294967291} {
+		r := NewMod64(m)
+		check := func(x uint64) {
+			if got := r.Reduce(x); uint64(got) != x%m {
+				t.Fatalf("Mod64(%d).Reduce(%d) = %d, want %d", m, x, got, x%m)
+			}
+		}
+		for _, x := range []uint64{0, 1, m - 1, m, m * m, (1<<32 - 1) * (1<<32 - 1), ^uint64(0)} {
+			check(x)
+		}
+		s := m
+		for i := 0; i < n; i++ {
+			w := splitmix64(&s)
+			check(w)
+			check(uint64(uint32(w)) * (w >> 32))
+		}
+	}
+}
+
+var sink uint64
+
+// BenchmarkMulMod and BenchmarkMod64 time one product mod η = 227 (the
+// paper's) per op: the generic 128-by-64 division the benchmark's
+// mulmod_ns probe times, and the owner's precomputed reduction of a
+// product of two 32-bit cells.
+func BenchmarkMulMod(b *testing.B) {
+	a, c := mod64Operands(227)
+	b.ResetTimer()
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		j := i & (len(a) - 1)
+		acc += MulMod(uint64(a[j]), uint64(c[j]), 227)
+	}
+	sink = acc
+}
+
+func BenchmarkMod64(b *testing.B) {
+	a, c := mod64Operands(227)
+	r := NewMod64(227)
+	b.ResetTimer()
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		j := i & (len(a) - 1)
+		acc += uint64(r.Reduce(uint64(a[j]) * uint64(c[j])))
+	}
+	sink = acc
+}
+
+// mod64Operands returns two 4096-entry vectors of residues mod m.
+func mod64Operands(m uint64) (a, c []uint32) {
+	a, c = make([]uint32, 4096), make([]uint32, 4096)
+	s := m
+	for i := range a {
+		a[i], c[i] = uint32(splitmix64(&s)%m), uint32(splitmix64(&s)%m)
+	}
+	return a, c
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"prism/internal/field"
-	"prism/internal/perm"
 	"prism/internal/protocol"
 	"prism/internal/share"
 	"prism/internal/telemetry"
@@ -61,16 +60,21 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	sess := o.newSession("agg")
 
 	start := time.Now()
-	z := make([]uint64, b)
+	// The selector z (z_c = 1 for each selected c) is built in stored
+	// order: c sits at DB1[c] on the χ side and DB2[c] on the χ̄ side. The
+	// splitter only reads it, so the χ̄ selector reuses the buffer.
+	zStored := make([]uint64, b)
 	for _, c := range selected {
-		z[c] = 1
+		zStored[o.view.DB1[c]] = 1
 	}
-	zStored := perm.Apply(o.view.DB1, z, nil)
 	zShares := share.ShamirSplitVector(sess.rng, zStored, 1, 3)
 	var vzShares [][]uint64
 	if verify {
-		vzStored := perm.Apply(o.view.DB2, z, nil)
-		vzShares = share.ShamirSplitVector(sess.rng, vzStored, 1, 3)
+		clear(zStored)
+		for _, c := range selected {
+			zStored[o.view.DB2[c]] = 1
+		}
+		vzShares = share.ShamirSplitVector(sess.rng, zStored, 1, 3)
 	}
 	ownerNS := time.Since(start).Nanoseconds()
 
@@ -153,43 +157,54 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	}
 
 	start = time.Now()
+	// Recombination reads the stored-order reconstructions through the
+	// owner permutations: cell i is sums[DB1[i]] and, on the χ̄ side,
+	// vsums[DB2[i]]. The §5.2 check covers every cell, selected or not.
 	res := &AggResult{Sums: make(map[string]map[uint64]uint64, len(cols))}
 	for _, col := range cols {
-		nat := perm.ApplyInverse(o.view.DB1, sums[col], nil)
 		if verify {
-			vnat := perm.ApplyInverse(o.view.DB2, vsums[col], nil)
-			for i := range nat {
-				if nat[i] != vnat[i] {
-					return nil, fmt.Errorf("%w: column %q cell %d differs between main and verification copies", ErrVerificationFailed, col, i)
-				}
+			if i := o.mismatch(sums[col], vsums[col]); i >= 0 {
+				return nil, fmt.Errorf("%w: column %q cell %d differs between main and verification copies", ErrVerificationFailed, col, i)
 			}
 		}
-		picked := make(map[uint64]uint64, len(selected))
-		for _, c := range selected {
-			picked[c] = nat[c]
-		}
-		res.Sums[col] = picked
+		res.Sums[col] = o.pick(sums[col], selected)
 	}
 	if withCount {
-		nat := perm.ApplyInverse(o.view.DB1, cnts, nil)
 		if verify {
-			vnat := perm.ApplyInverse(o.view.DB2, vcnts, nil)
-			for i := range nat {
-				if nat[i] != vnat[i] {
-					return nil, fmt.Errorf("%w: count cell %d differs between main and verification copies", ErrVerificationFailed, i)
-				}
+			if i := o.mismatch(cnts, vcnts); i >= 0 {
+				return nil, fmt.Errorf("%w: count cell %d differs between main and verification copies", ErrVerificationFailed, i)
 			}
 		}
-		res.Counts = make(map[uint64]uint64, len(selected))
-		for _, c := range selected {
-			res.Counts[c] = nat[c]
-		}
+		res.Counts = o.pick(cnts, selected)
 	}
 	stats.OwnerNS = ownerNS + stats.OwnerNS + time.Since(start).Nanoseconds()
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
 	res.Stats = stats
 	return res, nil
+}
+
+// mismatch compares the main and verification reconstructions cell by
+// cell in natural order — main[DB1[i]] against ver[DB2[i]] — and returns
+// the first cell where they differ, or -1 when none does.
+func (o *engine) mismatch(main, ver []uint64) int {
+	db2 := o.view.DB2
+	for i, at := range o.view.DB1 {
+		if main[at] != ver[db2[i]] {
+			return i
+		}
+	}
+	return -1
+}
+
+// pick returns the selected cells' values of a stored-order
+// reconstruction, keyed by natural cell.
+func (o *engine) pick(stored, selected []uint64) map[uint64]uint64 {
+	picked := make(map[uint64]uint64, len(selected))
+	for _, c := range selected {
+		picked[c] = stored[o.view.DB1[c]]
+	}
+	return picked
 }
 
 // interpolateWindow Lagrange-interpolates one window of three degree-2

@@ -26,19 +26,19 @@ func (s *shapeShifter) Call(_ context.Context, addr string, req any) (any, error
 	case protocol.PSIRequest:
 		switch s.mode {
 		case "short":
-			return protocol.PSIReply{Out: make([]uint64, s.b-1)}, nil
+			return protocol.PSIReply{Out: make([]uint32, s.b-1)}, nil
 		case "wrongtype":
 			return protocol.PSUReply{Out: make([]uint16, s.b)}, nil
 		}
 		// Right-sized result vector, short (or, unasked, absent) proof.
-		return protocol.PSIReply{Out: make([]uint64, s.b), Vout: make([]uint64, s.b-2)}, nil
+		return protocol.PSIReply{Out: make([]uint32, s.b), Vout: make([]uint32, s.b-2)}, nil
 	case protocol.PSURequest:
 		return protocol.PSUReply{Out: make([]uint16, s.b+1)}, nil
 	case protocol.CountRequest:
 		if s.mode == "noproof" {
-			return protocol.CountReply{Out: make([]uint64, s.b)}, nil
+			return protocol.CountReply{Out: make([]uint32, s.b)}, nil
 		}
-		return protocol.CountReply{Out: make([]uint64, s.b/2)}, nil
+		return protocol.CountReply{Out: make([]uint32, s.b/2)}, nil
 	case protocol.AggRequest:
 		if s.mode == "noproof" {
 			return protocol.AggReply{Sums: map[string][]uint64{"v": make([]uint64, s.b)}, Counts: make([]uint64, s.b),

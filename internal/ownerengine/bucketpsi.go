@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"prism/internal/bucket"
-	"prism/internal/modmath"
 	"prism/internal/protocol"
 	"prism/internal/share"
 )
@@ -78,8 +77,7 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 	}
 	wall := time.Now()
 	res := &BucketPSIResult{}
-	eta := o.view.Eta
-	one := 1 % eta
+	one := uint32(1 % o.view.Eta)
 
 	top := len(meta.sizes) - 1
 	frontier := make([]uint32, meta.sizes[top])
@@ -97,7 +95,7 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 		if err != nil {
 			return nil, err
 		}
-		outs := make([][]uint64, 2)
+		outs := make([][]uint32, 2)
 		for phi, r := range replies {
 			rep, ok := r.(protocol.PSIReply)
 			if !ok {
@@ -115,7 +113,7 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 		start := time.Now()
 		var common []uint32
 		for i := range frontier {
-			if modmath.MulMod(outs[0][i], outs[1][i], eta) == one {
+			if o.modEta.Reduce(uint64(outs[0][i])*uint64(outs[1][i])) == one {
 				common = append(common, frontier[i])
 			}
 		}

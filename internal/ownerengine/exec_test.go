@@ -93,7 +93,7 @@ func TestExecVerifiesEveryAggregate(t *testing.T) {
 		flip := transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
 			reply, err := s0.Handle(ctx, req)
 			if rep, ok := reply.(protocol.PSIReply); ok {
-				rep.Out = append([]uint64(nil), rep.Out...)
+				rep.Out = append([]uint32(nil), rep.Out...)
 				rep.Out[0]++
 				return rep, err
 			}

@@ -15,6 +15,7 @@ import (
 
 	"prism/internal/domain"
 	"prism/internal/field"
+	"prism/internal/modmath"
 	"prism/internal/params"
 	"prism/internal/perm"
 	"prism/internal/prg"
@@ -111,6 +112,12 @@ type engine struct {
 	bucketMeta map[string]*bucketMeta
 
 	w3 []field.Elem // Lagrange weights for 3 shares
+
+	// modEta and modDelta reduce the per-cell recombinations by η
+	// (products of two 32-bit PSI/count cells) and δ (sums of two PSU
+	// cells) without a division.
+	modEta   modmath.Mod64
+	modDelta modmath.Mod32
 }
 
 // localTable retains owner-local state about an outsourced table: the
@@ -163,6 +170,9 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 	if len(serverAddrs) != params.NumServers {
 		return nil, fmt.Errorf("ownerengine: need %d server addresses, got %d", params.NumServers, len(serverAddrs))
 	}
+	if view.Eta == 0 || view.Eta >= 1<<32 || view.Delta == 0 || view.Delta >= 1<<32 {
+		return nil, fmt.Errorf("ownerengine: view has η=%d, δ=%d; both must lie in (0, 2^32)", view.Eta, view.Delta)
+	}
 	o := &engine{
 		Index:      index,
 		view:       view,
@@ -172,6 +182,8 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 		tables:     make(map[string]*localTable),
 		bucketMeta: make(map[string]*bucketMeta),
 		w3:         share.LagrangeWeights(3),
+		modEta:     modmath.NewMod64(view.Eta),
+		modDelta:   modmath.NewMod32(view.Delta),
 	}
 	o.uploadEpoch = fmt.Sprintf("o%d-%x", index, o.rng.Uint64())
 	return o, nil

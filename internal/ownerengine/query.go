@@ -29,14 +29,14 @@ func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psi").qid
 	b := o.view.B
-	eta := o.view.Eta
-	one := 1 % eta
+	red := o.modEta
+	one := uint32(1 % o.view.Eta)
 	var stats QueryStats
 	stats.Rounds = 1
-	r1Stored := make([]uint64, b)
-	var r2Stored []uint64
+	r1Stored := make([]uint32, b)
+	var r2Stored []uint32
 	if verify {
-		r2Stored = make([]uint64, b)
+		r2Stored = make([]uint32, b)
 	}
 	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
 		return protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid, Shard: rg}
@@ -47,11 +47,9 @@ func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult
 		}
 		start := time.Now()
 		// fop_i ← out¹_i · out²_i mod η (Equation 4), stored order.
-		for i := range outs[0] {
-			r1Stored[rg.Offset+uint64(i)] = modmath.MulMod(outs[0][i], outs[1][i], eta)
-		}
-		for i := range vouts[0] {
-			r2Stored[rg.Offset+uint64(i)] = modmath.MulMod(vouts[0][i], vouts[1][i], eta)
+		mulInto(r1Stored[rg.Offset:rg.End()], outs, red)
+		if verify {
+			mulInto(r2Stored[rg.Offset:rg.End()], vouts, red)
 		}
 		stats.OwnerNS += time.Since(start).Nanoseconds()
 		return nil
@@ -66,7 +64,7 @@ func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult
 	var cells []uint64
 	for i := range b {
 		r1 := r1Stored[o.view.DB1[i]]
-		if verify && modmath.MulMod(r1, r2Stored[o.view.DB2[i]], eta) != one {
+		if verify && red.Reduce(uint64(r1)*uint64(r2Stored[o.view.DB2[i]])) != one {
 			return nil, fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
 		}
 		if r1 == one {
@@ -79,11 +77,21 @@ func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult
 	return &SetResult{Cells: cells, Stats: stats}, nil
 }
 
+// mulInto sets dst[i] = out¹_i · out²_i mod η for one window of a pair of
+// replies. Cells are below 2^32, so the product fits 64 bits and one
+// precomputed reduction replaces a division.
+func mulInto(dst []uint32, outs [2][]uint32, red modmath.Mod64) {
+	a, c := outs[0][:len(dst)], outs[1][:len(dst)]
+	for i := range dst {
+		dst[i] = red.Reduce(uint64(a[i]) * uint64(c[i]))
+	}
+}
+
 // sidePair type-checks one window's pair of PSI or count replies (they
 // are one shape) and length-checks their vectors. A verification vector
 // that was asked for and is missing or short is a server fault, not a
 // shape error: an owner that asked for proof and got none fails closed.
-func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg protocol.Range, verify bool, stats *QueryStats) (outs, vouts [2][]uint64, err error) {
+func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg protocol.Range, verify bool, stats *QueryStats) (outs, vouts [2][]uint32, err error) {
 	for phi, r := range replies {
 		rr, ok := r.(R)
 		if !ok {
@@ -111,10 +119,9 @@ func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psu").qid
 	b := o.view.B
-	delta := o.view.Delta
 	var stats QueryStats
 	stats.Rounds = 1
-	fopStored := make([]uint64, b)
+	fopStored := make([]uint16, b)
 	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
 		return protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
 	}, func(rg protocol.Range, replies []any) error {
@@ -123,8 +130,9 @@ func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
 			return err
 		}
 		start := time.Now()
-		for i := range outs[0] {
-			fopStored[rg.Offset+uint64(i)] = (uint64(outs[0][i]) + uint64(outs[1][i])) % delta // Equation 19
+		dst := fopStored[rg.Offset:rg.End()]
+		for i := range dst {
+			dst[i] = uint16(o.modDelta.Reduce(uint32(outs[0][i]) + uint32(outs[1][i]))) // Equation 19
 		}
 		stats.OwnerNS += time.Since(start).Nanoseconds()
 		return nil
@@ -180,8 +188,8 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("count").qid
 	b := o.view.B
-	eta := o.view.Eta
-	one := 1 % eta
+	red := o.modEta
+	one := uint32(1 % o.view.Eta)
 	var stats QueryStats
 	stats.Rounds = 1
 	count := 0
@@ -194,13 +202,13 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 		}
 		start := time.Now()
 		for i := range outs[0] {
-			v := modmath.MulMod(outs[0][i], outs[1][i], eta)
+			v := red.Reduce(uint64(outs[0][i]) * uint64(outs[1][i]))
 			if v == one {
 				count++
 			}
 			if verify {
-				r2 := modmath.MulMod(vouts[0][i], vouts[1][i], eta)
-				if modmath.MulMod(v, r2, eta) != one {
+				r2 := red.Reduce(uint64(vouts[0][i]) * uint64(vouts[1][i]))
+				if red.Reduce(uint64(v)*uint64(r2)) != one {
 					return fmt.Errorf("%w: count position %d fails r1·r2 ≡ 1", ErrVerificationFailed, rg.Offset+uint64(i))
 				}
 			}
@@ -223,7 +231,6 @@ func (o *engine) PSUCount(ctx context.Context, table string) (*CountResult, erro
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psucount").qid
 	b := o.view.B
-	delta := o.view.Delta
 	var stats QueryStats
 	stats.Rounds = 1
 	count := 0
@@ -236,7 +243,7 @@ func (o *engine) PSUCount(ctx context.Context, table string) (*CountResult, erro
 		}
 		start := time.Now()
 		for i := range outs[0] {
-			if (uint64(outs[0][i])+uint64(outs[1][i]))%delta != 0 {
+			if o.modDelta.Reduce(uint32(outs[0][i])+uint32(outs[1][i])) != 0 {
 				count++
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"prism/internal/modmath"
 	"prism/internal/opoly"
@@ -122,9 +123,12 @@ func generate(cfg Config, seed prg.Seed, quadLabel string) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("params: finding generator: %w", err)
 	}
-	etaPrime := alpha * eta
-	if etaPrime >= 1<<62 {
-		return nil, errors.New("params: η' too large")
+	hi, etaPrime := bits.Mul64(alpha, eta)
+	if hi != 0 {
+		return nil, fmt.Errorf("params: η'=α·η overflows 64 bits (α=%d, η=%d)", alpha, eta)
+	}
+	if err := CheckEtaPrime(etaPrime); err != nil {
+		return nil, err
 	}
 
 	genPRG := prg.New(seed.Derive("params"))
@@ -181,6 +185,17 @@ func generate(cfg Config, seed prg.Seed, quadLabel string) (*System, error) {
 		PSUSeed:  seed.Derive("psu-masks"),
 		PermSeed: seed,
 	}, nil
+}
+
+// CheckEtaPrime enforces η' < 2^32: a PSI or count cell is a value mod η'
+// and travels and is stored as a uint32 (server power table, reply
+// vectors, owner accumulators). Generate refuses such a system and a
+// server refuses such a view before serving, so no cell is truncated.
+func CheckEtaPrime(etaPrime uint64) error {
+	if etaPrime >= 1<<32 {
+		return fmt.Errorf("params: η'=%d does not fit a 32-bit PSI cell (need η' < 2^32)", etaPrime)
+	}
+	return nil
 }
 
 // MultiSystem is the initiator's view of a multi-group deployment: the

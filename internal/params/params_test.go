@@ -2,6 +2,7 @@ package params
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 
 	"prism/internal/modmath"
@@ -144,6 +145,53 @@ func TestRejectsBadConfig(t *testing.T) {
 		}
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestEtaPrimeBound: PSI cells are 32-bit, so Generate refuses an α that
+// pushes η' = α·η to 2^32 or past (or wraps it) with an error naming η',
+// and accepts the largest α below the bound.
+func TestEtaPrimeBound(t *testing.T) {
+	const eta = 227 // the default δ = 113's η
+	for _, alpha := range []uint64{1<<32/eta + 1, 1 << 40, 1 << 63} {
+		cfg := testConfig()
+		cfg.Alpha = alpha
+		_, err := Generate(cfg)
+		if err == nil || !strings.Contains(err.Error(), "η'") {
+			t.Errorf("α=%d: err = %v, want a refusal naming η'", alpha, err)
+		}
+	}
+	cfg := testConfig()
+	cfg.Alpha = (1<<32 - 1) / eta
+	s, err := Generate(cfg)
+	if err != nil {
+		t.Fatalf("α=%d: %v", cfg.Alpha, err)
+	}
+	if s.EtaPrime >= 1<<32 {
+		t.Fatalf("α=%d: η'=%d accepted past 2^32", cfg.Alpha, s.EtaPrime)
+	}
+}
+
+// TestCheckEtaPrimeRefusesServerView: the check prism-server runs on a
+// loaded view file accepts every generated view and refuses one whose η'
+// does not fit a 32-bit cell.
+func TestCheckEtaPrimeRefusesServerView(t *testing.T) {
+	s, err := Generate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := s.ForServer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckEtaPrime(sv.EtaPrime); err != nil {
+		t.Fatalf("generated view refused: %v", err)
+	}
+	for _, ep := range []uint64{1 << 32, 1<<32 + 227, ^uint64(0)} {
+		sv.EtaPrime = ep
+		if err := CheckEtaPrime(sv.EtaPrime); err == nil || !strings.Contains(err.Error(), "η'") {
+			t.Errorf("η'=%d: err = %v, want a refusal naming η'", ep, err)
 		}
 	}
 }

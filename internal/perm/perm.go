@@ -114,18 +114,6 @@ func Apply[T any](p Perm, src, dst []T) []T {
 	return dst
 }
 
-// ApplyInverse places src[p(i)] at dst[i]: the inverse move of Apply
-// without materialising the inverse permutation.
-func ApplyInverse[T any](p Perm, src, dst []T) []T {
-	if dst == nil {
-		dst = make([]T, len(src))
-	}
-	for i := range src {
-		dst[i] = src[p[i]]
-	}
-	return dst
-}
-
 // Quad is the initiator's permutation quadruple of Equation (1).
 type Quad struct {
 	PFi  Perm // the composed secret permutation (initiator-only)

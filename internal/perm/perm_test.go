@@ -78,15 +78,7 @@ func TestApplyRoundTrip(t *testing.T) {
 		src[i] = uint64(i * 31)
 	}
 	permuted := Apply(p, src, nil)
-	back := ApplyInverse(p, permuted, nil)
-	for i := range src {
-		if back[i] != src[i] {
-			t.Fatalf("round trip fails at %d", i)
-		}
-	}
-	// ApplyInverse must agree with applying the materialised inverse.
-	inv := p.Inverse()
-	viaInv := Apply(inv, permuted, nil)
+	viaInv := Apply(p.Inverse(), permuted, nil)
 	for i := range src {
 		if viaInv[i] != src[i] {
 			t.Fatalf("inverse apply mismatch at %d", i)

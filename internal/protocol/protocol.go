@@ -212,8 +212,8 @@ type PSIRequest struct {
 // mod η' in χ̄ (PF_db2) stored order: the two align per cell only after
 // the owner un-permutes them (Equation 10).
 type PSIReply struct {
-	Out   []uint64
-	Vout  []uint64 // nil unless Verify
+	Out   []uint32 // values mod η' < 2^32 (params.CheckEtaPrime)
+	Vout  []uint32 // nil unless Verify
 	Stats Stats
 }
 
@@ -235,8 +235,8 @@ type CountRequest struct {
 
 // CountReply carries the permuted output (and verification) vectors.
 type CountReply struct {
-	Out   []uint64
-	Vout  []uint64 // nil unless Verify
+	Out   []uint32
+	Vout  []uint32 // nil unless Verify
 	Stats Stats
 }
 

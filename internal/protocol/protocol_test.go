@@ -44,10 +44,10 @@ func TestEveryMessageGobRoundTrips(t *testing.T) {
 		DropRequest{Table: "t"}, DropReply{},
 		PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{3}},
 		PSIRequest{Table: "t", QueryID: "q", Shard: Range{Offset: 2, Count: 2}, Verify: true},
-		PSIReply{Out: []uint64{1, 2}, Stats: Stats{Cells: 2, FetchNS: 1}},
-		PSIReply{Out: []uint64{1, 2}, Vout: []uint64{9, 8}},
+		PSIReply{Out: []uint32{1, 2}, Stats: Stats{Cells: 2, FetchNS: 1}},
+		PSIReply{Out: []uint32{1, 2}, Vout: []uint32{9, 8}},
 		CountRequest{Table: "t", Verify: true},
-		CountReply{Out: []uint64{1}, Vout: []uint64{2}},
+		CountReply{Out: []uint32{1}, Vout: []uint32{2}},
 		PSURequest{Table: "t", QueryID: "n", Permute: true},
 		PSUReply{Out: []uint16{4}},
 		AggRequest{Table: "t", Cols: []string{"a"}, WithCount: true,

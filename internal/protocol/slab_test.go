@@ -28,7 +28,7 @@ func TestSlabWidthBoundaries(t *testing.T) {
 		{0, 1}, {255, 1}, {256, 2}, {65535, 2}, {65536, 4},
 		{math.MaxUint32, 4}, {math.MaxUint32 + 1, 8}, {math.MaxUint64, 8},
 	} {
-		in := protocol.PSIReply{Out: []uint64{1, tc.max, 0}}
+		in := protocol.AggReply{Counts: []uint64{1, tc.max, 0}}
 		// field index, kind, width, count: four one-byte header fields.
 		if got, want := len(section(in)), 4+3*tc.width; got != want {
 			t.Errorf("max %d: slab section is %d bytes, want %d (width %d)", tc.max, got, want, tc.width)
@@ -47,7 +47,7 @@ func TestSlabWidthBoundaries(t *testing.T) {
 	for _, in := range []any{
 		protocol.PSUReply{Out: []uint16{0, 255, 256, 65535}},
 		protocol.PSIRequest{Table: "t", Cells: []uint32{0, 65535, 65536, math.MaxUint32}},
-		protocol.PSIReply{Out: []uint64{42}}, // one cell
+		protocol.PSIReply{Out: []uint32{42}}, // one cell
 	} {
 		if out := wireRoundTrip(t, in); !reflect.DeepEqual(out, in) {
 			t.Errorf("got %v, want %v", out, in)
@@ -87,7 +87,7 @@ func TestSlabAllLengths(t *testing.T) {
 // arrives nil, an empty map arrives empty, and an empty vector under a
 // map key keeps its key.
 func TestSlabEmptyVectors(t *testing.T) {
-	in := protocol.CountReply{Out: []uint64{}, Vout: nil, Stats: protocol.Stats{Cells: 3}}
+	in := protocol.CountReply{Out: []uint32{}, Vout: nil, Stats: protocol.Stats{Cells: 3}}
 	if n := len(section(in)); n != 0 {
 		t.Errorf("empty vectors produced %d slab bytes", n)
 	}
@@ -176,6 +176,8 @@ func TestAttachRejectsHostileSections(t *testing.T) {
 		{"width 0", protocol.AggReply{}, cat(uv(1), []byte{0, 0, 1})},
 		{"width 16", protocol.AggReply{}, cat(uv(1), []byte{0, 16, 0})},
 		{"width wider than the element", protocol.PSUReply{}, cat(uv(0), []byte{0, 4, 1, 1, 2, 3, 4})},
+		{"8-byte PSI cells", protocol.PSIReply{}, cat(uv(0), []byte{0, 8, 1}, make([]byte, 8))},
+		{"8-byte count cells", protocol.CountReply{}, cat(uv(1), []byte{0, 8, 1}, make([]byte, 8))},
 		{"count exceeds the bytes left", protocol.AggReply{}, cat(uv(1), []byte{0, 8}, uv(2), make([]byte, 15))},
 		{"count × width overflows", protocol.AggReply{}, cat(uv(1), []byte{0, 8}, uv(math.MaxUint64/4), make([]byte, 64))},
 		{"huge count, empty section", protocol.AggReply{}, cat(uv(1), []byte{0, 1}, uv(1<<40))},

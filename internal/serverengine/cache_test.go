@@ -87,7 +87,7 @@ func TestHotColumnCacheSingleFlight(t *testing.T) {
 	storeFull(t, engines, b, false)
 
 	var wg sync.WaitGroup
-	outs := make([][]uint64, n)
+	outs := make([][]uint32, n)
 	stats := make([]protocol.Stats, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)

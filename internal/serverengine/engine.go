@@ -109,7 +109,7 @@ type Engine struct {
 	// loops so SetThreads can run while queries are in flight.
 	threads atomic.Int64
 
-	powTab   []uint64      // g^e mod η' for e ∈ [0, δ)
+	powTab   []uint32      // g^e mod η' for e ∈ [0, δ); η' < 2^32 (params.CheckEtaPrime)
 	modDelta modmath.Mod32 // division-free reduction mod δ
 
 	mu     sync.RWMutex
@@ -597,7 +597,7 @@ func (e *Engine) psiReply(typ string, r protocol.PSIRequest, permuted bool) (rep
 // (bar=true; no ⊖A(m) there, Equation 7) of a reply. Permuted, rg
 // indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector; otherwise it
 // names stored cells, or cells does.
-func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, cells []uint32, stats *protocol.Stats) ([]uint64, error) {
+func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, cells []uint32, stats *protocol.Stats) ([]uint32, error) {
 	idx, scatter := cells, perm.Perm(nil)
 	if permuted {
 		pf, inv := e.view.S1, &e.s1inv

@@ -243,8 +243,8 @@ func TestCountVerifyAlignment(t *testing.T) {
 	}
 	eta := sys.Eta
 	for i := range outs[0].Out {
-		r1 := outs[0].Out[i] * outs[1].Out[i] % eta
-		r2 := outs[0].Vout[i] * outs[1].Vout[i] % eta
+		r1 := uint64(outs[0].Out[i]) * uint64(outs[1].Out[i]) % eta
+		r2 := uint64(outs[0].Vout[i]) * uint64(outs[1].Vout[i]) % eta
 		if r1*r2%eta != 1 {
 			t.Fatalf("position %d: r1·r2 = %d, want 1 (Eq. 1 alignment broken)", i, r1*r2%eta)
 		}
@@ -270,8 +270,8 @@ func TestCountVerifyAlignment(t *testing.T) {
 		}
 	}
 	for i := range ov.DB1 {
-		r1 := psis[0].Out[ov.DB1[i]] * psis[1].Out[ov.DB1[i]] % eta
-		r2 := psis[0].Vout[ov.DB2[i]] * psis[1].Vout[ov.DB2[i]] % eta
+		r1 := uint64(psis[0].Out[ov.DB1[i]]) * uint64(psis[1].Out[ov.DB1[i]]) % eta
+		r2 := uint64(psis[0].Vout[ov.DB2[i]]) * uint64(psis[1].Vout[ov.DB2[i]]) % eta
 		if r1*r2%eta != 1 {
 			t.Fatalf("cell %d: r1·r2 = %d, want 1 (Eq. 10)", i, r1*r2%eta)
 		}

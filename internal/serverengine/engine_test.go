@@ -70,7 +70,7 @@ func storePaperShares(t *testing.T, e *Engine, serverIdx int) {
 // 5.1 exactly: S1 → (27, 27, 81), S2 → (9, 1, 1), and the owner-side
 // combination (1, 5, 4) identifying cancer as common.
 func TestPaperExample51ServerSide(t *testing.T) {
-	outs := make([][]uint64, 2)
+	outs := make([][]uint32, 2)
 	for phi := 0; phi < 2; phi++ {
 		e := New(paperView(phi), Options{Threads: 1})
 		storePaperShares(t, e, phi)
@@ -80,8 +80,8 @@ func TestPaperExample51ServerSide(t *testing.T) {
 		}
 		outs[phi] = reply.(protocol.PSIReply).Out
 	}
-	wantS1 := []uint64{27, 27, 81}
-	wantS2 := []uint64{9, 1, 1}
+	wantS1 := []uint32{27, 27, 81}
+	wantS2 := []uint32{9, 1, 1}
 	for i := range wantS1 {
 		if outs[0][i] != wantS1[i] {
 			t.Errorf("S1 out[%d] = %d, want %d", i, outs[0][i], wantS1[i])
@@ -93,7 +93,7 @@ func TestPaperExample51ServerSide(t *testing.T) {
 	// Owner-side Step 3: (27·9, 27·1, 81·1) mod 11 = (1, 5, 4).
 	wantFop := []uint64{1, 5, 4}
 	for i := range wantFop {
-		got := modmath.MulMod(outs[0][i], outs[1][i], 11)
+		got := modmath.MulMod(uint64(outs[0][i]), uint64(outs[1][i]), 11)
 		if got != wantFop[i] {
 			t.Errorf("fop[%d] = %d, want %d", i, got, wantFop[i])
 		}
@@ -163,7 +163,7 @@ func TestThirdServerRejectsAdditiveOps(t *testing.T) {
 // TestThreadCountInvariance: the per-cell results must be identical for
 // any worker-pool width (oblivious execution is deterministic).
 func TestThreadCountInvariance(t *testing.T) {
-	mk := func(threads int) []uint64 {
+	mk := func(threads int) []uint32 {
 		e := New(paperView(0), Options{Threads: threads})
 		storePaperShares(t, e, 0)
 		reply, err := e.Handle(context.Background(), protocol.PSIRequest{Table: "diseases", QueryID: "q"})

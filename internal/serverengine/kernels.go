@@ -31,7 +31,7 @@ const kernelBlock = 1024
 // by table lookup (§5.1 Step 2); lift is δ ⊖ A(m), or 0 on the
 // verification side. The unreduced sum fits 32 bits because the owner
 // count is below δ ≤ 2^16 (params enforces both).
-func psiKernel(out []uint64, pos []uint32, shares [][]uint16, lo, hi int, powTab []uint64, md modmath.Mod32, lift uint32) {
+func psiKernel(out []uint32, pos []uint32, shares [][]uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
 	for base := lo; base < hi; base += kernelBlock {
 		end := min(base+kernelBlock, hi)
 		var acc [kernelBlock]uint32
@@ -134,14 +134,14 @@ func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 // psiVector runs psiKernel over the (window-relative) share vectors on
 // the worker pool and accounts its time. A non-nil scatter is the server
 // permutation of a whole-table reply: cell i's value lands at scatter[i].
-func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint64 {
+func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint32 {
 	var lift uint32
 	if subtractM {
 		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
 	}
 	start := time.Now()
 	n := len(shares[0])
-	out := make([]uint64, n)
+	out := make([]uint32, n)
 	e.parallel(n, func(lo, hi int) {
 		psiKernel(out, scatter, shares, lo, hi, e.powTab, e.modDelta, lift)
 	})

@@ -18,8 +18,8 @@ import (
 // The scalar per-cell loops the kernels replaced, kept as the reference
 // the kernels are differentially tested against.
 
-func refPSI(shares [][]uint16, n int, powTab []uint64, delta, mShare uint64) []uint64 {
-	out := make([]uint64, n)
+func refPSI(shares [][]uint16, n int, powTab []uint32, delta, mShare uint64) []uint32 {
+	out := make([]uint32, n)
 	for i := range out {
 		var sum uint64
 		for _, sv := range shares {
@@ -79,7 +79,7 @@ type kernelCase struct {
 	shares [][]uint16
 	cols   [][]uint64
 	z      []uint64
-	powTab []uint64
+	powTab []uint32
 	md     modmath.Mod32
 	pos    perm.Perm
 }
@@ -88,8 +88,10 @@ type kernelCase struct {
 // and every F_p share with P−1 (the lazy-reduction overflow edge).
 func newKernelCase(g *prg.PRG, m, n int, delta uint64, edge bool) *kernelCase {
 	c := &kernelCase{m: m, n: n, delta: delta, mShare: g.Uint64n(delta), md: modmath.NewMod32(delta)}
-	c.powTab = make([]uint64, delta)
-	g.Fill(c.powTab, 1<<62)
+	c.powTab = make([]uint32, delta)
+	for e := range c.powTab {
+		c.powTab[e] = uint32(g.Uint64())
+	}
 	c.z = make([]uint64, n)
 	g.Fill(c.z, field.P)
 	for j := 0; j < m; j++ {
@@ -128,11 +130,11 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 	seed := prg.SeedFromString("kernel-masks")
 	wantPSU := refPSU(c.shares, 0, c.n, prg.New(seed), c.delta)
 
-	var psi []uint64
+	var psi []uint32
 	var psu []uint16
 	for _, scatter := range []perm.Perm{nil, c.pos} {
 		g := prg.New(seed)
-		psi, psu = make([]uint64, c.n), make([]uint16, c.n)
+		psi, psu = make([]uint32, c.n), make([]uint16, c.n)
 		for k := 0; k+1 < len(bounds); k++ {
 			psiKernel(psi, scatter, c.shares, bounds[k], bounds[k+1], c.powTab, c.md, lift)
 			psuKernel(psu, scatter, c.shares, bounds[k], bounds[k+1], g, c.delta, c.md)
@@ -155,7 +157,7 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 			gathered[j][p] = sv[cell]
 		}
 	}
-	gPSI, gPSU, g := make([]uint64, c.n), make([]uint16, c.n), prg.New(seed)
+	gPSI, gPSU, g := make([]uint32, c.n), make([]uint16, c.n), prg.New(seed)
 	for k := 0; k+1 < len(bounds); k++ {
 		psiKernel(gPSI, nil, gathered, bounds[k], bounds[k+1], c.powTab, c.md, lift)
 		psuKernel(gPSU, nil, gathered, bounds[k], bounds[k+1], g, c.delta, c.md)
@@ -215,7 +217,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 
 func TestKernelsDoNotAllocate(t *testing.T) {
 	c := newKernelCase(prg.New(prg.SeedFromString("allocs")), 10, 3*kernelBlock+5, 113, false)
-	psi, psu, sum := make([]uint64, c.n), make([]uint16, c.n), make([]uint64, c.n)
+	psi, psu, sum := make([]uint32, c.n), make([]uint16, c.n), make([]uint64, c.n)
 	g := prg.New(prg.SeedFromString("allocs-masks"))
 	for name, fn := range map[string]func(){
 		"psiKernel":         func() { psiKernel(psi, nil, c.shares, 0, c.n, c.powTab, c.md, 1) },
@@ -355,7 +357,7 @@ func benchCase() *kernelCase {
 
 func BenchmarkKernelPSI(b *testing.B) {
 	c := benchCase()
-	out := make([]uint64, c.n)
+	out := make([]uint32, c.n)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			psiKernel(out, nil, c.shares, 0, c.n, c.powTab, c.md, 1)

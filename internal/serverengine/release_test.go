@@ -183,10 +183,10 @@ func ask[E any](d *releaseDeploy, n int, windows []protocol.Range, mk func(phi i
 
 // ones returns the cells where the two servers' PSI-side vectors
 // multiply to 1 mod η: every owner's share sum is the owner count there.
-func (d *releaseDeploy) ones(a, b []uint64) []uint64 {
+func (d *releaseDeploy) ones(a, b []uint32) []uint64 {
 	var out []uint64
 	for i := range a {
-		if a[i]*b[i]%d.sys.Eta == 1 {
+		if uint64(a[i])*uint64(b[i])%d.sys.Eta == 1 {
 			out = append(out, uint64(i))
 		}
 	}
@@ -201,7 +201,7 @@ func (d *releaseDeploy) checkAll(qid string, windows []protocol.Range) error {
 	// PSI, verified: χ side in Out, χ̄ side in Vout, stored order.
 	psi, err := ask(d, 2, windows, func(_ int, rg protocol.Range) any {
 		return protocol.PSIRequest{Table: "t", Verify: true, Shard: rg}
-	}, func(r any) [][]uint64 { return [][]uint64{r.(protocol.PSIReply).Out, r.(protocol.PSIReply).Vout} })
+	}, func(r any) [][]uint32 { return [][]uint32{r.(protocol.PSIReply).Out, r.(protocol.PSIReply).Vout} })
 	if err != nil {
 		return err
 	}
@@ -209,7 +209,7 @@ func (d *releaseDeploy) checkAll(qid string, windows []protocol.Range) error {
 		return fmt.Errorf("psi = %v, want %v", got, inter)
 	}
 	for i := range psi[0][0] { // r1·r2 = 1 at every cell (Equation 10)
-		if r := psi[0][0][i] * psi[1][0][i] % d.sys.Eta * (psi[0][1][i] * psi[1][1][i] % d.sys.Eta) % d.sys.Eta; r != 1 {
+		if r := uint64(psi[0][0][i]) * uint64(psi[1][0][i]) % d.sys.Eta * (uint64(psi[0][1][i]) * uint64(psi[1][1][i]) % d.sys.Eta) % d.sys.Eta; r != 1 {
 			return fmt.Errorf("psi proof at cell %d: r1·r2 = %d", i, r)
 		}
 	}
@@ -218,13 +218,13 @@ func (d *releaseDeploy) checkAll(qid string, windows []protocol.Range) error {
 	frontier := []uint32{95, 0, 17, 16, 8, 40}
 	front, err := ask(d, 2, windows[:1], func(int, protocol.Range) any {
 		return protocol.PSIRequest{Table: "t", Cells: frontier}
-	}, func(r any) [][]uint64 { return [][]uint64{r.(protocol.PSIReply).Out} })
+	}, func(r any) [][]uint32 { return [][]uint32{r.(protocol.PSIReply).Out} })
 	if err != nil {
 		return err
 	}
 	for i, c := range frontier {
 		_, in := slices.BinarySearch(inter, uint64(c))
-		if (front[0][0][i]*front[1][0][i]%d.sys.Eta == 1) != in {
+		if (uint64(front[0][0][i])*uint64(front[1][0][i])%d.sys.Eta == 1) != in {
 			return fmt.Errorf("psi frontier cell %d: in = %v, want %v", c, !in, in)
 		}
 	}
@@ -233,7 +233,7 @@ func (d *releaseDeploy) checkAll(qid string, windows []protocol.Range) error {
 	// ones is comparable.
 	cnt, err := ask(d, 2, windows, func(_ int, rg protocol.Range) any {
 		return protocol.CountRequest{Table: "t", Verify: true, Shard: rg}
-	}, func(r any) [][]uint64 { return [][]uint64{r.(protocol.CountReply).Out, r.(protocol.CountReply).Vout} })
+	}, func(r any) [][]uint32 { return [][]uint32{r.(protocol.CountReply).Out, r.(protocol.CountReply).Vout} })
 	if err != nil {
 		return err
 	}

@@ -29,9 +29,9 @@ func bulkFrames() []any {
 			Sums: map[string][]uint64{"DT": {11, 12}}, Cnt: []uint64{1, 2},
 			VPos: []uint64{6}, ChiBar: []uint16{13}, VSums: map[string][]uint64{"DT": {1 << 61}}, VCnt: []uint64{3}},
 		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{0, 7, 1 << 31}},
-		protocol.PSIReply{Out: []uint64{1, 2950, 17}, Stats: protocol.Stats{Cells: 3, ComputeNS: 5}},
-		protocol.PSIReply{Out: []uint64{17, 1}, Vout: []uint64{2950, 1}},
-		protocol.CountReply{Out: []uint64{1, 2}, Vout: []uint64{3, 4}},
+		protocol.PSIReply{Out: []uint32{1, 2950, 17}, Stats: protocol.Stats{Cells: 3, ComputeNS: 5}},
+		protocol.PSIReply{Out: []uint32{17, 1}, Vout: []uint32{2950, 1}},
+		protocol.CountReply{Out: []uint32{1, 2}, Vout: []uint32{3, 4}},
 		protocol.PSUReply{Out: []uint16{0, 112, 5}},
 		protocol.AggRequest{Table: "t", Cols: []string{"DT"}, Z: []uint64{1 << 60, 1}, VZ: []uint64{2, 3}},
 		protocol.AggReply{Sums: map[string][]uint64{"DT": {1 << 60}, "PK": {9}}, Counts: []uint64{4},
@@ -84,7 +84,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 // TestDecodeFrameHostileBodies asserts every way a frame body can be
 // wrong at the frame level ends in one of the two typed errors.
 func TestDecodeFrameHostileBodies(t *testing.T) {
-	good := frameBody(t, &envelope{ID: 1, Payload: protocol.PSIReply{Out: []uint64{1, 2, 3}}})
+	good := frameBody(t, &envelope{ID: 1, Payload: protocol.PSIReply{Out: []uint32{1, 2, 3}}})
 	hlen := int(binary.BigEndian.Uint32(good[1:5]))
 	mut := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
 	noVectors := frameBody(t, &envelope{ID: 1, Payload: protocol.PingReply{Site: "s"}})
@@ -120,9 +120,9 @@ func TestDecodeFrameHostileBodies(t *testing.T) {
 // the size of the message is allocated on the way to the error.
 func TestOverCapRejectedBeforeAllocation(t *testing.T) {
 	defer SetFrameLimit(64 << 10)()
-	msg := protocol.PSIReply{Out: make([]uint64, 1<<20)}
-	for i := range msg.Out {
-		msg.Out[i] = ^uint64(0) // 8 MiB on the wire
+	msg := protocol.AggReply{Counts: make([]uint64, 1<<20)}
+	for i := range msg.Counts {
+		msg.Counts[i] = ^uint64(0) // 8 MiB on the wire
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

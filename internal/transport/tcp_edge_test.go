@@ -152,7 +152,7 @@ func TestTCPClientOversizedRequest(t *testing.T) {
 	for i := range out {
 		out[i] = ^uint64(0)
 	}
-	huge := protocol.PSIReply{Out: out}
+	huge := protocol.AggReply{Counts: out}
 	_, err := c.Call(context.Background(), "s", huge)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)

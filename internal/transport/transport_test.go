@@ -55,7 +55,7 @@ func TestNetworkEncodeWire(t *testing.T) {
 	n.Register("s", echoHandler{})
 	msgs := []any{
 		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{1, 2}},
-		protocol.PSIReply{Out: []uint64{3, 4}, Stats: protocol.Stats{Cells: 2}},
+		protocol.PSIReply{Out: []uint32{3, 4}, Stats: protocol.Stats{Cells: 2}},
 		protocol.PSUReply{Out: []uint16{1}},
 		protocol.StoreRequest{Owner: 1, Spec: protocol.TableSpec{Name: "x", B: 4},
 			ChiAdd: []uint16{1, 2, 3, 4}, SumCols: map[string][]uint64{"pk": {9}}},
@@ -192,9 +192,9 @@ func TestTCPLargePayload(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 	c := NewTCPClient(map[string]string{"s": addr})
 	defer c.Close()
-	big := make([]uint64, 1<<18) // 2 MiB payload
+	big := make([]uint32, 1<<18) // 1 MiB payload
 	for i := range big {
-		big[i] = uint64(i)
+		big[i] = uint32(i)
 	}
 	got, err := c.Call(context.Background(), "s", protocol.PSIReply{Out: big})
 	if err != nil {

@@ -180,7 +180,7 @@ func TestCountReplyPositionsHidden(t *testing.T) {
 	eta := uint64(227)
 	var permutedPositions []int
 	for i := range out0 {
-		if modmath.MulMod(out0[i], out1[i], eta) == 1 {
+		if modmath.MulMod(uint64(out0[i]), uint64(out1[i]), eta) == 1 {
 			permutedPositions = append(permutedPositions, i)
 		}
 	}
