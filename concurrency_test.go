@@ -4,37 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"prism/internal/ownerengine"
 )
 
-// concSystem builds a 4-owner deployment sized for concurrency tests: a
-// 64-cell integer domain, two aggregation columns, verification on, and
-// the gob wire round-trip forced so concurrent queries also exercise
-// message encoding. Cells 3, 5 and 7 are common to every owner.
-func concSystem(t testing.TB) *System { return concSystemShard(t, 0) }
-
-// concSystemShard is concSystem with a shard size: the same data and
-// seed, so results are comparable between wire modes.
-func concSystemShard(t testing.TB, shardCells uint64) *System {
+// concSystem builds a 4-owner deployment sized for concurrency tests on
+// the matrix fixture: a 64-cell integer domain, two aggregation columns,
+// verification on, and the gob wire round-trip forced so concurrent
+// queries also exercise message encoding. Cells 3, 5 and 7 are common to
+// every owner.
+func concSystem(t testing.TB) *System {
 	t.Helper()
-	dom, err := IntDomain(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewLocalSystem(Config{
-		Owners:      4,
-		Domain:      dom,
-		AggColumns:  []string{"v", "w"},
-		MaxAggValue: 100000,
-		Verify:      true,
-		Seed:        [32]byte{9, 9, 9},
-		EncodeWire:  true,
-		ShardCells:  shardCells,
-	})
+	cfg := shape{owners: 4, b: 64, wire: true}.config(t)
+	cfg.AggColumns = []string{"v", "w"}
+	sys, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,61 +66,17 @@ var mixedOps = []Request{
 	{Op: OpPSIMedian, Cols: []string{"v"}},
 }
 
-// fingerprint canonically serialises a response's semantic content —
-// everything except timing stats — so serial and concurrent runs can be
-// compared byte-for-byte.
+// fingerprint is a response's answer without its stats and its global
+// extreme's cell (equal extremes tie on random masks): what serial and
+// concurrent runs of one query must agree on.
 func fingerprint(t testing.TB, r *Response) string {
 	t.Helper()
 	if r.Err != nil {
 		t.Fatalf("%v failed: %v", r.Op, r.Err)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "op=%v;", r.Op)
-	switch {
-	case r.Set != nil:
-		fmt.Fprintf(&b, "cells=%v;values=%v", r.Set.Cells, r.Set.Values)
-	case r.Count != nil:
-		fmt.Fprintf(&b, "count=%d", r.Count.Count)
-	case r.Agg != nil:
-		fmt.Fprintf(&b, "cells=%v;", r.Agg.Cells)
-		cols := make([]string, 0, len(r.Agg.Sums))
-		for col := range r.Agg.Sums {
-			cols = append(cols, col)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			cells := make([]uint64, 0, len(r.Agg.Sums[col]))
-			for c := range r.Agg.Sums[col] {
-				cells = append(cells, c)
-			}
-			sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-			for _, c := range cells {
-				fmt.Fprintf(&b, "sum[%s][%d]=%d;", col, c, r.Agg.Sums[col][c])
-			}
-		}
-		counts := make([]uint64, 0, len(r.Agg.Counts))
-		for c := range r.Agg.Counts {
-			counts = append(counts, c)
-		}
-		sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
-		for _, c := range counts {
-			fmt.Fprintf(&b, "cnt[%d]=%d;", c, r.Agg.Counts[c])
-		}
-	case r.Extreme != nil:
-		fmt.Fprintf(&b, "cells=%v;", r.Extreme.Cells)
-		cells := make([]uint64, 0, len(r.Extreme.PerCell))
-		for c := range r.Extreme.PerCell {
-			cells = append(cells, c)
-		}
-		sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-		for _, c := range cells {
-			pc := r.Extreme.PerCell[c]
-			fmt.Fprintf(&b, "ext[%d]={v=%d,pair=%v,owners=%v};", c, pc.Value, pc.MedianPair, pc.Owners)
-		}
-	default:
-		t.Fatalf("%v: response carries no result", r.Op)
-	}
-	return b.String()
+	res := *r.Result
+	res.Stats, res.Global, res.GlobalCell = ownerengine.QueryStats{}, nil, 0
+	return fmt.Sprintf("%+v", res)
 }
 
 // serialBaseline executes each distinct op once, serially, and returns
@@ -369,20 +311,4 @@ func TestServerSessionsRetired(t *testing.T) {
 		}
 	}
 	assertNoSessions(t, sys)
-}
-
-// assertNoSessions checks every server engine and the announcer hold
-// zero live query sessions.
-func assertNoSessions(t testing.TB, sys *System) {
-	t.Helper()
-	for g, grp := range sys.servers {
-		for phi, e := range grp {
-			if n := e.Sessions(); n != 0 {
-				t.Errorf("group %d server %d still holds %d query sessions after all queries completed", g, phi, n)
-			}
-		}
-	}
-	if n := sys.ann.Sessions(); n != 0 {
-		t.Errorf("announcer still holds %d query sessions after all queries completed", n)
-	}
 }

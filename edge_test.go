@@ -2,8 +2,12 @@ package prism
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"prism/internal/transport"
 )
 
 // TestBucketizedPSIWithoutTrees: querying before OutsourceBucketTrees
@@ -128,53 +132,81 @@ func TestReOutsourceOverwrites(t *testing.T) {
 	}
 }
 
-// TestTwoOwnerSystem: the Table 13 configuration (m=2) works across all
-// operators even though the paper's focus is m > 2.
-func TestTwoOwnerSystem(t *testing.T) {
-	dom, _ := IntDomain(1, 40)
-	sys, err := NewLocalSystem(Config{
-		Owners: 2, Domain: dom, AggColumns: []string{"v"},
-		MaxAggValue: 1000, Verify: true, Seed: [32]byte{41},
-	})
+// TestShardedSingleCellDomain: the b=1 degenerate domain answers every
+// kind as the oracle does, as one window and as windows wider than it.
+func TestShardedSingleCellDomain(t *testing.T) {
+	for _, shard := range []uint64{0, 1, 4} {
+		t.Run(fmt.Sprintf("ShardCells=%d", shard), func(t *testing.T) {
+			sys := shape{owners: 2, shard: shard, b: 1}.system(t)
+			orc := loadPlanted(t, sys, plantedCells(sys, 1), 1)
+			directAnswers(t, sys, orc)
+		})
+	}
+}
+
+// TestShardedBeatsFrameCap is the acceptance demonstration: with the
+// transport frame cap lowered, a domain whose whole-table exchanges
+// exceed the cap fails outright — and the same domain outsources and
+// answers PSI, count and sum as the oracle does once ShardCells bounds
+// the frames.
+func TestShardedBeatsFrameCap(t *testing.T) {
+	restore := transport.SetFrameLimit(4 << 10) // 4 KiB: a toy MaxFrameBytes
+	defer restore()
+	const b = 4096
+	// One window: a 4096-cell Shamir column alone is 32 KiB on the wire,
+	// eight times the cap.
+	sys := shape{owners: 3, b: b, wire: true}.system(t) // the cap applies to encoded frames
+	for j := 0; j < 3; j++ {
+		if err := sys.Owner(j).LoadCells([]uint64{41}, map[string][]uint64{"v": {1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.OutsourceAll(context.Background()); !errors.Is(err, transport.ErrFrameTooLarge) {
+		t.Fatalf("one-window outsource at b=%d under a 4 KiB cap: err = %v, want ErrFrameTooLarge", b, err)
+	}
+
+	// 64-cell windows keep every frame, verification columns included,
+	// under the cap.
+	sys = shape{owners: 3, shard: 64, b: b, wire: true}.system(t)
+	orc := loadPlanted(t, sys, plantedCells(sys, 3), 7)
+	want := orc.answers()
+	for _, kind := range []OpKind{OpPSI, OpPSICount, OpPSISum} {
+		resp := sys.execute(context.Background(), Request{Op: kind, Cols: kindCols(kind)})
+		if resp.Err != nil {
+			t.Fatalf("%v in windows: %v", kind, resp.Err)
+		}
+		if got := answerOfResult(resp.Result); got != want[kind] {
+			t.Errorf("%v in windows = %s, plaintext %s", kind, got, want[kind])
+		}
+	}
+}
+
+// TestProductDomainRowErrors covers the key-mapping error paths of a
+// product domain and its construction's: each row is refused.
+func TestProductDomainRowErrors(t *testing.T) {
+	a, _ := IntDomain(1, 4)
+	b, _ := ValueDomain("x", "y")
+	dom, _ := ProductDomain(a, b)
+	sys, err := NewLocalSystem(Config{Owners: 2, Domain: dom, Seed: [32]byte{79}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Owner(0).Load([]Row{
-		{IntKey: 7, Aggs: map[string]uint64{"v": 10}},
-		{IntKey: 9, Aggs: map[string]uint64{"v": 20}},
-	})
-	sys.Owner(1).Load([]Row{
-		{IntKey: 7, Aggs: map[string]uint64{"v": 5}},
-		{IntKey: 12, Aggs: map[string]uint64{"v": 9}},
-	})
-	if _, err := sys.OutsourceAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	psi, _ := sys.PSI(ctx)
-	if len(psi.Cells) != 1 || psi.Cells[0] != 6 {
-		t.Fatalf("PSI = %v", psi.Cells)
-	}
-	sum, err := sys.PSISum(ctx, "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := sum.Sum("v", 6); v != 15 {
-		t.Errorf("sum = %d want 15", v)
-	}
-	max, err := sys.PSIMax(ctx, "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc := max.PerCell[6]; pc.Value != 10 || len(pc.Owners) != 1 || pc.Owners[0] != 0 {
-		t.Errorf("max = %+v", max.PerCell[6])
-	}
-	med, err := sys.PSIMedian(ctx, "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Even m: pair (5, 10) → median 7 (floor of 7.5).
-	if pc := med.PerCell[6]; pc.Value != 7 || len(pc.MedianPair) != 2 {
-		t.Errorf("median = %+v", pc)
+	load := func(rows ...Row) func() error { return func() error { return sys.Owner(0).Load(rows) } }
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"wrong arity", load(Row{Keys: []string{"1"}})},
+		{"out-of-range int", load(Row{Keys: []string{"9", "x"}})},
+		{"unknown categorical", load(Row{Keys: []string{"1", "z"}})},
+		{"non-integer", load(Row{Keys: []string{"one", "x"}})},
+		{"scalar key on a product domain", load(Row{IntKey: 1})},
+		{"nested product", func() error { _, err := ProductDomain(dom, a); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }

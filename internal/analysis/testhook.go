@@ -6,9 +6,9 @@ import (
 )
 
 // TestHook fences the test-only seams. testhooks.go declares the
-// System.interceptServer/restoreServer family — hooks that rewire a
-// live server through an arbitrary wrapper so adversary tests can
-// tamper with replies. Production code reaching for those hooks would
+// System.interceptGroupServer/restoreGroupServer pair — hooks that
+// rewire a live server through an arbitrary wrapper so tests can tamper
+// with replies. Production code reaching for those hooks would
 // be a correctness and security hazard (a silent man-in-the-middle
 // seam), so this analyzer flags any reference from a non-test file
 // other than testhooks.go itself to an object declared in a

@@ -128,7 +128,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 		for _, col := range cols {
 			if err := o.interpolateWindow(sums[col], rg,
 				reps[0].Sums[col], reps[1].Sums[col], reps[2].Sums[col]); err != nil {
-				return fmt.Errorf("ownerengine: column %q: %w", col, err)
+				return fmt.Errorf("%w: column %q: %v", replyFault(verify), col, err)
 			}
 			if verify {
 				if err := o.interpolateWindow(vsums[col], rg,
@@ -140,7 +140,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 		if withCount {
 			if err := o.interpolateWindow(cnts, rg,
 				reps[0].Counts, reps[1].Counts, reps[2].Counts); err != nil {
-				return fmt.Errorf("ownerengine: count column: %w", err)
+				return fmt.Errorf("%w: count column: %v", replyFault(verify), err)
 			}
 			if verify {
 				if err := o.interpolateWindow(vcnts, rg,

@@ -219,9 +219,9 @@ func (q *QueryStats) add(o QueryStats) {
 
 // Exec runs one query with this owner driving it: at most two
 // owner↔server rounds for everything but the extremes, verified or not
-// (TestVerifiedKindsTakeTwoRounds) — find the result set (PSI, its §5.2
-// proof in the same replies when asked, or PSU, for which the paper
-// defines no verification), then aggregate over it — and for an extreme
+// (TestConformance) — find the result set (PSI, its §5.2 proof in the
+// same replies when asked, or PSU, which the paper does not verify:
+// TestSoundness's gaps), then aggregate over it — and for an extreme
 // the §6.3/§6.4 vector rounds across co's owners, the global reduce and
 // the retirement of the rounds' sessions. co may be nil; extremes then
 // return ErrUnsupported. Safe to call concurrently with any other query.

@@ -28,6 +28,15 @@ import (
 // detects server misbehaviour (paper §5.2 and the full-version methods).
 var ErrVerificationFailed = errors.New("ownerengine: result verification failed")
 
+// replyFault is what a reply short of its window's cells fails a query
+// with: a verified query asked for every cell, so a short one skipped some.
+func replyFault(verify bool) error {
+	if verify {
+		return ErrVerificationFailed
+	}
+	return errors.New("ownerengine: malformed reply")
+}
+
 // Data is one owner's private table: one entry per tuple. Cells[i] is the
 // A_c cell of tuple i (see internal/domain for value→cell mapping);
 // Aggs[col][i] is the tuple's A_x value for each aggregation column.

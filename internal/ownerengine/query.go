@@ -88,9 +88,9 @@ func mulInto(dst []uint32, outs [2][]uint32, red modmath.Mod64) {
 }
 
 // sidePair type-checks one window's pair of PSI or count replies (they
-// are one shape) and length-checks their vectors. A verification vector
-// that was asked for and is missing or short is a server fault, not a
-// shape error: an owner that asked for proof and got none fails closed.
+// are one shape) and length-checks their vectors. To a verified query a
+// short vector, result or proof, is a server fault, not a shape error: an
+// owner that asked for proof of every cell and got less fails closed.
 func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg protocol.Range, verify bool, stats *QueryStats) (outs, vouts [2][]uint32, err error) {
 	for phi, r := range replies {
 		rr, ok := r.(R)
@@ -105,7 +105,7 @@ func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg proto
 		}
 	}
 	if uint64(len(outs[0])) != rg.Count || uint64(len(outs[1])) != rg.Count {
-		return outs, vouts, fmt.Errorf("ownerengine: reply length mismatch (%d, %d cells for a window of %d)", len(outs[0]), len(outs[1]), rg.Count)
+		return outs, vouts, fmt.Errorf("%w: reply length mismatch (%d, %d cells for a window of %d)", replyFault(verify), len(outs[0]), len(outs[1]), rg.Count)
 	}
 	if verify && (uint64(len(vouts[0])) != rg.Count || uint64(len(vouts[1])) != rg.Count) {
 		return outs, vouts, fmt.Errorf("%w: verification vectors have %d and %d cells for a window of %d", ErrVerificationFailed, len(vouts[0]), len(vouts[1]), rg.Count)

@@ -17,7 +17,7 @@ import (
 
 // fullView builds a consistent server view (with permutations sized to
 // the table) directly from the initiator.
-func fullView(t *testing.T, phi, m int, b uint64) *params.ServerView {
+func fullView(t testing.TB, phi, m int, b uint64) *params.ServerView {
 	t.Helper()
 	sys, err := params.Generate(params.Config{
 		NumOwners:  m,
@@ -47,7 +47,7 @@ func storeFull(t *testing.T, engines []*Engine, b uint64, verify bool) ([][]uint
 
 // storeSpec is storeFull for any layout over column "v" and a count
 // column.
-func storeSpec(t *testing.T, engines []*Engine, spec protocol.TableSpec) ([][]uint64, [][]uint16) {
+func storeSpec(t testing.TB, engines []*Engine, spec protocol.TableSpec) ([][]uint64, [][]uint16) {
 	t.Helper()
 	g := prg.New(prg.SeedFromString("store-full"))
 	m := 2

@@ -42,7 +42,7 @@ func (c *capture) Handle(ctx context.Context, req any) (any, error) {
 
 func captureServer(sys *System, phi int) *capture {
 	c := &capture{}
-	sys.interceptServer(phi, func(h transport.Handler) transport.Handler {
+	sys.interceptGroupServer(0, phi, func(h transport.Handler) transport.Handler {
 		c.inner = h
 		return c
 	})
@@ -59,7 +59,7 @@ func TestServerSeesOnlyShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap0 := captureServer(sys, 0)
-	defer sys.restoreServer(0)
+	defer sys.restoreGroupServer(0, 0)
 
 	rows := make([]Row, 0, 1000)
 	for k := uint64(1); k <= 1000; k++ {
@@ -136,7 +136,7 @@ func TestPSIReplyLengthHidesOutputSize(t *testing.T) {
 				t.Fatalf("overlap %d: reply has %d cells, want the full 32", overlap, len(r.Out))
 			}
 		}
-		sys.restoreServer(0)
+		sys.restoreGroupServer(0, 0)
 	}
 }
 
@@ -151,8 +151,8 @@ func TestCountReplyPositionsHidden(t *testing.T) {
 	}
 	cap0 := captureServer(sys, 0)
 	cap1 := captureServer(sys, 1)
-	defer sys.restoreServer(0)
-	defer sys.restoreServer(1)
+	defer sys.restoreGroupServer(0, 0)
+	defer sys.restoreGroupServer(0, 1)
 
 	// Intersection = keys 1..16 (cells 0..15).
 	var rows []Row

@@ -2,21 +2,10 @@ package prism
 
 import "prism/internal/transport"
 
-// interceptServer rewires group 0's server phi through a wrapper
-// handler. Tests use it to simulate malicious servers (reply tampering,
-// skipped cells, fake injections) and assert that verification catches
-// them. Not part of the public API.
-func (s *System) interceptServer(phi int, wrap func(transport.Handler) transport.Handler) {
-	s.interceptGroupServer(0, phi, wrap)
-}
-
-// restoreServer undoes interceptServer.
-func (s *System) restoreServer(phi int) {
-	s.restoreGroupServer(0, phi)
-}
-
 // interceptGroupServer rewires group g's server phi through a wrapper
-// handler (multi-group failure tests).
+// handler. Tests use it to simulate malicious servers (reply tampering,
+// skipped cells, fake injections), dead or slow ones, and to count what
+// each server receives. Not part of the public API.
 func (s *System) interceptGroupServer(g, phi int, wrap func(transport.Handler) transport.Handler) {
 	s.network.Register(groupServerAddr(g, phi), wrap(s.servers[g][phi]))
 }

@@ -30,7 +30,7 @@ func phaseSet(t *testing.T, sys *System, tid string) map[string]bool {
 // the announcer's rounds — at least five distinct phases spanning all
 // three planes.
 func TestQueryTraceTimeline(t *testing.T) {
-	cfg := groupParityConfig(t, 2, t.TempDir(), 32)
+	cfg := shape{storage: "disk-cache", shard: 32, groups: 2, owners: 3, b: 128}.config(t)
 	cfg.Trace = true
 	cfg.HotChunks = 1 << 20 // a budget every column fits in
 	sys, err := NewLocalSystem(cfg)
@@ -38,11 +38,8 @@ func TestQueryTraceTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	loadGroupRows(t, sys)
+	loadPlanted(t, sys, plantedCells(sys, 5), 42)
 	ctx := context.Background()
-	if _, err := sys.OutsourceAll(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	psi, err := sys.PSI(ctx)
 	if err != nil {
@@ -103,18 +100,9 @@ func TestQueryTraceTimeline(t *testing.T) {
 // Config.Trace no trace ids are minted, no spans ride the wire, and the
 // tracer stays empty.
 func TestUntracedQueriesStayClean(t *testing.T) {
-	cfg := groupParityConfig(t, 2, "", 0)
-	cfg.EncodeWire = true
-	sys, err := NewLocalSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	loadGroupRows(t, sys)
+	sys := shape{groups: 2, owners: 3, b: 128}.system(t)
+	loadPlanted(t, sys, plantedCells(sys, 5), 42)
 	ctx := context.Background()
-	if _, err := sys.OutsourceAll(ctx); err != nil {
-		t.Fatal(err)
-	}
 	psi, err := sys.PSI(ctx)
 	if err != nil {
 		t.Fatal(err)

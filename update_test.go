@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -620,7 +621,7 @@ func TestShareStreamDeterministic(t *testing.T) {
 		var mu sync.Mutex
 		sent := make(map[string]any)
 		for phi := 0; phi < 3; phi++ {
-			sys.interceptServer(phi, func(inner transport.Handler) transport.Handler {
+			sys.interceptGroupServer(0, phi, func(inner transport.Handler) transport.Handler {
 				return transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
 					mu.Lock()
 					switch r := req.(type) {
@@ -659,4 +660,59 @@ func TestShareStreamDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOversizeUpdateRejectedWhole: an update whose requests exceed the
+// frame cap fails with ErrFrameTooLarge before any server has received a
+// byte of it and leaves the owner as it was, so shipping the same rows as
+// two smaller updates succeeds and answers as the oracle does.
+func TestOversizeUpdateRejectedWhole(t *testing.T) {
+	const b = 64
+	ctx := context.Background()
+	sys := shape{owners: 4, groups: 1, b: b, wire: true}.system(t) // the cap applies to encoded frames
+	orc := loadPlanted(t, sys, plantedCells(sys, 5), 90)
+	var calls [3]*callCounts
+	for phi := range calls {
+		calls[phi] = &callCounts{n: make(map[string]int)}
+		sys.interceptGroupServer(0, phi, calls[phi].wrap)
+	}
+	var cells, vals []uint64
+	for i := uint64(0); i < 40; i++ {
+		cells, vals = append(cells, (i*37+3)%b), append(vals, 1+i)
+	}
+	update := func(lo, hi int) error {
+		_, err := sys.Owner(0).UpdateCells(ctx, cells[lo:hi], map[string][]uint64{"v": vals[lo:hi]}, nil, nil)
+		return err
+	}
+	before := sys.Owner(0).Engine().Data()
+	// Every server's request carries, in both position spaces, 40
+	// positions and 40 shares per column, 8 bytes apiece for the Shamir
+	// ones: framed, S2's — the smallest — is about 1.7 kB, and a 20-row
+	// request to S0 about 1.1 kB.
+	restore := transport.SetFrameLimit(1500)
+	defer restore()
+	if err := update(0, 40); !errors.Is(err, transport.ErrFrameTooLarge) {
+		t.Fatalf("oversize update: err = %v, want ErrFrameTooLarge", err)
+	}
+	for phi := 0; phi < 3; phi++ {
+		if got := calls[phi].rounds(); len(got) != 0 {
+			t.Errorf("server %d received %v of the refused update", phi, got)
+		}
+		if n := sys.ServerEngine(phi).DeltaBacklog(tableName); n != 0 {
+			t.Errorf("server %d delta backlog = %d after the refused update", phi, n)
+		}
+	}
+	if after := sys.Owner(0).Engine().Data(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused update changed the owner's loaded data")
+	}
+	for _, half := range [][2]int{{0, 20}, {20, 40}} {
+		if err := update(half[0], half[1]); err != nil {
+			t.Fatalf("rows [%d,%d) as their own update: %v", half[0], half[1], err)
+		}
+	}
+	restore() // the queries below move whole vectors
+	orc.sets[0] = append(slices.Clone(orc.sets[0]), cells...)
+	orc.vals[0] = append(slices.Clone(orc.vals[0]), vals...)
+	orc.rebuild()
+	directAnswers(t, sys, orc)
 }
