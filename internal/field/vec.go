@@ -15,20 +15,37 @@ func Fold(x uint64) uint64 { return (x & P) + (x >> 61) }
 // acc is loaded and stored once per four addends: every pass folds acc
 // and adds at most four canonical elements (≤ 5P+3, far from overflow).
 // acc may start at any values and ends congruent to the sum, unreduced —
-// Reduce it once. Sources must be canonical.
-func AddVecLazy(acc []uint64, srcs [][]Elem, lo, hi int) {
+// Reduce it once. Sources must be canonical. 16-bit sources are added
+// without the fold: acc ends as the exact integer sum (the caller keeps
+// it below 2^64), ready to be reduced by another modulus.
+func AddVecLazy[S ~uint16 | ~uint64](acc []uint64, srcs [][]S, lo, hi int) {
 	acc = acc[:hi-lo]
+	exact := uint64(^S(0)) == 1<<16-1
 	j := 0
 	for ; j+4 <= len(srcs); j += 4 {
 		a, b, c, d := srcs[j][lo:hi], srcs[j+1][lo:hi], srcs[j+2][lo:hi], srcs[j+3][lo:hi]
 		a, b, c, d = a[:len(acc)], b[:len(acc)], c[:len(acc)], d[:len(acc)]
+		if exact {
+			for i, s := range acc {
+				acc[i] = s + uint64(a[i]) + uint64(b[i]) + uint64(c[i]) + uint64(d[i])
+			}
+			continue
+		}
 		for i, s := range acc {
-			acc[i] = Fold(s) + a[i] + b[i] + c[i] + d[i]
+			acc[i] = Fold(s) + uint64(a[i]) + uint64(b[i]) + uint64(c[i]) + uint64(d[i])
 		}
 	}
 	for ; j < len(srcs); j++ {
-		for i, v := range srcs[j][lo:hi] {
-			acc[i] = Fold(acc[i]) + v
+		a := srcs[j][lo:hi]
+		a = a[:len(acc)]
+		if exact {
+			for i, s := range acc {
+				acc[i] = s + uint64(a[i])
+			}
+			continue
+		}
+		for i, s := range acc {
+			acc[i] = Fold(s) + uint64(a[i])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package field
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,28 @@ func TestAddVecLazyOverflowEdge(t *testing.T) {
 			if Reduce(a) != want[i] {
 				t.Errorf("m=%d: acc[%d] ≡ %d, want %d", m, i, Reduce(a), want[i])
 			}
+		}
+	}
+}
+
+// TestAddVecLazy16Exact: 16-bit sources sum to the exact integer, in the
+// four-wide passes and the tail alike, however far past P it runs.
+func TestAddVecLazy16Exact(t *testing.T) {
+	for _, m := range []int{0, 1, 4, 5, 9, 301} {
+		srcs := make([][]uint16, m)
+		for j := range srcs {
+			srcs[j] = []uint16{1, 0xFFFF, uint16(j), 0}
+		}
+		acc := []uint64{P + 1, 0, 1 << 62}
+		want := slices.Clone(acc)
+		for i := range want {
+			for _, src := range srcs {
+				want[i] += uint64(src[i])
+			}
+		}
+		AddVecLazy(acc, srcs, 0, 3)
+		if !slices.Equal(acc, want) {
+			t.Errorf("m=%d: acc = %v, want %v", m, acc, want)
 		}
 	}
 }

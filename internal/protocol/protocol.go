@@ -61,11 +61,11 @@ func (r Range) Validate(b uint64) error {
 // Stats carries per-request server-side timing so the benchmark harness
 // can decompose time the way Figure 3 does (compute vs data fetch).
 type Stats struct {
-	FetchNS   int64 // time reading shares from the share store
+	FetchNS   int64 // time reading shares from the share store and adding the owners' shares
 	ComputeNS int64 // time in the oblivious compute loop
 	PatchNS   int64 // time merging the delta overlay into fetched windows
 	Cells     int   // cells processed
-	CacheHits int   // column reads served by the hot-chunk cache
+	CacheHits int   // column reads served by the table's cache (owner sums, hot chunks)
 	// Spans carries the per-phase trace annotations of a traced request
 	// (the request carried a non-empty TraceID). nil — and therefore
 	// absent from the gob stream — for untraced queries. Because every

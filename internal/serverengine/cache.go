@@ -3,33 +3,38 @@ package serverengine
 import (
 	"container/list"
 	"errors"
+	"math"
 	"sync"
 
 	"prism/internal/sharestore"
 )
 
-// chunkCache is a per-table hot-chunk cache for disk-backed serving: the
-// χ-share and uint64 aggregation columns a query fetches from the share
-// store are cached at chunk granularity, so shard-window queries keep
-// only the chunks they actually touch resident — and re-touching a hot
-// window costs no disk read. An epoch ends whenever the table changes (a
-// Store from any owner, a Drop): the engine swaps in a fresh cache so
-// later queries never serve stale chunks. Chunks already cached stay
-// visible to queries holding the old snapshot, but a cache miss always
-// reads the store's current files — so, exactly as without the cache, a
-// query overlapping a re-outsource may combine columns from two epochs.
-// That coordination is the caller's documented responsibility (see the
-// package README: don't re-outsource a table being queried at that
-// instant).
+// chunkCache is one table epoch's cache. It holds two kinds of entry:
+// the owner sums the kernels read (sumKey names; see ownerSum) and, on a
+// disk-backed engine, the hot chunks of the owners' columns (colKey
+// names), so shard-window queries keep only the chunks they touch
+// resident and re-touching a hot window costs no disk read. An in-memory
+// table's cache holds only owner sums and is never over budget: they are
+// 1/M of the table's bytes. An epoch ends whenever the table changes (a
+// Store from any owner, a compaction swap, a recovery adoption, a Drop):
+// the engine swaps in a fresh cache so later queries never serve stale
+// entries. Entries already cached stay visible to queries holding the old
+// snapshot, but a disk cache miss always reads the store's current files
+// — so, exactly as without the cache, a query overlapping a re-outsource
+// may combine columns from two epochs. That coordination is the caller's
+// documented responsibility (see the package README: don't re-outsource
+// a table being queried at that instant).
 //
 // Residency is bounded by a byte budget (Options.CacheBytes): completed
-// chunks are kept on an LRU list and the least-recently-used chunks are
-// evicted once the budget is exceeded. Evicting a chunk another query
-// still holds a slice of is safe — the cache merely forgets it.
+// entries are kept on an LRU list and the least-recently-used are
+// evicted once the budget is exceeded. Evicting an entry another query
+// still holds a slice of is safe — the cache merely forgets it. A warm
+// working set needs only its owner sums, so under a tight budget the
+// owner chunks are what LRU evicts.
 //
-// Loads are single-flight per chunk: under concurrent traffic the first
-// query reads a chunk from disk while the rest wait on the entry, so 40
-// simultaneous queries cost one disk read per chunk, not 40.
+// Loads are single-flight per entry: under concurrent traffic the first
+// query reads a chunk (or builds a sum) while the rest wait on the entry,
+// so 40 simultaneous queries cost one load per entry, not 40.
 type chunkCache struct {
 	mu        sync.Mutex
 	budget    int64
@@ -40,7 +45,8 @@ type chunkCache struct {
 	discarded bool
 }
 
-// chunkID keys one cached entry: chunk k of disk column col.
+// chunkID keys one cached entry: chunk k of disk column col, or owner-sum
+// entry k of sumKey(col).
 type chunkID struct {
 	col string
 	k   uint64
@@ -64,23 +70,28 @@ func newChunkCache(budget int64, track func(delta int64)) *chunkCache {
 	}
 }
 
-// resetCache ends t's cache epoch: the old epoch's chunks are released
-// and, when the engine caches at all, a cold cache takes its place.
-// Caller holds e.mu.
+// resetCache ends t's cache epoch: the old epoch's entries are released
+// and a cold cache takes their place — unbounded in memory (owner sums
+// only), the CacheBytes budget on disk, none on a disk engine with the
+// cache off. It is the only invalidation the owner sums have. Caller
+// holds e.mu.
 func (e *Engine) resetCache(t *table) {
 	if t.cache != nil {
 		t.cache.discard()
 	}
 	t.cache = nil
-	if e.opts.Store != nil && e.opts.CacheBytes > 0 {
+	switch {
+	case e.opts.Store == nil:
+		t.cache = newChunkCache(math.MaxInt64, e.trackHeld)
+	case e.opts.CacheBytes > 0:
 		t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
 	}
 }
 
 // fullColumnChunk is the sentinel chunk id under which a whole assembled
-// multi-chunk column is cached (whole-table windows read entire
-// columns; caching the joined column gives warm queries a zero-copy
-// handoff instead of re-joining chunks per query).
+// multi-chunk column — or its owner sum — is cached (whole-table windows
+// read entire columns; caching the joined column gives warm queries a
+// zero-copy handoff instead of re-joining chunks per query).
 const fullColumnChunk = ^uint64(0)
 
 // cacheGet returns the cached entry key, loading it via load on first
@@ -146,8 +157,8 @@ func (c *chunkCache) finish(e *chunkEntry) {
 	close(e.ready)
 }
 
-// evictLocked drops least-recently-used chunks until the budget holds,
-// always keeping the most recent chunk resident (a single chunk larger
+// evictLocked drops least-recently-used entries until the budget holds,
+// always keeping the most recent entry resident (a single entry larger
 // than the budget must still serve). Caller holds c.mu.
 func (c *chunkCache) evictLocked() {
 	for c.bytes > c.budget && c.lru.Len() > 1 {
@@ -182,7 +193,7 @@ func (c *chunkCache) discard() {
 	c.lru.Init()
 }
 
-// Len reports the number of cached chunks (tests and monitoring).
+// Len reports the number of cached entries (tests and monitoring).
 func (c *chunkCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

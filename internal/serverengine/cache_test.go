@@ -35,9 +35,11 @@ func psiStats(t *testing.T, e *Engine) (protocol.PSIReply, protocol.Stats) {
 }
 
 // TestHotColumnCachePSI asserts the second query of a table epoch serves
-// its χ-shares from memory: zero fetch time, one cache hit per owner.
+// its χ-shares from memory: zero fetch time, and one cache hit per
+// owner-sum entry the window touches — the one-chunk table's single
+// entry, whatever the owner count.
 func TestHotColumnCachePSI(t *testing.T) {
-	const b, m = 64, 2
+	const b = 64
 	engines := newHotEngines(t, b)
 	storeFull(t, engines, b, false)
 
@@ -49,8 +51,8 @@ func TestHotColumnCachePSI(t *testing.T) {
 		t.Errorf("cold query reported no fetch time")
 	}
 	warm, warmStats := psiStats(t, engines[0])
-	if warmStats.CacheHits != m {
-		t.Errorf("warm query cache hits = %d, want %d", warmStats.CacheHits, m)
+	if warmStats.CacheHits != 1 {
+		t.Errorf("warm query cache hits = %d, want 1", warmStats.CacheHits)
 	}
 	if warmStats.FetchNS != 0 {
 		t.Errorf("warm query fetch time = %dns, want 0", warmStats.FetchNS)
@@ -79,10 +81,12 @@ func TestHotColumnCacheInvalidatedByStore(t *testing.T) {
 }
 
 // TestHotColumnCacheSingleFlight runs many concurrent cold queries and
-// asserts each column was loaded exactly once: total hits across
-// queries == calls − columns.
+// asserts the owner sum was built exactly once, from each owner's column
+// read once: of the n queries' lookups of the one-chunk table's single
+// sum entry, all but the building one hit, and the build's m owner-chunk
+// lookups all miss.
 func TestHotColumnCacheSingleFlight(t *testing.T) {
-	const b, m, n = 64, 2, 8
+	const b, n = 64, 8
 	engines := newHotEngines(t, b)
 	storeFull(t, engines, b, false)
 
@@ -109,9 +113,15 @@ func TestHotColumnCacheSingleFlight(t *testing.T) {
 	for _, s := range stats {
 		totalHits += s.CacheHits
 	}
-	// n queries × m χ-columns, of which exactly m are loads.
-	if want := n*m - m; totalHits != want {
-		t.Errorf("total cache hits = %d, want %d (each column loaded once)", totalHits, want)
+	if want := n - 1; totalHits != want {
+		t.Errorf("total cache hits = %d, want %d (the sum built once)", totalHits, want)
+	}
+	e := engines[0]
+	e.mu.RLock()
+	cache := e.tables["t"].cache
+	e.mu.RUnlock()
+	if got, want := cache.Len(), 1+e.view.M; got != want {
+		t.Errorf("cache holds %d entries, want %d (the sum and each owner's chunk)", got, want)
 	}
 	for i := 1; i < n; i++ {
 		if !reflect.DeepEqual(outs[0], outs[i]) {

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"time"
 
+	"prism/internal/field"
 	"prism/internal/perm"
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
@@ -232,21 +233,33 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 
 // ---- fetch layer ----
 //
-// Every handler fetches exactly the stored cells its reply window needs:
-// contiguous windows via fetchWindow (reading only the chunks that
-// overlap the window) and scattered cells — permuted reply windows,
-// bucket-tree frontiers — via fetchGather (visiting the touched chunks
-// one at a time, so residency stays O(window + chunk)). In-memory tables
-// hand out zero-copy slices and report no fetch time; disk reads are
-// timed into Stats.FetchNS and served through the per-table hot-chunk
-// cache when enabled. Both merge the table's delta overlay in.
+// The fetch layer's contract with the kernels is ownerSum: for the
+// window, gather or frontier a kernel asks for, it returns Σ_j col_j over
+// the M owners — δ-reduced for χ/χ̄, canonical F_p for field columns —
+// with the table's delta overlay merged in, so every kernel reads one
+// vector. The M-way add lives in one place, sumOwners, and runs once per
+// table epoch and column: the sum is kept as entries of the epoch's cache
+// (chunkCache), built lazily on first use — on disk one entry per owner-0
+// chunk, beside the owner chunks and under the same budget; in memory one
+// whole-column entry, the only thing that epoch cache holds. resetCache,
+// run on every registration, compaction swap and recovery adoption, is
+// the only invalidation. With the cache off (a disk engine without
+// -hotchunks) each request builds its sum, adding the owners' fetched
+// cells as it goes.
 //
-// A fetched slice is either shared — an in-memory column or a cached
-// chunk, untouched by the overlay — or borrowed: taken from the cell
-// pool by the fetch itself (every gather, every window that had to be
-// read or joined, and patchWindow's copy of a shared window an overlay
-// entry lands in). Borrowed slices live for one kernel call: ownerCells
-// hands the caller a release function for exactly those.
+// Underneath, one owner's cells come through one path: contiguous windows
+// via fetchWindow (reading only the chunks that overlap the window) and
+// scattered cells — permuted reply windows, bucket-tree frontiers — via
+// fetchGather (visiting the touched chunks one at a time, so residency
+// stays O(window + chunk)). Both merge the owner's overlay entries in;
+// the ...Raw variants do not. Store reads are timed into Stats.FetchNS.
+//
+// A fetched slice is either shared — an in-memory column, a cached chunk
+// or owner sum, untouched by the overlay — or borrowed: taken from the
+// cell pool by the fetch itself (every gather, every window that had to
+// be read, built or joined, and the copy of a shared window an overlay
+// entry lands in). Borrowed slices live for one kernel call, after which
+// the caller releases them.
 
 // The cell pools lend the fetch layer its slices; cellPool picks T's.
 var (
@@ -280,15 +293,15 @@ func memCol[T sharestore.Cell](e *Engine, t *tableView, owner int, col string) (
 	return v, nil
 }
 
-// cached loads entry k of disk column key — a retained, shared slice —
-// through the table's chunk cache, timing the store read when it runs.
-func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protocol.Stats, read func() ([]T, error)) ([]T, error) {
-	v, hit, err := cacheGet(t.cache, chunkID{key, k}, func() ([]T, error) {
-		start := time.Now()
-		v, err := read()
-		stats.FetchNS += time.Since(start).Nanoseconds()
-		return v, err
-	})
+// fetchTime adds the time since start to Stats.FetchNS.
+func fetchTime(stats *protocol.Stats, start time.Time) {
+	stats.FetchNS += time.Since(start).Nanoseconds()
+}
+
+// cached loads entry k of key — a retained, shared slice — through the
+// table's epoch cache and counts the lookup.
+func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protocol.Stats, load func() ([]T, error)) ([]T, error) {
+	v, hit, err := cacheGet(t.cache, chunkID{key, k}, load)
 	if hit {
 		stats.CacheHits++
 		mCacheHits.Inc()
@@ -302,6 +315,7 @@ func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protoc
 // The slice may be shared with other queries.
 func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64, stats *protocol.Stats) ([]T, error) {
 	return cached(t, key, k, stats, func() ([]T, error) {
+		defer fetchTime(stats, time.Now())
 		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
 	})
 }
@@ -339,7 +353,7 @@ func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		out := cellPool[T]().Get(int(rg.Count))
 		start := time.Now()
 		err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, key, rg.Offset, out)
-		stats.FetchNS += time.Since(start).Nanoseconds()
+		fetchTime(stats, start)
 		return out, true, err
 	}
 	info, err := e.opts.Store.Stat(t.spec.Name, key)
@@ -358,6 +372,7 @@ func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		// assembled column as one entry so warm queries get a zero-copy
 		// slice handoff instead of re-joining chunks per query.
 		v, err := cached(t, key, fullColumnChunk, stats, func() ([]T, error) {
+			defer fetchTime(stats, time.Now())
 			return sharestore.ReadRange[T](e.opts.Store, t.spec.Name, key, 0, info.Cells)
 		})
 		return v, false, err
@@ -462,7 +477,7 @@ func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		if t.cache == nil {
 			start := time.Now()
 			err = sharestore.GatherChunk(e.opts.Store, t.spec.Name, key, k, idx, order, out)
-			stats.FetchNS += time.Since(start).Nanoseconds()
+			fetchTime(stats, start)
 		} else if chunk, err = chunkSpan[T](e, t, key, k, stats); err == nil {
 			for _, i := range order {
 				out[i] = chunk[uint64(idx[i])-k*plan.cc]
@@ -475,65 +490,220 @@ func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 	return out, nil
 }
 
-// ownerCells runs fetch for every owner and returns the fetched slices
-// with a release function to run once the kernel reading them has
-// finished: it hands back the borrowed ones and leaves the shared alone.
-func ownerCells[T sharestore.Cell](e *Engine, fetch func(owner int) ([]T, bool, error)) ([][]T, func(), error) {
-	out := make([][]T, e.view.M)
-	var lent [][]T
-	done := func() {
-		for _, v := range lent {
-			release(e, v)
-		}
-	}
-	for j := range out {
-		v, borrowed, err := fetch(j)
-		if err != nil {
-			done()
-			return nil, nil, err
-		}
-		if borrowed {
-			lent = append(lent, v)
-		}
-		out[j] = v
-	}
-	return out, done, nil
-}
+// ---- owner sums ----
 
-// ownerWindows fetches every owner's cells of col for the stored-cell
-// window rg.
-func ownerWindows[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([][]T, func(), error) {
-	return ownerCells(e, func(j int) ([]T, bool, error) { return fetchWindow[T](e, t, j, col, rg, stats) })
-}
-
-// chiShares fetches every owner's χ (bar=false) or χ̄ (bar=true) share
-// cells for one reply: the stored-cell window rg or, when idx is
-// non-nil, the scattered stored cells idx in idx order — the window rg
-// of a reply permuted by pf (idx = pf⁻¹[rg]) or, with pf nil, a
-// bucket-tree frontier, used as it is. The chunk-grouping plan of a
-// gather is computed once and shared across owners (their columns share
-// the store's chunk geometry).
-func (e *Engine) chiShares(t *tableView, bar bool, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([][]uint16, func(), error) {
-	col := "chi"
+// chiCol is the layout name of the χ (bar false) or χ̄ (bar true) shares.
+func chiCol(bar bool) string {
 	if bar {
-		col = "chibar"
+		return "chibar"
 	}
+	return "chi"
+}
+
+// sumKey names the epoch cache's owner-sum entries of a column; the owner
+// chunks sit beside them under colKey names.
+func sumKey(col string) string { return "Σ." + col }
+
+// ownerSum returns Σ_j col_j over one fetch with the delta overlay merged
+// in, and whether the slice is borrowed. The fetch is the stored-cell
+// window rg or, when idx is non-nil, the stored cells idx in idx order:
+// the window rg of a reply permuted by pf (idx = pf⁻¹[rg]) or, with pf
+// nil, a bucket-tree frontier used as it is.
+func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
+	if t.cache == nil {
+		return buildSum[T](e, t, col, rg, idx, pf, stats)
+	}
+	var v []T
+	var borrowed bool
+	var err error
 	if idx == nil {
-		return ownerWindows[uint16](e, t, col, rg, stats)
+		v, borrowed, err = sumWindow[T](e, t, col, rg, stats)
+	} else {
+		v, err = sumGather[T](e, t, col, idx, stats)
+		borrowed = true
 	}
-	var plan *gatherPlan
-	for j := 0; j < e.view.M; j++ {
-		if t.owners[j].onDisk {
-			info, err := e.opts.Store.Stat(t.spec.Name, colKey(j, col))
+	if err != nil || t.delta == nil {
+		return v, borrowed, err
+	}
+	return mergeOverlay(e, t, col, rg, idx, pf, v, borrowed, stats)
+}
+
+// buildSum is ownerSum with the cache off: there is no epoch cache to
+// keep a sum in, so each request fetches every owner's cells — with the
+// owner's overlay entries already in place, every base cell an entry
+// replaces being in the raw window in hand — and adds them as it goes
+// (sumOwners). A gather's chunk plan is built once, from owner 0's
+// column.
+func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
+	n := int(rg.Count)
+	fetch := func(j int) ([]T, bool, error) { return fetchWindow[T](e, t, j, col, rg, stats) }
+	if idx != nil {
+		n = len(idx)
+		var plan *gatherPlan
+		if t.owners[0].onDisk {
+			info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
 			if err != nil {
-				return nil, nil, err
+				return nil, false, err
 			}
 			p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
 			plan = &p
-			break
+		}
+		fetch = func(j int) ([]T, bool, error) {
+			return fetchGather[T](e, t, j, col, idx, pf, rg.Offset, plan, stats)
 		}
 	}
-	return ownerCells(e, func(j int) ([]uint16, bool, error) {
-		return fetchGather[uint16](e, t, j, col, idx, pf, rg.Offset, plan, stats)
+	v := cellPool[T]().Get(n)
+	if err := sumOwners(e, v, fetch, stats); err != nil {
+		release(e, v)
+		return nil, false, err
+	}
+	return v, true, nil
+}
+
+// sumOwners is the server's one owner loop: it sets dst to Σ_j fetch(j)
+// — mod δ for χ shares, canonical F_p for field shares. The add runs
+// lazily in 64 bits (the field package's AddVecLazy) and is reduced
+// once; χ sums are exact there, since the owner count is below δ ≤ 2^16
+// (params enforces both) and M 16-bit shares sum below 2^32. It takes
+// four owners' cells per pass — the add's width — and hands their
+// borrowed slices back before fetching the next four, so a build holds
+// at most four owners' cells beside dst, never M. The add is fetch time:
+// it is what makes the fetched vector.
+func sumOwners[T sharestore.Cell](e *Engine, dst []T, fetch func(owner int) ([]T, bool, error), stats *protocol.Stats) error {
+	acc, wide := any(dst).([]uint64)
+	if !wide {
+		acc = u64Cells.Get(len(dst))
+		defer release(e, acc)
+	}
+	clear(acc)
+	var pass [4][]T
+	var lent [4]bool
+	giveBack := func(n int) {
+		for k := 0; k < n; k++ {
+			if lent[k] {
+				release(e, pass[k])
+			}
+		}
+	}
+	for j := 0; j < e.view.M; j += len(pass) {
+		n := min(len(pass), e.view.M-j)
+		for k := 0; k < n; k++ {
+			v, borrowed, err := fetch(j + k)
+			if err != nil {
+				giveBack(k)
+				return err
+			}
+			pass[k], lent[k] = v, borrowed
+		}
+		start := time.Now()
+		srcs := pass[:n]
+		e.parallel(len(acc), func(lo, hi int) { field.AddVecLazy(acc[lo:hi], srcs, lo, hi) })
+		fetchTime(stats, start)
+		giveBack(n)
+	}
+	defer fetchTime(stats, time.Now())
+	e.parallel(len(dst), func(lo, hi int) {
+		d := dst[lo:hi]
+		for i, s := range acc[lo:hi] {
+			d[i] = ringReduce[T](e, s)
+		}
 	})
+	return nil
+}
+
+// ringReduce maps one owner-sum accumulator cell into T's ring: Z_δ for χ
+// shares (the accumulator is below 2^32), canonical F_p for field shares.
+func ringReduce[T sharestore.Cell](e *Engine, acc uint64) T {
+	if sharestore.Width[T]() == 2 {
+		return T(e.modDelta.Reduce(uint32(acc)))
+	}
+	return T(field.Reduce(acc))
+}
+
+// sumSpan is the geometry of a column's owner-sum entries: entry k
+// covers the cells [k·cc, min((k+1)·cc, cells)). In memory one entry is
+// the whole column; on disk an entry spans owner 0's chunk — one cell
+// range across every owner, whatever chunk size each owner's column was
+// written with.
+func sumSpan(e *Engine, t *tableView, col string) (cc, cells uint64, err error) {
+	if !t.owners[0].onDisk {
+		return max(t.spec.B, 1), t.spec.B, nil
+	}
+	info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
+	return max(info.ChunkCells, 1), info.Cells, err
+}
+
+// summed returns owner-sum entry k of a column (fullColumnChunk: the
+// whole column as one entry), building it from the owners' raw cells on
+// its first use in the epoch.
+func summed[T sharestore.Cell](e *Engine, t *tableView, col string, k, cc, cells uint64, stats *protocol.Stats) ([]T, error) {
+	rg := protocol.Range{Offset: 0, Count: cells}
+	if k != fullColumnChunk {
+		rg = protocol.Range{Offset: k * cc, Count: min(cc, cells-k*cc)}
+	}
+	return cached(t, sumKey(col), k, stats, func() ([]T, error) {
+		sum := make([]T, rg.Count)
+		err := sumOwners(e, sum, func(j int) ([]T, bool, error) {
+			return fetchWindowRaw[T](e, t, j, col, rg, stats)
+		}, stats)
+		return sum, err
+	})
+}
+
+// sumWindow is the cached owner sum of the stored-cell window rg: a
+// shared slice of one entry when rg lies inside it (every window in
+// memory, chunk-aligned shard windows on disk), the whole-column entry
+// for a whole multi-chunk table, or else the touched entries joined into
+// a borrowed slice.
+func sumWindow[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
+	cc, cells, err := sumSpan(e, t, col)
+	if err != nil {
+		return nil, false, err
+	}
+	k := rg.Offset / cc
+	if rg.End() <= (k+1)*cc {
+		v, err := summed[T](e, t, col, k, cc, cells, stats)
+		if err != nil {
+			return nil, false, err
+		}
+		return v[rg.Offset-k*cc : rg.End()-k*cc], false, nil
+	}
+	if rg.Offset == 0 && rg.Count == cells {
+		v, err := summed[T](e, t, col, fullColumnChunk, cc, cells, stats)
+		return v, false, err
+	}
+	out := cellPool[T]().Get(int(rg.Count))
+	for ; k*cc < rg.End(); k++ {
+		v, err := summed[T](e, t, col, k, cc, cells, stats)
+		if err != nil {
+			release(e, out)
+			return nil, false, err
+		}
+		lo, hi := max(k*cc, rg.Offset), min(k*cc+uint64(len(v)), rg.End())
+		copy(out[lo-rg.Offset:], v[lo-k*cc:hi-k*cc])
+	}
+	return out, true, nil
+}
+
+// sumGather gathers the cached owner sum at the stored cells idx into a
+// borrowed slice, in idx order, visiting each touched entry once: one
+// gather, whatever the owner count.
+func sumGather[T sharestore.Cell](e *Engine, t *tableView, col string, idx []uint32, stats *protocol.Stats) ([]T, error) {
+	cc, cells, err := sumSpan(e, t, col)
+	if err != nil {
+		return nil, err
+	}
+	out := cellPool[T]().Get(len(idx))
+	plan := buildGatherPlan(idx, cc, cells)
+	for c, k := range plan.chunks {
+		v, err := summed[T](e, t, col, k, cc, cells, stats)
+		if err != nil {
+			release(e, out)
+			return nil, err
+		}
+		for _, i := range plan.order[plan.starts[c]:plan.starts[c+1]] {
+			out[i] = v[uint64(idx[i])-k*cc]
+		}
+	}
+	return out, nil
 }

@@ -10,13 +10,12 @@
 // into the base chunks (sharestore.PatchCells), bumps the table epoch,
 // and deletes the absorbed delta segments oldest-first.
 //
-// A fetch's patch costs the smaller of the column's entries and the
-// fetched cells. With fewer entries it walks them and range-checks each
-// one: against the window, or, for a window of a permuted reply,
-// against the entry's place under the server permutation PF_s.
-// Otherwise, and for a bucket-tree frontier (no placement), it probes
-// the map once per fetched cell. A shared window an entry lands in is
-// copied into a borrowed slice first; an untouched one stays shared.
+// Finding the entries that land in a fetch costs the smaller of the
+// column's entries and the fetched cells (landing). With the cache off
+// each owner's fetched cells are patched in place before the owners are
+// added; a cached owner sum is corrected instead, by v ⊖ base_j[p] per
+// entry (mergeOverlay). A shared window an entry lands in is copied into
+// a borrowed slice first; an untouched one stays shared.
 //
 // Ordering invariant: per table, sequence assignment, the durable log
 // append and the overlay insert happen under one delta lock, so when an
@@ -41,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"prism/internal/field"
 	"prism/internal/perm"
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
@@ -198,6 +198,48 @@ func (d *deltaOverlay) dropOwner(owner int) int64 {
 	return released
 }
 
+// landing calls fn(i, p, val) for every entry that lands in a fetch: an
+// entry at stored position p, fetched cell i. The fetch is the window rg
+// (idx nil) or the gather idx; a non-nil pf says idx = pf⁻¹[rg], a window
+// of a permuted reply, where stored cell p sits at pf[p]−rg.Offset
+// whenever that lies in the window (pf covers every stored position: a
+// permuted table has len(pf) cells, and overlay positions are below
+// that). It costs the smaller of the entries and the fetched cells: with
+// fewer entries it walks them and range-checks each (a frontier gather,
+// which has no placement, always probes); otherwise it probes the map
+// once per fetched cell. Caller holds the overlay's read lock.
+func (co *colOverlay) landing(rg protocol.Range, idx []uint32, pf perm.Perm, fn func(i int, p, val uint64)) {
+	n := rg.Count
+	if idx != nil {
+		n = uint64(len(idx))
+	}
+	if uint64(len(co.cells)) < n && (idx == nil || pf != nil) {
+		for p, dv := range co.cells {
+			q := p
+			if idx != nil {
+				q = uint64(pf[p])
+			}
+			if q >= rg.Offset && q-rg.Offset < n {
+				fn(int(q-rg.Offset), p, dv.val)
+			}
+		}
+		return
+	}
+	if idx == nil {
+		for p := rg.Offset; p < rg.End(); p++ {
+			if dv, ok := co.cells[p]; ok {
+				fn(int(p-rg.Offset), p, dv.val)
+			}
+		}
+		return
+	}
+	for i, p := range idx {
+		if dv, ok := co.cells[uint64(p)]; ok {
+			fn(i, uint64(p), dv.val)
+		}
+	}
+}
+
 // patchWindow overlays key's delta entries onto the window rg of v and
 // reports whether the result is borrowed. A borrowed v is patched in
 // place; a shared v (an in-memory column, a cached chunk) is copied into
@@ -206,61 +248,158 @@ func (d *deltaOverlay) dropOwner(owner int) int64 {
 func patchWindow[T sharestore.Cell](d *deltaOverlay, key string, rg protocol.Range, v []T, borrowed bool) ([]T, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	co := d.cols[key]
-	if co == nil || len(co.cells) == 0 {
-		return v, borrowed
-	}
-	set := func(p uint64, dv deltaVal) {
-		if !borrowed {
-			own := cellPool[T]().Get(len(v))
-			copy(own, v)
-			v, borrowed = own, true
-		}
-		v[p-rg.Offset] = T(dv.val)
-	}
-	if uint64(len(co.cells)) < rg.Count {
-		for p, dv := range co.cells {
-			if p >= rg.Offset && p < rg.End() {
-				set(p, dv)
+	if co := d.cols[key]; co != nil {
+		co.landing(rg, nil, nil, func(i int, _, val uint64) {
+			if !borrowed {
+				own := cellPool[T]().Get(len(v))
+				copy(own, v)
+				v, borrowed = own, true
 			}
-		}
-		return v, borrowed
-	}
-	for p := rg.Offset; p < rg.End(); p++ {
-		if dv, ok := co.cells[p]; ok {
-			set(p, dv)
-		}
+			v[i] = T(val)
+		})
 	}
 	return v, borrowed
 }
 
 // patchGather overlays key's delta entries onto a gathered fetch: out[i]
 // holds the cell at idx[i] and is always borrowed, so the patch is in
-// place. A non-nil pf says idx = pf⁻¹[off, off+len(idx)), a window of a
-// permuted reply: stored cell p then sits at out[pf[p]−off] whenever
-// that lies in the window (pf covers every stored position: a permuted
-// table has len(pf) cells, and overlay positions are below that).
+// place. A non-nil pf says idx = pf⁻¹[off, off+len(idx)), which lets
+// landing place each entry instead of probing for every cell.
 func patchGather[T sharestore.Cell](d *deltaOverlay, key string, idx []uint32, pf perm.Perm, off uint64, out []T) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	co := d.cols[key]
-	if co == nil || len(co.cells) == 0 {
-		return
+	if co := d.cols[key]; co != nil {
+		co.landing(protocol.Range{Offset: off, Count: uint64(len(idx))}, idx, pf, func(i int, _, val uint64) {
+			out[i] = T(val)
+		})
 	}
-	if pf != nil && len(co.cells) < len(idx) {
-		end := off + uint64(len(idx))
-		for p, dv := range co.cells {
-			if q := uint64(pf[p]); q >= off && q < end {
-				out[q-off] = T(dv.val)
+}
+
+// deltaHit is one overlay entry a fetch lands on: owner's value val
+// replaces its base cell at stored position p, fetched cell i.
+type deltaHit struct {
+	i, owner int
+	p, val   uint64
+}
+
+// hits collects every owner's entries of col that land in a fetch (see
+// landing). The read lock is held only while the map is walked.
+func (d *deltaOverlay) hits(owners int, col string, rg protocol.Range, idx []uint32, pf perm.Perm) []deltaHit {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	var out []deltaHit
+	for j := 0; j < owners; j++ {
+		if co := d.cols[colKey(j, col)]; co != nil {
+			co.landing(rg, idx, pf, func(i int, p, val uint64) {
+				out = append(out, deltaHit{i: i, owner: j, p: p, val: val})
+			})
+		}
+	}
+	return out
+}
+
+// mergeOverlay brings the table's delta entries into a cached owner sum
+// v of a fetch (see ownerSum) and reports whether the result is borrowed.
+// Each entry swaps its owner's base cell for its value: v ⊕ (val ⊖
+// base_j[p]) in Z_δ or F_p, with base_j[p] read from the owner's
+// in-memory column or, through the epoch cache, from its chunk — one
+// lookup per owner and chunk touched, not one per entry. Every cell an
+// entry lands in is first re-added from all owners' bases as read now, so
+// the cell and its corrections rest on one version of each base cell even
+// when a compaction has folded an entry into the chunk files since the
+// cached sum was built (an owner without an entry at the cell has no cell
+// there for compaction to change). A shared v is copied into a borrowed
+// slice before the first write. Store reads the merge triggers are fetch
+// time; the rest is patch time.
+func mergeOverlay[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, v []T, borrowed bool, stats *protocol.Stats) ([]T, bool, error) {
+	start, fetched := time.Now(), stats.FetchNS
+	defer func() { stats.PatchNS += time.Since(start).Nanoseconds() - (stats.FetchNS - fetched) }()
+	hits := t.delta.hits(e.view.M, col, rg, idx, pf)
+	if len(hits) == 0 {
+		return v, borrowed, nil
+	}
+	if !borrowed {
+		own := cellPool[T]().Get(len(v))
+		copy(own, v)
+		v, borrowed = own, true
+	}
+	bases := make([]ownerBase[T], e.view.M)
+	for j := range bases {
+		bases[j] = ownerBase[T]{e: e, t: t, owner: j, col: col, stats: stats}
+	}
+	fail := func(err error) ([]T, bool, error) {
+		release(e, v)
+		return nil, false, err
+	}
+	for _, h := range hits {
+		var acc uint64
+		for j := range bases {
+			b, err := bases[j].at(h.p)
+			if err != nil {
+				return fail(err)
 			}
+			acc = field.Fold(acc) + field.Fold(uint64(b))
 		}
-		return
+		v[h.i] = ringReduce[T](e, acc)
 	}
-	for i, p := range idx {
-		if dv, ok := co.cells[uint64(p)]; ok {
-			out[i] = T(dv.val)
+	ring := e.view.Delta
+	if sharestore.Width[T]() == 8 {
+		ring = field.P
+	}
+	for _, h := range hits {
+		b, err := bases[h.owner].at(h.p)
+		if err != nil {
+			return fail(err)
 		}
+		v[h.i] = ringReduce[T](e, uint64(v[h.i])+field.Fold(h.val)+ring-uint64(ringReduce[T](e, uint64(b))))
 	}
+	return v, borrowed, nil
+}
+
+// ownerBase reads one owner's base — overlay-free — cells of a column by
+// stored position: from its in-memory column, or from its chunks through
+// the epoch cache, each chunk looked up once and kept for the fetch.
+type ownerBase[T sharestore.Cell] struct {
+	e      *Engine
+	t      *tableView
+	owner  int
+	col    string
+	stats  *protocol.Stats
+	ready  bool
+	mem    []T    // in memory: the column
+	cc     uint64 // on disk: the column's chunk cells
+	chunks [][]T  // on disk: the chunks looked up so far
+}
+
+func (b *ownerBase[T]) at(p uint64) (T, error) {
+	if !b.ready {
+		if !b.t.owners[b.owner].onDisk {
+			mem, err := memCol[T](b.e, b.t, b.owner, b.col)
+			if err != nil {
+				return 0, err
+			}
+			b.mem = mem
+		} else {
+			info, err := b.e.opts.Store.Stat(b.t.spec.Name, colKey(b.owner, b.col))
+			if err != nil {
+				return 0, err
+			}
+			b.cc, b.chunks = info.ChunkCells, make([][]T, info.NumChunks())
+		}
+		b.ready = true
+	}
+	if b.chunks == nil {
+		return b.mem[p], nil
+	}
+	k := p / b.cc
+	if b.chunks[k] == nil {
+		chunk, err := chunkSpan[T](b.e, b.t, colKey(b.owner, b.col), k, b.stats)
+		if err != nil {
+			return 0, err
+		}
+		b.chunks[k] = chunk
+	}
+	return b.chunks[k][p-k*b.cc], nil
 }
 
 // ---- StoreDelta ----

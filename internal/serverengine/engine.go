@@ -53,12 +53,13 @@ type Options struct {
 	// the store, queries fetch them per request and report real fetch
 	// times. nil serves from RAM.
 	Store *sharestore.Store
-	// CacheBytes, when > 0, is the byte budget of the per-table hot-chunk
-	// cache of a disk-backed engine: column chunks are cached per table
-	// epoch (invalidated whenever a Store, Drop or compaction changes the
-	// table) and evicted least-recently-used past the budget. Cache hits
-	// report zero fetch time and count in Stats.CacheHits. 0 is off:
-	// every query reads the store.
+	// CacheBytes, when > 0, is the byte budget of the per-table cache of
+	// a disk-backed engine: column chunks and the owner sums built from
+	// them are cached per table epoch (invalidated whenever a Store, Drop
+	// or compaction changes the table) and evicted least-recently-used
+	// past the budget. Cache hits report zero fetch time and count in
+	// Stats.CacheHits. 0 is off: every query reads the store and adds the
+	// owners itself. (In-memory engines always keep their owner sums.)
 	CacheBytes int64
 	// PendingTTL reclaims upload assemblies whose owner stopped
 	// sending shards (a crash mid-upload): assemblies untouched for
@@ -186,9 +187,10 @@ type table struct {
 	// use ListTables to tell "still served" from "replaced since I last
 	// probed".
 	epoch uint64
-	// cache is the current epoch's hot-chunk cache (nil when the cache is
-	// off); every Store/Drop swaps in a fresh one, so queries holding
-	// the old snapshot never see the new epoch's columns.
+	// cache is the current epoch's cache of owner sums and hot chunks
+	// (nil on a disk engine with the cache off); every registration,
+	// compaction swap and Drop swaps in a fresh one (resetCache), so
+	// queries holding the old snapshot never see the new epoch's columns.
 	cache *chunkCache
 	// delta is the table's not-yet-compacted incremental updates (nil
 	// until the first StoreDelta); deltaSeq is the last delta-log
@@ -607,12 +609,15 @@ func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, ce
 		}
 		idx, scatter = permutedWindow(rg, t.spec.B, pf, inv)
 	}
-	shares, release, err := e.chiShares(t, bar, rg, idx, pf, stats)
+	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, stats)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	return e.psiVector(shares, !bar, scatter, stats), nil
+	out := e.psiVector(sum, !bar, scatter, stats)
+	if borrowed {
+		release(e, sum)
+	}
+	return out, nil
 }
 
 // ---- PSU (§7, Equation 18) ----
@@ -642,12 +647,14 @@ func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
 		idx, scatter = permutedWindow(rg, t.spec.B, pf, &e.s1inv)
 	}
 	var stats protocol.Stats
-	shares, release, err := e.chiShares(t, false, rg, idx, pf, &stats)
+	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(false), rg, idx, pf, &stats)
 	if err != nil {
 		return nil, err
 	}
-	out := e.psuMasked(shares, rg, r.QueryID, scatter, &stats)
-	release()
+	out := e.psuMasked(sum, rg, r.QueryID, scatter, &stats)
+	if borrowed {
+		release(e, sum)
+	}
 	e.finishQuery("psu", r.TraceID, rpcStart, &stats)
 	return protocol.PSUReply{Out: out, Stats: stats}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prism/internal/field"
+	"prism/internal/modmath"
 	"prism/internal/params"
 	"prism/internal/perm"
 	"prism/internal/prg"
@@ -24,13 +25,13 @@ import (
 func TestCacheOffFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 0, false) }
 
 // TestPatchedWarmFetchAllocatesNoVectors is the same fence on the
-// update-then-read shape: the warm cache hands out whole chunks as
-// shared windows and a pending overlay lands entries in every window,
-// so every PSI and sum window is a patched copy of a shared chunk and
-// every count window a permuted gather patched through PF_s1. The
-// copies are borrowed, so the fetch still allocates no per-owner
-// window; when each was a fresh clone they came to over twice the
-// replies.
+// update-then-read shape: the warm cache hands out whole owner-sum
+// entries as shared windows and a pending overlay lands entries in every
+// window, so every PSI and sum window is a corrected copy of a shared
+// entry and every count window a gather of the owner sum corrected
+// through PF_s1. The copies are borrowed, so the fetch still allocates
+// no window per owner; when each owner's window was a fresh clone they
+// came to over twice the replies.
 func TestPatchedWarmFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 8<<20, true) }
 
 // fetchAllocFence serves rounds of one-chunk PSI, count and sum windows
@@ -175,6 +176,64 @@ func BenchmarkFetchWindowCacheOff(b *testing.B) {
 func BenchmarkFetchGatherCacheOff(b *testing.B) {
 	b.Run("uint16", func(b *testing.B) { benchFetchCacheOff[uint16](b, true) })
 	b.Run("uint64", func(b *testing.B) { benchFetchCacheOff[uint64](b, true) })
+}
+
+// BenchmarkFetchSummed times one 64Ki-cell window of a 2^18-cell,
+// 10-owner disk column under a warm cache: "summed" is the fetch a kernel
+// makes, ownerSum handing out one cached owner-sum entry; "per-owner" is
+// the add it replaced, every owner's cached chunk summed per query.
+func BenchmarkFetchSummed(b *testing.B) {
+	b.Run("uint16", benchFetchSummed[uint16])
+	b.Run("uint64", benchFetchSummed[uint64])
+}
+
+func benchFetchSummed[T sharestore.Cell](b *testing.B) {
+	const cells, window, owners = 1 << 18, 1 << 16, 10
+	st, err := sharestore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tv := &tableView{spec: protocol.TableSpec{Name: "t", B: cells}, cache: newChunkCache(1<<30, nil)}
+	col := make([]T, cells)
+	for j := 0; j < owners; j++ {
+		for i := range col {
+			col[i] = T((i + j) * 7 % 113)
+		}
+		if err := sharestore.Write(st, "t", colKey(j, "c"), col); err != nil {
+			b.Fatal(err)
+		}
+		tv.owners = append(tv.owners, &ownerCols{onDisk: true})
+	}
+	e := &Engine{view: &params.ServerView{M: owners, Delta: 113}, modDelta: modmath.NewMod32(113), opts: Options{Store: st}}
+	var stats protocol.Stats
+	rg := func(i int) protocol.Range { return protocol.Range{Offset: uint64(i%4) * window, Count: window} }
+	for i := 0; i < 4; i++ { // warm: every owner chunk and owner-sum entry
+		if _, _, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, &stats); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("summed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, borrowed, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, &stats); err != nil || borrowed {
+				b.Fatal(err, borrowed)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/cell")
+	})
+	b.Run("per-owner", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := cellPool[T]().Get(window)
+			if err := sumOwners(e, out, func(j int) ([]T, bool, error) {
+				return fetchWindow[T](e, tv, j, "c", rg(i), &stats)
+			}, &stats); err != nil {
+				b.Fatal(err)
+			}
+			release(e, out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/cell")
+	})
 }
 
 // BenchmarkPatch times the delta-overlay patch layer alone: one owner's

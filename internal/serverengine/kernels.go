@@ -10,84 +10,73 @@ import (
 	"prism/internal/perm"
 	"prism/internal/prg"
 	"prism/internal/protocol"
-	"prism/internal/share"
 )
 
 // The per-cell arithmetic of the query handlers, as functions of slices
-// alone. Each computes cells [lo, hi) of a window whose share vectors
-// are window-relative, in blocks of kernelBlock cells: one owner's slice
-// at a time is added into a block accumulator that stays in L1, and the
-// block is reduced once — never per owner.
+// alone. Each reads one owner-summed vector — the fetch layer has added
+// the M owners' columns already (ownerSum) — and computes cells [lo, hi)
+// of a window whose vectors are window-relative.
 //
 // A kernel writes cell i's result to out[i], or to out[pos[i]] when pos
 // is non-nil (the server-side permutation applied on the way out, so a
 // permuted reply needs no second pass). pos is a bijection, so disjoint
 // cell ranges write disjoint outputs.
 
-// kernelBlock cells of uint32 or uint64 partial sums are 4 or 8 KiB.
+// kernelBlock cells of PSU masks are drawn per PRG call (2 KiB).
 const kernelBlock = 1024
 
-// psiKernel computes g^((Σ_j shares[j][i] + lift) mod δ) mod η' per cell
-// by table lookup (§5.1 Step 2); lift is δ ⊖ A(m), or 0 on the
-// verification side. The unreduced sum fits 32 bits because the owner
-// count is below δ ≤ 2^16 (params enforces both).
-func psiKernel(out []uint32, pos []uint32, shares [][]uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
-	for base := lo; base < hi; base += kernelBlock {
-		end := min(base+kernelBlock, hi)
-		var acc [kernelBlock]uint32
-		sum := acc[:end-base]
-		share.SumShares(sum, shares, base, end)
-		if pos == nil {
-			dst := out[base:end]
-			for i, s := range sum {
-				dst[i] = powTab[md.Reduce(s+lift)]
-			}
-			continue
+// psiKernel computes g^((sum[i] + lift) mod δ) mod η' per cell by table
+// lookup (§5.1 Step 2), where sum[i] = Σ_j A(x_j)_i mod δ and lift is
+// δ ⊖ A(m), or 0 on the verification side.
+func psiKernel(out []uint32, pos []uint32, sum []uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
+	src := sum[lo:hi]
+	if pos == nil {
+		dst := out[lo:hi]
+		dst = dst[:len(src)]
+		for i, s := range src {
+			dst[i] = powTab[md.Reduce(uint32(s)+lift)]
 		}
-		for i, s := range sum {
-			out[pos[base+i]] = powTab[md.Reduce(s+lift)]
-		}
+		return
+	}
+	at := pos[lo:hi]
+	at = at[:len(src)]
+	for i, s := range src {
+		out[at[i]] = powTab[md.Reduce(uint32(s)+lift)]
 	}
 }
 
-// psuKernel computes (Σ_j shares[j][i] mod δ) · rand[i] mod δ per cell
-// (§7, Equation 18), drawing each block's masks rand[i] ∈ [1, δ-1] from
-// g in bulk; g must be positioned at cell lo's mask.
-func psuKernel(out []uint16, pos []uint32, shares [][]uint16, lo, hi int, g *prg.PRG, delta uint64, md modmath.Mod32) {
+// psuKernel computes sum[i] · rand[i] mod δ per cell (§7, Equation 18),
+// drawing each block's masks rand[i] ∈ [1, δ-1] from g in bulk; g must be
+// positioned at cell lo's mask.
+func psuKernel(out []uint16, pos []uint32, sum []uint16, lo, hi int, g *prg.PRG, delta uint64, md modmath.Mod32) {
 	for base := lo; base < hi; base += kernelBlock {
 		end := min(base+kernelBlock, hi)
-		var acc [kernelBlock]uint32
 		var rnd [kernelBlock]uint16
-		sum, masks := acc[:end-base], rnd[:end-base]
+		src := sum[base:end]
+		masks := rnd[:len(src)]
 		g.FillRange1(masks, delta)
-		share.SumShares(sum, shares, base, end)
 		if pos == nil {
 			dst := out[base:end]
-			for i, s := range sum {
-				dst[i] = uint16(md.Reduce(md.Reduce(s) * uint32(masks[i])))
+			dst = dst[:len(src)]
+			for i, s := range src {
+				dst[i] = uint16(md.Reduce(uint32(s) * uint32(masks[i])))
 			}
 			continue
 		}
-		for i, s := range sum {
-			out[pos[base+i]] = uint16(md.Reduce(md.Reduce(s) * uint32(masks[i])))
+		for i, s := range src {
+			out[pos[base+i]] = uint16(md.Reduce(uint32(s) * uint32(masks[i])))
 		}
 	}
 }
 
-// sumKernel computes out_i = z_i · Σ_j cols[j][i] in F_p per cell — the
-// linear rearrangement of Equation 11 (§6.1 Step 4). The owners' shares
-// are added lazily (field.AddVecLazy), so a cell costs one canonical
-// reduction and one multiplication whatever the owner count.
-func sumKernel(out []uint64, cols [][]uint64, z []uint64, lo, hi int) {
-	for base := lo; base < hi; base += kernelBlock {
-		end := min(base+kernelBlock, hi)
-		var acc [kernelBlock]uint64
-		sum := acc[:end-base]
-		field.AddVecLazy(sum, cols, base, end)
-		dst, zb := out[base:end], z[base:end]
-		for i, s := range sum {
-			dst[i] = field.Mul(field.Reduce(s), zb[i])
-		}
+// sumKernel computes out_i = z_i · sum_i in F_p per cell, sum_i being
+// Σ_j col_j,i — the linear rearrangement of Equation 11 (§6.1 Step 4):
+// one multiplication per cell whatever the owner count.
+func sumKernel(out, sum, z []uint64, lo, hi int) {
+	dst, s, zb := out[lo:hi], sum[lo:hi], z[lo:hi]
+	s, zb = s[:len(dst)], zb[:len(dst)]
+	for i := range dst {
+		dst[i] = field.Mul(s[i], zb[i])
 	}
 }
 
@@ -131,19 +120,19 @@ func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// psiVector runs psiKernel over the (window-relative) share vectors on
-// the worker pool and accounts its time. A non-nil scatter is the server
+// psiVector runs psiKernel over the (window-relative) owner sum on the
+// worker pool and accounts its time. A non-nil scatter is the server
 // permutation of a whole-table reply: cell i's value lands at scatter[i].
-func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint32 {
+func (e *Engine) psiVector(sum []uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint32 {
 	var lift uint32
 	if subtractM {
 		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
 	}
 	start := time.Now()
-	n := len(shares[0])
+	n := len(sum)
 	out := make([]uint32, n)
 	e.parallel(n, func(lo, hi int) {
-		psiKernel(out, scatter, shares, lo, hi, e.powTab, e.modDelta, lift)
+		psiKernel(out, scatter, sum, lo, hi, e.powTab, e.modDelta, lift)
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
@@ -151,9 +140,9 @@ func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm,
 }
 
 // psuMasked runs psuKernel for the window rg of one reply vector; the
-// share vectors are window-relative (position k of the window reads
-// shares[j][k]). Masks are derived per fixed-size block of positions —
-// in whatever space rg names — from the shared seed and the query id,
+// owner sum is window-relative (position k of the window reads sum[k]).
+// Masks are derived per fixed-size block of positions — in whatever
+// space rg names — from the shared seed and the query id,
 // so both servers produce identical rand[] regardless of thread counts
 // or window boundaries; boundary blocks fast-forward their stream to the
 // window's first position, which makes stored-order windows agree cell
@@ -161,7 +150,7 @@ func (e *Engine) psiVector(shares [][]uint16, subtractM bool, scatter perm.Perm,
 // whole-table reply on the way out: its masks follow the stored cells,
 // which both servers walk in the same order, so only the zero pattern
 // is comparable with a gathered window's.
-func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
+func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
 	delta := e.view.Delta
 	out := make([]uint16, rg.Count)
 	if rg.Count == 0 {
@@ -181,7 +170,7 @@ func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid string, sca
 				g.FillRange1(skipped[:n], delta)
 				skip -= n
 			}
-			psuKernel(out, scatter, shares, int(lo-rg.Offset), int(hi-rg.Offset), g, delta, e.modDelta)
+			psuKernel(out, scatter, sum, int(lo-rg.Offset), int(hi-rg.Offset), g, delta, e.modDelta)
 		}
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
@@ -189,21 +178,22 @@ func (e *Engine) psuMasked(shares [][]uint16, rg protocol.Range, qid string, sca
 	return out
 }
 
-// sumColumn fetches every owner's shares of col for the stored cells in
-// rg and runs sumKernel over them: acc_i = S(z_i) · Σ_j S(col_i)_j
+// sumColumn fetches the owners' summed shares of col for the stored cells
+// in rg and runs sumKernel over them: acc_i = S(z_i) · Σ_j S(col_i)_j
 // (servers multiply the selector share into the summed column shares;
-// degree rises to 2). z is parallel to the window, not the full column;
-// only the chunks overlapping the window are fetched.
+// degree rises to 2). z is parallel to the window, not the full column.
 func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Range, stats *protocol.Stats) ([]uint64, error) {
-	cols, release, err := ownerWindows[uint64](e, t, col, rg, stats)
+	sum, borrowed, err := ownerSum[uint64](e, t, col, rg, nil, nil, stats)
 	if err != nil {
 		return nil, err
 	}
 	n := int(rg.Count)
 	acc := make([]uint64, n)
 	start := time.Now()
-	e.parallel(n, func(lo, hi int) { sumKernel(acc, cols, z, lo, hi) })
-	release()
+	e.parallel(n, func(lo, hi int) { sumKernel(acc, sum, z, lo, hi) })
+	if borrowed {
+		release(e, sum)
+	}
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
 	return acc, nil

@@ -3,6 +3,7 @@ package serverengine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"prism/internal/prg"
 	"prism/internal/protocol"
 	"prism/internal/share"
+	"prism/internal/sharestore"
 )
 
 // The scalar per-cell loops the kernels replaced, kept as the reference
@@ -76,17 +78,25 @@ type kernelCase struct {
 	m, n   int
 	delta  uint64
 	mShare uint64
-	shares [][]uint16
+	shares [][]uint16 // what each owner holds: its base with its overlay entries applied
 	cols   [][]uint64
+	sum    []uint16 // the fetch layer's owner sums over an in-memory table
+	sumF   []uint64
+	gsum   []uint16 // sum at the stored cells pos⁻¹[0, n), in reply order
 	z      []uint64
 	powTab []uint32
 	md     modmath.Mod32
 	pos    perm.Perm
 }
 
-// newKernelCase draws a case from g. edge fills every δ-share with δ−1
-// and every F_p share with P−1 (the lazy-reduction overflow edge).
-func newKernelCase(g *prg.PRG, m, n int, delta uint64, edge bool) *kernelCase {
+// newKernelCase draws a case from g: m owners' n-cell base columns and
+// entries overlay entries (owner, cell, value) pending over them. edge
+// fills every δ-share with δ−1 and every F_p share with P−1 (the
+// lazy-reduction overflow edge) and gives the entries the values 0, δ−1
+// and P−1. The owner sums come from ownerSum over an in-memory table:
+// the builder, then the overlay merge.
+func newKernelCase(t testing.TB, g *prg.PRG, m, n int, delta uint64, edge bool, entries int) *kernelCase {
+	t.Helper()
 	c := &kernelCase{m: m, n: n, delta: delta, mShare: g.Uint64n(delta), md: modmath.NewMod32(delta)}
 	c.powTab = make([]uint32, delta)
 	for e := range c.powTab {
@@ -94,6 +104,7 @@ func newKernelCase(g *prg.PRG, m, n int, delta uint64, edge bool) *kernelCase {
 	}
 	c.z = make([]uint64, n)
 	g.Fill(c.z, field.P)
+	owners := make([]*ownerCols, m)
 	for j := 0; j < m; j++ {
 		sv, cv := make([]uint16, n), make([]uint64, n)
 		if edge {
@@ -104,7 +115,8 @@ func newKernelCase(g *prg.PRG, m, n int, delta uint64, edge bool) *kernelCase {
 			g.FillUint16(sv, delta)
 			g.Fill(cv, field.P)
 		}
-		c.shares, c.cols = append(c.shares, sv), append(c.cols, cv)
+		owners[j] = &ownerCols{u16: colSet[uint16]{"chi": sv}, u64: colSet[uint64]{"sum.v": cv}}
+		c.shares, c.cols = append(c.shares, slices.Clone(sv)), append(c.cols, slices.Clone(cv))
 	}
 	if edge {
 		for i := range c.z {
@@ -112,17 +124,71 @@ func newKernelCase(g *prg.PRG, m, n int, delta uint64, edge bool) *kernelCase {
 		}
 	}
 	c.pos = perm.Random(g, n)
+
+	var overlay *deltaOverlay
+	for k := 0; k < entries && n > 0; k++ {
+		j, p := int(g.Uint64n(uint64(m))), g.Uint64n(uint64(n))
+		v16, v64 := g.Uint64n(delta), g.Uint64n(field.P)
+		if edge {
+			v16, v64 = []uint64{0, delta - 1}[k%2], []uint64{0, field.P - 1}[k%2]
+		}
+		c.shares[j][p], c.cols[j][p] = uint16(v16), v64
+		if overlay == nil {
+			overlay = newDeltaOverlay()
+		}
+		overlay.insert([]sharestore.DeltaCol{
+			{Name: colKey(j, "chi"), Width: 2, Pos: []uint64{p}, Vals: []uint64{v16}},
+			{Name: colKey(j, "sum.v"), Width: 8, Pos: []uint64{p}, Vals: []uint64{v64}},
+		}, uint64(k+1))
+	}
+	e := &Engine{view: &params.ServerView{M: m, Delta: delta}, modDelta: c.md}
+	tv := &tableView{spec: protocol.TableSpec{Name: "k", B: uint64(n)}, owners: owners, cache: newChunkCache(math.MaxInt64, nil)}
+	if overlay != nil {
+		tv.delta = overlay
+	}
+	whole := protocol.Range{Count: uint64(n)}
+	c.sum = fetchedSum[uint16](t, e, tv, "chi", whole, nil, nil)
+	c.sumF = fetchedSum[uint64](t, e, tv, "sum.v", whole, nil, nil)
+	c.gsum = fetchedSum[uint16](t, e, tv, "chi", whole, c.pos.Inverse(), c.pos)
 	return c
 }
 
-// check runs every kernel over [0, n) split at the given cut points and
-// compares with the references, then holds the two ways a permuted reply
-// is produced against each other: scattering through pos on the way out
-// and evaluating the shares gathered through pos⁻¹ in reply order. PSI
-// must agree exactly; PSU draws its masks in walk order, so it agrees up
-// to the zero pattern.
+// fetchedSum is a copy of ownerSum's result, released when borrowed.
+func fetchedSum[T sharestore.Cell](t testing.TB, e *Engine, tv *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm) []T {
+	t.Helper()
+	var stats protocol.Stats
+	v, borrowed, err := ownerSum[T](e, tv, col, rg, idx, pf, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := slices.Clone(v)
+	if borrowed {
+		release(e, v)
+	}
+	return out
+}
+
+// check first holds the owner sums to the per-cell Σ_j mod δ (and mod
+// P), then runs every kernel over [0, n) split at the given cut points
+// and compares with the references, then holds the two ways a permuted
+// reply is produced against each other: scattering through pos on the
+// way out and evaluating the sums gathered through pos⁻¹ in reply order.
+// PSI must agree exactly; PSU draws its masks in walk order, so it agrees
+// up to the zero pattern.
 func (c *kernelCase) check(t testing.TB, cuts ...int) {
 	t.Helper()
+	inv := c.pos.Inverse()
+	for i := 0; i < c.n; i++ {
+		var s, sf uint64
+		for j := range c.shares {
+			s += uint64(c.shares[j][i])
+			sf = field.Add(sf, c.cols[j][i])
+		}
+		if uint64(c.sum[i]) != s%c.delta || c.sumF[i] != sf || c.gsum[i] != c.sum[inv[i]] {
+			t.Fatalf("owner sums at cell %d: %d, %d, gathered %d; want %d, %d, %d (m=%d n=%d δ=%d)",
+				i, c.sum[i], c.sumF[i], c.gsum[i], s%c.delta, sf, c.sum[inv[i]], c.m, c.n, c.delta)
+		}
+	}
 	bounds := append(append([]int{0}, cuts...), c.n)
 	lift := uint32(c.delta - c.mShare)
 	wantPSI := refPSI(c.shares, c.n, c.powTab, c.delta, c.mShare)
@@ -136,8 +202,8 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 		g := prg.New(seed)
 		psi, psu = make([]uint32, c.n), make([]uint16, c.n)
 		for k := 0; k+1 < len(bounds); k++ {
-			psiKernel(psi, scatter, c.shares, bounds[k], bounds[k+1], c.powTab, c.md, lift)
-			psuKernel(psu, scatter, c.shares, bounds[k], bounds[k+1], g, c.delta, c.md)
+			psiKernel(psi, scatter, c.sum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
+			psuKernel(psu, scatter, c.sum, bounds[k], bounds[k+1], g, c.delta, c.md)
 		}
 		wPSI, wPSU := wantPSI, wantPSU
 		if scatter != nil {
@@ -150,30 +216,23 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 			t.Fatalf("psuKernel differs from reference (m=%d n=%d δ=%d scatter=%v cuts=%v)", c.m, c.n, c.delta, scatter != nil, cuts)
 		}
 	}
-	gathered := make([][]uint16, c.m)
-	for j, sv := range c.shares {
-		gathered[j] = make([]uint16, c.n)
-		for p, cell := range c.pos.Inverse() {
-			gathered[j][p] = sv[cell]
-		}
-	}
 	gPSI, gPSU, g := make([]uint32, c.n), make([]uint16, c.n), prg.New(seed)
 	for k := 0; k+1 < len(bounds); k++ {
-		psiKernel(gPSI, nil, gathered, bounds[k], bounds[k+1], c.powTab, c.md, lift)
-		psuKernel(gPSU, nil, gathered, bounds[k], bounds[k+1], g, c.delta, c.md)
+		psiKernel(gPSI, nil, c.gsum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
+		psuKernel(gPSU, nil, c.gsum, bounds[k], bounds[k+1], g, c.delta, c.md)
 	}
 	if !slices.Equal(gPSI, psi) {
-		t.Fatalf("psiKernel over gathered shares differs from the scattered reply (m=%d n=%d δ=%d cuts=%v)", c.m, c.n, c.delta, cuts)
+		t.Fatalf("psiKernel over gathered sums differs from the scattered reply (m=%d n=%d δ=%d cuts=%v)", c.m, c.n, c.delta, cuts)
 	}
 	for p := range psu {
 		if (gPSU[p] == 0) != (psu[p] == 0) {
-			t.Fatalf("psuKernel over gathered shares: position %d zero = %v, scattered reply says %v (m=%d n=%d δ=%d cuts=%v)",
+			t.Fatalf("psuKernel over gathered sums: position %d zero = %v, scattered reply says %v (m=%d n=%d δ=%d cuts=%v)",
 				p, gPSU[p] == 0, psu[p] == 0, c.m, c.n, c.delta, cuts)
 		}
 	}
 	sum := make([]uint64, c.n)
 	for k := 0; k+1 < len(bounds); k++ {
-		sumKernel(sum, c.cols, c.z, bounds[k], bounds[k+1])
+		sumKernel(sum, c.sumF, c.z, bounds[k], bounds[k+1])
 	}
 	if !slices.Equal(sum, wantSum) {
 		t.Fatalf("sumKernel differs from reference (m=%d n=%d cuts=%v)", c.m, c.n, cuts)
@@ -186,10 +245,12 @@ func TestKernelsMatchReference(t *testing.T) {
 		for _, n := range []int{0, 1, kernelBlock - 1, kernelBlock, kernelBlock + 1, 3*kernelBlock + 5} {
 			for _, delta := range []uint64{3, 113, 65521} {
 				for _, edge := range []bool{false, true} {
-					c := newKernelCase(g, m, n, delta, edge)
-					c.check(t)
-					if n > 2 {
-						c.check(t, 1, n/3, n/3+kernelBlock/2, n-1) // ragged worker ranges
+					for _, entries := range []int{0, 1 + n/3} {
+						c := newKernelCase(t, g, m, n, delta, edge, entries)
+						c.check(t)
+						if n > 2 {
+							c.check(t, 1, n/3, n/3+kernelBlock/2, n-1) // ragged worker ranges
+						}
 					}
 				}
 			}
@@ -197,16 +258,20 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// FuzzKernelsMatchReference drives the owner-sum builder, the overlay
+// merge and the single-vector kernels on fuzzer-chosen owner counts
+// (1 included), lengths, moduli, worker cut points, overlay entries and
+// the all-(P−1)/(δ−1) edge.
 func FuzzKernelsMatchReference(f *testing.F) {
-	f.Add([]byte("seed"), uint16(10), uint16(3000), uint8(1), uint16(700), false)
-	f.Add([]byte{}, uint16(1), uint16(0), uint8(0), uint16(0), true)
-	f.Add([]byte{0xff}, uint16(300), uint16(1025), uint8(2), uint16(1024), true)
+	f.Add([]byte("seed"), uint16(10), uint16(3000), uint8(1), uint16(700), false, uint8(40))
+	f.Add([]byte{}, uint16(1), uint16(0), uint8(0), uint16(0), true, uint8(0))
+	f.Add([]byte{0xff}, uint16(300), uint16(1025), uint8(2), uint16(1024), true, uint8(255))
 	deltas := []uint64{3, 113, 65521}
-	f.Fuzz(func(t *testing.T, seed []byte, m, n uint16, di uint8, cut uint16, edge bool) {
+	f.Fuzz(func(t *testing.T, seed []byte, m, n uint16, di uint8, cut uint16, edge bool, entries uint8) {
 		delta := deltas[int(di)%len(deltas)]
 		owners := 1 + int(m)%300
 		cells := int(n) % (4 * kernelBlock)
-		c := newKernelCase(prg.New(prg.SeedFromString(string(seed))), owners, cells, delta, edge)
+		c := newKernelCase(t, prg.New(prg.SeedFromString(string(seed))), owners, cells, delta, edge, int(entries))
 		if cells == 0 {
 			c.check(t)
 			return
@@ -216,14 +281,14 @@ func FuzzKernelsMatchReference(f *testing.F) {
 }
 
 func TestKernelsDoNotAllocate(t *testing.T) {
-	c := newKernelCase(prg.New(prg.SeedFromString("allocs")), 10, 3*kernelBlock+5, 113, false)
+	c := newKernelCase(t, prg.New(prg.SeedFromString("allocs")), 10, 3*kernelBlock+5, 113, false, 0)
 	psi, psu, sum := make([]uint32, c.n), make([]uint16, c.n), make([]uint64, c.n)
 	g := prg.New(prg.SeedFromString("allocs-masks"))
 	for name, fn := range map[string]func(){
-		"psiKernel":         func() { psiKernel(psi, nil, c.shares, 0, c.n, c.powTab, c.md, 1) },
-		"psiKernel/scatter": func() { psiKernel(psi, c.pos, c.shares, 0, c.n, c.powTab, c.md, 1) },
-		"psuKernel":         func() { psuKernel(psu, nil, c.shares, 0, c.n, g, c.delta, c.md) },
-		"sumKernel":         func() { sumKernel(sum, c.cols, c.z, 0, c.n) },
+		"psiKernel":         func() { psiKernel(psi, nil, c.sum, 0, c.n, c.powTab, c.md, 1) },
+		"psiKernel/scatter": func() { psiKernel(psi, c.pos, c.sum, 0, c.n, c.powTab, c.md, 1) },
+		"psuKernel":         func() { psuKernel(psu, nil, c.sum, 0, c.n, g, c.delta, c.md) },
+		"sumKernel":         func() { sumKernel(sum, c.sumF, c.z, 0, c.n) },
 	} {
 		if a := testing.AllocsPerRun(10, fn); a != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", name, a)
@@ -245,7 +310,7 @@ func kernelEngine(b uint64, m, threads int) *Engine {
 // 1 and 4, PSU over windows that start and end inside a psuBlock.
 func TestWrappersMatchReference(t *testing.T) {
 	const b, m = 2*psuBlock + 1000, 5
-	c := newKernelCase(prg.New(prg.SeedFromString("wrappers")), m, b, 113, false)
+	c := newKernelCase(t, prg.New(prg.SeedFromString("wrappers")), m, b, 113, false, 0)
 	windows := []protocol.Range{
 		{Offset: 0, Count: b},
 		{Offset: 100, Count: 50},                       // inside one block
@@ -258,10 +323,10 @@ func TestWrappersMatchReference(t *testing.T) {
 		e := kernelEngine(b, m, threads)
 		var stats protocol.Stats
 		want := refPSI(c.shares, b, e.powTab, e.view.Delta, uint64(e.view.MShare))
-		if got := e.psiVector(c.shares, true, nil, &stats); !slices.Equal(got, want) {
+		if got := e.psiVector(c.sum, true, nil, &stats); !slices.Equal(got, want) {
 			t.Fatalf("threads %d: psiVector differs from reference", threads)
 		}
-		if got := e.psiVector(c.shares, true, e.view.S1, &stats); !slices.Equal(got, perm.Apply(e.view.S1, want, nil)) {
+		if got := e.psiVector(c.sum, true, e.view.S1, &stats); !slices.Equal(got, perm.Apply(e.view.S1, want, nil)) {
 			t.Fatalf("threads %d: scattered psiVector differs from permuted reference", threads)
 		}
 		for _, rg := range windows {
@@ -270,13 +335,13 @@ func TestWrappersMatchReference(t *testing.T) {
 				win[j] = c.shares[j][rg.Offset:rg.End()]
 			}
 			want := refPSUWindow(win, rg, e.view.PSUSeed, "q7", e.view.Delta)
-			if got := e.psuMasked(win, rg, "q7", nil, &stats); !slices.Equal(got, want) {
+			if got := e.psuMasked(c.sum[rg.Offset:rg.End()], rg, "q7", nil, &stats); !slices.Equal(got, want) {
 				t.Fatalf("threads %d: psuMasked window %+v differs from reference", threads, rg)
 			}
 		}
 		full := protocol.Range{Offset: 0, Count: b}
 		wantPSU := perm.Apply(e.view.S1, refPSUWindow(c.shares, full, e.view.PSUSeed, "q8", e.view.Delta), nil)
-		if got := e.psuMasked(c.shares, full, "q8", e.view.S1, &stats); !slices.Equal(got, wantPSU) {
+		if got := e.psuMasked(c.sum, full, "q8", e.view.S1, &stats); !slices.Equal(got, wantPSU) {
 			t.Fatalf("threads %d: scattered psuMasked differs from permuted reference", threads)
 		}
 
@@ -349,24 +414,26 @@ func TestPSUUnionAcrossServerShapes(t *testing.T) {
 }
 
 // The kernel microbenchmarks run the benchmark's shape (10 owners, 2^18
-// cells, δ = 113) beside the scalar reference loops.
+// cells, δ = 113): "kernel" reads the one owner-summed vector a query
+// hands it, "reference" is the scalar loop that adds the ten owners per
+// cell as well (BenchmarkFetchSummed times what the sum costs).
 
-func benchCase() *kernelCase {
-	return newKernelCase(prg.New(prg.SeedFromString("bench")), 10, 1<<18, 113, false)
+func benchCase(b *testing.B) *kernelCase {
+	return newKernelCase(b, prg.New(prg.SeedFromString("bench")), 10, 1<<18, 113, false, 0)
 }
 
 func BenchmarkKernelPSI(b *testing.B) {
-	c := benchCase()
+	c := benchCase(b)
 	out := make([]uint32, c.n)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psiKernel(out, nil, c.shares, 0, c.n, c.powTab, c.md, 1)
+			psiKernel(out, nil, c.sum, 0, c.n, c.powTab, c.md, 1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
 	b.Run("kernel-scatter", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psiKernel(out, c.pos, c.shares, 0, c.n, c.powTab, c.md, 1)
+			psiKernel(out, c.pos, c.sum, 0, c.n, c.powTab, c.md, 1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
@@ -379,12 +446,12 @@ func BenchmarkKernelPSI(b *testing.B) {
 }
 
 func BenchmarkKernelPSU(b *testing.B) {
-	c := benchCase()
+	c := benchCase(b)
 	out := make([]uint16, c.n)
 	g := prg.New(prg.SeedFromString("bench-masks"))
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psuKernel(out, nil, c.shares, 0, c.n, g, c.delta, c.md)
+			psuKernel(out, nil, c.sum, 0, c.n, g, c.delta, c.md)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
@@ -397,11 +464,11 @@ func BenchmarkKernelPSU(b *testing.B) {
 }
 
 func BenchmarkKernelSum(b *testing.B) {
-	c := benchCase()
+	c := benchCase(b)
 	out := make([]uint64, c.n)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sumKernel(out, c.cols, c.z, 0, c.n)
+			sumKernel(out, c.sumF, c.z, 0, c.n)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})

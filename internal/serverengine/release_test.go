@@ -291,7 +291,7 @@ func (d *releaseDeploy) checkAll(qid string, windows []protocol.Range) error {
 }
 
 // shared snapshots every slice queries share on server e: the in-memory
-// columns, the cached chunks and the overlay's entries.
+// columns, the cached chunks and owner sums, and the overlay's entries.
 func shared(e *Engine) map[string]any {
 	out := map[string]any{}
 	e.mu.RLock()
@@ -328,8 +328,9 @@ func shared(e *Engine) map[string]any {
 // borrows from the cell pool are handed back when the kernel finishes,
 // and with poisonReleased every released slice is overwritten with 0xFF…
 // first. So a release of anything queries share — an in-memory column, a
-// cached chunk, an overlay clone still in use — or a release before the
-// kernel is done shows up as a wrong answer or a changed snapshot. Two
+// cached chunk or owner sum, an overlay-corrected copy still in use — or
+// a release before the kernel is done shows up as a wrong answer or a
+// changed snapshot. Two
 // clients run every single-session kind twice each, interleaved, in both
 // window shapes, on every backend.
 func TestFetchReleaseNeverAliasesSharedColumns(t *testing.T) {

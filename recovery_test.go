@@ -2,9 +2,12 @@ package prism
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"prism/internal/sharestore"
 )
 
 // recoveryConfig is the shared deployment shape of the restart tests:
@@ -27,6 +30,51 @@ func recoveryConfig(t *testing.T, diskDir string) Config {
 		ShardCells:  64,
 		ChunkCells:  64,
 		HotChunks:   1 << 16,
+	}
+}
+
+// TestMixedChunkGeometries: owners whose columns were written with
+// different chunk sizes — owner 0 by a server storing 16-cell chunks,
+// owner 1 re-outsourced after the server restarted with 32-cell chunks —
+// still answer every kind as the oracle does, with the cache off (each
+// owner gathered through its own chunk plan) and on (an owner-sum entry
+// covers one cell range across owners, never "chunk k" of each).
+func TestMixedChunkGeometries(t *testing.T) {
+	for _, hot := range []uint64{0, 1 << 16} {
+		t.Run(fmt.Sprintf("hotchunks=%d", hot), func(t *testing.T) {
+			dir := t.TempDir()
+			sh := shape{storage: "disk", shard: manyWindows, groups: 1, owners: 3, k: 5, b: 64}
+			cfg := sh.config(t)
+			cfg.DiskDir, cfg.ChunkCells, cfg.HotChunks = dir, 16, hot
+			sys1, err := NewLocalSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orc := loadPlanted(t, sys1, plantedCells(sys1, sh.k), 2816)
+			sys1.Close()
+
+			cfg.ChunkCells, cfg.AutoRecover = 32, true
+			sys2, err := NewLocalSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys2.Close)
+			orc.reload(t, sys2)
+			if _, err := sys2.Owner(1).Outsource(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			st, err := sharestore.Open(filepath.Join(dir, serverDiskDir(0, 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for owner, want := range []uint64{16, 32, 16} {
+				info, err := st.Stat(tableName, fmt.Sprintf("o%d.chi", owner))
+				if err != nil || info.ChunkCells != want {
+					t.Fatalf("owner %d's χ column has %d-cell chunks (%v), want %d", owner, info.ChunkCells, err, want)
+				}
+			}
+			directAnswers(t, sys2, orc)
+		})
 	}
 }
 
