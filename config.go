@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"prism/internal/domain"
 	"prism/internal/prg"
@@ -199,14 +198,9 @@ type Config struct {
 	// Owner.Update) reach this count: the base columns are rewritten
 	// with the overlay values and the absorbed delta-log segments are
 	// deleted. 0 disables threshold-triggered compaction; updates then
-	// accumulate in the overlay until CompactInterval (or a manual
-	// CompactTables call) folds them down.
+	// accumulate in the overlay until a CompactTables call folds them
+	// down.
 	DeltaMaxEntries int
-	// CompactInterval runs each server's compaction pass on a timer
-	// regardless of delta density, bounding how long the delta log can
-	// grow under a trickle of updates. 0 disables the timer. Timer-based
-	// servers need System.Close to stop their tickers.
-	CompactInterval time.Duration
 	// Seed makes the whole system deterministic; zero → fresh entropy.
 	Seed [32]byte
 	// DiskDir, when set, backs each server with an on-disk share store
@@ -257,8 +251,8 @@ func (c *Config) normalize() error {
 	if uint64(c.Groups) > c.Domain.Size() {
 		return fmt.Errorf("prism: %d groups cannot tile a %d-cell domain", c.Groups, c.Domain.Size())
 	}
-	if c.DeltaMaxEntries < 0 || c.CompactInterval < 0 {
-		return errors.New("prism: DeltaMaxEntries and CompactInterval must be >= 0")
+	if c.DeltaMaxEntries < 0 {
+		return errors.New("prism: DeltaMaxEntries must be >= 0")
 	}
 	if c.AutoRecover && c.DiskDir == "" {
 		// Mirror prism-server, which rejects -recover without -store:

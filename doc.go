@@ -154,7 +154,7 @@
 // idempotent, an update is one segment — and answer queries by patching every
 // fetched value through an in-memory overlay of the log, so reads see
 // base + deltas immediately. A compactor (Config.DeltaMaxEntries
-// threshold, Config.CompactInterval ticker, or System.CompactTables)
+// threshold, prism-server's -compact ticker, or System.CompactTables)
 // folds the log into the base chunks, bumps the table epoch, and only
 // then deletes segments; idempotent replay makes every crash point
 // between those steps recoverable, and cold-boot recovery replays the

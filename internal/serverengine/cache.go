@@ -88,10 +88,10 @@ func (e *Engine) resetCache(t *table) {
 	}
 }
 
-// fullColumnChunk is the sentinel chunk id under which a whole assembled
-// multi-chunk column — or its owner sum — is cached (whole-table windows
-// read entire columns; caching the joined column gives warm queries a
-// zero-copy handoff instead of re-joining chunks per query).
+// fullColumnChunk is the sentinel entry id under which the owner sum of a
+// whole multi-chunk disk column is cached (whole-table windows read entire
+// columns; caching the joined sum gives warm queries a zero-copy handoff
+// instead of re-joining entries per query).
 const fullColumnChunk = ^uint64(0)
 
 // cacheGet returns the cached entry key, loading it via load on first

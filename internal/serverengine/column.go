@@ -67,12 +67,11 @@ func pendColKey(owner int, col string) string { return fmt.Sprintf("pend%d.%s", 
 type colSet[T sharestore.Cell] map[string][]T
 
 // ownerCols is one owner's column set. Once registered in a table it is
-// immutable, so queries read it without locks; an onDisk set holds no
-// cells — its columns live in the store under colKey names.
+// immutable, so queries read it without locks; on a disk engine it holds
+// no cells — the columns live in the store under colKey names.
 type ownerCols struct {
-	u16    colSet[uint16]
-	u64    colSet[uint64]
-	onDisk bool
+	u16 colSet[uint16]
+	u64 colSet[uint64]
 }
 
 // setOf selects the T-typed half of oc.
@@ -239,27 +238,33 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // with the table's delta overlay merged in, so every kernel reads one
 // vector. The M-way add lives in one place, sumOwners, and runs once per
 // table epoch and column: the sum is kept as entries of the epoch's cache
-// (chunkCache), built lazily on first use — on disk one entry per owner-0
-// chunk, beside the owner chunks and under the same budget; in memory one
-// whole-column entry, the only thing that epoch cache holds. resetCache,
-// run on every registration, compaction swap and recovery adoption, is
-// the only invalidation. With the cache off (a disk engine without
-// -hotchunks) each request builds its sum, adding the owners' fetched
-// cells as it goes.
+// (chunkCache), built lazily on first use. A server fetches in one of
+// three tiers:
 //
-// Underneath, one owner's cells come through one path: contiguous windows
-// via fetchWindow (reading only the chunks that overlap the window) and
-// scattered cells — permuted reply windows, bucket-tree frontiers — via
-// fetchGather (visiting the touched chunks one at a time, so residency
-// stays O(window + chunk)). Both merge the owner's overlay entries in;
-// the ...Raw variants do not. Store reads are timed into Stats.FetchNS.
+//   - in memory: the epoch cache always exists and holds one whole-column
+//     owner sum per column, nothing else;
+//   - on disk with the cache: one owner-sum entry per owner-0 chunk,
+//     beside the owner chunks and under the same budget;
+//   - on disk with the cache off (a disk engine without -hotchunks):
+//     each request builds its sum (buildSum).
+//
+// resetCache, run on every registration, compaction swap and recovery
+// adoption, is the only invalidation. The cached tiers merge the overlay
+// into the sum (mergeOverlay); the cache-off build patches each owner's
+// cells before adding them.
+//
+// Underneath, one owner's base cells — overlay-free — come through
+// fetchWindow (reading only the chunks that overlap the window) and, on
+// the cache-off tier, fetchGather (visiting the touched chunks one at a
+// time, so residency stays O(window + chunk)). Store reads are timed into
+// Stats.FetchNS.
 //
 // A fetched slice is either shared — an in-memory column, a cached chunk
 // or owner sum, untouched by the overlay — or borrowed: taken from the
 // cell pool by the fetch itself (every gather, every window that had to
-// be read, built or joined, and the copy of a shared window an overlay
-// entry lands in). Borrowed slices live for one kernel call, after which
-// the caller releases them.
+// be read, built or joined, and the copy of a shared sum an overlay entry
+// lands in). Borrowed slices live for one kernel call, after which the
+// caller releases them.
 
 // The cell pools lend the fetch layer its slices; cellPool picks T's.
 var (
@@ -320,28 +325,13 @@ func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64,
 	})
 }
 
-// fetchWindow returns owner j's cells [rg.Offset, rg.End()) of a column,
-// with the table's delta overlay merged in, and whether the slice is
-// borrowed. A shared slice is copied into a borrowed one only when an
-// overlay entry actually lands in the window; a borrowed one is patched
-// in place.
-func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
-	v, borrowed, err := fetchWindowRaw[T](e, t, owner, col, rg, stats)
-	if err != nil || t.delta == nil {
-		return v, borrowed, err
-	}
-	start := time.Now()
-	v, borrowed = patchWindow(t.delta, colKey(owner, col), rg, v, borrowed)
-	stats.PatchNS += time.Since(start).Nanoseconds()
-	return v, borrowed, nil
-}
-
-// fetchWindowRaw is the overlay-free window fetch: a zero-copy slice for
-// in-memory tables and windows the chunk cache holds whole, otherwise a
+// fetchWindow returns owner j's base cells [rg.Offset, rg.End()) of a
+// column and whether the slice is borrowed: a zero-copy slice of an
+// in-memory column or of the one cached chunk the window is, otherwise a
 // borrowed slice filled straight from the chunk files (cache off) or
 // joined from cached chunks.
-func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
-	if !t.owners[owner].onDisk {
+func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
+	if e.opts.Store == nil {
 		v, err := memCol[T](e, t, owner, col)
 		if err != nil {
 			return nil, false, err
@@ -367,20 +357,11 @@ func fetchWindowRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col s
 		v, err := chunkSpan[T](e, t, key, rg.Offset/cc, stats)
 		return v, false, err
 	}
-	if rg.Offset == 0 && rg.Count == info.Cells && info.NumChunks() > 1 {
-		// Whole-table window over a multi-chunk column: cache the
-		// assembled column as one entry so warm queries get a zero-copy
-		// slice handoff instead of re-joining chunks per query.
-		v, err := cached(t, key, fullColumnChunk, stats, func() ([]T, error) {
-			defer fetchTime(stats, time.Now())
-			return sharestore.ReadRange[T](e.opts.Store, t.spec.Name, key, 0, info.Cells)
-		})
-		return v, false, err
-	}
 	out := cellPool[T]().Get(int(rg.Count))
 	for k := rg.Offset / cc; rg.Count > 0 && k*cc < rg.End(); k++ {
 		chunk, err := chunkSpan[T](e, t, key, k, stats)
 		if err != nil {
+			release(e, out)
 			return nil, false, err
 		}
 		lo, hi := max(k*cc, rg.Offset), min(k*cc+uint64(len(chunk)), rg.End())
@@ -428,62 +409,30 @@ func buildGatherPlan(idx []uint32, cc, cells uint64) gatherPlan {
 	return gatherPlan{cc: cc, chunks: chunks, starts: starts, order: order}
 }
 
-// fetchGather returns owner j's cells idx[0..n) of a column, in idx
-// order, with the delta overlay merged in; the slice is always borrowed.
-// Disk tables visit each touched chunk once (per the plan), so residency
-// is O(len(idx) + chunk) even when the indices scatter across the whole
-// column (permuted reply windows, bucket-tree frontiers). A non-nil pf
-// says idx is pf⁻¹[off, off+len(idx)), which lets the patch place each
-// overlay entry instead of probing for every cell (patchGather).
-func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, pf perm.Perm, off uint64, plan *gatherPlan, stats *protocol.Stats) ([]T, bool, error) {
-	out, err := fetchGatherRaw[T](e, t, owner, col, idx, plan, stats)
-	if err == nil && t.delta != nil {
-		start := time.Now()
-		patchGather(t.delta, colKey(owner, col), idx, pf, off, out)
-		stats.PatchNS += time.Since(start).Nanoseconds()
-	}
-	return out, true, err
-}
-
-// fetchGatherRaw is the overlay-free gather. With the cache off the
-// store copies the wanted cells straight out of each verified chunk's
-// bytes; no chunk is decoded whole.
-func fetchGatherRaw[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
-	out := cellPool[T]().Get(len(idx))
-	if !t.owners[owner].onDisk {
-		v, err := memCol[T](e, t, owner, col)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range idx {
-			out[i] = v[c]
-		}
-		return out, nil
-	}
+// fetchGather returns owner j's base cells idx[0..n) of a column, in idx
+// order, in a borrowed slice — the cache-off tier's gather. The store
+// copies the wanted cells straight out of each touched chunk's verified
+// bytes, visiting each chunk once (per the plan), so residency is
+// O(len(idx) + chunk) even when the indices scatter across the whole
+// column (permuted reply windows, bucket-tree frontiers); no chunk is
+// decoded whole.
+func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
 	key := colKey(owner, col)
 	info, err := e.opts.Store.Stat(t.spec.Name, key)
 	if err != nil {
 		return nil, err
 	}
-	if plan == nil || plan.cc != info.ChunkCells {
+	if plan.cc != info.ChunkCells {
 		// Mixed chunk geometries across owners (a server restarted with
 		// a different -chunkcells): fall back to a column-specific plan.
 		p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
 		plan = &p
 	}
+	out := cellPool[T]().Get(len(idx))
+	defer fetchTime(stats, time.Now())
 	for c, k := range plan.chunks {
-		order := plan.order[plan.starts[c]:plan.starts[c+1]]
-		var chunk []T
-		if t.cache == nil {
-			start := time.Now()
-			err = sharestore.GatherChunk(e.opts.Store, t.spec.Name, key, k, idx, order, out)
-			fetchTime(stats, start)
-		} else if chunk, err = chunkSpan[T](e, t, key, k, stats); err == nil {
-			for _, i := range order {
-				out[i] = chunk[uint64(idx[i])-k*plan.cc]
-			}
-		}
-		if err != nil {
+		if err := sharestore.GatherChunk(e.opts.Store, t.spec.Name, key, k, idx, plan.order[plan.starts[c]:plan.starts[c+1]], out); err != nil {
+			release(e, out)
 			return nil, err
 		}
 	}
@@ -528,32 +477,43 @@ func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoco
 	return mergeOverlay(e, t, col, rg, idx, pf, v, borrowed, stats)
 }
 
-// buildSum is ownerSum with the cache off: there is no epoch cache to
-// keep a sum in, so each request fetches every owner's cells — with the
-// owner's overlay entries already in place, every base cell an entry
-// replaces being in the raw window in hand — and adds them as it goes
-// (sumOwners). A gather's chunk plan is built once, from owner 0's
-// column.
+// buildSum is ownerSum with the cache off, which only a disk engine
+// runs: there is no epoch cache to keep a sum in, so each request fetches
+// every owner's base cells into a borrowed slice, lands the owner's
+// overlay entries in it in place (every base cell an entry replaces is in
+// hand) and adds the owners as it goes (sumOwners). A gather's chunk plan
+// is built once, from owner 0's column.
 func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
 	n := int(rg.Count)
-	fetch := func(j int) ([]T, bool, error) { return fetchWindow[T](e, t, j, col, rg, stats) }
+	fetch := func(j int) ([]T, error) {
+		v, _, err := fetchWindow[T](e, t, j, col, rg, stats)
+		return v, err
+	}
 	if idx != nil {
 		n = len(idx)
-		var plan *gatherPlan
-		if t.owners[0].onDisk {
-			info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
-			if err != nil {
-				return nil, false, err
-			}
-			p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
-			plan = &p
+		info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
+		if err != nil {
+			return nil, false, err
 		}
-		fetch = func(j int) ([]T, bool, error) {
-			return fetchGather[T](e, t, j, col, idx, pf, rg.Offset, plan, stats)
-		}
+		plan := buildGatherPlan(idx, info.ChunkCells, info.Cells)
+		fetch = func(j int) ([]T, error) { return fetchGather[T](e, t, j, col, idx, &plan, stats) }
 	}
 	v := cellPool[T]().Get(n)
-	if err := sumOwners(e, v, fetch, stats); err != nil {
+	err := sumOwners(e, v, func(j int) ([]T, bool, error) {
+		w, err := fetch(j)
+		if err != nil || t.delta == nil {
+			return w, true, err
+		}
+		start := time.Now()
+		t.delta.mu.RLock()
+		if co := t.delta.cols[colKey(j, col)]; co != nil {
+			co.landing(rg, idx, pf, func(i int, _, val uint64) { w[i] = T(val) })
+		}
+		t.delta.mu.RUnlock()
+		stats.PatchNS += time.Since(start).Nanoseconds()
+		return w, true, nil
+	}, stats)
+	if err != nil {
 		release(e, v)
 		return nil, false, err
 	}
@@ -626,7 +586,7 @@ func ringReduce[T sharestore.Cell](e *Engine, acc uint64) T {
 // range across every owner, whatever chunk size each owner's column was
 // written with.
 func sumSpan(e *Engine, t *tableView, col string) (cc, cells uint64, err error) {
-	if !t.owners[0].onDisk {
+	if e.opts.Store == nil {
 		return max(t.spec.B, 1), t.spec.B, nil
 	}
 	info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
@@ -644,7 +604,7 @@ func summed[T sharestore.Cell](e *Engine, t *tableView, col string, k, cc, cells
 	return cached(t, sumKey(col), k, stats, func() ([]T, error) {
 		sum := make([]T, rg.Count)
 		err := sumOwners(e, sum, func(j int) ([]T, bool, error) {
-			return fetchWindowRaw[T](e, t, j, col, rg, stats)
+			return fetchWindow[T](e, t, j, col, rg, stats)
 		}, stats)
 		return sum, err
 	})

@@ -2,9 +2,11 @@ package serverengine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
+	"prism/internal/modmath"
 	"prism/internal/params"
 	"prism/internal/perm"
 	"prism/internal/prg"
@@ -12,12 +14,13 @@ import (
 	"prism/internal/sharestore"
 )
 
-// TestColumnFetchMatrix drives the one fetch layer every handler reads
-// columns through — fetchWindow and fetchGather — over both cell types,
-// every backend, every window shape relative to the chunk grid, with and
-// without a delta overlay. Every backend must return the same cells, and
-// a patch must never write into a slice other queries share (the
-// in-memory column, a cached chunk).
+// TestColumnFetchMatrix drives the fetch layer every handler reads
+// columns through — ownerSum, at one owner, where the owner sum is the
+// column itself — over both cell types, every tier (in memory, disk with
+// the cache off, disk with the cache cold and warm), every window shape
+// relative to the chunk grid, with and without a delta overlay. Every tier
+// must return the same cells, and a merge must never write into a slice
+// other queries share (the in-memory column, a cached chunk or owner sum).
 func TestColumnFetchMatrix(t *testing.T) {
 	t.Run("uint16", columnFetchMatrix[uint16])
 	t.Run("uint64", columnFetchMatrix[uint64])
@@ -74,35 +77,72 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 	if err := sharestore.Write(st, "t", colKey(0, col), ref); err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{view: &params.ServerView{M: 1}, opts: Options{Store: st}}
+	// δ = 2^16 keeps every test value a cell of Z_δ.
+	sv := &params.ServerView{M: 1, Delta: 1 << 16}
+	eDisk := &Engine{view: sv, modDelta: modmath.NewMod32(sv.Delta), opts: Options{Store: st}}
+	eRAM := &Engine{view: sv, modDelta: modmath.NewMod32(sv.Delta)}
 	ram := &ownerCols{u16: colSet[uint16]{}, u64: colSet[uint64]{}}
 	ramCol := slices.Clone(ref)
 	setOf[T](ram)[col] = ramCol
-	disk := &ownerCols{onDisk: true}
 	spec := protocol.TableSpec{Name: "t", B: cells}
 
-	// view builds one backend's table snapshot; warm backends share a
-	// cache across the cold and the warm fetch.
-	view := func(oc *ownerCols, cache *chunkCache, delta *deltaOverlay) *tableView {
-		return &tableView{spec: spec, owners: []*ownerCols{oc}, cache: cache, delta: delta}
+	type tier struct {
+		name string
+		e    *Engine
+		tv   *tableView
 	}
-	// unshared asserts no patch leaked into a slice other queries read:
-	// the RAM column and whatever the cache holds.
-	unshared := func(t *testing.T, cache *chunkCache, rg protocol.Range) {
+	// tiers builds every tier's table snapshot; in memory the epoch cache
+	// always exists, and the warm tier shares the cold tier's cache.
+	tiers := func(delta *deltaOverlay) []tier {
+		view := func(oc *ownerCols, cache *chunkCache) *tableView {
+			return &tableView{spec: spec, owners: []*ownerCols{oc}, cache: cache, delta: delta}
+		}
+		cache := newChunkCache(1<<20, nil)
+		return []tier{
+			{"ram", eRAM, view(ram, newChunkCache(math.MaxInt64, nil))},
+			{"disk-nocache", eDisk, view(&ownerCols{}, nil)},
+			{"disk-cache-cold", eDisk, view(&ownerCols{}, cache)},
+			{"disk-cache-warm", eDisk, view(&ownerCols{}, cache)},
+		}
+	}
+	// fetch is ownerSum, copied out and released when borrowed.
+	fetch := func(t *testing.T, b tier, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool) {
+		t.Helper()
+		v, borrowed, err := ownerSum[T](b.e, b.tv, col, rg, idx, pf, stats)
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		out := slices.Clone(v)
+		if borrowed {
+			release(b.e, v)
+		}
+		return out, borrowed
+	}
+	// unshared asserts no merge leaked into a slice other queries read:
+	// the RAM column and whatever the tier's cache holds — owner sums and,
+	// on disk, owner chunks — read back overlay-free over the window rg.
+	unshared := func(t *testing.T, b tier, rg protocol.Range) {
 		t.Helper()
 		if !slices.Equal(ramCol, ref) {
-			t.Fatal("a patch wrote into the in-memory column")
+			t.Fatal("a merge wrote into the in-memory column")
 		}
-		if cache == nil {
+		if b.tv.cache == nil {
 			return
 		}
+		clean := tier{b.name, b.e, &tableView{spec: spec, owners: b.tv.owners, cache: b.tv.cache}}
 		var stats protocol.Stats
-		raw, _, err := fetchWindowRaw[T](e, view(disk, cache, nil), 0, col, rg, &stats)
+		if sum, _ := fetch(t, clean, rg, nil, nil, &stats); !slices.Equal(sum, ref[rg.Offset:rg.End()]) {
+			t.Fatal("a merge wrote into a cached owner sum")
+		}
+		base, borrowed, err := fetchWindow[T](b.e, clean.tv, 0, col, rg, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(raw, ref[rg.Offset:rg.End()]) {
-			t.Fatal("a patch wrote into a cached chunk")
+		if !slices.Equal(base, ref[rg.Offset:rg.End()]) {
+			t.Fatal("a merge wrote into a cached chunk")
+		}
+		if borrowed {
+			release(b.e, base)
 		}
 	}
 
@@ -113,24 +153,11 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 		}
 		for _, w := range windows {
 			t.Run(fmt.Sprintf("%s/%s", mode, w.name), func(t *testing.T) {
-				cache := newChunkCache(1<<20, nil)
-				backends := []struct {
-					name string
-					tv   *tableView
-				}{
-					{"ram", view(ram, nil, delta)},
-					{"disk-nocache", view(disk, nil, delta)},
-					{"disk-cache-cold", view(disk, cache, delta)},
-					{"disk-cache-warm", view(disk, cache, delta)},
-				}
-				for _, b := range backends {
+				for _, b := range tiers(delta) {
 					var stats protocol.Stats
-					got, borrowed, err := fetchWindow[T](e, b.tv, 0, col, w.rg, &stats)
-					if err != nil {
-						t.Fatalf("%s: %v", b.name, err)
-					}
-					// RAM hands out the column itself unless an overlay entry
-					// lands in the window, which it then patches in a borrowed copy.
+					got, borrowed := fetch(t, b, w.rg, nil, nil, &stats)
+					// RAM hands out its cached sum unless an overlay entry lands
+					// in the window, which it then merges in a borrowed copy.
 					lands := false
 					for p := range patches {
 						if delta != nil && p >= w.rg.Offset && p < w.rg.End() {
@@ -146,9 +173,12 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 					if w.rg.Count == 0 {
 						continue
 					}
+					// A cold merge reads its base cells from chunks the same
+					// fetch has just loaded, so only a fetch without an overlay
+					// hits nothing.
 					switch b.name {
 					case "disk-cache-cold":
-						if stats.CacheHits != 0 || stats.FetchNS <= 0 {
+						if delta == nil && stats.CacheHits != 0 || stats.FetchNS <= 0 {
 							t.Errorf("cold fetch: hits=%d fetchNS=%d, want a timed store read", stats.CacheHits, stats.FetchNS)
 						}
 					case "disk-cache-warm":
@@ -156,26 +186,20 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 							t.Errorf("warm fetch: hits=%d fetchNS=%d, want cache hits and no store read", stats.CacheHits, stats.FetchNS)
 						}
 					}
-					unshared(t, b.tv.cache, w.rg)
+					unshared(t, b, w.rg)
 				}
 			})
 		}
 		t.Run(mode+"/gather", func(t *testing.T) {
-			cache := newChunkCache(1<<20, nil)
-			for _, tv := range []*tableView{
-				view(ram, nil, delta), view(disk, nil, delta), view(disk, cache, delta), view(disk, cache, delta),
-			} {
+			for _, b := range tiers(delta) {
 				var stats protocol.Stats
-				got, _, err := fetchGather[T](e, tv, 0, col, frontier, nil, 0, nil, &stats)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, _ := fetch(t, b, protocol.Range{Count: uint64(len(frontier))}, frontier, nil, &stats)
 				for i, c := range frontier {
 					if got[i] != want[c] {
-						t.Fatalf("frontier cell %d = %d, want %d", c, got[i], want[c])
+						t.Fatalf("%s: frontier cell %d = %d, want %d", b.name, c, got[i], want[c])
 					}
 				}
-				unshared(t, tv.cache, protocol.Range{Offset: 0, Count: cells})
+				unshared(t, b, protocol.Range{Offset: 0, Count: cells})
 			}
 		})
 	}
@@ -214,28 +238,23 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 			}
 			delta, want := overlayOf(patches)
 			idx := inv[rg.Offset:rg.End()]
-			cache := newChunkCache(1<<20, nil)
-			for _, tv := range []*tableView{
-				view(ram, nil, delta), view(disk, nil, delta), view(disk, cache, delta), view(disk, cache, delta),
-			} {
+			for _, b := range tiers(delta) {
 				var stats protocol.Stats
-				got, _, err := fetchGather[T](e, tv, 0, col, idx, pf, rg.Offset, nil, &stats)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, _ := fetch(t, b, rg, idx, pf, &stats)
 				for i, p := range idx {
 					if got[i] != want[p] {
-						t.Fatalf("reply cell %d (stored %d) = %d, want %d", rg.Offset+uint64(i), p, got[i], want[p])
+						t.Fatalf("%s: reply cell %d (stored %d) = %d, want %d", b.name, rg.Offset+uint64(i), p, got[i], want[p])
 					}
 				}
-				unshared(t, tv.cache, protocol.Range{Offset: 0, Count: cells})
+				unshared(t, b, protocol.Range{Offset: 0, Count: cells})
 			}
 		})
 	}
 
 	// A column the set does not hold is an error naming the table on
 	// either width.
-	if _, _, err := fetchWindow[T](e, view(ram, nil, nil), 0, "ghost", windows[1].rg, &protocol.Stats{}); err == nil ||
+	ghost := &tableView{spec: spec, owners: []*ownerCols{ram}, cache: newChunkCache(math.MaxInt64, nil)}
+	if _, _, err := ownerSum[T](eRAM, ghost, "ghost", windows[1].rg, nil, nil, &protocol.Stats{}); err == nil ||
 		err.Error() != `server 0: table "t" owner 0 missing ghost column` {
 		t.Errorf("missing column error = %v", err)
 	}

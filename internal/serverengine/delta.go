@@ -11,11 +11,12 @@
 // and deletes the absorbed delta segments oldest-first.
 //
 // Finding the entries that land in a fetch costs the smaller of the
-// column's entries and the fetched cells (landing). With the cache off
-// each owner's fetched cells are patched in place before the owners are
-// added; a cached owner sum is corrected instead, by v ⊖ base_j[p] per
-// entry (mergeOverlay). A shared window an entry lands in is copied into
-// a borrowed slice first; an untouched one stays shared.
+// column's entries and the fetched cells (landing), and there are two
+// places that do it. With the cache off each owner's borrowed cells are
+// patched in place as the owners are added (buildSum); a cached owner sum
+// is corrected instead, by v ⊖ base_j[p] per entry (mergeOverlay). A
+// shared sum an entry lands in is copied into a borrowed slice first; an
+// untouched one stays shared.
 //
 // Ordering invariant: per table, sequence assignment, the durable log
 // append and the overlay insert happen under one delta lock, so when an
@@ -240,41 +241,6 @@ func (co *colOverlay) landing(rg protocol.Range, idx []uint32, pf perm.Perm, fn 
 	}
 }
 
-// patchWindow overlays key's delta entries onto the window rg of v and
-// reports whether the result is borrowed. A borrowed v is patched in
-// place; a shared v (an in-memory column, a cached chunk) is copied into
-// a borrowed slice before the first patched cell; an untouched window
-// is returned as it came.
-func patchWindow[T sharestore.Cell](d *deltaOverlay, key string, rg protocol.Range, v []T, borrowed bool) ([]T, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if co := d.cols[key]; co != nil {
-		co.landing(rg, nil, nil, func(i int, _, val uint64) {
-			if !borrowed {
-				own := cellPool[T]().Get(len(v))
-				copy(own, v)
-				v, borrowed = own, true
-			}
-			v[i] = T(val)
-		})
-	}
-	return v, borrowed
-}
-
-// patchGather overlays key's delta entries onto a gathered fetch: out[i]
-// holds the cell at idx[i] and is always borrowed, so the patch is in
-// place. A non-nil pf says idx = pf⁻¹[off, off+len(idx)), which lets
-// landing place each entry instead of probing for every cell.
-func patchGather[T sharestore.Cell](d *deltaOverlay, key string, idx []uint32, pf perm.Perm, off uint64, out []T) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if co := d.cols[key]; co != nil {
-		co.landing(protocol.Range{Offset: off, Count: uint64(len(idx))}, idx, pf, func(i int, _, val uint64) {
-			out[i] = T(val)
-		})
-	}
-}
-
 // deltaHit is one overlay entry a fetch lands on: owner's value val
 // replaces its base cell at stored position p, fetched cell i.
 type deltaHit struct {
@@ -302,7 +268,7 @@ func (d *deltaOverlay) hits(owners int, col string, rg protocol.Range, idx []uin
 // v of a fetch (see ownerSum) and reports whether the result is borrowed.
 // Each entry swaps its owner's base cell for its value: v ⊕ (val ⊖
 // base_j[p]) in Z_δ or F_p, with base_j[p] read from the owner's
-// in-memory column or, through the epoch cache, from its chunk — one
+// in-memory column or, through the epoch cache, from its chunks — one
 // lookup per owner and chunk touched, not one per entry. Every cell an
 // entry lands in is first re-added from all owners' bases as read now, so
 // the cell and its corrections rest on one version of each base cell even
@@ -373,7 +339,7 @@ type ownerBase[T sharestore.Cell] struct {
 
 func (b *ownerBase[T]) at(p uint64) (T, error) {
 	if !b.ready {
-		if !b.t.owners[b.owner].onDisk {
+		if b.e.opts.Store == nil {
 			mem, err := memCol[T](b.e, b.t, b.owner, b.col)
 			if err != nil {
 				return 0, err
@@ -656,7 +622,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		return st, fmt.Errorf("server %d: table %q changed under compaction", e.view.Index, name)
 	}
 	for j, oc := range patched {
-		if cur, live := t.owners[j]; live && !cur.onDisk {
+		if cur, live := t.owners[j]; live {
 			e.trackHeld(oc.bytes() - cur.bytes())
 			t.owners[j] = oc
 		}
@@ -732,8 +698,8 @@ func (e *Engine) patchedMemCols(name string, snap map[string]sharestore.DeltaCol
 		}
 		col := cn[strings.IndexByte(cn, '.')+1:]
 		src, live := base[owner]
-		if !live || src.onDisk {
-			continue // owner dropped or on disk; nothing to patch in RAM
+		if !live {
+			continue // owner dropped; nothing to patch
 		}
 		oc := patched[owner]
 		if oc == nil {

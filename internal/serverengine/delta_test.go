@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
@@ -173,5 +174,58 @@ func TestStoreDeltaRejections(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompactEveryTicker: an engine started with Options.CompactEvery
+// folds its delta backlog down without any explicit Compact — on disk
+// deleting the absorbed log segments too — and Close stops the ticker and
+// is idempotent.
+func TestCompactEveryTicker(t *testing.T) {
+	const b = 16
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasCount: true, Plain: true}
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			opts := Options{Threads: 1, CompactEvery: 10 * time.Millisecond}
+			if disk {
+				st, err := sharestore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Store = st
+			}
+			e := New(fullView(t, 0, 3, b), opts)
+			defer e.Close()
+			storeSpec(t, []*Engine{e}, spec)
+			if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
+				Owner: 0, Table: "t", Pos: []uint64{1, 5},
+				Chi: []uint16{3, 4}, Sums: map[string][]uint64{"v": {10, 11}}, Cnt: []uint64{20, 21},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// A pass empties the overlay first and deletes the segments last.
+			drained := func() bool {
+				if e.DeltaBacklog("t") != 0 {
+					return false
+				}
+				if opts.Store == nil {
+					return true
+				}
+				segs, err := opts.Store.DeltaSegs("t")
+				return err == nil && len(segs) == 0
+			}
+			for deadline := time.Now().Add(5 * time.Second); !drained(); time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("backlog of %d entries, or its delta segments, left after 5s of ticker compaction", e.DeltaBacklog("t"))
+				}
+			}
+			e.Close()
+			select {
+			case <-e.compactDone:
+			default:
+				t.Fatal("Close returned with the ticker still running")
+			}
+			e.Close() // idempotent with the deferred call
+		})
 	}
 }

@@ -24,6 +24,12 @@ import (
 // replies on this table.
 func TestCacheOffFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 0, false) }
 
+// TestCacheOffPatchedFetchAllocatesNoVectors is the same fence with a
+// pending overlay landing entries in every window: the cache-off build
+// patches each owner's borrowed cells in place as it adds them, so the
+// merge allocates no window either.
+func TestCacheOffPatchedFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 0, true) }
+
 // TestPatchedWarmFetchAllocatesNoVectors is the same fence on the
 // update-then-read shape: the warm cache hands out whole owner-sum
 // entries as shared windows and a pending overlay lands entries in every
@@ -129,10 +135,10 @@ func fetchAllocFence(t *testing.T, cacheBytes int64, overlay bool) {
 	}
 }
 
-// benchFetchCacheOff times one owner's cache-off fetch of a 64Ki-cell
-// reply window from a 4-chunk disk column: contiguous (fetchWindow) or
-// scattered over every chunk the way a permuted count window is
-// (fetchGather), released after each fetch as a kernel would.
+// benchFetchCacheOff times one owner's overlay-free cache-off fetch of a
+// 64Ki-cell reply window from a 4-chunk disk column: contiguous
+// (fetchWindow) or scattered over every chunk the way a permuted count
+// window is (fetchGather), released after each fetch as a kernel would.
 func benchFetchCacheOff[T sharestore.Cell](b *testing.B, gather bool) {
 	const cells, window = 1 << 18, 1 << 16
 	st, err := sharestore.Open(b.TempDir())
@@ -147,7 +153,7 @@ func benchFetchCacheOff[T sharestore.Cell](b *testing.B, gather bool) {
 		b.Fatal(err)
 	}
 	e := &Engine{view: &params.ServerView{M: 1}, opts: Options{Store: st}}
-	tv := &tableView{spec: protocol.TableSpec{Name: "t", B: cells}, owners: []*ownerCols{{onDisk: true}}}
+	tv := &tableView{spec: protocol.TableSpec{Name: "t", B: cells}, owners: []*ownerCols{{}}}
 	idx := perm.Random(prg.New(prg.SeedFromString("bench-gather")), cells)[:window]
 	plan := buildGatherPlan(idx, sharestore.DefaultChunkCells, cells)
 	var stats protocol.Stats
@@ -157,7 +163,7 @@ func benchFetchCacheOff[T sharestore.Cell](b *testing.B, gather bool) {
 	for i := 0; i < b.N; i++ {
 		var v []T
 		if gather {
-			v, _, err = fetchGather[T](e, tv, 0, "c", idx, nil, 0, &plan, &stats)
+			v, err = fetchGather[T](e, tv, 0, "c", idx, &plan, &stats)
 		} else {
 			v, _, err = fetchWindow[T](e, tv, 0, "c", protocol.Range{Offset: uint64(i%4) * window, Count: window}, &stats)
 		}
@@ -202,7 +208,7 @@ func benchFetchSummed[T sharestore.Cell](b *testing.B) {
 		if err := sharestore.Write(st, "t", colKey(j, "c"), col); err != nil {
 			b.Fatal(err)
 		}
-		tv.owners = append(tv.owners, &ownerCols{onDisk: true})
+		tv.owners = append(tv.owners, &ownerCols{})
 	}
 	e := &Engine{view: &params.ServerView{M: owners, Delta: 113}, modDelta: modmath.NewMod32(113), opts: Options{Store: st}}
 	var stats protocol.Stats
@@ -236,12 +242,13 @@ func benchFetchSummed[T sharestore.Cell](b *testing.B) {
 	})
 }
 
-// BenchmarkPatch times the delta-overlay patch layer alone: one owner's
-// 1,024 pending entries, spread over a 2^18-cell column, merged into a
-// borrowed 4Ki- or 64Ki-cell window — a contiguous window (patchWindow)
-// or a window of a PF_s-permuted reply gathered as pf⁻¹[rg]
-// (patchGather, placing each entry through pf). With the entries fixed,
-// both should cost about the same at either window size.
+// BenchmarkPatch times the delta-overlay patch alone — landing, as the
+// cache-off build runs it: one owner's 1,024 pending entries, spread over
+// a 2^18-cell column, written into a borrowed 4Ki- or 64Ki-cell window — a
+// contiguous window or a window of a PF_s-permuted reply gathered as
+// pf⁻¹[rg], placing each entry through pf. Both walk the entries rather
+// than probe every cell, so with the entries fixed they should cost about
+// the same at either window size.
 func BenchmarkPatch(b *testing.B) {
 	const cells, entries = 1 << 18, 1024
 	g := prg.New(prg.SeedFromString("bench-patch"))
@@ -274,14 +281,13 @@ func BenchmarkPatch(b *testing.B) {
 func benchPatch[T sharestore.Cell](b *testing.B, d *deltaOverlay, rg protocol.Range, pf, inv perm.Perm, gather bool) {
 	v := make([]T, rg.Count)
 	idx := inv[rg.Offset:rg.End()]
-	key := colKey(0, "c")
+	if !gather {
+		idx, pf = nil, nil
+	}
+	co := d.cols[colKey(0, "c")]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if gather {
-			patchGather(d, key, idx, pf, rg.Offset, v)
-		} else {
-			patchWindow(d, key, rg, v, true)
-		}
+		co.landing(rg, idx, pf, func(i int, _, val uint64) { v[i] = T(val) })
 	}
 }

@@ -312,7 +312,7 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	}
 	t := &table{spec: man.Spec, owners: make(map[int]*ownerCols, len(owners)), epoch: epoch, deltaSeq: deltaSeq}
 	for _, j := range owners {
-		t.owners[j] = &ownerCols{onDisk: true}
+		t.owners[j] = &ownerCols{}
 	}
 	if overlay != nil {
 		t.delta = overlay

@@ -345,10 +345,10 @@ func TestFetchReleaseNeverAliasesSharedColumns(t *testing.T) {
 		{"ram", nil, false},
 		{"disk-warm-cache", disk(1 << 20), false},
 		{"disk-nocache", disk(0), false},
-		// With an overlay, a shared window (an in-memory column, a cached
-		// chunk or whole column) that an entry lands in is copied into a
-		// borrowed slice and patched there; warm-cache-overlay is the
-		// update-then-read shape.
+		// With an overlay, a shared owner sum that an entry lands in is
+		// copied into a borrowed slice and corrected there, and the
+		// cache-off build patches each owner's borrowed cells in place;
+		// warm-cache-overlay is the update-then-read shape.
 		{"ram-overlay", nil, true},
 		{"disk-warm-cache-overlay", disk(1 << 20), true},
 		{"disk-nocache-overlay", disk(0), true},
@@ -367,8 +367,8 @@ func TestFetchReleaseNeverAliasesSharedColumns(t *testing.T) {
 			for phi, e := range d.engines {
 				before[phi] = shared(e)
 			}
-			if _, cached := before[0]["cache/o0.chi/"+fmt.Sprint(fullColumnChunk)]; cached != strings.HasPrefix(mode.name, "disk-warm-cache") {
-				t.Fatalf("whole-column cache entry present = %v", cached)
+			if _, cached := before[0]["cache/"+sumKey("chi")+"/"+fmt.Sprint(fullColumnChunk)]; cached != strings.HasPrefix(mode.name, "disk-warm-cache") {
+				t.Fatalf("whole-column owner-sum entry present = %v", cached)
 			}
 			var wg sync.WaitGroup
 			for client := 0; client < 2; client++ {

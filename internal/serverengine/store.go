@@ -296,7 +296,7 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ow
 				return nil, 0, err
 			}
 		}
-		return &ownerCols{onDisk: true}, p.covered, nil
+		return &ownerCols{}, p.covered, nil
 	}
 	e.trackHeld(-p.oc.bytes()) // hand-off: finishStore re-accounts it as a registered table
 	return p.oc, p.covered, nil

@@ -140,28 +140,3 @@ func TestAdditiveSplitVectorMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-func TestSumShares(t *testing.T) {
-	g := testPRG("sum-shares")
-	for _, m := range []int{0, 1, 3, 4, 5, 8, 11} {
-		shares := make([][]uint16, m)
-		for j := range shares {
-			shares[j] = make([]uint16, 100)
-			g.FillUint16(shares[j], 1<<16)
-		}
-		acc := make([]uint32, 60)
-		for i := range acc {
-			acc[i] = uint32(i)
-		}
-		SumShares(acc, shares, 30, 90)
-		for i, got := range acc {
-			want := uint32(i)
-			for _, sv := range shares {
-				want += uint32(sv[30+i])
-			}
-			if got != want {
-				t.Fatalf("m=%d: acc[%d] = %d, want %d", m, i, got, want)
-			}
-		}
-	}
-}

@@ -127,12 +127,7 @@ func answers(t *testing.T, kinds string) { retired(t, `TestConformance/.*/(`+kin
 func lies(t *testing.T, cells string)    { retired(t, `TestSoundness/.*/(`+cells+`)/.*`) }
 
 func TestShardedConcurrentMatchesSerial(t *testing.T) { retired(t, `TestConformance/[^/]+/many/.*`) }
-func TestShardedDiskChunkedMatchesMonolithic(t *testing.T) {
-	retired(t, `TestConformance/disk-cache/many/.*`)
-}
-func TestEncodeWireMode(t *testing.T)    { inShapes(t, func(sh shape) bool { return sh.wire }) }
-func TestDiskBackedMode(t *testing.T)    { retired(t, `TestConformance/disk-.*`) }
-func TestEmptyIntersection(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
+func TestEmptyIntersection(t *testing.T)              { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
 func TestIdenticalOwners(t *testing.T) {
 	inShapes(t, func(sh shape) bool { return uint64(sh.k) == sh.b })
 }

@@ -88,7 +88,6 @@ func NewLocalSystem(cfg Config) (*System, error) {
 			opts := serverengine.Options{
 				Threads:       cfg.Threads,
 				DeltaMax:      cfg.DeltaMaxEntries,
-				CompactEvery:  cfg.CompactInterval,
 				AnnouncerAddr: "announcer",
 				Caller:        s.network,
 				Group:         g,
@@ -174,9 +173,9 @@ func serverDiskDir(g, phi int) string {
 	return fmt.Sprintf("g%d-server-%d", g, phi)
 }
 
-// Close stops the system's background work — the servers' compaction
-// tickers (Config.CompactInterval). Safe to call multiple times; a
-// system without tickers needs no Close but tolerates one.
+// Close stops the servers' background work. A System starts no
+// compaction ticker (a prism-server does, with -compact), so Close has
+// nothing to stop today; it is safe to call, any number of times.
 func (s *System) Close() {
 	for _, grp := range s.servers {
 		for _, e := range grp {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"prism/internal/protocol"
 	"prism/internal/transport"
@@ -343,46 +342,6 @@ func TestUpdateValidation(t *testing.T) {
 	if got := updateFingerprint(t, sys); got != want {
 		t.Fatal("failed updates changed query results")
 	}
-}
-
-// TestCompactIntervalTicker: a system with CompactInterval folds the
-// delta backlog down without any explicit compaction call, and Close
-// stops the tickers.
-func TestCompactIntervalTicker(t *testing.T) {
-	cfg := updateConfig(t, t.TempDir(), 64)
-	cfg.CompactInterval = 10 * time.Millisecond
-	sys, err := NewLocalSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	work := updateWorkloads(cfg.Owners)
-	for j, w := range work {
-		if err := sys.Owner(j).Load(w.base); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sys.OutsourceAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Owner(0).Update(context.Background(), work[0].add, work[0].remove); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		backlog := 0
-		for phi := 0; phi < 3; phi++ {
-			backlog += sys.ServerEngine(phi).DeltaBacklog("main")
-		}
-		if backlog == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delta backlog still %d entries after 5s of ticker compaction", backlog)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	sys.Close() // idempotent with the deferred call
 }
 
 // TestCompactionCrashRecovery kills a compaction pass at every ordering
