@@ -155,10 +155,11 @@ type Config struct {
 	// server groups: each group is a full S0/S1/S2 triple serving a
 	// contiguous cell range, with its own permutations and share streams
 	// but deployment-global masking parameters (so cross-group extreme
-	// results stay comparable). Owners route each query window to the
-	// owning group and run groups concurrently; results merge
-	// owner-side. 0 or 1 → the classic single-group deployment
-	// (bit-for-bit identical wiring and share streams).
+	// results stay comparable). Every group runs a query's whole round
+	// script on its own range, concurrently and without waiting for the
+	// other groups between rounds; the answers merge owner-side. 0 or 1
+	// → the classic single-group deployment (bit-for-bit identical
+	// wiring and share streams).
 	Groups int
 	// MaxInflight bounds how many scheduled queries (QueryAsync /
 	// QueryBatch) execute simultaneously. 0 → GOMAXPROCS. Fixed for the

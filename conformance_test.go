@@ -654,19 +654,13 @@ func (m *matrix) windows(g int) int {
 }
 
 // aggGroups are the groups an aggregation kind's AggRequest round reaches:
-// those owning a cell of its result set, or group 0 over an empty one.
+// every group, each over its own slice of the result set — an empty
+// slice too, so no group's servers learn that none of the answer is
+// theirs.
 func (m *matrix) aggGroups(kind OpKind) []bool {
 	in := make([]bool, m.sh.groups)
-	if kind.Family() != ownerengine.FamilyAgg {
-		return in
-	}
-	cells := m.orc.cells
-	if strings.HasPrefix(kind.Name(), "psu") {
-		cells = m.orc.union
-	}
-	in[0] = len(cells) == 0
-	for _, c := range cells {
-		in[m.groupOf(c)] = true
+	for g := range in {
+		in[g] = kind.Family() == ownerengine.FamilyAgg
 	}
 	return in
 }

@@ -11,32 +11,12 @@ import (
 	"prism/internal/telemetry"
 )
 
-// AggResult is the outcome of a summary aggregation (sum/avg/count-
-// weighted) over PSI or PSU (paper §6.1, §6.2).
-type AggResult struct {
-	// Sums[col][cell] is the cross-owner total of column col at each
-	// selected cell.
-	Sums map[string]map[uint64]uint64
-	// Counts[cell] is the cross-owner tuple count at each selected cell
-	// (present when requested; used for averages).
-	Counts map[uint64]uint64
-	Stats  QueryStats
-}
-
-// Avg returns Sums[col][cell] / Counts[cell] as a float.
-func (r *AggResult) Avg(col string, cell uint64) (float64, bool) {
-	s, okS := r.Sums[col][cell]
-	c, okC := r.Counts[cell]
-	if !okS || !okC || c == 0 {
-		return 0, false
-	}
-	return float64(s) / float64(c), true
-}
-
-// Aggregate runs round 2 of the §6.1 pipeline: given the selected cells
-// (the PSI intersection or PSU union from round 1), the owner builds the
-// 0/1 selector z, Shamir-shares it to the three servers, and Lagrange-
-// interpolates the returned degree-2 share vectors.
+// Aggregate runs round 2 of the §6.1 pipeline (§6.2 over PSU): given the
+// selected cells (the PSI intersection or PSU union from round 1), the
+// owner builds the 0/1 selector z, Shamir-shares it to the three servers,
+// and Lagrange-interpolates the returned degree-2 share vectors into the
+// answer's Sums[col][cell] (and, with withCount, Counts[cell]) at every
+// selected cell.
 //
 // With verify, an independently-shared selector is evaluated against the
 // PF_db2-ordered v-columns and the two reconstructions are compared at
@@ -48,7 +28,7 @@ func (r *AggResult) Avg(col string, cell uint64) (float64, bool) {
 // Lagrange-interpolated into a single stored-order accumulator as its
 // three replies arrive, so the owner holds one reconstruction vector per
 // column instead of three servers' worth of reply vectors.
-func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64, cols []string, withCount, verify bool) (*AggResult, error) {
+func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64, cols []string, withCount, verify bool) (*Result, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	b := o.view.B
@@ -160,7 +140,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	// Recombination reads the stored-order reconstructions through the
 	// owner permutations: cell i is sums[DB1[i]] and, on the χ̄ side,
 	// vsums[DB2[i]]. The §5.2 check covers every cell, selected or not.
-	res := &AggResult{Sums: make(map[string]map[uint64]uint64, len(cols))}
+	res := &Result{Sums: make(map[string]map[uint64]uint64, len(cols))}
 	for _, col := range cols {
 		if verify {
 			if i := o.mismatch(sums[col], vsums[col]); i >= 0 {

@@ -77,36 +77,36 @@ func shapeOwner(t *testing.T, mode string) *Owner {
 
 func TestOwnerRejectsShortPSIReply(t *testing.T) {
 	o := shapeOwner(t, "short")
-	if _, err := o.PSI(context.Background(), "t", false); err == nil {
+	if _, err := o.Exec(context.Background(), Query{Kind: OpPSI, Table: "t"}, nil); err == nil {
 		t.Error("short PSI reply accepted")
 	}
 }
 
 func TestOwnerRejectsWrongReplyType(t *testing.T) {
 	o := shapeOwner(t, "wrongtype")
-	if _, err := o.PSI(context.Background(), "t", false); err == nil {
+	if _, err := o.Exec(context.Background(), Query{Kind: OpPSI, Table: "t"}, nil); err == nil {
 		t.Error("mistyped PSI reply accepted")
 	}
 }
 
 func TestOwnerRejectsMalformedReplies(t *testing.T) {
-	o := shapeOwner(t, "")
+	e := shapeOwner(t, "").groups[0]
 	ctx := context.Background()
-	if _, err := o.PSU(ctx, "t"); err == nil {
+	if _, err := e.PSU(ctx, "t"); err == nil {
 		t.Error("oversized PSU reply accepted")
 	}
-	if _, err := o.Count(ctx, "t", false); err == nil {
+	if _, err := e.Count(ctx, "t", false); err == nil {
 		t.Error("half-length count reply accepted")
 	}
-	if _, err := o.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, false, false); err == nil {
+	if _, err := e.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, false, false); err == nil {
 		t.Error("one-cell aggregation reply accepted")
 	}
 	// The stub answers every round with one value share and one fpos
 	// entry, whatever was asked.
-	if _, err := o.FetchClaims(ctx, "q", []uint64{1}); !errors.Is(err, ErrVerificationFailed) {
+	if _, err := e.FetchClaims(ctx, "q", 1); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("1-entry fpos for a 2-owner round: err = %v, want ErrVerificationFailed", err)
 	}
-	if _, err := o.FetchExtreme(ctx, "q", protocol.KindMax, []uint64{1}); !errors.Is(err, ErrVerificationFailed) {
+	if _, err := e.FetchExtreme(ctx, "q", protocol.KindMax, 1); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("extreme reply without index shares: err = %v, want ErrVerificationFailed", err)
 	}
 }
@@ -116,18 +116,18 @@ func TestOwnerRejectsMalformedReplies(t *testing.T) {
 // owner fails closed with ErrVerificationFailed, whichever kind asked.
 func TestMissingProofIsVerificationFailure(t *testing.T) {
 	ctx := context.Background()
-	if _, err := shapeOwner(t, "").PSI(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
+	if _, err := shapeOwner(t, "").groups[0].PSI(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("PSI reply with a short Vout: err = %v, want ErrVerificationFailed", err)
 	}
-	o := shapeOwner(t, "noproof")
-	if _, err := o.Count(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
+	e := shapeOwner(t, "noproof").groups[0]
+	if _, err := e.Count(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("count reply without Vout: err = %v, want ErrVerificationFailed", err)
 	}
-	if _, err := o.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, true, true); !errors.Is(err, ErrVerificationFailed) {
+	if _, err := e.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, true, true); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("aggregation reply without VCounts: err = %v, want ErrVerificationFailed", err)
 	}
 	// Unasked, the same replies are merely answers: no proof is missed.
-	if _, err := o.Count(ctx, "t", false); err != nil {
+	if _, err := e.Count(ctx, "t", false); err != nil {
 		t.Errorf("unverified count: %v", err)
 	}
 }
@@ -135,8 +135,7 @@ func TestMissingProofIsVerificationFailure(t *testing.T) {
 // TestExtremeFetchTamperedShareCaught: a random single-byte share for a
 // value reconstructs outside F's image with overwhelming probability.
 func TestExtremeFetchTamperedShareCaught(t *testing.T) {
-	o := shapeOwner(t, "")
-	_, err := o.FetchExtreme(context.Background(), "q", protocol.KindMedian, []uint64{1})
+	_, err := shapeOwner(t, "").groups[0].FetchExtreme(context.Background(), "q", protocol.KindMedian, 1)
 	if !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("tampered extreme value: err = %v, want ErrVerificationFailed", err)
 	}
@@ -153,12 +152,12 @@ func TestVectorReplyShapesChecked(t *testing.T) {
 	ctx := context.Background()
 	cells := []uint64{4, 9, 20}
 	for i, o := range r.owners {
-		if err := o.SubmitExtreme(ctx, "q", protocol.KindMax, cells, []uint64{uint64(10 + i), 7, uint64(30 - i)}); err != nil {
+		if err := o.groups[0].SubmitExtreme(ctx, "q", protocol.KindMax, []uint64{uint64(10 + i), 7, uint64(30 - i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, o := range r.owners {
-		if err := o.SubmitClaim(ctx, "q", cells, []bool{i == 2, true, i == 0}); err != nil {
+		if err := o.groups[0].SubmitClaim(ctx, "q", []bool{i == 2, true, i == 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +178,7 @@ func TestVectorReplyShapesChecked(t *testing.T) {
 			return reply, nil
 		}))
 	}
-	q := r.owners[1]
+	q := r.owners[1].groups[0]
 	shapes := map[string]func(reply any) any{
 		"one value share short": func(reply any) any {
 			if rep, ok := reply.(protocol.ExtremeFetchReply); ok {
@@ -227,22 +226,22 @@ func TestVectorReplyShapesChecked(t *testing.T) {
 	for _, both = range []bool{false, true} {
 		for name, shape := range shapes {
 			reshape = shape
-			_, errF := q.FetchExtreme(ctx, "q", protocol.KindMax, cells)
-			_, errC := q.FetchClaims(ctx, "q", cells)
+			_, errF := q.FetchExtreme(ctx, "q", protocol.KindMax, len(cells))
+			_, errC := q.FetchClaims(ctx, "q", len(cells))
 			if bad := errors.Join(errF, errC); !errors.Is(bad, ErrVerificationFailed) {
 				t.Errorf("%s (both servers: %v): fetch err = %v, claims err = %v, want one ErrVerificationFailed", name, both, errF, errC)
 			}
 		}
 	}
 	reshape = nil
-	oc, err := q.FetchExtreme(ctx, "q", protocol.KindMax, cells)
+	oc, err := q.FetchExtreme(ctx, "q", protocol.KindMax, len(cells))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := [][]uint64{{12}, {7}, {30}}; !reflect.DeepEqual(oc.Values, want) {
 		t.Errorf("honest max after hostile replies = %v, want %v", oc.Values, want)
 	}
-	claims, err := q.FetchClaims(ctx, "q", cells)
+	claims, err := q.FetchClaims(ctx, "q", len(cells))
 	if err != nil {
 		t.Fatal(err)
 	}

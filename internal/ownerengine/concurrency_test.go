@@ -38,71 +38,40 @@ func TestConcurrentQueriesSameOwner(t *testing.T) {
 	o := r.owners[0]
 	ctx := context.Background()
 
-	psiWant, err := o.PSI(ctx, "t", false)
-	if err != nil {
-		t.Fatal(err)
+	queries := []Query{
+		{Kind: OpPSI, Table: "t", Verify: true},
+		{Kind: OpPSU, Table: "t"},
+		{Kind: OpPSICount, Table: "t", Verify: true},
+		{Kind: OpPSIAvg, Table: "t", Cols: []string{"v"}, Verify: true},
 	}
-	psuWant, err := o.PSU(ctx, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cntWant, err := o.Count(ctx, "t", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggWant, err := o.Aggregate(ctx, "t", psiWant.Cells, []string{"v"}, true, true)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]*Result, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = o.Exec(ctx, q, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 80)
+	errs := make(chan error, 20*len(queries))
 	for i := 0; i < 20; i++ {
-		wg.Add(4)
-		go func() {
-			defer wg.Done()
-			res, err := o.PSI(ctx, "t", true)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(res.Cells, psiWant.Cells) {
-				errs <- fmt.Errorf("PSI cells %v != %v", res.Cells, psiWant.Cells)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			res, err := o.PSU(ctx, "t")
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(res.Cells, psuWant.Cells) {
-				errs <- fmt.Errorf("PSU cells %v != %v", res.Cells, psuWant.Cells)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			res, err := o.Count(ctx, "t", true)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if res.Count != cntWant.Count {
-				errs <- fmt.Errorf("count %d != %d", res.Count, cntWant.Count)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			res, err := o.Aggregate(ctx, "t", psiWant.Cells, []string{"v"}, true, true)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !reflect.DeepEqual(res.Sums, aggWant.Sums) || !reflect.DeepEqual(res.Counts, aggWant.Counts) {
-				errs <- fmt.Errorf("aggregate diverged: %v/%v != %v/%v", res.Sums, res.Counts, aggWant.Sums, aggWant.Counts)
-			}
-		}()
+		for qi, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := o.Exec(ctx, q, nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				w := want[qi]
+				if !reflect.DeepEqual(res.Cells, w.Cells) || res.Count != w.Count ||
+					!reflect.DeepEqual(res.Sums, w.Sums) || !reflect.DeepEqual(res.Counts, w.Counts) {
+					errs <- fmt.Errorf("%s diverged: %v %d %v %v != %v %d %v %v", q.Kind,
+						res.Cells, res.Count, res.Sums, res.Counts, w.Cells, w.Count, w.Sums, w.Counts)
+				}
+			}()
+		}
 	}
 	wg.Wait()
 	close(errs)
@@ -119,7 +88,8 @@ func TestConcurrentOutsourceAndQuery(t *testing.T) {
 	loadRigData(t, r, 8)
 	ctx := context.Background()
 	o := r.owners[0]
-	psiWant, err := o.PSI(ctx, "t", false)
+	psi := Query{Kind: OpPSI, Table: "t"}
+	psiWant, err := o.Exec(ctx, psi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +100,7 @@ func TestConcurrentOutsourceAndQuery(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			res, err := o.PSI(ctx, "t", false)
+			res, err := o.Exec(ctx, psi, nil)
 			if err != nil {
 				errs <- err
 				return

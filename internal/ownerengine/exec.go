@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"slices"
 	"sync"
 	"time"
@@ -12,10 +13,11 @@ import (
 	"prism/internal/telemetry"
 )
 
-// This file is the one place that knows which rounds make up a query.
-// Every front door — the library's System/Owner methods and scheduler,
-// the gateway backend, prism-owner, the benchmarks — builds a Query and
-// calls Exec; none of them calls Aggregate or the extreme rounds itself
+// This file is the one place that knows which rounds make up a query:
+// one script per server group (script), run for every group by Exec's
+// one fan-out. Every front door — the library's System/Owner methods and
+// scheduler, the gateway backend, prism-owner, the benchmarks — builds a
+// Query and calls Exec; none of them reaches a round itself
 // (TestQueryScriptLivesInExec keeps it so).
 
 // OpKind names one PRISM query. Its row in the kinds table is all any
@@ -223,118 +225,179 @@ func (q *QueryStats) add(o QueryStats) {
 // same replies when asked, or PSU, which the paper does not verify:
 // TestSoundness's gaps), then aggregate over it — and for an extreme
 // the §6.3/§6.4 vector rounds across co's owners, the global reduce and
-// the retirement of the rounds' sessions. co may be nil; extremes then
-// return ErrUnsupported. Safe to call concurrently with any other query.
+// the retirement of the rounds' sessions. Every server group runs the
+// whole script on its own slice of the domain (script), concurrently
+// with the others and never waiting for them between rounds: PRISM's
+// servers never talk to each other, so no group's rounds depend on
+// another's. One merge then combines the groups' answers; only the
+// global reduce and the retirement look across groups. co may be nil;
+// extremes then return ErrUnsupported. Safe to call concurrently with
+// any other query.
 func (o *Owner) Exec(ctx context.Context, q Query, co *Cohort) (*Result, error) {
 	if err := CheckCols(q.Kind, q.Cols); err != nil {
 		return nil, err
 	}
 	k := kinds[q.Kind]
-	wall := time.Now()
-	res := &Result{}
-	if k.family == FamilyCount {
-		cnt, err := o.count(ctx, q, k.overPSU)
-		if err != nil {
-			return nil, err
-		}
-		res.Count, res.Stats = cnt.Count, cnt.Stats
-		return res, nil
-	}
 	if m := o.View().M; k.family == FamilyExtreme && (co == nil || len(co.Owners) != m) {
 		return nil, fmt.Errorf("%w: %s needs all %d owners' engines in one process (the library, or a gateway over System.GatewayBackends); a lone owner engine serves the other kinds",
 			ErrUnsupported, k.name, m)
 	}
-
-	// Round 1: the result set (§5.1 / §7; §6.1 Steps 1-3, §6.3 Steps 1-2).
-	set, err := o.resultSet(ctx, q, k.overPSU)
+	wall := time.Now()
+	// An extreme's id is minted once, by the first group with cells to run
+	// a vector round over. The nonce keeps this owner's concurrent and
+	// repeated queries from colliding in the servers' qid-keyed session
+	// state (e.g. after a re-outsource); the owner index keeps two
+	// querying processes apart.
+	qid := sync.OnceValue(func() string {
+		return fmt.Sprintf("ext-%s-%s-%s-o%d-%d", q.Table, q.Cols[0], k.extreme, o.Index, o.qidNonce.Add(1))
+	})
+	subs := make([]*Result, len(o.groups))
+	rounds := make([]string, len(o.groups)) // rounds[g]: group g's vector-round id, once opened
+	err := o.eachGroup(k.name, o.allGroups(), func(g int) (err error) {
+		subs[g], err = o.script(ctx, g, q, co, func() string {
+			rounds[g] = fmt.Sprintf("%s/g%d", qid(), g)
+			return rounds[g]
+		})
+		return err
+	})
+	// Retire the rounds' sessions on every path, and only after the global
+	// reduce: the announcer's retained per-round values are its input.
+	defer o.endQuery(ctx, co, rounds)
 	if err != nil {
 		return nil, err
 	}
-	res.Cells, res.Stats = set.Cells, set.Stats
+	res := o.merge(subs)
+	if k.family == FamilyExtreme && len(res.Cells) > 0 {
+		if err := o.reduceExtreme(ctx, co, q.Table, k.extreme, rounds, subs, res); err != nil {
+			return nil, err
+		}
+	}
+	res.Stats.WallNS = time.Since(wall).Nanoseconds()
+	return res, nil
+}
 
+// script runs q's whole round script in group g alone, in the group's
+// cells: round 1 finds the group's slice of the result set (§5.1 / §7;
+// §6.1 Steps 1-3, §6.3 Steps 1-2) or its size (§6.5), round 2 aggregates
+// over that slice or runs the vector rounds across co's group-g engines.
+// round names the group's vector round and marks it opened.
+func (o *Owner) script(ctx context.Context, g int, q Query, co *Cohort, round func() string) (res *Result, err error) {
+	e, k := o.groups[g], kinds[q.Kind]
+	switch {
+	case k.family == FamilyCount && k.overPSU:
+		res, err = e.PSUCount(ctx, q.Table)
+	case k.family == FamilyCount:
+		res, err = e.Count(ctx, q.Table, q.Verify)
+	case k.overPSU:
+		res, err = e.PSU(ctx, q.Table)
+	default:
+		res, err = e.PSI(ctx, q.Table, q.Verify)
+	}
+	if err != nil {
+		return nil, err
+	}
 	switch k.family {
 	case FamilyAgg:
-		// Round 2: selector-weighted Shamir aggregation (§6.1 Steps 3-5).
-		agg, err := o.Aggregate(ctx, q.Table, set.Cells, q.Cols, k.withCount, q.Verify)
+		// Round 2: selector-weighted Shamir aggregation (§6.1 Steps 3-5) —
+		// over an empty slice too, so a group's servers never learn that
+		// none of the result set is theirs.
+		agg, err := e.Aggregate(ctx, q.Table, res.Cells, q.Cols, k.withCount, q.Verify)
 		if err != nil {
 			return nil, err
 		}
 		res.Sums, res.Counts = agg.Sums, agg.Counts
 		res.Stats.add(agg.Stats)
 	case FamilyExtreme:
-		if err := o.extreme(ctx, co, q, k.extreme, res); err != nil {
-			return nil, err
+		res.Extreme = make(map[uint64]ExtremeCell, len(res.Cells))
+		if len(res.Cells) == 0 {
+			return res, nil // servers refuse a vector round of k = 0 cells
 		}
-		res.Stats.WallNS = time.Since(wall).Nanoseconds()
+		cells, err := co.vectorRounds(ctx, g, k.extreme, q.Cols[0], round(), res.Cells, q.Verify, &res.Stats)
+		if err != nil {
+			return nil, fmt.Errorf("ownerengine: %s: %w", k.extreme, err)
+		}
+		for c, cell := range res.Cells {
+			res.Extreme[cell] = cells[c]
+		}
 	}
 	return res, nil
 }
 
-func (o *Owner) count(ctx context.Context, q Query, overPSU bool) (*CountResult, error) {
-	if overPSU {
-		return o.PSUCount(ctx, q.Table)
+// merge combines the groups' answers into the query's, in the global
+// domain: group slices are contiguous and ascending, so cells shifted by
+// their group's start concatenate; counts sum; per-cell maps are
+// re-keyed.
+func (o *Owner) merge(subs []*Result) *Result {
+	out := &Result{}
+	for g, sub := range subs {
+		at := o.starts[g]
+		for _, c := range sub.Cells {
+			out.Cells = append(out.Cells, c+at)
+		}
+		out.Count += sub.Count
+		for col, m := range sub.Sums {
+			if out.Sums == nil {
+				out.Sums = make(map[string]map[uint64]uint64, len(sub.Sums))
+			}
+			dst := out.Sums[col]
+			rekey(&dst, m, at)
+			out.Sums[col] = dst
+		}
+		rekey(&out.Counts, sub.Counts, at)
+		rekey(&out.Extreme, sub.Extreme, at)
+		mergeQueryStats(&out.Stats, sub.Stats)
 	}
-	return o.Count(ctx, q.Table, q.Verify)
+	return out
 }
 
-func (o *Owner) resultSet(ctx context.Context, q Query, overPSU bool) (*SetResult, error) {
-	if overPSU {
-		return o.PSU(ctx, q.Table)
+// rekey copies src into *dst with every cell shifted by at, making *dst
+// on first use; a nil src leaves *dst as it is.
+func rekey[V any](dst *map[uint64]V, src map[uint64]V, at uint64) {
+	if src == nil {
+		return
 	}
-	return o.PSI(ctx, q.Table, q.Verify)
+	if *dst == nil {
+		*dst = make(map[uint64]V, len(src))
+	}
+	for c, v := range src {
+		(*dst)[c+at] = v
+	}
 }
 
-// extreme runs an exemplary aggregation over the intersection already
-// in res.Cells: the vector rounds, then the global reduce, then — on
-// every path — the retirement of the rounds' sessions.
-func (o *Owner) extreme(ctx context.Context, co *Cohort, q Query, kind protocol.ExtremeKind, res *Result) error {
-	res.Extreme = make(map[uint64]ExtremeCell, len(res.Cells))
-	if len(res.Cells) == 0 {
-		return nil
+// mergeQueryStats folds one group's query stats into a global result's.
+// Server work and owner CPU sum; rounds take the maximum since the
+// groups' rounds run concurrently.
+func mergeQueryStats(dst *QueryStats, src QueryStats) {
+	dst.Server.Add(src.Server)
+	dst.OwnerNS += src.OwnerNS
+	if src.Rounds > dst.Rounds {
+		dst.Rounds = src.Rounds
 	}
-	col := q.Cols[0]
-	// The nonce keeps this owner's concurrent and repeated queries from
-	// colliding in the servers' qid-keyed session state (e.g. after a
-	// re-outsource); the owner index keeps two querying processes apart.
-	qid := fmt.Sprintf("ext-%s-%s-%s-o%d-%d", q.Table, col, kind, o.Index, o.qidNonce.Add(1))
-	rounds, err := o.ExtremeRounds(qid, res.Cells)
-	if err != nil {
-		return err
+	if dst.TraceID == "" {
+		dst.TraceID = src.TraceID
 	}
-	// Retire the rounds' sessions only after the global reduce: the
-	// announcer's retained per-round values are its input.
-	defer o.endQuery(ctx, co, rounds)
-	cells, err := co.extremeRounds(ctx, kind, col, qid, res.Cells, q.Verify, &res.Stats)
-	if err != nil {
-		return fmt.Errorf("ownerengine: %s: %w", kind, err)
-	}
-	for c, cell := range res.Cells {
-		res.Extreme[cell] = cells[c]
-	}
-	return o.reduceExtreme(ctx, co, q.Table, kind, rounds, res)
 }
 
-// extremeRounds runs the §6.3/§6.4 rounds for every intersection value
-// at once: each step is one vector exchange per server group, whatever
-// the number of cells. It orchestrates ALL owners (each must mask and
-// submit its local values) regardless of which owner drove the query;
-// the owner engines split the cells by owning group. The caller retires
-// the rounds' session state — after the global reduce, which reads the
-// announcer's retained values. The answers come back parallel to cells.
-func (co *Cohort) extremeRounds(ctx context.Context, kind protocol.ExtremeKind, col, qid string, cells []uint64, verify bool, stats *QueryStats) ([]ExtremeCell, error) {
+// vectorRounds runs the §6.3/§6.4 rounds in group g for every one of the
+// group's intersection cells at once: each step is one vector exchange,
+// whatever the number of cells. It orchestrates ALL owners' group-g
+// engines (each must mask and submit its local values) regardless of
+// which owner drove the query. The answers come back parallel to cells.
+func (co *Cohort) vectorRounds(ctx context.Context, g int, kind protocol.ExtremeKind, col, qid string, cells []uint64, verify bool, stats *QueryStats) ([]ExtremeCell, error) {
+	global := func(c int) uint64 { return co.Owners[0].starts[g] + cells[c] } // for errors
 	// Step 3: every owner masks and submits its local values.
 	locals := make([][]uint64, len(co.Owners))
 	for i, o := range co.Owners {
-		vals, has, err := o.LocalValues(kind, col, cells)
+		vals, has, err := o.groups[g].LocalValues(kind, col, cells)
 		if err != nil {
 			return nil, err
 		}
 		if c := slices.Index(has, false); c >= 0 {
 			// The cell is in the intersection, so every owner must hold a tuple there.
-			return nil, fmt.Errorf("owner %d has no tuple at intersection cell %d", i, cells[c])
+			return nil, fmt.Errorf("owner %d has no tuple at intersection cell %d", i, global(c))
 		}
 		locals[i] = vals
-		if err := o.SubmitExtreme(ctx, qid, kind, cells, vals); err != nil {
+		if err := o.groups[g].SubmitExtreme(ctx, qid, kind, vals); err != nil {
 			return nil, err
 		}
 	}
@@ -344,15 +407,15 @@ func (co *Cohort) extremeRounds(ctx context.Context, kind protocol.ExtremeKind, 
 	// Every owner fetches (each must know z for the claims round).
 	var announced *ExtremeOutcome
 	for i, o := range co.Owners {
-		oc, err := o.FetchExtreme(ctx, qid, kind, cells)
+		oc, err := o.groups[g].FetchExtreme(ctx, qid, kind, len(cells))
 		if err != nil {
 			return nil, err
 		}
 		stats.OwnerNS += oc.Stats.OwnerNS
 		stats.Server.Spans = append(stats.Server.Spans, oc.Stats.Server.Spans...)
 		for c, values := range oc.Values {
-			if err := CheckExtremeConsistency(kind, values[0], locals[i][c]); err != nil {
-				return nil, fmt.Errorf("cell %d: %w", cells[c], err)
+			if err := checkExtremeConsistency(kind, values[0], locals[i][c]); err != nil {
+				return nil, fmt.Errorf("cell %d: %w", global(c), err)
 			}
 		}
 		if i == 0 {
@@ -375,11 +438,11 @@ func (co *Cohort) extremeRounds(ctx context.Context, kind protocol.ExtremeKind, 
 		for c := range holds {
 			holds[c] = locals[i][c] == out[c].Value
 		}
-		if err := o.SubmitClaim(ctx, qid, cells, holds); err != nil {
+		if err := o.groups[g].SubmitClaim(ctx, qid, holds); err != nil {
 			return nil, err
 		}
 	}
-	claims, err := co.Owners[0].FetchClaims(ctx, qid, cells)
+	claims, err := co.Owners[0].groups[g].FetchClaims(ctx, qid, len(cells))
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +456,7 @@ func (co *Cohort) extremeRounds(ctx context.Context, kind protocol.ExtremeKind, 
 		// Max verification: the owner behind the announced winning slot
 		// decoded its own value, so it — at least — must claim it.
 		if verify && !claims[c][announced.WinnerSlots[c]] {
-			return nil, fmt.Errorf("cell %d: %w: the announced winner does not claim the %s", cells[c], ErrVerificationFailed, kind)
+			return nil, fmt.Errorf("cell %d: %w: the announced winner does not claim the %s", global(c), ErrVerificationFailed, kind)
 		}
 	}
 	return out, nil
@@ -405,14 +468,18 @@ func (co *Cohort) extremeRounds(ctx context.Context, kind protocol.ExtremeKind, 
 // identify the winning cell (and thereby the winning owners, already
 // resolved by that cell's claims); for median the pooled masked values
 // yield the global median directly.
-func (o *Owner) reduceExtreme(ctx context.Context, co *Cohort, table string, kind protocol.ExtremeKind, rounds []ExtremeRound, res *Result) error {
+func (o *Owner) reduceExtreme(ctx context.Context, co *Cohort, table string, kind protocol.ExtremeKind, rounds []string, subs []*Result, res *Result) error {
 	req := protocol.ExtremeReduceRequest{
 		QueryID: fmt.Sprintf("extred-%s-%s-o%d-%d", table, kind, o.Index, o.qidNonce.Add(1)),
 		Kind:    kind,
 		TraceID: telemetry.TraceID(ctx),
 	}
-	for _, r := range rounds {
-		req.SubQueryIDs = append(req.SubQueryIDs, r.QueryID)
+	var byRound []int // the group behind each of req.SubQueryIDs
+	for g, id := range rounds {
+		if id != "" {
+			req.SubQueryIDs = append(req.SubQueryIDs, id)
+			byRound = append(byRound, g)
+		}
 	}
 	rep, err := o.groups[0].caller.Call(ctx, co.Announcer, req)
 	if err != nil {
@@ -423,7 +490,7 @@ func (o *Owner) reduceExtreme(ctx context.Context, co *Cohort, table string, kin
 		return fmt.Errorf("ownerengine: unexpected reduce reply %T", rep)
 	}
 	res.Stats.Server.Spans = append(res.Stats.Server.Spans, rrep.Spans...)
-	values, err := o.DecodeReducedExtreme(kind, rrep.Values)
+	values, err := o.decodeReducedExtreme(rrep.Values)
 	if err != nil {
 		return fmt.Errorf("ownerengine: global %s reduce: %w", kind, err)
 	}
@@ -432,14 +499,14 @@ func (o *Owner) reduceExtreme(ctx context.Context, co *Cohort, table string, kin
 	if kind == protocol.KindMedian {
 		return nil
 	}
-	if !rrep.HasWinner || rrep.WinnerSub < 0 || rrep.WinnerSub >= len(rounds) {
+	if !rrep.HasWinner || rrep.WinnerSub < 0 || rrep.WinnerSub >= len(byRound) {
 		return fmt.Errorf("ownerengine: global %s reduce named no winning round", kind)
 	}
-	won := rounds[rrep.WinnerSub]
-	if rrep.WinnerCell < 0 || rrep.WinnerCell >= won.Hi-won.Lo {
+	g := byRound[rrep.WinnerSub]
+	if rrep.WinnerCell < 0 || rrep.WinnerCell >= len(subs[g].Cells) {
 		return fmt.Errorf("ownerengine: global %s reduce named no winning cell", kind)
 	}
-	res.GlobalCell = res.Cells[won.Lo+rrep.WinnerCell]
+	res.GlobalCell = o.starts[g] + subs[g].Cells[rrep.WinnerCell]
 	winner := res.Extreme[res.GlobalCell]
 	if winner.Value != res.Global.Value {
 		return fmt.Errorf("%w: global %s %d disagrees with winning cell's %d", ErrVerificationFailed, kind, res.Global.Value, winner.Value)
@@ -448,20 +515,40 @@ func (o *Owner) reduceExtreme(ctx context.Context, co *Cohort, table string, kin
 	return nil
 }
 
+// decodeReducedExtreme unmasks the masked values of a global reduce
+// reply: the announcer compares and returns the same order-preserving
+// masked points it announces per round — F is deployment-global, so
+// group 0's polynomial unmasks values from any group's round.
+func (o *Owner) decodeReducedExtreme(values [][]byte) ([]uint64, error) {
+	v := o.groups[0].view
+	out := make([]uint64, 0, len(values))
+	for _, vb := range values {
+		z, err := v.Poly.SearchZ(new(big.Int).SetBytes(vb), v.MaxAgg)
+		if err != nil {
+			return nil, fmt.Errorf("%w: reduced value not in F's image: %v", ErrVerificationFailed, err)
+		}
+		out = append(out, z)
+	}
+	return out, nil
+}
+
 // endQuery retires an extreme query's session state, once per query:
-// each vector round on the nodes that took part in it — the two
-// additive-share servers of the round's group (the Shamir server rejects
-// extreme traffic before opening a session) and the announcer — and on
-// no other group. Best effort: cleanup failures are invisible to the
-// query's caller. The calls are independent notifications, so they go
-// out concurrently.
-func (o *Owner) endQuery(ctx context.Context, co *Cohort, rounds []ExtremeRound) {
+// each opened vector round (rounds[g] non-empty) on the nodes that took
+// part in it — the two additive-share servers of the round's group (the
+// Shamir server rejects extreme traffic before opening a session) and
+// the announcer — and on no other group. Best effort: cleanup failures
+// are invisible to the query's caller. The calls are independent
+// notifications, so they go out concurrently.
+func (o *Owner) endQuery(ctx context.Context, co *Cohort, rounds []string) {
 	// Clean up even when the query itself was cancelled.
 	ctx = context.WithoutCancel(ctx)
 	var wg sync.WaitGroup
-	for _, r := range rounds {
-		req := protocol.QueryDoneRequest{QueryID: r.QueryID}
-		e := o.groups[r.Group]
+	for g, qid := range rounds {
+		if qid == "" {
+			continue
+		}
+		req := protocol.QueryDoneRequest{QueryID: qid}
+		e := o.groups[g]
 		for _, addr := range []string{e.servers[0], e.servers[1], co.Announcer} {
 			wg.Add(1)
 			go func(addr string) {

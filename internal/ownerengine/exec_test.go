@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"prism/internal/announcer"
 	"prism/internal/params"
@@ -129,6 +132,47 @@ func TestExecVerifiesEveryAggregate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGroupsPipelineRounds: a group runs its rounds without waiting for
+// another group's. Group 1's additive pair holds every PSI request until
+// group 0's S2 has seen an aggregation request — which group 0 sends only
+// if it may start round 2 while group 1 is still in round 1 — and errors
+// after 2 s; the verified sum must still answer both planted cells.
+func TestGroupsPipelineRounds(t *testing.T) {
+	r := newExecRig(t, 3, 32, 2)
+	aggSeen := make(chan struct{})
+	var once sync.Once
+	s2 := r.servers[0][2]
+	r.network.Register(groupAddr(0, 2), transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+		if _, ok := req.(protocol.AggRequest); ok {
+			once.Do(func() { close(aggSeen) })
+		}
+		return s2.Handle(ctx, req)
+	}))
+	for phi := 0; phi < 2; phi++ {
+		inner := r.servers[1][phi]
+		r.network.Register(groupAddr(1, phi), transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+			if _, ok := req.(protocol.PSIRequest); ok {
+				select {
+				case <-aggSeen:
+				case <-time.After(2 * time.Second):
+					return nil, errors.New("group 1 held its PSI round 2 s: group 0 never reached its aggregation round")
+				}
+			}
+			return inner.Handle(ctx, req)
+		}))
+	}
+	q := Query{Kind: OpPSISum, Table: "t", Cols: []string{"v"}, Verify: true}
+	res, err := r.cohort.Owners[0].Exec(context.Background(), q, r.cohort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Owner i holds 10+i at cell 2 and 40−i at cell 29 (= b−3).
+	want := map[uint64]uint64{2: 10 + 11 + 12, 29: 40 + 39 + 38}
+	if !reflect.DeepEqual(res.Cells, []uint64{2, 29}) || !reflect.DeepEqual(res.Sums["v"], want) {
+		t.Errorf("cells %v, sums %v; want [2 29], %v", res.Cells, res.Sums["v"], want)
 	}
 }
 

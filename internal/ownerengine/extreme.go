@@ -172,12 +172,12 @@ func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.Ext
 	return out, nil
 }
 
-// CheckExtremeConsistency is each owner's local verification of an
+// checkExtremeConsistency is each owner's local verification of an
 // announced extreme (our instantiation of the full-version max
 // verification): the announced max cannot be below this owner's own
 // value (resp. above, for min). Returns ErrVerificationFailed on
 // inconsistency.
-func CheckExtremeConsistency(kind protocol.ExtremeKind, announced, localValue uint64) error {
+func checkExtremeConsistency(kind protocol.ExtremeKind, announced, localValue uint64) error {
 	switch kind {
 	case protocol.KindMax:
 		if localValue > announced {

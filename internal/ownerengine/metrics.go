@@ -10,7 +10,8 @@ import (
 
 // mFanoutSeconds times one multi-group fan-out (router.eachGroup): how
 // long the slowest group of a concurrently fanned operation took, per
-// operation kind.
+// operation — a query's kind name (its whole round script, Exec), or
+// outsource, update, ping.
 var mFanoutSeconds = telemetry.NewHistogramVec(telemetry.MetricFanoutSeconds, "op", telemetry.LatencyBuckets)
 
 // finishTrace closes out one engine-level query for tracing: it stamps

@@ -97,7 +97,8 @@ type QueryStats struct {
 // engine is one DB owner's per-group protocol engine: it speaks the
 // unchanged PRISM math against exactly one server group's triple over
 // that group's slice of the cell domain. The exported Owner (router.go)
-// owns one engine per group and routes/merges above this layer.
+// owns one engine per group and routes loads and updates above this
+// layer; a query's per-group script and merge are Exec's (exec.go).
 type engine struct {
 	Index int
 
@@ -439,7 +440,8 @@ func (o *engine) localTableFor(name string) (*localTable, error) {
 
 // callServers issues build's request to the group's first nsrv servers
 // concurrently (2 is the additive-share pair, 3 every server) and
-// returns their replies indexed by server, with the failures joined.
+// returns their replies indexed by server, with the failures joined,
+// each tagged with its server's logical address.
 func (o *engine) callServers(ctx context.Context, nsrv int, build func(phi int) any) ([]any, error) {
 	out := make([]any, nsrv)
 	errs := make([]error, nsrv)
@@ -448,7 +450,10 @@ func (o *engine) callServers(ctx context.Context, nsrv int, build func(phi int) 
 		wg.Add(1)
 		go func(phi int) {
 			defer wg.Done()
-			out[phi], errs[phi] = o.caller.Call(ctx, o.servers[phi], build(phi))
+			var err error
+			if out[phi], err = o.caller.Call(ctx, o.servers[phi], build(phi)); err != nil {
+				errs[phi] = fmt.Errorf("%s: %w", o.servers[phi], err)
+			}
 		}(phi)
 	}
 	wg.Wait()

@@ -118,8 +118,9 @@ func TestLocalValuesKinds(t *testing.T) {
 		{protocol.KindMin, []uint64{10, 1, 0}},
 		{protocol.KindMedian, []uint64{60, 100, 0}}, // per-owner total at the cell
 	}
+	e := o.groups[0]
 	for _, c := range cases {
-		got, has, err := o.LocalValues(c.kind, "v", cells)
+		got, has, err := e.LocalValues(c.kind, "v", cells)
 		if err != nil {
 			t.Fatalf("%v: %v", c.kind, err)
 		}
@@ -127,28 +128,19 @@ func TestLocalValuesKinds(t *testing.T) {
 			t.Errorf("%v = %v (has %v), want %v", c.kind, got, has, c.want)
 		}
 	}
-	if got, has, err := o.LocalValues(protocol.KindMax, "v", nil); err != nil || len(got) != 0 || len(has) != 0 {
+	if got, has, err := e.LocalValues(protocol.KindMax, "v", nil); err != nil || len(got) != 0 || len(has) != 0 {
 		t.Errorf("no cells: %v %v %v", got, has, err)
 	}
-	if _, _, err := o.LocalValues(protocol.KindMax, "ghost", cells); err == nil {
+	if _, _, err := e.LocalValues(protocol.KindMax, "ghost", cells); err == nil {
 		t.Error("unknown column accepted")
-	}
-	if _, _, err := o.LocalValues(protocol.KindMax, "v", []uint64{8}); err == nil {
-		t.Error("cell outside the domain accepted")
 	}
 }
 
 func TestSubmitExtremeRejectsBadVectors(t *testing.T) {
 	r := newRig(t, 2, 8)
 	ctx := context.Background()
-	if err := r.owners[0].SubmitExtreme(ctx, "q", protocol.KindMax, []uint64{0, 1}, []uint64{5, 1 << 40}); err == nil {
+	if err := r.owners[0].groups[0].SubmitExtreme(ctx, "q", protocol.KindMax, []uint64{5, 1 << 40}); err == nil {
 		t.Error("value over MaxAgg accepted")
-	}
-	if err := r.owners[0].SubmitExtreme(ctx, "q", protocol.KindMax, []uint64{0, 1}, []uint64{5}); err == nil {
-		t.Error("fewer values than cells accepted")
-	}
-	if err := r.owners[0].SubmitClaim(ctx, "q", []uint64{0, 1}, []bool{true}); err == nil {
-		t.Error("fewer claims than cells accepted")
 	}
 	if n := r.servers[0].Sessions(); n != 0 {
 		t.Errorf("rejected submits reached the servers: %d sessions", n)
@@ -160,7 +152,7 @@ func TestSubmitExtremeRejectsBadVectors(t *testing.T) {
 // root stream stands where an untouched twin's does.
 func TestAggregateRejectsBadSelector(t *testing.T) {
 	r, twin := newRig(t, 2, 8), newRig(t, 2, 8)
-	_, err := r.owners[0].Aggregate(context.Background(), "t", []uint64{3, 99}, []string{"v"}, false, false)
+	_, err := r.owners[0].groups[0].Aggregate(context.Background(), "t", []uint64{3, 99}, []string{"v"}, false, false)
 	if err == nil {
 		t.Error("out-of-range selected cell accepted")
 	}
@@ -170,7 +162,7 @@ func TestAggregateRejectsBadSelector(t *testing.T) {
 }
 
 // TestEndToEndViaEngines runs the verified PSI → aggregate pipeline
-// directly at the engine level (no prism.System wrapper).
+// through Exec on owner engines alone (no prism.System wrapper).
 func TestEndToEndViaEngines(t *testing.T) {
 	r := newRig(t, 3, 16)
 	ctx := context.Background()
@@ -189,17 +181,12 @@ func TestEndToEndViaEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q := r.owners[0]
-	res, err := q.PSI(ctx, "t", true)
+	agg, err := r.owners[0].Exec(ctx, Query{Kind: OpPSIAvg, Table: "t", Cols: []string{"v"}, Verify: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 2 || res.Cells[0] != 1 || res.Cells[1] != 4 {
-		t.Fatalf("PSI = %v, want [1 4]", res.Cells)
-	}
-	agg, err := q.Aggregate(ctx, "t", res.Cells, []string{"v"}, true, true)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(agg.Cells, []uint64{1, 4}) {
+		t.Fatalf("PSI = %v, want [1 4]", agg.Cells)
 	}
 	if agg.Sums["v"][1] != 10+1+200 {
 		t.Errorf("sum at 1 = %d, want 211", agg.Sums["v"][1])
@@ -210,9 +197,8 @@ func TestEndToEndViaEngines(t *testing.T) {
 	if agg.Counts[1] != 3 || agg.Counts[4] != 3 {
 		t.Errorf("counts = %v, want 3 each", agg.Counts)
 	}
-	avg, ok := agg.Avg("v", 1)
-	if !ok || avg != 211.0/3.0 {
-		t.Errorf("avg = %f", avg)
+	if agg.Stats.Rounds != 2 {
+		t.Errorf("rounds = %d, want 2", agg.Stats.Rounds)
 	}
 }
 
@@ -229,7 +215,7 @@ func TestStatsPopulated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := r.owners[0].PSI(ctx, "t", false)
+	res, err := r.owners[0].Exec(ctx, Query{Kind: OpPSI, Table: "t"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

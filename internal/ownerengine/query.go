@@ -10,13 +10,6 @@ import (
 	"prism/internal/telemetry"
 )
 
-// SetResult is the outcome of a PSI or PSU query: the natural-order cell
-// indices in the result set and cost stats.
-type SetResult struct {
-	Cells []uint64
-	Stats QueryStats
-}
-
 // PSI runs the §5.1 protocol and returns the common cells. The stored-
 // order vector is fetched window by window and the per-cell
 // recombination (Equation 4) folds each window in as its pair of replies
@@ -24,7 +17,7 @@ type SetResult struct {
 // same replies carry the §5.2 χ̄-side vector; it folds in alongside, and
 // once both are whole r1_i·r2_i ≡ 1 (mod η) must hold at every cell
 // (Equation 10) — ErrVerificationFailed otherwise.
-func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult, error) {
+func (o *engine) PSI(ctx context.Context, table string, verify bool) (*Result, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psi").qid
@@ -74,7 +67,7 @@ func (o *engine) PSI(ctx context.Context, table string, verify bool) (*SetResult
 	stats.OwnerNS += time.Since(start).Nanoseconds()
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
-	return &SetResult{Cells: cells, Stats: stats}, nil
+	return &Result{Cells: cells, Stats: stats}, nil
 }
 
 // mulInto sets dst[i] = out¹_i · out²_i mod η for one window of a pair of
@@ -114,7 +107,7 @@ func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg proto
 }
 
 // PSU runs the §7 protocol and returns the union cells.
-func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
+func (o *engine) PSU(ctx context.Context, table string) (*Result, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psu").qid
@@ -150,7 +143,7 @@ func (o *engine) PSU(ctx context.Context, table string) (*SetResult, error) {
 	stats.OwnerNS += time.Since(start).Nanoseconds()
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
-	return &SetResult{Cells: cells, Stats: stats}, nil
+	return &Result{Cells: cells, Stats: stats}, nil
 }
 
 // psuPair type-checks and length-checks one window's pair of PSU replies.
@@ -170,20 +163,14 @@ func psuPair(replies []any, rg protocol.Range, stats *QueryStats) ([2][]uint16, 
 	return outs, nil
 }
 
-// CountResult is the outcome of a PSI-count query (§6.5).
-type CountResult struct {
-	Count int
-	Stats QueryStats
-}
-
-// Count runs PSI count: the servers PF_s1-permute the PSI vector so the
+// Count runs PSI count (§6.5): the servers PF_s1-permute the PSI vector so the
 // owner learns the cardinality but not the positions. With verify, the
 // χ̄-side arrives PF_s2-permuted and both align under PF_i (Equation 1),
 // enabling the per-cell r1·r2 ≡ 1 check without revealing positions.
 // Windows cover the permuted vectors, so counting (and the position-wise
 // verification) folds in per window — the owner never materialises a
 // whole-domain vector.
-func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountResult, error) {
+func (o *engine) Count(ctx context.Context, table string, verify bool) (*Result, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("count").qid
@@ -221,12 +208,12 @@ func (o *engine) Count(ctx context.Context, table string, verify bool) (*CountRe
 	}
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
-	return &CountResult{Count: count, Stats: stats}, nil
+	return &Result{Count: count, Stats: stats}, nil
 }
 
 // PSUCount runs PSU count: PF_s1-permuted masked sums; the owner counts
 // nonzero entries, folding each permuted window in as it arrives.
-func (o *engine) PSUCount(ctx context.Context, table string) (*CountResult, error) {
+func (o *engine) PSUCount(ctx context.Context, table string) (*Result, error) {
 	wall := time.Now()
 	tid := telemetry.TraceID(ctx)
 	qid := o.newSession("psucount").qid
@@ -255,5 +242,5 @@ func (o *engine) PSUCount(ctx context.Context, table string) (*CountResult, erro
 	}
 	stats.WallNS = time.Since(wall).Nanoseconds()
 	o.finishTrace(&stats, tid, qid, wall)
-	return &CountResult{Count: count, Stats: stats}, nil
+	return &Result{Count: count, Stats: stats}, nil
 }

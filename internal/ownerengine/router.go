@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +19,10 @@ import (
 // protocol engine per server group: each engine speaks the unchanged
 // PRISM math against its group's S0/S1/S2 triple over that group's
 // contiguous slice [Start, Start+B) of the cell domain. The router
-// splits loaded tuples and query scopes by owning group, fans the
-// per-group exchanges out concurrently, and merges the results back
-// into the global domain — set results concatenate (group slices are
-// contiguous and ascending), counts and aggregates sum, and an extreme
-// query runs one vector round per group owning result cells.
+// splits loaded tuples and updates by owning group and fans the
+// per-group exchanges out concurrently. A query is Exec's (exec.go):
+// every group runs the query's whole round script on its own slice, and
+// one merge brings the answers back into the global domain.
 //
 // A single-group Owner (New) is the N = 1 case of the same fan-out and
 // merge; it keeps the historical PRG stream labels and returns its
@@ -138,9 +136,9 @@ func (o *Owner) groupErr(g int, err error) error {
 }
 
 // eachGroup runs fn for every listed group concurrently and joins the
-// group-tagged errors. op labels the fan-out latency series: the
-// recorded duration is the slowest group's, since the groups run
-// concurrently.
+// group-tagged errors. op labels the fan-out latency series — a query's
+// kind name, or outsource, update, ping: the recorded duration is the
+// slowest group's, since the groups run concurrently.
 func (o *Owner) eachGroup(op string, sel []int, fn func(g int) error) error {
 	start := time.Now()
 	defer func() { mFanoutSeconds.Observe(op, time.Since(start).Seconds()) }()
@@ -298,142 +296,6 @@ func (o *Owner) SetShardCells(n uint64) {
 	}
 }
 
-// mergeQueryStats folds one group's query stats into a global result's.
-// Server work and owner CPU sum; rounds take the maximum since the
-// groups' rounds run concurrently.
-func mergeQueryStats(dst *QueryStats, src QueryStats) {
-	dst.Server.Add(src.Server)
-	dst.OwnerNS += src.OwnerNS
-	if src.Rounds > dst.Rounds {
-		dst.Rounds = src.Rounds
-	}
-	if dst.TraceID == "" {
-		dst.TraceID = src.TraceID
-	}
-}
-
-// setQuery fans one set-result query (PSI or PSU) out to every group
-// and reassembles the global result: group slices are contiguous and
-// ascending, so the groups' result cells, shifted by their group's
-// start, concatenate.
-func (o *Owner) setQuery(ctx context.Context, op string, run func(e *engine) (*SetResult, error)) (*SetResult, error) {
-	subs := make([]*SetResult, len(o.groups))
-	err := o.eachGroup(op, o.allGroups(), func(g int) (err error) {
-		subs[g], err = run(o.groups[g])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &SetResult{}
-	for g, sub := range subs {
-		for _, c := range sub.Cells {
-			out.Cells = append(out.Cells, c+o.starts[g])
-		}
-		mergeQueryStats(&out.Stats, sub.Stats)
-		out.Stats.WallNS = max(out.Stats.WallNS, sub.Stats.WallNS)
-	}
-	return out, nil
-}
-
-// PSI runs the intersection query across all groups; with verify every
-// group's answer carries and passes its §5.2 check.
-func (o *Owner) PSI(ctx context.Context, table string, verify bool) (*SetResult, error) {
-	return o.setQuery(ctx, "psi", func(e *engine) (*SetResult, error) { return e.PSI(ctx, table, verify) })
-}
-
-// PSU runs the union query across all groups.
-func (o *Owner) PSU(ctx context.Context, table string) (*SetResult, error) {
-	return o.setQuery(ctx, "psu", func(e *engine) (*SetResult, error) { return e.PSU(ctx, table) })
-}
-
-// countQuery fans a scalar-count query out to every group and sums.
-func (o *Owner) countQuery(ctx context.Context, op string, run func(e *engine) (*CountResult, error)) (*CountResult, error) {
-	subs := make([]*CountResult, len(o.groups))
-	err := o.eachGroup(op, o.allGroups(), func(g int) error {
-		res, err := run(o.groups[g])
-		subs[g] = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &CountResult{}
-	for _, sub := range subs {
-		out.Count += sub.Count
-		mergeQueryStats(&out.Stats, sub.Stats)
-		out.Stats.WallNS = max(out.Stats.WallNS, sub.Stats.WallNS)
-	}
-	return out, nil
-}
-
-// Count runs PSI count across all groups and sums the cardinalities.
-func (o *Owner) Count(ctx context.Context, table string, verify bool) (*CountResult, error) {
-	return o.countQuery(ctx, "count", func(e *engine) (*CountResult, error) { return e.Count(ctx, table, verify) })
-}
-
-// PSUCount runs PSU count across all groups and sums the cardinalities.
-func (o *Owner) PSUCount(ctx context.Context, table string) (*CountResult, error) {
-	return o.countQuery(ctx, "psucount", func(e *engine) (*CountResult, error) { return e.PSUCount(ctx, table) })
-}
-
-// Aggregate splits the selected cells by owning group, runs the
-// aggregation in every involved group concurrently, and re-keys the
-// per-cell results back into the global domain.
-func (o *Owner) Aggregate(ctx context.Context, table string, selected []uint64, cols []string, withCount, verify bool) (*AggResult, error) {
-	perGroup := make([][]uint64, len(o.groups))
-	for _, c := range selected {
-		g, err := o.groupOf(c)
-		if err != nil {
-			return nil, fmt.Errorf("ownerengine: selected cell %d out of range", c)
-		}
-		perGroup[g] = append(perGroup[g], c-o.starts[g])
-	}
-	var sel []int
-	for g := range o.groups {
-		if len(perGroup[g]) > 0 {
-			sel = append(sel, g)
-		}
-	}
-	if len(sel) == 0 {
-		// No selected cells: run in group 0 so table-existence errors and
-		// the empty-result shape match the single-group behaviour.
-		sel = []int{0}
-	}
-	subs := make([]*AggResult, len(o.groups))
-	err := o.eachGroup("aggregate", sel, func(g int) error {
-		res, err := o.groups[g].Aggregate(ctx, table, perGroup[g], cols, withCount, verify)
-		subs[g] = res
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &AggResult{Sums: make(map[string]map[uint64]uint64)}
-	if withCount {
-		out.Counts = make(map[uint64]uint64)
-	}
-	for g, sub := range subs {
-		if sub == nil {
-			continue
-		}
-		for col, m := range sub.Sums {
-			if out.Sums[col] == nil {
-				out.Sums[col] = make(map[uint64]uint64, len(m))
-			}
-			for c, v := range m {
-				out.Sums[col][c+o.starts[g]] = v
-			}
-		}
-		for c, v := range sub.Counts {
-			out.Counts[c+o.starts[g]] = v
-		}
-		mergeQueryStats(&out.Stats, sub.Stats)
-		out.Stats.WallNS = max(out.Stats.WallNS, sub.Stats.WallNS)
-	}
-	return out, nil
-}
-
 // Update applies a tuple-set change to an outsourced table: add and
 // remove list tuples in the Data format (either may be nil), split here
 // by owning group. Every group prepares before anything is sent, each
@@ -486,154 +348,6 @@ func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (Up
 	return total, nil
 }
 
-// ExtremeRound is one group's share of an extreme query: the vector
-// round that carries every result cell the group owns.
-type ExtremeRound struct {
-	Group int
-	// QueryID names the round's session on the group's servers and on
-	// the announcer: the query's id, group-tagged so the announcer can
-	// tell a query's rounds apart.
-	QueryID string
-	// Lo and Hi bound the round's cells within the query's cell list:
-	// cells[Lo:Hi], which ascending cells make one contiguous run.
-	Lo, Hi int
-}
-
-// ExtremeRounds splits an extreme query's result cells — ascending, as
-// PSI returns them — by owning group: one vector round per group that
-// owns at least one cell, in group order. The placement is deployment-
-// wide, so every owner derives the same rounds.
-func (o *Owner) ExtremeRounds(qid string, cells []uint64) ([]ExtremeRound, error) {
-	var rounds []ExtremeRound
-	lo := 0
-	for g, e := range o.groups {
-		hi := lo
-		for hi < len(cells) && cells[hi] >= o.starts[g] && cells[hi]-o.starts[g] < e.view.B {
-			hi++
-		}
-		if hi > lo {
-			rounds = append(rounds, ExtremeRound{Group: g, QueryID: fmt.Sprintf("%s/g%d", qid, g), Lo: lo, Hi: hi})
-		}
-		lo = hi
-	}
-	if lo < len(cells) {
-		return nil, fmt.Errorf("ownerengine: extreme cell %d out of order or outside the domain of %d cells", cells[lo], o.b)
-	}
-	return rounds, nil
-}
-
-// eachRound runs fn for every vector round of the query concurrently.
-func (o *Owner) eachRound(op, qid string, cells []uint64, fn func(r ExtremeRound, e *engine) error) error {
-	rounds, err := o.ExtremeRounds(qid, cells)
-	if err != nil {
-		return err
-	}
-	sel := make([]int, len(rounds))
-	byGroup := make([]ExtremeRound, len(o.groups))
-	for i, r := range rounds {
-		sel[i], byGroup[r.Group] = r.Group, r
-	}
-	return o.eachGroup(op, sel, func(g int) error { return fn(byGroup[g], o.groups[g]) })
-}
-
-// LocalValues computes this owner's private statistic at every listed
-// cell (see engine.LocalValues), each group's engine scanning its own
-// slice of the tuples once.
-func (o *Owner) LocalValues(kind protocol.ExtremeKind, col string, cells []uint64) ([]uint64, []bool, error) {
-	rounds, err := o.ExtremeRounds("", cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals, has := make([]uint64, 0, len(cells)), make([]bool, 0, len(cells))
-	for _, r := range rounds {
-		local := make([]uint64, r.Hi-r.Lo)
-		for c := range local {
-			local[c] = cells[r.Lo+c] - o.starts[r.Group]
-		}
-		v, h, err := o.groups[r.Group].LocalValues(kind, col, local)
-		if err != nil {
-			return nil, nil, o.groupErr(r.Group, err)
-		}
-		vals, has = append(vals, v...), append(has, h...)
-	}
-	return vals, has, nil
-}
-
-// SubmitExtreme masks and submits this owner's local values (parallel to
-// cells) for the query's extreme rounds, one vector per group owning
-// cells, the groups concurrently.
-func (o *Owner) SubmitExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, cells, locals []uint64) error {
-	if len(locals) != len(cells) {
-		return fmt.Errorf("ownerengine: %d local values for %d cells", len(locals), len(cells))
-	}
-	return o.eachRound("extremesubmit", qid, cells, func(r ExtremeRound, e *engine) error {
-		return e.SubmitExtreme(ctx, r.QueryID, kind, locals[r.Lo:r.Hi])
-	})
-}
-
-// FetchExtreme retrieves and unmasks the announcer's results of the
-// query's rounds; the outcome's vectors are parallel to cells.
-func (o *Owner) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, cells []uint64) (*ExtremeOutcome, error) {
-	subs := make([]*ExtremeOutcome, len(o.groups))
-	err := o.eachRound("extremefetch", qid, cells, func(r ExtremeRound, e *engine) (err error) {
-		subs[r.Group], err = e.FetchExtreme(ctx, r.QueryID, kind, r.Hi-r.Lo)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &ExtremeOutcome{}
-	for _, sub := range subs { // group order is cell order
-		if sub != nil {
-			out.Values = append(out.Values, sub.Values...)
-			out.WinnerSlots = append(out.WinnerSlots, sub.WinnerSlots...)
-			mergeQueryStats(&out.Stats, sub.Stats)
-		}
-	}
-	return out, nil
-}
-
-// SubmitClaim submits this owner's claim shares (holdsExtreme parallel
-// to cells) for the query's rounds.
-func (o *Owner) SubmitClaim(ctx context.Context, qid string, cells []uint64, holdsExtreme []bool) error {
-	if len(holdsExtreme) != len(cells) {
-		return fmt.Errorf("ownerengine: %d claims for %d cells", len(holdsExtreme), len(cells))
-	}
-	return o.eachRound("claimsubmit", qid, cells, func(r ExtremeRound, e *engine) error {
-		return e.SubmitClaim(ctx, r.QueryID, holdsExtreme[r.Lo:r.Hi])
-	})
-}
-
-// FetchClaims retrieves the ownership vectors of the query's rounds:
-// claims[c][i] says owner i holds the extreme at cells[c].
-func (o *Owner) FetchClaims(ctx context.Context, qid string, cells []uint64) ([][]bool, error) {
-	out := make([][]bool, len(cells))
-	err := o.eachRound("claimfetch", qid, cells, func(r ExtremeRound, e *engine) error {
-		sub, err := e.FetchClaims(ctx, r.QueryID, r.Hi-r.Lo)
-		copy(out[r.Lo:], sub)
-		return err
-	})
-	return out, err
-}
-
-// DecodeReducedExtreme unmasks the masked values of a cross-group
-// extreme reduce reply (protocol.ExtremeReduceReply.Values): the
-// announcer compares and returns the same order-preserving masked
-// points it announces per round — F is deployment-global, so group-0's
-// polynomial unmasks values from any group's round.
-func (o *Owner) DecodeReducedExtreme(kind protocol.ExtremeKind, values [][]byte) ([]uint64, error) {
-	v := o.groups[0].view
-	out := make([]uint64, 0, len(values))
-	for _, vb := range values {
-		z, err := v.Poly.SearchZ(new(big.Int).SetBytes(vb), v.MaxAgg)
-		if err != nil {
-			return nil, fmt.Errorf("%w: reduced value not in F's image: %v", ErrVerificationFailed, err)
-		}
-		out = append(out, z)
-	}
-	return out, nil
-}
-
 // Ping probes every server of every group concurrently. A nil return
 // means the full serving fabric behind this owner answered; failures
 // come back joined, tagged with group and logical server address, so a
@@ -651,11 +365,6 @@ func (o *Owner) PingGroup(ctx context.Context, g int) error {
 		return fmt.Errorf("ownerengine: no group %d (have %d)", g, len(o.groups))
 	}
 	return o.groupErr(g, o.groups[g].Ping(ctx))
-}
-
-// ListTables asks group 0's servers for their table inventories.
-func (o *Owner) ListTables(ctx context.Context) ([][]protocol.TableStatus, error) {
-	return o.groups[0].ListTables(ctx)
 }
 
 // ListTablesGroup asks group g's servers for their table inventories.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"prism/internal/params"
 	"prism/internal/protocol"
@@ -18,54 +17,34 @@ import (
 // lets a probe distinguish "still the registration I made" from
 // "re-registered since".
 func (o *engine) ListTables(ctx context.Context) ([][]protocol.TableStatus, error) {
-	out := make([][]protocol.TableStatus, params.NumServers)
-	errs := make([]error, params.NumServers)
-	var wg sync.WaitGroup
-	for phi := 0; phi < params.NumServers; phi++ {
-		wg.Add(1)
-		go func(phi int) {
-			defer wg.Done()
-			reply, err := o.caller.Call(ctx, o.servers[phi], protocol.ListTablesRequest{})
-			if err != nil {
-				errs[phi] = err
-				return
-			}
-			rep, ok := reply.(protocol.ListTablesReply)
-			if !ok {
-				errs[phi] = fmt.Errorf("ownerengine: unexpected list reply %T", reply)
-				return
-			}
-			out[phi] = rep.Tables
-		}(phi)
+	replies, err := o.callServers(ctx, params.NumServers, func(int) any { return protocol.ListTablesRequest{} })
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	return out, errors.Join(errs...)
+	out := make([][]protocol.TableStatus, params.NumServers)
+	for phi, r := range replies {
+		rep, ok := r.(protocol.ListTablesReply)
+		if !ok {
+			return nil, fmt.Errorf("ownerengine: unexpected list reply %T", r)
+		}
+		out[phi] = rep.Tables
+	}
+	return out, nil
 }
 
 // Ping probes every server of this engine's group concurrently and
 // joins the failures, each tagged with the unreachable server's logical
-// address. A nil return means all three servers answered — the group
-// can take traffic. Unlike ListTables it moves no inventory, so health
-// checkers can run it at high frequency against loaded servers.
+// address (callServers). A nil return means all three servers answered —
+// the group can take traffic. Unlike ListTables it moves no inventory,
+// so health checkers can run it at high frequency against loaded servers.
 func (o *engine) Ping(ctx context.Context) error {
-	errs := make([]error, params.NumServers)
-	var wg sync.WaitGroup
-	for phi := 0; phi < params.NumServers; phi++ {
-		wg.Add(1)
-		go func(phi int) {
-			defer wg.Done()
-			reply, err := o.caller.Call(ctx, o.servers[phi], protocol.PingRequest{})
-			if err != nil {
-				errs[phi] = fmt.Errorf("%s: %w", o.servers[phi], err)
-				return
-			}
-			if _, ok := reply.(protocol.PingReply); !ok {
-				errs[phi] = fmt.Errorf("%s: unexpected ping reply %T", o.servers[phi], reply)
-			}
-		}(phi)
+	replies, err := o.callServers(ctx, params.NumServers, func(int) any { return protocol.PingRequest{} })
+	for phi, r := range replies {
+		if _, ok := r.(protocol.PingReply); !ok && r != nil {
+			err = errors.Join(err, fmt.Errorf("%s: unexpected ping reply %T", o.servers[phi], r))
+		}
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return err
 }
 
 // TableServed reports whether every server serves the named table with

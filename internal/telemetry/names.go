@@ -37,7 +37,7 @@ const (
 	MetricPeakHeldBytes = "prism_peak_held_bytes" // gauge, label site: high-water mark of prism_held_bytes
 
 	// Owner plane.
-	MetricFanoutSeconds = "prism_fanout_seconds" // histogram, label op: per-group fan-out latency of one owner exchange
+	MetricFanoutSeconds = "prism_fanout_seconds" // histogram, label op: slowest group's latency of one owner fan-out (a query's kind name, outsource, update, ping)
 
 	// Gateway plane (the stateless query front tier).
 	MetricGatewayAccepted     = "prism_gateway_accepted_total"   // counter, label op: queries admitted past admission control

@@ -12,31 +12,48 @@ import (
 )
 
 // TestQueryScriptLivesInExec keeps "which rounds make up a query" in one
-// place. In the module's non-test source outside internal/ownerengine
-// (and outside benchmark/, a separate module the harness owns):
+// place, internal/ownerengine/exec.go. In the module's non-test source
+// (outside benchmark/, a separate module the harness owns):
 //
-//   - nothing calls Aggregate, SubmitExtreme, FetchExtreme, SubmitClaim
-//     or FetchClaims, or builds a protocol.ExtremeReduceRequest
-//     — a front door that needs a query calls ownerengine.Exec;
+//   - only exec.go calls a round — a group engine's PSI, PSU, Count,
+//     PSUCount, Aggregate, LocalValues, SubmitExtreme, FetchExtreme,
+//     SubmitClaim or FetchClaims — or builds a protocol.ExtremeReduceRequest;
+//     a front door that needs a query calls ownerengine.Exec;
+//   - exec.go fans a query out to the groups once: one eachGroup call;
 //   - exactly one type implements gateway.Backend (an Exec taking a
 //     Query next to a Ping), so the backend that ships is the one the
 //     tests and benchmarks run.
 func TestQueryScriptLivesInExec(t *testing.T) {
-	script := map[string]bool{
-		"Aggregate":     true,
+	engineDir := filepath.Join("internal", "ownerengine")
+	execGo := filepath.Join(engineDir, "exec.go")
+	rounds := map[string]bool{
+		"Aggregate": true, "LocalValues": true,
 		"SubmitExtreme": true, "FetchExtreme": true, "SubmitClaim": true, "FetchClaims": true,
 	}
+	// The library's System exports these names too; they are rounds only
+	// inside the owner engine.
+	setRounds := map[string]bool{"PSI": true, "PSU": true, "Count": true, "PSUCount": true}
+	fanouts := 0
 	// methods[dir+"."+receiver][name] is the method's parameter count.
 	methods := map[string]map[string]int{}
-	walkSource(t, filepath.Join("internal", "ownerengine"), func(fset *token.FileSet, path string, file *ast.File) {
+	walkSource(t, "", func(fset *token.FileSet, path string, file *ast.File) {
+		inEngine := filepath.Dir(path) == engineDir
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && script[sel.Sel.Name] {
-					t.Errorf("%s: calls %s; only ownerengine.Exec runs a query's rounds", fset.Position(n.Pos()), sel.Sel.Name)
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if name := sel.Sel.Name; path == execGo {
+					if name == "eachGroup" {
+						fanouts++
+					}
+				} else if rounds[name] || inEngine && setRounds[name] {
+					t.Errorf("%s: calls %s; only ownerengine.Exec runs a query's rounds", fset.Position(n.Pos()), name)
 				}
 			case *ast.CompositeLit:
-				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "ExtremeReduceRequest" {
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "ExtremeReduceRequest" && path != execGo {
 					t.Errorf("%s: builds an ExtremeReduceRequest; only ownerengine.Exec runs the global reduce", fset.Position(n.Pos()))
 				}
 			case *ast.FuncDecl:
@@ -57,6 +74,9 @@ func TestQueryScriptLivesInExec(t *testing.T) {
 			return true
 		})
 	})
+	if fanouts != 1 {
+		t.Errorf("exec.go calls eachGroup %d times; a query is one fan-out", fanouts)
+	}
 	var backends []string
 	for typ, m := range methods {
 		// gateway.Backend: Exec(ctx, Query) and Ping(ctx).

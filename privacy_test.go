@@ -227,11 +227,10 @@ func TestPSUMasksCountOfOwners(t *testing.T) {
 	// build a dictionary value→owner-count.
 	seen := map[uint64]bool{}
 	for i := 0; i < 5; i++ {
-		r, err := sys.Owner(0).Engine().PSU(context.Background(), "main")
+		r, err := sys.Owner(0).PSU(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = r
 		seen[uint64(len(r.Cells))] = true
 	}
 	if len(seen) != 1 {

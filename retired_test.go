@@ -69,20 +69,6 @@ func each(t *testing.T, n int, sub func(i int) (name, pattern string)) {
 	}
 }
 
-// diskGroups is the disk × 1–2 groups split several retired tests used.
-func diskGroups(t *testing.T, pattern string) {
-	each(t, 4, func(i int) (string, string) {
-		disk, groups := i >= 2, 1+i%2
-		return fmt.Sprintf("disk=%v/groups=%d", disk, groups), fmt.Sprintf(pattern, storageOf[disk], groups)
-	})
-}
-
-func TestShapeParity(t *testing.T) { diskGroups(t, `TestConformance/%s/[^/]+/g%d(/.*)?`) }
-
-func TestVerifiedKindsTakeTwoRounds(t *testing.T) {
-	diskGroups(t, `TestConformance/%s/[^/]+/g%d/[^/]+/direct/.*`)
-}
-
 func TestUpdateIsOneExchange(t *testing.T) {
 	each(t, 12, func(i int) (string, string) {
 		disk, shard, groups := i >= 6, []uint64{0, 10, 64}[i/2%3], 1+i%2
@@ -97,13 +83,6 @@ func TestExtremeVectorRoundMatchesOracle(t *testing.T) {
 		disk, groups, k := i >= 12, 1+i/4%3, []int{0, 1, 2, 64}[i%4]
 		return fmt.Sprintf("disk=%v/groups=%d/k=%d/owners=%d", disk, groups, k, 3+(groups+k)%2),
 			fmt.Sprintf(`TestConformance/%s/[^/]+/g%d/[^/]+/[^/]+/(max|min|median)`, storageOf[disk], groups)
-	})
-}
-
-func TestMultiGroupParityAllOps(t *testing.T) {
-	each(t, 4, func(i int) (string, string) {
-		return []string{"mem", "disk"}[i/2] + "-" + []string{"monolithic", "sharded"}[i%2],
-			fmt.Sprintf(`TestConformance/%s/%s/g[23]/.*`, storageOf[i >= 2], []string{"one", "many"}[i%2])
 	})
 }
 
