@@ -1,5 +1,5 @@
 // prism-vet machine-checks the invariants PRISM's correctness rests on
-// but the Go compiler cannot see: gob registration of wire messages,
+// but the Go compiler cannot see: wire messages listed in the type table,
 // crypto-grade randomness in share derivation, keyed wire-struct
 // literals, the sharestore's tmp+rename atomic-write discipline, no
 // blocking under engine mutexes, and the test-only hook fence. It is a

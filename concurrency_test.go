@@ -13,7 +13,7 @@ import (
 
 // concSystem builds a 4-owner deployment sized for concurrency tests on
 // the matrix fixture: a 64-cell integer domain, two aggregation columns,
-// verification on, and the gob wire round-trip forced so concurrent
+// verification on, and the wire round-trip forced so concurrent
 // queries also exercise message encoding. Cells 3, 5 and 7 are common to
 // every owner.
 func concSystem(t testing.TB) *System {

@@ -63,8 +63,8 @@
 // # Transport
 //
 // TCP deployments (cmd/prism-server and friends) speak a multiplexed
-// RPC framing: every frame — a small gob envelope followed by the
-// message's share vectors as raw width-packed slabs — carries a request
+// RPC framing: every frame — a version byte, then the message in one
+// binary codec with its share vectors width-packed — carries a request
 // id, one persistent connection per peer carries any number of
 // concurrent calls, and servers dispatch each decoded request to a bounded per-connection
 // worker pool, so replies return as they complete — a cheap PSI round

@@ -5,7 +5,7 @@
 // run hermetically in CI with no module downloads.
 //
 // PRISM's correctness rests on rules the Go compiler cannot see: wire
-// messages must be in the gob registry, secret shares must never touch
+// messages must be in the wire type table, secret shares must never touch
 // math/rand, the sharestore must keep its tmp+rename atomic-write
 // discipline, and engines must not block on the network while holding
 // a mutex. Each rule is an Analyzer here; cmd/prism-vet runs them all
@@ -153,7 +153,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // Analyzers returns the full prism-vet suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		GobRegistry,
+		WireRegistry,
 		CryptoRand,
 		KeyedWire,
 		AtomicWrite,

@@ -109,13 +109,13 @@ func checkFixture(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestGobRegistryFixture(t *testing.T) { checkFixture(t, GobRegistry) }
-func TestCryptoRandFixture(t *testing.T)  { checkFixture(t, CryptoRand) }
-func TestKeyedWireFixture(t *testing.T)   { checkFixture(t, KeyedWire) }
-func TestAtomicWriteFixture(t *testing.T) { checkFixture(t, AtomicWrite) }
-func TestLockScopeFixture(t *testing.T)   { checkFixture(t, LockScope) }
-func TestTestHookFixture(t *testing.T)    { checkFixture(t, TestHook) }
-func TestMetricNamesFixture(t *testing.T) { checkFixture(t, MetricNames) }
+func TestWireRegistryFixture(t *testing.T) { checkFixture(t, WireRegistry) }
+func TestCryptoRandFixture(t *testing.T)   { checkFixture(t, CryptoRand) }
+func TestKeyedWireFixture(t *testing.T)    { checkFixture(t, KeyedWire) }
+func TestAtomicWriteFixture(t *testing.T)  { checkFixture(t, AtomicWrite) }
+func TestLockScopeFixture(t *testing.T)    { checkFixture(t, LockScope) }
+func TestTestHookFixture(t *testing.T)     { checkFixture(t, TestHook) }
+func TestMetricNamesFixture(t *testing.T)  { checkFixture(t, MetricNames) }
 
 // TestRealTreeClean runs the full suite over the actual module — the
 // same sweep CI's prism-vet step performs — so a regression against any

@@ -6,8 +6,8 @@ import (
 
 // KeyedWire requires composite literals of protocol message types to
 // use keyed fields, repo-wide. Wire structs grow fields over time —
-// PR 7 added the gob-omitted Group tag to every data-plane request —
-// and a positional literal either breaks loudly (field count changed)
+// PR 7 added the Group tag to every data-plane request — and a
+// positional literal either breaks loudly (field count changed)
 // or, worse, keeps compiling with values silently bound to the wrong
 // fields after a reorder of same-typed neighbours. Keyed literals make
 // both impossible.

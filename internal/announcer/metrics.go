@@ -16,10 +16,9 @@ var (
 )
 
 // reduceSpan is the span a traced reduce attaches to its reply: the
-// announcer's round of the query timeline (nil for untraced queries so
-// the gob field stays absent).
+// announcer's round of the query timeline (nil for untraced queries).
 func reduceSpan(traceID string, start time.Time) []protocol.Span {
-	if traceID == "" || !telemetry.Enabled() {
+	if traceID == "" {
 		return nil
 	}
 	return []protocol.Span{{

@@ -22,9 +22,10 @@ import (
 )
 
 // Front-protocol framing: a 4-byte big-endian length followed by that
-// many bytes of JSON. JSON (not gob) because front clients are cheap
-// and polyglot — a shell script with netcat-level tooling, a browser,
-// or any language runtime can speak it without Go's codec.
+// many bytes of JSON. JSON (not the peer-to-peer binary frame) because
+// front clients are cheap and polyglot — a shell script with
+// netcat-level tooling, a browser, or any language runtime can speak it
+// without the protocol package's type table.
 //
 // MaxFrontFrame caps a request frame. Front requests are op + a few
 // short strings; 1 MiB is orders of magnitude above any legitimate

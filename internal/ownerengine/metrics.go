@@ -24,9 +24,6 @@ func (o *engine) finishTrace(st *QueryStats, tid, qid string, start time.Time) {
 		return
 	}
 	st.TraceID = tid
-	if !telemetry.Enabled() {
-		return
-	}
 	st.Server.Spans = append(st.Server.Spans, protocol.Span{
 		Name:    "owner:exchange",
 		Site:    fmt.Sprintf("owner/%d/g%d", o.Index, o.view.Group),

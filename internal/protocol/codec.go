@@ -1,0 +1,382 @@
+package protocol
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"reflect"
+	"slices"
+)
+
+// One binary codec writes every message: its type index (0 for none, k
+// for Messages()[k-1]), then its value by a reflection plan built per
+// type at init, where a field kind without an encoding panics. The
+// layout is "Wire format" in docs/ARCHITECTURE.md. Vectors are
+// width-packed, map keys sorted, so equal messages are equal bytes; an
+// empty slice or map is a nil one. The decoder walks the Go type, not
+// the input, and checks every count against the bytes left before it
+// allocates.
+
+// codec encodes and decodes one Go type.
+type codec struct {
+	enc func(*encoder, reflect.Value)
+	dec func(*decoder, reflect.Value)
+}
+
+// msgType is one entry of the type table.
+type msgType struct {
+	t     reflect.Type
+	codec codec
+}
+
+var (
+	msgTypes []msgType                // type index k names msgTypes[k-1]
+	msgIndex = map[reflect.Type]int{} // the inverse
+)
+
+func init() {
+	for i, m := range Messages() {
+		t := reflect.TypeOf(m)
+		msgTypes = append(msgTypes, msgType{t: t, codec: codecFor(t)})
+		msgIndex[t] = i + 1
+	}
+}
+
+func codecFor(t reflect.Type) codec {
+	switch t {
+	case reflect.TypeFor[[]byte]():
+		return codec{enc: (*encoder).bytes, dec: (*decoder).bytes}
+	case reflect.TypeFor[[]uint16]():
+		return vectorCodec[uint16]()
+	case reflect.TypeFor[[]uint32]():
+		return vectorCodec[uint32]()
+	case reflect.TypeFor[[]uint64]():
+		return vectorCodec[uint64]()
+	case reflect.TypeFor[map[string][]uint64]():
+		return codec{enc: encVectorMap, dec: decVectorMap}
+	}
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return codec{enc: (*encoder).scalar, dec: (*decoder).scalar}
+	case reflect.String:
+		return codec{enc: (*encoder).string, dec: (*decoder).string}
+	case reflect.Slice:
+		elem := codecFor(t.Elem())
+		return codec{enc: func(e *encoder, v reflect.Value) {
+			e.uvarint(uint64(v.Len()))
+			for i := range v.Len() {
+				elem.enc(e, v.Index(i))
+			}
+		}, dec: func(d *decoder, v reflect.Value) {
+			if n := d.count(1); n > 0 { // every element takes a byte at least
+				v.Set(reflect.MakeSlice(t, n, n))
+				for i := range n {
+					elem.dec(d, v.Index(i))
+				}
+			}
+		}}
+	case reflect.Struct:
+		var fields []int
+		var codecs []codec
+		for i := range t.NumField() {
+			if t.Field(i).IsExported() {
+				fields, codecs = append(fields, i), append(codecs, codecFor(t.Field(i).Type))
+			}
+		}
+		return codec{enc: func(e *encoder, v reflect.Value) {
+			for j, i := range fields {
+				codecs[j].enc(e, v.Field(i))
+			}
+		}, dec: func(d *decoder, v reflect.Value) {
+			for j, i := range fields {
+				codecs[j].dec(d, v.Field(i))
+			}
+		}}
+	}
+	panic(fmt.Sprintf("protocol: %s has no wire encoding", t))
+}
+
+// Measured is a message sized for the wire: Size bytes that AppendTo
+// writes.
+type Measured struct {
+	Label  string // the message's type name, for metrics ("PSIReply")
+	Size   int
+	index  int
+	v      reflect.Value
+	widths []uint8 // each vector's width, in walk order
+}
+
+// Measure sizes msg (nil for no payload) without writing it, so a caller
+// can refuse an over-cap message before it allocates a buffer. A type
+// outside Messages() is an error.
+func Measure(msg any) (Measured, error) {
+	k, ok := msgIndex[reflect.TypeOf(msg)]
+	if !ok && msg != nil {
+		return Measured{}, fmt.Errorf("protocol: %T is not a wire message", msg)
+	}
+	m := Measured{Label: "<nil>", index: k, v: reflect.ValueOf(msg)}
+	if k > 0 {
+		m.Label = msgTypes[k-1].t.Name()
+	}
+	e := encoder{dry: true}
+	m.encode(&e)
+	m.Size, m.widths = e.n, e.widths
+	return m, nil
+}
+
+// AppendTo appends the encoding to dst.
+func (m *Measured) AppendTo(dst []byte) []byte {
+	e := encoder{buf: slices.Grow(dst, m.Size), widths: m.widths}
+	m.encode(&e)
+	return e.buf
+}
+
+func (m *Measured) encode(e *encoder) {
+	if e.uvarint(uint64(m.index)); m.index > 0 {
+		msgTypes[m.index-1].codec.enc(e, m.v)
+	}
+}
+
+// DecodeMessage is the inverse of Measure + AppendTo on the whole of b:
+// a byte left over is an error too. Nothing in the result aliases b.
+func DecodeMessage(b []byte) (any, error) {
+	d := decoder{b: b}
+	var msg any
+	if k := d.uvarint(); k > uint64(len(msgTypes)) {
+		d.fail(fmt.Sprintf("unknown message type %d", k))
+	} else if k > 0 {
+		v := reflect.New(msgTypes[k-1].t).Elem()
+		msgTypes[k-1].codec.dec(&d, v)
+		msg = v.Interface()
+	}
+	if len(d.b) > 0 {
+		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return msg, nil
+}
+
+// encoder runs a plan twice: dry, it counts bytes and records each
+// vector's width; then it writes into a buffer of exactly that size.
+type encoder struct {
+	buf    []byte
+	dry    bool
+	n      int
+	widths []uint8
+}
+
+func (e *encoder) uvarint(x uint64) {
+	if e.n += (bits.Len64(x|1) + 6) / 7; !e.dry {
+		e.buf = binary.AppendUvarint(e.buf, x)
+	}
+}
+
+// str writes s length-prefixed.
+func str[S string | []byte](e *encoder, s S) {
+	e.uvarint(uint64(len(s)))
+	if e.n += len(s); !e.dry {
+		e.buf = append(e.buf, s...)
+	}
+}
+
+func (e *encoder) string(v reflect.Value) { str(e, v.String()) }
+func (e *encoder) bytes(v reflect.Value)  { str(e, v.Bytes()) }
+
+// scalar writes a bool as 0 or 1 (one byte), a signed integer as a
+// zigzag varint and an unsigned one as a uvarint.
+func (e *encoder) scalar(v reflect.Value) {
+	switch {
+	case v.Kind() == reflect.Bool && v.Bool():
+		e.uvarint(1)
+	case v.Kind() == reflect.Bool:
+		e.uvarint(0)
+	case v.CanInt():
+		e.uvarint(uint64(v.Int()<<1) ^ uint64(v.Int()>>63))
+	default:
+		e.uvarint(v.Uint())
+	}
+}
+
+type vecElem interface{ uint16 | uint32 | uint64 }
+
+func vectorCodec[T vecElem]() codec {
+	return codec{enc: func(e *encoder, v reflect.Value) { encVector(e, v.Interface().([]T)) },
+		dec: func(d *decoder, v reflect.Value) { v.Set(reflect.ValueOf(decVector[T](d))) }}
+}
+
+func encVector[T vecElem](e *encoder, v []T) {
+	var w uint8
+	if e.dry {
+		var or T
+		for _, x := range v {
+			or |= x
+		}
+		for w = 1; w < 8 && uint64(or)>>(8*w) != 0; w *= 2 {
+		}
+		e.widths = append(e.widths, w)
+	} else {
+		w, e.widths = e.widths[0], e.widths[1:]
+	}
+	e.uvarint(uint64(w))
+	e.uvarint(uint64(len(v)))
+	if n := len(v) * int(w); !e.dry {
+		e.buf = e.buf[:len(e.buf)+n]
+		pack(e.buf[len(e.buf)-n:], v, int(w))
+	} else {
+		e.n += n
+	}
+}
+
+func encVectorMap(e *encoder, v reflect.Value) {
+	m := v.Interface().(map[string][]uint64)
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		str(e, k)
+		encVector(e, m[k])
+	}
+}
+
+// decoder reads a message's bytes. The first failure is kept and empties
+// the input, so every later read comes back zero and nothing more is
+// allocated.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("protocol: %s", what)
+	}
+	d.b = nil
+}
+
+// uvarint reads a varint in its shortest form; any other is refused, so
+// a bool or a vector width is one byte.
+func (d *decoder) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	if n <= 0 || n != (bits.Len64(x|1)+6)/7 {
+		d.fail("truncated or overlong varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+// count reads an element count whose elements take unit bytes at least,
+// and fails (returning 0) unless that many bytes are left.
+func (d *decoder) count(unit int) int {
+	if n := d.uvarint(); n <= uint64(len(d.b)/unit) {
+		return int(n)
+	}
+	d.fail("count past the end of the message")
+	return 0
+}
+
+// take returns the next n bytes; n is at most what is left.
+func (d *decoder) take(n int) []byte {
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
+}
+
+// str reads a length-prefixed byte string, aliasing the input.
+func (d *decoder) str() []byte { return d.take(d.count(1)) }
+
+func (d *decoder) string(v reflect.Value) { v.SetString(string(d.str())) }
+
+func (d *decoder) bytes(v reflect.Value) {
+	if b := d.str(); len(b) > 0 {
+		v.SetBytes(slices.Clone(b))
+	}
+}
+
+// scalar reads what encoder.scalar wrote, failing on a value the field
+// cannot hold: a bool above 1, an integer past the field's width.
+func (d *decoder) scalar(v reflect.Value) {
+	u := d.uvarint()
+	switch x := int64(u>>1) ^ -int64(u&1); {
+	case v.Kind() == reflect.Bool && u <= 1:
+		v.SetBool(u == 1)
+	case v.CanInt() && !v.OverflowInt(x):
+		v.SetInt(x)
+	case v.CanUint() && !v.OverflowUint(u):
+		v.SetUint(u)
+	default:
+		d.fail(fmt.Sprintf("%d out of range for %s", u, v.Type()))
+	}
+}
+
+// decVector reads one vector; nil when it is empty or the input is bad.
+func decVector[T vecElem](d *decoder) []T {
+	w := d.uvarint()
+	if w == 0 || w&(w-1) != 0 || w > uint64(reflect.TypeFor[T]().Size()) {
+		d.fail(fmt.Sprintf("vector width %d for %T", w, []T(nil)))
+		return nil
+	}
+	return unpack[T](d.take(d.count(int(w))*int(w)), int(w))
+}
+
+func decVectorMap(d *decoder, v reflect.Value) {
+	n := d.count(3) // a key length, a width and a count at least
+	if n == 0 {
+		return
+	}
+	m := make(map[string][]uint64, n)
+	for i, prev := 0, ""; i < n && d.err == nil; i++ {
+		k := string(d.str())
+		if i > 0 && k <= prev {
+			d.fail(fmt.Sprintf("map key %q repeated or out of order", k))
+		}
+		m[k], prev = decVector[uint64](d), k
+	}
+	v.Set(reflect.ValueOf(m))
+}
+
+// pack writes v into dst (len(v)·width bytes) little-endian. While
+// eight bytes remain it stores whole words: the bytes past an element's
+// width land where the next element then overwrites them.
+func pack[T vecElem](dst []byte, v []T, width int) {
+	i := 0
+	for ; len(dst) >= 8; i++ {
+		binary.LittleEndian.PutUint64(dst, uint64(v[i]))
+		dst = dst[width:]
+	}
+	for ; i < len(v); i++ {
+		for b := 0; b < width; b++ {
+			dst[b] = byte(uint64(v[i]) >> (8 * b))
+		}
+		dst = dst[width:]
+	}
+}
+
+// unpack reads len(src)/width little-endian elements into a new slice
+// (nil when there are none), loading whole words while eight bytes
+// remain. width never exceeds the size of T.
+func unpack[T vecElem](src []byte, width int) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	out := make([]T, len(src)/width)
+	mask := ^uint64(0) >> (64 - 8*width)
+	i := 0
+	for ; len(src) >= 8; i++ {
+		out[i] = T(binary.LittleEndian.Uint64(src) & mask)
+		src = src[width:]
+	}
+	for ; i < len(out); i++ {
+		for b := width - 1; b >= 0; b-- {
+			out[i] = out[i]<<8 | T(src[b])
+		}
+		src = src[width:]
+	}
+	return out
+}

@@ -2,15 +2,12 @@
 // entities (owners ↔ servers ↔ announcer). Every round of the paper is
 // one request/reply pair: a result vector and the §5.2 vector that
 // verifies it travel together (PSIReply and CountReply carry Out + Vout,
-// AggRequest Z + VZ). All types are gob-encodable and registered for
-// transport over the generic envelope; their bulk share vectors bypass
-// gob and travel as raw slabs (slab.go).
+// AggRequest Z + VZ). Messages() is the type table of the wire: one
+// binary codec (codec.go) writes every field of every listed type, its
+// share vectors width-packed.
 package protocol
 
-import (
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // TableSpec describes one outsourced table (paper Table 11 layout).
 type TableSpec struct {
@@ -25,9 +22,8 @@ type TableSpec struct {
 // Range selects the cell window [Offset, Offset+Count) one exchange
 // carries, so a query over a b-cell domain can move as many bounded
 // frames instead of one O(b) frame. Owners stamp it on every request;
-// the whole table is the window {0, b}. The zero value (Count == 0) is
-// what owners older than the explicit-range wire send — gob omits
-// zero-valued fields — and servers read it as {0, b} too.
+// the whole table is the window {0, b}. Servers read the zero value
+// (Count == 0), which hand-built probes send, as {0, b} too.
 //
 // Which positions the window indexes depends on the exchange: Store,
 // PSI, Agg and unpermuted PSU shard over stored (owner-permuted) cell
@@ -43,8 +39,8 @@ type Range struct {
 // End returns Offset+Count, the first cell past the window.
 func (r Range) End() uint64 { return r.Offset + r.Count }
 
-// Sharded reports whether the range is set, i.e. not the zero value an
-// old owner sends for the whole table.
+// Sharded reports whether the range is set, i.e. not the zero value a
+// hand-built probe sends for the whole table.
 func (r Range) Sharded() bool { return r.Count > 0 }
 
 // Validate checks the window lies within a b-cell vector.
@@ -67,8 +63,8 @@ type Stats struct {
 	Cells     int   // cells processed
 	CacheHits int   // column reads served by the table's cache (owner sums, hot chunks)
 	// Spans carries the per-phase trace annotations of a traced request
-	// (the request carried a non-empty TraceID). nil — and therefore
-	// absent from the gob stream — for untraced queries. Because every
+	// (the request carried a non-empty TraceID). nil — one zero count
+	// byte on the wire — for untraced queries. Because every
 	// Stats merge goes through Add, spans from sharded multi-window
 	// fan-outs and multi-group exchanges accumulate into the querier's
 	// timeline without any extra wiring.
@@ -438,8 +434,7 @@ type ListTablesReply struct {
 // GroupRange describes one server group's slice of the natural cell
 // domain and the addresses of its three servers (S0, S1, S2 in index
 // order). Data-plane requests carry a Group tag (zero in single-group
-// deployments, so the field gob-omits and old wire streams stay
-// compatible); servers reject requests tagged for another group rather
+// deployments); servers reject requests tagged for another group rather
 // than silently serving shares from the wrong domain slice.
 type GroupRange struct {
 	Start   uint64 // first natural domain cell of the group
@@ -517,13 +512,14 @@ type QueryDoneRequest struct{ QueryID string }
 // QueryDoneReply acknowledges the cleanup.
 type QueryDoneReply struct{}
 
-// Messages returns one zero value of every wire message type. It is
-// the single source of truth three guards share: Register feeds it to
-// gob, the gobregistry analyzer (prism-vet) statically checks every
+// Messages returns one zero value of every wire message type: the
+// codec's type table. A message travels as its position here (k for
+// entry k-1), so the order is wire-significant: append new types, never
+// insert or reorder. The wireregistry analyzer (prism-vet) checks every
 // *Request/*Reply struct in this package appears in it, and the
-// round-trip test in protocol_gob_test.go sends each entry through the
-// real frame codec to catch what static checks cannot (unregistered
-// nested types, non-encodable fields, a bulk vector left for gob).
+// round-trip test in messages_test.go sends a populated instance of
+// each entry through the real frame codec, which builds every type's
+// plan.
 func Messages() []any {
 	return []any{
 		TableSpec{}, Stats{}, Range{}, Span{},
@@ -546,12 +542,3 @@ func Messages() []any {
 		QueryDoneRequest{}, QueryDoneReply{},
 	}
 }
-
-// Register registers every message type with gob for transport.
-func Register() {
-	for _, v := range Messages() {
-		gob.Register(v)
-	}
-}
-
-func init() { Register() }

@@ -54,10 +54,9 @@ func (e *Engine) site() string {
 // accumulated durations are the truthful shape, not a sequential
 // sub-timeline.
 // announcerWaitSpan is the span a traced ExtremeFetch attaches for the
-// time it spent polling S_a (nil for untraced queries, so the reply
-// field stays gob-absent).
+// time it spent polling S_a (nil for untraced queries).
 func (e *Engine) announcerWaitSpan(traceID string, start time.Time) []protocol.Span {
-	if traceID == "" || !telemetry.Enabled() {
+	if traceID == "" {
 		return nil
 	}
 	return []protocol.Span{{
@@ -69,7 +68,7 @@ func (e *Engine) announcerWaitSpan(traceID string, start time.Time) []protocol.S
 func (e *Engine) finishQuery(typ, traceID string, start time.Time, st *protocol.Stats) {
 	mQueries.Inc(typ)
 	mCells.Add(int64(st.Cells))
-	if traceID == "" || !telemetry.Enabled() {
+	if traceID == "" {
 		return
 	}
 	site := e.site()

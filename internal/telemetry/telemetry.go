@@ -11,10 +11,8 @@
 //     prism-vet analyzer enforces this at every registration site, so
 //     the series inventory of a binary is auditable from one file.
 //   - Handles are cheap enough for hot paths: a counter Add is one
-//     atomic add behind one atomic enabled-check load. SetEnabled(false)
-//     turns every recording into that single load+branch; what the
-//     enabled plane costs a query is trace_overhead_pct in the repo
-//     benchmark's traced pass (benchmark/).
+//     atomic add. What tracing costs a query is trace_overhead_pct in
+//     the repo benchmark's traced pass (benchmark/).
 //   - Registration is idempotent: constructing an already-registered
 //     name returns the existing handle (package-level handles in several
 //     engines of one process must agree), and mismatched re-registration
@@ -31,22 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// enabled gates every hot-path recording. Default on; benchmarks flip
-// it to measure instrumentation overhead.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric recording (and span assembly in the engines,
-// which consult the same switch) on or off process-wide. Gauges are not
-// replayed on re-enable, so values tracked incrementally (held bytes)
-// drift if flipped mid-run — the switch exists for overhead
-// measurement, not for operational use.
-func SetEnabled(v bool) { enabled.Store(v) }
-
-// Enabled reports whether recording is on.
-func Enabled() bool { return enabled.Load() }
 
 // metric is what the registry holds per name.
 type metric interface {
@@ -132,10 +114,9 @@ func (c *Counter) series() []seriesPoint {
 // Add increments the counter. Negative deltas are ignored (counters
 // only go up).
 func (c *Counter) Add(n int64) {
-	if n <= 0 || !enabled.Load() {
-		return
+	if n > 0 {
+		c.v.Add(n)
 	}
-	c.v.Add(n)
 }
 
 // Inc adds one.
@@ -165,20 +146,10 @@ func (g *Gauge) series() []seriesPoint {
 }
 
 // Set stores the value.
-func (g *Gauge) Set(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Store(n)
-}
+func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the gauge by delta (either sign).
-func (g *Gauge) Add(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Add(n)
-}
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -229,9 +200,6 @@ func (h *Histogram) snapshot() *histSnapshot {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	i := sort.SearchFloat64s(h.buckets, v)
 	if i < len(h.counts) {
 		h.counts[i].Add(1)

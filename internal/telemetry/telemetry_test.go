@@ -158,22 +158,6 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestSetEnabledGatesRecording(t *testing.T) {
-	c := NewCounter(MetricCacheMisses)
-	before := c.Value()
-	SetEnabled(false)
-	c.Inc()
-	if c.Value() != before {
-		SetEnabled(true)
-		t.Fatal("disabled counter still recorded")
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != before+1 {
-		t.Fatal("re-enabled counter did not record")
-	}
-}
-
 func TestTracerRecordsSortsAndEvicts(t *testing.T) {
 	tr := NewTracer(2)
 	tr.Record("q1", protocol.Span{Name: "server:compute", StartNS: 20, DurNS: 5})

@@ -11,8 +11,8 @@ import (
 
 // Query tracing: the system mints one trace id per query, threads it
 // through the owner engines via the context, and the engines stamp it
-// onto the wire requests (a gob-omitted field — untraced queries pay
-// zero wire bytes). Every handler that sees a non-empty trace id
+// onto the wire requests (an untraced query's empty id is one zero
+// length byte on the wire). Every handler that sees a non-empty trace id
 // annotates its reply Stats with protocol.Span entries; the spans ride
 // the existing Stats accumulation paths back to the owner, and the
 // system files the assembled set under the trace id in a Tracer.

@@ -1,14 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"go/ast"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,12 +85,16 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 }
 
 // TestDecodeFrameHostileBodies asserts every way a frame body can be
-// wrong at the frame level ends in one of the two typed errors.
+// wrong at the frame level ends in one of the two typed errors: a
+// version byte other than frameVersion — a version-1 gob frame among
+// them — is ErrFrameVersion, anything else ErrCorruptFrame.
 func TestDecodeFrameHostileBodies(t *testing.T) {
-	good := frameBody(t, &envelope{ID: 1, Payload: protocol.PSIReply{Out: []uint32{1, 2, 3}}})
-	hlen := int(binary.BigEndian.Uint32(good[1:5]))
+	cells := make([]uint32, 100)
+	for i := range cells {
+		cells[i] = uint32(i)
+	}
+	good := frameBody(t, &envelope{ID: 1, Payload: protocol.PSIReply{Out: cells}})
 	mut := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
-	noVectors := frameBody(t, &envelope{ID: 1, Payload: protocol.PingReply{Site: "s"}})
 	cases := []struct {
 		name string
 		body []byte
@@ -95,15 +102,16 @@ func TestDecodeFrameHostileBodies(t *testing.T) {
 	}{
 		{"empty body", nil, ErrFrameVersion},
 		{"version 0", mut(func(b []byte) []byte { b[0] = 0; return b }), ErrFrameVersion},
+		{"version 1: gob envelope and slabs", []byte{1, 0, 0, 0, 3, 0x03, 0xff, 0x82}, ErrFrameVersion},
 		{"future version", mut(func(b []byte) []byte { b[0] = frameVersion + 1; return b }), ErrFrameVersion},
 		{"pre-slab gob frame", []byte("\x2c\xff\x81\x03\x01\x01\x08envelope"), ErrFrameVersion},
 		{"version byte only", good[:1], ErrCorruptFrame},
-		{"envelope length past the body", mut(func(b []byte) []byte { binary.BigEndian.PutUint32(b[1:5], 1<<31); return b }), ErrCorruptFrame},
-		{"envelope cut short", mut(func(b []byte) []byte { binary.BigEndian.PutUint32(b[1:5], uint32(hlen-3)); return b }), ErrCorruptFrame},
-		{"garbage envelope", mut(func(b []byte) []byte { copy(b[5:5+hlen], "this is not gob data"); return b }), ErrCorruptFrame},
-		{"trailing byte after the slabs", append(append([]byte(nil), good...), 0), ErrCorruptFrame},
-		{"slab cut short", good[:len(good)-1], ErrCorruptFrame},
-		{"slabs on a message without vectors", append(noVectors, good[5+hlen:]...), ErrCorruptFrame},
+		{"envelope cut short", []byte{frameVersion, 0x80}, ErrCorruptFrame},
+		{"garbage envelope", append([]byte{frameVersion}, bytes.Repeat([]byte{0xff}, 11)...), ErrCorruptFrame},
+		{"error string past the body", []byte{frameVersion, 1, 10, 'x'}, ErrCorruptFrame},
+		{"unknown type index", []byte{frameVersion, 1, 0, 99}, ErrCorruptFrame},
+		{"vector cut short", good[:len(good)/2], ErrCorruptFrame},
+		{"trailing byte", append(append([]byte(nil), good...), 0), ErrCorruptFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,6 +120,50 @@ func TestDecodeFrameHostileBodies(t *testing.T) {
 				t.Fatalf("decodeFrame = %#v, %v; want %v", env, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSmallFramesAreSmall pins the per-message overhead of the control
+// rounds: a frame body is its version byte, id, error string and type
+// index, then the fields themselves, with no type descriptors.
+func TestSmallFramesAreSmall(t *testing.T) {
+	for _, msg := range []any{
+		protocol.PingRequest{},
+		protocol.QueryDoneRequest{QueryID: "q-123"},
+		protocol.ExtremeSubmitReply{Forwarded: true},
+	} {
+		if n := len(frameBody(t, &envelope{ID: 1 << 20, Payload: msg})); n > 32 {
+			t.Errorf("%T: %d-byte frame body, want at most 32", msg, n)
+		}
+	}
+}
+
+// TestEqualMessagesEqualFrames asserts the whole frame, not only its
+// vectors, is a function of the message: encoding twice, encoding an
+// equal message whose maps were built in another order, or one whose
+// empty maps are nil gives the same bytes.
+func TestEqualMessagesEqualFrames(t *testing.T) {
+	build := func(keys ...string) protocol.AggReply {
+		rep := protocol.AggReply{Sums: map[string][]uint64{}, VSums: map[string][]uint64{},
+			Stats: protocol.Stats{Cells: 3, Spans: []protocol.Span{{Name: "server:fetch", Site: "g0/s1", DurNS: 9}}}}
+		for _, k := range keys {
+			rep.Sums[k] = []uint64{uint64(len(k)), 1 << 40, 7}
+			rep.VSums[k] = []uint64{uint64(len(k))}
+		}
+		return rep
+	}
+	keys := []string{"DT", "LN", "PK", "SK", "a", "b"}
+	first := frameBody(t, &envelope{ID: 5, Payload: build(keys...)})
+	again := frameBody(t, &envelope{ID: 5, Payload: build(keys...)})
+	slices.Reverse(keys)
+	reversed := frameBody(t, &envelope{ID: 5, Payload: build(keys...)})
+	if !bytes.Equal(first, again) || !bytes.Equal(first, reversed) {
+		t.Errorf("equal AggReplys framed differently:\n%x\n%x\n%x", first, again, reversed)
+	}
+	empty, none := build(), build()
+	none.Sums, none.VSums = nil, nil
+	if !bytes.Equal(frameBody(t, &envelope{ID: 5, Payload: empty}), frameBody(t, &envelope{ID: 5, Payload: none})) {
+		t.Error("an AggReply with empty maps framed differently from one with nil maps")
 	}
 }
 
@@ -136,52 +188,80 @@ func TestOverCapRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// TestGobOnlyInFrameCodec keeps the wire format in one place: in this
-// package's non-test source, gob.NewEncoder may appear only in
-// encodeFrame and gob.NewDecoder only in decodeFrame.
-func TestGobOnlyInFrameCodec(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+// TestGobOnlyInViewio keeps gob off the wire: in the module's non-test
+// source, encoding/gob is imported only by internal/viewio, whose view
+// files never cross a connection.
+func TestGobOnlyInViewio(t *testing.T) {
+	var importers []string
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "../.." && (d.Name() == "testdata" || d.Name() == "benchmark" || d.Name()[0] == '.'):
+			return filepath.SkipDir // fixtures, the benchmark module, .git and build caches
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				importers = append(importers, filepath.ToSlash(filepath.Dir(path)))
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed := map[string]string{"NewEncoder": "encodeFrame", "NewDecoder": "decodeFrame"}
-	seen := map[string]int{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "gob" {
-						seen[sel.Sel.Name]++
-						if allowed[sel.Sel.Name] != fn.Name.Name {
-							t.Errorf("gob.%s used in %s; the frame codec is the only gob caller", sel.Sel.Name, fn.Name.Name)
-						}
-					}
-					return true
-				})
+	if !slices.Equal(importers, []string{"../../internal/viewio"}) {
+		t.Errorf("encoding/gob imported by %v; only internal/viewio may", importers)
+	}
+}
+
+// populated returns a value of type t with every exported field set to
+// something non-zero, so a seed frame exercises every field's encoding.
+func populated(t reflect.Type, seed int) reflect.Value {
+	v := reflect.New(t).Elem()
+	switch t.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(seed) << (seed % 40))
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(seed) << (seed % 40))
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", seed))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(t, 2, 2))
+		for i := 0; i < 2; i++ {
+			v.Index(i).Set(populated(t.Elem(), seed+i+1))
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(t))
+		for i := 0; i < 2; i++ {
+			v.SetMapIndex(populated(t.Key(), seed+i+1), populated(t.Elem(), seed+i+3))
+		}
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				v.Field(i).Set(populated(t.Field(i).Type, seed+i+1))
 			}
 		}
 	}
-	if seen["NewEncoder"] != 1 || seen["NewDecoder"] != 1 {
-		t.Errorf("gob call sites = %v, want exactly one NewEncoder and one NewDecoder", seen)
-	}
+	return v
 }
 
 // FuzzFrameCodec feeds arbitrary frame bodies to the decoder. It must
 // never panic, every failure must be one of the two typed errors, and
-// whatever it accepts must survive a re-encode unchanged.
+// whatever it accepts must re-encode to a frame that decodes to the same
+// envelope and encodes to the same bytes again. Seeded with one
+// populated frame per protocol.Messages() entry.
 func FuzzFrameCodec(f *testing.F) {
-	for _, msg := range bulkFrames() {
-		f.Add(frameBody(f, &envelope{ID: 3, Payload: msg}))
+	for i, msg := range protocol.Messages() {
+		f.Add(frameBody(f, &envelope{ID: 3, Payload: populated(reflect.TypeOf(msg), i).Interface()}))
 	}
 	f.Add(frameBody(f, &envelope{Err: "transport: frame exceeds size limit"}))
 	f.Add([]byte{})
@@ -194,17 +274,16 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 			return
 		}
-		frame, err := encodeFrame(env)
-		if err != nil {
-			return // gob decodes some values it refuses to encode (e.g. a nil interface element)
-		}
-		defer frameBufs.Put(frame)
-		again, err := decodeFrame(frame[4:])
+		frame := frameBody(t, env)
+		again, err := decodeFrame(frame)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		if !reflect.DeepEqual(again, env) {
 			t.Fatalf("re-encode changed the envelope:\n got %#v\nwant %#v", again, env)
+		}
+		if !bytes.Equal(frameBody(t, again), frame) {
+			t.Fatal("an accepted frame does not re-encode to the same bytes twice")
 		}
 	})
 }

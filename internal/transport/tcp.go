@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -69,15 +67,7 @@ var errClientClosed = errors.New("transport: client closed")
 // frameVersion is the first byte of every frame body and names its
 // layout, so a peer built for another layout is refused with
 // ErrFrameVersion instead of being misparsed.
-const frameVersion = 1
-
-// bodyHeader is the fixed start of a frame body — version byte and
-// envelope length — and framePrefix that plus the frame's length prefix:
-// everything ahead of the gob envelope.
-const (
-	bodyHeader  = 1 + 4
-	framePrefix = 4 + bodyHeader
-)
+const frameVersion = 2
 
 // ErrFrameVersion is returned for a frame whose version byte this build
 // does not speak: the peer runs a different wire format.
@@ -95,38 +85,32 @@ var frameBufs slicepool.Pool[byte]
 //
 //	4 bytes  body length, big-endian (everything below)
 //	1 byte   frameVersion
-//	4 bytes  envelope length, big-endian
-//	         gob(envelope), the payload's bulk vectors detached
-//	         slab section: those vectors, raw (protocol.Detach)
+//	uvarint  ID
+//	uvarint  len(Err), then the Err bytes
+//	         the payload: its type index and value (protocol.Measure)
 //
-// The slab section's size is known before anything is written, so a
-// message over the cap fails before its buffer is allocated. The frame
-// comes from the pool: hand it to frameBufs.Put after the last use.
-// Callers on a shared connection encode first and take the write lock
-// only for the byte copy, so a large frame never blocks cheap ones.
+// The payload is measured before anything is written, so a message over
+// the cap fails before its buffer is allocated. The frame comes from the
+// pool: hand it to frameBufs.Put after the last use. Callers on a shared
+// connection encode first and take the write lock only for the byte
+// copy, so a large frame never blocks cheap ones.
 func encodeFrame(env *envelope) ([]byte, error) {
 	start := time.Now()
-	header, slabs := protocol.Detach(env.Payload)
-	if n := int64(bodyHeader) + int64(slabs.Size()); n > FrameLimit() {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
-	}
-	const envelopeGuess = 1 << 10 // a regrow, not an error, when short
-	buf := bytes.NewBuffer(frameBufs.Get(framePrefix + envelopeGuess + slabs.Size())[:framePrefix])
-	if err := gob.NewEncoder(buf).Encode(&envelope{ID: env.ID, Payload: header, Err: env.Err}); err != nil {
-		frameBufs.Put(buf.Bytes())
+	msg, err := protocol.Measure(env.Payload)
+	if err != nil {
 		return nil, err
 	}
-	b := buf.Bytes()
-	n := len(b) - 4 + slabs.Size()
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(append(hdr[:0], frameVersion), env.ID)
+	h = binary.AppendUvarint(h, uint64(len(env.Err)))
+	n := len(h) + len(env.Err) + msg.Size
 	if int64(n) > FrameLimit() {
-		frameBufs.Put(b)
 		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(b[0:4], uint32(n))
-	b[4] = frameVersion
-	binary.BigEndian.PutUint32(b[5:framePrefix], uint32(len(b)-framePrefix))
-	b = slabs.AppendTo(b)
-	observeFrame(slabs.Label, int64(n), time.Since(start))
+	b := frameBufs.Get(4 + n)[:4]
+	binary.BigEndian.PutUint32(b, uint32(n))
+	b = msg.AppendTo(append(append(b, h...), env.Err...))
+	observeFrame(msg.Label, int64(n), time.Since(start))
 	return b, nil
 }
 
@@ -136,24 +120,20 @@ func decodeFrame(body []byte) (*envelope, error) {
 	if len(body) == 0 || body[0] != frameVersion {
 		return nil, fmt.Errorf("%w (want %d)", ErrFrameVersion, frameVersion)
 	}
-	if len(body) < bodyHeader {
-		return nil, fmt.Errorf("%w: short header", ErrCorruptFrame)
+	id, n := binary.Uvarint(body[1:])
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: bad request id", ErrCorruptFrame)
 	}
-	rest := body[bodyHeader:]
-	hlen := binary.BigEndian.Uint32(body[1:bodyHeader])
-	if uint64(hlen) > uint64(len(rest)) {
-		return nil, fmt.Errorf("%w: envelope length %d exceeds the body", ErrCorruptFrame, hlen)
+	rest := body[1+n:]
+	elen, n := binary.Uvarint(rest)
+	if n <= 0 || elen > uint64(len(rest)-n) {
+		return nil, fmt.Errorf("%w: bad error string", ErrCorruptFrame)
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(rest[:hlen])).Decode(&env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
-	}
-	payload, err := protocol.Attach(env.Payload, rest[hlen:])
+	payload, err := protocol.DecodeMessage(rest[n+int(elen):])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
 	}
-	env.Payload = payload
-	return &env, nil
+	return &envelope{ID: id, Payload: payload, Err: string(rest[n : n+int(elen)])}, nil
 }
 
 // writeFrame encodes env and writes it as one frame. The size check

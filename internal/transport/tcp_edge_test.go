@@ -147,7 +147,7 @@ func TestTCPClientOversizedRequest(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 	c := NewTCPClient(map[string]string{"s": addr})
 	defer c.Close()
-	// Slabs are width-packed, so force the full 8 wire bytes per element.
+	// Vectors are width-packed, so force the full 8 wire bytes per element.
 	out := make([]uint64, MaxFrameBytes/8+1)
 	for i := range out {
 		out[i] = ^uint64(0)

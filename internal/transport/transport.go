@@ -9,8 +9,9 @@
 //     multi-process deployments (cmd/prism-server etc.).
 //
 // Both speak one frame format through one encode/decode pair
-// (encodeFrame/decodeFrame in tcp.go): a small gob envelope followed by
-// the message's bulk share vectors as raw width-packed slabs.
+// (encodeFrame/decodeFrame in tcp.go): a request id, an error string and
+// the message in the protocol package's one binary codec, its share
+// vectors width-packed.
 //
 // The TCP transport is multiplexed: every frame carries a request id, so
 // one persistent connection per peer serves many concurrent RPCs. The
@@ -186,11 +187,12 @@ func (n *Network) roundTrip(v any) (any, error) {
 	return out.Payload, nil
 }
 
-// envelope wraps an arbitrary registered payload for the frame's gob
-// header. ID correlates a reply with its request on a multiplexed
-// connection: the client assigns ids starting at 1 and the server echoes
-// them. ID 0 marks a connection-level message (a protocol-violation
-// error frame), which dooms every call in flight on that connection.
+// envelope is one frame's content: a payload of a protocol.Messages()
+// type (or none), an error string, and an id. ID correlates a reply with
+// its request on a multiplexed connection: the client assigns ids
+// starting at 1 and the server echoes them. ID 0 marks a
+// connection-level message (a protocol-violation error frame), which
+// dooms every call in flight on that connection.
 type envelope struct {
 	ID      uint64
 	Payload any

@@ -49,7 +49,7 @@ func TestNetworkErrorPropagation(t *testing.T) {
 }
 
 func TestNetworkEncodeWire(t *testing.T) {
-	// Every protocol message must survive the gob round trip.
+	// Every protocol message must survive the frame round trip.
 	n := NewNetwork()
 	n.EncodeWire = true
 	n.Register("s", echoHandler{})

@@ -8,7 +8,8 @@ import (
 	"prism/internal/protocol"
 )
 
-// unencodable cannot survive a gob round trip: gob refuses channels.
+// unencodable cannot cross the wire: it is not in protocol.Messages(),
+// and the codec has no encoding for a channel.
 type unencodable struct{ C chan int }
 
 // replyUnencodable answers any request with an unencodable value.
@@ -18,9 +19,9 @@ func (replyUnencodable) Handle(_ context.Context, _ any) (any, error) {
 	return unencodable{C: make(chan int)}, nil
 }
 
-// TestEncodeWireFailures drives Network.EncodeWire through every gob
-// failure mode: unencodable request, unencodable reply, and unregistered
-// concrete types — each must surface as a transport error naming the
+// TestEncodeWireFailures drives Network.EncodeWire through every encode
+// failure mode: unencodable request, unencodable reply, and concrete
+// types outside the type table — each must surface as a transport error naming the
 // direction, never a panic or a silently-skipped round trip.
 func TestEncodeWireFailures(t *testing.T) {
 	cases := []struct {
@@ -71,7 +72,7 @@ func TestEncodeWireFailures(t *testing.T) {
 				return
 			}
 			if err == nil {
-				t.Fatalf("gob failure not surfaced, got %#v", got)
+				t.Fatalf("encode failure not surfaced, got %#v", got)
 			}
 			if !strings.Contains(err.Error(), tc.wantDir) {
 				t.Fatalf("err = %v, want it to mention %q", err, tc.wantDir)

@@ -407,11 +407,10 @@ func (s *System) OutsourceAll(ctx context.Context) (ShareGenStats, error) {
 }
 
 // traceContext mints a per-query trace id when Config.Trace is on and
-// telemetry recording is enabled, and threads it through ctx for the
-// owner engines to stamp onto the wire requests. Untraced queries get
-// ctx back unchanged and an empty id.
+// threads it through ctx for the owner engines to stamp onto the wire
+// requests. Untraced queries get ctx back unchanged and an empty id.
 func (s *System) traceContext(ctx context.Context, op string) (context.Context, string) {
-	if !s.cfg.Trace || !telemetry.Enabled() {
+	if !s.cfg.Trace {
 		return ctx, ""
 	}
 	tid := fmt.Sprintf("trace-%s-%d", op, s.qidNonce.Add(1))

@@ -646,9 +646,9 @@ func TestOversizeUpdateRejectedWhole(t *testing.T) {
 	before := sys.Owner(0).Engine().Data()
 	// Every server's request carries, in both position spaces, 40
 	// positions and 40 shares per column, 8 bytes apiece for the Shamir
-	// ones: framed, S2's — the smallest — is about 1.7 kB, and a 20-row
-	// request to S0 about 1.1 kB.
-	restore := transport.SetFrameLimit(1500)
+	// ones: framed, S2's — the smallest — is about 1.4 kB, and a 20-row
+	// request to S0 about 0.75 kB.
+	restore := transport.SetFrameLimit(1200)
 	defer restore()
 	if err := update(0, 40); !errors.Is(err, transport.ErrFrameTooLarge) {
 		t.Fatalf("oversize update: err = %v, want ErrFrameTooLarge", err)
