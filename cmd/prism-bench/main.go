@@ -37,7 +37,6 @@ func main() {
 		owners  = flag.Int("owners", 0, "override: owner count for exp1/exp3/table12/sharegen")
 		csvDir  = flag.String("csv", "", "also write CSV files to this directory")
 		diskDir = flag.String("disk", "", "disk-backed share stores for exp1 fetch timing (default: temp dir)")
-		shard   = flag.Uint64("shard", 0, "domainscale/memscale: shard size in cells for the sharded mode (0 = 65536)")
 	)
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
@@ -69,9 +68,6 @@ func main() {
 	}
 	if *owners != 0 {
 		sc.Owners = *owners
-	}
-	if *shard != 0 {
-		sc.ShardCells = *shard
 	}
 	if *diskDir != "" {
 		sc.DiskDir = *diskDir

@@ -91,11 +91,10 @@ func main() {
 	for k := 0; k < *owners; k++ {
 		client := transport.NewTCPClientOpts(book, transport.ClientOptions{PerConnInflight: *inflight})
 		defer client.Close()
-		owner, err := ownerengine.NewMulti(*index, cfgs, client, [32]byte{})
+		owner, err := ownerengine.NewMulti(*index, cfgs, client, *shard, [32]byte{})
 		if err != nil {
 			fatal(err)
 		}
-		owner.SetShardCells(*shard)
 		backends[k] = &gateway.EngineBackend{Owner: owner, Table: *table, Verify: *verify}
 	}
 

@@ -40,13 +40,13 @@
 // "-op list" probes which tables each server currently serves (name,
 // owners, registration epoch) without touching any data — the cheap
 // "is my table still served?" check after a server restart (servers
-// started with -recover reload their tables from disk manifests, so the
+// started with -store reload their tables from disk manifests, so the
 // probe replaces a full re-outsource). In a multi-group deployment it
 // fans out to every group and cross-checks the answers: a table served
 // by some servers of a group but not others, with disagreeing owner
 // sets, or by some groups but not all, is flagged SPLIT-BRAIN — queries
 // against it would silently cover only part of the domain, so heal it
-// (restart the lagging server with -recover, or re-outsource) before
+// (restart the lagging server over its store, or re-outsource) before
 // querying.
 //
 // Multi-group deployments (prism-init -groups) pass one owner view per
@@ -117,11 +117,10 @@ func main() {
 		})
 	}
 
-	owner, err := ownerengine.NewMulti(*index, cfgs, client, [32]byte{})
+	owner, err := ownerengine.NewMulti(*index, cfgs, client, *shard, [32]byte{})
 	if err != nil {
 		fatal(err)
 	}
-	owner.SetShardCells(*shard)
 	ctx := context.Background()
 	b := owner.DomainB()
 	m := owner.View().M

@@ -9,8 +9,14 @@
 // its group's view (server-g<g>-<phi>.view); the group id and domain
 // range are baked into the view, so no extra flag is needed. The server
 // rejects data-plane requests targeting another group and stamps its
-// group into table manifests, so a restart with -recover cannot adopt
-// another group's shares.
+// group into table manifests, so a restart cannot adopt another group's
+// shares.
+//
+// With -store the server keeps its shares on disk and every start
+// resumes from that store: tables whose manifests validate are served
+// again without any owner re-outsourcing, corrupt tables are
+// quarantined, crashed uploads reclaimed, and one line per outcome is
+// printed before the server listens.
 package main
 
 import (
@@ -47,7 +53,6 @@ func main() {
 		compactEvr = flag.Duration("compact", 0, "also sweep every table's delta log for compaction on this interval (0 = -deltamax-triggered only)")
 		threads    = flag.Int("threads", 0, "worker pool width (0 = GOMAXPROCS)")
 		inflight   = flag.Int("inflight", 0, "per-connection RPC pipelining depth (0 = transport default)")
-		recoverTab = flag.Bool("recover", false, "with -store: reload outsourced tables from the store's manifests at startup (corrupt tables are quarantined, crashed uploads reclaimed) instead of booting empty")
 		metrics    = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/tables and /debug/pprof on this address (e.g. :9101); empty disables the endpoint")
 	)
 	flag.Parse()
@@ -83,14 +88,9 @@ func main() {
 			transport.ClientOptions{PerConnInflight: *inflight})
 	}
 	engine := serverengine.New(&view, opts)
-	if *recoverTab {
-		if opts.Store == nil {
-			fatal(fmt.Errorf("-recover needs -store"))
-		}
-		rep, err := engine.Recover()
-		if err != nil {
-			fatal(err)
-		}
+	if rep, err := engine.RecoveryReport(); err != nil {
+		fatal(err)
+	} else if rep != nil {
 		for _, t := range rep.Recovered {
 			fmt.Printf("prism-server: recovered table %q (epoch %d, owners %v", t.Name, t.Epoch, t.Owners)
 			if len(t.Adopted) > 0 {

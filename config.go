@@ -174,9 +174,11 @@ type Config struct {
 	// per-request buffer lifetime) regardless of the domain, so domains
 	// whose b-cell frames would exceed transport.MaxFrameBytes become
 	// servable. A query keeps at most 8 windows in flight per server
-	// connection. With disk-backed servers, set a HotChunks budget
+	// connection. Disk-backed servers write ShardCells-cell chunks (0 →
+	// sharestore's default of 64Ki cells), so every upload and query
+	// window is a whole number of chunks. Set a HotChunks budget
 	// alongside small windows so hot chunks are read from disk once;
-	// without the cache every window re-reads its overlapping chunks.
+	// without the cache every window re-reads its chunks.
 	ShardCells uint64
 	// HotChunks, when > 0, turns on each disk-backed server's per-table
 	// hot-chunk cache (DiskDir set) with this byte budget: χ-shares and
@@ -188,12 +190,6 @@ type Config struct {
 	// reads the store, which is what measures true per-query fetch
 	// times (the Figure 3 data-fetch series).
 	HotChunks uint64
-	// ChunkCells sets the share store's chunk size in cells for newly
-	// written columns (disk-backed mode). 0 → sharestore's default
-	// (64Ki cells). Pair it with ShardCells — chunks aligned to the
-	// shard windows make every streamed upload window a whole-chunk
-	// write and every shard query a minimal chunk fetch.
-	ChunkCells uint64
 	// DeltaMaxEntries triggers a compaction pass on a server once a
 	// table's merged-but-uncompacted delta entries (incremental updates,
 	// Owner.Update) reach this count: the base columns are rewritten
@@ -206,17 +202,14 @@ type Config struct {
 	Seed [32]byte
 	// DiskDir, when set, backs each server with an on-disk share store
 	// under DiskDir/server-<i>; queries then measure real fetch time.
+	// A System over a DiskDir an earlier System wrote resumes serving
+	// its tables: each server reloads them from the store's manifests
+	// without any owner re-outsourcing, quarantines corrupt or
+	// partially-promoted tables under the store's .quarantine/ area and
+	// reclaims crashed mid-upload assemblies (ServerEngine(φ).
+	// RecoveryReport says which). NewLocalSystem fails only on store-scan
+	// I/O errors — per-table problems quarantine instead of failing boot.
 	DiskDir string
-	// AutoRecover makes each disk-backed server reload its serving state
-	// from the share store's table manifests at construction time (the
-	// cold-boot recovery path, CLI: prism-server -recover): tables whose
-	// manifests validate against the chunk segments on disk are served
-	// again without any owner re-outsourcing, corrupt or
-	// partially-promoted tables are quarantined under the store's
-	// .quarantine/ area, and crashed mid-upload assemblies are reclaimed.
-	// NewLocalSystem fails only on store-scan I/O errors — per-table
-	// problems quarantine instead of failing boot. Requires DiskDir.
-	AutoRecover bool
 	// EncodeWire forces every message on the in-process transport
 	// through the wire frame codec, exercising exactly what the TCP
 	// transport sends.
@@ -254,11 +247,6 @@ func (c *Config) normalize() error {
 	}
 	if c.DeltaMaxEntries < 0 {
 		return errors.New("prism: DeltaMaxEntries must be >= 0")
-	}
-	if c.AutoRecover && c.DiskDir == "" {
-		// Mirror prism-server, which rejects -recover without -store:
-		// silently booting empty would defeat the whole point.
-		return errors.New("prism: AutoRecover requires DiskDir")
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"prism/internal/gateway"
 	"prism/internal/ownerengine"
 	"prism/internal/protocol"
+	"prism/internal/sharestore"
 	"prism/internal/transport"
 )
 
@@ -85,8 +86,9 @@ func (sh shape) name() string {
 }
 
 // config is the shape's Config: verified, one aggregation column "v"; on
-// disk with 32-cell chunks, or for disk-cache 16-cell chunks and a budget
-// of four of them, which forces eviction.
+// disk the stores write window-sized chunks (Config.ShardCells, or
+// sharestore's default), and disk-cache gets a budget of four uint16
+// chunks, which forces eviction in the many-window shapes.
 func (sh shape) config(t testing.TB) Config {
 	t.Helper()
 	dom, err := IntDomain(1, sh.b)
@@ -104,11 +106,15 @@ func (sh shape) config(t testing.TB) Config {
 		EncodeWire:  sh.wire,
 		Seed:        [32]byte{27, byte(sh.owners), byte(sh.groups), byte(sh.b), byte(sh.shard)},
 	}
+	chunk := sh.shard
+	if chunk == 0 {
+		chunk = sharestore.DefaultChunkCells
+	}
 	switch sh.storage {
 	case "disk-nocache":
-		cfg.DiskDir, cfg.ChunkCells = t.TempDir(), 32
+		cfg.DiskDir = t.TempDir()
 	case "disk-cache":
-		cfg.DiskDir, cfg.ChunkCells, cfg.HotChunks = t.TempDir(), 16, 4*16*2 // four uint16 chunks
+		cfg.DiskDir, cfg.HotChunks = t.TempDir(), 4*chunk*2 // four uint16 chunks
 	}
 	return cfg
 }

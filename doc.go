@@ -92,8 +92,9 @@
 // only once every window has arrived, so queries never observe a
 // half-uploaded epoch. With disk-backed servers set a HotChunks budget
 // alongside small windows (each window reads its chunks through the
-// per-epoch cache). The prism-bench domainscale experiment measures
-// queries/sec and peak frame size at both window sizes.
+// per-epoch cache). TestShardedBeatsFrameCap shows a domain whose
+// one-window upload exceeds a lowered frame cap answering correctly in
+// small windows, on one server group and on two.
 //
 // # Storage
 //
@@ -104,27 +105,28 @@
 // this is the only column format. An upload streams every incoming window
 // straight to pending chunked columns and promotes them on completion
 // (register-on-complete, recorded in the table manifest), and
-// per-window query evaluation fetches only the overlapping chunks —
-// with Config.ChunkCells aligned to Config.ShardCells and a
-// Config.HotChunks cache budget, server resident memory during both
-// outsourcing and querying is bounded by the chunk size and the budget,
-// not the domain, so columns larger than RAM serve end to end.
-// Upload assemblies abandoned by crashed owners are reclaimed when the
-// owner retries or the table is dropped (prism-server -pendttl adds a
-// timed sweep). The prism-bench memscale experiment measures peak
-// server resident bytes and queries/sec in both serving modes and
-// cross-checks their result fingerprints.
+// per-window query evaluation fetches only the overlapping chunks. The
+// stores write Config.ShardCells-cell chunks, so every window is a
+// whole number of chunks; with a Config.HotChunks cache budget, server
+// resident memory during both outsourcing and querying is bounded by
+// the window size and the budget, not the domain, so columns larger
+// than RAM serve end to end. Upload assemblies abandoned by crashed
+// owners are reclaimed when the owner retries or the table is dropped
+// (prism-server -pendttl adds a timed sweep). Every server's peak
+// resident column bytes are System.PeakServerHeldBytes, which the repo
+// benchmark reports as peak_held_bytes.
 //
 // # Durability and recovery
 //
 // The chunked store is durable end to end, and a restarted disk-backed
-// server no longer boots empty: every registration is recorded in an
+// server never boots empty: every registration is recorded in an
 // atomically written per-table manifest (spec, completed owners, format
-// version, registration epoch), and Config.AutoRecover (CLI:
-// prism-server -recover) makes a restarting server scan the store,
-// validate each manifest against the chunk indexes actually on disk —
-// element widths, cell counts, every chunk segment present, CRC
-// spot-checks — and re-register complete tables into the serving path.
+// version, registration epoch), and every disk-backed server start (a
+// System over an existing Config.DiskDir, prism-server -store) scans
+// the store, validates each manifest against the chunk indexes actually
+// on disk — element widths, cell counts, every chunk segment present,
+// CRC spot-checks — and re-registers complete tables into the serving
+// path.
 // Queries then return exactly what they returned before the restart,
 // with no owner re-outsourcing. Tables that fail validation are
 // quarantined (moved under the store's .quarantine/ area with a

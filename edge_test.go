@@ -148,7 +148,7 @@ func TestShardedSingleCellDomain(t *testing.T) {
 // transport frame cap lowered, a domain whose whole-table exchanges
 // exceed the cap fails outright — and the same domain outsources and
 // answers PSI, count and sum as the oracle does once ShardCells bounds
-// the frames.
+// the frames, on one server group or two.
 func TestShardedBeatsFrameCap(t *testing.T) {
 	restore := transport.SetFrameLimit(4 << 10) // 4 KiB: a toy MaxFrameBytes
 	defer restore()
@@ -166,17 +166,20 @@ func TestShardedBeatsFrameCap(t *testing.T) {
 	}
 
 	// 64-cell windows keep every frame, verification columns included,
-	// under the cap.
-	sys = shape{owners: 3, shard: 64, b: b, wire: true}.system(t)
-	orc := loadPlanted(t, sys, plantedCells(sys, 3), 7)
-	want := orc.answers()
-	for _, kind := range []OpKind{OpPSI, OpPSICount, OpPSISum} {
-		resp := sys.execute(context.Background(), Request{Op: kind, Cols: kindCols(kind)})
-		if resp.Err != nil {
-			t.Fatalf("%v in windows: %v", kind, resp.Err)
-		}
-		if got := answerOfResult(resp.Result); got != want[kind] {
-			t.Errorf("%v in windows = %s, plaintext %s", kind, got, want[kind])
+	// under the cap — and splitting the domain across two groups never
+	// grows a frame, since a group's windows cover its own cells only.
+	for _, groups := range []int{1, 2} {
+		sys = shape{owners: 3, shard: 64, groups: groups, b: b, wire: true}.system(t)
+		orc := loadPlanted(t, sys, plantedCells(sys, 3), 7)
+		want := orc.answers()
+		for _, kind := range []OpKind{OpPSI, OpPSICount, OpPSISum} {
+			resp := sys.execute(context.Background(), Request{Op: kind, Cols: kindCols(kind)})
+			if resp.Err != nil {
+				t.Fatalf("%v in windows over %d groups: %v", kind, groups, resp.Err)
+			}
+			if got := answerOfResult(resp.Result); got != want[kind] {
+				t.Errorf("%v in windows over %d groups = %s, plaintext %s", kind, groups, got, want[kind])
+			}
 		}
 	}
 }

@@ -75,7 +75,7 @@ func main() {
 		for i, l := range logical {
 			book[l] = serverAddrs[i]
 		}
-		o, err := ownerengine.New(j, sys.ForOwner(), transport.NewTCPClient(book), logical, prg.NewSeed())
+		o, err := ownerengine.New(j, sys.ForOwner(), transport.NewTCPClient(book), logical, 0, prg.NewSeed())
 		must(err)
 		owners[j] = o
 	}

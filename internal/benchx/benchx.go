@@ -1,9 +1,7 @@
 // Package benchx drives the reproduction of the tables and figures in
-// the paper's evaluation (§8), plus the three shape sweeps the repo
-// benchmark's fixed shape cannot express. It is shared by
-// cmd/prism-bench (the human-facing harness) and the root bench_test.go.
-// The Experiments table is the experiment index; prism-bench -h prints
-// it, and docs/OPERATIONS.md explains how to read the output.
+// the paper's evaluation (§8) for cmd/prism-bench. The Experiments
+// table is the experiment index; prism-bench -h prints it, and
+// docs/OPERATIONS.md explains how to read the output.
 package benchx
 
 import (
@@ -39,9 +37,6 @@ var Experiments = []Experiment{
 	{"sharegen", "§8.1: share-generation time with and without verification columns", ShareGen},
 	{"table13", "Table 13: cross-system comparison at 2 owners, plus the naive pairwise baseline", Table13},
 	{"fanout", "ablation of Exp 4: bucket-tree fanout vs actual domain size", FanoutAblation},
-	{"domainscale", "monolithic vs sharded (-shard) wire mode per domain size: peak frame bytes and queries/sec; frames over the transport cap report FRAME OVERFLOW", DomainScale},
-	{"memscale", "in-memory vs chunked disk store per domain size: peak server-held column bytes and queries/sec, answers must match", MemScale},
-	{"groupscale", "1/2/4 server groups over one domain: queries/sec, peak frame (must not grow) and owner merge cost, answers must match", GroupScale},
 }
 
 // Select resolves prism-bench's -exp value: one experiment by name
@@ -71,20 +66,13 @@ func ExperimentNames(sep string) string {
 type SystemSpec struct {
 	Owners       int
 	Domain       uint64
-	Groups       int // server groups partitioning the domain (0/1 = one)
 	KeysPerOwner int
 	CommonKeys   int
-	Threads      int
 	DiskDir      string // non-empty → disk-backed servers (fetch timing)
-	HotChunks    uint64 // hot-chunk cache byte budget on disk-backed servers (0 = cache off)
-	ChunkCells   uint64 // share-store chunk size in cells (0 = default)
-	ShardCells   uint64 // shard size for O(b) exchanges (0 = monolithic)
-	EncodeWire   bool   // wire-frame round trip per call (frame-size measurement)
 	AggCols      []string
 	Verify       bool
 	MaxValue     uint64
 	Seed         string
-	MaxInflight  int // scheduler bound on concurrently executing queries (0 = GOMAXPROCS)
 }
 
 func (s SystemSpec) withDefaults() SystemSpec {
@@ -145,18 +133,11 @@ func Build(spec SystemSpec) (*prism.System, []*workload.OwnerData, prism.ShareGe
 	sys, err := prism.NewLocalSystem(prism.Config{
 		Owners:      spec.Owners,
 		Domain:      dom,
-		Groups:      spec.Groups,
 		AggColumns:  spec.AggCols,
 		MaxAggValue: spec.MaxValue * uint64(spec.Owners+1),
 		Verify:      spec.Verify,
-		Threads:     spec.Threads,
 		Seed:        seed,
 		DiskDir:     spec.DiskDir,
-		HotChunks:   spec.HotChunks,
-		ChunkCells:  spec.ChunkCells,
-		ShardCells:  spec.ShardCells,
-		EncodeWire:  spec.EncodeWire,
-		MaxInflight: spec.MaxInflight,
 	})
 	if err != nil {
 		return nil, nil, sg, err
@@ -225,18 +206,6 @@ func runRequest(ctx context.Context, sys *prism.System, label string, req prism.
 		ResultSize:      size,
 		CacheHits:       st.Server.CacheHits,
 	}, nil
-}
-
-// fingerprint canonically serialises an answer's semantic content —
-// everything but the timing stats — so two paths to the same query can
-// be compared result for result. fmt prints maps in key order, so equal
-// answers give equal strings.
-func fingerprint(r *ownerengine.Result) string {
-	s := fmt.Sprintf("cells=%v count=%d sums=%v counts=%v extreme=%v", r.Cells, r.Count, r.Sums, r.Counts, r.Extreme)
-	if r.Global != nil {
-		s += fmt.Sprintf(" global=%v@%d", *r.Global, r.GlobalCell)
-	}
-	return s
 }
 
 // MultiColSum runs one PSI-sum over the first n workload columns

@@ -2,7 +2,6 @@ package benchx
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,15 +10,14 @@ import (
 func tinyScale(t *testing.T) Scale {
 	t.Helper()
 	return Scale{
-		Domains:      []uint64{512},
-		Owners:       3,
-		OwnersSweep:  []int{3, 4},
-		Threads:      []int{1, 2},
-		DiskDir:      t.TempDir(),
-		Fig5Leaves:   100_000,
-		Fig5Fanout:   10,
-		Table13Keys:  256,
-		SweepQueries: 6,
+		Domains:     []uint64{512},
+		Owners:      3,
+		OwnersSweep: []int{3, 4},
+		Threads:     []int{1, 2},
+		DiskDir:     t.TempDir(),
+		Fig5Leaves:  100_000,
+		Fig5Fanout:  10,
+		Table13Keys: 256,
 	}
 }
 
@@ -27,7 +25,7 @@ func tinyScale(t *testing.T) Scale {
 // exactly the surviving names, each once and documented, "all" in table
 // order, and every entry runnable at tinyScale with well-formed tables.
 func TestExperimentsTable(t *testing.T) {
-	want := "exp1 table12 exp2 exp3 exp4 sharegen table13 fanout domainscale memscale groupscale all"
+	want := "exp1 table12 exp2 exp3 exp4 sharegen table13 fanout all"
 	if got := ExperimentNames(" "); got != want {
 		t.Fatalf("experiment names = %q, want %q", got, want)
 	}
@@ -67,7 +65,7 @@ func TestExperimentsTable(t *testing.T) {
 			}
 		}
 	}
-	for _, gone := range []string{"throughput", "tcpthroughput", "streamscale", "gatewayscale", ""} {
+	for _, gone := range []string{"throughput", "tcpthroughput", "streamscale", "gatewayscale", "domainscale", "memscale", "groupscale", ""} {
 		if _, err := Select(gone); err == nil || !strings.Contains(err.Error(), ExperimentNames("|")) {
 			t.Errorf("Select(%q) error = %v, want one listing the experiments", gone, err)
 		}
@@ -239,107 +237,6 @@ func TestFanoutAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestDomainScaleSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	sc.Domains = []uint64{2048}
-	sc.ShardCells = 256
-	tables, err := DomainScale(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != 2 { // monolithic + sharded at one domain size
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	peak := map[string][2]string{}
-	for _, row := range rows {
-		if strings.Contains(row[2], "OVERFLOW") || strings.Contains(row[3], "OVERFLOW") {
-			t.Errorf("%s mode overflowed at smoke scale: %v", row[1], row)
-		}
-		if row[4] == "0.0" {
-			t.Errorf("%s mode reported zero throughput", row[1])
-		}
-		peak[row[1]] = [2]string{row[2], row[3]}
-	}
-	// The experiment's point: sharded frames must be strictly smaller
-	// than monolithic ones during both outsourcing and querying.
-	mono, sharded := peak["monolithic"], peak["sharded"]
-	for i, phase := range []string{"outsource", "query"} {
-		mb, errM := parseHumanBytes(mono[i])
-		sb, errS := parseHumanBytes(sharded[i])
-		if errM != nil || errS != nil {
-			t.Fatalf("unparseable peak frame cells %q / %q", mono[i], sharded[i])
-		}
-		if sb >= mb {
-			t.Errorf("%s peak frame: sharded %q not below monolithic %q", phase, sharded[i], mono[i])
-		}
-	}
-}
-
-func TestMemScaleSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	sc.Domains = []uint64{8192}
-	sc.ShardCells = 512
-	tables, err := MemScale(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != 2 { // monolithic/RAM + sharded/chunked at one domain
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	peak := map[string][2]string{}
-	for _, row := range rows {
-		if row[4] == "0.0" {
-			t.Errorf("%s mode reported zero throughput", row[1])
-		}
-		peak[row[1]] = [2]string{row[2], row[3]}
-	}
-	// The second mode's results matched the baseline (divergence would
-	// have failed MemScale outright).
-	if rows[1][7] != "match" {
-		t.Errorf("results column = %q, want match", rows[1][7])
-	}
-	// The query batch must have bumped the cells-processed counter.
-	for _, row := range rows {
-		if row[5] == "-" {
-			t.Errorf("%s mode reported no cells/sec", row[1])
-		}
-	}
-	// The experiment's point: the chunked segment store must hold far
-	// less resident than the in-memory column sets, in both phases.
-	ram, chunked := peak["monolithic/RAM"], peak["sharded/chunked disk"]
-	for i, phase := range []string{"outsource", "query"} {
-		rb, errR := parseHumanBytes(ram[i])
-		cb, errC := parseHumanBytes(chunked[i])
-		if errR != nil || errC != nil {
-			t.Fatalf("unparseable resident cells %q / %q", ram[i], chunked[i])
-		}
-		if cb*4 > rb {
-			t.Errorf("%s peak resident: chunked %q not well below RAM %q", phase, chunked[i], ram[i])
-		}
-	}
-}
-
-// parseHumanBytes inverts humanBytes for smoke assertions.
-func parseHumanBytes(s string) (float64, error) {
-	var v float64
-	var unit string
-	if _, err := fmt.Sscanf(s, "%f %s", &v, &unit); err != nil {
-		return 0, err
-	}
-	switch unit {
-	case "MiB":
-		v *= 1 << 20
-	case "KiB":
-		v *= 1 << 10
-	case "B":
-	default:
-		return 0, fmt.Errorf("unknown unit %q", unit)
-	}
-	return v, nil
-}
-
 // TestFig5FullScale runs the actual 100M-leaf Figure 5 point for the
 // sparse fills (cheap) and the analytic full fill.
 func TestFig5FullScale(t *testing.T) {
@@ -354,38 +251,5 @@ func TestFig5FullScale(t *testing.T) {
 	// Paper: 0.01%% fill (10K leaves) → ~400K actual domain.
 	if pts[1].ActualWith < 100_000 || pts[1].ActualWith > 800_000 {
 		t.Errorf("sparse fill visited %d, want a few hundred thousand (paper: ~400K)", pts[1].ActualWith)
-	}
-}
-
-func TestGroupScaleSmoke(t *testing.T) {
-	sc := tinyScale(t)
-	sc.Domains = []uint64{2048}
-	tables, err := GroupScale(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tables[0].Rows
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (groups 1/2/4)", len(rows))
-	}
-	if rows[0][0] != "1" || rows[0][6] != "baseline" {
-		t.Errorf("first row = %v, want the 1-group baseline", rows[0])
-	}
-	for _, row := range rows {
-		// The query batch must have bumped the cells-processed counter.
-		if row[2] == "-" {
-			t.Errorf("groups=%s reported no cells/sec", row[0])
-		}
-	}
-	for _, row := range rows[1:] {
-		// Multi-group answers must be bit-identical to the single-group
-		// baseline (divergence fails GroupScale outright).
-		if row[6] != "match" {
-			t.Errorf("groups=%s results column = %q, want match", row[0], row[6])
-		}
-		var speedup float64
-		if _, err := fmt.Sscanf(strings.TrimSuffix(row[3], "×"), "%f", &speedup); err != nil {
-			t.Fatalf("unparseable speedup %q: %v", row[3], err)
-		}
 	}
 }

@@ -2,16 +2,12 @@ package benchx
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"prism"
 	"prism/internal/baseline"
 	"prism/internal/prg"
 	"prism/internal/report"
-	"prism/internal/telemetry"
-	"prism/internal/transport"
 	"prism/internal/workload"
 )
 
@@ -32,39 +28,18 @@ type Scale struct {
 	Fig5Fanout int
 	// Table13Keys is the per-owner set size for the 2-owner comparison.
 	Table13Keys int
-	// SweepQueries is how many mixed queries each point of a shape sweep
-	// (domainscale, memscale, groupscale) runs (0 → 24).
-	SweepQueries int
-	// ShardCells is the shard size domainscale and memscale compare
-	// against the monolithic mode (0 → 65536 cells).
-	ShardCells uint64
-}
-
-func (sc Scale) sweepQueries() int {
-	if sc.SweepQueries <= 0 {
-		return 24
-	}
-	return sc.SweepQueries
-}
-
-func (sc Scale) shardCells() uint64 {
-	if sc.ShardCells == 0 {
-		return 1 << 16
-	}
-	return sc.ShardCells
 }
 
 // QuickScale is a laptop-friendly default; PaperScale matches §8.1.
 func QuickScale() Scale {
 	return Scale{
-		Domains:      []uint64{250_000, 1_000_000},
-		Owners:       10,
-		OwnersSweep:  []int{10, 20, 30, 40, 50},
-		Threads:      []int{1, 2, 3, 4, 5},
-		Fig5Leaves:   100_000_000,
-		Fig5Fanout:   10,
-		Table13Keys:  4096,
-		SweepQueries: 48,
+		Domains:     []uint64{250_000, 1_000_000},
+		Owners:      10,
+		OwnersSweep: []int{10, 20, 30, 40, 50},
+		Threads:     []int{1, 2, 3, 4, 5},
+		Fig5Leaves:  100_000_000,
+		Fig5Fanout:  10,
+		Table13Keys: 4096,
 	}
 }
 
@@ -325,190 +300,6 @@ func Table13(ctx context.Context, sc Scale) ([]*report.Table, error) {
 	return []*report.Table{tb, nb}, nil
 }
 
-// sweepMix is the operator mix every shape sweep cycles through: each
-// O(b) exchange shape — stored-order PSI vectors, permuted count
-// vectors, and the three-server aggregation round with its O(b) selector
-// uploads — so every fetch path (window, gather, aggregation) is on the
-// measured path.
-var sweepMix = []prism.Request{
-	{Op: prism.OpPSI},
-	{Op: prism.OpPSICount},
-	{Op: prism.OpPSISum, Cols: []string{"DT"}},
-}
-
-// sweepInflight is the scheduler bound every sweep point runs under.
-const sweepInflight = 8
-
-// sweepPoint is what runPoint measured on one deployment of a sweep.
-type sweepPoint struct {
-	outFrame, outHeld int64 // peak wire frame / server-held bytes while outsourcing
-	frame, held       int64 // the same peaks over the query batch
-	wall              time.Duration
-	cells             int64 // cells-processed counter delta over the batch
-	ownerNS           int64 // owner-side time summed over the batch
-	fps               []string
-	result            string // the "results" cell: "baseline", or "match" against base
-}
-
-func (p *sweepPoint) qps() float64 { return float64(len(p.fps)) / p.wall.Seconds() }
-
-// runPoint is the one skeleton of the shape sweeps: build and outsource
-// the deployment spec describes, run nq queries cycling sweepMix through
-// the scheduler, and fail on any query error or on any answer whose
-// fingerprint differs from base's (nil for a sweep's first point). When
-// the batch fails the point is still returned with its outsourcing
-// peaks, so a caller can tell a query-time frame overflow from one
-// during the build (nil point).
-func runPoint(ctx context.Context, spec SystemSpec, nq int, base *sweepPoint) (*sweepPoint, error) {
-	spec.MaxInflight = sweepInflight
-	sys, _, _, err := Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
-	p := &sweepPoint{outFrame: sys.PeakFrameBytes(), outHeld: sys.PeakServerHeldBytes(), result: "baseline"}
-	if base != nil {
-		p.result = "match"
-	}
-	sys.ResetPeakFrame()
-	sys.ResetServerHeldPeaks()
-
-	reqs := make([]prism.Request, nq)
-	for i := range reqs {
-		reqs[i] = sweepMix[i%len(sweepMix)]
-	}
-	cells0 := cellsProcessed.Value()
-	start := time.Now()
-	resps := sys.QueryBatch(ctx, reqs)
-	p.wall = time.Since(start)
-	p.cells = cellsProcessed.Value() - cells0
-	p.frame, p.held = sys.PeakFrameBytes(), sys.PeakServerHeldBytes()
-
-	p.fps = make([]string, nq)
-	for i, r := range resps {
-		if r.Err != nil {
-			return p, fmt.Errorf("query %d (%v) failed: %w", i, r.Op, r.Err)
-		}
-		p.fps[i] = fingerprint(r.Result)
-		p.ownerNS += r.Result.Stats.OwnerNS
-		if base != nil && p.fps[i] != base.fps[i] {
-			return p, fmt.Errorf("query %d (%v) result diverged from the sweep's first point", i, r.Op)
-		}
-	}
-	return p, nil
-}
-
-// DomainScale measures how the sharded data plane scales with domain
-// size: peak frame bytes during outsourcing and querying plus sustained
-// queries/sec, for the monolithic wire mode vs sharded exchanges, at
-// each configured domain size. The system runs with EncodeWire so every
-// message really is encoded into a wire frame and measured — and subject
-// to the transport frame cap: a monolithic configuration whose frames exceed
-// transport.FrameLimit() lands in the table as a "frame overflow" row
-// instead of aborting the experiment, because that failure is exactly
-// the wall sharding removes. The two modes' answers are
-// fingerprint-compared per domain.
-func DomainScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	shard, nq := sc.shardCells(), sc.sweepQueries()
-	tb := report.New(
-		fmt.Sprintf("Domain scale — %d owners, %d mixed queries per point, %d in flight, shard %s cells",
-			sc.Owners, nq, sweepInflight, human(shard)),
-		"domain", "wire mode", "outsource peak frame", "query peak frame", "queries/sec", "wall(s)")
-
-	for _, domain := range sc.Domains {
-		var base *sweepPoint
-		for _, mode := range []struct {
-			name  string
-			cells uint64
-		}{
-			{"monolithic", 0},
-			{"sharded", shard},
-		} {
-			p, err := runPoint(ctx, SystemSpec{
-				Owners: sc.Owners, Domain: domain,
-				ShardCells: mode.cells, EncodeWire: true,
-			}, nq, base)
-			switch {
-			case errors.Is(err, transport.ErrFrameTooLarge) && p == nil:
-				tb.Add(human(domain), mode.name, "FRAME OVERFLOW", "-", "-", "-")
-			case errors.Is(err, transport.ErrFrameTooLarge):
-				tb.Add(human(domain), mode.name, humanBytes(p.outFrame), "FRAME OVERFLOW", "-", "-")
-			case err != nil:
-				return nil, fmt.Errorf("benchx: domainscale %s @%s: %w", mode.name, human(domain), err)
-			default:
-				tb.Add(human(domain), mode.name, humanBytes(p.outFrame), humanBytes(p.frame),
-					fmt.Sprintf("%.1f", p.qps()), report.Seconds(p.wall.Nanoseconds()))
-				if base == nil {
-					base = p
-				}
-			}
-		}
-	}
-	return []*report.Table{tb}, nil
-}
-
-// MemScale measures how server resident memory scales with domain size:
-// peak column bytes held during outsourcing and during a mixed query
-// load, plus sustained queries/sec, comparing monolithic in-memory
-// serving against the sharded chunked segment store (windows streamed
-// straight to disk on upload, chunk-granular fetches plus a bounded
-// hot-chunk cache on the query path). The residency gauge counts the
-// column bytes the engines actually hold — pending upload assemblies,
-// registered in-memory tables and cached chunks — so the contrast is
-// O(b · columns · owners) for in-memory mode versus O(chunk + cache
-// budget) for the segment store, at the same results: the two modes'
-// response fingerprints are compared per domain and any divergence fails
-// the experiment.
-func MemScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	shard, nq := sc.shardCells(), sc.sweepQueries()
-	budget := 64 * 2 * shard // 64 uint16 chunks of hot-cache headroom
-	tb := report.New(
-		fmt.Sprintf("Memory scale — %d owners, %d mixed queries per point, %d in flight, shard/chunk %s cells, cache budget %s",
-			sc.Owners, nq, sweepInflight, human(shard), humanBytes(int64(budget))),
-		"domain", "mode", "outsource peak resident", "query peak resident", "queries/sec", "cells/sec", "wall(s)", "results")
-
-	for _, domain := range sc.Domains {
-		var base *sweepPoint
-		for _, mode := range []struct {
-			name string
-			disk bool
-		}{
-			{"monolithic/RAM", false},
-			{"sharded/chunked disk", true},
-		} {
-			spec := SystemSpec{Owners: sc.Owners, Domain: domain, Seed: "memscale"}
-			if mode.disk {
-				spec.ShardCells = shard
-				spec.ChunkCells = shard // whole-chunk upload windows, minimal query fetches
-				spec.HotChunks = budget
-				spec.DiskDir = fmt.Sprintf("%s/memscale-%s", sc.DiskDir, human(domain))
-			}
-			p, err := runPoint(ctx, spec, nq, base)
-			if err != nil {
-				return nil, fmt.Errorf("benchx: memscale %s @%s: %w", mode.name, human(domain), err)
-			}
-			tb.Add(human(domain), mode.name, humanBytes(p.outHeld), humanBytes(p.held),
-				fmt.Sprintf("%.1f", p.qps()), cellsRate(p.cells, p.wall),
-				report.Seconds(p.wall.Nanoseconds()), p.result)
-			if base == nil {
-				base = p
-			}
-		}
-	}
-	return []*report.Table{tb}, nil
-}
-
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
 func human(n uint64) string {
 	switch {
 	case n >= 1_000_000 && n%1_000_000 == 0:
@@ -526,84 +317,4 @@ func humanAll(ns []uint64) []string {
 		out[i] = human(n)
 	}
 	return out
-}
-
-// groupScaleGroups is the group-count sweep of the groupscale
-// experiment.
-var groupScaleGroups = []int{1, 2, 4}
-
-// GroupScale measures multi-group domain partitioning: sustained mixed
-// queries/sec at 1, 2 and 4 server groups over one fixed domain, with
-// every server's worker pool pinned to one thread so the sweep models
-// adding server hardware rather than oversubscribing one box. Messages
-// are frame-encoded to measure the peak wire frame (per-group windows
-// shrink as groups split the domain, so the peak must not grow), and
-// the owner-side result-merge cost is reported per query. Every
-// multi-group point's response fingerprints are compared against the
-// single-group baseline; any divergence fails the experiment.
-func GroupScale(ctx context.Context, sc Scale) ([]*report.Table, error) {
-	domain := sc.Domains[len(sc.Domains)-1]
-	nq := sc.sweepQueries()
-	tb := report.New(
-		fmt.Sprintf("Group scale — %d owners, %s-cell domain, %d mixed queries per point, %d in flight, 1 thread per server",
-			sc.Owners, human(domain), nq, sweepInflight),
-		"groups", "queries/sec", "cells/sec", "speedup", "peak frame", "owner merge(ms/query)", "results")
-
-	var base *sweepPoint
-	for _, groups := range groupScaleGroups {
-		p, err := runPoint(ctx, SystemSpec{
-			Owners:     sc.Owners,
-			Domain:     domain,
-			Groups:     groups,
-			Threads:    1,
-			EncodeWire: true,
-			Seed:       "groupscale",
-		}, nq, base)
-		if err != nil {
-			return nil, fmt.Errorf("benchx: groupscale @%d groups: %w", groups, err)
-		}
-		speedup := 1.0
-		if base != nil {
-			// Per-group windows are sub-ranges of the single-group
-			// window, so splitting the domain must never grow a frame.
-			if p.frame > base.frame {
-				return nil, fmt.Errorf("benchx: groupscale @%d groups: peak frame %s exceeds the single-group peak %s",
-					groups, humanBytes(p.frame), humanBytes(base.frame))
-			}
-			speedup = p.qps() / base.qps()
-		}
-		tb.Add(fmt.Sprint(groups),
-			fmt.Sprintf("%.1f", p.qps()),
-			cellsRate(p.cells, p.wall),
-			fmt.Sprintf("%.2f×", speedup),
-			humanBytes(p.frame),
-			fmt.Sprintf("%.2f", float64(p.ownerNS)/float64(nq)/1e6),
-			p.result)
-		if base == nil {
-			base = p
-		}
-	}
-	return []*report.Table{tb}, nil
-}
-
-// cellsProcessed is the server engines' cells-processed counter; the
-// registry dedupes by name, so this is the same counter the engines
-// bump and benchx can read throughput deltas off it.
-var cellsProcessed = telemetry.NewCounter(telemetry.MetricCellsProcessed)
-
-// cellsRate formats a cells/sec figure from a counter delta over one
-// measured batch.
-func cellsRate(delta int64, wall time.Duration) string {
-	if delta <= 0 {
-		return "-"
-	}
-	r := float64(delta) / wall.Seconds()
-	switch {
-	case r >= 1e6:
-		return fmt.Sprintf("%.1fM", r/1e6)
-	case r >= 1e3:
-		return fmt.Sprintf("%.1fK", r/1e3)
-	default:
-		return fmt.Sprintf("%.0f", r)
-	}
 }

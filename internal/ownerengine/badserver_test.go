@@ -65,7 +65,7 @@ func shapeOwner(t *testing.T, mode string) *Owner {
 		t.Fatal(err)
 	}
 	o, err := New(0, sys.ForOwner(), &shapeShifter{mode: mode, b: 16},
-		[]string{"s0", "s1", "s2"}, prg.SeedFromString("o"))
+		[]string{"s0", "s1", "s2"}, 0, prg.SeedFromString("o"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ type bucketMeta struct {
 // frontier pruning — the traversal pattern is revealed by design, as in
 // the paper, where owners explicitly request child buckets.
 //
-// Each level uploads as Outsource does — SetShardCells windows, the same
+// Each level uploads as Outsource does — shardCells windows, the same
 // assembly, supersede and register-on-complete semantics — so bucket
 // trees scale to the same domains the main table does.
 func (o *engine) OutsourceBucketTree(ctx context.Context, base string, tree *bucket.Tree) error {

@@ -107,9 +107,10 @@ type engine struct {
 	servers []string // logical addresses of the NumServers servers
 	rng     *prg.PRG
 
-	// shardCells is the window size every O(b) exchange moves in
-	// (SetShardCells); 0 is one window of b cells.
-	shardCells atomic.Uint64
+	// shardCells is the window size every O(b) exchange (table upload,
+	// PSI/PSU/count vectors, aggregation selectors and replies) moves
+	// in, each window its own frame; 0 is one window of b cells.
+	shardCells uint64
 	// uploadEpoch/uploadSeq mint ordered upload ids
 	// ("<epoch>/<seq>") so servers can tell a fresh retry from the
 	// stragglers of an abandoned attempt (see protocol.StoreRequest).
@@ -176,7 +177,7 @@ func (o *engine) newSession(prefix string) *querySession {
 // PRG stream derived from seed, so the router can keep the historical
 // "owner/<i>" stream for single-group deployments and distinct
 // "owner/<i>/g<g>" streams per group otherwise.
-func newEngine(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, seed prg.Seed, rngLabel string) (*engine, error) {
+func newEngine(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, shardCells uint64, seed prg.Seed, rngLabel string) (*engine, error) {
 	if len(serverAddrs) != params.NumServers {
 		return nil, fmt.Errorf("ownerengine: need %d server addresses, got %d", params.NumServers, len(serverAddrs))
 	}
@@ -188,6 +189,7 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 		view:       view,
 		caller:     caller,
 		servers:    append([]string(nil), serverAddrs...),
+		shardCells: shardCells,
 		rng:        prg.New(seed.Derive(rngLabel)),
 		tables:     make(map[string]*localTable),
 		bucketMeta: make(map[string]*bucketMeta),

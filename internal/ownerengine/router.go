@@ -45,14 +45,15 @@ type GroupConfig struct {
 }
 
 // New builds a single-group owner. serverAddrs must have
-// params.NumServers entries; seed drives all share randomness
-// (zero → fresh entropy).
-func New(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, seed prg.Seed) (*Owner, error) {
+// params.NumServers entries; every O(b) exchange moves in windows of at
+// most shardCells cells (0 → one window of the whole table); seed drives
+// all share randomness (zero → fresh entropy).
+func New(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, shardCells uint64, seed prg.Seed) (*Owner, error) {
 	var zero prg.Seed
 	if seed == zero {
 		seed = prg.NewSeed()
 	}
-	e, err := newEngine(index, view, caller, serverAddrs, seed, fmt.Sprintf("owner/%d", index))
+	e, err := newEngine(index, view, caller, serverAddrs, shardCells, seed, fmt.Sprintf("owner/%d", index))
 	if err != nil {
 		return nil, err
 	}
@@ -61,14 +62,15 @@ func New(index int, view *params.OwnerView, caller transport.Caller, serverAddrs
 
 // NewMulti builds an owner spanning several server groups. Group views
 // must cover the domain contiguously in group order (group g starts
-// where group g−1 ends); seed is resolved once so every group's engine
-// draws from streams derived from the same root (zero → fresh entropy).
-func NewMulti(index int, groups []GroupConfig, caller transport.Caller, seed prg.Seed) (*Owner, error) {
+// where group g−1 ends); shardCells is every group's window size, as in
+// New; seed is resolved once so every group's engine draws from streams
+// derived from the same root (zero → fresh entropy).
+func NewMulti(index int, groups []GroupConfig, caller transport.Caller, shardCells uint64, seed prg.Seed) (*Owner, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("ownerengine: NewMulti needs at least one group")
 	}
 	if len(groups) == 1 {
-		return New(index, groups[0].View, caller, groups[0].Servers, seed)
+		return New(index, groups[0].View, caller, groups[0].Servers, shardCells, seed)
 	}
 	var zero prg.Seed
 	if seed == zero {
@@ -84,7 +86,7 @@ func NewMulti(index int, groups []GroupConfig, caller transport.Caller, seed prg
 		if v.Start != next {
 			return nil, fmt.Errorf("ownerengine: group %d starts at cell %d, want %d (groups must tile the domain)", g, v.Start, next)
 		}
-		e, err := newEngine(index, v, caller, gc.Servers, seed, fmt.Sprintf("owner/%d/g%d", index, g))
+		e, err := newEngine(index, v, caller, gc.Servers, shardCells, seed, fmt.Sprintf("owner/%d/g%d", index, g))
 		if err != nil {
 			return nil, fmt.Errorf("ownerengine: group %d: %w", g, err)
 		}
@@ -287,13 +289,6 @@ func (o *Owner) AdoptTable(spec OutsourceSpec) error {
 		}
 	}
 	return nil
-}
-
-// SetShardCells bounds every per-group exchange's window size.
-func (o *Owner) SetShardCells(n uint64) {
-	for _, e := range o.groups {
-		e.SetShardCells(n)
-	}
 }
 
 // Update applies a tuple-set change to an outsourced table: add and

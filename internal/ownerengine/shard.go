@@ -15,19 +15,11 @@ import (
 // nothing, lowering it below queues shards at the transport instead.
 const defaultShardInflight = 8
 
-// SetShardCells sets the owner's window size: every O(b) exchange (table
-// upload, PSI/PSU/count vectors, aggregation selectors and replies) moves
-// as windows of at most n cells, each its own frame over the multiplexed
-// transport. 0 (the default) is one window of b cells. Safe to call
-// concurrently with queries; in-flight queries keep the plan they
-// started with.
-func (o *engine) SetShardCells(n uint64) { o.shardCells.Store(n) }
-
 // plan splits [0, b) into the windows of one O(b) exchange. Every
 // request carries its window explicitly; a window size of 0, b or more
 // is the one-window plan {0, b}.
 func (o *engine) plan(b uint64) []protocol.Range {
-	s := o.shardCells.Load()
+	s := o.shardCells
 	if s == 0 || s > b {
 		s = b
 	}

@@ -14,16 +14,17 @@
 // completed registration in a per-table manifest (TableManifest: spec,
 // completed owners, format version, registration epoch), written
 // atomically only after the owner's columns are fully promoted to their
-// live names. That manifest is what a restarted server trusts:
-// Engine.Recover (Options.AutoRecover, prism-server -recover) scans the
-// store, validates each manifest against the chunk indexes on disk, and
-// re-registers complete tables — so a restart does not force owners to
-// re-outsource. Tables that fail validation are quarantined into the
-// store's .quarantine/ area with a machine-readable reason rather than
-// served (or crashing boot); interrupted pending→live promotions are
-// resumed; crashed mid-upload assemblies are reclaimed. See recover.go
-// for the full state machine and docs/ARCHITECTURE.md for the on-disk
-// format.
+// live names. That manifest is what a restarted server trusts: New
+// scans the store of every disk-backed engine, validates each manifest
+// against the chunk indexes on disk, and re-registers complete tables
+// before the engine answers a request — so a restart does not force
+// owners to re-outsource, and a re-outsource after a restart supersedes
+// the earlier process's delta log. Tables that fail validation are
+// quarantined into the store's .quarantine/ area with a
+// machine-readable reason rather than served (or crashing boot);
+// interrupted pending→live promotions are resumed; crashed mid-upload
+// assemblies are reclaimed. See recover.go for the full state machine
+// and docs/ARCHITECTURE.md for the on-disk format.
 package serverengine
 
 import (
@@ -51,7 +52,8 @@ type Options struct {
 	Threads int
 	// Store, when non-nil, makes the engine disk-backed: columns live in
 	// the store, queries fetch them per request and report real fetch
-	// times. nil serves from RAM.
+	// times, and New resumes serving every table the store already holds
+	// (see RecoveryReport). nil serves from RAM.
 	Store *sharestore.Store
 	// CacheBytes, when > 0, is the byte budget of the per-table cache of
 	// a disk-backed engine: column chunks and the owner sums built from
@@ -81,14 +83,6 @@ type Options struct {
 	// slot arrays to S_a.
 	AnnouncerAddr string
 	Caller        transport.Caller
-	// AutoRecover makes New reload serving state from the disk store's
-	// table manifests (see Engine.Recover) before the engine answers its
-	// first request, so a restarted disk-backed server resumes serving
-	// without any owner re-outsourcing. Recovery never fails boot:
-	// tables that do not validate are quarantined and the report (and
-	// any store-scan error) is available via RecoveryReport. Ignored
-	// without a Store.
-	AutoRecover bool
 	// Group is the server group this engine belongs to in a multi-group
 	// deployment (0 for single-group). Data-plane requests tagged for a
 	// different group are rejected, and the group id is persisted in
@@ -154,8 +148,8 @@ type Engine struct {
 	// owners completing uploads concurrently).
 	manifestMu sync.Mutex
 
-	// recovery holds the report (and scan error, if any) of the
-	// AutoRecover pass New ran; nil when New did not recover.
+	// recovery holds the report (and scan error, if any) of the store
+	// scan New ran; nil on an in-memory engine.
 	recovery    *RecoveryReport
 	recoveryErr error
 
@@ -169,9 +163,7 @@ type Engine struct {
 
 	// heldBytes/peakHeld track the column bytes this engine holds
 	// resident: in-RAM pending upload assemblies, registered in-memory
-	// tables, and the hot-chunk caches. The benchx memscale experiment
-	// reads the peak to demonstrate O(chunk) residency under the chunked
-	// store versus O(b) for in-memory serving.
+	// tables, and the hot-chunk caches.
 	heldBytes atomic.Int64
 	peakHeld  atomic.Int64
 
@@ -271,14 +263,11 @@ func (e *Engine) trackHeld(delta int64) {
 // assemblies, in-memory tables, hot-chunk caches).
 func (e *Engine) HeldBytes() int64 { return e.heldBytes.Load() }
 
-// PeakHeldBytes reports the high-water mark of HeldBytes since the last
-// ResetHeldPeak.
+// PeakHeldBytes reports the high-water mark of HeldBytes.
 func (e *Engine) PeakHeldBytes() int64 { return e.peakHeld.Load() }
 
-// ResetHeldPeak restarts the peak measurement from the current level.
-func (e *Engine) ResetHeldPeak() { e.peakHeld.Store(e.heldBytes.Load()) }
-
-// New builds an engine for server view v.
+// New builds an engine for server view v. A disk-backed engine resumes
+// serving what its store holds before New returns (recover.go).
 func New(v *params.ServerView, opts Options) *Engine {
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.GOMAXPROCS(0)
@@ -296,8 +285,8 @@ func New(v *params.ServerView, opts Options) *Engine {
 		storeMus:   make(map[string]*sync.Mutex),
 	}
 	e.threads.Store(int64(opts.Threads))
-	if opts.AutoRecover && opts.Store != nil {
-		e.recovery, e.recoveryErr = e.Recover()
+	if opts.Store != nil {
+		e.recovery, e.recoveryErr = e.recoverStore()
 	}
 	if opts.CompactEvery > 0 {
 		e.startCompactor(opts.CompactEvery)
@@ -305,10 +294,10 @@ func New(v *params.ServerView, opts Options) *Engine {
 	return e
 }
 
-// RecoveryReport returns the outcome of the AutoRecover pass New ran
-// (nil when the engine was not built with Options.AutoRecover). The
-// error reports a store-scan failure; per-table problems never error —
-// they quarantine the table and show up in the report.
+// RecoveryReport returns the outcome of the store scan New ran (nil on
+// an in-memory engine). The error reports a store-level I/O failure;
+// per-table problems never error — they quarantine the table and show
+// up in the report.
 func (e *Engine) RecoveryReport() (*RecoveryReport, error) {
 	return e.recovery, e.recoveryErr
 }

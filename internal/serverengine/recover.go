@@ -41,10 +41,12 @@
 //     a live registration would: on-disk owner column sets (zero held
 //     bytes), a cold hot-chunk cache, and the manifest's epoch.
 //
-// Recovery is idempotent — tables already registered are skipped — and
-// per-table failures never abort the scan: the server boots with
-// whatever is healthy and the RecoveryReport says what happened to the
-// rest.
+// New runs the scan once, on every disk-backed engine, before the
+// engine answers a request; registering what the store holds is what
+// lets a later re-outsource fence the earlier process's delta segments
+// and continue its sequence. Per-table failures never abort the scan:
+// the server boots with whatever is healthy and the RecoveryReport says
+// what happened to the rest.
 package serverengine
 
 import (
@@ -56,7 +58,7 @@ import (
 	"prism/internal/protocol"
 )
 
-// RecoveredTable describes one table Recover re-registered.
+// RecoveredTable describes one table recovery re-registered.
 type RecoveredTable struct {
 	Name   string
 	Spec   protocol.TableSpec
@@ -68,14 +70,14 @@ type RecoveredTable struct {
 	Adopted []int
 }
 
-// QuarantinedTable describes one table Recover moved aside.
+// QuarantinedTable describes one table recovery moved aside.
 type QuarantinedTable struct {
 	Name   string
 	Reason string // stable machine-readable code
 	Detail string
 }
 
-// RecoveryReport is the outcome of one Recover pass.
+// RecoveryReport is the outcome of the store scan New ran.
 type RecoveryReport struct {
 	Recovered   []RecoveredTable
 	Quarantined []QuarantinedTable
@@ -87,19 +89,17 @@ type RecoveryReport struct {
 	PendingReclaimed int
 }
 
-// Recover scans the share store, validates each table's manifest against
-// the chunk indexes actually on disk, and re-registers every complete
-// table into the serving path — a restarted server resumes serving
-// without any owner re-outsourcing. Corrupt or partially-promoted tables
-// are quarantined with a machine-readable reason rather than served;
-// crashed mid-upload assemblies are reclaimed; interrupted promotions
-// are resumed and adopted. The returned error reports store-level I/O
-// failures only — per-table problems are in the report.
-func (e *Engine) Recover() (*RecoveryReport, error) {
+// recoverStore scans the share store, validates each table's manifest
+// against the chunk indexes actually on disk, and re-registers every
+// complete table into the serving path — a restarted server resumes
+// serving without any owner re-outsourcing. Corrupt or
+// partially-promoted tables are quarantined with a machine-readable
+// reason rather than served; crashed mid-upload assemblies are
+// reclaimed; interrupted promotions are resumed and adopted. The
+// returned error reports store-level I/O failures only — per-table
+// problems are in the report.
+func (e *Engine) recoverStore() (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
-	if e.opts.Store == nil {
-		return rep, errors.New("serverengine: recovery needs a disk-backed store")
-	}
 	names, err := e.opts.Store.Tables()
 	if err != nil {
 		return rep, fmt.Errorf("serverengine: recovery scan: %w", err)
@@ -118,13 +118,6 @@ func (e *Engine) Recover() (*RecoveryReport, error) {
 // validation failures quarantine and return nil.
 func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	st := e.opts.Store
-	e.mu.RLock()
-	_, serving := e.tables[name]
-	e.mu.RUnlock()
-	if serving {
-		return nil // already registered (Recover re-run, or raced a Store)
-	}
-
 	var man TableManifest
 	if err := st.ReadManifest(name, &man); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -303,13 +296,6 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	// (zero held bytes), a cold cache, the durable epoch, the replayed
 	// delta overlay.
 	e.mu.Lock()
-	if _, exists := e.tables[name]; exists {
-		e.mu.Unlock()
-		return nil // raced with a live Store; the live registration wins
-	}
-	if f := e.epochFloor[name]; f > epoch {
-		epoch = f // a drop in this process outran the manifest on disk
-	}
 	t := &table{spec: man.Spec, owners: make(map[int]*ownerCols, len(owners)), epoch: epoch, deltaSeq: deltaSeq}
 	for _, j := range owners {
 		t.owners[j] = &ownerCols{}
@@ -330,10 +316,7 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 
 	if len(adopted) > 0 {
 		// Make the adoption durable so the next restart trusts the
-		// promoted columns directly. The registration snapshot is re-taken
-		// while holding manifestMu — the same ordering finishStore uses —
-		// so a registration racing this Recover (a live upload completing
-		// on a running engine) can never be overwritten by a stale view.
+		// promoted columns directly.
 		if err := e.writeManifestSnapshot(name, man.Spec); err != nil {
 			return err
 		}

@@ -88,11 +88,8 @@ func TestRecoverReloadsTables(t *testing.T) {
 	}
 	wantList := before[0].handleListTables()
 
-	// "Restart": fresh engines over the same stores, auto-recovering.
-	after, _ := diskEnginesAt(t, b, chunk, dirs, func(o *Options) {
-		o.AutoRecover = true
-		o.CacheBytes = 1 << 16
-	})
+	// "Restart": fresh engines over the same stores.
+	after, _ := diskEnginesAt(t, b, chunk, dirs, func(o *Options) { o.CacheBytes = 1 << 16 })
 	for phi, e := range after {
 		rep, err := e.RecoveryReport()
 		if err != nil {
@@ -145,7 +142,7 @@ func TestRecoverEpochAdvancesAcrossRestart(t *testing.T) {
 	before, _ := diskEnginesAt(t, b, 16, dirs, nil)
 	storeSharded(t, before, b, 16, false) // epochs: owner0 → 1, owner1 → 2
 
-	after, _ := diskEnginesAt(t, b, 16, dirs, func(o *Options) { o.AutoRecover = true })
+	after, _ := diskEnginesAt(t, b, 16, dirs, nil)
 	e := after[0]
 	// Owner 0 re-outsources: the epoch must continue from the manifest.
 	storeSharded(t, after, b, 16, false)
@@ -168,7 +165,7 @@ func TestRecoverEpochAdvancesAcrossRestart(t *testing.T) {
 // returns its report.
 func recoverOne(t *testing.T, b, chunk uint64, dirs []string) (*Engine, *RecoveryReport) {
 	t.Helper()
-	after, _ := diskEnginesAt(t, b, chunk, dirs, func(o *Options) { o.AutoRecover = true })
+	after, _ := diskEnginesAt(t, b, chunk, dirs, nil)
 	rep, err := after[0].RecoveryReport()
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -555,14 +552,5 @@ func TestListTablesEpoch(t *testing.T) {
 	}
 	if got := reply.(protocol.ListTablesReply).Tables[0].Epoch; got != 4 {
 		t.Fatalf("epoch after drop + re-store = %d, want 4 (continues past the dropped table's 2)", got)
-	}
-}
-
-// TestRecoverNeedsDisk: recovery on a RAM-only engine reports a clear
-// error instead of pretending to scan.
-func TestRecoverNeedsDisk(t *testing.T) {
-	engines := newEngines(t, 16, nil)
-	if _, err := engines[0].Recover(); err == nil {
-		t.Fatal("Recover on a memory engine did not error")
 	}
 }

@@ -69,7 +69,7 @@ func parseUploadID(id string) (epoch string, seq uint64, ok bool) {
 
 // ManifestVersion is the current TableManifest format version. Version
 // 0 manifests (written before the field existed) decode identically and
-// are accepted by Recover; manifests from a newer format are quarantined
+// are accepted by recovery; manifests from a newer format are quarantined
 // rather than guessed at.
 const ManifestVersion = 1
 

@@ -92,16 +92,16 @@ func newSummedFixture(t *testing.T, m int, tier summedTier) *summedFixture {
 	if tier.disk {
 		f.dir = t.TempDir()
 	}
-	f.e = f.engine(t, false)
+	f.e = f.engine(t)
 	for j := 0; j < m; j++ {
 		f.outsource(t, j)
 	}
 	return f
 }
 
-// engine opens a server over the fixture's store, recovering its tables
-// when asked. Released slices are poisoned.
-func (f *summedFixture) engine(t *testing.T, recover bool) *Engine {
+// engine opens a server over the fixture's store (a restart when the
+// store already holds the table). Released slices are poisoned.
+func (f *summedFixture) engine(t *testing.T) *Engine {
 	t.Helper()
 	o := Options{Threads: 2}
 	if f.tier.disk {
@@ -110,7 +110,7 @@ func (f *summedFixture) engine(t *testing.T, recover bool) *Engine {
 			t.Fatal(err)
 		}
 		st.SetChunkCells(summedChunk)
-		o.Store, o.CacheBytes, o.AutoRecover = st, f.tier.budget, recover
+		o.Store, o.CacheBytes = st, f.tier.budget
 	}
 	e := New(f.view, o)
 	e.poisonReleased = true
@@ -594,7 +594,7 @@ func (f *summedFixture) epochs(t *testing.T) {
 	f.update(t)
 	h = f.hold(t)
 	old := f.e
-	f.e = f.engine(t, true)
+	f.e = f.engine(t)
 	if rep, err := f.e.RecoveryReport(); err != nil || len(rep.Recovered) != 1 {
 		t.Fatalf("recovery: %+v, %v", rep, err)
 	}

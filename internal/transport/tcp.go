@@ -22,7 +22,7 @@ import (
 // peer cannot force an arbitrary allocation. 256 MiB holds the largest
 // legal monolithic message at the paper's scales (a 20M-cell Shamir
 // column is 160 MB); domains beyond that must shard their exchanges
-// (ownerengine.SetShardCells / prism.Config.ShardCells) — sharding
+// (ownerengine.New's shardCells / prism.Config.ShardCells) — sharding
 // bounds every frame by the shard size regardless of the domain.
 const MaxFrameBytes = 256 << 20
 

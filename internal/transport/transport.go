@@ -156,13 +156,9 @@ func (n *Network) Call(ctx context.Context, addr string, req any) (any, error) {
 }
 
 // PeakFrameBytes reports the largest encoded frame body this network
-// has moved since the last reset. Only populated when EncodeWire is on
-// (without it no message is ever encoded).
+// has moved. Only populated when EncodeWire is on (without it no
+// message is ever encoded).
 func (n *Network) PeakFrameBytes() int64 { return n.peakFrame.Load() }
-
-// ResetPeakFrame clears the peak-frame measurement (e.g. between the
-// outsourcing and query phases of a benchmark).
-func (n *Network) ResetPeakFrame() { n.peakFrame.Store(0) }
 
 // roundTrip encodes v into a wire frame and decodes it again, as the TCP
 // transport would, enforcing the same frame cap and recording the peak

@@ -11,8 +11,9 @@ import (
 )
 
 // recoveryConfig is the shared deployment shape of the restart tests:
-// disk-backed, sharded, chunk-aligned, with a bounded hot-chunk cache —
-// the configuration the OPERATIONS runbook recommends for production.
+// disk-backed, in 64-cell windows (so 64-cell chunks), with a bounded
+// hot-chunk cache — the configuration the OPERATIONS runbook recommends
+// for production.
 func recoveryConfig(t *testing.T, diskDir string) Config {
 	t.Helper()
 	dom, err := IntDomain(1, 256)
@@ -28,24 +29,24 @@ func recoveryConfig(t *testing.T, diskDir string) Config {
 		Seed:        [32]byte{21, 8, 7},
 		DiskDir:     diskDir,
 		ShardCells:  64,
-		ChunkCells:  64,
 		HotChunks:   1 << 16,
 	}
 }
 
 // TestMixedChunkGeometries: owners whose columns were written with
-// different chunk sizes — owner 0 by a server storing 16-cell chunks,
-// owner 1 re-outsourced after the server restarted with 32-cell chunks —
-// still answer every kind as the oracle does, with the cache off (each
-// owner gathered through its own chunk plan) and on (an owner-sum entry
-// covers one cell range across owners, never "chunk k" of each).
+// different chunk sizes — owner 0 by a System in 16-cell windows (so
+// 16-cell chunks), owner 1 re-outsourced after the System restarted in
+// 32-cell windows — still answer every kind as the oracle does, with the
+// cache off (each owner gathered through its own chunk plan) and on (an
+// owner-sum entry covers one cell range across owners, never "chunk k"
+// of each).
 func TestMixedChunkGeometries(t *testing.T) {
 	for _, hot := range []uint64{0, 1 << 16} {
 		t.Run(fmt.Sprintf("hotchunks=%d", hot), func(t *testing.T) {
 			dir := t.TempDir()
-			sh := shape{storage: "disk", shard: manyWindows, groups: 1, owners: 3, k: 5, b: 64}
+			sh := shape{storage: "disk", shard: 16, groups: 1, owners: 3, k: 5, b: 64}
 			cfg := sh.config(t)
-			cfg.DiskDir, cfg.ChunkCells, cfg.HotChunks = dir, 16, hot
+			cfg.DiskDir, cfg.HotChunks = dir, hot
 			sys1, err := NewLocalSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +54,7 @@ func TestMixedChunkGeometries(t *testing.T) {
 			orc := loadPlanted(t, sys1, plantedCells(sys1, sh.k), 2816)
 			sys1.Close()
 
-			cfg.ChunkCells, cfg.AutoRecover = 32, true
+			cfg.ShardCells = 32
 			sys2, err := NewLocalSystem(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -78,24 +79,14 @@ func TestMixedChunkGeometries(t *testing.T) {
 	}
 }
 
-// TestAutoRecoverNeedsDiskDir: AutoRecover without a disk store is a
-// misconfiguration that must fail loudly, not boot an empty system.
-func TestAutoRecoverNeedsDiskDir(t *testing.T) {
-	cfg := recoveryConfig(t, t.TempDir())
-	cfg.DiskDir = ""
-	cfg.AutoRecover = true
-	if _, err := NewLocalSystem(cfg); err == nil {
-		t.Fatal("AutoRecover without DiskDir did not error")
-	}
-}
-
 // TestServerRestartRecovery is the kill-and-restart integration test of
 // the cold-boot recovery path: a disk-backed deployment is torn down
-// mid-life and rebuilt over the same stores with Config.AutoRecover —
-// the restarted servers must reload every table from their disk
-// manifests and answer every kind as the oracle does without any owner
-// re-outsourcing; a corrupt table must be quarantined with a reported
-// reason rather than served or crashing boot.
+// mid-life and rebuilt over the same stores — the restarted servers
+// must reload every table from their disk manifests and answer every
+// kind as the oracle does without any owner re-outsourcing; a corrupt
+// table must be quarantined with a reported reason rather than served
+// or crashing boot; and a re-outsource after a restart must supersede
+// the earlier process's delta log.
 func TestServerRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := recoveryConfig(t, dir)
@@ -106,13 +97,19 @@ func TestServerRestartRecovery(t *testing.T) {
 	planted := plantedCells(sys1, 5)
 	orc := loadPlanted(t, sys1, planted, 1807)
 	directAnswers(t, sys1, orc)
+	// The stores write chunks of the window size.
+	st, err := sharestore.Open(filepath.Join(dir, serverDiskDir(0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := st.Stat(tableName, "o0.chi"); err != nil || info.ChunkCells != cfg.ShardCells {
+		t.Fatalf("a System in %d-cell windows wrote %d-cell chunks (%v)", cfg.ShardCells, info.ChunkCells, err)
+	}
 
 	// "Kill" the deployment (drop every in-memory engine) and boot a
 	// fresh one over the same stores. No OutsourceAll: the owners reload
 	// only their own tuples, which extremes read.
-	cfg2 := cfg
-	cfg2.AutoRecover = true
-	sys2, err := NewLocalSystem(cfg2)
+	sys2, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +156,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	if err := os.WriteFile(chunkFile, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys3, err := NewLocalSystem(cfg2)
+	sys3, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatalf("boot with a corrupt table must not fail: %v", err)
 	}
@@ -194,6 +191,53 @@ func TestServerRestartRecovery(t *testing.T) {
 	}
 	// Re-outsourcing restores full service over the quarantine-freed name.
 	directAnswers(t, sys3, loadPlanted(t, sys3, planted, 1807))
+
+	// Every boot registers the tables its store holds before an owner
+	// writes, so a re-outsource fences the earlier process's delta
+	// segments and new segments continue its sequence. Boot A outsources
+	// and makes three single-tuple updates; boot B re-outsources every
+	// owner over other data and makes one; boot C must answer every kind
+	// as boot B did, not replay A's segments over B's columns.
+	cfg = recoveryConfig(t, t.TempDir())
+	bootA, err := NewLocalSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orcA := loadPlanted(t, bootA, planted, 1807)
+	for j := range cfg.Owners {
+		orcA.addTuple(t, bootA, j, 250+uint64(j), 7+uint64(j))
+	}
+	bootA.Close()
+	bootB, err := NewLocalSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orcB := loadPlanted(t, bootB, planted[:2], 2718)
+	orcB.addTuple(t, bootB, 0, 3, 11)
+	want := updateFingerprint(t, bootB)
+	directAnswers(t, bootB, orcB)
+	bootB.Close()
+	bootC, err := NewLocalSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bootC.Close()
+	orcB.reload(t, bootC)
+	if got := updateFingerprint(t, bootC); got != want {
+		t.Fatalf("boot C answers diverged from boot B:\n--- boot B ---\n%s--- boot C ---\n%s", want, got)
+	}
+	directAnswers(t, bootC, orcB)
+}
+
+// addTuple adds one tuple (cell, v=val) to owner j's table as a
+// single-tuple update and to the oracle.
+func (orc *oracle) addTuple(t *testing.T, sys *System, j int, cell, val uint64) {
+	t.Helper()
+	if _, err := sys.Owner(j).UpdateCells(context.Background(), []uint64{cell}, map[string][]uint64{"v": {val}}, nil, nil); err != nil {
+		t.Fatalf("owner %d update: %v", j, err)
+	}
+	orc.sets[j], orc.vals[j] = append(orc.sets[j], cell), append(orc.vals[j], val)
+	orc.rebuild()
 }
 
 // TestMultiGroupRestartRecovery: a disk-backed multi-group deployment
@@ -212,7 +256,6 @@ func TestMultiGroupRestartRecovery(t *testing.T) {
 	directAnswers(t, sys1, orc)
 	sys1.Close()
 
-	cfg.AutoRecover = true
 	sys2, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

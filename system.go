@@ -97,16 +97,13 @@ func NewLocalSystem(cfg Config) (*System, error) {
 				if err != nil {
 					return nil, err
 				}
-				store.SetChunkCells(cfg.ChunkCells)
+				store.SetChunkCells(cfg.ShardCells) // every window a whole number of chunks
 				opts.Store = store
 				opts.CacheBytes = int64(cfg.HotChunks)
-				opts.AutoRecover = cfg.AutoRecover
 			}
 			eng := serverengine.New(view, opts)
-			if cfg.AutoRecover {
-				if _, err := eng.RecoveryReport(); err != nil {
-					return nil, fmt.Errorf("prism: group %d server %d recovery: %w", g, phi, err)
-				}
+			if _, err := eng.RecoveryReport(); err != nil {
+				return nil, fmt.Errorf("prism: group %d server %d recovery: %w", g, phi, err)
 			}
 			engines[phi] = eng
 			addr := groupServerAddr(g, phi)
@@ -142,11 +139,10 @@ func NewLocalSystem(cfg Config) (*System, error) {
 	ownerSeed := cfg.seed().Derive("owners")
 	s.cohort = &ownerengine.Cohort{Announcer: "announcer"}
 	for i := 0; i < cfg.Owners; i++ {
-		eng, err := ownerengine.NewMulti(i, groupCfgs, s.network, ownerSeed)
+		eng, err := ownerengine.NewMulti(i, groupCfgs, s.network, cfg.ShardCells, ownerSeed)
 		if err != nil {
 			return nil, err
 		}
-		eng.SetShardCells(cfg.ShardCells)
 		s.owners = append(s.owners, &Owner{sys: s, eng: eng, idx: i})
 		s.cohort.Owners = append(s.cohort.Owners, eng)
 	}
@@ -204,7 +200,7 @@ func (s *System) CompactTables() error {
 func (s *System) Owner(i int) *Owner { return s.owners[i] }
 
 // ServerEngine exposes server phi's engine (advanced use: recovery
-// reports after Config.AutoRecover, held-bytes gauges, the benchmark
+// reports of a disk-backed boot, held-bytes gauges, the benchmark
 // harness) — the server-side counterpart of Owner.Engine.
 func (s *System) ServerEngine(phi int) *serverengine.Engine { return s.servers[0][phi] }
 
@@ -230,22 +226,10 @@ func (s *System) SetServerThreads(n int) {
 	}
 }
 
-// PeakFrameBytes reports the largest encoded wire frame the in-process
-// fabric has moved since the last ResetPeakFrame. Only populated when
-// the system runs with Config.EncodeWire (otherwise messages are passed
-// by reference and never encoded). The domainscale benchmark uses it to
-// show sharding bounding frame sizes.
-func (s *System) PeakFrameBytes() int64 { return s.network.PeakFrameBytes() }
-
-// ResetPeakFrame clears the peak-frame measurement.
-func (s *System) ResetPeakFrame() { s.network.ResetPeakFrame() }
-
 // PeakServerHeldBytes reports the largest column-byte residency any
-// server reached since the last ResetServerHeldPeaks: in-RAM pending
-// upload assemblies, registered in-memory tables and hot-chunk caches.
-// The benchx memscale experiment uses it to show the chunked segment
-// store bounding server memory by the chunk/shard size rather than the
-// domain size.
+// server reached: in-RAM pending upload assemblies, registered
+// in-memory tables and hot-chunk caches. The repo benchmark reports it
+// as peak_held_bytes.
 func (s *System) PeakServerHeldBytes() int64 {
 	var peak int64
 	for _, grp := range s.servers {
@@ -256,16 +240,6 @@ func (s *System) PeakServerHeldBytes() int64 {
 		}
 	}
 	return peak
-}
-
-// ResetServerHeldPeaks restarts every server's peak-residency
-// measurement from its current level.
-func (s *System) ResetServerHeldPeaks() {
-	for _, grp := range s.servers {
-		for _, e := range grp {
-			e.ResetHeldPeak()
-		}
-	}
 }
 
 // rowsToData encodes rows into the engine's cell/column format.

@@ -31,7 +31,6 @@ func updateConfig(t *testing.T, diskDir string, shardCells uint64) Config {
 		Seed:        [32]byte{6, 6, 6},
 		DiskDir:     diskDir,
 		ShardCells:  shardCells,
-		ChunkCells:  64,
 	}
 }
 
@@ -400,9 +399,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		}
 
 		// Cold boot over the surviving disk state.
-		cfg2 := cfg
-		cfg2.AutoRecover = true
-		sys2, err := NewLocalSystem(cfg2)
+		sys2, err := NewLocalSystem(cfg)
 		if err != nil {
 			t.Fatalf("step %d (%s): recovery boot: %v", n, last, err)
 		}
