@@ -39,7 +39,9 @@ func (s *System) OutsourceBucketTrees(ctx context.Context, fanout int) error {
 }
 
 // BucketizedPSI runs the level-by-level PSI of §6.6. Requires a prior
-// OutsourceBucketTrees call.
+// OutsourceBucketTrees call. Each level travels in Config.ShardCells
+// windows like any other round. The answer is unverified, whatever
+// Config.Verify says: the levels carry no χ̄ side.
 func (s *System) BucketizedPSI(ctx context.Context) (*BucketPSIResult, error) {
 	ow, err := s.nextQuerier()
 	if err != nil {

@@ -37,38 +37,48 @@ func TestBucketizedPSIMatchesFlatPSI(t *testing.T) {
 // a transport frame cap that a whole-table leaf upload would burst — and
 // the traversal still returns exactly the flat PSI answer. The
 // disk-backed variant additionally streams every level's windows
-// through the chunked segment store.
+// through the chunked segment store. The dense case plants every cell:
+// every bucket is common, so each level's query spans the whole level
+// and must travel as windows too.
 func TestBucketizedPSISharded(t *testing.T) {
 	restore := transport.SetFrameLimit(4 << 10) // leaf level b=4096 → over 4 KiB even at one byte per χ share
 	defer restore()
 	for _, storage := range []string{"mem", "disk"} {
 		t.Run(storage, func(t *testing.T) {
-			// 64-cell windows keep even the verify+agg main-table frames
-			// under the cap; a whole-table leaf-level upload (4096 χ
-			// shares of at least a byte each, plus the frame header)
-			// would burst it.
-			cfg := shape{owners: 3, shard: 64, b: 4096, wire: true}.config(t)
-			if storage == "disk" {
-				cfg.DiskDir = t.TempDir()
-				cfg.HotChunks = 1 << 16
-			}
-			sys, err := NewLocalSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			orc := loadPlanted(t, sys, plantedCells(sys, 5), 1100)
-			if err := sys.OutsourceBucketTrees(context.Background(), 8); err != nil {
-				t.Fatal(err)
-			}
-			res, err := sys.BucketizedPSI(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slices.Sort(res.Cells); !slices.Equal(res.Cells, orc.cells) {
-				t.Fatalf("windowed bucketized PSI = %v, plaintext %v", res.Cells, orc.cells)
-			}
-			if res.Visited >= res.Flat {
-				t.Errorf("sparse data visited %d of %d cells — no pruning", res.Visited, res.Flat)
+			for _, density := range []string{"sparse", "dense"} {
+				t.Run(density, func(t *testing.T) {
+					// 64-cell windows keep even the verify+agg main-table
+					// frames under the cap; a whole-table leaf-level upload
+					// (4096 χ shares of at least a byte each, plus the frame
+					// header) would burst it.
+					cfg := shape{owners: 3, shard: 64, b: 4096, wire: true}.config(t)
+					if storage == "disk" {
+						cfg.DiskDir = t.TempDir()
+						cfg.HotChunks = 1 << 16
+					}
+					sys, err := NewLocalSystem(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					planted := plantedCells(sys, 5)
+					if density == "dense" {
+						planted = plantedCells(sys, 4096)
+					}
+					orc := loadPlanted(t, sys, planted, 1100)
+					if err := sys.OutsourceBucketTrees(context.Background(), 8); err != nil {
+						t.Fatal(err)
+					}
+					res, err := sys.BucketizedPSI(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if slices.Sort(res.Cells); !slices.Equal(res.Cells, orc.cells) {
+						t.Fatalf("windowed bucketized PSI = %v, plaintext %v", res.Cells, orc.cells)
+					}
+					if density == "sparse" && res.Visited >= res.Flat {
+						t.Errorf("sparse data visited %d of %d cells — no pruning", res.Visited, res.Flat)
+					}
+				})
 			}
 		})
 	}

@@ -79,7 +79,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	qid := sess.qid
 	var stats QueryStats
 	stats.Rounds = 1
-	err := o.forEachShard(ctx, o.plan(b), 3, func(phi int, rg protocol.Range) any {
+	err := o.forEachShard(ctx, o.plan(protocol.Range{Count: b}), 3, func(phi int, rg protocol.Range) any {
 		req := protocol.AggRequest{
 			Table:     table,
 			QueryID:   qid,

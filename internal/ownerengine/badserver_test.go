@@ -13,32 +13,42 @@ import (
 )
 
 // shapeShifter returns malformed-but-typed replies to exercise the
-// owner's reply validation (wrong lengths, wrong types).
+// owner's reply validation. A set round's reply vector is one cell short
+// ("short") or long ("long"), of another round's type ("wrongtype"), or
+// right-sized with its proof short ("") or absent ("noproof").
 type shapeShifter struct {
 	mode string
 	b    int
 }
 
 func (s *shapeShifter) Call(_ context.Context, addr string, req any) (any, error) {
+	out := map[string]int{"short": s.b - 1, "long": s.b + 1}[s.mode]
+	if out == 0 {
+		out = s.b
+	}
+	vout := make([]uint32, s.b-2)
+	if s.mode == "noproof" {
+		vout = nil
+	}
+	wrong := s.mode == "wrongtype"
 	switch req.(type) {
 	case protocol.StoreRequest:
 		return protocol.StoreReply{Cells: uint64(s.b)}, nil
 	case protocol.PSIRequest:
-		switch s.mode {
-		case "short":
-			return protocol.PSIReply{Out: make([]uint32, s.b-1)}, nil
-		case "wrongtype":
-			return protocol.PSUReply{Out: make([]uint16, s.b)}, nil
-		}
-		// Right-sized result vector, short (or, unasked, absent) proof.
-		return protocol.PSIReply{Out: make([]uint32, s.b), Vout: make([]uint32, s.b-2)}, nil
-	case protocol.PSURequest:
-		return protocol.PSUReply{Out: make([]uint16, s.b+1)}, nil
-	case protocol.CountRequest:
-		if s.mode == "noproof" {
+		if wrong {
 			return protocol.CountReply{Out: make([]uint32, s.b)}, nil
 		}
-		return protocol.CountReply{Out: make([]uint32, s.b/2)}, nil
+		return protocol.PSIReply{Out: make([]uint32, out), Vout: vout}, nil
+	case protocol.CountRequest:
+		if wrong {
+			return protocol.PSIReply{Out: make([]uint32, s.b)}, nil
+		}
+		return protocol.CountReply{Out: make([]uint32, out), Vout: vout}, nil
+	case protocol.PSURequest:
+		if wrong {
+			return protocol.PSIReply{Out: make([]uint32, s.b)}, nil
+		}
+		return protocol.PSUReply{Out: make([]uint16, out)}, nil
 	case protocol.AggRequest:
 		if s.mode == "noproof" {
 			return protocol.AggReply{Sums: map[string][]uint64{"v": make([]uint64, s.b)}, Counts: make([]uint64, s.b),
@@ -75,29 +85,40 @@ func shapeOwner(t *testing.T, mode string) *Owner {
 	return o
 }
 
+// setKinds are the kinds whose round 1 is the set round.
+var setKinds = []OpKind{OpPSI, OpPSU, OpPSICount, OpPSUCount}
+
+// execSet runs kind k through Exec against a shapeShifter in mode.
+func execSet(t *testing.T, mode string, k OpKind, verify bool) error {
+	t.Helper()
+	_, err := shapeOwner(t, mode).Exec(context.Background(), Query{Kind: k, Table: "t", Verify: verify}, nil)
+	return err
+}
+
 func TestOwnerRejectsShortPSIReply(t *testing.T) {
-	o := shapeOwner(t, "short")
-	if _, err := o.Exec(context.Background(), Query{Kind: OpPSI, Table: "t"}, nil); err == nil {
+	if execSet(t, "short", OpPSI, false) == nil {
 		t.Error("short PSI reply accepted")
 	}
 }
 
 func TestOwnerRejectsWrongReplyType(t *testing.T) {
-	o := shapeOwner(t, "wrongtype")
-	if _, err := o.Exec(context.Background(), Query{Kind: OpPSI, Table: "t"}, nil); err == nil {
-		t.Error("mistyped PSI reply accepted")
+	for _, k := range setKinds {
+		if execSet(t, "wrongtype", k, false) == nil {
+			t.Errorf("%v: mistyped reply accepted", k)
+		}
 	}
 }
 
 func TestOwnerRejectsMalformedReplies(t *testing.T) {
+	for _, k := range setKinds {
+		for _, mode := range []string{"short", "long"} {
+			if execSet(t, mode, k, false) == nil {
+				t.Errorf("%v: %s reply accepted", k, mode)
+			}
+		}
+	}
 	e := shapeOwner(t, "").groups[0]
 	ctx := context.Background()
-	if _, err := e.PSU(ctx, "t"); err == nil {
-		t.Error("oversized PSU reply accepted")
-	}
-	if _, err := e.Count(ctx, "t", false); err == nil {
-		t.Error("half-length count reply accepted")
-	}
 	if _, err := e.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, false, false); err == nil {
 		t.Error("one-cell aggregation reply accepted")
 	}
@@ -115,20 +136,24 @@ func TestOwnerRejectsMalformedReplies(t *testing.T) {
 // asked for and comes back short or not at all is a server fault — the
 // owner fails closed with ErrVerificationFailed, whichever kind asked.
 func TestMissingProofIsVerificationFailure(t *testing.T) {
-	ctx := context.Background()
-	if _, err := shapeOwner(t, "").groups[0].PSI(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
-		t.Errorf("PSI reply with a short Vout: err = %v, want ErrVerificationFailed", err)
+	for _, k := range []OpKind{OpPSI, OpPSICount} {
+		for _, mode := range []string{"", "noproof"} {
+			if err := execSet(t, mode, k, true); !errors.Is(err, ErrVerificationFailed) {
+				t.Errorf("%v, proof %q: err = %v, want ErrVerificationFailed", k, mode, err)
+			}
+			// Unasked, the same replies are merely answers: no proof is missed.
+			if err := execSet(t, mode, k, false); err != nil {
+				t.Errorf("unverified %v, proof %q: %v", k, mode, err)
+			}
+		}
+		// To a verified query a short result is a missing proof too.
+		if err := execSet(t, "short", k, true); !errors.Is(err, ErrVerificationFailed) {
+			t.Errorf("verified %v, short reply: err = %v, want ErrVerificationFailed", k, err)
+		}
 	}
 	e := shapeOwner(t, "noproof").groups[0]
-	if _, err := e.Count(ctx, "t", true); !errors.Is(err, ErrVerificationFailed) {
-		t.Errorf("count reply without Vout: err = %v, want ErrVerificationFailed", err)
-	}
-	if _, err := e.Aggregate(ctx, "t", []uint64{1}, []string{"v"}, true, true); !errors.Is(err, ErrVerificationFailed) {
+	if _, err := e.Aggregate(context.Background(), "t", []uint64{1}, []string{"v"}, true, true); !errors.Is(err, ErrVerificationFailed) {
 		t.Errorf("aggregation reply without VCounts: err = %v, want ErrVerificationFailed", err)
-	}
-	// Unasked, the same replies are merely answers: no proof is missed.
-	if _, err := e.Count(ctx, "t", false); err != nil {
-		t.Errorf("unverified count: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package ownerengine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"prism/internal/bucket"
@@ -66,8 +67,12 @@ type BucketPSIResult struct {
 	Stats   QueryStats
 }
 
-// BucketizedPSI runs the §6.6 protocol: PSI on the top level, then
-// per-round expansion of common buckets' children, down to the leaves.
+// BucketizedPSI runs the §6.6 protocol: PSI on the top level, then, one
+// level per round, PSI on the children of the common buckets, down to
+// the leaves. Each level is a set round over runs of children — adjacent
+// common buckets' children merge into one run — cut into windows, so the
+// servers learn the traversal the paper reveals and no frame outgrows a
+// window. The answer is unverified: the levels carry no χ̄ side.
 func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResult, error) {
 	o.mu.Lock()
 	meta := o.bucketMeta[base]
@@ -78,68 +83,54 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 	wall := time.Now()
 	res := &BucketPSIResult{}
 	one := uint32(1 % o.view.Eta)
-
 	top := len(meta.sizes) - 1
-	frontier := make([]uint32, meta.sizes[top])
-	for i := range frontier {
-		frontier[i] = uint32(i)
-	}
-	for k := top; k >= 0; k-- {
-		if len(frontier) == 0 {
-			break
-		}
-		qid := o.newSession(fmt.Sprintf("bpsi-L%d", k)).qid
-		table := bucketLevelTable(base, k)
-		req := protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, Cells: frontier}
-		replies, err := o.callServers(ctx, 2, func(int) any { return req })
+	runs := []protocol.Range{{Count: uint64(meta.sizes[top])}}
+	for k := top; k >= 0 && len(runs) > 0; k-- {
+		var common []uint64
+		q := setQuery{name: fmt.Sprintf("bpsi-L%d", k), table: bucketLevelTable(base, k)}
+		stats, err := o.setRound(ctx, q, o.plan(runs...), [2][]uint32{}, func(rg protocol.Range, fop, _ []uint32) error {
+			for i, v := range fop {
+				if v == one {
+					common = append(common, rg.Offset+uint64(i))
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		outs := make([][]uint32, 2)
-		for phi, r := range replies {
-			rep, ok := r.(protocol.PSIReply)
-			if !ok {
-				return nil, fmt.Errorf("ownerengine: unexpected bucket PSI reply %T", r)
-			}
-			outs[phi] = rep.Out
-			res.Stats.Server.Add(rep.Stats)
+		res.Stats.add(stats)
+		for _, run := range runs {
+			res.Visited += run.Count
 		}
-		if len(outs[0]) != len(frontier) || len(outs[1]) != len(frontier) {
-			return nil, fmt.Errorf("ownerengine: bucket PSI reply length mismatch at level %d", k)
-		}
-		res.Visited += uint64(len(frontier))
-		res.Rounds++
-
 		start := time.Now()
-		var common []uint32
-		for i := range frontier {
-			if o.modEta.Reduce(uint64(outs[0][i])*uint64(outs[1][i])) == one {
-				common = append(common, frontier[i])
-			}
-		}
+		slices.Sort(common) // windows land in any order
 		if k == 0 {
-			for _, c := range common {
-				res.Cells = append(res.Cells, uint64(c))
-			}
-			res.Stats.OwnerNS += time.Since(start).Nanoseconds()
-			break
-		}
-		// Expand children of common buckets (§6.6 Step 3).
-		childSize := uint32(meta.sizes[k-1])
-		frontier = frontier[:0]
-		for _, node := range common {
-			lo := node * uint32(meta.fanout)
-			hi := lo + uint32(meta.fanout)
-			if hi > childSize {
-				hi = childSize
-			}
-			for c := lo; c < hi; c++ {
-				frontier = append(frontier, c)
-			}
+			res.Cells = common
+		} else {
+			runs = meta.children(common, k)
 		}
 		res.Stats.OwnerNS += time.Since(start).Nanoseconds()
 	}
-	res.Stats.Rounds = res.Rounds
+	res.Rounds = res.Stats.Rounds
 	res.Stats.WallNS = time.Since(wall).Nanoseconds()
 	return res, nil
+}
+
+// children returns the runs that level k's common buckets, sorted,
+// expand to on level k-1 (§6.6 Step 3): each bucket's fanout children,
+// the last bucket's cut at the level's end, with adjacent buckets'
+// children joined into one run.
+func (m *bucketMeta) children(common []uint64, k int) []protocol.Range {
+	var runs []protocol.Range
+	f, size := uint64(m.fanout), uint64(m.sizes[k-1])
+	for _, node := range common {
+		lo, hi := node*f, min(node*f+f, size)
+		if n := len(runs); n > 0 && runs[n-1].End() == lo {
+			runs[n-1].Count += hi - lo
+		} else {
+			runs = append(runs, protocol.Range{Offset: lo, Count: hi - lo})
+		}
+	}
+	return runs
 }

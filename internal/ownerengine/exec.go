@@ -283,16 +283,13 @@ func (o *Owner) Exec(ctx context.Context, q Query, co *Cohort) (*Result, error) 
 // round names the group's vector round and marks it opened.
 func (o *Owner) script(ctx context.Context, g int, q Query, co *Cohort, round func() string) (res *Result, err error) {
 	e, k := o.groups[g], kinds[q.Kind]
-	switch {
-	case k.family == FamilyCount && k.overPSU:
-		res, err = e.PSUCount(ctx, q.Table)
-	case k.family == FamilyCount:
-		res, err = e.Count(ctx, q.Table, q.Verify)
-	case k.overPSU:
-		res, err = e.PSU(ctx, q.Table)
-	default:
-		res, err = e.PSI(ctx, q.Table, q.Verify)
-	}
+	res, err = e.SetResult(ctx, setQuery{
+		name:    k.name,
+		table:   q.Table,
+		union:   k.overPSU,
+		permute: k.family == FamilyCount,
+		verify:  q.Verify && !k.overPSU,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -386,7 +386,7 @@ func (o *engine) upload(ctx context.Context, spec protocol.TableSpec, nsrv int, 
 	// reject this attempt's stragglers once a newer retry appears.
 	uploadID := fmt.Sprintf("%s/%d", o.uploadEpoch, o.uploadSeq.Add(1))
 	completed := make([]bool, nsrv)
-	err := o.forEachShard(ctx, o.plan(spec.B), nsrv, func(phi int, rg protocol.Range) any {
+	err := o.forEachShard(ctx, o.plan(protocol.Range{Count: spec.B}), nsrv, func(phi int, rg protocol.Range) any {
 		req := cols(phi, rg)
 		req.Owner, req.Group, req.Spec, req.Shard, req.UploadID = o.Index, o.view.Group, spec, rg, uploadID
 		return req

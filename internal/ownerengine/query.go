@@ -5,242 +5,248 @@ import (
 	"fmt"
 	"time"
 
-	"prism/internal/modmath"
 	"prism/internal/protocol"
 	"prism/internal/telemetry"
 )
 
-// PSI runs the §5.1 protocol and returns the common cells. The stored-
-// order vector is fetched window by window and the per-cell
-// recombination (Equation 4) folds each window in as its pair of replies
-// arrives, so no reply frame is larger than a window. With verify the
-// same replies carry the §5.2 χ̄-side vector; it folds in alongside, and
-// once both are whole r1_i·r2_i ≡ 1 (mod η) must hold at every cell
-// (Equation 10) — ErrVerificationFailed otherwise.
-func (o *engine) PSI(ctx context.Context, table string, verify bool) (*Result, error) {
-	wall := time.Now()
-	tid := telemetry.TraceID(ctx)
-	qid := o.newSession("psi").qid
-	b := o.view.B
-	red := o.modEta
-	one := uint32(1 % o.view.Eta)
-	var stats QueryStats
-	stats.Rounds = 1
-	r1Stored := make([]uint32, b)
-	var r2Stored []uint32
-	if verify {
-		r2Stored = make([]uint32, b)
-	}
-	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
-		return protocol.PSIRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid, Shard: rg}
-	}, func(rg protocol.Range, replies []any) error {
-		outs, vouts, err := sidePair[protocol.PSIReply](replies, rg, verify, &stats)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		// fop_i ← out¹_i · out²_i mod η (Equation 4), stored order.
-		mulInto(r1Stored[rg.Offset:rg.End()], outs, red)
-		if verify {
-			mulInto(r2Stored[rg.Offset:rg.End()], vouts, red)
-		}
-		stats.OwnerNS += time.Since(start).Nanoseconds()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// foldBlock is the most cells setRound combines before handing them to
+// the fold: 16 KiB of fop stays in cache between the combine's writes
+// and the fold's reads, which a window-sized buffer (up to the whole
+// table) does not.
+const foldBlock = 1 << 12
 
-	start := time.Now()
-	// Undo PF_db1 and PF_db2: cell i is stored at DB1[i] of the χ vector
-	// and at DB2[i] of the χ̄ vector.
-	var cells []uint64
-	for i := range b {
-		r1 := r1Stored[o.view.DB1[i]]
-		if verify && red.Reduce(uint64(r1)*uint64(r2Stored[o.view.DB2[i]])) != one {
-			return nil, fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
-		}
-		if r1 == one {
-			cells = append(cells, i)
-		}
-	}
-	stats.OwnerNS += time.Since(start).Nanoseconds()
-	stats.WallNS = time.Since(wall).Nanoseconds()
-	o.finishTrace(&stats, tid, qid, wall)
-	return &Result{Cells: cells, Stats: stats}, nil
+// setQuery names round 1 of a set kind: which request goes to S0 and S1,
+// over which table.
+type setQuery struct {
+	name  string // the query id's prefix
+	table string
+	// union asks for PSU's masked sums (§7); otherwise PSI's vector (§5.1).
+	union bool
+	// permute asks for windows of the PF_s1-permuted vector (the
+	// cardinalities, §6.5), so the owner learns a count, not positions.
+	permute bool
+	// verify carries PSI's §5.2 χ̄ side in the same replies; the paper
+	// gives PSU no proof, so a union round never asks for it.
+	verify bool
 }
 
-// mulInto sets dst[i] = out¹_i · out²_i mod η for one window of a pair of
-// replies. Cells are below 2^32, so the product fits 64 bits and one
-// precomputed reduction replaces a division.
-func mulInto(dst []uint32, outs [2][]uint32, red modmath.Mod64) {
-	a, c := outs[0][:len(dst)], outs[1][:len(dst)]
+// setRound is round 1 of every set kind (§5.1 Equation 4, §6.5, §7
+// Equation 19): one request per window to S0 and S1 — a PSIRequest, a
+// CountRequest, or a PSURequest{Permute} — whose reply pair combines
+// cell by cell into fop: out¹·out² mod η, or out¹+out² mod δ for the
+// union. With verify the pair's χ̄ sides combine into vop the same way
+// as PSI's. A window lands as it arrives: at its offset in keep's b-cell
+// vectors (fop, vop) when the caller keeps the whole table in stored
+// order, otherwise block by block — at most foldBlock cells — in one
+// buffer per side that the next block reuses. Either way fold, when
+// set, sees it as it lands (rg names the block); folds are serialised.
+// A reply of the wrong type or length fails the round — with
+// ErrVerificationFailed when a verified query's proof comes back short.
+func (o *engine) setRound(ctx context.Context, q setQuery, windows []protocol.Range, keep [2][]uint32, fold func(rg protocol.Range, fop, vop []uint32) error) (QueryStats, error) {
+	wall := time.Now()
+	tid := telemetry.TraceID(ctx)
+	qid := o.newSession(q.name).qid
+	fbuf, vbuf := keep[0], keep[1]
+	if fbuf == nil {
+		var width uint64
+		for _, rg := range windows {
+			width = max(width, rg.Count)
+		}
+		fbuf = make([]uint32, min(width, foldBlock))
+		if q.verify {
+			vbuf = make([]uint32, len(fbuf))
+		}
+	}
+	stats := QueryStats{Rounds: 1}
+	err := o.forEachShard(ctx, windows, 2, func(phi int, rg protocol.Range) any {
+		switch {
+		case q.union:
+			return protocol.PSURequest{Table: q.table, QueryID: qid, Group: o.view.Group, Permute: q.permute, TraceID: tid, Shard: rg}
+		case q.permute:
+			return protocol.CountRequest{Table: q.table, QueryID: qid, Group: o.view.Group, Verify: q.verify, TraceID: tid, Shard: rg}
+		}
+		return protocol.PSIRequest{Table: q.table, QueryID: qid, Group: o.view.Group, Verify: q.verify, TraceID: tid, Shard: rg}
+	}, func(rg protocol.Range, replies []any) error {
+		var sides [2]replySide
+		for phi, r := range replies {
+			s, ok := q.side(r)
+			if !ok {
+				return fmt.Errorf("ownerengine: unexpected reply %T to a %s round", r, q.name)
+			}
+			stats.Server.Add(s.stats)
+			sides[phi] = s
+		}
+		// To a verified query a short vector, result or proof, is a server
+		// fault, not a shape error: an owner that asked for proof of every
+		// cell and got less fails closed.
+		n := int(rg.Count)
+		if sides[0].cells() != n || sides[1].cells() != n {
+			return fmt.Errorf("%w: reply length mismatch (%d, %d cells for a window of %d)", replyFault(q.verify), sides[0].cells(), sides[1].cells(), n)
+		}
+		if q.verify && (len(sides[0].vout) != n || len(sides[1].vout) != n) {
+			return fmt.Errorf("%w: verification vectors have %d and %d cells for a window of %d", ErrVerificationFailed, len(sides[0].vout), len(sides[1].vout), n)
+		}
+		start := time.Now()
+		defer func() { stats.OwnerNS += time.Since(start).Nanoseconds() }()
+		at, block := 0, len(fbuf) // where in fbuf and vbuf the cells land
+		if keep[0] != nil {
+			at, block = int(rg.Offset), n
+		}
+		for lo := 0; lo < n; lo += block {
+			hi := min(lo+block, n)
+			fop, vop := fbuf[at:][:hi-lo], []uint32(nil)
+			if q.union {
+				a, c, md := sides[0].out16[lo:hi], sides[1].out16[lo:hi], o.modDelta
+				for i := range fop {
+					fop[i] = md.Reduce(uint32(a[i]) + uint32(c[i]))
+				}
+			} else {
+				o.mulInto(fop, sides[0].out[lo:hi], sides[1].out[lo:hi])
+			}
+			if q.verify {
+				vop = vbuf[at:][:hi-lo]
+				o.mulInto(vop, sides[0].vout[lo:hi], sides[1].vout[lo:hi])
+			}
+			if fold == nil {
+				continue
+			}
+			if err := fold(protocol.Range{Offset: rg.Offset + uint64(lo), Count: uint64(hi - lo)}, fop, vop); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	o.finishTrace(&stats, tid, qid, wall)
+	return stats, err
+}
+
+// replySide is one server's round-1 reply: PSU's masked sums, or PSI's
+// (and count's, the same shape) vector and proof.
+type replySide struct {
+	out16     []uint16
+	out, vout []uint32
+	stats     protocol.Stats
+}
+
+func (s replySide) cells() int { return max(len(s.out16), len(s.out)) }
+
+// side reads r as a reply to q's request, or reports that it is not one.
+func (q setQuery) side(r any) (replySide, bool) {
+	switch rep := r.(type) {
+	case protocol.PSUReply:
+		return replySide{out16: rep.Out, stats: rep.Stats}, q.union
+	case protocol.CountReply:
+		return replySide{out: rep.Out, vout: rep.Vout, stats: rep.Stats}, !q.union && q.permute
+	case protocol.PSIReply:
+		return replySide{out: rep.Out, vout: rep.Vout, stats: rep.Stats}, !q.union && !q.permute
+	}
+	return replySide{}, false
+}
+
+// mulInto sets dst[i] = a_i · c_i mod η (Equation 4). Cells are below
+// 2^32, so the product fits 64 bits and one precomputed reduction
+// replaces a division.
+func (o *engine) mulInto(dst, a, c []uint32) {
+	a, c, red := a[:len(dst)], c[:len(dst)], o.modEta
 	for i := range dst {
 		dst[i] = red.Reduce(uint64(a[i]) * uint64(c[i]))
 	}
 }
 
-// sidePair type-checks one window's pair of PSI or count replies (they
-// are one shape) and length-checks their vectors. To a verified query a
-// short vector, result or proof, is a server fault, not a shape error: an
-// owner that asked for proof of every cell and got less fails closed.
-func sidePair[R protocol.PSIReply | protocol.CountReply](replies []any, rg protocol.Range, verify bool, stats *QueryStats) (outs, vouts [2][]uint32, err error) {
-	for phi, r := range replies {
-		rr, ok := r.(R)
-		if !ok {
-			return outs, vouts, fmt.Errorf("ownerengine: unexpected reply %T, want %T", r, rr)
-		}
-		rep := protocol.CountReply(rr)
-		outs[phi] = rep.Out
-		stats.Server.Add(rep.Stats)
-		if verify {
-			vouts[phi] = rep.Vout
-		}
-	}
-	if uint64(len(outs[0])) != rg.Count || uint64(len(outs[1])) != rg.Count {
-		return outs, vouts, fmt.Errorf("%w: reply length mismatch (%d, %d cells for a window of %d)", replyFault(verify), len(outs[0]), len(outs[1]), rg.Count)
-	}
-	if verify && (uint64(len(vouts[0])) != rg.Count || uint64(len(vouts[1])) != rg.Count) {
-		return outs, vouts, fmt.Errorf("%w: verification vectors have %d and %d cells for a window of %d", ErrVerificationFailed, len(vouts[0]), len(vouts[1]), rg.Count)
-	}
-	return outs, vouts, nil
-}
-
-// PSU runs the §7 protocol and returns the union cells.
-func (o *engine) PSU(ctx context.Context, table string) (*Result, error) {
-	wall := time.Now()
-	tid := telemetry.TraceID(ctx)
-	qid := o.newSession("psu").qid
+// SetResult answers a set or cardinality kind from its round 1 over the
+// whole table. A cell is in the result set when its fop is 1 for PSI
+// (Equation 4), nonzero for PSU (Equation 19). A cardinality counts
+// each window as it lands — position by position, since under PF_i the
+// permuted χ and χ̄ vectors align (Equation 1) — and never holds a
+// b-cell vector. A set kind undoes PF_db1 once every window has landed:
+// PSU from one membership byte per stored cell, PSI from fop itself,
+// whose verified form also undoes PF_db2 for the χ̄ side and requires
+// r1_i·r2_i ≡ 1 (mod η) at every cell (Equation 10).
+func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 	b := o.view.B
-	var stats QueryStats
-	stats.Rounds = 1
-	fopStored := make([]uint16, b)
-	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
-		return protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, TraceID: tid, Shard: rg}
-	}, func(rg protocol.Range, replies []any) error {
-		outs, err := psuPair(replies, rg, &stats)
+	one := uint32(1 % o.view.Eta)
+	windows := o.plan(protocol.Range{Count: b})
+	var (
+		stats QueryStats
+		err   error
+		in    []bool   // PSU: stored cell p is in the union
+		r1    []uint32 // PSI: fop, and with verify r2 = vop, in stored order
+		r2    []uint32
+	)
+	switch {
+	case q.permute:
+		hit, union, red := one, q.union, o.modEta
+		if union {
+			hit = 0
+		}
+		count := 0
+		stats, err = o.setRound(ctx, q, windows, [2][]uint32{}, func(rg protocol.Range, fop, vop []uint32) error {
+			n := 0
+			for _, v := range fop {
+				if (v == hit) != union { // 1 for PSI, nonzero for PSU
+					n++
+				}
+			}
+			count += n
+			for i, v := range vop {
+				if red.Reduce(uint64(fop[i])*uint64(v)) != one {
+					return fmt.Errorf("%w: count position %d fails r1·r2 ≡ 1", ErrVerificationFailed, rg.Offset+uint64(i))
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		start := time.Now()
-		dst := fopStored[rg.Offset:rg.End()]
-		for i := range dst {
-			dst[i] = uint16(o.modDelta.Reduce(uint32(outs[0][i]) + uint32(outs[1][i]))) // Equation 19
+		return &Result{Count: count, Stats: stats}, nil
+	case q.union:
+		in = make([]bool, b)
+		stats, err = o.setRound(ctx, q, windows, [2][]uint32{}, func(rg protocol.Range, fop, _ []uint32) error {
+			for i, v := range fop {
+				in[rg.Offset+uint64(i)] = v != 0
+			}
+			return nil
+		})
+	default:
+		r1 = make([]uint32, b)
+		if q.verify {
+			r2 = make([]uint32, b)
 		}
-		stats.OwnerNS += time.Since(start).Nanoseconds()
-		return nil
-	})
+		stats, err = o.setRound(ctx, q, windows, [2][]uint32{r1, r2}, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	var cells []uint64
-	for i, at := range o.view.DB1 { // undo PF_db1
-		if fopStored[at] != 0 {
-			cells = append(cells, uint64(i))
-		}
+	cells, err := o.undoDB(in, r1, r2)
+	if err != nil {
+		return nil, err
 	}
 	stats.OwnerNS += time.Since(start).Nanoseconds()
-	stats.WallNS = time.Since(wall).Nanoseconds()
-	o.finishTrace(&stats, tid, qid, wall)
 	return &Result{Cells: cells, Stats: stats}, nil
 }
 
-// psuPair type-checks and length-checks one window's pair of PSU replies.
-func psuPair(replies []any, rg protocol.Range, stats *QueryStats) ([2][]uint16, error) {
-	var outs [2][]uint16
-	for phi, r := range replies {
-		rep, ok := r.(protocol.PSUReply)
-		if !ok {
-			return outs, fmt.Errorf("ownerengine: unexpected PSU reply %T", r)
-		}
-		outs[phi] = rep.Out
-		stats.Server.Add(rep.Stats)
-	}
-	if uint64(len(outs[0])) != rg.Count || uint64(len(outs[1])) != rg.Count {
-		return outs, fmt.Errorf("ownerengine: PSU reply length mismatch")
-	}
-	return outs, nil
-}
-
-// Count runs PSI count (§6.5): the servers PF_s1-permute the PSI vector so the
-// owner learns the cardinality but not the positions. With verify, the
-// χ̄-side arrives PF_s2-permuted and both align under PF_i (Equation 1),
-// enabling the per-cell r1·r2 ≡ 1 check without revealing positions.
-// Windows cover the permuted vectors, so counting (and the position-wise
-// verification) folds in per window — the owner never materialises a
-// whole-domain vector.
-func (o *engine) Count(ctx context.Context, table string, verify bool) (*Result, error) {
-	wall := time.Now()
-	tid := telemetry.TraceID(ctx)
-	qid := o.newSession("count").qid
-	b := o.view.B
-	red := o.modEta
-	one := uint32(1 % o.view.Eta)
-	var stats QueryStats
-	stats.Rounds = 1
-	count := 0
-	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
-		return protocol.CountRequest{Table: table, QueryID: qid, Group: o.view.Group, Verify: verify, TraceID: tid, Shard: rg}
-	}, func(rg protocol.Range, replies []any) error {
-		outs, vouts, err := sidePair[protocol.CountReply](replies, rg, verify, &stats)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		for i := range outs[0] {
-			v := red.Reduce(uint64(outs[0][i]) * uint64(outs[1][i]))
-			if v == one {
-				count++
+// undoDB undoes PF_db1 and returns the result cells: cell i is stored at
+// DB1[i] of the membership vector in or, for PSI, of the χ vector r1,
+// and when r2 is set at DB2[i] of the χ̄ vector r2. It is a function of
+// its own so the loop runs on plain locals.
+func (o *engine) undoDB(in []bool, r1, r2 []uint32) ([]uint64, error) {
+	red, one, db2 := o.modEta, uint32(1%o.view.Eta), o.view.DB2
+	var cells []uint64
+	for i, at := range o.view.DB1 {
+		if in != nil {
+			if in[at] {
+				cells = append(cells, uint64(i))
 			}
-			if verify {
-				r2 := red.Reduce(uint64(vouts[0][i]) * uint64(vouts[1][i]))
-				if red.Reduce(uint64(v)*uint64(r2)) != one {
-					return fmt.Errorf("%w: count position %d fails r1·r2 ≡ 1", ErrVerificationFailed, rg.Offset+uint64(i))
-				}
-			}
+			continue
 		}
-		stats.OwnerNS += time.Since(start).Nanoseconds()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		v := r1[at]
+		if r2 != nil && red.Reduce(uint64(v)*uint64(r2[db2[i]])) != one {
+			return nil, fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
+		}
+		if v == one {
+			cells = append(cells, uint64(i))
+		}
 	}
-	stats.WallNS = time.Since(wall).Nanoseconds()
-	o.finishTrace(&stats, tid, qid, wall)
-	return &Result{Count: count, Stats: stats}, nil
-}
-
-// PSUCount runs PSU count: PF_s1-permuted masked sums; the owner counts
-// nonzero entries, folding each permuted window in as it arrives.
-func (o *engine) PSUCount(ctx context.Context, table string) (*Result, error) {
-	wall := time.Now()
-	tid := telemetry.TraceID(ctx)
-	qid := o.newSession("psucount").qid
-	b := o.view.B
-	var stats QueryStats
-	stats.Rounds = 1
-	count := 0
-	err := o.forEachShard(ctx, o.plan(b), 2, func(phi int, rg protocol.Range) any {
-		return protocol.PSURequest{Table: table, QueryID: qid, Group: o.view.Group, Permute: true, TraceID: tid, Shard: rg}
-	}, func(rg protocol.Range, replies []any) error {
-		outs, err := psuPair(replies, rg, &stats)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		for i := range outs[0] {
-			if o.modDelta.Reduce(uint32(outs[0][i])+uint32(outs[1][i])) != 0 {
-				count++
-			}
-		}
-		stats.OwnerNS += time.Since(start).Nanoseconds()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats.WallNS = time.Since(wall).Nanoseconds()
-	o.finishTrace(&stats, tid, qid, wall)
-	return &Result{Count: count, Stats: stats}, nil
+	return cells, nil
 }

@@ -15,19 +15,23 @@ import (
 // nothing, lowering it below queues shards at the transport instead.
 const defaultShardInflight = 8
 
-// plan splits [0, b) into the windows of one O(b) exchange. Every
-// request carries its window explicitly; a window size of 0, b or more
-// is the one-window plan {0, b}.
-func (o *engine) plan(b uint64) []protocol.Range {
-	s := o.shardCells
-	if s == 0 || s > b {
-		s = b
+// plan cuts runs of cells into the windows of one exchange: each run
+// splits into windows of at most the window size, so no window spans two
+// runs, and a window size of 0 leaves each run one window. Every request
+// carries its window explicitly; an O(b) exchange plans the one run
+// {0, b}.
+func (o *engine) plan(runs ...protocol.Range) []protocol.Range {
+	var windows []protocol.Range
+	for _, run := range runs {
+		s := o.shardCells
+		if s == 0 || s > run.Count {
+			s = run.Count
+		}
+		for off := run.Offset; off < run.End(); off += s {
+			windows = append(windows, protocol.Range{Offset: off, Count: min(s, run.End()-off)})
+		}
 	}
-	var ranges []protocol.Range
-	for off := uint64(0); off < b; off += s {
-		ranges = append(ranges, protocol.Range{Offset: off, Count: min(s, b-off)})
-	}
-	return ranges
+	return windows
 }
 
 // forEachShard runs one exchange per shard window against the first nsrv

@@ -49,12 +49,12 @@ func TestSlabWidthBoundaries(t *testing.T) {
 	if got := len(encode(t, protocol.PSUReply{Out: []uint16{7, 65535}})) - len(encode(t, protocol.PSUReply{})); got != 2*2 {
 		t.Errorf("uint16 vector at its maximum: %d bytes", got)
 	}
-	if got := len(encode(t, protocol.PSIRequest{Cells: []uint32{math.MaxUint32}})) - len(encode(t, protocol.PSIRequest{})); got != 4 {
+	if got := len(encode(t, protocol.PSIReply{Out: []uint32{math.MaxUint32}})) - len(encode(t, protocol.PSIReply{})); got != 4 {
 		t.Errorf("uint32 vector at its maximum: %d bytes", got)
 	}
 	for _, in := range []any{
 		protocol.PSUReply{Out: []uint16{0, 255, 256, 65535}},
-		protocol.PSIRequest{Table: "t", Cells: []uint32{0, 65535, 65536, math.MaxUint32}},
+		protocol.PSIReply{Out: []uint32{0, 65535, 65536, math.MaxUint32}},
 		protocol.PSIReply{Out: []uint32{42}}, // one cell
 	} {
 		if out := wireRoundTrip(t, in); !reflect.DeepEqual(out, in) {
@@ -79,7 +79,7 @@ func TestSlabAllLengths(t *testing.T) {
 			u64[0], u32[0], u16[0] = u64[0]|1<<(8*width-1), u32[0]|1<<(min(8*width, 32)-1), u16[0]|1<<(min(8*width, 16)-1)
 			for _, in := range []any{
 				protocol.AggReply{Counts: u64, Sums: map[string][]uint64{"c": u64}},
-				protocol.PSIRequest{Cells: u32},
+				protocol.PSIReply{Out: u32},
 				protocol.PSUReply{Out: u16},
 			} {
 				if out := wireRoundTrip(t, in); !reflect.DeepEqual(out, in) {

@@ -191,15 +191,14 @@ type DropReply struct{}
 // PSIRequest asks a server for the PSI output vector over a table and,
 // with Verify, for the §5.2 χ̄-side vector in the same reply — the query
 // and its proof are one round, read from one table snapshot. Shard
-// windows the stored cells of both vectors; the Cells frontier replaces
-// it and cannot be verified (bucket-tree levels carry no χ̄).
+// windows the stored cells of both vectors; a bucket-tree level (§6.6)
+// is asked in windows too, and never verified (levels carry no χ̄).
 type PSIRequest struct {
 	Table   string
 	QueryID string
-	TraceID string   // non-empty → annotate the reply Stats with Spans
-	Group   int      // target server group
-	Shard   Range    // zero → the whole table
-	Cells   []uint32 // nil → all cells; else the bucket-tree frontier (§6.6)
+	TraceID string // non-empty → annotate the reply Stats with Spans
+	Group   int    // target server group
+	Shard   Range  // zero → the whole table
 	Verify  bool
 }
 

@@ -233,7 +233,7 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // ---- fetch layer ----
 //
 // The fetch layer's contract with the kernels is ownerSum: for the
-// window, gather or frontier a kernel asks for, it returns Σ_j col_j over
+// window or permuted gather a kernel asks for, it returns Σ_j col_j over
 // the M owners — δ-reduced for χ/χ̄, canonical F_p for field columns —
 // with the table's delta overlay merged in, so every kernel reads one
 // vector. The M-way add lives in one place, sumOwners, and runs once per
@@ -414,8 +414,7 @@ func buildGatherPlan(idx []uint32, cc, cells uint64) gatherPlan {
 // copies the wanted cells straight out of each touched chunk's verified
 // bytes, visiting each chunk once (per the plan), so residency is
 // O(len(idx) + chunk) even when the indices scatter across the whole
-// column (permuted reply windows, bucket-tree frontiers); no chunk is
-// decoded whole.
+// column (a window of a permuted reply); no chunk is decoded whole.
 func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
 	key := colKey(owner, col)
 	info, err := e.opts.Store.Stat(t.spec.Name, key)
@@ -455,9 +454,8 @@ func sumKey(col string) string { return "Σ." + col }
 
 // ownerSum returns Σ_j col_j over one fetch with the delta overlay merged
 // in, and whether the slice is borrowed. The fetch is the stored-cell
-// window rg or, when idx is non-nil, the stored cells idx in idx order:
-// the window rg of a reply permuted by pf (idx = pf⁻¹[rg]) or, with pf
-// nil, a bucket-tree frontier used as it is.
+// window rg or, when idx is non-nil, the stored cells idx = pf⁻¹[rg] in
+// idx order: the window rg of a reply permuted by pf.
 func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
 	if t.cache == nil {
 		return buildSum[T](e, t, col, rg, idx, pf, stats)
@@ -484,13 +482,11 @@ func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoco
 // hand) and adds the owners as it goes (sumOwners). A gather's chunk plan
 // is built once, from owner 0's column.
 func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
-	n := int(rg.Count)
 	fetch := func(j int) ([]T, error) {
 		v, _, err := fetchWindow[T](e, t, j, col, rg, stats)
 		return v, err
 	}
 	if idx != nil {
-		n = len(idx)
 		info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
 		if err != nil {
 			return nil, false, err
@@ -498,7 +494,7 @@ func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoco
 		plan := buildGatherPlan(idx, info.ChunkCells, info.Cells)
 		fetch = func(j int) ([]T, error) { return fetchGather[T](e, t, j, col, idx, &plan, stats) }
 	}
-	v := cellPool[T]().Get(n)
+	v := cellPool[T]().Get(int(rg.Count))
 	err := sumOwners(e, v, func(j int) ([]T, bool, error) {
 		w, err := fetch(j)
 		if err != nil || t.delta == nil {

@@ -47,7 +47,10 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 		{"whole-column", protocol.Range{Offset: 0, Count: cells}},
 		{"last-partial-chunk", protocol.Range{Offset: 64, Count: 6}},
 	}
-	frontier := []uint32{cells - 1, 0, 17, 16, 33, 0} // first and last cell, unsorted, one repeat
+	// A window of a reply permuted by pf gathers the stored cells
+	// pf⁻¹[rg], scattered over every chunk.
+	pf := perm.Random(prg.New(prg.SeedFromString("column-matrix")), cells)
+	inv := pf.Inverse()
 
 	// overlayOf builds an overlay from stored position → value and the
 	// per-cell reference it must produce.
@@ -193,10 +196,11 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 		t.Run(mode+"/gather", func(t *testing.T) {
 			for _, b := range tiers(delta) {
 				var stats protocol.Stats
-				got, _ := fetch(t, b, protocol.Range{Count: uint64(len(frontier))}, frontier, nil, &stats)
-				for i, c := range frontier {
-					if got[i] != want[c] {
-						t.Fatalf("%s: frontier cell %d = %d, want %d", b.name, c, got[i], want[c])
+				rg := protocol.Range{Offset: 10, Count: 50}
+				got, _ := fetch(t, b, rg, inv[rg.Offset:rg.End()], pf, &stats)
+				for i, p := range inv[rg.Offset:rg.End()] {
+					if got[i] != want[p] {
+						t.Fatalf("%s: reply cell %d (stored %d) = %d, want %d", b.name, rg.Offset+uint64(i), p, got[i], want[p])
 					}
 				}
 				unshared(t, b, protocol.Range{Offset: 0, Count: cells})
@@ -210,8 +214,6 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 	// through pf; the last case holds more entries than its window has
 	// cells, so the patch probes per cell instead. Either way the cells
 	// must equal the per-cell reference.
-	pf := perm.Random(prg.New(prg.SeedFromString("column-matrix")), cells)
-	inv := pf.Inverse()
 	for _, pw := range []struct {
 		name string
 		rg   protocol.Range

@@ -201,26 +201,21 @@ func (d *deltaOverlay) dropOwner(owner int) int64 {
 
 // landing calls fn(i, p, val) for every entry that lands in a fetch: an
 // entry at stored position p, fetched cell i. The fetch is the window rg
-// (idx nil) or the gather idx; a non-nil pf says idx = pf⁻¹[rg], a window
-// of a permuted reply, where stored cell p sits at pf[p]−rg.Offset
-// whenever that lies in the window (pf covers every stored position: a
-// permuted table has len(pf) cells, and overlay positions are below
-// that). It costs the smaller of the entries and the fetched cells: with
-// fewer entries it walks them and range-checks each (a frontier gather,
-// which has no placement, always probes); otherwise it probes the map
-// once per fetched cell. Caller holds the overlay's read lock.
+// (idx nil) or, for a window of a reply permuted by pf, the gather
+// idx = pf⁻¹[rg], where stored cell p sits at pf[p]−rg.Offset whenever
+// that lies in the window (pf covers every stored position: a permuted
+// table has len(pf) cells, and overlay positions are below that). It
+// costs the smaller of the entries and the fetched cells: with fewer
+// entries it walks them and range-checks each; otherwise it probes the
+// map once per fetched cell. Caller holds the overlay's read lock.
 func (co *colOverlay) landing(rg protocol.Range, idx []uint32, pf perm.Perm, fn func(i int, p, val uint64)) {
-	n := rg.Count
-	if idx != nil {
-		n = uint64(len(idx))
-	}
-	if uint64(len(co.cells)) < n && (idx == nil || pf != nil) {
+	if uint64(len(co.cells)) < rg.Count {
 		for p, dv := range co.cells {
 			q := p
 			if idx != nil {
 				q = uint64(pf[p])
 			}
-			if q >= rg.Offset && q-rg.Offset < n {
+			if q >= rg.Offset && q-rg.Offset < rg.Count {
 				fn(int(q-rg.Offset), p, dv.val)
 			}
 		}

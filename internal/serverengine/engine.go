@@ -509,87 +509,103 @@ func permutedWindow(rg protocol.Range, b uint64, pf perm.Perm, inverse *lazyInve
 	return inverse.inv[rg.Offset:rg.End()], nil
 }
 
-// ---- PSI and PSI count (§5.1 Step 2, §5.2 Step 2, §6.5) ----
+// ---- round 1 of every set kind (§5.1 Step 2, §5.2 Step 2, §6.5, §7) ----
 
 func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
 	defer e.observeRPC("psi")()
-	rep, err := e.psiReply("psi", r, false)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return e.setReply(setAsk{typ: "psi", table: r.Table, trace: r.TraceID, shard: r.Shard, verify: r.Verify})
 }
 
 // handleCount answers the PSI exchange with both sides server-permuted,
-// so the owner learns the cardinality but not the positions; request and
-// reply are PSI's shape (a count has no frontier).
+// so the owner learns the cardinality but not the positions.
 func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
 	defer e.observeRPC("count")()
-	rep, err := e.psiReply("count", protocol.PSIRequest{Table: r.Table, TraceID: r.TraceID, Shard: r.Shard, Verify: r.Verify}, true)
+	return e.setReply(setAsk{typ: "count", table: r.Table, trace: r.TraceID, shard: r.Shard, permuted: true, verify: r.Verify})
+}
+
+func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
+	defer e.observeRPC("psu")()
+	return e.setReply(setAsk{typ: "psu", table: r.Table, qid: r.QueryID, trace: r.TraceID, shard: r.Shard, permuted: r.Permute})
+}
+
+// setAsk is one set-round request, whichever message carried it.
+type setAsk struct {
+	typ              string // "psi", "count" or "psu": the reply, and the RPC's metric label
+	table, qid       string // qid seeds PSU's masks
+	trace            string
+	shard            protocol.Range
+	permuted, verify bool
+}
+
+// setReply is the one reply path of the set round: window rg of the
+// owner sum of χ — in stored order, or of the PF_s1-permuted vector —
+// turned into PSU's masked sums (§7, Equation 18) or PSI's out vector
+// (§5.1 Step 2) and, with verify, PSI's χ̄ side of the same window, both
+// read from the one table snapshot. PSI's reply is a PSIReply, or a
+// CountReply when permuted.
+func (e *Engine) setReply(a setAsk) (any, error) {
+	rpcStart := time.Now()
+	if e.view.Index >= 2 {
+		return nil, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
+	}
+	t, err := e.lookup(a.table)
 	if err != nil {
 		return nil, err
 	}
-	return protocol.CountReply(rep), nil
-}
-
-// psiReply computes a PSI (stored order) or count (permuted) reply: the
-// χ side and, with r.Verify, the χ̄ side of the same window, both read
-// from the one table snapshot. r.Cells is the bucket-tree frontier
-// (§6.6): scattered cells of the whole table, gathered so only the
-// chunks the frontier touches are read.
-func (e *Engine) psiReply(typ string, r protocol.PSIRequest, permuted bool) (rep protocol.PSIReply, err error) {
-	rpcStart := time.Now()
-	if e.view.Index >= 2 {
-		return rep, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
+	if a.permuted && t.spec.Plain {
+		return nil, fmt.Errorf("server %d: a permuted %s needs a permuted table", e.view.Index, a.typ)
 	}
-	t, err := e.lookup(r.Table)
+	rg, err := e.window(a.shard, t.spec.B)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	if permuted && t.spec.Plain {
-		return rep, fmt.Errorf("server %d: count needs a permuted table", e.view.Index)
+	if a.verify && !t.spec.HasVerify {
+		return nil, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, a.table)
 	}
-	rg, err := e.window(r.Shard, t.spec.B)
-	if err != nil {
-		return rep, err
-	}
-	if r.Verify && !t.spec.HasVerify {
-		return rep, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, r.Table)
-	}
-	if r.Cells != nil {
-		if rg.Count != t.spec.B {
-			return rep, fmt.Errorf("server %d: PSI request mixes a shard range with a cell frontier", e.view.Index)
+	var stats protocol.Stats
+	if a.typ == "psu" {
+		out, err := setSide(e, t, rg, false, a.permuted, &stats, func(sum []uint16, scatter perm.Perm) []uint16 {
+			return e.psuMasked(sum, rg, a.qid, scatter, &stats)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if r.Verify {
-			return rep, fmt.Errorf("server %d: a PSI cell frontier cannot be verified", e.view.Index)
-		}
-		for _, c := range r.Cells {
-			if uint64(c) >= t.spec.B {
-				return rep, fmt.Errorf("server %d: cell %d out of range", e.view.Index, c)
-			}
-		}
+		e.finishQuery(a.typ, a.trace, rpcStart, &stats)
+		return protocol.PSUReply{Out: out, Stats: stats}, nil
 	}
-	if rep.Out, err = e.psiSide(t, rg, false, permuted, r.Cells, &rep.Stats); err != nil {
-		return rep, err
+	psi := func(bar bool) ([]uint32, error) {
+		return setSide(e, t, rg, bar, a.permuted, &stats, func(sum []uint16, scatter perm.Perm) []uint32 {
+			return e.psiVector(sum, !bar, scatter, &stats)
+		})
 	}
-	if r.Verify {
+	var rep protocol.PSIReply
+	if rep.Out, err = psi(false); err != nil {
+		return nil, err
+	}
+	if a.verify {
 		// The χ shares are out of scope by now: one side's fetch is held
 		// at a time. Permuted, Out and Vout align under PF_i (Equation 1);
 		// in stored order the owner aligns them (Equation 10).
-		if rep.Vout, err = e.psiSide(t, rg, true, permuted, nil, &rep.Stats); err != nil {
-			return rep, err
+		if rep.Vout, err = psi(true); err != nil {
+			return nil, err
 		}
 	}
-	e.finishQuery(typ, r.TraceID, rpcStart, &rep.Stats)
+	e.finishQuery(a.typ, a.trace, rpcStart, &stats)
+	rep.Stats = stats
+	if a.permuted {
+		return protocol.CountReply(rep), nil
+	}
 	return rep, nil
 }
 
-// psiSide computes window rg of the χ side (bar=false) or the χ̄ side
-// (bar=true; no ⊖A(m) there, Equation 7) of a reply. Permuted, rg
-// indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector; otherwise it
-// names stored cells, or cells does.
-func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, cells []uint32, stats *protocol.Stats) ([]uint32, error) {
-	idx, scatter, pf := cells, perm.Perm(nil), perm.Perm(nil)
+// setSide runs kernel over window rg of the owner sum of the χ side
+// (bar false) or the χ̄ side (bar true; no ⊖A(m) there, Equation 7).
+// Permuted, rg indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector: the
+// fetch gathers the stored cells behind it, or, for the whole table,
+// kernel scatters stored cell i to pf[i]. Otherwise rg names stored cells.
+func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, stats *protocol.Stats, kernel func(sum []uint16, scatter perm.Perm) O) (O, error) {
+	var idx []uint32
+	var scatter, pf perm.Perm
 	if permuted {
 		inv := &e.s1inv
 		pf = e.view.S1
@@ -598,54 +614,16 @@ func (e *Engine) psiSide(t *tableView, rg protocol.Range, bar, permuted bool, ce
 		}
 		idx, scatter = permutedWindow(rg, t.spec.B, pf, inv)
 	}
+	var out O
 	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, stats)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	out := e.psiVector(sum, !bar, scatter, stats)
+	out = kernel(sum, scatter)
 	if borrowed {
 		release(e, sum)
 	}
 	return out, nil
-}
-
-// ---- PSU (§7, Equation 18) ----
-
-func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
-	defer e.observeRPC("psu")()
-	rpcStart := time.Now()
-	if e.view.Index >= 2 {
-		return nil, fmt.Errorf("server %d: holds no additive shares", e.view.Index)
-	}
-	t, err := e.lookup(r.Table)
-	if err != nil {
-		return nil, err
-	}
-	if r.Permute && t.spec.Plain {
-		return nil, fmt.Errorf("server %d: permuted PSU needs a permuted table", e.view.Index)
-	}
-	rg, err := e.window(r.Shard, t.spec.B)
-	if err != nil {
-		return nil, err
-	}
-	var idx []uint32
-	var scatter, pf perm.Perm
-	if r.Permute {
-		// rg indexes the PF_s1-permuted output.
-		pf = e.view.S1
-		idx, scatter = permutedWindow(rg, t.spec.B, pf, &e.s1inv)
-	}
-	var stats protocol.Stats
-	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(false), rg, idx, pf, &stats)
-	if err != nil {
-		return nil, err
-	}
-	out := e.psuMasked(sum, rg, r.QueryID, scatter, &stats)
-	if borrowed {
-		release(e, sum)
-	}
-	e.finishQuery("psu", r.TraceID, rpcStart, &stats)
-	return protocol.PSUReply{Out: out, Stats: stats}, nil
 }
 
 // ---- aggregation round 2 (§6.1 Step 4, Equation 11) ----

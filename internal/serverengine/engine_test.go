@@ -287,17 +287,6 @@ func TestExtremeSubmitWithoutAnnouncer(t *testing.T) {
 	}
 }
 
-func TestSubsetPSIRejectsOutOfRangeCell(t *testing.T) {
-	e := New(paperView(0), Options{})
-	storePaperShares(t, e, 0)
-	_, err := e.Handle(context.Background(), protocol.PSIRequest{
-		Table: "diseases", Cells: []uint32{5},
-	})
-	if err == nil {
-		t.Error("out-of-range subset cell accepted")
-	}
-}
-
 func TestDropTable(t *testing.T) {
 	e := New(paperView(0), Options{})
 	storePaperShares(t, e, 0)

@@ -215,21 +215,6 @@ func (d *releaseDeploy) checkAll(qid string, windows []protocol.Range) error {
 		}
 	}
 
-	// PSI over a cell frontier: a gather in stored order.
-	frontier := []uint32{95, 0, 17, 16, 8, 40}
-	front, err := ask(d, 2, windows[:1], func(int, protocol.Range) any {
-		return protocol.PSIRequest{Table: "t", Cells: frontier}
-	}, func(r any) [][]uint32 { return [][]uint32{r.(protocol.PSIReply).Out} })
-	if err != nil {
-		return err
-	}
-	for i, c := range frontier {
-		_, in := slices.BinarySearch(inter, uint64(c))
-		if (uint64(front[0][0][i])*uint64(front[1][0][i])%d.sys.Eta == 1) != in {
-			return fmt.Errorf("psi frontier cell %d: in = %v, want %v", c, !in, in)
-		}
-	}
-
 	// Count, verified: both sides server-permuted, so only the number of
 	// ones is comparable.
 	cnt, err := ask(d, 2, windows, func(_ int, rg protocol.Range) any {

@@ -363,8 +363,8 @@ func TestZeroCellPSU(t *testing.T) {
 	}
 }
 
-// TestShardedPSIRejectsFrontierMix: a shard range and a bucket frontier
-// in one request is a protocol error.
+// TestShardedPSIRejectsFrontierMix: a query window reaching past the
+// table is a protocol error.
 func TestShardedPSIRejectsFrontierMix(t *testing.T) {
 	e := shardEngine()
 	ctx := context.Background()
@@ -372,14 +372,6 @@ func TestShardedPSIRejectsFrontierMix(t *testing.T) {
 		if _, err := e.Handle(ctx, protocol.StoreRequest{Owner: owner, Spec: shardSpec, ChiAdd: make([]uint16, 8)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	_, err := e.Handle(ctx, protocol.PSIRequest{
-		Table: "t8", QueryID: "q",
-		Shard: protocol.Range{Offset: 0, Count: 2},
-		Cells: []uint32{1},
-	})
-	if err == nil {
-		t.Fatal("shard+frontier request accepted")
 	}
 	if _, err := e.Handle(ctx, protocol.PSIRequest{
 		Table: "t8", QueryID: "q",

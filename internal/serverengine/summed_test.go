@@ -44,21 +44,18 @@ var summedTiers = []summedTier{
 }
 
 // summedShapes are the fetch shapes: contiguous, exactly one chunk, the
-// whole table, a window of the PF_s-permuted reply (gathered through
-// pf⁻¹) and a §6.6 frontier (first and last cell, unsorted, one repeat).
+// whole table and a window of the PF_s-permuted reply (gathered through
+// pf⁻¹).
 var summedShapes = []struct {
 	name   string
 	rg     protocol.Range
-	gather string // "", "permuted" or "frontier"
+	gather string // "" or "permuted"
 }{
 	{"window", protocol.Range{Offset: 5, Count: 30}, ""},
 	{"one-chunk", protocol.Range{Offset: 16, Count: summedChunk}, ""},
 	{"whole", protocol.Range{Offset: 0, Count: summedCells}, ""},
 	{"permuted", protocol.Range{Offset: 20, Count: 25}, "permuted"},
-	{"frontier", protocol.Range{Offset: 0, Count: summedCells}, "frontier"},
 }
-
-var summedFrontier = []uint32{summedCells - 1, 0, 17, 16, 33, 0}
 
 type summedFixture struct {
 	tier summedTier
@@ -230,8 +227,6 @@ func (f *summedFixture) shape(col string, rg protocol.Range, gather string) ([]u
 			pf = f.view.S2
 		}
 		return pf.Inverse()[rg.Offset:rg.End()], pf
-	case "frontier":
-		return summedFrontier, nil
 	}
 	return nil, nil
 }
@@ -330,7 +325,7 @@ var summedWindows = [][]protocol.Range{
 }
 
 // checkReplies holds every reply built on the owner sums — PSI with its
-// proof, a frontier PSI, count with its proof, PSU stored and permuted,
+// proof, count with its proof, PSU stored and permuted,
 // and the verified sum and count aggregation — to the scalar references.
 func (f *summedFixture) checkReplies() error {
 	ctx := context.Background()
@@ -395,15 +390,6 @@ func (f *summedFixture) checkReplies() error {
 					return fmt.Errorf("agg %s window %v differs from the reference", col, rg)
 				}
 			}
-		}
-	}
-	rep, err := e.Handle(ctx, protocol.PSIRequest{Table: "t", Cells: summedFrontier})
-	if err != nil {
-		return err
-	}
-	for i, c := range summedFrontier {
-		if got := rep.(protocol.PSIReply).Out[i]; got != psiChi[c] {
-			return fmt.Errorf("frontier cell %d = %d, want %d", c, got, psiChi[c])
 		}
 	}
 	return nil

@@ -31,7 +31,6 @@ func bulkFrames() []any {
 		protocol.StoreDeltaRequest{Owner: 2, Table: "t", Pos: []uint64{5, 70000}, Chi: []uint16{9, 10},
 			Sums: map[string][]uint64{"DT": {11, 12}}, Cnt: []uint64{1, 2},
 			VPos: []uint64{6}, ChiBar: []uint16{13}, VSums: map[string][]uint64{"DT": {1 << 61}}, VCnt: []uint64{3}},
-		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{0, 7, 1 << 31}},
 		protocol.PSIReply{Out: []uint32{1, 2950, 17}, Stats: protocol.Stats{Cells: 3, ComputeNS: 5}},
 		protocol.PSIReply{Out: []uint32{17, 1}, Vout: []uint32{2950, 1}},
 		protocol.CountReply{Out: []uint32{1, 2}, Vout: []uint32{3, 4}},
@@ -86,8 +85,9 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 
 // TestDecodeFrameHostileBodies asserts every way a frame body can be
 // wrong at the frame level ends in one of the two typed errors: a
-// version byte other than frameVersion — a version-1 gob frame among
-// them — is ErrFrameVersion, anything else ErrCorruptFrame.
+// version byte other than frameVersion — version-1 gob frames and
+// version-2 frames among them — is ErrFrameVersion, anything else
+// ErrCorruptFrame.
 func TestDecodeFrameHostileBodies(t *testing.T) {
 	cells := make([]uint32, 100)
 	for i := range cells {
@@ -103,6 +103,7 @@ func TestDecodeFrameHostileBodies(t *testing.T) {
 		{"empty body", nil, ErrFrameVersion},
 		{"version 0", mut(func(b []byte) []byte { b[0] = 0; return b }), ErrFrameVersion},
 		{"version 1: gob envelope and slabs", []byte{1, 0, 0, 0, 3, 0x03, 0xff, 0x82}, ErrFrameVersion},
+		{"version 2: a PSIRequest with its frontier field", []byte{2, 1, 0, 0}, ErrFrameVersion},
 		{"future version", mut(func(b []byte) []byte { b[0] = frameVersion + 1; return b }), ErrFrameVersion},
 		{"pre-slab gob frame", []byte("\x2c\xff\x81\x03\x01\x01\x08envelope"), ErrFrameVersion},
 		{"version byte only", good[:1], ErrCorruptFrame},

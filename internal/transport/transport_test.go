@@ -54,7 +54,7 @@ func TestNetworkEncodeWire(t *testing.T) {
 	n.EncodeWire = true
 	n.Register("s", echoHandler{})
 	msgs := []any{
-		protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{1, 2}},
+		protocol.PSIRequest{Table: "t", QueryID: "q", Shard: protocol.Range{Offset: 1, Count: 2}},
 		protocol.PSIReply{Out: []uint32{3, 4}, Stats: protocol.Stats{Cells: 2}},
 		protocol.PSUReply{Out: []uint16{1}},
 		protocol.StoreRequest{Owner: 1, Spec: protocol.TableSpec{Name: "x", B: 4},
@@ -109,13 +109,13 @@ func TestTCPRoundTrip(t *testing.T) {
 	addr := startTCP(t, echoHandler{})
 	c := NewTCPClient(map[string]string{"server/0": addr})
 	defer c.Close()
-	req := protocol.PSIRequest{Table: "lineitem", QueryID: "q1", Cells: []uint32{7}}
+	req := protocol.PSIReply{Out: []uint32{7}, Stats: protocol.Stats{Cells: 1}}
 	got, err := c.Call(context.Background(), "server/0", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := got.(protocol.PSIRequest)
-	if !ok || r.Table != "lineitem" || len(r.Cells) != 1 || r.Cells[0] != 7 {
+	r, ok := got.(protocol.PSIReply)
+	if !ok || r.Stats.Cells != 1 || len(r.Out) != 1 || r.Out[0] != 7 {
 		t.Fatalf("bad echo: %#v", got)
 	}
 }

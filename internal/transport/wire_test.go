@@ -52,7 +52,7 @@ func TestEncodeWireFailures(t *testing.T) {
 		{
 			name:    "registered protocol message survives",
 			handler: echoHandler{},
-			req:     protocol.PSIRequest{Table: "t", QueryID: "q", Cells: []uint32{3}},
+			req:     protocol.PSIReply{Out: []uint32{3}},
 			wantOK:  true,
 		},
 	}
@@ -66,7 +66,7 @@ func TestEncodeWireFailures(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round trip failed: %v", err)
 				}
-				if r, ok := got.(protocol.PSIRequest); !ok || r.Table != "t" {
+				if r, ok := got.(protocol.PSIReply); !ok || len(r.Out) != 1 || r.Out[0] != 3 {
 					t.Fatalf("bad echo: %#v", got)
 				}
 				return

@@ -15,10 +15,11 @@ import (
 // place, internal/ownerengine/exec.go. In the module's non-test source
 // (outside benchmark/, a separate module the harness owns):
 //
-//   - only exec.go calls a round — a group engine's PSI, PSU, Count,
-//     PSUCount, Aggregate, LocalValues, SubmitExtreme, FetchExtreme,
-//     SubmitClaim or FetchClaims — or builds a protocol.ExtremeReduceRequest;
-//     a front door that needs a query calls ownerengine.Exec;
+//   - only exec.go calls a round — a group engine's SetResult (round 1
+//     of every set and cardinality kind), Aggregate, LocalValues,
+//     SubmitExtreme, FetchExtreme, SubmitClaim or FetchClaims — or builds
+//     a protocol.ExtremeReduceRequest; a front door that needs a query
+//     calls ownerengine.Exec;
 //   - exec.go fans a query out to the groups once: one eachGroup call;
 //   - exactly one type implements gateway.Backend (an Exec taking a
 //     Query next to a Ping), so the backend that ships is the one the
@@ -27,17 +28,13 @@ func TestQueryScriptLivesInExec(t *testing.T) {
 	engineDir := filepath.Join("internal", "ownerengine")
 	execGo := filepath.Join(engineDir, "exec.go")
 	rounds := map[string]bool{
-		"Aggregate": true, "LocalValues": true,
+		"SetResult": true, "Aggregate": true, "LocalValues": true,
 		"SubmitExtreme": true, "FetchExtreme": true, "SubmitClaim": true, "FetchClaims": true,
 	}
-	// The library's System exports these names too; they are rounds only
-	// inside the owner engine.
-	setRounds := map[string]bool{"PSI": true, "PSU": true, "Count": true, "PSUCount": true}
 	fanouts := 0
 	// methods[dir+"."+receiver][name] is the method's parameter count.
 	methods := map[string]map[string]int{}
 	walkSource(t, "", func(fset *token.FileSet, path string, file *ast.File) {
-		inEngine := filepath.Dir(path) == engineDir
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -49,7 +46,7 @@ func TestQueryScriptLivesInExec(t *testing.T) {
 					if name == "eachGroup" {
 						fanouts++
 					}
-				} else if rounds[name] || inEngine && setRounds[name] {
+				} else if rounds[name] {
 					t.Errorf("%s: calls %s; only ownerengine.Exec runs a query's rounds", fset.Position(n.Pos()), name)
 				}
 			case *ast.CompositeLit:
