@@ -6,15 +6,15 @@
 // deployment" for the full recipe and docs/ARCHITECTURE.md for the
 // pool/admission design.
 //
-// Usage (single group):
+// Usage:
 //
-//	prism-gateway -listen :8100 -view views/owner.view -index 0 \
+//	prism-gateway -listen :8100 -view views/owner-g0.view -index 0 \
 //	    -servers localhost:7001,localhost:7002,localhost:7003 \
 //	    -owners 4 -rate 200 -queue 64 -metrics :9104
 //
-// Multi-group deployments pass one view per group via -views and one
-// server triple per group in -servers, ';'-separated in group order
-// (the prism-owner conventions).
+// Multi-group deployments pass one view per group in -view,
+// ','-separated, and one server triple per group in -servers,
+// ';'-separated, both in group order (the prism-owner conventions).
 //
 // The pool is -owners independent owner engines, each with its own
 // multiplexed TCP client, all registered under the same owner -index:
@@ -53,8 +53,7 @@ import (
 func main() {
 	var (
 		listen    = flag.String("listen", "", "front-protocol listen address (required, e.g. :8100)")
-		viewPath  = flag.String("view", "", "owner view file from prism-init (single-group deployments)")
-		viewPaths = flag.String("views", "", "comma-separated per-group owner view files, in group order")
+		viewPaths = flag.String("view", "", "comma-separated owner view files from prism-init, one per group in group order (required)")
 		index     = flag.Int("index", 0, "pool members' owner index in [0, m)")
 		servers   = flag.String("servers", "", "comma-separated host:port of each group's 3 servers; ';' separates groups (required)")
 		owners    = flag.Int("owners", 4, "owner-engine pool size")
@@ -70,7 +69,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9104); empty disables the endpoint")
 	)
 	flag.Parse()
-	if *listen == "" || (*viewPath == "" && *viewPaths == "") || *servers == "" {
+	if *listen == "" || *viewPaths == "" || *servers == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -78,7 +77,7 @@ func main() {
 		fatal(fmt.Errorf("-owners must be at least 1"))
 	}
 
-	cfgs, book, err := viewio.OwnerGroups(*viewPath, *viewPaths, *servers)
+	cfgs, book, err := viewio.OwnerGroups(*viewPaths, *servers)
 	if err != nil {
 		fatal(err)
 	}
@@ -91,7 +90,7 @@ func main() {
 	for k := 0; k < *owners; k++ {
 		client := transport.NewTCPClientOpts(book, transport.ClientOptions{PerConnInflight: *inflight})
 		defer client.Close()
-		owner, err := ownerengine.NewMulti(*index, cfgs, client, *shard, [32]byte{})
+		owner, err := ownerengine.New(*index, cfgs, client, *shard, [32]byte{})
 		if err != nil {
 			fatal(err)
 		}

@@ -4,19 +4,17 @@
 //
 //	prism-init -owners 3 -domain 1000000 -maxagg 100000 -out ./views
 //
-// produces ./views/{owner.view, server-0.view, server-1.view,
-// server-2.view, announcer.view}. View files contain secrets; distribute
-// them over secure channels.
+// produces ./views/{owner-g0.view, server-g0-0.view, server-g0-1.view,
+// server-g0-2.view, announcer.view}. View files contain secrets;
+// distribute them over secure channels.
 //
-// With -groups N (N > 1) the domain is partitioned into N contiguous
-// ranges, each served by its own independent S0/S1/S2 group, and the
-// view files become per-group: owner-g<g>.view and
+// With -groups N the domain is partitioned into N contiguous ranges,
+// each served by its own independent S0/S1/S2 group: owner-g<g>.view and
 // server-g<g>-<phi>.view for every group g, plus one shared
 // announcer.view (the masking parameters the announcer needs are
 // deployment-global, so one announcer serves every group). Owners load
 // all N owner views — one per group, in group order — via prism-owner
-// -views. -groups 1 keeps the classic single-group filenames and
-// bit-for-bit identical parameters.
+// -view.
 package main
 
 import (
@@ -37,7 +35,7 @@ func main() {
 		domain = flag.Uint64("domain", 1_000_000, "domain size b = |Dom(A_c)|")
 		delta  = flag.Uint64("delta", 0, "additive-group prime δ (0 = paper default 113)")
 		maxAgg = flag.Uint64("maxagg", 1<<20, "bound on aggregation values (sizes Q)")
-		groups = flag.Int("groups", 1, "server groups partitioning the domain (1 = classic single group)")
+		groups = flag.Int("groups", 1, "server groups partitioning the domain")
 		seed   = flag.String("seed", "", "hex seed for deterministic generation (empty = fresh entropy)")
 		out    = flag.String("out", ".", "output directory for view files")
 	)
@@ -50,9 +48,6 @@ func main() {
 			fatal(fmt.Errorf("bad -seed: %v", err))
 		}
 		copy(s[:], raw)
-	}
-	if *groups < 1 {
-		fatal(fmt.Errorf("-groups must be >= 1"))
 	}
 	multi, err := params.GenerateGroups(params.Config{
 		NumOwners:  *owners,
@@ -67,13 +62,8 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	single := len(multi.Groups) == 1
 	for g, sys := range multi.Groups {
-		ownerName := fmt.Sprintf("owner-g%d.view", g)
-		if single {
-			ownerName = "owner.view"
-		}
-		if err := viewio.Save(filepath.Join(*out, ownerName), sys.ForOwner()); err != nil {
+		if err := viewio.Save(filepath.Join(*out, fmt.Sprintf("owner-g%d.view", g)), sys.ForOwner()); err != nil {
 			fatal(err)
 		}
 		for phi := 0; phi < params.NumServers; phi++ {
@@ -81,11 +71,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			serverName := fmt.Sprintf("server-g%d-%d.view", g, phi)
-			if single {
-				serverName = fmt.Sprintf("server-%d.view", phi)
-			}
-			if err := viewio.Save(filepath.Join(*out, serverName), v); err != nil {
+			if err := viewio.Save(filepath.Join(*out, fmt.Sprintf("server-g%d-%d.view", g, phi)), v); err != nil {
 				fatal(err)
 			}
 		}
@@ -94,11 +80,6 @@ func main() {
 		fatal(err)
 	}
 	sys := multi.Groups[0]
-	if single {
-		fmt.Printf("prism-init: wrote views for %d owners, domain %d (δ=%d, η=%d, η'=%d) to %s\n",
-			*owners, *domain, sys.Delta, sys.Eta, sys.EtaPrime, *out)
-		return
-	}
 	fmt.Printf("prism-init: wrote views for %d owners, domain %d across %d groups (δ=%d, η=%d, η'=%d) to %s\n",
 		*owners, *domain, len(multi.Groups), sys.Delta, sys.Eta, sys.EtaPrime, *out)
 	for _, gs := range multi.Groups {

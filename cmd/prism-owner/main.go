@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	prism-owner -view views/owner.view -index 0 \
+//	prism-owner -view views/owner-g0.view -index 0 \
 //	    -servers localhost:7001,localhost:7002,localhost:7003 \
 //	    -data owner0.csv -cols PK,DT -op outsource
 //	prism-owner ... -op psi
@@ -50,10 +50,10 @@
 // querying.
 //
 // Multi-group deployments (prism-init -groups) pass one owner view per
-// group via -views and one server triple per group in -servers,
-// ';'-separated in group order:
+// group in -view, ','-separated, and one server triple per group in
+// -servers, ';'-separated, both in group order:
 //
-//	prism-owner -views views/owner-g0.view,views/owner-g1.view -index 0 \
+//	prism-owner -view views/owner-g0.view,views/owner-g1.view -index 0 \
 //	    -servers "h1:7001,h2:7002,h3:7003;h4:7001,h5:7002,h6:7003" \
 //	    -data owner0.csv -cols PK,DT -op outsource
 //
@@ -85,8 +85,7 @@ import (
 
 func main() {
 	var (
-		viewPath  = flag.String("view", "", "owner view file from prism-init (single-group deployments)")
-		viewPaths = flag.String("views", "", "comma-separated per-group owner view files, in group order (multi-group deployments)")
+		viewPaths = flag.String("view", "", "comma-separated owner view files from prism-init, one per group in group order (required)")
 		index     = flag.Int("index", 0, "this owner's index in [0, m)")
 		servers   = flag.String("servers", "", "comma-separated host:port of each group's 3 servers; ';' separates groups (required)")
 		dataPath  = flag.String("data", "", "CSV data file (required for -op outsource/update)")
@@ -101,11 +100,11 @@ func main() {
 		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9102); empty disables the endpoint")
 	)
 	flag.Parse()
-	if (*viewPath == "" && *viewPaths == "") || *servers == "" || *op == "" {
+	if *viewPaths == "" || *servers == "" || *op == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cfgs, book, err := viewio.OwnerGroups(*viewPath, *viewPaths, *servers)
+	cfgs, book, err := viewio.OwnerGroups(*viewPaths, *servers)
 	if err != nil {
 		fatal(err)
 	}
@@ -117,7 +116,7 @@ func main() {
 		})
 	}
 
-	owner, err := ownerengine.NewMulti(*index, cfgs, client, *shard, [32]byte{})
+	owner, err := ownerengine.New(*index, cfgs, client, *shard, [32]byte{})
 	if err != nil {
 		fatal(err)
 	}
@@ -263,7 +262,7 @@ func listTables(ctx context.Context, owner *ownerengine.Owner, table string, m i
 		// healthy groups' inventories are exactly what an operator
 		// diagnosing a partial outage needs to see.
 		if err := owner.PingGroup(ctx, g); err != nil {
-			fmt.Printf("group %d: UNREACHABLE — %v\n", g, err)
+			fmt.Printf("UNREACHABLE — %v\n", err)
 			dead[g] = true
 			continue
 		}
@@ -272,10 +271,7 @@ func listTables(ctx context.Context, owner *ownerengine.Owner, table string, m i
 			fatal(err)
 		}
 		for phi, tables := range lists {
-			prefix := fmt.Sprintf("server %d", phi)
-			if ng > 1 {
-				prefix = fmt.Sprintf("group %d server %d", g, phi)
-			}
+			prefix := fmt.Sprintf("group %d server %d", g, phi)
 			if len(tables) == 0 {
 				fmt.Printf("%s: no tables served\n", prefix)
 			}

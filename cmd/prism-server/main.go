@@ -3,11 +3,11 @@
 // query rounds; its only outbound connection is to the announcer
 // (servers never talk to each other).
 //
-//	prism-server -view views/server-0.view -listen :7001 -announcer localhost:7000
+//	prism-server -view views/server-g0-0.view -listen :7001 -announcer localhost:7000
 //
-// In a multi-group deployment (prism-init -groups) each server loads
-// its group's view (server-g<g>-<phi>.view); the group id and domain
-// range are baked into the view, so no extra flag is needed. The server
+// Each server loads its group's view (server-g<g>-<phi>.view; group 0
+// alone in a one-group deployment); the group id and domain range are
+// baked into the view, so no extra flag is needed. The server
 // rejects data-plane requests targeting another group and stamps its
 // group into table manifests, so a restart cannot adopt another group's
 // shares.

@@ -70,7 +70,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		"-listen", fmt.Sprintf("127.0.0.1:%d", annPort))
 	for phi := 0; phi < 3; phi++ {
 		startDaemon(serverBin,
-			"-view", filepath.Join(views, fmt.Sprintf("server-%d.view", phi)),
+			"-view", filepath.Join(views, fmt.Sprintf("server-g0-%d.view", phi)),
 			"-listen", fmt.Sprintf("127.0.0.1:%d", srvPorts[phi]),
 			"-announcer", fmt.Sprintf("127.0.0.1:%d", annPort))
 	}
@@ -100,7 +100,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		srvPorts[0], srvPorts[1], srvPorts[2])
 	ownerCmd := func(index int, args ...string) string {
 		base := []string{
-			"-view", filepath.Join(views, "owner.view"),
+			"-view", filepath.Join(views, "owner-g0.view"),
 			"-index", fmt.Sprint(index),
 			"-servers", serverList,
 		}

@@ -157,9 +157,8 @@ type Config struct {
 	// but deployment-global masking parameters (so cross-group extreme
 	// results stay comparable). Every group runs a query's whole round
 	// script on its own range, concurrently and without waiting for the
-	// other groups between rounds; the answers merge owner-side. 0 or 1
-	// → the classic single-group deployment (bit-for-bit identical
-	// wiring and share streams).
+	// other groups between rounds; the answers merge owner-side. 0 → 1,
+	// the paper's single triple.
 	Groups int
 	// MaxInflight bounds how many scheduled queries (QueryAsync /
 	// QueryBatch) execute simultaneously. 0 → GOMAXPROCS. Fixed for the
@@ -201,7 +200,8 @@ type Config struct {
 	// Seed makes the whole system deterministic; zero → fresh entropy.
 	Seed [32]byte
 	// DiskDir, when set, backs each server with an on-disk share store
-	// under DiskDir/server-<i>; queries then measure real fetch time.
+	// under DiskDir/g<g>-server-<i> (group g, server i); queries then
+	// measure real fetch time.
 	// A System over a DiskDir an earlier System wrote resumes serving
 	// its tables: each server reloads them from the store's manifests
 	// without any owner re-outsourcing, quarantines corrupt or

@@ -36,10 +36,10 @@
 // # Concurrency
 //
 // A System serves many queries simultaneously. Every query method —
-// System.PSI and friends, their per-owner forms (Owner.PSI, ...), and
-// the scheduler entry points QueryAsync/QueryBatch — is safe to call
-// concurrently with every other, including SetServerThreads
-// reconfiguration while queries are in flight. Config.MaxInflight, the
+// System.PSI and friends and the scheduler entry points
+// QueryAsync/QueryBatch — is safe to call concurrently with every
+// other, including SetServerThreads reconfiguration while queries are
+// in flight. Config.MaxInflight, the
 // scheduler's concurrency bound, is fixed when the System is built.
 //
 // The query lifecycle: a query mints a per-query session on its driving
@@ -53,7 +53,7 @@
 //
 // System-level queries rotate round-robin across owners (results are
 // owner-independent, so rotation never changes an answer); a specific
-// owner can be queried via Owner's methods or Request.PinOwner. The
+// owner can be queried via Request.PinOwner. The
 // scheduler bounds concurrently executing queries to Config.MaxInflight
 // (default GOMAXPROCS), resizable at runtime:
 //

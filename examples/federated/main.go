@@ -68,14 +68,15 @@ func main() {
 	}
 
 	// ---- three bank owners (cmd/prism-owner) ----
-	logical := []string{"server/0", "server/1", "server/2"}
+	logical := []string{"g0/server/0", "g0/server/1", "g0/server/2"}
+	group := []ownerengine.GroupConfig{{View: sys.ForOwner(), Servers: logical}}
 	owners := make([]*ownerengine.Owner, numBanks)
 	for j := 0; j < numBanks; j++ {
 		book := map[string]string{"announcer": annLn.Addr().String()}
 		for i, l := range logical {
 			book[l] = serverAddrs[i]
 		}
-		o, err := ownerengine.New(j, sys.ForOwner(), transport.NewTCPClient(book), logical, 0, prg.NewSeed())
+		o, err := ownerengine.New(j, group, transport.NewTCPClient(book), 0, prg.NewSeed())
 		must(err)
 		owners[j] = o
 	}

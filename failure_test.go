@@ -172,7 +172,7 @@ func TestShardedCancellationMidStream(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := sys.Owner(0).PSI(ctx)
+		_, err := sys.PSI(ctx)
 		done <- err
 	}()
 	select {
@@ -189,7 +189,7 @@ func TestShardedCancellationMidStream(t *testing.T) {
 
 	// The fabric must be healthy again once the interceptor is removed.
 	sys.restoreGroupServer(0, 0)
-	if _, err := sys.Owner(0).PSI(context.Background()); err != nil {
+	if _, err := sys.PSI(context.Background()); err != nil {
 		t.Fatalf("PSI after cancellation: %v", err)
 	}
 	assertNoSessions(t, sys)

@@ -78,7 +78,7 @@ func TestGatewayCmdE2E(t *testing.T) {
 		"-listen", fmt.Sprintf("127.0.0.1:%d", annPort))
 	for phi := 0; phi < 3; phi++ {
 		startDaemon(serverBin,
-			"-view", filepath.Join(views, fmt.Sprintf("server-%d.view", phi)),
+			"-view", filepath.Join(views, fmt.Sprintf("server-g0-%d.view", phi)),
 			"-listen", fmt.Sprintf("127.0.0.1:%d", srvPorts[phi]),
 			"-announcer", fmt.Sprintf("127.0.0.1:%d", annPort))
 	}
@@ -109,7 +109,7 @@ func TestGatewayCmdE2E(t *testing.T) {
 		srvPorts[0], srvPorts[1], srvPorts[2])
 	ownerCmd := func(index int, args ...string) string {
 		base := []string{
-			"-view", filepath.Join(views, "owner.view"),
+			"-view", filepath.Join(views, "owner-g0.view"),
 			"-index", fmt.Sprint(index),
 			"-servers", serverList,
 		}
@@ -135,7 +135,7 @@ func TestGatewayCmdE2E(t *testing.T) {
 	// The gateway, fronting a pool of 3 owner engines.
 	startDaemon(gatewayBin,
 		"-listen", fmt.Sprintf("127.0.0.1:%d", gwPort),
-		"-view", filepath.Join(views, "owner.view"),
+		"-view", filepath.Join(views, "owner-g0.view"),
 		"-index", "0",
 		"-servers", serverList,
 		"-owners", "3",

@@ -131,27 +131,30 @@ func (a *Admission) reserve(tenant string, deadline time.Time, hasDeadline bool)
 	return wait, nil
 }
 
-// release retires one queued reservation (after its wait elapsed or was
-// abandoned).
-func (a *Admission) release() {
+// await sits out an admitted reservation's queued wait (none when wait
+// ≤ 0) and retires it from the queue. A caller that goes away mid-wait
+// gets ctx's error and its token back, so the slot serves the next
+// arrival rather than evaporating.
+func (a *Admission) await(ctx context.Context, tenant string, wait time.Duration) error {
+	if wait <= 0 {
+		return nil
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	var err error
+	select {
+	case <-timer.C:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.queued--
 	mQueueDepth.Set(int64(a.queued))
-	a.mu.Unlock()
-}
-
-// refund returns an abandoned reservation's token: the query was
-// cancelled while waiting, so its slot should serve the next arrival
-// rather than evaporate.
-func (a *Admission) refund(tenant string) {
-	a.mu.Lock()
-	if b := a.buckets[tenant]; b != nil {
-		b.tokens++
-		if b.tokens > a.burst {
-			b.tokens = a.burst
-		}
+	if b := a.buckets[tenant]; err != nil && b != nil {
+		b.tokens = min(b.tokens+1, a.burst)
 	}
-	a.mu.Unlock()
+	return err
 }
 
 // Acquire admits one request for tenant, blocking only for an admitted
@@ -164,17 +167,8 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) (time.Duration, 
 	if err != nil {
 		return 0, err
 	}
-	if wait <= 0 {
-		return 0, nil
+	if err := a.await(ctx, tenant, wait); err != nil {
+		return 0, err
 	}
-	defer a.release()
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return wait, nil
-	case <-ctx.Done():
-		a.refund(tenant)
-		return 0, ctx.Err()
-	}
+	return wait, nil
 }

@@ -97,7 +97,9 @@ func (c *Client) Poll(ticket string, wait time.Duration) (*Response, error) {
 }
 
 // Query is the synchronous convenience: submit, then poll until the
-// result lands or timeout passes end to end.
+// result lands or timeout passes end to end. A timeout ≤ 0 runs under
+// the gateway's DefaultTimeout, which the client does not know, so it
+// polls until the gateway answers — as it does by that deadline.
 func (c *Client) Query(kind string, cols []string, tenant string, timeout time.Duration) (*Response, error) {
 	ticket, err := c.Submit(kind, cols, tenant, timeout)
 	if err != nil {
@@ -105,11 +107,13 @@ func (c *Client) Query(kind string, cols []string, tenant string, timeout time.D
 	}
 	deadline := time.Now().Add(timeout + 2*time.Second)
 	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		wait := time.Until(deadline)
+		if timeout <= 0 {
+			wait = 30 * time.Second // one long poll; the loop re-polls
+		} else if wait <= 0 {
 			return nil, fmt.Errorf("gateway: query %s: client-side poll deadline exceeded", kind)
 		}
-		resp, err := c.Poll(ticket, remain)
+		resp, err := c.Poll(ticket, wait)
 		if err != nil {
 			return nil, err
 		}

@@ -294,21 +294,11 @@ func (fc *frontConn) handleSubmit(req *Request) {
 func (g *Gateway) runQuery(ctx context.Context, tenant string, q Query, p *pending) {
 	defer p.cancel()
 	var res *Result
-	var err error
-	if p.queuedFor > 0 {
-		timer := time.NewTimer(p.queuedFor)
-		select {
-		case <-timer.C:
-			g.adm.release()
-			mQueueSeconds.Observe(p.queuedFor.Seconds())
-		case <-ctx.Done():
-			timer.Stop()
-			g.adm.release()
-			g.adm.refund(tenant)
-			err = ctx.Err()
-		}
-	}
+	err := g.adm.await(ctx, tenant, p.queuedFor)
 	if err == nil {
+		if p.queuedFor > 0 {
+			mQueueSeconds.Observe(p.queuedFor.Seconds())
+		}
 		res, err = g.pool.Exec(ctx, q)
 	}
 	p.res, p.err = res, err

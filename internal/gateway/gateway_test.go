@@ -146,6 +146,28 @@ func TestGatewaySubmitPollPing(t *testing.T) {
 // kind table with the wrong number of columns, bounces with the very
 // error ownerengine.CheckCols gives the library and the CLI — before a
 // backend sees it and before it costs the tenant's one admission token.
+// TestGatewayQueryZeroTimeout: Query with timeout 0 runs under the
+// gateway's DefaultTimeout, so the client must keep polling past its
+// own 2 s grace until the gateway answers.
+func TestGatewayQueryZeroTimeout(t *testing.T) {
+	slow := &stub{exec: func(ctx context.Context, q Query) (*Result, error) {
+		select {
+		case <-time.After(2500 * time.Millisecond):
+			return &Result{Count: 7}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}}
+	addr, _ := startGateway(t, Config{Backends: []Backend{slow}, DefaultTimeout: 10 * time.Second})
+	resp, err := dialT(t, addr).Query("count", nil, "t0", 0)
+	if err != nil {
+		t.Fatalf("Query with timeout 0: %v", err)
+	}
+	if !resp.OK || resp.Count != 7 {
+		t.Fatalf("response = %+v, want OK count 7", resp)
+	}
+}
+
 func TestGatewayBadQueryRejected(t *testing.T) {
 	s := &stub{}
 	addr, _ := startGateway(t, Config{Backends: []Backend{s}, Rate: 0.001, Burst: 1})

@@ -74,8 +74,8 @@ func shapeOwner(t *testing.T, mode string) *Owner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(0, sys.ForOwner(), &shapeShifter{mode: mode, b: 16},
-		[]string{"s0", "s1", "s2"}, 0, prg.SeedFromString("o"))
+	o, err := New(0, []GroupConfig{{View: sys.ForOwner(), Servers: []string{"s0", "s1", "s2"}}},
+		&shapeShifter{mode: mode, b: 16}, 0, prg.SeedFromString("o"))
 	if err != nil {
 		t.Fatal(err)
 	}

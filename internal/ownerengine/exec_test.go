@@ -61,7 +61,7 @@ func newExecRig(t *testing.T, m int, b uint64, groups int) *execRig {
 	}
 	n.Register("announcer", announcer.New(multi.Groups[0].ForAnnouncer()))
 	for i := 0; i < m; i++ {
-		o, err := NewMulti(i, cfgs, n, 0, prg.SeedFromString("owner-seed"))
+		o, err := New(i, cfgs, n, 0, prg.SeedFromString("owner-seed"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,11 +173,9 @@ func (o *engine) newSession(prefix string) *querySession {
 }
 
 // newEngine builds a per-group owner engine. serverAddrs must have
-// params.NumServers entries (the group's triple); rngLabel names the
-// PRG stream derived from seed, so the router can keep the historical
-// "owner/<i>" stream for single-group deployments and distinct
-// "owner/<i>/g<g>" streams per group otherwise.
-func newEngine(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, shardCells uint64, seed prg.Seed, rngLabel string) (*engine, error) {
+// params.NumServers entries (the group's triple); the engine draws from
+// the stream "owner/<i>/g<g>" derived from the owner's seed.
+func newEngine(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, shardCells uint64, seed prg.Seed) (*engine, error) {
 	if len(serverAddrs) != params.NumServers {
 		return nil, fmt.Errorf("ownerengine: need %d server addresses, got %d", params.NumServers, len(serverAddrs))
 	}
@@ -190,7 +188,7 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 		caller:     caller,
 		servers:    append([]string(nil), serverAddrs...),
 		shardCells: shardCells,
-		rng:        prg.New(seed.Derive(rngLabel)),
+		rng:        prg.New(seed.Derive(fmt.Sprintf("owner/%d/g%d", index, view.Group))),
 		tables:     make(map[string]*localTable),
 		bucketMeta: make(map[string]*bucketMeta),
 		w3:         share.LagrangeWeights(3),

@@ -49,7 +49,7 @@ func newRig(t *testing.T, m int, b uint64) *rig {
 	}
 	n.Register("announcer", announcer.New(sys.ForAnnouncer()))
 	for i := 0; i < m; i++ {
-		o, err := New(i, sys.ForOwner(), n, addrs, 0, prg.SeedFromString("owner-seed"))
+		o, err := New(i, []GroupConfig{{View: sys.ForOwner(), Servers: addrs}}, n, 0, prg.SeedFromString("owner-seed"))
 		if err != nil {
 			t.Fatal(err)
 		}

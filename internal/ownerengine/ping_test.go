@@ -8,8 +8,9 @@ import (
 
 // TestPing exercises the cheap liveness probe the gateway's
 // health-checker and `prism-owner -op list` rely on: a healthy group
-// answers nil, and a dead server fails the probe with its logical
-// address in the error.
+// answers nil, and a dead server fails the probe with its group and its
+// logical address in the error — a one-group owner's too, since one
+// group is the N = 1 case of many.
 func TestPing(t *testing.T) {
 	r := newRig(t, 2, 64)
 	ctx := context.Background()
@@ -37,5 +38,8 @@ func TestPing(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "server/0") || strings.Contains(err.Error(), "server/2") {
 		t.Errorf("Ping error %q blames a live server", err)
+	}
+	if !strings.HasPrefix(err.Error(), "group 0: ") {
+		t.Errorf("Ping error %q does not name its group", err)
 	}
 }

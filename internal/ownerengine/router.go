@@ -24,10 +24,8 @@ import (
 // every group runs the query's whole round script on its own slice, and
 // one merge brings the answers back into the global domain.
 //
-// A single-group Owner (New) is the N = 1 case of the same fan-out and
-// merge; it keeps the historical PRG stream labels and returns its
-// engine's errors verbatim (groupErr), so existing deployments and
-// recorded share streams are unaffected.
+// A single-group deployment is the N = 1 case of the same fan-out and
+// merge.
 type Owner struct {
 	Index int
 
@@ -44,33 +42,15 @@ type GroupConfig struct {
 	Servers []string          // the group's params.NumServers server addresses
 }
 
-// New builds a single-group owner. serverAddrs must have
-// params.NumServers entries; every O(b) exchange moves in windows of at
-// most shardCells cells (0 → one window of the whole table); seed drives
-// all share randomness (zero → fresh entropy).
-func New(index int, view *params.OwnerView, caller transport.Caller, serverAddrs []string, shardCells uint64, seed prg.Seed) (*Owner, error) {
-	var zero prg.Seed
-	if seed == zero {
-		seed = prg.NewSeed()
-	}
-	e, err := newEngine(index, view, caller, serverAddrs, shardCells, seed, fmt.Sprintf("owner/%d", index))
-	if err != nil {
-		return nil, err
-	}
-	return &Owner{Index: index, groups: []*engine{e}, starts: []uint64{view.Start}, b: view.B}, nil
-}
-
-// NewMulti builds an owner spanning several server groups. Group views
+// New builds an owner spanning one or more server groups. Group views
 // must cover the domain contiguously in group order (group g starts
-// where group g−1 ends); shardCells is every group's window size, as in
-// New; seed is resolved once so every group's engine draws from streams
-// derived from the same root (zero → fresh entropy).
-func NewMulti(index int, groups []GroupConfig, caller transport.Caller, shardCells uint64, seed prg.Seed) (*Owner, error) {
+// where group g−1 ends); every O(b) exchange moves in windows of at most
+// shardCells cells (0 → one window of the whole table); seed drives all
+// share randomness, each group's engine drawing from its own stream
+// derived from it (zero → fresh entropy).
+func New(index int, groups []GroupConfig, caller transport.Caller, shardCells uint64, seed prg.Seed) (*Owner, error) {
 	if len(groups) == 0 {
-		return nil, errors.New("ownerengine: NewMulti needs at least one group")
-	}
-	if len(groups) == 1 {
-		return New(index, groups[0].View, caller, groups[0].Servers, shardCells, seed)
+		return nil, errors.New("ownerengine: New needs at least one group")
 	}
 	var zero prg.Seed
 	if seed == zero {
@@ -86,7 +66,7 @@ func NewMulti(index int, groups []GroupConfig, caller transport.Caller, shardCel
 		if v.Start != next {
 			return nil, fmt.Errorf("ownerengine: group %d starts at cell %d, want %d (groups must tile the domain)", g, v.Start, next)
 		}
-		e, err := newEngine(index, v, caller, gc.Servers, shardCells, seed, fmt.Sprintf("owner/%d/g%d", index, g))
+		e, err := newEngine(index, v, caller, gc.Servers, shardCells, seed)
 		if err != nil {
 			return nil, fmt.Errorf("ownerengine: group %d: %w", g, err)
 		}
@@ -128,11 +108,10 @@ func (o *Owner) groupOf(cell uint64) (int, error) {
 }
 
 // groupErr tags an error with the group it came from, so a dead or
-// misbehaving group is identifiable from a merged multi-group failure.
-// Single-group owners return engine errors verbatim.
+// misbehaving group is identifiable from a merged failure.
 func (o *Owner) groupErr(g int, err error) error {
-	if err == nil || len(o.groups) == 1 {
-		return err
+	if err == nil {
+		return nil
 	}
 	return fmt.Errorf("group %d: %w", g, err)
 }
@@ -144,9 +123,6 @@ func (o *Owner) groupErr(g int, err error) error {
 func (o *Owner) eachGroup(op string, sel []int, fn func(g int) error) error {
 	start := time.Now()
 	defer func() { mFanoutSeconds.Observe(op, time.Since(start).Seconds()) }()
-	if len(sel) == 1 {
-		return o.groupErr(sel[0], fn(sel[0]))
-	}
 	errs := make([]error, len(sel))
 	var wg sync.WaitGroup
 	for k, g := range sel {
@@ -372,8 +348,7 @@ func (o *Owner) ListTablesGroup(ctx context.Context, g int) ([][]protocol.TableS
 }
 
 // TableServed reports whether every group's three servers fully serve
-// the table. The returned statuses describe group 0 (the historical
-// single-group shape).
+// the table. The returned statuses describe group 0.
 func (o *Owner) TableServed(ctx context.Context, table string) (bool, []*protocol.TableStatus, error) {
 	var sts []*protocol.TableStatus
 	for g, e := range o.groups {

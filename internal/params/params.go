@@ -58,7 +58,7 @@ type System struct {
 	G        uint64
 	Alpha    uint64
 
-	Group int    // server-group index (0 in single-group deployments)
+	Group int    // server-group index
 	Start uint64 // first natural domain cell owned by this group
 
 	MShares [2]uint16 // additive shares of m for S1, S2 (§4: "provides additive shares of m to servers")
@@ -75,20 +75,21 @@ type System struct {
 
 var zeroSeed prg.Seed
 
-// Generate runs the initiator. Deterministic given a non-zero Config.Seed.
+// Generate runs the initiator for a one-group deployment: the only group
+// of GenerateGroups(cfg, 1). Deterministic given a non-zero Config.Seed.
 func Generate(cfg Config) (*System, error) {
-	seed := cfg.Seed
-	if seed == zeroSeed {
-		seed = prg.NewSeed()
+	ms, err := GenerateGroups(cfg, 1)
+	if err != nil {
+		return nil, err
 	}
-	return generate(cfg, seed, "quad")
+	return ms.Groups[0], nil
 }
 
-// generate is Generate with the master seed resolved and the quad
-// derivation label explicit, so multi-group generation can give each
-// group its own cell permutations while every seed-derived
-// protocol-wide parameter stays shared.
-func generate(cfg Config, seed prg.Seed, quadLabel string) (*System, error) {
+// generate runs the initiator for one group with the master seed
+// resolved: the group's cell permutations derive from "quad/g<g>", so
+// each group has its own, while every other seed-derived parameter is
+// protocol-wide and shared.
+func generate(cfg Config, seed prg.Seed, group int) (*System, error) {
 	if cfg.NumOwners < 2 {
 		return nil, errors.New("params: need at least 2 DB owners")
 	}
@@ -141,7 +142,7 @@ func generate(cfg Config, seed prg.Seed, quadLabel string) (*System, error) {
 	if cfg.DomainSize > 1<<31 {
 		return nil, errors.New("params: domain too large for uint32 permutations")
 	}
-	quad, err := perm.NewQuad(prg.New(seed.Derive(quadLabel)), int(cfg.DomainSize))
+	quad, err := perm.NewQuad(prg.New(seed.Derive(fmt.Sprintf("quad/g%d", group))), int(cfg.DomainSize))
 	if err != nil {
 		return nil, err
 	}
@@ -208,19 +209,14 @@ type MultiSystem struct {
 // GenerateGroups partitions cfg.DomainSize across n server groups and
 // runs the initiator once per group. Group g receives a contiguous
 // range of ⌈b/n⌉ or ⌊b/n⌋ cells; protocol-wide parameters are shared
-// (see System). n ≤ 1 degenerates to exactly Generate's single-group
-// output, including its seed-derivation labels.
+// (see System).
 func GenerateGroups(cfg Config, n int) (*MultiSystem, error) {
 	seed := cfg.Seed
 	if seed == zeroSeed {
 		seed = prg.NewSeed()
 	}
-	if n <= 1 {
-		sys, err := generate(cfg, seed, "quad")
-		if err != nil {
-			return nil, err
-		}
-		return &MultiSystem{Groups: []*System{sys}}, nil
+	if n < 1 {
+		return nil, fmt.Errorf("params: %d groups; need at least one", n)
 	}
 	if uint64(n) > cfg.DomainSize {
 		return nil, fmt.Errorf("params: %d groups over a %d-cell domain", n, cfg.DomainSize)
@@ -235,7 +231,7 @@ func GenerateGroups(cfg Config, n int) (*MultiSystem, error) {
 		}
 		sub := cfg
 		sub.DomainSize = count
-		sys, err := generate(sub, seed, fmt.Sprintf("quad/g%d", g))
+		sys, err := generate(sub, seed, g)
 		if err != nil {
 			return nil, fmt.Errorf("params: group %d: %w", g, err)
 		}

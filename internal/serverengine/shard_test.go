@@ -363,9 +363,9 @@ func TestZeroCellPSU(t *testing.T) {
 	}
 }
 
-// TestShardedPSIRejectsFrontierMix: a query window reaching past the
-// table is a protocol error.
-func TestShardedPSIRejectsFrontierMix(t *testing.T) {
+// TestShardedPSIRejectsOutOfRangeWindow: a query window reaching past
+// the table is a protocol error.
+func TestShardedPSIRejectsOutOfRangeWindow(t *testing.T) {
 	e := shardEngine()
 	ctx := context.Background()
 	for owner := 0; owner < 3; owner++ {

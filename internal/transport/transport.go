@@ -53,7 +53,7 @@ type Caller interface {
 }
 
 // Network is an in-process message fabric keyed by logical address
-// (e.g. "server/0", "announcer"). Safe for concurrent use.
+// (e.g. "g0/server/0", "announcer"). Safe for concurrent use.
 type Network struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler

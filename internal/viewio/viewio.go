@@ -43,17 +43,14 @@ func Load(path string, v any) error {
 }
 
 // OwnerGroups turns the deployment flags prism-owner and prism-gateway
-// share into what ownerengine.NewMulti and the TCP client need: view is
-// the single-group owner view file, views (if set, it wins) the
-// comma-separated per-group view files in group order, and servers one
-// comma-separated host:port triple per group, ';'-separated in the same
-// order. Group g's servers get the logical names server/<i> (group 0)
-// or g<g>/server/<i>; book maps each logical name to its host:port.
-func OwnerGroups(view, views, servers string) (groups []ownerengine.GroupConfig, book map[string]string, err error) {
-	paths := []string{view}
-	if views != "" {
-		paths = strings.Split(views, ",")
-	}
+// share into what ownerengine.New and the TCP client need: views is the
+// comma-separated per-group owner view files in group order (one file
+// for a one-group deployment), and servers one comma-separated
+// host:port triple per group, ';'-separated in the same order. Group g's
+// servers get the logical names g<g>/server/<i>; book maps each logical
+// name to its host:port.
+func OwnerGroups(views, servers string) (groups []ownerengine.GroupConfig, book map[string]string, err error) {
+	paths := strings.Split(views, ",")
 	triples := strings.Split(servers, ";")
 	if len(triples) != len(paths) {
 		return nil, nil, fmt.Errorf("%d server groups for %d owner views; pass one ';'-separated server triple per view", len(triples), len(paths))
@@ -71,10 +68,7 @@ func OwnerGroups(view, views, servers string) (groups []ownerengine.GroupConfig,
 		}
 		logical := make([]string, len(addrs))
 		for i, a := range addrs {
-			logical[i] = fmt.Sprintf("server/%d", i)
-			if g > 0 {
-				logical[i] = fmt.Sprintf("g%d/server/%d", g, i)
-			}
+			logical[i] = fmt.Sprintf("g%d/server/%d", g, i)
 			book[logical[i]] = strings.TrimSpace(a)
 		}
 		groups[g] = ownerengine.GroupConfig{View: v, Servers: logical}

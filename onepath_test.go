@@ -125,8 +125,8 @@ func walkSource(t *testing.T, skipDir string, fn func(fset *token.FileSet, path 
 //     zero range (old owners, hand-built probes) becomes {0, b};
 //   - no struct in internal/ownerengine has a field named wire — owners
 //     stamp an explicit range on every request;
-//   - the only len(o.groups) == 1 comparison is groupErr's verbatim-error
-//     rule — a single group is the N = 1 case of every fan-out and merge;
+//   - no len(o.groups) == 1 comparison: a single group is the N = 1 case
+//     of every fan-out, merge and error tag;
 //   - the string "psup" does not occur: PSU masks have one label.
 func TestWholeTableIsAWindow(t *testing.T) {
 	walkSource(t, "", func(fset *token.FileSet, path string, file *ast.File) {
@@ -148,8 +148,8 @@ func TestWholeTableIsAWindow(t *testing.T) {
 						}
 					}
 				case *ast.BinaryExpr:
-					if n.Op == token.EQL && types.ExprString(n.X) == "len(o.groups)" && types.ExprString(n.Y) == "1" && name != "Owner.groupErr" {
-						t.Errorf("%s: len(o.groups) == 1 outside groupErr; a single group is the N = 1 case", fset.Position(n.Pos()))
+					if n.Op == token.EQL && types.ExprString(n.X) == "len(o.groups)" && types.ExprString(n.Y) == "1" {
+						t.Errorf("%s: len(o.groups) == 1; a single group is the N = 1 case", fset.Position(n.Pos()))
 					}
 				case *ast.BasicLit:
 					if n.Kind == token.STRING && strings.Contains(n.Value, "psup") {

@@ -227,7 +227,7 @@ func TestPSUMasksCountOfOwners(t *testing.T) {
 	// build a dictionary value→owner-count.
 	seen := map[uint64]bool{}
 	for i := 0; i < 5; i++ {
-		r, err := sys.Owner(0).PSU(context.Background())
+		r, err := sys.PSU(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

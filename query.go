@@ -61,17 +61,10 @@ type SetResult struct {
 
 // PSI computes the private set intersection over the common attribute
 // (paper §5.1), verifying the result when the system was built with
-// Verify (§5.2). The querying owner rotates round-robin; use
-// Owner.PSI to query as a specific owner.
+// Verify (§5.2). The querying owner rotates round-robin; a Request
+// with PinOwner set queries as a specific owner.
 func (s *System) PSI(ctx context.Context) (*SetResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSI})
-	return r.Set, r.Err
-}
-
-// PSI computes the private set intersection with this owner driving the
-// query. Safe to call concurrently with any other query.
-func (o *Owner) PSI(ctx context.Context) (*SetResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSI})
 	return r.Set, r.Err
 }
 
@@ -80,12 +73,6 @@ func (o *Owner) PSI(ctx context.Context) (*SetResult, error) {
 // therefore returned as-is even when the system runs with Verify.
 func (s *System) PSU(ctx context.Context) (*SetResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSU})
-	return r.Set, r.Err
-}
-
-// PSU computes the private set union with this owner driving the query.
-func (o *Owner) PSU(ctx context.Context) (*SetResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSU})
 	return r.Set, r.Err
 }
 
@@ -102,21 +89,9 @@ func (s *System) PSICount(ctx context.Context) (*CountResult, error) {
 	return r.Count, r.Err
 }
 
-// PSICount reveals only |intersection|, driven by this owner.
-func (o *Owner) PSICount(ctx context.Context) (*CountResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSICount})
-	return r.Count, r.Err
-}
-
 // PSUCount reveals only |union|.
 func (s *System) PSUCount(ctx context.Context) (*CountResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSUCount})
-	return r.Count, r.Err
-}
-
-// PSUCount reveals only |union|, driven by this owner.
-func (o *Owner) PSUCount(ctx context.Context) (*CountResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSUCount})
 	return r.Count, r.Err
 }
 
@@ -159,22 +134,10 @@ func (s *System) PSISum(ctx context.Context, cols ...string) (*AggregateResult, 
 	return r.Agg, r.Err
 }
 
-// PSISum computes the PSI-sum query driven by this owner.
-func (o *Owner) PSISum(ctx context.Context, cols ...string) (*AggregateResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSISum, Cols: cols})
-	return r.Agg, r.Err
-}
-
 // PSIAvg computes the PSI-average query of §6.2 (sum and count columns in
 // one round).
 func (s *System) PSIAvg(ctx context.Context, cols ...string) (*AggregateResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSIAvg, Cols: cols})
-	return r.Agg, r.Err
-}
-
-// PSIAvg computes the PSI-average query driven by this owner.
-func (o *Owner) PSIAvg(ctx context.Context, cols ...string) (*AggregateResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSIAvg, Cols: cols})
 	return r.Agg, r.Err
 }
 
@@ -184,21 +147,9 @@ func (s *System) PSUSum(ctx context.Context, cols ...string) (*AggregateResult, 
 	return r.Agg, r.Err
 }
 
-// PSUSum aggregates over the union, driven by this owner.
-func (o *Owner) PSUSum(ctx context.Context, cols ...string) (*AggregateResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSUSum, Cols: cols})
-	return r.Agg, r.Err
-}
-
 // PSUAvg averages over the union.
 func (s *System) PSUAvg(ctx context.Context, cols ...string) (*AggregateResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSUAvg, Cols: cols})
-	return r.Agg, r.Err
-}
-
-// PSUAvg averages over the union, driven by this owner.
-func (o *Owner) PSUAvg(ctx context.Context, cols ...string) (*AggregateResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSUAvg, Cols: cols})
 	return r.Agg, r.Err
 }
 
@@ -224,32 +175,14 @@ func (s *System) PSIMax(ctx context.Context, col string) (*ExtremeResult, error)
 	return r.Extreme, r.Err
 }
 
-// PSIMax runs the max query with this owner driving the PSI round.
-func (o *Owner) PSIMax(ctx context.Context, col string) (*ExtremeResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSIMax, Cols: []string{col}})
-	return r.Extreme, r.Err
-}
-
 // PSIMin is the symmetric minimum query.
 func (s *System) PSIMin(ctx context.Context, col string) (*ExtremeResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSIMin, Cols: []string{col}})
 	return r.Extreme, r.Err
 }
 
-// PSIMin runs the min query with this owner driving the PSI round.
-func (o *Owner) PSIMin(ctx context.Context, col string) (*ExtremeResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSIMin, Cols: []string{col}})
-	return r.Extreme, r.Err
-}
-
 // PSIMedian finds the median of the per-owner totals of col (paper §6.4).
 func (s *System) PSIMedian(ctx context.Context, col string) (*ExtremeResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSIMedian, Cols: []string{col}})
-	return r.Extreme, r.Err
-}
-
-// PSIMedian runs the median query with this owner driving the PSI round.
-func (o *Owner) PSIMedian(ctx context.Context, col string) (*ExtremeResult, error) {
-	r := o.sys.run(ctx, o, Request{Op: OpPSIMedian, Cols: []string{col}})
 	return r.Extreme, r.Err
 }

@@ -147,7 +147,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	// Corrupt one chunk segment on server 0 and boot again: the table is
 	// quarantined there — with a machine-readable reason — while boot
 	// succeeds and the other servers keep their copies.
-	chunkFile := filepath.Join(dir, "server-0", "main", "o0.chi.colv2", "c0.ck")
+	chunkFile := filepath.Join(dir, serverDiskDir(0, 0), "main", "o0.chi.colv2", "c0.ck")
 	raw, err := os.ReadFile(chunkFile)
 	if err != nil {
 		t.Fatal(err)
@@ -283,8 +283,8 @@ func TestMultiGroupRestartRecovery(t *testing.T) {
 	// Swap the two groups' server-0 stores: both servers now boot over a
 	// store whose manifests were written by the other group. Boot must
 	// succeed, but each must quarantine the foreign table.
-	g0 := filepath.Join(cfg.DiskDir, "server-0")
-	g1 := filepath.Join(cfg.DiskDir, "g1-server-0")
+	g0 := filepath.Join(cfg.DiskDir, serverDiskDir(0, 0))
+	g1 := filepath.Join(cfg.DiskDir, serverDiskDir(1, 0))
 	tmp := filepath.Join(cfg.DiskDir, "swap-tmp")
 	for _, mv := range [][2]string{{g0, tmp}, {g1, g0}, {tmp, g1}} {
 		if err := os.Rename(mv[0], mv[1]); err != nil {

@@ -86,27 +86,12 @@ func TestExtremeVectorRoundMatchesOracle(t *testing.T) {
 	})
 }
 
-func TestShardedMatchesMonolithic(t *testing.T) {
-	each(t, 4, func(i int) (string, string) {
-		shard := []int{1, 10, 64, 1000}[i]
-		windows := map[bool]string{true: "many", false: "one"}[shard < 64]
-		return fmt.Sprintf("shard=%d", shard), fmt.Sprintf(`TestConformance/[^/]+/%s/.*`, windows)
-	})
-}
-
-func TestGatewaySystemParity(t *testing.T) {
-	each(t, 2, func(i int) (string, string) {
-		return fmt.Sprintf("groups=%d", i+1), fmt.Sprintf(`TestConformance/[^/]+/[^/]+/g%d/[^/]+/gateway/.*`, i+1)
-	})
-}
-
 // answers and lies are retired for every shape's completeness cells of
 // the kinds matching kinds, and its soundness cells matching cells.
 func answers(t *testing.T, kinds string) { retired(t, `TestConformance/.*/(`+kinds+`)`) }
 func lies(t *testing.T, cells string)    { retired(t, `TestSoundness/.*/(`+cells+`)/.*`) }
 
-func TestShardedConcurrentMatchesSerial(t *testing.T) { retired(t, `TestConformance/[^/]+/many/.*`) }
-func TestEmptyIntersection(t *testing.T)              { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
+func TestEmptyIntersection(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
 func TestIdenticalOwners(t *testing.T) {
 	inShapes(t, func(sh shape) bool { return uint64(sh.k) == sh.b })
 }
@@ -139,14 +124,6 @@ func TestMaliciousCountEntryDetectedInEveryKernel(t *testing.T) {
 
 func TestMaliciousPSIProofEntryDetected(t *testing.T) {
 	windowed(t, `TestSoundness/[^/]+/%s/g%d/[^/]+/psi/nudge/PSIReply.Vout`)
-}
-
-func TestMaliciousOutOfGroupCellsDetected(t *testing.T) {
-	each(t, 4, func(i int) (string, string) {
-		groups, kind := 1+i/2, []string{"count", "psi"}[i%2]
-		return fmt.Sprintf("groups=%d/%s", groups, kind),
-			fmt.Sprintf(`TestSoundness/[^/]+/many/g%d/[^/]+/%s/inject-max/.*`, groups, kind)
-	})
 }
 
 func TestMaliciousExtremeVectorEntryDetected(t *testing.T) {

@@ -21,17 +21,18 @@ import (
 // detects server misbehaviour.
 var ErrVerificationFailed = ownerengine.ErrVerificationFailed
 
-// System is a fully wired local Prism deployment: m owners, three
-// servers, one announcer, and the in-process transport fabric. It is the
-// programmatic equivalent of running cmd/prism-init, cmd/prism-server ×3,
-// cmd/prism-announcer and m owner processes.
+// System is a fully wired local Prism deployment: m owners, one
+// S0/S1/S2 triple per server group, one announcer, and the in-process
+// transport fabric. It is the programmatic equivalent of running
+// cmd/prism-init, three cmd/prism-server per group, cmd/prism-announcer
+// and m owner processes.
 type System struct {
 	cfg     Config
 	multi   *params.MultiSystem
 	sys     *params.System // group 0 (deployment-global parameters)
 	network *transport.Network
-	// servers[g][phi] is group g's server phi; group 0 is the classic
-	// triple, additional groups serve higher cell ranges.
+	// servers[g][phi] is group g's server phi; group g serves the g-th
+	// cell range.
 	servers  [][]*serverengine.Engine
 	ann      *announcer.Engine
 	owners   []*Owner
@@ -106,7 +107,7 @@ func NewLocalSystem(cfg Config) (*System, error) {
 				return nil, fmt.Errorf("prism: group %d server %d recovery: %w", g, phi, err)
 			}
 			engines[phi] = eng
-			addr := groupServerAddr(g, phi)
+			addr := serverAddr(g, phi)
 			s.network.Register(addr, eng)
 			gr.Servers = append(gr.Servers, addr)
 		}
@@ -139,7 +140,7 @@ func NewLocalSystem(cfg Config) (*System, error) {
 	ownerSeed := cfg.seed().Derive("owners")
 	s.cohort = &ownerengine.Cohort{Announcer: "announcer"}
 	for i := 0; i < cfg.Owners; i++ {
-		eng, err := ownerengine.NewMulti(i, groupCfgs, s.network, cfg.ShardCells, ownerSeed)
+		eng, err := ownerengine.New(i, groupCfgs, s.network, cfg.ShardCells, ownerSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -149,25 +150,12 @@ func NewLocalSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-func serverAddr(phi int) string { return fmt.Sprintf("server/%d", phi) }
-
-// groupServerAddr is the logical address of group g's server phi. Group
-// 0 keeps the historical single-group addresses.
-func groupServerAddr(g, phi int) string {
-	if g == 0 {
-		return serverAddr(phi)
-	}
-	return fmt.Sprintf("g%d/server/%d", g, phi)
-}
+// serverAddr is the logical address of group g's server phi.
+func serverAddr(g, phi int) string { return fmt.Sprintf("g%d/server/%d", g, phi) }
 
 // serverDiskDir is the share-store directory of group g's server phi
-// under Config.DiskDir; group 0 keeps the historical layout.
-func serverDiskDir(g, phi int) string {
-	if g == 0 {
-		return fmt.Sprintf("server-%d", phi)
-	}
-	return fmt.Sprintf("g%d-server-%d", g, phi)
-}
+// under Config.DiskDir.
+func serverDiskDir(g, phi int) string { return fmt.Sprintf("g%d-server-%d", g, phi) }
 
 // Close stops the servers' background work. A System starts no
 // compaction ticker (a prism-server does, with -compact), so Close has
