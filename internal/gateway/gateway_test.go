@@ -142,10 +142,6 @@ func TestGatewaySubmitPollPing(t *testing.T) {
 	}
 }
 
-// TestGatewayBadQueryRejected: an unknown kind, and every kind of the
-// kind table with the wrong number of columns, bounces with the very
-// error ownerengine.CheckCols gives the library and the CLI — before a
-// backend sees it and before it costs the tenant's one admission token.
 // TestGatewayQueryZeroTimeout: Query with timeout 0 runs under the
 // gateway's DefaultTimeout, so the client must keep polling past its
 // own 2 s grace until the gateway answers.
@@ -168,6 +164,10 @@ func TestGatewayQueryZeroTimeout(t *testing.T) {
 	}
 }
 
+// TestGatewayBadQueryRejected: an unknown kind, and every kind of the
+// kind table with the wrong number of columns, bounces with the very
+// error ownerengine.CheckCols gives the library and the CLI — before a
+// backend sees it and before it costs the tenant's one admission token.
 func TestGatewayBadQueryRejected(t *testing.T) {
 	s := &stub{}
 	addr, _ := startGateway(t, Config{Backends: []Backend{s}, Rate: 0.001, Burst: 1})

@@ -89,8 +89,9 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestOwnerGroups covers the one copy of the -view/-servers wiring prism-owner and prism-gateway share: logical names, the address
-// book, and the two flag mistakes it must name.
+// TestOwnerGroups covers the one copy of the -view/-servers wiring
+// prism-owner and prism-gateway share: logical names, the address book,
+// and the two flag mistakes it must name.
 func TestOwnerGroups(t *testing.T) {
 	sys, err := params.Generate(params.Config{NumOwners: 2, DomainSize: 64, MaxAgg: 1000, Seed: prg.SeedFromString("groups")})
 	if err != nil {
