@@ -149,6 +149,12 @@ type Config struct {
 	// Verify outsources χ̄ and the v-columns and enables result
 	// verification on every query.
 	Verify bool
+	// Buckets also outsources §6.6's bucket tree (fanout 8) over each
+	// owner's χ, one per server group over the group's cells, so
+	// BucketizedPSI (OpBPSI) can answer; every update re-uploads the
+	// tree. Without it OpBPSI fails with the servers' unknown-table
+	// error. The tree is never verified, whatever Verify says.
+	Buckets bool
 	// Threads is each server's worker-pool width (Figure 3 sweep).
 	Threads int
 	// Groups partitions the cell domain across this many independent

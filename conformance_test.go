@@ -85,10 +85,11 @@ func (sh shape) name() string {
 	return fmt.Sprintf("%s/%s/g%d", sh.storage, windows, sh.groups)
 }
 
-// config is the shape's Config: verified, one aggregation column "v"; on
-// disk the stores write window-sized chunks (Config.ShardCells, or
-// sharestore's default), and disk-cache gets a budget of four uint16
-// chunks, which forces eviction in the many-window shapes.
+// config is the shape's Config: verified, one aggregation column "v",
+// bucket trees outsourced with the table (so bpsi answers); on disk the
+// stores write window-sized chunks (Config.ShardCells, or sharestore's
+// default), and disk-cache gets a budget of four uint16 chunks, which
+// forces eviction in the many-window shapes.
 func (sh shape) config(t testing.TB) Config {
 	t.Helper()
 	dom, err := IntDomain(1, sh.b)
@@ -101,6 +102,7 @@ func (sh shape) config(t testing.TB) Config {
 		AggColumns:  []string{"v"},
 		MaxAggValue: 200_000, // median totals: ≤ 3 tuples × 50 000, plus an update's 40 000
 		Verify:      true,
+		Buckets:     true,
 		Groups:      sh.groups,
 		ShardCells:  sh.shard,
 		EncodeWire:  sh.wire,
@@ -371,6 +373,7 @@ func (orc *oracle) answers() map[OpKind]string {
 		OpPSIAvg:   agg(orc.cells, true),
 		OpPSUSum:   agg(orc.union, false),
 		OpPSUAvg:   agg(orc.union, true),
+		OpBPSI:     answerOfResult(&ownerengine.Result{Cells: orc.cells}),
 	}
 	for op, kind := range extremeOf {
 		want, global := orc.extremes(kind)
@@ -438,12 +441,20 @@ func (orc *oracle) query(t *testing.T, sys *System, kind OpKind) *Response {
 }
 
 // directAnswers runs every kind of the kind table through the library and
-// holds each answer to the oracle; no kind may leave a session behind.
+// holds each answer to the oracle — bpsi, on a system outsourced without
+// Config.Buckets, to the servers' unknown-table error; no kind may leave a
+// session behind.
 func directAnswers(t *testing.T, sys *System, orc *oracle) {
 	t.Helper()
 	for _, name := range ownerengine.KindNames() {
 		kind, _ := ownerengine.KindByName(name)
-		orc.query(t, sys, kind)
+		if kind == OpBPSI && !sys.cfg.Buckets {
+			if _, err := sys.BucketizedPSI(context.Background()); err == nil || !strings.Contains(err.Error(), "unknown table") {
+				t.Errorf("bpsi without bucket trees: err = %v, want an unknown-table error", err)
+			}
+		} else {
+			orc.query(t, sys, kind)
+		}
 		assertNoSessions(t, sys)
 	}
 }
@@ -589,9 +600,10 @@ func (m *matrix) deltaSegments() (segs [][3]int) {
 // the first cell of every group but the first — a cell on each group
 // boundary — and at the domain's last cell, as one UpdateCells. Every
 // server of a touched group must receive exactly one StoreDeltaRequest
-// and, on disk, grow its delta log by exactly one segment; no server of
-// an untouched group may receive anything; S0 and S1 must report the
-// same backlog.
+// and, on disk, grow its delta log by exactly one segment, and its S0 and
+// S1 the group's rebuilt bucket tree, every level in upload windows; no
+// server of an untouched group may receive anything; S0 and S1 must
+// report the same backlog.
 func (m *matrix) update(t *testing.T) {
 	t.Helper()
 	orc, eng := m.orc, m.sys.Owner(0).Engine()
@@ -631,11 +643,16 @@ func (m *matrix) update(t *testing.T) {
 	}
 	after := m.deltaSegments()
 	for g := range m.calls {
-		want := map[string]int{}
-		if touched[g] {
-			want["StoreDeltaRequest"] = 1
-		}
 		for phi, c := range m.calls[g] {
+			want := map[string]int{}
+			if touched[g] {
+				want["StoreDeltaRequest"] = 1
+			}
+			if touched[g] && phi < 2 {
+				for _, n := range treeLevels(m.sys.Owner(0).Engine().GroupView(g).B) {
+					want["StoreRequest"] += m.cut(n)
+				}
+			}
 			if got := c.rounds(); !maps.Equal(got, want) {
 				t.Errorf("update: group %d server %d received %v, want %v", g, phi, got, want)
 			}
@@ -651,12 +668,69 @@ func (m *matrix) update(t *testing.T) {
 	orc.rebuild()
 }
 
-// windows is how many requests one round sends each server of group g.
-func (m *matrix) windows(g int) int {
-	if m.sh.shard != manyWindows {
+// cut is how many windows the window plan cuts a run of n cells into.
+func (m *matrix) cut(n uint64) int {
+	if m.sh.shard == 0 || m.sh.shard >= n {
 		return 1
 	}
-	return int((m.sys.Owner(0).Engine().GroupView(g).B + manyWindows - 1) / manyWindows)
+	return int((n + m.sh.shard - 1) / m.sh.shard)
+}
+
+// windows is how many requests one round over the whole table sends each
+// server of group g.
+func (m *matrix) windows(g int) int { return m.cut(m.sys.Owner(0).Engine().GroupView(g).B) }
+
+// treeLevels is the node count of each level of a b-leaf bucket tree at
+// ownerengine's fanout of 8, leaves first.
+func treeLevels(b uint64) []uint64 {
+	sizes := []uint64{b}
+	for n := b; n > 1; {
+		n = (n + 7) / 8
+		sizes = append(sizes, n)
+	}
+	return sizes
+}
+
+// bucketRounds is what a bpsi query sends each of group g's S0 and S1,
+// and the rounds that takes: one round per tree level the §6.6 traversal
+// reaches — the whole top level, then the children of the buckets every
+// owner occupies — and one PSIRequest per window of each run of adjacent
+// nodes on it.
+func (m *matrix) bucketRounds(g int) (requests, rounds int) {
+	v := m.sys.Owner(0).Engine().GroupView(g)
+	sizes := treeLevels(v.B)
+	top := len(sizes) - 1
+	span := uint64(1) // leaves under one node of level k
+	for range top {
+		span *= 8
+	}
+	var level []uint64 // the nodes of level k the traversal asks about
+	for n := range sizes[top] {
+		level = append(level, n)
+	}
+	for k := top; k >= 0 && len(level) > 0; k, span = k-1, span/8 {
+		rounds++
+		run := uint64(1)
+		for i, n := range level {
+			if i+1 < len(level) && level[i+1] == n+1 {
+				run++
+				continue
+			}
+			requests, run = requests+m.cut(run), 1
+		}
+		var next []uint64
+		for _, n := range level {
+			lo, hi := v.Start+n*span, v.Start+min(n*span+span, v.B)
+			common := !slices.ContainsFunc(m.orc.sets, func(cells []uint64) bool {
+				return !slices.ContainsFunc(cells, func(c uint64) bool { return c >= lo && c < hi })
+			})
+			for c := n * 8; common && k > 0 && c < min(n*8+8, sizes[k-1]); c++ {
+				next = append(next, c)
+			}
+		}
+		level = next
+	}
+	return requests, rounds
 }
 
 // aggGroups are the groups an aggregation kind's AggRequest round reaches:
@@ -678,7 +752,9 @@ func (m *matrix) aggGroups(kind OpKind) []bool {
 // one request type, one request per window, and report the paper's round
 // count; a disk shape must report its reads (fetch time, or hot-chunk
 // cache hits, which take none); and no server or announcer may hold a
-// session afterwards.
+// session afterwards. bpsi sends one PSIRequest round per bucket-tree level
+// its traversal reaches in each group (bucketRounds) and reports the
+// deepest group's count.
 func (m *matrix) complete(t *testing.T, path string, kind OpKind) {
 	t.Helper()
 	record(t)
@@ -687,6 +763,10 @@ func (m *matrix) complete(t *testing.T, path string, kind OpKind) {
 	case "direct":
 		resp := m.orc.query(t, m.sys, kind)
 		rounds := map[ownerengine.Family]int{ownerengine.FamilySet: 1, ownerengine.FamilyCount: 1, ownerengine.FamilyAgg: 2}[kind.Family()]
+		for g := 0; kind == OpBPSI && g < m.sh.groups; g++ {
+			_, r := m.bucketRounds(g)
+			rounds = max(rounds, r)
+		}
 		if got := resp.Result.Stats.Rounds; rounds != 0 && got != rounds {
 			t.Errorf("reports %d rounds, want %d", got, rounds)
 		}
@@ -713,6 +793,9 @@ func (m *matrix) complete(t *testing.T, path string, kind OpKind) {
 	agg := m.aggGroups(kind)
 	for g := range m.calls {
 		w := m.windows(g)
+		if kind == OpBPSI {
+			w, _ = m.bucketRounds(g)
+		}
 		for phi, c := range m.calls[g] {
 			want := map[string]int{}
 			if phi < 2 {
@@ -830,17 +913,19 @@ var mutations = []mutation{
 	}},
 }
 
-// gaps are the soundness cells undetected by design, each naming its row
-// of ROADMAP direction 4. The table only shrinks: once every cell of an
-// entry ends in ErrVerificationFailed, TestSoundness fails until the
-// entry is deleted.
+// gaps are the soundness cells undetected by design, each naming the
+// ROADMAP direction whose row it is: D4 for PSU, D5 for the rest. The
+// table only shrinks: once every cell of an entry ends in
+// ErrVerificationFailed, TestSoundness fails until the entry is deleted.
 var gaps = []gap{
 	{[]string{"psu", "psucount"}, "PSUReply.", "",
-		"direction 4, PSU rows: the paper defines no PSU verification, so a PSU reply binds nothing (ownerengine.Exec)"},
+		"D4, PSU rows: the paper defines no PSU verification, so a PSU reply binds nothing (ownerengine.Exec)"},
 	{[]string{"max", "min"}, "ClaimFetchReply.Fpos", "claim-nonwinner",
-		"direction 4, Fpos row: a ±1 shift of a non-winner's fpos share still reconstructs to a bit, adding a co-holder undetected"},
+		"D5, Fpos row: a ±1 shift of a non-winner's fpos share still reconstructs to a bit, adding a co-holder undetected"},
 	{[]string{"median"}, "ExtremeFetchReply.ValueShares", "extreme-value",
-		"direction 4, median row: a forged value share is caught only when it decodes outside F's image (Q > 2·F(MaxAgg+1), so about half the time); no other check binds the median"},
+		"D5, median row: a forged value share is caught only when it decodes outside F's image (Q > 2·F(MaxAgg+1), so about half the time); no other check binds the median"},
+	{[]string{"bpsi"}, "PSIReply.", "",
+		"D5, bucketized PSI row: the bucket-tree levels carry no χ̄ side, so a level's PSI reply binds nothing (ownerengine.BucketResult)"},
 }
 
 type gap struct {
@@ -946,7 +1031,10 @@ func (l *lie) editVector(s reflect.Value, off uint64) reflect.Value {
 // field in this phase. The liar is a server of the last group, rotating
 // over S0, S1 and S2 (S0 and S1 for fields S2 never sends) across
 // mutations, and lies in one window: the second in a many-window shape,
-// the one holding the patched cell for "patched".
+// the one holding the patched cell for "patched". bpsi, whose level
+// rounds carry no Vout and never read the main table's stored positions,
+// is lied to at offset 0 of every level, the one offset its traversal
+// always sends (the top level's).
 func (m *matrix) liar(phase string, kind OpKind, mi int, field string) *lie {
 	mut := mutations[mi]
 	typ, _, _ := strings.Cut(field, ".")
@@ -964,7 +1052,7 @@ func (m *matrix) liar(phase string, kind OpKind, mi int, field string) *lie {
 	var sends bool
 	switch psu := strings.HasPrefix(name, "psu"); kind.Family() {
 	case ownerengine.FamilySet:
-		sends = typ == "PSIReply" && !psu || typ == "PSUReply" && psu
+		sends = typ == "PSIReply" && !psu && (kind != OpBPSI || field != "PSIReply.Vout") || typ == "PSUReply" && psu
 	case ownerengine.FamilyCount:
 		sends = typ == "CountReply" && !psu || typ == "PSUReply" && psu
 	case ownerengine.FamilyAgg:
@@ -973,7 +1061,7 @@ func (m *matrix) liar(phase string, kind OpKind, mi int, field string) *lie {
 		sends = len(round) > 0 && (typ == "ExtremeFetchReply" && (field != "ExtremeFetchReply.IndexShares" || kind != OpPSIMedian) ||
 			typ == "ClaimFetchReply" && kind != OpPSIMedian)
 	}
-	if !sends || mut.name == "patched" && phase != "pending" {
+	if !sends || mut.name == "patched" && (phase != "pending" || kind == OpBPSI) {
 		return nil
 	}
 	nsrv := 2
@@ -981,7 +1069,7 @@ func (m *matrix) liar(phase string, kind OpKind, mi int, field string) *lie {
 		nsrv = 3
 	}
 	l := &lie{mut: mut, field: field, g: last, phi: mi % nsrv, owners: m.sh.owners, delta: lastView.Delta, nonWinner: -1}
-	if m.sh.shard == manyWindows {
+	if m.sh.shard == manyWindows && kind != OpBPSI {
 		l.window = manyWindows
 	}
 	local := m.sys.Owner(0).Engine().DomainB() - 1 - lastView.Start // the update's last cell, group-local

@@ -10,12 +10,13 @@ import (
 	"prism/internal/transport"
 )
 
-// TestBucketizedPSIWithoutTrees: querying before OutsourceBucketTrees
-// must fail with a clear error.
+// TestBucketizedPSIWithoutTrees: a system outsourced without
+// Config.Buckets answers bucketized PSI with the servers' unknown-table
+// error, not with an empty set.
 func TestBucketizedPSIWithoutTrees(t *testing.T) {
 	sys := hospitalSystem(t, false)
-	if _, err := sys.BucketizedPSI(context.Background()); err == nil {
-		t.Fatal("bucketized PSI without trees accepted")
+	if _, err := sys.BucketizedPSI(context.Background()); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		t.Fatalf("bucketized PSI without trees: err = %v, want an unknown-table error", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package prism
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strconv"
 	"testing"
@@ -14,21 +15,55 @@ import (
 func TestBucketizedPSIMatchesFlatPSI(t *testing.T) {
 	sys := shape{owners: 3, b: 4096}.system(t)
 	orc := loadPlanted(t, sys, plantedCells(sys, 5), 1100)
-	if err := sys.OutsourceBucketTrees(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
 	res, err := sys.BucketizedPSI(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Sort(res.Cells); !slices.Equal(res.Cells, orc.cells) {
+	if !slices.Equal(res.Cells, orc.cells) {
 		t.Fatalf("bucketized PSI = %v, plaintext %v", res.Cells, orc.cells)
 	}
-	if res.Visited >= res.Flat {
-		t.Errorf("sparse data visited %d of %d cells — no pruning", res.Visited, res.Flat)
+	if visited := res.Stats.Cells / 2; visited >= 4096 {
+		t.Errorf("sparse data visited %d of 4096 cells — no pruning", visited)
 	}
-	if res.Rounds < 2 {
-		t.Errorf("expected multi-round traversal, got %d", res.Rounds)
+	if res.Stats.Rounds < 2 {
+		t.Errorf("expected multi-round traversal, got %d", res.Stats.Rounds)
+	}
+}
+
+// TestBucketizedPSIAfterUpdate: once every owner adds a tuple at a cell
+// none of them held, bucketized PSI answers the current table, as flat
+// PSI does — each group's tree is rebuilt and re-uploaded with the
+// update, never left describing the table as outsourced — on one group
+// and on two, whose trees each cover their own group's cells.
+func TestBucketizedPSIAfterUpdate(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			ctx := context.Background()
+			sys := shape{owners: 3, groups: groups, b: 4096}.system(t)
+			orc := loadPlanted(t, sys, plantedCells(sys, 5), 1100)
+			const cell = 3000
+			if slices.Contains(orc.cells, cell) {
+				t.Fatalf("cell %d is already common", cell)
+			}
+			for j := range orc.sets {
+				if _, err := sys.Owner(j).UpdateCells(ctx, []uint64{cell}, map[string][]uint64{"v": {7}}, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				orc.sets[j], orc.vals[j] = append(orc.sets[j], cell), append(orc.vals[j], 7)
+			}
+			orc.rebuild()
+			flat, err := sys.PSI(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.BucketizedPSI(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(flat.Cells, orc.cells) || !slices.Equal(res.Cells, orc.cells) {
+				t.Fatalf("after the update PSI = %v, bucketized PSI = %v, plaintext %v", flat.Cells, res.Cells, orc.cells)
+			}
+		})
 	}
 }
 
@@ -65,18 +100,15 @@ func TestBucketizedPSISharded(t *testing.T) {
 						planted = plantedCells(sys, 4096)
 					}
 					orc := loadPlanted(t, sys, planted, 1100)
-					if err := sys.OutsourceBucketTrees(context.Background(), 8); err != nil {
-						t.Fatal(err)
-					}
 					res, err := sys.BucketizedPSI(context.Background())
 					if err != nil {
 						t.Fatal(err)
 					}
-					if slices.Sort(res.Cells); !slices.Equal(res.Cells, orc.cells) {
+					if !slices.Equal(res.Cells, orc.cells) {
 						t.Fatalf("windowed bucketized PSI = %v, plaintext %v", res.Cells, orc.cells)
 					}
-					if density == "sparse" && res.Visited >= res.Flat {
-						t.Errorf("sparse data visited %d of %d cells — no pruning", res.Visited, res.Flat)
+					if visited := res.Stats.Cells / 2; density == "sparse" && visited >= 4096 {
+						t.Errorf("sparse data visited %d of 4096 cells — no pruning", visited)
 					}
 				})
 			}
@@ -149,7 +181,7 @@ func TestMultiAttributeBucketizedPSI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewLocalSystem(Config{Owners: 3, Domain: dom, Seed: [32]byte{78}})
+	sys, err := NewLocalSystem(Config{Owners: 3, Domain: dom, Buckets: true, Seed: [32]byte{78}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +199,6 @@ func TestMultiAttributeBucketizedPSI(t *testing.T) {
 	if _, err := sys.OutsourceAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.OutsourceBucketTrees(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
 	res, err := sys.BucketizedPSI(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +206,8 @@ func TestMultiAttributeBucketizedPSI(t *testing.T) {
 	if len(res.Values) != 1 || res.Values[0] != "10|20" {
 		t.Fatalf("bucketized multi-attr PSI = %v, want [10|20]", res.Values)
 	}
-	if res.Visited >= res.Flat {
-		t.Errorf("no pruning on sparse product domain: %d of %d", res.Visited, res.Flat)
+	if visited := res.Stats.Cells / 2; visited >= 4096 {
+		t.Errorf("no pruning on sparse product domain: %d of 4096", visited)
 	}
 	// Flat PSI must agree.
 	flat, err := sys.PSI(context.Background())

@@ -62,9 +62,6 @@ func BuildFromCells(b uint64, cells []uint64, fanout int) (*Tree, error) {
 // Height returns the number of levels including leaves.
 func (t *Tree) Height() int { return len(t.Levels) }
 
-// LevelSize returns the node count at level k.
-func (t *Tree) LevelSize(k int) int { return len(t.Levels[k]) }
-
 // NodeCount returns the total number of nodes across all levels.
 func (t *Tree) NodeCount() uint64 {
 	var n uint64
@@ -128,13 +125,13 @@ func Traverse(trees []*Tree) (TraverseStats, error) {
 	h := trees[0].Height()
 	fanout := trees[0].Fanout
 	for _, t := range trees[1:] {
-		if t.Height() != h || t.Fanout != fanout || t.LevelSize(0) != trees[0].LevelSize(0) {
+		if t.Height() != h || t.Fanout != fanout || len(t.Levels[0]) != len(trees[0].Levels[0]) {
 			return st, errors.New("bucket: owners' trees have different shapes")
 		}
 	}
 	// Frontier starts with every node of the top level.
 	top := h - 1
-	frontier := make([]uint32, trees[0].LevelSize(top))
+	frontier := make([]uint32, len(trees[0].Levels[top]))
 	for i := range frontier {
 		frontier[i] = uint32(i)
 	}

@@ -11,27 +11,34 @@ import (
 	"prism/internal/share"
 )
 
-// bucketMeta retains the tree shape for the query driver.
-type bucketMeta struct {
-	fanout int
-	sizes  []int // nodes per level, level 0 = leaves
+// bucketFanout is the fanout of every bucket tree (§6.6). It is fixed, so
+// any owner process derives a group's tree shape from the group's size
+// alone and can run the traversal without the process that outsourced it.
+const bucketFanout = 8
+
+// bucketLevelTable names level k of table's bucket tree. The fanout is in
+// the name: a tree built at another fanout reads as an unknown table,
+// never as a wrong answer.
+func bucketLevelTable(table string, k int) string {
+	return fmt.Sprintf("%s-bt%d/L%d", table, bucketFanout, k)
 }
 
-// OutsourceBucketTree outsources each level of the owner's bucket tree
-// as a Plain (unpermuted) additive-share table named base/L<k>
-// (§6.6 Steps 1a-1b). Bucketized PSI trades the permutation layer for
-// frontier pruning — the traversal pattern is revealed by design, as in
-// the paper, where owners explicitly request child buckets.
-//
-// Each level uploads as Outsource does — shardCells windows, the same
-// assembly, supersede and register-on-complete semantics — so bucket
-// trees scale to the same domains the main table does.
-func (o *engine) OutsourceBucketTree(ctx context.Context, base string, tree *bucket.Tree) error {
+// uploadTree outsources each level of the bucket tree over the natural-
+// order membership bitmap chi as a Plain (unpermuted) additive-share
+// table (§6.6 Steps 1a-1b), through the same windowed upload as the main
+// table. Bucketized PSI trades the permutation layer for frontier
+// pruning — the traversal pattern is revealed by design, as in the
+// paper, where owners explicitly request child buckets.
+func (o *engine) uploadTree(ctx context.Context, table string, chi []uint16) error {
+	tree, err := bucket.Build(chi, bucketFanout)
+	if err != nil {
+		return err
+	}
 	for k, level := range tree.Levels {
 		o.mu.Lock()
 		shares := share.AdditiveSplitVector(o.rng, level, o.view.Delta, 2)
 		o.mu.Unlock()
-		spec := protocol.TableSpec{Name: bucketLevelTable(base, k), B: uint64(len(level)), Plain: true}
+		spec := protocol.TableSpec{Name: bucketLevelTable(table, k), B: uint64(len(level)), Plain: true}
 		err := o.upload(ctx, spec, 2, func(phi int, rg protocol.Range) protocol.StoreRequest {
 			return protocol.StoreRequest{ChiAdd: shares[phi][rg.Offset:rg.End()]}
 		})
@@ -39,55 +46,31 @@ func (o *engine) OutsourceBucketTree(ctx context.Context, base string, tree *buc
 			return fmt.Errorf("ownerengine: outsourcing bucket level %d: %w", k, err)
 		}
 	}
-	sizes := make([]int, tree.Height())
-	for k := range sizes {
-		sizes[k] = tree.LevelSize(k)
-	}
-	o.mu.Lock()
-	o.tables[base+"/bucket-meta"] = &localTable{
-		spec: OutsourceSpec{Table: base},
-		b:    uint64(tree.LevelSize(0)),
-	}
-	o.bucketMeta[base] = &bucketMeta{fanout: tree.Fanout, sizes: sizes}
-	o.mu.Unlock()
 	return nil
 }
 
-func bucketLevelTable(base string, level int) string {
-	return fmt.Sprintf("%s/L%d", base, level)
-}
-
-// BucketPSIResult is the outcome of a bucketized PSI (§6.6).
-type BucketPSIResult struct {
-	Cells []uint64 // common leaf cells
-	// Visited is the "actual domain size": cells PSI executed on across
-	// all rounds (the Figure 5 metric).
-	Visited uint64
-	Rounds  int
-	Stats   QueryStats
-}
-
-// BucketizedPSI runs the §6.6 protocol: PSI on the top level, then, one
-// level per round, PSI on the children of the common buckets, down to
-// the leaves. Each level is a set round over runs of children — adjacent
-// common buckets' children merge into one run — cut into windows, so the
-// servers learn the traversal the paper reveals and no frame outgrows a
-// window. The answer is unverified: the levels carry no χ̄ side.
-func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResult, error) {
-	o.mu.Lock()
-	meta := o.bucketMeta[base]
-	o.mu.Unlock()
-	if meta == nil {
-		return nil, fmt.Errorf("ownerengine: no bucket tree outsourced under %q", base)
+// BucketResult answers bucketized PSI (§6.6) in this group: PSI on the
+// top level of the group's tree, then, one level per round, PSI on the
+// children of the common buckets, down to the leaves. Each level is a
+// set round over runs of children — adjacent common buckets' children
+// merge into one run — cut into windows, so the servers learn the
+// traversal the paper reveals and no frame outgrows a window. The
+// answer is unverified: the levels carry no χ̄ side. Stats.Server.Cells
+// counts the cells S0 and S1 ran PSI on, twice the "actual domain size"
+// Figure 5 plots.
+func (o *engine) BucketResult(ctx context.Context, table string) (*Result, error) {
+	sizes := []uint64{o.view.B} // nodes per level, level 0 = leaves
+	for n := o.view.B; n > 1; {
+		n = (n + bucketFanout - 1) / bucketFanout
+		sizes = append(sizes, n)
 	}
-	wall := time.Now()
-	res := &BucketPSIResult{}
+	res := &Result{}
 	one := uint32(1 % o.view.Eta)
-	top := len(meta.sizes) - 1
-	runs := []protocol.Range{{Count: uint64(meta.sizes[top])}}
+	top := len(sizes) - 1
+	runs := []protocol.Range{{Count: sizes[top]}}
 	for k := top; k >= 0 && len(runs) > 0; k-- {
 		var common []uint64
-		q := setQuery{name: fmt.Sprintf("bpsi-L%d", k), table: bucketLevelTable(base, k)}
+		q := setQuery{name: fmt.Sprintf("bpsi-L%d", k), table: bucketLevelTable(table, k)}
 		stats, err := o.setRound(ctx, q, o.plan(runs...), [2][]uint32{}, func(rg protocol.Range, fop, _ []uint32) error {
 			for i, v := range fop {
 				if v == one {
@@ -100,32 +83,26 @@ func (o *engine) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResu
 			return nil, err
 		}
 		res.Stats.add(stats)
-		for _, run := range runs {
-			res.Visited += run.Count
-		}
 		start := time.Now()
 		slices.Sort(common) // windows land in any order
 		if k == 0 {
 			res.Cells = common
 		} else {
-			runs = meta.children(common, k)
+			runs = children(common, sizes[k-1])
 		}
 		res.Stats.OwnerNS += time.Since(start).Nanoseconds()
 	}
-	res.Rounds = res.Stats.Rounds
-	res.Stats.WallNS = time.Since(wall).Nanoseconds()
 	return res, nil
 }
 
-// children returns the runs that level k's common buckets, sorted,
-// expand to on level k-1 (§6.6 Step 3): each bucket's fanout children,
-// the last bucket's cut at the level's end, with adjacent buckets'
-// children joined into one run.
-func (m *bucketMeta) children(common []uint64, k int) []protocol.Range {
+// children returns the runs that a level's common buckets, sorted, expand
+// to on the level below, of size cells (§6.6 Step 3): each bucket's
+// fanout children, the last bucket's cut at the level's end, with
+// adjacent buckets' children joined into one run.
+func children(common []uint64, size uint64) []protocol.Range {
 	var runs []protocol.Range
-	f, size := uint64(m.fanout), uint64(m.sizes[k-1])
 	for _, node := range common {
-		lo, hi := node*f, min(node*f+f, size)
+		lo, hi := node*bucketFanout, min(node*bucketFanout+bucketFanout, size)
 		if n := len(runs); n > 0 && runs[n-1].End() == lo {
 			runs[n-1].Count += hi - lo
 		} else {

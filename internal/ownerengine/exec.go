@@ -26,7 +26,8 @@ type OpKind int
 
 // Query kinds, in the paper's order: set operations (§5.1, §7), their
 // cardinalities (§6.5), summary aggregations over either result set
-// (§6.1-§6.2) and the exemplary aggregations (§6.3-§6.4).
+// (§6.1-§6.2), the exemplary aggregations (§6.3-§6.4) and bucketized PSI
+// (§6.6).
 const (
 	OpPSI OpKind = iota
 	OpPSU
@@ -39,6 +40,7 @@ const (
 	OpPSIMax
 	OpPSIMin
 	OpPSIMedian
+	OpBPSI
 )
 
 // Family groups the kinds by the shape of their answer, which is also
@@ -64,6 +66,7 @@ var kinds = [...]struct {
 	overPSU   bool                 // result set is the union, not the intersection
 	withCount bool                 // aggregation also fetches the tuple-count column
 	extreme   protocol.ExtremeKind // FamilyExtreme only
+	bucketed  bool                 // descends the table's bucket tree (OutsourceSpec.Buckets)
 }{
 	OpPSI:       {name: "psi", label: "PSI", family: FamilySet},
 	OpPSU:       {name: "psu", label: "PSU", family: FamilySet, overPSU: true},
@@ -76,6 +79,7 @@ var kinds = [...]struct {
 	OpPSIMax:    {name: "max", label: "PSI Max", family: FamilyExtreme, extreme: protocol.KindMax},
 	OpPSIMin:    {name: "min", label: "PSI Min", family: FamilyExtreme, extreme: protocol.KindMin},
 	OpPSIMedian: {name: "median", label: "PSI Median", family: FamilyExtreme, extreme: protocol.KindMedian},
+	OpBPSI:      {name: "bpsi", label: "Bucketized PSI", family: FamilySet, bucketed: true},
 }
 
 func (k OpKind) valid() bool { return k >= 0 && int(k) < len(kinds) }
@@ -220,19 +224,20 @@ func (q *QueryStats) add(o QueryStats) {
 }
 
 // Exec runs one query with this owner driving it: at most two
-// owner↔server rounds for everything but the extremes, verified or not
-// (TestConformance) — find the result set (PSI, its §5.2 proof in the
-// same replies when asked, or PSU, which the paper does not verify:
-// TestSoundness's gaps), then aggregate over it — and for an extreme
-// the §6.3/§6.4 vector rounds across co's owners, the global reduce and
-// the retirement of the rounds' sessions. Every server group runs the
-// whole script on its own slice of the domain (script), concurrently
-// with the others and never waiting for them between rounds: PRISM's
-// servers never talk to each other, so no group's rounds depend on
-// another's. One merge then combines the groups' answers; only the
-// global reduce and the retirement look across groups. co may be nil;
-// extremes then return ErrUnsupported. Safe to call concurrently with
-// any other query.
+// owner↔server rounds for everything but the extremes and bpsi, verified
+// or not (TestConformance) — find the result set (PSI, its §5.2 proof in
+// the same replies when asked, or PSU, which the paper does not verify:
+// TestSoundness's gaps), then aggregate over it — for an extreme the
+// §6.3/§6.4 vector rounds across co's owners, the global reduce and the
+// retirement of the rounds' sessions, and for bpsi one unverified set
+// round per bucket-tree level the §6.6 traversal reaches. Every server
+// group runs the whole script on its own slice of the domain (script),
+// concurrently with the others and never waiting for them between
+// rounds: PRISM's servers never talk to each other, so no group's rounds
+// depend on another's. One merge then combines the groups' answers; only
+// the global reduce and the retirement look across groups. co may be
+// nil; extremes then return ErrUnsupported. Safe to call concurrently
+// with any other query.
 func (o *Owner) Exec(ctx context.Context, q Query, co *Cohort) (*Result, error) {
 	if err := CheckCols(q.Kind, q.Cols); err != nil {
 		return nil, err
@@ -279,10 +284,14 @@ func (o *Owner) Exec(ctx context.Context, q Query, co *Cohort) (*Result, error) 
 // script runs q's whole round script in group g alone, in the group's
 // cells: round 1 finds the group's slice of the result set (§5.1 / §7;
 // §6.1 Steps 1-3, §6.3 Steps 1-2) or its size (§6.5), round 2 aggregates
-// over that slice or runs the vector rounds across co's group-g engines.
-// round names the group's vector round and marks it opened.
+// over that slice or runs the vector rounds across co's group-g engines;
+// bpsi descends the group's own bucket tree instead (§6.6). round names
+// the group's vector round and marks it opened.
 func (o *Owner) script(ctx context.Context, g int, q Query, co *Cohort, round func() string) (res *Result, err error) {
 	e, k := o.groups[g], kinds[q.Kind]
+	if k.bucketed {
+		return e.BucketResult(ctx, q.Table)
+	}
 	res, err = e.SetResult(ctx, setQuery{
 		name:    k.name,
 		table:   q.Table,

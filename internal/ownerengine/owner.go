@@ -71,6 +71,9 @@ type OutsourceSpec struct {
 	AggCols   []string // which Data.Aggs columns get Shamir sum columns
 	Verify    bool     // also outsource χ̄ and v-columns (Table 11's v* columns)
 	WithCount bool     // also outsource the per-cell tuple-count column (aOK)
+	// Buckets also outsources the §6.6 bucket tree over χ, level k as the
+	// Plain table <Table>-bt8/L<k>, and every Update re-uploads it.
+	Buckets bool
 }
 
 // ShareGenStats reports Phase-1 costs (the paper's "share generation
@@ -117,10 +120,9 @@ type engine struct {
 	uploadEpoch string
 	uploadSeq   atomic.Uint64
 
-	mu         sync.Mutex
-	data       *Data
-	tables     map[string]*localTable
-	bucketMeta map[string]*bucketMeta
+	mu     sync.Mutex
+	data   *Data
+	tables map[string]*localTable
 
 	w3 []field.Elem // Lagrange weights for 3 shares
 
@@ -190,7 +192,6 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 		shardCells: shardCells,
 		rng:        prg.New(seed.Derive(fmt.Sprintf("owner/%d/g%d", index, view.Group))),
 		tables:     make(map[string]*localTable),
-		bucketMeta: make(map[string]*bucketMeta),
 		w3:         share.LagrangeWeights(3),
 		modEta:     modmath.NewMod64(view.Eta),
 		modDelta:   modmath.NewMod32(view.Delta),
@@ -221,7 +222,8 @@ func (o *engine) Data() *Data {
 }
 
 // Outsource runs Phase 1 for one table: build χ (and χ̄, aggregate
-// columns per spec), permute, secret-share, and upload to the servers.
+// columns per spec), permute, secret-share, and upload to the servers —
+// then, when the spec asks for it, the bucket tree over χ.
 func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStats, error) {
 	b := o.view.B
 	stats := ShareGenStats{Cells: b}
@@ -251,6 +253,9 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 	err = o.upload(ctx, pspec, params.NumServers, func(phi int, rg protocol.Range) protocol.StoreRequest {
 		return sh.server(phi, rg.Offset, rg.End())
 	})
+	if err == nil && spec.Buckets {
+		err = o.uploadTree(ctx, spec.Table, t.chi)
+	}
 	if err != nil {
 		return stats, err
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prism/internal/bucket"
 	"prism/internal/params"
 	"prism/internal/prg"
 	"prism/internal/protocol"
@@ -270,8 +269,10 @@ func (o *Owner) AdoptTable(spec OutsourceSpec) error {
 // Update applies a tuple-set change to an outsourced table: add and
 // remove list tuples in the Data format (either may be nil), split here
 // by owning group. Every group prepares before anything is sent, each
-// server of a touched group receives exactly one StoreDeltaRequest, and
-// the owner's state is folded only once all of them have acknowledged:
+// server of a touched group receives exactly one StoreDeltaRequest (and,
+// for a table outsourced with Buckets, S0 and S1 the group's rebuilt
+// bucket tree), and the owner's state is folded only once all of them
+// have acknowledged:
 // a failed update returns the error and leaves the owner untouched, and
 // calling Update again with the same tuples converges the servers.
 func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (UpdateStats, error) {
@@ -361,22 +362,4 @@ func (o *Owner) TableServed(ctx context.Context, table string) (bool, []*protoco
 		}
 	}
 	return true, sts, nil
-}
-
-// OutsourceBucketTree outsources a bucketized-PSI tree. Bucket trees
-// index the whole domain at group-agnostic fanouts, so the protocol is
-// restricted to single-group deployments.
-func (o *Owner) OutsourceBucketTree(ctx context.Context, base string, tree *bucket.Tree) error {
-	if len(o.groups) != 1 {
-		return errors.New("ownerengine: bucketized PSI requires a single-group deployment")
-	}
-	return o.groups[0].OutsourceBucketTree(ctx, base, tree)
-}
-
-// BucketizedPSI runs the bucketized intersection (single-group only).
-func (o *Owner) BucketizedPSI(ctx context.Context, base string) (*BucketPSIResult, error) {
-	if len(o.groups) != 1 {
-		return nil, errors.New("ownerengine: bucketized PSI requires a single-group deployment")
-	}
-	return o.groups[0].BucketizedPSI(ctx, base)
 }

@@ -4,7 +4,8 @@
 // those cells' new values, and sends each server one StoreDelta request
 // — compact (position, absolute share value) lists the servers merge
 // over the base. Cost is O(changed cells · log b), independent of b
-// except for the permutation lookups.
+// except for the permutation lookups — and for a table outsourced with
+// Buckets, whose bucket tree is re-uploaded whole (shipUpdate).
 //
 // Prepare validates the change and builds the requests without touching
 // owner state, ship sends them, and commit folds the change into the
@@ -18,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,7 +35,7 @@ import (
 type UpdateStats struct {
 	BuildNS  int64 // validation, fold and changed-cell recomputation
 	SplitNS  int64 // secret-share generation for the changed cells
-	UploadNS int64 // the one StoreDelta exchange
+	UploadNS int64 // the one StoreDelta exchange and any bucket-tree re-upload
 	Cells    uint64
 	// FastPath reports that the append-only fold ran: with no removals
 	// the O(n) removal-match scan and the kept-tuple rebuild are skipped
@@ -262,7 +264,13 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 }
 
 // shipUpdate sends each server of the group its one request and returns
-// once all three have answered: nil, or the refusals joined.
+// once all three have answered: nil, or the refusals joined. A table
+// outsourced with Buckets then gets the group's tree rebuilt over χ with
+// the update applied and re-uploaded whole, on every update whether or
+// not membership flipped: Plain-level deltas would show S0 and S1 which
+// natural cell changed, and a skipped upload whether χ changed at all.
+// It costs (8/7)·b two-byte shares to each of S0 and S1; a failed upload
+// leaves the update uncommitted and retryable like a refused delta.
 func (o *engine) shipUpdate(ctx context.Context, u *update) error {
 	start := time.Now()
 	replies, err := o.callServers(ctx, params.NumServers, func(phi int) any { return u.reqs[phi] })
@@ -279,6 +287,15 @@ func (o *engine) shipUpdate(ctx context.Context, u *update) error {
 	}
 	if total == 0 {
 		return errors.New("ownerengine: no server accepted any delta entry")
+	}
+	if u.t.spec.Buckets {
+		chi := slices.Clone(u.t.chi)
+		for k, c := range u.cells {
+			chi[c] = u.next.chi[k]
+		}
+		if err := o.uploadTree(ctx, u.t.spec.Table, chi); err != nil {
+			return err
+		}
 	}
 	u.stats.UploadNS = time.Since(start).Nanoseconds()
 	return nil

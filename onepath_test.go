@@ -16,7 +16,8 @@ import (
 // (outside benchmark/, a separate module the harness owns):
 //
 //   - only exec.go calls a round — a group engine's SetResult (round 1
-//     of every set and cardinality kind), Aggregate, LocalValues,
+//     of every set and cardinality kind), BucketResult (bpsi's level
+//     rounds), Aggregate, LocalValues,
 //     SubmitExtreme, FetchExtreme, SubmitClaim or FetchClaims — or builds
 //     a protocol.ExtremeReduceRequest; a front door that needs a query
 //     calls ownerengine.Exec;
@@ -28,7 +29,7 @@ func TestQueryScriptLivesInExec(t *testing.T) {
 	engineDir := filepath.Join("internal", "ownerengine")
 	execGo := filepath.Join(engineDir, "exec.go")
 	rounds := map[string]bool{
-		"SetResult": true, "Aggregate": true, "LocalValues": true,
+		"SetResult": true, "BucketResult": true, "Aggregate": true, "LocalValues": true,
 		"SubmitExtreme": true, "FetchExtreme": true, "SubmitClaim": true, "FetchClaims": true,
 	}
 	fanouts := 0
@@ -125,7 +126,8 @@ func walkSource(t *testing.T, skipDir string, fn func(fset *token.FileSet, path 
 //     zero range (old owners, hand-built probes) becomes {0, b};
 //   - no struct in internal/ownerengine has a field named wire — owners
 //     stamp an explicit range on every request;
-//   - no len(o.groups) == 1 comparison: a single group is the N = 1 case
+//   - no comparison of len(o.groups) with an integer literal, in any
+//     spelling (==, !=, <, <=, >, >=): a single group is the N = 1 case
 //     of every fan-out, merge and error tag;
 //   - the string "psup" does not occur: PSU masks have one label.
 func TestWholeTableIsAWindow(t *testing.T) {
@@ -148,8 +150,12 @@ func TestWholeTableIsAWindow(t *testing.T) {
 						}
 					}
 				case *ast.BinaryExpr:
-					if n.Op == token.EQL && types.ExprString(n.X) == "len(o.groups)" && types.ExprString(n.Y) == "1" {
-						t.Errorf("%s: len(o.groups) == 1; a single group is the N = 1 case", fset.Position(n.Pos()))
+					// Precedence 3 is the comparisons: ==, !=, <, <=, >, >=.
+					for _, pair := range [][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+						lit, ok := pair[1].(*ast.BasicLit)
+						if ok && lit.Kind == token.INT && n.Op.Precedence() == 3 && types.ExprString(pair[0]) == "len(o.groups)" {
+							t.Errorf("%s: %s; a single group is the N = 1 case", fset.Position(n.Pos()), types.ExprString(n))
+						}
 					}
 				case *ast.BasicLit:
 					if n.Kind == token.STRING && strings.Contains(n.Value, "psup") {

@@ -50,7 +50,7 @@ func (s *System) run(ctx context.Context, ow *Owner, req Request) *Response {
 	return resp
 }
 
-// SetResult is a PSI or PSU answer.
+// SetResult is a PSI, PSU or bucketized PSI answer.
 type SetResult struct {
 	// Cells are the natural-order domain cells in the result set.
 	Cells []uint64
@@ -73,6 +73,17 @@ func (s *System) PSI(ctx context.Context) (*SetResult, error) {
 // therefore returned as-is even when the system runs with Verify.
 func (s *System) PSU(ctx context.Context) (*SetResult, error) {
 	r := s.execute(ctx, Request{Op: OpPSU})
+	return r.Set, r.Err
+}
+
+// BucketizedPSI computes the PSI by §6.6's bucket trees: PSI on each
+// group's top tree level, then on the children of the common buckets,
+// down to the leaves. It needs Config.Buckets, and its answer is
+// unverified whatever Config.Verify says: the levels carry no χ̄ side.
+// Stats.Cells counts the cells S0 and S1 ran PSI on, twice Figure 5's
+// "actual domain size".
+func (s *System) BucketizedPSI(ctx context.Context) (*SetResult, error) {
+	r := s.execute(ctx, Request{Op: OpBPSI})
 	return r.Set, r.Err
 }
 

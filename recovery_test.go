@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"prism/internal/serverengine"
 	"prism/internal/sharestore"
 )
 
@@ -241,13 +243,18 @@ func (orc *oracle) addTuple(t *testing.T, sys *System, j int, cell, val uint64) 
 }
 
 // TestMultiGroupRestartRecovery: a disk-backed multi-group deployment
-// must cold-boot each server back into its own group — recovered tables
-// answer every kind as the oracle does with no re-outsourcing — and a
-// server booted over another group's store must quarantine the foreign
-// manifest (its shares cover a different domain slice) instead of
-// serving it.
+// must cold-boot each server back into its own group — recovered tables,
+// the bucket-tree levels included, answer every kind as the oracle does
+// with no re-outsourcing, bpsi from owners that never held the trees —
+// and a server booted over another group's store must quarantine every
+// foreign manifest (its shares cover a different domain slice) instead
+// of serving it.
 func TestMultiGroupRestartRecovery(t *testing.T) {
 	cfg := shape{storage: "disk-nocache", shard: 32, groups: 2, owners: 3, b: 128}.config(t)
+	tables := []string{tableName} // what S0 and S1 hold, S2 the first alone; each group's slice is 64 cells
+	for k := range treeLevels(64) {
+		tables = append(tables, fmt.Sprintf("%s-bt8/L%d", tableName, k))
+	}
 	sys1, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +276,16 @@ func TestMultiGroupRestartRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("group %d server %d recovery: %v", g, phi, err)
 			}
-			if len(rep.Recovered) != 1 || rep.Recovered[0].Name != "main" {
-				t.Fatalf("group %d server %d recovery report = %+v", g, phi, rep)
+			var names []string
+			for _, tb := range rep.Recovered {
+				names = append(names, tb.Name)
+			}
+			want := tables
+			if phi == 2 {
+				want = tables[:1]
+			}
+			if slices.Sort(names); !slices.Equal(names, want) {
+				t.Fatalf("group %d server %d recovered %v, want %v", g, phi, names, want)
 			}
 			if len(rep.Quarantined) != 0 {
 				t.Fatalf("group %d server %d quarantined healthy tables: %+v", g, phi, rep.Quarantined)
@@ -282,7 +297,7 @@ func TestMultiGroupRestartRecovery(t *testing.T) {
 
 	// Swap the two groups' server-0 stores: both servers now boot over a
 	// store whose manifests were written by the other group. Boot must
-	// succeed, but each must quarantine the foreign table.
+	// succeed, but each must quarantine every foreign table.
 	g0 := filepath.Join(cfg.DiskDir, serverDiskDir(0, 0))
 	g1 := filepath.Join(cfg.DiskDir, serverDiskDir(1, 0))
 	tmp := filepath.Join(cfg.DiskDir, "swap-tmp")
@@ -304,8 +319,8 @@ func TestMultiGroupRestartRecovery(t *testing.T) {
 		if len(rep.Recovered) != 0 {
 			t.Fatalf("group %d server 0 served another group's shares: %+v", g, rep.Recovered)
 		}
-		if len(rep.Quarantined) != 1 || rep.Quarantined[0].Reason != "group-mismatch" {
-			t.Fatalf("group %d server 0 report = %+v, want one group-mismatch quarantine", g, rep)
+		if len(rep.Quarantined) != len(tables) || slices.ContainsFunc(rep.Quarantined, func(q serverengine.QuarantinedTable) bool { return q.Reason != "group-mismatch" }) {
+			t.Fatalf("group %d server 0 report = %+v, want %d group-mismatch quarantines", g, rep, len(tables))
 		}
 	}
 }

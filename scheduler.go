@@ -27,6 +27,7 @@ const (
 	OpPSIMax    = ownerengine.OpPSIMax
 	OpPSIMin    = ownerengine.OpPSIMin
 	OpPSIMedian = ownerengine.OpPSIMedian
+	OpBPSI      = ownerengine.OpBPSI
 )
 
 // Request describes one query for the scheduler. Sum/avg ops take one or

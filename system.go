@@ -274,15 +274,21 @@ func (o *Owner) Index() int { return o.idx }
 // the benchmark harness).
 func (o *Owner) Engine() *ownerengine.Owner { return o.eng }
 
+// spec is what every owner outsources of the system's one table.
+func (o *Owner) spec() ownerengine.OutsourceSpec {
+	cfg := &o.sys.cfg
+	return ownerengine.OutsourceSpec{
+		Table:     tableName,
+		AggCols:   cfg.AggColumns,
+		Verify:    cfg.Verify,
+		WithCount: len(cfg.AggColumns) > 0,
+		Buckets:   cfg.Buckets,
+	}
+}
+
 // Outsource runs Phase 1 for this owner.
 func (o *Owner) Outsource(ctx context.Context) (ShareGenStats, error) {
-	spec := ownerengine.OutsourceSpec{
-		Table:     tableName,
-		AggCols:   o.sys.cfg.AggColumns,
-		Verify:    o.sys.cfg.Verify,
-		WithCount: len(o.sys.cfg.AggColumns) > 0,
-	}
-	st, err := o.eng.Outsource(ctx, spec)
+	st, err := o.eng.Outsource(ctx, o.spec())
 	return ShareGenStats(st), err
 }
 
@@ -335,14 +341,7 @@ func (o *Owner) UpdateCells(ctx context.Context, addCells []uint64, addAggs map[
 // servers already hold (e.g. after cold-boot recovery, when the table
 // was outsourced by an earlier process). The currently loaded rows must
 // be the dataset the table was outsourced from.
-func (o *Owner) AdoptTable() error {
-	return o.eng.AdoptTable(ownerengine.OutsourceSpec{
-		Table:     tableName,
-		AggCols:   o.sys.cfg.AggColumns,
-		Verify:    o.sys.cfg.Verify,
-		WithCount: len(o.sys.cfg.AggColumns) > 0,
-	})
-}
+func (o *Owner) AdoptTable() error { return o.eng.AdoptTable(o.spec()) }
 
 // UpdateStats reports one incremental update's cost; compare TotalNS
 // against ShareGenStats.TotalNS for the re-outsource it replaced.
