@@ -14,6 +14,7 @@ package serverengine
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"prism/internal/field"
@@ -246,7 +247,9 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 //   - on disk with the cache: one owner-sum entry per owner-0 chunk,
 //     beside the owner chunks and under the same budget;
 //   - on disk with the cache off (a disk engine without -hotchunks):
-//     each request builds its sum (buildSum).
+//     each request builds its window's sum (buildSum), except a window of
+//     a permuted reply, which gathers from the whole column's sum that
+//     its round holds (heldGather, below).
 //
 // resetCache, run on every registration, compaction swap and recovery
 // adoption, is the only invalidation. The cached tiers merge the overlay
@@ -254,17 +257,18 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // cells before adding them.
 //
 // Underneath, one owner's base cells — overlay-free — come through
-// fetchWindow (reading only the chunks that overlap the window) and, on
-// the cache-off tier, fetchGather (visiting the touched chunks one at a
-// time, so residency stays O(window + chunk)). Store reads are timed into
-// Stats.FetchNS.
+// fetchWindow, which reads only the chunks that overlap the window.
+// Store reads are timed into Stats.FetchNS. With the cache off a server
+// therefore holds O(window + chunk) cells per request, plus 2 bytes per
+// cell per χ side of a permuted round in flight.
 //
 // A fetched slice is either shared — an in-memory column, a cached chunk
 // or owner sum, untouched by the overlay — or borrowed: taken from the
 // cell pool by the fetch itself (every gather, every window that had to
 // be read, built or joined, and the copy of a shared sum an overlay entry
 // lands in). Borrowed slices live for one kernel call, after which the
-// caller releases them.
+// caller releases them. A held sum is neither: the round owns it, and
+// its windows gather out of it into borrowed slices.
 
 // The cell pools lend the fetch layer its slices; cellPool picks T's.
 var (
@@ -370,74 +374,6 @@ func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col stri
 	return out, true, nil
 }
 
-// gatherPlan groups scattered cell indices by the chunk that holds
-// them, so a gather visits each touched chunk exactly once. order holds
-// positions into idx, grouped by chunk; starts[c] is the first position
-// of chunk chunks[c] within order. Built in O(n + touched chunks) with
-// a counting pass — no comparison sort — and shared across every
-// owner's column of the same chunk geometry.
-type gatherPlan struct {
-	cc     uint64
-	chunks []uint64
-	starts []int
-	order  []int32
-}
-
-func buildGatherPlan(idx []uint32, cc, cells uint64) gatherPlan {
-	nchunks := int((cells + cc - 1) / cc)
-	counts := make([]int, nchunks)
-	for _, c := range idx {
-		counts[uint64(c)/cc]++
-	}
-	chunks := make([]uint64, 0, nchunks)
-	starts := make([]int, 1, nchunks+1)
-	next := make([]int, nchunks)
-	for k, n := range counts {
-		if n == 0 {
-			continue
-		}
-		next[k] = starts[len(starts)-1]
-		chunks = append(chunks, uint64(k))
-		starts = append(starts, next[k]+n)
-	}
-	order := make([]int32, len(idx))
-	for i, cell := range idx {
-		k := uint64(cell) / cc
-		order[next[k]] = int32(i)
-		next[k]++
-	}
-	return gatherPlan{cc: cc, chunks: chunks, starts: starts, order: order}
-}
-
-// fetchGather returns owner j's base cells idx[0..n) of a column, in idx
-// order, in a borrowed slice — the cache-off tier's gather. The store
-// copies the wanted cells straight out of each touched chunk's verified
-// bytes, visiting each chunk once (per the plan), so residency is
-// O(len(idx) + chunk) even when the indices scatter across the whole
-// column (a window of a permuted reply); no chunk is decoded whole.
-func fetchGather[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, idx []uint32, plan *gatherPlan, stats *protocol.Stats) ([]T, error) {
-	key := colKey(owner, col)
-	info, err := e.opts.Store.Stat(t.spec.Name, key)
-	if err != nil {
-		return nil, err
-	}
-	if plan.cc != info.ChunkCells {
-		// Mixed chunk geometries across owners (a server restarted with
-		// a different -chunkcells): fall back to a column-specific plan.
-		p := buildGatherPlan(idx, info.ChunkCells, info.Cells)
-		plan = &p
-	}
-	out := cellPool[T]().Get(len(idx))
-	defer fetchTime(stats, time.Now())
-	for c, k := range plan.chunks {
-		if err := sharestore.GatherChunk(e.opts.Store, t.spec.Name, key, k, idx, plan.order[plan.starts[c]:plan.starts[c+1]], out); err != nil {
-			release(e, out)
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // ---- owner sums ----
 
 // chiCol is the layout name of the χ (bar false) or χ̄ (bar true) shares.
@@ -455,10 +391,21 @@ func sumKey(col string) string { return "Σ." + col }
 // ownerSum returns Σ_j col_j over one fetch with the delta overlay merged
 // in, and whether the slice is borrowed. The fetch is the stored-cell
 // window rg or, when idx is non-nil, the stored cells idx = pf⁻¹[rg] in
-// idx order: the window rg of a reply permuted by pf.
-func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
+// idx order: the window rg of a reply permuted by pf. qid names the query
+// round a permuted fetch belongs to; on the cache-off tier the round's
+// windows gather from one held sum ("" holds nothing, see heldGather).
+func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, qid string, stats *protocol.Stats) ([]T, bool, error) {
 	if t.cache == nil {
-		return buildSum[T](e, t, col, rg, idx, pf, stats)
+		if idx != nil {
+			v, err := heldGather[T](e, t, col, rg, idx, qid, stats)
+			return v, true, err
+		}
+		v := cellPool[T]().Get(int(rg.Count))
+		if err := buildSum(e, t, col, rg, v, stats); err != nil {
+			release(e, v)
+			return nil, false, err
+		}
+		return v, true, nil
 	}
 	var v []T
 	var borrowed bool
@@ -475,45 +422,27 @@ func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoco
 	return mergeOverlay(e, t, col, rg, idx, pf, v, borrowed, stats)
 }
 
-// buildSum is ownerSum with the cache off, which only a disk engine
-// runs: there is no epoch cache to keep a sum in, so each request fetches
-// every owner's base cells into a borrowed slice, lands the owner's
-// overlay entries in it in place (every base cell an entry replaces is in
-// hand) and adds the owners as it goes (sumOwners). A gather's chunk plan
-// is built once, from owner 0's column.
-func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
-	fetch := func(j int) ([]T, error) {
-		v, _, err := fetchWindow[T](e, t, j, col, rg, stats)
-		return v, err
-	}
-	if idx != nil {
-		info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
-		if err != nil {
-			return nil, false, err
-		}
-		plan := buildGatherPlan(idx, info.ChunkCells, info.Cells)
-		fetch = func(j int) ([]T, error) { return fetchGather[T](e, t, j, col, idx, &plan, stats) }
-	}
-	v := cellPool[T]().Get(int(rg.Count))
-	err := sumOwners(e, v, func(j int) ([]T, bool, error) {
-		w, err := fetch(j)
+// buildSum sets dst to the owner sum of the stored-cell window rg with
+// the cache off, which only a disk engine runs: there is no epoch cache
+// to keep a sum in, so it fetches every owner's base cells into a
+// borrowed slice, lands the owner's overlay entries in it in place (every
+// base cell an entry replaces is in hand) and adds the owners as it goes
+// (sumOwners).
+func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, dst []T, stats *protocol.Stats) error {
+	return sumOwners(e, dst, func(j int) ([]T, bool, error) {
+		w, _, err := fetchWindow[T](e, t, j, col, rg, stats)
 		if err != nil || t.delta == nil {
 			return w, true, err
 		}
 		start := time.Now()
 		t.delta.mu.RLock()
 		if co := t.delta.cols[colKey(j, col)]; co != nil {
-			co.landing(rg, idx, pf, func(i int, _, val uint64) { w[i] = T(val) })
+			co.landing(rg, nil, nil, func(i int, _, val uint64) { w[i] = T(val) })
 		}
 		t.delta.mu.RUnlock()
 		stats.PatchNS += time.Since(start).Nanoseconds()
 		return w, true, nil
 	}, stats)
-	if err != nil {
-		release(e, v)
-		return nil, false, err
-	}
-	return v, true, nil
 }
 
 // sumOwners is the server's one owner loop: it sets dst to Σ_j fetch(j)
@@ -642,24 +571,189 @@ func sumWindow[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoc
 }
 
 // sumGather gathers the cached owner sum at the stored cells idx into a
-// borrowed slice, in idx order, visiting each touched entry once: one
+// borrowed slice, in idx order, looking each touched entry up once: one
 // gather, whatever the owner count.
 func sumGather[T sharestore.Cell](e *Engine, t *tableView, col string, idx []uint32, stats *protocol.Stats) ([]T, error) {
 	cc, cells, err := sumSpan(e, t, col)
 	if err != nil {
 		return nil, err
 	}
+	entries := make([][]T, (cells+cc-1)/cc)
 	out := cellPool[T]().Get(len(idx))
-	plan := buildGatherPlan(idx, cc, cells)
-	for c, k := range plan.chunks {
-		v, err := summed[T](e, t, col, k, cc, cells, stats)
-		if err != nil {
-			release(e, out)
-			return nil, err
+	for i, p := range idx {
+		k := uint64(p) / cc
+		if entries[k] == nil {
+			if entries[k], err = summed[T](e, t, col, k, cc, cells, stats); err != nil {
+				release(e, out)
+				return nil, err
+			}
 		}
-		for _, i := range plan.order[plan.starts[c]:plan.starts[c+1]] {
-			out[i] = v[uint64(idx[i])-k*cc]
-		}
+		out[i] = entries[k][uint64(p)-k*cc]
 	}
 	return out, nil
+}
+
+// ---- held sums ----
+//
+// A window of a reply permuted by PF_s scatters over the whole column, so
+// with the cache off a window cannot be summed from the chunks it
+// touches: it touches them all. The first window of a permuted round
+// builds the whole column's owner sum instead — every owner chunk read
+// once (wholeSum) — and the round holds it, in stored order, under (query
+// id, table, epoch, column); every window of the round, the first
+// included, gathers its cells idx = pf⁻¹[rg] out of it. Every window of a
+// round thus reads one snapshot of the columns and of their overlay.
+// A held sum is released when the round's windows have covered the table
+// (a repeated window counts once), on QueryDone, or once it has sat idle
+// for heldTTL: stale sums are swept whenever a new one is made. It counts
+// in HeldBytes while it lives — 2 bytes per cell per χ side — and never
+// as a cache hit.
+
+// heldTTL is how long a held sum may sit idle before the next new one
+// sweeps it: an owner that gave up on a round sends no more windows.
+const heldTTL = time.Minute
+
+// heldKey names a held sum: one χ side of one query round in one table
+// epoch.
+type heldKey struct {
+	qid, table string
+	epoch      uint64
+	col        string
+}
+
+// heldSum is one round's owner sum of one column. build sets cells (a
+// []T), err and free, which hands the cells back, once; the rest is
+// guarded by Engine.heldMu.
+type heldSum struct {
+	build sync.Once
+	cells any
+	err   error
+	free  func()
+
+	served map[uint64]bool // offsets of the windows served so far
+	left   uint64          // cells no window has served yet
+	users  int             // windows between holdSum and unholdSum
+	idle   time.Time       // when users last fell to 0
+}
+
+// heldGather is a permuted fetch with the cache off: the stored cells idx
+// behind window rg, gathered into a borrowed slice from the whole
+// column's owner sum — the one qid's round holds, or, with qid "", one
+// built for this fetch alone.
+func heldGather[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, qid string, stats *protocol.Stats) ([]T, error) {
+	if qid == "" {
+		sum, err := wholeSum[T](e, t, col, stats)
+		if err != nil {
+			return nil, err
+		}
+		defer release(e, sum)
+		return gatherCells(sum, idx, stats), nil
+	}
+	k := heldKey{qid: qid, table: t.spec.Name, epoch: t.epoch, col: col}
+	h := e.holdSum(k, t.spec.B)
+	h.build.Do(func() {
+		sum, err := wholeSum[T](e, t, col, stats)
+		if err == nil {
+			bytes := int64(len(sum) * sharestore.Width[T]())
+			e.trackHeld(bytes)
+			h.free = func() { e.trackHeld(-bytes); release(e, sum) }
+		}
+		h.cells, h.err = sum, err
+	})
+	var out []T
+	if h.err == nil {
+		out = gatherCells(h.cells.([]T), idx, stats)
+	}
+	e.unholdSum(k, h, rg)
+	return out, h.err
+}
+
+// wholeSum builds the whole column's owner sum into a borrowed slice, one
+// owner-0 chunk range at a time (buildSum): each owner chunk is read once
+// and the build holds O(chunk) cells beside the sum.
+func wholeSum[T sharestore.Cell](e *Engine, t *tableView, col string, stats *protocol.Stats) ([]T, error) {
+	cc, cells, err := sumSpan(e, t, col)
+	if err != nil {
+		return nil, err
+	}
+	sum := cellPool[T]().Get(int(cells))
+	for off := uint64(0); off < cells; off += cc {
+		rg := protocol.Range{Offset: off, Count: min(cc, cells-off)}
+		if err := buildSum(e, t, col, rg, sum[off:rg.End()], stats); err != nil {
+			release(e, sum)
+			return nil, err
+		}
+	}
+	return sum, nil
+}
+
+// gatherCells returns sum[idx[i]] for every i in a borrowed slice.
+func gatherCells[T sharestore.Cell](sum []T, idx []uint32, stats *protocol.Stats) []T {
+	defer fetchTime(stats, time.Now())
+	out := cellPool[T]().Get(len(idx))
+	for i, p := range idx {
+		out[i] = sum[p]
+	}
+	return out
+}
+
+// holdSum returns the held sum under k, making it — and sweeping the
+// stale ones — when there is none, and counts the caller as a user.
+func (e *Engine) holdSum(k heldKey, cells uint64) *heldSum {
+	e.heldMu.Lock()
+	defer e.heldMu.Unlock()
+	h := e.held[k]
+	if h == nil {
+		now := time.Now()
+		for sk, sh := range e.held {
+			if sh.users == 0 && now.Sub(sh.idle) > heldTTL {
+				e.dropHeld(sk, sh)
+			}
+		}
+		h = &heldSum{served: make(map[uint64]bool), left: cells, idle: now}
+		e.held[k] = h
+	}
+	h.users++
+	return h
+}
+
+// unholdSum ends a user of h that served window rg. A failed build is
+// dropped, so the next window builds afresh; so is the sum once its
+// windows have served every cell, and a sum dropped while windows
+// gathered from it is freed by the last of them.
+func (e *Engine) unholdSum(k heldKey, h *heldSum, rg protocol.Range) {
+	e.heldMu.Lock()
+	defer e.heldMu.Unlock()
+	h.users--
+	h.idle = time.Now()
+	if h.err == nil && !h.served[rg.Offset] {
+		h.served[rg.Offset] = true
+		h.left -= min(h.left, rg.Count)
+	}
+	if h.err != nil || h.left == 0 || e.held[k] != h {
+		e.dropHeld(k, h)
+	}
+}
+
+// endHeld drops every held sum of query qid (QueryDone).
+func (e *Engine) endHeld(qid string) {
+	e.heldMu.Lock()
+	defer e.heldMu.Unlock()
+	for k, h := range e.held {
+		if k.qid == qid {
+			e.dropHeld(k, h)
+		}
+	}
+}
+
+// dropHeld takes h out of the held map and hands its cells back unless a
+// window still gathers from them; the caller holds heldMu.
+func (e *Engine) dropHeld(k heldKey, h *heldSum) {
+	if e.held[k] == h {
+		delete(e.held, k)
+	}
+	if h.users == 0 && h.free != nil {
+		h.free()
+		h.cells, h.free = nil, nil
+	}
 }

@@ -111,7 +111,7 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 	// fetch is ownerSum, copied out and released when borrowed.
 	fetch := func(t *testing.T, b tier, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool) {
 		t.Helper()
-		v, borrowed, err := ownerSum[T](b.e, b.tv, col, rg, idx, pf, stats)
+		v, borrowed, err := ownerSum[T](b.e, b.tv, col, rg, idx, pf, "", stats)
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
@@ -256,7 +256,7 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 	// A column the set does not hold is an error naming the table on
 	// either width.
 	ghost := &tableView{spec: spec, owners: []*ownerCols{ram}, cache: newChunkCache(math.MaxInt64, nil)}
-	if _, _, err := ownerSum[T](eRAM, ghost, "ghost", windows[1].rg, nil, nil, &protocol.Stats{}); err == nil ||
+	if _, _, err := ownerSum[T](eRAM, ghost, "ghost", windows[1].rg, nil, nil, "", &protocol.Stats{}); err == nil ||
 		err.Error() != `server 0: table "t" owner 0 missing ghost column` {
 		t.Errorf("missing column error = %v", err)
 	}

@@ -137,6 +137,11 @@ type Engine struct {
 	sessMu   sync.Mutex
 	sessions map[string]*querySession
 
+	// held keeps, with the cache off, the owner sums of the permuted
+	// rounds in flight (held sums, column.go); guarded by heldMu.
+	heldMu sync.Mutex
+	held   map[heldKey]*heldSum
+
 	// storeMu serialises Stores per (table, owner) so two concurrent
 	// conflicting uploads cannot interleave their unlocked disk spills;
 	// different owners' uploads still proceed in parallel (they write
@@ -163,7 +168,7 @@ type Engine struct {
 
 	// heldBytes/peakHeld track the column bytes this engine holds
 	// resident: in-RAM pending upload assemblies, registered in-memory
-	// tables, and the hot-chunk caches.
+	// tables, the hot-chunk caches and the held sums.
 	heldBytes atomic.Int64
 	peakHeld  atomic.Int64
 
@@ -205,6 +210,7 @@ type table struct {
 // owner registering, a re-outsource) can never race the query's reads.
 type tableView struct {
 	spec   protocol.TableSpec
+	epoch  uint64        // the registration epoch at snapshot time
 	owners []*ownerCols  // dense, index = owner id
 	cache  *chunkCache   // the epoch's cache at snapshot time (may be nil)
 	delta  *deltaOverlay // the delta overlay at snapshot time (may be nil)
@@ -260,7 +266,7 @@ func (e *Engine) trackHeld(delta int64) {
 }
 
 // HeldBytes reports the column bytes currently resident (pending
-// assemblies, in-memory tables, hot-chunk caches).
+// assemblies, in-memory tables, hot-chunk caches, held sums).
 func (e *Engine) HeldBytes() int64 { return e.heldBytes.Load() }
 
 // PeakHeldBytes reports the high-water mark of HeldBytes.
@@ -282,6 +288,7 @@ func New(v *params.ServerView, opts Options) *Engine {
 		pending:    make(map[string]map[int]*pendingStore),
 		storeMarks: make(map[string]map[int]uploadMark),
 		sessions:   make(map[string]*querySession),
+		held:       make(map[heldKey]*heldSum),
 		storeMus:   make(map[string]*sync.Mutex),
 	}
 	e.threads.Store(int64(opts.Threads))
@@ -332,8 +339,9 @@ func (e *Engine) peekSession(qid string) (*querySession, bool) {
 	return s, ok
 }
 
-// endSession drops all state for a query id.
+// endSession drops all state for a query id, its held sums included.
 func (e *Engine) endSession(qid string) {
+	e.endHeld(qid)
 	e.sessMu.Lock()
 	defer e.sessMu.Unlock()
 	delete(e.sessions, qid)
@@ -454,7 +462,7 @@ func (e *Engine) lookup(name string) (*tableView, error) {
 	t, ok := e.tables[name]
 	var v *tableView
 	if ok {
-		v = &tableView{spec: t.spec, owners: make([]*ownerCols, e.view.M), cache: t.cache, delta: t.delta}
+		v = &tableView{spec: t.spec, epoch: t.epoch, owners: make([]*ownerCols, e.view.M), cache: t.cache, delta: t.delta}
 		for j := 0; j < e.view.M; j++ {
 			v.owners[j] = t.owners[j] // nil when owner j has not outsourced
 		}
@@ -499,8 +507,8 @@ type lazyInverse struct {
 // permuted by pf: gather the stored cells idx = pf⁻¹[rg] and evaluate
 // them in reply order — or, when the window is the whole table, evaluate
 // in stored order and let the kernel scatter cell i to pf[i] on the way
-// out (2^18 cells × 10 owners: a count query takes 15.3 ms scattered,
-// 24.7 ms gathered, a PSU count 6.7 vs 11.7 ms, so the scatter stays).
+// out. The scatter skips the gather's b-cell copy, and with the cache off
+// it needs no held sum: the one window is the whole round.
 func permutedWindow(rg protocol.Range, b uint64, pf perm.Perm, inverse *lazyInverse) (idx []uint32, scatter perm.Perm) {
 	if rg.Count == b {
 		return nil, pf
@@ -520,7 +528,7 @@ func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
 // so the owner learns the cardinality but not the positions.
 func (e *Engine) handleCount(r protocol.CountRequest) (any, error) {
 	defer e.observeRPC("count")()
-	return e.setReply(setAsk{typ: "count", table: r.Table, trace: r.TraceID, shard: r.Shard, permuted: true, verify: r.Verify})
+	return e.setReply(setAsk{typ: "count", table: r.Table, qid: r.QueryID, trace: r.TraceID, shard: r.Shard, permuted: true, verify: r.Verify})
 }
 
 func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
@@ -531,7 +539,7 @@ func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
 // setAsk is one set-round request, whichever message carried it.
 type setAsk struct {
 	typ              string // "psi", "count" or "psu": the reply, and the RPC's metric label
-	table, qid       string // qid seeds PSU's masks
+	table, qid       string // qid seeds PSU's masks and keys a permuted round's held sums
 	trace            string
 	shard            protocol.Range
 	permuted, verify bool
@@ -564,7 +572,7 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 	}
 	var stats protocol.Stats
 	if a.typ == "psu" {
-		out, err := setSide(e, t, rg, false, a.permuted, &stats, func(sum []uint16, scatter perm.Perm) []uint16 {
+		out, err := setSide(e, t, rg, false, a.permuted, a.qid, &stats, func(sum []uint16, scatter perm.Perm) []uint16 {
 			return e.psuMasked(sum, rg, a.qid, scatter, &stats)
 		})
 		if err != nil {
@@ -574,7 +582,7 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 		return protocol.PSUReply{Out: out, Stats: stats}, nil
 	}
 	psi := func(bar bool) ([]uint32, error) {
-		return setSide(e, t, rg, bar, a.permuted, &stats, func(sum []uint16, scatter perm.Perm) []uint32 {
+		return setSide(e, t, rg, bar, a.permuted, a.qid, &stats, func(sum []uint16, scatter perm.Perm) []uint32 {
 			return e.psiVector(sum, !bar, scatter, &stats)
 		})
 	}
@@ -603,7 +611,8 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 // Permuted, rg indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector: the
 // fetch gathers the stored cells behind it, or, for the whole table,
 // kernel scatters stored cell i to pf[i]. Otherwise rg names stored cells.
-func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, stats *protocol.Stats, kernel func(sum []uint16, scatter perm.Perm) O) (O, error) {
+// qid is the round a permuted window belongs to (ownerSum).
+func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, qid string, stats *protocol.Stats, kernel func(sum []uint16, scatter perm.Perm) O) (O, error) {
 	var idx []uint32
 	var scatter, pf perm.Perm
 	if permuted {
@@ -615,7 +624,7 @@ func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bo
 		idx, scatter = permutedWindow(rg, t.spec.B, pf, inv)
 	}
 	var out O
-	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, stats)
+	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, qid, stats)
 	if err != nil {
 		return out, err
 	}

@@ -136,11 +136,27 @@ func fetchAllocFence(t *testing.T, cacheBytes int64, overlay bool) {
 }
 
 // benchFetchCacheOff times one owner's overlay-free cache-off fetch of a
-// 64Ki-cell reply window from a 4-chunk disk column: contiguous
-// (fetchWindow) or scattered over every chunk the way a permuted count
-// window is (fetchGather), released after each fetch as a kernel would.
-func benchFetchCacheOff[T sharestore.Cell](b *testing.B, gather bool) {
+// 64Ki-cell reply window from a 4-chunk disk column, released after each
+// fetch as a kernel would.
+func benchFetchCacheOff[T sharestore.Cell](b *testing.B) {
 	const cells, window = 1 << 18, 1 << 16
+	e, tv := cacheOffBench[T](b, cells)
+	var stats protocol.Stats
+	b.SetBytes(int64(window * sharestore.Width[T]()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _, err := fetchWindow[T](e, tv, 0, "c", protocol.Range{Offset: uint64(i%4) * window, Count: window}, &stats)
+		if err != nil || v[1] == v[0] {
+			b.Fatal(err, v[:2])
+		}
+		release(e, v)
+	}
+}
+
+// cacheOffBench writes one owner's cells-cell column "c" to a fresh store
+// and returns a cache-off disk engine over it.
+func cacheOffBench[T sharestore.Cell](b *testing.B, cells int) (*Engine, *tableView) {
 	st, err := sharestore.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -152,36 +168,47 @@ func benchFetchCacheOff[T sharestore.Cell](b *testing.B, gather bool) {
 	if err := sharestore.Write(st, "t", colKey(0, "c"), col); err != nil {
 		b.Fatal(err)
 	}
-	e := &Engine{view: &params.ServerView{M: 1}, opts: Options{Store: st}}
-	tv := &tableView{spec: protocol.TableSpec{Name: "t", B: cells}, owners: []*ownerCols{{}}}
-	idx := perm.Random(prg.New(prg.SeedFromString("bench-gather")), cells)[:window]
-	plan := buildGatherPlan(idx, sharestore.DefaultChunkCells, cells)
-	var stats protocol.Stats
-	b.SetBytes(int64(window * sharestore.Width[T]()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var v []T
-		if gather {
-			v, err = fetchGather[T](e, tv, 0, "c", idx, &plan, &stats)
-		} else {
-			v, _, err = fetchWindow[T](e, tv, 0, "c", protocol.Range{Offset: uint64(i%4) * window, Count: window}, &stats)
-		}
-		if err != nil || v[1] == v[0] {
-			b.Fatal(err, v[:2])
-		}
-		release(e, v)
-	}
+	e := &Engine{view: &params.ServerView{M: 1, Delta: 1 << 16}, modDelta: modmath.NewMod32(1 << 16), opts: Options{Store: st}, held: map[heldKey]*heldSum{}}
+	return e, &tableView{spec: protocol.TableSpec{Name: "t", B: uint64(cells)}, owners: []*ownerCols{{}}}
 }
 
 func BenchmarkFetchWindowCacheOff(b *testing.B) {
-	b.Run("uint16", func(b *testing.B) { benchFetchCacheOff[uint16](b, false) })
-	b.Run("uint64", func(b *testing.B) { benchFetchCacheOff[uint64](b, false) })
+	b.Run("uint16", benchFetchCacheOff[uint16])
+	b.Run("uint64", benchFetchCacheOff[uint64])
 }
 
-func BenchmarkFetchGatherCacheOff(b *testing.B) {
-	b.Run("uint16", func(b *testing.B) { benchFetchCacheOff[uint16](b, true) })
-	b.Run("uint64", func(b *testing.B) { benchFetchCacheOff[uint64](b, true) })
+// BenchmarkFetchPermutedRoundCacheOff times one permuted round with the
+// cache off: the four 64Ki-cell windows of a reply permuted over a
+// 2^18-cell, 4-chunk column, as a count query asks for them — the held
+// sum built by the first window, every window gathered from it, the sum
+// released by the last.
+func BenchmarkFetchPermutedRoundCacheOff(b *testing.B) {
+	b.Run("uint16", benchPermutedRound[uint16])
+	b.Run("uint64", benchPermutedRound[uint64])
+}
+
+func benchPermutedRound[T sharestore.Cell](b *testing.B) {
+	const cells, window = 1 << 18, 1 << 16
+	e, tv := cacheOffBench[T](b, cells)
+	pf := perm.Random(prg.New(prg.SeedFromString("bench-gather")), cells)
+	inv := pf.Inverse()
+	var stats protocol.Stats
+	b.SetBytes(int64(cells * sharestore.Width[T]()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for off := uint64(0); off < cells; off += window {
+			rg := protocol.Range{Offset: off, Count: window}
+			v, _, err := ownerSum[T](e, tv, "c", rg, inv[off:rg.End()], pf, "round", &stats)
+			if err != nil || v[1] == v[0] {
+				b.Fatal(err, v[:2])
+			}
+			release(e, v)
+		}
+	}
+	if held := e.HeldBytes(); held != 0 {
+		b.Fatalf("%d bytes still held after the rounds", held)
+	}
 }
 
 // BenchmarkFetchSummed times one 64Ki-cell window of a 2^18-cell,
@@ -214,14 +241,14 @@ func benchFetchSummed[T sharestore.Cell](b *testing.B) {
 	var stats protocol.Stats
 	rg := func(i int) protocol.Range { return protocol.Range{Offset: uint64(i%4) * window, Count: window} }
 	for i := 0; i < 4; i++ { // warm: every owner chunk and owner-sum entry
-		if _, _, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, &stats); err != nil {
+		if _, _, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, "", &stats); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.Run("summed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, borrowed, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, &stats); err != nil || borrowed {
+			if _, borrowed, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, "", &stats); err != nil || borrowed {
 				b.Fatal(err, borrowed)
 			}
 		}

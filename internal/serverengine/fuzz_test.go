@@ -25,6 +25,9 @@ var requestTypes = []any{
 // much.
 const fuzzCells = 64
 
+// fuzzRequests is the most requests one input sends.
+const fuzzRequests = 4
+
 // fill sets v from data and returns the bytes left: integers and bools
 // are uvarints (a signed integer is the uvarint's bits), strings, slices
 // and maps a length and then their contents, structs their exported
@@ -121,15 +124,19 @@ func (waitingAnnouncer) Call(_ context.Context, _ string, req any) (any, error) 
 	return protocol.AnnounceReply{}, nil
 }
 
-// FuzzServerRequest feeds Engine.Handle hostile requests: the first byte
-// picks a request type Handle dispatches, the rest fill its exported
-// fields (fill). Each input runs against a RAM engine and a disk engine,
-// S0 of a 2-owner view, each holding one 16-cell table with verification
-// and count columns and one pending delta, and one extreme round that
-// owner 0 has opened, with an announcer to forward it to. Handle must never panic, and a request it
-// refuses must leave held bytes, pending uploads, sessions and the delta
-// backlog as they were. The corpus is seeded with one request of each
-// type that the engines accept.
+// FuzzServerRequest feeds Engine.Handle hostile requests: an input is up
+// to fuzzRequests requests in a row, each a byte that picks a request
+// type Handle dispatches and then what fills its exported fields (fill).
+// Each input runs against a RAM engine and a disk engine, S0 of a 2-owner
+// view, each holding one 16-cell table with verification and count
+// columns and one pending delta, and one extreme round that owner 0 has
+// opened, with an announcer to forward it to. Handle must never panic, a
+// request it refuses must leave held bytes, pending uploads, sessions and
+// the delta backlog as they were, and once it accepts a QueryDone no held
+// sum of that query is left. The corpus is seeded with one request of
+// each type that the engines accept, and with one window of a verified
+// count — which on the disk engine holds the round's sums — followed by
+// its QueryDone.
 func FuzzServerRequest(f *testing.F) {
 	const b = 16
 	view := fullView(f, 0, 2, b)
@@ -173,31 +180,56 @@ func FuzzServerRequest(f *testing.F) {
 		}
 		return e
 	}
+	// input encodes reqs in a row, each behind its request-type byte.
+	input := func(reqs ...any) []byte {
+		var out []byte
+		for _, req := range reqs {
+			i := 0
+			for reflect.TypeOf(requestTypes[i]) != reflect.TypeOf(req) {
+				i++
+			}
+			out = emit(reflect.ValueOf(req), append(out, byte(i)))
+		}
+		return out
+	}
 	for _, req := range seeds {
 		if _, err := engine(f, false).Handle(context.Background(), req); err != nil {
 			f.Fatalf("seed %T refused: %v", req, err)
 		}
-		i := 0
-		for reflect.TypeOf(requestTypes[i]) != reflect.TypeOf(req) {
-			i++
-		}
-		f.Add(emit(reflect.ValueOf(req), []byte{byte(i)}))
+		f.Add(input(req))
 	}
+	window := protocol.CountRequest{Table: "t", QueryID: "q", Verify: true, Shard: protocol.Range{Offset: 0, Count: 8}}
+	de := engine(f, true)
+	if _, err := de.Handle(context.Background(), window); err != nil || de.HeldBytes() == 0 {
+		f.Fatalf("a count window on the disk engine holds %d bytes (%v)", de.HeldBytes(), err)
+	}
+	f.Add(input(window, protocol.QueryDoneRequest{QueryID: "q"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
+		var reqs []reflect.Value
+		for len(data) > 0 && len(reqs) < fuzzRequests {
+			req := reflect.New(reflect.TypeOf(requestTypes[int(data[0])%len(requestTypes)])).Elem()
+			data = fill(req, data[1:])
+			reqs = append(reqs, req)
 		}
-		req := reflect.New(reflect.TypeOf(requestTypes[int(data[0])%len(requestTypes)])).Elem()
-		fill(req, data[1:])
 		for _, disk := range []bool{false, true} {
 			e := engine(t, disk)
 			state := func() string {
 				return fmt.Sprintf("held=%d pending=%d sessions=%d backlog=%d", e.HeldBytes(), e.PendingUploads(), e.Sessions(), e.DeltaBacklog("t"))
 			}
-			before := state()
-			if _, err := e.Handle(context.Background(), req.Interface()); err != nil {
-				if after := state(); after != before {
-					t.Errorf("disk=%v: refused %T changed server state (%v):\n before %s\n after  %s", disk, req.Interface(), err, before, after)
+			for _, req := range reqs {
+				before := state()
+				if _, err := e.Handle(context.Background(), req.Interface()); err != nil {
+					if after := state(); after != before {
+						t.Errorf("disk=%v: refused %T changed server state (%v):\n before %s\n after  %s", disk, req.Interface(), err, before, after)
+					}
+				} else if done, ok := req.Interface().(protocol.QueryDoneRequest); ok {
+					e.heldMu.Lock()
+					for k := range e.held {
+						if k.qid == done.QueryID {
+							t.Errorf("disk=%v: query %q still holds a sum of %s after its QueryDone", disk, k.qid, k.col)
+						}
+					}
+					e.heldMu.Unlock()
 				}
 			}
 		}

@@ -234,7 +234,7 @@ func (f *summedFixture) shape(col string, rg protocol.Range, gather string) ([]u
 // fetch is ownerSum over snapshot tv, widened to uint64 and released.
 func (f *summedFixture) fetch(tv *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]uint64, error) {
 	if f.ring(col) == field.P {
-		v, borrowed, err := ownerSum[uint64](f.e, tv, col, rg, idx, pf, stats)
+		v, borrowed, err := ownerSum[uint64](f.e, tv, col, rg, idx, pf, "", stats)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +244,7 @@ func (f *summedFixture) fetch(tv *tableView, col string, rg protocol.Range, idx 
 		}
 		return out, nil
 	}
-	v, borrowed, err := ownerSum[uint16](f.e, tv, col, rg, idx, pf, stats)
+	v, borrowed, err := ownerSum[uint16](f.e, tv, col, rg, idx, pf, "", stats)
 	if err != nil {
 		return nil, err
 	}
@@ -465,10 +465,10 @@ func (f *summedFixture) hold(t *testing.T) held {
 	whole := protocol.Range{Count: summedCells}
 	h := held{tv: tv}
 	var stats protocol.Stats
-	if h.sum, _, err = ownerSum[uint16](f.e, tv, "chi", whole, nil, nil, &stats); err != nil {
+	if h.sum, _, err = ownerSum[uint16](f.e, tv, "chi", whole, nil, nil, "", &stats); err != nil {
 		t.Fatal(err)
 	}
-	if h.sumF, _, err = ownerSum[uint64](f.e, tv, "sum.v", whole, nil, nil, &stats); err != nil {
+	if h.sumF, _, err = ownerSum[uint64](f.e, tv, "sum.v", whole, nil, nil, "", &stats); err != nil {
 		t.Fatal(err)
 	}
 	for p := uint64(0); p < summedCells; p++ {
@@ -489,7 +489,7 @@ func (f *summedFixture) kept(t *testing.T, h held, e *Engine) {
 		return
 	}
 	var stats protocol.Stats
-	v, _, err := ownerSum[uint16](e, h.tv, "chi", protocol.Range{Count: summedCells}, nil, nil, &stats)
+	v, _, err := ownerSum[uint16](e, h.tv, "chi", protocol.Range{Count: summedCells}, nil, nil, "", &stats)
 	if err != nil || !slices.Equal(v, h.want) {
 		t.Fatalf("the old snapshot now sums %v (%v), want %v", v, err, h.want)
 	}

@@ -9,10 +9,10 @@ import (
 
 // FuzzChunkFile hardens the parser every stored byte is read through:
 // arbitrary bytes as chunk file c0.ck under a valid index, at both cell
-// widths, must make ReadRange, ReadRangeInto, ReadChunk, GatherChunk and
-// VerifyColumn return an error or exactly the cells the bytes encode —
-// never panic, never size an allocation from the file's length field —
-// and must leave the neighbouring chunk readable.
+// widths, must make ReadRange, ReadRangeInto, ReadChunk and VerifyColumn
+// return an error or exactly the cells the bytes encode — never panic,
+// never size an allocation from the file's length field — and must leave
+// the neighbouring chunk readable.
 func FuzzChunkFile(f *testing.F) {
 	const chunkCells, cells = 4, 6 // c0.ck holds 4 cells, c1.ck the last 2
 	f.Add(encodeChunk(2, cellBytes([]uint16{1, 2, 3, 65535})))
@@ -71,18 +71,6 @@ func fuzzChunkFile[T Cell](t *testing.T, data []byte, chunkCells, cells uint64) 
 	if err := ReadRangeInto(st, "x", "y", 1, into); (err == nil) != (chunkErr == nil) ||
 		err == nil && !slices.Equal(into, append(slices.Clone(want[1:]), good[chunkCells])) {
 		t.Fatalf("ReadRangeInto served %v, %v (ReadChunk err %v)", into, err, chunkErr)
-	}
-	// Gather cells 3 and 0 of the fuzzed chunk; cell 5 lives next door.
-	idx, out := []uint32{3, 0, 5}, make([]T, 3)
-	if err := GatherChunk(st, "x", "y", 0, idx, []int32{1, 0}, out); (err == nil) != (chunkErr == nil) ||
-		err == nil && (out[0] != want[3] || out[1] != want[0]) {
-		t.Fatalf("GatherChunk served %v, %v (ReadChunk err %v)", out, err, chunkErr)
-	}
-	if err := GatherChunk(st, "x", "y", 0, idx, []int32{2}, out); err == nil {
-		t.Fatal("GatherChunk served a cell outside its chunk")
-	}
-	if err := GatherChunk(st, "x", "y", 1, idx, []int32{2}, out); err != nil || out[2] != good[5] {
-		t.Fatalf("neighbouring chunk disturbed: gathered %v, %v", out[2], err)
 	}
 	if len(data) == chunkHeaderLen+int(chunkCells)*w+1 || len(data) == chunkHeaderLen+int(chunkCells)*w-1 {
 		if chunkErr == nil {

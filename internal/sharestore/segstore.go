@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"prism/internal/slicepool"
+	"prism/internal/telemetry"
 )
 
 const (
@@ -242,6 +243,9 @@ func parseChunk(raw []byte, wantWidth int, wantCells uint64) ([]byte, error) {
 // chunkBufs recycles the buffers chunk files are read into.
 var chunkBufs slicepool.Pool[byte]
 
+// mChunkReads counts the chunk files visitChunk opens.
+var mChunkReads = telemetry.NewCounter(telemetry.MetricStoreChunkReads)
+
 // visitChunk is the one chunk reader: it reads chunk k of a column into
 // a pooled buffer, verifies it (magic, version, width, cell count, exact
 // file length, CRC32) and hands fn the payload, valid until fn returns.
@@ -256,6 +260,7 @@ func visitChunk(dir string, ci chunkIndex, k uint64, fn func(payload []byte) err
 	if err != nil {
 		return err
 	}
+	mChunkReads.Inc()
 	//prism:allow atomicwrite f is only read: its Close has no write to lose
 	defer f.Close()
 	st, err := f.Stat()
@@ -589,27 +594,6 @@ func ReadChunk[T Cell](s *Store, table, col string, k uint64) (out []T, err erro
 		return nil
 	})
 	return out, err
-}
-
-// GatherChunk reads chunk k of a column and sets out[i] to cell idx[i]
-// for every i in order, decoding only those; all must lie in chunk k.
-func GatherChunk[T Cell](s *Store, table, col string, k uint64, idx []uint32, order []int32, out []T) error {
-	dir, ci, err := s.column(table, col, Width[T]())
-	if err != nil {
-		return err
-	}
-	lo, w := k*ci.chunkCells, uint64(ci.width)
-	return visitChunk(dir, ci, k, func(payload []byte) error {
-		cells := uint64(len(payload)) / w
-		for _, i := range order {
-			c := uint64(idx[i]) - lo // wraps past any chunk size when idx[i] < lo
-			if c >= cells {
-				return fmt.Errorf("sharestore: %s/%s: cell %d outside chunk %d", table, col, idx[i], k)
-			}
-			out[i] = cellAt[T](payload[c*w:])
-		}
-		return nil
-	})
 }
 
 // RenameColumn renames a column within a table, replacing any column

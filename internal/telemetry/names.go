@@ -31,6 +31,7 @@ const (
 	MetricDeltaBacklog      = "prism_delta_backlog"                   // gauge, label table: merged-but-uncompacted delta entries
 	MetricPendingSweeps     = "prism_pending_upload_sweeps_total"     // counter: pending-upload TTL sweep passes
 	MetricPendingReclaimed  = "prism_pending_uploads_reclaimed_total" // counter: abandoned upload assemblies reclaimed
+	MetricStoreChunkReads   = "prism_store_chunk_reads_total"         // counter: chunk files read (and CRC-checked) from a column store
 
 	// Residency.
 	MetricHeldBytes     = "prism_held_bytes"      // gauge, label site: column bytes currently held by an engine
