@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"reflect"
 	"slices"
+
+	"prism/internal/levec"
 )
 
 // One binary codec writes every message: its type index (0 for none, k
@@ -200,22 +202,15 @@ func (e *encoder) scalar(v reflect.Value) {
 	}
 }
 
-type vecElem interface{ uint16 | uint32 | uint64 }
-
-func vectorCodec[T vecElem]() codec {
+func vectorCodec[T levec.Elem]() codec {
 	return codec{enc: func(e *encoder, v reflect.Value) { encVector(e, v.Interface().([]T)) },
 		dec: func(d *decoder, v reflect.Value) { v.Set(reflect.ValueOf(decVector[T](d))) }}
 }
 
-func encVector[T vecElem](e *encoder, v []T) {
+func encVector[T levec.Elem](e *encoder, v []T) {
 	var w uint8
 	if e.dry {
-		var or T
-		for _, x := range v {
-			or |= x
-		}
-		for w = 1; w < 8 && uint64(or)>>(8*w) != 0; w *= 2 {
-		}
+		w = uint8(levec.Width(v))
 		e.widths = append(e.widths, w)
 	} else {
 		w, e.widths = e.widths[0], e.widths[1:]
@@ -224,7 +219,7 @@ func encVector[T vecElem](e *encoder, v []T) {
 	e.uvarint(uint64(len(v)))
 	if n := len(v) * int(w); !e.dry {
 		e.buf = e.buf[:len(e.buf)+n]
-		pack(e.buf[len(e.buf)-n:], v, int(w))
+		levec.Put(e.buf[len(e.buf)-n:], v, int(w))
 	} else {
 		e.n += n
 	}
@@ -316,13 +311,19 @@ func (d *decoder) scalar(v reflect.Value) {
 }
 
 // decVector reads one vector; nil when it is empty or the input is bad.
-func decVector[T vecElem](d *decoder) []T {
+func decVector[T levec.Elem](d *decoder) []T {
 	w := d.uvarint()
 	if w == 0 || w&(w-1) != 0 || w > uint64(reflect.TypeFor[T]().Size()) {
 		d.fail(fmt.Sprintf("vector width %d for %T", w, []T(nil)))
 		return nil
 	}
-	return unpack[T](d.take(d.count(int(w))*int(w)), int(w))
+	n := d.count(int(w))
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	levec.Get(out, d.take(n*int(w)), int(w))
+	return out
 }
 
 func decVectorMap(d *decoder, v reflect.Value) {
@@ -339,44 +340,4 @@ func decVectorMap(d *decoder, v reflect.Value) {
 		m[k], prev = decVector[uint64](d), k
 	}
 	v.Set(reflect.ValueOf(m))
-}
-
-// pack writes v into dst (len(v)·width bytes) little-endian. While
-// eight bytes remain it stores whole words: the bytes past an element's
-// width land where the next element then overwrites them.
-func pack[T vecElem](dst []byte, v []T, width int) {
-	i := 0
-	for ; len(dst) >= 8; i++ {
-		binary.LittleEndian.PutUint64(dst, uint64(v[i]))
-		dst = dst[width:]
-	}
-	for ; i < len(v); i++ {
-		for b := 0; b < width; b++ {
-			dst[b] = byte(uint64(v[i]) >> (8 * b))
-		}
-		dst = dst[width:]
-	}
-}
-
-// unpack reads len(src)/width little-endian elements into a new slice
-// (nil when there are none), loading whole words while eight bytes
-// remain. width never exceeds the size of T.
-func unpack[T vecElem](src []byte, width int) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]T, len(src)/width)
-	mask := ^uint64(0) >> (64 - 8*width)
-	i := 0
-	for ; len(src) >= 8; i++ {
-		out[i] = T(binary.LittleEndian.Uint64(src) & mask)
-		src = src[width:]
-	}
-	for ; i < len(out); i++ {
-		for b := width - 1; b >= 0; b-- {
-			out[i] = out[i]<<8 | T(src[b])
-		}
-		src = src[width:]
-	}
-	return out
 }

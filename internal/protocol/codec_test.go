@@ -64,26 +64,54 @@ func TestSlabWidthBoundaries(t *testing.T) {
 }
 
 // TestSlabAllLengths walks every element type and wire width through
-// vector lengths 1..40, so both the whole-word loop of the packer and
-// its byte-wise tail, and the hand-over between them, carry real data.
+// vector lengths 1..40 and on both sides of one and four of the width
+// scan's 256-element blocks, so the whole-word loops of the packer and
+// its byte-wise tail, the hand-over between them, and the scan's exit
+// after a block carry real data. Each length runs twice: once with
+// every element random at the full width, so each byte of every word
+// slot carries data, and once with every element but one fitting in
+// half the width (in one byte at width 1). The widest element sits
+// first or last, so a scan that stops before the final block misses
+// the latter.
 func TestSlabAllLengths(t *testing.T) {
+	var lengths []int
+	for n := 1; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 255, 256, 257, 1023, 1024, 1025)
 	for _, width := range []int{1, 2, 4, 8} {
-		for n := 1; n <= 40; n++ {
-			u64 := make([]uint64, n)
-			u32 := make([]uint32, n)
-			u16 := make([]uint16, n)
-			for i := range u64 {
-				x := (uint64(n*41+i+1) * 0x9E3779B97F4A7C15) >> (64 - 8*width)
-				u64[i], u32[i], u16[i] = x, uint32(x), uint16(x)
-			}
-			u64[0], u32[0], u16[0] = u64[0]|1<<(8*width-1), u32[0]|1<<(min(8*width, 32)-1), u16[0]|1<<(min(8*width, 16)-1)
-			for _, in := range []any{
-				protocol.AggReply{Counts: u64, Sums: map[string][]uint64{"c": u64}},
-				protocol.PSIReply{Out: u32},
-				protocol.PSUReply{Out: u16},
-			} {
-				if out := wireRoundTrip(t, in); !reflect.DeepEqual(out, in) {
-					t.Fatalf("width %d, %d cells: got %v\nwant %v", width, n, out, in)
+		for _, n := range lengths {
+			// Full-width random elements, then narrow ones.
+			for _, shift := range []int{64 - 8*width, 64 - 4*max(width, 2)} {
+				for _, widest := range []int{0, n - 1} {
+					u64 := make([]uint64, n)
+					u32 := make([]uint32, n)
+					u16 := make([]uint16, n)
+					for i := range u64 {
+						x := (uint64(n*41+i+1) * 0x9E3779B97F4A7C15) >> shift
+						u64[i], u32[i], u16[i] = x, uint32(x), uint16(x)
+					}
+					u64[widest] |= 1 << (8*width - 1)
+					u32[widest] |= 1 << (min(8*width, 32) - 1)
+					u16[widest] |= 1 << (min(8*width, 16) - 1)
+					for _, c := range []struct {
+						in, empty   any
+						vecs, width int
+					}{
+						{protocol.AggReply{Counts: u64, Sums: map[string][]uint64{"c": u64}}, protocol.AggReply{Sums: map[string][]uint64{"c": nil}}, 2, width},
+						{protocol.PSIReply{Out: u32}, protocol.PSIReply{}, 1, min(width, 4)},
+						{protocol.PSUReply{Out: u16}, protocol.PSUReply{}, 1, min(width, 2)},
+					} {
+						if out := wireRoundTrip(t, c.in); !reflect.DeepEqual(out, c.in) {
+							t.Fatalf("width %d, %d cells >> %d, widest at %d: got %v\nwant %v", width, n, shift, widest, out, c.in)
+						}
+						// Only the widest element sets the width: each vector
+						// grows by n·width bytes and a longer count.
+						got := len(encode(t, c.in)) - len(encode(t, c.empty))
+						if want := c.vecs * (n*c.width + len(binary.AppendUvarint(nil, uint64(n))) - 1); got != want {
+							t.Fatalf("%T, width %d, %d cells >> %d, widest at %d: %d bytes, want %d", c.in, width, n, shift, widest, got, want)
+						}
+					}
 				}
 			}
 		}

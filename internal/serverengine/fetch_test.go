@@ -18,7 +18,7 @@ import (
 
 // TestCacheOffFetchAllocatesNoVectors is the fence on the cache-off
 // fetch: serving a PSI, a count and a sum window from disk allocates the
-// reply vectors and small change (a gather plan, closures) — no
+// reply vectors and small change (closures, request state) — no
 // per-owner window, no per-chunk file buffer, no decoded chunk. Before
 // the fetch borrowed its buffers those came to about seven times the
 // replies on this table.

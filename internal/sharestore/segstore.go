@@ -32,6 +32,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"prism/internal/levec"
 	"prism/internal/slicepool"
 	"prism/internal/telemetry"
 )
@@ -468,7 +469,9 @@ func (s *Store) Stat(table, col string) (ColumnInfo, error) {
 // or uint64 field shares.
 type Cell interface{ ~uint16 | ~uint64 }
 
-// Width is the on-disk element width of T in bytes.
+// Width is the on-disk element width of T in bytes. Cells are laid out
+// by levec at this width; those calls are the only store code whose
+// work depends on it, everything else moves bytes or typed slices.
 func Width[T Cell]() int {
 	if uint64(^T(0)) == 1<<16-1 {
 		return 2
@@ -476,50 +479,9 @@ func Width[T Cell]() int {
 	return 8
 }
 
-// encode writes src little-endian into dst (len(dst) ≥ Width·len(src)).
-// encode and decode are the only code whose work depends on the cell
-// width; everything else in the store moves bytes or typed slices.
-func encode[T Cell](dst []byte, src []T) {
-	if Width[T]() == 2 {
-		for i, v := range src {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
-		}
-		return
-	}
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
-	}
-}
-
-// cellAt decodes the little-endian cell at the start of src.
-func cellAt[T Cell](src []byte) T {
-	if Width[T]() == 2 {
-		return T(binary.LittleEndian.Uint16(src))
-	}
-	return T(binary.LittleEndian.Uint64(src))
-}
-
-// decode fills dst from little-endian src (len(src) ≥ Width·len(dst)),
-// four cells a step: one load (uint16) or one bounds check (uint64).
-func decode[T Cell](dst []T, src []byte) {
-	w := Width[T]()
-	for ; len(dst) >= 4; dst, src = dst[4:], src[4*w:] {
-		if w == 2 {
-			u := binary.LittleEndian.Uint64(src)
-			dst[0], dst[1], dst[2], dst[3] = T(uint16(u)), T(uint16(u>>16)), T(uint16(u>>32)), T(uint16(u>>48))
-		} else {
-			s := src[:32]
-			dst[0], dst[1], dst[2], dst[3] = T(binary.LittleEndian.Uint64(s)), T(binary.LittleEndian.Uint64(s[8:])), T(binary.LittleEndian.Uint64(s[16:])), T(binary.LittleEndian.Uint64(s[24:]))
-		}
-	}
-	for i := range dst {
-		dst[i] = cellAt[T](src[w*i:])
-	}
-}
-
 func cellBytes[T Cell](data []T) []byte {
 	payload := make([]byte, Width[T]()*len(data))
-	encode(payload, data)
+	levec.Put(payload, data, Width[T]())
 	return payload
 }
 
@@ -574,7 +536,7 @@ func ReadRangeInto[T Cell](s *Store, table, col string, off uint64, dst []T) err
 		chunkLo := k * cc
 		err = visitChunk(dir, ci, k, func(payload []byte) error {
 			lo, hi := max(chunkLo, off), min(chunkLo+uint64(len(payload))/w, end)
-			decode(dst[lo-off:hi-off], payload[(lo-chunkLo)*w:])
+			levec.Get(dst[lo-off:hi-off], payload[(lo-chunkLo)*w:], int(w))
 			return nil
 		})
 	}
@@ -590,7 +552,7 @@ func ReadChunk[T Cell](s *Store, table, col string, k uint64) (out []T, err erro
 	}
 	err = visitChunk(dir, ci, k, func(payload []byte) error {
 		out = make([]T, len(payload)/ci.width)
-		decode(out, payload)
+		levec.Get(out, payload, ci.width)
 		return nil
 	})
 	return out, err

@@ -10,10 +10,9 @@
 // "<col>.col" file left by a build that predates it is not a column
 // (Stat reports ErrNotFound) and its table must be re-outsourced. Cells
 // are uint16 (additive shares mod δ) or uint64 (Shamir shares in F_p);
-// the typed API is generic over Cell and the little-endian encode/decode
-// pair in segstore.go is the only code that depends on the width. A JSON
-// manifest
-// per table records the protocol.TableSpec, the set of completed owners
+// the typed API is generic over Cell and the width enters only where
+// segstore.go calls levec.Put/Get at Width[T](). A JSON manifest per table
+// records the protocol.TableSpec, the set of completed owners
 // and a monotonically increasing registration epoch; the manifest is
 // written atomically only after an owner's columns are fully promoted
 // to their live names, so it is the durable registration record a

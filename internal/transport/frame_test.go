@@ -259,10 +259,24 @@ func populated(t reflect.Type, seed int) reflect.Value {
 // never panic, every failure must be one of the two typed errors, and
 // whatever it accepts must re-encode to a frame that decodes to the same
 // envelope and encodes to the same bytes again. Seeded with one
-// populated frame per protocol.Messages() entry.
+// populated frame per protocol.Messages() entry, whose vectors hold two
+// elements, and with vectors of over 300 at every width, which reach
+// the width scan's block loop and the packer's word loops.
 func FuzzFrameCodec(f *testing.F) {
 	for i, msg := range protocol.Messages() {
 		f.Add(frameBody(f, &envelope{ID: 3, Payload: populated(reflect.TypeOf(msg), i).Interface()}))
+	}
+	for _, width := range []int{1, 2, 4, 8} {
+		u64 := make([]uint64, 300+width)
+		u32 := make([]uint32, len(u64))
+		u16 := make([]uint16, len(u64))
+		for i := range u64 {
+			u64[i] = (uint64(i+1) * 0x9E3779B97F4A7C15) >> (64 - 8*width)
+			u32[i], u16[i] = uint32(u64[i]), uint16(u64[i])
+		}
+		f.Add(frameBody(f, &envelope{ID: 4, Payload: protocol.AggReply{Sums: map[string][]uint64{"DT": u64}, Counts: u64}}))
+		f.Add(frameBody(f, &envelope{ID: 5, Payload: protocol.PSIReply{Out: u32, Vout: u32[:257]}}))
+		f.Add(frameBody(f, &envelope{ID: 6, Payload: protocol.PSUReply{Out: u16}}))
 	}
 	f.Add(frameBody(f, &envelope{Err: "transport: frame exceeds size limit"}))
 	f.Add([]byte{})
@@ -287,4 +301,60 @@ func FuzzFrameCodec(f *testing.F) {
 			t.Fatal("an accepted frame does not re-encode to the same bytes twice")
 		}
 	})
+}
+
+// BenchmarkFrameCodec times the peer codec's round trip, encodeFrame
+// then decodeFrame, on the four frames the repo benchmark's
+// codec_ns_per_cell probe replays, at 2^18 cells and the widths they
+// take there: PSI and count cells in 2 bytes, field-element shares in 8
+// and χ shares mod δ = 113 in 1.
+func BenchmarkFrameCodec(b *testing.B) {
+	const n = 1 << 18
+	vec := func(width int, seed uint64) []uint64 {
+		v := make([]uint64, n)
+		for i := range v {
+			v[i] = (seed + uint64(i)) * 0x9E3779B97F4A7C15 >> (64 - 8*width)
+		}
+		return v
+	}
+	cells := func(seed uint64) []uint32 { // values below 2^16, as mod η′
+		out := make([]uint32, n)
+		for i, x := range vec(2, seed) {
+			out[i] = uint32(x)
+		}
+		return out
+	}
+	chi := func(seed uint64) []uint16 { // additive shares mod δ
+		out := make([]uint16, n)
+		for i, x := range vec(1, seed) {
+			out[i] = uint16(x % 113)
+		}
+		return out
+	}
+	for _, f := range []struct {
+		name string
+		msg  any
+	}{
+		{"psi_reply", protocol.PSIReply{Out: cells(1), Vout: cells(2)}},
+		{"count_reply", protocol.CountReply{Out: cells(3), Vout: cells(4)}},
+		{"agg_reply", protocol.AggReply{Sums: map[string][]uint64{"DT": vec(8, 7)}, VSums: map[string][]uint64{"DT": vec(8, 8)}}},
+		{"store_request", protocol.StoreRequest{Spec: protocol.TableSpec{Name: "t", B: n, AggCols: []string{"DT"}, HasVerify: true, HasCount: true},
+			ChiAdd: chi(5), ChiBarAdd: chi(6), SumCols: map[string][]uint64{"DT": vec(8, 9)}, VSumCols: map[string][]uint64{"DT": vec(8, 10)},
+			CountCol: vec(8, 11), VCountCol: vec(8, 12)}},
+	} {
+		b.Run(f.name, func(b *testing.B) {
+			env := &envelope{ID: 1, Payload: f.msg}
+			for range b.N {
+				frame, err := encodeFrame(env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := decodeFrame(frame[4:]); err != nil {
+					b.Fatal(err)
+				}
+				frameBufs.Put(frame)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/cell")
+		})
+	}
 }
