@@ -91,8 +91,13 @@ type Response struct {
 	Counts  map[uint64]uint64            `json:"counts,omitempty"`
 	Extreme map[uint64]uint64            `json:"extreme,omitempty"` // per-cell max/min/median value
 	Global  *uint64                      `json:"global,omitempty"`  // query-global extreme
-	QueueMS int64                        `json:"queue_ms,omitempty"`
-	ExecMS  int64                        `json:"exec_ms,omitempty"`
+
+	// QueueMS is how long the query waited for its tenant's admission
+	// token; ExecMS is the rest of the time from submit to the query
+	// finishing, not to this poll: a result that sat waiting for its
+	// poll does not count.
+	QueueMS int64 `json:"queue_ms,omitempty"`
+	ExecMS  int64 `json:"exec_ms,omitempty"`
 }
 
 // Failure codes (Response.Code).

@@ -153,9 +153,10 @@ type pending struct {
 	queuedFor time.Duration
 	cancel    context.CancelFunc
 
-	done chan struct{} // closed when res/err are set
-	res  *Result
-	err  error
+	done     chan struct{} // closed when res/err/finished are set
+	res      *Result
+	err      error
+	finished time.Time
 }
 
 // frontConn is one client connection's state.
@@ -301,8 +302,8 @@ func (g *Gateway) runQuery(ctx context.Context, tenant string, q Query, p *pendi
 		}
 		res, err = g.pool.Exec(ctx, q)
 	}
-	p.res, p.err = res, err
-	mFrontSeconds.Observe(p.op, time.Since(p.submitted).Seconds())
+	p.res, p.err, p.finished = res, err, time.Now()
+	mFrontSeconds.Observe(p.op, p.finished.Sub(p.submitted).Seconds())
 	close(p.done)
 }
 
@@ -350,7 +351,7 @@ func (fc *frontConn) deliver(req *Request, p *pending) {
 	fc.mu.Unlock()
 	resp := &Response{ID: req.ID, Done: true}
 	resp.QueueMS = p.queuedFor.Milliseconds()
-	resp.ExecMS = time.Since(p.submitted).Milliseconds() - resp.QueueMS
+	resp.ExecMS = p.finished.Sub(p.submitted).Milliseconds() - resp.QueueMS
 	if p.err != nil {
 		resp.Code, resp.Err = classify(p.err), p.err.Error()
 	} else {

@@ -164,6 +164,29 @@ func TestGatewayQueryZeroTimeout(t *testing.T) {
 	}
 }
 
+// TestGatewayExecMSStopsAtCompletion: exec_ms is the time a query took,
+// not the time until its poll. An instant backend polled 300 ms after
+// the submit must report well under that.
+func TestGatewayExecMSStopsAtCompletion(t *testing.T) {
+	addr, _ := startGateway(t, Config{Backends: []Backend{&stub{}}})
+	cl := dialT(t, addr)
+	ticket, err := cl.Submit("count", nil, "t0", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	resp, err := cl.Poll(ticket, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Done || !resp.OK {
+		t.Fatalf("response = %+v, want a finished OK result", resp)
+	}
+	if resp.ExecMS >= 150 {
+		t.Fatalf("exec_ms = %d for an instant query polled after 300 ms, want < 150", resp.ExecMS)
+	}
+}
+
 // TestGatewayBadQueryRejected: an unknown kind, and every kind of the
 // kind table with the wrong number of columns, bounces with the very
 // error ownerengine.CheckCols gives the library and the CLI — before a

@@ -240,10 +240,9 @@ type CountReply struct {
 // PSURequest asks for the PRG-masked additive sums. QueryID doubles as
 // the PRG nonce so both servers derive identical masks per query.
 // Shard windows stored positions when Permute is false, and positions
-// of the PF_s1-permuted output when Permute is true (a proper window's
-// masks are then indexed by output position, the whole table's by
-// stored position — both servers derive the same stream either way,
-// which is all Equation 18 needs).
+// of the PF_s1-permuted output when Permute is true. Masks are indexed
+// by reply position either way, so both servers derive the same stream
+// whatever windows each is asked for, which is all Equation 18 needs.
 type PSURequest struct {
 	Table   string
 	QueryID string

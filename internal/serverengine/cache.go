@@ -13,7 +13,10 @@ import (
 // the owner sums the kernels read (sumKey names; see ownerSum) and, on a
 // disk-backed engine, the hot chunks of the owners' columns (colKey
 // names), so shard-window queries keep only the chunks they touch
-// resident and re-touching a hot window costs no disk read. An in-memory
+// resident and re-touching a hot window costs no disk read. Owner-sum
+// entries have one geometry (sumSpan): the whole column in memory, one
+// owner-0 chunk on disk, where a window spanning several — the whole
+// table too — is joined or gathered from them per query. An in-memory
 // table's cache holds only owner sums and is never over budget: they are
 // 1/M of the table's bytes. An epoch ends whenever the table changes (a
 // Store from any owner, a compaction swap, a recovery adoption, a Drop):
@@ -87,12 +90,6 @@ func (e *Engine) resetCache(t *table) {
 		t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
 	}
 }
-
-// fullColumnChunk is the sentinel entry id under which the owner sum of a
-// whole multi-chunk disk column is cached (whole-table windows read entire
-// columns; caching the joined sum gives warm queries a zero-copy handoff
-// instead of re-joining entries per query).
-const fullColumnChunk = ^uint64(0)
 
 // cacheGet returns the cached entry key, loading it via load on first
 // use. hit reports whether the load was skipped (served from the cache,

@@ -8,7 +8,10 @@
 // name it produces ("chi", "sum.<col>", …), in RAM (ownerCols), on disk
 // ("o<owner>.<name>"), in the delta log and in the chunk cache. The code
 // here is generic over the cell type: the only width-specific work left
-// is sharestore's little-endian encode/decode.
+// is the little-endian layout the store reads through (levec). A kernel
+// reads one owner-summed vector (ownerSum): the stored cells of its
+// window or, for every window of a permuted reply, the whole table
+// included, the cells pf⁻¹ names, gathered into reply order.
 package serverengine
 
 import (
@@ -243,9 +246,12 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // three tiers:
 //
 //   - in memory: the epoch cache always exists and holds one whole-column
-//     owner sum per column, nothing else;
+//     owner sum per column, nothing else; a window is a reslice of it and
+//     a permuted window one gather from it;
 //   - on disk with the cache: one owner-sum entry per owner-0 chunk,
-//     beside the owner chunks and under the same budget;
+//     beside the owner chunks and under the same budget; a window that
+//     spans entries, the whole table included, joins or gathers from
+//     them per request;
 //   - on disk with the cache off (a disk engine without -hotchunks):
 //     each request builds its window's sum (buildSum), except a window of
 //     a permuted reply, which gathers from the whole column's sum that
@@ -518,14 +524,10 @@ func sumSpan(e *Engine, t *tableView, col string) (cc, cells uint64, err error) 
 	return max(info.ChunkCells, 1), info.Cells, err
 }
 
-// summed returns owner-sum entry k of a column (fullColumnChunk: the
-// whole column as one entry), building it from the owners' raw cells on
-// its first use in the epoch.
+// summed returns owner-sum entry k of a column, building it from the
+// owners' raw cells on its first use in the epoch.
 func summed[T sharestore.Cell](e *Engine, t *tableView, col string, k, cc, cells uint64, stats *protocol.Stats) ([]T, error) {
-	rg := protocol.Range{Offset: 0, Count: cells}
-	if k != fullColumnChunk {
-		rg = protocol.Range{Offset: k * cc, Count: min(cc, cells-k*cc)}
-	}
+	rg := protocol.Range{Offset: k * cc, Count: min(cc, cells-k*cc)}
 	return cached(t, sumKey(col), k, stats, func() ([]T, error) {
 		sum := make([]T, rg.Count)
 		err := sumOwners(e, sum, func(j int) ([]T, bool, error) {
@@ -537,9 +539,8 @@ func summed[T sharestore.Cell](e *Engine, t *tableView, col string, k, cc, cells
 
 // sumWindow is the cached owner sum of the stored-cell window rg: a
 // shared slice of one entry when rg lies inside it (every window in
-// memory, chunk-aligned shard windows on disk), the whole-column entry
-// for a whole multi-chunk table, or else the touched entries joined into
-// a borrowed slice.
+// memory, chunk-aligned shard windows on disk), or else the touched
+// entries joined into a borrowed slice.
 func sumWindow[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
 	cc, cells, err := sumSpan(e, t, col)
 	if err != nil {
@@ -552,10 +553,6 @@ func sumWindow[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoc
 			return nil, false, err
 		}
 		return v[rg.Offset-k*cc : rg.End()-k*cc], false, nil
-	}
-	if rg.Offset == 0 && rg.Count == cells {
-		v, err := summed[T](e, t, col, fullColumnChunk, cc, cells, stats)
-		return v, false, err
 	}
 	out := cellPool[T]().Get(int(rg.Count))
 	for ; k*cc < rg.End(); k++ {
@@ -572,11 +569,19 @@ func sumWindow[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoc
 
 // sumGather gathers the cached owner sum at the stored cells idx into a
 // borrowed slice, in idx order, looking each touched entry up once: one
-// gather, whatever the owner count.
+// gather, whatever the owner count. When one entry holds the whole
+// column (every in-memory column) the gather indexes it directly.
 func sumGather[T sharestore.Cell](e *Engine, t *tableView, col string, idx []uint32, stats *protocol.Stats) ([]T, error) {
 	cc, cells, err := sumSpan(e, t, col)
 	if err != nil {
 		return nil, err
+	}
+	if cc >= cells {
+		sum, err := summed[T](e, t, col, 0, cc, cells, stats)
+		if err != nil {
+			return nil, err
+		}
+		return gatherCells(sum, idx, stats), nil
 	}
 	entries := make([][]T, (cells+cc-1)/cc)
 	out := cellPool[T]().Get(len(idx))
@@ -595,14 +600,15 @@ func sumGather[T sharestore.Cell](e *Engine, t *tableView, col string, idx []uin
 
 // ---- held sums ----
 //
-// A window of a reply permuted by PF_s scatters over the whole column, so
-// with the cache off a window cannot be summed from the chunks it
-// touches: it touches them all. The first window of a permuted round
-// builds the whole column's owner sum instead — every owner chunk read
-// once (wholeSum) — and the round holds it, in stored order, under (query
-// id, table, epoch, column); every window of the round, the first
-// included, gathers its cells idx = pf⁻¹[rg] out of it. Every window of a
-// round thus reads one snapshot of the columns and of their overlay.
+// A window of a reply permuted by PF_s draws its cells from the whole
+// column, so with the cache off a window cannot be summed from the
+// chunks it touches: it touches them all. The first window of a permuted
+// round builds the whole column's owner sum instead — every owner chunk
+// read once (wholeSum) — and the round holds it, in stored order, under
+// (query id, table, epoch, column); every window of the round, the first
+// and a whole-table one included, gathers its cells idx = pf⁻¹[rg] out
+// of it. Every window of a round thus reads one snapshot of the columns
+// and of their overlay.
 // A held sum is released when the round's windows have covered the table
 // (a repeated window counts once), on QueryDone, or once it has sat idle
 // for heldTTL: stale sums are swept whenever a new one is made. It counts

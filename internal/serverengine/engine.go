@@ -129,9 +129,9 @@ type Engine struct {
 	storeMarks map[string]map[int]uploadMark
 
 	// s1inv/s2inv are the inverses of the server-side permutations,
-	// materialised on the first Count/permuted-PSU window smaller than
-	// the table (they index the permuted reply vectors by output
-	// position).
+	// materialised on the first count or permuted-PSU window, the whole
+	// table included, at 4 bytes per cell each: every permuted window
+	// gathers the stored cells pf⁻¹[rg] behind its reply positions.
 	s1inv, s2inv lazyInverse
 
 	sessMu   sync.Mutex
@@ -503,20 +503,6 @@ type lazyInverse struct {
 	inv  perm.Perm
 }
 
-// permutedWindow says how to produce window rg of a b-cell reply vector
-// permuted by pf: gather the stored cells idx = pf⁻¹[rg] and evaluate
-// them in reply order — or, when the window is the whole table, evaluate
-// in stored order and let the kernel scatter cell i to pf[i] on the way
-// out. The scatter skips the gather's b-cell copy, and with the cache off
-// it needs no held sum: the one window is the whole round.
-func permutedWindow(rg protocol.Range, b uint64, pf perm.Perm, inverse *lazyInverse) (idx []uint32, scatter perm.Perm) {
-	if rg.Count == b {
-		return nil, pf
-	}
-	inverse.once.Do(func() { inverse.inv = pf.Inverse() })
-	return inverse.inv[rg.Offset:rg.End()], nil
-}
-
 // ---- round 1 of every set kind (§5.1 Step 2, §5.2 Step 2, §6.5, §7) ----
 
 func (e *Engine) handlePSI(r protocol.PSIRequest) (any, error) {
@@ -572,8 +558,8 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 	}
 	var stats protocol.Stats
 	if a.typ == "psu" {
-		out, err := setSide(e, t, rg, false, a.permuted, a.qid, &stats, func(sum []uint16, scatter perm.Perm) []uint16 {
-			return e.psuMasked(sum, rg, a.qid, scatter, &stats)
+		out, err := setSide(e, t, rg, false, a.permuted, a.qid, &stats, func(sum []uint16) []uint16 {
+			return e.psuMasked(sum, rg, a.qid, &stats)
 		})
 		if err != nil {
 			return nil, err
@@ -582,8 +568,8 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 		return protocol.PSUReply{Out: out, Stats: stats}, nil
 	}
 	psi := func(bar bool) ([]uint32, error) {
-		return setSide(e, t, rg, bar, a.permuted, a.qid, &stats, func(sum []uint16, scatter perm.Perm) []uint32 {
-			return e.psiVector(sum, !bar, scatter, &stats)
+		return setSide(e, t, rg, bar, a.permuted, a.qid, &stats, func(sum []uint16) []uint32 {
+			return e.psiVector(sum, !bar, &stats)
 		})
 	}
 	var rep protocol.PSIReply
@@ -608,27 +594,28 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 
 // setSide runs kernel over window rg of the owner sum of the χ side
 // (bar false) or the χ̄ side (bar true; no ⊖A(m) there, Equation 7).
-// Permuted, rg indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector: the
-// fetch gathers the stored cells behind it, or, for the whole table,
-// kernel scatters stored cell i to pf[i]. Otherwise rg names stored cells.
-// qid is the round a permuted window belongs to (ownerSum).
-func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, qid string, stats *protocol.Stats, kernel func(sum []uint16, scatter perm.Perm) O) (O, error) {
+// Permuted, rg indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector and
+// the fetch gathers the stored cells idx = pf⁻¹[rg] behind it, whatever
+// the window's size. Otherwise rg names stored cells. qid is the round a
+// permuted window belongs to (ownerSum).
+func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, qid string, stats *protocol.Stats, kernel func(sum []uint16) O) (O, error) {
 	var idx []uint32
-	var scatter, pf perm.Perm
+	var pf perm.Perm
 	if permuted {
 		inv := &e.s1inv
 		pf = e.view.S1
 		if bar {
 			pf, inv = e.view.S2, &e.s2inv
 		}
-		idx, scatter = permutedWindow(rg, t.spec.B, pf, inv)
+		inv.once.Do(func() { inv.inv = pf.Inverse() })
+		idx = inv.inv[rg.Offset:rg.End()]
 	}
 	var out O
 	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, qid, stats)
 	if err != nil {
 		return out, err
 	}
-	out = kernel(sum, scatter)
+	out = kernel(sum)
 	if borrowed {
 		release(e, sum)
 	}

@@ -525,17 +525,12 @@ func TestPSUPermuteMode(t *testing.T) {
 	if same == len(p) {
 		t.Error("PF_s1 permutation did not move any cell")
 	}
-	// Multisets must match (it is a permutation of the same values).
-	count := map[uint16]int{}
-	for _, v := range p {
-		count[v]++
-	}
-	for _, v := range q {
-		count[v]--
-	}
-	for v, c := range count {
-		if c != 0 {
-			t.Fatalf("value %d multiplicity differs by %d", v, c)
+	// Reply position S1[i] holds stored cell i's sum under its own mask;
+	// masks are nonzero, so the zero patterns agree position by position.
+	s1 := engines[0].view.S1
+	for i := range p {
+		if (p[i] == 0) != (q[s1[i]] == 0) {
+			t.Fatalf("stored cell %d: zero = %v, at reply position %d zero = %v", i, p[i] == 0, s1[i], q[s1[i]] == 0)
 		}
 	}
 }
@@ -555,10 +550,9 @@ func TestVerifyRequestsRejectedWithoutColumns(t *testing.T) {
 
 // TestPermutedPSUOnPlainTableRejected: PF_s1 spans the system domain, so
 // a permuted PSU over a Plain table — any bucket-tree level, fewer cells
-// than the domain — used to index past the reply (whole-table scatter)
-// or past the columns (windowed gather) and panic the handler. It must
-// be refused like a count is, leaving no state behind, in RAM and on
-// disk.
+// than the domain — used to index past the reply or past the columns
+// and panic the handler. It must be refused like a count is, leaving no
+// state behind, in RAM and on disk.
 func TestPermutedPSUOnPlainTableRejected(t *testing.T) {
 	for name, store := range map[string]bool{"ram": false, "disk": true} {
 		t.Run(name, func(t *testing.T) {

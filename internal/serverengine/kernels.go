@@ -7,7 +7,6 @@ import (
 
 	"prism/internal/field"
 	"prism/internal/modmath"
-	"prism/internal/perm"
 	"prism/internal/prg"
 	"prism/internal/protocol"
 )
@@ -15,12 +14,9 @@ import (
 // The per-cell arithmetic of the query handlers, as functions of slices
 // alone. Each reads one owner-summed vector — the fetch layer has added
 // the M owners' columns already (ownerSum) — and computes cells [lo, hi)
-// of a window whose vectors are window-relative.
-//
-// A kernel writes cell i's result to out[i], or to out[pos[i]] when pos
-// is non-nil (the server-side permutation applied on the way out, so a
-// permuted reply needs no second pass). pos is a bijection, so disjoint
-// cell ranges write disjoint outputs.
+// of a window whose vectors are window-relative, writing cell i's result
+// to out[i]: one sequential loop. A reply permuted by PF_s is no kernel
+// mode; the fetch has gathered its cells into reply order already.
 
 // kernelBlock cells of PSU masks are drawn per PRG call (2 KiB).
 const kernelBlock = 1024
@@ -28,43 +24,29 @@ const kernelBlock = 1024
 // psiKernel computes g^((sum[i] + lift) mod δ) mod η' per cell by table
 // lookup (§5.1 Step 2), where sum[i] = Σ_j A(x_j)_i mod δ and lift is
 // δ ⊖ A(m), or 0 on the verification side.
-func psiKernel(out []uint32, pos []uint32, sum []uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
+func psiKernel(out []uint32, sum []uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
 	src := sum[lo:hi]
-	if pos == nil {
-		dst := out[lo:hi]
-		dst = dst[:len(src)]
-		for i, s := range src {
-			dst[i] = powTab[md.Reduce(uint32(s)+lift)]
-		}
-		return
-	}
-	at := pos[lo:hi]
-	at = at[:len(src)]
+	dst := out[lo:hi]
+	dst = dst[:len(src)]
 	for i, s := range src {
-		out[at[i]] = powTab[md.Reduce(uint32(s)+lift)]
+		dst[i] = powTab[md.Reduce(uint32(s)+lift)]
 	}
 }
 
 // psuKernel computes sum[i] · rand[i] mod δ per cell (§7, Equation 18),
 // drawing each block's masks rand[i] ∈ [1, δ-1] from g in bulk; g must be
 // positioned at cell lo's mask.
-func psuKernel(out []uint16, pos []uint32, sum []uint16, lo, hi int, g *prg.PRG, delta uint64, md modmath.Mod32) {
+func psuKernel(out []uint16, sum []uint16, lo, hi int, g *prg.PRG, delta uint64, md modmath.Mod32) {
 	for base := lo; base < hi; base += kernelBlock {
 		end := min(base+kernelBlock, hi)
 		var rnd [kernelBlock]uint16
 		src := sum[base:end]
 		masks := rnd[:len(src)]
 		g.FillRange1(masks, delta)
-		if pos == nil {
-			dst := out[base:end]
-			dst = dst[:len(src)]
-			for i, s := range src {
-				dst[i] = uint16(md.Reduce(uint32(s) * uint32(masks[i])))
-			}
-			continue
-		}
+		dst := out[base:end]
+		dst = dst[:len(src)]
 		for i, s := range src {
-			out[pos[base+i]] = uint16(md.Reduce(uint32(s) * uint32(masks[i])))
+			dst[i] = uint16(md.Reduce(uint32(s) * uint32(masks[i])))
 		}
 	}
 }
@@ -121,9 +103,8 @@ func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 }
 
 // psiVector runs psiKernel over the (window-relative) owner sum on the
-// worker pool and accounts its time. A non-nil scatter is the server
-// permutation of a whole-table reply: cell i's value lands at scatter[i].
-func (e *Engine) psiVector(sum []uint16, subtractM bool, scatter perm.Perm, stats *protocol.Stats) []uint32 {
+// worker pool and accounts its time.
+func (e *Engine) psiVector(sum []uint16, subtractM bool, stats *protocol.Stats) []uint32 {
 	var lift uint32
 	if subtractM {
 		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
@@ -132,7 +113,7 @@ func (e *Engine) psiVector(sum []uint16, subtractM bool, scatter perm.Perm, stat
 	n := len(sum)
 	out := make([]uint32, n)
 	e.parallel(n, func(lo, hi int) {
-		psiKernel(out, scatter, sum, lo, hi, e.powTab, e.modDelta, lift)
+		psiKernel(out, sum, lo, hi, e.powTab, e.modDelta, lift)
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
@@ -141,16 +122,13 @@ func (e *Engine) psiVector(sum []uint16, subtractM bool, scatter perm.Perm, stat
 
 // psuMasked runs psuKernel for the window rg of one reply vector; the
 // owner sum is window-relative (position k of the window reads sum[k]).
-// Masks are derived per fixed-size block of positions — in whatever
-// space rg names — from the shared seed and the query id,
-// so both servers produce identical rand[] regardless of thread counts
-// or window boundaries; boundary blocks fast-forward their stream to the
-// window's first position, which makes stored-order windows agree cell
-// for cell with the one-window reply. A non-nil scatter permutes a
-// whole-table reply on the way out: its masks follow the stored cells,
-// which both servers walk in the same order, so only the zero pattern
-// is comparable with a gathered window's.
-func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, scatter perm.Perm, stats *protocol.Stats) []uint16 {
+// Masks are derived per fixed-size block of reply positions — stored
+// cells, or positions of the PF_s1-permuted vector — from the shared
+// seed and the query id, so both servers produce identical rand[]
+// regardless of thread counts or window boundaries; boundary blocks
+// fast-forward their stream to the window's first position, which makes
+// every window agree cell for cell with the one-window reply.
+func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, stats *protocol.Stats) []uint16 {
 	delta := e.view.Delta
 	out := make([]uint16, rg.Count)
 	if rg.Count == 0 {
@@ -170,7 +148,7 @@ func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, scatter 
 				g.FillRange1(skipped[:n], delta)
 				skip -= n
 			}
-			psuKernel(out, scatter, sum, int(lo-rg.Offset), int(hi-rg.Offset), g, delta, e.modDelta)
+			psuKernel(out, sum, int(lo-rg.Offset), int(hi-rg.Offset), g, delta, e.modDelta)
 		}
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()

@@ -75,18 +75,19 @@ func refPSUWindow(shares [][]uint16, rg protocol.Range, seed prg.Seed, qid strin
 // kernelCase is one randomly filled input shape; the kernels and the
 // references are pure functions of it.
 type kernelCase struct {
-	m, n   int
-	delta  uint64
-	mShare uint64
-	shares [][]uint16 // what each owner holds: its base with its overlay entries applied
-	cols   [][]uint64
-	sum    []uint16 // the fetch layer's owner sums over an in-memory table
-	sumF   []uint64
-	gsum   []uint16 // sum at the stored cells pos⁻¹[0, n), in reply order
-	z      []uint64
-	powTab []uint32
-	md     modmath.Mod32
-	pos    perm.Perm
+	m, n    int
+	delta   uint64
+	mShare  uint64
+	shares  [][]uint16 // what each owner holds: its base with its overlay entries applied
+	pshares [][]uint16 // shares[j] permuted by pos: what a permuted reply reads
+	cols    [][]uint64
+	sum     []uint16 // the fetch layer's owner sums over an in-memory table
+	sumF    []uint64
+	gsum    []uint16 // sum at the stored cells pos⁻¹[0, n), in reply order
+	z       []uint64
+	powTab  []uint32
+	md      modmath.Mod32
+	pos     perm.Perm
 }
 
 // newKernelCase draws a case from g: m owners' n-cell base columns and
@@ -150,6 +151,9 @@ func newKernelCase(t testing.TB, g *prg.PRG, m, n int, delta uint64, edge bool, 
 	c.sum = fetchedSum[uint16](t, e, tv, "chi", whole, nil, nil)
 	c.sumF = fetchedSum[uint64](t, e, tv, "sum.v", whole, nil, nil)
 	c.gsum = fetchedSum[uint16](t, e, tv, "chi", whole, c.pos.Inverse(), c.pos)
+	for _, sv := range c.shares {
+		c.pshares = append(c.pshares, perm.Apply(c.pos, sv, nil))
+	}
 	return c
 }
 
@@ -170,11 +174,10 @@ func fetchedSum[T sharestore.Cell](t testing.TB, e *Engine, tv *tableView, col s
 
 // check first holds the owner sums to the per-cell Σ_j mod δ (and mod
 // P), then runs every kernel over [0, n) split at the given cut points
-// and compares with the references, then holds the two ways a permuted
-// reply is produced against each other: scattering through pos on the
-// way out and evaluating the sums gathered through pos⁻¹ in reply order.
-// PSI must agree exactly; PSU draws its masks in walk order, so it agrees
-// up to the zero pattern.
+// and compares with the references: in stored order over the sums, and
+// in reply order over the sums gathered through pos⁻¹ — the one way a
+// permuted reply is produced — against the references over the owners'
+// shares permuted by pos.
 func (c *kernelCase) check(t testing.TB, cuts ...int) {
 	t.Helper()
 	inv := c.pos.Inverse()
@@ -191,50 +194,29 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 	}
 	bounds := append(append([]int{0}, cuts...), c.n)
 	lift := uint32(c.delta - c.mShare)
-	wantPSI := refPSI(c.shares, c.n, c.powTab, c.delta, c.mShare)
-	wantSum := refSum(c.cols, c.z)
 	seed := prg.SeedFromString("kernel-masks")
-	wantPSU := refPSU(c.shares, 0, c.n, prg.New(seed), c.delta)
-
-	var psi []uint32
-	var psu []uint16
-	for _, scatter := range []perm.Perm{nil, c.pos} {
-		g := prg.New(seed)
-		psi, psu = make([]uint32, c.n), make([]uint16, c.n)
+	for _, in := range []struct {
+		name   string
+		sum    []uint16
+		shares [][]uint16
+	}{{"stored", c.sum, c.shares}, {"gathered", c.gsum, c.pshares}} {
+		psi, psu, g := make([]uint32, c.n), make([]uint16, c.n), prg.New(seed)
 		for k := 0; k+1 < len(bounds); k++ {
-			psiKernel(psi, scatter, c.sum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
-			psuKernel(psu, scatter, c.sum, bounds[k], bounds[k+1], g, c.delta, c.md)
+			psiKernel(psi, in.sum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
+			psuKernel(psu, in.sum, bounds[k], bounds[k+1], g, c.delta, c.md)
 		}
-		wPSI, wPSU := wantPSI, wantPSU
-		if scatter != nil {
-			wPSI, wPSU = perm.Apply(scatter, wantPSI, nil), perm.Apply(scatter, wantPSU, nil)
+		if !slices.Equal(psi, refPSI(in.shares, c.n, c.powTab, c.delta, c.mShare)) {
+			t.Fatalf("psiKernel (%s) differs from reference (m=%d n=%d δ=%d cuts=%v)", in.name, c.m, c.n, c.delta, cuts)
 		}
-		if !slices.Equal(psi, wPSI) {
-			t.Fatalf("psiKernel differs from reference (m=%d n=%d δ=%d scatter=%v cuts=%v)", c.m, c.n, c.delta, scatter != nil, cuts)
-		}
-		if !slices.Equal(psu, wPSU) {
-			t.Fatalf("psuKernel differs from reference (m=%d n=%d δ=%d scatter=%v cuts=%v)", c.m, c.n, c.delta, scatter != nil, cuts)
-		}
-	}
-	gPSI, gPSU, g := make([]uint32, c.n), make([]uint16, c.n), prg.New(seed)
-	for k := 0; k+1 < len(bounds); k++ {
-		psiKernel(gPSI, nil, c.gsum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
-		psuKernel(gPSU, nil, c.gsum, bounds[k], bounds[k+1], g, c.delta, c.md)
-	}
-	if !slices.Equal(gPSI, psi) {
-		t.Fatalf("psiKernel over gathered sums differs from the scattered reply (m=%d n=%d δ=%d cuts=%v)", c.m, c.n, c.delta, cuts)
-	}
-	for p := range psu {
-		if (gPSU[p] == 0) != (psu[p] == 0) {
-			t.Fatalf("psuKernel over gathered sums: position %d zero = %v, scattered reply says %v (m=%d n=%d δ=%d cuts=%v)",
-				p, gPSU[p] == 0, psu[p] == 0, c.m, c.n, c.delta, cuts)
+		if !slices.Equal(psu, refPSU(in.shares, 0, c.n, prg.New(seed), c.delta)) {
+			t.Fatalf("psuKernel (%s) differs from reference (m=%d n=%d δ=%d cuts=%v)", in.name, c.m, c.n, c.delta, cuts)
 		}
 	}
 	sum := make([]uint64, c.n)
 	for k := 0; k+1 < len(bounds); k++ {
 		sumKernel(sum, c.sumF, c.z, bounds[k], bounds[k+1])
 	}
-	if !slices.Equal(sum, wantSum) {
+	if !slices.Equal(sum, refSum(c.cols, c.z)) {
 		t.Fatalf("sumKernel differs from reference (m=%d n=%d cuts=%v)", c.m, c.n, cuts)
 	}
 }
@@ -285,10 +267,9 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	psi, psu, sum := make([]uint32, c.n), make([]uint16, c.n), make([]uint64, c.n)
 	g := prg.New(prg.SeedFromString("allocs-masks"))
 	for name, fn := range map[string]func(){
-		"psiKernel":         func() { psiKernel(psi, nil, c.sum, 0, c.n, c.powTab, c.md, 1) },
-		"psiKernel/scatter": func() { psiKernel(psi, c.pos, c.sum, 0, c.n, c.powTab, c.md, 1) },
-		"psuKernel":         func() { psuKernel(psu, nil, c.sum, 0, c.n, g, c.delta, c.md) },
-		"sumKernel":         func() { sumKernel(sum, c.sumF, c.z, 0, c.n) },
+		"psiKernel": func() { psiKernel(psi, c.sum, 0, c.n, c.powTab, c.md, 1) },
+		"psuKernel": func() { psuKernel(psu, c.sum, 0, c.n, g, c.delta, c.md) },
+		"sumKernel": func() { sumKernel(sum, c.sumF, c.z, 0, c.n) },
 	} {
 		if a := testing.AllocsPerRun(10, fn); a != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", name, a)
@@ -323,11 +304,11 @@ func TestWrappersMatchReference(t *testing.T) {
 		e := kernelEngine(b, m, threads)
 		var stats protocol.Stats
 		want := refPSI(c.shares, b, e.powTab, e.view.Delta, uint64(e.view.MShare))
-		if got := e.psiVector(c.sum, true, nil, &stats); !slices.Equal(got, want) {
+		if got := e.psiVector(c.sum, true, &stats); !slices.Equal(got, want) {
 			t.Fatalf("threads %d: psiVector differs from reference", threads)
 		}
-		if got := e.psiVector(c.sum, true, e.view.S1, &stats); !slices.Equal(got, perm.Apply(e.view.S1, want, nil)) {
-			t.Fatalf("threads %d: scattered psiVector differs from permuted reference", threads)
+		if got := e.psiVector(c.gsum, true, &stats); !slices.Equal(got, perm.Apply(c.pos, want, nil)) {
+			t.Fatalf("threads %d: gathered psiVector differs from permuted reference", threads)
 		}
 		for _, rg := range windows {
 			win := make([][]uint16, m)
@@ -335,14 +316,14 @@ func TestWrappersMatchReference(t *testing.T) {
 				win[j] = c.shares[j][rg.Offset:rg.End()]
 			}
 			want := refPSUWindow(win, rg, e.view.PSUSeed, "q7", e.view.Delta)
-			if got := e.psuMasked(c.sum[rg.Offset:rg.End()], rg, "q7", nil, &stats); !slices.Equal(got, want) {
+			if got := e.psuMasked(c.sum[rg.Offset:rg.End()], rg, "q7", &stats); !slices.Equal(got, want) {
 				t.Fatalf("threads %d: psuMasked window %+v differs from reference", threads, rg)
 			}
 		}
 		full := protocol.Range{Offset: 0, Count: b}
-		wantPSU := perm.Apply(e.view.S1, refPSUWindow(c.shares, full, e.view.PSUSeed, "q8", e.view.Delta), nil)
-		if got := e.psuMasked(c.sum, full, "q8", e.view.S1, &stats); !slices.Equal(got, wantPSU) {
-			t.Fatalf("threads %d: scattered psuMasked differs from permuted reference", threads)
+		wantPSU := refPSUWindow(c.pshares, full, e.view.PSUSeed, "q8", e.view.Delta)
+		if got := e.psuMasked(c.gsum, full, "q8", &stats); !slices.Equal(got, wantPSU) {
+			t.Fatalf("threads %d: gathered psuMasked differs from permuted reference", threads)
 		}
 
 		spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"c"}}
@@ -415,8 +396,10 @@ func TestPSUUnionAcrossServerShapes(t *testing.T) {
 
 // The kernel microbenchmarks run the benchmark's shape (10 owners, 2^18
 // cells, δ = 113): "kernel" reads the one owner-summed vector a query
-// hands it, "reference" is the scalar loop that adds the ten owners per
-// cell as well (BenchmarkFetchSummed times what the sum costs).
+// hands it, "gathered" first gathers that vector through a permutation's
+// inverse as a permuted reply does, "reference" is the scalar loop that
+// adds the ten owners per cell as well (BenchmarkFetchSummed times what
+// the sum costs).
 
 func benchCase(b *testing.B) *kernelCase {
 	return newKernelCase(b, prg.New(prg.SeedFromString("bench")), 10, 1<<18, 113, false, 0)
@@ -427,13 +410,17 @@ func BenchmarkKernelPSI(b *testing.B) {
 	out := make([]uint32, c.n)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psiKernel(out, nil, c.sum, 0, c.n, c.powTab, c.md, 1)
+			psiKernel(out, c.sum, 0, c.n, c.powTab, c.md, 1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
-	b.Run("kernel-scatter", func(b *testing.B) {
+	b.Run("gathered", func(b *testing.B) {
+		inv := c.pos.Inverse()
+		var stats protocol.Stats
 		for i := 0; i < b.N; i++ {
-			psiKernel(out, c.pos, c.sum, 0, c.n, c.powTab, c.md, 1)
+			v := gatherCells(c.sum, inv, &stats)
+			psiKernel(out, v, 0, c.n, c.powTab, c.md, 1)
+			u16Cells.Put(v)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
@@ -451,7 +438,7 @@ func BenchmarkKernelPSU(b *testing.B) {
 	g := prg.New(prg.SeedFromString("bench-masks"))
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psuKernel(out, nil, c.sum, 0, c.n, g, c.delta, c.md)
+			psuKernel(out, c.sum, 0, c.n, g, c.delta, c.md)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})

@@ -330,7 +330,6 @@ var summedWindows = [][]protocol.Range{
 func (f *summedFixture) checkReplies() error {
 	ctx := context.Background()
 	e, v := f.e, f.view
-	b := uint64(summedCells)
 	psiChi := refPSI(f.truth16("chi", nil), summedCells, e.powTab, v.Delta, uint64(v.MShare))
 	psiBar := refPSI(f.truth16("chibar", nil), summedCells, e.powTab, v.Delta, 0)
 	inv1 := v.S1.Inverse()
@@ -359,15 +358,11 @@ func (f *summedFixture) checkReplies() error {
 				if err != nil {
 					return err
 				}
-				var want []uint16
-				switch {
-				case !permute:
-					want = refPSUWindow(f.truth16("chi", span(rg)), rg, v.PSUSeed, qid, v.Delta)
-				case rg.Count == b: // scattered: masks follow the stored cells
-					want = perm.Apply(v.S1, refPSUWindow(f.truth16("chi", nil), rg, v.PSUSeed, qid, v.Delta), nil)
-				default: // gathered: masks follow the reply positions
-					want = refPSUWindow(f.truth16("chi", inv1[rg.Offset:rg.End()]), rg, v.PSUSeed, qid, v.Delta)
+				cells := span(rg) // masks follow the reply positions
+				if permute {
+					cells = inv1[rg.Offset:rg.End()]
 				}
+				want := refPSUWindow(f.truth16("chi", cells), rg, v.PSUSeed, qid, v.Delta)
 				if got := rep.(protocol.PSUReply).Out; !slices.Equal(got, want) {
 					return fmt.Errorf("psu (permuted %v) window %v = %v, want %v", permute, rg, got, want)
 				}
@@ -444,6 +439,52 @@ func TestSummedFetchMatchesReference(t *testing.T) {
 		t.Run("epochs/"+tier.name, func(t *testing.T) {
 			t.Parallel()
 			newSummedFixture(t, 3, tier).epochs(t)
+		})
+	}
+}
+
+// TestPermutedRepliesAreWindowInvariant: a reply permuted by PF_s is one
+// vector however the owner cuts it into windows. On one server, the
+// count reply (Out and Vout) and the permuted PSU reply at the
+// whole-table window must equal the concatenation of the same round's
+// replies over three smaller windows — in RAM, on disk with the cache
+// off and on disk with a warm cache of five chunks per column.
+func TestPermutedRepliesAreWindowInvariant(t *testing.T) {
+	whole := []protocol.Range{{Offset: 0, Count: summedCells}}
+	split := []protocol.Range{{Offset: 0, Count: 23}, {Offset: 23, Count: 24}, {Offset: 47, Count: 23}}
+	for _, tier := range []summedTier{summedTiers[0], summedTiers[1], summedTiers[3]} {
+		t.Run(tier.name, func(t *testing.T) {
+			f := newSummedFixture(t, 3, tier)
+			ctx := context.Background()
+			replies := func(windows []protocol.Range) (cnt protocol.CountReply, psu []uint16) {
+				t.Helper()
+				for _, rg := range windows {
+					rep, err := f.e.Handle(ctx, protocol.CountRequest{Table: "t", QueryID: "count", Verify: true, Shard: rg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := rep.(protocol.CountReply)
+					cnt.Out, cnt.Vout = append(cnt.Out, c.Out...), append(cnt.Vout, c.Vout...)
+					rep, err = f.e.Handle(ctx, protocol.PSURequest{Table: "t", QueryID: "psucount", Shard: rg, Permute: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					psu = append(psu, rep.(protocol.PSUReply).Out...)
+				}
+				return cnt, psu
+			}
+			if tier.warm {
+				replies(whole)
+				replies(split)
+			}
+			wholeCnt, wholePSU := replies(whole)
+			splitCnt, splitPSU := replies(split)
+			if !slices.Equal(wholeCnt.Out, splitCnt.Out) || !slices.Equal(wholeCnt.Vout, splitCnt.Vout) {
+				t.Errorf("count: whole-table reply %v / %v, three windows %v / %v", wholeCnt.Out, wholeCnt.Vout, splitCnt.Out, splitCnt.Vout)
+			}
+			if !slices.Equal(wholePSU, splitPSU) {
+				t.Errorf("psucount: whole-table reply %v, three windows %v", wholePSU, splitPSU)
+			}
 		})
 	}
 }

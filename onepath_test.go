@@ -129,8 +129,18 @@ func walkSource(t *testing.T, skipDir string, fn func(fset *token.FileSet, path 
 //   - no comparison of len(o.groups) with an integer literal, in any
 //     spelling (==, !=, <, <=, >, >=): a single group is the N = 1 case
 //     of every fan-out, merge and error tag;
+//   - in internal/serverengine a range's Count is compared with the
+//     table's cell count (b, cells or a ….B selector), in any spelling,
+//     only inside Engine.absorbShard, where a whole-window upload adopts
+//     its columns instead of copying them: a permuted reply, a fetch or a
+//     cache entry has no whole-table mode;
 //   - the string "psup" does not occur: PSU masks have one label.
 func TestWholeTableIsAWindow(t *testing.T) {
+	serverDir := filepath.Join("internal", "serverengine")
+	isSel := func(x ast.Expr, field string) bool {
+		sel, ok := x.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == field
+	}
 	walkSource(t, "", func(fset *token.FileSet, path string, file *ast.File) {
 		for _, decl := range file.Decls {
 			name := "" // "Receiver.method" of the enclosing method
@@ -152,9 +162,16 @@ func TestWholeTableIsAWindow(t *testing.T) {
 				case *ast.BinaryExpr:
 					// Precedence 3 is the comparisons: ==, !=, <, <=, >, >=.
 					for _, pair := range [][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
+						if n.Op.Precedence() != 3 {
+							break
+						}
 						lit, ok := pair[1].(*ast.BasicLit)
-						if ok && lit.Kind == token.INT && n.Op.Precedence() == 3 && types.ExprString(pair[0]) == "len(o.groups)" {
+						if ok && lit.Kind == token.INT && types.ExprString(pair[0]) == "len(o.groups)" {
 							t.Errorf("%s: %s; a single group is the N = 1 case", fset.Position(n.Pos()), types.ExprString(n))
+						}
+						if filepath.Dir(path) == serverDir && name != "Engine.absorbShard" && isSel(pair[0], "Count") &&
+							(isSel(pair[1], "B") || types.ExprString(pair[1]) == "b" || types.ExprString(pair[1]) == "cells") {
+							t.Errorf("%s: %s; the whole table is a window, not a mode", fset.Position(n.Pos()), types.ExprString(n))
 						}
 					}
 				case *ast.BasicLit:

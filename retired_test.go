@@ -86,20 +86,14 @@ func TestExtremeVectorRoundMatchesOracle(t *testing.T) {
 	})
 }
 
-// answers and lies are retired for every shape's completeness cells of
-// the kinds matching kinds, and its soundness cells matching cells.
-func answers(t *testing.T, kinds string) { retired(t, `TestConformance/.*/(`+kinds+`)`) }
-func lies(t *testing.T, cells string)    { retired(t, `TestSoundness/.*/(`+cells+`)/.*`) }
+// lies is retired for every shape's soundness cells matching cells.
+func lies(t *testing.T, cells string) { retired(t, `TestSoundness/.*/(`+cells+`)/.*`) }
 
 func TestEmptyIntersection(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
 func TestIdenticalOwners(t *testing.T) {
 	inShapes(t, func(sh shape) bool { return uint64(sh.k) == sh.b })
 }
 func TestTwoOwnerSystem(t *testing.T)                { inShapes(t, func(sh shape) bool { return sh.owners == 2 }) }
-func TestRandomPSIMaxMinMatchPlaintext(t *testing.T) { answers(t, "max|min") }
-func TestRepeatedExtremeQueries(t *testing.T)        { answers(t, "max|min|median") }
-func TestHonestRunStillVerifies(t *testing.T)        { retired(t, `TestSoundness/.*/honest`) }
-func TestStrippedProofDetected(t *testing.T)         { lies(t, "[^/]+/strip") }
 func TestMaliciousAggTamperDetected(t *testing.T)    { lies(t, "(sum|avg|psusum|psuavg)/nudge") }
 func TestMaliciousAggSkipDetected(t *testing.T)      { lies(t, "(sum|avg|psusum|psuavg)/skip") }
 func TestMaliciousExtremeValueDetected(t *testing.T) { lies(t, "(max|min)/extreme-value") }
