@@ -8,15 +8,16 @@ import (
 	"prism/internal/telemetry"
 )
 
-// TestPermutedRoundReadsEachChunkOnce pins the store reads of a permuted
-// round on the cache-off tier — disk-nocache, 3 owners, one group,
-// 1,024-cell chunks and windows — at one read of every chunk it needs:
-// a verified count reads each owner's χ and χ̄ chunks once on S0 and on
-// S1, 2 × 3 × 2 × b/1,024 chunk reads, and a PSU count, which has no χ̄
-// side, half that, however many windows the round has. Gathering each
-// window's cells from the chunks they lie in reads every chunk once per
-// window instead: 192 and 3,072 for the verified count at these sizes.
-// The counts are exact, so no timing noise can blur them.
+// TestPermutedRoundReadsEachChunkOnce pins the store reads of permuted
+// rounds on the cache-off tier — disk-nocache, 3 owners, one group,
+// 1,024-cell chunks and windows — at one read of every chunk per table
+// epoch. The first verified count builds the epoch's χ and χ̄ owner sums
+// on S0 and on S1, reading each owner's χ and χ̄ chunks once: 2 × 3 × 2 ×
+// b/1,024 chunk reads, however many windows the round has. The PSU count
+// that follows gathers from the χ sum the count built and reads none.
+// An update compacted into the base starts a new epoch, and the next
+// count reads every χ and χ̄ chunk once more. The counts are exact, so no
+// timing noise can blur them.
 func TestPermutedRoundReadsEachChunkOnce(t *testing.T) {
 	reads := telemetry.NewCounter(telemetry.MetricStoreChunkReads)
 	ctx := context.Background()
@@ -24,28 +25,32 @@ func TestPermutedRoundReadsEachChunkOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("b=%d", b), func(t *testing.T) {
 			sys := shape{storage: "disk-nocache", shard: 1024, groups: 1, owners: 3, b: b}.system(t)
 			orc := loadPlanted(t, sys, plantedCells(sys, 5), 37)
-			chunks := int64(b / 1024)
-			for _, q := range []struct {
-				name string
-				run  func(context.Context) (*CountResult, error)
-				want int
-				cols int64
-			}{
-				{"count", sys.PSICount, len(orc.cells), 2},
-				{"psucount", sys.PSUCount, len(orc.union), 1},
-			} {
+			epoch := 2 * 3 * 2 * int64(b/1024) // servers × owners × χ sides × chunks
+			run := func(name string, q func(context.Context) (*CountResult, error), want int, wantReads int64) {
+				t.Helper()
 				before := reads.Value()
-				res, err := q.run(ctx)
+				res, err := q(ctx)
 				if err != nil {
-					t.Fatalf("%s: %v", q.name, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				if res.Count != q.want {
-					t.Errorf("%s = %d, want %d", q.name, res.Count, q.want)
+				if res.Count != want {
+					t.Errorf("%s = %d, want %d", name, res.Count, want)
 				}
-				if got, want := reads.Value()-before, 2*3*q.cols*chunks; got != want {
-					t.Errorf("%s read %d chunks, want %d (2 servers × 3 owners × %d columns × %d chunks)", q.name, got, want, q.cols, chunks)
+				if got := reads.Value() - before; got != wantReads {
+					t.Errorf("%s read %d chunks, want %d", name, got, wantReads)
 				}
 			}
+			run("count", sys.PSICount, len(orc.cells), epoch)
+			run("psucount", sys.PSUCount, len(orc.union), 0)
+			// One more tuple at a common cell leaves both sets as they are.
+			cell := orc.cells[0]
+			if _, err := sys.Owner(0).UpdateCells(ctx, []uint64{cell}, map[string][]uint64{"v": {7}}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CompactTables(); err != nil {
+				t.Fatal(err)
+			}
+			run("count after compaction", sys.PSICount, len(orc.cells), epoch)
 		})
 	}
 }

@@ -181,19 +181,20 @@ type Config struct {
 	// servable. A query keeps at most 8 windows in flight per server
 	// connection. Disk-backed servers write ShardCells-cell chunks (0 →
 	// sharestore's default of 64Ki cells), so every upload and query
-	// window is a whole number of chunks. Set a HotChunks budget
-	// alongside small windows so hot chunks are read from disk once;
-	// without the cache every window re-reads its chunks.
+	// window is a whole number of chunks; a query window reads the owner
+	// sum its server keeps per table epoch, whatever the window size.
 	ShardCells uint64
 	// HotChunks, when > 0, turns on each disk-backed server's per-table
-	// hot-chunk cache (DiskDir set) with this byte budget: χ-shares and
-	// aggregation columns are cached at chunk granularity per table
-	// epoch — invalidated when any owner re-outsources or the table is
+	// hot-chunk cache (DiskDir set) with this byte budget: the owners'
+	// column chunks are cached per table epoch — invalidated when any
+	// owner re-outsources, an update is compacted or the table is
 	// dropped — and least-recently-used chunks are evicted past the
-	// budget, so query-path residency stays O(budget) no matter how
-	// large the domain grows. 0 (the default) is cache off: every query
-	// reads the store, which is what measures true per-query fetch
-	// times (the Figure 3 data-fetch series).
+	// budget. 0 (the default) is cache off: chunks are read straight
+	// from the store. Either way every server keeps, per table epoch,
+	// one owner sum of each queried column — cells × the column width,
+	// 1/M of the table's bytes — built from the chunks on the epoch's
+	// first read; later queries read the sum, so the cache serves only
+	// those builds and the base cells pending updates correct.
 	HotChunks uint64
 	// DeltaMaxEntries triggers a compaction pass on a server once a
 	// table's merged-but-uncompacted delta entries (incremental updates,

@@ -72,11 +72,12 @@
 // The pipelining depth per connection is bounded (prism-server/-owner
 // -inflight; the in-process fabric applies the transport's default
 // bound per server address so local behaviour matches a wire
-// deployment). Disk-backed servers can
-// additionally enable a per-table hot-chunk cache (Config.HotChunks, a
-// byte budget; 0 is off): column chunks are read from the share store
-// once per table epoch — invalidated when any
-// owner re-outsources — instead of once per query.
+// deployment). Every server keeps, per table epoch — invalidated when
+// any owner re-outsources or an update is compacted — one owner sum of
+// each queried column, built on the epoch's first read, so a disk-backed
+// server reads each column chunk once per epoch, not once per query.
+// Disk-backed servers can additionally cache the chunks those builds
+// read (Config.HotChunks, a byte budget; 0 is off).
 //
 // # Domain sharding
 //
@@ -90,9 +91,8 @@
 // regardless of the domain, so domains whose b-cell frames would exceed
 // transport.MaxFrameBytes become servable. Uploads register the table
 // only once every window has arrived, so queries never observe a
-// half-uploaded epoch. With disk-backed servers set a HotChunks budget
-// alongside small windows (each window reads its chunks through the
-// per-epoch cache). TestShardedBeatsFrameCap shows a domain whose
+// half-uploaded epoch. A query window, whatever its size, reads the
+// owner sum its server keeps for the table epoch. TestShardedBeatsFrameCap shows a domain whose
 // one-window upload exceeds a lowered frame cap answering correctly in
 // small windows, on one server group and on two.
 //
@@ -107,10 +107,11 @@
 // (register-on-complete, recorded in the table manifest), and
 // per-window query evaluation fetches only the overlapping chunks. The
 // stores write Config.ShardCells-cell chunks, so every window is a
-// whole number of chunks; with a Config.HotChunks cache budget, server
-// resident memory during both outsourcing and querying is bounded by
-// the window size and the budget, not the domain, so columns larger
-// than RAM serve end to end. Upload assemblies abandoned by crashed
+// whole number of chunks. Server resident memory while outsourcing is
+// bounded by the window size, not the domain; while querying it is the
+// owner sums — cells × the queried columns' widths per served table,
+// 1/M of its columns — plus the window size and the Config.HotChunks
+// budget. Upload assemblies abandoned by crashed
 // owners are reclaimed when the owner retries or the table is dropped
 // (prism-server -pendttl adds a timed sweep). Every server's peak
 // resident column bytes are System.PeakServerHeldBytes, which the repo

@@ -142,10 +142,15 @@ func TestExp1Smoke(t *testing.T) {
 	if r.ServerFetchNS <= 0 {
 		t.Errorf("disk-backed PSI reported ServerFetchNS = %d, want > 0", r.ServerFetchNS)
 	}
-	// And the rendered cell must carry it at adaptive resolution.
+	// And the rendered cell must carry it at adaptive resolution in the
+	// table's first PSI row, the one that builds the epoch's owner sums;
+	// later rows read the built sums and fetch nothing.
 	for _, row := range tables[0].Rows {
-		if row[1] == "PSI" && (row[4] == "0" || row[4] == "0.000") {
-			t.Errorf("disk-backed exp1 PSI row renders fetch time as %q", row[4])
+		if row[1] == "PSI" {
+			if row[4] == "0" || row[4] == "0.000" {
+				t.Errorf("disk-backed exp1 PSI row renders fetch time as %q", row[4])
+			}
+			break
 		}
 	}
 }

@@ -75,7 +75,8 @@ type Response struct {
 
 	// Code classifies failures so clients can branch without parsing
 	// Err: "shed", "timeout", "bad-request", "unsupported", "unknown-ticket",
-	// "backend", "closed". Empty on success.
+	// "verification-failed" (a server's reply failed the owner's result
+	// verification: a server lied), "backend", "closed". Empty on success.
 	Code string `json:"code,omitempty"`
 	Err  string `json:"err,omitempty"`
 
@@ -107,8 +108,11 @@ const (
 	CodeBadRequest    = "bad-request"
 	CodeUnsupported   = "unsupported"
 	CodeUnknownTicket = "unknown-ticket"
-	CodeBackend       = "backend"
-	CodeClosed        = "closed"
+	// CodeVerificationFailed: ownerengine.ErrVerificationFailed — a
+	// server caught lying, not an outage.
+	CodeVerificationFailed = "verification-failed"
+	CodeBackend            = "backend"
+	CodeClosed             = "closed"
 )
 
 // ReadFrame reads one length-prefixed frame, allocating only after the

@@ -387,6 +387,8 @@ func classify(err error) string {
 		return CodeShed
 	case errors.Is(err, ErrUnsupported):
 		return CodeUnsupported
+	case errors.Is(err, ownerengine.ErrVerificationFailed):
+		return CodeVerificationFailed
 	default:
 		return CodeBackend
 	}

@@ -277,6 +277,23 @@ func TestGatewayAllOwnersDead(t *testing.T) {
 	}
 }
 
+// TestGatewayVerificationFailedCode: a query whose result failed the
+// owner's verification reaches the front door as "verification-failed",
+// not as an outage ("backend").
+func TestGatewayVerificationFailedCode(t *testing.T) {
+	liar := &stub{exec: func(context.Context, Query) (*Result, error) {
+		return nil, fmt.Errorf("group 0: %w: count position 3 fails r1·r2 ≡ 1", ownerengine.ErrVerificationFailed)
+	}}
+	addr, _ := startGateway(t, Config{Backends: []Backend{liar}})
+	resp, err := dialT(t, addr).Query("count", nil, "t0", 5*time.Second)
+	if err == nil {
+		t.Fatal("a query that failed verification succeeded")
+	}
+	if resp.Code != CodeVerificationFailed {
+		t.Errorf("code = %q, want %q (%v)", resp.Code, CodeVerificationFailed, err)
+	}
+}
+
 // TestGatewayQueryErrorNotRerouted: a member that fails the query but
 // answers its probe keeps the failure — re-routing a sick query to m
 // members would fail m times and mask the real error.

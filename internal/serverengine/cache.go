@@ -3,53 +3,50 @@ package serverengine
 import (
 	"container/list"
 	"errors"
-	"math"
 	"sync"
 
 	"prism/internal/sharestore"
 )
 
 // chunkCache is one table epoch's cache. It holds two kinds of entry:
-// the owner sums the kernels read (sumKey names; see ownerSum) and, on a
-// disk-backed engine, the hot chunks of the owners' columns (colKey
-// names), so shard-window queries keep only the chunks they touch
-// resident and re-touching a hot window costs no disk read. Owner-sum
-// entries have one geometry (sumSpan): the whole column in memory, one
-// owner-0 chunk on disk, where a window spanning several — the whole
-// table too — is joined or gathered from them per query. An in-memory
-// table's cache holds only owner sums and is never over budget: they are
-// 1/M of the table's bytes. An epoch ends whenever the table changes (a
-// Store from any owner, a compaction swap, a recovery adoption, a Drop):
-// the engine swaps in a fresh cache so later queries never serve stale
-// entries. Entries already cached stay visible to queries holding the old
+// the owner sums the kernels read — one whole-column entry per column
+// (sumKey names; see ownerSum), on every tier — and, on a disk-backed
+// engine with Options.CacheBytes set, the hot chunks of the owners'
+// columns (colKey names), so an epoch's sum builds and overlay merges
+// keep only the chunks they touch resident and re-touching one costs no
+// disk read. An epoch ends whenever the table changes (a Store from any
+// owner, a compaction swap, a recovery adoption, a Drop): the engine
+// swaps in a fresh cache so later queries never serve stale entries.
+// Entries already cached stay visible to queries holding the old
 // snapshot, but a disk cache miss always reads the store's current files
 // — so, exactly as without the cache, a query overlapping a re-outsource
 // may combine columns from two epochs. That coordination is the caller's
 // documented responsibility (see the package README: don't re-outsource
 // a table being queried at that instant).
 //
-// Residency is bounded by a byte budget (Options.CacheBytes): completed
-// entries are kept on an LRU list and the least-recently-used are
-// evicted once the budget is exceeded. Evicting an entry another query
-// still holds a slice of is safe — the cache merely forgets it. A warm
-// working set needs only its owner sums, so under a tight budget the
-// owner chunks are what LRU evicts.
+// Owner sums are pinned: never evicted, counted in held bytes, and 1/M
+// of the table's bytes. The chunks sit on an LRU list bounded by a byte
+// budget (Options.CacheBytes): the least-recently-used are evicted once
+// the budget is exceeded, and a budget of 0 caches none — every chunk is
+// read straight from the store. Evicting an entry another query still
+// holds a slice of is safe — the cache merely forgets it.
 //
 // Loads are single-flight per entry: under concurrent traffic the first
 // query reads a chunk (or builds a sum) while the rest wait on the entry,
 // so 40 simultaneous queries cost one load per entry, not 40.
 type chunkCache struct {
 	mu        sync.Mutex
-	budget    int64
-	bytes     int64
+	budget    int64             // the chunk LRU's bytes; 0 caches no chunk
+	bytes     int64             // the chunks' bytes
+	pinned    int64             // the owner sums' bytes
 	track     func(delta int64) // held-bytes gauge hook (may be nil)
 	entries   map[chunkID]*chunkEntry
 	lru       *list.List // front = most recently used *chunkEntry
 	discarded bool
 }
 
-// chunkID keys one cached entry: chunk k of disk column col, or owner-sum
-// entry k of sumKey(col).
+// chunkID keys one cached entry: chunk k of disk column col, or (k 0)
+// the owner sum of sumKey(col).
 type chunkID struct {
 	col string
 	k   uint64
@@ -61,7 +58,8 @@ type chunkEntry struct {
 	val   any           // the loaded []T
 	size  int64
 	err   error
-	elem  *list.Element // nil until finished (or after eviction)
+	pin   bool          // an owner sum: never on the LRU list
+	elem  *list.Element // nil until finished (or after eviction), and for pinned entries
 }
 
 func newChunkCache(budget int64, track func(delta int64)) *chunkCache {
@@ -74,32 +72,27 @@ func newChunkCache(budget int64, track func(delta int64)) *chunkCache {
 }
 
 // resetCache ends t's cache epoch: the old epoch's entries are released
-// and a cold cache takes their place — unbounded in memory (owner sums
-// only), the CacheBytes budget on disk, none on a disk engine with the
-// cache off. It is the only invalidation the owner sums have. Caller
+// and a cold cache takes their place, its chunk LRU bounded by
+// CacheBytes. It is the only invalidation the owner sums have. Caller
 // holds e.mu.
 func (e *Engine) resetCache(t *table) {
 	if t.cache != nil {
 		t.cache.discard()
 	}
-	t.cache = nil
-	switch {
-	case e.opts.Store == nil:
-		t.cache = newChunkCache(math.MaxInt64, e.trackHeld)
-	case e.opts.CacheBytes > 0:
-		t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
-	}
+	t.cache = newChunkCache(e.opts.CacheBytes, e.trackHeld)
 }
 
 // cacheGet returns the cached entry key, loading it via load on first
-// use. hit reports whether the load was skipped (served from the cache,
-// possibly after waiting out another query's in-flight load). Failed
+// use; pin keeps it resident for the epoch instead of on the LRU. hit
+// reports whether the load was skipped (served from the cache, possibly
+// after waiting out another query's in-flight load). Failed
 // loads are not cached. finish is guaranteed even when load panics (the
 // transport recovers handler panics, so an abandoned entry would
 // otherwise park every later query on ready forever).
-func cacheGet[T sharestore.Cell](c *chunkCache, key chunkID, load func() ([]T, error)) (v []T, hit bool, err error) {
+func cacheGet[T sharestore.Cell](c *chunkCache, key chunkID, pin bool, load func() ([]T, error)) (v []T, hit bool, err error) {
 	e, hit := c.entry(key)
 	if !hit {
+		e.pin = pin
 		defer func() { c.finish(e) }()
 		e.err = errLoadAborted
 		v, e.err = load()
@@ -132,8 +125,8 @@ func (c *chunkCache) entry(key chunkID) (*chunkEntry, bool) {
 }
 
 // finish publishes a completed load: failed entries are dropped so a
-// transient disk error does not poison the epoch; successful entries
-// join the LRU and the budget is enforced.
+// transient disk error does not poison the epoch; a sum is pinned, and a
+// chunk joins the LRU, which is then held to the budget.
 func (c *chunkCache) finish(e *chunkEntry) {
 	c.mu.Lock()
 	switch {
@@ -142,6 +135,11 @@ func (c *chunkCache) finish(e *chunkEntry) {
 	case c.discarded:
 		// The epoch ended while the load was in flight: hand the value to
 		// waiters but keep it out of the (already released) accounting.
+	case e.pin:
+		c.pinned += e.size
+		if c.track != nil {
+			c.track(e.size)
+		}
 	default:
 		c.bytes += e.size
 		if c.track != nil {
@@ -182,10 +180,10 @@ func (c *chunkCache) discard() {
 		return
 	}
 	c.discarded = true
-	if c.track != nil && c.bytes != 0 {
-		c.track(-c.bytes)
+	if c.track != nil && c.bytes+c.pinned != 0 {
+		c.track(-c.bytes - c.pinned)
 	}
-	c.bytes = 0
+	c.bytes, c.pinned = 0, 0
 	c.entries = make(map[chunkID]*chunkEntry)
 	c.lru.Init()
 }
@@ -197,7 +195,7 @@ func (c *chunkCache) Len() int {
 	return len(c.entries)
 }
 
-// Bytes reports the accounted resident bytes (tests and monitoring).
+// Bytes reports the chunk LRU's resident bytes (tests and monitoring).
 func (c *chunkCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -35,9 +35,8 @@ func psiStats(t *testing.T, e *Engine) (protocol.PSIReply, protocol.Stats) {
 }
 
 // TestHotColumnCachePSI asserts the second query of a table epoch serves
-// its χ-shares from memory: zero fetch time, and one cache hit per
-// owner-sum entry the window touches — the one-chunk table's single
-// entry, whatever the owner count.
+// its χ-shares from memory: zero fetch time, and one cache hit — the
+// epoch's owner sum, whatever the owner count.
 func TestHotColumnCachePSI(t *testing.T) {
 	const b = 64
 	engines := newHotEngines(t, b)
@@ -82,9 +81,8 @@ func TestHotColumnCacheInvalidatedByStore(t *testing.T) {
 
 // TestHotColumnCacheSingleFlight runs many concurrent cold queries and
 // asserts the owner sum was built exactly once, from each owner's column
-// read once: of the n queries' lookups of the one-chunk table's single
-// sum entry, all but the building one hit, and the build's m owner-chunk
-// lookups all miss.
+// read once: of the n queries' lookups of the sum, all but the building
+// one hit, and the build's m owner-chunk lookups all miss.
 func TestHotColumnCacheSingleFlight(t *testing.T) {
 	const b, n = 64, 8
 	engines := newHotEngines(t, b)
@@ -131,9 +129,10 @@ func TestHotColumnCacheSingleFlight(t *testing.T) {
 }
 
 // TestCacheDisabledByDefault asserts disk-backed engines without a
-// CacheBytes budget keep the per-query fetch semantics (every query reads the
-// store, reporting real fetch time) that the benchx fetch-timing
-// experiments rely on.
+// CacheBytes budget cache no chunk: the first query of a table epoch
+// builds the owner sum from the store, reporting real fetch time, and the
+// second reads that sum — one cache hit, no store read — while the
+// epoch's cache holds the sum alone.
 func TestCacheDisabledByDefault(t *testing.T) {
 	const b = 64
 	engines := newEngines(t, b, func(phi int) Options {
@@ -144,8 +143,17 @@ func TestCacheDisabledByDefault(t *testing.T) {
 		return Options{Threads: 2, Store: st}
 	})
 	storeFull(t, engines, b, false)
-	psiStats(t, engines[0])
 	if _, s := psiStats(t, engines[0]); s.CacheHits != 0 || s.FetchNS <= 0 {
-		t.Errorf("uncached engine: hits=%d fetchNS=%d, want per-query disk reads", s.CacheHits, s.FetchNS)
+		t.Errorf("first query: hits=%d fetchNS=%d, want a disk read", s.CacheHits, s.FetchNS)
+	}
+	if _, s := psiStats(t, engines[0]); s.CacheHits != 1 || s.FetchNS != 0 {
+		t.Errorf("second query: hits=%d fetchNS=%d, want the owner sum and no disk read", s.CacheHits, s.FetchNS)
+	}
+	e := engines[0]
+	e.mu.RLock()
+	cache := e.tables["t"].cache
+	e.mu.RUnlock()
+	if n := cache.Len(); n != 1 {
+		t.Errorf("the epoch's cache holds %d entries, want the owner sum alone", n)
 	}
 }

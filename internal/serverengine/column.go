@@ -9,7 +9,8 @@
 // ("o<owner>.<name>"), in the delta log and in the chunk cache. The code
 // here is generic over the cell type: the only width-specific work left
 // is the little-endian layout the store reads through (levec). A kernel
-// reads one owner-summed vector (ownerSum): the stored cells of its
+// reads one owner-summed vector (ownerSum), cut from the one owner sum
+// every tier keeps per table epoch and column: the stored cells of its
 // window or, for every window of a permuted reply, the whole table
 // included, the cells pf⁻¹ names, gathered into reply order.
 package serverengine
@@ -17,7 +18,6 @@ package serverengine
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"prism/internal/field"
@@ -240,41 +240,32 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // window or permuted gather a kernel asks for, it returns Σ_j col_j over
 // the M owners — δ-reduced for χ/χ̄, canonical F_p for field columns —
 // with the table's delta overlay merged in, so every kernel reads one
-// vector. The M-way add lives in one place, sumOwners, and runs once per
-// table epoch and column: the sum is kept as entries of the epoch's cache
-// (chunkCache), built lazily on first use. A server fetches in one of
-// three tiers:
-//
-//   - in memory: the epoch cache always exists and holds one whole-column
-//     owner sum per column, nothing else; a window is a reslice of it and
-//     a permuted window one gather from it;
-//   - on disk with the cache: one owner-sum entry per owner-0 chunk,
-//     beside the owner chunks and under the same budget; a window that
-//     spans entries, the whole table included, joins or gathers from
-//     them per request;
-//   - on disk with the cache off (a disk engine without -hotchunks):
-//     each request builds its window's sum (buildSum), except a window of
-//     a permuted reply, which gathers from the whole column's sum that
-//     its round holds (heldGather, below).
-//
-// resetCache, run on every registration, compaction swap and recovery
-// adoption, is the only invalidation. The cached tiers merge the overlay
-// into the sum (mergeOverlay); the cache-off build patches each owner's
-// cells before adding them.
+// vector. Every tier — in memory, on disk with the hot-chunk cache, on
+// disk without it — keeps one whole-column owner sum per table epoch and
+// column, overlay-free, pinned in the epoch's cache (epochSum). It is
+// built single-flight on the epoch's first read of the column by the one
+// M-way add, sumOwners, one owner-0 chunk range at a time, so each owner
+// chunk is read once per epoch (owners written with another chunk size
+// than owner 0's excepted). A window is a reslice of the sum; a
+// window of a permuted reply, the whole table included, one gather from
+// it (gatherCells). resetCache, run on every registration, compaction
+// swap and recovery adoption, is the only invalidation. The overlay is
+// merged into the fetched cells afterwards (mergeOverlay).
 //
 // Underneath, one owner's base cells — overlay-free — come through
-// fetchWindow, which reads only the chunks that overlap the window.
-// Store reads are timed into Stats.FetchNS. With the cache off a server
-// therefore holds O(window + chunk) cells per request, plus 2 bytes per
-// cell per χ side of a permuted round in flight.
+// fetchWindow, which reads only the chunks that overlap the window:
+// through the hot-chunk cache when Options.CacheBytes is set, straight
+// from the chunk files otherwise. Store reads are timed into
+// Stats.FetchNS. A server therefore holds, per served table, one owner
+// sum of every column queried this epoch — 1/M of the table's bytes —
+// plus O(window + chunk) cells per request.
 //
 // A fetched slice is either shared — an in-memory column, a cached chunk
-// or owner sum, untouched by the overlay — or borrowed: taken from the
-// cell pool by the fetch itself (every gather, every window that had to
-// be read, built or joined, and the copy of a shared sum an overlay entry
-// lands in). Borrowed slices live for one kernel call, after which the
-// caller releases them. A held sum is neither: the round owns it, and
-// its windows gather out of it into borrowed slices.
+// or a window of an owner sum, untouched by the overlay — or borrowed:
+// taken from the cell pool by the fetch itself (every gather, every
+// window read or joined from chunks, and the copy of a shared sum an
+// overlay entry lands in). Borrowed slices live for one kernel call,
+// after which the caller releases them.
 
 // The cell pools lend the fetch layer its slices; cellPool picks T's.
 var (
@@ -313,10 +304,10 @@ func fetchTime(stats *protocol.Stats, start time.Time) {
 	stats.FetchNS += time.Since(start).Nanoseconds()
 }
 
-// cached loads entry k of key — a retained, shared slice — through the
-// table's epoch cache and counts the lookup.
-func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protocol.Stats, load func() ([]T, error)) ([]T, error) {
-	v, hit, err := cacheGet(t.cache, chunkID{key, k}, load)
+// cached loads entry id — a retained, shared slice — through the table's
+// epoch cache and counts the lookup; pin keeps the entry out of the LRU.
+func cached[T sharestore.Cell](t *tableView, id chunkID, pin bool, stats *protocol.Stats, load func() ([]T, error)) ([]T, error) {
+	v, hit, err := cacheGet(t.cache, id, pin, load)
 	if hit {
 		stats.CacheHits++
 		mCacheHits.Inc()
@@ -329,7 +320,7 @@ func cached[T sharestore.Cell](t *tableView, key string, k uint64, stats *protoc
 // chunkSpan returns chunk k of a disk column from the hot-chunk cache.
 // The slice may be shared with other queries.
 func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64, stats *protocol.Stats) ([]T, error) {
-	return cached(t, key, k, stats, func() ([]T, error) {
+	return cached(t, chunkID{key, k}, false, stats, func() ([]T, error) {
 		defer fetchTime(stats, time.Now())
 		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
 	})
@@ -349,7 +340,7 @@ func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col stri
 		return v[rg.Offset:rg.End()], false, nil
 	}
 	key := colKey(owner, col)
-	if t.cache == nil {
+	if t.cache.budget == 0 { // the cache keeps no chunk
 		out := cellPool[T]().Get(int(rg.Count))
 		start := time.Now()
 		err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, key, rg.Offset, out)
@@ -390,65 +381,62 @@ func chiCol(bar bool) string {
 	return "chi"
 }
 
-// sumKey names the epoch cache's owner-sum entries of a column; the owner
-// chunks sit beside them under colKey names.
+// sumKey names the epoch cache's owner-sum entry of a column; the owner
+// chunks sit beside it under colKey names.
 func sumKey(col string) string { return "Σ." + col }
 
 // ownerSum returns Σ_j col_j over one fetch with the delta overlay merged
 // in, and whether the slice is borrowed. The fetch is the stored-cell
 // window rg or, when idx is non-nil, the stored cells idx = pf⁻¹[rg] in
-// idx order: the window rg of a reply permuted by pf. qid names the query
-// round a permuted fetch belongs to; on the cache-off tier the round's
-// windows gather from one held sum ("" holds nothing, see heldGather).
-func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, qid string, stats *protocol.Stats) ([]T, bool, error) {
-	if t.cache == nil {
-		if idx != nil {
-			v, err := heldGather[T](e, t, col, rg, idx, qid, stats)
-			return v, true, err
-		}
-		v := cellPool[T]().Get(int(rg.Count))
-		if err := buildSum(e, t, col, rg, v, stats); err != nil {
-			release(e, v)
-			return nil, false, err
-		}
-		return v, true, nil
+// idx order: the window rg of a reply permuted by pf.
+func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool, error) {
+	sum, err := epochSum[T](e, t, col, stats)
+	if err != nil {
+		return nil, false, err
 	}
-	var v []T
-	var borrowed bool
-	var err error
-	if idx == nil {
-		v, borrowed, err = sumWindow[T](e, t, col, rg, stats)
-	} else {
-		v, err = sumGather[T](e, t, col, idx, stats)
-		borrowed = true
+	v, borrowed := sum[rg.Offset:rg.End()], false
+	if idx != nil {
+		v, borrowed = gatherCells(sum, idx, stats), true
 	}
-	if err != nil || t.delta == nil {
-		return v, borrowed, err
+	if t.delta == nil {
+		return v, borrowed, nil
 	}
 	return mergeOverlay(e, t, col, rg, idx, pf, v, borrowed, stats)
 }
 
-// buildSum sets dst to the owner sum of the stored-cell window rg with
-// the cache off, which only a disk engine runs: there is no epoch cache
-// to keep a sum in, so it fetches every owner's base cells into a
-// borrowed slice, lands the owner's overlay entries in it in place (every
-// base cell an entry replaces is in hand) and adds the owners as it goes
-// (sumOwners).
-func buildSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, dst []T, stats *protocol.Stats) error {
-	return sumOwners(e, dst, func(j int) ([]T, bool, error) {
-		w, _, err := fetchWindow[T](e, t, j, col, rg, stats)
-		if err != nil || t.delta == nil {
-			return w, true, err
+// epochSum returns the epoch's owner sum of the whole column, shared,
+// building it on the epoch's first read one owner-0 chunk range at a
+// time (the whole column in memory): each owner chunk is read once when
+// the owners' columns share a chunk size, and the build holds O(chunk)
+// cells beside the sum.
+func epochSum[T sharestore.Cell](e *Engine, t *tableView, col string, stats *protocol.Stats) ([]T, error) {
+	return cached(t, chunkID{sumKey(col), 0}, true, stats, func() ([]T, error) {
+		cc, cells, err := chunkGrid(e, t, 0, col)
+		if err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		t.delta.mu.RLock()
-		if co := t.delta.cols[colKey(j, col)]; co != nil {
-			co.landing(rg, nil, nil, func(i int, _, val uint64) { w[i] = T(val) })
+		sum := make([]T, cells)
+		for off := uint64(0); off < cells; off += cc {
+			rg := protocol.Range{Offset: off, Count: min(cc, cells-off)}
+			err = sumOwners(e, sum[off:rg.End()], func(j int) ([]T, bool, error) {
+				return fetchWindow[T](e, t, j, col, rg, stats)
+			}, stats)
+			if err != nil {
+				return nil, err
+			}
 		}
-		t.delta.mu.RUnlock()
-		stats.PatchNS += time.Since(start).Nanoseconds()
-		return w, true, nil
-	}, stats)
+		return sum, nil
+	})
+}
+
+// chunkGrid is the geometry of owner j's column: chunks of cc cells over
+// cells cells. In memory one chunk is the whole column.
+func chunkGrid(e *Engine, t *tableView, owner int, col string) (cc, cells uint64, err error) {
+	if e.opts.Store == nil {
+		return max(t.spec.B, 1), t.spec.B, nil
+	}
+	info, err := e.opts.Store.Stat(t.spec.Name, colKey(owner, col))
+	return max(info.ChunkCells, 1), info.Cells, err
 }
 
 // sumOwners is the server's one owner loop: it sets dst to Σ_j fetch(j)
@@ -511,188 +499,6 @@ func ringReduce[T sharestore.Cell](e *Engine, acc uint64) T {
 	return T(field.Reduce(acc))
 }
 
-// sumSpan is the geometry of a column's owner-sum entries: entry k
-// covers the cells [k·cc, min((k+1)·cc, cells)). In memory one entry is
-// the whole column; on disk an entry spans owner 0's chunk — one cell
-// range across every owner, whatever chunk size each owner's column was
-// written with.
-func sumSpan(e *Engine, t *tableView, col string) (cc, cells uint64, err error) {
-	if e.opts.Store == nil {
-		return max(t.spec.B, 1), t.spec.B, nil
-	}
-	info, err := e.opts.Store.Stat(t.spec.Name, colKey(0, col))
-	return max(info.ChunkCells, 1), info.Cells, err
-}
-
-// summed returns owner-sum entry k of a column, building it from the
-// owners' raw cells on its first use in the epoch.
-func summed[T sharestore.Cell](e *Engine, t *tableView, col string, k, cc, cells uint64, stats *protocol.Stats) ([]T, error) {
-	rg := protocol.Range{Offset: k * cc, Count: min(cc, cells-k*cc)}
-	return cached(t, sumKey(col), k, stats, func() ([]T, error) {
-		sum := make([]T, rg.Count)
-		err := sumOwners(e, sum, func(j int) ([]T, bool, error) {
-			return fetchWindow[T](e, t, j, col, rg, stats)
-		}, stats)
-		return sum, err
-	})
-}
-
-// sumWindow is the cached owner sum of the stored-cell window rg: a
-// shared slice of one entry when rg lies inside it (every window in
-// memory, chunk-aligned shard windows on disk), or else the touched
-// entries joined into a borrowed slice.
-func sumWindow[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
-	cc, cells, err := sumSpan(e, t, col)
-	if err != nil {
-		return nil, false, err
-	}
-	k := rg.Offset / cc
-	if rg.End() <= (k+1)*cc {
-		v, err := summed[T](e, t, col, k, cc, cells, stats)
-		if err != nil {
-			return nil, false, err
-		}
-		return v[rg.Offset-k*cc : rg.End()-k*cc], false, nil
-	}
-	out := cellPool[T]().Get(int(rg.Count))
-	for ; k*cc < rg.End(); k++ {
-		v, err := summed[T](e, t, col, k, cc, cells, stats)
-		if err != nil {
-			release(e, out)
-			return nil, false, err
-		}
-		lo, hi := max(k*cc, rg.Offset), min(k*cc+uint64(len(v)), rg.End())
-		copy(out[lo-rg.Offset:], v[lo-k*cc:hi-k*cc])
-	}
-	return out, true, nil
-}
-
-// sumGather gathers the cached owner sum at the stored cells idx into a
-// borrowed slice, in idx order, looking each touched entry up once: one
-// gather, whatever the owner count. When one entry holds the whole
-// column (every in-memory column) the gather indexes it directly.
-func sumGather[T sharestore.Cell](e *Engine, t *tableView, col string, idx []uint32, stats *protocol.Stats) ([]T, error) {
-	cc, cells, err := sumSpan(e, t, col)
-	if err != nil {
-		return nil, err
-	}
-	if cc >= cells {
-		sum, err := summed[T](e, t, col, 0, cc, cells, stats)
-		if err != nil {
-			return nil, err
-		}
-		return gatherCells(sum, idx, stats), nil
-	}
-	entries := make([][]T, (cells+cc-1)/cc)
-	out := cellPool[T]().Get(len(idx))
-	for i, p := range idx {
-		k := uint64(p) / cc
-		if entries[k] == nil {
-			if entries[k], err = summed[T](e, t, col, k, cc, cells, stats); err != nil {
-				release(e, out)
-				return nil, err
-			}
-		}
-		out[i] = entries[k][uint64(p)-k*cc]
-	}
-	return out, nil
-}
-
-// ---- held sums ----
-//
-// A window of a reply permuted by PF_s draws its cells from the whole
-// column, so with the cache off a window cannot be summed from the
-// chunks it touches: it touches them all. The first window of a permuted
-// round builds the whole column's owner sum instead — every owner chunk
-// read once (wholeSum) — and the round holds it, in stored order, under
-// (query id, table, epoch, column); every window of the round, the first
-// and a whole-table one included, gathers its cells idx = pf⁻¹[rg] out
-// of it. Every window of a round thus reads one snapshot of the columns
-// and of their overlay.
-// A held sum is released when the round's windows have covered the table
-// (a repeated window counts once), on QueryDone, or once it has sat idle
-// for heldTTL: stale sums are swept whenever a new one is made. It counts
-// in HeldBytes while it lives — 2 bytes per cell per χ side — and never
-// as a cache hit.
-
-// heldTTL is how long a held sum may sit idle before the next new one
-// sweeps it: an owner that gave up on a round sends no more windows.
-const heldTTL = time.Minute
-
-// heldKey names a held sum: one χ side of one query round in one table
-// epoch.
-type heldKey struct {
-	qid, table string
-	epoch      uint64
-	col        string
-}
-
-// heldSum is one round's owner sum of one column. build sets cells (a
-// []T), err and free, which hands the cells back, once; the rest is
-// guarded by Engine.heldMu.
-type heldSum struct {
-	build sync.Once
-	cells any
-	err   error
-	free  func()
-
-	served map[uint64]bool // offsets of the windows served so far
-	left   uint64          // cells no window has served yet
-	users  int             // windows between holdSum and unholdSum
-	idle   time.Time       // when users last fell to 0
-}
-
-// heldGather is a permuted fetch with the cache off: the stored cells idx
-// behind window rg, gathered into a borrowed slice from the whole
-// column's owner sum — the one qid's round holds, or, with qid "", one
-// built for this fetch alone.
-func heldGather[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, qid string, stats *protocol.Stats) ([]T, error) {
-	if qid == "" {
-		sum, err := wholeSum[T](e, t, col, stats)
-		if err != nil {
-			return nil, err
-		}
-		defer release(e, sum)
-		return gatherCells(sum, idx, stats), nil
-	}
-	k := heldKey{qid: qid, table: t.spec.Name, epoch: t.epoch, col: col}
-	h := e.holdSum(k, t.spec.B)
-	h.build.Do(func() {
-		sum, err := wholeSum[T](e, t, col, stats)
-		if err == nil {
-			bytes := int64(len(sum) * sharestore.Width[T]())
-			e.trackHeld(bytes)
-			h.free = func() { e.trackHeld(-bytes); release(e, sum) }
-		}
-		h.cells, h.err = sum, err
-	})
-	var out []T
-	if h.err == nil {
-		out = gatherCells(h.cells.([]T), idx, stats)
-	}
-	e.unholdSum(k, h, rg)
-	return out, h.err
-}
-
-// wholeSum builds the whole column's owner sum into a borrowed slice, one
-// owner-0 chunk range at a time (buildSum): each owner chunk is read once
-// and the build holds O(chunk) cells beside the sum.
-func wholeSum[T sharestore.Cell](e *Engine, t *tableView, col string, stats *protocol.Stats) ([]T, error) {
-	cc, cells, err := sumSpan(e, t, col)
-	if err != nil {
-		return nil, err
-	}
-	sum := cellPool[T]().Get(int(cells))
-	for off := uint64(0); off < cells; off += cc {
-		rg := protocol.Range{Offset: off, Count: min(cc, cells-off)}
-		if err := buildSum(e, t, col, rg, sum[off:rg.End()], stats); err != nil {
-			release(e, sum)
-			return nil, err
-		}
-	}
-	return sum, nil
-}
-
 // gatherCells returns sum[idx[i]] for every i in a borrowed slice.
 func gatherCells[T sharestore.Cell](sum []T, idx []uint32, stats *protocol.Stats) []T {
 	defer fetchTime(stats, time.Now())
@@ -701,65 +507,4 @@ func gatherCells[T sharestore.Cell](sum []T, idx []uint32, stats *protocol.Stats
 		out[i] = sum[p]
 	}
 	return out
-}
-
-// holdSum returns the held sum under k, making it — and sweeping the
-// stale ones — when there is none, and counts the caller as a user.
-func (e *Engine) holdSum(k heldKey, cells uint64) *heldSum {
-	e.heldMu.Lock()
-	defer e.heldMu.Unlock()
-	h := e.held[k]
-	if h == nil {
-		now := time.Now()
-		for sk, sh := range e.held {
-			if sh.users == 0 && now.Sub(sh.idle) > heldTTL {
-				e.dropHeld(sk, sh)
-			}
-		}
-		h = &heldSum{served: make(map[uint64]bool), left: cells, idle: now}
-		e.held[k] = h
-	}
-	h.users++
-	return h
-}
-
-// unholdSum ends a user of h that served window rg. A failed build is
-// dropped, so the next window builds afresh; so is the sum once its
-// windows have served every cell, and a sum dropped while windows
-// gathered from it is freed by the last of them.
-func (e *Engine) unholdSum(k heldKey, h *heldSum, rg protocol.Range) {
-	e.heldMu.Lock()
-	defer e.heldMu.Unlock()
-	h.users--
-	h.idle = time.Now()
-	if h.err == nil && !h.served[rg.Offset] {
-		h.served[rg.Offset] = true
-		h.left -= min(h.left, rg.Count)
-	}
-	if h.err != nil || h.left == 0 || e.held[k] != h {
-		e.dropHeld(k, h)
-	}
-}
-
-// endHeld drops every held sum of query qid (QueryDone).
-func (e *Engine) endHeld(qid string) {
-	e.heldMu.Lock()
-	defer e.heldMu.Unlock()
-	for k, h := range e.held {
-		if k.qid == qid {
-			e.dropHeld(k, h)
-		}
-	}
-}
-
-// dropHeld takes h out of the held map and hands its cells back unless a
-// window still gathers from them; the caller holds heldMu.
-func (e *Engine) dropHeld(k heldKey, h *heldSum) {
-	if e.held[k] == h {
-		delete(e.held, k)
-	}
-	if h.users == 0 && h.free != nil {
-		h.free()
-		h.cells, h.free = nil, nil
-	}
 }

@@ -2,7 +2,6 @@ package serverengine
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // TestColumnFetchMatrix drives the fetch layer every handler reads
 // columns through — ownerSum, at one owner, where the owner sum is the
 // column itself — over both cell types, every tier (in memory, disk with
-// the cache off, disk with the cache cold and warm), every window shape
+// the chunk cache off, disk with it cold and warm), every window shape
 // relative to the chunk grid, with and without a delta overlay. Every tier
 // must return the same cells, and a merge must never write into a slice
 // other queries share (the in-memory column, a cached chunk or owner sum).
@@ -94,16 +93,16 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 		e    *Engine
 		tv   *tableView
 	}
-	// tiers builds every tier's table snapshot; in memory the epoch cache
-	// always exists, and the warm tier shares the cold tier's cache.
+	// tiers builds every tier's table snapshot, each with a fresh epoch
+	// cache; the warm tier shares the cold tier's.
 	tiers := func(delta *deltaOverlay) []tier {
 		view := func(oc *ownerCols, cache *chunkCache) *tableView {
 			return &tableView{spec: spec, owners: []*ownerCols{oc}, cache: cache, delta: delta}
 		}
 		cache := newChunkCache(1<<20, nil)
 		return []tier{
-			{"ram", eRAM, view(ram, newChunkCache(math.MaxInt64, nil))},
-			{"disk-nocache", eDisk, view(&ownerCols{}, nil)},
+			{"ram", eRAM, view(ram, newChunkCache(0, nil))},
+			{"disk-nocache", eDisk, view(&ownerCols{}, newChunkCache(0, nil))},
 			{"disk-cache-cold", eDisk, view(&ownerCols{}, cache)},
 			{"disk-cache-warm", eDisk, view(&ownerCols{}, cache)},
 		}
@@ -111,7 +110,7 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 	// fetch is ownerSum, copied out and released when borrowed.
 	fetch := func(t *testing.T, b tier, rg protocol.Range, idx []uint32, pf perm.Perm, stats *protocol.Stats) ([]T, bool) {
 		t.Helper()
-		v, borrowed, err := ownerSum[T](b.e, b.tv, col, rg, idx, pf, "", stats)
+		v, borrowed, err := ownerSum[T](b.e, b.tv, col, rg, idx, pf, stats)
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
@@ -128,9 +127,6 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 		t.Helper()
 		if !slices.Equal(ramCol, ref) {
 			t.Fatal("a merge wrote into the in-memory column")
-		}
-		if b.tv.cache == nil {
-			return
 		}
 		clean := tier{b.name, b.e, &tableView{spec: spec, owners: b.tv.owners, cache: b.tv.cache}}
 		var stats protocol.Stats
@@ -159,15 +155,16 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 				for _, b := range tiers(delta) {
 					var stats protocol.Stats
 					got, borrowed := fetch(t, b, w.rg, nil, nil, &stats)
-					// RAM hands out its cached sum unless an overlay entry lands
-					// in the window, which it then merges in a borrowed copy.
+					// Every tier hands out its epoch's sum unless an overlay
+					// entry lands in the window, which it then merges in a
+					// borrowed copy.
 					lands := false
 					for p := range patches {
 						if delta != nil && p >= w.rg.Offset && p < w.rg.End() {
 							lands = true
 						}
 					}
-					if b.name == "ram" && borrowed != lands || b.name == "disk-nocache" && !borrowed {
+					if borrowed != lands {
 						t.Fatalf("%s: borrowed = %v", b.name, borrowed)
 					}
 					if !slices.Equal(got, want[w.rg.Offset:w.rg.End()]) {
@@ -255,8 +252,8 @@ func columnFetchMatrix[T sharestore.Cell](t *testing.T) {
 
 	// A column the set does not hold is an error naming the table on
 	// either width.
-	ghost := &tableView{spec: spec, owners: []*ownerCols{ram}, cache: newChunkCache(math.MaxInt64, nil)}
-	if _, _, err := ownerSum[T](eRAM, ghost, "ghost", windows[1].rg, nil, nil, "", &protocol.Stats{}); err == nil ||
+	ghost := &tableView{spec: spec, owners: []*ownerCols{ram}, cache: newChunkCache(0, nil)}
+	if _, _, err := ownerSum[T](eRAM, ghost, "ghost", windows[1].rg, nil, nil, &protocol.Stats{}); err == nil ||
 		err.Error() != `server 0: table "t" owner 0 missing ghost column` {
 		t.Errorf("missing column error = %v", err)
 	}

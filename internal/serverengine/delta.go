@@ -11,12 +11,11 @@
 // and deletes the absorbed delta segments oldest-first.
 //
 // Finding the entries that land in a fetch costs the smaller of the
-// column's entries and the fetched cells (landing), and there are two
-// places that do it. With the cache off each owner's borrowed cells are
-// patched in place as the owners are added (buildSum); a cached owner sum
-// is corrected instead, by v ⊖ base_j[p] per entry (mergeOverlay). A
-// shared sum an entry lands in is copied into a borrowed slice first; an
-// untouched one stays shared.
+// column's entries and the fetched cells (landing), and one place does it
+// (hits): the fetch of an epoch's owner sum, overlay-free on every tier,
+// is corrected by v ⊖ base_j[p] per entry (mergeOverlay). A shared sum an
+// entry lands in is copied into a borrowed slice first; an untouched one
+// stays shared.
 //
 // Ordering invariant: per table, sequence assignment, the durable log
 // append and the overlay insert happen under one delta lock, so when an
@@ -259,19 +258,18 @@ func (d *deltaOverlay) hits(owners int, col string, rg protocol.Range, idx []uin
 	return out
 }
 
-// mergeOverlay brings the table's delta entries into a cached owner sum
-// v of a fetch (see ownerSum) and reports whether the result is borrowed.
-// Each entry swaps its owner's base cell for its value: v ⊕ (val ⊖
-// base_j[p]) in Z_δ or F_p, with base_j[p] read from the owner's
-// in-memory column or, through the epoch cache, from its chunks — one
-// lookup per owner and chunk touched, not one per entry. Every cell an
-// entry lands in is first re-added from all owners' bases as read now, so
-// the cell and its corrections rest on one version of each base cell even
-// when a compaction has folded an entry into the chunk files since the
-// cached sum was built (an owner without an entry at the cell has no cell
-// there for compaction to change). A shared v is copied into a borrowed
-// slice before the first write. Store reads the merge triggers are fetch
-// time; the rest is patch time.
+// mergeOverlay brings the table's delta entries into an owner sum v of a
+// fetch (see ownerSum) and reports whether the result is borrowed. Each
+// entry swaps its owner's base cell for its value: v ⊕ (val ⊖ base_j[p])
+// in Z_δ or F_p, with base_j[p] read from the owner's chunk that holds it
+// (ownerBase) — one read per owner and chunk touched, not one per entry.
+// Every cell an entry lands in is first re-added from all owners' bases
+// as read now, so the cell and its corrections rest on one version of
+// each base cell even when a compaction has folded an entry into the
+// chunk files since the sum was built (an owner without an entry at the
+// cell has no cell there for compaction to change). A shared v is copied
+// into a borrowed slice before the first write. Store reads the merge
+// triggers are fetch time; the rest is patch time.
 func mergeOverlay[T sharestore.Cell](e *Engine, t *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm, v []T, borrowed bool, stats *protocol.Stats) ([]T, bool, error) {
 	start, fetched := time.Now(), stats.FetchNS
 	defer func() { stats.PatchNS += time.Since(start).Nanoseconds() - (stats.FetchNS - fetched) }()
@@ -288,6 +286,11 @@ func mergeOverlay[T sharestore.Cell](e *Engine, t *tableView, col string, rg pro
 	for j := range bases {
 		bases[j] = ownerBase[T]{e: e, t: t, owner: j, col: col, stats: stats}
 	}
+	defer func() {
+		for j := range bases {
+			bases[j].free()
+		}
+	}()
 	fail := func(err error) ([]T, bool, error) {
 		release(e, v)
 		return nil, false, err
@@ -318,49 +321,48 @@ func mergeOverlay[T sharestore.Cell](e *Engine, t *tableView, col string, rg pro
 }
 
 // ownerBase reads one owner's base — overlay-free — cells of a column by
-// stored position: from its in-memory column, or from its chunks through
-// the epoch cache, each chunk looked up once and kept for the fetch.
+// stored position, fetching each chunk it touches once (fetchWindow): a
+// slice of the in-memory column, a cached chunk, or with the cache off a
+// chunk read into a borrowed slice, which free hands back.
 type ownerBase[T sharestore.Cell] struct {
-	e      *Engine
-	t      *tableView
-	owner  int
-	col    string
-	stats  *protocol.Stats
-	ready  bool
-	mem    []T    // in memory: the column
-	cc     uint64 // on disk: the column's chunk cells
-	chunks [][]T  // on disk: the chunks looked up so far
+	e         *Engine
+	t         *tableView
+	owner     int
+	col       string
+	stats     *protocol.Stats
+	cc, cells uint64 // the column's chunk grid (chunkGrid)
+	chunks    [][]T  // the chunks fetched so far
+	lent      []bool // which of them are borrowed
 }
 
 func (b *ownerBase[T]) at(p uint64) (T, error) {
-	if !b.ready {
-		if b.e.opts.Store == nil {
-			mem, err := memCol[T](b.e, b.t, b.owner, b.col)
-			if err != nil {
-				return 0, err
-			}
-			b.mem = mem
-		} else {
-			info, err := b.e.opts.Store.Stat(b.t.spec.Name, colKey(b.owner, b.col))
-			if err != nil {
-				return 0, err
-			}
-			b.cc, b.chunks = info.ChunkCells, make([][]T, info.NumChunks())
-		}
-		b.ready = true
-	}
 	if b.chunks == nil {
-		return b.mem[p], nil
+		var err error
+		if b.cc, b.cells, err = chunkGrid(b.e, b.t, b.owner, b.col); err != nil {
+			return 0, err
+		}
+		n := (b.cells + b.cc - 1) / b.cc
+		b.chunks, b.lent = make([][]T, n), make([]bool, n)
 	}
 	k := p / b.cc
 	if b.chunks[k] == nil {
-		chunk, err := chunkSpan[T](b.e, b.t, colKey(b.owner, b.col), k, b.stats)
+		rg := protocol.Range{Offset: k * b.cc, Count: min(b.cc, b.cells-k*b.cc)}
+		chunk, lent, err := fetchWindow[T](b.e, b.t, b.owner, b.col, rg, b.stats)
 		if err != nil {
 			return 0, err
 		}
-		b.chunks[k] = chunk
+		b.chunks[k], b.lent[k] = chunk, lent
 	}
 	return b.chunks[k][p-k*b.cc], nil
+}
+
+// free hands back the borrowed chunks.
+func (b *ownerBase[T]) free() {
+	for k, chunk := range b.chunks {
+		if b.lent[k] {
+			release(b.e, chunk)
+		}
+	}
 }
 
 // ---- StoreDelta ----

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,13 +56,15 @@ type Options struct {
 	// times, and New resumes serving every table the store already holds
 	// (see RecoveryReport). nil serves from RAM.
 	Store *sharestore.Store
-	// CacheBytes, when > 0, is the byte budget of the per-table cache of
-	// a disk-backed engine: column chunks and the owner sums built from
-	// them are cached per table epoch (invalidated whenever a Store, Drop
-	// or compaction changes the table) and evicted least-recently-used
-	// past the budget. Cache hits report zero fetch time and count in
-	// Stats.CacheHits. 0 is off: every query reads the store and adds the
-	// owners itself. (In-memory engines always keep their owner sums.)
+	// CacheBytes, when > 0, is the byte budget of a disk-backed engine's
+	// per-table hot-chunk cache: owner column chunks are kept per table
+	// epoch (invalidated whenever a Store, Drop or compaction changes the
+	// table) and evicted least-recently-used past the budget. 0 is off:
+	// chunks are read straight from the store. It bounds chunks only:
+	// every engine keeps, per table epoch, one owner sum of each queried
+	// column (1/M of the table's bytes) beside it, built from the chunks
+	// on the epoch's first read, after which reads report cache hits and
+	// no fetch time.
 	CacheBytes int64
 	// PendingTTL reclaims upload assemblies whose owner stopped
 	// sending shards (a crash mid-upload): assemblies untouched for
@@ -137,11 +140,6 @@ type Engine struct {
 	sessMu   sync.Mutex
 	sessions map[string]*querySession
 
-	// held keeps, with the cache off, the owner sums of the permuted
-	// rounds in flight (held sums, column.go); guarded by heldMu.
-	heldMu sync.Mutex
-	held   map[heldKey]*heldSum
-
 	// storeMu serialises Stores per (table, owner) so two concurrent
 	// conflicting uploads cannot interleave their unlocked disk spills;
 	// different owners' uploads still proceed in parallel (they write
@@ -168,7 +166,7 @@ type Engine struct {
 
 	// heldBytes/peakHeld track the column bytes this engine holds
 	// resident: in-RAM pending upload assemblies, registered in-memory
-	// tables, the hot-chunk caches and the held sums.
+	// tables, the epochs' owner sums and hot chunks, and the overlays.
 	heldBytes atomic.Int64
 	peakHeld  atomic.Int64
 
@@ -184,10 +182,10 @@ type table struct {
 	// use ListTables to tell "still served" from "replaced since I last
 	// probed".
 	epoch uint64
-	// cache is the current epoch's cache of owner sums and hot chunks
-	// (nil on a disk engine with the cache off); every registration,
-	// compaction swap and Drop swaps in a fresh one (resetCache), so
-	// queries holding the old snapshot never see the new epoch's columns.
+	// cache is the current epoch's cache of owner sums and hot chunks;
+	// every registration, compaction swap and Drop swaps in a fresh one
+	// (resetCache), so queries holding the old snapshot never see the new
+	// epoch's columns.
 	cache *chunkCache
 	// delta is the table's not-yet-compacted incremental updates (nil
 	// until the first StoreDelta); deltaSeq is the last delta-log
@@ -212,7 +210,7 @@ type tableView struct {
 	spec   protocol.TableSpec
 	epoch  uint64        // the registration epoch at snapshot time
 	owners []*ownerCols  // dense, index = owner id
-	cache  *chunkCache   // the epoch's cache at snapshot time (may be nil)
+	cache  *chunkCache   // the epoch's cache at snapshot time
 	delta  *deltaOverlay // the delta overlay at snapshot time (may be nil)
 }
 
@@ -266,7 +264,7 @@ func (e *Engine) trackHeld(delta int64) {
 }
 
 // HeldBytes reports the column bytes currently resident (pending
-// assemblies, in-memory tables, hot-chunk caches, held sums).
+// assemblies, in-memory tables, owner sums, hot chunks, overlays).
 func (e *Engine) HeldBytes() int64 { return e.heldBytes.Load() }
 
 // PeakHeldBytes reports the high-water mark of HeldBytes.
@@ -288,7 +286,6 @@ func New(v *params.ServerView, opts Options) *Engine {
 		pending:    make(map[string]map[int]*pendingStore),
 		storeMarks: make(map[string]map[int]uploadMark),
 		sessions:   make(map[string]*querySession),
-		held:       make(map[heldKey]*heldSum),
 		storeMus:   make(map[string]*sync.Mutex),
 	}
 	e.threads.Store(int64(opts.Threads))
@@ -339,9 +336,8 @@ func (e *Engine) peekSession(qid string) (*querySession, bool) {
 	return s, ok
 }
 
-// endSession drops all state for a query id, its held sums included.
+// endSession drops all state for a query id.
 func (e *Engine) endSession(qid string) {
-	e.endHeld(qid)
 	e.sessMu.Lock()
 	defer e.sessMu.Unlock()
 	delete(e.sessions, qid)
@@ -525,7 +521,7 @@ func (e *Engine) handlePSU(r protocol.PSURequest) (any, error) {
 // setAsk is one set-round request, whichever message carried it.
 type setAsk struct {
 	typ              string // "psi", "count" or "psu": the reply, and the RPC's metric label
-	table, qid       string // qid seeds PSU's masks and keys a permuted round's held sums
+	table, qid       string // qid seeds PSU's masks
 	trace            string
 	shard            protocol.Range
 	permuted, verify bool
@@ -558,7 +554,7 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 	}
 	var stats protocol.Stats
 	if a.typ == "psu" {
-		out, err := setSide(e, t, rg, false, a.permuted, a.qid, &stats, func(sum []uint16) []uint16 {
+		out, err := setSide(e, t, rg, false, a.permuted, &stats, func(sum []uint16) []uint16 {
 			return e.psuMasked(sum, rg, a.qid, &stats)
 		})
 		if err != nil {
@@ -568,7 +564,7 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 		return protocol.PSUReply{Out: out, Stats: stats}, nil
 	}
 	psi := func(bar bool) ([]uint32, error) {
-		return setSide(e, t, rg, bar, a.permuted, a.qid, &stats, func(sum []uint16) []uint32 {
+		return setSide(e, t, rg, bar, a.permuted, &stats, func(sum []uint16) []uint32 {
 			return e.psiVector(sum, !bar, &stats)
 		})
 	}
@@ -596,9 +592,8 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 // (bar false) or the χ̄ side (bar true; no ⊖A(m) there, Equation 7).
 // Permuted, rg indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector and
 // the fetch gathers the stored cells idx = pf⁻¹[rg] behind it, whatever
-// the window's size. Otherwise rg names stored cells. qid is the round a
-// permuted window belongs to (ownerSum).
-func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, qid string, stats *protocol.Stats, kernel func(sum []uint16) O) (O, error) {
+// the window's size. Otherwise rg names stored cells.
+func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, stats *protocol.Stats, kernel func(sum []uint16) O) (O, error) {
 	var idx []uint32
 	var pf perm.Perm
 	if permuted {
@@ -611,7 +606,7 @@ func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bo
 		idx = inv.inv[rg.Offset:rg.End()]
 	}
 	var out O
-	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, qid, stats)
+	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, stats)
 	if err != nil {
 		return out, err
 	}
@@ -647,6 +642,15 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 			return nil, fmt.Errorf("server %d: v-selector length mismatch", e.view.Index)
 		}
 	}
+	// Refuse before the first fetch: a fetch may build an owner sum.
+	for _, col := range r.Cols {
+		if !slices.Contains(t.spec.AggCols, col) {
+			return nil, fmt.Errorf("server %d: table %q has no aggregation column %q", e.view.Index, r.Table, col)
+		}
+	}
+	if r.WithCount && !t.spec.HasCount {
+		return nil, fmt.Errorf("server %d: table %q has no count column", e.view.Index, r.Table)
+	}
 	var stats protocol.Stats
 	reply := protocol.AggReply{Sums: make(map[string][]uint64)}
 	if verify {
@@ -668,9 +672,6 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 		}
 	}
 	if r.WithCount {
-		if !t.spec.HasCount {
-			return nil, fmt.Errorf("server %d: table %q has no count column", e.view.Index, r.Table)
-		}
 		acc, err := e.sumColumn(t, "cnt", r.Z, rg, &stats)
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package serverengine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -186,6 +187,42 @@ func TestAggValidationErrors(t *testing.T) {
 	}
 	if _, err := e.Handle(ctx, protocol.AggRequest{Table: "nocount", WithCount: true, Z: make([]uint64, b)}); err == nil {
 		t.Error("count aggregation without count column accepted")
+	}
+}
+
+// TestRefusedAggregationHoldsNothing: an aggregation the server refuses
+// — a column the table lacks after one it has, or a count on a table
+// without a count column — is refused before its first fetch, so it
+// builds no owner sum: held bytes stay as they were, in memory and on
+// disk.
+func TestRefusedAggregationHoldsNothing(t *testing.T) {
+	const b = 16
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			opts := Options{Threads: 1}
+			if disk {
+				st, err := sharestore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Store = st
+			}
+			e := New(fullView(t, 0, 2, b), opts)
+			storeFull(t, []*Engine{e}, b, false)
+			storeSpec(t, []*Engine{e}, protocol.TableSpec{Name: "nocount", B: b, AggCols: []string{"v"}, Plain: true})
+			for _, req := range []protocol.AggRequest{
+				{Table: "t", Cols: []string{"v", "x"}, Z: make([]uint64, b)},
+				{Table: "nocount", Cols: []string{"v"}, WithCount: true, Z: make([]uint64, b)},
+			} {
+				before := e.HeldBytes()
+				if _, err := e.Handle(context.Background(), req); err == nil {
+					t.Fatalf("%+v accepted", req)
+				}
+				if after := e.HeldBytes(); after != before {
+					t.Errorf("refused %s %v: held bytes %d → %d", req.Table, req.Cols, before, after)
+				}
+			}
+		})
 	}
 }
 

@@ -107,6 +107,17 @@ func TestStreamingShardedUploadMatchesMonolithic(t *testing.T) {
 	engines, stores := diskEngines(t, b, 16, nil)
 	storeSharded(t, engines, b, 10, true)
 
+	// No RAM assembly: the streamed upload must never have held a
+	// full-length column set in memory (queries then hold owner sums).
+	for phi, e := range engines {
+		if peak := e.PeakHeldBytes(); peak != 0 {
+			t.Errorf("server %d: streamed upload held %d bytes in RAM", phi, peak)
+		}
+		if e.PendingUploads() != 0 {
+			t.Errorf("server %d: pending uploads remain", phi)
+		}
+	}
+
 	ctx := context.Background()
 	for _, req := range []any{
 		protocol.PSIRequest{Table: "t", QueryID: "q"},
@@ -139,16 +150,6 @@ func TestStreamingShardedUploadMatchesMonolithic(t *testing.T) {
 		}
 	}
 
-	// No RAM assembly: the streamed upload must never have held a
-	// full-length column set in memory.
-	for phi, e := range engines {
-		if peak := e.PeakHeldBytes(); peak != 0 {
-			t.Errorf("server %d: streamed upload held %d bytes in RAM", phi, peak)
-		}
-		if e.PendingUploads() != 0 {
-			t.Errorf("server %d: pending uploads remain", phi)
-		}
-	}
 	// Live columns are chunked; pending names are gone; the manifest
 	// records both owners.
 	st := stores[0]
@@ -291,7 +292,7 @@ func TestPendingUploadSweepIdleNotAge(t *testing.T) {
 }
 
 // TestChunkCacheBudget: with a byte budget smaller than the table, the
-// cache evicts LRU chunks — resident cache bytes stay within budget —
+// cache evicts LRU chunks — resident chunk bytes stay within budget —
 // while query results remain correct.
 func TestChunkCacheBudget(t *testing.T) {
 	const b, chunk = 256, 32
@@ -329,9 +330,10 @@ func TestChunkCacheBudget(t *testing.T) {
 			t.Fatalf("cache holds %d bytes, budget %d", got, budget)
 		}
 	}
-	// Held-bytes gauge reflects the bounded cache, not the column sizes.
-	if held := e.HeldBytes(); held > budget {
-		t.Errorf("held bytes %d exceed cache budget %d", held, budget)
+	// Held bytes are the bounded chunks and the pinned χ owner sum, not
+	// the column sizes.
+	if held, sum := e.HeldBytes(), int64(2*b); held > budget+sum {
+		t.Errorf("held bytes %d exceed the cache budget %d and the %d-byte owner sum", held, budget, sum)
 	}
 }
 

@@ -25,17 +25,16 @@ import (
 func TestCacheOffFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 0, false) }
 
 // TestCacheOffPatchedFetchAllocatesNoVectors is the same fence with a
-// pending overlay landing entries in every window: the cache-off build
-// patches each owner's borrowed cells in place as it adds them, so the
-// merge allocates no window either.
+// pending overlay landing entries in every window: the merge reads each
+// owner chunk an entry lands in into a borrowed slice and hands it back
+// when it ends, so it allocates no window either.
 func TestCacheOffPatchedFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 0, true) }
 
 // TestPatchedWarmFetchAllocatesNoVectors is the same fence on the
-// update-then-read shape: the warm cache hands out whole owner-sum
-// entries as shared windows and a pending overlay lands entries in every
-// window, so every PSI and sum window is a corrected copy of a shared
-// entry and every count window a gather of the owner sum corrected
-// through PF_s1. The copies are borrowed, so the fetch still allocates
+// update-then-read shape: windows of the epoch's owner sum are shared and
+// a pending overlay lands entries in every window, so every PSI and sum
+// window is a corrected copy of a shared window and every count window a
+// gather of the owner sum corrected through PF_s1. The copies are borrowed, so the fetch still allocates
 // no window per owner; when each owner's window was a fresh clone they
 // came to over twice the replies.
 func TestPatchedWarmFetchAllocatesNoVectors(t *testing.T) { fetchAllocFence(t, 8<<20, true) }
@@ -117,7 +116,7 @@ func fetchAllocFence(t *testing.T, cacheBytes int64, overlay bool) {
 			replyBytes += 8 * window
 		}
 	}
-	for i := 0; i < 4; i++ { // warm-up: inverse permutation, index memo, cache, pools
+	for i := 0; i < 4; i++ { // warm-up: inverse permutation, index memo, owner sums, cache, pools
 		round(i)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools mid-measurement
@@ -168,8 +167,8 @@ func cacheOffBench[T sharestore.Cell](b *testing.B, cells int) (*Engine, *tableV
 	if err := sharestore.Write(st, "t", colKey(0, "c"), col); err != nil {
 		b.Fatal(err)
 	}
-	e := &Engine{view: &params.ServerView{M: 1, Delta: 1 << 16}, modDelta: modmath.NewMod32(1 << 16), opts: Options{Store: st}, held: map[heldKey]*heldSum{}}
-	return e, &tableView{spec: protocol.TableSpec{Name: "t", B: uint64(cells)}, owners: []*ownerCols{{}}}
+	e := &Engine{view: &params.ServerView{M: 1, Delta: 1 << 16}, modDelta: modmath.NewMod32(1 << 16), opts: Options{Store: st}}
+	return e, &tableView{spec: protocol.TableSpec{Name: "t", B: uint64(cells)}, owners: []*ownerCols{{}}, cache: newChunkCache(0, nil)}
 }
 
 func BenchmarkFetchWindowCacheOff(b *testing.B) {
@@ -177,11 +176,11 @@ func BenchmarkFetchWindowCacheOff(b *testing.B) {
 	b.Run("uint64", benchFetchCacheOff[uint64])
 }
 
-// BenchmarkFetchPermutedRoundCacheOff times one permuted round with the
-// cache off: the four 64Ki-cell windows of a reply permuted over a
-// 2^18-cell, 4-chunk column, as a count query asks for them — the held
-// sum built by the first window, every window gathered from it, the sum
-// released by the last.
+// BenchmarkFetchPermutedRoundCacheOff times the first permuted round of a
+// table epoch with the chunk cache off: the four 64Ki-cell windows of a
+// reply permuted over a 2^18-cell, 4-chunk column, as a count query asks
+// for them — the epoch's owner sum built by the first window, every
+// window gathered from it.
 func BenchmarkFetchPermutedRoundCacheOff(b *testing.B) {
 	b.Run("uint16", benchPermutedRound[uint16])
 	b.Run("uint64", benchPermutedRound[uint64])
@@ -197,24 +196,23 @@ func benchPermutedRound[T sharestore.Cell](b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		tv.cache = newChunkCache(0, nil) // a new epoch
 		for off := uint64(0); off < cells; off += window {
 			rg := protocol.Range{Offset: off, Count: window}
-			v, _, err := ownerSum[T](e, tv, "c", rg, inv[off:rg.End()], pf, "round", &stats)
+			v, _, err := ownerSum[T](e, tv, "c", rg, inv[off:rg.End()], pf, &stats)
 			if err != nil || v[1] == v[0] {
 				b.Fatal(err, v[:2])
 			}
 			release(e, v)
 		}
 	}
-	if held := e.HeldBytes(); held != 0 {
-		b.Fatalf("%d bytes still held after the rounds", held)
-	}
 }
 
 // BenchmarkFetchSummed times one 64Ki-cell window of a 2^18-cell,
 // 10-owner disk column under a warm cache: "summed" is the fetch a kernel
-// makes, ownerSum handing out one cached owner-sum entry; "per-owner" is
-// the add it replaced, every owner's cached chunk summed per query.
+// makes, ownerSum handing out a window of the epoch's owner sum;
+// "per-owner" is the add it replaced, every owner's cached chunk summed
+// per query.
 func BenchmarkFetchSummed(b *testing.B) {
 	b.Run("uint16", benchFetchSummed[uint16])
 	b.Run("uint64", benchFetchSummed[uint64])
@@ -240,15 +238,15 @@ func benchFetchSummed[T sharestore.Cell](b *testing.B) {
 	e := &Engine{view: &params.ServerView{M: owners, Delta: 113}, modDelta: modmath.NewMod32(113), opts: Options{Store: st}}
 	var stats protocol.Stats
 	rg := func(i int) protocol.Range { return protocol.Range{Offset: uint64(i%4) * window, Count: window} }
-	for i := 0; i < 4; i++ { // warm: every owner chunk and owner-sum entry
-		if _, _, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, "", &stats); err != nil {
+	for i := 0; i < 4; i++ { // warm: every owner chunk and the owner sum
+		if _, _, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, &stats); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.Run("summed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, borrowed, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, "", &stats); err != nil || borrowed {
+			if _, borrowed, err := ownerSum[T](e, tv, "c", rg(i), nil, nil, &stats); err != nil || borrowed {
 				b.Fatal(err, borrowed)
 			}
 		}
@@ -269,11 +267,11 @@ func benchFetchSummed[T sharestore.Cell](b *testing.B) {
 	})
 }
 
-// BenchmarkPatch times the delta-overlay patch alone — landing, as the
-// cache-off build runs it: one owner's 1,024 pending entries, spread over
-// a 2^18-cell column, written into a borrowed 4Ki- or 64Ki-cell window — a
-// contiguous window or a window of a PF_s-permuted reply gathered as
-// pf⁻¹[rg], placing each entry through pf. Both walk the entries rather
+// BenchmarkPatch times finding the delta-overlay entries that land in a
+// fetch alone — landing, as hits runs it: one owner's 1,024 pending
+// entries, spread over a 2^18-cell column, written into a 4Ki- or
+// 64Ki-cell window — a contiguous window or a window of a PF_s-permuted
+// reply gathered as pf⁻¹[rg], placing each entry through pf. Both walk the entries rather
 // than probe every cell, so with the entries fixed they should cost about
 // the same at either window size.
 func BenchmarkPatch(b *testing.B) {

@@ -161,7 +161,7 @@ func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, stats *p
 // (servers multiply the selector share into the summed column shares;
 // degree rises to 2). z is parallel to the window, not the full column.
 func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Range, stats *protocol.Stats) ([]uint64, error) {
-	sum, borrowed, err := ownerSum[uint64](e, t, col, rg, nil, nil, "", stats)
+	sum, borrowed, err := ownerSum[uint64](e, t, col, rg, nil, nil, stats)
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ func newKernelCase(t testing.TB, g *prg.PRG, m, n int, delta uint64, edge bool, 
 func fetchedSum[T sharestore.Cell](t testing.TB, e *Engine, tv *tableView, col string, rg protocol.Range, idx []uint32, pf perm.Perm) []T {
 	t.Helper()
 	var stats protocol.Stats
-	v, borrowed, err := ownerSum[T](e, tv, col, rg, idx, pf, "", &stats)
+	v, borrowed, err := ownerSum[T](e, tv, col, rg, idx, pf, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,9 +330,10 @@ func TestFetchReleaseNeverAliasesSharedColumns(t *testing.T) {
 		{"disk-warm-cache", disk(1 << 20), false},
 		{"disk-nocache", disk(0), false},
 		// With an overlay, a shared owner sum that an entry lands in is
-		// copied into a borrowed slice and corrected there, and the
-		// cache-off build patches each owner's borrowed cells in place;
-		// warm-cache-overlay is the update-then-read shape.
+		// copied into a borrowed slice and corrected there, reading the
+		// owners' base cells from cached chunks or, with the cache off,
+		// from borrowed ones; warm-cache-overlay is the update-then-read
+		// shape.
 		{"ram-overlay", nil, true},
 		{"disk-warm-cache-overlay", disk(1 << 20), true},
 		{"disk-nocache-overlay", disk(0), true},

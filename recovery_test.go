@@ -39,9 +39,8 @@ func recoveryConfig(t *testing.T, diskDir string) Config {
 // different chunk sizes — owner 0 by a System in 16-cell windows (so
 // 16-cell chunks), owner 1 re-outsourced after the System restarted in
 // 32-cell windows — still answer every kind as the oracle does, with the
-// cache off (each owner gathered through its own chunk plan) and on (an
-// owner-sum entry covers one cell range across owners, never "chunk k"
-// of each).
+// chunk cache off and on: the owner sum is built one owner-0 chunk range
+// at a time, one cell range across owners, never "chunk k" of each.
 func TestMixedChunkGeometries(t *testing.T) {
 	for _, hot := range []uint64{0, 1 << 16} {
 		t.Run(fmt.Sprintf("hotchunks=%d", hot), func(t *testing.T) {

@@ -86,18 +86,11 @@ func TestExtremeVectorRoundMatchesOracle(t *testing.T) {
 	})
 }
 
-// lies is retired for every shape's soundness cells matching cells.
-func lies(t *testing.T, cells string) { retired(t, `TestSoundness/.*/(`+cells+`)/.*`) }
-
 func TestEmptyIntersection(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
 func TestIdenticalOwners(t *testing.T) {
 	inShapes(t, func(sh shape) bool { return uint64(sh.k) == sh.b })
 }
-func TestTwoOwnerSystem(t *testing.T)                { inShapes(t, func(sh shape) bool { return sh.owners == 2 }) }
-func TestMaliciousAggTamperDetected(t *testing.T)    { lies(t, "(sum|avg|psusum|psuavg)/nudge") }
-func TestMaliciousAggSkipDetected(t *testing.T)      { lies(t, "(sum|avg|psusum|psuavg)/skip") }
-func TestMaliciousExtremeValueDetected(t *testing.T) { lies(t, "(max|min)/extreme-value") }
-func TestMaliciousClaimForgeryDetected(t *testing.T) { lies(t, "(max|min)/extreme-fpos") }
+func TestTwoOwnerSystem(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.owners == 2 }) }
 
 // windowed is the whole-table and second-10-cell-window split of the
 // retired per-window adversary tests, over one group and two.

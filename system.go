@@ -419,8 +419,9 @@ type QueryStats struct {
 	WallNS          int64
 	Rounds          int
 	Cells           int
-	// ServerCacheHits counts column reads served by the servers'
-	// hot-chunk cache (Config.HotChunks) instead of the share store.
+	// ServerCacheHits counts column reads served from the servers'
+	// table-epoch caches — the owner sums every server keeps, and hot
+	// chunks under Config.HotChunks — instead of built from the store.
 	ServerCacheHits int
 	// TraceID names the query's timeline in System.QueryTrace when the
 	// system runs with Config.Trace; empty otherwise.
