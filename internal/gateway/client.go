@@ -33,7 +33,11 @@ func Dial(addr string) (*Client, error) {
 // submitted on it — tickets are connection-scoped).
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request frame and reads one response frame.
+// replyGrace is how long past a poll's wait the client awaits any reply.
+const replyGrace = 2 * time.Second
+
+// roundTrip sends one request frame and reads one response frame. A
+// read that times out leaves the connection mid-stream: close the client.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	c.seq++
 	req.ID = fmt.Sprintf("c%d", c.seq)
@@ -44,18 +48,23 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	if err := WriteFrame(c.conn, body, MaxFrontFrame); err != nil {
 		return nil, err
 	}
+	// A gateway that misses the poll's wait by the grace is gone, not slow.
+	wait := time.Duration(req.WaitMS) * time.Millisecond
+	if err := c.conn.SetReadDeadline(time.Now().Add(wait + replyGrace)); err != nil {
+		return nil, err
+	}
 	frame, err := ReadFrame(c.br, MaxReplyFrame)
 	if err != nil {
 		return nil, err
 	}
-	var resp Response
-	if err := json.Unmarshal(frame, &resp); err != nil {
+	resp, err := decodeResponse(frame)
+	if err != nil {
 		return nil, fmt.Errorf("gateway: bad reply frame: %w", err)
 	}
 	if resp.ID != req.ID {
 		return nil, fmt.Errorf("gateway: reply id %q for request %q", resp.ID, req.ID)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Ping round-trips a liveness probe through the gateway.
@@ -105,7 +114,7 @@ func (c *Client) Query(kind string, cols []string, tenant string, timeout time.D
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(timeout + 2*time.Second)
+	deadline := time.Now().Add(timeout + replyGrace)
 	for {
 		wait := time.Until(deadline)
 		if timeout <= 0 {

@@ -68,7 +68,8 @@ type Request struct {
 	WaitMS int64  `json:"wait_ms,omitempty"` // block up to this long for the result (0 = return immediately)
 }
 
-// Response is one front-protocol gateway frame.
+// Response is one front-protocol gateway frame. A new field goes into
+// appendResponse and fastResponse too: neither reads these tags.
 type Response struct {
 	ID string `json:"id,omitempty"` // echoes Request.ID
 	OK bool   `json:"ok"`
@@ -76,7 +77,8 @@ type Response struct {
 	// Code classifies failures so clients can branch without parsing
 	// Err: "shed", "timeout", "bad-request", "unsupported", "unknown-ticket",
 	// "verification-failed" (a server's reply failed the owner's result
-	// verification: a server lied), "backend", "closed". Empty on success.
+	// verification: a server lied), "backend", "closed", "too-large" (the
+	// reply would pass MaxReplyFrame). Empty on success.
 	Code string `json:"code,omitempty"`
 	Err  string `json:"err,omitempty"`
 
@@ -113,6 +115,7 @@ const (
 	CodeVerificationFailed = "verification-failed"
 	CodeBackend            = "backend"
 	CodeClosed             = "closed"
+	CodeTooLarge           = "too-large"
 )
 
 // ReadFrame reads one length-prefixed frame, allocating only after the

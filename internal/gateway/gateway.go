@@ -3,7 +3,7 @@ package gateway
 import (
 	"bufio"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"prism/internal/ownerengine"
+	"prism/internal/slicepool"
 )
 
 // Config sizes one gateway instance.
@@ -166,7 +167,6 @@ type frontConn struct {
 	ctx  context.Context // cancelled when the connection dies
 
 	wmu sync.Mutex // serialises reply frames from handler goroutines
-	bw  *bufio.Writer
 
 	mu      sync.Mutex
 	tickets map[string]*pending
@@ -182,7 +182,6 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 		g:       g,
 		conn:    conn,
 		ctx:     connCtx,
-		bw:      bufio.NewWriter(conn),
 		tickets: make(map[string]*pending),
 	}
 	defer conn.Close()
@@ -220,21 +219,26 @@ func (g *Gateway) handleConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// reply writes one response frame (goroutine-safe).
+// replyBufs recycles reply frames.
+var replyBufs slicepool.Pool[byte]
+
+// reply writes one response frame (goroutine-safe), encoded behind its
+// length in one pooled buffer and sent in one Write. A body over
+// MaxReplyFrame goes out as a too-large error for the same request.
 func (fc *frontConn) reply(resp *Response) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		fc.g.logf("gateway: encoding reply: %v", err)
-		return
+	frame := appendResponse(replyBufs.Get(replySize(resp))[:4], resp)
+	if n := len(frame) - 4; n > MaxReplyFrame {
+		err := fmt.Errorf("%w: reply of %d bytes > %d", ErrFrameTooBig, n, MaxReplyFrame)
+		fc.g.logf("gateway: answering %s: %v", CodeTooLarge, err)
+		frame = appendResponse(frame[:4], &Response{ID: resp.ID, Done: resp.Done, Code: CodeTooLarge, Err: err.Error()})
 	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	if err := WriteFrame(fc.bw, body, MaxReplyFrame); err != nil {
+	_, err := fc.conn.Write(frame)
+	fc.wmu.Unlock()
+	replyBufs.Put(frame)
+	if err != nil {
 		fc.g.logf("gateway: writing reply: %v", err)
-		return
-	}
-	if err := fc.bw.Flush(); err != nil {
-		fc.g.logf("gateway: flushing reply: %v", err)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -476,5 +478,82 @@ func TestGatewayUnsupportedKind(t *testing.T) {
 	}
 	if h := gw.Pool().Healthy(); h != 1 {
 		t.Errorf("Healthy() = %d — ErrUnsupported must not down a member", h)
+	}
+}
+
+// TestGatewayReplyTooLarge: a result whose reply would pass
+// MaxReplyFrame comes back as a typed too-large error within the query's
+// timeout, for the same request — not as silence that leaves the client
+// blocked on a reply that never comes.
+func TestGatewayReplyTooLarge(t *testing.T) {
+	huge := make([]uint64, MaxReplyFrame/len("18446744073709551615,")+1)
+	for i := range huge {
+		huge[i] = math.MaxUint64
+	}
+	addr, _ := startGateway(t, Config{Backends: []Backend{&stub{exec: func(context.Context, Query) (*Result, error) {
+		return &Result{Cells: huge}, nil
+	}}}})
+	cl := dialT(t, addr)
+	const timeout = 5 * time.Second
+	type outcome struct {
+		resp *Response
+		err  error
+	}
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		resp, err := cl.Query("psu", nil, "", timeout)
+		done <- outcome{resp, err}
+	}()
+	select {
+	case o := <-done:
+		if o.resp == nil || o.resp.Code != CodeTooLarge || !strings.Contains(o.err.Error(), CodeTooLarge) {
+			t.Fatalf("oversized reply: resp %+v, err %v; want code %q", o.resp, o.err, CodeTooLarge)
+		}
+		if took := time.Since(start); took > timeout {
+			t.Fatalf("too-large answered after %v, past the %v query timeout", took, timeout)
+		}
+	case <-time.After(3 * timeout):
+		t.Fatalf("Query still blocked %v after an oversized reply", 3*timeout)
+	}
+}
+
+// TestClientReadDeadline: a gateway that accepts frames and never
+// answers ends the client's query in a deadline error, not a hang.
+func TestClientReadDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					if _, err := ReadFrame(conn, MaxFrontFrame); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	cl := dialT(t, ln.Addr().String())
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Query("psi", nil, "", 500*time.Millisecond)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("silent gateway: err = %v, want a read deadline error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Query still blocked after 10s against a gateway that never answers")
 	}
 }
