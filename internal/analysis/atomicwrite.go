@@ -2,24 +2,27 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 )
 
 // AtomicWrite polices the sharestore's durability discipline. Every
 // live file in a store (chunks, indexes, manifests, delta segments)
-// must be produced by a write-temp-then-rename sequence so a crash at
-// any instruction leaves a complete previous version behind
-// (docs/ARCHITECTURE.md). The discipline lives in two blessed helpers
-// — atomicWriteFile (tmp + rename for single files) and
-// swapInColumnDir (move-aside swap for column directories) — and this
-// analyzer flags any other direct os.Create / os.WriteFile / os.Rename
-// call in the package, plus ignored error returns from Close, Sync or
-// Rename (a swallowed error there silently converts "durable" into
-// "probably"). Audited sites — staging writes into a not-yet-live
-// directory, best-effort rollback — carry //prism:allow atomicwrite.
+// must be produced so that a crash at any instruction leaves something
+// recovery can trust (docs/ARCHITECTURE.md). The discipline lives in
+// blessed helpers: atomicWriteFile (tmp + rename for single files) and
+// swapInColumnDir (move-aside swap for column directories) replace
+// files, and patchChunk alone writes into a live chunk where it lies.
+// The analyzer flags any other direct os.Create / os.WriteFile /
+// os.Rename call in the package, any os.OpenFile whose flags are not
+// provably read-only, and any (*os.File).Write / WriteAt / WriteString,
+// plus ignored error returns from Close, Sync or Rename (a swallowed
+// error there silently converts "durable" into "probably"). Audited
+// sites — staging writes into a not-yet-live directory, best-effort
+// rollback — carry //prism:allow atomicwrite.
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
-	Doc:  "sharestore file writes must go through the blessed tmp+rename helpers, with no swallowed Close/Sync/Rename errors",
+	Doc:  "sharestore file writes must go through the blessed tmp+rename and in-place helpers, with no swallowed Close/Sync/Rename errors",
 	Run:  runAtomicWrite,
 }
 
@@ -31,9 +34,18 @@ var blessedWriters = map[string]bool{
 	"swapInColumnDir": true,
 }
 
+// blessedInPlace are the sharestore functions allowed to open a live
+// file for writing and write into it where it lies. patchChunk is the
+// only one: it writes a chunk's new header CRC before its cells, so
+// RollForward can finish a chunk a crash tore mid-patch.
+var blessedInPlace = map[string]bool{"patchChunk": true}
+
 // rawWriteFuncs are the os entry points that create or replace file
-// contents in place.
+// contents.
 var rawWriteFuncs = map[string]bool{"Create": true, "WriteFile": true, "Rename": true}
+
+// fileWriteMethods are the *os.File methods that write file contents.
+var fileWriteMethods = map[string]bool{"Write": true, "WriteAt": true, "WriteString": true}
 
 func runAtomicWrite(pass *Pass) error {
 	if pass.Pkg.Path != storePath {
@@ -46,7 +58,7 @@ func runAtomicWrite(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			blessed := blessedWriters[fd.Name.Name]
+			replaces, inPlace := blessedWriters[fd.Name.Name], blessedInPlace[fd.Name.Name]
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ExprStmt:
@@ -58,12 +70,17 @@ func runAtomicWrite(pass *Pass) error {
 				case *ast.GoStmt:
 					checkIgnoredDurabilityError(pass, n.Call, "spawned ")
 				case *ast.CallExpr:
-					if blessed {
+					obj := calleeObject(info, n)
+					if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "os" {
 						return true
 					}
-					if obj := calleeObject(info, n); obj != nil && obj.Pkg() != nil &&
-						obj.Pkg().Path() == "os" && rawWriteFuncs[obj.Name()] {
+					switch {
+					case !replaces && rawWriteFuncs[obj.Name()]:
 						pass.Reportf(n.Pos(), "direct os.%s outside the blessed atomic-write helpers; use atomicWriteFile or swapInColumnDir so a crash cannot tear the file", obj.Name())
+					case !inPlace && obj.Name() == "OpenFile" && !readOnlyFlags(info, obj.Pkg(), n):
+						pass.Reportf(n.Pos(), "write-mode os.OpenFile outside the blessed in-place helper patchChunk; a write into a live file must keep it recoverable at every crash point")
+					case !inPlace && fileWriteMethods[obj.Name()] && isOSFileMethod(obj):
+						pass.Reportf(n.Pos(), "(*os.File).%s outside the blessed in-place helper patchChunk; a write into a live file must keep it recoverable at every crash point", obj.Name())
 					}
 				}
 				return true
@@ -71,6 +88,34 @@ func runAtomicWrite(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// readOnlyFlags reports whether an os.OpenFile call's flag argument is a
+// constant with none of the os package's write, create, truncate or
+// append bits set. A flag computed at run time cannot be proven
+// read-only and is not.
+func readOnlyFlags(info *types.Info, osPkg *types.Package, call *ast.CallExpr) bool {
+	if len(call.Args) < 2 {
+		return false
+	}
+	tv, ok := info.Types[call.Args[1]]
+	if !ok || tv.Value == nil {
+		return false
+	}
+	flags, ok := constant.Int64Val(tv.Value)
+	if !ok {
+		return false
+	}
+	for _, name := range []string{"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREATE", "O_TRUNC"} {
+		c, isConst := osPkg.Scope().Lookup(name).(*types.Const)
+		if !isConst {
+			return false
+		}
+		if bit, ok := constant.Int64Val(c.Val()); !ok || flags&bit != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // checkIgnoredDurabilityError flags a call whose error result is

@@ -45,3 +45,55 @@ func stagedBuild(dir string, data []byte) error {
 func readSide(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
+
+// patchChunk is the blessed in-place writer: it may open a live file
+// for writing and write into it.
+func patchChunk(path string, crc, cells []byte) (err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if _, err := f.WriteAt(crc, 14); err != nil {
+		return err
+	}
+	_, err = f.WriteAt(cells, 18)
+	return err
+}
+
+// patchElsewhere writes into a live file outside the blessed helper —
+// the seeded violations of the in-place rule.
+func patchElsewhere(path string, data []byte, flag int) (err error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0) // want "write-mode os.OpenFile outside the blessed in-place helper"
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if _, err := f.WriteAt(data, 0); err != nil { // want "(*os.File).WriteAt outside the blessed in-place helper"
+		return err
+	}
+	if _, err := f.Write(data); err != nil { // want "(*os.File).Write outside the blessed in-place helper"
+		return err
+	}
+	if _, err := f.WriteString("x"); err != nil { // want "(*os.File).WriteString outside the blessed in-place helper"
+		return err
+	}
+	g, err := os.OpenFile(path, flag, 0) // want "write-mode os.OpenFile outside the blessed in-place helper"
+	if err != nil {
+		return err
+	}
+	return g.Close()
+}
+
+// openReadOnly opens with constant read-only flags: not a write.
+func openReadOnly(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_RDONLY, 0)
+}

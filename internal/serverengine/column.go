@@ -18,6 +18,8 @@ package serverengine
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"prism/internal/field"
@@ -63,6 +65,16 @@ func (e *Engine) specCols(spec protocol.TableSpec) []colDef {
 
 // colKey is the on-disk column name for one owner's column.
 func colKey(owner int, col string) string { return fmt.Sprintf("o%d.%s", owner, col) }
+
+// splitColKey is colKey's inverse.
+func splitColKey(key string) (owner int, col string, ok bool) {
+	head, col, found := strings.Cut(key, ".")
+	if !found || len(head) < 2 || head[0] != 'o' {
+		return 0, "", false
+	}
+	owner, err := strconv.Atoi(head[1:])
+	return owner, col, err == nil && owner >= 0
+}
 
 // pendColKey is the pending (streaming upload) name of the same column.
 func pendColKey(owner int, col string) string { return fmt.Sprintf("pend%d.%s", owner, col) }

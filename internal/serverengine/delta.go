@@ -7,8 +7,8 @@
 // delta overlay — a per-column map from stored position to the newest
 // value — which every fetch path consults, so queries see updates
 // immediately without any base chunk being rewritten. The background compactor periodically folds the overlay
-// into the base chunks (sharestore.PatchCells), bumps the table epoch,
-// and deletes the absorbed delta segments oldest-first.
+// into the base chunks in place (sharestore.PatchCells), bumps the table
+// epoch, and deletes the absorbed delta segments oldest-first.
 //
 // Finding the entries that land in a fetch costs the smaller of the
 // column's entries and the fetched cells (landing), and one place does it
@@ -25,14 +25,23 @@
 // sequence counter), so it can only absorb — and only deletes — segments
 // whose values it has folded into the base.
 //
-// Crash safety rests on segments being idempotent absolute values:
-// whatever prefix of {patch chunks, bump manifest epoch, delete
-// segments oldest-first} a crash permits, replaying the surviving log
-// over the surviving base reproduces exactly the pre- or
-// post-compaction values, never a mix of stale and fresh cells.
+// Crash safety rests on segments being idempotent absolute values, and
+// on the manifest's CompactThrough marking the pass whose chunks may be
+// torn. A pass records it before it patches any chunk in place and
+// clears it with the post-swap manifest write; each chunk's new CRC
+// is written before its cells. A crash between a chunk's CRC and its
+// cells leaves the header vouching for the payload the pass was
+// heading for, and recovery rolls such a chunk forward by replaying the
+// surviving segments up to CompactThrough at its positions before it
+// verifies anything (rollForward). Past that point, whatever prefix of
+// {patch chunks, bump manifest epoch, delete segments oldest-first} a
+// crash permits, replaying the surviving log over the surviving base
+// reproduces exactly the pre- or post-compaction values, never a mix of
+// stale and fresh cells.
 package serverengine
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -508,9 +517,11 @@ type CompactStats struct {
 }
 
 // SetCompactStepHook installs a hook called before each compaction
-// ordering point ("patch:<col>", "swap", "delete:<seq>"). A non-nil
-// error aborts the pass at that point, leaving disk state exactly as a
-// crash there would — the crash-recovery tests drive every point.
+// ordering point: "through" (after the manifest records the pass's
+// CompactThrough), "patch:<col>", "cells:<col>/<k>" (between chunk k's
+// new CRC and its cells), "swap" and "delete:<seq>". A non-nil error
+// aborts the pass at that point, leaving disk state exactly as a crash
+// there would — the crash-recovery tests drive every point.
 func (e *Engine) SetCompactStepHook(h func(step string) error) {
 	e.compactHookMu.Lock()
 	e.compactHook = h
@@ -528,16 +539,17 @@ func (e *Engine) compactStep(step string) error {
 }
 
 // Compact folds one table's delta overlay into its base columns:
-// rewrite affected base chunks with the overlay values (disk) or swap
-// in patched column copies (RAM), bump the table epoch, truncate the
-// overlay to the entries that arrived during the pass, and delete the
-// absorbed delta segments oldest-first. Queries run concurrently
-// throughout: they hold either the old snapshot (old base + full
-// overlay) or the new one (patched base + truncated overlay), which are
-// value-identical because overlay entries are absolute replacements.
-// Passes are serialised per table — a call blocks behind an in-flight
-// pass, so when Compact returns, every delta entry inserted before the
-// call has been folded. A pass over an empty overlay is a no-op.
+// patch the affected base cells in place (disk) or swap in patched
+// column copies (RAM), bump the table epoch, truncate the overlay to the
+// entries that arrived during the pass, and delete the absorbed delta
+// segments oldest-first. Queries run concurrently throughout: they hold
+// either the old snapshot (old base + full overlay) or the new one
+// (patched base + truncated overlay), which are value-identical because
+// overlay entries are absolute replacements, and a chunk is never read
+// mid-patch. Passes are serialised per table — a call blocks behind an
+// in-flight pass, so when Compact returns, every delta entry inserted
+// before the call has been folded. A pass over an empty overlay is a
+// no-op.
 func (e *Engine) Compact(name string) (CompactStats, error) {
 	var st CompactStats
 	e.mu.RLock()
@@ -560,9 +572,14 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		e.mu.Unlock()
 		return st, nil
 	}
+	if t.midPatch {
+		e.mu.Unlock()
+		return st, fmt.Errorf("server %d: table %q holds a chunk an earlier compaction left mid-patch; restart the server to roll it forward", e.view.Index, name)
+	}
 	t.compacting = true
 	spec := t.spec
 	old := t.delta
+	base := maps.Clone(t.owners)
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
@@ -573,38 +590,50 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	}()
 
 	snap, upto := old.snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
+	byOwner := make(map[int][]string)
+	var owners []int
+	for cn := range snap {
+		j, _, ok := splitColKey(cn)
+		if !ok {
+			return st, fmt.Errorf("server %d: malformed delta column %q", e.view.Index, cn)
+		}
+		if byOwner[j] == nil {
+			owners = append(owners, j)
+		}
+		byOwner[j] = append(byOwner[j], cn)
 	}
-	sort.Strings(names)
+	sort.Ints(owners)
 
 	disk := e.opts.Store != nil
+	var patched map[int]*ownerCols
 	if disk {
-		for _, cn := range names {
-			if err := e.compactStep("patch:" + cn); err != nil {
+		// Roll-forward point: recovery finishes a chunk torn by a crash
+		// from here on by replaying the segments up to upto over it.
+		e.mu.Lock()
+		t.compactThrough = upto
+		e.mu.Unlock()
+		if err := e.writeManifestSnapshot(name, spec); err != nil {
+			return st, err
+		}
+		if err := e.compactStep("through"); err != nil {
+			return st, err
+		}
+		for _, j := range owners {
+			n, err := e.patchOwner(t, name, j, base[j], byOwner[j], snap)
+			st.Entries += n
+			if err != nil {
 				return st, err
 			}
-			dc := snap[cn]
-			if err := e.opts.Store.PatchCells(name, cn, dc.Width, dc.Pos, dc.Vals); err != nil {
-				return st, fmt.Errorf("server %d: compacting %s/%s: %w", e.view.Index, name, cn, err)
-			}
-			st.Entries += len(dc.Pos)
 		}
 	} else {
 		for _, dc := range snap {
 			st.Entries += len(dc.Pos)
 		}
-	}
-
-	// Patched RAM columns are prepared outside the engine lock (the
-	// registered sets are immutable) and swapped in only if the owner's
-	// registration has not changed since the snapshot.
-	var patched map[int]*ownerCols
-	if !disk {
+		// Patched RAM columns are prepared outside the engine lock (the
+		// registered sets are immutable) and swapped in only if the
+		// owner's registration has not changed since the snapshot.
 		var err error
-		patched, err = e.patchedMemCols(name, snap)
-		if err != nil {
+		if patched, err = e.patchedMemCols(name, byOwner, snap, base); err != nil {
 			return st, err
 		}
 	}
@@ -619,7 +648,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		return st, fmt.Errorf("server %d: table %q changed under compaction", e.view.Index, name)
 	}
 	for j, oc := range patched {
-		if cur, live := t.owners[j]; live {
+		if cur := t.owners[j]; cur == base[j] {
 			e.trackHeld(oc.bytes() - cur.bytes())
 			t.owners[j] = oc
 		}
@@ -632,6 +661,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		e.trackHeld(nd.heldBytes() - old.heldBytes())
 		t.delta = nd
 	}
+	t.compactThrough = 0 // every chunk is whole: the next manifest clears it
 	e.mu.Unlock()
 
 	if disk {
@@ -673,38 +703,66 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	return st, nil
 }
 
+// patchOwner patches one owner's columns of the snapshot into the store
+// in place and returns the entries it folded. It holds the owner's
+// upload lock, so a re-outsource never promotes new columns while their
+// predecessors are being patched, and it patches nothing if the owner's
+// registration is no longer was: a re-outsource since the snapshot
+// replaced those columns, and its entries with them. A chunk the patch
+// leaves torn bars later passes (midPatch) until a restart rolls it
+// forward.
+func (e *Engine) patchOwner(t *table, name string, j int, was *ownerCols, cols []string, snap map[string]sharestore.DeltaCol) (int, error) {
+	mu := e.storeLock(fmt.Sprintf("%s/%d", name, j))
+	mu.Lock()
+	defer mu.Unlock()
+	e.mu.RLock()
+	cur, ok := e.tables[name]
+	live := ok && cur == t && was != nil && t.owners[j] == was
+	e.mu.RUnlock()
+	if !live {
+		return 0, nil
+	}
+	sort.Strings(cols)
+	n := 0
+	for _, cn := range cols {
+		if err := e.compactStep("patch:" + cn); err != nil {
+			return n, err
+		}
+		dc := snap[cn]
+		err := e.opts.Store.PatchCellsStep(name, cn, dc.Width, dc.Pos, dc.Vals, func(k uint64) error {
+			return e.compactStep(fmt.Sprintf("cells:%s/%d", cn, k))
+		})
+		if err != nil {
+			if errors.Is(err, sharestore.ErrMidPatch) {
+				e.mu.Lock()
+				t.midPatch = true
+				e.mu.Unlock()
+			}
+			return n, fmt.Errorf("server %d: compacting %s/%s: %w", e.view.Index, name, cn, err)
+		}
+		n += len(dc.Pos)
+	}
+	return n, nil
+}
+
 // patchedMemCols copies the in-memory columns the snapshot touches and
 // applies the overlay values to the copies; untouched columns are shared
-// with the registered sets, which are immutable.
-func (e *Engine) patchedMemCols(name string, snap map[string]sharestore.DeltaCol) (map[int]*ownerCols, error) {
-	e.mu.RLock()
-	t, ok := e.tables[name]
-	var base map[int]*ownerCols
-	if ok {
-		base = maps.Clone(t.owners)
-	}
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("server %d: table %q dropped under compaction", e.view.Index, name)
-	}
+// with the registered sets, which are immutable. base is the owners'
+// registrations the snapshot was taken against.
+func (e *Engine) patchedMemCols(name string, byOwner map[int][]string, snap map[string]sharestore.DeltaCol, base map[int]*ownerCols) (map[int]*ownerCols, error) {
 	patched := make(map[int]*ownerCols)
-	for cn, dc := range snap {
-		var owner int
-		if _, err := fmt.Sscanf(cn, "o%d.", &owner); err != nil {
-			return nil, fmt.Errorf("server %d: malformed delta column %q", e.view.Index, cn)
-		}
-		col := cn[strings.IndexByte(cn, '.')+1:]
+	for owner, cols := range byOwner {
 		src, live := base[owner]
 		if !live {
 			continue // owner dropped; nothing to patch
 		}
-		oc := patched[owner]
-		if oc == nil {
-			oc = &ownerCols{u16: maps.Clone(src.u16), u64: maps.Clone(src.u64)}
-			patched[owner] = oc
-		}
-		if !oc.u16.patch(col, dc) && !oc.u64.patch(col, dc) {
-			return nil, fmt.Errorf("server %d: table %q owner %d missing %s column", e.view.Index, name, owner, col)
+		oc := &ownerCols{u16: maps.Clone(src.u16), u64: maps.Clone(src.u64)}
+		patched[owner] = oc
+		for _, cn := range cols {
+			_, col, _ := splitColKey(cn)
+			if !oc.u16.patch(col, snap[cn]) && !oc.u64.patch(col, snap[cn]) {
+				return nil, fmt.Errorf("server %d: table %q owner %d missing %s column", e.view.Index, name, owner, col)
+			}
 		}
 	}
 	return patched, nil
@@ -718,7 +776,7 @@ func (e *Engine) writeManifestSnapshot(name string, spec protocol.TableSpec) err
 	e.manifestMu.Lock()
 	defer e.manifestMu.Unlock()
 	var owners []int
-	var epoch uint64
+	var epoch, through uint64
 	var floor map[int]uint64
 	e.mu.RLock()
 	cur, ok := e.tables[name]
@@ -726,7 +784,7 @@ func (e *Engine) writeManifestSnapshot(name string, spec protocol.TableSpec) err
 		for j := range cur.owners {
 			owners = append(owners, j)
 		}
-		epoch = cur.epoch
+		epoch, through = cur.epoch, cur.compactThrough
 		if len(cur.deltaFloor) > 0 {
 			floor = make(map[int]uint64, len(cur.deltaFloor))
 			for j, s := range cur.deltaFloor {
@@ -740,8 +798,8 @@ func (e *Engine) writeManifestSnapshot(name string, spec protocol.TableSpec) err
 	}
 	sort.Ints(owners)
 	return e.opts.Store.WriteManifest(name, TableManifest{
-		Version: ManifestVersion, Epoch: epoch, Spec: spec, Owners: owners, DeltaFloor: floor,
-		Group: e.opts.Group,
+		Version: manifestVersion(through), Epoch: epoch, Spec: spec, Owners: owners, DeltaFloor: floor,
+		CompactThrough: through, Group: e.opts.Group,
 	})
 }
 

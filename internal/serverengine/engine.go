@@ -195,12 +195,17 @@ type table struct {
 	// compaction passes — Compact blocks behind an in-flight pass, so a
 	// synchronous call is guaranteed to fold every entry inserted before
 	// it; compacting just suppresses duplicate threshold-trigger
-	// goroutines.
-	delta      *deltaOverlay
-	deltaSeq   uint64
-	deltaFloor map[int]uint64
-	compactMu  sync.Mutex
-	compacting bool
+	// goroutines. compactThrough is the manifest's CompactThrough (set
+	// while a pass patches chunks in place); midPatch records that a
+	// failed pass left a chunk torn, which only a restart's recovery
+	// rolls forward, so no later pass may move compactThrough past it.
+	delta          *deltaOverlay
+	deltaSeq       uint64
+	deltaFloor     map[int]uint64
+	compactMu      sync.Mutex
+	compacting     bool
+	compactThrough uint64
+	midPatch       bool
 }
 
 // tableView is an immutable snapshot of one table taken under the engine

@@ -11,7 +11,12 @@
 //     different table, disagreeing with the system domain, or listing
 //     impossible owners → the whole table is quarantined (moved under
 //     .quarantine/ with a machine-readable reason, data preserved).
-//  3. Every manifest-listed owner's columns are validated against the
+//  3. A manifest with CompactThrough set was written by a compaction
+//     pass that never reached its post-swap manifest write: chunks it
+//     patched in place may be torn, and are rolled forward from the
+//     delta log first (rollForward); one that replay cannot make whole
+//     quarantines the table.
+//     Every manifest-listed owner's columns are validated against the
 //     spec-derived layout: element width, cell count, chunk count, and
 //     a CRC spot-check of the edge chunks. Any failure quarantines the
 //     table — a corrupt column is never served and never crashes boot.
@@ -53,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"slices"
 	"sort"
 
 	"prism/internal/protocol"
@@ -158,6 +164,18 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	}
 
 	cols := e.specCols(man.Spec)
+
+	// A compaction pass that ended before its post-swap manifest write
+	// may have left chunks torn between their new CRC and their cells:
+	// finish them before anything reads a chunk.
+	if man.CompactThrough > 0 {
+		if reason, detail, err := e.rollForward(name, &man, cols); err != nil {
+			return err
+		} else if reason != "" {
+			e.quarantine(rep, name, reason, detail)
+			return nil
+		}
+	}
 
 	// Manifest-covered owners: every column must be present and clean.
 	for _, j := range man.Owners {
@@ -314,9 +332,10 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	e.tables[name] = t
 	e.mu.Unlock()
 
-	if len(adopted) > 0 {
+	if len(adopted) > 0 || man.CompactThrough > 0 {
 		// Make the adoption durable so the next restart trusts the
-		// promoted columns directly.
+		// promoted columns directly, and clear a CompactThrough whose
+		// chunks are whole again.
 		if err := e.writeManifestSnapshot(name, man.Spec); err != nil {
 			return err
 		}
@@ -325,6 +344,55 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 		Name: name, Spec: man.Spec, Owners: owners, Epoch: epoch, Adopted: adopted,
 	})
 	return nil
+}
+
+// rollForward finishes the in-place patches of a compaction pass whose
+// post-swap manifest write never happened. It replays the surviving
+// segments up to man.CompactThrough over the manifest owners' columns,
+// skipping each owner's at or below its DeltaFloor, and hands the newest
+// value per position to sharestore's RollForward, which rewrites only
+// the chunks whose CRC says they are torn and accepts them only if the
+// replayed values make them whole. A chunk that stays torn is corruption
+// the pass did not cause and quarantines the table; a segment the
+// replay below would reject is left for it to quarantine.
+func (e *Engine) rollForward(name string, man *TableManifest, cols []colDef) (reason, detail string, err error) {
+	st := e.opts.Store
+	segs, err := st.DeltaSegs(name)
+	if err != nil {
+		return "", "", err
+	}
+	width := make(map[string]int, len(man.Owners)*len(cols))
+	for _, j := range man.Owners {
+		for _, cd := range cols {
+			width[colKey(j, cd.name)] = cd.width
+		}
+	}
+	replay := newDeltaOverlay()
+	for _, seq := range segs {
+		if seq > man.CompactThrough {
+			break
+		}
+		dcs, rerr := st.ReadDeltaSeg(name, seq)
+		if rerr != nil {
+			return "delta-corrupt", rerr.Error(), nil
+		}
+		keep := dcs[:0]
+		for _, dc := range dcs {
+			j, _, _ := splitColKey(dc.Name)
+			if width[dc.Name] == dc.Width && man.DeltaFloor[j] < seq &&
+				!slices.ContainsFunc(dc.Pos, func(p uint64) bool { return p >= man.Spec.B }) {
+				keep = append(keep, dc)
+			}
+		}
+		replay.insert(keep, seq)
+	}
+	snap, _ := replay.snapshot()
+	for cn, dc := range snap {
+		if rerr := st.RollForward(name, cn, dc.Width, dc.Pos, dc.Vals); rerr != nil {
+			return "column-corrupt", rerr.Error(), nil
+		}
+	}
+	return "", "", nil
 }
 
 // resumePromotion completes an interrupted pending→live rename sweep for

@@ -67,11 +67,23 @@ func parseUploadID(id string) (epoch string, seq uint64, ok bool) {
 	return id[:i], seq, true
 }
 
-// ManifestVersion is the current TableManifest format version. Version
-// 0 manifests (written before the field existed) decode identically and
-// are accepted by recovery; manifests from a newer format are quarantined
-// rather than guessed at.
-const ManifestVersion = 1
+// ManifestVersion is the newest TableManifest format version this build
+// reads and writes. Version 0 manifests (written before the field
+// existed) decode identically and are accepted by recovery; manifests
+// from a newer format are quarantined rather than guessed at. A manifest
+// is written as version 2 only while its CompactThrough is set, so a
+// build that predates in-place compaction quarantines a table a pass may
+// have left mid-patch instead of reading its chunks; every other
+// manifest stays version 1, readable by either build.
+const ManifestVersion = 2
+
+// manifestVersion is the version a manifest is written under.
+func manifestVersion(compactThrough uint64) int {
+	if compactThrough > 0 {
+		return ManifestVersion
+	}
+	return 1
+}
 
 // TableManifest is the durable registration record a disk-backed server
 // writes once an owner's upload completes: the table layout plus which
@@ -92,6 +104,14 @@ type TableManifest struct {
 	// previous share stream). Absent for tables that never mixed deltas
 	// with a re-outsource; older manifests decode with a nil map.
 	DeltaFloor map[int]uint64 `json:",omitempty"`
+	// CompactThrough is set, to the delta-log sequence a compaction pass
+	// folds, from before that pass patches its first chunk in place until
+	// the manifest written after its epoch swap. While it is set a chunk
+	// may be torn between its new CRC and its old cells: recovery rolls
+	// such a chunk forward by replaying the surviving segments up to this
+	// sequence (respecting DeltaFloor) at its positions, and quarantines
+	// the table if that does not make the chunk whole.
+	CompactThrough uint64 `json:",omitempty"`
 	// Group is the server group that wrote the manifest. Recovery
 	// quarantines a manifest from another group rather than serving its
 	// shares (they cover a different domain slice). Absent in manifests

@@ -15,6 +15,10 @@
 // the log over a base that already absorbed a prefix of it converges
 // to the same column values. That property is what makes compaction
 // crash-safe at every ordering point (see the serverengine compactor).
+// Compaction writes the base in place (PatchCells: a chunk's new header
+// CRC, then its changed cells), so a crash can tear a chunk between the
+// two; replaying the same values over it is also what finishes it
+// (RollForward), and a chunk the replay does not make whole is corrupt.
 //
 // Every segment write goes through a temp file and an atomic rename
 // and carries a CRC32 of its body, exactly like column chunks: a
@@ -32,6 +36,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -163,7 +168,10 @@ func parseDeltaSeg(raw []byte) (uint64, []DeltaCol, error) {
 
 // AppendDeltaSeg durably writes one delta segment (temp file + atomic
 // rename, CRC'd body). Segments must be appended with strictly
-// increasing seq; replay applies them in seq order.
+// increasing seq; replay applies them in seq order. The store remembers
+// which tables' delta log directories it has made (until DropTable or a
+// quarantine forgets the table), so an append to one costs the
+// segment's temp write and rename alone.
 func (s *Store) AppendDeltaSeg(table string, seq uint64, cols []DeltaCol) error {
 	for _, c := range cols {
 		if len(c.Pos) != len(c.Vals) {
@@ -176,12 +184,21 @@ func (s *Store) AppendDeltaSeg(table string, seq uint64, cols []DeltaCol) error 
 			return fmt.Errorf("sharestore: delta column name %d bytes long", len(c.Name))
 		}
 	}
-	if err := s.ensureTable(table); err != nil {
-		return err
-	}
 	dir := s.deltaDir(table)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	tdir := filepath.Dir(dir)
+	s.idxMu.Lock()
+	known := s.deltaDirs[tdir]
+	s.idxMu.Unlock()
+	if !known {
+		if err := s.ensureTable(table); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		s.idxMu.Lock()
+		s.deltaDirs[tdir] = true
+		s.idxMu.Unlock()
 	}
 	return atomicWriteFile(deltaSegPath(dir, seq), encodeDeltaSeg(seq, cols))
 }
@@ -243,14 +260,72 @@ func (s *Store) DeleteDeltaSeg(table string, seq uint64) error {
 	return nil
 }
 
-// PatchCells rewrites individual cells of a chunked column with
-// absolute values — the compaction write path. Positions are grouped
-// by chunk; each affected chunk is read, patched and atomically
-// rewritten with a fresh CRC, so only chunks containing updated cells
-// are touched and a crash between chunk writes leaves every chunk
-// complete (old or new — the delta log still holds the values either
-// way).
+// ErrMidPatch marks a PatchCellsStep failure that left a chunk with a
+// header CRC its cells do not match yet: the chunk fails every read
+// until RollForward (which recovery runs at the next start) finishes it.
+var ErrMidPatch = errors.New("sharestore: chunk left mid-patch")
+
+// PatchCells sets individual cells of a chunked column to absolute
+// values: the compaction write path. Each chunk holding one of pos is
+// read, CRC-checked and patched in place (patchChunk): its header CRC is
+// written first, then the changed cells, so the pass costs what it
+// changes rather than a rewrite of every chunk it touches, and it
+// creates no file. A crash mid-pass leaves each chunk old, new, or torn
+// between the two under the new CRC; RollForward, given the same values,
+// finishes a torn one. Readers of the column never see a chunk mid-patch.
 func (s *Store) PatchCells(table, col string, width int, pos, vals []uint64) error {
+	return s.PatchCellsStep(table, col, width, pos, vals, nil)
+}
+
+// PatchCellsStep is PatchCells with step(k) called between chunk k's new
+// CRC and its cells. An error from step ends the pass there as a crash
+// would, the chunk left torn (ErrMidPatch). Any other failure after a
+// CRC write rolls that chunk forward before the error is returned; a
+// chunk that cannot be rolled forward is reported as ErrMidPatch.
+func (s *Store) PatchCellsStep(table, col string, width int, pos, vals []uint64, step func(k uint64) error) error {
+	return s.eachChunk(table, col, width, pos, vals, func(dir string, ci chunkIndex, k uint64, pos, vals []uint64) error {
+		var stepErr error
+		var stepk func() error
+		if step != nil {
+			stepk = func() error { stepErr = step(k); return stepErr }
+		}
+		patched, err := s.patchChunk(dir, ci, k, pos, vals, false, stepk)
+		if errors.Is(err, fs.ErrNotExist) {
+			// No window has written the chunk yet: patch its implicit zeros.
+			return s.rewriteChunk(dir, ci, k, func(buf []byte) { setCells(buf, k*ci.chunkCells, ci.width, pos, vals) })
+		}
+		if err == nil || !patched {
+			return err
+		}
+		if stepErr == nil {
+			_, rerr := s.patchChunk(dir, ci, k, pos, vals, true, nil)
+			if rerr == nil {
+				return err
+			}
+			err = fmt.Errorf("%w; rolling it forward: %w", err, rerr)
+		}
+		return fmt.Errorf("%w: %s/%s chunk %d: %w", ErrMidPatch, table, col, k, err)
+	})
+}
+
+// RollForward finishes the in-place patch a crashed or failed pass left
+// in a column, given the values that pass was writing at pos. Every
+// chunk holding one of pos that fails its header CRC as read gets those
+// values applied and, if its CRC then matches, written back; a chunk
+// that matches as read is left as it is. Any other chunk is an error
+// naming it: the column is corrupt, not mid-patch.
+func (s *Store) RollForward(table, col string, width int, pos, vals []uint64) error {
+	return s.eachChunk(table, col, width, pos, vals, func(dir string, ci chunkIndex, k uint64, pos, vals []uint64) error {
+		_, err := s.patchChunk(dir, ci, k, pos, vals, true, nil)
+		return err
+	})
+}
+
+// eachChunk sorts the entries (pos[i], vals[i]) of a column by position,
+// checks them against its bounds and calls fn once per chunk they land
+// in, ascending, with that chunk's entries. Entries at one position keep
+// their order, so the last one wins.
+func (s *Store) eachChunk(table, col string, width int, pos, vals []uint64, fn func(dir string, ci chunkIndex, k uint64, pos, vals []uint64) error) error {
 	if len(pos) != len(vals) {
 		return fmt.Errorf("sharestore: %s/%s: %d positions, %d values", table, col, len(pos), len(vals))
 	}
@@ -261,34 +336,44 @@ func (s *Store) PatchCells(table, col string, width int, pos, vals []uint64) err
 	if err != nil {
 		return err
 	}
-	byChunk := make(map[uint64][]int)
-	for i, p := range pos {
-		if p >= ci.cells {
-			return fmt.Errorf("sharestore: %s/%s: position %d outside column of %d cells", table, col, p, ci.cells)
+	if !slices.IsSorted(pos) {
+		idx := make([]int, len(pos))
+		for i := range idx {
+			idx[i] = i
 		}
-		k := p / ci.chunkCells
-		byChunk[k] = append(byChunk[k], i)
+		sort.SliceStable(idx, func(a, b int) bool { return pos[idx[a]] < pos[idx[b]] })
+		ps, vs := make([]uint64, len(pos)), make([]uint64, len(pos))
+		for i, j := range idx {
+			ps[i], vs[i] = pos[j], vals[j]
+		}
+		pos, vals = ps, vs
 	}
-	chunks := make([]uint64, 0, len(byChunk))
-	for k := range byChunk {
-		chunks = append(chunks, k)
+	if last := pos[len(pos)-1]; last >= ci.cells {
+		return fmt.Errorf("sharestore: %s/%s: position %d outside column of %d cells", table, col, last, ci.cells)
 	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-	for _, k := range chunks {
-		lo := k * ci.chunkCells
-		err := rewriteChunk(dir, ci, k, func(buf []byte) {
-			for _, i := range byChunk[k] {
-				off := (pos[i] - lo) * uint64(width)
-				if width == 2 {
-					binary.LittleEndian.PutUint16(buf[off:], uint16(vals[i]))
-				} else {
-					binary.LittleEndian.PutUint64(buf[off:], vals[i])
-				}
-			}
-		})
-		if err != nil {
+	for i := 0; i < len(pos); {
+		k := pos[i] / ci.chunkCells
+		j := i + 1
+		for j < len(pos) && pos[j]/ci.chunkCells == k {
+			j++
+		}
+		if err := fn(dir, ci, k, pos[i:j], vals[i:j]); err != nil {
 			return err
 		}
+		i = j
 	}
 	return nil
+}
+
+// setCells writes vals at the absolute positions pos into payload, the
+// cells of a chunk starting at cell lo.
+func setCells(payload []byte, lo uint64, width int, pos, vals []uint64) {
+	w := uint64(width)
+	for i, p := range pos {
+		if w == 2 {
+			binary.LittleEndian.PutUint16(payload[(p-lo)*w:], uint16(vals[i]))
+		} else {
+			binary.LittleEndian.PutUint64(payload[(p-lo)*w:], vals[i])
+		}
+	}
 }

@@ -2,8 +2,11 @@ package sharestore
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -209,4 +212,144 @@ func FuzzDeltaReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPatchCellsStepTornRollForward stops a patch between a chunk's new
+// CRC and its cells, as a crash would: the chunk then fails its reads,
+// RollForward with the same values makes it whole (and leaves the
+// other chunks alone), and a chunk with one more byte flipped stays an
+// error naming it.
+func TestPatchCellsStepTornRollForward(t *testing.T) {
+	for _, flip := range []bool{false, true} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetChunkCells(16)
+		base := make([]uint64, 64)
+		for i := range base {
+			base[i] = uint64(i)
+		}
+		if err := s.WriteU64("tbl", "c", base); err != nil {
+			t.Fatal(err)
+		}
+		pos, vals := []uint64{40, 3, 41}, []uint64{1040, 1003, 1041} // chunks 0 and 2, out of order
+		errCrash := errors.New("crash injected")
+		err = s.PatchCellsStep("tbl", "c", 8, pos, vals, func(k uint64) error {
+			if k == 2 {
+				return errCrash
+			}
+			return nil
+		})
+		if !errors.Is(err, errCrash) || !errors.Is(err, ErrMidPatch) {
+			t.Fatalf("patch ended with %v, want the crash mid-patch", err)
+		}
+		if _, err := s.ReadU64Range("tbl", "c", 32, 16); err == nil {
+			t.Fatal("torn chunk read back without error")
+		}
+		if flip {
+			path := chunkPath(s.colDir("tbl", "c"), 2)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[chunkHeaderLen+8*(47-32)] ^= 1 // cell 47: not one the patch writes
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RollForward("tbl", "c", 8, pos, vals); err == nil || !strings.Contains(err.Error(), "c2.ck") {
+				t.Fatalf("roll-forward of a corrupt chunk: %v, want an error naming c2.ck", err)
+			}
+			continue
+		}
+		if err := s.RollForward("tbl", "c", 8, pos, vals); err != nil {
+			t.Fatalf("roll-forward: %v", err)
+		}
+		got, err := readAll[uint64](s, "tbl", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range map[int]uint64{3: 1003, 40: 1040, 41: 1041, 4: 4, 42: 42, 63: 63} {
+			if got[i] != want {
+				t.Errorf("cell %d = %d, want %d", i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestPatchCellsConcurrentReads reads a column over and over while
+// patches rewrite cells in every one of its chunks: no read may catch a
+// chunk between its new CRC and its cells, so none fails, and every cell
+// read holds a value some patch (or the upload) wrote there.
+func TestPatchCellsConcurrentReads(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells, chunk, rounds = 256, 64, 40
+	s.SetChunkCells(chunk)
+	if err := s.WriteU64("tbl", "c", make([]uint64, cells)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			got, err := s.ReadU64Range("tbl", "c", 0, cells)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for p, v := range got {
+				if v != 0 && (v%cells != uint64(p) || v/cells > rounds) {
+					errs <- fmt.Errorf("cell %d = %d, which no patch wrote", p, v)
+					return
+				}
+			}
+		}
+	}()
+	for r := uint64(1); r <= rounds; r++ {
+		var pos, vals []uint64
+		for p := r % 7; p < cells; p += 5 {
+			pos, vals = append(pos, p), append(vals, r*cells+p)
+		}
+		if err := s.PatchCells("tbl", "c", 8, pos, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errs; err != nil {
+		t.Fatalf("read during the patches: %v", err)
+	}
+}
+
+// TestAppendDeltaSegAfterDrop: the store remembers a table's delta log
+// directory, and forgets it with the table, so an append after a drop
+// makes the directory again.
+func TestAppendDeltaSegAfterDrop(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1}, Vals: []uint64{2}}}
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := s.AppendDeltaSeg("tbl", seq, seg); err != nil {
+			t.Fatal(err)
+		}
+		if seq == 1 {
+			if err := s.DropTable("tbl"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, err := s.DeltaSegs("tbl")
+	if err != nil || len(got) != 1 || got[0] != 2 {
+		t.Fatalf("segments after drop and append = %v, %v; want [2]", got, err)
+	}
 }

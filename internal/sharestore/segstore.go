@@ -12,9 +12,11 @@
 //	                 CRC32 of the payload, payload
 //
 // Chunk k covers cells [k·chunkCells, min((k+1)·chunkCells, cells)).
-// Every chunk write goes through a temp file and an atomic rename, so a
+// Uploads write chunks through a temp file and an atomic rename, so a
 // crash mid-write leaves the previous chunk contents intact (plus a
-// stray .tmp file that is ignored); every chunk read verifies the
+// stray .tmp file that is ignored). Compaction patches cells in place
+// (patchChunk: the new CRC first, then the cells), which a crash can
+// tear and RollForward finishes. Every chunk read verifies the
 // per-chunk CRC, so a torn or corrupted segment is rejected without
 // poisoning its neighbours. Ranged reads touch only the chunks that
 // overlap the requested window — the fetch cost of a shard-window query
@@ -31,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"prism/internal/levec"
 	"prism/internal/slicepool"
@@ -169,8 +172,10 @@ func (s *Store) index(dir string) (chunkIndex, error) {
 	return ci, nil
 }
 
-// forget drops the memoised index of every column directory at or below
-// path (a column directory or a whole table directory).
+// forget drops what the store remembers of the files at or below path
+// (a column directory or a whole table directory): the memoised index of
+// every column directory and, for a table directory, that its delta log
+// directory exists.
 func (s *Store) forget(path string) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
@@ -179,6 +184,7 @@ func (s *Store) forget(path string) {
 			delete(s.idx, dir)
 		}
 	}
+	delete(s.deltaDirs, path)
 }
 
 // recoverColumnDir restores a column moved aside by an interrupted
@@ -219,80 +225,204 @@ func encodeChunk(width int, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-func parseChunk(raw []byte, wantWidth int, wantCells uint64) ([]byte, error) {
+// chunkHeader checks a chunk file's bytes against the shape the index
+// promises (magic, version, width, cell count, exact length) and returns
+// the payload with the CRC its header records, unverified.
+func chunkHeader(raw []byte, wantWidth int, wantCells uint64) ([]byte, uint32, error) {
 	if len(raw) < chunkHeaderLen || string(raw[:4]) != chunkMagic {
-		return nil, errors.New("bad chunk magic")
+		return nil, 0, errors.New("bad chunk magic")
 	}
 	if raw[4] != formatVersion {
-		return nil, fmt.Errorf("unsupported chunk version %d", raw[4])
+		return nil, 0, fmt.Errorf("unsupported chunk version %d", raw[4])
 	}
 	if int(raw[5]) != wantWidth {
-		return nil, fmt.Errorf("chunk element width %d, want %d", raw[5], wantWidth)
+		return nil, 0, fmt.Errorf("chunk element width %d, want %d", raw[5], wantWidth)
 	}
 	cells := binary.LittleEndian.Uint64(raw[6:14])
-	crc := binary.LittleEndian.Uint32(raw[14:18])
 	payload := raw[chunkHeaderLen:]
 	if cells != wantCells || uint64(len(payload)) != cells*uint64(wantWidth) {
-		return nil, fmt.Errorf("chunk holds %d cells, want %d", cells, wantCells)
+		return nil, 0, fmt.Errorf("chunk holds %d cells, want %d", cells, wantCells)
 	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, errors.New("chunk checksum mismatch")
+	return payload, binary.LittleEndian.Uint32(raw[14:18]), nil
+}
+
+func parseChunk(raw []byte, wantWidth int, wantCells uint64) ([]byte, error) {
+	payload, crc, err := chunkHeader(raw, wantWidth, wantCells)
+	if err == nil && crc32.ChecksumIEEE(payload) != crc {
+		err = errors.New("chunk checksum mismatch")
 	}
-	return payload, nil
+	return payload, err
 }
 
 // chunkBufs recycles the buffers chunk files are read into.
 var chunkBufs slicepool.Pool[byte]
 
-// mChunkReads counts the chunk files visitChunk opens.
+// mChunkReads counts the chunk files visitChunk and patchChunk open.
 var mChunkReads = telemetry.NewCounter(telemetry.MetricStoreChunkReads)
+
+// colLock returns the lock of the column stored in dir. visitChunk holds
+// it shared while it reads a chunk file and patchChunk exclusively while
+// it rewrites one in place, so no reader sees a chunk mid-patch.
+func (s *Store) colLock(dir string) *sync.RWMutex {
+	if mu, ok := s.colMus.Load(dir); ok {
+		return mu.(*sync.RWMutex)
+	}
+	mu, _ := s.colMus.LoadOrStore(dir, new(sync.RWMutex))
+	return mu.(*sync.RWMutex)
+}
+
+// readChunkFile reads chunk file f, which the index says holds cells
+// cells, into a pooled buffer the caller hands back to chunkBufs. It
+// reads one byte past the promised length, so a longer file fails
+// chunkHeader's length check, and never more than the file holds, so a
+// forged index cannot size the buffer.
+func readChunkFile(f *os.File, ci chunkIndex, cells uint64) (buf, raw []byte, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	n := min(int64(chunkHeaderLen)+int64(cells)*int64(ci.width), st.Size()) + 1
+	buf = chunkBufs.Get(int(n))
+	got, err := io.ReadFull(f, buf)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		chunkBufs.Put(buf)
+		return nil, nil, err
+	}
+	return buf, buf[:got], nil
+}
+
+// chunkCellsAt returns how many cells chunk k of a column holds.
+func chunkCellsAt(ci chunkIndex, k uint64) (uint64, error) {
+	lo := k * ci.chunkCells
+	if lo >= ci.cells {
+		return 0, fmt.Errorf("sharestore: chunk %d outside column of %d cells", k, ci.cells)
+	}
+	return min(ci.chunkCells, ci.cells-lo), nil
+}
 
 // visitChunk is the one chunk reader: it reads chunk k of a column into
 // a pooled buffer, verifies it (magic, version, width, cell count, exact
 // file length, CRC32) and hands fn the payload, valid until fn returns.
-func visitChunk(dir string, ci chunkIndex, k uint64, fn func(payload []byte) error) error {
-	lo := k * ci.chunkCells
-	if lo >= ci.cells {
-		return fmt.Errorf("sharestore: chunk %d outside column of %d cells", k, ci.cells)
+func (s *Store) visitChunk(dir string, ci chunkIndex, k uint64, fn func(payload []byte) error) error {
+	cells, err := chunkCellsAt(ci, k)
+	if err != nil {
+		return err
 	}
-	cells := min(ci.chunkCells, ci.cells-lo)
 	path := chunkPath(dir, k)
+	mu := s.colLock(dir)
+	mu.RLock()
 	f, err := os.Open(path)
 	if err != nil {
+		mu.RUnlock()
 		return err
 	}
 	mChunkReads.Inc()
+	buf, raw, err := readChunkFile(f, ci, cells)
 	//prism:allow atomicwrite f is only read: its Close has no write to lose
-	defer f.Close()
-	st, err := f.Stat()
+	f.Close()
+	mu.RUnlock()
 	if err != nil {
 		return err
 	}
-	// The index says how long the file must be. Read one byte past that,
-	// so a longer file fails parseChunk's length check, and never more
-	// than the file holds, so a forged index cannot size the buffer.
-	n := min(int64(chunkHeaderLen)+int64(cells)*int64(ci.width), st.Size()) + 1
-	buf := chunkBufs.Get(int(n))
 	defer chunkBufs.Put(buf)
-	got, err := io.ReadFull(f, buf)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return err
-	}
-	payload, err := parseChunk(buf[:got], ci.width, cells)
+	payload, err := parseChunk(raw, ci.width, cells)
 	if err != nil {
 		return fmt.Errorf("sharestore: %s: %w", path, err)
 	}
 	return fn(payload)
 }
 
+// patchChunk is the one in-place chunk writer. Under the column's
+// exclusive lock it reads chunk k, sets the cells at pos (absolute
+// positions inside the chunk, ascending) to vals in memory, writes the
+// new payload's CRC into the header first, calls step, and then writes
+// the changed cells where they lie: no temp file, no rename, a few
+// bytes written per patched cell. CRC first is what makes a crash
+// anywhere in the write recoverable: a torn chunk's header vouches for
+// exactly the payload the patch was heading for, so applying the same
+// values again finds it (cells first would leave new cells under the
+// old CRC, which no replay can tell from corruption).
+//
+// With repair set the chunk is rolled forward instead of patched: a
+// chunk whose CRC matches as read is left alone, one whose CRC matches
+// once the values are applied gets those cells written, and any other
+// is an error naming the chunk. patched reports that the header's CRC
+// is the patched payload's: with a non-nil error the chunk is then torn.
+func (s *Store) patchChunk(dir string, ci chunkIndex, k uint64, pos, vals []uint64, repair bool, step func() error) (patched bool, err error) {
+	cells, err := chunkCellsAt(ci, k)
+	if err != nil {
+		return false, err
+	}
+	path := chunkPath(dir, k)
+	mu := s.colLock(dir)
+	mu.Lock()
+	defer mu.Unlock()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return false, err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	mChunkReads.Inc()
+	buf, raw, err := readChunkFile(f, ci, cells)
+	if err != nil {
+		return false, err
+	}
+	defer chunkBufs.Put(buf)
+	payload, crc, err := chunkHeader(raw, ci.width, cells)
+	if err != nil {
+		return false, fmt.Errorf("sharestore: %s: %w", path, err)
+	}
+	switch asRead := crc32.ChecksumIEEE(payload) == crc; {
+	case repair && asRead:
+		return false, nil // whole as read: nothing to roll forward
+	case !repair && !asRead:
+		return false, fmt.Errorf("sharestore: %s: chunk checksum mismatch", path)
+	}
+	lo, w := k*ci.chunkCells, uint64(ci.width)
+	setCells(payload, lo, ci.width, pos, vals)
+	sum := crc32.ChecksumIEEE(payload)
+	if repair && sum != crc {
+		return false, fmt.Errorf("sharestore: %s: chunk checksum mismatch, also with the compaction's values applied", path)
+	}
+	if !repair {
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], sum)
+		if _, err := f.WriteAt(hdr[:], chunkHeaderLen-4); err != nil {
+			return true, err
+		}
+		if step != nil {
+			if err := step(); err != nil {
+				return true, err
+			}
+		}
+	}
+	// One write per run of adjacent patched cells.
+	for i := 0; i < len(pos); {
+		j := i + 1
+		for j < len(pos) && pos[j] <= pos[j-1]+1 {
+			j++
+		}
+		a, b := (pos[i]-lo)*w, (pos[j-1]-lo+1)*w
+		if _, err := f.WriteAt(payload[a:b], int64(chunkHeaderLen+a)); err != nil {
+			return true, err
+		}
+		i = j
+	}
+	return true, nil
+}
+
 // rewriteChunk reads chunk k (all zeros when no window has written it
 // yet), lets patch edit the payload and atomically writes it back.
-func rewriteChunk(dir string, ci chunkIndex, k uint64, patch func(payload []byte)) error {
+func (s *Store) rewriteChunk(dir string, ci chunkIndex, k uint64, patch func(payload []byte)) error {
 	write := func(payload []byte) error {
 		patch(payload)
 		return writeChunkAtomic(dir, k, ci.width, payload)
 	}
-	err := visitChunk(dir, ci, k, write)
+	err := s.visitChunk(dir, ci, k, write)
 	if errors.Is(err, fs.ErrNotExist) {
 		err = write(make([]byte, min(ci.chunkCells, ci.cells-k*ci.chunkCells)*uint64(ci.width)))
 	}
@@ -366,7 +496,7 @@ func (s *Store) writeRange(table, col string, width int, off uint64, payload []b
 		if lo == chunkLo && hi == chunkHi {
 			err = writeChunkAtomic(dir, k, width, src) // full-chunk rewrite: no read-modify-write
 		} else {
-			err = rewriteChunk(dir, ci, k, func(buf []byte) { copy(buf[(lo-chunkLo)*uint64(width):], src) })
+			err = s.rewriteChunk(dir, ci, k, func(buf []byte) { copy(buf[(lo-chunkLo)*uint64(width):], src) })
 		}
 		if err != nil {
 			return err
@@ -534,7 +664,7 @@ func ReadRangeInto[T Cell](s *Store, table, col string, off uint64, dst []T) err
 	w, cc, end := uint64(ci.width), ci.chunkCells, off+uint64(len(dst))
 	for k := off / cc; err == nil && off < end && k*cc < end; k++ {
 		chunkLo := k * cc
-		err = visitChunk(dir, ci, k, func(payload []byte) error {
+		err = s.visitChunk(dir, ci, k, func(payload []byte) error {
 			lo, hi := max(chunkLo, off), min(chunkLo+uint64(len(payload))/w, end)
 			levec.Get(dst[lo-off:hi-off], payload[(lo-chunkLo)*w:], int(w))
 			return nil
@@ -550,7 +680,7 @@ func ReadChunk[T Cell](s *Store, table, col string, k uint64) (out []T, err erro
 	if err != nil {
 		return nil, err
 	}
-	err = visitChunk(dir, ci, k, func(payload []byte) error {
+	err = s.visitChunk(dir, ci, k, func(payload []byte) error {
 		out = make([]T, len(payload)/ci.width)
 		levec.Get(out, payload, ci.width)
 		return nil

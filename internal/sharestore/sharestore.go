@@ -53,6 +53,8 @@ type Store struct {
 	chunkCells uint64 // chunk size (cells) for newly created columns
 	idxMu      sync.Mutex
 	idx        map[string]chunkIndex // column dir → its index file, read once (see index)
+	deltaDirs  map[string]bool       // table dir → its delta log directory exists (see AppendDeltaSeg)
+	colMus     sync.Map              // column dir → *sync.RWMutex (see colLock)
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -60,7 +62,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sharestore: %w", err)
 	}
-	return &Store{dir: dir, chunkCells: DefaultChunkCells, idx: make(map[string]chunkIndex)}, nil
+	return &Store{dir: dir, chunkCells: DefaultChunkCells, idx: make(map[string]chunkIndex), deltaDirs: make(map[string]bool)}, nil
 }
 
 // Dir returns the root directory.
@@ -114,9 +116,10 @@ func looksHashed(name string) bool {
 // sidecar) must be replaced through it. It stages the contents under a
 // sibling .tmp name and renames into place, so at every crash point
 // the live path holds either the complete previous contents or the
-// complete new ones — never a torn mix. The prism-vet atomicwrite
+// complete new ones — never a torn mix. The one write into a live file
+// where it lies is compaction's patchChunk. The prism-vet atomicwrite
 // analyzer enforces that no other sharestore code calls
-// os.Create/os.WriteFile/os.Rename directly.
+// os.Create/os.WriteFile/os.Rename directly, or writes a file it opened.
 func atomicWriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {

@@ -67,7 +67,7 @@ func (s *Store) VerifyColumn(table, col string, width int, cells uint64) error {
 	// CRC spot-check the edges (first and last chunks): a crash tears the
 	// segment being written, and uploads stream windows in order.
 	for _, k := range spotChunks(n) {
-		if err := visitChunk(dir, ci, k, func([]byte) error { return nil }); err != nil {
+		if err := s.visitChunk(dir, ci, k, func([]byte) error { return nil }); err != nil {
 			return fmt.Errorf("sharestore: %s/%s: %w", table, col, err)
 		}
 	}

@@ -344,12 +344,14 @@ func TestUpdateValidation(t *testing.T) {
 }
 
 // TestCompactionCrashRecovery kills a compaction pass at every ordering
-// point — before each base-chunk patch, before the epoch swap, before
-// each delta-segment deletion — and cold-boots the server over the
-// surviving disk state. Because delta entries are absolute replacement
-// values, every crash point must recover to the same query answers: the
-// base generation it serves (pre- or post-compaction) plus the replayed
-// delta log always reproduces the updated table, never a mix.
+// point — after the manifest records CompactThrough, before each column's
+// patch, between each chunk's new CRC and its cells, before the epoch
+// swap, before each delta-segment deletion — and cold-boots the server
+// over the surviving disk state. Because delta entries are absolute
+// replacement values, every crash point must recover to the same query
+// answers: the base generation it serves (pre- or post-compaction, torn
+// chunks rolled forward) plus the replayed delta log always reproduces
+// the updated table, never a mix.
 func TestCompactionCrashRecovery(t *testing.T) {
 	errCrash := errors.New("crash injected")
 	work := updateWorkloads(3)
