@@ -581,18 +581,25 @@ func (m *matrix) groupOf(cell uint64) int {
 	return g
 }
 
-// deltaSegments counts each server's delta-log segment files for table
-// "main"; nil in memory.
-func (m *matrix) deltaSegments() (segs [][3]int) {
+// deltaRecords counts each server's delta log records for table "main",
+// read through a second store over its directory; nil in memory.
+func (m *matrix) deltaRecords(t *testing.T) (recs [][3]int) {
+	t.Helper()
 	for g := 0; m.sys.cfg.DiskDir != "" && g < m.sh.groups; g++ {
-		segs = append(segs, [3]int{})
-		for phi := range segs[g] {
-			// Glob fails only on a malformed pattern.
-			files, _ := filepath.Glob(filepath.Join(m.sys.cfg.DiskDir, serverDiskDir(g, phi), tableName, "deltalog", "*.dseg"))
-			segs[g][phi] = len(files)
+		recs = append(recs, [3]int{})
+		for phi := range recs[g] {
+			st, err := sharestore.Open(filepath.Join(m.sys.cfg.DiskDir, serverDiskDir(g, phi)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := st.ReadDeltaLog(tableName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs[g][phi] = len(log)
 		}
 	}
-	return segs
+	return recs
 }
 
 // update is the pending phase: owner 0 drops every tuple at its largest
@@ -600,7 +607,7 @@ func (m *matrix) deltaSegments() (segs [][3]int) {
 // the first cell of every group but the first — a cell on each group
 // boundary — and at the domain's last cell, as one UpdateCells. Every
 // server of a touched group must receive exactly one StoreDeltaRequest
-// and, on disk, grow its delta log by exactly one segment, and its S0 and
+// and, on disk, grow its delta log by exactly one record, and its S0 and
 // S1 the group's rebuilt bucket tree, every level in upload windows; no
 // server of an untouched group may receive anything; S0 and S1 must
 // report the same backlog.
@@ -632,7 +639,7 @@ func (m *matrix) update(t *testing.T) {
 		touched[m.groupOf(c)] = true
 	}
 
-	before := m.deltaSegments()
+	before := m.deltaRecords(t)
 	m.calls.reset()
 	st, err := m.sys.Owner(0).UpdateCells(context.Background(), add, map[string][]uint64{"v": addVals}, rmCells, map[string][]uint64{"v": rmVals})
 	if err != nil {
@@ -641,7 +648,7 @@ func (m *matrix) update(t *testing.T) {
 	if st.Cells == 0 {
 		t.Error("update reports no changed cell")
 	}
-	after := m.deltaSegments()
+	after := m.deltaRecords(t)
 	for g := range m.calls {
 		for phi, c := range m.calls[g] {
 			want := map[string]int{}
@@ -657,7 +664,7 @@ func (m *matrix) update(t *testing.T) {
 				t.Errorf("update: group %d server %d received %v, want %v", g, phi, got, want)
 			}
 			if after != nil && after[g][phi]-before[g][phi] != want["StoreDeltaRequest"] {
-				t.Errorf("update: group %d server %d delta log grew by %d segments, want %d", g, phi, after[g][phi]-before[g][phi], want["StoreDeltaRequest"])
+				t.Errorf("update: group %d server %d delta log grew by %d records, want %d", g, phi, after[g][phi]-before[g][phi], want["StoreDeltaRequest"])
 			}
 		}
 		if b0, b1 := m.sys.GroupServerEngine(g, 0).DeltaBacklog(tableName), m.sys.GroupServerEngine(g, 1).DeltaBacklog(tableName); b0 != b1 || (touched[g] && b0 == 0) {

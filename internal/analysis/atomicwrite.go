@@ -7,12 +7,13 @@ import (
 )
 
 // AtomicWrite polices the sharestore's durability discipline. Every
-// live file in a store (chunks, indexes, manifests, delta segments)
-// must be produced so that a crash at any instruction leaves something
-// recovery can trust (docs/ARCHITECTURE.md). The discipline lives in
-// blessed helpers: atomicWriteFile (tmp + rename for single files) and
+// live file in a store (chunks, indexes, manifests, delta logs) must be
+// produced so that a crash at any instruction leaves something recovery
+// can trust (docs/ARCHITECTURE.md). The discipline lives in blessed
+// helpers: atomicWriteFile (tmp + rename for single files) and
 // swapInColumnDir (move-aside swap for column directories) replace
-// files, and patchChunk alone writes into a live chunk where it lies.
+// files, patchChunk alone writes into a live chunk where it lies, and
+// appendDeltaRecord alone appends to a live delta log file.
 // The analyzer flags any other direct os.Create / os.WriteFile /
 // os.Rename call in the package, any os.OpenFile whose flags are not
 // provably read-only, and any (*os.File).Write / WriteAt / WriteString,
@@ -35,10 +36,13 @@ var blessedWriters = map[string]bool{
 }
 
 // blessedInPlace are the sharestore functions allowed to open a live
-// file for writing and write into it where it lies. patchChunk is the
-// only one: it writes a chunk's new header CRC before its cells, so
-// RollForward can finish a chunk a crash tore mid-patch.
-var blessedInPlace = map[string]bool{"patchChunk": true}
+// file for writing and write into it where it lies. patchChunk writes a
+// chunk's new header CRC before its cells, so RollForward can finish a
+// chunk a crash tore mid-patch. appendDeltaRecord writes each delta log
+// record with one append to the end of the table's log file and cuts a
+// failed one off again, so a crash can tear only the newest file's last
+// record — an update never acknowledged, which the boot read cuts off.
+var blessedInPlace = map[string]bool{"patchChunk": true, "appendDeltaRecord": true}
 
 // rawWriteFuncs are the os entry points that create or replace file
 // contents.
@@ -78,9 +82,9 @@ func runAtomicWrite(pass *Pass) error {
 					case !replaces && rawWriteFuncs[obj.Name()]:
 						pass.Reportf(n.Pos(), "direct os.%s outside the blessed atomic-write helpers; use atomicWriteFile or swapInColumnDir so a crash cannot tear the file", obj.Name())
 					case !inPlace && obj.Name() == "OpenFile" && !readOnlyFlags(info, obj.Pkg(), n):
-						pass.Reportf(n.Pos(), "write-mode os.OpenFile outside the blessed in-place helper patchChunk; a write into a live file must keep it recoverable at every crash point")
+						pass.Reportf(n.Pos(), "write-mode os.OpenFile outside the blessed in-place helpers patchChunk and appendDeltaRecord; a write into a live file must keep it recoverable at every crash point")
 					case !inPlace && fileWriteMethods[obj.Name()] && isOSFileMethod(obj):
-						pass.Reportf(n.Pos(), "(*os.File).%s outside the blessed in-place helper patchChunk; a write into a live file must keep it recoverable at every crash point", obj.Name())
+						pass.Reportf(n.Pos(), "(*os.File).%s outside the blessed in-place helpers patchChunk and appendDeltaRecord; a write into a live file must keep it recoverable at every crash point", obj.Name())
 					}
 				}
 				return true

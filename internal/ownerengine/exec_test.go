@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +241,106 @@ func TestRaggedUpdateRejected(t *testing.T) {
 		if got := len(o.Data().Cells); got != before {
 			t.Errorf("%d groups: rejected update changed the loaded data: %d → %d tuples", groups, before, got)
 		}
+	}
+}
+
+// TestUpdateRemovesDuplicatePair: removals that name a pair of equal
+// tuples at one cell and one tuple elsewhere each take a distinct loaded
+// tuple — the third equal one at the cell stays, and so does one with
+// other values there — and the folded dataset keeps every other tuple:
+// in its loaded order on one group, and as the same tuples (each group
+// folds its own) on two.
+func TestUpdateRemovesDuplicatePair(t *testing.T) {
+	ctx := context.Background()
+	for _, groups := range []int{1, 2} {
+		o := newExecRig(t, 3, 32, groups).cohort.Owners[0] // loaded: cells 2, 29, 5; v 10, 40, 7
+		add := &Data{Cells: []uint64{9, 9, 9, 9}, Aggs: map[string][]uint64{"v": {5, 5, 6, 5}}}
+		if st, err := o.Update(ctx, "t", add, nil); err != nil || !st.FastPath {
+			t.Fatalf("%d groups: adding the pair: %+v, %v", groups, st, err)
+		}
+		rm := &Data{Cells: []uint64{9, 2, 9}, Aggs: map[string][]uint64{"v": {5, 10, 5}}}
+		if st, err := o.Update(ctx, "t", nil, rm); err != nil || st.FastPath {
+			t.Fatalf("%d groups: removing the pair: %+v, %v", groups, st, err)
+		}
+		got, want := o.Data(), &Data{Cells: []uint64{29, 5, 9, 9}, Aggs: map[string][]uint64{"v": {40, 7, 6, 5}}}
+		if groups > 1 {
+			tuples := func(d *Data) []string {
+				var out []string
+				for i, c := range d.Cells {
+					out = append(out, fmt.Sprint(c, d.Aggs["v"][i]))
+				}
+				slices.Sort(out)
+				return out
+			}
+			if !slices.Equal(tuples(got), tuples(want)) {
+				t.Fatalf("%d groups: folded tuples %v, want %v", groups, tuples(got), tuples(want))
+			}
+		} else if !reflect.DeepEqual(got.Cells, want.Cells) || !reflect.DeepEqual(got.Aggs, want.Aggs) {
+			t.Fatalf("folded data cells %v v %v, want cells %v v %v", got.Cells, got.Aggs["v"], want.Cells, want.Aggs["v"])
+		}
+		// Two more equal tuples at cell 9 than the dataset holds match none.
+		rm = &Data{Cells: []uint64{9, 9}, Aggs: map[string][]uint64{"v": {5, 5}}}
+		if _, err := o.Update(ctx, "t", nil, rm); err == nil || !strings.Contains(err.Error(), "matches no loaded tuple") {
+			t.Fatalf("%d groups: removing two of one remaining tuple: %v", groups, err)
+		}
+	}
+}
+
+// TestUpdateFoldKeepsSnapshots: a fold never writes a tuple an earlier
+// dataset shows — add-only folds after the first append in place, into
+// capacity only the engine's folds hand out, and a removal copies — so a
+// query holding any earlier dataset reads it unchanged.
+func TestUpdateFoldKeepsSnapshots(t *testing.T) {
+	ctx := context.Background()
+	o := newExecRig(t, 3, 32, 1).cohort.Owners[0]
+	e := o.groups[0]
+	type snap struct {
+		d     *Data
+		cells []uint64
+		v     []uint64
+	}
+	var snaps []snap
+	take := func() *Data {
+		d := e.Data()
+		snaps = append(snaps, snap{d, slices.Clone(d.Cells), slices.Clone(d.Aggs["v"])})
+		return d
+	}
+	add := func(c, v uint64) {
+		t.Helper()
+		if _, err := o.Update(ctx, "t", &Data{Cells: []uint64{c}, Aggs: map[string][]uint64{"v": {v}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take()
+	add(11, 1) // copies the loaded arrays
+	prev, inPlace := take(), 0
+	for i := range uint64(4) {
+		add(12+i, 2+i)
+		d := take()
+		if same := &d.Cells[0] == &prev.Cells[0]; same != (cap(prev.Cells) > len(prev.Cells)) {
+			t.Fatalf("add-only fold %d: in place %v, with %d of %d cells' capacity used", i, same, len(prev.Cells), cap(prev.Cells))
+		} else if same {
+			inPlace++
+		}
+		prev = d
+	}
+	if inPlace == 0 {
+		t.Fatal("no add-only fold appended in place")
+	}
+	if _, err := o.Update(ctx, "t", nil, &Data{Cells: []uint64{12}, Aggs: map[string][]uint64{"v": {2}}}); err != nil {
+		t.Fatal(err)
+	}
+	if d := take(); &d.Cells[0] == &prev.Cells[0] {
+		t.Fatal("a fold with a removal wrote into the earlier dataset's arrays")
+	}
+	add(20, 9)
+	take()
+	for i, s := range snaps {
+		if !slices.Equal(s.d.Cells, s.cells) || !slices.Equal(s.d.Aggs["v"], s.v) {
+			t.Fatalf("dataset %d changed under later folds: cells %v → %v, v %v → %v", i, s.cells, s.d.Cells, s.v, s.d.Aggs["v"])
+		}
+	}
+	if got := snaps[len(snaps)-1].cells; !slices.Equal(got, []uint64{2, 29, 5, 11, 13, 14, 15, 20}) {
+		t.Fatalf("final dataset cells %v", got)
 	}
 }

@@ -123,6 +123,11 @@ type engine struct {
 	mu     sync.Mutex
 	data   *Data
 	tables map[string]*localTable
+	// appendable is the dataset whose arrays an update fold made: their
+	// capacity past the tuples is the engine's, and the next fold of
+	// that dataset claims it (buildUpdate) to append its adds in place.
+	// Nil until a fold commits, after a Load, and while a claim is out.
+	appendable *Data
 
 	w3 []field.Elem // Lagrange weights for 3 shares
 
@@ -210,7 +215,7 @@ func (o *engine) Load(d *Data) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.data = d
+	o.data, o.appendable = d, nil
 	return nil
 }
 

@@ -104,6 +104,8 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 	start := time.Now()
 	o.mu.Lock()
 	d := o.data
+	inPlace := d != nil && d == o.appendable
+	o.appendable = nil // claimed, or the fold below copies
 	o.mu.Unlock()
 	if d == nil {
 		return errors.New("ownerengine: no data loaded")
@@ -119,12 +121,13 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 		}
 	}
 	// Match every removal against a distinct loaded tuple (same cell,
-	// same aggregation values across every loaded column).
-	taken := make(map[int]bool)
+	// same aggregation values across every loaded column). gone holds the
+	// matched tuples' indices, ascending once the matching is done.
+	var gone []int
 	for i := 0; remove != nil && i < len(remove.Cells); i++ {
 		c, found := remove.Cells[i], -1
 		for j, dc := range d.Cells {
-			if dc != c || taken[j] {
+			if dc != c || slices.Contains(gone, j) {
 				continue
 			}
 			match := true
@@ -142,24 +145,35 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 		if found < 0 {
 			return fmt.Errorf("ownerengine: removal %d (cell %d) matches no loaded tuple", i, c)
 		}
-		taken[found] = true
+		gone = append(gone, found)
 	}
+	slices.Sort(gone)
 	// Fold the dataset copy-on-write: in-flight queries iterating the old
-	// Data, and a failed update, keep their snapshot. Without removals
-	// (the append-only fast path) the kept tuples are the old arrays,
-	// capacity capped at their length so that appending the adds copies.
-	u.stats.FastPath = len(taken) == 0
+	// Data, and a failed update, keep their snapshot — no tuple they can
+	// see is written. Without removals (the append-only fast path) the
+	// kept tuples are the old arrays, and the adds go past them: in place
+	// if this fold claimed the arrays' spare capacity (inPlace), else
+	// into a copy, as append grows them. With removals the runs of kept
+	// tuples between them are copied once, into arrays with room for the
+	// adds and for later folds.
+	u.stats.FastPath = len(gone) == 0
+	added := 0
+	if add != nil {
+		added = len(add.Cells)
+	}
 	keep := func(vs []uint64) []uint64 {
 		if u.stats.FastPath {
+			if inPlace {
+				return vs
+			}
 			return vs[:len(vs):len(vs)]
 		}
-		kept := make([]uint64, 0, len(vs)-len(taken))
-		for j, v := range vs {
-			if !taken[j] {
-				kept = append(kept, v)
-			}
+		n := len(vs) - len(gone) + added
+		kept, lo := make([]uint64, 0, n+n/4), 0
+		for _, j := range gone {
+			kept, lo = append(kept, vs[lo:j]...), j+1
 		}
-		return kept
+		return append(kept, vs[lo:]...)
 	}
 	u.data = &Data{Cells: keep(d.Cells), Aggs: make(map[string][]uint64, len(d.Aggs))}
 	for col, vs := range d.Aggs {
@@ -306,7 +320,7 @@ func (o *engine) shipUpdate(ctx context.Context, u *update) error {
 // computed from) and the retained tables, and releases the update lock.
 func (o *engine) commitUpdate(u *update) {
 	o.mu.Lock()
-	o.data = u.data
+	o.data, o.appendable = u.data, u.data
 	o.mu.Unlock()
 	for k, c := range u.cells {
 		u.t.chi[c], u.t.mult[c] = u.next.chi[k], u.next.mult[k]

@@ -2,13 +2,15 @@
 //
 // A StoreDelta request — one owner's whole update — carries absolute
 // replacement share values for individual stored positions. Each
-// accepted update is (on disk-backed engines) appended durably to the
-// table's delta log as one segment first, then merged into the table's
-// delta overlay — a per-column map from stored position to the newest
-// value — which every fetch path consults, so queries see updates
-// immediately without any base chunk being rewritten. The background compactor periodically folds the overlay
-// into the base chunks in place (sharestore.PatchCells), bumps the table
-// epoch, and deletes the absorbed delta segments oldest-first.
+// accepted update is (on disk-backed engines) appended to the table's
+// delta log as one record first — one write to the log file the store
+// keeps open — then merged into the table's delta overlay — a
+// per-column map from stored position to the newest value — which every
+// fetch path consults, so queries see updates immediately without any
+// base chunk being rewritten. The background compactor periodically
+// folds the overlay into the base chunks in place (sharestore.PatchCells),
+// bumps the table epoch, and deletes the log files it sealed, oldest
+// first.
 //
 // Finding the entries that land in a fetch costs the smaller of the
 // column's entries and the fetched cells (landing), and one place does it
@@ -17,25 +19,26 @@
 // entry lands in is copied into a borrowed slice first; an untouched one
 // stays shared.
 //
-// Ordering invariant: per table, sequence assignment, the durable log
-// append and the overlay insert happen under one delta lock, so when an
-// update with sequence s is visible in the overlay, every update with a
-// smaller sequence is too, and each is visible whole — a cell's χ
-// together with its χ̄. Compaction snapshots the overlay (never the raw
-// sequence counter), so it can only absorb — and only deletes — segments
-// whose values it has folded into the base.
+// Ordering invariant: per table, sequence assignment, the log append
+// and the overlay insert happen under one delta lock, so when an update
+// with sequence s is visible in the overlay, every update with a smaller
+// sequence is too, and each is visible whole — a cell's χ together with
+// its χ̄. Compaction snapshots the overlay (never the raw sequence
+// counter) and seals the log file under the same lock, so the sealed
+// files hold only records it folds into the base, and it deletes no
+// other.
 //
-// Crash safety rests on segments being idempotent absolute values, and
+// Crash safety rests on records being idempotent absolute values, and
 // on the manifest's CompactThrough marking the pass whose chunks may be
 // torn. A pass records it before it patches any chunk in place and
 // clears it with the post-swap manifest write; each chunk's new CRC
 // is written before its cells. A crash between a chunk's CRC and its
 // cells leaves the header vouching for the payload the pass was
 // heading for, and recovery rolls such a chunk forward by replaying the
-// surviving segments up to CompactThrough at its positions before it
+// surviving records up to CompactThrough at its positions before it
 // verifies anything (rollForward). Past that point, whatever prefix of
-// {patch chunks, bump manifest epoch, delete segments oldest-first} a
-// crash permits, replaying the surviving log over the surviving base
+// {patch chunks, bump manifest epoch, delete sealed files oldest-first}
+// a crash permits, replaying the surviving log over the surviving base
 // reproduces exactly the pre- or post-compaction values, never a mix of
 // stale and fresh cells.
 package serverengine
@@ -405,9 +408,9 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 		return protocol.StoreDeltaReply{Epoch: epoch}, nil
 	}
 
-	// The per-table delta lock serialises sequence assignment, the
-	// durable append and the overlay insert, so overlay visibility
-	// implies log durability in sequence order (see package comment).
+	// The per-table delta lock serialises sequence assignment, the log
+	// append and the overlay insert, so overlay visibility implies the
+	// log holds the update, in sequence order (see package comment).
 	mu := e.storeLock(r.Table + "/delta")
 	mu.Lock()
 	defer mu.Unlock()
@@ -511,15 +514,16 @@ func widenU16(v []uint16) []uint64 {
 
 // CompactStats reports what one compaction pass absorbed.
 type CompactStats struct {
-	Entries  int    // overlay entries folded into the base
-	Segments int    // delta segments deleted
-	Epoch    uint64 // table epoch after the pass (0 if nothing to do)
+	Entries int    // overlay entries folded into the base
+	Files   int    // sealed delta log files deleted
+	Epoch   uint64 // table epoch after the pass (0 if nothing to do)
 }
 
 // SetCompactStepHook installs a hook called before each compaction
 // ordering point: "through" (after the manifest records the pass's
 // CompactThrough), "patch:<col>", "cells:<col>/<k>" (between chunk k's
-// new CRC and its cells), "swap" and "delete:<seq>". A non-nil error
+// new CRC and its cells), "swap" and "delete:<first-seq>" (before each
+// sealed log file, named by its first sequence, goes). A non-nil error
 // aborts the pass at that point, leaving disk state exactly as a crash
 // there would — the crash-recovery tests drive every point.
 func (e *Engine) SetCompactStepHook(h func(step string) error) {
@@ -541,9 +545,9 @@ func (e *Engine) compactStep(step string) error {
 // Compact folds one table's delta overlay into its base columns:
 // patch the affected base cells in place (disk) or swap in patched
 // column copies (RAM), bump the table epoch, truncate the overlay to the
-// entries that arrived during the pass, and delete the absorbed delta
-// segments oldest-first. Queries run concurrently throughout: they hold
-// either the old snapshot (old base + full overlay) or the new one
+// entries that arrived during the pass, and delete the delta log files
+// sealed at the snapshot, oldest first. Queries run concurrently
+// throughout: they hold either the old snapshot (old base + full overlay) or the new one
 // (patched base + truncated overlay), which are value-identical because
 // overlay entries are absolute replacements, and a chunk is never read
 // mid-patch. Passes are serialised per table — a call blocks behind an
@@ -589,7 +593,21 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		e.mu.Unlock()
 	}()
 
+	// The snapshot and the seal share the delta lock, so no append lands
+	// between them: the sealed files hold exactly the records of
+	// sequence ≤ upto, and later appends open a new file.
+	dmu := e.storeLock(name + "/delta")
+	dmu.Lock()
 	snap, upto := old.snapshot()
+	var sealed []uint64
+	var err error
+	if e.opts.Store != nil {
+		sealed, err = e.opts.Store.SealDeltaLog(name)
+	}
+	dmu.Unlock()
+	if err != nil {
+		return st, fmt.Errorf("server %d: sealing the delta log of %q: %w", e.view.Index, name, err)
+	}
 	byOwner := make(map[int][]string)
 	var owners []int
 	for cn := range snap {
@@ -608,7 +626,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	var patched map[int]*ownerCols
 	if disk {
 		// Roll-forward point: recovery finishes a chunk torn by a crash
-		// from here on by replaying the segments up to upto over it.
+		// from here on by replaying the records up to upto over it.
 		e.mu.Lock()
 		t.compactThrough = upto
 		e.mu.Unlock()
@@ -632,7 +650,6 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		// Patched RAM columns are prepared outside the engine lock (the
 		// registered sets are immutable) and swapped in only if the
 		// owner's registration has not changed since the snapshot.
-		var err error
 		if patched, err = e.patchedMemCols(name, byOwner, snap, base); err != nil {
 			return st, err
 		}
@@ -665,27 +682,14 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	e.mu.Unlock()
 
 	if disk {
-		// Make the new epoch durable before the absorbed segments go: a
-		// crash in between replays them over the patched base, which is a
-		// no-op (absolute values).
+		// Make the new epoch durable before the sealed files go: a crash
+		// in between replays them over the patched base, which is a no-op
+		// (absolute values).
 		if err := e.writeManifestSnapshot(name, spec); err != nil {
 			return st, err
 		}
-		segs, err := e.opts.Store.DeltaSegs(name)
-		if err != nil {
+		if st.Files, err = e.deleteSealed(t0, name, sealed); err != nil {
 			return st, err
-		}
-		for _, seq := range segs {
-			if seq > upto {
-				break // never delete a segment newer than the snapshot
-			}
-			if err := e.compactStep(fmt.Sprintf("delete:%d", seq)); err != nil {
-				return st, err
-			}
-			if err := e.opts.Store.DeleteDeltaSeg(name, seq); err != nil {
-				return st, err
-			}
-			st.Segments++
 		}
 	}
 	mCompactions.Inc()
@@ -701,6 +705,32 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	}
 	e.mu.RUnlock()
 	return st, nil
+}
+
+// deleteSealed deletes the log files a pass sealed, oldest first, and
+// returns how many it deleted. It holds the table's delta lock, under
+// which no append opens a file, and deletes nothing unless the table is
+// still t: one dropped and created again since the seal starts a new
+// log, whose file names may repeat the sealed ones.
+func (e *Engine) deleteSealed(t *table, name string, sealed []uint64) (int, error) {
+	mu := e.storeLock(name + "/delta")
+	mu.Lock()
+	defer mu.Unlock()
+	e.mu.RLock()
+	cur := e.tables[name]
+	e.mu.RUnlock()
+	if cur != t {
+		return 0, nil
+	}
+	for n, first := range sealed {
+		if err := e.compactStep(fmt.Sprintf("delete:%d", first)); err != nil {
+			return n, err
+		}
+		if err := e.opts.Store.DeleteDeltaLog(name, first); err != nil {
+			return n, err
+		}
+	}
+	return len(sealed), nil
 }
 
 // patchOwner patches one owner's columns of the snapshot into the store
@@ -859,13 +889,19 @@ func (e *Engine) startCompactor(every time.Duration) {
 	}()
 }
 
-// Close stops the engine's background work (the compaction ticker).
-// Safe to call multiple times and on engines that never started one.
+// Close stops the engine's background work (the compaction ticker) and
+// closes the delta log files its store holds open. Safe to call multiple
+// times and on engines that never started a ticker.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		if e.compactStop != nil {
 			close(e.compactStop)
 			<-e.compactDone
+		}
+		if e.opts.Store != nil {
+			// Every record was written whole or cut off when its append
+			// failed; a close on the log's local file reports nothing more.
+			e.opts.Store.Close()
 		}
 	})
 }

@@ -2,8 +2,13 @@ package serverengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +20,7 @@ import (
 // server refuses — on RAM and disk engines, on an additive-share server
 // (S0) and on the Shamir-only one (S2) — and holds each to the same
 // outcome: an error, and nothing absorbed (delta backlog, held bytes,
-// sessions and the on-disk delta log all unchanged). Each case mutates a
+// sessions and the on-disk delta log's records all unchanged). Each case mutates a
 // request the engine accepts as it is, so the mutation is the reason for
 // the refusal.
 func TestStoreDeltaRejections(t *testing.T) {
@@ -131,11 +136,7 @@ func TestStoreDeltaRejections(t *testing.T) {
 				for _, spec := range specs {
 					s += fmt.Sprintf(" %s:backlog=%d", spec.Name, e.DeltaBacklog(spec.Name))
 					if disk {
-						segs, err := stores[phi].DeltaSegs(spec.Name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						s += fmt.Sprintf(",segs=%v", segs)
+						s += fmt.Sprintf(",records=%v", logSeqs(t, stores[phi], spec.Name))
 					}
 				}
 				return s
@@ -157,7 +158,7 @@ func TestStoreDeltaRejections(t *testing.T) {
 				})
 			}
 			// The unmutated requests are accepted: entries in both
-			// position spaces, one log segment each.
+			// position spaces, one log record each.
 			for _, spec := range specs {
 				r := valid(phi, spec)
 				reply, err := e.Handle(context.Background(), r)
@@ -168,8 +169,8 @@ func TestStoreDeltaRejections(t *testing.T) {
 					t.Errorf("disk=%v S%d %q: reply counts %d entries, backlog %d", disk, phi, spec.Name, got, e.DeltaBacklog(spec.Name))
 				}
 				if disk {
-					if segs, _ := stores[phi].DeltaSegs(spec.Name); len(segs) != 1 {
-						t.Errorf("disk S%d %q: delta segments %v after one update, want one", phi, spec.Name, segs)
+					if seqs := logSeqs(t, stores[phi], spec.Name); len(seqs) != 1 {
+						t.Errorf("disk S%d %q: delta log records %v after one update, want one", phi, spec.Name, seqs)
 					}
 				}
 			}
@@ -179,7 +180,7 @@ func TestStoreDeltaRejections(t *testing.T) {
 
 // TestCompactEveryTicker: an engine started with Options.CompactEvery
 // folds its delta backlog down without any explicit Compact — on disk
-// deleting the absorbed log segments too — and Close stops the ticker and
+// deleting the sealed log files too — and Close stops the ticker and
 // is idempotent.
 func TestCompactEveryTicker(t *testing.T) {
 	const b = 16
@@ -203,7 +204,7 @@ func TestCompactEveryTicker(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			// A pass empties the overlay first and deletes the segments last.
+			// A pass empties the overlay first and deletes the log files last.
 			drained := func() bool {
 				if e.DeltaBacklog("t") != 0 {
 					return false
@@ -211,12 +212,11 @@ func TestCompactEveryTicker(t *testing.T) {
 				if opts.Store == nil {
 					return true
 				}
-				segs, err := opts.Store.DeltaSegs("t")
-				return err == nil && len(segs) == 0
+				return len(logSeqs(t, opts.Store, "t")) == 0
 			}
 			for deadline := time.Now().Add(5 * time.Second); !drained(); time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("backlog of %d entries, or its delta segments, left after 5s of ticker compaction", e.DeltaBacklog("t"))
+					t.Fatalf("backlog of %d entries, or its delta log records, left after 5s of ticker compaction", e.DeltaBacklog("t"))
 				}
 			}
 			e.Close()
@@ -227,5 +227,168 @@ func TestCompactEveryTicker(t *testing.T) {
 			}
 			e.Close() // idempotent with the deferred call
 		})
+	}
+}
+
+// logSeqs is the sequence of each record in a table's delta log.
+func logSeqs(t *testing.T, st *sharestore.Store, table string) []uint64 {
+	t.Helper()
+	recs, err := st.ReadDeltaLog(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := []uint64{}
+	for _, r := range recs {
+		seqs = append(seqs, r.Seq)
+	}
+	return seqs
+}
+
+// logFiles lists a table's delta log directory.
+func logFiles(t *testing.T, st *sharestore.Store, table string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(st.Dir(), table, "deltalog"))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestDeltaLogOneFile pins the log's file count: the updates to a table
+// after its last compaction are records of one file, which only the
+// first of them opens; a compaction pass deletes the files it sealed and
+// leaves the records that arrived during it, in one file; Close leaves
+// the store with no log file open.
+func TestDeltaLogOneFile(t *testing.T) {
+	const b, n = 16, 5
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasCount: true, Plain: true}
+	st, err := sharestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(fullView(t, 0, 3, b), Options{Threads: 1, Store: st})
+	defer e.Close()
+	storeSpec(t, []*Engine{e}, spec)
+	update := func(p uint64) {
+		t.Helper()
+		if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
+			Owner: 0, Table: "t", Pos: []uint64{p},
+			Chi: []uint16{1}, Sums: map[string][]uint64{"v": {p}}, Cnt: []uint64{1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// updates sends k updates and checks each leaves the file set first
+	// had, and the log the records want.
+	updates := func(k int, first []string, want []uint64) {
+		t.Helper()
+		for i := range k {
+			update(uint64(i))
+			if got := logFiles(t, st, "t"); first != nil && !slices.Equal(got, first) {
+				t.Fatalf("update %d changed the log's files %v to %v", i, first, got)
+			}
+		}
+		if got := logSeqs(t, st, "t"); !slices.Equal(got, want) {
+			t.Fatalf("log records %v, want %v", got, want)
+		}
+	}
+	update(0)
+	files := logFiles(t, st, "t")
+	if !slices.Equal(files, []string{"l1.dlog"}) {
+		t.Fatalf("first update left files %v, want [l1.dlog]", files)
+	}
+	updates(n-1, files, []uint64{1, 2, 3, 4, 5})
+
+	// Two updates land while a pass runs, after its snapshot.
+	e.SetCompactStepHook(func(step string) error {
+		if step == "swap" {
+			update(7)
+			update(8)
+		}
+		return nil
+	})
+	cs, err := e.Compact("t")
+	e.SetCompactStepHook(nil)
+	if err != nil || cs.Files != 1 {
+		t.Fatalf("compaction deleted %d files (%v), want 1", cs.Files, err)
+	}
+	if got := logFiles(t, st, "t"); !slices.Equal(got, []string{"l6.dlog"}) {
+		t.Fatalf("after the pass the log holds files %v, want [l6.dlog]", got)
+	}
+	updates(n, []string{"l6.dlog"}, []uint64{6, 7, 8, 9, 10, 11, 12})
+
+	if _, err := e.Compact("t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := logFiles(t, st, "t"); len(got) != 0 {
+		t.Fatalf("a pass with no update during it left files %v", got)
+	}
+	update(1)
+	e.Close()
+	if fds := openLogFiles(t, st.Dir()); fds != 0 {
+		t.Fatalf("%d delta log files open after Close", fds)
+	}
+}
+
+// openLogFiles counts this process's descriptors open on a delta log
+// file under dir.
+func openLogFiles(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd")
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.HasPrefix(target, dir) && strings.HasSuffix(target, ".dlog") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCompactionSparesRecreatedTablesLog: a table dropped and created
+// again while a pass runs starts its log at sequence 1 again, in a file
+// named like the one the pass sealed; the pass must not delete it.
+func TestCompactionSparesRecreatedTablesLog(t *testing.T) {
+	const b = 16
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasCount: true, Plain: true}
+	st, err := sharestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(fullView(t, 0, 3, b), Options{Threads: 1, Store: st})
+	defer e.Close()
+	update := func() {
+		t.Helper()
+		if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
+			Owner: 0, Table: "t", Pos: []uint64{1},
+			Chi: []uint16{1}, Sums: map[string][]uint64{"v": {3}}, Cnt: []uint64{1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	storeSpec(t, []*Engine{e}, spec)
+	update()
+	e.SetCompactStepHook(func(step string) error {
+		if step == "swap" {
+			if _, err := e.Handle(context.Background(), protocol.DropRequest{Table: "t"}); err != nil {
+				t.Fatal(err)
+			}
+			storeSpec(t, []*Engine{e}, spec)
+			update()
+		}
+		return nil
+	})
+	if _, err := e.Compact("t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := logSeqs(t, st, "t"); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("the recreated table's log holds %v, want its one record", got)
 	}
 }

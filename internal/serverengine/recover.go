@@ -11,11 +11,14 @@
 //     different table, disagreeing with the system domain, or listing
 //     impossible owners → the whole table is quarantined (moved under
 //     .quarantine/ with a machine-readable reason, data preserved).
-//  3. A manifest with CompactThrough set was written by a compaction
-//     pass that never reached its post-swap manifest write: chunks it
-//     patched in place may be torn, and are rolled forward from the
-//     delta log first (rollForward); one that replay cannot make whole
-//     quarantines the table.
+//  3. The delta log is read once (sharestore.ReadDeltaLog, which moves
+//     a store's pre-log segments into it and cuts off a torn last
+//     record); a log that cannot be replayed otherwise quarantines the
+//     table. A manifest with CompactThrough set was written by a
+//     compaction pass that never reached its post-swap manifest write:
+//     chunks it patched in place may be torn, and are rolled forward
+//     from the log's records first (rollForward); one that replay cannot
+//     make whole quarantines the table.
 //     Every manifest-listed owner's columns are validated against the
 //     spec-derived layout: element width, cell count, chunk count, and
 //     a CRC spot-check of the edge chunks. Any failure quarantines the
@@ -26,7 +29,7 @@
 //     replaced: the registered epoch keeps serving and the assembly is
 //     reclaimed. Once it is gone the promotion had begun, every column
 //     being fully assembled: recovery finishes the renames and fences
-//     the owner's older delta segments, so the owner serves the new
+//     the owner's older delta records, so the owner serves the new
 //     epoch whole — never a mix of the two.
 //     Owners NOT in the manifest are classified by what their columns
 //     look like:
@@ -48,7 +51,7 @@
 //
 // New runs the scan once, on every disk-backed engine, before the
 // engine answers a request; registering what the store holds is what
-// lets a later re-outsource fence the earlier process's delta segments
+// lets a later re-outsource fence the earlier process's delta records
 // and continue its sequence. Per-table failures never abort the scan:
 // the server boots with whatever is healthy and the RecoveryReport says
 // what happened to the rest.
@@ -62,6 +65,7 @@ import (
 	"sort"
 
 	"prism/internal/protocol"
+	"prism/internal/sharestore"
 )
 
 // RecoveredTable describes one table recovery re-registered.
@@ -165,14 +169,22 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 
 	cols := e.specCols(man.Spec)
 
+	// The delta log, read once for the roll-forward and the replay below.
+	recs, err := st.ReadDeltaLog(name)
+	if errors.Is(err, sharestore.ErrDeltaCorrupt) {
+		e.quarantine(rep, name, "delta-corrupt", err.Error())
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+
 	// A compaction pass that ended before its post-swap manifest write
 	// may have left chunks torn between their new CRC and their cells:
 	// finish them before anything reads a chunk.
 	if man.CompactThrough > 0 {
-		if reason, detail, err := e.rollForward(name, &man, cols); err != nil {
-			return err
-		} else if reason != "" {
-			e.quarantine(rep, name, reason, detail)
+		if err := e.rollForward(name, &man, cols, recs); err != nil {
+			e.quarantine(rep, name, "column-corrupt", err.Error())
 			return nil
 		}
 	}
@@ -239,24 +251,19 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 		epoch++
 	}
 
-	// Replay the delta log: validate and merge every surviving segment
-	// into a fresh overlay, in sequence order, exactly as the live
-	// StoreDelta path built it. Sequence gaps are legal (an unacked
-	// append), but a torn or corrupt segment quarantines the table like
-	// a torn chunk, and so does a segment naming a column outside the
-	// manifest layout or a position outside the domain. Entries at or
-	// below an owner's re-outsource floor describe a superseded share
-	// stream and are skipped.
-	segs, err := st.DeltaSegs(name)
-	if err != nil {
-		return err
-	}
-	if len(reoutsourced) > 0 && len(segs) > 0 {
+	// Replay the delta log: validate and merge every record into a fresh
+	// overlay, in sequence order, exactly as the live StoreDelta path
+	// built it. Sequence gaps are legal (an unacked append), but a record
+	// naming a column outside the manifest layout or a position outside
+	// the domain quarantines the table. Entries at or below an owner's
+	// re-outsource floor describe a superseded share stream and are
+	// skipped.
+	if len(reoutsourced) > 0 && len(recs) > 0 {
 		if man.DeltaFloor == nil {
 			man.DeltaFloor = make(map[int]uint64)
 		}
 		for _, j := range reoutsourced {
-			man.DeltaFloor[j] = segs[len(segs)-1] // every segment predates the new base
+			man.DeltaFloor[j] = recs[len(recs)-1].Seq // every record predates the new base
 		}
 	}
 	var overlay *deltaOverlay
@@ -270,39 +277,33 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 			colOwner[k] = j
 		}
 	}
-	for _, seq := range segs {
-		dcs, rerr := st.ReadDeltaSeg(name, seq)
-		if rerr != nil {
-			e.quarantine(rep, name, "delta-corrupt", rerr.Error())
-			return nil
-		}
-		keep := dcs[:0]
-		for _, dc := range dcs {
+	for _, r := range recs {
+		var keep []sharestore.DeltaCol
+		for _, dc := range r.Cols {
 			cd, known := colDefs[dc.Name]
 			if !known || cd.width != dc.Width {
 				e.quarantine(rep, name, "delta-invalid",
-					fmt.Sprintf("segment d%d references column %q (width %d) outside the table layout", seq, dc.Name, dc.Width))
+					fmt.Sprintf("record %d references column %q (width %d) outside the table layout", r.Seq, dc.Name, dc.Width))
 				return nil
 			}
 			for _, p := range dc.Pos {
 				if p >= man.Spec.B {
 					e.quarantine(rep, name, "delta-invalid",
-						fmt.Sprintf("segment d%d column %q position %d outside domain of %d cells", seq, dc.Name, p, man.Spec.B))
+						fmt.Sprintf("record %d column %q position %d outside domain of %d cells", r.Seq, dc.Name, p, man.Spec.B))
 					return nil
 				}
 			}
-			if man.DeltaFloor[colOwner[dc.Name]] >= seq {
-				continue
+			if man.DeltaFloor[colOwner[dc.Name]] < r.Seq {
+				keep = append(keep, dc)
 			}
-			keep = append(keep, dc)
 		}
 		if len(keep) > 0 {
 			if overlay == nil {
 				overlay = newDeltaOverlay()
 			}
-			overlay.insert(keep, seq)
+			overlay.insert(keep, r.Seq)
 		}
-		deltaSeq = seq
+		deltaSeq = r.Seq
 	}
 	for _, f := range man.DeltaFloor {
 		if f > deltaSeq {
@@ -347,20 +348,16 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 }
 
 // rollForward finishes the in-place patches of a compaction pass whose
-// post-swap manifest write never happened. It replays the surviving
-// segments up to man.CompactThrough over the manifest owners' columns,
-// skipping each owner's at or below its DeltaFloor, and hands the newest
-// value per position to sharestore's RollForward, which rewrites only
-// the chunks whose CRC says they are torn and accepts them only if the
-// replayed values make them whole. A chunk that stays torn is corruption
-// the pass did not cause and quarantines the table; a segment the
-// replay below would reject is left for it to quarantine.
-func (e *Engine) rollForward(name string, man *TableManifest, cols []colDef) (reason, detail string, err error) {
-	st := e.opts.Store
-	segs, err := st.DeltaSegs(name)
-	if err != nil {
-		return "", "", err
-	}
+// post-swap manifest write never happened. It replays the log's records
+// up to man.CompactThrough over the manifest owners' columns, skipping
+// each owner's at or below its DeltaFloor, and hands the newest value
+// per position to sharestore's RollForward, which rewrites only the
+// chunks whose CRC says they are torn and accepts them only if the
+// replayed values make them whole. An error is a chunk that stays torn:
+// corruption the pass did not cause, which quarantines the table. A
+// record the replay in recoverTable would reject is left for it to
+// quarantine.
+func (e *Engine) rollForward(name string, man *TableManifest, cols []colDef, recs []sharestore.DeltaRecord) error {
 	width := make(map[string]int, len(man.Owners)*len(cols))
 	for _, j := range man.Owners {
 		for _, cd := range cols {
@@ -368,31 +365,27 @@ func (e *Engine) rollForward(name string, man *TableManifest, cols []colDef) (re
 		}
 	}
 	replay := newDeltaOverlay()
-	for _, seq := range segs {
-		if seq > man.CompactThrough {
+	for _, r := range recs {
+		if r.Seq > man.CompactThrough {
 			break
 		}
-		dcs, rerr := st.ReadDeltaSeg(name, seq)
-		if rerr != nil {
-			return "delta-corrupt", rerr.Error(), nil
-		}
-		keep := dcs[:0]
-		for _, dc := range dcs {
+		var keep []sharestore.DeltaCol
+		for _, dc := range r.Cols {
 			j, _, _ := splitColKey(dc.Name)
-			if width[dc.Name] == dc.Width && man.DeltaFloor[j] < seq &&
+			if width[dc.Name] == dc.Width && man.DeltaFloor[j] < r.Seq &&
 				!slices.ContainsFunc(dc.Pos, func(p uint64) bool { return p >= man.Spec.B }) {
 				keep = append(keep, dc)
 			}
 		}
-		replay.insert(keep, seq)
+		replay.insert(keep, r.Seq)
 	}
 	snap, _ := replay.snapshot()
 	for cn, dc := range snap {
-		if rerr := st.RollForward(name, cn, dc.Width, dc.Pos, dc.Vals); rerr != nil {
-			return "column-corrupt", rerr.Error(), nil
+		if err := e.opts.Store.RollForward(name, cn, dc.Width, dc.Pos, dc.Vals); err != nil {
+			return err
 		}
 	}
-	return "", "", nil
+	return nil
 }
 
 // resumePromotion completes an interrupted pending→live rename sweep for

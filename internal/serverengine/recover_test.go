@@ -2,6 +2,7 @@ package serverengine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -554,5 +555,181 @@ func TestListTablesEpoch(t *testing.T) {
 	}
 	if got := reply.(protocol.ListTablesReply).Tables[0].Epoch; got != 4 {
 		t.Fatalf("epoch after drop + re-store = %d, want 4 (continues past the dropped table's 2)", got)
+	}
+}
+
+// deltaUpdate sends server 0 an update of owner 0's table "t" (as
+// storeSharded outsources it, verified) at stored positions p and p+1.
+func deltaUpdate(t *testing.T, e *Engine, p uint64) {
+	t.Helper()
+	v := 31 + 7*p
+	if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
+		Owner: 0, Table: "t",
+		Pos: []uint64{p, p + 1}, Chi: []uint16{uint16(v), uint16(v + 1)},
+		Sums: map[string][]uint64{"v": {v, v + 2}}, Cnt: []uint64{v + 3, v + 4},
+		VPos: []uint64{p, p + 1}, ChiBar: []uint16{uint16(v + 5), uint16(v + 6)},
+		VSums: map[string][]uint64{"v": {v + 7, v + 8}}, VCnt: []uint64{v + 9, v + 10},
+	}); err != nil {
+		t.Fatalf("update at %d: %v", p, err)
+	}
+}
+
+// deltaReplies is server 0's replies to queries every update above shows
+// in.
+func deltaReplies(t *testing.T, e *Engine) []any {
+	t.Helper()
+	var out []any
+	for _, q := range []any{
+		protocol.PSIRequest{Table: "t", QueryID: "q", Verify: true},
+		protocol.PSURequest{Table: "t", QueryID: "q"},
+		protocol.AggRequest{Table: "t", Cols: []string{"v"}, Z: make([]uint64, 64)},
+	} {
+		r, err := e.Handle(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%T: %v", q, err)
+		}
+		out = append(out, stripReplyStats(r))
+	}
+	return out
+}
+
+// logRecords splits a delta log file into its records' bytes, each
+// without its length prefix: the bytes a pre-log store's d<seq>.dseg
+// segment held.
+func logRecords(t *testing.T, path string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	for len(raw) > 0 {
+		n := int(binary.LittleEndian.Uint32(raw))
+		recs, raw = append(recs, raw[4:4+n]), raw[4+n:]
+	}
+	return recs
+}
+
+// TestRecoverDeltaLog drives recovery's delta log outcomes: a torn last
+// record of the newest file — an append that never returned — is cut
+// off, the file truncated to its whole records and every update before
+// it served; a bad record before a good one is delta-corrupt; a record
+// naming a column outside the layout, or a position at or past b, is
+// delta-invalid.
+func TestRecoverDeltaLog(t *testing.T) {
+	const b, chunk = 64, 16
+	seed := func(t *testing.T) ([]string, *Engine, *sharestore.Store) {
+		dirs := storeDirs(t)
+		before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
+		storeSharded(t, before, b, 16, true)
+		return dirs, before[0], stores[0]
+	}
+	logPath := func(st *sharestore.Store) string { return filepath.Join(st.Dir(), "t", "deltalog", "l1.dlog") }
+
+	t.Run("torn-last-record", func(t *testing.T) {
+		dirs, e, st := seed(t)
+		deltaUpdate(t, e, 3)
+		deltaUpdate(t, e, 40)
+		want := deltaReplies(t, e)
+		deltaUpdate(t, e, 20)
+		if reflect.DeepEqual(deltaReplies(t, e), want) {
+			t.Fatal("the third update changed no reply")
+		}
+		recs := logRecords(t, logPath(st))
+		whole := int64(8 + len(recs[0]) + len(recs[1]))
+		if err := os.Truncate(logPath(st), whole+4+int64(len(recs[2]))/2); err != nil {
+			t.Fatal(err)
+		}
+		after, rep := recoverOne(t, b, chunk, dirs)
+		if len(rep.Quarantined) != 0 || len(rep.Recovered) != 1 {
+			t.Fatalf("torn last record: %+v", rep)
+		}
+		if !reflect.DeepEqual(deltaReplies(t, after), want) {
+			t.Fatal("replies after recovery differ from those before the torn update")
+		}
+		if fi, err := os.Stat(logPath(st)); err != nil || fi.Size() != whole {
+			t.Fatalf("log file not truncated to its %d whole-record bytes: %v, %v", whole, fi.Size(), err)
+		}
+		deltaUpdate(t, after, 20) // the owner's retry lands after the whole records
+		if _, rep := recoverOne(t, b, chunk, dirs); len(rep.Quarantined) != 0 || len(rep.Recovered) != 1 {
+			t.Fatalf("restart after the retry: %+v", rep)
+		}
+	})
+
+	t.Run("bad-record-before-good", func(t *testing.T) {
+		dirs, e, st := seed(t)
+		deltaUpdate(t, e, 3)
+		deltaUpdate(t, e, 40)
+		raw, err := os.ReadFile(logPath(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[4+20] ^= 1 // in the first record's body
+		if err := os.WriteFile(logPath(st), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, rep := recoverOne(t, b, chunk, dirs)
+		wantQuarantined(t, e, rep, "delta-corrupt")
+	})
+
+	for name, dc := range map[string]sharestore.DeltaCol{
+		"column-outside-layout":  {Name: colKey(0, "nosuch"), Width: 8, Pos: []uint64{1}, Vals: []uint64{1}},
+		"column-of-other-width":  {Name: colKey(0, "chi"), Width: 8, Pos: []uint64{1}, Vals: []uint64{1}},
+		"position-outside-table": {Name: colKey(0, "chi"), Width: 2, Pos: []uint64{b}, Vals: []uint64{1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dirs, e, st := seed(t)
+			deltaUpdate(t, e, 3)
+			if err := st.AppendDeltaSeg("t", 2, []sharestore.DeltaCol{dc}); err != nil {
+				t.Fatal(err)
+			}
+			e, rep := recoverOne(t, b, chunk, dirs)
+			wantQuarantined(t, e, rep, "delta-invalid")
+		})
+	}
+}
+
+// TestRecoverMigratesDeltaSegments: a store whose acknowledged updates
+// are d<seq>.dseg segments — one file per update, as a build from before
+// the delta log wrote them — boots with every update applied, its
+// segments moved into one log file, and compacts that file away.
+func TestRecoverMigratesDeltaSegments(t *testing.T) {
+	const b, chunk = 64, 16
+	dirs := storeDirs(t)
+	before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
+	storeSharded(t, before, b, 16, true)
+	for _, p := range []uint64{3, 40, 3, 20} {
+		deltaUpdate(t, before[0], p)
+	}
+	want := deltaReplies(t, before[0])
+	before[0].Close()
+
+	dir := filepath.Join(stores[0].Dir(), "t", "deltalog")
+	for _, rec := range logRecords(t, filepath.Join(dir, "l1.dlog")) {
+		seq := binary.LittleEndian.Uint64(rec[9:]) // after the magic, version and CRC
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("d%d.dseg", seq)), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, "l1.dlog")); err != nil {
+		t.Fatal(err)
+	}
+
+	e, rep := recoverOne(t, b, chunk, dirs)
+	if len(rep.Quarantined) != 0 || len(rep.Recovered) != 1 {
+		t.Fatalf("recovery of a store with segments: %+v", rep)
+	}
+	if !reflect.DeepEqual(deltaReplies(t, e), want) {
+		t.Fatal("replies after the migration differ from those before the restart")
+	}
+	if got := logFiles(t, e.opts.Store, "t"); !reflect.DeepEqual(got, []string{"l1.dlog"}) {
+		t.Fatalf("delta log after the migration holds %v, want [l1.dlog]", got)
+	}
+	deltaUpdate(t, e, 50)
+	if cs, err := e.Compact("t"); err != nil || cs.Files != 2 {
+		t.Fatalf("compaction after the migration: %+v, %v; want 2 files deleted", cs, err)
+	}
+	if got := logFiles(t, e.opts.Store, "t"); len(got) != 0 {
+		t.Fatalf("delta log after compaction holds %v", got)
 	}
 }

@@ -1,99 +1,429 @@
 package sharestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
+func encodeDeltaSeg(seq uint64, cols []DeltaCol) []byte { return appendDeltaSeg(nil, seq, cols) }
+
+// logFiles lists the names in a table's delta log directory.
+func logFiles(t *testing.T, s *Store, table string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(s.deltaDir(table))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// seqsOf is the sequence of each record.
+func seqsOf(recs []DeltaRecord) []uint64 {
+	out := []uint64{}
+	for _, r := range recs {
+		out = append(out, r.Seq)
+	}
+	return out
+}
+
+// readLog reads a table's delta log through a second Store over the same
+// directory, as a restarted server would.
+func readLog(t *testing.T, s *Store, table string) ([]DeltaRecord, error) {
+	t.Helper()
+	again, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return again.ReadDeltaLog(table)
+}
+
+// TestDeltaSegRoundTrip: appends land as records of one open file, read
+// back whole and in order; a seal makes the next append open a new file
+// and reports the sealed ones; a sealed file deletes, the open one does
+// not; Close releases every descriptor and the store stays usable.
 func TestDeltaSegRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := map[uint64][]DeltaCol{
-		3: {
+	recs := []DeltaRecord{
+		{Seq: 1, Cols: []DeltaCol{{Name: "o1.chi", Width: 2, Pos: []uint64{0}, Vals: []uint64{99}}}},
+		{Seq: 3, Cols: []DeltaCol{
 			{Name: "o0.chi", Width: 2, Pos: []uint64{5, 900}, Vals: []uint64{7, 42}},
 			{Name: "o0.sum.DT", Width: 8, Pos: []uint64{5}, Vals: []uint64{1 << 40}},
-		},
-		1: {{Name: "o1.chi", Width: 2, Pos: []uint64{0}, Vals: []uint64{99}}},
-		7: {}, // a segment may carry no columns (all-zero window)
+		}},
+		{Seq: 7, Cols: []DeltaCol{}}, // a record may carry no columns
 	}
-	for seq, cols := range segs {
-		if err := s.AppendDeltaSeg("tbl", seq, cols); err != nil {
-			t.Fatalf("append %d: %v", seq, err)
+	for _, r := range recs {
+		if err := s.AppendDeltaSeg("tbl", r.Seq, r.Cols); err != nil {
+			t.Fatalf("append %d: %v", r.Seq, err)
 		}
 	}
-	got, err := s.DeltaSegs("tbl")
+	if got := logFiles(t, s, "tbl"); !reflect.DeepEqual(got, []string{"l1.dlog"}) {
+		t.Fatalf("three appends left files %v, want [l1.dlog]", got)
+	}
+	got, err := readLog(t, s, "tbl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 7 {
-		t.Fatalf("DeltaSegs = %v, want [1 3 7]", got)
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("read back %+v\nwant %+v", got, recs)
 	}
-	cols, err := s.ReadDeltaSeg("tbl", 3)
-	if err != nil {
+	if got, err := s.ReadDeltaLog("other"); err != nil || len(got) != 0 {
+		t.Fatalf("table with no log: %v %v", got, err)
+	}
+
+	sealed, err := s.SealDeltaLog("tbl")
+	if err != nil || !reflect.DeepEqual(sealed, []uint64{1}) {
+		t.Fatalf("seal = %v, %v; want [1]", sealed, err)
+	}
+	if err := s.AppendDeltaSeg("tbl", 9, recs[0].Cols); err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 2 {
-		t.Fatalf("seg 3 columns = %d", len(cols))
+	if got := logFiles(t, s, "tbl"); !reflect.DeepEqual(got, []string{"l1.dlog", "l9.dlog"}) {
+		t.Fatalf("append after a seal left files %v, want [l1.dlog l9.dlog]", got)
 	}
-	if cols[0].Name != "o0.chi" || cols[0].Width != 2 || cols[0].Pos[1] != 900 || cols[0].Vals[1] != 42 {
-		t.Errorf("seg 3 col 0 = %+v", cols[0])
+	if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{1, 3, 7, 9}) {
+		t.Fatalf("read across files = %v, %v", seqsOf(got), err)
 	}
-	if cols[1].Vals[0] != 1<<40 {
-		t.Errorf("seg 3 col 1 = %+v", cols[1])
+	if err := s.DeleteDeltaLog("tbl", 9); err == nil {
+		t.Error("deleted the file open for appends")
 	}
-	// Segments on a table with no log, and deletion.
-	if segs, err := s.DeltaSegs("other"); err != nil || len(segs) != 0 {
-		t.Fatalf("empty table: %v %v", segs, err)
+	for range 2 { // missing is not an error
+		if err := s.DeleteDeltaLog("tbl", 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.DeleteDeltaSeg("tbl", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteDeltaSeg("tbl", 1); err != nil {
-		t.Fatalf("double delete: %v", err)
-	}
-	got, _ = s.DeltaSegs("tbl")
-	if len(got) != 2 || got[0] != 3 {
+	if got := logFiles(t, s, "tbl"); !reflect.DeepEqual(got, []string{"l9.dlog"}) {
 		t.Fatalf("after delete: %v", got)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.logs) != 0 {
+		t.Fatalf("Close left %d log files open", len(s.logs))
+	}
+	if err := s.AppendDeltaSeg("tbl", 10, recs[0].Cols); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{9, 10}) {
+		t.Fatalf("append after Close: %v, %v", seqsOf(got), err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestDeltaSegTornSegmentRejected cuts the newest file's last record at
+// every byte:
+// the read returns the records before it and truncates the file to them,
+// and the next append follows them. The same cut in a file a newer
+// one follows, a flipped byte in a whole record, and a record out of
+// sequence order are corrupt.
 func TestDeltaSegTornSegmentRejected(t *testing.T) {
+	cols := []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1, 2, 3}, Vals: []uint64{4, 5, 6}}}
+	build := func(t *testing.T, seqs ...uint64) (*Store, string, int) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			if err := s.AppendDeltaSeg("tbl", seq, cols); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return s, deltaLogPath(s.deltaDir("tbl"), seqs[0]), deltaLenPrefix + deltaSegLen(cols)
+	}
+	write := func(t *testing.T, path string, raw []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, path, rec := build(t, 1, 2, 3)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 2*rec + 1; cut < 3*rec; cut++ {
+		write(t, path, whole[:cut])
+		s, err := Open(filepath.Dir(filepath.Dir(filepath.Dir(path))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.ReadDeltaLog("tbl")
+		if err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{1, 2}) {
+			t.Fatalf("cut at %d: read %v, %v; want records 1 and 2", cut, seqsOf(got), err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(2*rec) {
+			t.Fatalf("cut at %d: file not truncated to its whole records: %v %v", cut, fi.Size(), err)
+		}
+		if err := s.AppendDeltaSeg("tbl", 4, cols); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{1, 2, 4}) {
+			t.Fatalf("cut at %d, then an append: %v, %v", cut, seqsOf(got), err)
+		}
+		if _, err := s.SealDeltaLog("tbl"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteDeltaLog("tbl", 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	corrupt := map[string]func(t *testing.T) *Store{
+		"torn before a newer file": func(t *testing.T) *Store {
+			s, path, rec := build(t, 1, 2)
+			if err := os.Truncate(path, int64(2*rec-1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendDeltaSeg("tbl", 3, cols); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"flipped byte": func(t *testing.T) *Store {
+			s, path, _ := build(t, 1, 2)
+			raw, _ := os.ReadFile(path)
+			raw[deltaLenPrefix+deltaHeaderLen+20] ^= 1
+			write(t, path, raw)
+			return s
+		},
+		"flipped last byte": func(t *testing.T) *Store {
+			s, path, _ := build(t, 1, 2)
+			raw, _ := os.ReadFile(path)
+			raw[len(raw)-1] ^= 1
+			write(t, path, raw)
+			return s
+		},
+		"no record past the end": func(t *testing.T) *Store {
+			s, path, _ := build(t, 1)
+			raw, _ := os.ReadFile(path)
+			write(t, path, append(raw, 0xff, 0xff, 0, 0, 'X'))
+			return s
+		},
+		"out of order": func(t *testing.T) *Store { s, _, _ := build(t, 2, 1); return s },
+		"below the file's name": func(t *testing.T) *Store {
+			s, path, _ := build(t, 5)
+			if err := os.Rename(path, deltaLogPath(s.deltaDir("tbl"), 6)); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for name, mk := range corrupt {
+		t.Run(name, func(t *testing.T) {
+			if got, err := readLog(t, mk(t), "tbl"); !errors.Is(err, ErrDeltaCorrupt) || !strings.Contains(err.Error(), ".dlog") {
+				t.Fatalf("read %v, %v; want ErrDeltaCorrupt naming the file", seqsOf(got), err)
+			}
+		})
+	}
+}
+
+// TestDeltaLogFailedAppend: an append whose write fails and whose file
+// cannot be cut back keeps its torn record the newest file's last —
+// further appends and seals refuse — and a restart's read recovers every
+// record before it.
+func TestDeltaLogFailedAppend(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendDeltaSeg("tbl", 1, []DeltaCol{
-		{Name: "o0.chi", Width: 2, Pos: []uint64{1, 2, 3}, Vals: []uint64{4, 5, 6}},
-	}); err != nil {
+	cols := []DeltaCol{{Name: "o0.v", Width: 8, Pos: []uint64{1}, Vals: []uint64{2}}}
+	if err := s.AppendDeltaSeg("tbl", 1, cols); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.deltaDir("tbl"), "d1.dseg")
-	raw, err := os.ReadFile(path)
+	l := s.logs[s.tableDir("tbl")]
+	ro, err := os.Open(l.f.Name()) // writes and truncates fail on it
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Torn write: truncated body.
-	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
+	if err := l.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadDeltaSeg("tbl", 1); err == nil {
-		t.Error("truncated segment read back without error")
+	l.f = ro
+	if err := s.AppendDeltaSeg("tbl", 2, cols); err == nil {
+		t.Fatal("append through a read-only descriptor succeeded")
 	}
-	// Bit flip under an intact length: CRC must catch it.
-	raw[len(raw)-1] ^= 0xff
+	if err := s.AppendDeltaSeg("tbl", 3, cols); err == nil || !strings.Contains(err.Error(), "could not be cut off") {
+		t.Fatalf("append after an append that could not be cut off: %v", err)
+	}
+	if _, err := s.SealDeltaLog("tbl"); err == nil {
+		t.Fatal("sealed a log that ends in a torn record")
+	}
+	if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{1}) {
+		t.Fatalf("restart read = %v, %v; want record 1", seqsOf(got), err)
+	}
+}
+
+// TestAppendDeltaSegAfterDrop: dropping a table closes its open log
+// file — a log that refused appends included — so an append after the
+// drop makes the directory and a new file again.
+func TestAppendDeltaSegAfterDrop(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1}, Vals: []uint64{2}}}
+	for _, broken := range []bool{false, true} {
+		if err := s.AppendDeltaSeg("tbl", 1, seg); err != nil {
+			t.Fatal(err)
+		}
+		if broken {
+			s.logs[s.tableDir("tbl")].err = errors.New("refusing appends")
+		}
+		if err := s.DropTable("tbl"); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.logs) != 0 {
+			t.Fatalf("broken=%v: the dropped table's log is still open", broken)
+		}
+		if err := s.AppendDeltaSeg("tbl", 2, seg); err != nil {
+			t.Fatalf("broken=%v: append after the drop: %v", broken, err)
+		}
+		if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{2}) {
+			t.Fatalf("broken=%v: records after drop and append = %v, %v; want [2]", broken, seqsOf(got), err)
+		}
+		if err := s.DropTable("tbl"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeltaLogMigratesSegments: the d<seq>.dseg segments a store from
+// before the log holds read as its records, and are moved into one log
+// file — also when a crash stopped an earlier migration after its log
+// file and before its last removal. A corrupt segment is corrupt.
+func TestDeltaLogMigratesSegments(t *testing.T) {
+	segs := []DeltaRecord{
+		{Seq: 2, Cols: []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1, 7}, Vals: []uint64{3, 4}}}},
+		{Seq: 3, Cols: []DeltaCol{{Name: "o1.sum.v", Width: 8, Pos: []uint64{0}, Vals: []uint64{1 << 50}}}},
+		{Seq: 6, Cols: []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1}, Vals: []uint64{9}}}},
+	}
+	parent := func(t *testing.T) *Store {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(s.deltaDir("tbl"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range segs {
+			if err := os.WriteFile(deltaSegPath(s.deltaDir("tbl"), r.Seq), encodeDeltaSeg(r.Seq, r.Cols), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	for _, crashed := range []bool{false, true} {
+		s := parent(t)
+		if crashed {
+			var log []byte
+			for _, r := range segs {
+				log = appendDeltaFrame(log, encodeDeltaSeg(r.Seq, r.Cols))
+			}
+			if err := os.WriteFile(deltaLogPath(s.deltaDir("tbl"), 2), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(deltaSegPath(s.deltaDir("tbl"), 6)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := s.ReadDeltaLog("tbl")
+		if err != nil || !reflect.DeepEqual(got, segs) {
+			t.Fatalf("crashed=%v: read %+v, %v", crashed, got, err)
+		}
+		if files := logFiles(t, s, "tbl"); !reflect.DeepEqual(files, []string{"l2.dlog"}) {
+			t.Fatalf("crashed=%v: files after the migration %v, want [l2.dlog]", crashed, files)
+		}
+		if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(got, segs) {
+			t.Fatalf("crashed=%v: second read %+v, %v", crashed, got, err)
+		}
+	}
+	s := parent(t)
+	path := deltaSegPath(s.deltaDir("tbl"), 3)
+	raw, _ := os.ReadFile(path)
+	raw[len(raw)-1] ^= 1
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadDeltaSeg("tbl", 1); err == nil {
-		t.Error("corrupted segment read back without error")
+	if _, err := s.ReadDeltaLog("tbl"); !errors.Is(err, ErrDeltaCorrupt) || !strings.Contains(err.Error(), "d3.dseg") {
+		t.Fatalf("corrupt segment: %v, want ErrDeltaCorrupt naming d3.dseg", err)
 	}
+}
+
+// FuzzDeltaLog hardens the log parser every boot reads through:
+//
+//  1. arbitrary bytes as a log file give whole records — exactly the
+//     bytes they re-encode to — and at most a typed error (torn or
+//     ErrDeltaCorrupt) for what follows them, never a panic or an
+//     allocation sized from a length field;
+//  2. a valid log, built from records the bytes derive, cut at any byte
+//     gives exactly the records before the cut and, unless the cut falls
+//     on a record boundary, one torn tail.
+func FuzzDeltaLog(f *testing.F) {
+	one := appendDeltaFrame(nil, encodeDeltaSeg(4, []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1}, Vals: []uint64{2}}}))
+	f.Add(one, uint16(0))
+	f.Add(append(append([]byte(nil), one...), one[:9]...), uint16(30))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'P', 'R'}, uint16(5))
+	f.Add([]byte{}, uint16(1))
+	f.Fuzz(func(t *testing.T, raw []byte, cut uint16) {
+		recs, whole, err := parseDeltaLog(raw)
+		if whole > len(raw) || (err == nil) != (whole == len(raw)) {
+			t.Fatalf("parsed %d of %d bytes with error %v", whole, len(raw), err)
+		}
+		if err != nil && !errors.Is(err, errDeltaTorn) && !errors.Is(err, ErrDeltaCorrupt) {
+			t.Fatalf("untyped error %v", err)
+		}
+		var again []byte
+		for _, r := range recs {
+			again = appendDeltaFrame(again, encodeDeltaSeg(r.Seq, r.Cols))
+		}
+		if !bytes.Equal(again, raw[:whole]) {
+			t.Fatalf("records re-encode to %x, parsed from %x", again, raw[:whole])
+		}
+
+		// A valid log: one record per 3 input bytes, cut at cut.
+		var log []byte
+		var ends []int
+		for i := 0; i+2 < len(raw) && len(ends) < 8; i += 3 {
+			c := DeltaCol{Name: fmt.Sprintf("o%d.chi", raw[i]%3), Width: 2 + 6*int(raw[i]&1)}
+			for k := 0; k < int(raw[i+1]%4); k++ {
+				c.Pos = append(c.Pos, uint64(raw[i+2])+uint64(k))
+				c.Vals = append(c.Vals, uint64(binary.LittleEndian.Uint16(raw[i+1:i+3])))
+			}
+			log = appendDeltaFrame(log, encodeDeltaSeg(uint64(i+1), []DeltaCol{c}))
+			ends = append(ends, len(log))
+		}
+		k := int(cut) % (len(log) + 1)
+		recs, whole, err = parseDeltaLog(log[:k])
+		n := 0
+		for n < len(ends) && ends[n] <= k {
+			n++
+		}
+		if len(recs) != n || (n > 0 && whole != ends[n-1]) || (n == 0 && whole != 0) {
+			t.Fatalf("cut at %d of %d: %d records in %d bytes, want %d", k, len(log), len(recs), whole, n)
+		}
+		if atEnd := whole == k; atEnd != (err == nil) || (!atEnd && !errors.Is(err, errDeltaTorn)) {
+			t.Fatalf("cut at %d (whole records end at %d): error %v", k, whole, err)
+		}
+	})
 }
 
 func TestPatchCells(t *testing.T) {
@@ -326,30 +656,5 @@ func TestPatchCellsConcurrentReads(t *testing.T) {
 	close(done)
 	if err := <-errs; err != nil {
 		t.Fatalf("read during the patches: %v", err)
-	}
-}
-
-// TestAppendDeltaSegAfterDrop: the store remembers a table's delta log
-// directory, and forgets it with the table, so an append after a drop
-// makes the directory again.
-func TestAppendDeltaSegAfterDrop(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg := []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1}, Vals: []uint64{2}}}
-	for seq := uint64(1); seq <= 2; seq++ {
-		if err := s.AppendDeltaSeg("tbl", seq, seg); err != nil {
-			t.Fatal(err)
-		}
-		if seq == 1 {
-			if err := s.DropTable("tbl"); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got, err := s.DeltaSegs("tbl")
-	if err != nil || len(got) != 1 || got[0] != 2 {
-		t.Fatalf("segments after drop and append = %v, %v; want [2]", got, err)
 	}
 }

@@ -174,17 +174,21 @@ func (s *Store) index(dir string) (chunkIndex, error) {
 
 // forget drops what the store remembers of the files at or below path
 // (a column directory or a whole table directory): the memoised index of
-// every column directory and, for a table directory, that its delta log
-// directory exists.
-func (s *Store) forget(path string) {
+// every column directory and, for a table directory, its open delta log
+// file, which it closes. The error is that close's.
+func (s *Store) forget(path string) error {
 	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
 	for dir := range s.idx {
 		if dir == path || strings.HasPrefix(dir, path+string(filepath.Separator)) {
 			delete(s.idx, dir)
 		}
 	}
-	delete(s.deltaDirs, path)
+	s.idxMu.Unlock()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	l := s.logs[path]
+	delete(s.logs, path)
+	return l.close()
 }
 
 // recoverColumnDir restores a column moved aside by an interrupted

@@ -43,8 +43,8 @@ import (
 	"sync"
 )
 
-// formatVersion is the version byte of chunk, index and delta-segment
-// files.
+// formatVersion is the version byte of chunk, index and delta log
+// records.
 const formatVersion = 2
 
 // Store is a column store rooted at a directory.
@@ -53,8 +53,9 @@ type Store struct {
 	chunkCells uint64 // chunk size (cells) for newly created columns
 	idxMu      sync.Mutex
 	idx        map[string]chunkIndex // column dir → its index file, read once (see index)
-	deltaDirs  map[string]bool       // table dir → its delta log directory exists (see AppendDeltaSeg)
 	colMus     sync.Map              // column dir → *sync.RWMutex (see colLock)
+	logMu      sync.Mutex            // guards logs and serialises every delta log write and read
+	logs       map[string]*deltaLog  // table dir → its active delta log file (see AppendDeltaSeg)
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -62,7 +63,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sharestore: %w", err)
 	}
-	return &Store{dir: dir, chunkCells: DefaultChunkCells, idx: make(map[string]chunkIndex), deltaDirs: make(map[string]bool)}, nil
+	return &Store{dir: dir, chunkCells: DefaultChunkCells, idx: make(map[string]chunkIndex), logs: make(map[string]*deltaLog)}, nil
 }
 
 // Dir returns the root directory.
@@ -112,12 +113,13 @@ func looksHashed(name string) bool {
 }
 
 // atomicWriteFile is the blessed single-file durability primitive:
-// every live store file (chunk, index, manifest, delta segment,
-// sidecar) must be replaced through it. It stages the contents under a
+// every live store file (chunk, index, manifest, sidecar, a migrated
+// delta log) must be replaced through it. It stages the contents under a
 // sibling .tmp name and renames into place, so at every crash point
 // the live path holds either the complete previous contents or the
-// complete new ones — never a torn mix. The one write into a live file
-// where it lies is compaction's patchChunk. The prism-vet atomicwrite
+// complete new ones — never a torn mix. The writes into a live file
+// where it lies are compaction's patchChunk and the delta log's
+// appendDeltaRecord. The prism-vet atomicwrite
 // analyzer enforces that no other sharestore code calls
 // os.Create/os.WriteFile/os.Rename directly, or writes a file it opened.
 func atomicWriteFile(path string, data []byte) error {
@@ -156,10 +158,12 @@ func (s *Store) HasColumn(table, col string) bool {
 	return err == nil
 }
 
-// DropTable removes a table directory and all its columns.
+// DropTable removes a table directory and all its columns, and closes
+// its delta log.
 func (s *Store) DropTable(table string) error {
-	defer s.forget(filepath.Join(s.dir, sanitize(table)))
-	return os.RemoveAll(filepath.Join(s.dir, sanitize(table)))
+	dir := filepath.Join(s.dir, sanitize(table))
+	err := os.RemoveAll(dir)
+	return errors.Join(err, s.forget(dir))
 }
 
 // Tables lists stored table names. Names are resolved through each

@@ -99,10 +99,10 @@ type QuarantineInfo struct {
 // sidecars) into the store's .quarantine/ area and records a reason
 // file. The data is preserved for inspection, never deleted; the live
 // name becomes free for a fresh outsourcing. Quarantining a table that
-// does not exist is an error.
-func (s *Store) QuarantineTable(table, reason, detail string) error {
+// does not exist is an error. The table's delta log is closed.
+func (s *Store) QuarantineTable(table, reason, detail string) (err error) {
 	src := filepath.Join(s.dir, sanitize(table))
-	defer s.forget(src)
+	defer func() { err = errors.Join(err, s.forget(src)) }()
 	if _, err := os.Stat(src); err != nil {
 		return fmt.Errorf("sharestore: quarantine %q: %w", table, err)
 	}
