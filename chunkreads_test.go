@@ -9,15 +9,18 @@ import (
 )
 
 // TestPermutedRoundReadsEachChunkOnce pins the store reads of permuted
-// rounds on the cache-off tier — disk-nocache, 3 owners, one group,
+// rounds on disk — disk-nocache, 3 owners, one group,
 // 1,024-cell chunks and windows — at one read of every chunk per table
 // epoch. The first verified count builds the epoch's χ and χ̄ owner sums
 // on S0 and on S1, reading each owner's χ and χ̄ chunks once: 2 × 3 × 2 ×
 // b/1,024 chunk reads, however many windows the round has. The PSU count
 // that follows gathers from the χ sum the count built and reads none.
 // An update compacted into the base starts a new epoch, and the next
-// count reads every χ and χ̄ chunk once more. The counts are exact, so no
-// timing noise can blur them.
+// count reads every χ and χ̄ chunk once more. An update left pending
+// then costs the first count of the epoch the chunks its merge holds —
+// on S0 and S1, each owner's χ and χ̄ chunk under the updated cell — and
+// later counts nothing. The counts are exact, so no timing noise can
+// blur them.
 func TestPermutedRoundReadsEachChunkOnce(t *testing.T) {
 	reads := telemetry.NewCounter(telemetry.MetricStoreChunkReads)
 	ctx := context.Background()
@@ -51,6 +54,12 @@ func TestPermutedRoundReadsEachChunkOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			run("count after compaction", sys.PSICount, len(orc.cells), epoch)
+			if _, err := sys.Owner(0).UpdateCells(ctx, []uint64{cell}, map[string][]uint64{"v": {9}}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			run("count with a pending update", sys.PSICount, len(orc.cells), 2*3*2) // servers × owners × χ sides
+			run("repeated count", sys.PSICount, len(orc.cells), 0)
+			run("third count", sys.PSICount, len(orc.cells), 0)
 		})
 	}
 }

@@ -46,7 +46,6 @@ func main() {
 		listen     = flag.String("listen", ":7001", "listen address")
 		announcer  = flag.String("announcer", "", "announcer host:port (needed for max/min/median)")
 		storeDir   = flag.String("store", "", "serve columns from the on-disk share store in this directory (fetched per query, fetch-time accounting); empty serves from RAM")
-		hotChunks  = flag.Uint64("hotchunks", 0, "with -store: cache owner column chunks per table epoch under this byte budget (LRU eviction past it); 0 = cache off, chunks read straight from the store. Either way queries read the owner sum each table epoch keeps (1/M of its columns), built from the chunks on its first read")
 		chunkCells = flag.Uint64("chunkcells", 0, "share-store chunk size in cells for newly written columns (0 = 65536); align with the owners' -shard size")
 		pendTTL    = flag.Duration("pendttl", 0, "reclaim upload assemblies idle longer than this (crashed owners); 0 disables the sweep")
 		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = never: there is no default threshold, so with -compact 0 too the log is never compacted; incremental updates only)")
@@ -79,7 +78,6 @@ func main() {
 		}
 		st.SetChunkCells(*chunkCells)
 		opts.Store = st
-		opts.CacheBytes = int64(*hotChunks)
 	}
 	if *announcer != "" {
 		opts.AnnouncerAddr = "announcer"

@@ -184,17 +184,11 @@ type Config struct {
 	// window is a whole number of chunks; a query window reads the owner
 	// sum its server keeps per table epoch, whatever the window size.
 	ShardCells uint64
-	// HotChunks, when > 0, turns on each disk-backed server's per-table
-	// hot-chunk cache (DiskDir set) with this byte budget: the owners'
-	// column chunks are cached per table epoch — invalidated when any
-	// owner re-outsources, an update is compacted or the table is
-	// dropped — and least-recently-used chunks are evicted past the
-	// budget. 0 (the default) is cache off: chunks are read straight
-	// from the store. Either way every server keeps, per table epoch,
-	// one owner sum of each queried column — cells × the column width,
-	// 1/M of the table's bytes — built from the chunks on the epoch's
-	// first read; later queries read the sum, so the cache serves only
-	// those builds and the base cells pending updates correct.
+	// HotChunks is ignored.
+	//
+	// Deprecated: there is no chunk cache to size. Every server keeps,
+	// per table epoch, one owner sum of each queried column (1/M of the
+	// table's bytes) and the owner chunks pending updates land in.
 	HotChunks uint64
 	// DeltaMaxEntries triggers a compaction pass on a server once a
 	// table's merged-but-uncompacted delta entries (incremental updates,

@@ -38,7 +38,7 @@ import (
 // window a table, how many server groups split the domain, and the data
 // planted in it.
 type shape struct {
-	storage string // "mem" (or ""), "disk-nocache" or "disk-cache"
+	storage string // "mem" (or ""), "disk-nocache" or "disk-cache" (see config)
 	shard   uint64 // Config.ShardCells: 0 or 2b is one window, manyWindows many
 	groups  int
 	owners  int
@@ -88,8 +88,9 @@ func (sh shape) name() string {
 // config is the shape's Config: verified, one aggregation column "v",
 // bucket trees outsourced with the table (so bpsi answers); on disk the
 // stores write window-sized chunks (Config.ShardCells, or sharestore's
-// default), and disk-cache gets a budget of four uint16 chunks, which
-// forces eviction in the many-window shapes.
+// default). The disk-cache shapes also set Config.HotChunks, as configs
+// written for the retired chunk cache do: the field is read by nothing,
+// so they are six more disk shapes and must answer exactly as the rest.
 func (sh shape) config(t testing.TB) Config {
 	t.Helper()
 	dom, err := IntDomain(1, sh.b)
@@ -116,7 +117,7 @@ func (sh shape) config(t testing.TB) Config {
 	case "disk-nocache":
 		cfg.DiskDir = t.TempDir()
 	case "disk-cache":
-		cfg.DiskDir, cfg.HotChunks = t.TempDir(), 4*chunk*2 // four uint16 chunks
+		cfg.DiskDir, cfg.HotChunks = t.TempDir(), 4*chunk*2
 	}
 	return cfg
 }
@@ -757,8 +758,8 @@ func (m *matrix) aggGroups(kind OpKind) []bool {
 // answer as the oracle does (every extreme cell's holders and median pair
 // too, on the direct path); each of its rounds must reach the servers as
 // one request type, one request per window, and report the paper's round
-// count; a disk shape must report its reads (fetch time, or hot-chunk
-// cache hits, which take none); and no server or announcer may hold a
+// count; a disk shape must report its reads (fetch time, or epoch-cache
+// hits, which take none); and no server or announcer may hold a
 // session afterwards. bpsi sends one PSIRequest round per bucket-tree level
 // its traversal reaches in each group (bucketRounds) and reports the
 // deepest group's count.

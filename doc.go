@@ -76,8 +76,8 @@
 // any owner re-outsources or an update is compacted — one owner sum of
 // each queried column, built on the epoch's first read, so a disk-backed
 // server reads each column chunk once per epoch, not once per query.
-// Disk-backed servers can additionally cache the chunks those builds
-// read (Config.HotChunks, a byte budget; 0 is off).
+// The merge that corrects a sum for pending updates keeps the owner
+// chunks it reads for the rest of the epoch too.
 //
 // # Domain sharding
 //
@@ -110,8 +110,8 @@
 // whole number of chunks. Server resident memory while outsourcing is
 // bounded by the window size, not the domain; while querying it is the
 // owner sums — cells × the queried columns' widths per served table,
-// 1/M of its columns — plus the window size and the Config.HotChunks
-// budget. Upload assemblies abandoned by crashed
+// 1/M of its columns — plus the window size and the owner chunks
+// pending updates land in. Upload assemblies abandoned by crashed
 // owners are reclaimed when the owner retries or the table is dropped
 // (prism-server -pendttl adds a timed sweep). Every server's peak
 // resident column bytes are System.PeakServerHeldBytes, which the repo

@@ -89,7 +89,6 @@ func TestBucketizedPSISharded(t *testing.T) {
 					cfg := shape{owners: 3, shard: 64, b: 4096, wire: true}.config(t)
 					if storage == "disk" {
 						cfg.DiskDir = t.TempDir()
-						cfg.HotChunks = 1 << 16
 					}
 					sys, err := NewLocalSystem(cfg)
 					if err != nil {

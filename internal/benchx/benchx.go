@@ -164,7 +164,7 @@ type OpResult struct {
 	ServerFetchNS   int64
 	OwnerNS         int64
 	ResultSize      int
-	CacheHits       int // column reads served by the hot-chunk cache
+	CacheHits       int // column reads served by the servers' table-epoch caches
 }
 
 // Ops enumerates the Figure 3 operators in presentation order.

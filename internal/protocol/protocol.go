@@ -61,7 +61,7 @@ type Stats struct {
 	ComputeNS int64 // time in the oblivious compute loop
 	PatchNS   int64 // time merging the delta overlay into fetched windows
 	Cells     int   // cells processed
-	CacheHits int   // column reads served by the table's cache (owner sums, hot chunks)
+	CacheHits int   // column reads served by the table's cache (owner sums, merge chunks)
 	// Spans carries the per-phase trace annotations of a traced request
 	// (the request carried a non-empty TraceID). nil — one zero count
 	// byte on the wire — for untraced queries. Because every

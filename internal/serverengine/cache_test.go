@@ -8,21 +8,7 @@ import (
 	"testing"
 
 	"prism/internal/protocol"
-	"prism/internal/sharestore"
 )
-
-// newHotEngines builds three disk-backed engines with the hot-chunk
-// cache enabled, under a budget every column of the test tables fits in.
-func newHotEngines(t *testing.T, b uint64) []*Engine {
-	t.Helper()
-	return newEngines(t, b, func(phi int) Options {
-		st, err := sharestore.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Options{Threads: 2, Store: st, CacheBytes: 1 << 20}
-	})
-}
 
 func psiStats(t *testing.T, e *Engine) (protocol.PSIReply, protocol.Stats) {
 	t.Helper()
@@ -39,7 +25,7 @@ func psiStats(t *testing.T, e *Engine) (protocol.PSIReply, protocol.Stats) {
 // epoch's owner sum, whatever the owner count.
 func TestHotColumnCachePSI(t *testing.T) {
 	const b = 64
-	engines := newHotEngines(t, b)
+	engines, _ := diskEngines(t, b, 0, nil)
 	storeFull(t, engines, b, false)
 
 	cold, coldStats := psiStats(t, engines[0])
@@ -65,7 +51,7 @@ func TestHotColumnCachePSI(t *testing.T) {
 // new epoch: the next query reads from disk again.
 func TestHotColumnCacheInvalidatedByStore(t *testing.T) {
 	const b = 64
-	engines := newHotEngines(t, b)
+	engines, _ := diskEngines(t, b, 0, nil)
 	storeFull(t, engines, b, false)
 	psiStats(t, engines[0]) // warm the cache
 	if _, s := psiStats(t, engines[0]); s.CacheHits == 0 {
@@ -80,12 +66,13 @@ func TestHotColumnCacheInvalidatedByStore(t *testing.T) {
 }
 
 // TestHotColumnCacheSingleFlight runs many concurrent cold queries and
-// asserts the owner sum was built exactly once, from each owner's column
-// read once: of the n queries' lookups of the sum, all but the building
-// one hit, and the build's m owner-chunk lookups all miss.
+// asserts the owner sum was built exactly once: of the n queries'
+// lookups of the sum, all but the building one hit, and the build's
+// owner chunks are read straight from the store, so the epoch's cache
+// holds the sum alone.
 func TestHotColumnCacheSingleFlight(t *testing.T) {
 	const b, n = 64, 8
-	engines := newHotEngines(t, b)
+	engines, _ := diskEngines(t, b, 0, nil)
 	storeFull(t, engines, b, false)
 
 	var wg sync.WaitGroup
@@ -118,42 +105,12 @@ func TestHotColumnCacheSingleFlight(t *testing.T) {
 	e.mu.RLock()
 	cache := e.tables["t"].cache
 	e.mu.RUnlock()
-	if got, want := cache.Len(), 1+e.view.M; got != want {
-		t.Errorf("cache holds %d entries, want %d (the sum and each owner's chunk)", got, want)
+	if got := cache.Len(); got != 1 {
+		t.Errorf("cache holds %d entries, want 1 (the sum)", got)
 	}
 	for i := 1; i < n; i++ {
 		if !reflect.DeepEqual(outs[0], outs[i]) {
 			t.Fatalf("concurrent query %d diverged", i)
 		}
-	}
-}
-
-// TestCacheDisabledByDefault asserts disk-backed engines without a
-// CacheBytes budget cache no chunk: the first query of a table epoch
-// builds the owner sum from the store, reporting real fetch time, and the
-// second reads that sum — one cache hit, no store read — while the
-// epoch's cache holds the sum alone.
-func TestCacheDisabledByDefault(t *testing.T) {
-	const b = 64
-	engines := newEngines(t, b, func(phi int) Options {
-		st, err := sharestore.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Options{Threads: 2, Store: st}
-	})
-	storeFull(t, engines, b, false)
-	if _, s := psiStats(t, engines[0]); s.CacheHits != 0 || s.FetchNS <= 0 {
-		t.Errorf("first query: hits=%d fetchNS=%d, want a disk read", s.CacheHits, s.FetchNS)
-	}
-	if _, s := psiStats(t, engines[0]); s.CacheHits != 1 || s.FetchNS != 0 {
-		t.Errorf("second query: hits=%d fetchNS=%d, want the owner sum and no disk read", s.CacheHits, s.FetchNS)
-	}
-	e := engines[0]
-	e.mu.RLock()
-	cache := e.tables["t"].cache
-	e.mu.RUnlock()
-	if n := cache.Len(); n != 1 {
-		t.Errorf("the epoch's cache holds %d entries, want the owner sum alone", n)
 	}
 }

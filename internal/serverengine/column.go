@@ -6,7 +6,7 @@
 // verification twin as uint64 field shares. specCols is the single
 // enumeration of those columns; every layer names a column by the layout
 // name it produces ("chi", "sum.<col>", …), in RAM (ownerCols), on disk
-// ("o<owner>.<name>"), in the delta log and in the chunk cache. The code
+// ("o<owner>.<name>"), in the delta log and in the epoch cache. The code
 // here is generic over the cell type: the only width-specific work left
 // is the little-endian layout the store reads through (levec). A kernel
 // reads one owner-summed vector (ownerSum), cut from the one owner sum
@@ -252,9 +252,9 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // window or permuted gather a kernel asks for, it returns Σ_j col_j over
 // the M owners — δ-reduced for χ/χ̄, canonical F_p for field columns —
 // with the table's delta overlay merged in, so every kernel reads one
-// vector. Every tier — in memory, on disk with the hot-chunk cache, on
-// disk without it — keeps one whole-column owner sum per table epoch and
-// column, overlay-free, pinned in the epoch's cache (epochSum). It is
+// vector. Every tier — in memory and on disk — keeps one whole-column
+// owner sum per table epoch and column, overlay-free, held in the
+// epoch's cache (epochSum). It is
 // built single-flight on the epoch's first read of the column by the one
 // M-way add, sumOwners, one owner-0 chunk range at a time, so each owner
 // chunk is read once per epoch (owners written with another chunk size
@@ -264,20 +264,20 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // swap and recovery adoption, is the only invalidation. The overlay is
 // merged into the fetched cells afterwards (mergeOverlay).
 //
-// Underneath, one owner's base cells — overlay-free — come through
-// fetchWindow, which reads only the chunks that overlap the window:
-// through the hot-chunk cache when Options.CacheBytes is set, straight
-// from the chunk files otherwise. Store reads are timed into
-// Stats.FetchNS. A server therefore holds, per served table, one owner
-// sum of every column queried this epoch — 1/M of the table's bytes —
-// plus O(window + chunk) cells per request.
+// Underneath, a build reads one owner's base cells — overlay-free —
+// through fetchWindow: a slice of the in-memory column, or the chunks
+// that overlap the window read straight from the store. Store reads are
+// timed into Stats.FetchNS. A server therefore holds, per served table,
+// one owner sum of every column queried this epoch — 1/M of the table's
+// bytes — plus the owner chunks pending updates land in (ownerBase) and
+// O(window + chunk) cells per request.
 //
 // A fetched slice is either shared — an in-memory column, a cached chunk
 // or a window of an owner sum, untouched by the overlay — or borrowed:
 // taken from the cell pool by the fetch itself (every gather, every
-// window read or joined from chunks, and the copy of a shared sum an
-// overlay entry lands in). Borrowed slices live for one kernel call,
-// after which the caller releases them.
+// window read from chunks, and the copy of a shared sum an overlay entry
+// lands in). Borrowed slices live for one kernel call, after which the
+// caller releases them.
 
 // The cell pools lend the fetch layer its slices; cellPool picks T's.
 var (
@@ -317,9 +317,9 @@ func fetchTime(stats *protocol.Stats, start time.Time) {
 }
 
 // cached loads entry id — a retained, shared slice — through the table's
-// epoch cache and counts the lookup; pin keeps the entry out of the LRU.
-func cached[T sharestore.Cell](t *tableView, id chunkID, pin bool, stats *protocol.Stats, load func() ([]T, error)) ([]T, error) {
-	v, hit, err := cacheGet(t.cache, id, pin, load)
+// epoch cache and counts the lookup.
+func cached[T sharestore.Cell](t *tableView, id chunkID, stats *protocol.Stats, load func() ([]T, error)) ([]T, error) {
+	v, hit, err := cacheGet(t.cache, id, load)
 	if hit {
 		stats.CacheHits++
 		mCacheHits.Inc()
@@ -329,20 +329,10 @@ func cached[T sharestore.Cell](t *tableView, id chunkID, pin bool, stats *protoc
 	return v, err
 }
 
-// chunkSpan returns chunk k of a disk column from the hot-chunk cache.
-// The slice may be shared with other queries.
-func chunkSpan[T sharestore.Cell](e *Engine, t *tableView, key string, k uint64, stats *protocol.Stats) ([]T, error) {
-	return cached(t, chunkID{key, k}, false, stats, func() ([]T, error) {
-		defer fetchTime(stats, time.Now())
-		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
-	})
-}
-
 // fetchWindow returns owner j's base cells [rg.Offset, rg.End()) of a
 // column and whether the slice is borrowed: a zero-copy slice of an
-// in-memory column or of the one cached chunk the window is, otherwise a
-// borrowed slice filled straight from the chunk files (cache off) or
-// joined from cached chunks.
+// in-memory column, otherwise a borrowed slice filled straight from the
+// chunk files.
 func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, rg protocol.Range, stats *protocol.Stats) ([]T, bool, error) {
 	if e.opts.Store == nil {
 		v, err := memCol[T](e, t, owner, col)
@@ -351,34 +341,13 @@ func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col stri
 		}
 		return v[rg.Offset:rg.End()], false, nil
 	}
-	key := colKey(owner, col)
-	if t.cache.budget == 0 { // the cache keeps no chunk
-		out := cellPool[T]().Get(int(rg.Count))
-		start := time.Now()
-		err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, key, rg.Offset, out)
-		fetchTime(stats, start)
-		return out, true, err
-	}
-	info, err := e.opts.Store.Stat(t.spec.Name, key)
-	if err != nil {
-		return nil, false, err
-	}
-	cc := info.ChunkCells
-	if rg.Count > 0 && rg.Offset%cc == 0 && rg.End() == min(rg.Offset+cc, info.Cells) {
-		// The window is exactly one whole chunk (shard windows aligned to
-		// the chunk size): hand out the chunk slice without copying.
-		v, err := chunkSpan[T](e, t, key, rg.Offset/cc, stats)
-		return v, false, err
-	}
 	out := cellPool[T]().Get(int(rg.Count))
-	for k := rg.Offset / cc; rg.Count > 0 && k*cc < rg.End(); k++ {
-		chunk, err := chunkSpan[T](e, t, key, k, stats)
-		if err != nil {
-			release(e, out)
-			return nil, false, err
-		}
-		lo, hi := max(k*cc, rg.Offset), min(k*cc+uint64(len(chunk)), rg.End())
-		copy(out[lo-rg.Offset:], chunk[lo-k*cc:hi-k*cc])
+	start := time.Now()
+	err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, colKey(owner, col), rg.Offset, out)
+	fetchTime(stats, start)
+	if err != nil {
+		release(e, out)
+		return nil, false, err
 	}
 	return out, true, nil
 }
@@ -422,7 +391,7 @@ func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoco
 // the owners' columns share a chunk size, and the build holds O(chunk)
 // cells beside the sum.
 func epochSum[T sharestore.Cell](e *Engine, t *tableView, col string, stats *protocol.Stats) ([]T, error) {
-	return cached(t, chunkID{sumKey(col), 0}, true, stats, func() ([]T, error) {
+	return cached(t, chunkID{sumKey(col), 0}, stats, func() ([]T, error) {
 		cc, cells, err := chunkGrid(e, t, 0, col)
 		if err != nil {
 			return nil, err

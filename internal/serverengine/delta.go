@@ -274,9 +274,10 @@ func (d *deltaOverlay) hits(owners int, col string, rg protocol.Range, idx []uin
 // fetch (see ownerSum) and reports whether the result is borrowed. Each
 // entry swaps its owner's base cell for its value: v ⊕ (val ⊖ base_j[p])
 // in Z_δ or F_p, with base_j[p] read from the owner's chunk that holds it
-// (ownerBase) — one read per owner and chunk touched, not one per entry.
-// Every cell an entry lands in is first re-added from all owners' bases
-// as read now, so the cell and its corrections rest on one version of
+// (ownerBase) — one read per owner and chunk touched per epoch, not one
+// per entry or per query. Every cell an entry lands in is first
+// re-added from all owners' bases as the epoch's cache holds them, so
+// the cell and its corrections rest on one version of
 // each base cell even when a compaction has folded an entry into the
 // chunk files since the sum was built (an owner without an entry at the
 // cell has no cell there for compaction to change). A shared v is copied
@@ -298,11 +299,6 @@ func mergeOverlay[T sharestore.Cell](e *Engine, t *tableView, col string, rg pro
 	for j := range bases {
 		bases[j] = ownerBase[T]{e: e, t: t, owner: j, col: col, stats: stats}
 	}
-	defer func() {
-		for j := range bases {
-			bases[j].free()
-		}
-	}()
 	fail := func(err error) ([]T, bool, error) {
 		release(e, v)
 		return nil, false, err
@@ -333,9 +329,10 @@ func mergeOverlay[T sharestore.Cell](e *Engine, t *tableView, col string, rg pro
 }
 
 // ownerBase reads one owner's base — overlay-free — cells of a column by
-// stored position, fetching each chunk it touches once (fetchWindow): a
-// slice of the in-memory column, a cached chunk, or with the cache off a
-// chunk read into a borrowed slice, which free hands back.
+// stored position from one fixed version of each chunk it touches: the
+// in-memory column, or on disk the chunk the epoch's cache holds, read
+// on the epoch's first touch and shared by every later merge of the
+// epoch.
 type ownerBase[T sharestore.Cell] struct {
 	e         *Engine
 	t         *tableView
@@ -344,7 +341,6 @@ type ownerBase[T sharestore.Cell] struct {
 	stats     *protocol.Stats
 	cc, cells uint64 // the column's chunk grid (chunkGrid)
 	chunks    [][]T  // the chunks fetched so far
-	lent      []bool // which of them are borrowed
 }
 
 func (b *ownerBase[T]) at(p uint64) (T, error) {
@@ -353,28 +349,30 @@ func (b *ownerBase[T]) at(p uint64) (T, error) {
 		if b.cc, b.cells, err = chunkGrid(b.e, b.t, b.owner, b.col); err != nil {
 			return 0, err
 		}
-		n := (b.cells + b.cc - 1) / b.cc
-		b.chunks, b.lent = make([][]T, n), make([]bool, n)
+		b.chunks = make([][]T, (b.cells+b.cc-1)/b.cc)
 	}
 	k := p / b.cc
 	if b.chunks[k] == nil {
-		rg := protocol.Range{Offset: k * b.cc, Count: min(b.cc, b.cells-k*b.cc)}
-		chunk, lent, err := fetchWindow[T](b.e, b.t, b.owner, b.col, rg, b.stats)
+		chunk, err := baseChunk[T](b.e, b.t, b.owner, b.col, k, b.stats)
 		if err != nil {
 			return 0, err
 		}
-		b.chunks[k], b.lent[k] = chunk, lent
+		b.chunks[k] = chunk
 	}
 	return b.chunks[k][p-k*b.cc], nil
 }
 
-// free hands back the borrowed chunks.
-func (b *ownerBase[T]) free() {
-	for k, chunk := range b.chunks {
-		if b.lent[k] {
-			release(b.e, chunk)
-		}
+// baseChunk returns chunk k of owner j's base column, shared: the whole
+// column in memory (one chunk), on disk the epoch cache's copy.
+func baseChunk[T sharestore.Cell](e *Engine, t *tableView, owner int, col string, k uint64, stats *protocol.Stats) ([]T, error) {
+	if e.opts.Store == nil {
+		return memCol[T](e, t, owner, col)
 	}
+	key := colKey(owner, col)
+	return cached(t, chunkID{key, k}, stats, func() ([]T, error) {
+		defer fetchTime(stats, time.Now())
+		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
+	})
 }
 
 // ---- StoreDelta ----
@@ -587,9 +585,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		if cur, ok := e.tables[name]; ok {
-			cur.compacting = false
-		}
+		t0.compacting = false
 		e.mu.Unlock()
 	}()
 
@@ -659,10 +655,11 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		return st, err
 	}
 	e.mu.Lock()
-	t, ok = e.tables[name]
-	if !ok || !specEqual(t.spec, spec) {
+	if e.tables[name] != t0 {
+		// Dropped, or dropped and created again, since the snapshot: the
+		// pass patched nothing of the table now served under the name.
 		e.mu.Unlock()
-		return st, fmt.Errorf("server %d: table %q changed under compaction", e.view.Index, name)
+		return CompactStats{}, nil
 	}
 	for j, oc := range patched {
 		if cur := t.owners[j]; cur == base[j] {

@@ -56,16 +56,6 @@ type Options struct {
 	// times, and New resumes serving every table the store already holds
 	// (see RecoveryReport). nil serves from RAM.
 	Store *sharestore.Store
-	// CacheBytes, when > 0, is the byte budget of a disk-backed engine's
-	// per-table hot-chunk cache: owner column chunks are kept per table
-	// epoch (invalidated whenever a Store, Drop or compaction changes the
-	// table) and evicted least-recently-used past the budget. 0 is off:
-	// chunks are read straight from the store. It bounds chunks only:
-	// every engine keeps, per table epoch, one owner sum of each queried
-	// column (1/M of the table's bytes) beside it, built from the chunks
-	// on the epoch's first read, after which reads report cache hits and
-	// no fetch time.
-	CacheBytes int64
 	// PendingTTL reclaims upload assemblies whose owner stopped
 	// sending shards (a crash mid-upload): assemblies untouched for
 	// longer than the TTL are swept — RAM buffers released, pending disk
@@ -166,7 +156,7 @@ type Engine struct {
 
 	// heldBytes/peakHeld track the column bytes this engine holds
 	// resident: in-RAM pending upload assemblies, registered in-memory
-	// tables, the epochs' owner sums and hot chunks, and the overlays.
+	// tables, the epochs' owner sums and merge chunks, and the overlays.
 	heldBytes atomic.Int64
 	peakHeld  atomic.Int64
 
@@ -182,7 +172,7 @@ type table struct {
 	// use ListTables to tell "still served" from "replaced since I last
 	// probed".
 	epoch uint64
-	// cache is the current epoch's cache of owner sums and hot chunks;
+	// cache is the current epoch's cache of owner sums and merge chunks;
 	// every registration, compaction swap and Drop swaps in a fresh one
 	// (resetCache), so queries holding the old snapshot never see the new
 	// epoch's columns.
@@ -269,7 +259,7 @@ func (e *Engine) trackHeld(delta int64) {
 }
 
 // HeldBytes reports the column bytes currently resident (pending
-// assemblies, in-memory tables, owner sums, hot chunks, overlays).
+// assemblies, in-memory tables, owner sums, merge chunks, overlays).
 func (e *Engine) HeldBytes() int64 { return e.heldBytes.Load() }
 
 // PeakHeldBytes reports the high-water mark of HeldBytes.

@@ -291,54 +291,9 @@ func TestPendingUploadSweepIdleNotAge(t *testing.T) {
 	}
 }
 
-// TestChunkCacheBudget: with a byte budget smaller than the table, the
-// cache evicts LRU chunks — resident chunk bytes stay within budget —
-// while query results remain correct.
-func TestChunkCacheBudget(t *testing.T) {
-	const b, chunk = 256, 32
-	const budget = 4 * chunk * 2 // 4 uint16 chunks of the 8 per column
-	engines, _ := diskEngines(t, b, chunk, func(o *Options) {
-		o.CacheBytes = budget
-	})
-	storeSharded(t, engines, b, 64, false)
-	e := engines[0]
-
-	base, err := e.Handle(context.Background(), protocol.PSIRequest{Table: "t", QueryID: "q0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sweep shard windows repeatedly; the budget must hold throughout.
-	for i := 0; i < 4; i++ {
-		for off := uint64(0); off < b; off += 64 {
-			r, err := e.Handle(context.Background(), protocol.PSIRequest{
-				Table: "t", QueryID: fmt.Sprintf("q%d-%d", i, off),
-				Shard: protocol.Range{Offset: off, Count: 64},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := r.(protocol.PSIReply)
-			want := base.(protocol.PSIReply).Out[off : off+64]
-			if !reflect.DeepEqual(rep.Out, want) {
-				t.Fatalf("window [%d,%d) diverged under eviction", off, off+64)
-			}
-		}
-		e.mu.RLock()
-		cache := e.tables["t"].cache
-		e.mu.RUnlock()
-		if got := cache.Bytes(); got > budget {
-			t.Fatalf("cache holds %d bytes, budget %d", got, budget)
-		}
-	}
-	// Held bytes are the bounded chunks and the pinned χ owner sum, not
-	// the column sizes.
-	if held, sum := e.HeldBytes(), int64(2*b); held > budget+sum {
-		t.Errorf("held bytes %d exceed the cache budget %d and the %d-byte owner sum", held, budget, sum)
-	}
-}
-
 // TestHeldBytesLifecycle: the gauge covers in-memory tables across
-// store, re-store and drop.
+// store, re-store and drop, and on disk the epoch's cache until the
+// compaction swap ends the epoch.
 func TestHeldBytesLifecycle(t *testing.T) {
 	const b = 64
 	engines := newEngines(t, b, nil)
@@ -362,5 +317,43 @@ func TestHeldBytesLifecycle(t *testing.T) {
 	}
 	if got := e.HeldBytes(); got != 0 {
 		t.Fatalf("held after drop = %d, want 0", got)
+	}
+
+	// On disk the columns are not held, the epoch's cache is: the χ owner
+	// sum a PSI builds, then with one pending update the chunk of each
+	// owner its merge reads, until the compaction swap ends the epoch.
+	const chunk = 16
+	engines, _ = diskEngines(t, b, chunk, nil)
+	storeFull(t, engines, b, false)
+	e = engines[0]
+	psi := func() {
+		t.Helper()
+		if _, err := e.Handle(context.Background(), protocol.PSIRequest{Table: "t", QueryID: "q"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	psi()
+	sum := int64(2 * b)
+	if got := e.HeldBytes(); got != sum {
+		t.Fatalf("held after the first query = %d, want the %d-byte owner sum", got, sum)
+	}
+	if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
+		Owner: 0, Table: "t", Pos: []uint64{1},
+		Chi: []uint16{1}, Sums: map[string][]uint64{"v": {3}}, Cnt: []uint64{1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	overlay := int64(3 * deltaEntryBytes) // χ, the sum and the count
+	for range 2 {
+		psi()
+		if got, want := e.HeldBytes(), sum+overlay+2*chunk*2; got != want {
+			t.Fatalf("held with a pending update = %d, want %d (sum, overlay and both owners' χ chunk)", got, want)
+		}
+	}
+	if _, err := e.Compact("t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.HeldBytes(); got != 0 {
+		t.Fatalf("held after the compaction swap = %d, want 0", got)
 	}
 }

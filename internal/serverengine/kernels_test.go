@@ -3,7 +3,6 @@ package serverengine
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -143,7 +142,7 @@ func newKernelCase(t testing.TB, g *prg.PRG, m, n int, delta uint64, edge bool, 
 		}, uint64(k+1))
 	}
 	e := &Engine{view: &params.ServerView{M: m, Delta: delta}, modDelta: c.md}
-	tv := &tableView{spec: protocol.TableSpec{Name: "k", B: uint64(n)}, owners: owners, cache: newChunkCache(math.MaxInt64, nil)}
+	tv := &tableView{spec: protocol.TableSpec{Name: "k", B: uint64(n)}, owners: owners, cache: newChunkCache(nil)}
 	if overlay != nil {
 		tv.delta = overlay
 	}

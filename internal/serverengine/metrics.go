@@ -19,7 +19,6 @@ var (
 	mCells             = telemetry.NewCounter(telemetry.MetricCellsProcessed)
 	mCacheHits         = telemetry.NewCounter(telemetry.MetricCacheHits)
 	mCacheMisses       = telemetry.NewCounter(telemetry.MetricCacheMisses)
-	mCacheEvictions    = telemetry.NewCounter(telemetry.MetricCacheEvictions)
 	mCompactions       = telemetry.NewCounter(telemetry.MetricCompactions)
 	mCompactionSeconds = telemetry.NewHistogram(telemetry.MetricCompactionSeconds, telemetry.LatencyBuckets)
 	mCompactionEntries = telemetry.NewCounter(telemetry.MetricCompactionEntries)

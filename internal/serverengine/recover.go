@@ -47,7 +47,7 @@
 //     → quarantined as a partial promotion.
 //  5. Surviving tables are registered into the serving path exactly as
 //     a live registration would: on-disk owner column sets (zero held
-//     bytes), a cold hot-chunk cache, and the manifest's epoch.
+//     bytes), a cold epoch cache, and the manifest's epoch.
 //
 // New runs the scan once, on every disk-backed engine, before the
 // engine answers a request; registering what the store holds is what

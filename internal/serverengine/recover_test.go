@@ -90,7 +90,7 @@ func TestRecoverReloadsTables(t *testing.T) {
 	wantList := before[0].handleListTables()
 
 	// "Restart": fresh engines over the same stores.
-	after, _ := diskEnginesAt(t, b, chunk, dirs, func(o *Options) { o.CacheBytes = 1 << 16 })
+	after, _ := diskEnginesAt(t, b, chunk, dirs, nil)
 	for phi, e := range after {
 		rep, err := e.RecoveryReport()
 		if err != nil {

@@ -428,7 +428,7 @@ func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) 
 		}
 		t.deltaFloor[owner] = t.deltaSeq
 	}
-	e.resetCache(t) // new table epoch: invalidate hot chunks
+	e.resetCache(t) // new table epoch: a cold cache
 	e.mu.Unlock()
 
 	if e.opts.Store != nil {

@@ -26,22 +26,24 @@ var summedSpec = protocol.TableSpec{Name: "t", B: summedCells, AggCols: []string
 // summedLayout is S0's layout under summedSpec.
 var summedLayout = []string{"chi", "chibar", "sum.v", "vsum.v", "cnt", "vcnt"}
 
-// summedTier is one way a server reads the chunks it builds its owner
-// sums from.
+// summedTier is where a server keeps its columns and what the epoch's
+// cache holds when the checked pass starts.
 type summedTier struct {
-	name   string
-	disk   bool
-	budget int64 // the disk cache budget; 0 is off
-	warm   bool  // one pass before the checked one fills the cache
+	name string
+	disk bool
+	fill string // "" nothing, or what fillCache puts there first
 }
 
 var summedTiers = []summedTier{
 	{name: "ram"},
 	{name: "disk-nocache", disk: true},
-	{name: "disk-cache-cold", disk: true, budget: 1 << 20},
-	{name: "disk-cache-warm", disk: true, budget: 1 << 20, warm: true},
-	// Three 16-bit chunks: every 64-bit entry evicts all the others.
-	{name: "disk-cache-evict", disk: true, budget: 3 * summedChunk * 2},
+	// The owner sums alone: the state a pending update finds after the
+	// epoch's first queries, its merge reading every chunk cold.
+	{name: "disk-cache-cold", disk: true, fill: "sums"},
+	{name: "disk-cache-warm", disk: true, fill: "all"},
+	// A warm cache whose epoch has ended under the checked pass, as for a
+	// query still holding the old snapshot: every entry loads again.
+	{name: "disk-cache-evict", disk: true, fill: "discarded"},
 }
 
 // summedShapes are the fetch shapes: contiguous, exactly one chunk, the
@@ -108,7 +110,7 @@ func (f *summedFixture) engine(t *testing.T) *Engine {
 			t.Fatal(err)
 		}
 		st.SetChunkCells(summedChunk)
-		o.Store, o.CacheBytes = st, f.tier.budget
+		o.Store = st
 	}
 	e := New(f.view, o)
 	e.poisonReleased = true
@@ -391,15 +393,45 @@ func (f *summedFixture) checkReplies() error {
 	return nil
 }
 
-// check runs both checks, after a filling pass on a warm tier.
-func (f *summedFixture) check(t *testing.T) {
+// fillCache brings the epoch's cache to the state the tier names: the
+// owner sums of every column, or a whole checked pass (sums and the
+// chunks its merges read), kept or then discarded.
+func (f *summedFixture) fillCache(t *testing.T) {
 	t.Helper()
-	if f.tier.warm {
+	switch f.tier.fill {
+	case "sums":
+		tv, err := f.e.lookup("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats protocol.Stats
+		for _, col := range summedLayout {
+			if col == "chi" || col == "chibar" {
+				_, err = epochSum[uint16](f.e, tv, col, &stats)
+			} else {
+				_, err = epochSum[uint64](f.e, tv, col, &stats)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	case "all", "discarded":
 		if err := f.checkFetches(false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := f.checkFetches(f.tier.warm); err != nil {
+	if f.tier.fill == "discarded" {
+		f.e.mu.Lock()
+		f.e.tables["t"].cache.discard()
+		f.e.mu.Unlock()
+	}
+}
+
+// check runs both checks, after filling the tier's cache.
+func (f *summedFixture) check(t *testing.T) {
+	t.Helper()
+	f.fillCache(t)
+	if err := f.checkFetches(f.tier.fill == "all"); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.checkReplies(); err != nil {
@@ -448,8 +480,8 @@ func TestSummedFetchMatchesReference(t *testing.T) {
 // vector however the owner cuts it into windows. On one server, the
 // count reply (Out and Vout) and the permuted PSU reply at the
 // whole-table window must equal the concatenation of the same round's
-// replies over three smaller windows — in RAM, on disk with the cache
-// off and on disk with a warm cache of five chunks per column.
+// replies over three smaller windows — in RAM, and on disk with the
+// epoch's cache cold and warm.
 func TestPermutedRepliesAreWindowInvariant(t *testing.T) {
 	whole := []protocol.Range{{Offset: 0, Count: summedCells}}
 	split := []protocol.Range{{Offset: 0, Count: 23}, {Offset: 23, Count: 24}, {Offset: 47, Count: 23}}
@@ -474,7 +506,7 @@ func TestPermutedRepliesAreWindowInvariant(t *testing.T) {
 				}
 				return cnt, psu
 			}
-			if tier.warm {
+			if tier.fill != "" {
 				replies(whole)
 				replies(split)
 			}

@@ -20,9 +20,8 @@ const (
 	// Server query plane.
 	MetricQueries        = "prism_queries_total"         // counter, label type: handled query requests
 	MetricCellsProcessed = "prism_cells_processed_total" // counter: domain cells run through the oblivious compute loop
-	MetricCacheHits      = "prism_cache_hits_total"      // counter: chunk-cache hits (incl. full-column entries)
-	MetricCacheMisses    = "prism_cache_misses_total"    // counter: chunk-cache misses (disk reads)
-	MetricCacheEvictions = "prism_cache_evictions_total" // counter: chunks evicted past the byte budget
+	MetricCacheHits      = "prism_cache_hits_total"      // counter: table-epoch cache hits (owner sums, merge chunks)
+	MetricCacheMisses    = "prism_cache_misses_total"    // counter: table-epoch cache misses (sum builds, chunk reads)
 
 	// Storage / update plane.
 	MetricCompactions       = "prism_compactions_total"               // counter: completed compaction passes

@@ -139,23 +139,21 @@ func goldenDigest(t *testing.T, engines []*serverengine.Engine) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenReplies holds the replies of servers in memory, on disk with
-// the chunk cache off and on disk with a warm chunk cache to the digest
-// pinned for this build's frame version (goldenReplies).
+// TestGoldenReplies holds the replies of servers in memory and on disk,
+// with the epoch's cache cold and warm, to the digest pinned for this
+// build's frame version (goldenReplies).
 func TestGoldenReplies(t *testing.T) {
 	want, ok := goldenReplies[transport.FrameVersion]
 	if !ok {
 		t.Fatalf("frame version %d pins no reply digest", transport.FrameVersion)
 	}
-	disk := func(cacheBytes int64) func() serverengine.Options {
-		return func() serverengine.Options {
-			st, err := sharestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.SetChunkCells(goldenChunk)
-			return serverengine.Options{Threads: 2, Store: st, CacheBytes: cacheBytes}
+	disk := func() serverengine.Options {
+		st, err := sharestore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
+		st.SetChunkCells(goldenChunk)
+		return serverengine.Options{Threads: 2, Store: st}
 	}
 	for _, tier := range []struct {
 		name string
@@ -163,8 +161,8 @@ func TestGoldenReplies(t *testing.T) {
 		warm bool
 	}{
 		{"ram", func() serverengine.Options { return serverengine.Options{Threads: 2} }, false},
-		{"disk-nocache", disk(0), false},
-		{"disk-cache-warm", disk(1 << 20), true},
+		{"disk-cold", disk, false},
+		{"disk-warm", disk, true},
 	} {
 		engines := goldenEngines(t, tier.opts)
 		if tier.warm {

@@ -13,9 +13,8 @@ import (
 )
 
 // recoveryConfig is the shared deployment shape of the restart tests:
-// disk-backed, in 64-cell windows (so 64-cell chunks), with a bounded
-// hot-chunk cache — the configuration the OPERATIONS runbook recommends
-// for production.
+// disk-backed, in 64-cell windows (so 64-cell chunks) — the
+// configuration the OPERATIONS runbook recommends for production.
 func recoveryConfig(t *testing.T, diskDir string) Config {
 	t.Helper()
 	dom, err := IntDomain(1, 256)
@@ -31,16 +30,17 @@ func recoveryConfig(t *testing.T, diskDir string) Config {
 		Seed:        [32]byte{21, 8, 7},
 		DiskDir:     diskDir,
 		ShardCells:  64,
-		HotChunks:   1 << 16,
 	}
 }
 
 // TestMixedChunkGeometries: owners whose columns were written with
 // different chunk sizes — owner 0 by a System in 16-cell windows (so
 // 16-cell chunks), owner 1 re-outsourced after the System restarted in
-// 32-cell windows — still answer every kind as the oracle does, with the
-// chunk cache off and on: the owner sum is built one owner-0 chunk range
-// at a time, one cell range across owners, never "chunk k" of each.
+// 32-cell windows — still answer every kind as the oracle does: the
+// owner sum is built one owner-0 chunk range at a time, one cell range
+// across owners, never "chunk k" of each. The second case sets the
+// deprecated Config.HotChunks, as a config written for the retired chunk
+// cache does; nothing reads it, so it must answer alike.
 func TestMixedChunkGeometries(t *testing.T) {
 	for _, hot := range []uint64{0, 1 << 16} {
 		t.Run(fmt.Sprintf("hotchunks=%d", hot), func(t *testing.T) {

@@ -86,12 +86,6 @@ func TestExtremeVectorRoundMatchesOracle(t *testing.T) {
 	})
 }
 
-func TestEmptyIntersection(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.k == 0 }) }
-func TestIdenticalOwners(t *testing.T) {
-	inShapes(t, func(sh shape) bool { return uint64(sh.k) == sh.b })
-}
-func TestTwoOwnerSystem(t *testing.T) { inShapes(t, func(sh shape) bool { return sh.owners == 2 }) }
-
 // windowed is the whole-table and second-10-cell-window split of the
 // retired per-window adversary tests, over one group and two.
 func windowed(t *testing.T, pattern string) {
@@ -115,16 +109,4 @@ func TestMaliciousExtremeVectorEntryDetected(t *testing.T) {
 		return fmt.Sprintf("groups=%d/one %s", groups, entry),
 			fmt.Sprintf(`TestSoundness/[^/]+/[^/]+/g%d/[^/]+/max/extreme-%s/.*`, groups, strings.Fields(entry)[0])
 	})
-}
-
-// inShapes is retired for every completeness cell of the matrix shapes
-// keep picks.
-func inShapes(t *testing.T, keep func(shape) bool) {
-	var names []string
-	for _, sh := range shapes {
-		if keep(sh) {
-			names = append(names, sh.name())
-		}
-	}
-	retired(t, `TestConformance/(`+strings.Join(names, "|")+`)/.*`)
 }

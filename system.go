@@ -100,7 +100,6 @@ func NewLocalSystem(cfg Config) (*System, error) {
 				}
 				store.SetChunkCells(cfg.ShardCells) // every window a whole number of chunks
 				opts.Store = store
-				opts.CacheBytes = int64(cfg.HotChunks)
 			}
 			eng := serverengine.New(view, opts)
 			if _, err := eng.RecoveryReport(); err != nil {
@@ -216,7 +215,7 @@ func (s *System) SetServerThreads(n int) {
 
 // PeakServerHeldBytes reports the largest column-byte residency any
 // server reached: in-RAM pending upload assemblies, registered
-// in-memory tables and hot-chunk caches. The repo benchmark reports it
+// in-memory tables and table-epoch caches. The repo benchmark reports it
 // as peak_held_bytes.
 func (s *System) PeakServerHeldBytes() int64 {
 	var peak int64
@@ -420,8 +419,9 @@ type QueryStats struct {
 	Rounds          int
 	Cells           int
 	// ServerCacheHits counts column reads served from the servers'
-	// table-epoch caches — the owner sums every server keeps, and hot
-	// chunks under Config.HotChunks — instead of built from the store.
+	// table-epoch caches — the owner sums every server keeps and the
+	// base chunks pending updates land in — instead of read from the
+	// store.
 	ServerCacheHits int
 	// TraceID names the query's timeline in System.QueryTrace when the
 	// system runs with Config.Trace; empty otherwise.

@@ -30,9 +30,8 @@ func phaseSet(t *testing.T, sys *System, tid string) map[string]bool {
 // the announcer's rounds — at least five distinct phases spanning all
 // three planes.
 func TestQueryTraceTimeline(t *testing.T) {
-	cfg := shape{storage: "disk-cache", shard: 32, groups: 2, owners: 3, b: 128}.config(t)
+	cfg := shape{storage: "disk-nocache", shard: 32, groups: 2, owners: 3, b: 128}.config(t)
 	cfg.Trace = true
-	cfg.HotChunks = 1 << 20 // a budget every column fits in
 	sys, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -233,7 +233,6 @@ func TestReadsRaceStreamedUpdates(t *testing.T) {
 	cfg := updateConfig(t, t.TempDir(), 64)
 	cfg.Verify = false
 	cfg.DeltaMaxEntries = 8
-	cfg.HotChunks = 64 * 2 * 64
 	sys, err := NewLocalSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
