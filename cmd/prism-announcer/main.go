@@ -6,13 +6,9 @@
 //	prism-announcer -view views/announcer.view -listen :7000
 //
 // In a multi-group deployment (prism-init -groups) one announcer serves
-// every group: it additionally answers owners' placement probes and
-// runs the cross-group final round of max/min/median queries. Announce
-// the placement with -placement, one group per semicolon-separated
-// entry, each "start:count:addr0,addr1,addr2":
-//
-//	prism-announcer -view views/announcer.view -listen :7000 \
-//	    -placement "0:500000:h1:7001,h2:7002,h3:7003;500000:500000:h4:7001,h5:7002,h6:7003"
+// every group and runs the cross-group final round of max/min/median
+// queries. It knows nothing of the placement: owners take each group's
+// view and servers from their own -view and -servers flags.
 package main
 
 import (
@@ -23,13 +19,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"prism/internal/announcer"
 	"prism/internal/params"
-	"prism/internal/protocol"
 	"prism/internal/telemetry"
 	"prism/internal/transport"
 	"prism/internal/viewio"
@@ -37,11 +30,9 @@ import (
 
 func main() {
 	var (
-		viewPath  = flag.String("view", "", "announcer view file from prism-init (required)")
-		listen    = flag.String("listen", ":7000", "listen address")
-		inflight  = flag.Int("inflight", 0, "per-connection RPC pipelining depth (0 = transport default)")
-		placement = flag.String("placement", "", "group placement announced to owners: 'start:count:addr,addr,addr' per group, ';'-separated, in group order")
-		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9100); empty disables the endpoint")
+		viewPath = flag.String("view", "", "announcer view file from prism-init (required)")
+		listen   = flag.String("listen", ":7000", "listen address")
+		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9100); empty disables the endpoint")
 	)
 	flag.Parse()
 	if *viewPath == "" {
@@ -52,17 +43,6 @@ func main() {
 		fatal(err)
 	}
 	engine := announcer.New(&view)
-	if *placement != "" {
-		ranges, err := parsePlacement(*placement)
-		if err != nil {
-			fatal(err)
-		}
-		engine.SetPlacement(ranges)
-		for g, r := range ranges {
-			fmt.Printf("prism-announcer: group %d serves cells [%d, %d) at %v\n",
-				g, r.Start, r.Start+r.Count, r.Servers)
-		}
-	}
 	if *metrics != "" {
 		mux := telemetry.AdminMux()
 		telemetry.Default.RegisterVar("announcer_sessions", func() any { return engine.Sessions() })
@@ -75,48 +55,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("prism-announcer: listening on %s (m=%d)\n", ln.Addr(), view.M)
-	serveOpts := []transport.ServeOption{transport.WithLogf(log.Printf)}
-	if *inflight > 0 {
-		serveOpts = append(serveOpts, transport.WithPerConnWorkers(*inflight))
-	}
-	if err := transport.Serve(ctx, ln, engine, serveOpts...); err != nil {
+	if err := transport.Serve(ctx, ln, engine, transport.WithLogf(log.Printf)); err != nil {
 		fatal(err)
 	}
-}
-
-// parsePlacement decodes the -placement flag: one
-// "start:count:addr,addr,addr" entry per group, in group order, with
-// contiguous cell ranges.
-func parsePlacement(s string) ([]protocol.GroupRange, error) {
-	var ranges []protocol.GroupRange
-	next := uint64(0)
-	for g, entry := range strings.Split(s, ";") {
-		parts := strings.SplitN(entry, ":", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("placement group %d: want start:count:addrs, got %q", g, entry)
-		}
-		start, err := strconv.ParseUint(parts[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("placement group %d: bad start %q", g, parts[0])
-		}
-		count, err := strconv.ParseUint(parts[1], 10, 64)
-		if err != nil || count == 0 {
-			return nil, fmt.Errorf("placement group %d: bad count %q", g, parts[1])
-		}
-		if start != next {
-			return nil, fmt.Errorf("placement group %d: starts at %d, want contiguous %d", g, start, next)
-		}
-		next = start + count
-		addrs := strings.Split(parts[2], ",")
-		if len(addrs) != params.NumServers {
-			return nil, fmt.Errorf("placement group %d: %d server addresses, want %d", g, len(addrs), params.NumServers)
-		}
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
-		ranges = append(ranges, protocol.GroupRange{Start: start, Count: count, Servers: addrs})
-	}
-	return ranges, nil
 }
 
 func fatal(err error) {

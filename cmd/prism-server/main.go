@@ -51,7 +51,6 @@ func main() {
 		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = never: there is no default threshold, so with -compact 0 too the log is never compacted; incremental updates only)")
 		compactEvr = flag.Duration("compact", 0, "also sweep every table's delta log for compaction on this interval (0 = -deltamax-triggered only)")
 		threads    = flag.Int("threads", 0, "worker pool width (0 = GOMAXPROCS)")
-		inflight   = flag.Int("inflight", 0, "per-connection RPC pipelining depth (0 = transport default)")
 		metrics    = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/tables and /debug/pprof on this address (e.g. :9101); empty disables the endpoint")
 	)
 	flag.Parse()
@@ -81,9 +80,7 @@ func main() {
 	}
 	if *announcer != "" {
 		opts.AnnouncerAddr = "announcer"
-		opts.Caller = transport.NewTCPClientOpts(
-			map[string]string{"announcer": *announcer},
-			transport.ClientOptions{PerConnInflight: *inflight})
+		opts.Caller = transport.NewTCPClient(map[string]string{"announcer": *announcer})
 	}
 	engine := serverengine.New(&view, opts)
 	if rep, err := engine.RecoveryReport(); err != nil {
@@ -122,11 +119,7 @@ func main() {
 	defer stop()
 	fmt.Printf("prism-server: S_%d listening on %s (m=%d, b=%d, δ=%d, group=%d, cells [%d, %d))\n",
 		view.Index, ln.Addr(), view.M, view.B, view.Delta, view.Group, view.Start, view.Start+view.B)
-	serveOpts := []transport.ServeOption{transport.WithLogf(log.Printf)}
-	if *inflight > 0 {
-		serveOpts = append(serveOpts, transport.WithPerConnWorkers(*inflight))
-	}
-	if err := transport.Serve(ctx, ln, engine, serveOpts...); err != nil {
+	if err := transport.Serve(ctx, ln, engine, transport.WithLogf(log.Printf)); err != nil {
 		fatal(err)
 	}
 }

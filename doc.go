@@ -69,10 +69,10 @@
 // concurrent calls, and servers dispatch each decoded request to a bounded per-connection
 // worker pool, so replies return as they complete — a cheap PSI round
 // is never stuck behind a slow aggregation on the same wire.
-// The pipelining depth per connection is bounded (prism-server/-owner
-// -inflight; the in-process fabric applies the transport's default
-// bound per server address so local behaviour matches a wire
-// deployment). Every server keeps, per table epoch — invalidated when
+// The pipelining depth per connection is bounded by
+// transport.DefaultPerConnInflight on both ends, and the in-process
+// fabric applies the same bound per server address so local behaviour
+// matches a wire deployment. Every server keeps, per table epoch — invalidated when
 // any owner re-outsources or an update is compacted — one owner sum of
 // each queried column, built on the epoch's first read, so a disk-backed
 // server reads each column chunk once per epoch, not once per query.
@@ -112,8 +112,8 @@
 // owner sums — cells × the queried columns' widths per served table,
 // 1/M of its columns — plus the window size and the owner chunks
 // pending updates land in. Upload assemblies abandoned by crashed
-// owners are reclaimed when the owner retries or the table is dropped
-// (prism-server -pendttl adds a timed sweep). Every server's peak
+// owners are reclaimed when the owner retries (prism-server -pendttl
+// adds a timed sweep). Every server's peak
 // resident column bytes are System.PeakServerHeldBytes, which the repo
 // benchmark reports as peak_held_bytes.
 //

@@ -6,6 +6,6 @@ type PSIRequest struct{ Table string }
 
 type CountRequest struct{ Table string }
 
-type DropRequest struct{ Table string }
+type StoreDeltaRequest struct{ Table string }
 
 type ListTablesReply struct{ Tables []string }

@@ -46,8 +46,8 @@ func (e *Engine) handleCount(r protocol.CountRequest) (any, error) { // want "ne
 	return nil, nil
 }
 
-// handleDrop forgets too, even though it touches other metrics.
-func (e *Engine) handleDrop(r protocol.DropRequest) (any, error) { // want "never records its RPC latency"
+// handleStoreDelta forgets too, even though it touches other metrics.
+func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) { // want "never records its RPC latency"
 	mHits.Inc()
 	_ = r.Table
 	return nil, nil

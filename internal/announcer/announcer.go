@@ -31,9 +31,8 @@ import (
 type Engine struct {
 	view *params.AnnouncerView
 
-	mu        sync.Mutex
-	pending   map[string]*state
-	placement []protocol.GroupRange
+	mu      sync.Mutex
+	pending map[string]*state
 }
 
 type state struct {
@@ -56,15 +55,6 @@ func New(v *params.AnnouncerView) *Engine {
 	return &Engine{view: v, pending: make(map[string]*state)}
 }
 
-// SetPlacement installs the deployment's group placement, served to
-// owners via PlacementRequest. The slice is retained; callers must not
-// mutate it afterwards.
-func (e *Engine) SetPlacement(groups []protocol.GroupRange) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.placement = groups
-}
-
 // Sessions reports the number of live per-query states (tests and
 // monitoring): it must return to zero once queriers retire their query
 // ids, or sustained max/min/median traffic accumulates state forever.
@@ -81,10 +71,6 @@ func (e *Engine) Handle(_ context.Context, req any) (any, error) {
 		return e.handleAnnounce(r)
 	case protocol.AnnounceFetchRequest:
 		return e.handleFetch(r)
-	case protocol.PlacementRequest:
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return protocol.PlacementReply{Groups: e.placement}, nil
 	case protocol.ExtremeReduceRequest:
 		return e.handleReduce(r)
 	case protocol.PingRequest:

@@ -386,9 +386,9 @@ func (o *engine) buildLocal(spec OutsourceSpec) (*localTable, error) {
 // upload moves this owner's columns of one table to the first nsrv
 // servers, window by window: cols builds server φ's columns for a window,
 // every request is stamped with the window and one upload id, and every
-// server must acknowledge the completing window — a concurrent Drop can
-// wipe a half-assembled upload, in which case no window ever reports
-// Spec.B cells and the table never registered.
+// server must acknowledge the completing window: a server that never
+// reports Spec.B cells (its assembly was discarded mid-upload) has not
+// registered the table.
 func (o *engine) upload(ctx context.Context, spec protocol.TableSpec, nsrv int, cols func(phi int, rg protocol.Range) protocol.StoreRequest) error {
 	// Ordered per attempt: servers supersede older assemblies and
 	// reject this attempt's stragglers once a newer retry appears.
@@ -415,7 +415,7 @@ func (o *engine) upload(ctx context.Context, spec protocol.TableSpec, nsrv int, 
 	}
 	for phi, done := range completed {
 		if !done {
-			return fmt.Errorf("ownerengine: server %d never completed the upload of %q (table dropped mid-upload?)", phi, spec.Name)
+			return fmt.Errorf("ownerengine: server %d never completed the upload of %q (assembly discarded mid-upload?)", phi, spec.Name)
 		}
 	}
 	return nil

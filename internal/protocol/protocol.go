@@ -180,10 +180,14 @@ type StoreDeltaReply struct {
 	Epoch   uint64
 }
 
-// DropRequest removes a stored table (all owners) from a server.
+// DropRequest is retired: no node sends or answers it (both
+// Handle methods refuse it as an unknown request). Its slot in Messages
+// is kept so every later type keeps its wire index.
 type DropRequest struct{ Table string }
 
-// DropReply acknowledges removal.
+// DropReply is retired: no node sends or answers it (both
+// Handle methods refuse it as an unknown request). Its slot in Messages
+// is kept so every later type keeps its wire index.
 type DropReply struct{}
 
 // ---- PSI (paper §5.1) ----
@@ -427,28 +431,28 @@ type ListTablesReply struct {
 	Tables []TableStatus
 }
 
-// ---- group placement (multi-group deployments) ----
+// ---- retired group placement ----
+//
+// Owners take each group's view and servers from their own
+// configuration; no announcer serves a placement.
 
-// GroupRange describes one server group's slice of the natural cell
-// domain and the addresses of its three servers (S0, S1, S2 in index
-// order). Data-plane requests carry a Group tag (zero in single-group
-// deployments); servers reject requests tagged for another group rather
-// than silently serving shares from the wrong domain slice.
+// GroupRange was one group's cell range and server addresses inside a
+// PlacementReply. It is retired: nothing sends it. Its slot in Messages
+// is kept so every later type keeps its wire index.
 type GroupRange struct {
-	Start   uint64 // first natural domain cell of the group
-	Count   uint64 // cells owned by the group
+	Start   uint64
+	Count   uint64
 	Servers []string
 }
 
-// PlacementRequest asks the announcer for the deployment's group
-// placement: how the cell domain is partitioned across server groups
-// and where each group's servers live. Owners fetch it once at startup
-// to build their routing table.
+// PlacementRequest is retired: no node sends or answers it (both
+// Handle methods refuse it as an unknown request). Its slot in Messages
+// is kept so every later type keeps its wire index.
 type PlacementRequest struct{}
 
-// PlacementReply carries the placement, one entry per group in group
-// order. Empty Groups means the announcer was not configured with a
-// placement (single-group deployment announced out of band).
+// PlacementReply is retired: no node sends or answers it (both
+// Handle methods refuse it as an unknown request). Its slot in Messages
+// is kept so every later type keeps its wire index.
 type PlacementReply struct {
 	Groups []GroupRange
 }

@@ -14,7 +14,7 @@ import (
 // (colKey names; see ownerBase), so a pending update costs one chunk
 // read per owner and chunk per epoch, not one per query. An epoch ends
 // whenever the table changes (a Store from any owner, a compaction swap,
-// a recovery adoption, a Drop): the engine swaps in a fresh cache so
+// a recovery adoption): the engine swaps in a fresh cache so
 // later queries never serve stale entries. Entries already cached stay
 // visible to queries holding the old snapshot, but a disk cache miss
 // always reads the store's current files — so a query overlapping a

@@ -414,11 +414,6 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	defer mu.Unlock()
 
 	e.mu.Lock()
-	t, ok = e.tables[r.Table]
-	if !ok || t.owners[r.Owner] == nil || !specEqual(t.spec, spec) {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("server %d: table %q changed under the update", e.view.Index, r.Table)
-	}
 	t.deltaSeq++
 	seq := t.deltaSeq
 	e.mu.Unlock()
@@ -430,11 +425,6 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	}
 
 	e.mu.Lock()
-	t, ok = e.tables[r.Table]
-	if !ok {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("server %d: table %q dropped under the update", e.view.Index, r.Table)
-	}
 	if t.delta == nil {
 		t.delta = newDeltaOverlay()
 	}
@@ -555,21 +545,16 @@ func (e *Engine) compactStep(step string) error {
 func (e *Engine) Compact(name string) (CompactStats, error) {
 	var st CompactStats
 	e.mu.RLock()
-	t0, ok := e.tables[name]
+	t, ok := e.tables[name]
 	e.mu.RUnlock()
 	if !ok {
 		return st, fmt.Errorf("server %d: unknown table %q", e.view.Index, name)
 	}
-	t0.compactMu.Lock()
-	defer t0.compactMu.Unlock()
+	t.compactMu.Lock()
+	defer t.compactMu.Unlock()
 	passStart := time.Now()
 
 	e.mu.Lock()
-	t, ok := e.tables[name]
-	if !ok || t != t0 {
-		e.mu.Unlock()
-		return st, nil // dropped or replaced while we waited
-	}
 	if t.delta == nil || t.delta.entryCount() == 0 {
 		e.mu.Unlock()
 		return st, nil
@@ -579,13 +564,12 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		return st, fmt.Errorf("server %d: table %q holds a chunk an earlier compaction left mid-patch; restart the server to roll it forward", e.view.Index, name)
 	}
 	t.compacting = true
-	spec := t.spec
 	old := t.delta
 	base := maps.Clone(t.owners)
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		t0.compacting = false
+		t.compacting = false
 		e.mu.Unlock()
 	}()
 
@@ -626,7 +610,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		e.mu.Lock()
 		t.compactThrough = upto
 		e.mu.Unlock()
-		if err := e.writeManifestSnapshot(name, spec); err != nil {
+		if err := e.writeManifestSnapshot(t); err != nil {
 			return st, err
 		}
 		if err := e.compactStep("through"); err != nil {
@@ -655,12 +639,6 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		return st, err
 	}
 	e.mu.Lock()
-	if e.tables[name] != t0 {
-		// Dropped, or dropped and created again, since the snapshot: the
-		// pass patched nothing of the table now served under the name.
-		e.mu.Unlock()
-		return CompactStats{}, nil
-	}
 	for j, oc := range patched {
 		if cur := t.owners[j]; cur == base[j] {
 			e.trackHeld(oc.bytes() - cur.bytes())
@@ -682,10 +660,10 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		// Make the new epoch durable before the sealed files go: a crash
 		// in between replays them over the patched base, which is a no-op
 		// (absolute values).
-		if err := e.writeManifestSnapshot(name, spec); err != nil {
+		if err := e.writeManifestSnapshot(t); err != nil {
 			return st, err
 		}
-		if st.Files, err = e.deleteSealed(t0, name, sealed); err != nil {
+		if st.Files, err = e.deleteSealed(name, sealed); err != nil {
 			return st, err
 		}
 	}
@@ -693,32 +671,20 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 	mCompactionSeconds.Observe(time.Since(passStart).Seconds())
 	mCompactionEntries.Add(int64(st.Entries))
 	e.mu.RLock()
-	if cur, ok := e.tables[name]; ok {
-		backlog := 0
-		if cur.delta != nil {
-			backlog = cur.delta.entryCount()
-		}
-		mDeltaBacklog.Set(name, int64(backlog))
+	backlog := 0
+	if t.delta != nil {
+		backlog = t.delta.entryCount()
 	}
 	e.mu.RUnlock()
+	mDeltaBacklog.Set(name, int64(backlog))
 	return st, nil
 }
 
 // deleteSealed deletes the log files a pass sealed, oldest first, and
-// returns how many it deleted. It holds the table's delta lock, under
-// which no append opens a file, and deletes nothing unless the table is
-// still t: one dropped and created again since the seal starts a new
-// log, whose file names may repeat the sealed ones.
-func (e *Engine) deleteSealed(t *table, name string, sealed []uint64) (int, error) {
-	mu := e.storeLock(name + "/delta")
-	mu.Lock()
-	defer mu.Unlock()
-	e.mu.RLock()
-	cur := e.tables[name]
-	e.mu.RUnlock()
-	if cur != t {
-		return 0, nil
-	}
+// returns how many it deleted. An append after the seal opens a file
+// named by a later sequence (a table's sequences only grow), so no
+// sealed name is ever reused.
+func (e *Engine) deleteSealed(name string, sealed []uint64) (int, error) {
 	for n, first := range sealed {
 		if err := e.compactStep(fmt.Sprintf("delete:%d", first)); err != nil {
 			return n, err
@@ -743,8 +709,7 @@ func (e *Engine) patchOwner(t *table, name string, j int, was *ownerCols, cols [
 	mu.Lock()
 	defer mu.Unlock()
 	e.mu.RLock()
-	cur, ok := e.tables[name]
-	live := ok && cur == t && was != nil && t.owners[j] == was
+	live := t.owners[j] == was
 	e.mu.RUnlock()
 	if !live {
 		return 0, nil
@@ -775,14 +740,12 @@ func (e *Engine) patchOwner(t *table, name string, j int, was *ownerCols, cols [
 // patchedMemCols copies the in-memory columns the snapshot touches and
 // applies the overlay values to the copies; untouched columns are shared
 // with the registered sets, which are immutable. base is the owners'
-// registrations the snapshot was taken against.
+// registrations the snapshot was taken against; only a registered owner
+// has overlay entries.
 func (e *Engine) patchedMemCols(name string, byOwner map[int][]string, snap map[string]sharestore.DeltaCol, base map[int]*ownerCols) (map[int]*ownerCols, error) {
 	patched := make(map[int]*ownerCols)
 	for owner, cols := range byOwner {
-		src, live := base[owner]
-		if !live {
-			continue // owner dropped; nothing to patch
-		}
+		src := base[owner]
 		oc := &ownerCols{u16: maps.Clone(src.u16), u64: maps.Clone(src.u64)}
 		patched[owner] = oc
 		for _, cn := range cols {
@@ -795,39 +758,28 @@ func (e *Engine) patchedMemCols(name string, byOwner map[int][]string, snap map[
 	return patched, nil
 }
 
-// writeManifestSnapshot rewrites a table's manifest from the current
-// registration state — the same snapshot-under-manifestMu ordering
-// finishStore uses, so concurrent completions can never be overwritten
-// by a stale view.
-func (e *Engine) writeManifestSnapshot(name string, spec protocol.TableSpec) error {
+// writeManifestSnapshot rewrites table t's manifest from its current
+// registration state. The snapshot is taken under manifestMu, so
+// concurrent writers (two owners completing uploads, a compaction pass)
+// write in snapshot order and a stale view never overwrites a newer
+// manifest.
+func (e *Engine) writeManifestSnapshot(t *table) error {
 	e.manifestMu.Lock()
 	defer e.manifestMu.Unlock()
-	var owners []int
-	var epoch, through uint64
-	var floor map[int]uint64
 	e.mu.RLock()
-	cur, ok := e.tables[name]
-	if ok {
-		for j := range cur.owners {
-			owners = append(owners, j)
-		}
-		epoch, through = cur.epoch, cur.compactThrough
-		if len(cur.deltaFloor) > 0 {
-			floor = make(map[int]uint64, len(cur.deltaFloor))
-			for j, s := range cur.deltaFloor {
-				floor[j] = s
-			}
-		}
+	man := TableManifest{
+		Version: manifestVersion(t.compactThrough), Epoch: t.epoch, Spec: t.spec,
+		CompactThrough: t.compactThrough, Group: e.opts.Group,
+	}
+	for j := range t.owners {
+		man.Owners = append(man.Owners, j)
+	}
+	if len(t.deltaFloor) > 0 {
+		man.DeltaFloor = maps.Clone(t.deltaFloor)
 	}
 	e.mu.RUnlock()
-	if !ok {
-		return nil // concurrently dropped; DropTable removed the dir
-	}
-	sort.Ints(owners)
-	return e.opts.Store.WriteManifest(name, TableManifest{
-		Version: manifestVersion(through), Epoch: epoch, Spec: spec, Owners: owners, DeltaFloor: floor,
-		CompactThrough: through, Group: e.opts.Group,
-	})
+	sort.Ints(man.Owners)
+	return e.opts.Store.WriteManifest(t.spec.Name, man)
 }
 
 // DeltaBacklog reports a table's merged-but-uncompacted delta entries

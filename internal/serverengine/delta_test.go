@@ -351,98 +351,3 @@ func openLogFiles(t *testing.T, dir string) int {
 	}
 	return n
 }
-
-// TestCompactionSparesRecreatedTablesLog: a table dropped and created
-// again while a pass runs starts its log at sequence 1 again, in a file
-// named like the one the pass sealed; the pass must not delete it.
-func TestCompactionSparesRecreatedTablesLog(t *testing.T) {
-	const b = 16
-	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasCount: true, Plain: true}
-	st, err := sharestore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(fullView(t, 0, 3, b), Options{Threads: 1, Store: st})
-	defer e.Close()
-	update := func() {
-		t.Helper()
-		if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
-			Owner: 0, Table: "t", Pos: []uint64{1},
-			Chi: []uint16{1}, Sums: map[string][]uint64{"v": {3}}, Cnt: []uint64{1},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	storeSpec(t, []*Engine{e}, spec)
-	update()
-	e.SetCompactStepHook(func(step string) error {
-		if step == "swap" {
-			if _, err := e.Handle(context.Background(), protocol.DropRequest{Table: "t"}); err != nil {
-				t.Fatal(err)
-			}
-			storeSpec(t, []*Engine{e}, spec)
-			update()
-		}
-		return nil
-	})
-	if _, err := e.Compact("t"); err != nil {
-		t.Fatal(err)
-	}
-	if got := logSeqs(t, st, "t"); !slices.Equal(got, []uint64{1}) {
-		t.Fatalf("the recreated table's log holds %v, want its one record", got)
-	}
-}
-
-// TestCompactionSkipsSwapOnRecreatedTable: a table dropped and created
-// again with the same spec while a pass runs is not the table the pass
-// snapshot; the pass must leave its epoch, cache and manifest alone.
-func TestCompactionSkipsSwapOnRecreatedTable(t *testing.T) {
-	const b = 16
-	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasCount: true, Plain: true}
-	st, err := sharestore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(fullView(t, 0, 2, b), Options{Threads: 1, Store: st})
-	defer e.Close()
-	epoch := func() uint64 {
-		t.Helper()
-		tables := e.handleListTables().Tables
-		if len(tables) != 1 {
-			t.Fatalf("%d tables listed", len(tables))
-		}
-		return tables[0].Epoch
-	}
-	storeSpec(t, []*Engine{e}, spec)
-	if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
-		Owner: 0, Table: "t", Pos: []uint64{1},
-		Chi: []uint16{1}, Sums: map[string][]uint64{"v": {3}}, Cnt: []uint64{1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var recreated uint64
-	var cache *chunkCache
-	e.SetCompactStepHook(func(step string) error {
-		if step == "swap" {
-			if _, err := e.Handle(context.Background(), protocol.DropRequest{Table: "t"}); err != nil {
-				t.Fatal(err)
-			}
-			storeSpec(t, []*Engine{e}, spec)
-			recreated, cache = epoch(), e.tables["t"].cache
-		}
-		return nil
-	})
-	if _, err := e.Compact("t"); err != nil {
-		t.Fatal(err)
-	}
-	if got := epoch(); got != recreated {
-		t.Fatalf("the recreated table's epoch moved from %d to %d", recreated, got)
-	}
-	if e.tables["t"].cache != cache {
-		t.Fatal("the pass reset the recreated table's cache")
-	}
-	var man TableManifest
-	if err := st.ReadManifest("t", &man); err != nil || man.Epoch != recreated {
-		t.Fatalf("the recreated table's manifest records epoch %d (%v), want %d", man.Epoch, err, recreated)
-	}
-}

@@ -60,8 +60,7 @@ type Options struct {
 	// sending shards (a crash mid-upload): assemblies untouched for
 	// longer than the TTL are swept — RAM buffers released, pending disk
 	// columns deleted — on the next Store request. 0 disables the sweep
-	// (stale assemblies then linger until the owner retries or the table
-	// is dropped).
+	// (stale assemblies then linger until the owner retries).
 	PendingTTL time.Duration
 	// DeltaMax triggers an automatic compaction pass once a table's
 	// delta overlay holds at least this many entries (prism-server
@@ -100,23 +99,20 @@ type Engine struct {
 	powTab   []uint32      // g^e mod η' for e ∈ [0, δ); η' < 2^32 (params.CheckEtaPrime)
 	modDelta modmath.Mod32 // division-free reduction mod δ
 
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// tables maps a name to its table, registered by the first
+	// completed upload (or the boot's recovery scan) and never replaced
+	// or removed: nothing drops a table, so a handler that looked one up
+	// holds it for the life of the engine.
 	tables map[string]*table
-	// epochFloor remembers the last registration epoch of tables this
-	// process dropped, so a drop + re-outsource of the same name keeps
-	// the epoch strictly increasing — an owner probing via ListTables
-	// can never mistake the replacement for its original registration.
-	// Guarded by mu; one uint64 per dropped name.
-	epochFloor map[string]uint64
 
 	// pending assembles uploads (table → owner → partial
 	// columns); a table epoch is registered only once every cell of
 	// every column has arrived, so queries never see a half-upload.
 	// storeMarks records the highest upload attempt seen per table and
 	// owner so stragglers of an abandoned attempt are rejected instead
-	// of clobbering a newer retry (see UploadID); Drop reclaims a
-	// table's marks along with its pending assemblies, so neither map
-	// grows with the server's lifetime table churn.
+	// of clobbering a newer retry (see UploadID): one mark per table
+	// and owner that ever uploaded, like the tables themselves.
 	pendMu     sync.Mutex
 	pending    map[string]map[int]*pendingStore
 	storeMarks map[string]map[int]uploadMark
@@ -173,7 +169,7 @@ type table struct {
 	// probed".
 	epoch uint64
 	// cache is the current epoch's cache of owner sums and merge chunks;
-	// every registration, compaction swap and Drop swaps in a fresh one
+	// every registration and compaction swap swaps in a fresh one
 	// (resetCache), so queries holding the old snapshot never see the new
 	// epoch's columns.
 	cache *chunkCache
@@ -277,7 +273,6 @@ func New(v *params.ServerView, opts Options) *Engine {
 		powTab:     modmath.PowTable(v.G, v.Delta, v.EtaPrime),
 		modDelta:   modmath.NewMod32(v.Delta),
 		tables:     make(map[string]*table),
-		epochFloor: make(map[string]uint64),
 		pending:    make(map[string]map[int]*pendingStore),
 		storeMarks: make(map[string]map[int]uploadMark),
 		sessions:   make(map[string]*querySession),
@@ -385,8 +380,6 @@ func (e *Engine) Handle(ctx context.Context, req any) (any, error) {
 		return e.handleStore(r)
 	case protocol.StoreDeltaRequest:
 		return e.handleStoreDelta(r)
-	case protocol.DropRequest:
-		return e.handleDrop(r)
 	case protocol.PSIRequest:
 		return e.handlePSI(r)
 	case protocol.CountRequest:

@@ -292,7 +292,7 @@ func TestPendingUploadSweepIdleNotAge(t *testing.T) {
 }
 
 // TestHeldBytesLifecycle: the gauge covers in-memory tables across
-// store, re-store and drop, and on disk the epoch's cache until the
+// store and re-store, and on disk the epoch's cache until the
 // compaction swap ends the epoch.
 func TestHeldBytesLifecycle(t *testing.T) {
 	const b = 64
@@ -311,12 +311,6 @@ func TestHeldBytesLifecycle(t *testing.T) {
 	storeFull(t, engines, b, false)
 	if got := e.HeldBytes(); got != want {
 		t.Fatalf("held after re-store = %d, want %d", got, want)
-	}
-	if _, err := e.Handle(context.Background(), protocol.DropRequest{Table: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.HeldBytes(); got != 0 {
-		t.Fatalf("held after drop = %d, want 0", got)
 	}
 
 	// On disk the columns are not held, the epoch's cache is: the χ owner

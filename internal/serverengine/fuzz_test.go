@@ -11,7 +11,8 @@ import (
 	"prism/internal/sharestore"
 )
 
-// requestTypes are the request types Engine.Handle dispatches.
+// requestTypes are the request types Engine.Handle dispatches, and the
+// retired DropRequest, which it refuses as unknown.
 var requestTypes = []any{
 	protocol.StoreRequest{}, protocol.StoreDeltaRequest{}, protocol.DropRequest{},
 	protocol.PSIRequest{}, protocol.CountRequest{}, protocol.PSURequest{}, protocol.AggRequest{},
@@ -133,7 +134,8 @@ func (waitingAnnouncer) Call(_ context.Context, _ string, req any) (any, error) 
 // opened, with an announcer to forward it to. Handle must never panic,
 // and a request it refuses must leave held bytes, pending uploads,
 // sessions and the delta backlog as they were. The corpus is seeded with
-// one request of each type that the engines accept, with one window of a
+// one request of each live type that the engines accept, with the retired
+// DropRequest, which they refuse, with one window of a
 // verified count followed by its QueryDone, and with an aggregation whose
 // second column the table lacks.
 func FuzzServerRequest(f *testing.F) {
@@ -149,7 +151,6 @@ func FuzzServerRequest(f *testing.F) {
 		protocol.StoreRequest{Owner: 1, Spec: protocol.TableSpec{Name: "u", B: 2, AggCols: []string{"v"}, Plain: true},
 			ChiAdd: []uint16{1, 0}, SumCols: map[string][]uint64{"v": {7, 8}}},
 		delta,
-		protocol.DropRequest{Table: "t"},
 		protocol.PSIRequest{Table: "t", QueryID: "q", Verify: true, Shard: protocol.Range{Offset: 8, Count: 8}},
 		protocol.CountRequest{Table: "t", QueryID: "q", Verify: true},
 		protocol.PSURequest{Table: "t", QueryID: "q", Permute: true},
@@ -197,6 +198,11 @@ func FuzzServerRequest(f *testing.F) {
 		}
 		f.Add(input(req))
 	}
+	drop := protocol.DropRequest{Table: "t"}
+	if _, err := engine(f, false).Handle(context.Background(), drop); err == nil {
+		f.Fatal("retired DropRequest accepted")
+	}
+	f.Add(input(drop))
 	window := protocol.CountRequest{Table: "t", QueryID: "q", Verify: true, Shard: protocol.Range{Offset: 0, Count: 8}}
 	f.Add(input(window, protocol.QueryDoneRequest{QueryID: "q"}))
 	f.Add(input(protocol.AggRequest{Table: "t", Cols: []string{"v", "x"}, Z: make([]uint64, b)}))

@@ -337,7 +337,7 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 		// Make the adoption durable so the next restart trusts the
 		// promoted columns directly, and clear a CompactThrough whose
 		// chunks are whole again.
-		if err := e.writeManifestSnapshot(name, man.Spec); err != nil {
+		if err := e.writeManifestSnapshot(t); err != nil {
 			return err
 		}
 	}

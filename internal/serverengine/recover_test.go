@@ -542,20 +542,6 @@ func TestListTablesEpoch(t *testing.T) {
 		!reflect.DeepEqual(tables[0].Owners, []int{0, 1}) || tables[0].Epoch != 2 {
 		t.Fatalf("ListTables = %+v, want table t owners [0 1] epoch 2", tables)
 	}
-	// Drop + full re-outsource must not reuse old epochs: a probe that
-	// recorded epoch 2 must see the replacement as a different
-	// registration.
-	if _, err := engines[0].Handle(context.Background(), protocol.DropRequest{Table: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	storeFull(t, engines, b, false)
-	reply, err = engines[0].Handle(context.Background(), protocol.ListTablesRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reply.(protocol.ListTablesReply).Tables[0].Epoch; got != 4 {
-		t.Fatalf("epoch after drop + re-store = %d, want 4 (continues past the dropped table's 2)", got)
-	}
 }
 
 // deltaUpdate sends server 0 an update of owner 0's table "t" (as

@@ -198,31 +198,6 @@ func TestShardedStoreSpecMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDropClearsPendingShards: dropping a table abandons half-assembled
-// uploads so a fresh upload starts clean.
-func TestDropClearsPendingShards(t *testing.T) {
-	e := shardEngine()
-	ctx := context.Background()
-	if _, err := storeShard(t, e, 0, 4, make([]uint16, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Handle(ctx, protocol.DropRequest{Table: "t8"}); err != nil {
-		t.Fatal(err)
-	}
-	// Re-uploading the same window must succeed — stale pending state
-	// would reject it as an overlap.
-	if _, err := storeShard(t, e, 0, 4, make([]uint16, 4)); err != nil {
-		t.Fatalf("re-upload after drop rejected: %v", err)
-	}
-	rep, err := storeShard(t, e, 4, 4, make([]uint16, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cells != 8 {
-		t.Fatalf("re-assembled table has %d cells, want 8", rep.Cells)
-	}
-}
-
 // TestRetrySupersedesStalePending: an upload attempt that died midway
 // must not brick retries — a new UploadID replaces the stale assembly
 // instead of colliding with its windows.

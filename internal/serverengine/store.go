@@ -14,6 +14,7 @@ package serverengine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,9 +164,9 @@ func (e *Engine) handleStore(r protocol.StoreRequest) (any, error) {
 	defer mu.Unlock()
 
 	// Reject a conflicting re-store before anything touches disk: an
-	// upload for a table with a different cell count would replace the
-	// owner's on-disk columns with wrong-length data while queries keep
-	// serving the registered spec.
+	// upload under another layout would replace the owner's on-disk
+	// columns with ones the registered spec does not describe while
+	// queries keep serving that spec.
 	e.mu.Lock()
 	err = e.storeConflict(r.Spec)
 	e.mu.Unlock()
@@ -183,11 +184,16 @@ func (e *Engine) handleStore(r protocol.StoreRequest) (any, error) {
 	return e.finishStore(r.Spec, r.Owner, oc)
 }
 
-// storeConflict rejects a (re-)store whose cell count disagrees with the
-// registered table. Caller holds e.mu.
+// storeConflict rejects a (re-)store whose layout differs from the
+// registered table's: a registered table keeps its spec for life, so a
+// re-outsource with another cell count or column set would leave the
+// other owners' columns, and every query, reading a layout this owner
+// no longer stores. Caller holds e.mu.
 func (e *Engine) storeConflict(spec protocol.TableSpec) error {
-	if t, ok := e.tables[spec.Name]; ok && t.spec.B != spec.B {
-		return fmt.Errorf("server %d: table %q cell-count conflict", e.view.Index, spec.Name)
+	if t, ok := e.tables[spec.Name]; ok {
+		if d := specDiff(spec, t.spec); d != "" {
+			return fmt.Errorf("server %d: table %q layout conflict: %s", e.view.Index, spec.Name, d)
+		}
 	}
 	return nil
 }
@@ -252,8 +258,8 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ow
 	if replaced != nil {
 		e.trackHeld(-replaced.oc.bytes()) // superseded RAM assembly released
 	}
-	if !specEqual(p.spec, r.Spec) {
-		return nil, 0, fmt.Errorf("server %d: table %q shard spec differs from first shard", e.view.Index, r.Spec.Name)
+	if d := specDiff(r.Spec, p.spec); d != "" {
+		return nil, 0, fmt.Errorf("server %d: table %q shard spec differs from first shard: %s", e.view.Index, r.Spec.Name, d)
 	}
 	for _, g := range p.got {
 		if rg.Offset < g.End() && g.Offset < rg.End() {
@@ -381,18 +387,25 @@ func (e *Engine) sweepPending(now time.Time) int {
 	return swept
 }
 
-// specEqual compares the table layouts of two shards.
-func specEqual(a, b protocol.TableSpec) bool {
-	if a.Name != b.Name || a.B != b.B || a.HasVerify != b.HasVerify ||
-		a.HasCount != b.HasCount || a.Plain != b.Plain || len(a.AggCols) != len(b.AggCols) {
-		return false
+// specDiff names the first field in which layout a differs from the
+// earlier layout b, with both values, or returns "" if they agree.
+func specDiff(a, b protocol.TableSpec) string {
+	diff := func(field string, x, y any) string { return fmt.Sprintf("%s %v, was %v", field, x, y) }
+	switch {
+	case a.Name != b.Name:
+		return diff("Name", a.Name, b.Name)
+	case a.B != b.B:
+		return diff("B", a.B, b.B)
+	case !slices.Equal(a.AggCols, b.AggCols):
+		return diff("AggCols", a.AggCols, b.AggCols)
+	case a.HasVerify != b.HasVerify:
+		return diff("HasVerify", a.HasVerify, b.HasVerify)
+	case a.HasCount != b.HasCount:
+		return diff("HasCount", a.HasCount, b.HasCount)
+	case a.Plain != b.Plain:
+		return diff("Plain", a.Plain, b.Plain)
 	}
-	for i := range a.AggCols {
-		if a.AggCols[i] != b.AggCols[i] {
-			return false
-		}
-	}
-	return true
+	return ""
 }
 
 // finishStore registers one owner's assembled columns — resident, or
@@ -408,7 +421,7 @@ func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) 
 	}
 	t, ok := e.tables[spec.Name]
 	if !ok {
-		t = &table{spec: spec, owners: make(map[int]*ownerCols), epoch: e.epochFloor[spec.Name]}
+		t = &table{spec: spec, owners: make(map[int]*ownerCols)}
 		e.tables[spec.Name] = t
 	}
 	e.trackHeld(oc.bytes() - t.owners[owner].bytes())
@@ -437,7 +450,7 @@ func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) 
 		// The registration snapshot is taken while holding manifestMu, so
 		// concurrent completions serialise snapshot-then-write in order
 		// and a stale snapshot can never overwrite a newer manifest.
-		if err := e.writeManifestSnapshot(spec.Name, spec); err != nil {
+		if err := e.writeManifestSnapshot(t); err != nil {
 			return nil, err
 		}
 	}
@@ -454,41 +467,4 @@ func (e *Engine) storeLock(key string) *sync.Mutex {
 		e.storeMus[key] = mu
 	}
 	return mu
-}
-
-func (e *Engine) handleDrop(r protocol.DropRequest) (any, error) {
-	defer e.observeRPC("drop")()
-	mDeltaBacklog.Set(r.Table, 0)
-	e.mu.Lock()
-	if t, ok := e.tables[r.Table]; ok {
-		for _, oc := range t.owners {
-			e.trackHeld(-oc.bytes())
-		}
-		if t.cache != nil {
-			t.cache.discard()
-		}
-		if t.delta != nil {
-			e.trackHeld(-t.delta.heldBytes())
-		}
-		// A later re-outsource under the same name continues the epoch
-		// rather than restarting it, so probes can't mistake the
-		// replacement for the original registration.
-		e.epochFloor[r.Table] = t.epoch
-		delete(e.tables, r.Table)
-	}
-	e.mu.Unlock()
-	e.pendMu.Lock()
-	for _, p := range e.pending[r.Table] { // abandon half-assembled uploads
-		e.trackHeld(-p.oc.bytes())
-	}
-	delete(e.pending, r.Table)
-	delete(e.storeMarks, r.Table) // and reclaim its attempt marks
-	e.pendMu.Unlock()
-	if e.opts.Store != nil {
-		// Removes live, pending and manifest files alike.
-		if err := e.opts.Store.DropTable(r.Table); err != nil {
-			return nil, err
-		}
-	}
-	return protocol.DropReply{}, nil
 }

@@ -402,15 +402,34 @@ func TestMuxClientCloseFailsPending(t *testing.T) {
 	}
 }
 
-// TestMuxSerializedModeStillCorrect runs concurrent traffic with the
-// pipelining bound forced to 1 (the pre-multiplexing wire behaviour) and
-// asserts plain correctness is preserved.
-func TestMuxSerializedModeStillCorrect(t *testing.T) {
-	addr := startTCP(t, echoHandler{})
-	c := NewTCPClientOpts(map[string]string{"s": addr}, ClientOptions{PerConnInflight: 1})
+// peakHandler echoes each request after a short sleep and records the
+// most calls it ever ran at once.
+type peakHandler struct{ cur, peak atomic.Int64 }
+
+func (h *peakHandler) Handle(_ context.Context, req any) (any, error) {
+	c := h.cur.Add(1)
+	for {
+		p := h.peak.Load()
+		if c <= p || h.peak.CompareAndSwap(p, c) {
+			break
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	h.cur.Add(-1)
+	return req, nil
+}
+
+// TestMuxBeyondInflightBoundStaysCorrect: three times more concurrent
+// calls than DefaultPerConnInflight on one connection queue for slots,
+// every caller gets its own reply, and the server never runs more than
+// the bound at once.
+func TestMuxBeyondInflightBoundStaysCorrect(t *testing.T) {
+	h := &peakHandler{}
+	addr := startTCP(t, h)
+	c := NewTCPClient(map[string]string{"s": addr})
 	defer c.Close()
 	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 3*DefaultPerConnInflight; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -426,28 +445,19 @@ func TestMuxSerializedModeStillCorrect(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if p := h.peak.Load(); p > DefaultPerConnInflight {
+		t.Fatalf("server ran %d calls of one connection at once, bound %d", p, DefaultPerConnInflight)
+	}
 }
 
 // TestNetworkPerAddrInflight asserts the in-process fabric honours the
 // per-address pipelining bound the TCP transport applies per connection.
 func TestNetworkPerAddrInflight(t *testing.T) {
-	var cur, peak atomic.Int64
+	h := &peakHandler{}
 	n := NewNetwork()
-	n.SetPerAddrInflight(2)
-	n.Register("s", HandlerFunc(func(context.Context, any) (any, error) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-		cur.Add(-1)
-		return nil, nil
-	}))
+	n.Register("s", h)
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 3*DefaultPerConnInflight; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -457,20 +467,23 @@ func TestNetworkPerAddrInflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("per-address bound 2 exceeded: peak %d", p)
+	if p := h.peak.Load(); p > DefaultPerConnInflight {
+		t.Fatalf("per-address bound %d exceeded: peak %d", DefaultPerConnInflight, p)
 	}
 	// A queued caller must honour its context.
+	var started sync.WaitGroup
+	started.Add(DefaultPerConnInflight)
 	n.Register("block", HandlerFunc(func(ctx context.Context, _ any) (any, error) {
+		started.Done()
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}))
 	bg, bgCancel := context.WithCancel(context.Background())
 	defer bgCancel()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultPerConnInflight; i++ {
 		go n.Call(bg, "block", 1)
 	}
-	time.Sleep(10 * time.Millisecond) // let both occupy the slots
+	started.Wait() // every slot is taken
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := n.Call(ctx, "block", 1); !errors.Is(err, context.DeadlineExceeded) {

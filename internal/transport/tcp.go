@@ -50,9 +50,9 @@ func SetFrameLimit(n int64) (restore func()) {
 	return func() { frameLimit.Store(prev) }
 }
 
-// DefaultPerConnInflight is the default bound on RPCs in flight on one
-// connection: the client's pipelining cap and the server's
-// per-connection worker-pool width. Deep enough that heavy traffic
+// DefaultPerConnInflight bounds the RPCs in flight on one connection:
+// it is the client's pipelining cap and the server's per-connection
+// worker-pool width, and the in-process Network's per-address bound. Deep enough that heavy traffic
 // pipelines freely, bounded so one peer cannot monopolise a server.
 const DefaultPerConnInflight = 32
 
@@ -170,24 +170,11 @@ func readFrame(r io.Reader) (*envelope, error) {
 // ---- server ----
 
 type serveOptions struct {
-	workers int
-	logf    func(format string, args ...any)
+	logf func(format string, args ...any)
 }
 
 // ServeOption configures Serve.
 type ServeOption func(*serveOptions)
-
-// WithPerConnWorkers sets the per-connection worker-pool width: how many
-// requests from one connection may execute simultaneously. Excess
-// requests queue in arrival order (read-side backpressure). Default
-// DefaultPerConnInflight.
-func WithPerConnWorkers(n int) ServeOption {
-	return func(o *serveOptions) {
-		if n > 0 {
-			o.workers = n
-		}
-	}
-}
 
 // WithLogf installs a logger for connection-level failures the request
 // path cannot report to any caller (reply-write errors, handler panics).
@@ -206,7 +193,7 @@ func WithLogf(f func(format string, args ...any)) ServeOption {
 // are dispatched to a bounded worker pool as they decode, so replies may
 // return out of order (each echoes its request id).
 func Serve(ctx context.Context, ln net.Listener, h Handler, opts ...ServeOption) error {
-	o := serveOptions{workers: DefaultPerConnInflight, logf: func(string, ...any) {}}
+	o := serveOptions{logf: func(string, ...any) {}}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -239,7 +226,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 	defer unblock()
 
 	var wmu sync.Mutex // one reply frame at a time
-	sem := make(chan struct{}, o.workers)
+	sem := make(chan struct{}, DefaultPerConnInflight)
 	for {
 		req, err := readFrame(conn)
 		if err != nil {
@@ -312,22 +299,12 @@ func dispatch(ctx context.Context, h Handler, req *envelope, logf func(string, .
 
 // ---- client ----
 
-// ClientOptions tunes a TCPClient.
-type ClientOptions struct {
-	// PerConnInflight bounds concurrent RPCs multiplexed on one
-	// connection; callers beyond it queue (context-aware) for a slot.
-	// 1 reproduces the serialised one-exchange-at-a-time wire behaviour.
-	// 0 → DefaultPerConnInflight.
-	PerConnInflight int
-}
-
 // TCPClient is a Caller that maps logical addresses to host:port targets
 // and maintains one persistent multiplexed connection per target: any
 // number of calls to the same target share the connection, each tagged
 // with a request id, with replies demultiplexed as they arrive (in any
 // order). Distinct targets dial and fail independently.
 type TCPClient struct {
-	opts   ClientOptions
 	mu     sync.Mutex
 	book   map[string]string // logical addr → host:port
 	conns  map[string]*tcpConn
@@ -341,7 +318,7 @@ type TCPClient struct {
 // call registered under their id.
 type tcpConn struct {
 	conn net.Conn
-	sem  chan struct{} // bounds RPCs in flight (cap PerConnInflight)
+	sem  chan struct{} // bounds RPCs in flight (cap DefaultPerConnInflight)
 	wtok chan struct{} // write token (cap 1): one frame at a time
 
 	mu       sync.Mutex
@@ -361,22 +338,13 @@ type pendingDial struct {
 	err  error
 }
 
-// NewTCPClient builds a client over an address book with default options.
+// NewTCPClient builds a client over an address book.
 func NewTCPClient(book map[string]string) *TCPClient {
-	return NewTCPClientOpts(book, ClientOptions{})
-}
-
-// NewTCPClientOpts builds a client over an address book.
-func NewTCPClientOpts(book map[string]string, opts ClientOptions) *TCPClient {
-	if opts.PerConnInflight <= 0 {
-		opts.PerConnInflight = DefaultPerConnInflight
-	}
 	b := make(map[string]string, len(book))
 	for k, v := range book {
 		b[k] = v
 	}
 	return &TCPClient{
-		opts:  opts,
 		book:  b,
 		conns: make(map[string]*tcpConn),
 		dials: make(map[string]*pendingDial),
@@ -586,7 +554,7 @@ func (c *TCPClient) dial(ctx context.Context, addr, target string) (*tcpConn, er
 	}
 	tc := &tcpConn{
 		conn:    conn,
-		sem:     make(chan struct{}, c.opts.PerConnInflight),
+		sem:     make(chan struct{}, DefaultPerConnInflight),
 		wtok:    make(chan struct{}, 1),
 		pending: make(map[uint64]chan *envelope),
 		done:    make(chan struct{}),

@@ -20,9 +20,8 @@
 // server dispatches each decoded request to a bounded per-connection
 // worker pool, so a slow call never blocks cheap ones queued behind it.
 // Replies may return in any order. The number of RPCs in flight on one
-// connection is bounded by DefaultPerConnInflight unless overridden
-// (ClientOptions.PerConnInflight / WithPerConnWorkers); the in-process
-// Network mirrors the same bound per address via SetPerAddrInflight.
+// connection is bounded by DefaultPerConnInflight, on both ends; the
+// in-process Network applies the same bound per address.
 //
 // Prism's trust model requires that servers never talk to each other;
 // the address-based topology makes that auditable: engines are handed a
@@ -57,8 +56,7 @@ type Caller interface {
 type Network struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
-	sems     map[string]chan struct{}
-	inflight int
+	sems     map[string]chan struct{} // per address, cap DefaultPerConnInflight
 	// EncodeWire forces every call through a frame encode/decode cycle,
 	// matching what the TCP transport does on the wire — including the
 	// frame cap: an encoding larger than FrameLimit() fails the call
@@ -74,28 +72,15 @@ func NewNetwork() *Network {
 	return &Network{handlers: make(map[string]Handler), sems: make(map[string]chan struct{})}
 }
 
-// SetPerAddrInflight bounds how many calls may execute concurrently per
-// address, mirroring the TCP transport's per-connection pipelining bound
-// so local-mode behaviour matches a wire deployment. 0 removes the
-// bound. Takes effect for calls issued after it returns.
-func (n *Network) SetPerAddrInflight(k int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.inflight = k
-	n.sems = make(map[string]chan struct{}) // resize on next use
-}
-
-// acquireSlot claims an in-flight slot for addr (when bounded), honouring
-// ctx while queued. The release func is nil-safe to call exactly once.
+// acquireSlot claims one of addr's DefaultPerConnInflight slots — the
+// bound the TCP transport applies per connection, so local-mode
+// behaviour matches a wire deployment — honouring ctx while queued. The
+// release func must be called exactly once.
 func (n *Network) acquireSlot(ctx context.Context, addr string) (func(), error) {
 	n.mu.Lock()
-	if n.inflight <= 0 {
-		n.mu.Unlock()
-		return func() {}, nil
-	}
 	sem, ok := n.sems[addr]
 	if !ok {
-		sem = make(chan struct{}, n.inflight)
+		sem = make(chan struct{}, DefaultPerConnInflight)
 		n.sems[addr] = sem
 	}
 	n.mu.Unlock()

@@ -73,14 +73,11 @@ func NewLocalSystem(cfg Config) (*System, error) {
 		tracer:  telemetry.NewTracer(0),
 	}
 	s.network.EncodeWire = cfg.EncodeWire
-	// Mirror the TCP transport's per-connection pipelining bound so
-	// local-mode behaviour matches a wire deployment.
-	s.network.SetPerAddrInflight(transport.DefaultPerConnInflight)
 
-	placement := make([]protocol.GroupRange, len(multi.Groups))
+	groupCfgs := make([]ownerengine.GroupConfig, len(multi.Groups))
 	for g, gsys := range multi.Groups {
 		engines := make([]*serverengine.Engine, params.NumServers)
-		gr := protocol.GroupRange{Start: gsys.Start, Count: gsys.B}
+		groupCfgs[g].View = gsys.ForOwner()
 		for phi := 0; phi < params.NumServers; phi++ {
 			view, err := gsys.ForServer(phi)
 			if err != nil {
@@ -108,34 +105,14 @@ func NewLocalSystem(cfg Config) (*System, error) {
 			engines[phi] = eng
 			addr := serverAddr(g, phi)
 			s.network.Register(addr, eng)
-			gr.Servers = append(gr.Servers, addr)
+			groupCfgs[g].Servers = append(groupCfgs[g].Servers, addr)
 		}
 		s.servers = append(s.servers, engines)
-		placement[g] = gr
 	}
 
 	s.ann = announcer.New(s.sys.ForAnnouncer())
-	s.ann.SetPlacement(placement)
 	s.network.Register("announcer", s.ann)
 
-	// Owners learn the placement the way a wire deployment would: from
-	// the announcer's placement announcement, not from shared memory.
-	rep, err := s.network.Call(context.Background(), "announcer", protocol.PlacementRequest{})
-	if err != nil {
-		return nil, fmt.Errorf("prism: fetching group placement: %w", err)
-	}
-	prep, ok := rep.(protocol.PlacementReply)
-	if !ok || len(prep.Groups) != len(multi.Groups) {
-		return nil, fmt.Errorf("prism: bad placement announcement (%T, %d groups)", rep, len(multi.Groups))
-	}
-	groupCfgs := make([]ownerengine.GroupConfig, len(multi.Groups))
-	for g, gsys := range multi.Groups {
-		if prep.Groups[g].Start != gsys.Start || prep.Groups[g].Count != gsys.B {
-			return nil, fmt.Errorf("prism: placement group %d covers [%d,+%d), params say [%d,+%d)",
-				g, prep.Groups[g].Start, prep.Groups[g].Count, gsys.Start, gsys.B)
-		}
-		groupCfgs[g] = ownerengine.GroupConfig{View: gsys.ForOwner(), Servers: prep.Groups[g].Servers}
-	}
 	ownerSeed := cfg.seed().Derive("owners")
 	s.cohort = &ownerengine.Cohort{Announcer: "announcer"}
 	for i := 0; i < cfg.Owners; i++ {
