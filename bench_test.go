@@ -80,7 +80,7 @@ func BenchmarkVerificationOverhead(b *testing.B) {
 // groups) scaled down to 2^14 cells — the op the vector extreme round
 // serves, sized so the rounds and not the PSI scan dominate.
 func BenchmarkPSIMax64(b *testing.B) {
-	sys := outsourced(b, prism.Config{Owners: 10, Groups: 2, Verify: true, EncodeWire: true}, 1<<14, 64, "psimax64")
+	sys := outsourced(b, prism.Config{Owners: 10, Groups: 2, Verify: true}, 1<<14, 64, "psimax64")
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -87,11 +87,7 @@ func main() {
 		fatal(err)
 	} else if rep != nil {
 		for _, t := range rep.Recovered {
-			fmt.Printf("prism-server: recovered table %q (epoch %d, owners %v", t.Name, t.Epoch, t.Owners)
-			if len(t.Adopted) > 0 {
-				fmt.Printf(", adopted %v", t.Adopted)
-			}
-			fmt.Println(")")
+			fmt.Printf("prism-server: recovered table %q (epoch %d, owners %v)\n", t.Name, t.Epoch, t.Owners)
 		}
 		for _, q := range rep.Quarantined {
 			fmt.Printf("prism-server: quarantined table %q: %s (%s)\n", q.Name, q.Reason, q.Detail)

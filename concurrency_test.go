@@ -18,7 +18,7 @@ import (
 // every owner.
 func concSystem(t testing.TB) *System {
 	t.Helper()
-	cfg := shape{owners: 4, b: 64, wire: true}.config(t)
+	cfg := shape{owners: 4, b: 64}.config(t)
 	cfg.AggColumns = []string{"v", "w"}
 	sys, err := NewLocalSystem(cfg)
 	if err != nil {

@@ -211,9 +211,10 @@ type Config struct {
 	// RecoveryReport says which). NewLocalSystem fails only on store-scan
 	// I/O errors — per-table problems quarantine instead of failing boot.
 	DiskDir string
-	// EncodeWire forces every message on the in-process transport
-	// through the wire frame codec, exercising exactly what the TCP
-	// transport sends.
+	// EncodeWire is ignored.
+	//
+	// Deprecated: every System puts every message through the wire
+	// frame codec, exactly what the TCP transport sends.
 	EncodeWire bool
 	// Trace records a per-phase timeline for every query: the system
 	// mints one trace id per query, the engines stamp it onto the wire

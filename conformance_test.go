@@ -44,7 +44,6 @@ type shape struct {
 	owners  int
 	k       int    // planted intersection cells; b plants every cell
 	b       uint64 // domain cells
-	wire    bool   // every message through the frame codec (Config.EncodeWire)
 }
 
 // manyWindows divides neither domain, 64 cells or 61.
@@ -54,27 +53,27 @@ const manyWindows = 10
 // data varies across it: 2–5 owners (median sees odd and even M),
 // intersections of 0, 1, 5 and b cells (k = b makes intersection equal
 // union) over 64 cells or the prime 61 (uneven group and window splits),
-// each value in memory and on disk, on one group and on several. One
-// two-group shape per storage puts every message through the frame codec.
+// each value in memory and on disk, on one group and on several. Every
+// shape puts every message through the frame codec, as every System does.
 var shapes = []shape{
-	{"mem", 0, 1, 2, 5, 64, false},
-	{"mem", 122, 2, 3, 0, 61, false},
-	{"mem", 0, 3, 4, 64, 64, false},
-	{"mem", manyWindows, 1, 5, 1, 61, false},
-	{"mem", manyWindows, 2, 4, 5, 64, true},
-	{"mem", manyWindows, 3, 3, 61, 61, false},
-	{"disk-nocache", 128, 1, 3, 1, 64, false},
-	{"disk-nocache", 0, 2, 5, 5, 61, true},
-	{"disk-nocache", 0, 3, 2, 5, 64, false},
-	{"disk-nocache", manyWindows, 1, 4, 0, 61, false},
-	{"disk-nocache", manyWindows, 2, 2, 64, 64, false},
-	{"disk-nocache", manyWindows, 3, 5, 5, 61, false},
-	{"disk-cache", 0, 1, 4, 61, 61, false},
-	{"disk-cache", 128, 2, 2, 1, 64, false},
-	{"disk-cache", 122, 3, 5, 0, 61, false},
-	{"disk-cache", manyWindows, 1, 3, 5, 64, false},
-	{"disk-cache", manyWindows, 2, 3, 0, 61, true},
-	{"disk-cache", manyWindows, 3, 4, 1, 64, false},
+	{"mem", 0, 1, 2, 5, 64},
+	{"mem", 122, 2, 3, 0, 61},
+	{"mem", 0, 3, 4, 64, 64},
+	{"mem", manyWindows, 1, 5, 1, 61},
+	{"mem", manyWindows, 2, 4, 5, 64},
+	{"mem", manyWindows, 3, 3, 61, 61},
+	{"disk-nocache", 128, 1, 3, 1, 64},
+	{"disk-nocache", 0, 2, 5, 5, 61},
+	{"disk-nocache", 0, 3, 2, 5, 64},
+	{"disk-nocache", manyWindows, 1, 4, 0, 61},
+	{"disk-nocache", manyWindows, 2, 2, 64, 64},
+	{"disk-nocache", manyWindows, 3, 5, 5, 61},
+	{"disk-cache", 0, 1, 4, 61, 61},
+	{"disk-cache", 128, 2, 2, 1, 64},
+	{"disk-cache", 122, 3, 5, 0, 61},
+	{"disk-cache", manyWindows, 1, 3, 5, 64},
+	{"disk-cache", manyWindows, 2, 3, 0, 61},
+	{"disk-cache", manyWindows, 3, 4, 1, 64},
 }
 
 func (sh shape) name() string {
@@ -106,7 +105,6 @@ func (sh shape) config(t testing.TB) Config {
 		Buckets:     true,
 		Groups:      sh.groups,
 		ShardCells:  sh.shard,
-		EncodeWire:  sh.wire,
 		Seed:        [32]byte{27, byte(sh.owners), byte(sh.groups), byte(sh.b), byte(sh.shard)},
 	}
 	chunk := sh.shard

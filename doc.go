@@ -103,8 +103,9 @@
 // (internal/sharestore): chunks are written atomically with their own
 // CRCs, and ranged reads touch only the chunks overlapping the window;
 // this is the only column format. An upload streams every incoming window
-// straight to pending chunked columns and promotes them on completion
-// (register-on-complete, recorded in the table manifest), and
+// straight into the owner's other column slot and commits on completion
+// with the manifest write naming that slot live (register-on-complete;
+// nothing is renamed), and
 // per-window query evaluation fetches only the overlapping chunks. The
 // stores write Config.ShardCells-cell chunks, so every window is a
 // whole number of chunks. Server resident memory while outsourcing is
@@ -132,9 +133,8 @@
 // with no owner re-outsourcing. Tables that fail validation are
 // quarantined (moved under the store's .quarantine/ area with a
 // machine-readable reason, data preserved) rather than served or
-// crashing boot; interrupted upload promotions are resumed and adopted;
-// assemblies from owners that crashed mid-upload are reclaimed so a
-// retry starts clean. Owners probe a restarted deployment cheaply with
+// crashing boot; columns of uploads that never reached their manifest
+// write are reclaimed so a retry starts clean. Owners probe a restarted deployment cheaply with
 // the ListTables RPC (prism-owner -op list): each server reports the
 // tables it serves, their owners, and a registration epoch that
 // survives restarts, so "still served", "re-registered since", and

@@ -156,7 +156,7 @@ func TestShardedBeatsFrameCap(t *testing.T) {
 	const b = 4096
 	// One window: a 4096-cell Shamir column alone is 32 KiB on the wire,
 	// eight times the cap.
-	sys := shape{owners: 3, b: b, wire: true}.system(t) // the cap applies to encoded frames
+	sys := shape{owners: 3, b: b}.system(t) // the cap applies to encoded frames
 	for j := 0; j < 3; j++ {
 		if err := sys.Owner(j).LoadCells([]uint64{41}, map[string][]uint64{"v": {1}}); err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestShardedBeatsFrameCap(t *testing.T) {
 	// under the cap — and splitting the domain across two groups never
 	// grows a frame, since a group's windows cover its own cells only.
 	for _, groups := range []int{1, 2} {
-		sys = shape{owners: 3, shard: 64, groups: groups, b: b, wire: true}.system(t)
+		sys = shape{owners: 3, shard: 64, groups: groups, b: b}.system(t)
 		orc := loadPlanted(t, sys, plantedCells(sys, 3), 7)
 		want := orc.answers()
 		for _, kind := range []OpKind{OpPSI, OpPSICount, OpPSISum} {

@@ -86,7 +86,7 @@ func TestBucketizedPSISharded(t *testing.T) {
 					// frames under the cap; a whole-table leaf-level upload
 					// (4096 χ shares of at least a byte each, plus the frame
 					// header) would burst it.
-					cfg := shape{owners: 3, shard: 64, b: 4096, wire: true}.config(t)
+					cfg := shape{owners: 3, shard: 64, b: 4096}.config(t)
 					if storage == "disk" {
 						cfg.DiskDir = t.TempDir()
 					}

@@ -10,17 +10,17 @@ import (
 // live file in a store (chunks, indexes, manifests, delta logs) must be
 // produced so that a crash at any instruction leaves something recovery
 // can trust (docs/ARCHITECTURE.md). The discipline lives in blessed
-// helpers: atomicWriteFile (tmp + rename for single files) and
-// swapInColumnDir (move-aside swap for column directories) replace
-// files, patchChunk alone writes into a live chunk where it lies, and
-// appendDeltaRecord alone appends to a live delta log file.
+// helpers: atomicWriteFile (tmp + rename) alone replaces a file,
+// patchChunk alone writes into a live chunk where it lies, and
+// appendDeltaRecord alone appends to a live delta log file. No column
+// directory is ever renamed: an upload commits by the manifest write.
 // The analyzer flags any other direct os.Create / os.WriteFile /
 // os.Rename call in the package, any os.OpenFile whose flags are not
 // provably read-only, and any (*os.File).Write / WriteAt / WriteString,
 // plus ignored error returns from Close, Sync or Rename (a swallowed
 // error there silently converts "durable" into "probably"). Audited
-// sites — staging writes into a not-yet-live directory, best-effort
-// rollback — carry //prism:allow atomicwrite.
+// sites — the Close of a file only read, the quarantine move of a whole
+// table directory — carry //prism:allow atomicwrite.
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
 	Doc:  "sharestore file writes must go through the blessed tmp+rename and in-place helpers, with no swallowed Close/Sync/Rename errors",
@@ -30,10 +30,7 @@ var AtomicWrite = &Analyzer{
 // blessedWriters are the sharestore functions allowed to touch
 // os.WriteFile/os.Create/os.Rename directly: they ARE the atomic-write
 // discipline.
-var blessedWriters = map[string]bool{
-	"atomicWriteFile": true,
-	"swapInColumnDir": true,
-}
+var blessedWriters = map[string]bool{"atomicWriteFile": true}
 
 // blessedInPlace are the sharestore functions allowed to open a live
 // file for writing and write into it where it lies. patchChunk writes a
@@ -80,7 +77,7 @@ func runAtomicWrite(pass *Pass) error {
 					}
 					switch {
 					case !replaces && rawWriteFuncs[obj.Name()]:
-						pass.Reportf(n.Pos(), "direct os.%s outside the blessed atomic-write helpers; use atomicWriteFile or swapInColumnDir so a crash cannot tear the file", obj.Name())
+						pass.Reportf(n.Pos(), "direct os.%s outside the blessed atomic-write helpers; use atomicWriteFile so a crash cannot tear the file", obj.Name())
 					case !inPlace && obj.Name() == "OpenFile" && !readOnlyFlags(info, obj.Pkg(), n):
 						pass.Reportf(n.Pos(), "write-mode os.OpenFile outside the blessed in-place helpers patchChunk and appendDeltaRecord; a write into a live file must keep it recoverable at every crash point")
 					case !inPlace && fileWriteMethods[obj.Name()] && isOSFileMethod(obj):

@@ -4,20 +4,24 @@ package sharestore
 
 import "os"
 
-// atomicWriteFile is blessed: it IS the tmp+rename discipline.
+// atomicWriteFile is blessed: it IS the tmp+rename discipline. Even
+// blessed code must not discard the rename's error.
 func atomicWriteFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	os.Rename(tmp, path) // want "os.Rename with its error discarded"
+	return nil
 }
 
-// swapInColumnDir is blessed for directory swaps, but even blessed code
-// must not discard a rename error.
-func swapInColumnDir(src, dst string) error {
-	os.Rename(dst, dst+".old") // want "os.Rename with its error discarded"
-	return os.Rename(src, dst)
+// renameColumnDir moves a live column directory aside and another into
+// its place: no directory rename is blessed, so both are flagged.
+func renameColumnDir(src, dst string) error {
+	if err := os.Rename(dst, dst+".old"); err != nil { // want "direct os.Rename outside the blessed atomic-write helpers"
+		return err
+	}
+	return os.Rename(src, dst) // want "direct os.Rename outside the blessed atomic-write helpers"
 }
 
 // writeManifest bypasses the helper — the seeded violation.

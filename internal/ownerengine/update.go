@@ -68,9 +68,6 @@ func (o *engine) prepareUpdate(table string, add, remove *Data) (*update, error)
 	if err != nil {
 		return nil, err
 	}
-	if t.mult == nil {
-		return nil, fmt.Errorf("ownerengine: table %q has no update state (outsourced by an older process? use AdoptTable)", table)
-	}
 	for _, d := range []*Data{add, remove} {
 		if d == nil {
 			continue

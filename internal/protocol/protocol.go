@@ -416,7 +416,7 @@ type ListTablesRequest struct{}
 // TableStatus describes one served table: its layout, which owners have
 // completed outsourcing, and the server's registration epoch for it.
 // The epoch increases on every registration event (an owner completing
-// an upload, a re-outsource, a recovery adoption) and is persisted in
+// an upload or a re-outsource, a compaction) and is persisted in
 // the disk manifest, so it survives restarts: an owner that remembers
 // the epoch from its last probe can cheaply detect both "table gone"
 // and "table replaced since I last looked".

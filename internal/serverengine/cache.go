@@ -13,8 +13,8 @@ import (
 // engine, the owner chunks the overlay merge reads its base cells from
 // (colKey names; see ownerBase), so a pending update costs one chunk
 // read per owner and chunk per epoch, not one per query. An epoch ends
-// whenever the table changes (a Store from any owner, a compaction swap,
-// a recovery adoption): the engine swaps in a fresh cache so
+// whenever the table changes (a Store from any owner, a compaction
+// swap): the engine swaps in a fresh cache so
 // later queries never serve stale entries. Entries already cached stay
 // visible to queries holding the old snapshot, but a disk cache miss
 // always reads the store's current files — so a query overlapping a

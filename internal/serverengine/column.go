@@ -5,8 +5,9 @@
 // and χ̄ as uint16 additive shares, each sum/count column and its
 // verification twin as uint64 field shares. specCols is the single
 // enumeration of those columns; every layer names a column by the layout
-// name it produces ("chi", "sum.<col>", …), in RAM (ownerCols), on disk
-// ("o<owner>.<name>"), in the delta log and in the epoch cache. The code
+// name it produces ("chi", "sum.<col>", …), in RAM (ownerCols), in the
+// delta log and in the epoch cache ("o<owner>.<name>", colKey), and on
+// disk in the owner's live slot (slotKey). The code
 // here is generic over the cell type: the only width-specific work left
 // is the little-endian layout the store reads through (levec). A kernel
 // reads one owner-summed vector (ownerSum), cut from the one owner sum
@@ -63,8 +64,23 @@ func (e *Engine) specCols(spec protocol.TableSpec) []colDef {
 	return out
 }
 
-// colKey is the on-disk column name for one owner's column.
+// colKey is the logical name of one owner's column: the delta log, the
+// overlay and the epoch cache key columns by it, and it is the column's
+// on-disk name in slot 0.
 func colKey(owner int, col string) string { return fmt.Sprintf("o%d.%s", owner, col) }
+
+// slotKey is the on-disk name of one owner's column in one of its two
+// column slots: slot 0 is colKey's name, slot 1 "pend<owner>.<col>",
+// the name builds before slots streamed uploads into, so a store such a
+// build left mid-upload holds nothing but a slot no manifest names. The
+// manifest records each owner's live slot (TableManifest.Slots); an
+// upload writes the other. This is the one place a disk name is made.
+func slotKey(owner, slot int, col string) string {
+	if slot == 0 {
+		return colKey(owner, col)
+	}
+	return fmt.Sprintf("pend%d.%s", owner, col)
+}
 
 // splitColKey is colKey's inverse.
 func splitColKey(key string) (owner int, col string, ok bool) {
@@ -76,18 +92,17 @@ func splitColKey(key string) (owner int, col string, ok bool) {
 	return owner, col, err == nil && owner >= 0
 }
 
-// pendColKey is the pending (streaming upload) name of the same column.
-func pendColKey(owner int, col string) string { return fmt.Sprintf("pend%d.%s", owner, col) }
-
 // colSet is the columns of one cell type, keyed by layout name.
 type colSet[T sharestore.Cell] map[string][]T
 
 // ownerCols is one owner's column set. Once registered in a table it is
 // immutable, so queries read it without locks; on a disk engine it holds
-// no cells — the columns live in the store under colKey names.
+// no cells — the columns live in the store under the slotKey names of
+// its slot.
 type ownerCols struct {
-	u16 colSet[uint16]
-	u64 colSet[uint64]
+	u16  colSet[uint16]
+	u64  colSet[uint64]
+	slot int
 }
 
 // setOf selects the T-typed half of oc.
@@ -197,38 +212,64 @@ func (oc *ownerCols) bytes() int64 {
 	return oc.u16.bytes() + oc.u64.bytes()
 }
 
-// createCols initialises empty cells-cell store columns under key(name),
-// in cols order: promotion renames them away in the same order, so the
-// first column's pending copy tells recovery whether promotion had begun.
-func createCols(st *sharestore.Store, table string, key func(string) string, cols []colDef, cells uint64) error {
+// createCols initialises empty cells-cell store columns in one owner's
+// slot, in cols order, once dropSlot has emptied the slot last column
+// first. So at every crash point the columns a slot holds are a prefix
+// of cols: a slot whose first column is missing while a later one is
+// present was left by a build before slots, mid-way through renaming an
+// upload over the live columns (see recoverTable).
+func (e *Engine) createCols(table string, owner, slot int, cols []colDef, cells uint64) error {
+	if _, err := e.dropSlot(table, owner, slot, cols); err != nil {
+		return err
+	}
 	for _, cd := range cols {
 		mk := sharestore.Create[uint64]
 		if cd.width == 2 {
 			mk = sharestore.Create[uint16]
 		}
-		if err := mk(st, table, key(cd.name), cells); err != nil {
+		if err := mk(e.opts.Store, table, slotKey(owner, slot, cd.name), cells); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeAt patches the set's columns into the existing store columns
-// key(name) as the window starting at cell off.
-func (s colSet[T]) writeAt(st *sharestore.Store, table string, key func(string) string, off uint64) error {
+// dropSlot deletes the columns one owner's slot holds, last column
+// first (see createCols), and reports whether it held any.
+func (e *Engine) dropSlot(table string, owner, slot int, cols []colDef) (dropped bool, err error) {
+	st := e.opts.Store
+	for i := len(cols) - 1; i >= 0; i-- {
+		key := slotKey(owner, slot, cols[i].name)
+		if !st.HasColumn(table, key) {
+			continue
+		}
+		dropped = true
+		if err := e.step("drop:" + key); err != nil {
+			return dropped, err
+		}
+		if err := st.DeleteColumn(table, key); err != nil {
+			return dropped, err
+		}
+	}
+	return dropped, nil
+}
+
+// writeAt patches the set's columns into one owner's slot as the window
+// starting at cell off.
+func (s colSet[T]) writeAt(st *sharestore.Store, table string, owner, slot int, off uint64) error {
 	for name, v := range s {
-		if err := sharestore.WriteRange(st, table, key(name), off, v); err != nil {
+		if err := sharestore.WriteRange(st, table, slotKey(owner, slot, name), off, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (oc *ownerCols) writeAt(st *sharestore.Store, table string, key func(string) string, off uint64) error {
-	if err := oc.u16.writeAt(st, table, key, off); err != nil {
+func (oc *ownerCols) writeAt(st *sharestore.Store, table string, owner, slot int, off uint64) error {
+	if err := oc.u16.writeAt(st, table, owner, slot, off); err != nil {
 		return err
 	}
-	return oc.u64.writeAt(st, table, key, off)
+	return oc.u64.writeAt(st, table, owner, slot, off)
 }
 
 // patch replaces column name with a copy that has dc's delta entries
@@ -261,7 +302,7 @@ func (s colSet[T]) patch(name string, dc sharestore.DeltaCol) bool {
 // than owner 0's excepted). A window is a reslice of the sum; a
 // window of a permuted reply, the whole table included, one gather from
 // it (gatherCells). resetCache, run on every registration, compaction
-// swap and recovery adoption, is the only invalidation. The overlay is
+// swap and recovery, is the only invalidation. The overlay is
 // merged into the fetched cells afterwards (mergeOverlay).
 //
 // Underneath, a build reads one owner's base cells — overlay-free —
@@ -343,7 +384,7 @@ func fetchWindow[T sharestore.Cell](e *Engine, t *tableView, owner int, col stri
 	}
 	out := cellPool[T]().Get(int(rg.Count))
 	start := time.Now()
-	err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, colKey(owner, col), rg.Offset, out)
+	err := sharestore.ReadRangeInto(e.opts.Store, t.spec.Name, slotKey(owner, t.owners[owner].slot, col), rg.Offset, out)
 	fetchTime(stats, start)
 	if err != nil {
 		release(e, out)
@@ -416,7 +457,7 @@ func chunkGrid(e *Engine, t *tableView, owner int, col string) (cc, cells uint64
 	if e.opts.Store == nil {
 		return max(t.spec.B, 1), t.spec.B, nil
 	}
-	info, err := e.opts.Store.Stat(t.spec.Name, colKey(owner, col))
+	info, err := e.opts.Store.Stat(t.spec.Name, slotKey(owner, t.owners[owner].slot, col))
 	return max(info.ChunkCells, 1), info.Cells, err
 }
 

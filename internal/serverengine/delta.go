@@ -368,10 +368,9 @@ func baseChunk[T sharestore.Cell](e *Engine, t *tableView, owner int, col string
 	if e.opts.Store == nil {
 		return memCol[T](e, t, owner, col)
 	}
-	key := colKey(owner, col)
-	return cached(t, chunkID{key, k}, stats, func() ([]T, error) {
+	return cached(t, chunkID{colKey(owner, col), k}, stats, func() ([]T, error) {
 		defer fetchTime(stats, time.Now())
-		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, key, k)
+		return sharestore.ReadChunk[T](e.opts.Store, t.spec.Name, slotKey(owner, t.owners[owner].slot, col), k)
 	})
 }
 
@@ -507,27 +506,32 @@ type CompactStats struct {
 	Epoch   uint64 // table epoch after the pass (0 if nothing to do)
 }
 
-// SetCompactStepHook installs a hook called before each compaction
-// ordering point: "through" (after the manifest records the pass's
+// SetCompactStepHook installs a hook called at each ordering point of a
+// compaction pass: "through" (after the manifest records the pass's
 // CompactThrough), "patch:<col>", "cells:<col>/<k>" (between chunk k's
 // new CRC and its cells), "swap" and "delete:<first-seq>" (before each
-// sealed log file, named by its first sequence, goes). A non-nil error
-// aborts the pass at that point, leaving disk state exactly as a crash
-// there would — the crash-recovery tests drive every point.
+// sealed log file, named by its first sequence, goes) — and of a disk
+// upload: "upload:created" (the slot's columns exist),
+// "upload:window:<off>" (after each window is written),
+// "upload:manifest" (after the commit) and "drop:<disk column>" (before
+// each column of a slot is deleted). A non-nil error aborts the pass or
+// upload at that point, leaving disk state exactly as a crash there
+// would — the crash-recovery tests drive every point.
 func (e *Engine) SetCompactStepHook(h func(step string) error) {
-	e.compactHookMu.Lock()
-	e.compactHook = h
-	e.compactHookMu.Unlock()
+	e.stepHookMu.Lock()
+	e.stepHook = h
+	e.stepHookMu.Unlock()
 }
 
-func (e *Engine) compactStep(step string) error {
-	e.compactHookMu.Lock()
-	h := e.compactHook
-	e.compactHookMu.Unlock()
+// step runs the ordering-point hook (SetCompactStepHook), if any.
+func (e *Engine) step(name string) error {
+	e.stepHookMu.Lock()
+	h := e.stepHook
+	e.stepHookMu.Unlock()
 	if h == nil {
 		return nil
 	}
-	return h(step)
+	return h(name)
 }
 
 // Compact folds one table's delta overlay into its base columns:
@@ -613,7 +617,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		if err := e.writeManifestSnapshot(t); err != nil {
 			return st, err
 		}
-		if err := e.compactStep("through"); err != nil {
+		if err := e.step("through"); err != nil {
 			return st, err
 		}
 		for _, j := range owners {
@@ -635,7 +639,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 		}
 	}
 
-	if err := e.compactStep("swap"); err != nil {
+	if err := e.step("swap"); err != nil {
 		return st, err
 	}
 	e.mu.Lock()
@@ -686,7 +690,7 @@ func (e *Engine) Compact(name string) (CompactStats, error) {
 // sealed name is ever reused.
 func (e *Engine) deleteSealed(name string, sealed []uint64) (int, error) {
 	for n, first := range sealed {
-		if err := e.compactStep(fmt.Sprintf("delete:%d", first)); err != nil {
+		if err := e.step(fmt.Sprintf("delete:%d", first)); err != nil {
 			return n, err
 		}
 		if err := e.opts.Store.DeleteDeltaLog(name, first); err != nil {
@@ -697,13 +701,13 @@ func (e *Engine) deleteSealed(name string, sealed []uint64) (int, error) {
 }
 
 // patchOwner patches one owner's columns of the snapshot into the store
-// in place and returns the entries it folded. It holds the owner's
-// upload lock, so a re-outsource never promotes new columns while their
-// predecessors are being patched, and it patches nothing if the owner's
-// registration is no longer was: a re-outsource since the snapshot
-// replaced those columns, and its entries with them. A chunk the patch
-// leaves torn bars later passes (midPatch) until a restart rolls it
-// forward.
+// in place — in the owner's live slot — and returns the entries it
+// folded. It holds the owner's upload lock, so a re-outsource never
+// commits, and deletes the slot being patched, mid-pass, and it patches
+// nothing if the owner's registration is no longer was: a re-outsource
+// since the snapshot replaced those columns, and its entries with them.
+// A chunk the patch leaves torn bars later passes (midPatch) until a
+// restart rolls it forward.
 func (e *Engine) patchOwner(t *table, name string, j int, was *ownerCols, cols []string, snap map[string]sharestore.DeltaCol) (int, error) {
 	mu := e.storeLock(fmt.Sprintf("%s/%d", name, j))
 	mu.Lock()
@@ -717,12 +721,13 @@ func (e *Engine) patchOwner(t *table, name string, j int, was *ownerCols, cols [
 	sort.Strings(cols)
 	n := 0
 	for _, cn := range cols {
-		if err := e.compactStep("patch:" + cn); err != nil {
+		if err := e.step("patch:" + cn); err != nil {
 			return n, err
 		}
 		dc := snap[cn]
-		err := e.opts.Store.PatchCellsStep(name, cn, dc.Width, dc.Pos, dc.Vals, func(k uint64) error {
-			return e.compactStep(fmt.Sprintf("cells:%s/%d", cn, k))
+		_, col, _ := splitColKey(cn)
+		err := e.opts.Store.PatchCellsStep(name, slotKey(j, was.slot, col), dc.Width, dc.Pos, dc.Vals, func(k uint64) error {
+			return e.step(fmt.Sprintf("cells:%s/%d", cn, k))
 		})
 		if err != nil {
 			if errors.Is(err, sharestore.ErrMidPatch) {
@@ -768,17 +773,24 @@ func (e *Engine) writeManifestSnapshot(t *table) error {
 	defer e.manifestMu.Unlock()
 	e.mu.RLock()
 	man := TableManifest{
-		Version: manifestVersion(t.compactThrough), Epoch: t.epoch, Spec: t.spec,
+		Epoch: t.epoch, Spec: t.spec,
 		CompactThrough: t.compactThrough, Group: e.opts.Group,
 	}
-	for j := range t.owners {
+	for j, oc := range t.owners {
 		man.Owners = append(man.Owners, j)
+		if oc.slot != 0 {
+			if man.Slots == nil {
+				man.Slots = make(map[int]int)
+			}
+			man.Slots[j] = oc.slot
+		}
 	}
 	if len(t.deltaFloor) > 0 {
 		man.DeltaFloor = maps.Clone(t.deltaFloor)
 	}
 	e.mu.RUnlock()
 	sort.Ints(man.Owners)
+	man.Version = manifestVersion(&man)
 	return e.opts.Store.WriteManifest(t.spec.Name, man)
 }
 

@@ -142,13 +142,14 @@ type Engine struct {
 	recovery    *RecoveryReport
 	recoveryErr error
 
-	// compactHook intercepts compaction ordering points (crash-recovery
-	// tests); compactStop/compactDone manage the CompactEvery ticker.
-	compactHookMu sync.Mutex
-	compactHook   func(step string) error
-	compactStop   chan struct{}
-	compactDone   chan struct{}
-	closeOnce     sync.Once
+	// stepHook intercepts compaction and upload ordering points
+	// (crash-recovery tests); compactStop/compactDone manage the
+	// CompactEvery ticker.
+	stepHookMu  sync.Mutex
+	stepHook    func(step string) error
+	compactStop chan struct{}
+	compactDone chan struct{}
+	closeOnce   sync.Once
 
 	// heldBytes/peakHeld track the column bytes this engine holds
 	// resident: in-RAM pending upload assemblies, registered in-memory
@@ -163,7 +164,7 @@ type table struct {
 	spec   protocol.TableSpec
 	owners map[int]*ownerCols
 	// epoch counts registration events for this table (an owner
-	// completing an upload, a recovery adoption). Disk-backed engines
+	// completing an upload, a compaction swap). Disk-backed engines
 	// persist it in the manifest, so it survives restarts and owners can
 	// use ListTables to tell "still served" from "replaced since I last
 	// probed".

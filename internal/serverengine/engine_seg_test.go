@@ -219,8 +219,8 @@ func TestPendingUploadTTLSweep(t *testing.T) {
 			if e.HeldBytes() != 0 {
 				t.Errorf("held bytes = %d after sweep, want 0", e.HeldBytes())
 			}
-			if disk && stores[0].HasColumn("t", "pend0.chi") {
-				t.Error("pending disk column survives sweep")
+			if disk && stores[0].HasColumn("t", "o0.chi") {
+				t.Error("the swept upload's disk column survives sweep")
 			}
 
 			// A fresh retry (new attempt id) completes cleanly.

@@ -8,8 +8,9 @@
 //     existed: left in place, reported as ignored, never served and
 //     never deleted.
 //  2. Manifest unreadable, from a newer format version, naming a
-//     different table, disagreeing with the system domain, or listing
-//     impossible owners → the whole table is quarantined (moved under
+//     different table or server group, disagreeing with the system
+//     domain, listing impossible owners or naming a live slot for an
+//     owner it does not list → the whole table is quarantined (moved under
 //     .quarantine/ with a machine-readable reason, data preserved).
 //  3. The delta log is read once (sharestore.ReadDeltaLog, which moves
 //     a store's pre-log segments into it and cuts off a torn last
@@ -19,32 +20,21 @@
 //     chunks it patched in place may be torn, and are rolled forward
 //     from the log's records first (rollForward); one that replay cannot
 //     make whole quarantines the table.
-//     Every manifest-listed owner's columns are validated against the
-//     spec-derived layout: element width, cell count, chunk count, and
-//     a CRC spot-check of the edge chunks. Any failure quarantines the
-//     table — a corrupt column is never served and never crashes boot.
-//  4. An owner IN the manifest with pending columns was re-outsourcing.
-//     Pending columns are created and promoted in layout order, so while
-//     the first column's pending copy exists no live column has been
-//     replaced: the registered epoch keeps serving and the assembly is
-//     reclaimed. Once it is gone the promotion had begun, every column
-//     being fully assembled: recovery finishes the renames and fences
-//     the owner's older delta records, so the owner serves the new
-//     epoch whole — never a mix of the two.
-//     Owners NOT in the manifest are classified by what their columns
-//     look like:
-//     - only pending ("pend<j>.*") columns → the owner crashed
-//     mid-upload; the received-window bookkeeping died with the old
-//     process, so the assembly cannot be resumed and is reclaimed
-//     (pending columns deleted; the owner's retry starts clean).
-//     - a mix of live and pending columns (or all live, manifest write
-//     lost) → the server crashed mid-promotion. Promotion only starts
-//     once every cell of every column has arrived, so each column is
-//     complete on exactly one side; recovery verifies each side,
-//     finishes the renames, and adopts the owner into the manifest
-//     (epoch bumped, manifest rewritten durably).
-//     - anything else (a column missing on both sides, a corrupt half)
-//     → quarantined as a partial promotion.
+//     Every manifest-listed owner's columns in its live slot
+//     (TableManifest.Slots) are validated against the spec-derived
+//     layout: element width, cell count, chunk count, and a CRC
+//     spot-check of the edge chunks. Any failure quarantines the table —
+//     a corrupt column is never served and never crashes boot.
+//  4. Every other column is an upload that never reached its commit
+//     point, the manifest write naming its slot live — StoreReply is sent
+//     only after that write, so no owner was told it landed — or the
+//     slot a committed upload had not yet deleted: it is reclaimed. One
+//     shape is refused instead: a listed owner's other slot whose first
+//     column is missing while a later one is present. Slots fill first
+//     column first and empty last column first, so only a build before
+//     slots leaves that — mid-way through renaming an upload over the
+//     live columns, some already replaced — and the table is quarantined
+//     as a partial promotion rather than served as a mix of two uploads.
 //  5. Surviving tables are registered into the serving path exactly as
 //     a live registration would: on-disk owner column sets (zero held
 //     bytes), a cold epoch cache, and the manifest's epoch.
@@ -62,7 +52,6 @@ import (
 	"fmt"
 	"io/fs"
 	"slices"
-	"sort"
 
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
@@ -74,10 +63,6 @@ type RecoveredTable struct {
 	Spec   protocol.TableSpec
 	Owners []int
 	Epoch  uint64
-	// Adopted lists owners whose interrupted promotion was completed
-	// during recovery (crash between the pending-column renames and the
-	// manifest write); empty for clean restarts.
-	Adopted []int
 }
 
 // QuarantinedTable describes one table recovery moved aside.
@@ -94,8 +79,9 @@ type RecoveryReport struct {
 	// Ignored lists directories left untouched and unserved: directories
 	// without a manifest, and manifests listing no completed owner.
 	Ignored []string
-	// PendingReclaimed counts crashed mid-upload assemblies whose pending
-	// columns were deleted (one per table/owner pair).
+	// PendingReclaimed counts the (table, owner) pairs whose columns
+	// outside the live slot — a crashed upload, or the slot a committed
+	// upload had not yet deleted — were deleted.
 	PendingReclaimed int
 }
 
@@ -104,8 +90,7 @@ type RecoveryReport struct {
 // complete table into the serving path — a restarted server resumes
 // serving without any owner re-outsourcing. Corrupt or
 // partially-promoted tables are quarantined with a machine-readable
-// reason rather than served; crashed mid-upload assemblies are
-// reclaimed; interrupted promotions are resumed and adopted. The
+// reason rather than served; uncommitted uploads are reclaimed. The
 // returned error reports store-level I/O failures only — per-table
 // problems are in the report.
 func (e *Engine) recoverStore() (*RecoveryReport, error) {
@@ -124,8 +109,8 @@ func (e *Engine) recoverStore() (*RecoveryReport, error) {
 }
 
 // recoverTable runs the state machine above for one table directory.
-// The returned error reports I/O failures (rename/manifest writes);
-// validation failures quarantine and return nil.
+// The returned error reports I/O failures (the delta log read, manifest
+// writes); validation failures quarantine and return nil.
 func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	st := e.opts.Store
 	var man TableManifest
@@ -166,6 +151,13 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 		}
 		seen[j] = true
 	}
+	for j, slot := range man.Slots {
+		if !seen[j] || slot < 0 || slot > 1 {
+			e.quarantine(rep, name, "slot-invalid",
+				fmt.Sprintf("manifest names slot %d live for owner %d, listed owners %v", slot, j, man.Owners))
+			return nil
+		}
+	}
 
 	cols := e.specCols(man.Spec)
 
@@ -189,67 +181,47 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 		}
 	}
 
-	// Manifest-covered owners: every column must be present and clean.
+	// Listed owners: every column of the live slot must be present and
+	// clean, and the other slot must not be a pre-slot build's
+	// half-renamed upload.
 	for _, j := range man.Owners {
+		live := man.Slots[j]
 		for _, cd := range cols {
-			if err := st.VerifyColumn(name, colKey(j, cd.name), cd.width, man.Spec.B); err != nil {
+			if err := st.VerifyColumn(name, slotKey(j, live, cd.name), cd.width, man.Spec.B); err != nil {
 				e.quarantine(rep, name, "column-corrupt", err.Error())
 				return nil
 			}
 		}
+		has := func(cd colDef) bool { return st.HasColumn(name, slotKey(j, 1-live, cd.name)) }
+		if i := slices.IndexFunc(cols, has); i > 0 {
+			e.quarantine(rep, name, "partial-promotion",
+				fmt.Sprintf("owner %d: slot %d holds column %s but not %s", j, 1-live, cols[i].name, cols[0].name))
+			return nil
+		}
 	}
 
-	// Resume interrupted promotions, reclaim crashed uploads, quarantine
-	// inconsistent leftovers.
-	owners := append([]int(nil), man.Owners...)
-	var adopted, reoutsourced []int
+	// Reclaim every column outside a listed owner's live slot —
+	// best-effort: a column a failed delete leaves is never served, and
+	// the next upload into its slot or the next boot deletes it.
 	for j := 0; j < e.view.M; j++ {
-		liveN, pendN := 0, 0
-		for _, cd := range cols {
-			if st.HasColumn(name, colKey(j, cd.name)) {
-				liveN++
+		reclaimed := false
+		for slot := 0; slot < 2; slot++ {
+			if seen[j] && slot == man.Slots[j] {
+				continue
 			}
-			if st.HasColumn(name, pendColKey(j, cd.name)) {
-				pendN++
-			}
+			dropped, _ := e.dropSlot(name, j, slot, cols)
+			reclaimed = reclaimed || dropped
 		}
-		// The first column is created first and promoted first.
-		promoting := pendN > 0 && !st.HasColumn(name, pendColKey(j, cols[0].name))
-		switch {
-		case liveN == 0 && pendN == 0:
-			// Owner never uploaded (or was reclaimed before): nothing to do.
-		case liveN == 0, seen[j] && !promoting:
-			// Crashed mid-upload: the received-window bookkeeping is gone,
-			// so the assembly cannot be resumed. A registered owner's
-			// epoch keeps serving, none of its columns replaced yet.
-			rep.PendingReclaimed += e.reclaimOwnerPending(name, cols, j)
-		default:
-			// Promotion had begun, so every column was fully assembled:
-			// verify each side and finish the renames.
-			if reason, detail, err := e.resumePromotion(name, cols, man.Spec.B, j); err != nil {
-				return err
-			} else if reason != "" {
-				e.quarantine(rep, name, reason, detail)
-				return nil
-			}
-			e.reclaimOwnerPending(name, cols, j) // duplicates the renames skipped
-			if seen[j] {
-				reoutsourced = append(reoutsourced, j)
-			} else {
-				owners = append(owners, j)
-			}
-			adopted = append(adopted, j)
+		if reclaimed {
+			rep.PendingReclaimed++
 		}
 	}
-	if len(owners) == 0 {
+	if len(man.Owners) == 0 {
 		rep.Ignored = append(rep.Ignored, name) // manifest lists no completed owner
 		return nil
 	}
-	sort.Ints(owners)
-	epoch := man.Epoch
-	if len(adopted) > 0 {
-		epoch++
-	}
+	owners := slices.Clone(man.Owners)
+	slices.Sort(owners)
 
 	// Replay the delta log: validate and merge every record into a fresh
 	// overlay, in sequence order, exactly as the live StoreDelta path
@@ -258,14 +230,6 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	// the domain quarantines the table. Entries at or below an owner's
 	// re-outsource floor describe a superseded share stream and are
 	// skipped.
-	if len(reoutsourced) > 0 && len(recs) > 0 {
-		if man.DeltaFloor == nil {
-			man.DeltaFloor = make(map[int]uint64)
-		}
-		for _, j := range reoutsourced {
-			man.DeltaFloor[j] = recs[len(recs)-1].Seq // every record predates the new base
-		}
-	}
 	var overlay *deltaOverlay
 	var deltaSeq uint64
 	colDefs := make(map[string]colDef, len(owners)*len(cols))
@@ -315,9 +279,9 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	// (zero held bytes), a cold cache, the durable epoch, the replayed
 	// delta overlay.
 	e.mu.Lock()
-	t := &table{spec: man.Spec, owners: make(map[int]*ownerCols, len(owners)), epoch: epoch, deltaSeq: deltaSeq}
+	t := &table{spec: man.Spec, owners: make(map[int]*ownerCols, len(owners)), epoch: man.Epoch, deltaSeq: deltaSeq}
 	for _, j := range owners {
-		t.owners[j] = &ownerCols{}
+		t.owners[j] = &ownerCols{slot: man.Slots[j]}
 	}
 	if overlay != nil {
 		t.delta = overlay
@@ -333,23 +297,21 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	e.tables[name] = t
 	e.mu.Unlock()
 
-	if len(adopted) > 0 || man.CompactThrough > 0 {
-		// Make the adoption durable so the next restart trusts the
-		// promoted columns directly, and clear a CompactThrough whose
-		// chunks are whole again.
+	if man.CompactThrough > 0 {
+		// Clear a CompactThrough whose chunks are whole again.
 		if err := e.writeManifestSnapshot(t); err != nil {
 			return err
 		}
 	}
 	rep.Recovered = append(rep.Recovered, RecoveredTable{
-		Name: name, Spec: man.Spec, Owners: owners, Epoch: epoch, Adopted: adopted,
+		Name: name, Spec: man.Spec, Owners: owners, Epoch: man.Epoch,
 	})
 	return nil
 }
 
 // rollForward finishes the in-place patches of a compaction pass whose
 // post-swap manifest write never happened. It replays the log's records
-// up to man.CompactThrough over the manifest owners' columns, skipping
+// up to man.CompactThrough over the manifest owners' live slots, skipping
 // each owner's at or below its DeltaFloor, and hands the newest value
 // per position to sharestore's RollForward, which rewrites only the
 // chunks whose CRC says they are torn and accepts them only if the
@@ -381,56 +343,12 @@ func (e *Engine) rollForward(name string, man *TableManifest, cols []colDef, rec
 	}
 	snap, _ := replay.snapshot()
 	for cn, dc := range snap {
-		if err := e.opts.Store.RollForward(name, cn, dc.Width, dc.Pos, dc.Vals); err != nil {
+		j, col, _ := splitColKey(cn)
+		if err := e.opts.Store.RollForward(name, slotKey(j, man.Slots[j], col), dc.Width, dc.Pos, dc.Vals); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// resumePromotion completes an interrupted pending→live rename sweep for
-// one owner. Each column must be complete on one side: pending, fully
-// assembled and not yet promoted (over the previous epoch's live column,
-// when the owner was re-outsourcing), or else live; the pending side is
-// verified before it is renamed. A non-empty reason means the table must
-// be quarantined; err reports I/O failures.
-func (e *Engine) resumePromotion(name string, cols []colDef, b uint64, owner int) (reason, detail string, err error) {
-	st := e.opts.Store
-	for _, cd := range cols {
-		live, pend := colKey(owner, cd.name), pendColKey(owner, cd.name)
-		switch {
-		case st.HasColumn(name, pend):
-			if verr := st.VerifyColumn(name, pend, cd.width, b); verr != nil {
-				return "partial-promotion", verr.Error(), nil
-			}
-			if rerr := st.RenameColumn(name, pend, live); rerr != nil {
-				return "", "", rerr
-			}
-		case st.HasColumn(name, live):
-			if verr := st.VerifyColumn(name, live, cd.width, b); verr != nil {
-				return "partial-promotion", verr.Error(), nil
-			}
-		default:
-			return "partial-promotion",
-				fmt.Sprintf("owner %d column %s missing in both live and pending form", owner, cd.name), nil
-		}
-	}
-	return "", "", nil
-}
-
-// reclaimOwnerPending deletes one owner's pending upload columns,
-// returning 1 if any existed (one reclaimed assembly), else 0.
-func (e *Engine) reclaimOwnerPending(name string, cols []colDef, owner int) int {
-	st := e.opts.Store
-	had := 0
-	for _, cd := range cols {
-		key := pendColKey(owner, cd.name)
-		if st.HasColumn(name, key) {
-			had = 1
-		}
-		st.DeleteColumn(name, key) // best-effort; missing is not an error
-	}
-	return had
 }
 
 // quarantine moves a failing table aside and records it in the report.

@@ -3,10 +3,12 @@ package serverengine
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,8 +102,8 @@ func TestRecoverReloadsTables(t *testing.T) {
 			t.Fatalf("server %d recovered %+v, want table t", phi, rep.Recovered)
 		}
 		rt := rep.Recovered[0]
-		if !reflect.DeepEqual(rt.Owners, []int{0, 1}) || len(rt.Adopted) != 0 {
-			t.Fatalf("server %d recovered owners %v adopted %v", phi, rt.Owners, rt.Adopted)
+		if !reflect.DeepEqual(rt.Owners, []int{0, 1}) {
+			t.Fatalf("server %d recovered owners %v", phi, rt.Owners)
 		}
 		// Two registrations (one per owner) happened before the restart.
 		if rt.Epoch != 2 {
@@ -136,7 +138,8 @@ func TestRecoverReloadsTables(t *testing.T) {
 
 // TestRecoverEpochAdvancesAcrossRestart: registrations after a recovery
 // continue the persisted epoch counter rather than restarting it, so an
-// owner comparing epochs can detect a re-registration.
+// owner comparing epochs can detect a re-registration. The manifest is
+// version 3 only while some owner serves from slot 1.
 func TestRecoverEpochAdvancesAcrossRestart(t *testing.T) {
 	const b = 64
 	dirs := storeDirs(t)
@@ -157,10 +160,21 @@ func TestRecoverEpochAdvancesAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// No compaction is mid-pass, so the manifest keeps the version every
-	// build reads.
-	if man.Epoch != 4 || man.Version != manifestVersion(0) {
-		t.Fatalf("manifest = %+v, want epoch 4 version %d", man, manifestVersion(0))
+	// The re-outsource moved both owners to slot 1, which only a build
+	// that knows slots may read.
+	if man.Epoch != 4 || man.Version != 3 || !reflect.DeepEqual(man.Slots, map[int]int{0: 1, 1: 1}) {
+		t.Fatalf("manifest = %+v, want epoch 4 version 3, both owners on slot 1", man)
+	}
+	// One more restart and re-outsource brings both back to slot 0:
+	// version 1 again.
+	again, _ := diskEnginesAt(t, b, 16, dirs, nil)
+	storeSharded(t, again, b, 16, false)
+	man = TableManifest{}
+	if err := again[0].opts.Store.ReadManifest("t", &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Epoch != 6 || man.Version != 1 || man.Slots != nil {
+		t.Fatalf("manifest = %+v, want epoch 6 version 1, no slots", man)
 	}
 }
 
@@ -312,84 +326,23 @@ func TestRecoverManifestEdgeCases(t *testing.T) {
 	})
 }
 
-// TestRecoverResumesPromotion: a crash between the pending→live renames
-// and the manifest write leaves an owner half-promoted; recovery
-// verifies both sides, finishes the renames, adopts the owner into the
-// manifest with a bumped epoch, and the queries match the pre-crash
-// replies — whether the upload came as 16-cell windows or as one window
-// of the whole table.
-func TestRecoverResumesPromotion(t *testing.T) {
-	for _, shard := range []uint64{16, 64} {
-		t.Run(fmt.Sprintf("window=%d", shard), func(t *testing.T) { recoverResumesPromotion(t, shard) })
-	}
-}
-
-func recoverResumesPromotion(t *testing.T, shard uint64) {
-	const b, chunk = 64, 16
-	dirs := storeDirs(t)
-	before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
-	storeSharded(t, before, b, shard, true)
-	ctx := context.Background()
-	want, err := before[0].Handle(ctx, protocol.PSIRequest{Table: "t", QueryID: "q"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate the crash on server 0: owner 1 has some columns still
-	// pending and is missing from the manifest.
-	st := stores[0]
-	for _, col := range []string{"cnt", "vcnt", "sum.v"} {
-		if err := st.RenameColumn("t", "o1."+col, "pend1."+col); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var man TableManifest
-	if err := st.ReadManifest("t", &man); err != nil {
-		t.Fatal(err)
-	}
-	man.Owners = []int{0}
-	man.Epoch = 1
-	if err := st.WriteManifest("t", man); err != nil {
-		t.Fatal(err)
-	}
-
-	e, rep := recoverOne(t, b, chunk, dirs)
-	if len(rep.Recovered) != 1 {
-		t.Fatalf("recovered = %+v", rep.Recovered)
-	}
-	rt := rep.Recovered[0]
-	if !reflect.DeepEqual(rt.Owners, []int{0, 1}) || !reflect.DeepEqual(rt.Adopted, []int{1}) {
-		t.Fatalf("owners %v adopted %v, want [0 1] / [1]", rt.Owners, rt.Adopted)
-	}
-	if rt.Epoch != 2 {
-		t.Errorf("adopted epoch = %d, want 2", rt.Epoch)
-	}
-	got, err := e.Handle(ctx, protocol.PSIRequest{Table: "t", QueryID: "q"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripReplyStats(got), stripReplyStats(want)) {
-		t.Fatal("PSI reply diverged after promotion resume")
-	}
-	// The adoption is durable: the manifest now vouches for owner 1.
-	if err := st.ReadManifest("t", &man); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(man.Owners, []int{0, 1}) || man.Epoch != 2 {
-		t.Fatalf("manifest after adoption = %+v", man)
-	}
-	if st.HasColumn("t", "pend1.cnt") {
-		t.Error("pending column survived promotion resume")
-	}
-}
-
-// TestRecoverReoutsourceOldOrNew: a registered owner's whole-table
-// re-outsource killed on its way to the live names must come back as the
-// old epoch (killed before the first rename: the assembly is reclaimed)
-// or the new one (killed between renames: the promotion is finished and
-// adopted) — never some columns of each.
+// TestRecoverReoutsourceOldOrNew walks every ordering point of a
+// registered owner's re-outsource — the other slot created, each window
+// written, the manifest written, each column of the old slot deleted —
+// crashing the server at each and restarting it. The restarted server
+// answers as the old epoch did before the manifest write and as the new
+// one from it on, never a mix; nothing is quarantined and no column
+// outside the live slots is left. The upload comes as one window of the
+// whole table and as 16-cell windows, every column verified.
 func TestRecoverReoutsourceOldOrNew(t *testing.T) {
-	const b, chunk = 64, 16
+	const b = 64
+	for _, window := range []uint64{b, 16} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) { reoutsourceWalk(t, b, window) })
+	}
+}
+
+func reoutsourceWalk(t *testing.T, b, window uint64) {
+	const chunk = 16
 	ctx := context.Background()
 	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasVerify: true, HasCount: true, Plain: true}
 	ones := make([]uint64, b)
@@ -410,68 +363,176 @@ func TestRecoverReoutsourceOldOrNew(t *testing.T) {
 		}
 		return out
 	}
-	// The new epoch: owner 1 re-outsources all-zero columns. ref runs
-	// the re-outsource to completion.
-	ref, _ := diskEnginesAt(t, b, chunk, storeDirs(t), nil)
-	storeSharded(t, ref, b, b, true)
-	wantOld := replies(ref[0])
-	zeros := protocol.StoreRequest{
-		Owner: 1, Spec: spec, ChiAdd: make([]uint16, b), ChiBarAdd: make([]uint16, b),
-		SumCols: map[string][]uint64{"v": make([]uint64, b)}, VSumCols: map[string][]uint64{"v": make([]uint64, b)},
-		CountCol: make([]uint64, b), VCountCol: make([]uint64, b),
+	// reoutsource uploads all-zero columns for owner 1 in windows, up to
+	// the first error.
+	reoutsource := func(e *Engine) error {
+		for off := uint64(0); off < b; off += window {
+			n := min(window, b-off)
+			zeros := func() []uint64 { return make([]uint64, n) }
+			if _, err := e.Handle(ctx, protocol.StoreRequest{
+				Owner: 1, Spec: spec, UploadID: "walk/1", Shard: protocol.Range{Offset: off, Count: n},
+				ChiAdd: make([]uint16, n), ChiBarAdd: make([]uint16, n),
+				SumCols: map[string][]uint64{"v": zeros()}, VSumCols: map[string][]uint64{"v": zeros()},
+				CountCol: zeros(), VCountCol: zeros(),
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if _, err := ref[0].Handle(ctx, zeros); err != nil {
+
+	// A run to completion: the two epochs' replies and the ordering
+	// points between them.
+	ref, _ := diskEnginesAt(t, b, chunk, storeDirs(t), nil)
+	storeSharded(t, ref, b, window, true)
+	wantOld := replies(ref[0])
+	var steps []string
+	ref[0].SetCompactStepHook(func(step string) error { steps = append(steps, step); return nil })
+	if err := reoutsource(ref[0]); err != nil {
 		t.Fatal(err)
 	}
 	wantNew := replies(ref[0])
 	if reflect.DeepEqual(wantOld, wantNew) {
 		t.Fatal("the re-outsource changed no reply; the test cannot tell old from new")
 	}
+	cols := ref[0].specCols(spec)
+	commit := slices.Index(steps, "upload:manifest")
+	if want := 1 + int((b+window-1)/window) + 1 + len(cols); len(steps) != want || commit != want-len(cols)-1 {
+		t.Fatalf("ordering points %v, want created, one per window, manifest and one per column", steps)
+	}
 
-	for _, tc := range []struct {
-		name     string
-		promoted int // columns already renamed to their live names at the kill
-		want     []any
-	}{
-		{"killed-before-first-rename", 0, wantOld},
-		{"killed-between-renames", 3, wantNew},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	errCrash := errors.New("crash injected")
+	for n, point := range steps {
+		t.Run(point, func(t *testing.T) {
 			dirs := storeDirs(t)
 			before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
-			storeSharded(t, before, b, b, true)
-			st := stores[0]
-			cols := before[0].specCols(spec)
-			pendKey := func(c string) string { return pendColKey(1, c) }
-			if err := createCols(st, "t", pendKey, cols, b); err != nil {
-				t.Fatal(err)
-			}
-			in := reqCols(zeros.ChiAdd, zeros.ChiBarAdd, zeros.SumCols, zeros.VSumCols, zeros.CountCol, zeros.VCountCol)
-			if err := in.pick(cols).writeAt(st, "t", pendKey, 0); err != nil {
-				t.Fatal(err)
-			}
-			for _, cd := range cols[:tc.promoted] {
-				if err := st.RenameColumn("t", pendColKey(1, cd.name), colKey(1, cd.name)); err != nil {
-					t.Fatal(err)
+			storeSharded(t, before, b, window, true)
+			seen := 0
+			before[0].SetCompactStepHook(func(string) error {
+				if seen++; seen == n+1 {
+					return errCrash
 				}
+				return nil
+			})
+			if err := reoutsource(before[0]); err != nil && !errors.Is(err, errCrash) {
+				t.Fatal(err)
+			}
+			if seen <= n {
+				t.Fatalf("the upload never reached %s", point)
 			}
 
 			e, rep := recoverOne(t, b, chunk, dirs)
-			if len(rep.Recovered) != 1 || len(rep.Quarantined) != 0 {
+			if len(rep.Recovered) != 1 || len(rep.Quarantined) != 0 || rep.PendingReclaimed != 1 {
 				t.Fatalf("report = %+v", rep)
 			}
-			if got := replies(e); !reflect.DeepEqual(got, tc.want) {
-				t.Fatal("replies after recovery are neither the epoch expected nor whole")
+			want, live := wantOld, 0
+			if n >= commit {
+				want, live = wantNew, 1
 			}
-			if adopted := rep.Recovered[0].Adopted; (tc.promoted > 0) != reflect.DeepEqual(adopted, []int{1}) {
-				t.Errorf("adopted = %v with %d columns promoted at the kill", adopted, tc.promoted)
+			if !reflect.DeepEqual(replies(e), want) {
+				t.Fatalf("replies after a crash at %s are not the epoch expected (new from the manifest write on)", point)
 			}
-			for _, cd := range cols {
-				if st.HasColumn("t", pendColKey(1, cd.name)) {
-					t.Errorf("pending column %s survived recovery", cd.name)
+			for j, liveSlot := range []int{0, live} {
+				for slot := range 2 {
+					for _, cd := range cols {
+						if key := slotKey(j, slot, cd.name); stores[0].HasColumn("t", key) != (slot == liveSlot) {
+							t.Errorf("column %s present = %v, live slot of owner %d is %d", key, !(slot == liveSlot), j, liveSlot)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestRecoverParentLayouts boots stores as a build before column slots
+// left them: a version 1 manifest, or a version 2 one while a compaction
+// pass ran, every owner's columns under o<j>.*. A crashed upload's
+// pend<j>.* columns are reclaimed and the replies stay what they were; a
+// registered owner left mid-promotion — its first pending column renamed
+// over the live one, the later ones not yet — is quarantined as a
+// partial promotion and never served.
+func TestRecoverParentLayouts(t *testing.T) {
+	const b, chunk = 64, 16
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasVerify: true, HasCount: true, Plain: true}
+	errCrash := errors.New("crash injected")
+	for _, version := range []int{1, 2} {
+		for _, midPromotion := range []bool{false, true} {
+			name := map[bool]string{false: "crashed-upload", true: "mid-promotion"}[midPromotion]
+			t.Run(fmt.Sprintf("v%d/%s", version, name), func(t *testing.T) {
+				dirs := storeDirs(t)
+				before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
+				storeSharded(t, before, b, 16, true)
+				deltaUpdate(t, before[0], 5)
+				if version == 2 {
+					before[0].SetCompactStepHook(func(step string) error {
+						if step == "through" {
+							return errCrash
+						}
+						return nil
+					})
+					if _, err := before[0].Compact("t"); !errors.Is(err, errCrash) {
+						t.Fatalf("pass ended with %v, want the injected crash", err)
+					}
+				}
+				want := deltaReplies(t, before[0])
+				st := stores[0]
+				var man TableManifest
+				if err := st.ReadManifest("t", &man); err != nil || man.Version != version || man.Slots != nil {
+					t.Fatalf("manifest = %+v (%v), want version %d without slots", man, err, version)
+				}
+
+				// Owner 1's re-outsource as that build streamed it: every
+				// column into pend1.*, first column first.
+				cols := before[0].specCols(spec)
+				streamed := cols[:2]
+				if midPromotion {
+					streamed = cols
+				}
+				for _, cd := range streamed {
+					var err error
+					if cd.width == 2 {
+						err = sharestore.Write(st, "t", "pend1."+cd.name, make([]uint16, b))
+					} else {
+						err = sharestore.Write(st, "t", "pend1."+cd.name, make([]uint64, b))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if midPromotion {
+					// Its first rename landed: pend1.chi replaced o1.chi.
+					live := filepath.Join(st.Dir(), "t", "o1.chi.colv2")
+					if err := os.RemoveAll(live); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.Rename(filepath.Join(st.Dir(), "t", "pend1.chi.colv2"), live); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				e, rep := recoverOne(t, b, chunk, dirs)
+				if midPromotion {
+					wantQuarantined(t, e, rep, "partial-promotion")
+					return
+				}
+				if len(rep.Recovered) != 1 || len(rep.Quarantined) != 0 || rep.PendingReclaimed != 1 {
+					t.Fatalf("report = %+v", rep)
+				}
+				if !reflect.DeepEqual(deltaReplies(t, e), want) {
+					t.Fatal("replies diverged across the restart")
+				}
+				for _, cd := range cols {
+					if st.HasColumn("t", "pend1."+cd.name) {
+						t.Errorf("crashed upload's column pend1.%s survived recovery", cd.name)
+					}
+				}
+				man = TableManifest{}
+				if err := st.ReadManifest("t", &man); err != nil || man.Version != 1 {
+					t.Fatalf("manifest after recovery = %+v (%v), want version 1", man, err)
+				}
+			})
+		}
 	}
 }
 

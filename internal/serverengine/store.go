@@ -3,12 +3,15 @@
 // A StoreRequest carries one window of one owner's columns. In-memory
 // engines assemble windows into full-length RAM columns (a window that
 // is the whole table is adopted as it is); engines with a store stream
-// every window straight into pending chunked columns ("pend<owner>.*")
-// and rename them into place on completion, so an upload never holds
-// more than one window's cells in RAM. Either way a table epoch is
-// registered only once every cell of every column has arrived — and, on
-// disk, recorded in the table manifest — so queries never observe a
-// half-uploaded column.
+// every window straight into chunked columns, so an upload never holds
+// more than one window's cells in RAM. Each owner has two fixed column
+// names on disk, its slots (slotKey): an upload writes the slot the
+// owner does not serve from, and once every cell has arrived the
+// manifest write that names it live is the upload's one commit point —
+// StoreReply is sent only after it, and only then is the old slot
+// deleted. Nothing is renamed. Either way a table epoch is registered
+// only once every cell of every column has arrived, so queries never
+// observe a half-uploaded column.
 package serverengine
 
 import (
@@ -40,6 +43,7 @@ type pendingStore struct {
 	spec    protocol.TableSpec
 	owner   int
 	oc      *ownerCols // RAM assembly; nil when streaming to disk
+	slot    int        // the column slot a disk upload writes
 	got     []protocol.Range
 	covered uint64
 	touched time.Time // last shard arrival, for the TTL sweep
@@ -72,16 +76,20 @@ func parseUploadID(id string) (epoch string, seq uint64, ok bool) {
 // reads and writes. Version 0 manifests (written before the field
 // existed) decode identically and are accepted by recovery; manifests
 // from a newer format are quarantined rather than guessed at. A manifest
-// is written as version 2 only while its CompactThrough is set, so a
-// build that predates in-place compaction quarantines a table a pass may
-// have left mid-patch instead of reading its chunks; every other
-// manifest stays version 1, readable by either build.
-const ManifestVersion = 2
+// is written under the oldest version that can read it right: 3 while
+// some owner's live slot is not slot 0 (a build from before slots would
+// serve slot 0's stale or deleted columns), else 2 while its
+// CompactThrough is set (a build from before in-place compaction would
+// read chunks a pass may have left mid-patch), else 1.
+const ManifestVersion = 3
 
-// manifestVersion is the version a manifest is written under.
-func manifestVersion(compactThrough uint64) int {
-	if compactThrough > 0 {
-		return ManifestVersion
+// manifestVersion is the version man is written under.
+func manifestVersion(man *TableManifest) int {
+	switch {
+	case len(man.Slots) > 0:
+		return 3
+	case man.CompactThrough > 0:
+		return 2
 	}
 	return 1
 }
@@ -91,14 +99,18 @@ func manifestVersion(compactThrough uint64) int {
 // owners have fully outsourced, a format version, and the registration
 // epoch (bumped on every registration event, so owners probing via
 // ListTables can distinguish "still served" from "re-registered since").
-// Streamed shard windows live under pending column names until the
-// manifest-covered rename, so a restarted server reloading from disk can
-// trust every "o<j>.*" column the manifest vouches for.
+// An upload streams its windows into the slot the manifest does not name,
+// so a restarted server reloading from disk can trust exactly the
+// columns the manifest vouches for.
 type TableManifest struct {
 	Version int
 	Epoch   uint64
 	Spec    protocol.TableSpec
 	Owners  []int
+	// Slots records, per owner, its live column slot (slotKey) where that
+	// is not slot 0. Absent for owners on slot 0, and in manifests from
+	// before slots, which serve every owner from slot 0.
+	Slots map[int]int `json:",omitempty"`
 	// DeltaFloor records, per owner, the highest delta-log sequence
 	// superseded by a later full re-outsource: cold-boot replay skips
 	// that owner's entries at or below the floor (they describe the
@@ -208,7 +220,6 @@ func (e *Engine) storeConflict(spec protocol.TableSpec) error {
 // lock.
 func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ownerCols) (*ownerCols, uint64, error) {
 	st := e.opts.Store
-	pendKey := func(col string) string { return pendColKey(r.Owner, col) }
 	e.pendMu.Lock()
 	byOwner := e.pending[r.Spec.Name]
 	var p *pendingStore
@@ -270,13 +281,20 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ow
 	switch {
 	case st != nil:
 		if fresh {
-			// Initialise the pending chunked columns (replacing any left
-			// by a superseded attempt).
-			if err := createCols(st, r.Spec.Name, pendKey, e.specCols(r.Spec), r.Spec.B); err != nil {
+			// Initialise the slot the owner does not serve from (replacing
+			// whatever a superseded attempt left in it).
+			p.slot = e.uploadSlot(r.Spec.Name, r.Owner)
+			if err := e.createCols(r.Spec.Name, r.Owner, p.slot, e.specCols(r.Spec), r.Spec.B); err != nil {
+				return nil, 0, err
+			}
+			if err := e.step("upload:created"); err != nil {
 				return nil, 0, err
 			}
 		}
-		if err := in.writeAt(st, r.Spec.Name, pendKey, rg.Offset); err != nil {
+		if err := in.writeAt(st, r.Spec.Name, r.Owner, p.slot, rg.Offset); err != nil {
+			return nil, 0, err
+		}
+		if err := e.step(fmt.Sprintf("upload:window:%d", rg.Offset)); err != nil {
 			return nil, 0, err
 		}
 	case fresh && rg.Count == r.Spec.B:
@@ -314,15 +332,7 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ow
 	}
 	e.pendMu.Unlock()
 	if st != nil {
-		// Promote the pending columns to their live names; only now can
-		// a query (or a restarted server following the manifest) see
-		// them.
-		for _, cd := range e.specCols(r.Spec) {
-			if err := st.RenameColumn(r.Spec.Name, pendKey(cd.name), colKey(r.Owner, cd.name)); err != nil {
-				return nil, 0, err
-			}
-		}
-		return &ownerCols{}, p.covered, nil
+		return &ownerCols{slot: p.slot}, p.covered, nil
 	}
 	e.trackHeld(-p.oc.bytes()) // hand-off: finishStore re-accounts it as a registered table
 	return p.oc, p.covered, nil
@@ -331,7 +341,7 @@ func (e *Engine) absorbShard(r *protocol.StoreRequest, rg protocol.Range, in *ow
 // sweepPending reclaims upload assemblies whose last shard
 // arrived more than Options.PendingTTL ago — the owner crashed or gave
 // up mid-upload. RAM assemblies release their buffers; streamed
-// assemblies delete their pending disk columns. Assemblies whose
+// assemblies delete the columns of the slot they were writing. Assemblies whose
 // (table, owner) store lock is busy are skipped (that upload is alive).
 // Returns the number of assemblies swept.
 func (e *Engine) sweepPending(now time.Time) int {
@@ -377,7 +387,8 @@ func (e *Engine) sweepPending(now time.Time) int {
 		if stale {
 			e.trackHeld(-v.p.oc.bytes())
 			if e.opts.Store != nil {
-				e.reclaimOwnerPending(v.table, e.specCols(v.p.spec), v.owner)
+				// Best-effort: the next upload or boot reclaims what stays.
+				e.dropSlot(v.table, v.owner, v.p.slot, e.specCols(v.p.spec))
 			}
 			swept++
 		}
@@ -409,8 +420,10 @@ func specDiff(a, b protocol.TableSpec) string {
 }
 
 // finishStore registers one owner's assembled columns — resident, or
-// already promoted to their live names in the store — as the table's
-// current epoch. Caller holds the (table, owner) store lock.
+// complete in a slot of the store — as the table's current epoch. On
+// disk the manifest write naming that slot live is the commit point;
+// the slot the owner served from before is deleted after it. Caller
+// holds the (table, owner) store lock.
 func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) (any, error) {
 	e.mu.Lock()
 	// Re-check: a concurrent Store may have created the table while this
@@ -446,15 +459,34 @@ func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) 
 
 	if e.opts.Store != nil {
 		// Durable registration record: written only after the owner's
-		// columns are fully assembled and promoted to their live names.
-		// The registration snapshot is taken while holding manifestMu, so
-		// concurrent completions serialise snapshot-then-write in order
-		// and a stale snapshot can never overwrite a newer manifest.
+		// columns are fully assembled. The registration snapshot is taken
+		// while holding manifestMu, so concurrent completions serialise
+		// snapshot-then-write in order and a stale snapshot can never
+		// overwrite a newer manifest.
 		if err := e.writeManifestSnapshot(t); err != nil {
 			return nil, err
 		}
+		if err := e.step("upload:manifest"); err != nil {
+			return nil, err
+		}
+		// Committed: the other slot is no one's now. Best-effort — a
+		// column left behind is reclaimed by the next upload into the slot
+		// or by the next boot.
+		e.dropSlot(spec.Name, owner, 1-oc.slot, e.specCols(spec))
 	}
 	return protocol.StoreReply{Cells: spec.B}, nil
+}
+
+// uploadSlot is the column slot an upload of owner's columns writes: the
+// one the owner does not serve from, slot 0 for an owner that has not
+// outsourced.
+func (e *Engine) uploadSlot(name string, owner int) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if t, ok := e.tables[name]; ok && t.owners[owner] != nil {
+		return 1 - t.owners[owner].slot
+	}
+	return 0
 }
 
 // storeLock returns the upload mutex for a (table, owner) key.

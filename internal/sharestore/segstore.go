@@ -158,9 +158,6 @@ func (s *Store) index(dir string) (chunkIndex, error) {
 		return ci, nil
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "index"))
-	if errors.Is(err, fs.ErrNotExist) && recoverColumnDir(dir) {
-		raw, err = os.ReadFile(filepath.Join(dir, "index"))
-	}
 	if err != nil {
 		return chunkIndex{}, err
 	}
@@ -189,25 +186,6 @@ func (s *Store) forget(path string) error {
 	l := s.logs[path]
 	delete(s.logs, path)
 	return l.close()
-}
-
-// recoverColumnDir restores a column moved aside by an interrupted
-// swapInColumnDir: a crash between its two renames leaves the last-good
-// column under <dir>.old and nothing under the live name. Reads route
-// through here on an index miss, so the reopen-serves-last-good
-// guarantee holds across that crash window too.
-func recoverColumnDir(dir string) bool {
-	old := dir + ".old"
-	if _, err := os.Stat(filepath.Join(old, "index")); err != nil {
-		return false
-	}
-	//prism:allow atomicwrite renaming the complete .old column back to its live name is itself the recovery step
-	if err := os.Rename(old, dir); err != nil {
-		// A concurrent reader may have completed the same recovery.
-		_, statErr := os.Stat(filepath.Join(dir, "index"))
-		return statErr == nil
-	}
-	return true
 }
 
 // ---- chunk files ----
@@ -509,82 +487,6 @@ func (s *Store) writeRange(table, col string, width int, off uint64, payload []b
 	return nil
 }
 
-// buildColumnDir materialises a complete chunked column (index plus
-// every chunk) in dir, which must not be live — callers rename it into
-// place afterwards, so no tmp-file dance is needed per chunk.
-func (s *Store) buildColumnDir(dir string, width int, cells uint64, payload []byte) error {
-	if err := os.RemoveAll(dir); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	cc := s.chunkCells
-	idx := encodeIndex(chunkIndex{width: width, chunkCells: cc, cells: cells})
-	//prism:allow atomicwrite dir is a staged (not yet live) directory; callers rename it into place
-	if err := os.WriteFile(filepath.Join(dir, "index"), idx, 0o644); err != nil {
-		return err
-	}
-	for k := uint64(0); k*cc < cells; k++ {
-		hi := min((k+1)*cc, cells)
-		chunk := encodeChunk(width, payload[k*cc*uint64(width):hi*uint64(width)])
-		//prism:allow atomicwrite staged directory, see above
-		if err := os.WriteFile(chunkPath(dir, k), chunk, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// swapInColumnDir atomically replaces the live chunked column directory
-// dst with src (a fully built column directory): the previous column is
-// moved aside, src renamed into place, and the leftovers cleaned up. On
-// rename failure the previous column is restored, so at every crash
-// point either the old or the new column is completely present.
-func (s *Store) swapInColumnDir(src, dst string) error {
-	defer s.forget(dst)
-	defer s.forget(src)
-	old := dst + ".old"
-	if err := os.RemoveAll(old); err != nil {
-		return err
-	}
-	moved := false
-	if _, err := os.Stat(dst); err == nil {
-		if err := os.Rename(dst, old); err != nil {
-			return err
-		}
-		moved = true
-	}
-	if err := os.Rename(src, dst); err != nil {
-		if moved {
-			//prism:allow atomicwrite best-effort rollback; the swap error is what must surface, and recoverColumnDir replays this rename on the next read anyway
-			os.Rename(old, dst)
-		}
-		return err
-	}
-	return os.RemoveAll(old)
-}
-
-// writeFull atomically replaces a column with a freshly built chunked
-// copy: the new column is staged under a sibling name and swapped into
-// place, so a crash mid-write leaves the previous column intact.
-func (s *Store) writeFull(table, col string, width int, cells uint64, payload []byte) error {
-	if err := s.ensureTable(table); err != nil {
-		return err
-	}
-	dir := s.colDir(table, col)
-	stage := dir + ".new"
-	if err := s.buildColumnDir(stage, width, cells, payload); err != nil {
-		os.RemoveAll(stage)
-		return err
-	}
-	if err := s.swapInColumnDir(stage, dir); err != nil {
-		os.RemoveAll(stage)
-		return err
-	}
-	return nil
-}
-
 // Stat reports a column's shape without reading its payload.
 func (s *Store) Stat(table, col string) (ColumnInfo, error) {
 	ci, err := s.index(s.colDir(table, col))
@@ -625,10 +527,15 @@ func Create[T Cell](s *Store, table, col string, cells uint64) error {
 	return s.create(table, col, Width[T](), cells)
 }
 
-// Write persists a whole column. The replacement is staged and swapped
-// in atomically, so a crash mid-write leaves the previous column intact.
+// Write persists a whole column: Create, then WriteRange over every
+// cell. Each chunk write is atomic, the column as a whole is not — a
+// crash mid-write leaves a column whose unwritten chunks are missing,
+// which reads reject.
 func Write[T Cell](s *Store, table, col string, data []T) error {
-	return s.writeFull(table, col, Width[T](), uint64(len(data)), cellBytes(data))
+	if err := Create[T](s, table, col, uint64(len(data))); err != nil {
+		return err
+	}
+	return WriteRange(s, table, col, 0, data)
 }
 
 // WriteRange durably patches cells [off, off+len(data)) of a column.
@@ -692,34 +599,11 @@ func ReadChunk[T Cell](s *Store, table, col string, k uint64) (out []T, err erro
 	return out, err
 }
 
-// RenameColumn renames a column within a table, replacing any column
-// already stored under the new name via the same move-aside swap as full
-// writes — at every crash point a complete column (old or new) is
-// present under the target name. The server's sharded-upload assembly
-// streams windows into pending column names and renames them into place
-// on completion, so queries never observe a half-uploaded column.
-func (s *Store) RenameColumn(table, from, to string) error {
-	src := s.colDir(table, from)
-	if _, err := os.Stat(filepath.Join(src, "index")); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("sharestore: %s/%s: %w", table, from, ErrNotFound)
-		}
-		return err
-	}
-	return s.swapInColumnDir(src, s.colDir(table, to))
-}
-
-// DeleteColumn removes a column, along with any staged transients from
-// interrupted writes (missing is not an error).
+// DeleteColumn removes a column (missing is not an error).
 func (s *Store) DeleteColumn(table, col string) error {
 	dir := s.colDir(table, col)
 	defer s.forget(dir)
-	for _, d := range []string{dir, dir + ".new", dir + ".old"} {
-		if err := os.RemoveAll(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return os.RemoveAll(dir)
 }
 
 // ensureTable creates the table directory and records the raw

@@ -12,13 +12,15 @@
 // are uint16 (additive shares mod δ) or uint64 (Shamir shares in F_p);
 // the typed API is generic over Cell and the width enters only where
 // segstore.go calls levec.Put/Get at Width[T](). A JSON manifest per table
-// records the protocol.TableSpec, the set of completed owners
-// and a monotonically increasing registration epoch; the manifest is
-// written atomically only after an owner's columns are fully promoted
-// to their live names, so it is the durable registration record a
-// restarted server trusts when reloading its serving state (see the
-// serverengine Recover path). A sidecar file records the raw table name
-// so listings are not limited to sanitised directory names.
+// records the protocol.TableSpec, the set of completed owners, which
+// column names hold each owner's live columns and a monotonically
+// increasing registration epoch; the manifest is written atomically only
+// after an owner's columns are complete, so it is the durable
+// registration record a restarted server trusts when reloading its
+// serving state (see the serverengine recovery path). Columns are never
+// renamed: the manifest write is an upload's commit point. A sidecar
+// file records the raw table name so listings are not limited to
+// sanitised directory names.
 //
 // Recovery support (verify.go): VerifyColumn checks a column's on-disk
 // shape and CRCs against what a manifest promises, and QuarantineTable

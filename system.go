@@ -72,7 +72,7 @@ func NewLocalSystem(cfg Config) (*System, error) {
 		sched:   newLimiter(cfg.MaxInflight),
 		tracer:  telemetry.NewTracer(0),
 	}
-	s.network.EncodeWire = cfg.EncodeWire
+	s.network.EncodeWire = true // every message is the frame a TCP deployment sends
 
 	groupCfgs := make([]ownerengine.GroupConfig, len(multi.Groups))
 	for g, gsys := range multi.Groups {

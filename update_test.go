@@ -626,7 +626,7 @@ func TestShareStreamDeterministic(t *testing.T) {
 func TestOversizeUpdateRejectedWhole(t *testing.T) {
 	const b = 64
 	ctx := context.Background()
-	sys := shape{owners: 4, groups: 1, b: b, wire: true}.system(t) // the cap applies to encoded frames
+	sys := shape{owners: 4, groups: 1, b: b}.system(t) // the cap applies to encoded frames
 	orc := loadPlanted(t, sys, plantedCells(sys, 5), 90)
 	var calls [3]*callCounts
 	for phi := range calls {
