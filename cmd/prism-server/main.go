@@ -15,8 +15,8 @@
 // With -store the server keeps its shares on disk and every start
 // resumes from that store: tables whose manifests validate are served
 // again without any owner re-outsourcing, corrupt tables are
-// quarantined, crashed uploads reclaimed, and one line per outcome is
-// printed before the server listens.
+// quarantined, crashed uploads and previous epochs' columns reclaimed,
+// and one line per outcome is printed before the server listens.
 package main
 
 import (
@@ -96,7 +96,7 @@ func main() {
 			fmt.Printf("prism-server: ignored directory %q (no usable manifest)\n", name)
 		}
 		if rep.PendingReclaimed > 0 {
-			fmt.Printf("prism-server: reclaimed %d crashed upload assemblies\n", rep.PendingReclaimed)
+			fmt.Printf("prism-server: reclaimed the unserved columns of %d owners (crashed uploads, previous epochs)\n", rep.PendingReclaimed)
 		}
 	}
 

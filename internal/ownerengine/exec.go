@@ -394,7 +394,7 @@ func (co *Cohort) vectorRounds(ctx context.Context, g int, kind protocol.Extreme
 	// Step 3: every owner masks and submits its local values.
 	locals := make([][]uint64, len(co.Owners))
 	for i, o := range co.Owners {
-		vals, has, err := o.groups[g].LocalValues(kind, col, cells)
+		vals, has, err := o.localValues(g, kind, col, cells)
 		if err != nil {
 			return nil, err
 		}

@@ -17,16 +17,16 @@ import (
 // number of exchanges per server group however many cells intersect.
 // Vectors are parallel to the cells slice the caller passes.
 
-// LocalValues computes this owner's private per-cell statistic for an
-// exemplary aggregation (§6.3 Step 3) at every listed cell in one pass
-// over its tuples: the owner's own maximum (for max), minimum (for min),
-// or total (for median — the paper's median example first sums per
-// owner) of column col restricted to tuples at the cell. has[c] is false
-// when the owner has no tuple at cells[c].
-func (o *engine) LocalValues(kind protocol.ExtremeKind, col string, cells []uint64) (vals []uint64, has []bool, err error) {
-	o.mu.Lock()
-	d := o.data
-	o.mu.Unlock()
+// localValues computes this owner's private per-cell statistic for an
+// exemplary aggregation (§6.3 Step 3) at every listed cell of group g —
+// cells in the group's own numbering — in one pass over its tuples: the
+// owner's own maximum (for max), minimum (for min), or total (for median
+// — the paper's median example first sums per owner) of column col
+// restricted to tuples at the cell. has[c] is false when the owner has
+// no tuple at cells[c].
+func (o *Owner) localValues(g int, kind protocol.ExtremeKind, col string, cells []uint64) (vals []uint64, has []bool, err error) {
+	start, b := o.starts[g], o.groups[g].view.B
+	d := o.Data()
 	if d == nil {
 		return nil, nil, errors.New("ownerengine: no data loaded")
 	}
@@ -40,7 +40,10 @@ func (o *engine) LocalValues(kind protocol.ExtremeKind, col string, cells []uint
 	}
 	vals, has = make([]uint64, len(cells)), make([]bool, len(cells))
 	for i, cell := range d.Cells {
-		c, ok := at[cell]
+		if cell-start >= b { // outside the group: one unsigned compare
+			continue
+		}
+		c, ok := at[cell-start]
 		if !ok {
 			continue
 		}

@@ -1,0 +1,172 @@
+package ownerengine
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"prism/internal/params"
+	"prism/internal/prg"
+	"prism/internal/protocol"
+	"prism/internal/serverengine"
+	"prism/internal/transport"
+)
+
+// frameLog is a transport.Caller that encodes every request it passes
+// on, so a test can pin the frames an owner sends byte for byte.
+type frameLog struct {
+	next   transport.Caller
+	mu     sync.Mutex
+	frames []sentFrame
+}
+
+type sentFrame struct {
+	addr, label string
+	offset      uint64
+	body        []byte
+}
+
+func (l *frameLog) Call(ctx context.Context, addr string, req any) (any, error) {
+	m, err := protocol.Measure(req)
+	if err != nil {
+		return nil, err
+	}
+	f := sentFrame{addr: addr, label: m.Label, body: m.AppendTo(nil)}
+	if r, ok := req.(protocol.StoreRequest); ok {
+		f.offset = r.Shard.Offset
+	}
+	l.mu.Lock()
+	l.frames = append(l.frames, f)
+	l.mu.Unlock()
+	return l.next.Call(ctx, addr, req)
+}
+
+// digest is one SHA-256 over every frame sent so far, sorted by server
+// address, message type, window offset and body: windows go out
+// concurrently, so the send order is not fixed.
+func (l *frameLog) digest() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slices.SortFunc(l.frames, func(a, b sentFrame) int {
+		return cmp.Or(cmp.Compare(a.addr, b.addr), cmp.Compare(a.label, b.label),
+			cmp.Compare(a.offset, b.offset), bytes.Compare(a.body, b.body))
+	})
+	h := sha256.New()
+	for _, f := range l.frames {
+		fmt.Fprintf(h, "%s %s %d %d\n", f.addr, f.label, f.offset, len(f.body))
+		h.Write(f.body)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenOwner wires owner 0 of a seeded two-owner deployment over
+// `groups` server triples through a frameLog, uploading in 8-cell
+// windows, and loads it with tuples that alternate between the first
+// and the last group.
+func goldenOwner(t *testing.T, groups int) (*Owner, *frameLog) {
+	t.Helper()
+	const b = 48
+	multi, err := params.GenerateGroups(params.Config{
+		NumOwners: 2, DomainSize: b, MaxAgg: 1000, Seed: prg.SeedFromString("golden-owner"),
+	}, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := transport.NewNetwork()
+	cfgs := make([]GroupConfig, groups)
+	for g, gsys := range multi.Groups {
+		for phi := 0; phi < params.NumServers; phi++ {
+			view, err := gsys.ForServer(phi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Register(groupAddr(g, phi), serverengine.New(view, serverengine.Options{Threads: 1, Group: g}))
+			cfgs[g].Servers = append(cfgs[g].Servers, groupAddr(g, phi))
+		}
+		cfgs[g].View = gsys.ForOwner()
+	}
+	log := &frameLog{next: n}
+	o, err := New(0, cfgs, log, 8, prg.SeedFromString("golden-owner-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Data{
+		Cells: []uint64{40, 3, 31, 3, 17, 46, 9, 24},
+		Aggs: map[string][]uint64{
+			"v": {5, 11, 700, 12, 9, 1000, 0, 33},
+			"w": {1, 2, 3, 4, 5, 6, 7, 8},
+		},
+	}
+	if err := o.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	return o, log
+}
+
+// goldenSteps outsources table "t" with every column kind and its bucket
+// tree, then applies an add-only update and an update with removals.
+func goldenSteps(t *testing.T, o *Owner) {
+	t.Helper()
+	ctx := context.Background()
+	spec := OutsourceSpec{Table: "t", AggCols: []string{"v", "w"}, Verify: true, WithCount: true, Buckets: true}
+	if _, err := o.Outsource(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	add := &Data{Cells: []uint64{44, 3, 10}, Aggs: map[string][]uint64{"v": {1, 2, 3}, "w": {9, 9, 9}}}
+	if _, err := o.Update(ctx, "t", add, nil); err != nil {
+		t.Fatal(err)
+	}
+	add = &Data{Cells: []uint64{0, 47}, Aggs: map[string][]uint64{"v": {6, 7}, "w": {0, 1}}}
+	rm := &Data{Cells: []uint64{31, 3, 10}, Aggs: map[string][]uint64{"v": {700, 11, 3}, "w": {3, 2, 9}}}
+	if _, err := o.Update(ctx, "t", add, rm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goldenOwnerDigests are the frame digests of goldenSteps by group count.
+// A change here changes what an owner sends its servers: the shares, the
+// stream they are drawn from or the frames that carry them.
+var goldenOwnerDigests = map[int]string{
+	1: "42f377fa439b6954f5aa215178a9be7892c02ff156280ac7445d989007a914b4",
+	2: "dcb917ee1ea0c839f7a4e4d0f56e30b31a9a94a28aba5dfa5b83c9282a05fc7a",
+}
+
+// TestGoldenOwnerFrames pins every frame a seeded owner sends across an
+// outsource with verification columns, counts and a bucket tree, an
+// add-only update and an update with removals, on one and two groups.
+func TestGoldenOwnerFrames(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		o, log := goldenOwner(t, groups)
+		goldenSteps(t, o)
+		if got := log.digest(); got != goldenOwnerDigests[groups] {
+			t.Errorf("%d groups: frames sha256 %s, want %s", groups, got, goldenOwnerDigests[groups])
+		}
+	}
+}
+
+// TestDataKeepsLoadedOrder: Data returns the tuples in the order they
+// were loaded, with each update's fold applied — removals taken out in
+// place and adds appended — whichever groups the tuples' cells fall in.
+func TestDataKeepsLoadedOrder(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		o, _ := goldenOwner(t, groups)
+		goldenSteps(t, o)
+		want := &Data{
+			Cells: []uint64{40, 3, 17, 46, 9, 24, 44, 3, 0, 47},
+			Aggs: map[string][]uint64{
+				"v": {5, 12, 9, 1000, 0, 33, 1, 2, 6, 7},
+				"w": {1, 4, 5, 6, 7, 8, 9, 9, 0, 1},
+			},
+		}
+		if got := o.Data(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d groups: Data() = %v, want %v", groups, got, want)
+		}
+	}
+}

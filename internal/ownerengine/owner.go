@@ -99,9 +99,12 @@ type QueryStats struct {
 
 // engine is one DB owner's per-group protocol engine: it speaks the
 // unchanged PRISM math against exactly one server group's triple over
-// that group's slice of the cell domain. The exported Owner (router.go)
-// owns one engine per group and routes loads and updates above this
-// layer; a query's per-group script and merge are Exec's (exec.go).
+// that group's slice [Start, Start+B) of the cell domain. It holds only
+// what differs by group — the view and its permutations, the servers,
+// the share stream, the upload ids and the reducers; the owner's tuples
+// and per-cell tables are the exported Owner's (router.go), and an
+// engine shares zero-copy slices of them. A query's per-group script and
+// merge are Exec's (exec.go).
 type engine struct {
 	Index int
 
@@ -120,14 +123,7 @@ type engine struct {
 	uploadEpoch string
 	uploadSeq   atomic.Uint64
 
-	mu     sync.Mutex
-	data   *Data
-	tables map[string]*localTable
-	// appendable is the dataset whose arrays an update fold made: their
-	// capacity past the tuples is the engine's, and the next fold of
-	// that dataset claims it (buildUpdate) to append its adds in place.
-	// Nil until a fold commits, after a Load, and while a claim is out.
-	appendable *Data
+	mu sync.Mutex // guards rng
 
 	w3 []field.Elem // Lagrange weights for 3 shares
 
@@ -139,19 +135,29 @@ type engine struct {
 }
 
 // localTable retains owner-local state about an outsourced table: the
-// natural-order tables the shares were generated from, kept so
-// incremental updates (Update) can recompute exactly the cells a
-// tuple-set change touches. upMu serialises updates to the table, so
-// the absolute replacement values successive updates carry are monotone
-// in upload order.
+// natural-order tables over the whole domain the shares were generated
+// from, kept so incremental updates (Update) can recompute exactly the
+// cells a tuple-set change touches. upMu serialises updates to the
+// table, so the absolute replacement values successive updates carry are
+// monotone in upload order.
 type localTable struct {
 	spec OutsourceSpec
-	b    uint64
 
 	upMu sync.Mutex
 	chi  []uint16            // membership bitmap (natural order)
 	mult []uint64            // per-cell tuple multiplicity
 	sums map[string][]uint64 // per-cell aggregation sums (field elems)
+}
+
+// slice returns entries [lo, hi) of t's parallel arrays as a table of
+// their own, sharing t's storage: a group's cells of a whole-domain
+// table, or a group's run of an update's changed cells.
+func (t *localTable) slice(lo, hi uint64) *localTable {
+	s := &localTable{spec: t.spec, chi: t.chi[lo:hi], mult: t.mult[lo:hi], sums: make(map[string][]uint64, len(t.sums))}
+	for col, vs := range t.sums {
+		s.sums[col] = vs[lo:hi]
+	}
+	return s
 }
 
 // querySession is the owner-side per-query state: a unique query id and
@@ -196,7 +202,6 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 		servers:    append([]string(nil), serverAddrs...),
 		shardCells: shardCells,
 		rng:        prg.New(seed.Derive(fmt.Sprintf("owner/%d/g%d", index, view.Group))),
-		tables:     make(map[string]*localTable),
 		w3:         share.LagrangeWeights(3),
 		modEta:     modmath.NewMod64(view.Eta),
 		modDelta:   modmath.NewMod32(view.Delta),
@@ -208,39 +213,15 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 // View exposes the owner's parameter view (for orchestration layers).
 func (o *engine) View() *params.OwnerView { return o.view }
 
-// Load installs the owner's private tuples.
-func (o *engine) Load(d *Data) error {
-	if err := d.Validate(o.view.B, o.view.MaxAgg); err != nil {
-		return err
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.data, o.appendable = d, nil
-	return nil
-}
-
-// Data returns the loaded dataset (owner-local, never shared).
-func (o *engine) Data() *Data {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.data
-}
-
-// Outsource runs Phase 1 for one table: build χ (and χ̄, aggregate
-// columns per spec), permute, secret-share, and upload to the servers —
-// then, when the spec asks for it, the bucket tree over χ.
-func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStats, error) {
-	b := o.view.B
+// outsource runs the group's half of Phase 1 for one table: permute and
+// secret-share t, the group's slice of the owner's natural-order tables,
+// and upload it to the servers — then, when the spec asks for it, the
+// bucket tree over its χ.
+func (o *engine) outsource(ctx context.Context, t *localTable) (ShareGenStats, error) {
+	spec, b := t.spec, o.view.B
 	stats := ShareGenStats{Cells: b}
 
 	start := time.Now()
-	t, err := o.buildLocal(spec)
-	if err != nil {
-		return stats, err
-	}
-	stats.BuildNS = time.Since(start).Nanoseconds()
-
-	start = time.Now()
 	sh := o.split(t, o.view.DB1, o.view.DB2)
 	stats.SplitNS = time.Since(start).Nanoseconds()
 
@@ -255,7 +236,7 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 		HasVerify: spec.Verify,
 		HasCount:  spec.WithCount,
 	}
-	err = o.upload(ctx, pspec, params.NumServers, func(phi int, rg protocol.Range) protocol.StoreRequest {
+	err := o.upload(ctx, pspec, params.NumServers, func(phi int, rg protocol.Range) protocol.StoreRequest {
 		return sh.server(phi, rg.Offset, rg.End())
 	})
 	if err == nil && spec.Buckets {
@@ -265,10 +246,6 @@ func (o *engine) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenSta
 		return stats, err
 	}
 	stats.UploadNS = time.Since(start).Nanoseconds()
-
-	o.mu.Lock()
-	o.tables[spec.Table] = t
-	o.mu.Unlock()
 	return stats, nil
 }
 
@@ -283,13 +260,13 @@ type shareSet struct {
 }
 
 // split permutes t's columns into χ order (p1) and, with Verify, χ̄ order
-// (p2) and secret-shares them: Outsource passes the b-cell table with
-// PF_db1 and PF_db2, Update the changed cells' new values with the ranks
-// of their stored positions. It draws from the owner's root PRG under
-// the engine lock — rare and heavyweight, so serialising it against
-// query-session minting is cheap and race-free — in one fixed order (χ,
-// χ̄, each spec.AggCols column and its twin, the counts): a seed fixes
-// the share stream.
+// (p2) and secret-shares them: outsource passes the group's B-cell slice
+// of a table with PF_db1 and PF_db2, prepareUpdate the group's changed
+// cells' new values with the ranks of their stored positions. It draws
+// from the group's root PRG under the engine lock — rare and
+// heavyweight, so serialising it against query-session minting is cheap
+// and race-free — in one fixed order (χ, χ̄, each spec.AggCols column
+// and its twin, the counts): a seed fixes the share stream.
 func (o *engine) split(t *localTable, p1, p2 perm.Perm) *shareSet {
 	spec := t.spec
 	s := &shareSet{sums: make(map[string][][]uint64, len(spec.AggCols))}
@@ -347,19 +324,17 @@ func (s *shareSet) server(phi int, lo, hi uint64) protocol.StoreRequest {
 	return req
 }
 
-// buildLocal builds the natural-order tables of the loaded tuples (§5.1
-// Step 1, §6.1 Step 1): the χ bitmap, the per-cell sums of every
-// aggregation column, and the per-cell multiplicity, which doubles as
-// the count column and, retained, tells incremental updates when a
-// removal empties a cell (χ flips back to 0).
-func (o *engine) buildLocal(spec OutsourceSpec) (*localTable, error) {
-	o.mu.Lock()
-	d := o.data
-	o.mu.Unlock()
+// buildLocal builds the natural-order tables of the loaded tuples over
+// the whole domain (§5.1 Step 1, §6.1 Step 1): the χ bitmap, the
+// per-cell sums of every aggregation column, and the per-cell
+// multiplicity, which doubles as the count column and, retained, tells
+// incremental updates when a removal empties a cell (χ flips back to 0).
+func (o *Owner) buildLocal(spec OutsourceSpec) (*localTable, error) {
+	d := o.Data()
 	if d == nil {
 		return nil, errors.New("ownerengine: no data loaded")
 	}
-	b := o.view.B
+	b := o.b
 	chi, err := domain.BuildChi(b, d.Cells)
 	if err != nil {
 		return nil, err
@@ -380,7 +355,7 @@ func (o *engine) buildLocal(spec OutsourceSpec) (*localTable, error) {
 	for _, c := range d.Cells {
 		mult[c]++
 	}
-	return &localTable{spec: spec, b: b, chi: chi, mult: mult, sums: sums}, nil
+	return &localTable{spec: spec, chi: chi, mult: mult, sums: sums}, nil
 }
 
 // upload moves this owner's columns of one table to the first nsrv
@@ -419,33 +394,6 @@ func (o *engine) upload(ctx context.Context, spec protocol.TableSpec, nsrv int, 
 		}
 	}
 	return nil
-}
-
-// AdoptTable rebuilds the owner-local update state for a table this
-// process did not outsource itself (the servers already hold it — e.g.
-// a fresh CLI process issuing updates against a recovered deployment).
-// The loaded data must be the pre-update dataset the table was
-// outsourced from, or subsequent deltas will diverge from the base.
-func (o *engine) AdoptTable(spec OutsourceSpec) error {
-	t, err := o.buildLocal(spec)
-	if err != nil {
-		return err
-	}
-	o.mu.Lock()
-	o.tables[spec.Table] = t
-	o.mu.Unlock()
-	return nil
-}
-
-// localTableFor fetches owner-local table state.
-func (o *engine) localTableFor(name string) (*localTable, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	t, ok := o.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("ownerengine: table %q not outsourced by this owner", name)
-	}
-	return t, nil
 }
 
 // callServers issues build's request to the group's first nsrv servers

@@ -118,9 +118,8 @@ func TestLocalValuesKinds(t *testing.T) {
 		{protocol.KindMin, []uint64{10, 1, 0}},
 		{protocol.KindMedian, []uint64{60, 100, 0}}, // per-owner total at the cell
 	}
-	e := o.groups[0]
 	for _, c := range cases {
-		got, has, err := e.LocalValues(c.kind, "v", cells)
+		got, has, err := o.localValues(0, c.kind, "v", cells)
 		if err != nil {
 			t.Fatalf("%v: %v", c.kind, err)
 		}
@@ -128,10 +127,10 @@ func TestLocalValuesKinds(t *testing.T) {
 			t.Errorf("%v = %v (has %v), want %v", c.kind, got, has, c.want)
 		}
 	}
-	if got, has, err := e.LocalValues(protocol.KindMax, "v", nil); err != nil || len(got) != 0 || len(has) != 0 {
+	if got, has, err := o.localValues(0, protocol.KindMax, "v", nil); err != nil || len(got) != 0 || len(has) != 0 {
 		t.Errorf("no cells: %v %v %v", got, has, err)
 	}
-	if _, _, err := e.LocalValues(protocol.KindMax, "ghost", cells); err == nil {
+	if _, _, err := o.localValues(0, protocol.KindMax, "ghost", cells); err == nil {
 		t.Error("unknown column accepted")
 	}
 }

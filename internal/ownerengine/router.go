@@ -14,14 +14,18 @@ import (
 	"prism/internal/transport"
 )
 
-// Owner is one DB owner. It is a placement/routing layer over one
-// protocol engine per server group: each engine speaks the unchanged
-// PRISM math against its group's S0/S1/S2 triple over that group's
-// contiguous slice [Start, Start+B) of the cell domain. The router
-// splits loaded tuples and updates by owning group and fans the
-// per-group exchanges out concurrently. A query is Exec's (exec.go):
-// every group runs the query's whole round script on its own slice, and
-// one merge brings the answers back into the global domain.
+// Owner is one DB owner. It holds the owner's private state once, as
+// the paper's owner does (§4): the loaded tuples, in loaded order, and
+// one natural-order table per outsourced table over the whole domain.
+// Below it sits one protocol engine per server group: each engine speaks
+// the unchanged PRISM math against its group's S0/S1/S2 triple over that
+// group's contiguous slice [Start, Start+B) of the cell domain, sharing
+// zero-copy slices of the owner's tables. An outsource builds the tables
+// once and fans the groups' uploads out concurrently; an update folds
+// the dataset and computes the changed cells once, and each touched
+// group ships its run of them. A query is Exec's (exec.go): every group
+// runs the query's whole round script on its own slice, and one merge
+// brings the answers back into the global domain.
 //
 // A single-group deployment is the N = 1 case of the same fan-out and
 // merge.
@@ -31,6 +35,15 @@ type Owner struct {
 	groups []*engine
 	starts []uint64 // starts[g] = groups[g].view.Start
 	b      uint64   // total domain size (sum of group Bs)
+
+	mu     sync.Mutex
+	data   *Data
+	tables map[string]*localTable
+	// appendable is the dataset whose arrays an update fold made: their
+	// capacity past the tuples is the owner's, and the next fold of that
+	// dataset claims it (buildUpdate) to append its adds in place. Nil
+	// until a fold commits, after a Load, and while a claim is out.
+	appendable *Data
 
 	qidNonce atomic.Uint64 // extreme-query ids this owner has minted (exec.go)
 }
@@ -55,7 +68,7 @@ func New(index int, groups []GroupConfig, caller transport.Caller, shardCells ui
 	if seed == zero {
 		seed = prg.NewSeed()
 	}
-	o := &Owner{Index: index}
+	o := &Owner{Index: index, tables: make(map[string]*localTable)}
 	var next uint64
 	for g, gc := range groups {
 		v := gc.View
@@ -92,19 +105,6 @@ func (o *Owner) View() *params.OwnerView { return o.groups[0].View() }
 
 // GroupView exposes group g's parameter view.
 func (o *Owner) GroupView(g int) *params.OwnerView { return o.groups[g].View() }
-
-// groupOf locates the group owning a global cell.
-func (o *Owner) groupOf(cell uint64) (int, error) {
-	if cell >= o.b {
-		return 0, fmt.Errorf("ownerengine: cell %d outside domain of %d cells", cell, o.b)
-	}
-	for g := len(o.groups) - 1; g > 0; g-- {
-		if cell >= o.starts[g] {
-			return g, nil
-		}
-	}
-	return 0, nil
-}
 
 // groupErr tags an error with the group it came from, so a dead or
 // misbehaving group is identifiable from a merged failure.
@@ -143,181 +143,86 @@ func (o *Owner) allGroups() []int {
 	return sel
 }
 
-// splitData partitions a global dataset into per-group datasets with
-// group-local cell indices. Every group receives a dataset (possibly
-// empty) carrying every aggregation column, so per-group engines answer
-// column lookups uniformly. A nil dataset splits into nils.
-func (o *Owner) splitData(d *Data) ([]*Data, error) {
-	parts := make([]*Data, len(o.groups))
-	if d == nil {
-		return parts, nil
-	}
-	// One pass places every tuple; the columns then move as whole
-	// slices, so a tuple costs an append per column and no map access.
-	group := make([]int, len(d.Cells))
-	counts := make([]int, len(o.groups))
-	for i, c := range d.Cells {
-		g, err := o.groupOf(c)
-		if err != nil {
-			return nil, err
-		}
-		group[i] = g
-		counts[g]++
-	}
-	for g := range parts {
-		parts[g] = &Data{Cells: make([]uint64, 0, counts[g])}
-		if d.Aggs != nil {
-			parts[g].Aggs = make(map[string][]uint64, len(d.Aggs))
-		}
-	}
-	for i, c := range d.Cells {
-		p := parts[group[i]]
-		p.Cells = append(p.Cells, c-o.starts[group[i]])
-	}
-	for col, vs := range d.Aggs {
-		if len(vs) != len(d.Cells) {
-			return nil, fmt.Errorf("ownerengine: column %q has %d values for %d tuples", col, len(vs), len(d.Cells))
-		}
-		split := make([][]uint64, len(parts))
-		for g := range split {
-			split[g] = make([]uint64, 0, counts[g])
-		}
-		for i, v := range vs {
-			split[group[i]] = append(split[group[i]], v)
-		}
-		for g, p := range parts {
-			p.Aggs[col] = split[g]
-		}
-	}
-	return parts, nil
-}
-
-// Load installs the owner's private tuples, splitting them across
-// groups by owning cell range.
+// Load installs the owner's private tuples. The owner keeps d itself,
+// not a copy, and never writes its arrays: the caller must not modify
+// them afterwards.
 func (o *Owner) Load(d *Data) error {
 	if err := d.Validate(o.b, o.View().MaxAgg); err != nil {
 		return err
 	}
-	parts, err := o.splitData(d)
-	if err != nil {
-		return err
-	}
-	for g, e := range o.groups {
-		if err := e.Load(parts[g]); err != nil {
-			return o.groupErr(g, err)
-		}
-	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.data, o.appendable = d, nil
 	return nil
 }
 
 // Data returns the loaded dataset (owner-local, never shared), nil when
-// nothing is loaded. The tuples come back grouped by owning group in
-// ascending group order; across groups the original interleaving is not
-// preserved.
+// nothing is loaded: the tuples in the order they were loaded, every
+// committed update folded in — removals taken out where they stood, adds
+// appended. Callers must not modify it.
 func (o *Owner) Data() *Data {
-	var out *Data
-	for g, e := range o.groups {
-		d := e.Data()
-		if d == nil {
-			continue
-		}
-		if out == nil {
-			out = &Data{}
-		}
-		for _, c := range d.Cells {
-			out.Cells = append(out.Cells, c+o.starts[g])
-		}
-		for col, vs := range d.Aggs {
-			if out.Aggs == nil {
-				out.Aggs = make(map[string][]uint64)
-			}
-			out.Aggs[col] = append(out.Aggs[col], vs...)
-		}
-	}
-	return out
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.data
 }
 
-// Outsource runs Phase 1 against every group concurrently. Stats sum
-// across groups (total work, not wall time).
+// Outsource runs Phase 1: it builds the table's natural-order columns
+// once, then every group permutes, shares and uploads its slice of them
+// concurrently. The owner keeps the table for updates only once every
+// group's upload has succeeded. Split and upload times sum across groups
+// (total work, not wall time).
 func (o *Owner) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStats, error) {
+	start := time.Now()
+	t, err := o.buildLocal(spec)
+	if err != nil {
+		return ShareGenStats{}, err
+	}
+	total := ShareGenStats{BuildNS: time.Since(start).Nanoseconds()}
 	var mu sync.Mutex
-	var total ShareGenStats
-	err := o.eachGroup("outsource", o.allGroups(), func(g int) error {
-		st, err := o.groups[g].Outsource(ctx, spec)
+	err = o.eachGroup("outsource", o.allGroups(), func(g int) error {
+		e := o.groups[g]
+		st, err := e.outsource(ctx, t.slice(e.view.Start, e.view.Start+e.view.B))
 		mu.Lock()
-		total.BuildNS += st.BuildNS
 		total.SplitNS += st.SplitNS
 		total.UploadNS += st.UploadNS
 		total.Cells += st.Cells
 		mu.Unlock()
 		return err
 	})
-	return total, err
+	if err != nil {
+		return total, err
+	}
+	o.mu.Lock()
+	o.tables[spec.Table] = t
+	o.mu.Unlock()
+	return total, nil
 }
 
-// AdoptTable rebuilds owner-local update state for an already-served
-// table in every group.
+// AdoptTable rebuilds the owner-local update state for a table this
+// process did not outsource itself (the servers already hold it — e.g.
+// a fresh CLI process issuing updates against a recovered deployment).
+// The loaded data must be the pre-update dataset the table was
+// outsourced from, or subsequent deltas will diverge from the base.
 func (o *Owner) AdoptTable(spec OutsourceSpec) error {
-	for g, e := range o.groups {
-		if err := e.AdoptTable(spec); err != nil {
-			return o.groupErr(g, err)
-		}
+	t, err := o.buildLocal(spec)
+	if err != nil {
+		return err
 	}
+	o.mu.Lock()
+	o.tables[spec.Table] = t
+	o.mu.Unlock()
 	return nil
 }
 
-// Update applies a tuple-set change to an outsourced table: add and
-// remove list tuples in the Data format (either may be nil), split here
-// by owning group. Every group prepares before anything is sent, each
-// server of a touched group receives exactly one StoreDeltaRequest (and,
-// for a table outsourced with Buckets, S0 and S1 the group's rebuilt
-// bucket tree), and the owner's state is folded only once all of them
-// have acknowledged:
-// a failed update returns the error and leaves the owner untouched, and
-// calling Update again with the same tuples converges the servers.
-func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (UpdateStats, error) {
-	addParts, err := o.splitData(add)
-	if err != nil {
-		return UpdateStats{}, err
+// localTableFor fetches owner-local table state.
+func (o *Owner) localTableFor(name string) (*localTable, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	t, ok := o.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("ownerengine: table %q not outsourced by this owner", name)
 	}
-	remParts, err := o.splitData(remove)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	// Prepare in every group — an untouched one prepares to nil, and
-	// unknown-table or not-adopted errors surface even for an empty update.
-	ups := make([]*update, len(o.groups))
-	var sel []int // the touched groups: those with a prepared update
-	release := func() {
-		for _, g := range sel {
-			ups[g].release()
-		}
-	}
-	for g, e := range o.groups {
-		if ups[g], err = e.prepareUpdate(table, addParts[g], remParts[g]); err != nil {
-			release()
-			return UpdateStats{}, o.groupErr(g, err)
-		}
-		if ups[g] != nil {
-			sel = append(sel, g)
-		}
-	}
-	err = o.eachGroup("update", sel, func(g int) error { return o.groups[g].shipUpdate(ctx, ups[g]) })
-	if err != nil {
-		release()
-		return UpdateStats{}, err
-	}
-	total := UpdateStats{FastPath: true}
-	for _, g := range sel {
-		u := ups[g]
-		o.groups[g].commitUpdate(u)
-		total.BuildNS += u.stats.BuildNS
-		total.SplitNS += u.stats.SplitNS
-		total.UploadNS += u.stats.UploadNS
-		total.Cells += u.stats.Cells
-		total.FastPath = total.FastPath && u.stats.FastPath
-	}
-	return total, nil
+	return t, nil
 }
 
 // Ping probes every server of every group concurrently. A nil return

@@ -7,12 +7,13 @@
 // except for the permutation lookups — and for a table outsourced with
 // Buckets, whose bucket tree is re-uploaded whole (shipUpdate).
 //
-// Prepare validates the change and builds the requests without touching
-// owner state, ship sends them, and commit folds the change into the
-// loaded dataset and the retained tables once every server of every
-// touched group has acknowledged — so a failed update leaves the owner
-// as it was and, the values being absolute, shipping it again brings
-// every server to the same state.
+// The owner validates the change, folds it into a copy of the dataset
+// and computes the changed cells' new values once, without touching its
+// state; each touched group builds its servers' requests for its run of
+// those cells and ships them, and the owner commits the fold and the new
+// values once every server of every touched group has acknowledged — so
+// a failed update leaves the owner as it was and, the values being
+// absolute, shipping it again brings every server to the same state.
 package ownerengine
 
 import (
@@ -43,41 +44,50 @@ type UpdateStats struct {
 	FastPath bool
 }
 
-// update is one group's prepared update: the servers' requests and what
-// commit folds once they are acknowledged. From prepareUpdate until
-// commit or release it holds the table's update lock.
+// update is one prepared update: the folded dataset and the changed
+// cells' new values, computed once for the whole domain.
 type update struct {
 	t     *localTable
 	data  *Data       // the loaded dataset with the change folded in
-	cells []uint64    // the changed natural cells
+	cells []uint64    // the changed natural cells, ascending
 	next  *localTable // their new χ, multiplicity and sums, parallel to cells
-	reqs  [params.NumServers]protocol.StoreDeltaRequest
 	stats UpdateStats
 }
 
-// release drops the table's update lock without folding anything.
-func (u *update) release() { u.t.upMu.Unlock() }
+// groupUpdate is one touched group's part of an update: its run of the
+// changed cells — a slice of the update's — and its servers' requests.
+type groupUpdate struct {
+	cells    []uint64 // global cells in [Start, Start+B), ascending
+	next     *localTable
+	reqs     [params.NumServers]protocol.StoreDeltaRequest
+	uploadNS int64
+}
 
-// prepareUpdate validates a tuple-set change against an outsourced table
-// and builds its delta requests. Removed tuples must match currently
-// loaded tuples — same cell, same aggregation values — or the update is
-// rejected. Nothing the engine holds is modified; an update that changes
-// no cell prepares to nil.
-func (o *engine) prepareUpdate(table string, add, remove *Data) (*update, error) {
+// Update applies a tuple-set change to an outsourced table: add and
+// remove list tuples in the Data format (either may be nil). Removed
+// tuples must match currently loaded tuples — same cell, same
+// aggregation values — or the update is rejected. Every touched group
+// prepares before anything is sent, each server of a touched group
+// receives exactly one StoreDeltaRequest (and, for a table outsourced
+// with Buckets, S0 and S1 the group's rebuilt bucket tree), and the
+// owner's state is folded only once all of them have acknowledged: a
+// failed update returns the error and leaves the owner untouched, and
+// calling Update again with the same tuples converges the servers.
+func (o *Owner) Update(ctx context.Context, table string, add, remove *Data) (UpdateStats, error) {
 	t, err := o.localTableFor(table)
 	if err != nil {
-		return nil, err
+		return UpdateStats{}, err
 	}
 	for _, d := range []*Data{add, remove} {
 		if d == nil {
 			continue
 		}
-		if err := d.Validate(t.b, o.view.MaxAgg); err != nil {
-			return nil, err
+		if err := d.Validate(o.b, o.View().MaxAgg); err != nil {
+			return UpdateStats{}, err
 		}
 		for _, col := range t.spec.AggCols {
 			if len(d.Cells) > 0 && d.Aggs[col] == nil {
-				return nil, fmt.Errorf("ownerengine: update data has no column %q", col)
+				return UpdateStats{}, fmt.Errorf("ownerengine: update data has no column %q", col)
 			}
 		}
 	}
@@ -87,16 +97,42 @@ func (o *engine) prepareUpdate(table string, add, remove *Data) (*update, error)
 	// racing to the servers could land out of order and leave the older
 	// absolute value on top.
 	t.upMu.Lock()
+	defer t.upMu.Unlock()
 	u := &update{t: t}
-	if err := o.buildUpdate(u, add, remove); err != nil || len(u.cells) == 0 {
-		t.upMu.Unlock()
-		return nil, err
+	if err := o.buildUpdate(u, add, remove); err != nil {
+		return UpdateStats{}, err
 	}
-	return u, nil
+	if len(u.cells) == 0 {
+		return u.stats, nil
+	}
+	// The changed cells ascend, so each group's are one run of them.
+	parts := make([]*groupUpdate, len(o.groups))
+	var sel []int // the touched groups
+	lo := 0
+	for g, e := range o.groups {
+		hi := lo
+		for hi < len(u.cells) && u.cells[hi] < e.view.Start+e.view.B {
+			hi++
+		}
+		if hi > lo {
+			parts[g] = &groupUpdate{cells: u.cells[lo:hi], next: u.next.slice(uint64(lo), uint64(hi))}
+			e.prepareUpdate(parts[g], t.spec, &u.stats)
+			sel = append(sel, g)
+		}
+		lo = hi
+	}
+	if err := o.eachGroup("update", sel, func(g int) error { return o.groups[g].shipUpdate(ctx, t, parts[g]) }); err != nil {
+		return UpdateStats{}, err
+	}
+	for _, g := range sel {
+		u.stats.UploadNS += parts[g].uploadNS
+	}
+	o.commitUpdate(u)
+	return u.stats, nil
 }
 
 // buildUpdate fills in u for a validated change. Caller holds t.upMu.
-func (o *engine) buildUpdate(u *update, add, remove *Data) error {
+func (o *Owner) buildUpdate(u *update, add, remove *Data) error {
 	t, spec := u.t, u.t.spec
 	start := time.Now()
 	o.mu.Lock()
@@ -188,25 +224,36 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 	// below zero means the outsourced table never held that many tuples
 	// there (the loaded dataset may have been replaced since: a removal
 	// that matched it can still be absent from the table).
-	u.next = &localTable{spec: spec, sums: make(map[string][]uint64, len(spec.AggCols))}
-	next, at := u.next, make(map[uint64]int)
-	for _, side := range []struct {
+	sides := []struct {
 		d        *Data
 		removing bool
-	}{{remove, true}, {add, false}} {
+	}{{remove, true}, {add, false}}
+	at := make(map[uint64]int)
+	for _, side := range sides {
+		for i := 0; side.d != nil && i < len(side.d.Cells); i++ {
+			c := side.d.Cells[i]
+			if _, seen := at[c]; !seen {
+				at[c] = 0 // its index in u.cells, set once they are sorted
+				u.cells = append(u.cells, c)
+			}
+		}
+	}
+	slices.Sort(u.cells)
+	u.next = &localTable{spec: spec, sums: make(map[string][]uint64, len(spec.AggCols))}
+	next := u.next
+	for k, c := range u.cells {
+		at[c] = k
+		next.mult = append(next.mult, t.mult[c])
+		for _, col := range spec.AggCols {
+			next.sums[col] = append(next.sums[col], t.sums[col][c])
+		}
+	}
+	for _, side := range sides {
 		if side.d == nil {
 			continue
 		}
 		for i, c := range side.d.Cells {
-			k, seen := at[c]
-			if !seen {
-				k, at[c] = len(u.cells), len(u.cells)
-				u.cells = append(u.cells, c)
-				next.mult = append(next.mult, t.mult[c])
-				for _, col := range spec.AggCols {
-					next.sums[col] = append(next.sums[col], t.sums[col][c])
-				}
-			}
+			k := at[c]
 			if side.removing && next.mult[k] == 0 {
 				return fmt.Errorf("ownerengine: removing more tuples from cell %d than the %d the outsourced table holds", c, t.mult[c])
 			}
@@ -235,20 +282,29 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 		}
 	}
 	u.stats.Cells = uint64(n)
+	u.stats.BuildNS = time.Since(start).Nanoseconds()
+	return nil
+}
 
+// prepareUpdate builds the group's three requests for its run of an
+// update's changed cells, adding its time to st.
+func (o *engine) prepareUpdate(gu *groupUpdate, spec OutsourceSpec, st *UpdateStats) {
+	start := time.Now()
+	n := len(gu.cells)
 	// Stored positions of the changed cells, ascending — once per
 	// permutation space, since DB1 (χ, sums, counts) and DB2 (χ̄,
 	// v-columns) scatter the same cell to different positions — and the
 	// rank permutation that puts the cells' values in that order.
 	ranked := func(db perm.Perm) (perm.Perm, []uint64) {
+		at := func(k int) uint32 { return db[gu.cells[k]-o.view.Start] }
 		order := make([]int, n)
 		for k := range order {
 			order[k] = k
 		}
-		sort.Slice(order, func(i, j int) bool { return db[u.cells[order[i]]] < db[u.cells[order[j]]] })
+		sort.Slice(order, func(i, j int) bool { return at(order[i]) < at(order[j]) })
 		rank, pos := make(perm.Perm, n), make([]uint64, n)
 		for r, k := range order {
-			rank[k], pos[r] = uint32(r), uint64(db[u.cells[k]])
+			rank[k], pos[r] = uint32(r), uint64(at(k))
 		}
 		return rank, pos
 	}
@@ -258,20 +314,19 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 	if spec.Verify {
 		rank2, pos2 = ranked(o.view.DB2)
 	}
-	u.stats.BuildNS = time.Since(start).Nanoseconds()
+	st.BuildNS += time.Since(start).Nanoseconds()
 
 	start = time.Now()
-	sh := o.split(next, rank1, rank2)
-	for phi := range u.reqs {
+	sh := o.split(gu.next, rank1, rank2)
+	for phi := range gu.reqs {
 		c := sh.server(phi, 0, uint64(n))
-		u.reqs[phi] = protocol.StoreDeltaRequest{
+		gu.reqs[phi] = protocol.StoreDeltaRequest{
 			Owner: o.Index, Group: o.view.Group, Table: spec.Table,
 			Pos: pos1, Chi: c.ChiAdd, Sums: c.SumCols, Cnt: c.CountCol,
 			VPos: pos2, ChiBar: c.ChiBarAdd, VSums: c.VSumCols, VCnt: c.VCountCol,
 		}
 	}
-	u.stats.SplitNS = time.Since(start).Nanoseconds()
-	return nil
+	st.SplitNS += time.Since(start).Nanoseconds()
 }
 
 // shipUpdate sends each server of the group its one request and returns
@@ -282,9 +337,9 @@ func (o *engine) buildUpdate(u *update, add, remove *Data) error {
 // natural cell changed, and a skipped upload whether χ changed at all.
 // It costs (8/7)·b two-byte shares to each of S0 and S1; a failed upload
 // leaves the update uncommitted and retryable like a refused delta.
-func (o *engine) shipUpdate(ctx context.Context, u *update) error {
+func (o *engine) shipUpdate(ctx context.Context, t *localTable, gu *groupUpdate) error {
 	start := time.Now()
-	replies, err := o.callServers(ctx, params.NumServers, func(phi int) any { return u.reqs[phi] })
+	replies, err := o.callServers(ctx, params.NumServers, func(phi int) any { return gu.reqs[phi] })
 	if err != nil {
 		return err
 	}
@@ -299,23 +354,23 @@ func (o *engine) shipUpdate(ctx context.Context, u *update) error {
 	if total == 0 {
 		return errors.New("ownerengine: no server accepted any delta entry")
 	}
-	if u.t.spec.Buckets {
-		chi := slices.Clone(u.t.chi)
-		for k, c := range u.cells {
-			chi[c] = u.next.chi[k]
+	if t.spec.Buckets {
+		chi := slices.Clone(t.chi[o.view.Start : o.view.Start+o.view.B])
+		for k, c := range gu.cells {
+			chi[c-o.view.Start] = gu.next.chi[k]
 		}
-		if err := o.uploadTree(ctx, u.t.spec.Table, chi); err != nil {
+		if err := o.uploadTree(ctx, t.spec.Table, chi); err != nil {
 			return err
 		}
 	}
-	u.stats.UploadNS = time.Since(start).Nanoseconds()
+	gu.uploadNS = time.Since(start).Nanoseconds()
 	return nil
 }
 
 // commitUpdate folds an acknowledged update into the loaded dataset
 // (which owner-local query state such as exemplary-aggregation values is
-// computed from) and the retained tables, and releases the update lock.
-func (o *engine) commitUpdate(u *update) {
+// computed from) and the retained tables. Caller holds u.t.upMu.
+func (o *Owner) commitUpdate(u *update) {
 	o.mu.Lock()
 	o.data, o.appendable = u.data, u.data
 	o.mu.Unlock()
@@ -325,5 +380,4 @@ func (o *engine) commitUpdate(u *update) {
 			u.t.sums[col][c] = vs[k]
 		}
 	}
-	u.release()
 }

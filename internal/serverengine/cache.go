@@ -16,11 +16,13 @@ import (
 // whenever the table changes (a Store from any owner, a compaction
 // swap): the engine swaps in a fresh cache so
 // later queries never serve stale entries. Entries already cached stay
-// visible to queries holding the old snapshot, but a disk cache miss
-// always reads the store's current files — so a query overlapping a
-// re-outsource may combine columns from two epochs. That coordination is
-// the caller's documented responsibility (see the package README: don't
-// re-outsource a table being queried at that instant).
+// visible to queries holding the old snapshot, and a disk cache miss
+// reads the column slot the snapshot names: a re-outsource writes the
+// owner's other slot and leaves the old one on disk, so a snapshot reads
+// its own epoch's columns across it. The one remaining case is a second
+// re-outsource of the same owner while a query still holds a view from
+// two epochs back: that upload empties and reuses the slot the view
+// names, so the query fails or reads the new columns (ROADMAP D1).
 //
 // Every entry is held for the epoch: counted in held bytes and released
 // together when the epoch ends (discard). The sums are 1/M of the

@@ -60,41 +60,37 @@ type fileState struct {
 	data []byte
 }
 
-// columnFiles reads every file of every column directory of table t,
-// keyed by the column's colKey name whichever slot holds it.
-func columnFiles(t *testing.T, dir string) map[string]map[string]fileState {
+// columnFiles reads every file of the column directories e's
+// registration of table t names live, keyed by the column's colKey name
+// whichever slot holds it. A re-outsourced owner's previous slot is not
+// read: it is no one's live columns.
+func columnFiles(t *testing.T, e *Engine, dir string) map[string]map[string]fileState {
 	t.Helper()
-	cols, err := filepath.Glob(filepath.Join(dir, "t", "*.colv2"))
-	if err != nil || len(cols) == 0 {
-		t.Fatalf("no column directories under %s: %v", dir, err)
-	}
+	e.mu.RLock()
+	tab := e.tables["t"]
+	e.mu.RUnlock()
 	out := make(map[string]map[string]fileState)
-	for _, cd := range cols {
-		ents, err := os.ReadDir(cd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[string]fileState)
-		for _, ent := range ents {
-			path := filepath.Join(cd, ent.Name())
-			info, err := os.Stat(path)
+	for j, oc := range tab.owners {
+		for _, cd := range e.specCols(tab.spec) {
+			path := filepath.Join(dir, "t", slotKey(j, oc.slot, cd.name)+".colv2")
+			ents, err := os.ReadDir(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			files := make(map[string]fileState)
+			for _, ent := range ents {
+				info, err := os.Stat(filepath.Join(path, ent.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(filepath.Join(path, ent.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[ent.Name()] = fileState{info, data}
 			}
-			files[ent.Name()] = fileState{info, data}
+			out[colKey(j, cd.name)] = files
 		}
-		name := strings.TrimSuffix(filepath.Base(cd), ".colv2")
-		if rest, ok := strings.CutPrefix(name, "pend"); ok {
-			name = "o" + rest
-		}
-		if out[name] != nil {
-			t.Fatalf("column %s is stored in both slots", name)
-		}
-		out[name] = files
 	}
 	return out
 }
@@ -110,7 +106,7 @@ func TestCompactionPatchesInPlace(t *testing.T) {
 	e := compactEngine(t, dir, b, chunk)
 	storeFull(t, []*Engine{e}, b, false)
 	snap := pendingUpdates(t, e, b, 3, 11)
-	before := columnFiles(t, dir)
+	before := columnFiles(t, e, dir)
 	st, err := e.Compact("t")
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +118,7 @@ func TestCompactionPatchesInPlace(t *testing.T) {
 	if st.Entries != entries || entries == 0 {
 		t.Fatalf("pass folded %d entries, overlay held %d", st.Entries, entries)
 	}
-	after := columnFiles(t, dir)
+	after := columnFiles(t, e, dir)
 	if len(after) != len(before) {
 		t.Fatalf("%d column directories after the pass, %d before", len(after), len(before))
 	}
@@ -310,7 +306,7 @@ func TestCompactionSkipsReoutsourcedOwner(t *testing.T) {
 			storeFull(t, []*Engine{e}, b, false)
 			var uploaded map[string]map[string]fileState
 			if disk {
-				uploaded = columnFiles(t, dir)
+				uploaded = columnFiles(t, e, dir)
 			}
 			pendingUpdates(t, e, b, 3, 11)
 			var fresh map[int]*ownerCols
@@ -335,7 +331,7 @@ func TestCompactionSkipsReoutsourcedOwner(t *testing.T) {
 			if !disk {
 				return
 			}
-			for col, files := range columnFiles(t, dir) {
+			for col, files := range columnFiles(t, e, dir) {
 				for name, f := range files {
 					if !bytes.Equal(f.data, uploaded[col][name].data) {
 						t.Errorf("column %s: %s differs from the re-outsourced upload", col, name)

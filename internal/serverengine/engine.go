@@ -440,8 +440,10 @@ func (e *Engine) handleListTables() protocol.ListTablesReply {
 
 // lookup snapshots the table under the engine lock and checks all m
 // owners have outsourced. The returned view is safe to read without
-// locks: ownerCols are immutable once registered, and later Stores only
-// swap map entries, never mutate visible columns.
+// locks: ownerCols are immutable once registered, and a later Store
+// swaps map entries and writes the owner's other slot, so the snapshot
+// reads its own epoch's slot. Only a second re-outsource of the same
+// owner reuses the slot a view from two epochs back names (ROADMAP D1).
 func (e *Engine) lookup(name string) (*tableView, error) {
 	e.mu.RLock()
 	t, ok := e.tables[name]

@@ -28,7 +28,8 @@
 //  4. Every other column is an upload that never reached its commit
 //     point, the manifest write naming its slot live — StoreReply is sent
 //     only after that write, so no owner was told it landed — or the
-//     slot a committed upload had not yet deleted: it is reclaimed. One
+//     slot a committed upload kept for its previous epoch's snapshots:
+//     it is reclaimed. One
 //     shape is refused instead: a listed owner's other slot whose first
 //     column is missing while a later one is present. Slots fill first
 //     column first and empty last column first, so only a build before
@@ -81,7 +82,7 @@ type RecoveryReport struct {
 	Ignored []string
 	// PendingReclaimed counts the (table, owner) pairs whose columns
 	// outside the live slot — a crashed upload, or the slot a committed
-	// upload had not yet deleted — were deleted.
+	// upload kept for its previous epoch — were deleted.
 	PendingReclaimed int
 }
 

@@ -328,17 +328,37 @@ func TestRecoverManifestEdgeCases(t *testing.T) {
 
 // TestRecoverReoutsourceOldOrNew walks every ordering point of a
 // registered owner's re-outsource — the other slot created, each window
-// written, the manifest written, each column of the old slot deleted —
-// crashing the server at each and restarting it. The restarted server
-// answers as the old epoch did before the manifest write and as the new
-// one from it on, never a mix; nothing is quarantined and no column
-// outside the live slots is left. The upload comes as one window of the
-// whole table and as 16-cell windows, every column verified.
+// written, the manifest written — crashing the server at each and
+// restarting it. The old slot outlives the commit (a snapshot taken
+// before it may still read there), so the manifest write is the last
+// point. The restarted server answers as the old epoch did before the
+// manifest write and as the new one from it on, never a mix; nothing is
+// quarantined and no column outside the live slots is left. The upload
+// comes as one window of the whole table and as 16-cell windows, every
+// column verified.
 func TestRecoverReoutsourceOldOrNew(t *testing.T) {
 	const b = 64
 	for _, window := range []uint64{b, 16} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) { reoutsourceWalk(t, b, window) })
 	}
+}
+
+// reoutsourceZeros re-outsources owner 1's columns of spec as all zeros
+// in windows of the given size, up to the first error.
+func reoutsourceZeros(e *Engine, spec protocol.TableSpec, window uint64) error {
+	for off := uint64(0); off < spec.B; off += window {
+		n := min(window, spec.B-off)
+		zeros := func() []uint64 { return make([]uint64, n) }
+		if _, err := e.Handle(context.Background(), protocol.StoreRequest{
+			Owner: 1, Spec: spec, UploadID: "walk/1", Shard: protocol.Range{Offset: off, Count: n},
+			ChiAdd: make([]uint16, n), ChiBarAdd: make([]uint16, n),
+			SumCols: map[string][]uint64{"v": zeros()}, VSumCols: map[string][]uint64{"v": zeros()},
+			CountCol: zeros(), VCountCol: zeros(),
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func reoutsourceWalk(t *testing.T, b, window uint64) {
@@ -363,23 +383,7 @@ func reoutsourceWalk(t *testing.T, b, window uint64) {
 		}
 		return out
 	}
-	// reoutsource uploads all-zero columns for owner 1 in windows, up to
-	// the first error.
-	reoutsource := func(e *Engine) error {
-		for off := uint64(0); off < b; off += window {
-			n := min(window, b-off)
-			zeros := func() []uint64 { return make([]uint64, n) }
-			if _, err := e.Handle(ctx, protocol.StoreRequest{
-				Owner: 1, Spec: spec, UploadID: "walk/1", Shard: protocol.Range{Offset: off, Count: n},
-				ChiAdd: make([]uint16, n), ChiBarAdd: make([]uint16, n),
-				SumCols: map[string][]uint64{"v": zeros()}, VSumCols: map[string][]uint64{"v": zeros()},
-				CountCol: zeros(), VCountCol: zeros(),
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	reoutsource := func(e *Engine) error { return reoutsourceZeros(e, spec, window) }
 
 	// A run to completion: the two epochs' replies and the ordering
 	// points between them.
@@ -397,8 +401,8 @@ func reoutsourceWalk(t *testing.T, b, window uint64) {
 	}
 	cols := ref[0].specCols(spec)
 	commit := slices.Index(steps, "upload:manifest")
-	if want := 1 + int((b+window-1)/window) + 1 + len(cols); len(steps) != want || commit != want-len(cols)-1 {
-		t.Fatalf("ordering points %v, want created, one per window, manifest and one per column", steps)
+	if want := 1 + int((b+window-1)/window) + 1; len(steps) != want || commit != want-1 {
+		t.Fatalf("ordering points %v, want created, one per window and the manifest last", steps)
 	}
 
 	errCrash := errors.New("crash injected")
@@ -442,6 +446,63 @@ func reoutsourceWalk(t *testing.T, b, window uint64) {
 				}
 			}
 		})
+	}
+}
+
+// TestSnapshotReadsItsEpochAcrossReoutsource: a query that took its
+// table snapshot before a disk re-outsource committed still reads the
+// epoch it started on afterwards. Its snapshot names the slot the owner
+// served from, and the commit leaves that slot on disk, so its owner
+// sum (built cold, after the commit) and its window reads both return
+// the old epoch's cells, as a server that never saw the re-outsource
+// would.
+func TestSnapshotReadsItsEpochAcrossReoutsource(t *testing.T) {
+	const b, chunk = 64, 16
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasVerify: true, HasCount: true, Plain: true}
+	rg := protocol.Range{Count: b}
+	read := func(e *Engine, v *tableView) (sum []uint16, own [2][]uint64) {
+		t.Helper()
+		s, _, err := ownerSum[uint16](e, v, "chi", rg, nil, nil, &protocol.Stats{})
+		if err != nil {
+			t.Fatalf("owner sum: %v", err)
+		}
+		sum = slices.Clone(s)
+		for j := range own {
+			w, _, err := fetchWindow[uint64](e, v, j, "sum.v", rg, &protocol.Stats{})
+			if err != nil {
+				t.Fatalf("owner %d window: %v", j, err)
+			}
+			own[j] = slices.Clone(w)
+		}
+		return sum, own
+	}
+	ref, _ := diskEnginesAt(t, b, chunk, storeDirs(t), nil)
+	storeSharded(t, ref, b, 16, true)
+	rv, err := ref[0].lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum, wantOwn := read(ref[0], rv)
+
+	engines, _ := diskEnginesAt(t, b, chunk, storeDirs(t), nil)
+	storeSharded(t, engines, b, 16, true)
+	e := engines[0]
+	old, err := e.lookup("t") // a cold epoch cache: nothing read yet
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reoutsourceZeros(e, spec, 16); err != nil {
+		t.Fatal(err)
+	}
+	if sum, own := read(e, old); !slices.Equal(sum, wantSum) || !reflect.DeepEqual(own, wantOwn) {
+		t.Fatalf("the old snapshot read sum %v, owners %v; want the old epoch's %v, %v", sum, own, wantSum, wantOwn)
+	}
+	cur, err := e.lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, own := read(e, cur); slices.ContainsFunc(own[1], func(v uint64) bool { return v != 0 }) {
+		t.Fatalf("the new snapshot read owner 1's old cells %v", own[1])
 	}
 }
 

@@ -8,8 +8,10 @@
 // names on disk, its slots (slotKey): an upload writes the slot the
 // owner does not serve from, and once every cell has arrived the
 // manifest write that names it live is the upload's one commit point —
-// StoreReply is sent only after it, and only then is the old slot
-// deleted. Nothing is renamed. Either way a table epoch is registered
+// StoreReply is sent only after it. The old slot stays on disk for the
+// snapshots taken before the commit until the owner's next upload
+// empties it or the next boot reclaims it. Nothing is renamed. Either
+// way a table epoch is registered
 // only once every cell of every column has arrived, so queries never
 // observe a half-uploaded column.
 package serverengine
@@ -421,9 +423,11 @@ func specDiff(a, b protocol.TableSpec) string {
 
 // finishStore registers one owner's assembled columns — resident, or
 // complete in a slot of the store — as the table's current epoch. On
-// disk the manifest write naming that slot live is the commit point;
-// the slot the owner served from before is deleted after it. Caller
-// holds the (table, owner) store lock.
+// disk the manifest write naming that slot live is the commit point.
+// The slot the owner served from before stays on disk, so a query that
+// took its snapshot before the commit still reads its own epoch; the
+// owner's next upload empties it (createCols), or the next boot
+// reclaims it. Caller holds the (table, owner) store lock.
 func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) (any, error) {
 	e.mu.Lock()
 	// Re-check: a concurrent Store may have created the table while this
@@ -469,10 +473,6 @@ func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) 
 		if err := e.step("upload:manifest"); err != nil {
 			return nil, err
 		}
-		// Committed: the other slot is no one's now. Best-effort — a
-		// column left behind is reclaimed by the next upload into the slot
-		// or by the next boot.
-		e.dropSlot(spec.Name, owner, 1-oc.slot, e.specCols(spec))
 	}
 	return protocol.StoreReply{Cells: spec.B}, nil
 }

@@ -17,7 +17,7 @@ import (
 //
 //   - only exec.go calls a round — a group engine's SetResult (round 1
 //     of every set and cardinality kind), BucketResult (bpsi's level
-//     rounds), Aggregate, LocalValues,
+//     rounds), Aggregate, the owner's localValues,
 //     SubmitExtreme, FetchExtreme, SubmitClaim or FetchClaims — or builds
 //     a protocol.ExtremeReduceRequest; a front door that needs a query
 //     calls ownerengine.Exec;
@@ -29,7 +29,7 @@ func TestQueryScriptLivesInExec(t *testing.T) {
 	engineDir := filepath.Join("internal", "ownerengine")
 	execGo := filepath.Join(engineDir, "exec.go")
 	rounds := map[string]bool{
-		"SetResult": true, "BucketResult": true, "Aggregate": true, "LocalValues": true,
+		"SetResult": true, "BucketResult": true, "Aggregate": true, "localValues": true,
 		"SubmitExtreme": true, "FetchExtreme": true, "SubmitClaim": true, "FetchClaims": true,
 	}
 	fanouts := 0

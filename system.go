@@ -236,6 +236,8 @@ func (o *Owner) Load(rows []Row) error {
 
 // LoadCells installs pre-encoded tuples (cell indices plus parallel
 // aggregation arrays) — the fast path for large synthetic workloads.
+// The owner keeps the slices without copying them; do not modify them
+// after the call.
 func (o *Owner) LoadCells(cells []uint64, aggs map[string][]uint64) error {
 	if aggs == nil {
 		aggs = map[string][]uint64{}
