@@ -326,16 +326,17 @@ func TestRecoverManifestEdgeCases(t *testing.T) {
 	})
 }
 
-// TestRecoverReoutsourceOldOrNew walks every ordering point of a
-// registered owner's re-outsource — the other slot created, each window
-// written, the manifest written — crashing the server at each and
-// restarting it. The old slot outlives the commit (a snapshot taken
-// before it may still read there), so the manifest write is the last
-// point. The restarted server answers as the old epoch did before the
-// manifest write and as the new one from it on, never a mix; nothing is
-// quarantined and no column outside the live slots is left. The upload
-// comes as one window of the whole table and as 16-cell windows, every
-// column verified.
+// TestRecoverReoutsourceOldOrNew walks every ordering point of two
+// re-outsources of a registered owner — each upload's other slot
+// emptied last column first (the second upload's slot still holds the
+// first epoch's columns) and created, each window written, the manifest
+// written — crashing the server at each and restarting it. The old slot
+// outlives each commit (a snapshot taken before it may still read
+// there), so an upload's manifest write is its last point. The
+// restarted server answers as the epoch the last manifest write before
+// the crash committed, never a mix; nothing is quarantined and no
+// column outside the live slots is left. The uploads come as one window
+// of the whole table and as 16-cell windows, every column verified.
 func TestRecoverReoutsourceOldOrNew(t *testing.T) {
 	const b = 64
 	for _, window := range []uint64{b, 16} {
@@ -343,17 +344,30 @@ func TestRecoverReoutsourceOldOrNew(t *testing.T) {
 	}
 }
 
-// reoutsourceZeros re-outsources owner 1's columns of spec as all zeros
-// in windows of the given size, up to the first error.
-func reoutsourceZeros(e *Engine, spec protocol.TableSpec, window uint64) error {
+// reoutsourceFill re-outsources owner 1's columns of spec with every
+// cell fill, in windows of the given size, up to the first error.
+func reoutsourceFill(e *Engine, spec protocol.TableSpec, window, fill uint64) error {
 	for off := uint64(0); off < spec.B; off += window {
 		n := min(window, spec.B-off)
-		zeros := func() []uint64 { return make([]uint64, n) }
+		u16 := func() []uint16 {
+			v := make([]uint16, n)
+			for i := range v {
+				v[i] = uint16(fill)
+			}
+			return v
+		}
+		u64 := func() []uint64 {
+			v := make([]uint64, n)
+			for i := range v {
+				v[i] = fill
+			}
+			return v
+		}
 		if _, err := e.Handle(context.Background(), protocol.StoreRequest{
-			Owner: 1, Spec: spec, UploadID: "walk/1", Shard: protocol.Range{Offset: off, Count: n},
-			ChiAdd: make([]uint16, n), ChiBarAdd: make([]uint16, n),
-			SumCols: map[string][]uint64{"v": zeros()}, VSumCols: map[string][]uint64{"v": zeros()},
-			CountCol: zeros(), VCountCol: zeros(),
+			Owner: 1, Spec: spec, UploadID: fmt.Sprintf("walk/%d", fill), Shard: protocol.Range{Offset: off, Count: n},
+			ChiAdd: u16(), ChiBarAdd: u16(),
+			SumCols: map[string][]uint64{"v": u64()}, VSumCols: map[string][]uint64{"v": u64()},
+			CountCol: u64(), VCountCol: u64(),
 		}); err != nil {
 			return err
 		}
@@ -383,31 +397,67 @@ func reoutsourceWalk(t *testing.T, b, window uint64) {
 		}
 		return out
 	}
-	reoutsource := func(e *Engine) error { return reoutsourceZeros(e, spec, window) }
+	// reoutsource uploads owner 1's columns as all zeros and then as all
+	// twos, up to the first error.
+	reoutsource := func(e *Engine) error {
+		if err := reoutsourceFill(e, spec, window, 0); err != nil {
+			return err
+		}
+		return reoutsourceFill(e, spec, window, 2)
+	}
 
-	// A run to completion: the two epochs' replies and the ordering
+	// A run to completion: the three epochs' replies and the ordering
 	// points between them.
 	ref, _ := diskEnginesAt(t, b, chunk, storeDirs(t), nil)
 	storeSharded(t, ref, b, window, true)
-	wantOld := replies(ref[0])
+	want := [][]any{replies(ref[0])}
 	var steps []string
 	ref[0].SetCompactStepHook(func(step string) error { steps = append(steps, step); return nil })
-	if err := reoutsource(ref[0]); err != nil {
-		t.Fatal(err)
+	for _, fill := range []uint64{0, 2} {
+		if err := reoutsourceFill(ref[0], spec, window, fill); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, replies(ref[0]))
 	}
-	wantNew := replies(ref[0])
-	if reflect.DeepEqual(wantOld, wantNew) {
-		t.Fatal("the re-outsource changed no reply; the test cannot tell old from new")
+	for i := range want {
+		for k := range i {
+			if reflect.DeepEqual(want[i], want[k]) {
+				t.Fatalf("epochs %d and %d answer alike; the test cannot tell them apart", k, i)
+			}
+		}
 	}
 	cols := ref[0].specCols(spec)
-	commit := slices.Index(steps, "upload:manifest")
-	if want := 1 + int((b+window-1)/window) + 1; len(steps) != want || commit != want-1 {
-		t.Fatalf("ordering points %v, want created, one per window and the manifest last", steps)
+	// Each upload: its other slot's columns dropped, last first (only
+	// the second finds any), the slot created, one point per window, the
+	// manifest last.
+	upload := []string{"upload:created"}
+	for off := uint64(0); off < b; off += window {
+		upload = append(upload, fmt.Sprintf("upload:window:%d", off))
+	}
+	upload = append(upload, "upload:manifest")
+	wantSteps := slices.Clone(upload)
+	for i := len(cols) - 1; i >= 0; i-- {
+		wantSteps = append(wantSteps, "drop:"+slotKey(1, 0, cols[i].name))
+	}
+	wantSteps = append(wantSteps, upload...)
+	if !slices.Equal(steps, wantSteps) {
+		t.Fatalf("ordering points %v, want %v", steps, wantSteps)
 	}
 
 	errCrash := errors.New("crash injected")
+	epoch := 0 // the epoch a crash at the current point leaves committed
 	for n, point := range steps {
-		t.Run(point, func(t *testing.T) {
+		second := n >= len(upload)
+		if point == "upload:manifest" {
+			epoch++
+		}
+		name := point
+		if second && !strings.HasPrefix(point, "drop:") {
+			name = "second:" + point
+		}
+		// Owner 1 serves from slot 0 in epochs 0 and 2, slot 1 in epoch 1.
+		live := epoch % 2
+		t.Run(name, func(t *testing.T) {
 			dirs := storeDirs(t)
 			before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
 			storeSharded(t, before, b, window, true)
@@ -422,19 +472,15 @@ func reoutsourceWalk(t *testing.T, b, window uint64) {
 				t.Fatal(err)
 			}
 			if seen <= n {
-				t.Fatalf("the upload never reached %s", point)
+				t.Fatalf("the uploads never reached %s", name)
 			}
 
 			e, rep := recoverOne(t, b, chunk, dirs)
 			if len(rep.Recovered) != 1 || len(rep.Quarantined) != 0 || rep.PendingReclaimed != 1 {
 				t.Fatalf("report = %+v", rep)
 			}
-			want, live := wantOld, 0
-			if n >= commit {
-				want, live = wantNew, 1
-			}
-			if !reflect.DeepEqual(replies(e), want) {
-				t.Fatalf("replies after a crash at %s are not the epoch expected (new from the manifest write on)", point)
+			if !reflect.DeepEqual(replies(e), want[epoch]) {
+				t.Fatalf("replies after a crash at %s are not epoch %d's (each manifest write commits the next)", name, epoch)
 			}
 			for j, liveSlot := range []int{0, live} {
 				for slot := range 2 {
@@ -491,7 +537,7 @@ func TestSnapshotReadsItsEpochAcrossReoutsource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reoutsourceZeros(e, spec, 16); err != nil {
+	if err := reoutsourceFill(e, spec, 16, 0); err != nil {
 		t.Fatal(err)
 	}
 	if sum, own := read(e, old); !slices.Equal(sum, wantSum) || !reflect.DeepEqual(own, wantOwn) {
