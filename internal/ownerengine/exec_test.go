@@ -244,6 +244,43 @@ func TestRaggedUpdateRejected(t *testing.T) {
 	}
 }
 
+// TestFailedReoutsourceRefusesUpdates: a re-outsource of new data that
+// one group's server refuses leaves the other group serving the new
+// upload and this one the old, so no table the owner holds matches both:
+// Update is refused until an outsource succeeds again, instead of
+// shipping deltas from the old table to servers that hold the new one.
+func TestFailedReoutsourceRefusesUpdates(t *testing.T) {
+	ctx := context.Background()
+	r := newExecRig(t, 3, 32, 2)
+	o := r.cohort.Owners[0]
+	spec := OutsourceSpec{Table: "t", AggCols: []string{"v"}, Verify: true, WithCount: true}
+	if err := o.Load(&Data{Cells: []uint64{3, 20}, Aggs: map[string][]uint64{"v": {8, 9}}}); err != nil {
+		t.Fatal(err)
+	}
+	s0 := r.servers[1][0]
+	refused := errors.New("upload refused")
+	r.network.Register(groupAddr(1, 0), transport.HandlerFunc(func(ctx context.Context, req any) (any, error) {
+		if _, ok := req.(protocol.StoreRequest); ok {
+			return nil, refused
+		}
+		return s0.Handle(ctx, req)
+	}))
+	if _, err := o.Outsource(ctx, spec); !errors.Is(err, refused) {
+		t.Fatalf("re-outsource with group 1's S0 refusing: err = %v, want the refusal", err)
+	}
+	add := &Data{Cells: []uint64{4, 21}, Aggs: map[string][]uint64{"v": {1, 2}}}
+	if _, err := o.Update(ctx, "t", add, nil); err == nil || !strings.Contains(err.Error(), "not outsourced") {
+		t.Fatalf("update after the half-committed re-outsource: err = %v, want the table not outsourced", err)
+	}
+	r.network.Register(groupAddr(1, 0), s0)
+	if _, err := o.Outsource(ctx, spec); err != nil {
+		t.Fatalf("re-outsource with every server answering: %v", err)
+	}
+	if _, err := o.Update(ctx, "t", add, nil); err != nil {
+		t.Fatalf("update after the re-outsource: %v", err)
+	}
+}
+
 // TestUpdateRemovesDuplicatePair: removals that name a pair of equal
 // tuples at one cell and one tuple elsewhere each take a distinct loaded
 // tuple — the third equal one at the cell stays, and so does one with

@@ -169,8 +169,10 @@ func (o *Owner) Data() *Data {
 // Outsource runs Phase 1: it builds the table's natural-order columns
 // once, then every group permutes, shares and uploads its slice of them
 // concurrently. The owner keeps the table for updates only once every
-// group's upload has succeeded. Split and upload times sum across groups
-// (total work, not wall time).
+// group's upload has succeeded; a failed upload drops the table it kept
+// before, so Update refuses it until an outsource or AdoptTable
+// succeeds. Split and upload times sum across groups (total work, not
+// wall time).
 func (o *Owner) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStats, error) {
 	start := time.Now()
 	t, err := o.buildLocal(spec)
@@ -189,13 +191,17 @@ func (o *Owner) Outsource(ctx context.Context, spec OutsourceSpec) (ShareGenStat
 		mu.Unlock()
 		return err
 	})
-	if err != nil {
-		return total, err
-	}
 	o.mu.Lock()
-	o.tables[spec.Table] = t
+	if err != nil {
+		// Some groups may already serve the new upload while others
+		// serve the old one: no one table matches them all, so updates
+		// are refused until a re-outsource or AdoptTable succeeds.
+		delete(o.tables, spec.Table)
+	} else {
+		o.tables[spec.Table] = t
+	}
 	o.mu.Unlock()
-	return total, nil
+	return total, err
 }
 
 // AdoptTable rebuilds the owner-local update state for a table this

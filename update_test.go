@@ -11,9 +11,27 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prism/internal/ownerengine"
 	"prism/internal/protocol"
 	"prism/internal/transport"
 )
+
+// cloneData deep-copies an owner's dataset, so a later comparison sees
+// a fold that wrote the owner's arrays in place, not only one that
+// replaced the dataset.
+func cloneData(d *ownerengine.Data) *ownerengine.Data {
+	if d == nil {
+		return nil
+	}
+	c := &ownerengine.Data{Cells: slices.Clone(d.Cells)}
+	if d.Aggs != nil {
+		c.Aggs = make(map[string][]uint64, len(d.Aggs))
+		for col, v := range d.Aggs {
+			c.Aggs[col] = slices.Clone(v)
+		}
+	}
+	return c
+}
 
 // updateConfig is the deployment shape of the incremental-update tests.
 func updateConfig(t *testing.T, diskDir string, shardCells uint64) Config {
@@ -523,7 +541,7 @@ func TestFailedUpdateLeavesOwnerUntouched(t *testing.T) {
 								return inner.Handle(ctx, req)
 							})
 						})
-						mine, other := sys.Owner(0).Engine().Data(), sys.Owner(1).Engine().Data()
+						mine, other := cloneData(sys.Owner(0).Engine().Data()), cloneData(sys.Owner(1).Engine().Data())
 						if _, err := sys.Owner(0).Update(ctx, work[0].add, work[0].remove); !errors.Is(err, errRefused) {
 							t.Fatalf("refused update: err = %v, want the server's", err)
 						}
@@ -641,7 +659,7 @@ func TestOversizeUpdateRejectedWhole(t *testing.T) {
 		_, err := sys.Owner(0).UpdateCells(ctx, cells[lo:hi], map[string][]uint64{"v": vals[lo:hi]}, nil, nil)
 		return err
 	}
-	before := sys.Owner(0).Engine().Data()
+	before := cloneData(sys.Owner(0).Engine().Data())
 	// Every server's request carries, in both position spaces, 40
 	// positions and 40 shares per column, 8 bytes apiece for the Shamir
 	// ones: framed, S2's — the smallest — is about 1.4 kB, and a 20-row
