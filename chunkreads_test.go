@@ -19,8 +19,10 @@ import (
 // count reads every χ and χ̄ chunk once more. An update left pending
 // then costs the first count of the epoch the chunks its merge holds —
 // on S0 and S1, each owner's χ and χ̄ chunk under the updated cell — and
-// later counts nothing. The counts are exact, so no timing noise can
-// blur them.
+// later counts nothing. An update pending when an epoch starts costs
+// its first count the epoch and nothing more: the build reads the
+// chunks the merge needs into the epoch's cache. The counts are exact,
+// so no timing noise can blur them.
 func TestPermutedRoundReadsEachChunkOnce(t *testing.T) {
 	reads := telemetry.NewCounter(telemetry.MetricStoreChunkReads)
 	ctx := context.Background()
@@ -60,6 +62,13 @@ func TestPermutedRoundReadsEachChunkOnce(t *testing.T) {
 			run("count with a pending update", sys.PSICount, len(orc.cells), 2*3*2) // servers × owners × χ sides
 			run("repeated count", sys.PSICount, len(orc.cells), 0)
 			run("third count", sys.PSICount, len(orc.cells), 0)
+			if err := sys.CompactTables(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Owner(0).UpdateCells(ctx, []uint64{cell}, map[string][]uint64{"v": {11}}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			run("count over an update pending since the compaction", sys.PSICount, len(orc.cells), epoch)
 		})
 	}
 }

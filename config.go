@@ -205,9 +205,9 @@ type Config struct {
 	// measure real fetch time.
 	// A System over a DiskDir an earlier System wrote resumes serving
 	// its tables: each server reloads them from the store's manifests
-	// without any owner re-outsourcing, quarantines corrupt or
-	// partially-promoted tables under the store's .quarantine/ area and
-	// reclaims crashed mid-upload assemblies (ServerEngine(φ).
+	// without any owner re-outsourcing, quarantines corrupt tables under
+	// the store's .quarantine/ area and reclaims the columns of uploads
+	// that never reached their commit (ServerEngine(φ).
 	// RecoveryReport says which). NewLocalSystem fails only on store-scan
 	// I/O errors — per-table problems quarantine instead of failing boot.
 	DiskDir string

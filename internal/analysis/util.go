@@ -33,13 +33,6 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// calleeIs reports whether call invokes the named function or method of
-// the package with the given import path.
-func calleeIs(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := calleeObject(info, call)
-	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // namedStruct unwraps pointers and aliases and returns the named struct
 // type behind t, or nil.
 func namedStruct(t types.Type) *types.Named {

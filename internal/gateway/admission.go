@@ -64,7 +64,7 @@ type bucket struct {
 }
 
 // NewAdmission builds an admission controller. rate <= 0 disables rate
-// limiting entirely (every Acquire admits immediately); queue <= 0
+// limiting entirely (every request is admitted at once); queue <= 0
 // means no waiting — a request either gets a token now or is shed.
 func NewAdmission(rate, burst float64, queue int) *Admission {
 	if burst < 1 {
@@ -155,20 +155,4 @@ func (a *Admission) await(ctx context.Context, tenant string, wait time.Duration
 		b.tokens = min(b.tokens+1, a.burst)
 	}
 	return err
-}
-
-// Acquire admits one request for tenant, blocking only for an admitted
-// reservation's bounded wait. The error is nil (admitted), a typed
-// load-shed error, or ctx's error if the caller went away mid-wait.
-// The returned duration is the time actually spent queued.
-func (a *Admission) Acquire(ctx context.Context, tenant string) (time.Duration, error) {
-	deadline, hasDeadline := ctx.Deadline()
-	wait, err := a.reserve(tenant, deadline, hasDeadline)
-	if err != nil {
-		return 0, err
-	}
-	if err := a.await(ctx, tenant, wait); err != nil {
-		return 0, err
-	}
-	return wait, nil
 }

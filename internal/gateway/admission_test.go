@@ -85,7 +85,7 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 func TestAdmissionDisabled(t *testing.T) {
 	a := NewAdmission(0, 0, 0)
 	for i := 0; i < 1000; i++ {
-		wait, err := a.Acquire(context.Background(), "t")
+		wait, err := acquire(context.Background(), a, "t")
 		if err != nil || wait != 0 {
 			t.Fatalf("request %d: (%v, %v), want immediate admit", i, wait, err)
 		}
@@ -109,8 +109,19 @@ func TestAdmissionTenantsIsolated(t *testing.T) {
 	}
 }
 
+// acquire admits one request as the gateway does: the reservation at
+// submit time, then its bounded wait.
+func acquire(ctx context.Context, a *Admission, tenant string) (time.Duration, error) {
+	deadline, hasDeadline := ctx.Deadline()
+	wait, err := a.reserve(tenant, deadline, hasDeadline)
+	if err != nil {
+		return 0, err
+	}
+	return wait, a.await(ctx, tenant, wait)
+}
+
 // TestAcquireBurstNoLeaks runs the 3·(R+Q) burst through the blocking
-// Acquire path with full concurrency: every admitted request completes
+// reserve-and-await path with full concurrency: every admitted request completes
 // its bounded wait, every excess request sheds, an abandoned
 // reservation refunds, and no goroutines survive the burst.
 func TestAcquireBurstNoLeaks(t *testing.T) {
@@ -133,7 +144,7 @@ func TestAcquireBurstNoLeaks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wait, err := a.Acquire(ctx, "tenant")
+			wait, err := acquire(ctx, a, "tenant")
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -144,7 +155,7 @@ func TestAcquireBurstNoLeaks(t *testing.T) {
 			case errors.Is(err, ErrLoadShed):
 				sheds++
 			default:
-				t.Errorf("Acquire: %v", err)
+				t.Errorf("acquire: %v", err)
 			}
 		}()
 	}
@@ -175,13 +186,13 @@ func TestAcquireBurstNoLeaks(t *testing.T) {
 // ctx.Err back, its queue slot releases and its token refunds.
 func TestAcquireCancelRefunds(t *testing.T) {
 	a := NewAdmission(1, 1, 10)
-	if _, err := a.Acquire(context.Background(), "t"); err != nil {
+	if _, err := acquire(context.Background(), a, "t"); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(ctx, "t")
+		_, err := acquire(ctx, a, "t")
 		errc <- err
 	}()
 	// Wait for the acquire to park in its queued wait, then abandon it.

@@ -58,21 +58,29 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	}
 	ownerNS := time.Since(start).Nanoseconds()
 
-	// Stored-order accumulators, one per requested column (+count), each
-	// filled window by window as shard replies land.
-	sums := make(map[string][]uint64, len(cols))
-	vsums := make(map[string][]uint64)
-	for _, col := range cols {
-		sums[col] = make([]uint64, b)
-		if verify {
-			vsums[col] = make([]uint64, b)
-		}
+	// One (main, verification) column pair per requested column, the
+	// count column's last, each reconstructed into stored-order
+	// accumulators window by window as shard replies land. what and cell
+	// label the pair in errors.
+	type colPair struct {
+		what, cell string
+		main, ver  []uint64
+		shares     func(protocol.AggReply) (main, ver []uint64)
 	}
-	var cnts, vcnts []uint64
+	pairs := make([]colPair, 0, len(cols)+1)
+	for _, col := range cols {
+		what := fmt.Sprintf("column %q", col)
+		pairs = append(pairs, colPair{what: what, cell: what,
+			shares: func(r protocol.AggReply) ([]uint64, []uint64) { return r.Sums[col], r.VSums[col] }})
+	}
 	if withCount {
-		cnts = make([]uint64, b)
+		pairs = append(pairs, colPair{what: "count column", cell: "count",
+			shares: func(r protocol.AggReply) ([]uint64, []uint64) { return r.Counts, r.VCounts }})
+	}
+	for i := range pairs {
+		pairs[i].main = make([]uint64, b)
 		if verify {
-			vcnts = make([]uint64, b)
+			pairs[i].ver = make([]uint64, b)
 		}
 	}
 
@@ -105,27 +113,17 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 			stats.Server.Add(rep.Stats)
 		}
 		start := time.Now()
-		for _, col := range cols {
-			if err := o.interpolateWindow(sums[col], rg,
-				reps[0].Sums[col], reps[1].Sums[col], reps[2].Sums[col]); err != nil {
-				return fmt.Errorf("%w: column %q: %v", replyFault(verify), col, err)
+		for _, p := range pairs {
+			var main, ver [3][]uint64
+			for phi, rep := range reps {
+				main[phi], ver[phi] = p.shares(rep)
+			}
+			if err := o.interpolateWindow(p.main, rg, main); err != nil {
+				return fmt.Errorf("%w: %s: %v", replyFault(verify), p.what, err)
 			}
 			if verify {
-				if err := o.interpolateWindow(vsums[col], rg,
-					reps[0].VSums[col], reps[1].VSums[col], reps[2].VSums[col]); err != nil {
-					return fmt.Errorf("%w: v-column %q: %v", ErrVerificationFailed, col, err)
-				}
-			}
-		}
-		if withCount {
-			if err := o.interpolateWindow(cnts, rg,
-				reps[0].Counts, reps[1].Counts, reps[2].Counts); err != nil {
-				return fmt.Errorf("%w: count column: %v", replyFault(verify), err)
-			}
-			if verify {
-				if err := o.interpolateWindow(vcnts, rg,
-					reps[0].VCounts, reps[1].VCounts, reps[2].VCounts); err != nil {
-					return fmt.Errorf("%w: v-count column: %v", ErrVerificationFailed, err)
+				if err := o.interpolateWindow(p.ver, rg, ver); err != nil {
+					return fmt.Errorf("%w: v-%s: %v", ErrVerificationFailed, p.what, err)
 				}
 			}
 		}
@@ -138,24 +136,20 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 
 	start = time.Now()
 	// Recombination reads the stored-order reconstructions through the
-	// owner permutations: cell i is sums[DB1[i]] and, on the χ̄ side,
-	// vsums[DB2[i]]. The §5.2 check covers every cell, selected or not.
+	// owner permutations: cell i is main[DB1[i]] and, on the χ̄ side,
+	// ver[DB2[i]]. The §5.2 check covers every cell, selected or not.
 	res := &Result{Sums: make(map[string]map[uint64]uint64, len(cols))}
-	for _, col := range cols {
+	for i, p := range pairs {
 		if verify {
-			if i := o.mismatch(sums[col], vsums[col]); i >= 0 {
-				return nil, fmt.Errorf("%w: column %q cell %d differs between main and verification copies", ErrVerificationFailed, col, i)
+			if c := o.mismatch(p.main, p.ver); c >= 0 {
+				return nil, fmt.Errorf("%w: %s cell %d differs between main and verification copies", ErrVerificationFailed, p.cell, c)
 			}
 		}
-		res.Sums[col] = o.pick(sums[col], selected)
-	}
-	if withCount {
-		if verify {
-			if i := o.mismatch(cnts, vcnts); i >= 0 {
-				return nil, fmt.Errorf("%w: count cell %d differs between main and verification copies", ErrVerificationFailed, i)
-			}
+		if i == len(cols) {
+			res.Counts = o.pick(p.main, selected)
+		} else {
+			res.Sums[cols[i]] = o.pick(p.main, selected)
 		}
-		res.Counts = o.pick(cnts, selected)
 	}
 	stats.OwnerNS = ownerNS + stats.OwnerNS + time.Since(start).Nanoseconds()
 	stats.WallNS = time.Since(wall).Nanoseconds()
@@ -190,7 +184,8 @@ func (o *engine) pick(stored, selected []uint64) map[uint64]uint64 {
 // interpolateWindow Lagrange-interpolates one window of three degree-2
 // share vectors into dst[rg.Offset:rg.End()) (stored order): the three
 // weighted products are summed at full width and reduced once per cell.
-func (o *engine) interpolateWindow(dst []uint64, rg protocol.Range, s0, s1, s2 []uint64) error {
+func (o *engine) interpolateWindow(dst []uint64, rg protocol.Range, shares [3][]uint64) error {
+	s0, s1, s2 := shares[0], shares[1], shares[2]
 	n := int(rg.Count)
 	if len(s0) != n || len(s1) != n || len(s2) != n {
 		return fmt.Errorf("share vectors have %d/%d/%d cells, want %d", len(s0), len(s1), len(s2), n)

@@ -258,19 +258,3 @@ func (o *Owner) ListTablesGroup(ctx context.Context, g int) ([][]protocol.TableS
 	out, err := o.groups[g].ListTables(ctx)
 	return out, o.groupErr(g, err)
 }
-
-// TableServed reports whether every group's three servers fully serve
-// the table. The returned statuses describe group 0.
-func (o *Owner) TableServed(ctx context.Context, table string) (bool, []*protocol.TableStatus, error) {
-	var sts []*protocol.TableStatus
-	for g, e := range o.groups {
-		ok, gsts, err := e.TableServed(ctx, table)
-		if g == 0 {
-			sts = gsts
-		}
-		if err != nil || !ok {
-			return false, sts, o.groupErr(g, err)
-		}
-	}
-	return true, sts, nil
-}

@@ -46,30 +46,3 @@ func (o *engine) Ping(ctx context.Context) error {
 	}
 	return err
 }
-
-// TableServed reports whether every server serves the named table with
-// all m owners registered — the cheap "can I query right now?" probe.
-// It returns the table's status per server (nil entries for servers not
-// serving it) alongside the verdict.
-func (o *engine) TableServed(ctx context.Context, table string) (bool, []*protocol.TableStatus, error) {
-	lists, err := o.ListTables(ctx)
-	if err != nil {
-		return false, nil, err
-	}
-	statuses := make([]*protocol.TableStatus, params.NumServers)
-	served := true
-	for phi, tables := range lists {
-		var found *protocol.TableStatus
-		for i := range tables {
-			if tables[i].Spec.Name == table {
-				found = &tables[i]
-				break
-			}
-		}
-		statuses[phi] = found
-		if found == nil || len(found.Owners) != o.view.M {
-			served = false
-		}
-	}
-	return served, statuses, nil
-}

@@ -242,19 +242,6 @@ func GenerateGroups(cfg Config, n int) (*MultiSystem, error) {
 	return ms, nil
 }
 
-// NumGroups reports the group count.
-func (ms *MultiSystem) NumGroups() int { return len(ms.Groups) }
-
-// GroupOf returns the index of the group owning a natural domain cell.
-func (ms *MultiSystem) GroupOf(cell uint64) int {
-	for g, sys := range ms.Groups {
-		if cell >= sys.Start && cell < sys.Start+sys.B {
-			return g
-		}
-	}
-	return -1
-}
-
 // nextBigPrime returns the smallest probable prime > n.
 func nextBigPrime(n *big.Int) (*big.Int, error) {
 	p := new(big.Int).Add(n, big.NewInt(1))

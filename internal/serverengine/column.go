@@ -430,17 +430,31 @@ func ownerSum[T sharestore.Cell](e *Engine, t *tableView, col string, rg protoco
 // building it on the epoch's first read one owner-0 chunk range at a
 // time (the whole column in memory): each owner chunk is read once when
 // the owners' columns share a chunk size, and the build holds O(chunk)
-// cells beside the sum.
+// cells beside the sum. A chunk range a pending entry lands in is read
+// through the epoch's cache (baseChunk) on every owner on owner 0's
+// chunk grid, so the overlay merge that follows reads no chunk again.
 func epochSum[T sharestore.Cell](e *Engine, t *tableView, col string, stats *protocol.Stats) ([]T, error) {
 	return cached(t, chunkID{sumKey(col), 0}, stats, func() ([]T, error) {
 		cc, cells, err := chunkGrid(e, t, 0, col)
 		if err != nil {
 			return nil, err
 		}
+		hot := make(map[uint64]bool)
+		if t.delta != nil {
+			for _, h := range t.delta.hits(e.view.M, col, protocol.Range{Count: cells}, nil, nil) {
+				hot[h.p/cc] = true
+			}
+		}
 		sum := make([]T, cells)
 		for off := uint64(0); off < cells; off += cc {
 			rg := protocol.Range{Offset: off, Count: min(cc, cells-off)}
 			err = sumOwners(e, sum[off:rg.End()], func(j int) ([]T, bool, error) {
+				if hot[off/cc] {
+					if jcc, _, err := chunkGrid(e, t, j, col); err == nil && jcc == cc {
+						v, err := baseChunk[T](e, t, j, col, off/cc, stats)
+						return v, false, err
+					}
+				}
 				return fetchWindow[T](e, t, j, col, rg, stats)
 			}, stats)
 			if err != nil {

@@ -286,6 +286,38 @@ func TestCompactionTornChunk(t *testing.T) {
 	}
 }
 
+// TestCompactionLostChunk: the chunk file an overlay entry lands in is
+// lost. The pass fails instead of rebuilding the chunk from zeros and
+// the entry, the chunk keeps failing reads, a query's included, instead
+// of answering, and the next start quarantines the table.
+func TestCompactionLostChunk(t *testing.T) {
+	const b, chunk = 256, 32
+	dir := t.TempDir()
+	e := compactEngine(t, dir, b, chunk)
+	storeFull(t, []*Engine{e}, b, false)
+	col := colKey(0, "chi")
+	k := pendingUpdates(t, e, b, 3, 11)[col].Pos[0] / chunk
+	if err := os.Remove(filepath.Join(dir, "t", col+".colv2", fmt.Sprintf("c%d.ck", k))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Compact("t"); err == nil {
+		t.Fatal("a pass over a lost chunk succeeded")
+	}
+	if v, err := sharestore.ReadRange[uint16](e.opts.Store, "t", col, k*chunk, chunk); err == nil {
+		t.Fatalf("the lost chunk reads %v after the pass", v)
+	}
+	if _, err := e.Handle(context.Background(), protocol.PSIRequest{Table: "t", QueryID: "q"}); err == nil {
+		t.Fatal("a query over the lost chunk answered")
+	}
+	e.Close()
+	re := compactEngine(t, dir, b, chunk)
+	rep, err := re.RecoveryReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQuarantined(t, re, rep, "column-corrupt")
+}
+
 // TestCompactionSkipsReoutsourcedOwner re-outsources both owners while a
 // pass runs — on disk after the pass records CompactThrough, in memory
 // before its swap — and checks the pass leaves the new registrations as

@@ -34,9 +34,9 @@
 // clears it with the post-swap manifest write; each chunk's new CRC
 // is written before its cells. A crash between a chunk's CRC and its
 // cells leaves the header vouching for the payload the pass was
-// heading for, and recovery rolls such a chunk forward by replaying the
-// surviving records up to CompactThrough at its positions before it
-// verifies anything (rollForward). Past that point, whatever prefix of
+// heading for, and recovery's one pass over the log rolls such a chunk
+// forward from the overlay it has replayed through CompactThrough before
+// it verifies anything (recoverTable). Past that point, whatever prefix of
 // {patch chunks, bump manifest epoch, delete sealed files oldest-first}
 // a crash permits, replaying the surviving log over the surviving base
 // reproduces exactly the pre- or post-compaction values, never a mix of

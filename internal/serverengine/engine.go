@@ -12,19 +12,22 @@
 // Durability: a disk-backed engine (Options.Store set) keeps every
 // column in the sharestore's chunked layout and records each
 // completed registration in a per-table manifest (TableManifest: spec,
-// completed owners, format version, registration epoch), written
-// atomically only after the owner's columns are fully promoted to their
-// live names. That manifest is what a restarted server trusts: New
-// scans the store of every disk-backed engine, validates each manifest
-// against the chunk indexes on disk, and re-registers complete tables
-// before the engine answers a request — so a restart does not force
-// owners to re-outsource, and a re-outsource after a restart supersedes
-// the earlier process's delta log. Tables that fail validation are
+// completed owners, each owner's live column slot, format version,
+// registration epoch). An upload writes the slot its owner does not
+// serve from, and the manifest write naming that slot live is its
+// commit: no column is ever renamed. That manifest is what a restarted
+// server trusts: New scans the store of every disk-backed engine,
+// validates each manifest against the chunk indexes on disk, replays
+// the table's delta log once, and re-registers complete tables before
+// the engine answers a request — so a restart does not force owners to
+// re-outsource, and a re-outsource after a restart supersedes the
+// earlier process's delta log. Tables that fail validation are
 // quarantined into the store's .quarantine/ area with a
 // machine-readable reason rather than served (or crashing boot);
-// interrupted pending→live promotions are resumed; crashed mid-upload
-// assemblies are reclaimed. See recover.go for the full state machine
-// and docs/ARCHITECTURE.md for the on-disk format.
+// columns outside the live slots — an upload that never reached its
+// commit, or the slot a committed upload kept for its previous epoch —
+// are reclaimed. See recover.go for the full state machine and
+// docs/ARCHITECTURE.md for the on-disk format.
 package serverengine
 
 import (
@@ -648,32 +651,34 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 		reply.VSums = make(map[string][]uint64)
 	}
 
+	// One (main, verification) column pair per sum column, the count
+	// column's last: the main column summed under z, its §5.2 twin under
+	// the independent selector vz.
+	pairs := make([][2]string, 0, len(r.Cols)+1)
 	for _, col := range r.Cols {
-		acc, err := e.sumColumn(t, "sum."+col, r.Z, rg, &stats)
-		if err != nil {
-			return nil, err
-		}
-		reply.Sums[col] = acc
-		if verify {
-			vacc, err := e.sumColumn(t, "vsum."+col, r.VZ, rg, &stats)
-			if err != nil {
-				return nil, err
-			}
-			reply.VSums[col] = vacc
-		}
+		pairs = append(pairs, [2]string{"sum." + col, "vsum." + col})
 	}
 	if r.WithCount {
-		acc, err := e.sumColumn(t, "cnt", r.Z, rg, &stats)
+		pairs = append(pairs, [2]string{"cnt", "vcnt"})
+	}
+	for i, p := range pairs {
+		acc, err := e.sumColumn(t, p[0], r.Z, rg, &stats)
 		if err != nil {
 			return nil, err
 		}
-		reply.Counts = acc
+		var vacc []uint64
 		if verify {
-			vacc, err := e.sumColumn(t, "vcnt", r.VZ, rg, &stats)
-			if err != nil {
+			if vacc, err = e.sumColumn(t, p[1], r.VZ, rg, &stats); err != nil {
 				return nil, err
 			}
-			reply.VCounts = vacc
+		}
+		if i == len(r.Cols) {
+			reply.Counts, reply.VCounts = acc, vacc
+			continue
+		}
+		reply.Sums[r.Cols[i]] = acc
+		if verify {
+			reply.VSums[r.Cols[i]] = vacc
 		}
 	}
 	e.finishQuery("agg", r.TraceID, rpcStart, &stats)

@@ -14,13 +14,16 @@
 //     .quarantine/ with a machine-readable reason, data preserved).
 //  3. The delta log is read once (sharestore.ReadDeltaLog, which moves
 //     a store's pre-log segments into it and cuts off a torn last
-//     record); a log that cannot be replayed otherwise quarantines the
-//     table. A manifest with CompactThrough set was written by a
-//     compaction pass that never reached its post-swap manifest write:
-//     chunks it patched in place may be torn, and are rolled forward
-//     from the log's records first (rollForward); one that replay cannot
-//     make whole quarantines the table.
-//     Every manifest-listed owner's columns in its live slot
+//     record); a log that cannot be read otherwise quarantines the
+//     table. It is replayed once, into the overlay the table is served
+//     with; a record naming a column or position outside the layout
+//     quarantines the table. A manifest with CompactThrough set was
+//     written by a compaction pass that never reached its post-swap
+//     manifest write: chunks it patched in place may be torn. When the
+//     replay passes CompactThrough, the overlay's snapshot rolls them
+//     forward (sharestore.RollForward); a chunk it cannot make whole
+//     quarantines the table.
+//     Then every manifest-listed owner's columns in its live slot
 //     (TableManifest.Slots) are validated against the spec-derived
 //     layout: element width, cell count, chunk count, and a CRC
 //     spot-check of the edge chunks. Any failure quarantines the table —
@@ -52,7 +55,9 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"slices"
+	"sort"
 
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
@@ -162,7 +167,8 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 
 	cols := e.specCols(man.Spec)
 
-	// The delta log, read once for the roll-forward and the replay below.
+	// The delta log, read once. A manifest listing no owner has no column
+	// a record could patch: its log is not replayed.
 	recs, err := st.ReadDeltaLog(name)
 	if errors.Is(err, sharestore.ErrDeltaCorrupt) {
 		e.quarantine(rep, name, "delta-corrupt", err.Error())
@@ -171,15 +177,74 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	if err != nil {
 		return err
 	}
+	if len(man.Owners) == 0 {
+		recs = nil
+	}
 
-	// A compaction pass that ended before its post-swap manifest write
-	// may have left chunks torn between their new CRC and their cells:
-	// finish them before anything reads a chunk.
-	if man.CompactThrough > 0 {
-		if err := e.rollForward(name, &man, cols, recs); err != nil {
-			e.quarantine(rep, name, "column-corrupt", err.Error())
-			return nil
+	// Replay the delta log: validate and merge every record into a fresh
+	// overlay, in sequence order, exactly as the live StoreDelta path
+	// built it. Sequence gaps are legal (an unacked append), but a record
+	// naming a column outside the manifest layout or a position outside
+	// the domain quarantines the table. Entries at or below an owner's
+	// re-outsource floor describe a superseded share stream and are
+	// skipped. A compaction pass that ended before its post-swap manifest
+	// write may have left chunks torn between their new CRC and their
+	// cells; once the replay has passed CompactThrough the overlay holds
+	// the values that pass was writing, and sharestore.RollForward
+	// rewrites from them only the chunks whose CRC says they are torn,
+	// before any column is verified. A chunk the values cannot make whole
+	// is corruption the pass did not cause.
+	var overlay *deltaOverlay
+	var deltaSeq uint64
+	colDefs := make(map[string]colDef, len(man.Owners)*len(cols))
+	for _, j := range man.Owners {
+		for _, cd := range cols {
+			colDefs[colKey(j, cd.name)] = cd
 		}
+	}
+	cut := sort.Search(len(recs), func(i int) bool { return recs[i].Seq > man.CompactThrough })
+	for half, part := range [2][]sharestore.DeltaRecord{recs[:cut], recs[cut:]} {
+		if half == 1 && man.CompactThrough > 0 && overlay != nil {
+			snap, _ := overlay.snapshot()
+			for cn, dc := range snap {
+				j, col, _ := splitColKey(cn)
+				if err := st.RollForward(name, slotKey(j, man.Slots[j], col), dc.Width, dc.Pos, dc.Vals); err != nil {
+					e.quarantine(rep, name, "column-corrupt", err.Error())
+					return nil
+				}
+			}
+		}
+		for _, r := range part {
+			var keep []sharestore.DeltaCol
+			for _, dc := range r.Cols {
+				cd, known := colDefs[dc.Name]
+				if !known || cd.width != dc.Width {
+					e.quarantine(rep, name, "delta-invalid",
+						fmt.Sprintf("record %d references column %q (width %d) outside the table layout", r.Seq, dc.Name, dc.Width))
+					return nil
+				}
+				for _, p := range dc.Pos {
+					if p >= man.Spec.B {
+						e.quarantine(rep, name, "delta-invalid",
+							fmt.Sprintf("record %d column %q position %d outside domain of %d cells", r.Seq, dc.Name, p, man.Spec.B))
+						return nil
+					}
+				}
+				if j, _, _ := splitColKey(dc.Name); man.DeltaFloor[j] < r.Seq {
+					keep = append(keep, dc)
+				}
+			}
+			if len(keep) > 0 {
+				if overlay == nil {
+					overlay = newDeltaOverlay()
+				}
+				overlay.insert(keep, r.Seq)
+			}
+			deltaSeq = r.Seq
+		}
+	}
+	for _, f := range man.DeltaFloor {
+		deltaSeq = max(deltaSeq, f)
 	}
 
 	// Listed owners: every column of the live slot must be present and
@@ -224,75 +289,18 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	owners := slices.Clone(man.Owners)
 	slices.Sort(owners)
 
-	// Replay the delta log: validate and merge every record into a fresh
-	// overlay, in sequence order, exactly as the live StoreDelta path
-	// built it. Sequence gaps are legal (an unacked append), but a record
-	// naming a column outside the manifest layout or a position outside
-	// the domain quarantines the table. Entries at or below an owner's
-	// re-outsource floor describe a superseded share stream and are
-	// skipped.
-	var overlay *deltaOverlay
-	var deltaSeq uint64
-	colDefs := make(map[string]colDef, len(owners)*len(cols))
-	colOwner := make(map[string]int, len(owners)*len(cols))
-	for _, j := range owners {
-		for _, cd := range cols {
-			k := colKey(j, cd.name)
-			colDefs[k] = cd
-			colOwner[k] = j
-		}
-	}
-	for _, r := range recs {
-		var keep []sharestore.DeltaCol
-		for _, dc := range r.Cols {
-			cd, known := colDefs[dc.Name]
-			if !known || cd.width != dc.Width {
-				e.quarantine(rep, name, "delta-invalid",
-					fmt.Sprintf("record %d references column %q (width %d) outside the table layout", r.Seq, dc.Name, dc.Width))
-				return nil
-			}
-			for _, p := range dc.Pos {
-				if p >= man.Spec.B {
-					e.quarantine(rep, name, "delta-invalid",
-						fmt.Sprintf("record %d column %q position %d outside domain of %d cells", r.Seq, dc.Name, p, man.Spec.B))
-					return nil
-				}
-			}
-			if man.DeltaFloor[colOwner[dc.Name]] < r.Seq {
-				keep = append(keep, dc)
-			}
-		}
-		if len(keep) > 0 {
-			if overlay == nil {
-				overlay = newDeltaOverlay()
-			}
-			overlay.insert(keep, r.Seq)
-		}
-		deltaSeq = r.Seq
-	}
-	for _, f := range man.DeltaFloor {
-		if f > deltaSeq {
-			deltaSeq = f
-		}
-	}
-
 	// Register: identical to a live registration — on-disk column sets
 	// (zero held bytes), a cold cache, the durable epoch, the replayed
 	// delta overlay.
 	e.mu.Lock()
-	t := &table{spec: man.Spec, owners: make(map[int]*ownerCols, len(owners)), epoch: man.Epoch, deltaSeq: deltaSeq}
+	t := &table{spec: man.Spec, owners: make(map[int]*ownerCols, len(owners)), epoch: man.Epoch,
+		deltaSeq: deltaSeq, deltaFloor: maps.Clone(man.DeltaFloor)}
 	for _, j := range owners {
 		t.owners[j] = &ownerCols{slot: man.Slots[j]}
 	}
 	if overlay != nil {
 		t.delta = overlay
 		e.trackHeld(overlay.heldBytes())
-	}
-	if len(man.DeltaFloor) > 0 {
-		t.deltaFloor = make(map[int]uint64, len(man.DeltaFloor))
-		for j, s := range man.DeltaFloor {
-			t.deltaFloor[j] = s
-		}
 	}
 	e.resetCache(t)
 	e.tables[name] = t
@@ -307,48 +315,6 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	rep.Recovered = append(rep.Recovered, RecoveredTable{
 		Name: name, Spec: man.Spec, Owners: owners, Epoch: man.Epoch,
 	})
-	return nil
-}
-
-// rollForward finishes the in-place patches of a compaction pass whose
-// post-swap manifest write never happened. It replays the log's records
-// up to man.CompactThrough over the manifest owners' live slots, skipping
-// each owner's at or below its DeltaFloor, and hands the newest value
-// per position to sharestore's RollForward, which rewrites only the
-// chunks whose CRC says they are torn and accepts them only if the
-// replayed values make them whole. An error is a chunk that stays torn:
-// corruption the pass did not cause, which quarantines the table. A
-// record the replay in recoverTable would reject is left for it to
-// quarantine.
-func (e *Engine) rollForward(name string, man *TableManifest, cols []colDef, recs []sharestore.DeltaRecord) error {
-	width := make(map[string]int, len(man.Owners)*len(cols))
-	for _, j := range man.Owners {
-		for _, cd := range cols {
-			width[colKey(j, cd.name)] = cd.width
-		}
-	}
-	replay := newDeltaOverlay()
-	for _, r := range recs {
-		if r.Seq > man.CompactThrough {
-			break
-		}
-		var keep []sharestore.DeltaCol
-		for _, dc := range r.Cols {
-			j, _, _ := splitColKey(dc.Name)
-			if width[dc.Name] == dc.Width && man.DeltaFloor[j] < r.Seq &&
-				!slices.ContainsFunc(dc.Pos, func(p uint64) bool { return p >= man.Spec.B }) {
-				keep = append(keep, dc)
-			}
-		}
-		replay.insert(keep, r.Seq)
-	}
-	snap, _ := replay.snapshot()
-	for cn, dc := range snap {
-		j, col, _ := splitColKey(cn)
-		if err := e.opts.Store.RollForward(name, slotKey(j, man.Slots[j], col), dc.Width, dc.Pos, dc.Vals); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -843,6 +843,60 @@ func TestRecoverDeltaLog(t *testing.T) {
 	}
 }
 
+// TestRecoverReplayOutcomes pins the one replay's outcomes where the
+// log meets the manifest: a record naming a column outside the layout
+// is delta-invalid whether it sits at or before CompactThrough (before
+// the roll-forward) or after it; and a manifest listing no owner is
+// ignored beside a non-empty log, its log not replayed and every
+// owner's columns reclaimed.
+func TestRecoverReplayOutcomes(t *testing.T) {
+	const b, chunk = 64, 16
+	seed := func(t *testing.T, edit func(*TableManifest)) ([]string, *sharestore.Store) {
+		dirs := storeDirs(t)
+		before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
+		storeSharded(t, before, b, 16, true)
+		deltaUpdate(t, before[0], 3)
+		var man TableManifest
+		if err := stores[0].ReadManifest("t", &man); err != nil {
+			t.Fatal(err)
+		}
+		edit(&man)
+		if err := stores[0].WriteManifest("t", man); err != nil {
+			t.Fatal(err)
+		}
+		return dirs, stores[0]
+	}
+	for _, through := range []uint64{1, 2} {
+		t.Run(fmt.Sprintf("bad-record-2-compact-through-%d", through), func(t *testing.T) {
+			dirs, st := seed(t, func(man *TableManifest) { man.CompactThrough = through })
+			bad := sharestore.DeltaCol{Name: colKey(0, "nosuch"), Width: 8, Pos: []uint64{1}, Vals: []uint64{1}}
+			if err := st.AppendDeltaSeg("t", 2, []sharestore.DeltaCol{bad}); err != nil {
+				t.Fatal(err)
+			}
+			e, rep := recoverOne(t, b, chunk, dirs)
+			wantQuarantined(t, e, rep, "delta-invalid")
+		})
+	}
+
+	t.Run("no-owner-manifest-beside-a-log", func(t *testing.T) {
+		dirs, _ := seed(t, func(man *TableManifest) { man.Owners, man.Slots = nil, nil })
+		e, rep := recoverOne(t, b, chunk, dirs)
+		if !slices.Equal(rep.Ignored, []string{"t"}) || len(rep.Quarantined) != 0 || len(rep.Recovered) != 0 {
+			t.Fatalf("report %+v, want the table ignored", rep)
+		}
+		if rep.PendingReclaimed != 2 {
+			t.Fatalf("reclaimed %d owners' columns, want 2", rep.PendingReclaimed)
+		}
+		for j := 0; j < 2; j++ {
+			for slot := 0; slot < 2; slot++ {
+				if e.opts.Store.HasColumn("t", slotKey(j, slot, "chi")) {
+					t.Fatalf("owner %d slot %d column left after the reclaim", j, slot)
+				}
+			}
+		}
+	})
+}
+
 // TestRecoverMigratesDeltaSegments: a store whose acknowledged updates
 // are d<seq>.dseg segments — one file per update, as a build from before
 // the delta log wrote them — boots with every update applied, its

@@ -539,10 +539,6 @@ func (s *Store) PatchCellsStep(table, col string, width int, pos, vals []uint64,
 			stepk = func() error { stepErr = step(k); return stepErr }
 		}
 		patched, err := s.patchChunk(dir, ci, k, pos, vals, false, stepk)
-		if errors.Is(err, fs.ErrNotExist) {
-			// No window has written the chunk yet: patch its implicit zeros.
-			return s.rewriteChunk(dir, ci, k, func(buf []byte) { setCells(buf, k*ci.chunkCells, ci.width, pos, vals) })
-		}
 		if err == nil || !patched {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -272,9 +273,10 @@ func TestDeltaLogFailedAppend(t *testing.T) {
 	}
 }
 
-// TestAppendDeltaSegAfterDrop: dropping a table closes its open log
-// file — a log that refused appends included — so an append after the
-// drop makes the directory and a new file again.
+// TestAppendDeltaSegAfterDrop: moving a table aside (QuarantineTable,
+// the one way a store lets a table go) closes its open log file — a log
+// that refused appends included — so an append after it makes the
+// directory and a new file again.
 func TestAppendDeltaSegAfterDrop(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -288,7 +290,7 @@ func TestAppendDeltaSegAfterDrop(t *testing.T) {
 		if broken {
 			s.logs[s.tableDir("tbl")].err = errors.New("refusing appends")
 		}
-		if err := s.DropTable("tbl"); err != nil {
+		if err := s.QuarantineTable("tbl", "test", ""); err != nil {
 			t.Fatal(err)
 		}
 		if len(s.logs) != 0 {
@@ -300,7 +302,7 @@ func TestAppendDeltaSegAfterDrop(t *testing.T) {
 		if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(seqsOf(got), []uint64{2}) {
 			t.Fatalf("broken=%v: records after drop and append = %v, %v; want [2]", broken, seqsOf(got), err)
 		}
-		if err := s.DropTable("tbl"); err != nil {
+		if err := s.QuarantineTable("tbl", "test", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -456,19 +458,17 @@ func TestPatchCells(t *testing.T) {
 	if err := s.PatchCells("tbl", "c", 2, []uint64{100}, []uint64{1}); err == nil {
 		t.Error("out-of-range patch accepted")
 	}
-	// A created-but-never-written chunk patches over implicit zeros.
+	// A chunk no window has written — on a registered table, a lost
+	// file — fails the patch as it fails a read: the pass never rebuilds
+	// it from zeros.
 	if err := Create[uint64](s, "tbl", "sparse", 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PatchCells("tbl", "sparse", 8, []uint64{40}, []uint64{7}); err != nil {
-		t.Fatal(err)
+	if err := s.PatchCells("tbl", "sparse", 8, []uint64{40}, []uint64{7}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("patch of an unwritten chunk = %v, want fs.ErrNotExist", err)
 	}
-	u64, err := s.ReadU64Range("tbl", "sparse", 32, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u64[40-32] != 7 || u64[39-32] != 0 {
-		t.Errorf("sparse patch: cell 40 = %d, cell 39 = %d", u64[40-32], u64[39-32])
+	if _, err := s.ReadU64Range("tbl", "sparse", 32, 16); err == nil {
+		t.Error("the unwritten chunk reads after the failed patch")
 	}
 }
 

@@ -59,7 +59,6 @@ func TestIndexReadOnce(t *testing.T) {
 		{"Write", func() error { return Write(s, "t", "c", three) }, 3},
 		{"Create", func() error { return Create[uint16](s, "t", "c", 9) }, 9},
 		{"DeleteColumn", func() error { return s.DeleteColumn("t", "c") }, 0},
-		{"DropTable", func() error { return s.DropTable("t") }, 0},
 		{"QuarantineTable", func() error { return s.QuarantineTable("t", "test", "") }, 0},
 	} {
 		write("c", six)

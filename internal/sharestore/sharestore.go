@@ -160,14 +160,6 @@ func (s *Store) HasColumn(table, col string) bool {
 	return err == nil
 }
 
-// DropTable removes a table directory and all its columns, and closes
-// its delta log.
-func (s *Store) DropTable(table string) error {
-	dir := filepath.Join(s.dir, sanitize(table))
-	err := os.RemoveAll(dir)
-	return errors.Join(err, s.forget(dir))
-}
-
 // Tables lists stored table names. Names are resolved through each
 // table directory's sidecar metadata, so callers see the raw names they
 // stored — not the sanitised directory names (which diverge for any name

@@ -115,8 +115,8 @@ func TestTruncationDetected(t *testing.T) {
 }
 
 // TestLegacyColumnFileIsNotAColumn: a "<col>.col" file written by a
-// build that predates the chunked layout is not a column — nothing opens
-// it — and dropping its table still removes it.
+// build that predates the chunked layout is not a column: nothing opens
+// it.
 func TestLegacyColumnFileIsNotAColumn(t *testing.T) {
 	s := testStore(t)
 	// The old monolithic format, byte for byte: magic, version 1, width,
@@ -143,26 +143,6 @@ func TestLegacyColumnFileIsNotAColumn(t *testing.T) {
 	}
 	if err := s.VerifyColumn("t", "c", 2, 3); !errors.Is(err, ErrNotFound) {
 		t.Errorf("VerifyColumn = %v, want ErrNotFound", err)
-	}
-	if err := s.DropTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Dir(path)); !os.IsNotExist(err) {
-		t.Errorf("DropTable left the table directory behind: %v", err)
-	}
-}
-
-func TestDropTable(t *testing.T) {
-	s := testStore(t)
-	s.WriteU16("t", "c", []uint16{1})
-	if !s.HasColumn("t", "c") {
-		t.Fatal("column missing after write")
-	}
-	if err := s.DropTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	if s.HasColumn("t", "c") {
-		t.Fatal("column survives drop")
 	}
 }
 

@@ -8,9 +8,31 @@ import (
 	"slices"
 	"testing"
 
+	"prism/internal/protocol"
 	"prism/internal/serverengine"
 	"prism/internal/sharestore"
 )
+
+// servedStatus asks group 0's servers for their table inventories
+// (ListTablesGroup, what prism-owner -op list prints) and returns each
+// server's status of table, nil where it does not serve the table with
+// every owner registered.
+func servedStatus(t *testing.T, sys *System, table string) []*protocol.TableStatus {
+	t.Helper()
+	lists, err := sys.Owner(0).Engine().ListTablesGroup(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*protocol.TableStatus, len(lists))
+	for phi, tables := range lists {
+		for i, st := range tables {
+			if st.Spec.Name == table && len(st.Owners) == len(sys.owners) {
+				out[phi] = &tables[i]
+			}
+		}
+	}
+	return out
+}
 
 // recoveryConfig is the shared deployment shape of the restart tests:
 // disk-backed, in 64-cell windows (so 64-cell chunks) — the
@@ -132,18 +154,11 @@ func TestServerRestartRecovery(t *testing.T) {
 	}
 	directAnswers(t, sys2, orc)
 
-	// The owners' cheap probe answers "still served" without a single
-	// column byte moving.
-	served, statuses, err := sys2.Owner(0).Engine().TableServed(context.Background(), "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !served {
-		t.Fatalf("TableServed = false after recovery (statuses %+v)", statuses)
-	}
-	for phi, st := range statuses {
+	// The owners' inventory probe answers "still served" without a
+	// single column byte moving.
+	for phi, st := range servedStatus(t, sys2, "main") {
 		if st == nil || st.Epoch == 0 {
-			t.Fatalf("server %d status = %+v, want persisted epoch", phi, st)
+			t.Fatalf("server %d status = %+v, want the table served at its persisted epoch", phi, st)
 		}
 	}
 
@@ -185,12 +200,8 @@ func TestServerRestartRecovery(t *testing.T) {
 		t.Fatal("PSI over a quarantined table succeeded")
 	}
 	// The probe tells the owner re-outsourcing is needed.
-	served, _, err = sys3.Owner(0).Engine().TableServed(context.Background(), "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served {
-		t.Fatal("TableServed = true with a quarantined copy")
+	if st := servedStatus(t, sys3, "main")[0]; st != nil {
+		t.Fatalf("server 0 lists the quarantined table as served: %+v", st)
 	}
 	// Re-outsourcing restores full service over the quarantine-freed name.
 	directAnswers(t, sys3, loadPlanted(t, sys3, planted, 1807))
