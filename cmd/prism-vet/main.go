@@ -1,9 +1,10 @@
 // prism-vet machine-checks the invariants PRISM's correctness rests on
 // but the Go compiler cannot see: wire messages listed in the type table,
-// crypto-grade randomness in share derivation, keyed wire-struct
-// literals, the sharestore's tmp+rename atomic-write discipline, no
-// blocking under engine mutexes, and the test-only hook fence. It is a
-// blocking CI step next to go vet.
+// the sharestore's tmp+rename atomic-write discipline, no blocking under
+// engine mutexes, metric-name discipline, and the shape table — one
+// bounded row per code-shape rule, among them crypto-grade randomness in
+// share derivation, keyed wire-struct literals, the test-only hook and
+// at most two rounds per query. It is a blocking CI step next to go vet.
 //
 // Usage:
 //
@@ -15,7 +16,7 @@
 // repo-wide, and a partial view could only hide findings.
 //
 // Audited exceptions carry a "//prism:allow <name> <reason>" comment on
-// the flagged line or the line above; see docs/ARCHITECTURE.md
+// the flagged line or the line above (a shape row takes none); see docs/ARCHITECTURE.md
 // ("Machine-checked invariants").
 package main
 

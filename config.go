@@ -192,8 +192,8 @@ type Config struct {
 	HotChunks uint64
 	// DeltaMaxEntries triggers a compaction pass on a server once a
 	// table's merged-but-uncompacted delta entries (incremental updates,
-	// Owner.Update) reach this count: the base columns are rewritten
-	// with the overlay values and the absorbed delta-log segments are
+	// Owner.Update) reach this count: the overlay values are patched
+	// into the base chunks in place and the sealed delta-log files are
 	// deleted. 0 disables threshold-triggered compaction; updates then
 	// accumulate in the overlay until a CompactTables call folds them
 	// down.

@@ -152,17 +152,17 @@
 // change into the owner's own state only once every server has
 // acknowledged, so a failed update leaves the owner untouched and is
 // recovered by calling Update again with the same rows. Servers append
-// each accepted update to a per-table delta log of CRC'd, atomically
-// written segments holding absolute replacement values — replay is
-// idempotent, an update is one segment — and answer queries by patching every
+// each accepted update to a per-table delta log as one CRC'd record
+// of absolute replacement values, written with one append — replay is
+// idempotent, an update is one record — and answer queries by patching every
 // fetched value through an in-memory overlay of the log, so reads see
 // base + deltas immediately. A compactor (Config.DeltaMaxEntries
 // threshold, prism-server's -compact ticker, or System.CompactTables)
-// folds the log into the base chunks, bumps the table epoch, and only
-// then deletes segments; idempotent replay makes every crash point
-// between those steps recoverable, and cold-boot recovery replays the
-// surviving log over the surviving base (torn segments quarantine the
-// table). The repo benchmark's update-read workload (benchmark/)
+// patches the logged cells into the base chunks in place, bumps the
+// table epoch, and only then deletes the sealed log files; idempotent
+// replay makes every crash point between those steps recoverable, and
+// cold-boot recovery replays the surviving log over the surviving base
+// (a torn last record is cut off; other damage quarantines the table). The repo benchmark's update-read workload (benchmark/)
 // measures update cost and compaction next to the reads that race them.
 //
 // See examples/ for complete programs, docs/ARCHITECTURE.md for the

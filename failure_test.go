@@ -11,6 +11,20 @@ import (
 	"prism/internal/transport"
 )
 
+// interceptGroupServer rewires group g's server phi through a wrapper
+// handler. Tests use it to simulate malicious servers (reply tampering,
+// skipped cells, fake injections), dead or slow ones, and to count what
+// each server receives. Declared here, in a test file, so no production
+// code can call it.
+func (s *System) interceptGroupServer(g, phi int, wrap func(transport.Handler) transport.Handler) {
+	s.network.Register(serverAddr(g, phi), wrap(s.servers[g][phi]))
+}
+
+// restoreGroupServer undoes interceptGroupServer.
+func (s *System) restoreGroupServer(g, phi int) {
+	s.network.Register(serverAddr(g, phi), s.servers[g][phi])
+}
+
 // down simulates a crashed server: every call fails.
 func down() func(transport.Handler) transport.Handler {
 	return func(transport.Handler) transport.Handler {

@@ -8,23 +8,25 @@
 // messages must be in the wire type table, secret shares must never touch
 // math/rand, the sharestore must keep its tmp+rename atomic-write
 // discipline, and engines must not block on the network while holding
-// a mutex. Each rule is an Analyzer here; cmd/prism-vet runs them all
-// and CI blocks on the result.
+// a mutex. Each such rule is an Analyzer here; code-shape rules that
+// bound a count are rows of one, Shape. cmd/prism-vet runs them all and
+// CI blocks on the result.
 //
 // Suppression: a site audited by a human can carry
 //
 //	//prism:allow <name>[,<name>...] [reason]
 //
 // on the same line as the finding or the line immediately above it;
-// diagnostics from the named analyzers at that line are dropped. The
-// reason text is free-form but should say why the site is safe.
+// diagnostics from the named analyzers at that line are dropped, except
+// Shape's. The reason text is free-form but should say why the site is
+// safe.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -129,23 +131,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allowed := allowedLines(pkgs)
 	kept := diags[:0]
 	for _, d := range diags {
-		if names := allowed[d.Pos.Filename][d.Pos.Line]; names[d.Analyzer] {
+		if names := allowed[d.Pos.Filename][d.Pos.Line]; names[d.Analyzer] && d.Analyzer != Shape.Name {
 			continue
 		}
 		kept = append(kept, d)
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i], kept[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(kept, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return kept, nil
 }
@@ -154,12 +147,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WireRegistry,
-		CryptoRand,
-		KeyedWire,
 		AtomicWrite,
 		LockScope,
-		TestHook,
 		MetricNames,
+		Shape,
 	}
 }
 
@@ -170,25 +161,13 @@ func ByName(names string) ([]*Analyzer, error) {
 	if names == "" {
 		return all, nil
 	}
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
 	var out []*Analyzer
 	for _, name := range strings.Split(names, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == strings.TrimSpace(name) })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown analyzer %q", name)
 		}
-		out = append(out, a)
+		out = append(out, all[i])
 	}
 	return out, nil
-}
-
-// walk is a convenience ast.Inspect over every file of the pass's
-// package.
-func (p *Pass) walk(fn func(ast.Node) bool) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, fn)
-	}
 }

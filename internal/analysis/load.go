@@ -18,7 +18,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -142,18 +142,8 @@ func modulePackageDirs(root, module string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
-	return dedup(paths), nil
-}
-
-func dedup(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || sorted[i-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
+	slices.Sort(paths)
+	return slices.Compact(paths), nil
 }
 
 // Load type-checks the named in-module packages (and, transitively,

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // LockScope flags blocking operations performed while a sync.Mutex or
@@ -66,9 +67,9 @@ func (ls *lockScopeCheck) lockOp(e ast.Expr) (recv string, acquire, release bool
 	}
 	switch obj.Name() {
 	case "Lock", "RLock":
-		return exprString(sel.X), true, false
+		return types.ExprString(sel.X), true, false
 	case "Unlock", "RUnlock":
-		return exprString(sel.X), false, true
+		return types.ExprString(sel.X), false, true
 	}
 	return "", false, false
 }
@@ -227,7 +228,7 @@ func (ls *lockScopeCheck) inspectNode(n ast.Node, held map[string]token.Pos) boo
 		case obj.Pkg().Path() == "time" && obj.Name() == "Sleep":
 			ls.pass.Reportf(n.Pos(), "time.Sleep while %q is held (acquired line %d)", lock, ls.line(pos))
 		case obj.Pkg().Path() == "sync" && obj.Name() == "Wait":
-			ls.pass.Reportf(n.Pos(), "sync %s.Wait while %q is held (acquired line %d)", exprString(n.Fun), lock, ls.line(pos))
+			ls.pass.Reportf(n.Pos(), "sync %s.Wait while %q is held (acquired line %d)", types.ExprString(n.Fun), lock, ls.line(pos))
 		}
 	}
 	return true

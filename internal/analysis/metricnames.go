@@ -38,23 +38,25 @@ func runMetricNames(pass *Pass) error {
 		return nil // the name table and constructors live here
 	}
 	info := pass.Pkg.Info
-	pass.walk(func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			obj := calleeObject(info, call)
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != telemetryPath || !metricCtors[obj.Name()] {
+				return true
+			}
+			if len(call.Args) == 0 {
+				return true // malformed call; the type checker reports it
+			}
+			if !telemetryConstArg(info, call.Args[0]) {
+				pass.Reportf(call.Args[0].Pos(), "telemetry.%s name %s is not a constant from the telemetry name table; register series under names.go constants so the inventory stays auditable", obj.Name(), types.ExprString(call.Args[0]))
+			}
 			return true
-		}
-		obj := calleeObject(info, call)
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != telemetryPath || !metricCtors[obj.Name()] {
-			return true
-		}
-		if len(call.Args) == 0 {
-			return true // malformed call; the type checker reports it
-		}
-		if !telemetryConstArg(info, call.Args[0]) {
-			pass.Reportf(call.Args[0].Pos(), "telemetry.%s name %s is not a constant from the telemetry name table; register series under names.go constants so the inventory stays auditable", obj.Name(), exprString(call.Args[0]))
-		}
-		return true
-	})
+		})
+	}
 	if pass.Pkg.Path == serverEnginePath {
 		checkRPCObservations(pass)
 	}

@@ -15,6 +15,7 @@ const (
 	storePath        = "prism/internal/sharestore"
 	telemetryPath    = "prism/internal/telemetry"
 	serverEnginePath = "prism/internal/serverengine"
+	gatewayPath      = "prism/internal/gateway"
 )
 
 // calleeObject resolves the object a call expression invokes: a
@@ -47,25 +48,6 @@ func namedStruct(t types.Type) *types.Named {
 		return nil
 	}
 	return named
-}
-
-// exprString renders a short source-like form of an expression for
-// diagnostics (selectors and identifiers only; anything else becomes
-// "<expr>").
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "(...)"
-	case *ast.StarExpr:
-		return "*" + exprString(e.X)
-	}
-	return "<expr>"
 }
 
 // pkgUnder reports whether the package path is exactly prefix/elem for

@@ -92,7 +92,7 @@ func (a *Admission) QueueDepth() int {
 
 // reserve makes the synchronous admission decision for one request:
 // admit now (wait 0), admit after wait, or shed. It never blocks.
-func (a *Admission) reserve(tenant string, deadline time.Time, hasDeadline bool) (time.Duration, error) {
+func (a *Admission) reserve(tenant string, deadline time.Time) (time.Duration, error) {
 	if a.rate <= 0 {
 		return 0, nil
 	}
@@ -116,7 +116,7 @@ func (a *Admission) reserve(tenant string, deadline time.Time, hasDeadline bool)
 		return 0, nil
 	}
 	wait := time.Duration((1 - b.tokens) / a.rate * float64(time.Second))
-	if hasDeadline && now.Add(wait).After(deadline) {
+	if now.Add(wait).After(deadline) {
 		return 0, &shedError{reason: "deadline", detail: fmt.Sprintf(
 			"tenant %q would wait %v for a token, past the query deadline", tenant, wait.Round(time.Millisecond))}
 	}

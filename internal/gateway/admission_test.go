@@ -28,7 +28,7 @@ func TestAdmissionBurstExact(t *testing.T) {
 	deadline := fixed.Add(time.Hour)
 	var immediate, queued, shed int
 	for i := 0; i < total; i++ {
-		wait, err := a.reserve("tenant", deadline, true)
+		wait, err := a.reserve("tenant", deadline)
 		switch {
 		case err == nil && wait == 0:
 			immediate++
@@ -68,12 +68,12 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	fixed := time.Now()
 	a.now = func() time.Time { return fixed }
 
-	if _, err := a.reserve("t", fixed.Add(time.Hour), true); err != nil {
+	if _, err := a.reserve("t", fixed.Add(time.Hour)); err != nil {
 		t.Fatalf("first reservation: %v", err)
 	}
 	// The bucket is empty; the next token matures in 100ms — past a
 	// 10ms deadline.
-	_, err := a.reserve("t", fixed.Add(10*time.Millisecond), true)
+	_, err := a.reserve("t", fixed.Add(10*time.Millisecond))
 	if !errors.Is(err, ErrLoadShed) || ShedReason(err) != "deadline" {
 		t.Fatalf("err = %v (reason %q), want a deadline shed", err, ShedReason(err))
 	}
@@ -97,14 +97,14 @@ func TestAdmissionTenantsIsolated(t *testing.T) {
 	fixed := time.Now()
 	a.now = func() time.Time { return fixed }
 	deadline := fixed.Add(time.Hour)
-	if _, err := a.reserve("a", deadline, true); err != nil {
+	if _, err := a.reserve("a", deadline); err != nil {
 		t.Fatalf("tenant a: %v", err)
 	}
-	if _, err := a.reserve("a", deadline, true); !errors.Is(err, ErrLoadShed) {
+	if _, err := a.reserve("a", deadline); !errors.Is(err, ErrLoadShed) {
 		t.Fatalf("tenant a second request: %v, want shed", err)
 	}
 	// Tenant a exhausting its bucket must not touch tenant b's.
-	if _, err := a.reserve("b", deadline, true); err != nil {
+	if _, err := a.reserve("b", deadline); err != nil {
 		t.Fatalf("tenant b: %v", err)
 	}
 }
@@ -112,8 +112,11 @@ func TestAdmissionTenantsIsolated(t *testing.T) {
 // acquire admits one request as the gateway does: the reservation at
 // submit time, then its bounded wait.
 func acquire(ctx context.Context, a *Admission, tenant string) (time.Duration, error) {
-	deadline, hasDeadline := ctx.Deadline()
-	wait, err := a.reserve(tenant, deadline, hasDeadline)
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = a.now().Add(time.Hour) // far: no deadline sheds nothing
+	}
+	wait, err := a.reserve(tenant, deadline)
 	if err != nil {
 		return 0, err
 	}

@@ -263,7 +263,7 @@ func (fc *frontConn) handleSubmit(req *Request) {
 	// The admission decision is synchronous: a token now, a bounded
 	// queued wait, or a typed shed — the client learns which from the
 	// submit reply itself, never by waiting.
-	wait, err := fc.g.adm.reserve(req.Tenant, deadline, true)
+	wait, err := fc.g.adm.reserve(req.Tenant, deadline)
 	if err != nil {
 		mShed.Inc(ShedReason(err))
 		fc.reply(&Response{ID: req.ID, Code: CodeShed, Err: err.Error()})

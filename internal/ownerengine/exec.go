@@ -17,8 +17,8 @@ import (
 // one script per server group (script), run for every group by Exec's
 // one fan-out. Every front door — the library's System/Owner methods and
 // scheduler, the gateway backend, prism-owner, the benchmarks — builds a
-// Query and calls Exec; none of them reaches a round itself
-// (TestQueryScriptLivesInExec keeps it so).
+// Query and calls Exec; none of them reaches a round itself (prism-vet's
+// query-rounds, extreme-reduce and query-fanout shape rows keep it so).
 
 // OpKind names one PRISM query. Its row in the kinds table is all any
 // layer needs to know about it.

@@ -145,7 +145,7 @@ type StoreReply struct{ Cells uint64 }
 // never learns which natural cells changed, only that some stored
 // positions did.
 //
-// The server validates the request whole, logs it as one durable segment
+// The server validates the request whole, logs it as one durable log record
 // under one sequence number and makes it visible in one step, so no read
 // on that server sees a cell's χ without its χ̄. Its frame grows with the
 // changed cells, not with the table; past the frame cap it fails at the

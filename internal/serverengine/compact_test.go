@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"prism/internal/protocol"
 	"prism/internal/sharestore"
@@ -371,5 +372,51 @@ func TestCompactionSkipsReoutsourcedOwner(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCloseWaitsForTriggeredCompaction: the pass an update past DeltaMax
+// starts is the engine's background work too. Close, called while that
+// pass is parked at its first ordering point, returns only after the
+// pass has finished: nothing patches, swaps or deletes in the store of a
+// closed engine.
+func TestCloseWaitsForTriggeredCompaction(t *testing.T) {
+	const b = 64
+	st, err := sharestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetChunkCells(16)
+	e := New(fullView(t, 0, 2, b), Options{Threads: 2, Store: st, DeltaMax: 1})
+	storeFull(t, []*Engine{e}, b, false)
+	parked, release := make(chan struct{}), make(chan struct{})
+	e.SetCompactStepHook(func(step string) error {
+		if step == "through" {
+			close(parked)
+			<-release
+		}
+		return nil
+	})
+	if _, err := e.Handle(context.Background(), protocol.StoreDeltaRequest{
+		Owner: 0, Table: "t", Pos: []uint64{5}, Chi: []uint16{7}, Sums: map[string][]uint64{"v": {9}}, Cnt: []uint64{1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		close(release)
+		t.Fatal("Close returned while the triggered pass was parked")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if n := e.tables["t"].delta.entryCount(); n != 0 {
+		t.Fatalf("Close returned before the pass folded the update: %d entries pending", n)
 	}
 }

@@ -430,12 +430,15 @@ func (e *Engine) handleStoreDelta(r protocol.StoreDeltaRequest) (any, error) {
 	e.trackHeld(t.delta.insert(ents, seq))
 	epoch = t.epoch
 	entries := t.delta.entryCount()
-	compacting := t.compacting
+	trigger := e.opts.DeltaMax > 0 && entries >= e.opts.DeltaMax && !t.compacting && !e.closing
+	if trigger {
+		e.triggered.Add(1)
+	}
 	e.mu.Unlock()
 	mDeltaBacklog.Set(r.Table, int64(entries))
 
-	if e.opts.DeltaMax > 0 && entries >= e.opts.DeltaMax && !compacting {
-		go e.Compact(r.Table)
+	if trigger {
+		go func() { defer e.triggered.Done(); e.Compact(r.Table) }()
 	}
 	return protocol.StoreDeltaReply{Entries: n, Epoch: epoch}, nil
 }
@@ -850,15 +853,20 @@ func (e *Engine) startCompactor(every time.Duration) {
 	}()
 }
 
-// Close stops the engine's background work (the compaction ticker) and
-// closes the delta log files its store holds open. Safe to call multiple
-// times and on engines that never started a ticker.
+// Close stops the engine's background work — the compaction ticker and
+// the passes an update past DeltaMax starts (none starts once Close has
+// begun; it waits for those running) — and closes the delta log files
+// its store holds open. Safe to call multiple times.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
+		e.mu.Lock()
+		e.closing = true
+		e.mu.Unlock()
 		if e.compactStop != nil {
 			close(e.compactStop)
 			<-e.compactDone
 		}
+		e.triggered.Wait()
 		if e.opts.Store != nil {
 			// Every record was written whole or cut off when its append
 			// failed; a close on the log's local file reports nothing more.

@@ -147,11 +147,15 @@ type Engine struct {
 
 	// stepHook intercepts compaction and upload ordering points
 	// (crash-recovery tests); compactStop/compactDone manage the
-	// CompactEvery ticker.
+	// CompactEvery ticker; triggered counts the passes an update past
+	// DeltaMax started, and once closing is set (under mu) no update
+	// starts another.
 	stepHookMu  sync.Mutex
 	stepHook    func(step string) error
 	compactStop chan struct{}
 	compactDone chan struct{}
+	triggered   sync.WaitGroup
+	closing     bool
 	closeOnce   sync.Once
 
 	// heldBytes/peakHeld track the column bytes this engine holds

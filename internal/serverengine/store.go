@@ -123,7 +123,7 @@ type TableManifest struct {
 	// folds, from before that pass patches its first chunk in place until
 	// the manifest written after its epoch swap. While it is set a chunk
 	// may be torn between its new CRC and its old cells: recovery rolls
-	// such a chunk forward by replaying the surviving segments up to this
+	// such a chunk forward by replaying the surviving log records up to this
 	// sequence (respecting DeltaFloor) at its positions, and quarantines
 	// the table if that does not make the chunk whole.
 	CompactThrough uint64 `json:",omitempty"`
@@ -451,7 +451,7 @@ func (e *Engine) finishStore(spec protocol.TableSpec, owner int, oc *ownerCols) 
 		e.trackHeld(-t.delta.dropOwner(owner))
 	}
 	if t.deltaSeq > 0 && e.opts.Store != nil {
-		// Likewise fence the owner's on-disk delta segments out of
+		// Likewise fence the owner's on-disk delta log records out of
 		// cold-boot replay (the floor is persisted in the manifest).
 		if t.deltaFloor == nil {
 			t.deltaFloor = make(map[int]uint64)

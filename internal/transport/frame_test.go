@@ -5,16 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"prism/internal/analysis"
 	"prism/internal/protocol"
 )
 
@@ -189,36 +186,22 @@ func TestOverCapRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// TestGobOnlyInViewio keeps gob off the wire: in the module's non-test
-// source, encoding/gob is imported only by internal/viewio, whose view
-// files never cross a connection.
+// TestGobOnlyInViewio keeps gob off the wire: encoding/gob is imported
+// only by internal/viewio, whose view files never cross a connection
+// (the gob-off-the-wire row of prism-vet's shape table).
 func TestGobOnlyInViewio(t *testing.T) {
-	var importers []string
-	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && path != "../.." && (d.Name() == "testdata" || d.Name() == "benchmark" || d.Name()[0] == '.'):
-			return filepath.SkipDir // fixtures, the benchmark module, .git and build caches
-		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"encoding/gob"` {
-				importers = append(importers, filepath.ToSlash(filepath.Dir(path)))
-			}
-		}
-		return nil
-	})
+	pkgs, err := analysis.LoadModule("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(importers, []string{"../../internal/viewio"}) {
-		t.Errorf("encoding/gob imported by %v; only internal/viewio may", importers)
+	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{analysis.Shape})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if strings.HasPrefix(d.Message, "gob-off-the-wire:") {
+			t.Error(d)
+		}
 	}
 }
 

@@ -133,9 +133,9 @@ func serverAddr(g, phi int) string { return fmt.Sprintf("g%d/server/%d", g, phi)
 // under Config.DiskDir.
 func serverDiskDir(g, phi int) string { return fmt.Sprintf("g%d-server-%d", g, phi) }
 
-// Close stops the servers' background work. A System starts no
-// compaction ticker (a prism-server does, with -compact), so Close has
-// nothing to stop today; it is safe to call, any number of times.
+// Close stops the servers' background work, the compaction passes an
+// update past Config.DeltaMaxEntries starts: it waits for those running
+// and lets no new one start. Safe to call any number of times.
 func (s *System) Close() {
 	for _, grp := range s.servers {
 		for _, e := range grp {
