@@ -123,6 +123,7 @@ func TestShapeFixture(t *testing.T)        { checkFixture(t, Shape) }
 func TestCryptoRandFixture(t *testing.T)   { checkRow(t, Shape, "cryptorand:") }
 func TestKeyedWireFixture(t *testing.T)    { checkRow(t, Shape, "keyedwire:") }
 func TestTestHookFixture(t *testing.T)     { checkRow(t, Shape, "test-hooks:") }
+func TestUnsafeImportFixture(t *testing.T) { checkRow(t, Shape, "unsafe-import:") }
 
 // TestRealTreeClean runs the full suite over the actual module — the
 // same sweep CI's prism-vet step performs — so a regression against any

@@ -84,6 +84,8 @@ var shapeRules = []shapeRule{
 		"secret-share code draws randomness from crypto/rand or the seeded PRG; a math/rand draw voids the security argument (PR 8)"},
 	{"keyedwire", ".", "", lit(`^protocol\.`, true), 0,
 		"wire structs grow fields; a positional literal binds values to the wrong fields after a reorder (PR 8)"},
+	{"unsafe-import", "", "", str(`^"unsafe"$`), 1,
+		"one unsafe conversion, the codec's borrow helper: a full-width share vector aliases its frame; every other byte is decoded by copy"},
 	{"test-hooks", "", "", decl(`^System\.(interceptGroupServer|restoreGroupServer)\(\)$`), 0,
 		"a hook that rewires a live server is a man-in-the-middle seam: it is declared in a _test.go file, so no production code can call it (PR 8)"},
 }

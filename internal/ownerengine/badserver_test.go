@@ -63,6 +63,11 @@ func (s *shapeShifter) Call(_ context.Context, addr string, req any) (any, error
 	return protocol.StoreReply{}, nil
 }
 
+func (s *shapeShifter) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	reply, err := s.Call(ctx, addr, req)
+	return reply, func() {}, err
+}
+
 func shapeOwner(t *testing.T, mode string) *Owner {
 	t.Helper()
 	sys, err := params.Generate(params.Config{

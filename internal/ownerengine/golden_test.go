@@ -34,9 +34,23 @@ type sentFrame struct {
 }
 
 func (l *frameLog) Call(ctx context.Context, addr string, req any) (any, error) {
+	if err := l.log(addr, req); err != nil {
+		return nil, err
+	}
+	return l.next.Call(ctx, addr, req)
+}
+
+func (l *frameLog) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	if err := l.log(addr, req); err != nil {
+		return nil, func() {}, err
+	}
+	return l.next.CallBorrowed(ctx, addr, req)
+}
+
+func (l *frameLog) log(addr string, req any) error {
 	m, err := protocol.Measure(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f := sentFrame{addr: addr, label: m.Label, body: m.AppendTo(nil)}
 	if r, ok := req.(protocol.StoreRequest); ok {
@@ -45,7 +59,7 @@ func (l *frameLog) Call(ctx context.Context, addr string, req any) (any, error) 
 	l.mu.Lock()
 	l.frames = append(l.frames, f)
 	l.mu.Unlock()
-	return l.next.Call(ctx, addr, req)
+	return nil
 }
 
 // digest is one SHA-256 over every frame sent so far, sorted by server

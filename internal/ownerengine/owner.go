@@ -399,9 +399,12 @@ func (o *engine) upload(ctx context.Context, spec protocol.TableSpec, nsrv int, 
 // callServers issues build's request to the group's first nsrv servers
 // concurrently (2 is the additive-share pair, 3 every server) and
 // returns their replies indexed by server, with the failures joined,
-// each tagged with its server's logical address.
-func (o *engine) callServers(ctx context.Context, nsrv int, build func(phi int) any) ([]any, error) {
+// each tagged with its server's logical address. The replies may borrow
+// their frames (transport.Caller.CallBorrowed): release hands them all
+// back once nothing reads the replies any more.
+func (o *engine) callServers(ctx context.Context, nsrv int, build func(phi int) any) (replies []any, release func(), err error) {
 	out := make([]any, nsrv)
+	releases := make([]func(), nsrv)
 	errs := make([]error, nsrv)
 	var wg sync.WaitGroup
 	for phi := 0; phi < nsrv; phi++ {
@@ -409,11 +412,15 @@ func (o *engine) callServers(ctx context.Context, nsrv int, build func(phi int) 
 		go func(phi int) {
 			defer wg.Done()
 			var err error
-			if out[phi], err = o.caller.Call(ctx, o.servers[phi], build(phi)); err != nil {
+			if out[phi], releases[phi], err = o.caller.CallBorrowed(ctx, o.servers[phi], build(phi)); err != nil {
 				errs[phi] = fmt.Errorf("%s: %w", o.servers[phi], err)
 			}
 		}(phi)
 	}
 	wg.Wait()
-	return out, errors.Join(errs...)
+	return out, func() {
+		for _, r := range releases {
+			r()
+		}
+	}, errors.Join(errs...)
 }

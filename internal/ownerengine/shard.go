@@ -41,6 +41,9 @@ func (o *engine) plan(runs ...protocol.Range) []protocol.Range {
 // accumulators. merge calls are serialised — accumulators need no
 // locking — and happen as shard replies complete, so partial results
 // merge incrementally instead of materialising every reply at once.
+// A window's replies may borrow their frames: merge must not keep a
+// reply's vectors, which go back to the frame pool when it returns (or
+// when the window is dropped).
 //
 // The first error (a failed call, a failed merge, or the caller's
 // context dying) cancels the remaining shard exchanges and is returned
@@ -74,7 +77,8 @@ loop:
 		go func(rg protocol.Range) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			replies, err := o.callServers(ctx, nsrv, func(phi int) any { return build(phi, rg) })
+			replies, release, err := o.callServers(ctx, nsrv, func(phi int) any { return build(phi, rg) })
+			defer release() // after merge: the replies' vectors may point into their frames
 			if err != nil {
 				fail(err)
 				return

@@ -17,7 +17,8 @@ import (
 // lets a probe distinguish "still the registration I made" from
 // "re-registered since".
 func (o *engine) ListTables(ctx context.Context) ([][]protocol.TableStatus, error) {
-	replies, err := o.callServers(ctx, params.NumServers, func(int) any { return protocol.ListTablesRequest{} })
+	replies, release, err := o.callServers(ctx, params.NumServers, func(int) any { return protocol.ListTablesRequest{} })
+	defer release()
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +39,8 @@ func (o *engine) ListTables(ctx context.Context) ([][]protocol.TableStatus, erro
 // the group can take traffic. Unlike ListTables it moves no inventory,
 // so health checkers can run it at high frequency against loaded servers.
 func (o *engine) Ping(ctx context.Context) error {
-	replies, err := o.callServers(ctx, params.NumServers, func(int) any { return protocol.PingRequest{} })
+	replies, release, err := o.callServers(ctx, params.NumServers, func(int) any { return protocol.PingRequest{} })
+	defer release()
 	for phi, r := range replies {
 		if _, ok := r.(protocol.PingReply); !ok && r != nil {
 			err = errors.Join(err, fmt.Errorf("%s: unexpected ping reply %T", o.servers[phi], r))

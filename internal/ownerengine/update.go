@@ -339,7 +339,8 @@ func (o *engine) prepareUpdate(gu *groupUpdate, spec OutsourceSpec, st *UpdateSt
 // leaves the update uncommitted and retryable like a refused delta.
 func (o *engine) shipUpdate(ctx context.Context, t *localTable, gu *groupUpdate) error {
 	start := time.Now()
-	replies, err := o.callServers(ctx, params.NumServers, func(phi int) any { return gu.reqs[phi] })
+	replies, release, err := o.callServers(ctx, params.NumServers, func(phi int) any { return gu.reqs[phi] })
+	defer release()
 	if err != nil {
 		return err
 	}

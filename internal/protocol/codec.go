@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"runtime"
 	"slices"
+	"unsafe"
 
 	"prism/internal/levec"
 )
@@ -19,6 +21,11 @@ import (
 // the input, and checks every count against the bytes left before it
 // allocates.
 
+// borrowed lists the message types whose full-width vectors
+// DecodeBorrowing lets alias its input: the b-cell share vectors of
+// every query round, which their consumer reads once and drops.
+var borrowed = []any{PSIReply{}, CountReply{}, PSUReply{}, AggReply{}, AggRequest{}}
+
 // codec encodes and decodes one Go type.
 type codec struct {
 	enc func(*encoder, reflect.Value)
@@ -27,8 +34,9 @@ type codec struct {
 
 // msgType is one entry of the type table.
 type msgType struct {
-	t     reflect.Type
-	codec codec
+	t      reflect.Type
+	codec  codec
+	borrow bool // t is in borrowed
 }
 
 var (
@@ -41,6 +49,9 @@ func init() {
 		t := reflect.TypeOf(m)
 		msgTypes = append(msgTypes, msgType{t: t, codec: codecFor(t)})
 		msgIndex[t] = i + 1
+	}
+	for _, m := range borrowed {
+		msgTypes[msgIndex[reflect.TypeOf(m)]-1].borrow = true
 	}
 }
 
@@ -143,11 +154,25 @@ func (m *Measured) encode(e *encoder) {
 // DecodeMessage is the inverse of Measure + AppendTo on the whole of b:
 // a byte left over is an error too. Nothing in the result aliases b.
 func DecodeMessage(b []byte) (any, error) {
+	msg, _, err := decode(b, false)
+	return msg, err
+}
+
+// DecodeBorrowing is DecodeMessage, except that where the platform
+// allows it (canBorrow) a full-width vector of a borrowed type aliases
+// b. aliased reports whether one does: b must then keep its bytes for
+// as long as the message is in use. The values are DecodeMessage's.
+func DecodeBorrowing(b []byte) (msg any, aliased bool, err error) {
+	return decode(b, canBorrow)
+}
+
+func decode(b []byte, borrow bool) (any, bool, error) {
 	d := decoder{b: b}
 	var msg any
 	if k := d.uvarint(); k > uint64(len(msgTypes)) {
 		d.fail(fmt.Sprintf("unknown message type %d", k))
 	} else if k > 0 {
+		d.borrow = borrow && msgTypes[k-1].borrow
 		v := reflect.New(msgTypes[k-1].t).Elem()
 		msgTypes[k-1].codec.dec(&d, v)
 		msg = v.Interface()
@@ -156,9 +181,9 @@ func DecodeMessage(b []byte) (any, error) {
 		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, false, d.err
 	}
-	return msg, nil
+	return msg, d.aliased, nil
 }
 
 // encoder runs a plan twice: dry, it counts bytes and records each
@@ -204,7 +229,7 @@ func (e *encoder) scalar(v reflect.Value) {
 
 func vectorCodec[T levec.Elem]() codec {
 	return codec{enc: func(e *encoder, v reflect.Value) { encVector(e, v.Interface().([]T)) },
-		dec: func(d *decoder, v reflect.Value) { v.Set(reflect.ValueOf(decVector[T](d))) }}
+		dec: func(d *decoder, v reflect.Value) { *v.Addr().Interface().(*[]T) = decVector[T](d) }}
 }
 
 func encVector[T levec.Elem](e *encoder, v []T) {
@@ -241,10 +266,13 @@ func encVectorMap(e *encoder, v reflect.Value) {
 
 // decoder reads a message's bytes. The first failure is kept and empties
 // the input, so every later read comes back zero and nothing more is
-// allocated.
+// allocated. With borrow set, full-width vectors alias the input, and
+// aliased records that one did.
 type decoder struct {
-	b   []byte
-	err error
+	b       []byte
+	err     error
+	borrow  bool
+	aliased bool
 }
 
 func (d *decoder) fail(what string) {
@@ -312,8 +340,9 @@ func (d *decoder) scalar(v reflect.Value) {
 
 // decVector reads one vector; nil when it is empty or the input is bad.
 func decVector[T levec.Elem](d *decoder) []T {
+	size := uint64(reflect.TypeFor[T]().Size())
 	w := d.uvarint()
-	if w == 0 || w&(w-1) != 0 || w > uint64(reflect.TypeFor[T]().Size()) {
+	if w == 0 || w&(w-1) != 0 || w > size {
 		d.fail(fmt.Sprintf("vector width %d for %T", w, []T(nil)))
 		return nil
 	}
@@ -321,9 +350,25 @@ func decVector[T levec.Elem](d *decoder) []T {
 	if n == 0 {
 		return nil
 	}
+	if d.borrow && w == size {
+		d.aliased = true
+		return alias[T](d.take(n*int(w)), n)
+	}
 	out := make([]T, n)
 	levec.Get(out, d.take(n*int(w)), int(w))
 	return out
+}
+
+// canBorrow: the GOARCH stores integers little-endian and loads them
+// from any address, so a full-width vector can alias its frame wherever
+// the frame puts it. Elsewhere every decoded vector is a copy.
+const canBorrow = runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64"
+
+// alias is b, n full-width little-endian cells, as a []T over the same
+// memory, its capacity its length, so an append copies. Only a canBorrow
+// GOARCH calls it.
+func alias[T levec.Elem](b []byte, n int) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }
 
 func decVectorMap(d *decoder, v reflect.Value) {

@@ -30,6 +30,11 @@ func (c *recordingCaller) Call(_ context.Context, addr string, req any) (any, er
 	return nil, fmt.Errorf("unexpected call to %q: %T", addr, req)
 }
 
+func (c *recordingCaller) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	reply, err := c.Call(ctx, addr, req)
+	return reply, func() {}, err
+}
+
 // TestConcurrentPSIStable floods one engine with PSI requests from many
 // goroutines: every reply must be identical to the serial answer.
 func TestConcurrentPSIStable(t *testing.T) {

@@ -374,6 +374,11 @@ func (a *announcerStub) Call(_ context.Context, addr string, req any) (any, erro
 	return nil, nil
 }
 
+func (a *announcerStub) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	reply, err := a.Call(ctx, addr, req)
+	return reply, func() {}, err
+}
+
 func TestExtremeSlotPermutation(t *testing.T) {
 	stub := &announcerStub{}
 	view := fullView(t, 0, 2, 16)

@@ -338,6 +338,11 @@ func (f *fakeCaller) Call(_ context.Context, addr string, _ any) (any, error) {
 	return protocol.AnnounceReply{}, nil
 }
 
+func (f *fakeCaller) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	reply, err := f.Call(ctx, addr, req)
+	return reply, func() {}, err
+}
+
 var _ transport.Caller = (*fakeCaller)(nil)
 
 // TestNoServerToServerCalls: the engine's only outbound calls target the

@@ -125,6 +125,11 @@ func (waitingAnnouncer) Call(_ context.Context, _ string, req any) (any, error) 
 	return protocol.AnnounceReply{}, nil
 }
 
+func (a waitingAnnouncer) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	reply, err := a.Call(ctx, addr, req)
+	return reply, func() {}, err
+}
+
 // FuzzServerRequest feeds Engine.Handle hostile requests: an input is up
 // to fuzzRequests requests in a row, each a byte that picks a request
 // type Handle dispatches and then what fills its exported fields (fill).

@@ -70,7 +70,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		envs = append(envs, &envelope{ID: uint64(100 + i), Payload: msg})
 	}
 	for _, in := range envs {
-		out, err := decodeFrame(frameBody(t, in))
+		out, _, err := decodeFrame(frameBody(t, in), true)
 		if err != nil {
 			t.Fatalf("%T: %v", in.Payload, err)
 		}
@@ -113,7 +113,7 @@ func TestDecodeFrameHostileBodies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := decodeFrame(tc.body)
+			env, _, err := decodeFrame(tc.body, true)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("decodeFrame = %#v, %v; want %v", env, err, tc.want)
 			}
@@ -239,12 +239,15 @@ func populated(t reflect.Type, seed int) reflect.Value {
 }
 
 // FuzzFrameCodec feeds arbitrary frame bodies to the decoder. It must
-// never panic, every failure must be one of the two typed errors, and
+// never panic, the borrowing decode must return what the copying one
+// does (the same envelope or the same error), every failure must be one
+// of the two typed errors, and
 // whatever it accepts must re-encode to a frame that decodes to the same
 // envelope and encodes to the same bytes again. Seeded with one
 // populated frame per protocol.Messages() entry, whose vectors hold two
 // elements, and with vectors of over 300 at every width, which reach
-// the width scan's block loop and the packer's word loops.
+// the width scan's block loop and the packer's word loops; the
+// AggRequest among them is borrowed at width 8 and copied below it.
 func FuzzFrameCodec(f *testing.F) {
 	for i, msg := range protocol.Messages() {
 		f.Add(frameBody(f, &envelope{ID: 3, Payload: populated(reflect.TypeOf(msg), i).Interface()}))
@@ -260,12 +263,17 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(frameBody(f, &envelope{ID: 4, Payload: protocol.AggReply{Sums: map[string][]uint64{"DT": u64}, Counts: u64}}))
 		f.Add(frameBody(f, &envelope{ID: 5, Payload: protocol.PSIReply{Out: u32, Vout: u32[:257]}}))
 		f.Add(frameBody(f, &envelope{ID: 6, Payload: protocol.PSUReply{Out: u16}}))
+		f.Add(frameBody(f, &envelope{ID: 7, Payload: protocol.AggRequest{Table: "t", Cols: []string{"DT"}, Z: u64, VZ: u64[:257]}}))
 	}
 	f.Add(frameBody(f, &envelope{Err: "transport: frame exceeds size limit"}))
 	f.Add([]byte{})
 	f.Add([]byte{frameVersion, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		env, err := decodeFrame(body)
+		env, _, err := decodeFrame(body, false)
+		lent, _, lerr := decodeFrame(slices.Clone(body), true)
+		if fmt.Sprint(lerr) != fmt.Sprint(err) || !reflect.DeepEqual(lent, env) {
+			t.Fatalf("the borrowing decode disagrees with the copying one:\n got %#v, %v\nwant %#v, %v", lent, lerr, env, err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrFrameVersion) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -273,7 +281,7 @@ func FuzzFrameCodec(f *testing.F) {
 			return
 		}
 		frame := frameBody(t, env)
-		again, err := decodeFrame(frame)
+		again, _, err := decodeFrame(frame, true)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
@@ -332,7 +340,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := decodeFrame(frame[4:]); err != nil {
+				if _, _, err := decodeFrame(frame[4:], true); err != nil {
 					b.Fatal(err)
 				}
 				frameBufs.Put(frame)

@@ -115,25 +115,95 @@ func encodeFrame(env *envelope) ([]byte, error) {
 }
 
 // decodeFrame is encodeFrame's inverse on a frame body (the bytes after
-// the length prefix). The returned envelope shares no memory with body.
-func decodeFrame(body []byte) (*envelope, error) {
+// the length prefix). With borrow set, the payload is decoded by
+// protocol.DecodeBorrowing, and aliased reports whether it shares memory
+// with body; otherwise nothing in the envelope aliases body.
+func decodeFrame(body []byte, borrow bool) (env *envelope, aliased bool, err error) {
+	id, rest, err := frameHead(body)
+	if err != nil {
+		return nil, false, err
+	}
+	elen, n := binary.Uvarint(rest)
+	if n <= 0 || elen > uint64(len(rest)-n) {
+		return nil, false, fmt.Errorf("%w: bad error string", ErrCorruptFrame)
+	}
+	var payload any
+	if borrow {
+		payload, aliased, err = protocol.DecodeBorrowing(rest[n+int(elen):])
+	} else {
+		payload, err = protocol.DecodeMessage(rest[n+int(elen):])
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+	}
+	return &envelope{ID: id, Payload: payload, Err: string(rest[n : n+int(elen)])}, aliased, nil
+}
+
+// frameHead checks a frame body's version and reads its request id,
+// returning the bytes after it.
+func frameHead(body []byte) (id uint64, rest []byte, err error) {
 	if len(body) == 0 || body[0] != frameVersion {
-		return nil, fmt.Errorf("%w (want %d)", ErrFrameVersion, frameVersion)
+		return 0, nil, fmt.Errorf("%w (want %d)", ErrFrameVersion, frameVersion)
 	}
 	id, n := binary.Uvarint(body[1:])
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: bad request id", ErrCorruptFrame)
+		return 0, nil, fmt.Errorf("%w: bad request id", ErrCorruptFrame)
 	}
-	rest := body[1+n:]
-	elen, n := binary.Uvarint(rest)
-	if n <= 0 || elen > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("%w: bad error string", ErrCorruptFrame)
+	return id, body[1+n:], nil
+}
+
+// Borrowed frames. Every frame the transport decodes lies in a buffer
+// from frameBufs. A borrowing decode leaves a borrowed message's
+// full-width vectors pointing into that buffer, so the buffer goes back
+// to the pool only when the payload's consumer calls the release it was
+// handed; when nothing aliases it, it goes back at once. A buffer nobody
+// releases is left to the GC, so no vector ever points into a buffer the
+// pool hands out again.
+var (
+	heldFrames   atomic.Int64 // buffers read or decoded and not yet released
+	poisonFrames atomic.Bool  // PoisonReleasedFrames
+)
+
+// noRelease is the release of a payload that holds no frame.
+func noRelease() {}
+
+// HeldFrames reports how many frame buffers the transport has read or
+// decoded and not yet had back: a borrowed payload whose consumer has not
+// released it counts until it does. Tests check it falls back to 0.
+func HeldFrames() int64 { return heldFrames.Load() }
+
+// PoisonReleasedFrames makes every frame release fill its buffer with
+// 0xFF before the buffer goes back to the pool, until restore is called,
+// so a vector read after its release reads 0xFF… cells. For tests; it
+// applies process-wide.
+func PoisonReleasedFrames() (restore func()) {
+	prev := poisonFrames.Swap(true)
+	return func() { poisonFrames.Store(prev) }
+}
+
+// openFrame decodes the frame body buf[off:] — borrowing when borrow is
+// set — and returns its envelope with the release of buf, a frame buffer
+// counted in heldFrames: a payload that aliases buf holds it until
+// release is called (once or more); otherwise buf is already back.
+func openFrame(buf []byte, off int, borrow bool) (*envelope, func(), error) {
+	env, aliased, err := decodeFrame(buf[off:], borrow)
+	if !aliased {
+		putFrame(buf)
+		return env, noRelease, err
 	}
-	payload, err := protocol.DecodeMessage(rest[n+int(elen):])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
+	var once sync.Once
+	return env, func() { once.Do(func() { putFrame(buf) }) }, nil
+}
+
+// putFrame hands back a frame buffer counted in heldFrames.
+func putFrame(buf []byte) {
+	if poisonFrames.Load() {
+		for i := range buf {
+			buf[i] = 0xFF
+		}
 	}
-	return &envelope{ID: id, Payload: payload, Err: string(rest[n : n+int(elen)])}, nil
+	heldFrames.Add(-1)
+	frameBufs.Put(buf)
 }
 
 // writeFrame encodes env and writes it as one frame. The size check
@@ -149,8 +219,9 @@ func writeFrame(w io.Writer, env *envelope) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame and decodes the envelope.
-func readFrame(r io.Reader) (*envelope, error) {
+// readBody reads one length-prefixed frame into a buffer counted in
+// heldFrames and returns its body.
+func readBody(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -160,11 +231,12 @@ func readFrame(r io.Reader) (*envelope, error) {
 		return nil, fmt.Errorf("%w (%d bytes announced)", ErrFrameTooLarge, n)
 	}
 	body := frameBufs.Get(int(n))
-	defer frameBufs.Put(body)
+	heldFrames.Add(1)
 	if m, err := io.ReadFull(r, body); err != nil {
+		putFrame(body)
 		return nil, fmt.Errorf("transport: truncated frame (%d of %d bytes): %w", m, n, err)
 	}
-	return decodeFrame(body)
+	return body, nil
 }
 
 // ---- server ----
@@ -228,7 +300,12 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 	var wmu sync.Mutex // one reply frame at a time
 	sem := make(chan struct{}, DefaultPerConnInflight)
 	for {
-		req, err := readFrame(conn)
+		var req *envelope
+		release := noRelease
+		body, err := readBody(conn)
+		if err == nil {
+			req, release, err = openFrame(body, 0, true)
+		}
 		if err != nil {
 			// Oversized announcements and frames of another wire version
 			// get an explicit error frame so the peer learns why; then the
@@ -251,14 +328,18 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
+			release()
 			return
 		}
 		wg.Add(1)
-		go func(req *envelope) {
+		go func(req *envelope, release func()) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			out := dispatch(ctx, h, req, o.logf)
 			frame, eerr := encodeFrame(out)
+			// Handle has returned (or panicked) and its reply, which may
+			// alias the request, is encoded: the request frame goes back.
+			release()
 			if eerr != nil {
 				// Nothing touched the wire; downgrade an oversized or
 				// unencodable reply to an error envelope the caller can
@@ -276,7 +357,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 			if werr != nil {
 				o.logf("transport: serve %s: writing reply %d: %v", conn.RemoteAddr(), req.ID, werr)
 			}
-		}(req)
+		}(req, release)
 	}
 }
 
@@ -323,9 +404,9 @@ type tcpConn struct {
 
 	mu       sync.Mutex
 	nextID   uint64
-	pending  map[uint64]chan *envelope
-	closeErr error         // set before done closes
-	done     chan struct{} // closed when the connection fails
+	pending  map[uint64]chan []byte // reply frame bodies, by request id
+	closeErr error                  // set before done closes
+	done     chan struct{}          // closed when the connection fails
 }
 
 // pendingDial coalesces concurrent dials of the same address so one
@@ -359,25 +440,35 @@ func NewTCPClient(book map[string]string) *TCPClient {
 // arrival. Only a cancellation that interrupts the request frame
 // mid-write poisons the stream and drops the connection.
 func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error) {
+	reply, _, err := c.call(ctx, addr, req, false)
+	return reply, err
+}
+
+// CallBorrowed is Call whose reply may borrow its frame (Caller).
+func (c *TCPClient) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	return c.call(ctx, addr, req, true)
+}
+
+func (c *TCPClient) call(ctx context.Context, addr string, req any, borrow bool) (any, func(), error) {
 	target, ok := c.lookup(addr)
 	if !ok {
-		return nil, fmt.Errorf("transport: unknown address %q", addr)
+		return nil, noRelease, fmt.Errorf("transport: unknown address %q", addr)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, noRelease, err
 	}
 	tc, err := c.conn(ctx, addr, target)
 	if err != nil {
-		return nil, err
+		return nil, noRelease, err
 	}
 
 	// Claim an in-flight slot.
 	select {
 	case tc.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, noRelease, ctx.Err()
 	case <-tc.done:
-		return nil, fmt.Errorf("transport: call %q: %w", addr, tc.closeErr)
+		return nil, noRelease, fmt.Errorf("transport: call %q: %w", addr, tc.closeErr)
 	}
 	defer func() { <-tc.sem }()
 
@@ -385,17 +476,24 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	tc.mu.Lock()
 	if tc.pending == nil {
 		tc.mu.Unlock()
-		return nil, fmt.Errorf("transport: call %q: %w", addr, tc.closeErr)
+		return nil, noRelease, fmt.Errorf("transport: call %q: %w", addr, tc.closeErr)
 	}
 	tc.nextID++
 	id := tc.nextID
-	ch := make(chan *envelope, 1)
+	ch := make(chan []byte, 1)
 	tc.pending[id] = ch
 	tc.mu.Unlock()
+	// unregister abandons the call. The demux routes under tc.mu, so a
+	// reply is either in ch already or will find no call and be released.
 	unregister := func() {
 		tc.mu.Lock()
 		delete(tc.pending, id)
 		tc.mu.Unlock()
+		select {
+		case body := <-ch:
+			putFrame(body)
+		default:
+		}
 	}
 
 	// Encode outside the write token so a large request never blocks
@@ -404,7 +502,7 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	frame, err := encodeFrame(&envelope{ID: id, Payload: req})
 	if err != nil {
 		unregister()
-		return nil, fmt.Errorf("transport: send to %q: %w", addr, err)
+		return nil, noRelease, fmt.Errorf("transport: send to %q: %w", addr, err)
 	}
 
 	// Write the request frame, holding the write token.
@@ -413,11 +511,11 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	case <-ctx.Done():
 		frameBufs.Put(frame)
 		unregister()
-		return nil, ctx.Err()
+		return nil, noRelease, ctx.Err()
 	case <-tc.done:
 		frameBufs.Put(frame)
 		unregister()
-		return nil, fmt.Errorf("transport: send to %q: %w", addr, tc.closeErr)
+		return nil, noRelease, fmt.Errorf("transport: send to %q: %w", addr, tc.closeErr)
 	}
 	// A cancellation landing mid-write forces an immediate write
 	// deadline; if it actually interrupted the frame (write error), the
@@ -449,33 +547,39 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 		unregister()
 		if interrupted {
 			c.fail(addr, tc, fmt.Errorf("request frame interrupted by cancellation: %w", context.Cause(ctx)))
-			return nil, ctx.Err()
+			return nil, noRelease, ctx.Err()
 		}
 		c.fail(addr, tc, werr)
-		return nil, fmt.Errorf("transport: send to %q: %w", addr, werr)
+		return nil, noRelease, fmt.Errorf("transport: send to %q: %w", addr, werr)
 	}
 
-	// Await the demultiplexed reply.
-	unwrap := func(env *envelope) (any, error) {
-		if env.Err != "" {
-			return nil, errors.New(env.Err)
+	// Await the demultiplexed reply frame and decode it here, off the
+	// demux goroutine.
+	open := func(body []byte) (any, func(), error) {
+		env, release, err := openFrame(body, 0, borrow)
+		if err != nil {
+			return nil, noRelease, fmt.Errorf("transport: receive from %q: %w", addr, err)
 		}
-		return env.Payload, nil
+		if env.Err != "" {
+			release()
+			return nil, noRelease, errors.New(env.Err)
+		}
+		return env.Payload, release, nil
 	}
 	select {
-	case env := <-ch:
-		return unwrap(env)
+	case body := <-ch:
+		return open(body)
 	case <-ctx.Done():
 		unregister()
-		return nil, ctx.Err()
+		return nil, noRelease, ctx.Err()
 	case <-tc.done:
 		// The reply may have been delivered just before the connection
 		// failed; a completed RPC beats the connection's error.
 		select {
-		case env := <-ch:
-			return unwrap(env)
+		case body := <-ch:
+			return open(body)
 		default:
-			return nil, fmt.Errorf("transport: receive from %q: %w", addr, tc.closeErr)
+			return nil, noRelease, fmt.Errorf("transport: receive from %q: %w", addr, tc.closeErr)
 		}
 	}
 }
@@ -556,39 +660,47 @@ func (c *TCPClient) dial(ctx context.Context, addr, target string) (*tcpConn, er
 		conn:    conn,
 		sem:     make(chan struct{}, DefaultPerConnInflight),
 		wtok:    make(chan struct{}, 1),
-		pending: make(map[uint64]chan *envelope),
+		pending: make(map[uint64]chan []byte),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop(addr, tc)
 	return tc, nil
 }
 
-// readLoop is the per-connection demultiplexer: it routes each reply to
-// the pending call registered under its id. Replies for ids no longer
-// pending (cancelled calls) are discarded. A read error — or an id-0
+// readLoop is the per-connection demultiplexer: it routes each reply
+// frame, undecoded, to the pending call registered under its id, which
+// decodes it. A reply for an id no longer pending (a cancelled call) is
+// released unread. A read error, a frame of another version — or an id-0
 // connection-level error frame from the server — fails the connection
 // and with it every call still in flight.
 func (c *TCPClient) readLoop(addr string, tc *tcpConn) {
 	for {
-		env, err := readFrame(tc.conn)
+		body, err := readBody(tc.conn)
 		if err != nil {
 			c.fail(addr, tc, err)
 			return
 		}
-		if env.ID == 0 {
-			cause := errors.New("transport: connection-level error frame without message")
-			if env.Err != "" {
-				cause = errors.New(env.Err)
+		id, _, err := frameHead(body)
+		if err != nil || id == 0 {
+			env, _, err := openFrame(body, 0, false) // frameHead's error again, or the id-0 frame's
+			if err == nil {
+				err = errors.New("transport: connection-level error frame without message")
+				if env.Err != "" {
+					err = errors.New(env.Err)
+				}
 			}
-			c.fail(addr, tc, cause)
+			c.fail(addr, tc, err)
 			return
 		}
 		tc.mu.Lock()
-		ch := tc.pending[env.ID]
-		delete(tc.pending, env.ID)
-		tc.mu.Unlock()
+		ch := tc.pending[id]
+		delete(tc.pending, id)
 		if ch != nil {
-			ch <- env // buffered; never blocks the demux loop
+			ch <- body // buffered; never blocks the demux loop
+		}
+		tc.mu.Unlock()
+		if ch == nil {
+			putFrame(body)
 		}
 	}
 }

@@ -47,8 +47,15 @@ type HandlerFunc func(ctx context.Context, req any) (any, error)
 func (f HandlerFunc) Handle(ctx context.Context, req any) (any, error) { return f(ctx, req) }
 
 // Caller issues a request to a logical address and awaits the reply.
+// Call's reply shares no memory with a frame. CallBorrowed's may: the
+// full-width share vectors of a borrowed message type (protocol.
+// DecodeBorrowing) point into the frame the reply was decoded from, which
+// goes back to the frame pool when release is called. Call release once
+// the reply is no longer read; a reply never released is left to the GC.
+// release is never nil.
 type Caller interface {
 	Call(ctx context.Context, addr string, req any) (any, error)
+	CallBorrowed(ctx context.Context, addr string, req any) (reply any, release func(), err error)
 }
 
 // Network is an in-process message fabric keyed by logical address
@@ -108,36 +115,52 @@ func (n *Network) Deregister(addr string) {
 
 // Call dispatches the request to the registered handler.
 func (n *Network) Call(ctx context.Context, addr string, req any) (any, error) {
+	reply, _, err := n.call(ctx, addr, req, false)
+	return reply, err
+}
+
+// CallBorrowed is Call whose reply may borrow its frame (Caller).
+func (n *Network) CallBorrowed(ctx context.Context, addr string, req any) (any, func(), error) {
+	return n.call(ctx, addr, req, true)
+}
+
+// call runs the handler, with EncodeWire between two frame round trips:
+// the request's, decoded borrowing as a TCP server would and released
+// once the handler has returned and its reply is encoded, and the
+// reply's, decoded borrowing when borrow is set.
+func (n *Network) call(ctx context.Context, addr string, req any, borrow bool) (any, func(), error) {
 	n.mu.RLock()
 	h, ok := n.handlers[addr]
 	n.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("transport: no handler at %q", addr)
+		return nil, noRelease, fmt.Errorf("transport: no handler at %q", addr)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, noRelease, err
 	}
-	release, err := n.acquireSlot(ctx, addr)
+	done, err := n.acquireSlot(ctx, addr)
 	if err != nil {
-		return nil, err
+		return nil, noRelease, err
 	}
-	defer release()
-	if n.EncodeWire {
-		rt, err := n.roundTrip(req)
-		if err != nil {
-			return nil, fmt.Errorf("transport: encoding request for %q: %w", addr, err)
-		}
-		reply, err := h.Handle(ctx, rt)
-		if err != nil {
-			return nil, err
-		}
-		out, err := n.roundTrip(reply)
-		if err != nil {
-			return nil, fmt.Errorf("transport: encoding reply from %q: %w", addr, err)
-		}
-		return out, nil
+	defer done()
+	if !n.EncodeWire {
+		reply, err := h.Handle(ctx, req)
+		return reply, noRelease, err
 	}
-	return h.Handle(ctx, req)
+	rt, releaseReq, err := n.roundTrip(req, true)
+	if err != nil {
+		return nil, noRelease, fmt.Errorf("transport: encoding request for %q: %w", addr, err)
+	}
+	defer releaseReq()
+	reply, err := h.Handle(ctx, rt)
+	if err != nil {
+		return nil, noRelease, err
+	}
+	out, release, err := n.roundTrip(reply, borrow)
+	if err != nil {
+		return nil, noRelease, fmt.Errorf("transport: encoding reply from %q: %w", addr, err)
+	}
+	return out, release, nil
 }
 
 // PeakFrameBytes reports the largest encoded frame body this network
@@ -146,14 +169,13 @@ func (n *Network) Call(ctx context.Context, addr string, req any) (any, error) {
 func (n *Network) PeakFrameBytes() int64 { return n.peakFrame.Load() }
 
 // roundTrip encodes v into a wire frame and decodes it again, as the TCP
-// transport would, enforcing the same frame cap and recording the peak
-// size.
-func (n *Network) roundTrip(v any) (any, error) {
+// transport would — borrowing when borrow is set — enforcing the same
+// frame cap and recording the peak size.
+func (n *Network) roundTrip(v any, borrow bool) (any, func(), error) {
 	frame, err := encodeFrame(&envelope{Payload: v})
 	if err != nil {
-		return nil, err
+		return nil, noRelease, err
 	}
-	defer frameBufs.Put(frame)
 	size := int64(len(frame) - 4)
 	for {
 		prev := n.peakFrame.Load()
@@ -161,11 +183,12 @@ func (n *Network) roundTrip(v any) (any, error) {
 			break
 		}
 	}
-	out, err := decodeFrame(frame[4:])
+	heldFrames.Add(1) // the frame is now one read off the wire
+	out, release, err := openFrame(frame, 4, borrow)
 	if err != nil {
-		return nil, err
+		return nil, noRelease, err
 	}
-	return out.Payload, nil
+	return out.Payload, release, nil
 }
 
 // envelope is one frame's content: a payload of a protocol.Messages()
