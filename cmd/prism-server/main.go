@@ -45,7 +45,7 @@ func main() {
 		viewPath   = flag.String("view", "", "server view file from prism-init (required)")
 		listen     = flag.String("listen", ":7001", "listen address")
 		announcer  = flag.String("announcer", "", "announcer host:port (needed for max/min/median)")
-		storeDir   = flag.String("store", "", "serve columns from the on-disk share store in this directory (fetched per query, fetch-time accounting); empty serves from RAM")
+		storeDir   = flag.String("store", "", "serve columns from the on-disk share store in this directory (chunks are read once per table epoch, then the epoch's owner sums are served); empty serves from RAM")
 		chunkCells = flag.Uint64("chunkcells", 0, "share-store chunk size in cells for newly written columns (0 = 65536); align with the owners' -shard size")
 		pendTTL    = flag.Duration("pendttl", 0, "reclaim upload assemblies idle longer than this (crashed owners); 0 disables the sweep")
 		deltaMax   = flag.Int("deltamax", 0, "compact a table's delta log once it holds this many entries (0 = never: there is no default threshold, so with -compact 0 too the log is never compacted; incremental updates only)")

@@ -208,8 +208,10 @@ type Config struct {
 	// without any owner re-outsourcing, quarantines corrupt tables under
 	// the store's .quarantine/ area and reclaims the columns of uploads
 	// that never reached their commit (ServerEngine(φ).
-	// RecoveryReport says which). NewLocalSystem fails only on store-scan
-	// I/O errors — per-table problems quarantine instead of failing boot.
+	// RecoveryReport says which). NewLocalSystem fails on a store of
+	// another format epoch (serverengine.ErrStoreEpoch, nothing in it
+	// touched) and on store-scan I/O errors; every other per-table
+	// problem quarantines instead of failing boot.
 	DiskDir string
 	// EncodeWire is ignored.
 	//

@@ -46,12 +46,10 @@ var shapeRules = []shapeRule{
 		"PSU masks have one label (PR 21)"},
 	{"group-0-names", "", "", str(`^"(server/%d"|server-%d|owner\.view")`), 0,
 		"every group, the first included, is named g<g>/server/<i>, g<g>-server-<i> and owner-g<g>.view (PR 34)"},
-	{"wire-messages", `^internal/protocol/protocol\.go#Messages$`, "", lit(`^protocol\.`, false), 42,
-		"the wire vocabulary, 5 retired slots kept so every later type keeps its index; a new type is a frame-version change (PR 31, PR 46)"},
+	{"wire-messages", `^internal/protocol/protocol\.go#Messages$`, "", lit(`^protocol\.`, false), 37,
+		"the wire vocabulary of frame version 4; any change to it is a new frame version"},
 	{"psi-verify", "", "", ident(`PSIVerify|VerifyPSI`), 0,
 		"PSI's proof vector rides PSIReply.Vout: a verified query is at most two request types (PR 22)"},
-	{"retired-types", "", `^internal/protocol/`, ident(`DropRequest|DropReply|GroupRange|PlacementRequest|PlacementReply`), 0,
-		"no node sends or answers a retired type (PR 46)"},
 	{"update-window-plan", `^internal/ownerengine/update\.go#`, "", call(`(^|\.)forEachShard$|^o\.plan$`), 0,
 		"an update is one StoreDeltaRequest per server, whatever the window size (PR 23)"},
 	{"layout-names", `^internal/serverengine/`, "", str(`^"vsum\.`), 3,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/big"
-	"strings"
 	"testing"
 
 	"prism/internal/params"
@@ -319,24 +318,5 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := e.Handle(ctx, protocol.AnnounceRequest{QueryID: "k", Kind: protocol.KindMin, ServerIdx: 1, Slots: sh}); err == nil {
 		t.Error("kind mismatch accepted")
-	}
-}
-
-// TestRetiredPlacementRefused: PlacementRequest keeps its wire slot but
-// the announcer answers it with the unknown-request error, and leaves a
-// round in flight as it was.
-func TestRetiredPlacementRefused(t *testing.T) {
-	v := testView(3)
-	e := New(v)
-	ctx := context.Background()
-	slots := slotMatrices(t, v, [][]uint64{{4, 9, 2}})
-	if _, err := e.Handle(ctx, protocol.AnnounceRequest{QueryID: "q", Kind: protocol.KindMax, ServerIdx: 0, Slots: slots[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Handle(ctx, protocol.PlacementRequest{}); err == nil || !strings.Contains(err.Error(), "unknown request type") {
-		t.Fatalf("PlacementRequest answered (err = %v), want the unknown-request error", err)
-	}
-	if n := e.Sessions(); n != 1 {
-		t.Fatalf("%d sessions after the refused placement probe, want the 1 in flight", n)
 	}
 }

@@ -148,8 +148,8 @@ func goldenSteps(t *testing.T, o *Owner) {
 // A change here changes what an owner sends its servers: the shares, the
 // stream they are drawn from or the frames that carry them.
 var goldenOwnerDigests = map[int]string{
-	1: "42f377fa439b6954f5aa215178a9be7892c02ff156280ac7445d989007a914b4",
-	2: "dcb917ee1ea0c839f7a4e4d0f56e30b31a9a94a28aba5dfa5b83c9282a05fc7a",
+	1: "63120d371930ae6cd5b479116ac2f19a089b8ff59a6a26baaaa033ee7c100bbe",
+	2: "678c4059536088ec09e7989f725910ad0b3c5beffdc3839e9041a648905ac23e",
 }
 
 // TestGoldenOwnerFrames pins every frame a seeded owner sends across an

@@ -206,8 +206,8 @@ func TestAttachRejectsHostileSections(t *testing.T) {
 		{"message without vector fields", cat(encode(t, protocol.PingRequest{}), []byte{1, 1, 7})},
 		{"nil payload", cat(uv(0), []byte{1, 1, 7})},
 		{"truncated varint", cat(index(protocol.StoreDeltaReply{}), []byte{0x80})},
-		{"string length past the body", cat(index(protocol.DropRequest{}), uv(5), []byte("ab"))},
-		{"slice count past the body", cat(index(protocol.PlacementReply{}), uv(1<<20), []byte{0})},
+		{"string length past the body", cat(index(protocol.QueryDoneRequest{}), uv(5), []byte("ab"))},
+		{"slice count past the body", cat(index(protocol.ListTablesReply{}), uv(1<<20), []byte{0})},
 		{"bool byte above 1", cat(index(protocol.ExtremeSubmitReply{}), []byte{2})},
 		{"bool in two bytes", cat(index(protocol.ExtremeSubmitReply{}), []byte{0x81, 0x00})},
 		{"varint not in its shortest form", cat(index(protocol.StoreReply{}), []byte{0x80, 0x00})},

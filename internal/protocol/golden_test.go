@@ -64,26 +64,26 @@ func goldenFrames(n int) map[string]any {
 
 // goldenDigests is the SHA-256 of each goldenFrames message's
 // encoding at goldenLengths, computed from the codec that packed one
-// element per step; a change here is a wire change, which needs a new
-// frame version.
+// element per step, under frame version 4's type indexes; a change here
+// is a wire change, which needs a new frame version.
 var goldenDigests = map[string][]string{
 	"PSUReply/w1": {
-		"42ea1e53159fe59f896ab67939cb76f8d27798fd91b154e26a12b66978caa3e3",
-		"8594fd6b071847bfa1a60cf166c6d189e43a6f473e8ca18111cde1dcc967412d",
-		"f2983f41f58985ec9b1e6cd6ea34e29824c4cd0cb94157eeb0bfe71b02f3adaf",
-		"52f0b2966b00d06714c9e3d12a4c9e7c724890828654caa53ec77c4ef00641c6",
-		"3b5703ede3599b6e83776d70574792d513575833553fa76de8ca01e13171d8d2",
-		"b8b998889f015b65408f16482b00a169896c63613b5fae1536069c50d4ab52c8",
-		"6e93a96bdd41ccd15256da4f8fa136b8ca64864fb6ffd2a7722073350ec44ce2",
+		"d5ebd9aa08ee0df28573385113321aa551bc037da6562c6de40c33fd3488e6fe",
+		"2dd4d6675ce1a5ed437dca13225b6ebabc6d30e2407efd4b8161f3a4f540ab4f",
+		"d268e0744fafeef4e1b2afadb295f6663faab5e88d85b46a96b2b912ab97a31a",
+		"ecd06100546a0f56725ae1a84c4fbde9ac8571c7f20c1755ac097cbec458b900",
+		"241af1c02d4ea4d104c2f242b14ee1180ea00945c3a88f5acc9b46c0519549db",
+		"9ad775848bcbf1b5fc417cd4a2916f498e55d0032bd0302e127cee9a3f2d9f9b",
+		"5e3ea8ef176a54142020fbc8adc33d5efa1c6894ddb4c55284c40377310a2ee7",
 	},
 	"AggReply/w8": {
-		"57d8540734d4298d474435d555569b3d2468969fd761690558ae7ec0d3397a8c",
-		"f7ac0af5802f06a76393cfb8bd1b8245beafaf055dd87647053430a6d83bf757",
-		"2a3b1b846ebd26c8c429203dfb20c85fd0d7dadf4d3da00d784d30748fb14571",
-		"d7e0ddcb98e3fbf038ff54d139de578c12c833e7bb65ae8970d7ce5c6e9c3396",
-		"09a6cda476f2aec5344feaed30414db3795f4a126884477925ba09b988ec64b5",
-		"9a99e5f573163798cb485bbc1e0be70d47675c31bdcccbaa8980b93687132c08",
-		"5ada30fb218be48ac95189e33c8e5cdc2b90622cfbc51581f9178eadeba49a06",
+		"839af13da98bdfdeab153ea6ec163b57d4638da39a7b3d7e8e5d76cc9960d5e2",
+		"5698478603fd5d3980deb21a32d408b6759e4ca7db2fa56a67eae134bb3bc866",
+		"d820ee7b0dbee9010e74630379e0683e3893f0c0e7f0922aff70ce9879783c84",
+		"0f2d7c73b87410bb989f16bad36c271814a04935a99b23f86f970906701c3c6a",
+		"eb1147111105ea5c221717731342d6e7eed02b1aed0631d7348b3f2b7fc61342",
+		"a9505d6db54dcab81f6847cc0f4e19f5c7475c1ababa09862472cc3114bccb87",
+		"1a7a162d74980aa87815484d667f328c29edc877a9a1b4bd52cba0c697f45733",
 	},
 	"StoreRequest": {
 		"4322f986586dbe68cb31efcc729be00b68ac93abf401b70d0587318dcb3ea34f",
@@ -95,22 +95,22 @@ var goldenDigests = map[string][]string{
 		"230b46e2502ee0f355cb5e70392aeeba509d14e63ec232264715b58b91ca89cc",
 	},
 	"PSIReply/w2": {
-		"7b277c103ee81e80b13dd92e051f0ddaec33f63724d1d33f9a028a96dd496842",
-		"26402be71a50cb490535eacfc117508a627b329b04daa04405d21c3e5506b471",
-		"2fe585c3c110d3419eac5979ec1565b1de5eca186bb245563fc14a62ea6b87fa",
-		"124c851fd90f0ee95298ef7cdf0be810aee746d1cbaa896e44e10262e1bca710",
-		"b28597b4ad82e78650dea9de12bba1ac5bf687e4d1bb1cf9a1ea128a7a6e0c83",
-		"1a23719c8b5b30bed8e82bde31d9f6a3a5ff42ef220402cd5189805aa06e0c8a",
-		"502bac72784b1f4c4d73962bb0e3c4c54a0ed9a25642f09d6d31426b44040261",
+		"2753ae13ec2682649cd9282a38b7824462de5dcf9cdc74fcd8e3122d31420099",
+		"3d18d7348516a039ba8edb2265e20fe90d5a03dec2d0d80a443e64e1337c807a",
+		"3f3eb7d6d949e8a2dfc91ab230ddb5ef06dd8104615190217124a9d408d494b8",
+		"37f7c30f480e010115982928721972af767193dbb0f4331c5c877616dbf5c3a8",
+		"0a69addc5183d59c528cf99cc82b7cc1907a7b351dfd7d1b999638e52144353a",
+		"933b4fe37a02baa579d541dc1e42a721a006884759100a1edb84ff04e22140fe",
+		"e079745e3127283e7ae448c4bf887052797fc79237820d85d93eaa416176039d",
 	},
 	"PSIReply/w4": {
-		"7b277c103ee81e80b13dd92e051f0ddaec33f63724d1d33f9a028a96dd496842",
-		"0c6fde2a2aa7b96b0d081da767301909c594635614153b22853034242e5e5e27",
-		"29d296a2f1082fab24443f0df0414bdaffd6ae4c5290d8f0a364dae442487ceb",
-		"33cea0b79c92442d490d0c6e7162164f5ced3ce5bc086611fdfbcfbe6eea3431",
-		"f3650a4662f7b1fe2d55bd46f9cce152fbc32e9315f7a9f63b90435531a1473b",
-		"ba2e66b09bb43717d274f55fe76131b88df00bb616a3584a5e8a3e616808b1ed",
-		"40c7b6d4c10494b7b687d9c09023754af016e1bfad800c232e8c8d1676efa91a",
+		"2753ae13ec2682649cd9282a38b7824462de5dcf9cdc74fcd8e3122d31420099",
+		"dd7de90b203eaff58d93512d2b93e18879f3cc6f799c7b5bce05f07067c19514",
+		"c34ebaa7dc26ceacdaf1bc02c9dc458e35f8202bb606ae4a8e556b6dbcff1c43",
+		"a53da8a78dfe564158d58e027b15a7d6c9197b8cf5a1a46cc9587493a6d1038d",
+		"8631ae50594dd8b8f7b638520085297ea4de8fffe67be4daafe6c9d55f83ca00",
+		"5da997aaefcd17ca7241865d6f8d3144fc170aa24eeb92f8b9fb6146fd7d5b92",
+		"0413a5ac9114d9f30166049c0254965359fdf8bf875dbce93f4287dc37eb0f04",
 	},
 }
 

@@ -180,16 +180,6 @@ type StoreDeltaReply struct {
 	Epoch   uint64
 }
 
-// DropRequest is retired: no node sends or answers it (both
-// Handle methods refuse it as an unknown request). Its slot in Messages
-// is kept so every later type keeps its wire index.
-type DropRequest struct{ Table string }
-
-// DropReply is retired: no node sends or answers it (both
-// Handle methods refuse it as an unknown request). Its slot in Messages
-// is kept so every later type keeps its wire index.
-type DropReply struct{}
-
 // ---- PSI (paper §5.1) ----
 
 // PSIRequest asks a server for the PSI output vector over a table and,
@@ -431,32 +421,6 @@ type ListTablesReply struct {
 	Tables []TableStatus
 }
 
-// ---- retired group placement ----
-//
-// Owners take each group's view and servers from their own
-// configuration; no announcer serves a placement.
-
-// GroupRange was one group's cell range and server addresses inside a
-// PlacementReply. It is retired: nothing sends it. Its slot in Messages
-// is kept so every later type keeps its wire index.
-type GroupRange struct {
-	Start   uint64
-	Count   uint64
-	Servers []string
-}
-
-// PlacementRequest is retired: no node sends or answers it (both
-// Handle methods refuse it as an unknown request). Its slot in Messages
-// is kept so every later type keeps its wire index.
-type PlacementRequest struct{}
-
-// PlacementReply is retired: no node sends or answers it (both
-// Handle methods refuse it as an unknown request). Its slot in Messages
-// is kept so every later type keeps its wire index.
-type PlacementReply struct {
-	Groups []GroupRange
-}
-
 // ---- cross-group extreme reduce (multi-group max/min/median) ----
 
 // ExtremeReduceRequest is querier → announcer: reduce the retained
@@ -516,16 +480,16 @@ type QueryDoneReply struct{}
 
 // Messages returns one zero value of every wire message type: the
 // codec's type table. A message travels as its position here (k for
-// entry k-1), so the order is wire-significant: append new types, never
-// insert or reorder. The wireregistry analyzer (prism-vet) checks every
-// *Request/*Reply struct in this package appears in it, and the
-// round-trip test in messages_test.go sends a populated instance of
-// each entry through the real frame codec, which builds every type's
-// plan.
+// entry k-1), so the order is wire-significant: any change to the list
+// is a new frame version (transport's frameVersion). The wireregistry
+// analyzer (prism-vet) checks every *Request/*Reply struct in this
+// package appears in it, and the round-trip test in messages_test.go
+// sends a populated instance of each entry through the real frame
+// codec, which builds every type's plan.
 func Messages() []any {
 	return []any{
 		TableSpec{}, Stats{}, Range{}, Span{},
-		StoreRequest{}, StoreReply{}, DropRequest{}, DropReply{},
+		StoreRequest{}, StoreReply{},
 		StoreDeltaRequest{}, StoreDeltaReply{},
 		PSIRequest{}, PSIReply{},
 		CountRequest{}, CountReply{},
@@ -538,7 +502,6 @@ func Messages() []any {
 		ClaimSubmitRequest{}, ClaimSubmitReply{},
 		ClaimFetchRequest{}, ClaimFetchReply{},
 		ListTablesRequest{}, ListTablesReply{}, TableStatus{},
-		GroupRange{}, PlacementRequest{}, PlacementReply{},
 		ExtremeReduceRequest{}, ExtremeReduceReply{},
 		PingRequest{}, PingReply{},
 		QueryDoneRequest{}, QueryDoneReply{},

@@ -70,9 +70,7 @@ func (e *Engine) specCols(spec protocol.TableSpec) []colDef {
 func colKey(owner int, col string) string { return fmt.Sprintf("o%d.%s", owner, col) }
 
 // slotKey is the on-disk name of one owner's column in one of its two
-// column slots: slot 0 is colKey's name, slot 1 "pend<owner>.<col>",
-// the name builds before slots streamed uploads into, so a store such a
-// build left mid-upload holds nothing but a slot no manifest names. The
+// column slots: slot 0 is colKey's name, slot 1 "pend<owner>.<col>". The
 // manifest records each owner's live slot (TableManifest.Slots); an
 // upload writes the other. This is the one place a disk name is made.
 func slotKey(owner, slot int, col string) string {
@@ -213,11 +211,7 @@ func (oc *ownerCols) bytes() int64 {
 }
 
 // createCols initialises empty cells-cell store columns in one owner's
-// slot, in cols order, once dropSlot has emptied the slot last column
-// first. So at every crash point the columns a slot holds are a prefix
-// of cols: a slot whose first column is missing while a later one is
-// present was left by a build before slots, mid-way through renaming an
-// upload over the live columns (see recoverTable).
+// slot, in cols order, once dropSlot has emptied the slot.
 func (e *Engine) createCols(table string, owner, slot int, cols []colDef, cells uint64) error {
 	if _, err := e.dropSlot(table, owner, slot, cols); err != nil {
 		return err
@@ -235,7 +229,7 @@ func (e *Engine) createCols(table string, owner, slot int, cols []colDef, cells 
 }
 
 // dropSlot deletes the columns one owner's slot holds, last column
-// first (see createCols), and reports whether it held any.
+// first, and reports whether it held any.
 func (e *Engine) dropSlot(table string, owner, slot int, cols []colDef) (dropped bool, err error) {
 	st := e.opts.Store
 	for i := len(cols) - 1; i >= 0; i-- {

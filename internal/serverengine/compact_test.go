@@ -213,8 +213,8 @@ func TestCompactionTornChunk(t *testing.T) {
 			if err := e.opts.Store.ReadManifest("t", &man); err != nil {
 				t.Fatal(err)
 			}
-			if man.CompactThrough == 0 || man.Version != 2 {
-				t.Fatalf("manifest during the pass = %+v, want CompactThrough set under version 2", man)
+			if man.CompactThrough == 0 || man.Version != ManifestVersion {
+				t.Fatalf("manifest during the pass = %+v, want CompactThrough set under version %d", man, ManifestVersion)
 			}
 			path := filepath.Join(dir, "t", col+".colv2", fmt.Sprintf("c%d.ck", k))
 			if flip {
@@ -256,7 +256,7 @@ func TestCompactionTornChunk(t *testing.T) {
 			if err := re.opts.Store.ReadManifest("t", &man); err != nil {
 				t.Fatal(err)
 			}
-			if man.CompactThrough != 0 || man.Version != 1 {
+			if man.CompactThrough != 0 || man.Version != ManifestVersion {
 				t.Fatalf("manifest after recovery = %+v, want CompactThrough cleared", man)
 			}
 			// The rolled-forward chunk serves the values the pass was writing.

@@ -776,7 +776,7 @@ func (e *Engine) writeManifestSnapshot(t *table) error {
 	defer e.manifestMu.Unlock()
 	e.mu.RLock()
 	man := TableManifest{
-		Epoch: t.epoch, Spec: t.spec,
+		Version: ManifestVersion, Epoch: t.epoch, Spec: t.spec,
 		CompactThrough: t.compactThrough, Group: e.opts.Group,
 	}
 	for j, oc := range t.owners {
@@ -793,7 +793,6 @@ func (e *Engine) writeManifestSnapshot(t *table) error {
 	}
 	e.mu.RUnlock()
 	sort.Ints(man.Owners)
-	man.Version = manifestVersion(&man)
 	return e.opts.Store.WriteManifest(t.spec.Name, man)
 }
 

@@ -297,9 +297,11 @@ func New(v *params.ServerView, opts Options) *Engine {
 }
 
 // RecoveryReport returns the outcome of the store scan New ran (nil on
-// an in-memory engine). The error reports a store-level I/O failure;
-// per-table problems never error — they quarantine the table and show
-// up in the report.
+// an in-memory engine). The error is ErrStoreEpoch when the store holds
+// a manifest of another format version — nothing in it was touched and
+// the engine serves no table from it — or a store-level I/O failure;
+// every other per-table problem quarantines the table and shows up in
+// the report.
 func (e *Engine) RecoveryReport() (*RecoveryReport, error) {
 	return e.recovery, e.recoveryErr
 }

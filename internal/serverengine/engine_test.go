@@ -3,8 +3,6 @@ package serverengine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"prism/internal/modmath"
@@ -12,7 +10,6 @@ import (
 	"prism/internal/perm"
 	"prism/internal/prg"
 	"prism/internal/protocol"
-	"prism/internal/sharestore"
 	"prism/internal/transport"
 )
 
@@ -286,46 +283,6 @@ func TestExtremeSubmitWithoutAnnouncer(t *testing.T) {
 		}
 		if n := e.Sessions(); n != 0 {
 			t.Errorf("%s: refused extreme traffic left %d sessions", name, n)
-		}
-	}
-}
-
-// TestRetiredDropRefused: DropRequest keeps its wire slot but no server
-// answers it. A RAM and a disk server refuse it as an unknown request,
-// and the table, its manifest, held bytes and ListTables are as before.
-func TestRetiredDropRefused(t *testing.T) {
-	const b = 32
-	ctx := context.Background()
-	for _, disk := range []bool{false, true} {
-		engines, stores := newEngines(t, b, nil), []*sharestore.Store(nil)
-		if disk {
-			engines, stores = diskEngines(t, b, 16, nil)
-		}
-		storeFull(t, engines, b, false)
-		e := engines[0]
-		state := func() string {
-			t.Helper()
-			rep, err := e.Handle(ctx, protocol.ListTablesRequest{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var man TableManifest
-			if disk {
-				if err := stores[0].ReadManifest("t", &man); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return fmt.Sprintf("tables=%+v held=%d manifest=%+v", rep, e.HeldBytes(), man)
-		}
-		before := state()
-		if _, err := e.Handle(ctx, protocol.DropRequest{Table: "t"}); err == nil || !strings.Contains(err.Error(), "unknown request type") {
-			t.Fatalf("disk=%v: DropRequest answered (err = %v), want the unknown-request error", disk, err)
-		}
-		if after := state(); after != before {
-			t.Fatalf("disk=%v: the refused drop changed the server:\n before %s\n after  %s", disk, before, after)
-		}
-		if _, err := e.Handle(ctx, protocol.PSIRequest{Table: "t", QueryID: "q"}); err != nil {
-			t.Fatalf("disk=%v: table unqueryable after the refused drop: %v", disk, err)
 		}
 	}
 }

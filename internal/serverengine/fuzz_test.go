@@ -11,10 +11,9 @@ import (
 	"prism/internal/sharestore"
 )
 
-// requestTypes are the request types Engine.Handle dispatches, and the
-// retired DropRequest, which it refuses as unknown.
+// requestTypes are the request types Engine.Handle dispatches.
 var requestTypes = []any{
-	protocol.StoreRequest{}, protocol.StoreDeltaRequest{}, protocol.DropRequest{},
+	protocol.StoreRequest{}, protocol.StoreDeltaRequest{},
 	protocol.PSIRequest{}, protocol.CountRequest{}, protocol.PSURequest{}, protocol.AggRequest{},
 	protocol.ExtremeSubmitRequest{}, protocol.ExtremeFetchRequest{},
 	protocol.ClaimSubmitRequest{}, protocol.ClaimFetchRequest{},
@@ -139,8 +138,8 @@ func (a waitingAnnouncer) CallBorrowed(ctx context.Context, addr string, req any
 // opened, with an announcer to forward it to. Handle must never panic,
 // and a request it refuses must leave held bytes, pending uploads,
 // sessions and the delta backlog as they were. The corpus is seeded with
-// one request of each live type that the engines accept, with the retired
-// DropRequest, which they refuse, with one window of a
+// one request of each type that the engines accept, with a PSIRequest
+// for a table they do not hold, which they refuse, with one window of a
 // verified count followed by its QueryDone, and with an aggregation whose
 // second column the table lacks.
 func FuzzServerRequest(f *testing.F) {
@@ -203,11 +202,11 @@ func FuzzServerRequest(f *testing.F) {
 		}
 		f.Add(input(req))
 	}
-	drop := protocol.DropRequest{Table: "t"}
-	if _, err := engine(f, false).Handle(context.Background(), drop); err == nil {
-		f.Fatal("retired DropRequest accepted")
+	unknown := protocol.PSIRequest{Table: "nosuch", QueryID: "q"}
+	if _, err := engine(f, false).Handle(context.Background(), unknown); err == nil {
+		f.Fatal("a PSIRequest for an unknown table accepted")
 	}
-	f.Add(input(drop))
+	f.Add(input(unknown))
 	window := protocol.CountRequest{Table: "t", QueryID: "q", Verify: true, Shard: protocol.Range{Offset: 0, Count: 8}}
 	f.Add(input(window, protocol.QueryDoneRequest{QueryID: "q"}))
 	f.Add(input(protocol.AggRequest{Table: "t", Cols: []string{"v", "x"}, Z: make([]uint64, b)}))

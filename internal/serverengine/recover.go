@@ -2,26 +2,30 @@
 // serving state from the share store's table manifests instead of
 // booting empty and forcing every owner to re-outsource.
 //
-// The recovery state machine, per table directory found in the store:
+// First the store epoch: every table directory's manifest must carry
+// ManifestVersion. A manifest of any other version — every layout an
+// earlier build wrote carries a lower one — refuses the whole store with
+// ErrStoreEpoch before any table's delta log is read or any file is
+// moved, truncated or deleted, and the server does not start.
 //
-//  1. No manifest → debris, or a directory from before manifests
-//     existed: left in place, reported as ignored, never served and
-//     never deleted.
-//  2. Manifest unreadable, from a newer format version, naming a
-//     different table or server group, disagreeing with the system
-//     domain, listing impossible owners or naming a live slot for an
-//     owner it does not list → the whole table is quarantined (moved under
-//     .quarantine/ with a machine-readable reason, data preserved).
-//  3. The delta log is read once (sharestore.ReadDeltaLog, which moves
-//     a store's pre-log segments into it and cuts off a torn last
-//     record); a log that cannot be read otherwise quarantines the
-//     table. It is replayed once, into the overlay the table is served
-//     with; a record naming a column or position outside the layout
-//     quarantines the table. A manifest with CompactThrough set was
-//     written by a compaction pass that never reached its post-swap
-//     manifest write: chunks it patched in place may be torn. When the
-//     replay passes CompactThrough, the overlay's snapshot rolls them
-//     forward (sharestore.RollForward); a chunk it cannot make whole
+// Then the recovery state machine, per table directory:
+//
+//  1. No manifest → debris: left in place, reported as ignored, never
+//     served and never deleted.
+//  2. Manifest unreadable, naming a different table or server group,
+//     disagreeing with the system domain, listing impossible owners or
+//     naming a live slot for an owner it does not list → the whole table
+//     is quarantined (moved under .quarantine/ with a machine-readable
+//     reason, data preserved).
+//  3. The delta log is read once (sharestore.ReadDeltaLog, which cuts
+//     off a torn last record); a log that cannot be read otherwise
+//     quarantines the table. It is replayed once, into the overlay the
+//     table is served with; a record naming a column or position outside
+//     the layout quarantines the table. A manifest with CompactThrough
+//     set was written by a compaction pass that never reached its
+//     post-swap manifest write: chunks it patched in place may be torn.
+//     When the replay passes CompactThrough, the overlay's snapshot rolls
+//     them forward (sharestore.RollForward); a chunk it cannot make whole
 //     quarantines the table.
 //     Then every manifest-listed owner's columns in its live slot
 //     (TableManifest.Slots) are validated against the spec-derived
@@ -32,13 +36,7 @@
 //     point, the manifest write naming its slot live — StoreReply is sent
 //     only after that write, so no owner was told it landed — or the
 //     slot a committed upload kept for its previous epoch's snapshots:
-//     it is reclaimed. One
-//     shape is refused instead: a listed owner's other slot whose first
-//     column is missing while a later one is present. Slots fill first
-//     column first and empty last column first, so only a build before
-//     slots leaves that — mid-way through renaming an upload over the
-//     live columns, some already replaced — and the table is quarantined
-//     as a partial promotion rather than served as a mix of two uploads.
+//     it is reclaimed.
 //  5. Surviving tables are registered into the serving path exactly as
 //     a live registration would: on-disk owner column sets (zero held
 //     bytes), a cold epoch cache, and the manifest's epoch.
@@ -46,9 +44,9 @@
 // New runs the scan once, on every disk-backed engine, before the
 // engine answers a request; registering what the store holds is what
 // lets a later re-outsource fence the earlier process's delta records
-// and continue its sequence. Per-table failures never abort the scan:
-// the server boots with whatever is healthy and the RecoveryReport says
-// what happened to the rest.
+// and continue its sequence. Past the epoch check, per-table failures
+// never abort the scan: the server boots with whatever is healthy and
+// the RecoveryReport says what happened to the rest.
 package serverengine
 
 import (
@@ -78,7 +76,8 @@ type QuarantinedTable struct {
 	Detail string
 }
 
-// RecoveryReport is the outcome of the store scan New ran.
+// RecoveryReport is the outcome of the store scan New ran; empty when
+// the store was refused with ErrStoreEpoch.
 type RecoveryReport struct {
 	Recovered   []RecoveredTable
 	Quarantined []QuarantinedTable
@@ -91,46 +90,62 @@ type RecoveryReport struct {
 	PendingReclaimed int
 }
 
+// ErrStoreEpoch refuses a share store written in another format epoch:
+// a table manifest whose version is not ManifestVersion. The error
+// names the table and both versions. Recovery returns it before it
+// reads further or changes anything, so the store stays as the build
+// that wrote it left it.
+var ErrStoreEpoch = errors.New("serverengine: share store from another format epoch")
+
 // recoverStore scans the share store, validates each table's manifest
 // against the chunk indexes actually on disk, and re-registers every
 // complete table into the serving path — a restarted server resumes
-// serving without any owner re-outsourcing. Corrupt or
-// partially-promoted tables are quarantined with a machine-readable
-// reason rather than served; uncommitted uploads are reclaimed. The
-// returned error reports store-level I/O failures only — per-table
-// problems are in the report.
+// serving without any owner re-outsourcing. Corrupt tables are
+// quarantined with a machine-readable reason rather than served;
+// uncommitted uploads are reclaimed. The returned error is ErrStoreEpoch
+// — every manifest is read first, and one of another version refuses
+// the store untouched, so boot fails — or a store-level I/O failure;
+// every other per-table problem is in the report.
 func (e *Engine) recoverStore() (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
-	names, err := e.opts.Store.Tables()
+	st := e.opts.Store
+	names, err := st.Tables()
 	if err != nil {
 		return rep, fmt.Errorf("serverengine: recovery scan: %w", err)
 	}
+	mans := make([]TableManifest, len(names))
+	readErrs := make([]error, len(names))
 	var errs []error
-	for _, name := range names {
-		if err := e.recoverTable(name, rep); err != nil {
+	for i, name := range names {
+		readErrs[i] = st.ReadManifest(name, &mans[i])
+		if v := mans[i].Version; readErrs[i] == nil && v != ManifestVersion {
+			errs = append(errs, fmt.Errorf("%w: table %q has manifest version %d, this build reads version %d only; move the store aside and have the owners re-outsource into an empty one",
+				ErrStoreEpoch, name, v, ManifestVersion))
+		}
+	}
+	if len(errs) > 0 {
+		return rep, errors.Join(errs...)
+	}
+	for i, name := range names {
+		if err := e.recoverTable(name, &mans[i], readErrs[i], rep); err != nil {
 			errs = append(errs, fmt.Errorf("table %q: %w", name, err))
 		}
 	}
 	return rep, errors.Join(errs...)
 }
 
-// recoverTable runs the state machine above for one table directory.
-// The returned error reports I/O failures (the delta log read, manifest
-// writes); validation failures quarantine and return nil.
-func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
+// recoverTable runs the state machine above for one table directory,
+// given its manifest of this epoch or the error reading it. The returned
+// error reports I/O failures (the delta log read, manifest writes);
+// validation failures quarantine and return nil.
+func (e *Engine) recoverTable(name string, man *TableManifest, readErr error, rep *RecoveryReport) error {
 	st := e.opts.Store
-	var man TableManifest
-	if err := st.ReadManifest(name, &man); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			rep.Ignored = append(rep.Ignored, name) // no manifest: not a table
-			return nil
-		}
-		e.quarantine(rep, name, "manifest-unreadable", err.Error())
+	if errors.Is(readErr, fs.ErrNotExist) {
+		rep.Ignored = append(rep.Ignored, name) // no manifest: not a table
 		return nil
 	}
-	if man.Version > ManifestVersion {
-		e.quarantine(rep, name, "manifest-version-unsupported",
-			fmt.Sprintf("manifest version %d, this server understands <= %d", man.Version, ManifestVersion))
+	if readErr != nil {
+		e.quarantine(rep, name, "manifest-unreadable", readErr.Error())
 		return nil
 	}
 	if man.Spec.Name != name {
@@ -248,21 +263,13 @@ func (e *Engine) recoverTable(name string, rep *RecoveryReport) error {
 	}
 
 	// Listed owners: every column of the live slot must be present and
-	// clean, and the other slot must not be a pre-slot build's
-	// half-renamed upload.
+	// clean.
 	for _, j := range man.Owners {
-		live := man.Slots[j]
 		for _, cd := range cols {
-			if err := st.VerifyColumn(name, slotKey(j, live, cd.name), cd.width, man.Spec.B); err != nil {
+			if err := st.VerifyColumn(name, slotKey(j, man.Slots[j], cd.name), cd.width, man.Spec.B); err != nil {
 				e.quarantine(rep, name, "column-corrupt", err.Error())
 				return nil
 			}
-		}
-		has := func(cd colDef) bool { return st.HasColumn(name, slotKey(j, 1-live, cd.name)) }
-		if i := slices.IndexFunc(cols, has); i > 0 {
-			e.quarantine(rep, name, "partial-promotion",
-				fmt.Sprintf("owner %d: slot %d holds column %s but not %s", j, 1-live, cols[i].name, cols[0].name))
-			return nil
 		}
 	}
 

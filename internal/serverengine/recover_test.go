@@ -2,7 +2,9 @@ package serverengine
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -138,8 +140,8 @@ func TestRecoverReloadsTables(t *testing.T) {
 
 // TestRecoverEpochAdvancesAcrossRestart: registrations after a recovery
 // continue the persisted epoch counter rather than restarting it, so an
-// owner comparing epochs can detect a re-registration. The manifest is
-// version 3 only while some owner serves from slot 1.
+// owner comparing epochs can detect a re-registration. Every manifest is
+// written under ManifestVersion, whichever slots its owners serve from.
 func TestRecoverEpochAdvancesAcrossRestart(t *testing.T) {
 	const b = 64
 	dirs := storeDirs(t)
@@ -160,21 +162,19 @@ func TestRecoverEpochAdvancesAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The re-outsource moved both owners to slot 1, which only a build
-	// that knows slots may read.
-	if man.Epoch != 4 || man.Version != 3 || !reflect.DeepEqual(man.Slots, map[int]int{0: 1, 1: 1}) {
-		t.Fatalf("manifest = %+v, want epoch 4 version 3, both owners on slot 1", man)
+	// The re-outsource moved both owners to slot 1.
+	if man.Epoch != 4 || man.Version != ManifestVersion || !reflect.DeepEqual(man.Slots, map[int]int{0: 1, 1: 1}) {
+		t.Fatalf("manifest = %+v, want epoch 4 version %d, both owners on slot 1", man, ManifestVersion)
 	}
-	// One more restart and re-outsource brings both back to slot 0:
-	// version 1 again.
+	// One more restart and re-outsource brings both back to slot 0.
 	again, _ := diskEnginesAt(t, b, 16, dirs, nil)
 	storeSharded(t, again, b, 16, false)
 	man = TableManifest{}
 	if err := again[0].opts.Store.ReadManifest("t", &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.Epoch != 6 || man.Version != 1 || man.Slots != nil {
-		t.Fatalf("manifest = %+v, want epoch 6 version 1, no slots", man)
+	if man.Epoch != 6 || man.Version != ManifestVersion || man.Slots != nil {
+		t.Fatalf("manifest = %+v, want epoch 6 version %d, no slots", man, ManifestVersion)
 	}
 }
 
@@ -217,9 +217,71 @@ func wantQuarantined(t *testing.T, e *Engine, rep *RecoveryReport, reason string
 	}
 }
 
+// storeFiles maps every file and directory under dir to the SHA-256 of
+// its contents ("" for a directory).
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel] = ""
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		sum := sha256.Sum256(raw)
+		out[rel] = hex.EncodeToString(sum[:])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// setManifestVersion rewrites table "t"'s manifest under version v.
+func setManifestVersion(t *testing.T, st *sharestore.Store, v int) {
+	t.Helper()
+	var man TableManifest
+	if err := st.ReadManifest("t", &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Version = v
+	if err := st.WriteManifest("t", man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantRefused restarts server 0 over dirs, whose table "t" carries a
+// manifest of another version, and asserts the boot is refused with
+// ErrStoreEpoch naming the table and both versions, that nothing is
+// served, and that every file of the store is as it was.
+func wantRefused(t *testing.T, b, chunk uint64, dirs []string, version int) {
+	t.Helper()
+	before := storeFiles(t, dirs[0])
+	after, _ := diskEnginesAt(t, b, chunk, dirs, nil)
+	e := after[0]
+	_, err := e.RecoveryReport()
+	want := fmt.Sprintf("table %q has manifest version %d, this build reads version %d only", "t", version, ManifestVersion)
+	if !errors.Is(err, ErrStoreEpoch) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("recovery: %v; want ErrStoreEpoch saying %q", err, want)
+	}
+	if _, err := e.Handle(context.Background(), protocol.PSIRequest{Table: "t", QueryID: "q"}); err == nil ||
+		!strings.Contains(err.Error(), "unknown table") {
+		t.Fatalf("a refused store answers queries (err=%v)", err)
+	}
+	if got := storeFiles(t, dirs[0]); !reflect.DeepEqual(got, before) {
+		t.Fatalf("the refused store changed:\n got %v\nwant %v", got, before)
+	}
+}
+
 // TestRecoverManifestEdgeCases: every way a manifest can disagree with
-// the disk must quarantine (or ignore) the table — never crash boot,
-// never serve corrupt data.
+// the disk must quarantine (or ignore) the table, and a manifest of
+// another version refuse the store — never crash boot, never serve
+// corrupt data.
 func TestRecoverManifestEdgeCases(t *testing.T) {
 	const b, chunk = 64, 16
 	seed := func(t *testing.T) ([]string, *sharestore.Store) {
@@ -294,8 +356,7 @@ func TestRecoverManifestEdgeCases(t *testing.T) {
 		if err := st.WriteManifest("t", man); err != nil {
 			t.Fatal(err)
 		}
-		e, rep := recoverOne(t, b, chunk, dirs)
-		wantQuarantined(t, e, rep, "manifest-version-unsupported")
+		wantRefused(t, b, chunk, dirs, ManifestVersion+41)
 	})
 
 	t.Run("v1-era-no-manifest", func(t *testing.T) {
@@ -552,46 +613,51 @@ func TestSnapshotReadsItsEpochAcrossReoutsource(t *testing.T) {
 	}
 }
 
-// TestRecoverParentLayouts boots stores as a build before column slots
-// left them: a version 1 manifest, or a version 2 one while a compaction
-// pass ran, every owner's columns under o<j>.*. A crashed upload's
-// pend<j>.* columns are reclaimed and the replies stay what they were; a
-// registered owner left mid-promotion — its first pending column renamed
-// over the live one, the later ones not yet — is quarantined as a
-// partial promotion and never served.
+// TestRecoverParentLayouts boots stores in the layouts earlier builds
+// left, and one a later build wrote: a version 1 manifest, or a version
+// 2 one while a compaction pass ran, beside a crashed upload's pend<j>.*
+// columns or a registered owner left mid-promotion (its first pending
+// column renamed over the live one, the later ones not yet); updates in
+// d<seq>.dseg segments instead of a log; a version 3 manifest naming
+// slots; and a manifest newer than ManifestVersion. Each store is refused
+// with ErrStoreEpoch and left byte for byte as it was: nothing is
+// reclaimed, migrated, truncated or quarantined.
 func TestRecoverParentLayouts(t *testing.T) {
 	const b, chunk = 64, 16
 	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"v"}, HasVerify: true, HasCount: true, Plain: true}
 	errCrash := errors.New("crash injected")
+	seed := func(t *testing.T) ([]string, *Engine, *sharestore.Store) {
+		dirs := storeDirs(t)
+		before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
+		storeSharded(t, before, b, 16, true)
+		return dirs, before[0], stores[0]
+	}
 	for _, version := range []int{1, 2} {
 		for _, midPromotion := range []bool{false, true} {
 			name := map[bool]string{false: "crashed-upload", true: "mid-promotion"}[midPromotion]
 			t.Run(fmt.Sprintf("v%d/%s", version, name), func(t *testing.T) {
-				dirs := storeDirs(t)
-				before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
-				storeSharded(t, before, b, 16, true)
-				deltaUpdate(t, before[0], 5)
+				dirs, e, st := seed(t)
+				deltaUpdate(t, e, 5)
 				if version == 2 {
-					before[0].SetCompactStepHook(func(step string) error {
+					e.SetCompactStepHook(func(step string) error {
 						if step == "through" {
 							return errCrash
 						}
 						return nil
 					})
-					if _, err := before[0].Compact("t"); !errors.Is(err, errCrash) {
+					if _, err := e.Compact("t"); !errors.Is(err, errCrash) {
 						t.Fatalf("pass ended with %v, want the injected crash", err)
 					}
 				}
-				want := deltaReplies(t, before[0])
-				st := stores[0]
 				var man TableManifest
-				if err := st.ReadManifest("t", &man); err != nil || man.Version != version || man.Slots != nil {
-					t.Fatalf("manifest = %+v (%v), want version %d without slots", man, err, version)
+				if err := st.ReadManifest("t", &man); err != nil || (man.CompactThrough > 0) != (version == 2) || man.Slots != nil {
+					t.Fatalf("manifest = %+v (%v), want CompactThrough set only in version 2, no slots", man, err)
 				}
+				setManifestVersion(t, st, version)
 
 				// Owner 1's re-outsource as that build streamed it: every
 				// column into pend1.*, first column first.
-				cols := before[0].specCols(spec)
+				cols := e.specCols(spec)
 				streamed := cols[:2]
 				if midPromotion {
 					streamed = cols
@@ -617,30 +683,50 @@ func TestRecoverParentLayouts(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-
-				e, rep := recoverOne(t, b, chunk, dirs)
-				if midPromotion {
-					wantQuarantined(t, e, rep, "partial-promotion")
-					return
-				}
-				if len(rep.Recovered) != 1 || len(rep.Quarantined) != 0 || rep.PendingReclaimed != 1 {
-					t.Fatalf("report = %+v", rep)
-				}
-				if !reflect.DeepEqual(deltaReplies(t, e), want) {
-					t.Fatal("replies diverged across the restart")
-				}
-				for _, cd := range cols {
-					if st.HasColumn("t", "pend1."+cd.name) {
-						t.Errorf("crashed upload's column pend1.%s survived recovery", cd.name)
-					}
-				}
-				man = TableManifest{}
-				if err := st.ReadManifest("t", &man); err != nil || man.Version != 1 {
-					t.Fatalf("manifest after recovery = %+v (%v), want version 1", man, err)
-				}
+				wantRefused(t, b, chunk, dirs, version)
 			})
 		}
 	}
+
+	t.Run("v1/delta-segments", func(t *testing.T) {
+		dirs, e, st := seed(t)
+		for _, p := range []uint64{3, 40, 3, 20} {
+			deltaUpdate(t, e, p)
+		}
+		e.Close()
+		dir := filepath.Join(st.Dir(), "t", "deltalog")
+		for _, rec := range logRecords(t, filepath.Join(dir, "l1.dlog")) {
+			seq := binary.LittleEndian.Uint64(rec[9:]) // after the magic, version and CRC
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("d%d.dseg", seq)), rec, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Remove(filepath.Join(dir, "l1.dlog")); err != nil {
+			t.Fatal(err)
+		}
+		setManifestVersion(t, st, 1)
+		wantRefused(t, b, chunk, dirs, 1)
+	})
+
+	t.Run("v3/slots", func(t *testing.T) {
+		dirs, e, st := seed(t)
+		deltaUpdate(t, e, 5)
+		after, _ := diskEnginesAt(t, b, chunk, dirs, nil)
+		storeSharded(t, after, b, 16, true) // both owners move to slot 1
+		var man TableManifest
+		if err := st.ReadManifest("t", &man); err != nil || !reflect.DeepEqual(man.Slots, map[int]int{0: 1, 1: 1}) {
+			t.Fatalf("manifest = %+v (%v), want both owners on slot 1", man, err)
+		}
+		setManifestVersion(t, st, 3)
+		wantRefused(t, b, chunk, dirs, 3)
+	})
+
+	t.Run(fmt.Sprintf("v%d/newer-build", ManifestVersion+1), func(t *testing.T) {
+		dirs, e, st := seed(t)
+		deltaUpdate(t, e, 5)
+		setManifestVersion(t, st, ManifestVersion+1)
+		wantRefused(t, b, chunk, dirs, ManifestVersion+1)
+	})
 }
 
 // TestRecoverReclaimsCrashedUpload: an owner that crashed mid-upload
@@ -748,8 +834,7 @@ func deltaReplies(t *testing.T, e *Engine) []any {
 }
 
 // logRecords splits a delta log file into its records' bytes, each
-// without its length prefix: the bytes a pre-log store's d<seq>.dseg
-// segment held.
+// without its length prefix.
 func logRecords(t *testing.T, path string) [][]byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -895,49 +980,4 @@ func TestRecoverReplayOutcomes(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestRecoverMigratesDeltaSegments: a store whose acknowledged updates
-// are d<seq>.dseg segments — one file per update, as a build from before
-// the delta log wrote them — boots with every update applied, its
-// segments moved into one log file, and compacts that file away.
-func TestRecoverMigratesDeltaSegments(t *testing.T) {
-	const b, chunk = 64, 16
-	dirs := storeDirs(t)
-	before, stores := diskEnginesAt(t, b, chunk, dirs, nil)
-	storeSharded(t, before, b, 16, true)
-	for _, p := range []uint64{3, 40, 3, 20} {
-		deltaUpdate(t, before[0], p)
-	}
-	want := deltaReplies(t, before[0])
-	before[0].Close()
-
-	dir := filepath.Join(stores[0].Dir(), "t", "deltalog")
-	for _, rec := range logRecords(t, filepath.Join(dir, "l1.dlog")) {
-		seq := binary.LittleEndian.Uint64(rec[9:]) // after the magic, version and CRC
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("d%d.dseg", seq)), rec, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Remove(filepath.Join(dir, "l1.dlog")); err != nil {
-		t.Fatal(err)
-	}
-
-	e, rep := recoverOne(t, b, chunk, dirs)
-	if len(rep.Quarantined) != 0 || len(rep.Recovered) != 1 {
-		t.Fatalf("recovery of a store with segments: %+v", rep)
-	}
-	if !reflect.DeepEqual(deltaReplies(t, e), want) {
-		t.Fatal("replies after the migration differ from those before the restart")
-	}
-	if got := logFiles(t, e.opts.Store, "t"); !reflect.DeepEqual(got, []string{"l1.dlog"}) {
-		t.Fatalf("delta log after the migration holds %v, want [l1.dlog]", got)
-	}
-	deltaUpdate(t, e, 50)
-	if cs, err := e.Compact("t"); err != nil || cs.Files != 2 {
-		t.Fatalf("compaction after the migration: %+v, %v; want 2 files deleted", cs, err)
-	}
-	if got := logFiles(t, e.opts.Store, "t"); len(got) != 0 {
-		t.Fatalf("delta log after compaction holds %v", got)
-	}
 }

@@ -74,27 +74,13 @@ func parseUploadID(id string) (epoch string, seq uint64, ok bool) {
 	return id[:i], seq, true
 }
 
-// ManifestVersion is the newest TableManifest format version this build
-// reads and writes. Version 0 manifests (written before the field
-// existed) decode identically and are accepted by recovery; manifests
-// from a newer format are quarantined rather than guessed at. A manifest
-// is written under the oldest version that can read it right: 3 while
-// some owner's live slot is not slot 0 (a build from before slots would
-// serve slot 0's stale or deleted columns), else 2 while its
-// CompactThrough is set (a build from before in-place compaction would
-// read chunks a pass may have left mid-patch), else 1.
-const ManifestVersion = 3
-
-// manifestVersion is the version man is written under.
-func manifestVersion(man *TableManifest) int {
-	switch {
-	case len(man.Slots) > 0:
-		return 3
-	case man.CompactThrough > 0:
-		return 2
-	}
-	return 1
-}
+// ManifestVersion is the store epoch: the one TableManifest format
+// version this build writes and reads. Every manifest is written under
+// it, and recovery refuses a store holding a manifest of any other
+// version with ErrStoreEpoch before touching it (see recoverStore):
+// every earlier layout — its manifests, delta segments and column
+// renames — carries a lower version, so no reader for one is kept.
+const ManifestVersion = 4
 
 // TableManifest is the durable registration record a disk-backed server
 // writes once an owner's upload completes: the table layout plus which
@@ -110,14 +96,13 @@ type TableManifest struct {
 	Spec    protocol.TableSpec
 	Owners  []int
 	// Slots records, per owner, its live column slot (slotKey) where that
-	// is not slot 0. Absent for owners on slot 0, and in manifests from
-	// before slots, which serve every owner from slot 0.
+	// is not slot 0. Absent for owners on slot 0.
 	Slots map[int]int `json:",omitempty"`
 	// DeltaFloor records, per owner, the highest delta-log sequence
 	// superseded by a later full re-outsource: cold-boot replay skips
 	// that owner's entries at or below the floor (they describe the
 	// previous share stream). Absent for tables that never mixed deltas
-	// with a re-outsource; older manifests decode with a nil map.
+	// with a re-outsource.
 	DeltaFloor map[int]uint64 `json:",omitempty"`
 	// CompactThrough is set, to the delta-log sequence a compaction pass
 	// folds, from before that pass patches its first chunk in place until
@@ -129,8 +114,7 @@ type TableManifest struct {
 	CompactThrough uint64 `json:",omitempty"`
 	// Group is the server group that wrote the manifest. Recovery
 	// quarantines a manifest from another group rather than serving its
-	// shares (they cover a different domain slice). Absent in manifests
-	// written by single-group deployments, which decode as group 0.
+	// shares (they cover a different domain slice). Absent for group 0.
 	Group int `json:",omitempty"`
 }
 

@@ -37,10 +37,7 @@
 // of the newest file when it stops short of its length: that append
 // never returned, so it was never acknowledged, and the read cuts it
 // off. Sequence numbers order replay; gaps are legal (an append whose
-// write failed was never acknowledged, so nothing depends on it). A
-// store written before the log holds one d<seq>.dseg file per update,
-// each the bytes of one record; the first read moves them into a log
-// file (migrateDeltaSegs).
+// write failed was never acknowledged, so nothing depends on it).
 package sharestore
 
 import (
@@ -124,13 +121,9 @@ func deltaLogPath(dir string, first uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("l%d.dlog", first))
 }
 
-func deltaSegPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("d%d.dseg", seq))
-}
-
-// seqFiles lists the numbers n of dir's files named <prefix><n><suffix>,
+// logSeqs lists the sequences n of dir's log files, l<n>.dlog,
 // ascending. A missing dir holds none.
-func seqFiles(dir, prefix, suffix string) ([]uint64, error) {
+func logSeqs(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -141,10 +134,10 @@ func seqFiles(dir, prefix, suffix string) ([]uint64, error) {
 	var out []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		if e.IsDir() || !strings.HasPrefix(name, "l") || !strings.HasSuffix(name, ".dlog") {
 			continue
 		}
-		if n, err := strconv.ParseUint(name[len(prefix):len(name)-len(suffix)], 10, 64); err == nil {
+		if n, err := strconv.ParseUint(name[1:len(name)-len(".dlog")], 10, 64); err == nil {
 			out = append(out, n)
 		}
 	}
@@ -161,8 +154,7 @@ func deltaSegLen(cols []DeltaCol) int {
 	return n
 }
 
-// appendDeltaSeg appends one record — the bytes a d<seq>.dseg segment
-// file held — to dst.
+// appendDeltaSeg appends one record's bytes to dst.
 func appendDeltaSeg(dst []byte, seq uint64, cols []DeltaCol) []byte {
 	start := len(dst)
 	dst = append(dst, deltaMagic...)
@@ -185,11 +177,6 @@ func appendDeltaSeg(dst []byte, seq uint64, cols []DeltaCol) []byte {
 	}
 	binary.LittleEndian.PutUint32(dst[start+5:], crc32.ChecksumIEEE(dst[start+deltaHeaderLen:]))
 	return dst
-}
-
-// appendDeltaFrame appends rec to a log: its length prefix, then rec.
-func appendDeltaFrame(log, rec []byte) []byte {
-	return append(binary.LittleEndian.AppendUint32(log, uint32(len(rec))), rec...)
 }
 
 // parseDeltaSeg decodes and validates one record's bytes. It is the
@@ -359,22 +346,18 @@ func (s *Store) appendDeltaRecord(table string, seq uint64, rec []byte) error {
 
 // ReadDeltaLog returns a table's delta log, every record in sequence
 // order: the boot read recovery replays, before any append to the table
-// in this process. It first migrates the d<seq>.dseg segments of a store
-// from before the log (migrateDeltaSegs). A torn last record of the
-// newest file is cut off — the file truncated to its last whole record —
-// and not returned; any other record that is torn, does not parse, or
-// does not rise in sequence (within a file, from one file to the next,
-// and from the sequence a file's name carries) is an error wrapping
-// ErrDeltaCorrupt that names its file. A table with no log has no
-// records.
+// in this process. It reads the l<seq>.dlog files and nothing else. A
+// torn last record of the newest file is cut off — the file truncated
+// to its last whole record — and not returned; any other record that is
+// torn, does not parse, or does not rise in sequence (within a file,
+// from one file to the next, and from the sequence a file's name
+// carries) is an error wrapping ErrDeltaCorrupt that names its file. A
+// table with no log has no records.
 func (s *Store) ReadDeltaLog(table string) ([]DeltaRecord, error) {
 	dir := s.deltaDir(table)
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	if err := migrateDeltaSegs(table, dir); err != nil {
-		return nil, err
-	}
-	files, err := seqFiles(dir, "l", ".dlog")
+	files, err := logSeqs(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -411,48 +394,6 @@ func (s *Store) ReadDeltaLog(table string) ([]DeltaRecord, error) {
 	return out, nil
 }
 
-// migrateDeltaSegs moves the d<seq>.dseg segments a store from before
-// the log holds — one file per update, each the bytes of one record —
-// into one log file named by the oldest, written whole (atomicWriteFile)
-// before the segments are removed newest first. A crash in between
-// leaves that log file beside the oldest surviving segment, so the next
-// read finds it and only removes the rest.
-func migrateDeltaSegs(table, dir string) error {
-	segs, err := seqFiles(dir, "d", ".dseg")
-	if err != nil || len(segs) == 0 {
-		return err
-	}
-	path := deltaLogPath(dir, segs[0])
-	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-		var log []byte
-		for _, seq := range segs {
-			raw, err := os.ReadFile(deltaSegPath(dir, seq))
-			if err != nil {
-				return err
-			}
-			got, _, err := parseDeltaSeg(raw)
-			if err == nil && got != seq {
-				err = fmt.Errorf("sharestore: record of sequence %d", got)
-			}
-			if err != nil {
-				return fmt.Errorf("%w: %s/d%d.dseg: %w", ErrDeltaCorrupt, table, seq, err)
-			}
-			log = appendDeltaFrame(log, raw)
-		}
-		if err := atomicWriteFile(path, log); err != nil {
-			return err
-		}
-	} else if err != nil {
-		return err
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		if err := os.Remove(deltaSegPath(dir, segs[i])); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-	}
-	return nil
-}
-
 // SealDeltaLog closes a table's open log file, so the next append opens
 // a new one, and returns the sequence every log file of the table is
 // named by, ascending — all of them sealed now. Compaction seals under
@@ -472,7 +413,7 @@ func (s *Store) SealDeltaLog(table string) ([]uint64, error) {
 			return nil, err
 		}
 	}
-	return seqFiles(filepath.Join(tdir, deltaLogDir), "l", ".dlog")
+	return logSeqs(filepath.Join(tdir, deltaLogDir))
 }
 
 // DeleteDeltaLog removes a sealed log file, the one named by sequence

@@ -15,6 +15,11 @@ import (
 
 func encodeDeltaSeg(seq uint64, cols []DeltaCol) []byte { return appendDeltaSeg(nil, seq, cols) }
 
+// appendDeltaFrame appends rec to a log: its length prefix, then rec.
+func appendDeltaFrame(log, rec []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(log, uint32(len(rec))), rec...)
+}
+
 // logFiles lists the names in a table's delta log directory.
 func logFiles(t *testing.T, s *Store, table string) []string {
 	t.Helper()
@@ -305,68 +310,6 @@ func TestAppendDeltaSegAfterDrop(t *testing.T) {
 		if err := s.QuarantineTable("tbl", "test", ""); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestDeltaLogMigratesSegments: the d<seq>.dseg segments a store from
-// before the log holds read as its records, and are moved into one log
-// file — also when a crash stopped an earlier migration after its log
-// file and before its last removal. A corrupt segment is corrupt.
-func TestDeltaLogMigratesSegments(t *testing.T) {
-	segs := []DeltaRecord{
-		{Seq: 2, Cols: []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1, 7}, Vals: []uint64{3, 4}}}},
-		{Seq: 3, Cols: []DeltaCol{{Name: "o1.sum.v", Width: 8, Pos: []uint64{0}, Vals: []uint64{1 << 50}}}},
-		{Seq: 6, Cols: []DeltaCol{{Name: "o0.chi", Width: 2, Pos: []uint64{1}, Vals: []uint64{9}}}},
-	}
-	parent := func(t *testing.T) *Store {
-		s, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(s.deltaDir("tbl"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range segs {
-			if err := os.WriteFile(deltaSegPath(s.deltaDir("tbl"), r.Seq), encodeDeltaSeg(r.Seq, r.Cols), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-	for _, crashed := range []bool{false, true} {
-		s := parent(t)
-		if crashed {
-			var log []byte
-			for _, r := range segs {
-				log = appendDeltaFrame(log, encodeDeltaSeg(r.Seq, r.Cols))
-			}
-			if err := os.WriteFile(deltaLogPath(s.deltaDir("tbl"), 2), log, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Remove(deltaSegPath(s.deltaDir("tbl"), 6)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := s.ReadDeltaLog("tbl")
-		if err != nil || !reflect.DeepEqual(got, segs) {
-			t.Fatalf("crashed=%v: read %+v, %v", crashed, got, err)
-		}
-		if files := logFiles(t, s, "tbl"); !reflect.DeepEqual(files, []string{"l2.dlog"}) {
-			t.Fatalf("crashed=%v: files after the migration %v, want [l2.dlog]", crashed, files)
-		}
-		if got, err := readLog(t, s, "tbl"); err != nil || !reflect.DeepEqual(got, segs) {
-			t.Fatalf("crashed=%v: second read %+v, %v", crashed, got, err)
-		}
-	}
-	s := parent(t)
-	path := deltaSegPath(s.deltaDir("tbl"), 3)
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 1
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadDeltaLog("tbl"); !errors.Is(err, ErrDeltaCorrupt) || !strings.Contains(err.Error(), "d3.dseg") {
-		t.Fatalf("corrupt segment: %v, want ErrDeltaCorrupt naming d3.dseg", err)
 	}
 }
 

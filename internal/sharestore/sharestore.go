@@ -115,8 +115,8 @@ func looksHashed(name string) bool {
 }
 
 // atomicWriteFile is the blessed single-file durability primitive:
-// every live store file (chunk, index, manifest, sidecar, a migrated
-// delta log) must be replaced through it. It stages the contents under a
+// every live store file (chunk, index, manifest, sidecar) must be
+// replaced through it. It stages the contents under a
 // sibling .tmp name and renames into place, so at every crash point
 // the live path holds either the complete previous contents or the
 // complete new ones — never a torn mix. The writes into a live file
@@ -163,8 +163,10 @@ func (s *Store) HasColumn(table, col string) bool {
 // Tables lists stored table names. Names are resolved through each
 // table directory's sidecar metadata, so callers see the raw names they
 // stored — not the sanitised directory names (which diverge for any name
-// containing filesystem-unsafe characters). Legacy directories written
-// before the sidecar existed fall back to the directory name.
+// containing filesystem-unsafe characters). A directory without its
+// sidecar, which only a build before sidecars wrote, is listed under its
+// directory name only so that recovery reads its manifest and refuses
+// the store's older epoch (serverengine.ErrStoreEpoch).
 // Dot-prefixed directories (the .quarantine/ area) are store metadata,
 // not tables, and are skipped.
 func (s *Store) Tables() ([]string, error) {

@@ -82,8 +82,8 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 
 // TestDecodeFrameHostileBodies asserts every way a frame body can be
 // wrong at the frame level ends in one of the two typed errors: a
-// version byte other than frameVersion — version-1 gob frames and
-// version-2 frames among them — is ErrFrameVersion, anything else
+// version byte other than frameVersion — version-1 gob frames and the
+// frames of versions 2 and 3 among them — is ErrFrameVersion, anything else
 // ErrCorruptFrame.
 func TestDecodeFrameHostileBodies(t *testing.T) {
 	cells := make([]uint32, 100)
@@ -101,6 +101,7 @@ func TestDecodeFrameHostileBodies(t *testing.T) {
 		{"version 0", mut(func(b []byte) []byte { b[0] = 0; return b }), ErrFrameVersion},
 		{"version 1: gob envelope and slabs", []byte{1, 0, 0, 0, 3, 0x03, 0xff, 0x82}, ErrFrameVersion},
 		{"version 2: a PSIRequest with its frontier field", []byte{2, 1, 0, 0}, ErrFrameVersion},
+		{"version 3: a PingRequest at its index in the 42-type table", []byte{3, 1, 0, 39}, ErrFrameVersion},
 		{"future version", mut(func(b []byte) []byte { b[0] = frameVersion + 1; return b }), ErrFrameVersion},
 		{"pre-slab gob frame", []byte("\x2c\xff\x81\x03\x01\x01\x08envelope"), ErrFrameVersion},
 		{"version byte only", good[:1], ErrCorruptFrame},
@@ -247,7 +248,9 @@ func populated(t reflect.Type, seed int) reflect.Value {
 // populated frame per protocol.Messages() entry, whose vectors hold two
 // elements, and with vectors of over 300 at every width, which reach
 // the width scan's block loop and the packer's word loops; the
-// AggRequest among them is borrowed at width 8 and copied below it.
+// AggRequest among them is borrowed at width 8 and copied below it. Last
+// come a populated AggRequest's frame under the version byte of every
+// other epoch, which must be refused whole.
 func FuzzFrameCodec(f *testing.F) {
 	for i, msg := range protocol.Messages() {
 		f.Add(frameBody(f, &envelope{ID: 3, Payload: populated(reflect.TypeOf(msg), i).Interface()}))
@@ -268,6 +271,10 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(frameBody(f, &envelope{Err: "transport: frame exceeds size limit"}))
 	f.Add([]byte{})
 	f.Add([]byte{frameVersion, 0, 0, 0, 0})
+	agg := frameBody(f, &envelope{ID: 8, Payload: populated(reflect.TypeOf(protocol.AggRequest{}), 1).Interface()})
+	for _, v := range []byte{0, 1, 2, 3, frameVersion + 1} {
+		f.Add(append([]byte{v}, agg[1:]...))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, _, err := decodeFrame(body, false)
 		lent, _, lerr := decodeFrame(slices.Clone(body), true)

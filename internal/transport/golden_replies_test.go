@@ -24,7 +24,7 @@ import (
 // run two builds is refused with ErrFrameVersion instead of answering
 // wrong.
 var goldenReplies = map[int]string{
-	3: "d469238d6199639a542efb858c3b81c1b2757908c8bda9d0498691aeac0baad7",
+	4: "e02e7c060a0868b3ccaac61ac81426107d35a0dd1ab5388d09e2ef2f4d8c0114",
 }
 
 const (

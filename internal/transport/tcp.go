@@ -67,7 +67,7 @@ var errClientClosed = errors.New("transport: client closed")
 // frameVersion is the first byte of every frame body and names its
 // layout, so a peer built for another layout is refused with
 // ErrFrameVersion instead of being misparsed.
-const frameVersion = 3
+const frameVersion = 4
 
 // ErrFrameVersion is returned for a frame whose version byte this build
 // does not speak: the peer runs a different wire format.

@@ -2,10 +2,12 @@ package prism
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"prism/internal/protocol"
@@ -101,6 +103,40 @@ func TestMixedChunkGeometries(t *testing.T) {
 			}
 			directAnswers(t, sys2, orc)
 		})
+	}
+}
+
+// TestStoreEpochFailsNewLocalSystem: a System over a DiskDir one of
+// whose stores holds a manifest of another format version does not
+// build; the error names the server and the table.
+func TestStoreEpochFailsNewLocalSystem(t *testing.T) {
+	dir := t.TempDir()
+	cfg := recoveryConfig(t, dir)
+	sys1, err := NewLocalSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadPlanted(t, sys1, plantedCells(sys1, 5), 1807)
+	sys1.Close()
+	st, err := sharestore.Open(filepath.Join(dir, serverDiskDir(0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man serverengine.TableManifest
+	if err := st.ReadManifest(tableName, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Version = 3
+	if err := st.WriteManifest(tableName, man); err != nil {
+		t.Fatal(err)
+	}
+	sys2, err := NewLocalSystem(cfg)
+	if err == nil {
+		sys2.Close()
+	}
+	want := fmt.Sprintf("group 0 server 1 recovery: %v: table %q has manifest version 3", serverengine.ErrStoreEpoch, tableName)
+	if !errors.Is(err, serverengine.ErrStoreEpoch) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewLocalSystem: %v; want an error containing %q", err, want)
 	}
 }
 
