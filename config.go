@@ -79,6 +79,18 @@ func (d *Domain) Label(cell uint64) string {
 	return d.d.Label(cell)
 }
 
+// labels renders Label at every cell, parallel to cells.
+func (d *Domain) labels(cells []uint64) []string {
+	if d.p == nil {
+		return d.d.Labels(cells)
+	}
+	out := make([]string, len(cells))
+	for i, c := range cells {
+		out[i] = d.Label(c)
+	}
+	return out
+}
+
 // cellOfRow maps a row's key(s) to the domain cell.
 func (d *Domain) cellOfRow(r Row) (uint64, error) {
 	if d.p != nil {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Domain is the ordered, publicly known domain of one attribute.
@@ -97,6 +98,61 @@ func (d *Domain) Label(cell uint64) string {
 		return d.names[cell]
 	}
 	return strconv.FormatUint(d.lo+cell, 10)
+}
+
+// Labels renders the values at cells, parallel to cells: Label at each.
+// An integer domain writes every label into one buffer and cuts each out
+// of the one string it makes; between close ascending cells it advances
+// the previous label's digits like an odometer instead of formatting the
+// value anew. So an answer of k cells costs three allocations, not k.
+func (d *Domain) Labels(cells []uint64) []string {
+	out := make([]string, len(cells))
+	if d.names != nil {
+		for i, c := range cells {
+			out[i] = d.names[c]
+		}
+		return out
+	}
+	widths := make([]uint8, len(cells)) // a uint64 has at most 20 digits
+	var (
+		sb   strings.Builder
+		buf  [20]byte
+		prev uint64
+	)
+	sb.Grow(len(cells) * len(strconv.AppendUint(buf[:0], d.hi, 10)))
+	digits := buf[:0] // the previous label
+	for i, c := range cells {
+		v := d.lo + c
+		if len(digits) == 0 || v <= prev || v-prev > odometerReach || !advance(digits, v-prev) {
+			digits = strconv.AppendUint(digits[:0], v, 10)
+		}
+		prev = v
+		sb.Write(digits)
+		widths[i] = uint8(len(digits))
+	}
+	all, at := sb.String(), 0
+	for i, w := range widths {
+		out[i] = all[at : at+int(w)]
+		at += int(w)
+	}
+	return out
+}
+
+// odometerReach is the largest step between consecutive labels that
+// Labels takes by advancing digits; a larger one is formatted anew.
+const odometerReach = 1 << 12
+
+// advance adds delta to the decimal number digits in place, reporting
+// false (digits then garbled) when the sum needs one more digit.
+func advance(digits []byte, delta uint64) bool {
+	for i := len(digits) - 1; delta > 0; i-- {
+		if i < 0 {
+			return false
+		}
+		s := uint64(digits[i]-'0') + delta
+		digits[i], delta = byte('0'+s%10), s/10
+	}
+	return true
 }
 
 // BuildChi builds the χ bitmap over b cells: chi[cell] = 1 iff cell

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -179,4 +180,55 @@ func TestProductRejects(t *testing.T) {
 	if _, err := p.Cell([]uint64{4, 0}); err == nil {
 		t.Fatal("out-of-range coord accepted")
 	}
+}
+
+// TestLabelsMatchLabel: Labels equals Label at every cell — of
+// ascending lists whose steps carry into a new digit (99→100, 999→1002,
+// 9999→10000), step past the odometer's reach or repeat a cell, of
+// unsorted lists, of random ascending lists, near the top of the uint64
+// range and over a categorical domain.
+func TestLabelsMatchLabel(t *testing.T) {
+	check := func(d *Domain, cells []uint64) {
+		t.Helper()
+		got := d.Labels(cells)
+		if len(got) != len(cells) {
+			t.Fatalf("%d labels for %d cells", len(got), len(cells))
+		}
+		for i, c := range cells {
+			if got[i] != d.Label(c) {
+				t.Fatalf("cells %v: label %d = %q, Label(%d) = %q", cells, i, got[i], c, d.Label(c))
+			}
+		}
+	}
+	from0, _ := NewIntRange(0, 1<<40)
+	from1, _ := NewIntRange(1, 1<<20)
+	top, _ := NewIntRange(1<<64-100, 1<<64-1)
+	for _, cells := range [][]uint64{
+		nil,
+		{0},
+		{8, 9, 10, 11, 99, 100, 101},
+		{98, 99, 100, 998, 999, 1002, 9999, 10000, 99999, 100003},
+		{5, 5, 5, 6, 6 + odometerReach, 7 + 2*odometerReach + 1},
+		{1000, 999, 10, 99, 100, 3, 3, 1 << 30, 7},
+	} {
+		check(from0, cells)
+		check(from1, cells)
+	}
+	check(top, []uint64{0, 1, 50, 98, 99})
+	check(top, []uint64{99, 0, 98})
+
+	g := rand.New(rand.NewSource(53))
+	for range 200 {
+		cells, c := make([]uint64, g.Intn(300)), uint64(g.Intn(1000))
+		for i := range cells {
+			cells[i] = c
+			c += uint64(g.Intn(3 * odometerReach / (1 + g.Intn(64))))
+		}
+		check(from0, cells)
+		g.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+		check(from1, cells)
+	}
+
+	cat, _ := NewValues([]string{"flu", "cold", "covid"})
+	check(cat, []uint64{2, 0, 1, 1})
 }

@@ -14,7 +14,9 @@ package opoly
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 
 	"prism/internal/prg"
 )
@@ -89,28 +91,89 @@ func randBelow(g *prg.PRG, bound *big.Int) *big.Int {
 	}
 }
 
-// SearchZ finds the unique z with F(z) <= v < F(z+1) by binary search, or
-// an error if v < F(0) (which means v is not in the image interval of any
-// non-negative integer — the max-verification structural check).
-// hi is an exclusive upper bound on z (e.g. the declared domain bound + 1).
+// SearchZ finds the unique z with F(z) <= v < F(z+1), or an error if
+// v < F(0) (which means v is not in the image interval of any
+// non-negative integer — the max-verification structural check) or
+// v >= F(hi+1) (outside the declared domain: z may be at most hi, e.g.
+// the declared aggregation bound).
+//
+// It starts from root's float estimate of z and confirms it with exact
+// evaluations: two when the estimate is right, and when it misses by e,
+// O(log e) more — steps doubling away from it bracket z, and a binary
+// search inside the bracket finds it — instead of log₂(hi).
 func (p *Poly) SearchZ(v *big.Int, hi uint64) (uint64, error) {
 	if v.Cmp(p.Eval(0)) < 0 {
 		return 0, fmt.Errorf("opoly: value below F(0), not a valid masked value")
 	}
-	lo, hiB := uint64(0), hi
-	// invariant: F(lo) <= v, and v < F(hiB+1) is not guaranteed until checked
-	if v.Cmp(p.Eval(hi+1)) >= 0 {
-		return 0, fmt.Errorf("opoly: value beyond F(hi+1), outside declared domain")
+	// invariant: F(lo) <= v, and z <= up
+	lo, up := uint64(0), hi
+	if g := min(p.root(v), hi); v.Cmp(p.Eval(g)) >= 0 {
+		lo = g
+		for step := uint64(1); lo < up; step <<= 1 {
+			next := lo + min(step, up-lo)
+			if v.Cmp(p.Eval(next)) < 0 {
+				up = next - 1
+				break
+			}
+			lo = next
+		}
+	} else {
+		up = g - 1 // g > 0, since F(0) <= v < F(g)
+		for step := uint64(1); lo < up; step <<= 1 {
+			next := up - min(step, up-lo)
+			if v.Cmp(p.Eval(next)) >= 0 {
+				lo = next
+				break
+			}
+			up = next - 1
+		}
 	}
-	for lo < hiB {
-		mid := lo + (hiB-lo+1)/2
+	for lo < up {
+		mid := lo + (up-lo+1)/2
 		if v.Cmp(p.Eval(mid)) >= 0 {
 			lo = mid
 		} else {
-			hiB = mid - 1
+			up = mid - 1
 		}
 	}
+	if lo == hi && v.Cmp(p.Eval(hi+1)) >= 0 {
+		return 0, fmt.Errorf("opoly: value beyond F(hi+1), outside declared domain")
+	}
 	return lo, nil
+}
+
+// root estimates the real x >= 0 with F(x) = v from F's two leading
+// coefficients: for large x, F(x) ≈ a_d·(x + a_{d−1}/(d·a_d))^d. Logs
+// keep the degree-d values, far past float64's range, out of the sum.
+func (p *Poly) root(v *big.Int) uint64 {
+	d := len(p.Coeffs) - 1
+	if d < 1 {
+		return 0
+	}
+	top := log2(p.Coeffs[d])
+	x := math.Exp2((log2(v)-top)/float64(d)) - math.Exp2(log2(p.Coeffs[d-1])-top)/float64(d)
+	switch {
+	case !(x > 0): // NaN too
+		return 0
+	case x >= 0x1p64:
+		return math.MaxUint64
+	}
+	return uint64(x)
+}
+
+// log2 is log₂ x to float64 precision, −Inf for x <= 0. It reads x's
+// two top words rather than converting the whole of x.
+func log2(x *big.Int) float64 {
+	if x.Sign() <= 0 {
+		return math.Inf(-1)
+	}
+	w := x.Bits()
+	n := len(w) - 1
+	f := float64(w[n])
+	if n > 0 {
+		f += math.Ldexp(float64(w[n-1]), -bits.UintSize)
+	}
+	return math.Log2(f) + float64(n*bits.UintSize)
 }
 
 // MaxMasked returns F(bound+1), a strict upper bound on any masked value

@@ -1,6 +1,7 @@
 package opoly
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,92 @@ func TestDeterministicForSeed(t *testing.T) {
 	for i := range p1.Coeffs {
 		if p1.Coeffs[i].Cmp(p2.Coeffs[i]) != 0 {
 			t.Fatal("polynomial generation not deterministic")
+		}
+	}
+}
+
+// searchZRef is the binary search SearchZ replaced: the reference it
+// must agree with, errors included.
+func searchZRef(p *Poly, v *big.Int, hi uint64) (uint64, error) {
+	if v.Cmp(p.Eval(0)) < 0 {
+		return 0, fmt.Errorf("opoly: value below F(0), not a valid masked value")
+	}
+	if v.Cmp(p.Eval(hi+1)) >= 0 {
+		return 0, fmt.Errorf("opoly: value beyond F(hi+1), outside declared domain")
+	}
+	lo, up := uint64(0), hi
+	for lo < up {
+		mid := lo + (up-lo+1)/2
+		if v.Cmp(p.Eval(mid)) >= 0 {
+			lo = mid
+		} else {
+			up = mid - 1
+		}
+	}
+	return lo, nil
+}
+
+// TestSearchZMatchesBinarySearch: SearchZ agrees with the binary search
+// — value and error text — at F(z), F(z+1)−1 and a random value between
+// them for z across [0, hi], just below F(0) and at and past F(hi+1),
+// and on random values up to F(hi+2); over the degrees of 1 to 12
+// owners, coefficients drawn up to 1 and up to 10^6 (where the
+// estimate's second-coefficient term matters most), hand-built
+// polynomials whose leading coefficient dwarfs the rest or whose lower
+// ones throw the estimate far off, and hi from 0 to 2^32.
+func TestSearchZMatchesBinarySearch(t *testing.T) {
+	g := prg.New(prg.SeedFromString("searchz-ref"))
+	check := func(p *Poly, v *big.Int, hi uint64) {
+		t.Helper()
+		z, err := p.SearchZ(v, hi)
+		wz, werr := searchZRef(p, v, hi)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || err == nil && z != wz {
+			t.Fatalf("degree %d, hi %d, v = %v: SearchZ = %d, %v; binary search = %d, %v", p.Degree(), hi, v, z, err, wz, werr)
+		}
+	}
+	one := big.NewInt(1)
+	coeffs := func(cs ...int64) *Poly {
+		p := &Poly{}
+		for _, c := range cs {
+			p.Coeffs = append(p.Coeffs, big.NewInt(c))
+		}
+		return p
+	}
+	polys := []*Poly{
+		{Coeffs: []*big.Int{big.NewInt(7), big.NewInt(3), new(big.Int).Lsh(one, 200)}},
+		// Estimates far off z, walked by the doubling steps: far below
+		// it (a large a_1 under a small a_2), far above it (a large a_0,
+		// a large a_2 under small a_3 and a_4).
+		coeffs(1, 1e6, 1), coeffs(1e18, 1, 1), coeffs(1, 1, 1e12, 1, 1),
+	}
+	for _, m := range []int{1, 2, 3, 5, 10, 12} {
+		for _, bound := range []uint64{1, 1000, 1000000} {
+			p, err := New(g, m, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			polys = append(polys, p)
+		}
+	}
+	for _, p := range polys {
+		for _, hi := range []uint64{0, 1, 2, 1000, 11000, 1 << 20, 1 << 32} {
+			zs := []uint64{0, 1, hi / 2, hi}
+			for range 12 {
+				zs = append(zs, g.Uint64n(hi+1))
+			}
+			for _, z := range zs {
+				fz, fz1 := p.Eval(z), p.Eval(z+1)
+				check(p, fz, hi)
+				check(p, new(big.Int).Sub(fz1, one), hi)
+				check(p, new(big.Int).Add(fz, randBelow(g, new(big.Int).Sub(fz1, fz))), hi)
+			}
+			check(p, new(big.Int).Sub(p.Eval(0), one), hi)
+			check(p, p.Eval(hi+1), hi)
+			check(p, new(big.Int).Add(p.Eval(hi+1), p.Eval(hi)), hi)
+			top := p.Eval(hi + 2)
+			for range 12 {
+				check(p, randBelow(g, top), hi)
+			}
 		}
 	}
 }

@@ -141,8 +141,8 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	res := &Result{Sums: make(map[string]map[uint64]uint64, len(cols))}
 	for i, p := range pairs {
 		if verify {
-			if c := o.mismatch(p.main, p.ver); c >= 0 {
-				return nil, fmt.Errorf("%w: %s cell %d differs between main and verification copies", ErrVerificationFailed, p.cell, c)
+			if err := o.mismatch(p.cell, p.main, p.ver); err != nil {
+				return nil, err
 			}
 		}
 		if i == len(cols) {
@@ -158,17 +158,26 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	return res, nil
 }
 
-// mismatch compares the main and verification reconstructions cell by
-// cell in natural order — main[DB1[i]] against ver[DB2[i]] — and returns
-// the first cell where they differ, or -1 when none does.
-func (o *engine) mismatch(main, ver []uint64) int {
-	db2 := o.view.DB2
-	for i, at := range o.view.DB1 {
-		if main[at] != ver[db2[i]] {
-			return i
+// mismatch checks the §5.2 copies of column pair name cell by cell —
+// main[DB1[i]] against ver[DB2[i]] — and names the first cell in
+// natural order where they differ. The pass runs in stored order, one
+// random read per cell: stored cell p's verification copy sits at
+// comp[p]. Only a failure rescans in natural order, to name its cell.
+func (o *engine) mismatch(name string, main, ver []uint64) error {
+	comp := o.comp[:len(main)]
+	for p, v := range main {
+		if v == ver[comp[p]] {
+			continue
 		}
+		db2 := o.view.DB2
+		for i, at := range o.view.DB1 {
+			if main[at] != ver[db2[i]] {
+				return fmt.Errorf("%w: %s cell %d differs between main and verification copies", ErrVerificationFailed, name, i)
+			}
+		}
+		return fmt.Errorf("%w: a %s cell differs between main and verification copies", ErrVerificationFailed, name) // DB1 or DB2 changed under comp
 	}
-	return -1
+	return nil
 }
 
 // pick returns the selected cells' values of a stored-order

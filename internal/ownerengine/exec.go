@@ -334,7 +334,13 @@ func (o *Owner) script(ctx context.Context, g int, q Query, co *Cohort, round fu
 // their group's start concatenate; counts sum; per-cell maps are
 // re-keyed.
 func (o *Owner) merge(subs []*Result) *Result {
-	out := &Result{}
+	out, n := &Result{}, 0
+	for _, sub := range subs {
+		n += len(sub.Cells)
+	}
+	if n > 0 {
+		out.Cells = make([]uint64, 0, n)
+	}
 	for g, sub := range subs {
 		at := o.starts[g]
 		for _, c := range sub.Cells {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"time"
 
 	"prism/internal/protocol"
@@ -23,7 +24,11 @@ import (
 // owner's own maximum (for max), minimum (for min), or total (for median
 // — the paper's median example first sums per owner) of column col
 // restricted to tuples at the cell. has[c] is false when the owner has
-// no tuple at cells[c].
+// no tuple at cells[c]. The listed cells are marked in a b-bit bitmap,
+// so a tuple at an unlisted cell costs one bit test, and which group a
+// tuple falls in takes no branch: an owner's tuples spread over every
+// group, so with two groups that branch would miss about every other
+// tuple.
 func (o *Owner) localValues(g int, kind protocol.ExtremeKind, col string, cells []uint64) (vals []uint64, has []bool, err error) {
 	start, b := o.starts[g], o.groups[g].view.B
 	d := o.Data()
@@ -34,19 +39,23 @@ func (o *Owner) localValues(g int, kind protocol.ExtremeKind, col string, cells 
 	if !okCol {
 		return nil, nil, fmt.Errorf("ownerengine: data has no column %q", col)
 	}
+	listed := make([]uint64, b/64+1) // bit b stands for every cell outside the group and is never set
 	at := make(map[uint64]int, len(cells))
 	for c, cell := range cells {
-		at[cell] = c
+		if cell < b { // a cell past the group has no tuple
+			listed[cell>>6] |= 1 << (cell & 63)
+			at[cell] = c
+		}
 	}
 	vals, has = make([]uint64, len(cells)), make([]bool, len(cells))
 	for i, cell := range d.Cells {
-		if cell-start >= b { // outside the group: one unsigned compare
+		cell -= start
+		_, in := bits.Sub64(cell, b, 0) // 1 in the group, 0 outside: no branch on it
+		cell = b ^ (cell^b)&-in         // outside the group: bit b
+		if listed[cell>>6]>>(cell&63)&1 == 0 {
 			continue
 		}
-		c, ok := at[cell-start]
-		if !ok {
-			continue
-		}
+		c := at[cell]
 		v := vs[i]
 		switch {
 		case !has[c]:
@@ -108,7 +117,7 @@ type ExtremeOutcome struct {
 
 // FetchExtreme retrieves the announcer's result shares for a k-cell
 // round from both servers, reconstructs the masked values mod Q, and
-// binary-searches each z with F(z) ≤ v < F(z+1) (§6.3 Step 5a). A reply
+// finds each z with F(z) ≤ v < F(z+1) (§6.3 Step 5a, opoly.SearchZ). A reply
 // that does not carry exactly the k cells submitted is a server fault.
 func (o *engine) FetchExtreme(ctx context.Context, qid string, kind protocol.ExtremeKind, k int) (*ExtremeOutcome, error) {
 	wall := time.Now()

@@ -132,6 +132,11 @@ type engine struct {
 	// cells) without a division.
 	modEta   modmath.Mod64
 	modDelta modmath.Mod32
+
+	// comp is the view's PF_db2 ∘ PF_db1⁻¹ (OwnerView.Composite): the χ̄
+	// position of the cell stored at χ position p, so the §5.2 checks
+	// walk stored order with one random read per cell.
+	comp perm.Perm
 }
 
 // localTable retains owner-local state about an outsourced table: the
@@ -195,6 +200,10 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 	if view.Eta == 0 || view.Eta >= 1<<32 || view.Delta == 0 || view.Delta >= 1<<32 {
 		return nil, fmt.Errorf("ownerengine: view has η=%d, δ=%d; both must lie in (0, 2^32)", view.Eta, view.Delta)
 	}
+	comp, err := view.Composite()
+	if err != nil {
+		return nil, fmt.Errorf("ownerengine: %w", err)
+	}
 	o := &engine{
 		Index:      index,
 		view:       view,
@@ -205,6 +214,7 @@ func newEngine(index int, view *params.OwnerView, caller transport.Caller, serve
 		w3:         share.LagrangeWeights(3),
 		modEta:     modmath.NewMod64(view.Eta),
 		modDelta:   modmath.NewMod32(view.Delta),
+		comp:       comp,
 	}
 	o.uploadEpoch = fmt.Sprintf("o%d-%x", index, o.rng.Uint64())
 	return o, nil

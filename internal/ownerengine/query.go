@@ -3,6 +3,7 @@ package ownerengine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"prism/internal/protocol"
@@ -158,10 +159,10 @@ func (o *engine) mulInto(dst, a, c []uint32) {
 // (Equation 4), nonzero for PSU (Equation 19). A cardinality counts
 // each window as it lands — position by position, since under PF_i the
 // permuted χ and χ̄ vectors align (Equation 1) — and never holds a
-// b-cell vector. A set kind undoes PF_db1 once every window has landed:
-// PSU from one membership byte per stored cell, PSI from fop itself,
-// whose verified form also undoes PF_db2 for the χ̄ side and requires
-// r1_i·r2_i ≡ 1 (mod η) at every cell (Equation 10).
+// b-cell vector. A set kind marks its hits in a b-bit bitmap in stored
+// order — PSU as each window lands, PSI from fop once every window has,
+// its verified form requiring r1·r2 ≡ 1 (mod η) at every cell
+// (Equation 10) — and undoes PF_db1 once, in cellsOf.
 func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 	b := o.view.B
 	one := uint32(1 % o.view.Eta)
@@ -169,7 +170,7 @@ func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 	var (
 		stats QueryStats
 		err   error
-		in    []bool   // PSU: stored cell p is in the union
+		hits  []uint64 // bit p: stored cell p is in the result
 		r1    []uint32 // PSI: fop, and with verify r2 = vop, in stored order
 		r2    []uint32
 	)
@@ -200,11 +201,9 @@ func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 		}
 		return &Result{Count: count, Stats: stats}, nil
 	case q.union:
-		in = make([]bool, b)
+		hits = make([]uint64, (b+63)/64)
 		stats, err = o.setRound(ctx, q, windows, [2][]uint32{}, func(rg protocol.Range, fop, _ []uint32) error {
-			for i, v := range fop {
-				in[rg.Offset+uint64(i)] = v != 0
-			}
+			markBits(hits, rg.Offset, fop, 0, 0)
 			return nil
 		})
 	default:
@@ -218,35 +217,87 @@ func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	cells, err := o.undoDB(in, r1, r2)
-	if err != nil {
-		return nil, err
+	if hits == nil {
+		if hits, err = o.psiHits(r1, r2); err != nil {
+			return nil, err
+		}
 	}
+	cells := o.cellsOf(hits)
 	stats.OwnerNS += time.Since(start).Nanoseconds()
 	return &Result{Cells: cells, Stats: stats}, nil
 }
 
-// undoDB undoes PF_db1 and returns the result cells: cell i is stored at
-// DB1[i] of the membership vector in or, for PSI, of the χ vector r1,
-// and when r2 is set at DB2[i] of the χ̄ vector r2. It is a function of
-// its own so the loop runs on plain locals.
-func (o *engine) undoDB(in []bool, r1, r2 []uint32) ([]uint64, error) {
-	red, one, db2 := o.modEta, uint32(1%o.view.Eta), o.view.DB2
-	var cells []uint64
-	for i, at := range o.view.DB1 {
-		if in != nil {
-			if in[at] {
-				cells = append(cells, uint64(i))
-			}
+// markBits sets bit at+i of hits for every vals[i] that differs from
+// target, flipped when flip is 1: target 0, flip 0 marks PSU's nonzero
+// cells; target 1, flip 1 marks PSI's cells equal to 1. It builds each
+// 64-bit word in a register with no branch on the values and ORs it in,
+// so cells of neighbouring windows that share a word both land.
+func markBits(hits []uint64, at uint64, vals []uint32, target uint32, flip uint64) {
+	for len(vals) > 0 {
+		sh := at & 63
+		n := min(64-sh, uint64(len(vals)))
+		var word uint64
+		for j, v := range vals[:n] {
+			x := uint64(v ^ target)
+			word |= ((x|-x)>>63 ^ flip) << j
+		}
+		hits[at>>6] |= word << sh
+		vals, at = vals[n:], at+n
+	}
+}
+
+// psiHits marks PSI's result cells (fop = 1) in a bitmap over stored
+// positions. With r2 it also checks r1·r2 ≡ 1 at every cell (Equation
+// 10) in stored order: stored χ cell p holds the cell whose χ̄ side sits
+// at comp[p], so each check is one random read. A failure is named by
+// the first failing cell in natural order, which psiFailure rescans for.
+func (o *engine) psiHits(r1, r2 []uint32) ([]uint64, error) {
+	red, one := o.modEta, uint32(1%o.view.Eta)
+	hits := make([]uint64, (len(r1)+63)/64)
+	for lo := 0; lo < len(r1); lo += foldBlock { // a block of r1 stays in cache for the check
+		seg := r1[lo:min(lo+foldBlock, len(r1))]
+		markBits(hits, uint64(lo), seg, one, 1)
+		if r2 == nil {
 			continue
 		}
-		v := r1[at]
-		if r2 != nil && red.Reduce(uint64(v)*uint64(r2[db2[i]])) != one {
-			return nil, fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
-		}
-		if v == one {
-			cells = append(cells, uint64(i))
+		comp := o.comp[lo:][:len(seg)]
+		for p, v := range seg {
+			if red.Reduce(uint64(v)*uint64(r2[comp[p]])) != one {
+				return nil, o.psiFailure(r1, r2)
+			}
 		}
 	}
-	return cells, nil
+	return hits, nil
+}
+
+// psiFailure names the first natural cell i failing r1·r2 ≡ 1: r1 holds
+// it at DB1[i], r2 at DB2[i]. It runs only once psiHits saw a failure.
+func (o *engine) psiFailure(r1, r2 []uint32) error {
+	red, one, db2 := o.modEta, uint32(1%o.view.Eta), o.view.DB2
+	for i, at := range o.view.DB1 {
+		if red.Reduce(uint64(r1[at])*uint64(r2[db2[i]])) != one {
+			return fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
+		}
+	}
+	return fmt.Errorf("%w: a PSI cell fails r1·r2 ≡ 1", ErrVerificationFailed) // DB1 or DB2 changed under comp
+}
+
+// cellsOf undoes PF_db1 over a stored-order hit bitmap: cell i is
+// stored at DB1[i], so one pass over DB1 that reads only the bitmap
+// yields the result cells ascending, into a slice sized by the bitmap's
+// popcount. Nil when no bit is set.
+func (o *engine) cellsOf(hits []uint64) []uint64 {
+	n := 0
+	for _, w := range hits {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	cells, k := make([]uint64, n+1), 0 // one spare slot: the write below never branches
+	for i, at := range o.view.DB1 {
+		cells[k] = uint64(i)
+		k += int(hits[at>>6] >> (at & 63) & 1)
+	}
+	return cells[:n:n]
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync"
 
 	"prism/internal/modmath"
 	"prism/internal/opoly"
@@ -275,6 +276,36 @@ type OwnerView struct {
 	MaxAgg uint64
 	Group  int
 	Start  uint64
+
+	compOnce sync.Once
+	comp     perm.Perm
+	compErr  error
+}
+
+// Composite returns PF_db2 ∘ PF_db1⁻¹: Composite()[DB1[i]] = DB2[i], the
+// χ̄-order position of the cell stored at χ-order position p. It is built
+// on the first call and shared by everyone holding the view — in one
+// process, every owner engine of the group — so it costs 4 B per cell
+// once; DB1 and DB2 must not change after that call. A view whose DB1
+// or DB2 is not a permutation of its B cells has no composite.
+func (v *OwnerView) Composite() (perm.Perm, error) {
+	v.compOnce.Do(func() {
+		for i, p := range []perm.Perm{v.DB1, v.DB2} {
+			if uint64(len(p)) != v.B {
+				v.compErr = fmt.Errorf("params: owner view's DB%d has %d entries for B = %d cells", i+1, len(p), v.B)
+				return
+			}
+			if err := p.Validate(); err != nil {
+				v.compErr = fmt.Errorf("params: owner view's DB%d: %w", i+1, err)
+				return
+			}
+		}
+		v.comp = make(perm.Perm, len(v.DB1))
+		for i, at := range v.DB1 {
+			v.comp[at] = v.DB2[i]
+		}
+	})
+	return v.comp, v.compErr
 }
 
 // ServerView is what server φ (0-based index) receives. Group is the

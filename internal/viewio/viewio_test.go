@@ -31,7 +31,7 @@ func TestViewRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if owner.M != 3 || owner.B != 64 || owner.Eta != sys.Eta {
-		t.Errorf("owner view corrupted: %+v", owner)
+		t.Errorf("owner view corrupted: %+v", &owner)
 	}
 	if !owner.DB1.Equal(sys.Quad.DB1) {
 		t.Error("PF_db1 corrupted")

@@ -34,10 +34,7 @@ func (s *System) run(ctx context.Context, ow *Owner, req Request) *Response {
 	case ownerengine.FamilySet:
 		resp.Set = &SetResult{Cells: res.Cells, Stats: stats}
 		if len(res.Cells) > 0 { // an empty answer keeps its nil Values
-			resp.Set.Values = make([]string, len(res.Cells))
-		}
-		for i, c := range res.Cells {
-			resp.Set.Values[i] = s.cfg.Domain.Label(c)
+			resp.Set.Values = s.cfg.Domain.labels(res.Cells)
 		}
 	case ownerengine.FamilyCount:
 		resp.Count = &CountResult{Count: res.Count, Stats: stats}
