@@ -86,6 +86,15 @@ func (l *frameLog) digest() string {
 // and the last group.
 func goldenOwner(t *testing.T, groups int) (*Owner, *frameLog) {
 	t.Helper()
+	o, _, log := goldenPair(t, groups)
+	return o, log
+}
+
+// goldenPair is goldenOwner with the deployment's other owner, wired
+// straight to the servers and loaded with its own tuples, so that both
+// owners can outsource and owner 0 can query.
+func goldenPair(t *testing.T, groups int) (*Owner, *Owner, *frameLog) {
+	t.Helper()
 	const b = 48
 	multi, err := params.GenerateGroups(params.Config{
 		NumOwners: 2, DomainSize: b, MaxAgg: 1000, Seed: prg.SeedFromString("golden-owner"),
@@ -121,7 +130,21 @@ func goldenOwner(t *testing.T, groups int) (*Owner, *frameLog) {
 	if err := o.Load(d); err != nil {
 		t.Fatal(err)
 	}
-	return o, log
+	peer, err := New(1, cfgs, n, 8, prg.SeedFromString("golden-peer-seed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := &Data{
+		Cells: []uint64{3, 40, 9, 9, 22, 46, 47, 17},
+		Aggs: map[string][]uint64{
+			"v": {8, 2, 600, 1, 4, 999, 5, 71},
+			"w": {3, 3, 3, 3, 3, 3, 3, 3},
+		},
+	}
+	if err := peer.Load(pd); err != nil {
+		t.Fatal(err)
+	}
+	return o, peer, log
 }
 
 // goldenSteps outsources table "t" with every column kind and its bucket
@@ -161,6 +184,49 @@ func TestGoldenOwnerFrames(t *testing.T) {
 		goldenSteps(t, o)
 		if got := log.digest(); got != goldenOwnerDigests[groups] {
 			t.Errorf("%d groups: frames sha256 %s, want %s", groups, got, goldenOwnerDigests[groups])
+		}
+	}
+}
+
+// goldenQueryDigests are the frame digests of
+// TestGoldenOwnerQueryFrames by group count: every request owner 0 sends for a verified PSI, count, PSU, sum
+// and average over windows of 8 cells. A change here changes the
+// queries' frames: their selector shares, the stream those are drawn
+// from, or the layout that carries them.
+var goldenQueryDigests = map[int]string{
+	1: "ad0adab6f7375ba5c08521a16c3625e7a7c5526080c29f43d07b2d0db519d1a1",
+	2: "e9dd4c16219d343869229dade913f79a57b8592d86162772fa35875360f6b1ee",
+}
+
+// TestGoldenOwnerQueryFrames pins every frame a seeded owner sends for
+// one query of each non-extreme family, verified where the kind is, on
+// one and two groups.
+func TestGoldenOwnerQueryFrames(t *testing.T) {
+	ctx := context.Background()
+	spec := OutsourceSpec{Table: "t", AggCols: []string{"v", "w"}, Verify: true, WithCount: true}
+	for _, groups := range []int{1, 2} {
+		o, peer, log := goldenPair(t, groups)
+		for _, owner := range []*Owner{o, peer} {
+			if _, err := owner.Outsource(ctx, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log.mu.Lock()
+		log.frames = nil
+		log.mu.Unlock()
+		for _, q := range []Query{
+			{Kind: OpPSI, Table: "t", Verify: true},
+			{Kind: OpPSICount, Table: "t", Verify: true},
+			{Kind: OpPSU, Table: "t"},
+			{Kind: OpPSISum, Table: "t", Cols: []string{"v"}, Verify: true},
+			{Kind: OpPSIAvg, Table: "t", Cols: []string{"w"}, Verify: true},
+		} {
+			if _, err := o.Exec(ctx, q, nil); err != nil {
+				t.Fatalf("%d groups: %s: %v", groups, q.Kind, err)
+			}
+		}
+		if got := log.digest(); got != goldenQueryDigests[groups] {
+			t.Errorf("%d groups: query frames sha256 %s, want %s", groups, got, goldenQueryDigests[groups])
 		}
 	}
 }
