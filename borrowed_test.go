@@ -8,16 +8,17 @@ import (
 	"prism/internal/transport"
 )
 
-// TestConformanceBorrowedFrames runs the in-memory conformance shapes of
-// one and two groups, whole-table and windowed, verified, with every
-// released frame poisoned: a share vector read after its frame went back
-// to the pool would read 0xFF… cells and fail the oracle or the
-// verification. After every cell no frame may still be held. The cells
-// run one at a time, since the count is the process's.
+// TestConformanceBorrowedFrames runs the conformance shapes of one and
+// two groups, in memory and on disk, whole-table and windowed, verified,
+// with every released frame poisoned: a share vector read after its
+// frame went back to the pool would read 0xFF… cells and fail the oracle
+// or the verification. After every cell no frame — borrowed, or laid and
+// not yet sent — may still be held. The cells run one at a time, since
+// the count is the process's.
 func TestConformanceBorrowedFrames(t *testing.T) {
 	defer transport.PoisonReleasedFrames()()
 	for _, sh := range shapes {
-		if sh.storage != "mem" || sh.groups > 2 {
+		if sh.groups > 2 {
 			continue
 		}
 		t.Run(sh.name(), func(t *testing.T) {

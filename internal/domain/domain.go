@@ -101,10 +101,9 @@ func (d *Domain) Label(cell uint64) string {
 }
 
 // Labels renders the values at cells, parallel to cells: Label at each.
-// An integer domain writes every label into one buffer and cuts each out
-// of the one string it makes; between close ascending cells it advances
-// the previous label's digits like an odometer instead of formatting the
-// value anew. So an answer of k cells costs three allocations, not k.
+// An integer domain writes every label into one buffer, through an
+// Odometer, and cuts each out of the one string it makes. So an answer
+// of k cells costs three allocations, not k.
 func (d *Domain) Labels(cells []uint64) []string {
 	out := make([]string, len(cells))
 	if d.names != nil {
@@ -115,18 +114,13 @@ func (d *Domain) Labels(cells []uint64) []string {
 	}
 	widths := make([]uint8, len(cells)) // a uint64 has at most 20 digits
 	var (
-		sb   strings.Builder
-		buf  [20]byte
-		prev uint64
+		sb  strings.Builder
+		od  Odometer
+		buf [20]byte
 	)
 	sb.Grow(len(cells) * len(strconv.AppendUint(buf[:0], d.hi, 10)))
-	digits := buf[:0] // the previous label
 	for i, c := range cells {
-		v := d.lo + c
-		if len(digits) == 0 || v <= prev || v-prev > odometerReach || !advance(digits, v-prev) {
-			digits = strconv.AppendUint(digits[:0], v, 10)
-		}
-		prev = v
+		digits := od.Next(d.lo + c)
 		sb.Write(digits)
 		widths[i] = uint8(len(digits))
 	}
@@ -138,9 +132,28 @@ func (d *Domain) Labels(cells []uint64) []string {
 	return out
 }
 
-// odometerReach is the largest step between consecutive labels that
-// Labels takes by advancing digits; a larger one is formatted anew.
+// Odometer writes a run of numbers in decimal, fastest when they ascend
+// in small steps, as the cells of an answer do: between close ascending
+// numbers it advances the previous number's digits like an odometer
+// instead of formatting the next anew. The zero Odometer is ready.
+type Odometer struct {
+	buf  [20]byte // the previous number's digits, buf[:n]
+	n    int
+	prev uint64
+}
+
+// odometerReach is the largest step between consecutive numbers that an
+// Odometer takes by advancing digits; a larger one is formatted anew.
 const odometerReach = 1 << 12
+
+// Next returns v's decimal digits, valid until the next call.
+func (o *Odometer) Next(v uint64) []byte {
+	if o.n == 0 || v < o.prev || v-o.prev > odometerReach || !advance(o.buf[:o.n], v-o.prev) {
+		o.n = len(strconv.AppendUint(o.buf[:0], v, 10))
+	}
+	o.prev = v
+	return o.buf[:o.n]
+}
 
 // advance adds delta to the decimal number digits in place, reporting
 // false (digits then garbled) when the sum needs one more digit.

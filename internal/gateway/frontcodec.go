@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"prism/internal/domain"
 )
 
 // appendResponse appends json.Marshal(r) to b: the same field order and
@@ -27,11 +29,12 @@ func appendResponse(b []byte, r *Response) []byte {
 	}
 	if len(r.Cells) > 0 {
 		b = append(b, `,"cells":[`...)
+		var od domain.Odometer // an answer's cells ascend
 		for i, c := range r.Cells {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendUint(b, c, 10)
+			b = append(b, od.Next(c)...)
 		}
 		b = append(b, ']')
 	}

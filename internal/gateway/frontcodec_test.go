@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"net"
 	"reflect"
@@ -48,6 +49,24 @@ func fuzzResponse(id, text string, flags uint8, n int64, data []byte) *Response 
 	return r
 }
 
+// fuzzCells is the fuzz input fuzzResponse reads as cells: each cell x
+// as a word v with v>>(v&63) = x, shifted by 6 when x < 2^58 and else
+// by 0, which needs x's low six bits clear.
+func fuzzCells(cells ...uint64) []byte {
+	var data []byte
+	for _, x := range cells {
+		v := x<<6 | 6
+		if x >= 1<<58 {
+			if x&63 != 0 {
+				panic(fmt.Sprintf("fuzzCells: %d has no encoding", x))
+			}
+			v = x
+		}
+		data = binary.LittleEndian.AppendUint64(data, v)
+	}
+	return data
+}
+
 // checkDecode holds decodeResponse to json.Unmarshal on one frame: the
 // same error-ness, the same value on success, and a fast path that only
 // takes frames encoding/json decodes to the very value it returns.
@@ -80,6 +99,18 @@ func FuzzFrontReply(f *testing.F) {
 	f.Add("\xff\xfe", "bad \xc3\x28 utf8\x00\"\\", uint8(8), int64(3), []byte(nil)) // invalid UTF-8, control bytes, quotes
 	f.Add("e", "", uint8(32), int64(-1<<63), []byte(nil))                           // empty non-nil slice and maps
 	f.Add("m", "n", uint8(8|16), int64(1<<62), bytes.Repeat([]byte{0xff}, 64))      // the widest numbers
+	// Cells through appendResponse's odometer: ascending across the
+	// carries 99→100, 999→1002 and 9999→10000, repeated, descending, and
+	// ascending at the top of the uint64 range.
+	const top = 1<<64 - 64
+	for _, cells := range [][]uint64{
+		{0, 97, 98, 99, 100, 101, 998, 999, 1002, 9998, 9999, 10000, 10001},
+		{5, 5, 5, 7, 7, 100, 100},
+		{10000, 9999, 1002, 999, 100, 99, 3, 0},
+		{top - 4096, top - 64, top},
+	} {
+		f.Add("", "", uint8(1), int64(0), fuzzCells(cells...))
+	}
 	for _, frame := range []string{
 		`{"id":"c1","ok":true,"done":true,"cells":[1,2,3],"count":3,"sums":{"DT":{"10":5,"9":4}},` +
 			`"counts":{"1":2},"extreme":{"3":4},"global":7,"queue_ms":1,"exec_ms":2}`,

@@ -54,8 +54,10 @@ func Width[T Elem](v []T) int {
 
 // Put writes v into dst at width w: len(v)·w bytes, one 64-bit store per
 // 8/w elements. Every element must fit in w bytes (w ≥ Width(v)), and
-// dst must hold len(v)·w bytes.
-func Put[T Elem](dst []byte, v []T, w int) {
+// dst must hold len(v)·w bytes. It returns the OR of v's elements, so a
+// producer that writes a vector a block at a time learns the vector's
+// width without scanning it again.
+func Put[T Elem](dst []byte, v []T, w int) (or T) {
 	dst = dst[:len(v)*w]
 	switch w {
 	case 8:
@@ -64,27 +66,33 @@ func Put[T Elem](dst []byte, v []T, w int) {
 			binary.LittleEndian.PutUint64(dst[8:16], uint64(v[1]))
 			binary.LittleEndian.PutUint64(dst[16:24], uint64(v[2]))
 			binary.LittleEndian.PutUint64(dst[24:32], uint64(v[3]))
+			or |= v[0] | v[1] | v[2] | v[3]
 		}
 	case 4:
 		for ; len(v) >= 4 && len(dst) >= 16; v, dst = v[4:], dst[16:] {
 			binary.LittleEndian.PutUint64(dst[0:8], uint64(v[0])|uint64(v[1])<<32)
 			binary.LittleEndian.PutUint64(dst[8:16], uint64(v[2])|uint64(v[3])<<32)
+			or |= v[0] | v[1] | v[2] | v[3]
 		}
 	case 2:
 		for ; len(v) >= 4 && len(dst) >= 8; v, dst = v[4:], dst[8:] {
 			binary.LittleEndian.PutUint64(dst[0:8], uint64(v[0])|uint64(v[1])<<16|uint64(v[2])<<32|uint64(v[3])<<48)
+			or |= v[0] | v[1] | v[2] | v[3]
 		}
 	case 1:
 		for ; len(v) >= 8 && len(dst) >= 8; v, dst = v[8:], dst[8:] {
 			binary.LittleEndian.PutUint64(dst[0:8], uint64(v[0])|uint64(v[1])<<8|uint64(v[2])<<16|uint64(v[3])<<24|
 				uint64(v[4])<<32|uint64(v[5])<<40|uint64(v[6])<<48|uint64(v[7])<<56)
+			or |= v[0] | v[1] | v[2] | v[3] | v[4] | v[5] | v[6] | v[7]
 		}
 	}
 	for i, x := range v {
 		for b := range w {
 			dst[i*w+b] = byte(uint64(x) >> (8 * b))
 		}
+		or |= x
 	}
+	return or
 }
 
 // Get fills dst from src at width w, the inverse of Put: one 64-bit load

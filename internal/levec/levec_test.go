@@ -63,9 +63,16 @@ func roundTrip[T Elem](t *testing.T) {
 					// Put writes exactly its len(v)·w bytes: guard bytes on
 					// both sides stay untouched.
 					buf := bytes.Repeat([]byte{0xA5}, n*w+16)
-					Put(buf[8:8+n*w], v, w)
+					or := Put(buf[8:8+n*w], v, w)
 					if want := refPut(v, w); !bytes.Equal(buf[8:8+n*w], want) {
 						t.Fatalf("%s: Put wrote %x, want %x", name, buf[8:8+n*w], want)
+					}
+					var want T
+					for _, x := range v {
+						want |= x
+					}
+					if or != want {
+						t.Fatalf("%s: Put returned OR %#x, want %#x", name, or, want)
 					}
 					if guard := bytes.Repeat([]byte{0xA5}, 8); !bytes.Equal(buf[:8], guard) || !bytes.Equal(buf[8+n*w:], guard) {
 						t.Fatalf("%s: Put wrote outside its bytes", name)

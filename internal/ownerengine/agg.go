@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"prism/internal/field"
+	"prism/internal/perm"
 	"prism/internal/protocol"
 	"prism/internal/share"
 	"prism/internal/telemetry"
+	"prism/internal/transport"
 )
 
 // Aggregate runs round 2 of the §6.1 pipeline (§6.2 over PSU): given the
@@ -38,23 +40,31 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 		}
 	}
 	sess := o.newSession("agg")
+	qid := sess.qid
 
 	start := time.Now()
-	// The selector z (z_c = 1 for each selected c) is built in stored
-	// order: c sits at DB1[c] on the χ side and DB2[c] on the χ̄ side. The
-	// splitter only reads it, so the χ̄ selector reuses the buffer.
-	zStored := make([]uint64, b)
-	for _, c := range selected {
-		zStored[o.view.DB1[c]] = 1
-	}
-	zShares := share.ShamirSplitVector(sess.rng, zStored, 1, 3)
-	var vzShares [][]uint64
-	if verify {
-		clear(zStored)
-		for _, c := range selected {
-			zStored[o.view.DB2[c]] = 1
+	windows := o.plan(protocol.Range{Count: b})
+	request := func(rg protocol.Range) protocol.AggRequest {
+		req := protocol.AggRequest{Table: table, QueryID: qid, TraceID: tid, Group: o.view.Group, Shard: rg,
+			Cols: cols, WithCount: withCount, Z: protocol.Reserve[uint64]()}
+		if verify {
+			req.VZ = protocol.Reserve[uint64]()
 		}
-		vzShares = share.ShamirSplitVector(sess.rng, zStored, 1, 3)
+		return req
+	}
+	reqs, err := o.laySelectors(sess, windows, request, selected, verify)
+	// A request forEachShard never handed to the transport goes back here.
+	defer func() {
+		for _, w := range reqs {
+			for _, l := range w {
+				if l != nil {
+					l.Release()
+				}
+			}
+		}
+	}()
+	if err != nil {
+		return nil, err
 	}
 	ownerNS := time.Since(start).Nanoseconds()
 
@@ -84,24 +94,17 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 		}
 	}
 
-	qid := sess.qid
+	window := make(map[uint64]int, len(windows)) // by offset
+	for w, rg := range windows {
+		window[rg.Offset] = w
+	}
 	var stats QueryStats
 	stats.Rounds = 1
-	err := o.forEachShard(ctx, o.plan(protocol.Range{Count: b}), 3, func(phi int, rg protocol.Range) any {
-		req := protocol.AggRequest{
-			Table:     table,
-			QueryID:   qid,
-			Group:     o.view.Group,
-			Cols:      cols,
-			WithCount: withCount,
-			Z:         zShares[phi][rg.Offset:rg.End()],
-			TraceID:   tid,
-			Shard:     rg,
-		}
-		if verify {
-			req.VZ = vzShares[phi][rg.Offset:rg.End()]
-		}
-		return req
+	err = o.forEachShard(ctx, windows, 3, func(phi int, rg protocol.Range) any {
+		w := window[rg.Offset]
+		l := reqs[w][phi]
+		reqs[w][phi] = nil // the transport's now
+		return l
 	}, func(rg protocol.Range, replies []any) error {
 		reps := make([]protocol.AggReply, 3)
 		for phi, r := range replies {
@@ -156,6 +159,53 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 	o.finishTrace(&stats, tid, qid, wall)
 	res.Stats = stats
 	return res, nil
+}
+
+// laySelectors lays out every window's three AggRequests (request's
+// message for the window) and writes the servers' Shamir shares of the
+// selectors straight into them (§6.1 Step 3): z, 1 at each selected
+// cell's stored position DB1[c], and with verify vz, 1 at DB2[c]. The
+// shares are drawn from the session's stream in ShamirSplitVector's
+// order, every cell of z and then every cell of vz, but neither the
+// selectors nor their shares are ever vectors: a selector is a bitmap
+// over stored positions. On an error the requests laid so far are
+// returned with it, for the caller to release.
+func (o *engine) laySelectors(sess *querySession, windows []protocol.Range, request func(protocol.Range) protocol.AggRequest, selected []uint64, verify bool) ([][3]*protocol.Laid, error) {
+	reqs := make([][3]*protocol.Laid, len(windows))
+	for w, rg := range windows {
+		for phi := range reqs[w] {
+			l, err := transport.Lay(request(rg), int(rg.Count), 8)
+			if err != nil {
+				return reqs, err
+			}
+			reqs[w][phi] = l
+		}
+	}
+	sides := []perm.Perm{o.view.DB1}
+	if verify {
+		sides = append(sides, o.view.DB2)
+	}
+	bits := make([]uint64, (o.view.B+63)/64)
+	for k, at := range sides {
+		clear(bits)
+		for _, c := range selected {
+			p := at[c]
+			bits[p/64] |= 1 << (p % 64)
+		}
+		for w, rg := range windows {
+			share.ShamirSplitBits(sess.rng, bits, rg.Offset, int(rg.Count), 3, func(phi, i int, shares []field.Elem) {
+				protocol.Cells[uint64](reqs[w][phi], k).Put(i, shares)
+			})
+		}
+	}
+	for w, rg := range windows {
+		for _, l := range reqs[w] {
+			if err := l.Finish(request(rg)); err != nil {
+				return reqs, err
+			}
+		}
+	}
+	return reqs, nil
 }
 
 // mismatch checks the §5.2 copies of column pair name cell by cell —

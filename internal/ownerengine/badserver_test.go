@@ -31,6 +31,10 @@ func (s *shapeShifter) Call(_ context.Context, addr string, req any) (any, error
 		vout = nil
 	}
 	wrong := s.mode == "wrongtype"
+	if l, ok := req.(*protocol.Laid); ok { // a Caller takes a laid request over
+		defer l.Release()
+		req, _ = l.Message()
+	}
 	switch req.(type) {
 	case protocol.StoreRequest:
 		return protocol.StoreReply{Cells: uint64(s.b)}, nil

@@ -48,11 +48,16 @@ func (l *frameLog) CallBorrowed(ctx context.Context, addr string, req any) (any,
 }
 
 func (l *frameLog) log(addr string, req any) error {
-	m, err := protocol.Measure(req)
-	if err != nil {
-		return err
+	var f sentFrame
+	if laid, ok := req.(*protocol.Laid); ok {
+		f = sentFrame{addr: addr, label: laid.Label, body: slices.Clone(laid.Payload())}
+	} else {
+		m, err := protocol.Measure(req)
+		if err != nil {
+			return err
+		}
+		f = sentFrame{addr: addr, label: m.Label, body: m.AppendTo(nil)}
 	}
-	f := sentFrame{addr: addr, label: m.Label, body: m.AppendTo(nil)}
 	if r, ok := req.(protocol.StoreRequest); ok {
 		f.offset = r.Shard.Offset
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"prism/internal/protocol"
+	"prism/internal/slicepool"
 	"prism/internal/telemetry"
 )
 
@@ -207,9 +208,13 @@ func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 			return nil
 		})
 	default:
-		r1 = make([]uint32, b)
+		// Every window writes its cells of r1 and r2, and nothing reads
+		// them past this call: they are pooled, not zeroed.
+		r1 = cellBufs.Get(int(b))
+		defer cellBufs.Put(r1)
 		if q.verify {
-			r2 = make([]uint32, b)
+			r2 = cellBufs.Get(int(b))
+			defer cellBufs.Put(r2)
 		}
 		stats, err = o.setRound(ctx, q, windows, [2][]uint32{r1, r2}, nil)
 	}
@@ -226,6 +231,9 @@ func (o *engine) SetResult(ctx context.Context, q setQuery) (*Result, error) {
 	stats.OwnerNS += time.Since(start).Nanoseconds()
 	return &Result{Cells: cells, Stats: stats}, nil
 }
+
+// cellBufs recycles PSI's stored-order fop and vop vectors.
+var cellBufs slicepool.Pool[uint32]
 
 // markBits sets bit at+i of hits for every vals[i] that differs from
 // target, flipped when flip is 1: target 0, flip 0 marks PSU's nonzero

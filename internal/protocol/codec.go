@@ -187,12 +187,17 @@ func decode(b []byte, borrow bool) (any, bool, error) {
 }
 
 // encoder runs a plan twice: dry, it counts bytes and records each
-// vector's width; then it writes into a buffer of exactly that size.
+// vector's width; then it writes into a buffer of exactly that size. n
+// is the bytes passed so far in either run. With lay set, a non-nil
+// empty vector is one of the laid message's reserved vectors (laid.go).
 type encoder struct {
 	buf    []byte
 	dry    bool
 	n      int
 	widths []uint8
+	lay    *Laid
+	k      int  // reserved vectors passed
+	moved  bool // a reserved vector is not where Lay put it
 }
 
 func (e *encoder) uvarint(x uint64) {
@@ -233,6 +238,10 @@ func vectorCodec[T levec.Elem]() codec {
 }
 
 func encVector[T levec.Elem](e *encoder, v []T) {
+	if e.lay != nil && v != nil && len(v) == 0 {
+		e.reserved(elemSize[T]())
+		return
+	}
 	var w uint8
 	if e.dry {
 		w = uint8(levec.Width(v))
@@ -242,13 +251,14 @@ func encVector[T levec.Elem](e *encoder, v []T) {
 	}
 	e.uvarint(uint64(w))
 	e.uvarint(uint64(len(v)))
-	if n := len(v) * int(w); !e.dry {
+	n := len(v) * int(w)
+	if e.n += n; !e.dry {
 		e.buf = e.buf[:len(e.buf)+n]
 		levec.Put(e.buf[len(e.buf)-n:], v, int(w))
-	} else {
-		e.n += n
 	}
 }
+
+func elemSize[T levec.Elem]() int { return int(reflect.TypeFor[T]().Size()) }
 
 func encVectorMap(e *encoder, v reflect.Value) {
 	m := v.Interface().(map[string][]uint64)
@@ -340,7 +350,7 @@ func (d *decoder) scalar(v reflect.Value) {
 
 // decVector reads one vector; nil when it is empty or the input is bad.
 func decVector[T levec.Elem](d *decoder) []T {
-	size := uint64(reflect.TypeFor[T]().Size())
+	size := uint64(elemSize[T]())
 	w := d.uvarint()
 	if w == 0 || w&(w-1) != 0 || w > size {
 		d.fail(fmt.Sprintf("vector width %d for %T", w, []T(nil)))

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prism/internal/levec"
 	"prism/internal/modmath"
 	"prism/internal/params"
 	"prism/internal/perm"
@@ -101,6 +102,9 @@ type Engine struct {
 
 	powTab   []uint32      // g^e mod η' for e ∈ [0, δ); η' < 2^32 (params.CheckEtaPrime)
 	modDelta modmath.Mod32 // division-free reduction mod δ
+	// psiWidth and psuWidth are the widths a laid reply declares for its
+	// cells: those of η′−1 (PSI, count) and of δ−1 (PSU).
+	psiWidth, psuWidth int
 
 	mu sync.RWMutex
 	// tables maps a name to its table, registered by the first
@@ -280,6 +284,8 @@ func New(v *params.ServerView, opts Options) *Engine {
 		opts:       opts,
 		powTab:     modmath.PowTable(v.G, v.Delta, v.EtaPrime),
 		modDelta:   modmath.NewMod32(v.Delta),
+		psiWidth:   levec.Width([]uint32{uint32(v.EtaPrime - 1)}),
+		psuWidth:   levec.Width([]uint16{uint16(v.Delta - 1)}),
 		tables:     make(map[string]*table),
 		pending:    make(map[string]map[int]*pendingStore),
 		storeMarks: make(map[string]map[int]uploadMark),
@@ -380,8 +386,21 @@ func requestGroup(req any) (int, bool) {
 	return 0, false
 }
 
-// Handle implements transport.Handler.
+// Handle implements transport.Handler: HandleLaid, its laid replies
+// decoded into ordinary messages.
 func (e *Engine) Handle(ctx context.Context, req any) (any, error) {
+	reply, err := e.HandleLaid(ctx, req)
+	if l, ok := reply.(*protocol.Laid); ok {
+		defer l.Release()
+		return l.Message()
+	}
+	return reply, err
+}
+
+// HandleLaid implements transport.LayingHandler: the set and aggregation
+// rounds answer with laid frames, every reply vector written once,
+// straight into the frame that carries it.
+func (e *Engine) HandleLaid(ctx context.Context, req any) (any, error) {
 	if g, ok := requestGroup(req); ok && g != e.opts.Group {
 		return nil, fmt.Errorf("server %d (group %d): request targets group %d", e.view.Index, e.opts.Group, g)
 	}
@@ -531,8 +550,8 @@ type setAsk struct {
 // owner sum of χ — in stored order, or of the PF_s1-permuted vector —
 // turned into PSU's masked sums (§7, Equation 18) or PSI's out vector
 // (§5.1 Step 2) and, with verify, PSI's χ̄ side of the same window, both
-// read from the one table snapshot. PSI's reply is a PSIReply, or a
-// CountReply when permuted.
+// read from the one table snapshot and written into the laid reply
+// (setMsg).
 func (e *Engine) setReply(a setAsk) (any, error) {
 	rpcStart := time.Now()
 	if e.view.Index >= 2 {
@@ -552,40 +571,79 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 	if a.verify && !t.spec.HasVerify {
 		return nil, fmt.Errorf("server %d: table %q lacks verification columns", e.view.Index, a.table)
 	}
-	var stats protocol.Stats
+	w := e.psiWidth
 	if a.typ == "psu" {
-		out, err := setSide(e, t, rg, false, a.permuted, &stats, func(sum []uint16) []uint16 {
-			return e.psuMasked(sum, rg, a.qid, &stats)
-		})
-		if err != nil {
-			return nil, err
+		w = e.psuWidth
+	}
+	var stats protocol.Stats
+	return e.fill(setMsg(a, stats), int(rg.Count), w, func(l *protocol.Laid) (any, error) {
+		if a.typ == "psu" {
+			err := setSide(e, t, rg, false, a.permuted, &stats, func(sum []uint16) {
+				e.psuMasked(protocol.Cells[uint16](l, 0), sum, rg, a.qid, &stats)
+			})
+			if err != nil {
+				return nil, err
+			}
+		} else {
+			// One side's fetch is held at a time. Permuted, Out and Vout
+			// align under PF_i (Equation 1); in stored order the owner
+			// aligns them (Equation 10).
+			sides := []bool{false}
+			if a.verify {
+				sides = append(sides, true)
+			}
+			for k, bar := range sides {
+				err := setSide(e, t, rg, bar, a.permuted, &stats, func(sum []uint16) {
+					e.psiVector(protocol.Cells[uint32](l, k), sum, !bar, &stats)
+				})
+				if err != nil {
+					return nil, err
+				}
+			}
 		}
 		e.finishQuery(a.typ, a.trace, rpcStart, &stats)
-		return protocol.PSUReply{Out: out, Stats: stats}, nil
+		return setMsg(a, stats), nil
+	})
+}
+
+// setMsg is the set round's reply to a, its vectors reserved: a
+// PSUReply, a PSIReply with Vout when verified, or the same as a
+// CountReply when permuted.
+func setMsg(a setAsk, stats protocol.Stats) any {
+	if a.typ == "psu" {
+		return protocol.PSUReply{Out: protocol.Reserve[uint16](), Stats: stats}
 	}
-	psi := func(bar bool) ([]uint32, error) {
-		return setSide(e, t, rg, bar, a.permuted, &stats, func(sum []uint16) []uint32 {
-			return e.psiVector(sum, !bar, &stats)
-		})
+	rep := protocol.PSIReply{Out: protocol.Reserve[uint32](), Stats: stats}
+	if a.verify {
+		rep.Vout = protocol.Reserve[uint32]()
 	}
-	var rep protocol.PSIReply
-	if rep.Out, err = psi(false); err != nil {
+	if a.permuted {
+		return protocol.CountReply(rep)
+	}
+	return rep
+}
+
+// fill lays msg out for its n-cell vectors at width w, runs produce —
+// which writes every reserved vector and returns the message to finish
+// the frame with — and returns the laid reply. On an error or a panic
+// the frame goes back to the pool.
+func (e *Engine) fill(msg any, n, w int, produce func(l *protocol.Laid) (any, error)) (reply any, err error) {
+	l, err := transport.Lay(msg, n, w)
+	if err != nil {
+		return nil, fmt.Errorf("server %d: %w", e.view.Index, err)
+	}
+	defer func() {
+		if reply == nil {
+			l.Release()
+		}
+	}()
+	if msg, err = produce(l); err != nil {
 		return nil, err
 	}
-	if a.verify {
-		// The χ shares are out of scope by now: one side's fetch is held
-		// at a time. Permuted, Out and Vout align under PF_i (Equation 1);
-		// in stored order the owner aligns them (Equation 10).
-		if rep.Vout, err = psi(true); err != nil {
-			return nil, err
-		}
+	if err := l.Finish(msg); err != nil {
+		return nil, err
 	}
-	e.finishQuery(a.typ, a.trace, rpcStart, &stats)
-	rep.Stats = stats
-	if a.permuted {
-		return protocol.CountReply(rep), nil
-	}
-	return rep, nil
+	return l, nil
 }
 
 // setSide runs kernel over window rg of the owner sum of the χ side
@@ -593,7 +651,7 @@ func (e *Engine) setReply(a setAsk) (any, error) {
 // Permuted, rg indexes the PF_s1- (χ) or PF_s2- (χ̄) permuted vector and
 // the fetch gathers the stored cells idx = pf⁻¹[rg] behind it, whatever
 // the window's size. Otherwise rg names stored cells.
-func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, stats *protocol.Stats, kernel func(sum []uint16) O) (O, error) {
+func setSide(e *Engine, t *tableView, rg protocol.Range, bar, permuted bool, stats *protocol.Stats, kernel func(sum []uint16)) error {
 	var idx []uint32
 	var pf perm.Perm
 	if permuted {
@@ -605,16 +663,15 @@ func setSide[O any](e *Engine, t *tableView, rg protocol.Range, bar, permuted bo
 		inv.once.Do(func() { inv.inv = pf.Inverse() })
 		idx = inv.inv[rg.Offset:rg.End()]
 	}
-	var out O
 	sum, borrowed, err := ownerSum[uint16](e, t, chiCol(bar), rg, idx, pf, stats)
 	if err != nil {
-		return out, err
+		return err
 	}
-	out = kernel(sum)
+	kernel(sum)
 	if borrowed {
 		release(e, sum)
 	}
-	return out, nil
+	return nil
 }
 
 // ---- aggregation round 2 (§6.1 Step 4, Equation 11) ----
@@ -651,45 +708,63 @@ func (e *Engine) handleAgg(r protocol.AggRequest) (any, error) {
 	if r.WithCount && !t.spec.HasCount {
 		return nil, fmt.Errorf("server %d: table %q has no count column", e.view.Index, r.Table)
 	}
-	var stats protocol.Stats
-	reply := protocol.AggReply{Sums: make(map[string][]uint64)}
-	if verify {
-		reply.VSums = make(map[string][]uint64)
-	}
-
-	// One (main, verification) column pair per sum column, the count
-	// column's last: the main column summed under z, its §5.2 twin under
-	// the independent selector vz.
-	pairs := make([][2]string, 0, len(r.Cols)+1)
-	for _, col := range r.Cols {
-		pairs = append(pairs, [2]string{"sum." + col, "vsum." + col})
+	// The reply's vectors in the codec's walk order: the sums by sorted
+	// column, the count, then their §5.2 twins likewise. Each main column
+	// is summed under z, each verification column under the independent
+	// selector vz.
+	cols := slices.Clone(r.Cols)
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
+	main, ver := make([]string, 0, len(cols)+1), make([]string, 0, len(cols)+1)
+	for _, col := range cols {
+		main, ver = append(main, "sum."+col), append(ver, "vsum."+col)
 	}
 	if r.WithCount {
-		pairs = append(pairs, [2]string{"cnt", "vcnt"})
+		main, ver = append(main, "cnt"), append(ver, "vcnt")
 	}
-	for i, p := range pairs {
-		acc, err := e.sumColumn(t, p[0], r.Z, rg, &stats)
-		if err != nil {
-			return nil, err
-		}
-		var vacc []uint64
-		if verify {
-			if vacc, err = e.sumColumn(t, p[1], r.VZ, rg, &stats); err != nil {
-				return nil, err
+	type side struct {
+		cols []string
+		z    []uint64
+	}
+	sides := []side{{main, r.Z}}
+	if verify {
+		sides = append(sides, side{ver, r.VZ})
+	}
+	var stats protocol.Stats
+	return e.fill(aggMsg(cols, r.WithCount, verify, stats), int(rg.Count), 8, func(l *protocol.Laid) (any, error) {
+		k := 0
+		for _, side := range sides {
+			for _, col := range side.cols {
+				if err := e.sumColumn(protocol.Cells[uint64](l, k), t, col, side.z, rg, &stats); err != nil {
+					return nil, err
+				}
+				k++
 			}
 		}
-		if i == len(r.Cols) {
-			reply.Counts, reply.VCounts = acc, vacc
-			continue
-		}
-		reply.Sums[r.Cols[i]] = acc
+		e.finishQuery("agg", r.TraceID, rpcStart, &stats)
+		return aggMsg(cols, r.WithCount, verify, stats), nil
+	})
+}
+
+// aggMsg is the aggregation reply over cols, its vectors reserved.
+func aggMsg(cols []string, withCount, verify bool, stats protocol.Stats) protocol.AggReply {
+	rep := protocol.AggReply{Sums: make(map[string][]uint64, len(cols)), Stats: stats}
+	if verify {
+		rep.VSums = make(map[string][]uint64, len(cols))
+	}
+	for _, col := range cols {
+		rep.Sums[col] = protocol.Reserve[uint64]()
 		if verify {
-			reply.VSums[r.Cols[i]] = vacc
+			rep.VSums[col] = protocol.Reserve[uint64]()
 		}
 	}
-	e.finishQuery("agg", r.TraceID, rpcStart, &stats)
-	reply.Stats = stats
-	return reply, nil
+	if withCount {
+		rep.Counts = protocol.Reserve[uint64]()
+		if verify {
+			rep.VCounts = protocol.Reserve[uint64]()
+		}
+	}
+	return rep
 }
 
 // ---- max/min/median transport (§6.3 Step 4) ----

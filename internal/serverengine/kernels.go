@@ -11,54 +11,64 @@ import (
 	"prism/internal/protocol"
 )
 
-// The per-cell arithmetic of the query handlers, as functions of slices
-// alone. Each reads one owner-summed vector — the fetch layer has added
-// the M owners' columns already (ownerSum) — and computes cells [lo, hi)
-// of a window whose vectors are window-relative, writing cell i's result
-// to out[i]: one sequential loop. A reply permuted by PF_s is no kernel
-// mode; the fetch has gathered its cells into reply order already.
+// The per-cell arithmetic of the query handlers. Each kernel reads one
+// owner-summed vector — the fetch layer has added the M owners' columns
+// already (ownerSum) — and computes cells [lo, hi) of a window whose
+// vectors are window-relative, writing cell i's result as cell i of out,
+// a reserved vector of the laid reply (transport.Lay): one sequential
+// loop, a block of kernelBlock cells at a time computed on the stack and
+// put into the frame. A reply permuted by PF_s is no kernel mode; the
+// fetch has gathered its cells into reply order already.
 
-// kernelBlock cells of PSU masks are drawn per PRG call (2 KiB).
+// kernelBlock cells are computed per block; a block of PSU masks is
+// drawn per PRG call (2 KiB).
 const kernelBlock = 1024
 
 // psiKernel computes g^((sum[i] + lift) mod δ) mod η' per cell by table
 // lookup (§5.1 Step 2), where sum[i] = Σ_j A(x_j)_i mod δ and lift is
 // δ ⊖ A(m), or 0 on the verification side.
-func psiKernel(out []uint32, sum []uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
-	src := sum[lo:hi]
-	dst := out[lo:hi]
-	dst = dst[:len(src)]
-	for i, s := range src {
-		dst[i] = powTab[md.Reduce(uint32(s)+lift)]
+func psiKernel(out protocol.Vector[uint32], sum []uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
+	var blk [kernelBlock]uint32
+	for base := lo; base < hi; base += kernelBlock {
+		src := sum[base:min(base+kernelBlock, hi)]
+		dst := blk[:len(src)]
+		for i, s := range src {
+			dst[i] = powTab[md.Reduce(uint32(s)+lift)]
+		}
+		out.Put(base, dst)
 	}
 }
 
 // psuKernel computes sum[i] · rand[i] mod δ per cell (§7, Equation 18),
 // drawing each block's masks rand[i] ∈ [1, δ-1] from g in bulk; g must be
 // positioned at cell lo's mask.
-func psuKernel(out []uint16, sum []uint16, lo, hi int, g *prg.PRG, delta uint64, md modmath.Mod32) {
+func psuKernel(out protocol.Vector[uint16], sum []uint16, lo, hi int, g *prg.PRG, delta uint64, md modmath.Mod32) {
+	var rnd, blk [kernelBlock]uint16
 	for base := lo; base < hi; base += kernelBlock {
-		end := min(base+kernelBlock, hi)
-		var rnd [kernelBlock]uint16
-		src := sum[base:end]
+		src := sum[base:min(base+kernelBlock, hi)]
 		masks := rnd[:len(src)]
 		g.FillRange1(masks, delta)
-		dst := out[base:end]
-		dst = dst[:len(src)]
+		dst := blk[:len(src)]
 		for i, s := range src {
 			dst[i] = uint16(md.Reduce(uint32(s) * uint32(masks[i])))
 		}
+		out.Put(base, dst)
 	}
 }
 
 // sumKernel computes out_i = z_i · sum_i in F_p per cell, sum_i being
 // Σ_j col_j,i — the linear rearrangement of Equation 11 (§6.1 Step 4):
 // one multiplication per cell whatever the owner count.
-func sumKernel(out, sum, z []uint64, lo, hi int) {
-	dst, s, zb := out[lo:hi], sum[lo:hi], z[lo:hi]
-	s, zb = s[:len(dst)], zb[:len(dst)]
-	for i := range dst {
-		dst[i] = field.Mul(s[i], zb[i])
+func sumKernel(out protocol.Vector[uint64], sum, z []uint64, lo, hi int) {
+	var blk [kernelBlock]uint64
+	for base := lo; base < hi; base += kernelBlock {
+		s := sum[base:min(base+kernelBlock, hi)]
+		zb := z[base : base+len(s)]
+		dst := blk[:len(s)]
+		for i := range dst {
+			dst[i] = field.Mul(s[i], zb[i])
+		}
+		out.Put(base, dst)
 	}
 }
 
@@ -102,38 +112,36 @@ func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// psiVector runs psiKernel over the (window-relative) owner sum on the
-// worker pool and accounts its time.
-func (e *Engine) psiVector(sum []uint16, subtractM bool, stats *protocol.Stats) []uint32 {
+// psiVector runs psiKernel over the (window-relative) owner sum into
+// out on the worker pool and accounts its time.
+func (e *Engine) psiVector(out protocol.Vector[uint32], sum []uint16, subtractM bool, stats *protocol.Stats) {
 	var lift uint32
 	if subtractM {
 		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
 	}
 	start := time.Now()
 	n := len(sum)
-	out := make([]uint32, n)
 	e.parallel(n, func(lo, hi int) {
 		psiKernel(out, sum, lo, hi, e.powTab, e.modDelta, lift)
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
-	return out
 }
 
-// psuMasked runs psuKernel for the window rg of one reply vector; the
-// owner sum is window-relative (position k of the window reads sum[k]).
-// Masks are derived per fixed-size block of reply positions — stored
-// cells, or positions of the PF_s1-permuted vector — from the shared
-// seed and the query id, so both servers produce identical rand[]
-// regardless of thread counts or window boundaries; boundary blocks
-// fast-forward their stream to the window's first position, which makes
-// every window agree cell for cell with the one-window reply.
-func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, stats *protocol.Stats) []uint16 {
-	delta := e.view.Delta
-	out := make([]uint16, rg.Count)
+// psuMasked runs psuKernel into out for the window rg of one reply
+// vector; the owner sum is window-relative (position k of the window
+// reads sum[k]). Masks are derived per fixed-size block of reply
+// positions — stored cells, or positions of the PF_s1-permuted vector —
+// from the shared seed and the query id, so both servers produce
+// identical rand[] regardless of thread counts or window boundaries;
+// boundary blocks fast-forward their stream to the window's first
+// position, which makes every window agree cell for cell with the
+// one-window reply.
+func (e *Engine) psuMasked(out protocol.Vector[uint16], sum []uint16, rg protocol.Range, qid string, stats *protocol.Stats) {
 	if rg.Count == 0 {
-		return out // zero-cell table: rg.End()-1 below would wrap
+		return // zero-cell table: rg.End()-1 below would wrap
 	}
+	delta := e.view.Delta
 	start := time.Now()
 	firstBlk := int(rg.Offset / psuBlock)
 	lastBlk := int((rg.End() - 1) / psuBlock)
@@ -153,26 +161,25 @@ func (e *Engine) psuMasked(sum []uint16, rg protocol.Range, qid string, stats *p
 	})
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += int(rg.Count)
-	return out
 }
 
 // sumColumn fetches the owners' summed shares of col for the stored cells
-// in rg and runs sumKernel over them: acc_i = S(z_i) · Σ_j S(col_i)_j
-// (servers multiply the selector share into the summed column shares;
-// degree rises to 2). z is parallel to the window, not the full column.
-func (e *Engine) sumColumn(t *tableView, col string, z []uint64, rg protocol.Range, stats *protocol.Stats) ([]uint64, error) {
+// in rg and runs sumKernel over them into out: acc_i = S(z_i) · Σ_j
+// S(col_i)_j (servers multiply the selector share into the summed column
+// shares; degree rises to 2). z is parallel to the window, not the full
+// column.
+func (e *Engine) sumColumn(out protocol.Vector[uint64], t *tableView, col string, z []uint64, rg protocol.Range, stats *protocol.Stats) error {
 	sum, borrowed, err := ownerSum[uint64](e, t, col, rg, nil, nil, stats)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := int(rg.Count)
-	acc := make([]uint64, n)
 	start := time.Now()
-	e.parallel(n, func(lo, hi int) { sumKernel(acc, sum, z, lo, hi) })
+	e.parallel(n, func(lo, hi int) { sumKernel(out, sum, z, lo, hi) })
 	if borrowed {
 		release(e, sum)
 	}
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
-	return acc, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package serverengine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"prism/internal/protocol"
 	"prism/internal/share"
 	"prism/internal/sharestore"
+	"prism/internal/transport"
 )
 
 // The scalar per-cell loops the kernels replaced, kept as the reference
@@ -171,6 +173,47 @@ func fetchedSum[T sharestore.Cell](t testing.TB, e *Engine, tv *tableView, col s
 	return out
 }
 
+// laidVector lays a one-vector reply of n cells of T at T's full width,
+// as the handlers lay theirs, and returns the vector for a kernel to
+// write and a function that finishes the reply and returns the cells it
+// carries, decoded. The reply is a PSUReply for uint16 cells, a PSIReply
+// for uint32 and an AggReply's Counts for uint64.
+func laidVector[T uint16 | uint32 | uint64](t testing.TB, n int) (protocol.Vector[T], func() []T) {
+	t.Helper()
+	var msg any
+	switch any(T(0)).(type) {
+	case uint16:
+		msg = protocol.PSUReply{Out: protocol.Reserve[uint16]()}
+	case uint32:
+		msg = protocol.PSIReply{Out: protocol.Reserve[uint32]()}
+	default:
+		msg = protocol.AggReply{Counts: protocol.Reserve[uint64]()}
+	}
+	l, err := transport.Lay(msg, n, int(reflect.TypeFor[T]().Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return protocol.Cells[T](l, 0), func() []T {
+		t.Helper()
+		defer l.Release()
+		if err := l.Finish(msg); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := l.Message()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch r := rep.(type) {
+		case protocol.PSUReply:
+			return any(r.Out).([]T)
+		case protocol.PSIReply:
+			return any(r.Out).([]T)
+		default:
+			return any(r.(protocol.AggReply).Counts).([]T)
+		}
+	}
+}
+
 // check first holds the owner sums to the per-cell Σ_j mod δ (and mod
 // P), then runs every kernel over [0, n) split at the given cut points
 // and compares with the references: in stored order over the sums, and
@@ -199,23 +242,25 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 		sum    []uint16
 		shares [][]uint16
 	}{{"stored", c.sum, c.shares}, {"gathered", c.gsum, c.pshares}} {
-		psi, psu, g := make([]uint32, c.n), make([]uint16, c.n), prg.New(seed)
+		psi, psiCells := laidVector[uint32](t, c.n)
+		psu, psuCells := laidVector[uint16](t, c.n)
+		g := prg.New(seed)
 		for k := 0; k+1 < len(bounds); k++ {
 			psiKernel(psi, in.sum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
 			psuKernel(psu, in.sum, bounds[k], bounds[k+1], g, c.delta, c.md)
 		}
-		if !slices.Equal(psi, refPSI(in.shares, c.n, c.powTab, c.delta, c.mShare)) {
+		if !slices.Equal(psiCells(), refPSI(in.shares, c.n, c.powTab, c.delta, c.mShare)) {
 			t.Fatalf("psiKernel (%s) differs from reference (m=%d n=%d δ=%d cuts=%v)", in.name, c.m, c.n, c.delta, cuts)
 		}
-		if !slices.Equal(psu, refPSU(in.shares, 0, c.n, prg.New(seed), c.delta)) {
+		if !slices.Equal(psuCells(), refPSU(in.shares, 0, c.n, prg.New(seed), c.delta)) {
 			t.Fatalf("psuKernel (%s) differs from reference (m=%d n=%d δ=%d cuts=%v)", in.name, c.m, c.n, c.delta, cuts)
 		}
 	}
-	sum := make([]uint64, c.n)
+	sum, sumCells := laidVector[uint64](t, c.n)
 	for k := 0; k+1 < len(bounds); k++ {
 		sumKernel(sum, c.sumF, c.z, bounds[k], bounds[k+1])
 	}
-	if !slices.Equal(sum, refSum(c.cols, c.z)) {
+	if !slices.Equal(sumCells(), refSum(c.cols, c.z)) {
 		t.Fatalf("sumKernel differs from reference (m=%d n=%d cuts=%v)", c.m, c.n, cuts)
 	}
 }
@@ -240,9 +285,9 @@ func TestKernelsMatchReference(t *testing.T) {
 }
 
 // FuzzKernelsMatchReference drives the owner-sum builder, the overlay
-// merge and the single-vector kernels on fuzzer-chosen owner counts
-// (1 included), lengths, moduli, worker cut points, overlay entries and
-// the all-(P−1)/(δ−1) edge.
+// merge and the single-vector kernels, writing laid replies, on
+// fuzzer-chosen owner counts (1 included), lengths, moduli, worker cut
+// points, overlay entries and the all-(P−1)/(δ−1) edge.
 func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add([]byte("seed"), uint16(10), uint16(3000), uint8(1), uint16(700), false, uint8(40))
 	f.Add([]byte{}, uint16(1), uint16(0), uint8(0), uint16(0), true, uint8(0))
@@ -263,7 +308,12 @@ func FuzzKernelsMatchReference(f *testing.F) {
 
 func TestKernelsDoNotAllocate(t *testing.T) {
 	c := newKernelCase(t, prg.New(prg.SeedFromString("allocs")), 10, 3*kernelBlock+5, 113, false, 0)
-	psi, psu, sum := make([]uint32, c.n), make([]uint16, c.n), make([]uint64, c.n)
+	psi, psiCells := laidVector[uint32](t, c.n)
+	psu, psuCells := laidVector[uint16](t, c.n)
+	sum, sumCells := laidVector[uint64](t, c.n)
+	defer psiCells()
+	defer psuCells()
+	defer sumCells()
 	g := prg.New(prg.SeedFromString("allocs-masks"))
 	for name, fn := range map[string]func(){
 		"psiKernel": func() { psiKernel(psi, c.sum, 0, c.n, c.powTab, c.md, 1) },
@@ -303,10 +353,12 @@ func TestWrappersMatchReference(t *testing.T) {
 		e := kernelEngine(b, m, threads)
 		var stats protocol.Stats
 		want := refPSI(c.shares, b, e.powTab, e.view.Delta, uint64(e.view.MShare))
-		if got := e.psiVector(c.sum, true, &stats); !slices.Equal(got, want) {
+		out, got := laidVector[uint32](t, b)
+		if e.psiVector(out, c.sum, true, &stats); !slices.Equal(got(), want) {
 			t.Fatalf("threads %d: psiVector differs from reference", threads)
 		}
-		if got := e.psiVector(c.gsum, true, &stats); !slices.Equal(got, perm.Apply(c.pos, want, nil)) {
+		out, got = laidVector[uint32](t, b)
+		if e.psiVector(out, c.gsum, true, &stats); !slices.Equal(got(), perm.Apply(c.pos, want, nil)) {
 			t.Fatalf("threads %d: gathered psiVector differs from permuted reference", threads)
 		}
 		for _, rg := range windows {
@@ -315,13 +367,15 @@ func TestWrappersMatchReference(t *testing.T) {
 				win[j] = c.shares[j][rg.Offset:rg.End()]
 			}
 			want := refPSUWindow(win, rg, e.view.PSUSeed, "q7", e.view.Delta)
-			if got := e.psuMasked(c.sum[rg.Offset:rg.End()], rg, "q7", &stats); !slices.Equal(got, want) {
+			out, got := laidVector[uint16](t, int(rg.Count))
+			if e.psuMasked(out, c.sum[rg.Offset:rg.End()], rg, "q7", &stats); !slices.Equal(got(), want) {
 				t.Fatalf("threads %d: psuMasked window %+v differs from reference", threads, rg)
 			}
 		}
 		full := protocol.Range{Offset: 0, Count: b}
 		wantPSU := refPSUWindow(c.pshares, full, e.view.PSUSeed, "q8", e.view.Delta)
-		if got := e.psuMasked(c.gsum, full, "q8", &stats); !slices.Equal(got, wantPSU) {
+		psu, gotPSU := laidVector[uint16](t, b)
+		if e.psuMasked(psu, c.gsum, full, "q8", &stats); !slices.Equal(gotPSU(), wantPSU) {
 			t.Fatalf("threads %d: gathered psuMasked differs from permuted reference", threads)
 		}
 
@@ -406,7 +460,8 @@ func benchCase(b *testing.B) *kernelCase {
 
 func BenchmarkKernelPSI(b *testing.B) {
 	c := benchCase(b)
-	out := make([]uint32, c.n)
+	out, done := laidVector[uint32](b, c.n)
+	defer done()
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			psiKernel(out, c.sum, 0, c.n, c.powTab, c.md, 1)
@@ -433,7 +488,8 @@ func BenchmarkKernelPSI(b *testing.B) {
 
 func BenchmarkKernelPSU(b *testing.B) {
 	c := benchCase(b)
-	out := make([]uint16, c.n)
+	out, done := laidVector[uint16](b, c.n)
+	defer done()
 	g := prg.New(prg.SeedFromString("bench-masks"))
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -451,7 +507,8 @@ func BenchmarkKernelPSU(b *testing.B) {
 
 func BenchmarkKernelSum(b *testing.B) {
 	c := benchCase(b)
-	out := make([]uint64, c.n)
+	out, done := laidVector[uint64](b, c.n)
+	defer done()
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sumKernel(out, c.sumF, c.z, 0, c.n)

@@ -2,6 +2,7 @@ package share
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,44 @@ func TestShamirVectorMatchesScalar(t *testing.T) {
 	for i := range secrets {
 		if rec[i] != secrets[i] {
 			t.Fatalf("mismatch at %d", i)
+		}
+	}
+}
+
+// TestShamirSplitBitsMatchesVector: the bitmap split over runs of cells
+// whose ends fall inside and on split blocks gives ShamirSplitVector's
+// shares of the 0/1 vector, from the same stream, and leaves the stream
+// where ShamirSplitVector leaves it.
+func TestShamirSplitBitsMatchesVector(t *testing.T) {
+	for _, n := range []int{0, 1, splitBlock - 1, splitBlock, 3*splitBlock + 7} {
+		g := testPRG("bits-cells")
+		secrets := make([]field.Elem, n)
+		bits := make([]uint64, (n+63)/64)
+		for c := range secrets {
+			if g.Uint64()%3 == 0 {
+				secrets[c], bits[c/64] = 1, bits[c/64]|1<<(c%64)
+			}
+		}
+		ref := testPRG("bits-split")
+		want := ShamirSplitVector(ref, secrets, 1, 3)
+		next := ref.Uint64()
+		for _, cuts := range [][]int{{0, n}, {0, n / 3, n / 3, n/3 + splitBlock/2, n}} {
+			g := testPRG("bits-split")
+			got := [3][]field.Elem{make([]field.Elem, n), make([]field.Elem, n), make([]field.Elem, n)}
+			for k := 0; k+1 < len(cuts); k++ {
+				from := cuts[k]
+				ShamirSplitBits(g, bits, uint64(from), min(cuts[k+1], n)-from, 3, func(phi, i int, shares []field.Elem) {
+					copy(got[phi][from+i:], shares)
+				})
+			}
+			for phi := range got {
+				if !slices.Equal(got[phi], want[phi]) {
+					t.Fatalf("n=%d cuts %v: server %d's shares differ from ShamirSplitVector's", n, cuts, phi)
+				}
+			}
+			if g.Uint64() != next {
+				t.Fatalf("n=%d cuts %v: the stream is not where ShamirSplitVector leaves it", n, cuts)
+			}
 		}
 	}
 }

@@ -22,8 +22,8 @@ func fullWidth(n int) []uint64 {
 	return v
 }
 
-// settled waits until every frame buffer the transport read or decoded
-// is back (HeldFrames is 0), failing t if that takes longer than 5 s:
+// settled waits until every frame buffer the transport read, decoded or
+// laid is back (HeldFrames is 0), failing t if that takes longer than 5 s:
 // servers of earlier tests may still be finishing a request.
 func settled(t *testing.T) {
 	t.Helper()
@@ -173,4 +173,59 @@ func TestTCPBorrowedFramesReleased(t *testing.T) {
 			t.Fatalf("%d frames held after release", HeldFrames())
 		}
 	})
+}
+
+// laidRequest is a finished laid aggregation request of 512 selector
+// shares.
+func laidRequest(t *testing.T) *protocol.Laid {
+	t.Helper()
+	req := protocol.AggRequest{Table: "t", Z: protocol.Reserve[uint64]()}
+	l, err := Lay(req, 512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocol.Cells[uint64](l, 0).Put(0, fullWidth(512))
+	if err := l.Finish(req); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestLaidRequestsReleased: a call takes a laid request over and gives
+// its frame back on every path — sent and answered, or refused before it
+// is framed (a cancelled context, an unknown address) — on a Network
+// that frames every message, on one that does not, and over TCP; and a
+// laid request's handler reads the cells that were put.
+func TestLaidRequestsReleased(t *testing.T) {
+	settled(t)
+	defer PoisonReleasedFrames()()
+	want := fullWidth(512)
+	echo := HandlerFunc(func(_ context.Context, req any) (any, error) {
+		if r, ok := req.(protocol.AggRequest); !ok || !reflect.DeepEqual(r.Z, want) {
+			return nil, errors.New("the laid request arrived changed")
+		}
+		return protocol.PingReply{Site: "s"}, nil
+	})
+	framed, plain := NewNetwork(), NewNetwork()
+	framed.EncodeWire = true
+	framed.Register("s", echo)
+	plain.Register("s", echo)
+	tcp := NewTCPClient(map[string]string{"s": startTCP(t, echo)})
+	defer tcp.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, c := range map[string]Caller{"framed": framed, "plain": plain, "tcp": tcp} {
+		for _, call := range []struct {
+			ctx  context.Context
+			addr string
+			ok   bool
+		}{{context.Background(), "s", true}, {cancelled, "s", false}, {context.Background(), "nowhere", false}} {
+			_, release, err := c.CallBorrowed(call.ctx, call.addr, laidRequest(t))
+			if (err == nil) != call.ok {
+				t.Fatalf("%s to %q: err = %v", name, call.addr, err)
+			}
+			release()
+			settled(t)
+		}
+	}
 }

@@ -51,11 +51,11 @@ func bulkFrames() []any {
 // frameBody encodes env and returns a private copy of the frame body.
 func frameBody(t testing.TB, env *envelope) []byte {
 	t.Helper()
-	frame, err := encodeFrame(env)
+	frame, buf, err := encodeFrame(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer frameBufs.Put(frame)
+	defer frameBufs.Put(buf)
 	if got := binary.BigEndian.Uint32(frame); int(got) != len(frame)-4 {
 		t.Fatalf("length prefix %d on a %d-byte body", got, len(frame)-4)
 	}
@@ -177,7 +177,7 @@ func TestOverCapRejectedBeforeAllocation(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := encodeFrame(&envelope{ID: 1, Payload: msg})
+	_, _, err := encodeFrame(&envelope{ID: 1, Payload: msg})
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
@@ -239,18 +239,161 @@ func populated(t reflect.Type, seed int) reflect.Value {
 	return v
 }
 
+// laidForm is msg, a message of a type whose vectors are laid, as its
+// producer lays it: every vector of the length n of its first non-empty
+// one (every vector, when all are empty) a reservation, in lay with its
+// Stats cleared and in finish with them kept. cells are the reserved
+// vectors, in the codec's walk order.
+func laidForm(msg any) (lay, finish any, cells []any, n int) {
+	v := reflect.New(reflect.TypeOf(msg)).Elem()
+	v.Set(reflect.ValueOf(msg))
+	var vecs []any                 // every vector, in walk order
+	var sets []func(reflect.Value) // each one's replacement
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch f.Interface().(type) {
+		case []uint16, []uint32, []uint64:
+			vecs, sets = append(vecs, f.Interface()), append(sets, f.Set)
+		case map[string][]uint64:
+			if f.IsNil() {
+				continue
+			}
+			m := reflect.MakeMap(f.Type())
+			keys := f.MapKeys()
+			slices.SortFunc(keys, func(a, b reflect.Value) int { return strings.Compare(a.String(), b.String()) })
+			for _, k := range keys {
+				m.SetMapIndex(k, f.MapIndex(k))
+				vecs = append(vecs, f.MapIndex(k).Interface())
+				sets = append(sets, func(x reflect.Value) { m.SetMapIndex(k, x) })
+			}
+			f.Set(m)
+		}
+	}
+	n = -1
+	for _, vec := range vecs {
+		if l := reflect.ValueOf(vec).Len(); n < 0 && l > 0 {
+			n = l
+		}
+	}
+	n = max(n, 0)
+	for k, vec := range vecs {
+		if reflect.ValueOf(vec).Len() != n {
+			continue
+		}
+		cells = append(cells, vec)
+		switch vec.(type) {
+		case []uint16:
+			sets[k](reflect.ValueOf(protocol.Reserve[uint16]()))
+		case []uint32:
+			sets[k](reflect.ValueOf(protocol.Reserve[uint32]()))
+		default:
+			sets[k](reflect.ValueOf(protocol.Reserve[uint64]()))
+		}
+	}
+	finish = v.Interface()
+	if st := v.FieldByName("Stats"); st.IsValid() {
+		st.SetZero()
+	}
+	return v.Interface(), finish, cells, n
+}
+
+// putLaid writes cells as reserved vector k of l, a block of 100 cells
+// at a time.
+func putLaid(l *protocol.Laid, k int, cells any) {
+	const blk = 100
+	switch c := cells.(type) {
+	case []uint16:
+		for at := 0; at < len(c); at += blk {
+			protocol.Cells[uint16](l, k).Put(at, c[at:min(at+blk, len(c))])
+		}
+	case []uint32:
+		for at := 0; at < len(c); at += blk {
+			protocol.Cells[uint32](l, k).Put(at, c[at:min(at+blk, len(c))])
+		}
+	case []uint64:
+		for at := 0; at < len(c); at += blk {
+			protocol.Cells[uint64](l, k).Put(at, c[at:min(at+blk, len(c))])
+		}
+	}
+}
+
+// checkLaid holds the laid encode of env's payload, when its type is one
+// a round lays, to the ordinary one: laid at its cells' full width and
+// at the widest of its vectors' widths, its reserved vectors put from
+// env's cells and finished with env's Stats, the payload is Measure +
+// AppendTo's bytes and its frame encodeFrame's, and every buffer goes
+// back.
+func checkLaid(t *testing.T, env *envelope) {
+	switch env.Payload.(type) {
+	case protocol.PSIReply, protocol.CountReply, protocol.PSUReply, protocol.AggReply, protocol.AggRequest:
+	default:
+		return
+	}
+	m, err := protocol.Measure(env.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.AppendTo(nil)
+	wantFrame := frameBody(t, &envelope{ID: env.ID, Payload: env.Payload})
+	held := HeldFrames()
+	lay, finish, cells, n := laidForm(env.Payload)
+	full, widest := 0, 1
+	for _, c := range cells {
+		v := reflect.ValueOf(c)
+		full = int(v.Type().Elem().Size())
+		for i := range v.Len() {
+			for widest < full && v.Index(i).Uint()>>(8*widest) != 0 {
+				widest *= 2
+			}
+		}
+	}
+	for _, w := range []int{full, widest} {
+		if w == 0 {
+			continue // nothing reserved
+		}
+		l, err := Lay(lay, n, w)
+		if err != nil {
+			t.Fatalf("Lay %T at width %d: %v", lay, w, err)
+		}
+		for k, c := range cells {
+			putLaid(l, k, c)
+		}
+		if err := l.Finish(finish); err != nil {
+			t.Fatalf("Finish %T at width %d: %v", finish, w, err)
+		}
+		if !bytes.Equal(l.Payload(), want) {
+			t.Fatalf("laid %T at width %d:\n got %x\nwant %x", finish, w, l.Payload(), want)
+		}
+		frame, buf, err := encodeFrame(&envelope{ID: env.ID, Payload: l})
+		if err != nil {
+			t.Fatalf("framing a laid %T: %v", finish, err)
+		}
+		if !bytes.Equal(frame[4:], wantFrame) || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
+			t.Fatalf("laid %T at width %d frames as %x, want %x", finish, w, frame, wantFrame)
+		}
+		frameBufs.Put(buf)
+	}
+	if HeldFrames() != held {
+		t.Fatalf("%d frames held after laying, want %d", HeldFrames(), held)
+	}
+}
+
 // FuzzFrameCodec feeds arbitrary frame bodies to the decoder. It must
 // never panic, the borrowing decode must return what the copying one
 // does (the same envelope or the same error), every failure must be one
 // of the two typed errors, and
 // whatever it accepts must re-encode to a frame that decodes to the same
-// envelope and encodes to the same bytes again. Seeded with one
-// populated frame per protocol.Messages() entry, whose vectors hold two
-// elements, and with vectors of over 300 at every width, which reach
-// the width scan's block loop and the packer's word loops; the
-// AggRequest among them is borrowed at width 8 and copied below it. Last
-// come a populated AggRequest's frame under the version byte of every
-// other epoch, which must be refused whole.
+// envelope and encodes to the same bytes again; laid, a payload of a
+// type whose vectors are laid must come out the same bytes (checkLaid).
+// Seeded with one populated frame per protocol.Messages() entry, whose
+// vectors hold two elements, and with vectors of over 300 at every
+// width, which reach the width scan's block loop and the packer's word
+// loops; the AggRequest among them is borrowed at width 8 and copied
+// below it. Then come laid payloads whose vectors are narrower than
+// their cells (width-1 PSI cells, width-4 field shares), empty, or
+// followed by Stats whose spans overflow the room Lay leaves. Last come
+// a populated AggRequest's frame under the version byte of every other
+// epoch, which must be refused whole.
 func FuzzFrameCodec(f *testing.F) {
 	for i, msg := range protocol.Messages() {
 		f.Add(frameBody(f, &envelope{ID: 3, Payload: populated(reflect.TypeOf(msg), i).Interface()}))
@@ -267,6 +410,26 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(frameBody(f, &envelope{ID: 5, Payload: protocol.PSIReply{Out: u32, Vout: u32[:257]}}))
 		f.Add(frameBody(f, &envelope{ID: 6, Payload: protocol.PSUReply{Out: u16}}))
 		f.Add(frameBody(f, &envelope{ID: 7, Payload: protocol.AggRequest{Table: "t", Cols: []string{"DT"}, Z: u64, VZ: u64[:257]}}))
+	}
+	narrow := make([]uint64, 300)
+	for i := range narrow {
+		narrow[i] = uint64(i) * 0x9E3779B9 >> 32 // width 4
+	}
+	spans := make([]protocol.Span, 3)
+	for i := range spans {
+		spans[i] = protocol.Span{Name: "server:compute", Site: "g0/s1", StartNS: 1 << 60, DurNS: 1 << 40, Note: "sub-query 7"}
+	}
+	for _, msg := range []any{
+		protocol.PSIReply{Out: []uint32{1, 2, 255, 0}, Vout: []uint32{3, 4, 5, 6}}, // width 1
+		protocol.CountReply{Out: []uint32{1 << 20, 1}, Vout: []uint32{3, 4}},       // one vector wider
+		protocol.AggReply{Sums: map[string][]uint64{"DT": narrow}, VSums: map[string][]uint64{"DT": narrow[:300]}},
+		protocol.AggRequest{Table: "t", Cols: []string{"DT"}, Z: narrow, VZ: narrow},
+		protocol.PSIReply{}, protocol.PSUReply{Out: []uint16{}}, protocol.AggRequest{Table: "t"},
+		protocol.AggReply{Sums: map[string][]uint64{"DT": nil}, Counts: nil},
+		protocol.PSIReply{Out: []uint32{1 << 31, 7}, Stats: protocol.Stats{Cells: 2, Spans: spans}},
+		protocol.AggReply{Counts: []uint64{1 << 63}, VCounts: []uint64{1}, Stats: protocol.Stats{Spans: spans}},
+	} {
+		f.Add(frameBody(f, &envelope{ID: 9, Payload: msg}))
 	}
 	f.Add(frameBody(f, &envelope{Err: "transport: frame exceeds size limit"}))
 	f.Add([]byte{})
@@ -298,6 +461,7 @@ func FuzzFrameCodec(f *testing.F) {
 		if !bytes.Equal(frameBody(t, again), frame) {
 			t.Fatal("an accepted frame does not re-encode to the same bytes twice")
 		}
+		checkLaid(t, env)
 	})
 }
 
@@ -343,14 +507,14 @@ func BenchmarkFrameCodec(b *testing.B) {
 		b.Run(f.name, func(b *testing.B) {
 			env := &envelope{ID: 1, Payload: f.msg}
 			for range b.N {
-				frame, err := encodeFrame(env)
+				frame, buf, err := encodeFrame(env)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if _, _, err := decodeFrame(frame[4:], true); err != nil {
 					b.Fatal(err)
 				}
-				frameBufs.Put(frame)
+				frameBufs.Put(buf)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/cell")
 		})

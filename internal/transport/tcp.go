@@ -90,28 +90,92 @@ var frameBufs slicepool.Pool[byte]
 //	         the payload: its type index and value (protocol.Measure)
 //
 // The payload is measured before anything is written, so a message over
-// the cap fails before its buffer is allocated. The frame comes from the
-// pool: hand it to frameBufs.Put after the last use. Callers on a shared
-// connection encode first and take the write lock only for the byte
-// copy, so a large frame never blocks cheap ones.
-func encodeFrame(env *envelope) ([]byte, error) {
+// the cap fails before its buffer is allocated. A laid payload
+// (*protocol.Laid, see Lay) is not copied: its header goes into the room
+// in front of it, and encodeFrame takes its buffer over, releasing it if
+// the frame fails. frame is what goes on the wire; it lies in buf, a
+// pooled buffer: hand buf to frameBufs.Put after the last use. Callers on
+// a shared connection encode first and take the write lock only for the
+// byte copy, so a large frame never blocks cheap ones.
+func encodeFrame(env *envelope) (frame, buf []byte, err error) {
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(append(hdr[:0], frameVersion), env.ID)
+	h = append(binary.AppendUvarint(h, uint64(len(env.Err))), env.Err...)
+	if l, ok := env.Payload.(*protocol.Laid); ok {
+		return encodeLaid(h, l)
+	}
 	start := time.Now()
 	msg, err := protocol.Measure(env.Payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var hdr [1 + 2*binary.MaxVarintLen64]byte
-	h := binary.AppendUvarint(append(hdr[:0], frameVersion), env.ID)
-	h = binary.AppendUvarint(h, uint64(len(env.Err)))
-	n := len(h) + len(env.Err) + msg.Size
+	n := len(h) + msg.Size
 	if int64(n) > FrameLimit() {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+		return nil, nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
 	b := frameBufs.Get(4 + n)[:4]
 	binary.BigEndian.PutUint32(b, uint32(n))
-	b = msg.AppendTo(append(append(b, h...), env.Err...))
+	b = msg.AppendTo(append(b, h...))
 	observeFrame(msg.Label, int64(n), time.Since(start))
-	return b, nil
+	return b, b, nil
+}
+
+// encodeLaid frames a laid payload where it lies, behind the frame
+// header h.
+func encodeLaid(h []byte, l *protocol.Laid) (frame, buf []byte, err error) {
+	buf, head := l.Detach()
+	heldFrames.Add(-1) // an encoded frame now, no longer a laid one
+	n := len(h) + len(buf) - head
+	if int64(n) > FrameLimit() || 4+len(h) > head {
+		frameBufs.Put(buf)
+		return nil, nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+	}
+	at := head - len(h) - 4
+	binary.BigEndian.PutUint32(buf[at:], uint32(n))
+	copy(buf[at+4:], h)
+	observeFrame(l.Label, int64(n), 0)
+	return buf[at:], buf, nil
+}
+
+// laidHead is the room a laid frame leaves in front of its payload: the
+// length prefix, the version byte, the longest request id and the
+// length of an empty error string. A laid payload travels without an
+// error string.
+const laidHead = 4 + 1 + binary.MaxVarintLen64 + 1
+
+// laidFrames lends laid messages their frame buffers (protocol.FramePool),
+// counted in heldFrames until they are framed or released.
+type laidFrames struct{}
+
+// Frame refuses a payload whose frame would pass the cap even behind the
+// shortest header, before anything is allocated.
+func (laidFrames) Frame(size, room int) ([]byte, int, error) {
+	if n := 3 + size; int64(n) > FrameLimit() {
+		return nil, 0, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+	}
+	heldFrames.Add(1)
+	return frameBufs.Get(laidHead + size + room), laidHead, nil
+}
+
+func (laidFrames) Release(buf []byte) { putFrame(buf) }
+
+// Lay lays msg out in a frame buffer for n-cell vectors at width w
+// (protocol.Lay): its producer writes the reserved vectors straight
+// into the frame that will carry them, then calls Finish. A payload over
+// the frame cap fails here with ErrFrameTooLarge. A laid message is
+// held (HeldFrames) until a Call or a LayingHandler's reply hands it to
+// the transport, which sends it without copying and releases it on every
+// path, or until its holder releases it.
+func Lay(msg any, n, w int) (*protocol.Laid, error) {
+	return protocol.Lay(msg, n, w, laidFrames{})
+}
+
+// dropLaid releases v if it is a laid message the transport will not
+// send.
+func dropLaid(v any) {
+	if l, ok := v.(*protocol.Laid); ok {
+		l.Release()
+	}
 }
 
 // decodeFrame is encodeFrame's inverse on a frame body (the bytes after
@@ -210,12 +274,12 @@ func putFrame(buf []byte) {
 // runs before any byte hits the wire, so an oversized envelope leaves
 // the stream untouched.
 func writeFrame(w io.Writer, env *envelope) error {
-	b, err := encodeFrame(env)
+	frame, buf, err := encodeFrame(env)
 	if err != nil {
 		return err
 	}
-	defer frameBufs.Put(b)
-	_, err = w.Write(b)
+	defer frameBufs.Put(buf)
+	_, err = w.Write(frame)
 	return err
 }
 
@@ -336,7 +400,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			out := dispatch(ctx, h, req, o.logf)
-			frame, eerr := encodeFrame(out)
+			frame, buf, eerr := encodeFrame(out)
 			// Handle has returned (or panicked) and its reply, which may
 			// alias the request, is encoded: the request frame goes back.
 			release()
@@ -344,7 +408,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 				// Nothing touched the wire; downgrade an oversized or
 				// unencodable reply to an error envelope the caller can
 				// observe instead of a dead stream.
-				frame, eerr = encodeFrame(&envelope{ID: req.ID, Err: eerr.Error()})
+				frame, buf, eerr = encodeFrame(&envelope{ID: req.ID, Err: eerr.Error()})
 				if eerr != nil {
 					o.logf("transport: serve %s: encoding error reply %d: %v", conn.RemoteAddr(), req.ID, eerr)
 					return
@@ -353,7 +417,7 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler, o serveOptions) {
 			wmu.Lock()
 			_, werr := conn.Write(frame)
 			wmu.Unlock()
-			frameBufs.Put(frame)
+			frameBufs.Put(buf)
 			if werr != nil {
 				o.logf("transport: serve %s: writing reply %d: %v", conn.RemoteAddr(), req.ID, werr)
 			}
@@ -371,11 +435,20 @@ func dispatch(ctx context.Context, h Handler, req *envelope, logf func(string, .
 			out = &envelope{ID: req.ID, Err: fmt.Sprintf("transport: handler panic: %v", p)}
 		}
 	}()
-	reply, err := h.Handle(ctx, req.Payload)
+	reply, err := handle(ctx, h, req.Payload)
 	if err != nil {
 		return &envelope{ID: req.ID, Err: err.Error()}
 	}
 	return &envelope{ID: req.ID, Payload: reply}
+}
+
+// handle runs h on req through HandleLaid where h has it, so the reply
+// may be a laid frame.
+func handle(ctx context.Context, h Handler, req any) (any, error) {
+	if lh, ok := h.(LayingHandler); ok {
+		return lh.HandleLaid(ctx, req)
+	}
+	return h.Handle(ctx, req)
 }
 
 // ---- client ----
@@ -450,6 +523,12 @@ func (c *TCPClient) CallBorrowed(ctx context.Context, addr string, req any) (any
 }
 
 func (c *TCPClient) call(ctx context.Context, addr string, req any, borrow bool) (any, func(), error) {
+	owned := true // a laid req is ours to release until encodeFrame takes it
+	defer func() {
+		if owned {
+			dropLaid(req)
+		}
+	}()
 	target, ok := c.lookup(addr)
 	if !ok {
 		return nil, noRelease, fmt.Errorf("transport: unknown address %q", addr)
@@ -499,7 +578,8 @@ func (c *TCPClient) call(ctx context.Context, addr string, req any, borrow bool)
 	// Encode outside the write token so a large request never blocks
 	// other callers' sends. An unencodable or oversized request is
 	// rejected here, before any byte touches the shared stream.
-	frame, err := encodeFrame(&envelope{ID: id, Payload: req})
+	owned = false
+	frame, buf, err := encodeFrame(&envelope{ID: id, Payload: req})
 	if err != nil {
 		unregister()
 		return nil, noRelease, fmt.Errorf("transport: send to %q: %w", addr, err)
@@ -509,11 +589,11 @@ func (c *TCPClient) call(ctx context.Context, addr string, req any, borrow bool)
 	select {
 	case tc.wtok <- struct{}{}:
 	case <-ctx.Done():
-		frameBufs.Put(frame)
+		frameBufs.Put(buf)
 		unregister()
 		return nil, noRelease, ctx.Err()
 	case <-tc.done:
-		frameBufs.Put(frame)
+		frameBufs.Put(buf)
 		unregister()
 		return nil, noRelease, fmt.Errorf("transport: send to %q: %w", addr, tc.closeErr)
 	}
@@ -532,7 +612,7 @@ func (c *TCPClient) call(ctx context.Context, addr string, req any, borrow bool)
 		}
 	})
 	_, werr := tc.conn.Write(frame)
-	frameBufs.Put(frame)
+	frameBufs.Put(buf)
 	wdmu.Lock()
 	written = true
 	wdmu.Unlock()

@@ -33,11 +33,22 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"prism/internal/protocol"
 )
 
 // Handler processes one request and produces a reply.
 type Handler interface {
 	Handle(ctx context.Context, req any) (any, error)
+}
+
+// A LayingHandler is a Handler whose HandleLaid answers as Handle does,
+// except that a reply may be a laid frame (*protocol.Laid, see Lay),
+// returned with a nil error. The transports call HandleLaid where a
+// handler has it and send such a reply without copying it.
+type LayingHandler interface {
+	Handler
+	HandleLaid(ctx context.Context, req any) (any, error)
 }
 
 // HandlerFunc adapts a function to the Handler interface.
@@ -47,6 +58,8 @@ type HandlerFunc func(ctx context.Context, req any) (any, error)
 func (f HandlerFunc) Handle(ctx context.Context, req any) (any, error) { return f(ctx, req) }
 
 // Caller issues a request to a logical address and awaits the reply.
+// A request may be a laid frame (*protocol.Laid, see Lay): the call takes
+// it over, sends it without copying and releases it on every path.
 // Call's reply shares no memory with a frame. CallBorrowed's may: the
 // full-width share vectors of a borrowed message type (protocol.
 // DecodeBorrowing) point into the frame the reply was decoded from, which
@@ -133,17 +146,26 @@ func (n *Network) call(ctx context.Context, addr string, req any, borrow bool) (
 	h, ok := n.handlers[addr]
 	n.mu.RUnlock()
 	if !ok {
+		dropLaid(req)
 		return nil, noRelease, fmt.Errorf("transport: no handler at %q", addr)
 	}
 	if err := ctx.Err(); err != nil {
+		dropLaid(req)
 		return nil, noRelease, err
 	}
 	done, err := n.acquireSlot(ctx, addr)
 	if err != nil {
+		dropLaid(req)
 		return nil, noRelease, err
 	}
 	defer done()
 	if !n.EncodeWire {
+		if l, ok := req.(*protocol.Laid); ok {
+			req, err = l.Message()
+			if l.Release(); err != nil {
+				return nil, noRelease, err
+			}
+		}
 		reply, err := h.Handle(ctx, req)
 		return reply, noRelease, err
 	}
@@ -152,7 +174,7 @@ func (n *Network) call(ctx context.Context, addr string, req any, borrow bool) (
 		return nil, noRelease, fmt.Errorf("transport: encoding request for %q: %w", addr, err)
 	}
 	defer releaseReq()
-	reply, err := h.Handle(ctx, rt)
+	reply, err := handle(ctx, h, rt)
 	if err != nil {
 		return nil, noRelease, err
 	}
@@ -172,7 +194,7 @@ func (n *Network) PeakFrameBytes() int64 { return n.peakFrame.Load() }
 // transport would — borrowing when borrow is set — enforcing the same
 // frame cap and recording the peak size.
 func (n *Network) roundTrip(v any, borrow bool) (any, func(), error) {
-	frame, err := encodeFrame(&envelope{Payload: v})
+	frame, buf, err := encodeFrame(&envelope{Payload: v})
 	if err != nil {
 		return nil, noRelease, err
 	}
@@ -184,7 +206,7 @@ func (n *Network) roundTrip(v any, borrow bool) (any, func(), error) {
 		}
 	}
 	heldFrames.Add(1) // the frame is now one read off the wire
-	out, release, err := openFrame(frame, 4, borrow)
+	out, release, err := openFrame(buf, len(buf)-len(frame)+4, borrow)
 	if err != nil {
 		return nil, noRelease, err
 	}
