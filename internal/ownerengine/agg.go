@@ -7,6 +7,7 @@ import (
 
 	"prism/internal/field"
 	"prism/internal/perm"
+	"prism/internal/prg"
 	"prism/internal/protocol"
 	"prism/internal/share"
 	"prism/internal/telemetry"
@@ -52,7 +53,7 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 		}
 		return req
 	}
-	reqs, err := o.laySelectors(sess, windows, request, selected, verify)
+	reqs, err := o.laySelectors(sess.rng, windows, request, selected, verify)
 	// A request forEachShard never handed to the transport goes back here.
 	defer func() {
 		for _, w := range reqs {
@@ -165,12 +166,12 @@ func (o *engine) Aggregate(ctx context.Context, table string, selected []uint64,
 // message for the window) and writes the servers' Shamir shares of the
 // selectors straight into them (§6.1 Step 3): z, 1 at each selected
 // cell's stored position DB1[c], and with verify vz, 1 at DB2[c]. The
-// shares are drawn from the session's stream in ShamirSplitVector's
+// shares are drawn from rng, the session's stream, in ShamirSplitVector's
 // order, every cell of z and then every cell of vz, but neither the
 // selectors nor their shares are ever vectors: a selector is a bitmap
 // over stored positions. On an error the requests laid so far are
 // returned with it, for the caller to release.
-func (o *engine) laySelectors(sess *querySession, windows []protocol.Range, request func(protocol.Range) protocol.AggRequest, selected []uint64, verify bool) ([][3]*protocol.Laid, error) {
+func (o *engine) laySelectors(rng *prg.PRG, windows []protocol.Range, request func(protocol.Range) protocol.AggRequest, selected []uint64, verify bool) ([][3]*protocol.Laid, error) {
 	reqs := make([][3]*protocol.Laid, len(windows))
 	for w, rg := range windows {
 		for phi := range reqs[w] {
@@ -193,7 +194,7 @@ func (o *engine) laySelectors(sess *querySession, windows []protocol.Range, requ
 			bits[p/64] |= 1 << (p % 64)
 		}
 		for w, rg := range windows {
-			share.ShamirSplitBits(sess.rng, bits, rg.Offset, int(rg.Count), 3, func(phi, i int, shares []field.Elem) {
+			share.ShamirSplitBits(rng, bits, rg.Offset, int(rg.Count), func(phi, i int, shares []field.Elem) {
 				protocol.Cells[uint64](reqs[w][phi], k).Put(i, shares)
 			})
 		}

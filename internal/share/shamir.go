@@ -112,15 +112,15 @@ func ShamirSplitVector(g *prg.PRG, secrets []field.Elem, d, n int) [][]field.Ele
 	return out
 }
 
-// ShamirSplitBits is ShamirSplitVector(g, secrets, 1, servers) over the
-// cells from, from+1, …, from+n−1 of a 0/1 secret vector held as a
-// bitmap — cell c is bit c%64 of bits[c/64] — without building a vector
-// of secrets or shares: put(φ, i, shares) gets server φ's shares of the
+// ShamirSplitBits is ShamirSplitVector(g, secrets, 1, 3) over the cells
+// from, from+1, …, from+n−1 of a 0/1 secret vector held as a bitmap —
+// cell c is bit c%64 of bits[c/64] — without building a vector of
+// secrets or shares: put(φ, i, shares) gets server φ's shares of the
 // cells from+i, from+i+1, … a block at a time, in a buffer it must not
 // keep. The draws from g are ShamirSplitVector's, so consecutive calls
 // over consecutive runs of cells give the shares one call over all of
 // them would.
-func ShamirSplitBits(g *prg.PRG, bits []uint64, from uint64, n, servers int, put func(phi, i int, shares []field.Elem)) {
+func ShamirSplitBits(g *prg.PRG, bits []uint64, from uint64, n int, put func(phi, i int, shares []field.Elem)) {
 	var coef, secrets, shares [splitBlock]field.Elem
 	for base := 0; base < n; base += splitBlock {
 		m := min(splitBlock, n-base)
@@ -129,7 +129,7 @@ func ShamirSplitBits(g *prg.PRG, bits []uint64, from uint64, n, servers int, put
 			c := from + uint64(base+i)
 			secrets[i] = bits[c/64] >> (c % 64) & 1
 		}
-		for φ := 0; φ < servers; φ++ {
+		for φ := 0; φ < 3; φ++ {
 			field.MulAddVec(shares[:m], coef[:m], field.Elem(φ+1), secrets[:m])
 			put(φ, base, shares[:m])
 		}

@@ -236,7 +236,7 @@ func TestShamirSplitBitsMatchesVector(t *testing.T) {
 			got := [3][]field.Elem{make([]field.Elem, n), make([]field.Elem, n), make([]field.Elem, n)}
 			for k := 0; k+1 < len(cuts); k++ {
 				from := cuts[k]
-				ShamirSplitBits(g, bits, uint64(from), min(cuts[k+1], n)-from, 3, func(phi, i int, shares []field.Elem) {
+				ShamirSplitBits(g, bits, uint64(from), min(cuts[k+1], n)-from, func(phi, i int, shares []field.Elem) {
 					copy(got[phi][from+i:], shares)
 				})
 			}

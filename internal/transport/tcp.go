@@ -123,10 +123,13 @@ func encodeFrame(env *envelope) (frame, buf []byte, err error) {
 // encodeLaid frames a laid payload where it lies, behind the frame
 // header h.
 func encodeLaid(h []byte, l *protocol.Laid) (frame, buf []byte, err error) {
+	if 4+len(h) > laidHead {
+		panic("transport: a laid payload travels without an error string")
+	}
 	buf, head := l.Detach()
 	heldFrames.Add(-1) // an encoded frame now, no longer a laid one
 	n := len(h) + len(buf) - head
-	if int64(n) > FrameLimit() || 4+len(h) > head {
+	if int64(n) > FrameLimit() {
 		frameBufs.Put(buf)
 		return nil, nil, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
