@@ -18,8 +18,8 @@ import (
 // AppendTo's bytes of the message with its vectors filled in: a vector
 // that turns out narrower than w makes Finish re-encode the message the
 // ordinary way, and fields that outgrow the room Lay left after the
-// last vector (a traced reply's spans) move the payload to a larger
-// buffer first.
+// last vector (a traced reply's spans) grow the buffer as an append
+// does.
 
 // tailRoom is what Lay leaves past the payload for the fields after the
 // last reserved vector to grow into by Finish: a reply's Stats without
@@ -160,19 +160,7 @@ func (l *Laid) Finish(msg any) error {
 	if dry.moved || dry.k != len(l.vecs) {
 		return fmt.Errorf("protocol: laid %s changed before its last reserved vector", l.Label)
 	}
-	if l.head+dry.n > cap(l.buf) { // the tail outgrew its room
-		buf, head, err := l.pool.Frame(dry.n, 0)
-		if err != nil {
-			return err
-		}
-		end := 0
-		if len(l.vecs) > 0 {
-			end = l.vecs[len(l.vecs)-1].off + l.n*l.w
-		}
-		copy(buf[head:], l.buf[l.head:l.head+end])
-		l.pool.Release(l.buf)
-		l.buf, l.head = buf, head
-	}
+	// Fields past the room Lay left grow the buffer as any append does.
 	e := encoder{buf: l.buf[:l.head], widths: dry.widths, lay: l}
 	l.encode(&e, msg)
 	l.buf = e.buf

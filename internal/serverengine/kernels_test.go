@@ -1,6 +1,7 @@
 package serverengine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -521,4 +522,69 @@ func BenchmarkKernelSum(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
+}
+
+// TestLaidRepliesAreCanonical: every reply HandleLaid lays — PSI and
+// count with and without their proof, PSU in stored and permuted order,
+// aggregation over one and two columns with counts and proof — is, byte
+// for byte, the ordinary encoding of the message it decodes to: over
+// the whole table and over windows of 1 and 37 cells, where cells
+// narrower than the declared width are likely (η′ = 2951 declares 2
+// bytes, δ = 113 one) and the aggregation's selector is all zero, and
+// traced, when the reply's spans outgrow the room left for its Stats.
+func TestLaidRepliesAreCanonical(t *testing.T) {
+	const b, m = 4096, 3
+	e := kernelEngine(b, m, 2)
+	g := prg.New(prg.SeedFromString("laid-replies"))
+	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"c", "d"}, HasVerify: true, HasCount: true}
+	u16 := func() []uint16 { v := make([]uint16, b); g.FillUint16(v, 113); return v }
+	u64 := func() []uint64 { v := make([]uint64, b); g.Fill(v, field.P); return v }
+	ctx := context.Background()
+	for j := 0; j < m; j++ {
+		if _, err := e.Handle(ctx, protocol.StoreRequest{Owner: j, Spec: spec, ChiAdd: u16(), ChiBarAdd: u16(),
+			SumCols: map[string][]uint64{"c": u64(), "d": u64()}, VSumCols: map[string][]uint64{"c": u64(), "d": u64()},
+			CountCol: u64(), VCountCol: u64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rg := range []protocol.Range{{}, {Offset: 7, Count: 1}, {Offset: b - 37, Count: 37}} {
+		n := rg.Count
+		if n == 0 { // the zero range is the whole table
+			n = b
+		}
+		zero, z := make([]uint64, n), u64()[:n]
+		for _, req := range []any{
+			protocol.PSIRequest{Table: "t", Shard: rg},
+			protocol.PSIRequest{Table: "t", Shard: rg, Verify: true},
+			protocol.CountRequest{Table: "t", Shard: rg, Verify: true},
+			protocol.PSURequest{Table: "t", QueryID: "q", Shard: rg},
+			protocol.PSURequest{Table: "t", QueryID: "q", Shard: rg, Permute: true},
+			protocol.AggRequest{Table: "t", Shard: rg, Cols: []string{"d"}, Z: z},
+			protocol.AggRequest{Table: "t", Shard: rg, Cols: []string{"d", "c", "d"}, WithCount: true, Z: z, VZ: z},
+			protocol.AggRequest{Table: "t", Shard: rg, Cols: []string{"c"}, Z: zero, VZ: zero},
+			protocol.PSIRequest{Table: "t", Shard: rg, Verify: true, TraceID: "traced"},
+			protocol.AggRequest{Table: "t", Shard: rg, Cols: []string{"c"}, Z: z, TraceID: "traced"},
+		} {
+			rep, err := e.HandleLaid(ctx, req)
+			if err != nil {
+				t.Fatalf("%T over %+v: %v", req, rg, err)
+			}
+			l, ok := rep.(*protocol.Laid)
+			if !ok {
+				t.Fatalf("%T over %+v: a %T, not a laid reply", req, rg, rep)
+			}
+			msg, err := l.Message()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := protocol.Measure(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(l.Payload(), want.AppendTo(nil)) {
+				t.Fatalf("%T over %+v: the laid reply is not the ordinary encoding of its message", req, rg)
+			}
+			l.Release()
+		}
+	}
 }
