@@ -321,10 +321,11 @@ func TestLaidFramesReleasedOnEveryPath(t *testing.T) {
 					if _, ok := req.(protocol.AggRequest); ok {
 						once.Do(func() { close(arrived) })
 						select {
-						case <-ctx.Done():
+						case <-ctx.Done(): // the owner's own context, in process
+							return nil, ctx.Err()
 						case <-done:
+							return nil, errors.New("held until the owner gave up")
 						}
-						return nil, errors.New("held until the owner gave up")
 					}
 					return eng.HandleLaid(ctx, req)
 				})
