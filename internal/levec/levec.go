@@ -55,8 +55,8 @@ func Width[T Elem](v []T) int {
 // Put writes v into dst at width w: len(v)·w bytes, one 64-bit store per
 // 8/w elements. Every element must fit in w bytes (w ≥ Width(v)), and
 // dst must hold len(v)·w bytes. It returns the OR of v's elements, so a
-// producer that writes a vector a block at a time learns the vector's
-// width without scanning it again.
+// producer that writes a vector a block at a time can check its cells
+// against w without scanning them again.
 func Put[T Elem](dst []byte, v []T, w int) (or T) {
 	dst = dst[:len(v)*w]
 	switch w {

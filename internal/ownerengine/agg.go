@@ -213,20 +213,16 @@ func (o *engine) laySelectors(rng *prg.PRG, windows []protocol.Range, request fu
 // main[DB1[i]] against ver[DB2[i]] — and names the first cell in
 // natural order where they differ. The pass runs in stored order, one
 // random read per cell: stored cell p's verification copy sits at
-// comp[p]. Only a failure rescans in natural order, to name its cell.
+// comp[p]. Only a failure rescans, in natural order (failure), to name
+// its cell.
 func (o *engine) mismatch(name string, main, ver []uint64) error {
 	comp := o.comp[:len(main)]
 	for p, v := range main {
-		if v == ver[comp[p]] {
-			continue
+		if v != ver[comp[p]] {
+			return o.failure(name, "differs between main and verification copies", func(p1, p2 uint32) bool {
+				return main[p1] != ver[p2]
+			})
 		}
-		db2 := o.view.DB2
-		for i, at := range o.view.DB1 {
-			if main[at] != ver[db2[i]] {
-				return fmt.Errorf("%w: %s cell %d differs between main and verification copies", ErrVerificationFailed, name, i)
-			}
-		}
-		return fmt.Errorf("%w: a %s cell differs between main and verification copies", ErrVerificationFailed, name) // DB1 or DB2 changed under comp
 	}
 	return nil
 }

@@ -258,7 +258,7 @@ func markBits(hits []uint64, at uint64, vals []uint32, target uint32, flip uint6
 // positions. With r2 it also checks r1·r2 ≡ 1 at every cell (Equation
 // 10) in stored order: stored χ cell p holds the cell whose χ̄ side sits
 // at comp[p], so each check is one random read. A failure is named by
-// the first failing cell in natural order, which psiFailure rescans for.
+// the first failing cell in natural order, which failure rescans for.
 func (o *engine) psiHits(r1, r2 []uint32) ([]uint64, error) {
 	red, one := o.modEta, uint32(1%o.view.Eta)
 	hits := make([]uint64, (len(r1)+63)/64)
@@ -271,23 +271,27 @@ func (o *engine) psiHits(r1, r2 []uint32) ([]uint64, error) {
 		comp := o.comp[lo:][:len(seg)]
 		for p, v := range seg {
 			if red.Reduce(uint64(v)*uint64(r2[comp[p]])) != one {
-				return nil, o.psiFailure(r1, r2)
+				return nil, o.failure("PSI", "fails r1·r2 ≡ 1", func(p1, p2 uint32) bool {
+					return red.Reduce(uint64(r1[p1])*uint64(r2[p2])) != one
+				})
 			}
 		}
 	}
 	return hits, nil
 }
 
-// psiFailure names the first natural cell i failing r1·r2 ≡ 1: r1 holds
-// it at DB1[i], r2 at DB2[i]. It runs only once psiHits saw a failure.
-func (o *engine) psiFailure(r1, r2 []uint32) error {
-	red, one, db2 := o.modEta, uint32(1%o.view.Eta), o.view.DB2
+// failure names the first natural cell i that fails a §5.2 check, once
+// a stored-order pass (psiHits, mismatch) has seen one: bad reports a
+// failure at main position DB1[i] and verification position DB2[i].
+// subject and fails word the error, "PSI cell 7 fails r1·r2 ≡ 1".
+func (o *engine) failure(subject, fails string, bad func(p1, p2 uint32) bool) error {
+	db2 := o.view.DB2
 	for i, at := range o.view.DB1 {
-		if red.Reduce(uint64(r1[at])*uint64(r2[db2[i]])) != one {
-			return fmt.Errorf("%w: PSI cell %d fails r1·r2 ≡ 1", ErrVerificationFailed, i)
+		if bad(at, db2[i]) {
+			return fmt.Errorf("%w: %s cell %d %s", ErrVerificationFailed, subject, i, fails)
 		}
 	}
-	return fmt.Errorf("%w: a PSI cell fails r1·r2 ≡ 1", ErrVerificationFailed) // DB1 or DB2 changed under comp
+	return fmt.Errorf("%w: a %s cell %s", ErrVerificationFailed, subject, fails) // DB1 or DB2 changed under comp
 }
 
 // cellsOf undoes PF_db1 over a stored-order hit bitmap: cell i is

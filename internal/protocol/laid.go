@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 
 	"prism/internal/levec"
 )
@@ -14,12 +13,14 @@ import (
 // carries them. Lay lays a message out with each reserved vector — a
 // non-nil empty vector, Reserve's — given n cells at a declared width
 // w; the producer writes the cells through Cells; Finish writes the rest
-// of the message around them. The payload is then exactly Measure +
-// AppendTo's bytes of the message with its vectors filled in: a vector
-// that turns out narrower than w makes Finish re-encode the message the
-// ordinary way, and fields that outgrow the room Lay left after the
-// last vector (a traced reply's spans) grow the buffer as an append
-// does.
+// of the message around them. Every reserved vector travels at width w,
+// whatever its cells turn out to need — the decoder takes any width up
+// to the element's size — so the payload's length follows from the
+// message's shape alone and a reply's size says nothing of its cells.
+// It is Measure + AppendTo's bytes of the message with its vectors
+// filled in whenever every vector needs all of w. Fields that outgrow
+// the room Lay left after the last vector (a traced reply's spans) grow
+// the buffer as an append does.
 
 // tailRoom is what Lay leaves past the payload for the fields after the
 // last reserved vector to grow into by Finish: a reply's Stats without
@@ -52,7 +53,6 @@ type Laid struct {
 	index int
 	n, w  int
 	vecs  []laidVec
-	bits  []atomic.Uint64 // per reserved vector, the OR of its cells
 }
 
 // laidVec is one reserved vector: where its cells start in the payload
@@ -80,7 +80,6 @@ func Lay(msg any, n, w int, pool FramePool) (*Laid, error) {
 			return nil, fmt.Errorf("protocol: width %d for %d-byte cells", w, v.size)
 		}
 	}
-	l.bits = make([]atomic.Uint64, len(l.vecs))
 	buf, head, err := pool.Frame(e.n, tailRoom)
 	if err != nil {
 		return nil, err
@@ -102,7 +101,7 @@ func (e *encoder) reserved(size int) {
 	e.uvarint(uint64(l.w))
 	e.uvarint(uint64(l.n))
 	switch {
-	case l.bits == nil: // Lay's run
+	case l.buf == nil: // Lay's run
 		l.vecs = append(l.vecs, laidVec{off: e.n, size: size})
 	case e.k >= len(l.vecs) || l.vecs[e.k] != laidVec{off: e.n, size: size}:
 		e.moved = true
@@ -119,7 +118,6 @@ func (e *encoder) reserved(size int) {
 type Vector[T levec.Elem] struct {
 	cells []byte
 	w     int
-	bits  *atomic.Uint64
 }
 
 // Cells returns reserved vector k of l, counted in walk order. T is the
@@ -129,25 +127,21 @@ func Cells[T levec.Elem](l *Laid, k int) Vector[T] {
 	if v.size != elemSize[T]() {
 		panic(fmt.Sprintf("protocol: reserved vector %d of %s holds %d-byte cells, not %T", k, l.Label, v.size, T(0)))
 	}
-	return Vector[T]{cells: l.buf[l.head+v.off:][:l.n*l.w], w: l.w, bits: &l.bits[k]}
+	return Vector[T]{cells: l.buf[l.head+v.off:][:l.n*l.w], w: l.w}
 }
 
 // Put writes cells as the vector's cells at, at+1, …: one levec.Put at
 // the declared width. Producers may Put disjoint cells concurrently.
 func (v Vector[T]) Put(at int, cells []T) {
-	or := uint64(levec.Put(v.cells[at*v.w:], cells, v.w))
-	if v.w < 8 && or>>(8*v.w) != 0 {
+	if or := uint64(levec.Put(v.cells[at*v.w:], cells, v.w)); v.w < 8 && or>>(8*v.w) != 0 {
 		panic(fmt.Sprintf("protocol: cell bits %#x past the declared width %d", or, v.w))
-	}
-	for old := v.bits.Load(); old|or != old && !v.bits.CompareAndSwap(old, old|or); old = v.bits.Load() {
 	}
 }
 
 // Finish writes msg — the message Lay was given, the fields after its
 // last reserved vector now filled in — around the written vectors. Every
-// cell of every reserved vector must have been put. After it the
-// payload is Measure+AppendTo's bytes of msg with its vectors filled in.
-// On an error l still holds its buffer.
+// cell of every reserved vector must have been put. On an error l still
+// holds its buffer.
 func (l *Laid) Finish(msg any) error {
 	if l.buf == nil || l.size >= 0 {
 		return errors.New("protocol: Finish of a released or finished laid message")
@@ -163,33 +157,7 @@ func (l *Laid) Finish(msg any) error {
 	// Fields past the room Lay left grow the buffer as any append does.
 	e := encoder{buf: l.buf[:l.head], widths: dry.widths, lay: l}
 	l.encode(&e, msg)
-	l.buf = e.buf
-	for k := range l.bits {
-		if levec.Width([]uint64{l.bits[k].Load()}) < l.w {
-			return l.reencode()
-		}
-	}
-	l.size = e.n
-	return nil
-}
-
-// reencode replaces the written payload, one of whose vectors is
-// narrower than declared, with the ordinary encoding of its message.
-func (l *Laid) reencode() error {
-	msg, _, err := DecodeBorrowing(l.buf[l.head:]) // read before the buffer goes back
-	if err != nil {
-		return err
-	}
-	m, err := Measure(msg)
-	if err != nil {
-		return err
-	}
-	buf, head, err := l.pool.Frame(m.Size, 0)
-	if err != nil {
-		return err
-	}
-	l.pool.Release(l.buf)
-	l.buf, l.head, l.size = m.AppendTo(buf[:head]), head, m.Size
+	l.buf, l.size = e.buf, e.n
 	return nil
 }
 

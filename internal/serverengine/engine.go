@@ -100,7 +100,8 @@ type Engine struct {
 	// loops so SetThreads can run while queries are in flight.
 	threads atomic.Int64
 
-	powTab   []uint32      // g^e mod η' for e ∈ [0, δ); η' < 2^32 (params.CheckEtaPrime)
+	powTab   []uint32      // g^e mod η' for e ∈ [0, δ); η' < 2^32 (params.CheckEtaPrime): PSI's χ̄-side table
+	chiTab   []uint32      // powTab rotated by δ ⊖ A(m) (psiTable): PSI's χ-side table
 	modDelta modmath.Mod32 // division-free reduction mod δ
 	// psiWidth and psuWidth are the widths a laid reply declares for its
 	// cells: those of η′−1 (PSI, count) and of δ−1 (PSU).
@@ -279,10 +280,12 @@ func New(v *params.ServerView, opts Options) *Engine {
 	if opts.Threads <= 0 {
 		opts.Threads = runtime.GOMAXPROCS(0)
 	}
+	powTab := modmath.PowTable(v.G, v.Delta, v.EtaPrime)
 	e := &Engine{
 		view:       v,
 		opts:       opts,
-		powTab:     modmath.PowTable(v.G, v.Delta, v.EtaPrime),
+		powTab:     powTab,
+		chiTab:     psiTable(powTab, uint64(v.MShare)),
 		modDelta:   modmath.NewMod32(v.Delta),
 		psiWidth:   levec.Width([]uint32{uint32(v.EtaPrime - 1)}),
 		psuWidth:   levec.Width([]uint16{uint16(v.Delta - 1)}),

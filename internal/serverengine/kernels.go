@@ -2,6 +2,7 @@ package serverengine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,19 +25,28 @@ import (
 // drawn per PRG call (2 KiB).
 const kernelBlock = 1024
 
-// psiKernel computes g^((sum[i] + lift) mod δ) mod η' per cell by table
-// lookup (§5.1 Step 2), where sum[i] = Σ_j A(x_j)_i mod δ and lift is
-// δ ⊖ A(m), or 0 on the verification side.
-func psiKernel(out protocol.Vector[uint32], sum []uint16, lo, hi int, powTab []uint32, md modmath.Mod32, lift uint32) {
+// psiKernel computes PSI's cell tab[sum[i]] per cell (§5.1 Step 2),
+// where sum[i] = Σ_j A(x_j)_i mod δ and tab is one side's table: one
+// load per cell.
+func psiKernel(out protocol.Vector[uint32], sum []uint16, lo, hi int, tab []uint32) {
 	var blk [kernelBlock]uint32
 	for base := lo; base < hi; base += kernelBlock {
 		src := sum[base:min(base+kernelBlock, hi)]
 		dst := blk[:len(src)]
 		for i, s := range src {
-			dst[i] = powTab[md.Reduce(uint32(s)+lift)]
+			dst[i] = tab[s]
 		}
 		out.Put(base, dst)
 	}
+}
+
+// psiTable is powTab rotated by δ ⊖ share: entry s is
+// g^((s ⊖ share) mod δ) mod η', the χ side's cell for owner sum s with
+// the server's share A(m) as share.
+func psiTable(powTab []uint32, share uint64) []uint32 {
+	delta := uint64(len(powTab))
+	r := (delta - share%delta) % delta
+	return slices.Concat(powTab[r:], powTab[:r])
 }
 
 // psuKernel computes sum[i] · rand[i] mod δ per cell (§7, Equation 18),
@@ -113,17 +123,16 @@ func (e *Engine) parallel(n int, fn func(lo, hi int)) {
 }
 
 // psiVector runs psiKernel over the (window-relative) owner sum into
-// out on the worker pool and accounts its time.
+// out on the worker pool, with the χ side's table when subtractM and
+// the χ̄ side's (no ⊖A(m), Equation 7) otherwise, and accounts its time.
 func (e *Engine) psiVector(out protocol.Vector[uint32], sum []uint16, subtractM bool, stats *protocol.Stats) {
-	var lift uint32
+	tab := e.powTab
 	if subtractM {
-		lift = uint32(e.view.Delta - uint64(e.view.MShare)%e.view.Delta)
+		tab = e.chiTab
 	}
 	start := time.Now()
 	n := len(sum)
-	e.parallel(n, func(lo, hi int) {
-		psiKernel(out, sum, lo, hi, e.powTab, e.modDelta, lift)
-	})
+	e.parallel(n, func(lo, hi int) { psiKernel(out, sum, lo, hi, tab) })
 	stats.ComputeNS += time.Since(start).Nanoseconds()
 	stats.Cells += n
 }

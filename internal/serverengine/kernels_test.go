@@ -1,7 +1,6 @@
 package serverengine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -9,6 +8,7 @@ import (
 	"testing"
 
 	"prism/internal/field"
+	"prism/internal/levec"
 	"prism/internal/modmath"
 	"prism/internal/params"
 	"prism/internal/perm"
@@ -236,7 +236,7 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 		}
 	}
 	bounds := append(append([]int{0}, cuts...), c.n)
-	lift := uint32(c.delta - c.mShare)
+	chiTab := psiTable(c.powTab, c.mShare)
 	seed := prg.SeedFromString("kernel-masks")
 	for _, in := range []struct {
 		name   string
@@ -247,7 +247,7 @@ func (c *kernelCase) check(t testing.TB, cuts ...int) {
 		psu, psuCells := laidVector[uint16](t, c.n)
 		g := prg.New(seed)
 		for k := 0; k+1 < len(bounds); k++ {
-			psiKernel(psi, in.sum, bounds[k], bounds[k+1], c.powTab, c.md, lift)
+			psiKernel(psi, in.sum, bounds[k], bounds[k+1], chiTab)
 			psuKernel(psu, in.sum, bounds[k], bounds[k+1], g, c.delta, c.md)
 		}
 		if !slices.Equal(psiCells(), refPSI(in.shares, c.n, c.powTab, c.delta, c.mShare)) {
@@ -317,7 +317,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	defer sumCells()
 	g := prg.New(prg.SeedFromString("allocs-masks"))
 	for name, fn := range map[string]func(){
-		"psiKernel": func() { psiKernel(psi, c.sum, 0, c.n, c.powTab, c.md, 1) },
+		"psiKernel": func() { psiKernel(psi, c.sum, 0, c.n, c.powTab) },
 		"psuKernel": func() { psuKernel(psu, c.sum, 0, c.n, g, c.delta, c.md) },
 		"sumKernel": func() { sumKernel(sum, c.sumF, c.z, 0, c.n) },
 	} {
@@ -465,7 +465,7 @@ func BenchmarkKernelPSI(b *testing.B) {
 	defer done()
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			psiKernel(out, c.sum, 0, c.n, c.powTab, c.md, 1)
+			psiKernel(out, c.sum, 0, c.n, c.powTab)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
 	})
@@ -474,7 +474,7 @@ func BenchmarkKernelPSI(b *testing.B) {
 		var stats protocol.Stats
 		for i := 0; i < b.N; i++ {
 			v := gatherCells(c.sum, inv, &stats)
-			psiKernel(out, v, 0, c.n, c.powTab, c.md, 1)
+			psiKernel(out, v, 0, c.n, c.powTab)
 			u16Cells.Put(v)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/cell")
@@ -526,25 +526,42 @@ func BenchmarkKernelSum(b *testing.B) {
 
 // TestLaidRepliesAreCanonical: every reply HandleLaid lays — PSI and
 // count with and without their proof, PSU in stored and permuted order,
-// aggregation over one and two columns with counts and proof — is, byte
-// for byte, the ordinary encoding of the message it decodes to: over
-// the whole table and over windows of 1 and 37 cells, where cells
-// narrower than the declared width are likely (η′ = 2951 declares 2
-// bytes, δ = 113 one) and the aggregation's selector is all zero, and
-// traced, when the reply's spans outgrow the room left for its Stats.
+// aggregation over one and two columns with counts and proof — decodes,
+// is as long as its message encoded with every vector at the width its
+// handler declares (η′ = 2951 declares 2 bytes, δ = 113 one, field
+// shares 8), and so is as long, its Stats aside, as the same request's
+// reply from a server whose every stored share is zero: over the whole
+// table and over windows of 1 and 37 cells, where narrower cells are
+// likely, with an all-zero selector, and traced, when the reply's spans
+// outgrow the room left for its Stats.
 func TestLaidRepliesAreCanonical(t *testing.T) {
 	const b, m = 4096, 3
-	e := kernelEngine(b, m, 2)
 	g := prg.New(prg.SeedFromString("laid-replies"))
 	spec := protocol.TableSpec{Name: "t", B: b, AggCols: []string{"c", "d"}, HasVerify: true, HasCount: true}
-	u16 := func() []uint16 { v := make([]uint16, b); g.FillUint16(v, 113); return v }
-	u64 := func() []uint64 { v := make([]uint64, b); g.Fill(v, field.P); return v }
 	ctx := context.Background()
-	for j := 0; j < m; j++ {
-		if _, err := e.Handle(ctx, protocol.StoreRequest{Owner: j, Spec: spec, ChiAdd: u16(), ChiBarAdd: u16(),
-			SumCols: map[string][]uint64{"c": u64(), "d": u64()}, VSumCols: map[string][]uint64{"c": u64(), "d": u64()},
-			CountCol: u64(), VCountCol: u64()}); err != nil {
-			t.Fatal(err)
+	engines := make([]*Engine, 2) // random shares, then zero ones
+	for k := range engines {
+		engines[k] = kernelEngine(b, m, 2)
+		u16 := func() []uint16 {
+			v := make([]uint16, b)
+			if k == 0 {
+				g.FillUint16(v, 113)
+			}
+			return v
+		}
+		u64 := func() []uint64 {
+			v := make([]uint64, b)
+			if k == 0 {
+				g.Fill(v, field.P)
+			}
+			return v
+		}
+		for j := 0; j < m; j++ {
+			if _, err := engines[k].Handle(ctx, protocol.StoreRequest{Owner: j, Spec: spec, ChiAdd: u16(), ChiBarAdd: u16(),
+				SumCols: map[string][]uint64{"c": u64(), "d": u64()}, VSumCols: map[string][]uint64{"c": u64(), "d": u64()},
+				CountCol: u64(), VCountCol: u64()}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for _, rg := range []protocol.Range{{}, {Offset: 7, Count: 1}, {Offset: b - 37, Count: 37}} {
@@ -552,7 +569,8 @@ func TestLaidRepliesAreCanonical(t *testing.T) {
 		if n == 0 { // the zero range is the whole table
 			n = b
 		}
-		zero, z := make([]uint64, n), u64()[:n]
+		zero, z := make([]uint64, n), make([]uint64, n)
+		g.Fill(z, field.P)
 		for _, req := range []any{
 			protocol.PSIRequest{Table: "t", Shard: rg},
 			protocol.PSIRequest{Table: "t", Shard: rg, Verify: true},
@@ -565,26 +583,80 @@ func TestLaidRepliesAreCanonical(t *testing.T) {
 			protocol.PSIRequest{Table: "t", Shard: rg, Verify: true, TraceID: "traced"},
 			protocol.AggRequest{Table: "t", Shard: rg, Cols: []string{"c"}, Z: z, TraceID: "traced"},
 		} {
-			rep, err := e.HandleLaid(ctx, req)
-			if err != nil {
-				t.Fatalf("%T over %+v: %v", req, rg, err)
+			w := 2
+			switch req.(type) {
+			case protocol.PSURequest:
+				w = 1
+			case protocol.AggRequest:
+				w = 8
 			}
-			l, ok := rep.(*protocol.Laid)
-			if !ok {
-				t.Fatalf("%T over %+v: a %T, not a laid reply", req, rg, rep)
+			var lens []int
+			for _, e := range engines {
+				rep, err := e.HandleLaid(ctx, req)
+				if err != nil {
+					t.Fatalf("%T over %+v: %v", req, rg, err)
+				}
+				l, ok := rep.(*protocol.Laid)
+				if !ok {
+					t.Fatalf("%T over %+v: a %T, not a laid reply", req, rg, rep)
+				}
+				msg, err := l.Message()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := len(l.Payload()), declaredSize(t, msg, w); got != want {
+					t.Fatalf("%T over %+v: a laid reply of %d bytes; its message with every vector at width %d is %d", req, rg, got, w, want)
+				}
+				lens = append(lens, len(l.Payload())-statsBytes(t, msg))
+				l.Release()
 			}
-			msg, err := l.Message()
-			if err != nil {
-				t.Fatal(err)
+			if lens[0] != lens[1] {
+				t.Fatalf("%T over %+v: replies of %d and %d bytes besides their Stats", req, rg, lens[0], lens[1])
 			}
-			want, err := protocol.Measure(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(l.Payload(), want.AppendTo(nil)) {
-				t.Fatalf("%T over %+v: the laid reply is not the ordinary encoding of its message", req, rg)
-			}
-			l.Release()
 		}
 	}
+}
+
+// declaredSize is the size of msg's ordinary encoding with each of its
+// vectors widened to w bytes a cell.
+func declaredSize(t *testing.T, msg any, w int) int {
+	t.Helper()
+	m, err := protocol.Measure(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := m.Size
+	v := reflect.ValueOf(msg)
+	for i := range v.NumField() {
+		switch f := v.Field(i).Interface().(type) {
+		case []uint16:
+			size += len(f) * (w - levec.Width(f))
+		case []uint32:
+			size += len(f) * (w - levec.Width(f))
+		case []uint64:
+			size += len(f) * (w - levec.Width(f))
+		case map[string][]uint64:
+			for _, c := range f {
+				size += len(c) * (w - levec.Width(c))
+			}
+		}
+	}
+	return size
+}
+
+// statsBytes is what msg's Stats add to its ordinary encoding.
+func statsBytes(t *testing.T, msg any) int {
+	t.Helper()
+	bare := reflect.New(reflect.TypeOf(msg)).Elem()
+	bare.Set(reflect.ValueOf(msg))
+	bare.FieldByName("Stats").SetZero()
+	with, err := protocol.Measure(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := protocol.Measure(bare.Interface())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return with.Size - without.Size
 }

@@ -44,14 +44,6 @@ func (e *Engine) site() string {
 	return fmt.Sprintf("g%d/s%d", e.opts.Group, e.view.Index)
 }
 
-// finishQuery closes out one query handler: bumps the per-type query
-// and processed-cells counters and — for traced requests — converts the
-// handler-local stat accumulators into per-phase spans stamped with
-// this server's site, appended to st.Spans so they ride the reply's
-// Stats back to the owner. Phase spans share the handler's start time:
-// fetch/patch/compute interleave per column within a handler, so the
-// accumulated durations are the truthful shape, not a sequential
-// sub-timeline.
 // announcerWaitSpan is the span a traced ExtremeFetch attaches for the
 // time it spent polling S_a (nil for untraced queries).
 func (e *Engine) announcerWaitSpan(traceID string, start time.Time) []protocol.Span {
@@ -64,6 +56,14 @@ func (e *Engine) announcerWaitSpan(traceID string, start time.Time) []protocol.S
 	}}
 }
 
+// finishQuery closes out one query handler: bumps the per-type query
+// and processed-cells counters and — for traced requests — converts the
+// handler-local stat accumulators into per-phase spans stamped with
+// this server's site, appended to st.Spans so they ride the reply's
+// Stats back to the owner. Phase spans share the handler's start time:
+// fetch/patch/compute interleave per column within a handler, so the
+// accumulated durations are the truthful shape, not a sequential
+// sub-timeline.
 func (e *Engine) finishQuery(typ, traceID string, start time.Time, st *protocol.Stats) {
 	mQueries.Inc(typ)
 	mCells.Add(int64(st.Cells))

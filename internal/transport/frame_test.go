@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"prism/internal/analysis"
+	"prism/internal/levec"
 	"prism/internal/protocol"
 )
 
@@ -318,11 +319,13 @@ func putLaid(l *protocol.Laid, k int, cells any) {
 }
 
 // checkLaid holds the laid encode of env's payload, when its type is one
-// a round lays, to the ordinary one: laid at its cells' full width and
-// at the widest of its vectors' widths, its reserved vectors put from
-// env's cells and finished with env's Stats, the payload is Measure +
-// AppendTo's bytes and its frame encodeFrame's, and every buffer goes
-// back.
+// a round lays, to the declared-width rule: laid at its cells' full
+// width and at the widest of its vectors' widths, its reserved vectors
+// put from env's cells and finished with env's Stats, the payload
+// decodes to env's payload, is the ordinary encoding's length with every
+// reserved vector widened to the declared width, is as long with every
+// cell zero, and frames behind the header encodeFrame gives env; every
+// buffer goes back.
 func checkLaid(t *testing.T, env *envelope) {
 	switch env.Payload.(type) {
 	case protocol.PSIReply, protocol.CountReply, protocol.PSUReply, protocol.AggReply, protocol.AggRequest:
@@ -333,12 +336,13 @@ func checkLaid(t *testing.T, env *envelope) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.AppendTo(nil)
 	wantFrame := frameBody(t, &envelope{ID: env.ID, Payload: env.Payload})
+	header := wantFrame[:len(wantFrame)-m.Size]
 	held := HeldFrames()
 	lay, finish, cells, n := laidForm(env.Payload)
 	full, widest := 0, 1
-	for _, c := range cells {
+	zeros := make([]any, len(cells))
+	for k, c := range cells {
 		v := reflect.ValueOf(c)
 		full = int(v.Type().Elem().Size())
 		for i := range v.Len() {
@@ -346,35 +350,62 @@ func checkLaid(t *testing.T, env *envelope) {
 				widest *= 2
 			}
 		}
+		zeros[k] = reflect.MakeSlice(v.Type(), n, n).Interface()
 	}
 	for _, w := range []int{full, widest} {
 		if w == 0 {
 			continue // nothing reserved
 		}
-		l, err := Lay(lay, n, w)
-		if err != nil {
-			t.Fatalf("Lay %T at width %d: %v", lay, w, err)
+		size := m.Size
+		for _, c := range cells {
+			size += n * (w - vectorWidth(c))
 		}
-		for k, c := range cells {
-			putLaid(l, k, c)
+		for pass, put := range [][]any{cells, zeros} {
+			l, err := Lay(lay, n, w)
+			if err != nil {
+				t.Fatalf("Lay %T at width %d: %v", lay, w, err)
+			}
+			for k, c := range put {
+				putLaid(l, k, c)
+			}
+			if err := l.Finish(finish); err != nil {
+				t.Fatalf("Finish %T at width %d: %v", finish, w, err)
+			}
+			if len(l.Payload()) != size {
+				t.Fatalf("laid %T at width %d is %d bytes, want %d", finish, w, len(l.Payload()), size)
+			}
+			if pass == 0 {
+				got, err := protocol.DecodeMessage(l.Payload())
+				if err != nil || !reflect.DeepEqual(got, env.Payload) {
+					t.Fatalf("laid %T at width %d decodes to %#v, %v", finish, w, got, err)
+				}
+			}
+			payload := slices.Clone(l.Payload())
+			frame, buf, err := encodeFrame(&envelope{ID: env.ID, Payload: l})
+			if err != nil {
+				t.Fatalf("framing a laid %T: %v", finish, err)
+			}
+			if !bytes.Equal(frame[4:], append(slices.Clone(header), payload...)) || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
+				t.Fatalf("laid %T at width %d frames as %x, want header %x then its payload", finish, w, frame, header)
+			}
+			frameBufs.Put(buf)
 		}
-		if err := l.Finish(finish); err != nil {
-			t.Fatalf("Finish %T at width %d: %v", finish, w, err)
-		}
-		if !bytes.Equal(l.Payload(), want) {
-			t.Fatalf("laid %T at width %d:\n got %x\nwant %x", finish, w, l.Payload(), want)
-		}
-		frame, buf, err := encodeFrame(&envelope{ID: env.ID, Payload: l})
-		if err != nil {
-			t.Fatalf("framing a laid %T: %v", finish, err)
-		}
-		if !bytes.Equal(frame[4:], wantFrame) || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
-			t.Fatalf("laid %T at width %d frames as %x, want %x", finish, w, frame, wantFrame)
-		}
-		frameBufs.Put(buf)
 	}
 	if HeldFrames() != held {
 		t.Fatalf("%d frames held after laying, want %d", HeldFrames(), held)
+	}
+}
+
+// vectorWidth is the ordinary encoding's width of c, a []uint16,
+// []uint32 or []uint64.
+func vectorWidth(c any) int {
+	switch c := c.(type) {
+	case []uint16:
+		return levec.Width(c)
+	case []uint32:
+		return levec.Width(c)
+	default:
+		return levec.Width(c.([]uint64))
 	}
 }
 
@@ -384,7 +415,8 @@ func checkLaid(t *testing.T, env *envelope) {
 // of the two typed errors, and
 // whatever it accepts must re-encode to a frame that decodes to the same
 // envelope and encodes to the same bytes again; laid, a payload of a
-// type whose vectors are laid must come out the same bytes (checkLaid).
+// type whose vectors are laid must decode to itself with every reserved
+// vector at the declared width (checkLaid).
 // Seeded with one populated frame per protocol.Messages() entry, whose
 // vectors hold two elements, and with vectors of over 300 at every
 // width, which reach the width scan's block loop and the packer's word
